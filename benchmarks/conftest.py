@@ -8,7 +8,8 @@ experiment (tens of seconds), benchmarks execute exactly once
 
 Scale selection: set ``REPRO_BENCH_SCALE`` to ``smoke`` (default, fast
 wiring check) or ``small`` (minutes per experiment; large enough for the
-paper-shape comparisons recorded in EXPERIMENTS.md).
+paper-shape comparisons; records land in ``benchmarks/results/``, see
+the README's "Benchmarks" section).
 """
 
 import os

@@ -1,4 +1,4 @@
-"""Ablation benches for design choices DESIGN.md calls out (not in the paper).
+"""Ablation benches for this reproduction's design choices (not in the paper).
 
 * early-termination threshold δ (Eq. 7): epochs saved vs accuracy cost;
 * adaptive distillation temperature (Eq. 11) on/off;

@@ -82,7 +82,7 @@ def test_secure_aggregation_exactness_and_overhead(benchmark, scale):
 
 def test_compression_accuracy_vs_bytes(benchmark, scale):
     """Top-k upload compression: wire bytes must grow with the kept
-    fraction; accuracy degrades gracefully (printed for EXPERIMENTS.md)."""
+    fraction; accuracy degrades gracefully (the rows are printed)."""
     fractions = (0.05, 0.25, 1.0)
     rounds = max(2, scale.pretrain_rounds // 2)
 

@@ -2,7 +2,7 @@
 """Using ``repro.nn`` as a standalone deep-learning framework.
 
 The reproduction ships its own NumPy autograd engine (the PyTorch
-substitute — DESIGN.md §1). This example trains a LeNet-5 and a small
+substitute). This example trains a LeNet-5 and a small
 ResNet directly with the low-level API: Tensors, modules, losses,
 optimizers, checkpoints.
 

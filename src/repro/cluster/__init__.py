@@ -1,9 +1,13 @@
 """``repro.cluster`` — multi-node execution over framed TCP sockets.
 
-The runtime made every fan-out site speak in pure, picklable tasks and
-every transport speak one wire format
-(:mod:`repro.runtime.wire`); this package crosses the machine boundary
-with them.  Architecture (DIRAC-style pilot jobs):
+The runtime made every fan-out site speak in pure, picklable tasks,
+every transport speak one wire format (:mod:`repro.runtime.wire`) and
+every multi-process backend run one dispatch core
+(:mod:`repro.runtime.dispatch` over the pull scheduler in
+:mod:`repro.runtime.scheduler`: idle agents *pull* tasks; leases expire
+and resubmit when a node dies, under the same per-task retry budget as
+the pool); this package crosses the machine boundary with them.
+Architecture (DIRAC-style pilot jobs):
 
 :mod:`~repro.cluster.wire`
     :class:`SocketChannel` — CRC32-checked, length-prefixed frames over
@@ -16,17 +20,13 @@ with them.  Architecture (DIRAC-style pilot jobs):
     corruption, tears, partitions) as a pure function of
     (seed, peer, frame index), and the :class:`FaultReport` ledger the
     coordinator stamps into provenance.
-:mod:`~repro.cluster.scheduler`
-    :class:`PullScheduler` — the central queue and lease table.  Idle
-    agents *pull* tasks; leases expire and resubmit when a node dies,
-    under the pool's exact per-task retry budget.
 :mod:`~repro.cluster.coordinator`
-    :class:`Coordinator` — accepts agents, parks empty pulls, ships
-    model state ref/delta/full against a per-peer broadcast cache, and
-    keeps pool-identical batch bookkeeping and byte accounting.
+    :class:`Coordinator` — the dispatch core's TCP transport: accepts
+    agents, parks empty pulls, grants leases up to each agent's
+    capacity, and watches liveness.
 :mod:`~repro.cluster.agent`
-    :func:`run_agent` — the node worker loop (``_pool_worker`` over a
-    socket); also ``python -m repro.cluster.agent HOST:PORT`` for real
+    :func:`run_agent` — the node worker loop (the pool worker's task
+    step over a socket); also ``python -m repro.cluster.agent HOST:PORT`` for real
     multi-host runs.
 :mod:`~repro.cluster.backend`
     :class:`ClusterBackend` — the drop-in ``Backend`` + streaming
@@ -38,7 +38,6 @@ with them.  Architecture (DIRAC-style pilot jobs):
 from .backend import ClusterBackend
 from .chaos import FaultPlan, FaultReport, NetworkFaultInjector
 from .coordinator import Coordinator
-from .scheduler import PullScheduler
 from .wire import (
     AuthenticationError,
     ChannelTimeout,
@@ -73,7 +72,6 @@ __all__ = [
     "NetworkFaultInjector",
     "PayloadTooLarge",
     "ProtocolMismatch",
-    "PullScheduler",
     "SocketChannel",
     "WireError",
     "client_handshake",

@@ -3,19 +3,13 @@
 ``run_agent`` is the whole worker: connect out to the coordinator,
 handshake (magic + wire/frame version + identity/capacity, answering the
 HMAC challenge when the coordinator requires a shared secret), send one
-``("pull",)``, and then serve the task/result loop — the exact body of
-the pool's ``_pool_worker``, with the pipe swapped for a
+``("pull",)``, and then serve the task/result loop over a
 :class:`~repro.cluster.wire.SocketChannel`:
 
-* each ``("task", lease_id, task_bytes, broadcast)`` applies the model
-  broadcast *first* (keeping the local cache in lockstep with the
-  coordinator's mirror even when the task itself turns out to be bad),
-  then unpickles and runs the task inside the try block, so a task that
-  cannot be reconstructed or that raises is reported as that task's
-  failure rather than crashing the agent;
-* every result echoes the agent's current cache version, letting the
-  coordinator detect and repair divergence by falling back to
-  full-state sends;
+* each ``("task", lease_id, task_bytes, broadcast)`` is run by
+  :func:`repro.runtime.dispatch.serve_task` — the same worker step the
+  pool's pipe workers run (broadcast applied first, task failures
+  reported rather than fatal, cache version echoed in every result);
 * a daemon **heartbeat thread** proves liveness on a timer — during
   long tasks too, not just while parked — so the coordinator's
   heartbeat-deadline liveness never mistakes a busy agent for a dead
@@ -42,12 +36,11 @@ from __future__ import annotations
 
 import hashlib
 import os
-import pickle
 import threading
 import time
 from typing import Any, Optional, Tuple
 
-from ..runtime.codec import decode_broadcast
+from ..runtime.dispatch import BroadcastCache, serve_task
 from .chaos import CHAOS_ENV_VAR, NetworkFaultInjector, coerce_plan
 from .wire import (
     AUTH_TOKEN_ENV_VAR,
@@ -164,8 +157,7 @@ def _serve(channel, heartbeat_interval: float) -> str:
     """The task/result loop for one connection.  Returns ``"shutdown"``
     on a clean stop and ``"lost"`` when the connection must be retired
     (EOF, stall, corrupt frame)."""
-    cache_version: Optional[str] = None
-    cache_state = None
+    cache = BroadcastCache()
     stop = threading.Event()
     dead = threading.Event()
 
@@ -180,6 +172,9 @@ def _serve(channel, heartbeat_interval: float) -> str:
             except (WireError, OSError):
                 dead.set()
                 return
+
+    def _reply(result) -> None:
+        send_message(channel, ("result",) + result)
 
     pulse = threading.Thread(target=_heartbeat, daemon=True)
     pulse.start()
@@ -208,31 +203,8 @@ def _serve(channel, heartbeat_interval: float) -> str:
                 return "shutdown"
             if kind != "task":
                 continue  # tolerate unknown control messages
-            _, lease_id, task_bytes, broadcast = message
             try:
-                state = None
-                if broadcast is not None:
-                    field, wire = broadcast
-                    state, version = decode_broadcast(wire, cache_version, cache_state)
-                    cache_version, cache_state = version, state
-                task = pickle.loads(task_bytes)
-                if broadcast is not None:
-                    setattr(task, field, state)
-                reply = ("result", lease_id, None, task.run(), cache_version)
-            except (KeyboardInterrupt, SystemExit):
-                raise
-            except Exception as exc:
-                import traceback
-
-                reply = (
-                    "result",
-                    lease_id,
-                    f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}",
-                    None,
-                    cache_version,
-                )
-            try:
-                send_message(channel, reply)
+                serve_task(cache, message[1:], _reply)
                 send_message(channel, ("pull",))
             except (WireError, OSError):
                 return "lost"

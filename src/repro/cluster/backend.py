@@ -2,12 +2,13 @@
 
 A drop-in :class:`~repro.runtime.backends.Backend` (plus the
 ``submit``/``drain``/``poll``/``pop_ticket_stats`` streaming surface the
-event-driven federation engine and the deletion service detect), so
-every ``backend=`` call site — federation rounds sync and async, SISA
-chains, unlearning windows, all codecs — routes over TCP unchanged.
-Because tasks carry their model state and exact RNG position, results
-are **bit-identical** to ``pool`` and ``serial``; the cluster changes
-wall-clock and wire bytes, never the numbers.
+event-driven federation engine and the deletion service detect — the
+same :class:`~repro.runtime.dispatch.DispatchBackend` base the pool
+backend has), so every ``backend=`` call site — federation rounds sync
+and async, SISA chains, unlearning windows, all codecs — routes over TCP
+unchanged.  Because tasks carry their model state and exact RNG
+position, results are **bit-identical** to ``pool`` and ``serial``; the
+cluster changes wall-clock and wire bytes, never the numbers.
 
 The default deployment is the deterministic localhost cluster: on first
 use the backend binds a loopback coordinator on an ephemeral port and
@@ -30,8 +31,7 @@ import os
 import weakref
 from typing import Any, Dict, List, Optional, Sequence
 
-from ..runtime.backends import Backend, SerialBackend, usable_cpus
-from ..runtime.pool import _pool_context
+from ..runtime.dispatch import DispatchBackend, worker_context
 from ..runtime.wire import TransportStats
 from .chaos import FaultPlan, FaultReport, coerce_plan
 from .coordinator import Coordinator
@@ -69,7 +69,7 @@ def _teardown(coordinator: Coordinator, agents: List[Any]) -> None:
     agents.clear()
 
 
-class ClusterBackend(Backend):
+class ClusterBackend(DispatchBackend):
     """A :class:`Backend` over a coordinator + node-agent cluster.
 
     Parameters
@@ -141,7 +141,7 @@ class ClusterBackend(Backend):
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.max_workers = max_workers
+        super().__init__(max_workers, max_task_retries)
         self.spawn_agents = spawn_agents
         self.respawn = respawn
         self.chaos: Optional[FaultPlan] = coerce_plan(chaos)
@@ -168,17 +168,10 @@ class ClusterBackend(Backend):
             reconnect=True,
         )
         self._agent_kwargs.update(agent_options or {})
-        self._max_task_retries = max_task_retries
         self.coordinator: Optional[Coordinator] = None
         self._agents: List[Any] = []
         self._agent_serial = 0
         self._finalizer: Optional[weakref.finalize] = None
-        # Transport stats of the most recent run_tasks batch (None when it
-        # was served inline by the serial shortcut).
-        self.last_batch_stats: Optional[TransportStats] = None
-
-    def worker_count(self) -> int:
-        return self.max_workers or max(2, usable_cpus())
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -190,14 +183,6 @@ class ClusterBackend(Backend):
     def _ensure_started(self) -> None:
         if self.coordinator is not None:
             return
-        # Same pre-fork tracker dance as the pool: workers must inherit
-        # the parent's resource tracker or shared-memory teardown warns.
-        try:
-            from multiprocessing import resource_tracker
-
-            resource_tracker.ensure_running()
-        except Exception:
-            pass
         coordinator = Coordinator(
             host=self._init["host"],
             port=self._init["port"],
@@ -211,8 +196,8 @@ class ClusterBackend(Backend):
         self.coordinator = coordinator
         self._finalizer = weakref.finalize(self, _teardown, coordinator, self._agents)
         if self.spawn_agents:
-            context = _pool_context()
-            count = self.max_workers or max(2, usable_cpus())
+            context = worker_context()
+            count = self.worker_count()
             for _ in range(count):
                 self._agents.append(
                     _agent_process(
@@ -258,7 +243,7 @@ class ClusterBackend(Backend):
         while len(self._agents) < count:
             self._agents.append(
                 _agent_process(
-                    _pool_context(),
+                    worker_context(),
                     self.coordinator.address,
                     self._next_agent_id(),
                     self._agent_kwargs,
@@ -289,54 +274,19 @@ class ClusterBackend(Backend):
             _teardown(self.coordinator, self._agents)
         self.coordinator = None
 
-    def __enter__(self) -> "ClusterBackend":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
     # ------------------------------------------------------------------
-    # The Backend + streaming interface (PoolBackend's exact surface)
+    # The Backend + streaming interface (DispatchBackend's, over the
+    # lazily started coordinator)
     # ------------------------------------------------------------------
+    def _dispatcher(self, start: bool = True) -> Optional[Coordinator]:
+        if start:
+            self._ensure_started()
+        return self.coordinator
+
     def run_tasks(self, tasks: Sequence[Any]) -> List[Any]:
-        tasks = list(tasks)
-        if len(tasks) <= 1 and not self.running:
-            # Not worth standing a cluster up for a single task.
-            self.last_batch_stats = None
-            return SerialBackend().run_tasks(tasks)
-        self._ensure_started()
-        ticket = self.coordinator.submit(tasks)
-        results = self.coordinator.drain(ticket)
-        self.last_batch_stats = self.coordinator.pop_ticket_stats(ticket)
-        return results
-
-    def submit(self, tasks: Sequence[Any]) -> int:
-        self._ensure_started()
-        return self.coordinator.submit(tasks)
-
-    def drain(self, ticket: int) -> List[Any]:
-        self._ensure_started()
-        return self.coordinator.drain(ticket)
-
-    def poll(self, ticket: int) -> bool:
-        self._ensure_started()
-        return self.coordinator.poll(ticket)
-
-    def pop_ticket_stats(self, ticket: int) -> Optional[TransportStats]:
-        if self.coordinator is None:
-            return None
-        return self.coordinator.pop_ticket_stats(ticket)
-
-    @property
-    def max_task_retries(self) -> int:
-        """Node-loss budget per task (see :class:`~repro.cluster.scheduler.PullScheduler`)."""
-        return self._max_task_retries
-
-    @property
-    def transport_stats(self) -> TransportStats:
-        if self.coordinator is None:
-            return TransportStats()
-        return self.coordinator.transport_stats
+        # Defined on this class, not inherited: the benchmark's tracer
+        # wraps ``ClusterBackend.run_tasks`` through the class ``__dict__``.
+        return self._run_batch(tasks)
 
     def peer_stats(self) -> Dict[str, TransportStats]:
         if self.coordinator is None:
@@ -349,14 +299,3 @@ class ClusterBackend(Backend):
         if self.coordinator is None:
             return FaultReport.zero_dict()
         return self.coordinator.fault_report()
-
-    @property
-    def outstanding_tickets(self) -> List[int]:
-        if self.coordinator is None:
-            return []
-        return self.coordinator.outstanding_tickets
-
-    def __repr__(self) -> str:
-        workers = self.max_workers if self.max_workers is not None else "auto"
-        state = "up" if self.running else "down"
-        return f"ClusterBackend(max_workers={workers}, {state})"

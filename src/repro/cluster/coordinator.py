@@ -1,9 +1,11 @@
 """The cluster coordinator: accepts node agents, leases them tasks.
 
 One :class:`Coordinator` plays the role the parent process plays for the
-worker pool — it owns the batch bookkeeping, the per-peer broadcast
-caches, and the byte accounting — but over TCP, against agents that
-*pull* work instead of having it pushed at an idle pipe.
+worker pool — both are transports over the same
+:class:`~repro.runtime.dispatch.Dispatcher`, which owns the batch
+bookkeeping, the per-receiver broadcast caches and the byte accounting
+— but over TCP, against agents that *pull* work instead of having it
+pushed at an idle pipe.
 
 Event model
 -----------
@@ -31,10 +33,9 @@ Pull protocol (all messages are framed tuples, see
     the next heartbeat instead of deadlocking the pair.
 ``("task", lease_id, task_bytes, broadcast)``
     One granted task.  The model state is lifted out of the pickle and
-    shipped ref/delta/full against this peer's broadcast cache, exactly
-    as the pool does per worker slot (shared ``_delta_memo``, mirror
-    advanced at send time, repaired from the version echoed in every
-    result).
+    shipped ref/delta/full against this peer's broadcast cache by the
+    shared dispatch core (:mod:`repro.runtime.dispatch`) — the same code
+    the pool runs per worker slot.
 ``("result", lease_id, error, payload, cache_version)``
     Completion for a lease.  Stale lease ids (the peer finished after
     its lease expired and the task was resubmitted) are dropped by the
@@ -67,24 +68,14 @@ per-peer and cumulative totals, never in ticket stats.
 
 from __future__ import annotations
 
-import copy
-import pickle
 import time
 from multiprocessing import connection
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..runtime.backends import BackendError
-from ..runtime.codec import (
-    BroadcastDelta,
-    BroadcastFull,
-    BroadcastRef,
-    encode_broadcast,
-    state_version,
-)
-from ..runtime.pool import _broadcast_field
+from ..runtime.dispatch import BroadcastCache, Dispatcher
 from ..runtime.wire import TransportStats
 from .chaos import FaultReport
-from .scheduler import Lease, PullScheduler
 from .wire import (
     DEFAULT_FRAME_TIMEOUT,
     DEFAULT_MAX_FRAME_BYTES,
@@ -107,8 +98,7 @@ class _Peer:
         "channel",
         "capacity",
         "pid",
-        "cache_version",
-        "cache_state",
+        "mirror",
         "suspect",
         "last_seen",
         "stats",
@@ -119,14 +109,16 @@ class _Peer:
         self.channel = channel
         self.capacity = max(1, int(info.get("capacity") or 1))
         self.pid = info.get("pid")
-        self.cache_version: Optional[str] = None
-        self.cache_state = None
+        self.mirror = BroadcastCache()
         self.suspect = False
         self.last_seen = time.monotonic()
         self.stats = TransportStats()
 
+    def send_task(self, item: Tuple) -> int:
+        return send_message(self.channel, ("task",) + item)
 
-class Coordinator:
+
+class Coordinator(Dispatcher):
     """Task server for a set of node agents, with pool-identical batches.
 
     Parameters
@@ -138,7 +130,7 @@ class Coordinator:
         explicitly.
     lease_timeout:
         Seconds before a granted-but-unfinished task is presumed lost
-        and resubmitted (see :class:`~repro.cluster.scheduler.PullScheduler`).
+        and resubmitted (see :class:`~repro.runtime.scheduler.PullScheduler`).
     max_task_retries:
         Per-task budget of peer losses before the batch fails, identical
         to the pool's worker-death budget.
@@ -176,9 +168,7 @@ class Coordinator:
             raise ValueError(
                 f"heartbeat_timeout must be > 0 or None, got {heartbeat_timeout}"
             )
-        self.scheduler = PullScheduler(
-            lease_timeout=lease_timeout, max_task_retries=max_task_retries
-        )
+        super().__init__(lease_timeout=lease_timeout, max_task_retries=max_task_retries)
         self.max_frame_bytes = max_frame_bytes
         self.heartbeat_timeout = heartbeat_timeout
         self.frame_timeout = frame_timeout
@@ -186,9 +176,6 @@ class Coordinator:
         self.on_peer_lost = on_peer_lost
         self._listener = listen(host, port)
         self._peers: Dict[str, _Peer] = {}
-        self._totals = TransportStats()
-        self._ticket_stats: Dict[int, TransportStats] = {}
-        self._delta_memo: Dict[Tuple[str, str], bytes] = {}
         self._anon_peers = 0
         self._closed = False
         # Fault-tolerance ledger (the coordinator's half of fault_report;
@@ -251,23 +238,12 @@ class Coordinator:
             pass
 
     # ------------------------------------------------------------------
-    # submit / drain / poll — the pool-shaped batch interface
+    # submit / drain — poll and the stats surface are inherited
     # ------------------------------------------------------------------
     def submit(self, tasks: Sequence[Any]) -> int:
         if self._closed:
             raise BackendError("cluster coordinator is closed")
-        ticket = self.scheduler.add_batch(tasks)
-        self._ticket_stats[ticket] = self.scheduler.batch(ticket).stats
-        if len(self._ticket_stats) > 1024:
-            # Stats nobody popped for long-drained batches: shed oldest.
-            live = set(self.scheduler.outstanding_tickets)
-            for stale in sorted(self._ticket_stats):
-                if stale not in live:
-                    del self._ticket_stats[stale]
-                if len(self._ticket_stats) <= 512:
-                    break
-        self._feed_idle()
-        return ticket
+        return super().submit(tasks)
 
     def drain(self, ticket: int) -> List[Any]:
         batch = self.scheduler.batch(ticket)  # raises on unknown ticket
@@ -288,40 +264,11 @@ class Coordinator:
                     f"{self.scheduler.lease_timeout:.0f}s with batch {ticket} "
                     f"incomplete ({batch.remaining} task(s) left)"
                 )
-        self.scheduler.finish_batch(ticket)
-        if batch.errors:
-            raise BackendError(
-                f"{len(batch.errors)} task(s) failed under ClusterBackend; first:\n"
-                + batch.errors[0]
-            )
-        return batch.results
-
-    def poll(self, ticket: int) -> bool:
-        batch = self.scheduler.batch(ticket)
-        if batch.remaining:
-            self.pump(timeout=0.0)
-        return batch.remaining == 0
-
-    @property
-    def outstanding_tickets(self) -> List[int]:
-        return self.scheduler.outstanding_tickets
+        return self._claim(ticket)
 
     # ------------------------------------------------------------------
-    # Transport accounting
+    # Per-peer and fault accounting
     # ------------------------------------------------------------------
-    @property
-    def transport_stats(self) -> TransportStats:
-        """Cumulative counters over the coordinator's lifetime, control
-        traffic included."""
-        total = TransportStats()
-        total.add(self._totals)
-        return total
-
-    def pop_ticket_stats(self, ticket: int) -> Optional[TransportStats]:
-        """Claim one batch's transport stats (dispatch + result bytes and
-        broadcast wire forms — pool semantics, no control traffic)."""
-        return self._ticket_stats.pop(ticket, None)
-
     def peer_stats(self) -> Dict[str, TransportStats]:
         """Per-connected-peer byte counters (control traffic included)."""
         return {agent_id: peer.stats for agent_id, peer in self._peers.items()}
@@ -456,14 +403,8 @@ class Coordinator:
         kind = message[0] if isinstance(message, tuple) and message else None
         if kind == "pull":
             self._grant(peer)
-        elif kind == "result":
-            _, lease_id, error, payload, echoed = message
-            if echoed != peer.cache_version:
-                # The agent failed to apply a broadcast; drop the mirror
-                # so the next dispatch ships the full state.
-                peer.cache_version = None
-                peer.cache_state = None
-            self.scheduler.complete(lease_id, error, payload, nbytes)
+        elif kind == "result" and len(message) == 5 and isinstance(message[1], int):
+            self._complete(peer.mirror, message[1:], nbytes)
             self._grant(peer)  # top idle capacity back up immediately
         elif kind == "heartbeat":
             # Heartbeats double as grant opportunities: if the network
@@ -478,8 +419,8 @@ class Coordinator:
             self.corrupt_frames += 1
             self._drop_peer(peer, charge=False)
         else:
-            # Unknown message: protocol violation — drop the peer rather
-            # than guess at the stream state.
+            # Unknown or malformed message: protocol violation — drop the
+            # peer rather than guess at the stream state.
             self._drop_peer(peer)
 
     def _grant(self, peer: _Peer) -> None:
@@ -493,86 +434,17 @@ class Coordinator:
             lease = self.scheduler.next_task(peer.agent_id)
             if lease is None:
                 return  # queue empty: parked until the next submit
-            if self._dispatch(peer, lease):
-                continue  # granted; keep topping up spare capacity
-            if peer.agent_id not in self._peers:
-                return  # peer died mid-dispatch; its pull dies with it
-            # Task was completed inline (unpicklable); keep feeding this
-            # still-idle peer.
-
-    def _dispatch(self, peer: _Peer, lease: Lease) -> bool:
-        """Ship one leased task to a peer.  Returns whether it went over
-        the wire (False → completed inline or the peer was dropped)."""
-        ticket, _, task = lease.item
-        field = _broadcast_field(task)
-        wire = None
-        state = None
-        to_pickle = task
-        if field is not None:
-            state = getattr(task, field)
-            # Callers that broadcast one state to a whole cohort stamp
-            # its hash once (TrainTask.model_version); everything else
-            # is hashed here.
-            version = getattr(task, "model_version", None) or state_version(state)
-            wire = encode_broadcast(
-                state,
-                version,
-                peer.cache_version,
-                peer.cache_state,
-                delta_cache=self._delta_memo,
-            )
-            self._prune_delta_memo()
-            to_pickle = copy.copy(task)
-            setattr(to_pickle, field, None)
-            if getattr(to_pickle, "model_version", None) is not None:
-                # The version travels inside the broadcast wire form.
-                to_pickle.model_version = None
-        try:
-            task_bytes = pickle.dumps(to_pickle, protocol=pickle.HIGHEST_PROTOCOL)
-        except Exception:
-            # Unpicklable task (e.g. a closure factory): run it inline
-            # rather than failing the batch, exactly like the pool.
-            self._complete_inline(lease)
-            return False
-        payload = ("task", lease.lease_id, task_bytes, (field, wire) if wire else None)
-        try:
-            sent = send_message(peer.channel, payload)
-        except (WireError, OSError):
-            # The peer died between its pull and our send.  The task never
-            # started, so this loss is not charged to its retry budget.
-            self.scheduler.rescind(lease.lease_id)
-            self._drop_peer(peer)
-            return False
-        if wire is not None:
-            # The channel is FIFO and the agent applies broadcasts before
-            # anything that can fail, so the mirror advances at send time.
-            peer.cache_version = wire.version
-            peer.cache_state = state
-        self._account_dispatch(peer, ticket, sent, wire)
-        return True
-
-    def _account_dispatch(self, peer: _Peer, ticket: int, sent: int, wire: Any) -> None:
-        batch = self._ticket_stats.get(ticket)
-        peer.stats.bytes_down += sent
-        for stats in [self._totals] + ([batch] if batch is not None else []):
-            stats.bytes_down += sent
-            if isinstance(wire, BroadcastFull):
-                stats.broadcast_full += 1
-            elif isinstance(wire, BroadcastDelta):
-                stats.broadcast_delta += 1
-            elif isinstance(wire, BroadcastRef):
-                stats.broadcast_ref += 1
-
-    def _complete_inline(self, lease: Lease) -> None:
-        ticket, _, task = lease.item
-        batch = self._ticket_stats.get(ticket)
-        if batch is not None:
-            batch.inline_tasks += 1
-        self._totals.inline_tasks += 1
-        try:
-            self.scheduler.complete(lease.lease_id, None, task.run())
-        except Exception as exc:
-            self.scheduler.complete(lease.lease_id, f"{type(exc).__name__}: {exc}", None)
+            try:
+                # 0 bytes → completed inline (unpicklable); keep feeding
+                # this still-idle peer.
+                peer.stats.bytes_down += self._dispatch(lease, peer.mirror, peer.send_task)
+            except (WireError, OSError):
+                # The peer died between its pull and our send.  The task
+                # never started, so this loss is not charged to its retry
+                # budget.  Its pull dies with it.
+                self.scheduler.rescind(lease.lease_id)
+                self._drop_peer(peer)
+                return
 
     def _drop_peer(self, peer: _Peer, charge: bool = True) -> None:
         """Connection-level failure: requeue the peer's leases (charged
@@ -597,10 +469,6 @@ class Coordinator:
                 return
             if peer.agent_id in self._peers:
                 self._grant(peer)
-
-    def _prune_delta_memo(self, keep: int = 8) -> None:
-        while len(self._delta_memo) > keep:
-            self._delta_memo.pop(next(iter(self._delta_memo)))
 
     def __repr__(self) -> str:
         host, port = self.address if not self._closed else ("-", 0)

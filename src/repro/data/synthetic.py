@@ -13,7 +13,7 @@ modulated in contrast, plus Gaussian pixel noise. This makes classes
 linearly non-trivial yet learnable by LeNet-scale convnets within a few
 epochs — matching the role the real datasets play in the paper (they are a
 carrier for *relative* comparisons between unlearning methods, not an end
-in themselves). See DESIGN.md §1 for the substitution rationale.
+in themselves).
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ class SyntheticSpec:
 # Train-time noise is kept low so the origin model fits (and backdoors
 # implant) within a few epochs; test-time noise is higher so test accuracy
 # lands in the paper's mid-range band instead of saturating. See the module
-# docstring and DESIGN.md §1.
+# docstring.
 SPECS = {
     "mnist": SyntheticSpec("mnist", 1, 28, 10, noise_std=0.40,
                            prototypes_per_class=2, max_shift=2, coarse_cells=7,

@@ -55,7 +55,7 @@ PAPER_MU_D = 1.0
 PAPER_MU_C = 0.25
 
 # Trigger calibrated so the origin model's attack success rate is high at
-# reproduction scale (see DESIGN.md §1 and EXPERIMENTS.md).
+# reproduction scale.
 DEFAULT_TRIGGER = TriggerPattern(size=7, value=6.0)
 
 

@@ -82,7 +82,7 @@ class ExperimentResult:
         print(self.render())
 
     # ------------------------------------------------------------------
-    # Persistence (for EXPERIMENTS.md provenance and offline analysis)
+    # Persistence (for run provenance and offline analysis)
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
         payload = {

@@ -418,18 +418,16 @@ def _backend_pickles_tasks(backend: BackendLike) -> bool:
     """Whether the active backend ships tasks to other processes.
 
     Decides the ``share_datasets=None`` auto default: sharing buys
-    zero-copy fan-out exactly when tasks leave the process (pool pickles
-    over pipes; process re-pickles shared handles cheaply on fork).
+    zero-copy fan-out exactly when tasks leave the process (the pool
+    pickles them over pipes).
     """
     if backend is None:
         backend = os.environ.get(BACKEND_ENV_VAR) or "serial"
     if isinstance(backend, str):
-        name = parse_backend_spec(backend)[0]
-        return name in ("process", "pool")
-    from ..runtime.backends import ProcessBackend
+        return parse_backend_spec(backend)[0] == "pool"
     from ..runtime.pool import PoolBackend
 
-    return isinstance(backend, (ProcessBackend, PoolBackend))
+    return isinstance(backend, PoolBackend)
 
 
 # Pseudo-datasets reuse another dataset's data under a different model

@@ -1,8 +1,8 @@
 """``repro.nn`` — a compact NumPy deep-learning framework.
 
-This package replaces PyTorch as the paper's training substrate (see
-DESIGN.md §1). It provides reverse-mode autodiff (:mod:`repro.nn.tensor`),
-layers, optimizers, losses and the paper's model zoo.
+This package replaces PyTorch as the paper's training substrate. It
+provides reverse-mode autodiff (:mod:`repro.nn.tensor`), layers,
+optimizers, losses and the paper's model zoo.
 """
 
 from . import functional

@@ -40,7 +40,7 @@ MODEL_BUILDERS: Dict[str, Callable[..., Module]] = {
     "mlp": _build_mlp,
     "resnet8": _resnet_builder(8),
     # CPU-friendly narrow member of the same family, used by the reduced
-    # experiment scales in place of ResNet32/56 (see DESIGN.md §1).
+    # experiment scales in place of ResNet32/56.
     "resnet8_slim": _resnet_builder(8, base_width=4),
     "resnet20": _resnet_builder(20),
     "resnet32": _resnet_builder(32),

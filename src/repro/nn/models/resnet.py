@@ -6,7 +6,7 @@ three stages of ``n`` basic blocks at widths (16, 32, 64) with stride-2
 downsampling between stages, global average pooling, and a linear head.
 
 Any depth of the family can be built via :func:`resnet`; the benchmark
-presets use shallow depths (ResNet8) for CPU runtime — see DESIGN.md §1.
+presets use shallow depths (ResNet8) for CPU runtime.
 """
 
 from __future__ import annotations

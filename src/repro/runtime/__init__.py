@@ -14,7 +14,7 @@ All of those entry points accept a ``backend=`` argument taking ``None``
 (serial, the default), a spec string, or a configured :class:`Backend`
 instance::
 
-    sim = FederatedSimulation(..., backend="process")
+    sim = FederatedSimulation(..., backend="thread")
     ensemble = SisaEnsemble(..., backend="pool:4")
     trainer = ShardedClientTrainer(..., backend=PoolBackend(max_workers=4))
 
@@ -25,23 +25,30 @@ optimisation.  Rules of thumb:
 * ``serial`` (default) — debugging, tiny workloads, exact-legacy runs.
 * ``thread`` — work that releases the GIL (large BLAS matmuls) or cheap
   parity checking; no pickling, no process overhead.
-* ``process`` — one-shot fan-outs.  Forks per call, so tasks may hold
-  closures (children inherit them), but every call pays the fork cost.
-* ``pool`` — many-round experiments.  Workers fork once and stay warm
+* ``pool`` — multi-core on one host.  Workers fork once and stay warm
   across every ``run_tasks`` call (federated rounds, SISA retrain
   chains, protocol rounds all reuse them); tasks are pickled over, so
   combine with shared-memory datasets
   (:meth:`~repro.data.dataset.ArrayDataset.share`) to make the per-task
-  payload independent of data size.  The ``"pool"``/``"pool:N"`` specs
-  resolve to one shared process-wide pool per worker count; construct
-  :class:`~repro.runtime.pool.PoolBackend` directly for a private pool.
+  payload independent of data size.  A task that cannot be pickled (a
+  closure model factory) runs inline in the caller.  The
+  ``"pool"``/``"pool:N"`` specs resolve to one shared process-wide pool
+  per worker count; construct :class:`~repro.runtime.pool.PoolBackend`
+  directly for a private pool.  ``process`` (``processes``, ``fork``)
+  is an alias of ``pool``: the fork-per-call backend it once named was
+  superseded by the pool and removed.
 * ``cluster`` — the pool's semantics over TCP (:mod:`repro.cluster`).
   ``"cluster:4"`` stands up a deterministic localhost coordinator +
   node-agent cluster, bit-identical to ``pool``; the same backend
   serves real multi-host runs with agents started via
   ``python -m repro.cluster.agent HOST:PORT``.
 
-Specs may carry a worker count (``"process:8"``, ``"pool:4"``), and when
+``pool`` and ``cluster`` are two transports (pipes, TCP) over one
+dispatch core (:mod:`repro.runtime.dispatch`,
+:mod:`repro.runtime.scheduler`): scheduling, retry budgets, the
+broadcast cache and byte accounting are the same code on both.
+
+Specs may carry a worker count (``"thread:8"``, ``"pool:4"``), and when
 ``backend=None`` the ``REPRO_BACKEND`` environment variable (same
 syntax) is consulted before defaulting to serial — which is how
 ``python -m repro.experiments --backend pool --workers 8`` threads a
@@ -65,7 +72,6 @@ from .backends import (
     Backend,
     BackendError,
     BackendLike,
-    ProcessBackend,
     SerialBackend,
     ThreadBackend,
     get_backend,
@@ -111,7 +117,6 @@ __all__ = [
     "ChainTask",
     "EncodedUpdate",
     "PoolBackend",
-    "ProcessBackend",
     "RngState",
     "SerialBackend",
     "StateDict",

@@ -17,17 +17,12 @@ backend changes wall-clock time only, never the numbers:
     only helps when the work releases it (large BLAS matmuls); its main
     roles are overlap with I/O and cheap parity checking.
 
-``ProcessBackend``
-    Forked worker processes.  Tasks are *inherited* by the children at
-    fork time (so even closures work — nothing task-side is pickled);
-    only the results travel back over a queue, and those are plain NumPy
-    state dicts.  On platforms without ``fork`` it degrades to serial
-    execution rather than failing.
-
 ``PoolBackend`` (in :mod:`repro.runtime.pool`)
     A persistent worker pool: forks once, then serves every subsequent
-    ``run_tasks`` call over pipes.  The fast choice for many-round
-    experiments; pair with shared-memory datasets for large data.
+    ``run_tasks`` call over pipes.  The multi-process choice on one
+    host; pair with shared-memory datasets for large data.  Tasks are
+    pickled to the workers; one that cannot be (a closure model
+    factory) runs inline in the caller instead of failing.
 
 ``ClusterBackend`` (in :mod:`repro.cluster.backend`)
     The pool's interface over TCP sockets: a coordinator leases tasks
@@ -37,9 +32,12 @@ backend changes wall-clock time only, never the numbers:
     started agents.  Bit-identical to ``pool`` by construction.
 
 Pick a backend by name with :func:`get_backend` (``"serial"``,
-``"thread"``, ``"process"``, ``"pool"``, ``"cluster"``) or pass a
-:class:`Backend` instance.  A spec may carry a worker count after a
-colon — ``get_backend("process:8")``, ``get_backend("pool:4")`` — plus
+``"thread"``, ``"pool"``, ``"cluster"``) or pass a :class:`Backend`
+instance.  ``"process"`` (also ``"processes"``, ``"fork"``) named a
+fork-per-call backend the pool superseded and is kept as an alias of
+``"pool"``, so existing specs and ``REPRO_BACKEND`` values still
+resolve.  A spec may carry a worker count after a colon —
+``get_backend("thread:8")``, ``get_backend("pool:4")`` — plus
 ``key=value`` options after that: ``"pool:8:retries=2"`` sets the
 pool's ``max_task_retries`` worker-death budget, and
 ``"cluster:4:retries=2:lease=60:capacity=2"`` additionally bounds how
@@ -56,9 +54,7 @@ warm workers.
 from __future__ import annotations
 
 import abc
-import multiprocessing
 import os
-import queue as queue_module
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, List, Optional, Sequence, Union
 
@@ -133,122 +129,6 @@ class ThreadBackend(Backend):
             return list(pool.map(lambda task: task.run(), tasks))
 
 
-def _process_worker(result_queue, tasks, cursor) -> None:
-    """Child body: pull task indices off the shared cursor, ship results.
-
-    Dynamic work stealing — each child grabs the next unclaimed index —
-    so heterogeneous batches (e.g. SISA chains of very different lengths)
-    balance across workers instead of round-robin bunching.
-    """
-    while True:
-        with cursor.get_lock():
-            index = cursor.value
-            if index >= len(tasks):
-                return
-            cursor.value = index + 1
-        try:
-            result_queue.put((index, None, tasks[index].run()))
-        except Exception as exc:  # report, don't kill the whole batch
-            # (KeyboardInterrupt/SystemExit propagate so Ctrl-C actually
-            # stops the worker instead of being logged as a task failure.)
-            import traceback
-
-            result_queue.put(
-                (index, f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}", None)
-            )
-
-
-class ProcessBackend(Backend):
-    """Run tasks in forked worker processes.
-
-    Tasks are distributed round-robin over at most ``max_workers``
-    children.  Forking (rather than a pickling pool) means the children
-    see the task objects through copy-on-write memory, so arbitrary
-    callables — closure model factories included — are fine; only results
-    cross the process boundary.  Workers that die without reporting are
-    detected and surfaced as :class:`BackendError` instead of hanging.
-    """
-
-    name = "process"
-
-    def __init__(self, max_workers: Optional[int] = None) -> None:
-        if max_workers is not None and max_workers < 1:
-            raise ValueError(f"max_workers must be >= 1, got {max_workers}")
-        self.max_workers = max_workers
-
-    def worker_count(self) -> int:
-        return self.max_workers or max(2, usable_cpus())
-
-    def run_tasks(self, tasks: Sequence[Any]) -> List[Any]:
-        tasks = list(tasks)
-        if len(tasks) <= 1:
-            return [task.run() for task in tasks]
-        if "fork" not in multiprocessing.get_all_start_methods():
-            # Spawn would require pickling the tasks' factories; stay
-            # correct (if slower) instead of failing on exotic platforms.
-            return SerialBackend().run_tasks(tasks)
-
-        workers = min(len(tasks), self.max_workers or max(2, usable_cpus()))
-        context = multiprocessing.get_context("fork")
-        result_queue = context.Queue()
-        cursor = context.Value("l", 0)  # next unclaimed task index
-        children = [
-            context.Process(
-                target=_process_worker,
-                args=(result_queue, tasks, cursor),
-                daemon=True,
-            )
-            for _ in range(workers)
-        ]
-        for child in children:
-            child.start()
-
-        results: List[Any] = [None] * len(tasks)
-        errors: List[str] = []
-        remaining = len(tasks)
-        try:
-            while remaining:
-                try:
-                    index, error, payload = result_queue.get(timeout=0.2)
-                except queue_module.Empty:
-                    if all(not child.is_alive() for child in children):
-                        # Children are gone; drain stragglers then bail.
-                        while remaining:
-                            try:
-                                index, error, payload = result_queue.get_nowait()
-                            except queue_module.Empty:
-                                break
-                            remaining -= 1
-                            if error is not None:
-                                errors.append(error)
-                            else:
-                                results[index] = payload
-                        if remaining:
-                            raise BackendError(
-                                f"{remaining} task(s) lost: worker process(es) "
-                                "died without reporting a result"
-                            )
-                    continue
-                remaining -= 1
-                if error is not None:
-                    errors.append(error)
-                else:
-                    results[index] = payload
-        finally:
-            for child in children:
-                child.join(timeout=5.0)
-                if child.is_alive():
-                    child.terminate()
-            result_queue.close()
-
-        if errors:
-            raise BackendError(
-                f"{len(errors)} task(s) failed under ProcessBackend; first:\n"
-                + errors[0]
-            )
-        return results
-
-
 def _make_serial(max_workers: Optional[int] = None) -> Backend:
     if max_workers is not None:
         raise ValueError("the serial backend does not take a worker count")
@@ -317,12 +197,18 @@ _CLUSTERS: dict = {}
 _BACKENDS = {
     "serial": _make_serial,
     "thread": ThreadBackend,
-    "threads": ThreadBackend,
-    "process": ProcessBackend,
-    "processes": ProcessBackend,
-    "fork": ProcessBackend,
     "pool": _make_pool,
     "cluster": _make_cluster,
+}
+
+#: Other spellings a spec may use, resolved by :func:`parse_backend_spec`.
+#: The ``process`` family named the fork-per-call backend the pool
+#: replaced; it now means the shared pool.
+_ALIASES = {
+    "threads": "thread",
+    "process": "pool",
+    "processes": "pool",
+    "fork": "pool",
 }
 
 #: Environment variable consulted by :func:`get_backend` when no spec is
@@ -355,16 +241,18 @@ def parse_backend_spec(spec: str) -> tuple:
 
     ``pool:8:retries=2`` → ``("pool", 8, {"retries": 2})``: eight warm
     workers, each task surviving up to two worker deaths before the batch
-    fails.  Validates eagerly — unknown names, malformed counts,
-    ``"serial:N"`` and options the named backend does not support all
-    raise here, so callers (the experiment CLI in particular) can reject
-    a typo before any expensive setup runs.
+    fails.  Alias spellings come back under their canonical name
+    (``process:4`` → ``("pool", 4, {})``).  Validates eagerly — unknown
+    names, malformed counts, ``"serial:N"`` and options the named
+    backend does not support all raise here, so callers (the experiment
+    CLI in particular) can reject a typo before any expensive setup runs.
     """
     segments = spec.split(":")
     name = segments[0].strip().lower()
+    name = _ALIASES.get(name, name)
     if name not in _BACKENDS:
         raise ValueError(
-            f"unknown backend {spec!r}; available: {sorted(set(_BACKENDS))}"
+            f"unknown backend {spec!r}; available: {sorted([*_BACKENDS, *_ALIASES])}"
         )
     workers: Optional[int] = None
     options: dict = {}
@@ -425,7 +313,7 @@ def parse_backend_spec(spec: str) -> tuple:
             except ValueError:
                 raise ValueError(
                     f"bad worker count in backend spec {spec!r}; "
-                    "expected e.g. 'process:8'"
+                    "expected e.g. 'pool:8'"
                 ) from None
             if workers < 1:
                 raise ValueError(f"worker count must be >= 1, got {workers}")
@@ -441,8 +329,9 @@ def get_backend(spec: BackendLike = None) -> Backend:
 
     ``None`` falls back to the ``REPRO_BACKEND`` environment variable if
     set, else the serial default (exact legacy behaviour).  Strings pick
-    a stock backend by name with an optional worker count —
-    ``"process:8"``, ``"pool:4"``.  Instances pass through untouched.
+    a stock backend by name with an optional worker count and options —
+    ``"thread:8"``, ``"pool:4:retries=2"``.  Instances pass through
+    untouched.
     """
     if spec is None:
         spec = os.environ.get(BACKEND_ENV_VAR) or None
@@ -452,18 +341,7 @@ def get_backend(spec: BackendLike = None) -> Backend:
         return spec
     if isinstance(spec, str):
         name, workers, options = parse_backend_spec(spec)  # validates
-        factory = _BACKENDS[name]
-        if name == "pool":
-            return factory(workers, retries=options.get("retries"))
-        if name == "cluster":
-            return factory(
-                workers,
-                retries=options.get("retries"),
-                lease=options.get("lease"),
-                capacity=options.get("capacity"),
-                chaos=options.get("chaos"),
-            )
-        return factory(workers) if workers is not None else factory()
+        return _BACKENDS[name](workers, **options)
     raise TypeError(
         f"backend must be None, a name, or a Backend instance, got {type(spec)!r}"
     )

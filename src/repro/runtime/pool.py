@@ -1,17 +1,18 @@
 """Persistent worker pool: fan-out without a fork per call.
 
-:class:`~repro.runtime.backends.ProcessBackend` forks a fresh set of
-children on every ``run_tasks`` call.  That is simple and lets tasks hold
-arbitrary closures (the children inherit them), but a many-round
-experiment pays the fork + queue setup over and over — once per federated
-round, once per SISA retrain, hundreds of times per run.
-
-:class:`WorkerPool` keeps the children alive instead.  Workers are
+:class:`WorkerPool` keeps its worker processes alive.  Workers are
 spawned once (lazily, on first use) and then serve every subsequent
 batch; tasks travel to them over pipes, so the per-batch cost is one
 pickle per task rather than one fork per worker.  With shared-memory
 datasets (:meth:`repro.data.dataset.ArrayDataset.share`) that pickle is a
 few hundred bytes of metadata + indices, independent of the data size.
+
+The pool is the pipe transport over the shared dispatch core
+(:mod:`repro.runtime.dispatch`): scheduling, retry budgets, the
+version-addressed broadcast cache and byte accounting live there, and
+are the same code the TCP cluster (:mod:`repro.cluster`) runs.  What is
+here is what pipes add: spawning and respawning worker processes, and
+noticing their deaths.
 
 Two-level API:
 
@@ -36,173 +37,74 @@ Two-level API:
 
 Fault tolerance
 ---------------
-Each worker runs at most one task at a time and the parent remembers the
-assignment, so a worker that dies mid-task (OOM kill, segfault, stray
+Each worker runs at most one task at a time and the scheduler remembers
+the lease, so a worker that dies mid-task (OOM kill, segfault, stray
 ``os._exit``) loses exactly one known task.  The pool respawns the worker
-and resubmits the task; a task that keeps killing its workers fails the
-batch with :class:`~repro.runtime.backends.BackendError` after
-``max_task_retries`` respawns instead of looping forever.  Ordinary
+and the scheduler resubmits the task; a task that keeps killing its
+workers fails the batch with :class:`~repro.runtime.backends.BackendError`
+after ``max_task_retries`` respawns instead of looping forever.  Ordinary
 exceptions raised *inside* a task are caught in the worker and reported
-back, exactly like :class:`ProcessBackend`.
+back with their traceback.
 
-Zero-redundancy transport
--------------------------
-The pipes speak a version-addressed protocol (:mod:`repro.runtime.codec`)
-instead of naively pickling whole tasks:
-
-* payloads travel as ``pickle.HIGHEST_PROTOCOL`` frames with protocol-5
-  **out-of-band buffers**, so large ndarray payloads (model states,
-  unshared datasets, results) are written straight from their own memory
-  instead of being copied into one big pickle byte-string first;
-* each worker slot carries a **broadcast cache**: the last model state it
-  received, addressed by a stable content hash.  A task whose
-  ``model_state``/``init_state`` matches the slot's cached version ships
-  a bare version *ref*; a different version of the same structure ships
-  a compressed lossless XOR *delta* against the cache; only a cold cache
-  (first contact — or a respawned worker, whose fresh slot resets the
-  mirror) ships the *full* state.  Inside a federated round every client
-  carries the same global model, so each worker receives it once and the
-  rest of the round's tasks are refs.
-
-Bytes moved, and which wire form each broadcast took, are accounted per
-batch (:meth:`WorkerPool.pop_ticket_stats`) and cumulatively
-(:attr:`WorkerPool.transport_stats`) — the numbers behind the per-round
-byte counts in :class:`~repro.federated.simulation.RoundRecord`.
-
-Determinism: tasks carry their model state and exact RNG position (see
-:mod:`repro.runtime.task`), so results are bit-identical to the serial
-backend no matter which worker runs what, in what order, or after how
-many respawns — and the broadcast cache preserves that, because its
-delta encoding is bytewise-lossless by construction.
+Transport
+---------
+Payloads travel as ``pickle.HIGHEST_PROTOCOL`` frames with protocol-5
+**out-of-band buffers** (:mod:`repro.runtime.wire`), so large ndarray
+payloads (model states, unshared datasets, results) are written straight
+from their own memory instead of being copied into one big pickle
+byte-string first.  Bytes moved, and which wire form each broadcast
+took, are accounted per batch (:meth:`WorkerPool.pop_ticket_stats`) and
+cumulatively (:attr:`WorkerPool.transport_stats`) — the numbers behind
+the per-round byte counts in
+:class:`~repro.federated.simulation.RoundRecord`.
 """
 
 from __future__ import annotations
 
-import copy
-import multiprocessing
-import pickle
 import weakref
-from collections import deque
 from multiprocessing import connection
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence
 
-from .backends import Backend, BackendError, SerialBackend, usable_cpus
-from .codec import (
-    BroadcastDelta,
-    BroadcastFull,
-    BroadcastRef,
-    decode_broadcast,
-    encode_broadcast,
-    state_version,
+from .backends import usable_cpus
+from .dispatch import (
+    BroadcastCache,
+    DispatchBackend,
+    Dispatcher,
+    serve_task,
+    worker_context,
 )
-from .wire import TransportStats, recv_payload, send_payload
-
-# (ticket, index_in_batch, task) — one unit of dispatched work.  The task
-# slot holds the live object parent-side; it is pickled at dispatch time.
-_WorkItem = Tuple[int, int, Any]
-
-# Task attributes the broadcast cache can lift out of the pickled task
-# (TrainTask's broadcast basis, ChainTask's chain start), in probe order.
-_BROADCAST_FIELDS = ("model_state", "init_state")
-
-
-def _broadcast_field(task: Any) -> Optional[str]:
-    """The task attribute holding its model-state broadcast, if any."""
-    for field in _BROADCAST_FIELDS:
-        if getattr(task, field, None) is not None:
-            return field
-    return None
-
-
-# Pipe framing lives in repro.runtime.wire (shared with the cluster's
-# TCP transport); the historical private names remain importable here.
-_send_payload = send_payload
-_recv_payload = recv_payload
+from .wire import recv_payload, send_payload
 
 
 def _pool_worker(task_reader, result_writer) -> None:
     """Worker body: serve tasks from a pipe until told to stop.
 
-    A ``None`` payload is the shutdown sentinel.  Items arrive as
-    ``(ticket, index, pickled_task, broadcast)`` — the broadcast channel
-    is applied *first* (it keeps this worker's model cache in lockstep
-    with the parent's mirror even when the task itself turns out to be
-    bad), then the task is unpickled and run inside the try block, so a
-    task that cannot be reconstructed or that raises is reported as that
-    task's failure rather than crashing the worker.  Every reply echoes
-    the worker's current cache version, letting the parent detect and
-    repair any cache divergence by falling back to full-state sends.
+    A ``None`` payload is the shutdown sentinel; every other item is
+    handed to :func:`~repro.runtime.dispatch.serve_task`.
     """
-    cache_version: Optional[str] = None
-    cache_state = None
+    cache = BroadcastCache()
+
+    def reply(result) -> None:
+        send_payload(result_writer, result)
+
     while True:
         try:
-            item, _ = _recv_payload(task_reader)
+            item, _ = recv_payload(task_reader)
         except (EOFError, OSError):
             return  # parent is gone
         if item is None:
             return
-        ticket, index, task_bytes, broadcast = item
-        try:
-            state = None
-            if broadcast is not None:
-                field, wire = broadcast
-                state, version = decode_broadcast(wire, cache_version, cache_state)
-                cache_version, cache_state = version, state
-            task = pickle.loads(task_bytes)
-            if broadcast is not None:
-                setattr(task, field, state)
-            _send_payload(
-                result_writer, (ticket, index, None, task.run(), cache_version)
-            )
-        except (KeyboardInterrupt, SystemExit):
-            raise
-        except Exception as exc:
-            import traceback
-
-            _send_payload(
-                result_writer,
-                (
-                    ticket,
-                    index,
-                    f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}",
-                    None,
-                    cache_version,
-                ),
-            )
-
-
-def _pool_context():
-    """The multiprocessing context every pool worker starts under.
-
-    Fork where available (cheap, inherits the parent's module state so
-    even late-defined task classes unpickle); spawn otherwise — tasks
-    are pickled to the workers either way, so spawn only loses closure
-    factories, which fall back to inline execution in ``_dispatch_idle``.
-    """
-    if "fork" in multiprocessing.get_all_start_methods():
-        return multiprocessing.get_context("fork")
-    return multiprocessing.get_context("spawn")
+        serve_task(cache, item, reply)
 
 
 class _WorkerSlot:
-    """One live worker: process, pipes, assignment, and broadcast cache.
+    """One live worker: process, pipes, and broadcast-cache mirror.
 
-    ``cache_version``/``cache_state`` mirror the worker's model cache
-    parent-side (what the last Full/Delta send installed), which is what
-    lets dispatch decide ref vs delta vs full without a round trip.  A
-    respawned worker gets a fresh slot, so its mirror starts cold and the
-    first broadcast after a death takes the full-state path.
+    A respawned worker gets a fresh slot, so its mirror starts cold and
+    the first broadcast after a death takes the full-state path.
     """
 
-    __slots__ = (
-        "process",
-        "task_writer",
-        "result_reader",
-        "inflight",
-        "cache_version",
-        "cache_state",
-    )
+    __slots__ = ("process", "task_writer", "result_reader", "mirror")
 
     def __init__(self, context) -> None:
         task_reader, task_writer = context.Pipe(duplex=False)
@@ -217,13 +119,14 @@ class _WorkerSlot:
         result_writer.close()
         self.task_writer = task_writer
         self.result_reader = result_reader
-        self.inflight: Optional[_WorkItem] = None
-        self.cache_version: Optional[str] = None
-        self.cache_state = None
+        self.mirror = BroadcastCache()
+
+    def send(self, message: Any) -> int:
+        return send_payload(self.task_writer, message)
 
     def shutdown(self, timeout: float = 2.0) -> None:
         try:
-            _send_payload(self.task_writer, None)
+            self.send(None)
         except (BrokenPipeError, OSError):
             pass
         self.process.join(timeout=timeout)
@@ -242,19 +145,7 @@ def _shutdown_slots(slots: List[_WorkerSlot]) -> None:
     slots.clear()
 
 
-class _Batch:
-    """Bookkeeping for one submitted batch of tasks."""
-
-    __slots__ = ("results", "remaining", "errors", "stats")
-
-    def __init__(self, size: int) -> None:
-        self.results: List[Any] = [None] * size
-        self.remaining = size
-        self.errors: List[str] = []
-        self.stats = TransportStats()
-
-
-class WorkerPool:
+class WorkerPool(Dispatcher):
     """A warm set of worker processes serving task batches over pipes.
 
     Parameters
@@ -271,27 +162,13 @@ class WorkerPool:
     def __init__(self, max_workers: Optional[int] = None, max_task_retries: int = 1) -> None:
         if max_workers is not None and max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
-        if max_task_retries < 0:
-            raise ValueError(f"max_task_retries must be >= 0, got {max_task_retries}")
+        # Slot index is the scheduler's peer key.  Leases never expire: a
+        # pipe reports a lost worker by EOF / ``is_alive``, never by
+        # silence.
+        super().__init__(lease_timeout=float("inf"), max_task_retries=max_task_retries)
         self.max_workers = max_workers
-        self.max_task_retries = max_task_retries
         self._slots: List[_WorkerSlot] = []
-        self._pending: deque = deque()  # _WorkItem queue awaiting dispatch
-        self._batches: Dict[int, _Batch] = {}
-        self._deaths: Dict[Tuple[int, int], int] = {}  # (ticket, index) -> respawns
-        self._next_ticket = 0
         self._finalizer: Optional[weakref.finalize] = None
-        self._totals = TransportStats()  # cumulative across the pool's life
-        self._ticket_stats: Dict[int, TransportStats] = {}
-        # (version, base_version) -> deflated XOR payload: one new global
-        # state broadcast to W same-cache workers deflates once, not W
-        # times.  Insertion-ordered dict pruned to the freshest few pairs
-        # (one federation round plus interleaved deletion-chain versions).
-        self._delta_memo: Dict[Tuple[str, str], bytes] = {}
-
-    def _prune_delta_memo(self, keep: int = 8) -> None:
-        while len(self._delta_memo) > keep:
-            self._delta_memo.pop(next(iter(self._delta_memo)))
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -308,18 +185,7 @@ class WorkerPool:
     def _ensure_started(self) -> None:
         if self._slots:
             return
-        # Start the resource tracker BEFORE forking, so workers inherit
-        # the parent's tracker.  Otherwise a worker that first touches
-        # shared memory (attaching a SharedArrayDataset) spawns its own
-        # tracker, which mis-reports the parent-owned blocks as leaked
-        # at worker shutdown.
-        try:
-            from multiprocessing import resource_tracker
-
-            resource_tracker.ensure_running()
-        except Exception:
-            pass  # tracker is an optimisation for warnings, never fatal
-        context = _pool_context()
+        context = worker_context()
         workers = self.max_workers or max(2, usable_cpus())
         self._slots = [_WorkerSlot(context) for _ in range(workers)]
         # GC-safe teardown that does not resurrect the pool.
@@ -338,15 +204,9 @@ class WorkerPool:
             self._finalizer = None
         _shutdown_slots(self._slots)
         self._slots = []
-        self._pending.clear()
-        self._deaths.clear()
-        for batch in self._batches.values():
-            if batch.remaining:
-                batch.errors.append(
-                    f"worker pool closed with {batch.remaining} task(s) "
-                    "outstanding"
-                )
-                batch.remaining = 0
+        self.scheduler.fail_all_outstanding(
+            "worker pool closed with task(s) outstanding"
+        )
 
     def __enter__(self) -> "WorkerPool":
         return self
@@ -355,360 +215,115 @@ class WorkerPool:
         self.close()
 
     # ------------------------------------------------------------------
-    # submit / drain
+    # The Dispatcher's transport half
     # ------------------------------------------------------------------
     def submit(self, tasks: Sequence[Any]) -> int:
-        """Enqueue a batch; returns a ticket for :meth:`drain`.
-
-        Idle workers start on the batch immediately; the call does not
-        block on worker-side task completion.  One exception: a task
-        that cannot be pickled (e.g. a closure factory) falls back to
-        running inline, synchronously, inside this call — callers
-        relying on submit/drain overlap should keep tasks picklable.
-        """
-        tasks = list(tasks)
         self._ensure_started()
-        ticket = self._next_ticket
-        self._next_ticket += 1
-        batch = _Batch(len(tasks))
-        self._batches[ticket] = batch
-        self._ticket_stats[ticket] = batch.stats
-        if len(self._ticket_stats) > 1024:
-            # Stats nobody popped for long-drained batches: shed oldest.
-            for stale in sorted(self._ticket_stats):
-                if stale not in self._batches:
-                    del self._ticket_stats[stale]
-                if len(self._ticket_stats) <= 512:
-                    break
-        self._pending.extend((ticket, index, task) for index, task in enumerate(tasks))
-        self._dispatch_idle()
-        return ticket
-
-    def drain(self, ticket: int) -> List[Any]:
-        """Block until batch ``ticket`` completes; return results in
-        submission order.  Raises :class:`BackendError` if any of its
-        tasks failed or exhausted their worker-death retries."""
-        try:
-            batch = self._batches[ticket]
-        except KeyError:
-            raise ValueError(f"unknown or already-drained ticket {ticket!r}") from None
-        while batch.remaining:
-            self._dispatch_idle()
-            self._pump(timeout=0.2)
-        del self._batches[ticket]
-        if batch.errors:
-            raise BackendError(
-                f"{len(batch.errors)} task(s) failed under WorkerPool; first:\n"
-                + batch.errors[0]
-            )
-        return batch.results
-
-    def poll(self, ticket: int) -> bool:
-        """Non-blocking progress + completion check for one batch.
-
-        Dispatches pending work to idle workers, collects any results that
-        have already arrived (for *every* outstanding ticket, not just this
-        one) and returns whether batch ``ticket`` is complete — i.e.
-        whether :meth:`drain` would return without blocking.  Errors are
-        only raised at drain time, so a completed-with-failure batch polls
-        as ``True``.
-        """
-        try:
-            batch = self._batches[ticket]
-        except KeyError:
-            raise ValueError(f"unknown or already-drained ticket {ticket!r}") from None
-        if batch.remaining:
-            self._dispatch_idle()
-            self._pump(timeout=0.0)
-        return batch.remaining == 0
-
-    @property
-    def outstanding_tickets(self) -> List[int]:
-        """Tickets submitted but not yet drained, oldest first."""
-        return sorted(self._batches)
-
-    # ------------------------------------------------------------------
-    # Transport accounting
-    # ------------------------------------------------------------------
-    @property
-    def transport_stats(self) -> TransportStats:
-        """Cumulative bytes/wire-form counters over the pool's lifetime."""
-        total = TransportStats()
-        total.add(self._totals)
-        return total
-
-    def pop_ticket_stats(self, ticket: int) -> Optional[TransportStats]:
-        """Claim one batch's transport stats (bytes both ways, broadcast
-        wire forms).  Complete once the batch is drained; ``None`` if the
-        ticket is unknown or its stats were already claimed."""
-        return self._ticket_stats.pop(ticket, None)
+        return super().submit(tasks)
 
     def run_tasks(self, tasks: Sequence[Any]) -> List[Any]:
         """The stock backend interface: submit + drain one batch."""
         return self.drain(self.submit(tasks))
 
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _dispatch_idle(self) -> None:
-        for slot_index, slot in enumerate(self._slots):
-            if not self._pending:
+    def _feed_idle(self) -> None:
+        scheduler = self.scheduler
+        for index, slot in enumerate(self._slots):
+            if not scheduler.has_pending:
                 return
-            if slot.inflight is not None:
-                continue
+            if scheduler.outstanding_for(index):
+                continue  # one task per worker at a time
             if not slot.process.is_alive():
-                self._slots[slot_index] = slot = self._respawn(slot)
-            item = self._pending.popleft()
-            ticket, index, task = item
-            # Version-addressed broadcast: lift the model state out of the
-            # pickled task and ship it ref / delta / full against this
-            # slot's cache.  Re-derived per dispatch, so a requeued task
-            # landing on a fresh (respawned, cold-cache) slot takes the
-            # full-state path automatically.
-            field = _broadcast_field(task)
-            wire = None
-            to_pickle = task
-            if field is not None:
-                state = getattr(task, field)
-                # Callers that broadcast one state to a whole cohort stamp
-                # its hash once (TrainTask.model_version); everything else
-                # is hashed here.
-                version = getattr(task, "model_version", None) or state_version(state)
-                wire = encode_broadcast(
-                    state,
-                    version,
-                    slot.cache_version,
-                    slot.cache_state,
-                    delta_cache=self._delta_memo,
-                )
-                self._prune_delta_memo()
-                to_pickle = copy.copy(task)
-                setattr(to_pickle, field, None)
-                if getattr(to_pickle, "model_version", None) is not None:
-                    # The version travels inside the broadcast wire form;
-                    # the worker never reads the task's copy.
-                    to_pickle.model_version = None
+                slot = self._respawn(index)
+            lease = scheduler.next_task(index)
             try:
-                task_bytes = pickle.dumps(to_pickle, protocol=pickle.HIGHEST_PROTOCOL)
-            except Exception:
-                # Unpicklable task (e.g. a closure factory): run it
-                # inline rather than failing the batch.
-                self._complete_inline(item)
-                continue
-            payload = (ticket, index, task_bytes, (field, wire) if wire else None)
-            try:
-                sent = _send_payload(slot.task_writer, payload)
+                self._dispatch(lease, slot.mirror, slot.send)
             except (BrokenPipeError, OSError):
                 # Worker died between the liveness check and the send.
                 # The task never started, so this death cannot be its
                 # fault — requeue without charging its retry budget.
-                self._slots[slot_index] = self._respawn(slot)
-                self._requeue(item, charge_retry=False)
-                continue
-            slot.inflight = item
-            if wire is not None:
-                # The pipe is FIFO and the worker applies broadcasts
-                # before anything that can fail, so the mirror advances
-                # at send time.
-                slot.cache_version = wire.version
-                slot.cache_state = state
-            self._account_dispatch(ticket, sent, wire)
+                scheduler.rescind(lease.lease_id)
+                self._respawn(index)
 
-    def _account_dispatch(self, ticket: int, sent: int, wire: Any) -> None:
-        batch = self._batches.get(ticket)
-        stats_targets = [self._totals] + ([batch.stats] if batch else [])
-        for stats in stats_targets:
-            stats.bytes_down += sent
-            if isinstance(wire, BroadcastFull):
-                stats.broadcast_full += 1
-            elif isinstance(wire, BroadcastDelta):
-                stats.broadcast_delta += 1
-            elif isinstance(wire, BroadcastRef):
-                stats.broadcast_ref += 1
-
-    def _pump(self, timeout: float) -> None:
-        """Collect finished results; detect and repair dead workers."""
-        readers = [slot.result_reader for slot in self._slots if slot.inflight is not None]
-        if not readers:
-            # Everything in flight was lost to deaths handled below, or the
-            # batch only had inline work; nothing to wait on.
-            self._reap_dead()
-            return
-        ready = connection.wait(readers, timeout)
+    def pump(self, timeout: float) -> None:
+        """Feed idle workers, collect finished results, detect and
+        repair dead workers."""
+        self._feed_idle()
+        # Wait only on the readers of slots that owe a result.
+        busy = {
+            slot.result_reader: index
+            for index, slot in enumerate(self._slots)
+            if self.scheduler.outstanding_for(index)
+        }
+        # With nothing in flight (everything was lost to deaths handled
+        # below, or the batch only had inline work) there is nothing to
+        # wait on.
+        ready = connection.wait(list(busy), timeout) if busy else []
         if not ready:
             self._reap_dead()
             return
-        by_reader = {slot.result_reader: slot for slot in self._slots}
         for reader in ready:
-            slot = by_reader[reader]
-            try:
-                (ticket, index, error, payload, echoed), nbytes = _recv_payload(reader)
-            except (EOFError, OSError):
-                self._handle_death(slot)
-                continue
-            slot.inflight = None
-            self._repair_cache(slot, echoed)
-            self._record(ticket, index, error, payload, nbytes)
+            index = busy[reader]
+            if not self._receive(self._slots[index]):
+                self._handle_death(index)
 
-    def _repair_cache(self, slot: _WorkerSlot, echoed: Optional[str]) -> None:
-        """Reset a slot's cache mirror if the worker reports divergence.
-
-        Every reply echoes the worker's cache version.  The pipe is FIFO
-        and each slot runs one task at a time, so a mismatch means the
-        worker failed to apply a broadcast; dropping the mirror makes the
-        next dispatch ship the full state, restoring sync.
-        """
-        if echoed != slot.cache_version:
-            slot.cache_version = None
-            slot.cache_state = None
+    def _receive(self, slot: _WorkerSlot) -> bool:
+        """Record one reply from ``slot``; False when its pipe is dead."""
+        try:
+            reply, nbytes = recv_payload(slot.result_reader)
+        except (EOFError, OSError):
+            return False
+        self._totals.bytes_up += nbytes
+        self._complete(slot.mirror, reply, nbytes)
+        return True
 
     def _reap_dead(self) -> None:
-        for slot in list(self._slots):
-            if slot.inflight is not None and not slot.process.is_alive():
+        for index, slot in enumerate(self._slots):
+            if self.scheduler.outstanding_for(index) and not slot.process.is_alive():
                 # Drain any result the worker managed to send before dying.
-                if slot.result_reader.poll(0):
-                    try:
-                        (ticket, index, error, payload, echoed), nbytes = _recv_payload(
-                            slot.result_reader
-                        )
-                    except (EOFError, OSError):
-                        pass
-                    else:
-                        slot.inflight = None
-                        self._record(ticket, index, error, payload, nbytes)
-                        continue
-                self._handle_death(slot)
+                if slot.result_reader.poll(0) and self._receive(slot):
+                    continue
+                self._handle_death(index)
 
-    def _handle_death(self, slot: _WorkerSlot) -> None:
-        item = slot.inflight
-        position = self._slots.index(slot)
-        self._slots[position] = self._respawn(slot)
-        if item is not None:
-            self._requeue(item)
+    def _handle_death(self, index: int) -> None:
+        self._respawn(index)
+        self.scheduler.release_peer(index)
 
-    def _respawn(self, slot: _WorkerSlot) -> _WorkerSlot:
-        slot.shutdown(timeout=0.5)
-        return _WorkerSlot(_pool_context())
-
-    def _requeue(self, item: _WorkItem, charge_retry: bool = True) -> None:
-        ticket, index, _ = item
-        if not charge_retry:
-            self._pending.appendleft(item)
-            return
-        deaths = self._deaths.get((ticket, index), 0) + 1
-        self._deaths[(ticket, index)] = deaths
-        if deaths > self.max_task_retries:
-            self._record(
-                ticket,
-                index,
-                f"worker process died {deaths} time(s) while running task "
-                f"{index} of batch {ticket}; giving up after "
-                f"{self.max_task_retries} retr{'y' if self.max_task_retries == 1 else 'ies'}",
-                None,
-            )
-        else:
-            # Front of the queue: the lost task is the oldest outstanding
-            # work, so it should not wait behind a long backlog.
-            self._pending.appendleft(item)
-
-    def _complete_inline(self, item: _WorkItem) -> None:
-        ticket, index, task = item
-        batch = self._batches.get(ticket)
-        if batch is not None:
-            batch.stats.inline_tasks += 1
-        self._totals.inline_tasks += 1
-        try:
-            self._record(ticket, index, None, task.run())
-        except Exception as exc:
-            self._record(ticket, index, f"{type(exc).__name__}: {exc}", None)
-
-    def _record(
-        self,
-        ticket: int,
-        index: int,
-        error: Optional[str],
-        payload: Any,
-        nbytes: int = 0,
-    ) -> None:
-        self._totals.bytes_up += nbytes
-        batch = self._batches.get(ticket)
-        if batch is None:  # late result for an errored-out, drained batch
-            return
-        batch.stats.bytes_up += nbytes
-        self._deaths.pop((ticket, index), None)
-        batch.remaining -= 1
-        if error is not None:
-            batch.errors.append(error)
-        else:
-            batch.results[index] = payload
+    def _respawn(self, index: int) -> _WorkerSlot:
+        self._slots[index].shutdown(timeout=0.5)
+        self._slots[index] = slot = _WorkerSlot(worker_context())
+        return slot
 
 
-class PoolBackend(Backend):
+class PoolBackend(DispatchBackend):
     """A :class:`~repro.runtime.backends.Backend` over a persistent
     :class:`WorkerPool`.
 
-    Unlike :class:`ProcessBackend`, which forks per ``run_tasks`` call,
-    one ``PoolBackend`` instance keeps its workers warm across every call
-    — pass the same instance (or the ``"pool"`` spec, which resolves to a
-    process-wide shared instance) to :class:`FederatedSimulation`,
-    :class:`SisaEnsemble` and the unlearning protocols and they all reuse
-    the same workers.  Tasks are pickled to the workers, so pair it with
-    shared-memory datasets for large data (see
-    :meth:`repro.data.dataset.ArrayDataset.share`).
+    One ``PoolBackend`` instance keeps its workers warm across every
+    ``run_tasks`` call — pass the same instance (or the ``"pool"`` spec,
+    which resolves to a process-wide shared instance) to
+    :class:`FederatedSimulation`, :class:`SisaEnsemble` and the
+    unlearning protocols and they all reuse the same workers.  Tasks are
+    pickled to the workers, so pair it with shared-memory datasets for
+    large data (see :meth:`repro.data.dataset.ArrayDataset.share`).
     """
 
     name = "pool"
 
     def __init__(self, max_workers: Optional[int] = None, max_task_retries: int = 1) -> None:
         self.pool = WorkerPool(max_workers=max_workers, max_task_retries=max_task_retries)
-        self.max_workers = max_workers
-        # Transport stats of the most recent run_tasks batch (None when it
-        # was served inline by the serial shortcut).
-        self.last_batch_stats: Optional[TransportStats] = None
+        super().__init__(max_workers, max_task_retries)
 
-    def worker_count(self) -> int:
-        return self.max_workers or max(2, usable_cpus())
+    @property
+    def running(self) -> bool:
+        return self.pool.running
+
+    def _dispatcher(self, start: bool = True) -> WorkerPool:
+        return self.pool  # starts its workers itself, on first submit
 
     def run_tasks(self, tasks: Sequence[Any]) -> List[Any]:
-        tasks = list(tasks)
-        if len(tasks) <= 1 and not self.pool.running:
-            # Not worth warming the pool for a single task.
-            self.last_batch_stats = None
-            return SerialBackend().run_tasks(tasks)
-        ticket = self.pool.submit(tasks)
-        results = self.pool.drain(ticket)
-        self.last_batch_stats = self.pool.pop_ticket_stats(ticket)
-        return results
-
-    def submit(self, tasks: Sequence[Any]) -> int:
-        return self.pool.submit(tasks)
-
-    def drain(self, ticket: int) -> List[Any]:
-        return self.pool.drain(ticket)
-
-    def poll(self, ticket: int) -> bool:
-        return self.pool.poll(ticket)
-
-    def pop_ticket_stats(self, ticket: int) -> Optional[TransportStats]:
-        return self.pool.pop_ticket_stats(ticket)
-
-    @property
-    def max_task_retries(self) -> int:
-        """Worker-death budget per task (see :class:`WorkerPool`)."""
-        return self.pool.max_task_retries
-
-    @property
-    def transport_stats(self) -> TransportStats:
-        return self.pool.transport_stats
-
-    @property
-    def outstanding_tickets(self) -> List[int]:
-        return self.pool.outstanding_tickets
+        # Defined on this class, not inherited: the benchmark's tracer
+        # wraps ``PoolBackend.run_tasks`` through the class ``__dict__``.
+        return self._run_batch(tasks)
 
     def close(self) -> None:
         self.pool.close()
-
-    def __repr__(self) -> str:
-        workers = self.max_workers if self.max_workers is not None else "auto"
-        state = "warm" if self.pool.running else "cold"
-        return f"PoolBackend(max_workers={workers}, {state})"

@@ -1,29 +1,30 @@
-"""Pull-based task scheduling: a central queue, leased out to pullers.
+"""Task scheduling for every multi-process backend: a central queue,
+leased out to workers.
 
-The pool pushes work at idle pipe slots; the cluster inverts that,
-following DIRAC's pilot-job architecture — node agents *pull* a task
-when they have capacity, so a slow or briefly-partitioned host simply
-pulls less instead of having work piled onto it.  Straggler tolerance
-then falls out of the buffered federation engine for free: a slow host
-is just a high-latency client.
+:class:`PullScheduler` is the transport-free core under both the worker
+pool (:mod:`repro.runtime.pool`, pipe slots) and the cluster coordinator
+(:mod:`repro.cluster.coordinator`, TCP peers).  The cluster follows
+DIRAC's pilot-job architecture — node agents *pull* a task when they
+have capacity, so a slow or briefly-partitioned host simply pulls less
+instead of having work piled onto it — and the pool plays the same game
+with its slot indices as the peers, granting an idle slot one task at a
+time.  The scheduler knows nothing about pipes or sockets; the
+transports feed it peers and completions, so the semantics that must
+not differ between backends exist once:
 
-:class:`PullScheduler` is the transport-free core of that design.  It
-knows nothing about sockets — the coordinator
-(:mod:`repro.cluster.coordinator`) feeds it peers and completions — and
-therefore carries all the semantics that must match the pool exactly:
-
-* batches are tickets with results in submission order, mirroring
-  :class:`repro.runtime.pool.WorkerPool`'s bookkeeping;
+* batches are tickets with results in submission order;
 * every granted task is a **lease** with a deadline.  A peer that
-  disconnects (:meth:`release_peer`) or goes silent past its lease
-  (:meth:`expire_leases`) returns its tasks to the *front* of the queue,
-  charged against the same ``max_task_retries`` budget the pool uses
-  for worker deaths — so a task that keeps killing its hosts fails the
-  batch instead of looping forever, and a single dead node costs one
-  resubmission, not the run.  Losses that are provably the transport's
-  fault, not the task's — a corrupt frame, a failed dispatch — requeue
-  **charge-free** (``release_peer(peer, charge=False)`` /
-  :meth:`rescind`), so a noisy network cannot exhaust a task's budget;
+  dies or disconnects (:meth:`release_peer`) or goes silent past its
+  lease (:meth:`expire_leases`) returns its tasks to the *front* of the
+  queue, charged against the ``max_task_retries`` budget — so a task
+  that keeps killing its workers fails the batch instead of looping
+  forever, and a single dead worker costs one resubmission, not the
+  run.  Losses that are provably the transport's fault, not the task's
+  — a corrupt frame, a failed dispatch — requeue **charge-free**
+  (``release_peer(peer, charge=False)`` / :meth:`rescind`), so a noisy
+  network cannot exhaust a task's budget.  The pool passes
+  ``lease_timeout=float("inf")``: a pipe reports loss by EOF, never by
+  silence;
 * completions are keyed by lease id, so a result from an expired lease
   (the slow peer finished after we gave up on it) is recognised and
   dropped instead of double-filling the batch slot — also what makes a
@@ -31,7 +32,8 @@ therefore carries all the semantics that must match the pool exactly:
 * grants are **capacity-aware**: :meth:`outstanding_for` counts each
   peer's live leases and the coordinator grants up to the capacity the
   agent advertised at handshake, so a ``--capacity 4`` node pipelines
-  four tasks while a default node keeps the one-at-a-time pull rhythm.
+  four tasks while a default node (and every pool slot) keeps the
+  one-at-a-time rhythm.
 
 Determinism: tasks carry their full model state and RNG position, so
 *which* peer runs a task, in what order, after how many lease
@@ -44,15 +46,15 @@ import time
 from collections import deque
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..runtime.wire import TransportStats
+from .wire import TransportStats
 
-# (ticket, index_in_batch, task) — one unit of schedulable work, same
-# shape the pool queues internally.
+# (ticket, index_in_batch, task) — one unit of schedulable work.  The
+# task slot holds the live object; it is pickled at dispatch time.
 WorkItem = Tuple[int, int, Any]
 
 
 class BatchState:
-    """Bookkeeping for one submitted batch (the pool's ``_Batch``)."""
+    """Bookkeeping for one submitted batch of tasks."""
 
     __slots__ = ("results", "remaining", "errors", "stats")
 
@@ -76,7 +78,7 @@ class Lease:
 
 
 class PullScheduler:
-    """Central queue + lease table behind the cluster coordinator.
+    """Central queue + lease table behind the pool and the coordinator.
 
     Parameters
     ----------
@@ -88,8 +90,7 @@ class PullScheduler:
         long a silently-vanished node can stall a batch.
     max_task_retries:
         How many times a task lost to a dead/expired peer is resubmitted
-        before its batch fails, identical to the pool's worker-death
-        budget.
+        before its batch fails.
     """
 
     def __init__(self, lease_timeout: float = 120.0, max_task_retries: int = 1) -> None:
@@ -116,7 +117,7 @@ class PullScheduler:
         self.stale_completions = 0
 
     # ------------------------------------------------------------------
-    # Batch lifecycle (coordinator-facing)
+    # Batch lifecycle (transport-facing)
     # ------------------------------------------------------------------
     def add_batch(self, tasks: Sequence[Any]) -> int:
         """Queue a batch of tasks; returns its ticket."""
@@ -149,7 +150,9 @@ class PullScheduler:
         return bool(self._pending)
 
     def fail_all_outstanding(self, reason: str) -> None:
-        """Mark every incomplete batch failed (coordinator shutdown)."""
+        """Mark every incomplete batch failed (pool/coordinator shutdown),
+        so a later drain raises instead of waiting on workers that no
+        longer exist."""
         self._pending.clear()
         self._leases.clear()
         self._deaths.clear()
@@ -160,11 +163,12 @@ class PullScheduler:
                 batch.remaining = 0
 
     # ------------------------------------------------------------------
-    # Pull side (peer-facing, via the coordinator)
+    # Pull side (peer-facing, via the transport)
     # ------------------------------------------------------------------
     def next_task(self, peer: Any, now: Optional[float] = None) -> Optional[Lease]:
         """Grant the oldest pending task to ``peer`` as a fresh lease, or
-        ``None`` when the queue is empty (the coordinator parks the pull)."""
+        ``None`` when the queue is empty (the coordinator parks the pull,
+        the pool leaves the slot idle)."""
         if not self._pending:
             return None
         if now is None:
@@ -215,7 +219,7 @@ class PullScheduler:
         """Undo a grant whose dispatch failed before the peer could have
         started it (send error mid-handoff): requeue at the front without
         charging the retry budget — the task never ran, so this loss
-        cannot be its fault.  Mirrors the pool's send-failure path."""
+        cannot be its fault."""
         lease = self._leases.pop(lease_id, None)
         if lease is not None:
             self._forget_outstanding(lease.peer)
@@ -230,8 +234,8 @@ class PullScheduler:
         everything it held.
 
         With ``charge=True`` each lost task is charged one retry (the
-        peer died *while running it*, exactly like a pool worker death)
-        and tasks over budget fail their batch.  ``charge=False`` is for
+        peer died *while running it*) and tasks over budget fail their
+        batch.  ``charge=False`` is for
         losses that are provably the transport's fault — a corrupt frame
         forced the drop, the task itself is blameless — and requeues
         without touching the budget.  Returns the items requeued.
@@ -260,7 +264,7 @@ class PullScheduler:
         return requeued
 
     def _requeue(self, item: WorkItem, charge: bool = True) -> bool:
-        """Front-of-queue resubmission with the pool's retry budget.
+        """Front-of-queue resubmission under the retry budget.
         Returns whether the item went back in the queue (False → its
         batch was charged an error instead)."""
         ticket, index, _ = item
@@ -276,7 +280,7 @@ class PullScheduler:
             self._record(
                 ticket,
                 index,
-                f"node agent lost {deaths} time(s) while running task "
+                f"worker died {deaths} time(s) while running task "
                 f"{index} of batch {ticket}; giving up after "
                 f"{self.max_task_retries} "
                 f"retr{'y' if self.max_task_retries == 1 else 'ies'}",

@@ -24,10 +24,10 @@ the serial execution bit for bit.
 
 Everything a task holds is plain data (NumPy arrays, dataclasses, dicts),
 so tasks and results pickle cleanly; the only caveat is ``model_factory``,
-which must be picklable for spawn-based multiprocessing but may be any
-callable (closures included) under the fork-based
-:class:`~repro.runtime.backends.ProcessBackend` and the in-process
-backends.
+which must be picklable to travel to a pool worker or cluster agent
+but may be any callable (closures included) under the in-process
+backends — and a task that cannot be pickled still completes under
+``pool``/``cluster``, run inline by the dispatcher.
 """
 
 from __future__ import annotations

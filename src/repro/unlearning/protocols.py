@@ -16,7 +16,7 @@ The per-client work inside every round is packaged as pure tasks
 (model state + data + RNG position in, new state + advanced RNG out) and
 executed through the simulation's :class:`~repro.runtime.Backend`, so
 client updates within a round compute concurrently under ``"thread"`` /
-``"process"`` backends with bit-identical results. Pass ``backend=`` to
+``"pool"`` / ``"cluster"`` backends with bit-identical results. Pass ``backend=`` to
 any protocol to override the simulation's backend for that flow only.
 """
 

@@ -77,7 +77,7 @@ class ShardedClientTrainer:
         shard training order-independent and thus parallelisable).
     backend:
         Execution backend for shard training — ``None``/``"serial"``
-        (default), ``"thread"``, ``"process"``, or a
+        (default), ``"thread"``, ``"pool"``, ``"cluster"``, or a
         :class:`~repro.runtime.Backend` instance.
     """
 
@@ -161,7 +161,7 @@ class ShardedClientTrainer:
 
     def train_all(self, config: TrainConfig) -> None:
         """One local training pass over every shard (parallel across
-        shards under a thread/process backend)."""
+        shards under a parallel backend)."""
         self._train_shards(list(range(self.num_shards)), config)
 
     def aggregate(self, exclude: Optional[int] = None) -> StateDict:

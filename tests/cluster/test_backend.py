@@ -9,13 +9,15 @@ every result bit-identical to serial execution.
 import multiprocessing
 import os
 import signal
+import threading
 import time
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from repro.cluster import ClusterBackend
+from repro.cluster import ClusterBackend, client_handshake, connect
+from repro.cluster.wire import send_message
 from repro.nn.models import RegistryModelFactory
 from repro.runtime import SerialBackend, TrainTask, capture_rng
 from repro.runtime.backends import BackendError, get_backend, parse_backend_spec
@@ -281,6 +283,47 @@ class TestStreamingSurface:
         results = cluster.run_tasks([make_task(i) for i in range(2)])
         serial = SerialBackend().run_tasks([make_task(i) for i in range(2)])
         assert_states_equal(results[0].state, serial[0].state)
+
+
+class TestMalformedFrames:
+    @pytest.mark.parametrize(
+        "frame", [("result", 0), ("result", 0, None, None, None, "extra")]
+    )
+    def test_malformed_result_drops_the_peer_not_the_run(self, cluster, frame):
+        # A peer that speaks the handshake but then sends a result tuple
+        # of the wrong shape is a protocol violation: it is dropped (its
+        # lease charged and resubmitted) and the batch drains on the
+        # surviving agent instead of the unpack error escaping drain().
+        joined = threading.Event()
+
+        def rogue():
+            channel = connect(cluster.address, timeout=10.0)
+            client_handshake(channel, {"agent_id": "rogue", "capacity": 1})
+            send_message(channel, frame)
+            joined.set()
+            stop.wait(30.0)
+            channel.close()
+
+        stop = threading.Event()
+        thread = threading.Thread(target=rogue, daemon=True)
+        cluster.wait_for_agents(1)
+        thread.start()
+        try:
+            cluster.wait_for_agents(2)  # pumps the rogue's handshake through
+            assert joined.wait(10.0)
+            tasks = [make_task(i, seed=i) for i in range(4)]
+            results = cluster.run_tasks(tasks)
+        finally:
+            stop.set()
+            thread.join(10.0)
+        serial = SerialBackend().run_tasks([make_task(i, seed=i) for i in range(4)])
+        for a, b in zip(results, serial):
+            assert_states_equal(a.state, b.state)
+        report = cluster.fault_report()
+        assert report["peer_drops"] == 1
+        assert report["charged_retries"] == 1  # the task the rogue was leased
+        assert report["corrupt_frames"] == 0  # a violation, not line noise
+        assert cluster.coordinator.peer_ids() == ["node-1"]
 
 
 class TestSpecGrammar:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster.scheduler import PullScheduler
+from repro.runtime.scheduler import PullScheduler
 
 
 class _Task:

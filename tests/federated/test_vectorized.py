@@ -99,7 +99,6 @@ class TestSyncParity:
         for backend_factory, shared in (
             (lambda: "serial", False),
             (lambda: "thread", False),
-            (lambda: "process:2", False),
             (lambda: PoolBackend(max_workers=2), True),
         ):
             _, history, state = run_sim(

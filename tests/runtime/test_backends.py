@@ -11,7 +11,7 @@ from repro.runtime import (
     BackendError,
     ChainStage,
     ChainTask,
-    ProcessBackend,
+    PoolBackend,
     SerialBackend,
     ThreadBackend,
     TrainTask,
@@ -49,12 +49,20 @@ class TestGetBackend:
             ("serial", SerialBackend),
             ("thread", ThreadBackend),
             ("threads", ThreadBackend),
-            ("process", ProcessBackend),
-            ("fork", ProcessBackend),
+            ("process", PoolBackend),
+            ("fork", PoolBackend),
         ],
     )
     def test_names(self, name, cls):
         assert isinstance(get_backend(name), cls)
+
+    @pytest.mark.parametrize("alias", ["process", "processes", "fork"])
+    def test_process_family_is_an_alias_of_the_shared_pool(self, alias):
+        # The fork-per-call backend these once named is gone; old specs
+        # and REPRO_BACKEND values resolve to the shared pool instead.
+        assert get_backend(f"{alias}:4") is get_backend("pool:4")
+        assert get_backend(alias) is get_backend("pool")
+        assert get_backend(f"{alias}:4:retries=2") is get_backend("pool:4:retries=2")
 
     def test_instance_passthrough(self):
         backend = ThreadBackend(max_workers=3)
@@ -72,7 +80,7 @@ class TestGetBackend:
         with pytest.raises(ValueError):
             ThreadBackend(max_workers=0)
         with pytest.raises(ValueError):
-            ProcessBackend(max_workers=0)
+            PoolBackend(max_workers=0)
 
 
 class TestExecution:
@@ -103,16 +111,16 @@ class TestExecution:
 
     @pytest.mark.skipif(not HAS_FORK, reason="fork start method unavailable")
     def test_process_backend_accepts_closure_factories(self):
-        # Closures don't pickle; the fork backend inherits them instead.
-        closure_factory = lambda: MLP(16, 3, np.random.default_rng(5))  # noqa: E731
-        tasks = []
-        for i in range(3):
-            task = make_task(task_id=i, seed=i)
-            task.model_factory = closure_factory
-            tasks.append(task)
+        # Closures don't pickle; under the "process" alias (the shared
+        # pool) such a task runs inline in the caller, and is counted.
+        tasks = [make_task(task_id=i, seed=i) for i in range(3)]
+        tasks[1].model_factory = lambda: MLP(16, 3, np.random.default_rng(11))
         serial = SerialBackend().run_tasks(tasks)
-        forked = ProcessBackend(max_workers=2).run_tasks(tasks)
-        for a, b in zip(serial, forked):
+        backend = get_backend("process")
+        ticket = backend.submit(tasks)
+        results = backend.drain(ticket)
+        assert backend.pop_ticket_stats(ticket).inline_tasks == 1
+        for a, b in zip(serial, results):
             for key in a.state:
                 np.testing.assert_array_equal(a.state[key], b.state[key])
 
@@ -136,14 +144,12 @@ class TestErrors:
     @pytest.mark.skipif(not HAS_FORK, reason="fork start method unavailable")
     def test_process_wraps_in_backend_error(self):
         with pytest.raises(BackendError, match="intentional failure"):
-            ProcessBackend(max_workers=2).run_tasks(
-                [_ExplodingTask(), _ExplodingTask()]
-            )
+            get_backend("process:2").run_tasks([_ExplodingTask(), _ExplodingTask()])
 
     @pytest.mark.skipif(not HAS_FORK, reason="fork start method unavailable")
     def test_process_healthy_tasks_still_complete_alongside_failure(self):
         with pytest.raises(BackendError):
-            ProcessBackend(max_workers=2).run_tasks(
+            get_backend("process:2").run_tasks(
                 [make_task(0), _ExplodingTask(), make_task(2)]
             )
 

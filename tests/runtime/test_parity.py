@@ -1,9 +1,11 @@
-"""Serial/thread/process parity across every refactored fan-out site.
+"""Serial/thread/pool parity across every refactored fan-out site.
 
 These are the acceptance tests for the runtime layer: the serial backend
 must be bit-identical to the historical inline loops, and the parallel
 backends must be bit-identical to serial — so parallelism is purely a
-wall-clock optimisation.
+wall-clock optimisation.  The multi-process column names the pool by its
+``"process"`` alias spec, so these also pin that specs written for the
+removed fork-per-call backend keep working at every call site.
 """
 
 import numpy as np
@@ -27,8 +29,6 @@ from repro.unlearning import (
 )
 
 from ..conftest import make_blob_federation, make_blobs
-
-BACKENDS = ["serial", "thread", "process"]
 
 
 def factory():

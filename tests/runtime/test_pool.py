@@ -20,7 +20,6 @@ from repro.runtime import (
     BACKEND_ENV_VAR,
     BackendError,
     PoolBackend,
-    ProcessBackend,
     SerialBackend,
     ThreadBackend,
     TrainTask,
@@ -116,9 +115,9 @@ class TestSpecs:
     @pytest.mark.parametrize(
         "spec,cls,workers",
         [
-            ("process:4", ProcessBackend, 4),
+            ("process:4", PoolBackend, 4),
             ("thread:2", ThreadBackend, 2),
-            ("fork:8", ProcessBackend, 8),
+            ("fork:8", PoolBackend, 8),
         ],
     )
     def test_worker_counts_in_specs(self, spec, cls, workers):
@@ -147,8 +146,14 @@ class TestSpecs:
             None,
             {"retries": 0},
         )
+        # The process family is an alias of pool, options included.
+        assert parse_backend_spec("process:4:retries=2") == (
+            "pool",
+            4,
+            {"retries": 2},
+        )
         with pytest.raises(ValueError, match="does not support option"):
-            parse_backend_spec("process:4:retries=2")
+            parse_backend_spec("thread:4:retries=2")
         with pytest.raises(ValueError, match="does not support option"):
             parse_backend_spec("pool:8:reties=2")  # typo'd key
         with pytest.raises(ValueError, match="expected an integer"):
@@ -383,7 +388,8 @@ class TestPoolFaults:
 
 @pytest.mark.skipif(not HAS_FORK, reason="fork start method unavailable")
 class TestPoolParityAcrossSites:
-    """Pool vs fork-per-call vs serial on the real fan-out sites."""
+    """A private pool vs the ``"process"`` alias spec (the shared pool)
+    vs serial on the real fan-out sites."""
 
     SISA = SisaConfig(
         num_shards=3, num_slices=3, epochs_per_slice=1, batch_size=8,

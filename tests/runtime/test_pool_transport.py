@@ -15,7 +15,7 @@ import pytest
 
 from repro.nn.models import RegistryModelFactory
 from repro.runtime import PoolBackend, SerialBackend, TrainTask, capture_rng
-from repro.runtime.pool import _recv_payload, _send_payload
+from repro.runtime.wire import recv_payload, send_payload
 from repro.training import TrainConfig
 
 from ..conftest import make_blobs
@@ -59,8 +59,8 @@ class TestPipeFraming:
             "meta": {"round": 3, "clients": [1, 2]},
             "small": np.float32(1.5),
         }
-        sent = _send_payload(writer, payload)
-        received, got = _recv_payload(reader)
+        sent = send_payload(writer, payload)
+        received, got = recv_payload(reader)
         assert sent == got
         assert sent >= payload["weights"].nbytes  # arrays actually travelled
         np.testing.assert_array_equal(received["weights"], payload["weights"])
@@ -68,8 +68,8 @@ class TestPipeFraming:
 
     def test_none_sentinel_roundtrips(self):
         reader, writer = multiprocessing.Pipe(duplex=False)
-        _send_payload(writer, None)
-        received, _ = _recv_payload(reader)
+        send_payload(writer, None)
+        received, _ = recv_payload(reader)
         assert received is None
 
 
