@@ -60,7 +60,12 @@ class DataLoader:
             return n // self.batch_size
         return (n + self.batch_size - 1) // self.batch_size
 
-    def __iter__(self) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    def iter_indexed(self) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Yield ``(indices, images, labels)`` per batch, where ``indices``
+        are the batch's sample positions in the dataset (``images`` is
+        ``dataset.images[indices]`` before augmentation) — for callers
+        that keep per-sample arrays aligned with the dataset.
+        """
         n = len(self.dataset)
         order = self.rng.permutation(n) if self.shuffle else np.arange(n)
         stop = (n // self.batch_size) * self.batch_size if self.drop_last else n
@@ -69,4 +74,8 @@ class DataLoader:
             images = self.dataset.images[batch]
             if self.augment is not None:
                 images = self.augment(images, self.rng)
-            yield images, self.dataset.labels[batch]
+            yield batch, images, self.dataset.labels[batch]
+
+    def __iter__(self) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+        for _, images, labels in self.iter_indexed():
+            yield images, labels

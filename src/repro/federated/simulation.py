@@ -105,7 +105,8 @@ class SimulationHistory:
 
 # Model-state payloads a task may carry down the wire: the stock
 # TrainTask/ChainTask broadcast bases plus the protocol task shapes
-# (Goldfish students/teachers, B3's competent/incompetent teachers).
+# (Goldfish students and round-0 teacher, B3's competent/incompetent
+# teachers).  Goldfish rounds >= 1 carry the teacher's logits instead.
 _TASK_STATE_FIELDS = (
     "model_state",
     "init_state",
@@ -117,11 +118,15 @@ _TASK_STATE_FIELDS = (
 
 
 def _task_state_nbytes(task) -> int:
-    return sum(
+    nbytes = sum(
         dense_nbytes(state)
         for field_name in _TASK_STATE_FIELDS
         if (state := getattr(task, field_name, None)) is not None
     )
+    teacher_logits = getattr(task, "teacher_logits", None)
+    if teacher_logits is not None:
+        nbytes += teacher_logits.nbytes
+    return nbytes
 
 
 def _result_wire_nbytes(result) -> int:

@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .tensor import Tensor, ensure_tensor
+from .tensor import Tensor, ensure_tensor, is_grad_enabled
 
 
 def _conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
@@ -57,7 +57,9 @@ def conv2d(
     h_out = _conv_output_size(h, kh, stride, padding)
     w_out = _conv_output_size(w, kw, stride, padding)
 
-    x_padded = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    x_padded = x.data
+    if padding:
+        x_padded = np.pad(x_padded, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     # windows: (N, C, H', W', KH, KW) where H'/W' enumerate window origins.
     windows = sliding_window_view(x_padded, (kh, kw), axis=(2, 3))
     windows = windows[:, :, ::stride, ::stride, :, :]
@@ -137,9 +139,11 @@ def conv2d_stacked(
     h_out = _conv_output_size(h, kh, stride, padding)
     w_out = _conv_output_size(w, kw, stride, padding)
 
-    x_padded = np.pad(
-        x.data, ((0, 0), (0, 0), (0, 0), (padding, padding), (padding, padding))
-    )
+    x_padded = x.data
+    if padding:
+        x_padded = np.pad(
+            x_padded, ((0, 0), (0, 0), (0, 0), (padding, padding), (padding, padding))
+        )
     # windows: (K, N, C, H', W', KH, KW), exactly conv2d's layout plus the
     # leading stack axis.
     windows = sliding_window_view(x_padded, (kh, kw), axis=(3, 4))
@@ -203,15 +207,23 @@ def max_pool2d(x: Tensor, kernel_size: int) -> Tensor:
     if h % k or w % k:
         raise ValueError(f"spatial size ({h}, {w}) not divisible by kernel {k}")
     h_out, w_out = h // k, w // k
-    windows = x.data.reshape(n, c, h_out, k, w_out, k).transpose(0, 1, 2, 4, 3, 5)
-    flat = windows.reshape(n, c, h_out, w_out, k * k)
-    arg = flat.argmax(axis=-1)
-    out_data = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
+    windows = x.data.reshape(n, c, h_out, k, w_out, k)
+    # The window maximum as pairwise maxima of its strided slices (rows,
+    # then columns): the same values as a max over axes (3, 5), an order
+    # of magnitude faster on a non-contiguous view.
+    rows = windows[:, :, :, 0]
+    for i in range(1, k):
+        rows = np.maximum(rows, windows[:, :, :, i])
+    out_data = rows[..., 0]
+    for j in range(1, k):
+        out_data = np.maximum(out_data, rows[..., j])
+    if not (x.requires_grad and is_grad_enabled()):
+        return Tensor(out_data)
+    # Only a recorded graph needs to know which element of each window won.
+    arg = windows.transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h_out, w_out, k * k).argmax(axis=-1)
 
     def backward_fn(grad: np.ndarray) -> None:
-        if not x.requires_grad:
-            return
-        dflat = np.zeros_like(flat)
+        dflat = np.zeros((n, c, h_out, w_out, k * k), dtype=x.data.dtype)
         np.put_along_axis(dflat, arg[..., None], grad[..., None], axis=-1)
         dx = (
             dflat.reshape(n, c, h_out, w_out, k, k)

@@ -22,6 +22,7 @@ indices or labels but must not require gradients.
 from __future__ import annotations
 
 import contextlib
+import math
 import threading
 from typing import Callable, Iterable, Optional, Sequence, Union
 
@@ -464,8 +465,8 @@ class Tensor:
         return Tensor._make(out_data, (self,), backward_fn)
 
     def flatten(self, start_dim: int = 1) -> "Tensor":
-        lead = self.shape[:start_dim]
-        return self.reshape(lead + (-1,))
+        # Explicit trailing size: -1 is ambiguous for an empty batch.
+        return self.reshape(self.shape[:start_dim] + (math.prod(self.shape[start_dim:]),))
 
     def transpose(self, *axes) -> "Tensor":
         if len(axes) == 1 and isinstance(axes[0], (tuple, list)):

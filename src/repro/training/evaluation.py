@@ -14,16 +14,20 @@ from ..nn.module import Module
 
 
 def predict_logits(model: Module, images: np.ndarray, batch_size: int = 256) -> np.ndarray:
-    """Run ``model`` over ``images`` in eval mode, returning raw logits."""
+    """Run ``model`` over ``images`` in eval mode, returning raw logits.
+
+    An empty input still runs one (empty) forward, so the result is always
+    ``(len(images), num_classes)``.
+    """
     was_training = model.training
     model.eval()
     outputs = []
     with no_grad():
-        for start in range(0, len(images), batch_size):
+        for start in range(0, max(len(images), 1), batch_size):
             outputs.append(model(Tensor(images[start : start + batch_size])).data)
     if was_training:
         model.train()
-    return np.concatenate(outputs) if outputs else np.empty((0,))
+    return np.concatenate(outputs)
 
 
 def predict_proba(model: Module, images: np.ndarray, batch_size: int = 256,

@@ -25,11 +25,12 @@ import numpy as np
 
 from ...data.dataset import ArrayDataset
 from ...data.loader import DataLoader
-from ...nn import Tensor, no_grad
+from ...nn import Tensor
 from ...nn.losses import distillation_loss
 from ...nn.module import Module
 from ...nn.optim import SGD
 from ...training.config import TrainConfig
+from ...training.evaluation import predict_logits
 
 
 @dataclass(frozen=True)
@@ -77,8 +78,9 @@ class IncompetentTeacherUnlearner:
         """
         start = time.perf_counter()
         config = self.config
-        competent_teacher.eval()
-        incompetent_teacher.eval()
+        # Both teachers are frozen: one inference pass each, indexed per step.
+        competent_logits = predict_logits(competent_teacher, retain_set.images)
+        incompetent_logits = predict_logits(incompetent_teacher, forget_set.images)
         student.train()
         optimizer = SGD(
             student.parameters(),
@@ -95,14 +97,13 @@ class IncompetentTeacherUnlearner:
         for _ in range(config.train.epochs):
             total = 0.0
             batches = 0
-            for images, labels in retain_loader:
-                del labels  # B3 is purely distillation-based
+            # B3 is purely distillation-based: the labels go unused.
+            for indices, images, _ in retain_loader.iter_indexed():
                 optimizer.zero_grad()
                 student_logits = student(Tensor(images))
-                with no_grad():
-                    competent_logits = competent_teacher(Tensor(images))
                 loss = (1.0 - config.beta) * distillation_loss(
-                    competent_logits, student_logits, temperature=config.temperature
+                    Tensor(competent_logits[indices]), student_logits,
+                    temperature=config.temperature,
                 )
 
                 if cursor + forget_batch > len(forget_order):
@@ -110,12 +111,10 @@ class IncompetentTeacherUnlearner:
                     cursor = 0
                 picked = forget_order[cursor : cursor + forget_batch]
                 cursor += forget_batch
-                forget_images = forget_set.images[picked]
-                student_forget = student(Tensor(forget_images))
-                with no_grad():
-                    incompetent_logits = incompetent_teacher(Tensor(forget_images))
+                student_forget = student(Tensor(forget_set.images[picked]))
                 loss = loss + config.beta * distillation_loss(
-                    incompetent_logits, student_forget, temperature=config.temperature
+                    Tensor(incompetent_logits[picked]), student_forget,
+                    temperature=config.temperature,
                 )
 
                 loss.backward()

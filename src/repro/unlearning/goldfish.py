@@ -13,6 +13,15 @@ on the client's data under the composite loss of
   targets);
 * excess-empirical-risk early termination (Eq. 7) and the adaptive
   distillation temperature (Eq. 11) plug in from their own modules.
+
+The teacher is frozen, so it is evaluated **once** per client per
+unlearning request (:func:`teacher_logits_on`): every step indexes the
+resulting retain-aligned array by the batch's sample indices, and the
+Eq. 7 reference loss is read off it.  The logits are a function of
+individual training samples, so callers hold them for one request only
+(a local of :func:`repro.unlearning.protocols.federated_goldfish`), never
+on a client, in a history, a result store or a journal — a later
+deletion must find nothing to purge.
 """
 
 from __future__ import annotations
@@ -25,11 +34,12 @@ import numpy as np
 
 from ..data.dataset import ArrayDataset
 from ..data.loader import DataLoader
-from ..nn import Tensor, no_grad
+from ..nn import Tensor
+from ..nn.losses import cross_entropy
 from ..nn.module import Module
 from ..nn.optim import SGD, clip_grad_norm
 from ..training.config import TrainConfig
-from ..training.evaluation import mean_loss
+from ..training.evaluation import predict_logits
 from .early_stop import EarlyStopConfig, ExcessRiskStopper
 from .losses import GoldfishLoss, GoldfishLossConfig
 from .temperature import adaptive_temperature
@@ -61,6 +71,7 @@ class GoldfishResult:
     stopped_early: bool
     temperature_used: float
     wall_seconds: float
+    teacher_logits: np.ndarray  # on D_r^c; the next round's call takes them
 
 
 class _ForgetBatchCycler:
@@ -83,6 +94,26 @@ class _ForgetBatchCycler:
         return self.forget_set.images[batch], self.forget_set.labels[batch]
 
 
+def teacher_logits_on(
+    teacher: Optional[Module],
+    retain_set: ArrayDataset,
+    teacher_logits: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """The frozen teacher's logits on D_r^c, one row per retained sample:
+    the carried ``teacher_logits`` when given (they must align with the
+    retain set), else one inference pass of ``teacher``."""
+    if teacher_logits is None:
+        if teacher is None:
+            raise ValueError("need the teacher or its logits on the retain set")
+        return predict_logits(teacher, retain_set.images)
+    if len(teacher_logits) != len(retain_set):
+        raise ValueError(
+            f"teacher_logits holds {len(teacher_logits)} rows for "
+            f"{len(retain_set)} retained samples"
+        )
+    return teacher_logits
+
+
 class GoldfishUnlearner:
     """Runs the teacher/student unlearning loop on one client's data."""
 
@@ -102,10 +133,11 @@ class GoldfishUnlearner:
     def unlearn(
         self,
         student: Module,
-        teacher: Module,
+        teacher: Optional[Module],
         retain_set: ArrayDataset,
         forget_set: Optional[ArrayDataset],
         rng: np.random.Generator,
+        teacher_logits: Optional[np.ndarray] = None,
     ) -> GoldfishResult:
         """Run the ``Goldfish`` procedure of Algorithm 1 on one client.
 
@@ -115,7 +147,10 @@ class GoldfishUnlearner:
             The model to train (modified in place). Usually freshly
             initialised (ω^0) per the deletion branch of Algorithm 1.
         teacher:
-            The previous global model ω^{t-1}; used only for inference.
+            The previous global model ω^{t-1}; used for one inference
+            pass over D_r^c, or not at all (it may be None) when
+            ``teacher_logits`` — an earlier call's
+            ``GoldfishResult.teacher_logits`` — is given.
         retain_set / forget_set:
             D_r^c and D_f^c. ``forget_set`` may be None/empty for normal
             clients, in which case the loop degrades to distillation +
@@ -128,10 +163,12 @@ class GoldfishUnlearner:
         loss_config = replace(config.loss, temperature=temperature)
         loss_fn = GoldfishLoss(loss_config, num_retain=len(retain_set),
                                num_forget=num_forget)
+        distill = loss_config.use_distillation and loss_config.mu_d > 0
+        teacher_logits = teacher_logits_on(teacher, retain_set, teacher_logits)
 
         stopper: Optional[ExcessRiskStopper] = None
         if config.early_stop.enabled:
-            reference = mean_loss(teacher, retain_set)
+            reference = cross_entropy(Tensor(teacher_logits), retain_set.labels).item()
             stopper = ExcessRiskStopper(config.early_stop, reference)
 
         optimizer = SGD(
@@ -146,7 +183,6 @@ class GoldfishUnlearner:
         if forget_set is not None and len(forget_set) > 0:
             forget_cycler = _ForgetBatchCycler(forget_set, config.train.batch_size, rng)
 
-        teacher.eval()
         student.train()
         epoch_losses: List[float] = []
         stopped_early = False
@@ -154,13 +190,9 @@ class GoldfishUnlearner:
         for _ in range(config.train.epochs):
             total = 0.0
             batches = 0
-            for images, labels in retain_loader:
+            for indices, images, labels in retain_loader.iter_indexed():
                 optimizer.zero_grad()
                 student_logits = student(Tensor(images))
-                teacher_logits = None
-                if loss_config.use_distillation and loss_config.mu_d > 0:
-                    with no_grad():
-                        teacher_logits = teacher(Tensor(images))
                 student_logits_forget = None
                 labels_forget = None
                 if forget_cycler is not None:
@@ -169,7 +201,9 @@ class GoldfishUnlearner:
                 loss = loss_fn(
                     student_logits,
                     labels,
-                    teacher_logits_retain=teacher_logits,
+                    teacher_logits_retain=(
+                        Tensor(teacher_logits[indices]) if distill else None
+                    ),
                     student_logits_forget=student_logits_forget,
                     labels_forget=labels_forget,
                 )
@@ -192,4 +226,5 @@ class GoldfishUnlearner:
             stopped_early=stopped_early,
             temperature_used=temperature,
             wall_seconds=time.perf_counter() - start,
+            teacher_logits=teacher_logits,
         )

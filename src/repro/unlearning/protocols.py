@@ -18,6 +18,12 @@ executed through the simulation's :class:`~repro.runtime.Backend`, so
 client updates within a round compute concurrently under ``"thread"`` /
 ``"pool"`` / ``"cluster"`` backends with bit-identical results. Pass ``backend=`` to
 any protocol to override the simulation's backend for that flow only.
+
+Goldfish's teacher is frozen, so it is evaluated once per client per
+request: the round-0 tasks carry its state and return its logits on
+D_r^c beside the student (``extra``, the way B2's FIM rides); later
+rounds' tasks carry those logits and no teacher.  The logits live in a
+local of :func:`federated_goldfish` and nowhere else.
 """
 
 from __future__ import annotations
@@ -25,6 +31,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
+
+import numpy as np
 
 from ..data.dataset import ArrayDataset
 from ..federated.simulation import FederatedSimulation
@@ -111,27 +119,36 @@ class _ClientRoundResult:
     state: StateDict
     epochs_run: int
     rng_state: RngState
-    extra: Optional[dict] = None  # protocol-specific state (e.g. B2's FIM)
+    # Protocol-specific state (B2's FIM, Goldfish's teacher logits).
+    extra: Optional[dict] = None
 
 
 @dataclass
 class _GoldfishClientTask:
-    """One client's Goldfish teacher/student pass (Algorithm 1)."""
+    """One client's Goldfish teacher/student pass (Algorithm 1).
+
+    Carries either the teacher (round 0: ``teacher_state``) or the
+    teacher's logits on ``retain_set`` (later rounds: ``teacher_logits``,
+    ``teacher_state=None``); only the former returns the logits.
+    """
 
     task_id: Any
     model_factory: Callable[[], Module]
     student_state: StateDict
-    teacher_state: StateDict
+    teacher_state: Optional[StateDict]
     retain_set: ArrayDataset
     forget_set: Optional[ArrayDataset]
     config: GoldfishConfig
     rng_state: RngState
+    teacher_logits: Optional[np.ndarray] = None
 
     def run(self) -> _ClientRoundResult:
         student = self.model_factory()
         student.load_state_dict(self.student_state)
-        teacher = self.model_factory()
-        teacher.load_state_dict(self.teacher_state)
+        teacher = None
+        if self.teacher_state is not None:
+            teacher = self.model_factory()
+            teacher.load_state_dict(self.teacher_state)
         rng = restore_rng(self.rng_state)
         result = GoldfishUnlearner(self.config).unlearn(
             student=student,
@@ -139,12 +156,18 @@ class _GoldfishClientTask:
             retain_set=self.retain_set,
             forget_set=self.forget_set,
             rng=rng,
+            teacher_logits=self.teacher_logits,
         )
         return _ClientRoundResult(
             task_id=self.task_id,
             state=student.state_dict(),
             epochs_run=result.epochs_run,
             rng_state=capture_rng(rng),
+            extra=(
+                {"teacher_logits": result.teacher_logits}
+                if self.teacher_logits is None
+                else None
+            ),
         )
 
 
@@ -260,6 +283,8 @@ def federated_goldfish(
     runner = _resolve_backend(sim, backend)
     teacher_state = sim.server.global_state  # ω^{t-1}, knows D_f and D_r
     sim.server.reinitialize()
+    # Filled by the round-0 tasks, dropped when this call returns.
+    teacher_logits: Dict[Any, np.ndarray] = {}
 
     accuracies: List[float] = []
     local_epochs = 0
@@ -270,15 +295,20 @@ def federated_goldfish(
                 task_id=client.client_id,
                 model_factory=sim.model_factory,
                 student_state=client.model.state_dict(),
-                teacher_state=teacher_state,
+                teacher_state=None if teacher_logits else teacher_state,
                 retain_set=client.retain_set,
                 forget_set=client.forget_set,
                 config=config,
                 rng_state=capture_rng(client.rng),
+                teacher_logits=teacher_logits.get(client.client_id),
             )
             for client in sim.clients
         ]
         results, _ = sim.run_cohort_tasks(tasks, runner=runner)
+        if not teacher_logits:
+            teacher_logits = {
+                result.task_id: result.extra["teacher_logits"] for result in results
+            }
         local_epochs += _absorb_round(sim, results)
         sim.server.aggregate([client.upload() for client in sim.clients])
         accuracies.append(sim.server.evaluate_global()[1])

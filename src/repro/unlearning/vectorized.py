@@ -2,9 +2,14 @@
 
 :mod:`repro.federated.vectorized` fuses stock federation rounds; this
 module extends the same machinery to the protocol-specific round tasks —
-Goldfish teacher/student passes, B2's FIM-preconditioned retraining —
-and to SISA's per-shard chains, so ``vectorize=True`` accelerates every
-flow the paper evaluates, not just plain FedAvg rounds.
+Goldfish student passes, B2's FIM-preconditioned retraining — and to
+SISA's per-shard chains, so ``vectorize=True`` accelerates every flow the
+paper evaluates, not just plain FedAvg rounds.
+
+The fused Goldfish pass stacks **students only**: the frozen teacher's
+logits come from the same scalar
+:func:`~repro.unlearning.goldfish.teacher_logits_on` call the per-client
+task makes, so every execution path indexes the same per-member array.
 
 Parity strategy
 ---------------
@@ -51,7 +56,7 @@ from ..federated.vectorized import (
     ragged_probe,
     register_fuser,
 )
-from ..nn import Tensor, no_grad
+from ..nn import Tensor
 from ..nn.layers import Dropout
 from ..nn.module import Module
 from ..nn.optim import StackedSGD, stacked_clip_grad_norm
@@ -67,7 +72,7 @@ from ..runtime.task import (
 )
 from ..training.config import TrainConfig
 from .baselines.rapid import DiagonalFIMSGD
-from .goldfish import GoldfishConfig, GoldfishUnlearner, _ForgetBatchCycler
+from .goldfish import GoldfishConfig, GoldfishUnlearner, _ForgetBatchCycler, teacher_logits_on
 from .losses import GoldfishLoss
 
 
@@ -139,32 +144,34 @@ def _pad_stack(batches: Sequence[tuple]) -> "tuple[np.ndarray, List[int]]":
 
 
 # ----------------------------------------------------------------------
-# Goldfish: fused teacher/student passes
+# Goldfish: fused student passes
 # ----------------------------------------------------------------------
 @dataclass
 class VectorizedGoldfishTask:
     """K clients' Goldfish passes (Algorithm 1) as one stacked work unit.
 
-    Students and teachers stack separately; every round-step is one
-    stacked retain forward, one (no-grad) stacked teacher forward and one
-    stacked forget forward, with each member's composite loss computed on
-    its extracted slice by its own :class:`GoldfishLoss` head (own
-    adaptive temperature, own forget scale/cap).  Per-member RNG streams
-    are preserved: loaders and forget cyclers draw from each member's own
-    generator in the per-client order (cycler constructed after the
-    loaders, epoch permutations at iteration start, mid-epoch cycler
-    refills during that member's step).
+    Only the students stack: every round-step is one stacked retain
+    forward and one stacked forget forward, with each member's composite
+    loss computed on its extracted slice by its own :class:`GoldfishLoss`
+    head (own adaptive temperature, own forget scale/cap) against that
+    member's rows of ``teacher_logits`` (filled in round 0 from the one
+    shared ``teacher_state``, carried afterwards — as in the per-client
+    task).  Per-member RNG streams are preserved: loaders and forget
+    cyclers draw from each member's own generator in the per-client order
+    (cycler constructed after the loaders, epoch permutations at
+    iteration start, mid-epoch cycler refills during that member's step).
     """
 
     task_id: Any
     task_ids: List[Any]
     model_factory: Callable[[], Module]
     student_states: List[StateDict]
-    teacher_states: List[StateDict]
+    teacher_state: Optional[StateDict]
     retain_sets: List[ArrayDataset]
     forget_sets: List[Optional[ArrayDataset]]
     config: GoldfishConfig
     rng_states: List[RngState]
+    teacher_logits: List[Optional[np.ndarray]]
 
     def run(self) -> List[Any]:
         from .protocols import _ClientRoundResult
@@ -174,9 +181,14 @@ class VectorizedGoldfishTask:
         students = [self.model_factory() for _ in range(k)]
         for student, state in zip(students, self.student_states):
             student.load_state_dict(state)
-        teachers = [self.model_factory() for _ in range(k)]
-        for teacher, state in zip(teachers, self.teacher_states):
-            teacher.load_state_dict(state)
+        teacher = None
+        if self.teacher_state is not None:
+            teacher = self.model_factory()
+            teacher.load_state_dict(self.teacher_state)
+        teacher_logits = [
+            teacher_logits_on(teacher, retain_set, carried)
+            for retain_set, carried in zip(self.retain_sets, self.teacher_logits)
+        ]
         rngs = [restore_rng(state) for state in self.rng_states]
 
         # One loss head per member — exactly the per-client construction,
@@ -196,7 +208,6 @@ class VectorizedGoldfishTask:
             )
 
         student_stack = stack_modules(students)
-        teacher_stack = stack_modules(teachers)
         optimizer = StackedSGD(
             student_stack.parameters(),
             lr=config.train.learning_rate,
@@ -222,22 +233,16 @@ class VectorizedGoldfishTask:
         ]
         has_forget = any(cycler is not None for cycler in cyclers)
 
-        teacher_stack.eval()
         student_stack.train()
         epochs_run = 0
         for _ in range(config.train.epochs):
-            for batches in zip(*loaders):
+            for indexed in zip(*(loader.iter_indexed() for loader in loaders)):
                 optimizer.zero_grad()
+                batches = [(images, labels) for _, images, labels in indexed]
                 retain_images, retain_rows = _pad_stack(batches)
                 student_stack.set_row_counts(retain_rows)
                 retain_logits = student_stack(Tensor(retain_images))
                 student_stack.set_row_counts(None)
-                teacher_logits = None
-                if use_distillation:
-                    with no_grad():
-                        teacher_stack.set_row_counts(retain_rows)
-                        teacher_logits = teacher_stack(Tensor(retain_images))
-                        teacher_stack.set_row_counts(None)
                 forget_logits = None
                 forget_batches: List[Optional[tuple]] = [None] * k
                 forget_rows: List[int] = []
@@ -253,8 +258,8 @@ class VectorizedGoldfishTask:
                         retain_logits[index, : retain_rows[index]],
                         batches[index][1],
                         teacher_logits_retain=(
-                            teacher_logits[index, : retain_rows[index]]
-                            if teacher_logits is not None
+                            Tensor(teacher_logits[index][indexed[index][0]])
+                            if use_distillation
                             else None
                         ),
                         student_logits_forget=(
@@ -287,6 +292,11 @@ class VectorizedGoldfishTask:
                 state=students[index].state_dict(),
                 epochs_run=epochs_run,
                 rng_state=capture_rng(rngs[index]),
+                extra=(
+                    {"teacher_logits": teacher_logits[index]}
+                    if self.teacher_logits[index] is None
+                    else None
+                ),
             )
             for index in range(k)
         ]
@@ -307,11 +317,12 @@ class VectorizedGoldfishTask:
                     task_ids=self.task_ids[lo:hi],
                     model_factory=self.model_factory,
                     student_states=self.student_states[lo:hi],
-                    teacher_states=self.teacher_states[lo:hi],
+                    teacher_state=self.teacher_state,
                     retain_sets=self.retain_sets[lo:hi],
                     forget_sets=self.forget_sets[lo:hi],
                     config=self.config,
                     rng_states=self.rng_states[lo:hi],
+                    teacher_logits=self.teacher_logits[lo:hi],
                 )
             )
         return chunks
@@ -335,7 +346,9 @@ class GoldfishTaskFuser:
 
     def group_key(self, task: Any) -> Any:
         has_forget = task.forget_set is not None and len(task.forget_set) > 0
-        return (id(task.model_factory), id(task.config), has_forget)
+        # One shared teacher state per group (None after round 0).
+        teacher = id(task.teacher_state)
+        return (id(task.model_factory), id(task.config), has_forget, teacher)
 
     def fallback_reason(
         self, tasks: Sequence[Any], arch_reason: Optional[str]
@@ -388,11 +401,12 @@ class GoldfishTaskFuser:
             task_ids=[task.task_id for task in tasks],
             model_factory=tasks[0].model_factory,
             student_states=[task.student_state for task in tasks],
-            teacher_states=[task.teacher_state for task in tasks],
+            teacher_state=tasks[0].teacher_state,
             retain_sets=[task.retain_set for task in tasks],
             forget_sets=[task.forget_set for task in tasks],
             config=tasks[0].config,
             rng_states=[task.rng_state for task in tasks],
+            teacher_logits=[task.teacher_logits for task in tasks],
         )
 
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.data import DataLoader
 
@@ -73,3 +74,54 @@ class TestValidation:
     def test_rejects_zero_batch(self):
         with pytest.raises(ValueError):
             DataLoader(make_blobs(), batch_size=0)
+
+
+def _reference_batches(dataset, batch_size, shuffle, rng, drop_last):
+    """``DataLoader.__iter__`` as it was before batches exposed their indices."""
+    n = len(dataset)
+    order = rng.permutation(n) if shuffle else np.arange(n)
+    stop = (n // batch_size) * batch_size if drop_last else n
+    for start in range(0, stop, batch_size):
+        batch = order[start : start + batch_size]
+        yield dataset.images[batch], dataset.labels[batch]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    batch_size=st.integers(1, 45),
+    shuffle=st.booleans(),
+    drop_last=st.booleans(),
+    seed=st.integers(0, 1000),
+)
+def test_indexed_iteration_partitions_the_epoch(n, batch_size, shuffle, drop_last, seed):
+    """``iter_indexed`` yields every sample exactly once per epoch (the
+    trailing partial batch aside under ``drop_last``), its images are the
+    dataset rows at the yielded indices, and it draws from the generator
+    exactly as plain iteration does: same batches, same state afterwards."""
+    ds = make_blobs(num_samples=n, num_classes=3)
+    rngs = [np.random.default_rng(seed) for _ in range(3)]
+    indexed = DataLoader(ds, batch_size, shuffle=shuffle, rng=rngs[0], drop_last=drop_last)
+    plain = DataLoader(ds, batch_size, shuffle=shuffle, rng=rngs[1], drop_last=drop_last)
+    for _ in range(2):  # two epochs: the reshuffle is part of the contract
+        batches = list(indexed.iter_indexed())
+        assert len(batches) == len(indexed)
+        seen = np.concatenate([idx for idx, _, _ in batches]) if batches else np.array([], int)
+        kept = (n // batch_size) * batch_size if drop_last else n
+        assert len(seen) == kept and len(np.unique(seen)) == kept
+        if not shuffle:
+            np.testing.assert_array_equal(seen, np.arange(kept))
+        plain_batches = list(plain)
+        reference = list(_reference_batches(ds, batch_size, shuffle, rngs[2], drop_last))
+        assert len(reference) == len(plain_batches) == len(batches)
+        for (idx, images, labels), (x, y), (ref_x, ref_y) in zip(
+            batches, plain_batches, reference
+        ):
+            np.testing.assert_array_equal(images, ds.images[idx])
+            np.testing.assert_array_equal(labels, ds.labels[idx])
+            np.testing.assert_array_equal(images, x)
+            np.testing.assert_array_equal(labels, y)
+            np.testing.assert_array_equal(images, ref_x)
+            np.testing.assert_array_equal(labels, ref_y)
+        states = [rng.bit_generator.state for rng in rngs]
+        assert states[0] == states[1] == states[2]

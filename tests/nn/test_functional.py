@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import Tensor
+from repro.nn import Tensor, no_grad
 from repro.nn import functional as F
 
 from ..conftest import numeric_grad
@@ -137,6 +137,37 @@ class TestPooling:
 
         expected = numeric_grad(f, x_val.copy())
         np.testing.assert_allclose(x.grad, expected, atol=1e-5)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_max_pool_matches_argmax_reference_with_ties_and_nans(self, rng, k):
+        # The forward takes pairwise maxima and computes argmax only when
+        # a graph is recorded; both paths must reproduce the
+        # argmax + take_along_axis kernel bit for bit — ReLU-style ties
+        # and NaNs included — and the gradient must follow the first
+        # maximal element of each window.
+        x_val = rng.normal(size=(3, 2, 6 * k, 4 * k))
+        x_val[x_val < 0] = 0.0
+        x_val[0, 0, 0, 1] = x_val[1, 1, 2 * k, 0] = np.nan
+        flat = (
+            x_val.reshape(3, 2, 6, k, 4, k).transpose(0, 1, 2, 4, 3, 5).reshape(3, 2, 6, 4, k * k)
+        )
+        arg = flat.argmax(axis=-1)[..., None]
+        expected = np.take_along_axis(flat, arg, axis=-1)[..., 0]
+
+        x = Tensor(x_val.copy(), requires_grad=True)
+        recorded = F.max_pool2d(x, k)
+        with no_grad():
+            inference = F.max_pool2d(Tensor(x_val.copy()), k)
+        assert recorded.data.tobytes() == inference.data.tobytes() == expected.tobytes()
+
+        upstream = rng.normal(size=expected.shape)
+        recorded.backward(upstream)
+        dflat = np.zeros_like(flat)
+        np.put_along_axis(dflat, arg, upstream[..., None], axis=-1)
+        expected_grad = (
+            dflat.reshape(3, 2, 6, 4, k, k).transpose(0, 1, 2, 4, 3, 5).reshape(x_val.shape)
+        )
+        assert x.grad.tobytes() == expected_grad.tobytes()
 
     def test_avg_pool_values(self):
         x = np.arange(16, dtype=float).reshape(1, 1, 4, 4)

@@ -29,6 +29,24 @@ class TestPredict:
         logits = predict_logits(model, ds.images)
         assert logits.shape == (40, 3)
 
+    @pytest.mark.parametrize("arch", ["mlp", "lenet5", "resnet8_slim"])
+    def test_empty_input_keeps_the_class_axis(self, arch):
+        # Regression: an empty input used to come back with shape (0,),
+        # so predict_proba (and prediction_mse / confusion_matrix through
+        # it) raised AxisError on axis 1.
+        from repro.data import ArrayDataset
+        from repro.nn.models import build_model
+        from repro.training import confusion_matrix
+
+        model = build_model(arch, num_classes=3, rng=np.random.default_rng(0),
+                            in_channels=1, image_size=28)
+        images = np.zeros((0, 1, 28, 28))
+        assert predict_logits(model, images).shape == (0, 3)
+        assert predict_proba(model, images).shape == (0, 3)
+        empty = ArrayDataset(images, np.zeros(0, dtype=np.int64), 3)
+        assert confusion_matrix(model, empty).sum() == 0
+        assert model.training  # the mode is restored on the empty path too
+
     def test_batching_consistent(self):
         model, ds = model_and_data()
         full = predict_logits(model, ds.images, batch_size=1000)

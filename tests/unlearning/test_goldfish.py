@@ -156,3 +156,103 @@ class TestAblationToggles:
         result = GoldfishUnlearner(config).unlearn(student, teacher, retain, forget, rng)
         assert result.epochs_run == 2
         assert all(np.isfinite(l) for l in result.epoch_losses)
+
+
+class CountingMLP(MLP):
+    """An MLP that counts its forward calls."""
+
+    calls = 0
+
+    def forward(self, x):
+        self.calls += 1
+        return super().forward(x)
+
+
+class TestTeacherLogitsComputedOnce:
+    """The frozen teacher is evaluated once per request, not once per step."""
+
+    def setup_data(self, num_samples=600):
+        data = make_blobs(num_samples=num_samples, num_classes=4, shape=(1, 4, 4))
+        forget = data.subset(np.arange(20))
+        retain = data.subset(np.arange(20, num_samples))
+        return CountingMLP(16, 4, np.random.default_rng(1)), retain, forget
+
+    @pytest.mark.parametrize("epochs,batch_size", [(1, 20), (3, 7), (2, 600)])
+    def test_teacher_runs_once_over_the_retain_set(self, epochs, batch_size):
+        teacher, retain, forget = self.setup_data()
+        config = GoldfishConfig(
+            train=TrainConfig(epochs=epochs, batch_size=batch_size, learning_rate=0.1),
+            early_stop=EarlyStopConfig(delta=0.0, enabled=True),
+        )
+        result = GoldfishUnlearner(config).unlearn(
+            factory(7), teacher, retain, forget, np.random.default_rng(3)
+        )
+        assert teacher.calls == -(-len(retain) // 256) == 3
+        assert result.teacher_logits.shape == (len(retain), 4)
+
+    def test_supplied_logits_replace_the_teacher(self):
+        from repro.training import predict_logits
+
+        teacher, retain, forget = self.setup_data(num_samples=120)
+        via_teacher = factory(7)
+        first = GoldfishUnlearner(BASE_CONFIG).unlearn(
+            via_teacher, teacher, retain, forget, np.random.default_rng(3)
+        )
+        logits = predict_logits(teacher, retain.images)
+        np.testing.assert_array_equal(first.teacher_logits, logits)
+
+        teacher.calls = 0
+        via_logits = factory(7)
+        second = GoldfishUnlearner(BASE_CONFIG).unlearn(
+            via_logits, teacher, retain, forget, np.random.default_rng(3),
+            teacher_logits=logits,
+        )
+        assert teacher.calls == 0
+        assert second.epoch_losses == first.epoch_losses
+        for key, value in via_teacher.state_dict().items():
+            np.testing.assert_array_equal(value, via_logits.state_dict()[key])
+        # The teacher itself is optional once its logits are known.
+        no_teacher = factory(7)
+        GoldfishUnlearner(BASE_CONFIG).unlearn(
+            no_teacher, None, retain, forget, np.random.default_rng(3),
+            teacher_logits=logits,
+        )
+        for key, value in via_teacher.state_dict().items():
+            np.testing.assert_array_equal(value, no_teacher.state_dict()[key])
+
+    def test_early_stop_reference_is_the_teachers_mean_loss(self, monkeypatch):
+        from repro.training import mean_loss
+        from repro.unlearning import goldfish
+
+        references = []
+
+        class RecordingStopper(goldfish.ExcessRiskStopper):
+            def __init__(self, config, reference_loss):
+                references.append(reference_loss)
+                super().__init__(config, reference_loss)
+
+        monkeypatch.setattr(goldfish, "ExcessRiskStopper", RecordingStopper)
+        teacher, forget, retain, _ = poisoned_setup()
+        config = GoldfishConfig(
+            train=TrainConfig(epochs=2, batch_size=20, learning_rate=0.2),
+            early_stop=EarlyStopConfig(enabled=True),
+        )
+        GoldfishUnlearner(config).unlearn(
+            factory(7), teacher, retain, forget, np.random.default_rng(3)
+        )
+        assert references == [mean_loss(teacher, retain)]
+
+    def test_misaligned_logits_are_refused(self):
+        teacher, retain, forget = self.setup_data(num_samples=120)
+        with pytest.raises(ValueError, match="teacher_logits holds 99 rows"):
+            GoldfishUnlearner(BASE_CONFIG).unlearn(
+                factory(7), teacher, retain, forget, np.random.default_rng(3),
+                teacher_logits=np.zeros((len(retain) - 1, 4)),
+            )
+
+    def test_neither_teacher_nor_logits_is_refused(self):
+        _, retain, forget = self.setup_data(num_samples=120)
+        with pytest.raises(ValueError, match="teacher or its logits"):
+            GoldfishUnlearner(BASE_CONFIG).unlearn(
+                factory(7), None, retain, forget, np.random.default_rng(3)
+            )
