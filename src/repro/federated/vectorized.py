@@ -77,6 +77,7 @@ from ..runtime.task import (
     restore_rng,
 )
 from ..training.config import EpochStats, TrainConfig, TrainHistory
+from ..training.trainer import follow_dataset_dtype
 
 
 class VectorizedCohort:
@@ -101,13 +102,11 @@ class VectorizedCohort:
         for dataset in datasets:
             if len(dataset) == 0:
                 raise ValueError("cannot train on an empty dataset")
-        # Mirror trainer.train's cast: each member's model follows its
-        # dataset's floating dtype *before* stacking (stacking requires —
-        # and preserves — one cohort-wide dtype).
+        # trainer.train's cast: each member's model follows its dataset's
+        # floating dtype *before* stacking (stacking requires — and
+        # preserves — one cohort-wide dtype).
         for model, dataset in zip(models, datasets):
-            data_dtype = np.asarray(dataset.images).dtype
-            if np.issubdtype(data_dtype, np.floating) and model.dtype != data_dtype:
-                model.astype(data_dtype)
+            follow_dataset_dtype(model, dataset)
         self.models = list(models)
         self.datasets = list(datasets)
         self.rngs = list(rngs)

@@ -1,8 +1,10 @@
 """Neural-network functional primitives built on the autograd engine.
 
-Contains the convolution / pooling kernels (implemented with im2col on top
-of :func:`numpy.lib.stride_tricks.sliding_window_view`) and numerically
-stable softmax utilities. All functions take and return
+Contains the convolution / pooling kernels and numerically stable softmax
+utilities.  Convolution is one channel-major im2col / col2im pair (``cols``
+is ``(C_in*KH*KW, N*H_out*W_out)``, one ``as_strided`` view and one copy)
+shared by the scalar and the stacked entry point; max pooling records one
+winner mask per window offset.  All functions take and return
 :class:`repro.nn.tensor.Tensor` and participate in autodiff.
 """
 
@@ -11,7 +13,7 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .tensor import Tensor, ensure_tensor, is_grad_enabled
 
@@ -24,6 +26,88 @@ def _conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
             f"kernel={kernel}, stride={stride}, padding={padding}"
         )
     return out
+
+
+def _im2col(x_padded: np.ndarray, kh: int, kw: int, stride: int, h_out: int, w_out: int):
+    """Channel-major patch matrix of ``x_padded[..., N, C, H, W]``.
+
+    Returns ``cols`` of shape ``(..., C*KH*KW, N*H_out*W_out)`` with
+    ``cols[..., (c, ki, kj), (n, i, j)] = x_padded[..., n, c, i*s + ki, j*s + kj]``:
+    one strided view and one copy whose innermost contiguous run is a
+    whole output row.
+    """
+    *lead, n, c, _, _ = x_padded.shape
+    *lead_strides, s_n, s_c, s_h, s_w = x_padded.strides
+    view = as_strided(
+        x_padded,
+        shape=(*lead, c, kh, kw, n, h_out, w_out),
+        strides=(*lead_strides, s_c, s_h, s_w, s_n, s_h * stride, s_w * stride),
+        writeable=False,
+    )
+    return view.reshape(*lead, c * kh * kw, n * h_out * w_out)
+
+
+def _col2im(dcols: np.ndarray, padded_shape, kh: int, kw: int, stride: int, h_out: int, w_out: int):
+    """Adjoint of :func:`_im2col`: scatter-add ``dcols`` back onto the padded input.
+
+    Kernel rows are folded first and kernel columns second, so the
+    overlap costs ``KH + KW`` adds of contiguous slabs instead of
+    ``KH * KW``.  Returns a ``(..., N, C, H, W)`` view of a channel-major
+    buffer.
+    """
+    *lead, n, c, h, w = padded_shape
+    dwindows = dcols.reshape(*lead, c, kh, kw, n, h_out, w_out)
+    rows = np.zeros((*lead, c, kw, n, h, w_out), dtype=dcols.dtype)
+    for ki in range(kh):
+        rows[..., ki : ki + h_out * stride : stride, :] += dwindows[..., ki, :, :, :, :]
+    dx = np.zeros((*lead, c, n, h, w), dtype=dcols.dtype)
+    for kj in range(kw):
+        dx[..., kj : kj + w_out * stride : stride] += rows[..., kj, :, :, :]
+    return dx.swapaxes(-4, -3)
+
+
+def _conv(x: Tensor, weight: Tensor, bias: Optional[Tensor], stride: int, padding: int) -> Tensor:
+    """The one convolution kernel pair behind :func:`conv2d` and
+    :func:`conv2d_stacked`: ``x[..., N, C_in, H, W]`` against
+    ``weight[..., C_out, C_in, KH, KW]``, any leading axes being GEMM
+    batch axes."""
+    *lead, n, c_in, h, w = x.shape
+    c_out, c_in_w, kh, kw = weight.shape[-4:]
+    if c_in != c_in_w:
+        raise ValueError(f"input channels {c_in} != weight channels {c_in_w}")
+    h_out = _conv_output_size(h, kh, stride, padding)
+    w_out = _conv_output_size(w, kw, stride, padding)
+
+    x_padded = x.data
+    if padding:
+        x_padded = np.pad(x_padded, [(0, 0)] * (x.ndim - 2) + [(padding, padding)] * 2)
+    cols = _im2col(x_padded, kh, kw, stride, h_out, w_out)
+    padded_shape = x_padded.shape  # all backward needs of the padded copy
+    w_flat = weight.data.reshape(*lead, c_out, c_in * kh * kw)
+
+    out_cm = w_flat @ cols  # (..., C_out, N*H_out*W_out)
+    if bias is not None:
+        out_cm = out_cm + bias.data[..., None]
+    # NCHW shape over channel-major memory; no copy.
+    out_data = out_cm.reshape(*lead, c_out, n, h_out, w_out).swapaxes(-4, -3)
+
+    parents = (x, weight) if bias is None else (x, weight, bias)
+
+    def backward_fn(grad: np.ndarray) -> None:
+        # grad: (..., N, C_out, H_out, W_out)
+        grad_cm = grad.swapaxes(-4, -3).reshape(*lead, c_out, n * h_out * w_out)
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(grad_cm.sum(axis=-1))
+        if weight.requires_grad:
+            weight._accumulate((grad_cm @ cols.swapaxes(-1, -2)).reshape(weight.shape))
+        if x.requires_grad:
+            dcols = w_flat.swapaxes(-1, -2) @ grad_cm  # (..., C*KH*KW, N*H_out*W_out)
+            dx = _col2im(dcols, padded_shape, kh, kw, stride, h_out, w_out)
+            if padding:
+                dx = dx[..., padding:-padding, padding:-padding]
+            x._accumulate(dx)
+
+    return Tensor._make(out_data, parents, backward_fn)
 
 
 def conv2d(
@@ -50,53 +134,7 @@ def conv2d(
         raise ValueError(f"conv2d expects 4-D input, got shape {x.shape}")
     if weight.ndim != 4:
         raise ValueError(f"conv2d expects 4-D weight, got shape {weight.shape}")
-    n, c_in, h, w = x.shape
-    c_out, c_in_w, kh, kw = weight.shape
-    if c_in != c_in_w:
-        raise ValueError(f"input channels {c_in} != weight channels {c_in_w}")
-    h_out = _conv_output_size(h, kh, stride, padding)
-    w_out = _conv_output_size(w, kw, stride, padding)
-
-    x_padded = x.data
-    if padding:
-        x_padded = np.pad(x_padded, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    # windows: (N, C, H', W', KH, KW) where H'/W' enumerate window origins.
-    windows = sliding_window_view(x_padded, (kh, kw), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride, :, :]
-    # cols: (N * H_out * W_out, C * KH * KW)
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * h_out * w_out, c_in * kh * kw)
-    w_flat = weight.data.reshape(c_out, -1)
-
-    out_flat = cols @ w_flat.T
-    if bias is not None:
-        out_flat = out_flat + bias.data
-    out_data = out_flat.reshape(n, h_out, w_out, c_out).transpose(0, 3, 1, 2)
-
-    parents = (x, weight) if bias is None else (x, weight, bias)
-
-    def backward_fn(grad: np.ndarray) -> None:
-        # grad: (N, C_out, H_out, W_out)
-        grad_flat = grad.transpose(0, 2, 3, 1).reshape(n * h_out * w_out, c_out)
-        if bias is not None and bias.requires_grad:
-            bias._accumulate(grad_flat.sum(axis=0))
-        if weight.requires_grad:
-            weight._accumulate((grad_flat.T @ cols).reshape(weight.shape))
-        if x.requires_grad:
-            dcols = grad_flat @ w_flat  # (N*H_out*W_out, C*KH*KW)
-            dwindows = dcols.reshape(n, h_out, w_out, c_in, kh, kw).transpose(0, 3, 1, 2, 4, 5)
-            dx_padded = np.zeros_like(x_padded)
-            for ki in range(kh):
-                for kj in range(kw):
-                    dx_padded[
-                        :, :, ki : ki + h_out * stride : stride, kj : kj + w_out * stride : stride
-                    ] += dwindows[:, :, :, :, ki, kj]
-            if padding:
-                dx = dx_padded[:, :, padding:-padding, padding:-padding]
-            else:
-                dx = dx_padded
-            x._accumulate(dx)
-
-    return Tensor._make(out_data, parents, backward_fn)
+    return _conv(x, weight, bias, stride, padding)
 
 
 def conv2d_stacked(
@@ -111,10 +149,9 @@ def conv2d_stacked(
     The vectorized-cohort kernel (:mod:`repro.nn.vmap`): slice ``k`` of
     every operand is one client's convolution, and the whole call runs
     as a single ``np.matmul`` over the leading axis instead of K python
-    dispatches.  The per-slice computation — im2col layout, GEMM
-    operand order, bias broadcast, and every backward contraction — is
-    op-for-op the same as :func:`conv2d` on that slice alone, so each
-    slice's values and gradients match the per-client kernel (the vmap
+    dispatches.  It is :func:`conv2d`'s own kernel pair with the stack
+    as a GEMM batch axis, so each slice's values and gradients match the
+    per-client kernel by shared code, not by a mirrored copy (the vmap
     parity tests pin this bit for bit on this BLAS).
 
     Parameters
@@ -130,70 +167,9 @@ def conv2d_stacked(
         raise ValueError(f"conv2d_stacked expects 5-D input, got shape {x.shape}")
     if weight.ndim != 5:
         raise ValueError(f"conv2d_stacked expects 5-D weight, got shape {weight.shape}")
-    k_stack, n, c_in, h, w = x.shape
-    k_w, c_out, c_in_w, kh, kw = weight.shape
-    if k_stack != k_w:
-        raise ValueError(f"stack mismatch: {k_stack} inputs vs {k_w} weights")
-    if c_in != c_in_w:
-        raise ValueError(f"input channels {c_in} != weight channels {c_in_w}")
-    h_out = _conv_output_size(h, kh, stride, padding)
-    w_out = _conv_output_size(w, kw, stride, padding)
-
-    x_padded = x.data
-    if padding:
-        x_padded = np.pad(
-            x_padded, ((0, 0), (0, 0), (0, 0), (padding, padding), (padding, padding))
-        )
-    # windows: (K, N, C, H', W', KH, KW), exactly conv2d's layout plus the
-    # leading stack axis.
-    windows = sliding_window_view(x_padded, (kh, kw), axis=(3, 4))
-    windows = windows[:, :, :, ::stride, ::stride, :, :]
-    # cols: (K, N * H_out * W_out, C * KH * KW)
-    cols = windows.transpose(0, 1, 3, 4, 2, 5, 6).reshape(
-        k_stack, n * h_out * w_out, c_in * kh * kw
-    )
-    w_flat = weight.data.reshape(k_stack, c_out, -1)
-
-    # Batched GEMM: slice k computes cols[k] @ w_flat[k].T, the same
-    # contraction conv2d issues for one client.
-    out_flat = cols @ w_flat.transpose(0, 2, 1)
-    if bias is not None:
-        out_flat = out_flat + bias.data[:, None, :]
-    out_data = out_flat.reshape(k_stack, n, h_out, w_out, c_out).transpose(0, 1, 4, 2, 3)
-
-    parents = (x, weight) if bias is None else (x, weight, bias)
-
-    def backward_fn(grad: np.ndarray) -> None:
-        # grad: (K, N, C_out, H_out, W_out)
-        grad_flat = grad.transpose(0, 1, 3, 4, 2).reshape(
-            k_stack, n * h_out * w_out, c_out
-        )
-        if bias is not None and bias.requires_grad:
-            bias._accumulate(grad_flat.sum(axis=1))
-        if weight.requires_grad:
-            weight._accumulate(
-                (grad_flat.transpose(0, 2, 1) @ cols).reshape(weight.shape)
-            )
-        if x.requires_grad:
-            dcols = grad_flat @ w_flat  # (K, N*H_out*W_out, C*KH*KW)
-            dwindows = dcols.reshape(
-                k_stack, n, h_out, w_out, c_in, kh, kw
-            ).transpose(0, 1, 4, 2, 3, 5, 6)
-            dx_padded = np.zeros_like(x_padded)
-            for ki in range(kh):
-                for kj in range(kw):
-                    dx_padded[
-                        :, :, :,
-                        ki : ki + h_out * stride : stride,
-                        kj : kj + w_out * stride : stride,
-                    ] += dwindows[:, :, :, :, :, ki, kj]
-            if padding:
-                dx = dx_padded[:, :, :, padding:-padding, padding:-padding]
-            else:
-                dx = dx_padded
-            x._accumulate(dx)
-
-    return Tensor._make(out_data, parents, backward_fn)
+    if x.shape[0] != weight.shape[0]:
+        raise ValueError(f"stack mismatch: {x.shape[0]} inputs vs {weight.shape[0]} weights")
+    return _conv(x, weight, bias, stride, padding)
 
 
 def max_pool2d(x: Tensor, kernel_size: int) -> Tensor:
@@ -219,17 +195,30 @@ def max_pool2d(x: Tensor, kernel_size: int) -> Tensor:
         out_data = np.maximum(out_data, rows[..., j])
     if not (x.requires_grad and is_grad_enabled()):
         return Tensor(out_data)
-    # Only a recorded graph needs to know which element of each window won.
-    arg = windows.transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h_out, w_out, k * k).argmax(axis=-1)
+    # Only a recorded graph needs to know which element of each window
+    # won: one mask per window offset, the first maximum in row-major
+    # window order taking the gradient.  np.maximum propagates NaN, so a
+    # NaN window shows in the output and its first NaN wins.
+    has_nan = bool(np.isnan(out_data).any())
+    free = np.ones(out_data.shape, dtype=bool)  # windows still without a winner
+    masks = []
+    for i in range(k):
+        for j in range(k):
+            cell = windows[:, :, :, i, :, j]
+            mask = cell == out_data
+            if has_nan:
+                mask |= np.isnan(cell)
+            mask &= free
+            free ^= mask
+            masks.append(mask)
 
     def backward_fn(grad: np.ndarray) -> None:
-        dflat = np.zeros((n, c, h_out, w_out, k * k), dtype=x.data.dtype)
-        np.put_along_axis(dflat, arg[..., None], grad[..., None], axis=-1)
-        dx = (
-            dflat.reshape(n, c, h_out, w_out, k, k)
-            .transpose(0, 1, 2, 4, 3, 5)
-            .reshape(n, c, h, w)
-        )
+        dx = np.empty((n, c, h, w), dtype=x.data.dtype)
+        dwindows = dx.reshape(n, c, h_out, k, w_out, k)
+        for index, mask in enumerate(masks):
+            # np.where, not grad * mask: a product leaves -0.0 and turns
+            # inf * 0 into NaN where a losing cell must read +0.0.
+            dwindows[:, :, :, index // k, :, index % k] = np.where(mask, grad, 0.0)
         x._accumulate(dx)
 
     return Tensor._make(out_data, (x,), backward_fn)

@@ -201,7 +201,9 @@ class StackedLinear(StackedLeaf):
 
 
 class StackedConv2d(StackedLeaf):
-    """K convolutions as one leading-axis im2col + batched GEMM."""
+    """K convolutions through :func:`~repro.nn.functional.conv2d`'s own
+    channel-major im2col / col2im pair, the stack axis being the batch
+    axis of its GEMMs — slice parity is by shared code."""
 
     def __init__(self, sources: List[Conv2d]) -> None:
         super().__init__(sources)

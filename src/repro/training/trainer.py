@@ -30,6 +30,20 @@ def make_optimizer(model: Module, config: TrainConfig) -> SGD:
     )
 
 
+def follow_dataset_dtype(model: Module, dataset: ArrayDataset) -> None:
+    """Cast ``model`` in place to a floating dataset's dtype.
+
+    Parameters (and, through ``zeros_like``, optimizer state) follow the
+    data, so a float32 ``ArrayDataset`` trains a float32 model end to end
+    instead of upcasting at the first parameter matmul.  :func:`train`,
+    the vectorized cohort and both Goldfish paths all make this one call.
+    The float64 default is a no-op, bit-identical to the historical path.
+    """
+    data_dtype = np.asarray(dataset.images).dtype
+    if np.issubdtype(data_dtype, np.floating) and model.dtype != data_dtype:
+        model.astype(data_dtype)
+
+
 def train(
     model: Module,
     dataset: ArrayDataset,
@@ -57,14 +71,7 @@ def train(
     """
     if len(dataset) == 0:
         raise ValueError("cannot train on an empty dataset")
-    # Model parameters (and, through zeros_like, optimizer state) follow
-    # the dataset's floating dtype: a float32 ArrayDataset trains a
-    # float32 model end to end, keeping the im2col hot path in float32
-    # instead of upcasting at the first parameter matmul.  The float64
-    # default is a no-op cast, bit-identical to the historical path.
-    data_dtype = np.asarray(dataset.images).dtype
-    if np.issubdtype(data_dtype, np.floating) and model.dtype != data_dtype:
-        model.astype(data_dtype)
+    follow_dataset_dtype(model, dataset)
     loss_fn = get_hard_loss(config.loss)
     optimizer = optimizer if optimizer is not None else make_optimizer(model, config)
     loader = DataLoader(dataset, batch_size=config.batch_size, shuffle=True, rng=rng)

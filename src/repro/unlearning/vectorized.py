@@ -71,6 +71,7 @@ from ..runtime.task import (
     restore_rng,
 )
 from ..training.config import TrainConfig
+from ..training.trainer import follow_dataset_dtype
 from .baselines.rapid import DiagonalFIMSGD
 from .goldfish import GoldfishConfig, GoldfishUnlearner, _ForgetBatchCycler, teacher_logits_on
 from .losses import GoldfishLoss
@@ -179,8 +180,9 @@ class VectorizedGoldfishTask:
         config = self.config
         k = len(self.task_ids)
         students = [self.model_factory() for _ in range(k)]
-        for student, state in zip(students, self.student_states):
+        for student, state, retain_set in zip(students, self.student_states, self.retain_sets):
             student.load_state_dict(state)
+            follow_dataset_dtype(student, retain_set)
         teacher = None
         if self.teacher_state is not None:
             teacher = self.model_factory()

@@ -10,13 +10,20 @@ historical path.
 """
 
 import numpy as np
+import pytest
 
 from repro.data import FederatedDataset
 from repro.federated import FedAvgAggregator, FederatedSimulation
+from repro.nn import Tensor
+from repro.nn import functional as F
 from repro.nn.models import MLP, RegistryModelFactory
 from repro.nn.optim import Adam
+from repro.runtime.task import capture_rng
 from repro.training import TrainConfig
 from repro.training.trainer import make_optimizer, train
+from repro.unlearning import GoldfishConfig, GoldfishLossConfig, GoldfishUnlearner
+from repro.unlearning.protocols import _GoldfishClientTask
+from repro.unlearning.vectorized import GoldfishTaskFuser
 
 from ..conftest import make_blob_federation, make_blobs
 
@@ -27,14 +34,16 @@ def fresh_model(seed=42):
     return MLP(16, 3, np.random.default_rng(seed))
 
 
-def dataset(dtype=None, seed=0):
-    data = make_blobs(num_samples=80, num_classes=3, shape=(1, 4, 4), seed=seed)
-    if dtype is None:
-        return data
+def cast_dataset(data, dtype):
     return type(data)(
         images=data.images, labels=data.labels,
         num_classes=data.num_classes, dtype=dtype,
     )
+
+
+def dataset(dtype=None, seed=0):
+    data = make_blobs(num_samples=80, num_classes=3, shape=(1, 4, 4), seed=seed)
+    return data if dtype is None else cast_dataset(data, dtype)
 
 
 class TestModuleAstype:
@@ -118,8 +127,6 @@ class TestTrainingFollowsDatasetDtype:
 
     def test_forward_hot_path_stays_float32(self):
         """No op in the forward graph silently upcasts activations."""
-        from repro.nn import Tensor
-
         model = fresh_model()
         model.astype(np.float32)
         images = dataset(np.float32).images[:8]
@@ -132,10 +139,7 @@ class TestFederatedFloat32:
         clients, test = make_blob_federation(
             3, per_client=24, test_size=30, seed=0
         )
-        to32 = lambda d: type(d)(
-            images=d.images, labels=d.labels, num_classes=d.num_classes,
-            dtype=np.float32,
-        )
+        to32 = lambda d: cast_dataset(d, np.float32)
         fed = FederatedDataset(
             client_datasets=[to32(c) for c in clients], test_set=to32(test)
         )
@@ -151,3 +155,100 @@ class TestFederatedFloat32:
         history = sim.run(2)
         assert np.isfinite(history.rounds[-1].global_loss)
         assert 0.0 <= history.final_accuracy <= 1.0
+
+
+class TestKernelsPreserveDtype:
+    """conv2d / conv2d_stacked / max_pool2d allocate their im2col, col2im
+    and mask buffers from the operands' dtype: float32 in, float32 out,
+    float32 gradients — whatever the stride and padding."""
+
+    @pytest.mark.parametrize("stride,padding", [(1, 0), (2, 1), (3, 2)])
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_conv_float32(self, stride, padding, stacked):
+        rng = np.random.default_rng(0)
+        lead = (2,) if stacked else ()
+        x = Tensor(rng.normal(size=lead + (3, 2, 7, 6)).astype(np.float32),
+                   requires_grad=True)
+        weight = Tensor(rng.normal(size=lead + (4, 2, 3, 2)).astype(np.float32),
+                        requires_grad=True)
+        bias = Tensor(rng.normal(size=lead + (4,)).astype(np.float32),
+                      requires_grad=True)
+        conv = F.conv2d_stacked if stacked else F.conv2d
+        out = conv(x, weight, bias, stride=stride, padding=padding)
+        assert out.dtype == np.float32
+        out.backward(np.ones(out.shape, dtype=np.float32))
+        for tensor in (x, weight, bias):
+            assert tensor.grad.dtype == np.float32
+            assert tensor.grad.shape == tensor.shape
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_max_pool_float32(self, k):
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.normal(size=(2, 3, 4 * k, 2 * k)).astype(np.float32),
+                   requires_grad=True)
+        out = F.max_pool2d(x, k)
+        assert out.dtype == np.float32
+        out.backward(np.ones(out.shape, dtype=np.float32))
+        assert x.grad.dtype == np.float32
+
+
+class TestGoldfishFollowsDatasetDtype:
+    """Both Goldfish paths make trainer.train's cast: a float32 retain /
+    forget set trains a float32 student against float32 teacher logits
+    (otherwise B1 would compute in float32 and Goldfish in float64 — the
+    very comparison the paper makes, skewed)."""
+
+    CONFIG = GoldfishConfig(
+        loss=GoldfishLossConfig(),
+        train=TrainConfig(epochs=2, batch_size=8, learning_rate=0.05),
+    )
+
+    def tasks(self, dtype):
+        factory = RegistryModelFactory(
+            name="lenet5", num_classes=3, in_channels=1, image_size=28
+        )
+        teacher_state = factory().state_dict()
+        tasks = []
+        for member in range(2):
+            data = cast_dataset(
+                make_blobs(num_samples=24, num_classes=3, shape=(1, 28, 28), seed=member),
+                dtype,
+            )
+            tasks.append(_GoldfishClientTask(
+                task_id=member,
+                model_factory=factory,
+                student_state=factory().state_dict(),
+                teacher_state=teacher_state,
+                retain_set=data.subset(np.arange(6, 24)),
+                forget_set=data.subset(np.arange(6)),
+                config=self.CONFIG,
+                rng_state=capture_rng(np.random.default_rng(member)),
+            ))
+        return tasks
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_serial_and_fused_agree_in_the_dataset_dtype(self, dtype):
+        serial = [task.run() for task in self.tasks(dtype)]
+        fuser = GoldfishTaskFuser()
+        tasks = self.tasks(dtype)
+        assert fuser.fallback_reason(tasks, None) is None
+        fused = fuser.fuse(tasks).run()
+        for one, other in zip(serial, fused):
+            assert one.extra["teacher_logits"].dtype == dtype
+            np.testing.assert_array_equal(
+                one.extra["teacher_logits"], other.extra["teacher_logits"]
+            )
+            for key, value in one.state.items():
+                assert value.dtype == dtype, key
+                assert other.state[key].dtype == dtype, key
+                np.testing.assert_array_equal(value, other.state[key])
+
+    def test_unlearner_casts_student_and_teacher(self):
+        task = self.tasks(np.float32)[0]
+        student, teacher = task.model_factory(), task.model_factory()
+        result = GoldfishUnlearner(self.CONFIG).unlearn(
+            student, teacher, task.retain_set, task.forget_set,
+            np.random.default_rng(0),
+        )
+        assert student.dtype == teacher.dtype == np.float32
+        assert result.teacher_logits.dtype == np.float32

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.nn import Tensor, no_grad
 from repro.nn import functional as F
@@ -24,6 +25,23 @@ def reference_conv2d(x, w, b, stride, padding):
                     patch = xp[ni, :, i * stride : i * stride + kh, j * stride : j * stride + kw]
                     out[ni, co, i, j] = (patch * w[co]).sum() + (b[co] if b is not None else 0.0)
     return out
+
+
+def reference_conv2d_grads(x, w, stride, padding, grad):
+    """Direct-sum gradients of ``reference_conv2d`` under upstream ``grad``."""
+    n, c_in, h, w_in = x.shape
+    _, _, kh, kw = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    dxp, dw = np.zeros_like(xp), np.zeros_like(w)
+    for i in range(grad.shape[2]):
+        for j in range(grad.shape[3]):
+            rows = slice(i * stride, i * stride + kh)
+            cols = slice(j * stride, j * stride + kw)
+            g = grad[:, :, i, j]  # (N, C_out)
+            dw += np.einsum("no,nchw->ochw", g, xp[:, :, rows, cols])
+            dxp[:, :, rows, cols] += np.einsum("no,ochw->nchw", g, w)
+    dx = dxp[:, :, padding : padding + h, padding : padding + w_in]
+    return dx, dw, grad.sum(axis=(0, 2, 3))
 
 
 class TestConv2dForward:
@@ -107,6 +125,72 @@ class TestConv2dBackward:
         np.testing.assert_allclose(b.grad, np.full(3, 2 * 2 * 2))
 
 
+class TestConv2dProperty:
+    """The one kernel pair, by generation: any geometry the hand-picked
+    cases above never reach (non-square inputs and kernels, strides up
+    to 3, the empty batch), against the direct sum — and the stacked
+    entry point against the scalar one bit for bit."""
+
+    K = 2  # stack depth
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(0, 3),
+        c_in=st.integers(1, 3),
+        c_out=st.integers(1, 3),
+        kh=st.integers(1, 3),
+        kw=st.integers(1, 3),
+        h_extra=st.integers(0, 4),
+        w_extra=st.integers(0, 4),
+        stride=st.integers(1, 3),
+        padding=st.integers(0, 2),
+        use_bias=st.booleans(),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_direct_sum_and_stacked_matches_scalar(
+        self, n, c_in, c_out, kh, kw, h_extra, w_extra, stride, padding,
+        use_bias, dtype, seed,
+    ):
+        rng = np.random.default_rng(seed)
+        h = max(1, kh - 2 * padding) + h_extra
+        w = max(1, kw - 2 * padding) + w_extra
+        x_val = rng.normal(size=(self.K, n, c_in, h, w)).astype(dtype)
+        w_val = rng.normal(size=(self.K, c_out, c_in, kh, kw)).astype(dtype)
+        b_val = rng.normal(size=(self.K, c_out)).astype(dtype) if use_bias else None
+
+        def leaves(index):
+            values = (x_val, w_val) if b_val is None else (x_val, w_val, b_val)
+            return [Tensor(v[index].copy(), requires_grad=True) for v in values]
+
+        stacked = leaves(slice(None))
+        out = F.conv2d_stacked(*stacked, stride=stride, padding=padding)
+        upstream = rng.normal(size=out.shape).astype(dtype)
+        out.backward(upstream)
+        assert out.dtype == dtype
+
+        # float32 sums run to a few hundred terms of magnitude ~1.
+        tol = dict(rtol=1e-4, atol=1e-3) if dtype == np.float32 else dict(rtol=1e-9, atol=1e-9)
+        for k in range(self.K):
+            scalar = leaves(k)
+            out_k = F.conv2d(*scalar, stride=stride, padding=padding)
+            out_k.backward(upstream[k])
+            assert out_k.data.tobytes() == out.data[k].tobytes()
+            for one, fused in zip(scalar, stacked):
+                assert one.grad.dtype == dtype
+                assert one.grad.tobytes() == fused.grad[k].tobytes()
+
+            x64, w64 = x_val[k].astype(np.float64), w_val[k].astype(np.float64)
+            b64 = None if b_val is None else b_val[k].astype(np.float64)
+            expected = reference_conv2d(x64, w64, b64, stride, padding)
+            np.testing.assert_allclose(out_k.data, expected, **tol)
+            grads = reference_conv2d_grads(
+                x64, w64, stride, padding, upstream[k].astype(np.float64)
+            )
+            for one, reference in zip(scalar, grads):
+                np.testing.assert_allclose(one.grad, reference, **tol)
+
+
 class TestPooling:
     def test_max_pool_values(self):
         x = np.arange(16, dtype=float).reshape(1, 1, 4, 4)
@@ -166,6 +250,32 @@ class TestPooling:
         np.put_along_axis(dflat, arg, upstream[..., None], axis=-1)
         expected_grad = (
             dflat.reshape(3, 2, 6, 4, k, k).transpose(0, 1, 2, 4, 3, 5).reshape(x_val.shape)
+        )
+        assert x.grad.tobytes() == expected_grad.tobytes()
+
+    def test_max_pool_all_equal_window_and_signed_zero_tie(self):
+        # k = 3: one window of nine equal values (the first cell takes the
+        # gradient) and one whose maxima are -0.0 then +0.0 (they compare
+        # equal, so -0.0 at the earlier offset wins and is the value kept).
+        k = 3
+        x_val = -np.ones((1, 1, 3, 6))
+        x_val[0, 0, :, :3] = 2.5
+        x_val[0, 0, 1, 4] = -0.0
+        x_val[0, 0, 2, 3] = 0.0
+        flat = x_val.reshape(1, 1, 1, k, 2, k).transpose(0, 1, 2, 4, 3, 5).reshape(1, 1, 1, 2, k * k)
+        arg = flat.argmax(axis=-1)[..., None]
+        assert arg.ravel().tolist() == [0, 4]
+        expected = np.take_along_axis(flat, arg, axis=-1)[..., 0]
+
+        x = Tensor(x_val.copy(), requires_grad=True)
+        out = F.max_pool2d(x, k)
+        assert out.data.tobytes() == expected.tobytes()
+        upstream = np.array([[[[3.0, -7.0]]]])
+        out.backward(upstream)
+        dflat = np.zeros_like(flat)
+        np.put_along_axis(dflat, arg, upstream[..., None], axis=-1)
+        expected_grad = (
+            dflat.reshape(1, 1, 1, 2, k, k).transpose(0, 1, 2, 4, 3, 5).reshape(x_val.shape)
         )
         assert x.grad.tobytes() == expected_grad.tobytes()
 
