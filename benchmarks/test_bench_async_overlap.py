@@ -1,4 +1,4 @@
-"""Deletion/federation overlap: DeletionService vs the barriered path.
+"""Deletion/federation overlap: UnlearningService vs the barriered path.
 
 The workload interleaves a federated training loop with a stream of
 deletion requests against a SISA ensemble, both executing on **one shared
@@ -8,10 +8,11 @@ exists for:
 * **barriered** — ``DeletionManager.maybe_execute_batched``: when a flush
   window fires, the whole simulation waits for the window's retrain
   chains before the next federation round may start;
-* **service** — ``DeletionService``: the same windows are *submitted*
-  (one pool ticket per window) and the federation keeps training while
-  the chains retrain; ``ExecutedBatch.overlap_rounds`` records how many
-  rounds each window overlapped.
+* **service** — ``UnlearningService`` (journaling to a temp directory):
+  the same windows are *submitted* (one pool ticket per window) and the
+  federation keeps training while the chains retrain;
+  ``ExecutedBatch.overlap_rounds`` records how many rounds each window
+  overlapped.
 
 Both paths are asserted to produce **bit-identical** final states — the
 global federated model *and* every retrained shard — and identical
@@ -29,6 +30,7 @@ or ``small`` (larger federation, more pronounced overlap).
 
 import json
 import os
+import tempfile
 import time
 
 import numpy as np
@@ -41,9 +43,9 @@ from repro.training import TrainConfig
 from repro.unlearning import (
     BatchSizePolicy,
     DeletionManager,
-    DeletionService,
     SisaConfig,
     SisaEnsemble,
+    UnlearningService,
 )
 
 RESULTS_PATH = os.path.join(
@@ -104,17 +106,18 @@ def _build(pool):
         FACTORY, _blobs(SISA_SAMPLES, seed=2).share(), SISA, seed=0,
         backend=pool,
     ).fit()
-    manager = DeletionManager(BatchSizePolicy(2))
-    return sim, ensemble, manager
+    return sim, ensemble
 
 
-def _file_requests(manager, round_index):
+def _file_requests(intake, round_index):
+    """``intake`` is whatever takes requests: the manager or the service."""
     for index in REQUEST_SCHEDULE.get(round_index, []):
-        manager.submit(client_id=0, indices=[index], round_index=round_index)
+        intake.submit(client_id=0, indices=[index], round_index=round_index)
 
 
 def _run_barriered(pool):
-    sim, ensemble, manager = _build(pool)
+    sim, ensemble = _build(pool)
+    manager = DeletionManager(BatchSizePolicy(2))
     start = time.perf_counter()
     for round_index in range(NUM_ROUNDS):
         _file_requests(manager, round_index)
@@ -124,22 +127,25 @@ def _run_barriered(pool):
 
 
 def _run_service(pool):
-    sim, ensemble, manager = _build(pool)
-    service = DeletionService(manager, ensemble)
-    start = time.perf_counter()
-    for round_index in range(NUM_ROUNDS):
-        service.poll(round_index)
-        _file_requests(manager, round_index)
-        service.maybe_submit(round_index)
-        sim.run_round(round_index)
-    service.drain(NUM_ROUNDS)
-    # A window whose chains outlast the loop defers the next policy
-    # firing past NUM_ROUNDS (real wall-clock decides); flush the tail so
-    # every request executes on both paths.
-    while manager.num_pending:
-        service.maybe_submit(NUM_ROUNDS)
+    sim, ensemble = _build(pool)
+    with tempfile.TemporaryDirectory() as directory, UnlearningService(
+        ensemble, directory, policy=BatchSizePolicy(2)
+    ) as service:
+        start = time.perf_counter()
+        for round_index in range(NUM_ROUNDS):
+            service.poll(round_index)
+            _file_requests(service, round_index)
+            service.maybe_submit(round_index)
+            sim.run_round(round_index)
         service.drain(NUM_ROUNDS)
-    return time.perf_counter() - start, sim, ensemble, manager
+        # A window whose chains outlast the loop defers the next policy
+        # firing past NUM_ROUNDS (real wall-clock decides); flush the tail
+        # so every request executes on both paths.
+        while service.manager.num_pending:
+            service.maybe_submit(NUM_ROUNDS)
+            service.drain(NUM_ROUNDS)
+        wall = time.perf_counter() - start
+    return wall, sim, ensemble, service.manager
 
 
 class TestDeletionOverlap:

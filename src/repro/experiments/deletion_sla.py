@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import shutil
 import tempfile
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..data.synthetic import make_dataset
 from ..unlearning import (
@@ -74,8 +74,17 @@ def _drive(
     arrivals: PoissonArrivals,
     num_requests: int,
     max_rounds: int,
+    beat: Callable[[int], Any],
 ) -> int:
-    """Feed the arrival stream through the service; returns rounds used."""
+    """Feed the arrival stream through the service; returns rounds used.
+
+    ``beat`` advances one round.  Uncontended it is ``service.tick``;
+    under contention it is a *real* federation round of an engine the
+    service is co-scheduled on (:meth:`UnlearningService.co_schedule`
+    ticks from the engine's pre-round hook), so deletion windows and
+    client training tickets share the same backend workers and the
+    metered time-to-forget includes queueing behind live training.
+    """
     submitted = 0
     round_index = 0
     while round_index < max_rounds:
@@ -89,7 +98,7 @@ def _drive(
                 request_id=request_id,
             )
             submitted += 1
-        service.tick(round_index)
+        beat(round_index)
         round_index += 1
         if submitted >= num_requests and not (
             service.windows_in_flight or service.manager.num_pending
@@ -100,56 +109,6 @@ def _drive(
     # the operator's "certify everything before stopping" barrier.  Each
     # pass flushes every free-shard request and drains it, so the bound
     # is never reached in practice.
-    service.manager.policy = ImmediatePolicy()
-    for _ in range(max_rounds):
-        if not service.manager.num_pending:
-            break
-        service.tick(round_index)
-        service.drain(round_index)
-        round_index += 1
-    service.drain(round_index)
-    return round_index
-
-
-def _drive_contended(
-    service: UnlearningService,
-    arrivals: PoissonArrivals,
-    num_requests: int,
-    max_rounds: int,
-    sim,
-) -> int:
-    """Like :func:`_drive`, but each beat is a *real* federation round.
-
-    The service is co-scheduled onto the async engine's pre-round hook
-    (:meth:`UnlearningService.co_schedule`), so deletion windows and
-    client training tickets share the same backend workers — the metered
-    time-to-forget now includes queueing behind live training, which is
-    the quantity a production deployment actually experiences.
-    """
-    engine = sim.engine()
-    service.co_schedule(engine)
-    submitted = 0
-    round_index = 0
-    while round_index < max_rounds:
-        for request_id, indices in arrivals.arrivals(round_index):
-            if submitted >= num_requests:
-                break
-            service.submit(
-                client_id=0,
-                indices=indices,
-                round_index=round_index,
-                request_id=request_id,
-            )
-            submitted += 1
-        # The engine's pre-round hook runs the service's tick, then the
-        # round trains under genuine worker contention.
-        engine.run_round(round_index)
-        round_index += 1
-        if submitted >= num_requests and not (
-            service.windows_in_flight or service.manager.num_pending
-        ):
-            break
-    # Same shutdown barrier as the uncontended driver.
     service.manager.policy = ImmediatePolicy()
     for _ in range(max_rounds):
         if not service.manager.num_pending:
@@ -258,13 +217,14 @@ def run_deletion_sla(
                 seed=seed,
                 indices_per_request=indices_per_request,
             )
+            beat = service.tick
             if contention:
-                sim = _make_contention_sim(
+                engine = _make_contention_sim(
                     train, test_set, model_name, scale, seed, backend
-                )
-                _drive_contended(service, arrivals, num_requests, max_rounds, sim)
-            else:
-                _drive(service, arrivals, num_requests, max_rounds)
+                ).engine()
+                service.co_schedule(engine)
+                beat = engine.run_round
+            _drive(service, arrivals, num_requests, max_rounds, beat)
             report = service.sla.report()
             manager = service.manager
             chains = manager.total_chains_submitted

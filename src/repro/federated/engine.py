@@ -10,7 +10,7 @@ say) waits behind the federation.  This module removes the barrier:
   :meth:`~repro.runtime.pool.WorkerPool.submit` ticket per client, drained
   out of order as events fire), so workers never idle waiting for a round
   boundary and other work — notably
-  :class:`~repro.unlearning.deletion_manager.DeletionService` retrain
+  :class:`~repro.unlearning.service.UnlearningService` retrain
   chains — interleaves with client training on the same pool;
 * a FedBuff-style buffered aggregator
   (:class:`~repro.federated.aggregation.BufferedAggregator`) folds results
@@ -429,15 +429,7 @@ class BufferedRoundEngine:
                     )
 
                     vtask = make_vectorized_task(tasks, broadcast_state)
-                    chunks = vtask.split(
-                        max(
-                            1,
-                            min(
-                                len(tasks),
-                                backend_worker_count(self.sim.backend),
-                            ),
-                        )
-                    )
+                    chunks = vtask.split(backend_worker_count(self.sim.backend))
                     ticket = (
                         self.sim.backend.submit(chunks) if self._streams else None
                     )

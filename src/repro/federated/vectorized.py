@@ -48,7 +48,7 @@ back to the per-client path with a recorded reason — never silently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, List, Optional, Sequence
 
 import numpy as np
@@ -78,6 +78,43 @@ from ..runtime.task import (
 )
 from ..training.config import EpochStats, TrainConfig, TrainHistory
 from ..training.trainer import follow_dataset_dtype
+
+
+def pad_stack(batches: Sequence[tuple]) -> "tuple[np.ndarray, List[int]]":
+    """Stack per-member ``(images, labels)`` batches along a new leading
+    axis, zero-padding short members to the widest batch.  Returns the
+    padded image stack and each member's true row count (trailing zero
+    rows change no bits of any true row's forward or gradient)."""
+    rows = [len(labels) for _, labels in batches]
+    first = np.asarray(batches[0][0])
+    images = np.zeros((len(batches), max(rows)) + first.shape[1:], dtype=first.dtype)
+    for index, (member_images, _) in enumerate(batches):
+        images[index, : rows[index]] = member_images
+    return images, rows
+
+
+def split_stack(task: Any, n_chunks: int, member_fields: Sequence[str]) -> List[Any]:
+    """Deterministic contiguous partition of a stacked task into sub-stacks.
+
+    Each chunk is a copy of the dataclass ``task`` with ``task_ids`` and
+    the per-member list fields named in ``member_fields`` sliced to one
+    contiguous member range (an optional list left empty stays empty);
+    everything else — the broadcast basis, configs — is shared by
+    reference.  Stacking is bit-exact per slice, so the chunks' results
+    concatenate to the unsplit run's, member for member.  ``n_chunks`` is
+    clamped to ``[1, K]``, so callers pass their worker count as is.
+    """
+    k = len(task.task_ids)
+    n_chunks = max(1, min(int(n_chunks), k))
+    if n_chunks == 1:
+        return [task]
+    fields = ("task_ids", *member_fields)
+    chunks = []
+    for part in np.array_split(np.arange(k), n_chunks):
+        lo, hi = int(part[0]), int(part[-1]) + 1
+        members = {name: getattr(task, name)[lo:hi] for name in fields}
+        chunks.append(replace(task, task_id=tuple(members["task_ids"]), **members))
+    return chunks
 
 
 class VectorizedCohort:
@@ -161,9 +198,8 @@ class VectorizedCohort:
             # permutation from its own client's generator at first step,
             # exactly as the per-client DataLoader would.  Equal step
             # counts (checked above) keep the K iterators aligned; only a
-            # final batch can be ragged, and it is zero-padded with the
-            # padded rows masked out of each slice's loss (trailing zero
-            # rows change no bits of any slice's forward or gradients).
+            # final batch can be ragged, and it runs zero-padded
+            # (pad_stack) with the padded rows masked out of each loss.
             for batches in zip(*loaders):
                 rows = [len(labels) for _, labels in batches]
                 optimizer.zero_grad()
@@ -174,13 +210,7 @@ class VectorizedCohort:
                     loss_vec.sum().backward()
                     step_losses = [float(loss_vec.data[index]) for index in range(k)]
                 else:
-                    first_images = np.asarray(batches[0][0])
-                    width = max(rows)
-                    images = np.zeros(
-                        (k, width) + first_images.shape[1:], dtype=first_images.dtype
-                    )
-                    for index, (member_images, _) in enumerate(batches):
-                        images[index, : rows[index]] = member_images
+                    images, _ = pad_stack(batches)
                     self.stacked.set_row_counts(rows)
                     logits = self.stacked(Tensor(images))
                     self.stacked.set_row_counts(None)
@@ -295,42 +325,10 @@ class VectorizedTrainTask:
         return results
 
     def split(self, n_chunks: int) -> List["VectorizedTrainTask"]:
-        """Deterministic contiguous partition of the stack into sub-stacks.
-
-        Each chunk is a self-contained :class:`VectorizedTrainTask` over a
-        contiguous member range — its members' datasets, RNG streams and
-        residuals ride along; the broadcast basis is shared by reference
-        (the pool's version-addressed cache dedupes it per worker).
-        Stacking is bit-exact per slice, so the concatenation of the
-        chunks' results equals the unsplit run member for member.
-        ``n_chunks`` is clamped to ``[1, K]``; ``split(1)`` is ``[self]``.
-        """
-        k = len(self.task_ids)
-        n_chunks = max(1, min(int(n_chunks), k))
-        if n_chunks == 1:
-            return [self]
-        chunks: List["VectorizedTrainTask"] = []
-        for part in np.array_split(np.arange(k), n_chunks):
-            lo, hi = int(part[0]), int(part[-1]) + 1
-            chunks.append(
-                VectorizedTrainTask(
-                    task_id=tuple(self.task_ids[lo:hi]),
-                    task_ids=self.task_ids[lo:hi],
-                    model_factory=self.model_factory,
-                    datasets=self.datasets[lo:hi],
-                    config=self.config,
-                    rng_states=self.rng_states[lo:hi],
-                    model_state=self.model_state,
-                    indices=self.indices[lo:hi] if self.indices else [],
-                    codec=self.codec,
-                    model_version=self.model_version,
-                    residuals=self.residuals[lo:hi] if self.residuals else [],
-                    member_states=(
-                        self.member_states[lo:hi] if self.member_states else []
-                    ),
-                )
-            )
-        return chunks
+        """Contiguous stack chunks (:func:`split_stack`); the pool's
+        version-addressed cache dedupes the shared basis per worker."""
+        fields = ("datasets", "rng_states", "indices", "residuals", "member_states")
+        return split_stack(self, n_chunks, fields)
 
 
 def cohort_fallback_reason(
@@ -576,7 +574,7 @@ def plan_cohort(
                 plan.fallback_reasons.append(reason)
             continue
         fused = fuser.fuse(group_tasks, shared_basis)
-        chunks = fused.split(max(1, min(len(group_tasks), workers)))
+        chunks = fused.split(workers)
         plan.fused_groups += 1
         plan.fused_members += len(group_tasks)
         plan.chunk_counts.append(len(chunks))
@@ -613,8 +611,10 @@ __all__ = [
     "cohort_fallback_reason",
     "find_fuser",
     "make_vectorized_task",
+    "pad_stack",
     "plan_cohort",
     "ragged_probe",
     "register_fuser",
     "scatter_results",
+    "split_stack",
 ]

@@ -672,15 +672,6 @@ STACKED_LOSSES = {
 }
 """Stacked counterparts of :data:`repro.nn.losses.HARD_LOSSES`."""
 
-STACKED_PER_SAMPLE_LOSSES = {
-    "cross_entropy": stacked_cross_entropy_per_sample,
-    "nll": stacked_cross_entropy_per_sample,
-    "focal": stacked_focal_loss_per_sample,
-    "label_smoothing": stacked_label_smoothing_loss_per_sample,
-}
-"""Unreduced ``(K, B)`` variants — ragged steps slice each row to the
-member's true batch before its per-slice mean."""
-
 
 def get_stacked_loss(name: str):
     """The stacked counterpart of a hard loss; raises on unknown names."""
@@ -691,35 +682,3 @@ def get_stacked_loss(name: str):
             f"loss {name!r} has no stacked implementation; "
             f"available: {sorted(STACKED_LOSSES)}"
         ) from None
-
-
-def get_stacked_per_sample_loss(name: str):
-    """The unreduced ``(K, B)`` counterpart of a hard loss."""
-    try:
-        return STACKED_PER_SAMPLE_LOSSES[name]
-    except KeyError:
-        raise ValueError(
-            f"loss {name!r} has no stacked implementation; "
-            f"available: {sorted(STACKED_PER_SAMPLE_LOSSES)}"
-        ) from None
-
-
-# ----------------------------------------------------------------------
-# Stacked protocol losses (distillation / confusion), per-slice graphs
-# ----------------------------------------------------------------------
-def stacked_distillation_loss_per_sample(
-    teacher_logits: Tensor, student_logits: Tensor, temperature: float = 1.0
-) -> Tensor:
-    """Per-sample distillation loss ``(K, B)``, mirroring
-    :func:`repro.nn.losses.distillation_loss` slice for slice.
-
-    The softmax/log-softmax reduce along the class axis and the product
-    sum is per-row, so row k reproduces the per-client call bit for bit.
-    ``temperature`` is a python float (the per-client call divides by
-    ``float(T)``), keeping the weak-scalar dtype semantics identical.
-    """
-    teacher_probs = F.softmax(
-        teacher_logits.detach(), axis=2, temperature=temperature
-    )
-    student_log_probs = F.log_softmax(student_logits / float(temperature), axis=2)
-    return -(teacher_probs * student_log_probs).sum(axis=2)

@@ -23,7 +23,7 @@ Two-level API:
     batches may be outstanding at once (they share the worker set), which
     is the seam the event-driven federation engine
     (:mod:`repro.federated.engine`) and the non-blocking deletion service
-    (:class:`~repro.unlearning.deletion_manager.DeletionService`) build
+    (:class:`~repro.unlearning.service.UnlearningService`) build
     on: they submit one ticket per client task / flush window and drain
     tickets out of order as their simulated events fire.  ``poll(ticket)``
     makes progress without blocking and reports whether a specific batch

@@ -31,7 +31,6 @@ from .deletion_manager import (
     DeletionManager,
     DeletionPolicy,
     DeletionRequest,
-    DeletionService,
     ExecutedBatch,
     ImmediatePolicy,
     PeriodicPolicy,
@@ -81,7 +80,6 @@ __all__ = [
     "EarlyStopConfig",
     "ExcessRiskStopper",
     "DeletionManager",
-    "DeletionService",
     "FaultInjector",
     "KillOnceTask",
     "Journal",

@@ -30,17 +30,18 @@ Three execution paths share the queue and the policies:
   paper's retraining-cost accounting (``SisaDeletionReport``) measures —
   and :attr:`ExecutedBatch.chains_submitted` records how few chains the
   window actually cost.
-* :class:`DeletionService` — the **non-blocking** variant of the batched
-  flow: the window's chains are submitted through the pool's
-  ``submit``/``drain`` seam and retrain *concurrently with* subsequent
-  federation rounds instead of barriering them;
-  :attr:`ExecutedBatch.overlap_rounds` records how many rounds each
-  window overlapped.
+* :class:`~repro.unlearning.service.UnlearningService` — the durable,
+  **non-blocking** variant of the batched flow: it owns one of these
+  managers (queue, policy gate, batch accounting), submits each window's
+  chains through the pool's ``submit``/``drain`` seam so they retrain
+  *concurrently with* subsequent federation rounds, and journals every
+  transition; :attr:`ExecutedBatch.overlap_rounds` records how many
+  rounds each window overlapped.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -131,7 +132,7 @@ class ExecutedBatch:
     chains_submitted: int = 0
     # Round at which the window's retrain chains finished absorbing.  The
     # barriered paths complete in the round they execute; the non-blocking
-    # DeletionService sets this later, once poll()/drain() lands the
+    # UnlearningService sets this later, once poll()/drain() lands the
     # results — until then it is None ("still retraining").
     completed_round: Optional[int] = None
 
@@ -153,7 +154,8 @@ class ExecutedBatch:
         """Federation rounds this window's retraining overlapped with.
 
         Zero on the barriered paths (submit and completion share a
-        round); positive under the :class:`DeletionService`, where the
+        round); positive under the
+        :class:`~repro.unlearning.service.UnlearningService`, where the
         chains ran concurrently with that many subsequent rounds.
         """
         if self.completed_round is None:
@@ -274,11 +276,11 @@ class DeletionManager:
         finalize deletions themselves, so afterwards the queue is empty and
         client datasets have physically shrunk.
         """
-        if not self._window_ready(round_index):
+        if not self.window_ready(round_index):
             return None
         for client_id, indices in self.merged_indices().items():
             sim.clients[client_id].request_deletion(indices)
-        return self._flush(round_index, outcome=unlearn(sim))
+        return self.flush_requests(self._pending, round_index, outcome=unlearn(sim))
 
     def maybe_execute_batched(
         self, ensemble, round_index: int
@@ -309,7 +311,7 @@ class DeletionManager:
         number of chains actually submitted), or ``None`` when the
         policy did not fire.
         """
-        if not self._window_ready(round_index):
+        if not self.window_ready(round_index):
             return None
         merged = self.merged_global_indices()
         already_deleted = getattr(ensemble, "deleted_indices", None)
@@ -317,12 +319,15 @@ class DeletionManager:
             merged = merged[~np.isin(merged, list(already_deleted))]
         report = ensemble.delete(merged) if merged.size else None
         chains = len(getattr(report, "shards_affected", []) or [])
-        return self._flush(round_index, outcome=report, chains_submitted=chains)
+        return self.flush_requests(
+            self._pending, round_index, outcome=report, chains_submitted=chains
+        )
 
-    # Shared flush skeleton — both execution paths above gate, validate,
-    # record and clear identically so their semantics cannot diverge.
+    # Shared flush skeleton — every execution path (the two above and the
+    # UnlearningService) gates, validates, records and clears identically
+    # so their semantics cannot diverge.
 
-    def _window_ready(self, round_index: int) -> bool:
+    def window_ready(self, round_index: int) -> bool:
         """Policy gate + sanity check that no pending request postdates
         the execution round."""
         if not self.policy.should_execute(self._pending, round_index):
@@ -335,40 +340,22 @@ class DeletionManager:
                 )
         return True
 
-    def _flush(
+    def flush_requests(
         self,
+        requests: Sequence[DeletionRequest],
         round_index: int,
         outcome: object,
         chains_submitted: int = 0,
         completed: bool = True,
     ) -> ExecutedBatch:
-        """Record the executed window (per-request latencies included)
-        and clear the queue.  ``completed=False`` marks the window as
-        still retraining (the :class:`DeletionService` finalizes it when
-        its chains land)."""
-        return self._flush_requests(
-            list(self._pending),
-            round_index,
-            outcome=outcome,
-            chains_submitted=chains_submitted,
-            completed=completed,
-        )
+        """Record ``requests`` as one executed window (per-request
+        latencies included) and take them off the queue.
 
-    def _flush_requests(
-        self,
-        requests: List[DeletionRequest],
-        round_index: int,
-        outcome: object,
-        chains_submitted: int = 0,
-        completed: bool = True,
-    ) -> ExecutedBatch:
-        """Flush a *subset* of the queue into one executed window.
-
-        The per-shard-locking :class:`DeletionService` flushes only the
-        requests whose shards are free, leaving the rest queued for a
-        later window; requests not currently queued (a recovered window
-        being resubmitted after a crash) are recorded without touching
-        the queue."""
+        The barriered paths flush the whole queue; the per-shard-locking
+        :class:`~repro.unlearning.service.UnlearningService` flushes only
+        the requests whose shards are free, leaving the rest queued for
+        a later window, and passes ``completed=False`` — the window is
+        still retraining until its chains land."""
         batch = ExecutedBatch(
             executed_round=round_index,
             requests=list(requests),
@@ -398,7 +385,8 @@ class DeletionManager:
     @property
     def total_overlap_rounds(self) -> int:
         """Federation rounds retraining overlapped with, summed over all
-        completed windows (non-zero only under :class:`DeletionService`)."""
+        completed windows (non-zero only under the non-blocking
+        :class:`~repro.unlearning.service.UnlearningService`)."""
         return sum(batch.overlap_rounds for batch in self._executed)
 
     @property
@@ -422,291 +410,3 @@ class DeletionManager:
         if not latencies:
             raise ValueError("no executed requests yet")
         return float(np.mean(latencies))
-
-
-class DeletionService:
-    """Non-blocking execution of deletion windows.
-
-    :meth:`DeletionManager.maybe_execute_batched` barriers the simulation:
-    the flush window's retrain chains run to completion before the next
-    federation round may start, even though chains and client rounds are
-    independent work that a pool executes happily side by side.  This
-    service removes the barrier.  When the manager's policy fires, the
-    window's chains are *submitted* through the backend
-    (:meth:`~repro.runtime.pool.WorkerPool.submit`, one ticket per window)
-    and control returns immediately; subsequent federation rounds train
-    while the chains retrain, and :meth:`poll` absorbs the finished
-    window whenever its ticket completes.  The per-window overlap is
-    recorded on the batch (:attr:`ExecutedBatch.overlap_rounds` =
-    completion round − submission round) — the quantity the paper's
-    deletion-efficiency claims rest on.
-
-    Determinism: :meth:`~repro.unlearning.sisa.SisaEnsemble.delete_begin`
-    snapshots everything a chain reads (checkpoint, RNG position, index
-    sets) at submission time, so the retrained shard states are
-    bit-identical to the barriered path no matter how many rounds pass
-    before the results land.  Windows are locked **per shard**: a policy
-    that fires while chains are outstanding submits the requests whose
-    shards are free and defers the rest, so disjoint-shard windows
-    retrain concurrently on the pool (``windows_in_flight`` ≥ 2) while
-    same-shard requests keep queueing until their shard unlocks.
-
-    Usage inside an FL loop::
-
-        service = DeletionService(manager, ensemble)
-        for r in range(rounds):
-            service.poll(r)           # absorb any finished windows
-            ...requests arrive: manager.submit(...)...
-            service.maybe_submit(r)   # policy fires -> chains overlap
-            sim.run_round(r)
-        service.drain(rounds)         # barrier once, at the very end
-
-    Backends without ``submit``/``drain``/``poll`` (serial, thread,
-    process) cannot overlap; the service then runs the window's chains
-    inside :meth:`maybe_submit` exactly like the barriered path, so the
-    loop above is portable across every backend.
-
-    The three ``on_window_*`` callbacks and ``task_filter`` are the seams
-    the durable :class:`~repro.unlearning.service.UnlearningService`
-    builds on: ``on_window_planned(window_id, requests, indices, shards)``
-    fires before ``delete_begin`` (journal the intent first — write-ahead),
-    ``on_window_submitted`` / ``on_window_completed`` /
-    ``on_window_failed`` track the window's lifecycle, and ``task_filter``
-    lets a fault-injection harness wrap the chain tasks before they reach
-    the backend.
-    """
-
-    def __init__(
-        self,
-        manager: DeletionManager,
-        ensemble,
-        backend=None,
-        task_filter: Optional[Callable] = None,
-        on_window_planned: Optional[Callable] = None,
-        on_window_submitted: Optional[Callable] = None,
-        on_window_completed: Optional[Callable] = None,
-        on_window_failed: Optional[Callable] = None,
-        on_empty_flush: Optional[Callable] = None,
-    ) -> None:
-        from ..runtime import get_backend
-
-        self.manager = manager
-        self.ensemble = ensemble
-        self.backend = (
-            ensemble.backend if backend is None else get_backend(backend)
-        )
-        self._streams = all(
-            hasattr(self.backend, name) for name in ("submit", "drain", "poll")
-        )
-        self.task_filter = task_filter
-        self.on_window_planned = on_window_planned
-        self.on_window_submitted = on_window_submitted
-        self.on_window_completed = on_window_completed
-        self.on_window_failed = on_window_failed
-        self.on_empty_flush = on_empty_flush
-        # window_id -> (batch, pending, ticket); insertion order is
-        # submission order, which poll/drain preserve when completing.
-        self._inflight: Dict[int, tuple] = {}
-        self._next_window = 0
-        # Requests the policy has already admitted but a shard lock
-        # deferred (identity ids — ndarray fields make __eq__ unusable).
-        # Once admitted, a request flushes as soon as its shards free up
-        # without waiting for the policy to fire again: a BatchSizePolicy
-        # counts a request toward exactly one firing.
-        self._armed: set = set()
-        #: High-water mark of concurrently retraining windows — the
-        #: per-shard-locking payoff a test can assert on (>= 2 means
-        #: disjoint-shard windows demonstrably overlapped).
-        self.max_windows_in_flight = 0
-
-    @property
-    def busy(self) -> bool:
-        """Whether any window's chains are still retraining."""
-        return bool(self._inflight)
-
-    @property
-    def windows_in_flight(self) -> int:
-        return len(self._inflight)
-
-    def _ready_requests(self, requests: List[DeletionRequest]) -> List[DeletionRequest]:
-        """Requests whose live indices avoid every locked shard.
-
-        Ensembles without per-shard locking (no ``pending_shards`` /
-        ``shard_of``) fall back to whole-ensemble serialisation: nothing
-        is ready while any window is in flight.
-        """
-        locked = getattr(self.ensemble, "pending_shards", None)
-        shard_of = getattr(self.ensemble, "shard_of", None)
-        if locked is None or shard_of is None:
-            return [] if self._inflight else list(requests)
-        already = getattr(self.ensemble, "deleted_indices", frozenset())
-        ready = []
-        for request in requests:
-            live = [
-                int(index)
-                for index in request.indices
-                if int(index) not in already
-            ]
-            if any(shard_of(index)[0] in locked for index in live):
-                continue
-            ready.append(request)
-        return ready
-
-    def maybe_submit(self, round_index: int) -> Optional[ExecutedBatch]:
-        """Submit a flush window when the policy fires; never blocks.
-
-        Flushes only the pending requests whose shards are not locked by
-        an in-flight window; the rest stay queued but are *armed* — the
-        policy already admitted them, so they flush on a later call as
-        soon as their shards free, without needing the policy to fire
-        again.  Returns the (possibly still in-flight) batch record, or
-        ``None`` when the policy did not fire (and nothing armed is
-        runnable) or every candidate is blocked behind a busy shard.
-        """
-        fired = self.manager._window_ready(round_index)
-        pending = self.manager.pending
-        if fired:
-            self._armed.update(id(request) for request in pending)
-        candidates = (
-            pending
-            if fired
-            else [r for r in pending if id(r) in self._armed]
-        )
-        if not candidates:
-            return None
-        ready = self._ready_requests(candidates)
-        if not ready:
-            return None
-        merged = np.unique(
-            np.concatenate([request.indices for request in ready])
-        )
-        already = getattr(self.ensemble, "deleted_indices", None)
-        if already is not None and len(already):
-            merged = merged[~np.isin(merged, list(already))]
-        if not merged.size:
-            # Everything re-requested was already deleted: nothing to
-            # retrain, the window completes on the spot.
-            batch = self.manager._flush_requests(ready, round_index, outcome=None)
-            self._armed &= {id(r) for r in self.manager.pending}
-            if self.on_empty_flush is not None:
-                self.on_empty_flush(batch, round_index)
-            return batch
-        window_id = self._next_window
-        self._next_window += 1
-        if self.on_window_planned is not None:
-            shards = sorted(
-                {self.ensemble.shard_of(int(index))[0] for index in merged}
-            )
-            self.on_window_planned(window_id, ready, merged, shards, round_index)
-        pending = self.ensemble.delete_begin(merged)
-        batch = self._launch(window_id, ready, pending, round_index)
-        self._armed &= {id(r) for r in self.manager.pending}
-        return batch
-
-    def resubmit_window(
-        self,
-        window_id: int,
-        requests: List[DeletionRequest],
-        indices: np.ndarray,
-        round_index: int,
-    ) -> ExecutedBatch:
-        """Re-begin a window recovered from a journal (crash recovery).
-
-        Bypasses the policy gate: the window was already planned (and
-        journaled) by a previous process, so its exact index set is
-        re-begun as-is.  ``on_window_planned`` does **not** refire —
-        the plan is already durable."""
-        pending = self.ensemble.delete_begin(np.asarray(indices, dtype=np.int64))
-        self._next_window = max(self._next_window, window_id + 1)
-        return self._launch(window_id, requests, pending, round_index)
-
-    def _launch(
-        self,
-        window_id: int,
-        requests: List[DeletionRequest],
-        pending,
-        round_index: int,
-    ) -> ExecutedBatch:
-        batch = self.manager._flush_requests(
-            requests,
-            round_index,
-            outcome=None,
-            chains_submitted=pending.num_chains,
-            completed=False,
-        )
-        if self._streams:
-            tasks = list(pending.tasks)
-            if self.task_filter is not None:
-                tasks = self.task_filter(window_id, tasks)
-            ticket = self.backend.submit(tasks)
-            self._inflight[window_id] = (batch, pending, ticket)
-            self.max_windows_in_flight = max(
-                self.max_windows_in_flight, len(self._inflight)
-            )
-            if self.on_window_submitted is not None:
-                self.on_window_submitted(window_id, batch, pending)
-        else:
-            # Barriered fallback: run-to-completion inside the call (same
-            # failure semantics as the ticket path — unlock, propagate).
-            if self.on_window_submitted is not None:
-                self.on_window_submitted(window_id, batch, pending)
-            try:
-                results = self.backend.run_tasks(pending.tasks)
-            except Exception:
-                self._abort(pending)
-                if self.on_window_failed is not None:
-                    self.on_window_failed(window_id, batch, pending, round_index)
-                raise
-            batch.outcome = self.ensemble.delete_finish(pending, results)
-            batch.completed_round = round_index
-            if self.on_window_completed is not None:
-                self.on_window_completed(window_id, batch, pending, round_index)
-        return batch
-
-    def poll(self, round_index: int) -> List[ExecutedBatch]:
-        """Absorb every in-flight window whose chains have finished.
-
-        Call once per round *before* submitting new work.  Returns the
-        batches completed this call (empty list when nothing finished).
-        """
-        completed = []
-        for window_id in list(self._inflight):
-            _, _, ticket = self._inflight[window_id]
-            if self.backend.poll(ticket):
-                completed.append(self._complete(window_id, round_index))
-        return completed
-
-    def drain(self, round_index: int) -> List[ExecutedBatch]:
-        """Block until every in-flight window completes (submission order)."""
-        return [
-            self._complete(window_id, round_index)
-            for window_id in list(self._inflight)
-        ]
-
-    def _abort(self, pending) -> None:
-        abort = getattr(self.ensemble, "abort_pending_deletion", None)
-        if abort is not None:
-            try:
-                abort(pending)
-            except TypeError:  # legacy no-argument abort
-                abort()
-
-    def _complete(self, window_id: int, round_index: int) -> ExecutedBatch:
-        """Drain + finalize one window; a chain failure (BackendError
-        after the worker-death retry budget, say) unlocks the window's
-        shards
-        (:meth:`~repro.unlearning.sisa.SisaEnsemble.abort_pending_deletion`)
-        instead of wedging every future window, then propagates."""
-        batch, pending, ticket = self._inflight.pop(window_id)
-        try:
-            results = self.backend.drain(ticket)
-        except Exception:
-            self._abort(pending)
-            if self.on_window_failed is not None:
-                self.on_window_failed(window_id, batch, pending, round_index)
-            raise
-        batch.outcome = self.ensemble.delete_finish(pending, results)
-        batch.completed_round = round_index
-        if self.on_window_completed is not None:
-            self.on_window_completed(window_id, batch, pending, round_index)
-        return batch

@@ -10,10 +10,10 @@ against.  This module produces *seeded, reproducible* faults:
   racing the scheduler — and because tasks are pure the retried result
   is bit-identical to an unkilled run.
 * :class:`FaultInjector` — a seeded plan over a whole service run:
-  plugged into ``DeletionService``/``UnlearningService`` as the
-  ``task_filter``, it decides per chain task whether to wrap it in a
-  kill; :meth:`truncate_journal` chops bytes off a journal's tail to
-  simulate a crash mid-append (replay must drop the torn record).
+  plugged into ``UnlearningService`` as the ``task_filter``, it decides
+  per chain task whether to wrap it in a kill; :meth:`truncate_journal`
+  chops bytes off a journal's tail to simulate a crash mid-append
+  (replay must drop the torn record).
 
 Duplicate submissions — the third fault class the recovery tests drive —
 need no machinery here: resubmitting a ``request_id`` through the
@@ -89,7 +89,7 @@ class FaultInjector:
         self._rng = np.random.default_rng(seed)
 
     def task_filter(self, window_id: int, tasks: List[Any]) -> List[Any]:
-        """The ``DeletionService`` seam: wrap selected tasks in a kill."""
+        """The ``UnlearningService`` seam: wrap selected tasks in a kill."""
         wrapped: List[Any] = []
         for position, task in enumerate(tasks):
             budget_left = (

@@ -73,8 +73,8 @@ class UnlearnOutcome:
     provenance: Dict[str, Any] = field(default_factory=dict)
     # Federation rounds the method's retraining overlapped with instead of
     # barriering (non-zero only when the work ran through the non-blocking
-    # DeletionService / event-driven engine — see
-    # repro.unlearning.deletion_manager and repro.federated.engine).
+    # UnlearningService / event-driven engine — see
+    # repro.unlearning.service and repro.federated.engine).
     overlap_rounds: int = 0
 
     @property

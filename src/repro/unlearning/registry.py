@@ -167,7 +167,7 @@ class Unlearner(abc.ABC):
         outcome.provenance.setdefault("level", self.level)
         # Overlap accounting: which round engine drove the federation and
         # how much retraining overlapped with it rather than barriering
-        # (see repro.federated.engine / DeletionService).  Sync barriered
+        # (see repro.federated.engine / UnlearningService).  Sync barriered
         # flows record engine="sync", overlap_rounds=0.
         engine_mode = (
             "async" if getattr(sim, "async_config", None) is not None else "sync"

@@ -19,9 +19,9 @@ queue into a **persistent request pipeline**:
   :meth:`~repro.unlearning.sisa.SisaEnsemble.delete_begin` snapshots
   everything a chain reads and windows on disjoint shards never
   influence each other's task content;
-* windows are locked per shard (see
-  :class:`~repro.unlearning.deletion_manager.DeletionService`), so
-  disjoint-shard windows retrain concurrently on the pool;
+* windows are locked per shard, so disjoint-shard windows retrain
+  concurrently on the pool — and concurrently with the federation
+  rounds that follow their submission;
 * the product metric — **time-to-forget** from submission to certified
   — is metered per request by :class:`SlaMeter` (p50/p95 in rounds and
   wall seconds), with :class:`PoissonArrivals` generating deterministic
@@ -49,7 +49,7 @@ import json
 import os
 import shutil
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -57,12 +57,11 @@ import numpy as np
 from ..data.dataset import ArrayDataset
 from ..nn.module import Module
 from ..nn.serialization import load_state_dict, save_state_dict
-from ..runtime import BackendLike
+from ..runtime import BackendLike, get_backend
 from .deletion_manager import (
     DeletionManager,
     DeletionPolicy,
     DeletionRequest,
-    DeletionService,
     ExecutedBatch,
 )
 from .journal import Journal, replay
@@ -204,7 +203,7 @@ class PoissonArrivals:
 
 
 class UnlearningService:
-    """The durable deletion pipeline over one :class:`SisaEnsemble`.
+    """The durable, non-blocking deletion service over one :class:`SisaEnsemble`.
 
     Construction on a live (fitted, or about-to-be-fitted) ensemble
     starts a **fresh** service in ``directory``: the ensemble's base
@@ -217,13 +216,36 @@ class UnlearningService:
         service.submit(client_id, indices, round_index, request_id="r1")
         service.tick(round_index)     # poll finished + submit ready windows
         ...
-        service.drain(final_round)    # barrier at the very end
+        service.drain(final_round)    # barrier once, at the very end
 
-    ``task_filter`` (forwarded to the underlying
-    :class:`~repro.unlearning.deletion_manager.DeletionService`) is the
-    fault-injection seam: it sees ``(window_id, tasks)`` before each
-    submission and may wrap tasks (e.g.
-    :class:`~repro.unlearning.faultinject.FaultInjector` worker kills).
+    The queue, the flush policy and the per-window accounting
+    (:class:`~repro.unlearning.deletion_manager.ExecutedBatch`) live on
+    :attr:`manager`; the window scheduler is this class.  When the policy
+    fires, :meth:`maybe_submit` *submits* the window's retrain chains
+    through the backend (one ticket per window) and returns immediately;
+    subsequent federation rounds train while the chains retrain, and
+    :meth:`poll` certifies a window once its ticket completes
+    (``ExecutedBatch.overlap_rounds`` = completion round − submission
+    round).  Backends without ``submit``/``drain``/``poll`` (serial,
+    thread) cannot overlap: the chains then run to completion inside
+    :meth:`maybe_submit`, so the loop above is portable across backends.
+
+    Determinism: :meth:`~repro.unlearning.sisa.SisaEnsemble.delete_begin`
+    snapshots everything a chain reads (checkpoint, RNG position, index
+    sets) at submission time, so the retrained shard states are
+    bit-identical to the barriered
+    :meth:`~repro.unlearning.deletion_manager.DeletionManager.maybe_execute_batched`
+    path no matter how many rounds pass before the results land.
+    Windows are locked **per shard**: a policy that fires while chains
+    are outstanding submits the requests whose shards are free and
+    defers the rest, so disjoint-shard windows retrain concurrently
+    (``windows_in_flight`` ≥ 2) while same-shard requests keep queueing
+    until their shard unlocks.
+
+    ``task_filter`` is the fault-injection seam: it sees
+    ``(window_id, tasks)`` before each ticketed submission and may wrap
+    tasks (e.g. :class:`~repro.unlearning.faultinject.FaultInjector`
+    worker kills).
     """
 
     def __init__(
@@ -256,18 +278,22 @@ class UnlearningService:
         # an earlier one's), preserved across compaction snapshots.
         self._certified_order: List[int] = []
         self._auto_id = 0
+        self._next_window = 0
         self.manager = DeletionManager(policy)
-        self.service = DeletionService(
-            self.manager,
-            ensemble,
-            backend,
-            task_filter=task_filter,
-            on_window_planned=self._on_window_planned,
-            on_window_submitted=self._on_window_submitted,
-            on_window_completed=self._on_window_completed,
-            on_window_failed=self._on_window_failed,
-            on_empty_flush=self._on_empty_flush,
-        )
+        self.backend = ensemble.backend if backend is None else get_backend(backend)
+        self.task_filter = task_filter
+        # window_id -> (batch, pending, ticket); insertion order is
+        # submission order, which poll/drain preserve when completing.
+        self._inflight: Dict[int, tuple] = {}
+        # Requests the policy has already admitted but a shard lock
+        # deferred (identity ids — ndarray fields make __eq__ unusable).
+        # Once admitted, a request flushes as soon as its shards free up
+        # without waiting for the policy to fire again: a BatchSizePolicy
+        # counts a request toward exactly one firing.
+        self._armed: set = set()
+        #: High-water mark of concurrently retraining windows (>= 2 means
+        #: disjoint-shard windows demonstrably overlapped).
+        self.max_windows_in_flight = 0
         if not ensemble._fitted:
             ensemble.fit()
         base = os.path.join(directory, "ensemble")
@@ -279,6 +305,83 @@ class UnlearningService:
                 json.dump({"version": 1, "seed": seed}, handle)
         if _recovered_records is not None:
             self._rebuild_from_records(_recovered_records)
+
+    # ------------------------------------------------------------------
+    # The state machine: journal first, then the same record in memory
+    # ------------------------------------------------------------------
+    def _log(self, event: str, **fields: Any) -> None:
+        """One transition, write-ahead: durably journal the record, then
+        apply it — through the code that replays it after a crash."""
+        self._apply(self.journal.append({"event": event, **fields}))
+
+    def _apply(self, record: Dict[str, Any]) -> None:
+        """What a journal record means for in-memory state.  Live
+        transitions (:meth:`_log`) and recovery replay both come through
+        here, so a recovered service cannot disagree with the one that
+        wrote the journal.  ``resubmitted`` is evidence only."""
+        event = record.get("event")
+        if event == "snapshot":
+            self._restore_snapshot(record)
+        elif event == "received":
+            request_id = record["request_id"]
+            self.requests[request_id] = ServiceRequest(
+                request_id=request_id,
+                client_id=int(record.get("client_id", -1)),
+                indices=np.asarray(record["indices"], dtype=np.int64),
+                submitted_round=int(record["round"]),
+            )
+        elif event == "validated":
+            self.requests[record["request_id"]].state = RequestState.VALIDATED
+        elif event == "failed":
+            request = self.requests[record["request_id"]]
+            request.state = RequestState.FAILED
+            request.failure_reason = record.get("reason")
+        elif event == "duplicate":
+            self.duplicates += 1
+        elif event == "scheduled":
+            window_id = int(record["window"])
+            self._windows[window_id] = {
+                "request_ids": list(record["requests"]),
+                "indices": [int(i) for i in record["indices"]],
+                "shards": [int(s) for s in record.get("shards", [])],
+            }
+            self._next_window = max(self._next_window, window_id + 1)
+            for request in self._requests_of(window_id):
+                request.state = RequestState.SCHEDULED
+                request.window_id = window_id
+        elif event == "retraining":
+            for request in self._requests_of(int(record["window"])):
+                request.state = RequestState.RETRAINING
+        elif event == "certified":
+            window_id = int(record["window"])
+            self._windows[window_id]["certified"] = True
+            self._certified_order.append(window_id)
+            self._certify_requests(self._requests_of(window_id), int(record["round"]))
+        elif event == "window_failed":
+            window_id = int(record["window"])
+            self._windows[window_id]["failed"] = True
+            for request in self._requests_of(window_id):
+                request.state = RequestState.FAILED
+                request.failure_reason = "retrain chains failed"
+        elif event == "noop":
+            self._certify_requests(
+                [self.requests[rid] for rid in record["requests"]],
+                int(record["round"]),
+            )
+
+    def _requests_of(self, window_id: int) -> List[ServiceRequest]:
+        return [self.requests[rid] for rid in self._windows[window_id]["request_ids"]]
+
+    def _certify_requests(
+        self, requests: List[ServiceRequest], round_index: int
+    ) -> None:
+        now = time.perf_counter()
+        for request in requests:
+            request.state = RequestState.CERTIFIED
+            request.certified_round = round_index
+            if request.submitted_wall is not None:
+                request.certified_wall = now
+            self.sla.record(request)
 
     # ------------------------------------------------------------------
     # Intake
@@ -294,89 +397,225 @@ class UnlearningService:
 
         Idempotent on ``request_id``: resubmitting an id the service has
         already accepted (in *any* state, across restarts) returns the
-        original record without queueing new work.  Empty index sets and
-        out-of-range indices are rejected with a clear :class:`ValueError`
-        after journaling the terminal ``failed`` transition, so a bad
-        request cannot poison the windows of well-formed ones.
+        original record without queueing new work.  Without one, a fresh
+        ``req-N`` id is generated.  Empty index sets and out-of-range
+        indices are rejected with a clear :class:`ValueError` after
+        journaling the terminal ``failed`` transition, so a bad request
+        cannot poison the windows of well-formed ones.
         """
         if request_id is None:
-            request_id = f"req-{self._auto_id:06d}"
-            self._auto_id += 1
-        if request_id in self.requests:
-            self.duplicates += 1
-            self.journal.append(
-                {
-                    "event": "duplicate",
-                    "request_id": request_id,
-                    "round": round_index,
-                }
-            )
+            request_id = self._fresh_id()
+        elif request_id in self.requests:
+            self._log("duplicate", request_id=request_id, round=round_index)
             return self.requests[request_id]
         indices = np.unique(np.asarray(indices, dtype=np.int64))
-        self.journal.append(
-            {
-                "event": "received",
-                "request_id": request_id,
-                "client_id": int(client_id),
-                "indices": [int(i) for i in indices],
-                "round": round_index,
-            }
-        )
-        request = ServiceRequest(
+        self._log(
+            "received",
             request_id=request_id,
             client_id=int(client_id),
-            indices=indices,
-            submitted_round=round_index,
-            submitted_wall=time.perf_counter(),
+            indices=[int(i) for i in indices],
+            round=round_index,
         )
-        self.requests[request_id] = request
-        reason = self._validation_error(indices)
+        request = self.requests[request_id]
+        request.submitted_wall = time.perf_counter()
+        reason = self._validate(request)
         if reason is not None:
-            self._fail_request(request, reason, round_index)
             raise ValueError(f"deletion request {request_id!r}: {reason}")
-        self.journal.append(
-            {"event": "validated", "request_id": request_id, "round": round_index}
-        )
-        request.state = RequestState.VALIDATED
-        self.manager.submit(
-            client_id, indices, round_index, request_id=request_id
-        )
+        self._enqueue(request)
         return request
 
-    def _validation_error(self, indices: np.ndarray) -> Optional[str]:
-        if indices.size == 0:
-            return "deletion request with no indices"
-        bad = indices[(indices < 0) | (indices >= len(self.ensemble.dataset))]
-        if bad.size:
-            return f"index {int(bad[0])} out of range"
-        return None
+    def _fresh_id(self) -> str:
+        """A generated ``req-N`` id no request holds yet — whether a
+        caller picked that id itself or a previous process generated it."""
+        while True:
+            request_id = f"req-{self._auto_id:06d}"
+            self._auto_id += 1
+            if request_id not in self.requests:
+                return request_id
 
-    def _fail_request(
-        self, request: ServiceRequest, reason: str, round_index: int
-    ) -> None:
-        self.journal.append(
-            {
-                "event": "failed",
-                "request_id": request.request_id,
-                "reason": reason,
-                "round": round_index,
-            }
+    def _validate(self, request: ServiceRequest) -> Optional[str]:
+        """Journal a received request's ``validated`` or terminal
+        ``failed`` transition; returns the failure reason, if any."""
+        indices = request.indices
+        bad = indices[(indices < 0) | (indices >= len(self.ensemble.dataset))]
+        reason = None
+        if indices.size == 0:
+            reason = "deletion request with no indices"
+        elif bad.size:
+            reason = f"index {int(bad[0])} out of range"
+        if reason is None:
+            self._log(
+                "validated",
+                request_id=request.request_id,
+                round=request.submitted_round,
+            )
+        else:
+            self._log(
+                "failed",
+                request_id=request.request_id,
+                reason=reason,
+                round=request.submitted_round,
+            )
+        return reason
+
+    def _enqueue(self, request: ServiceRequest) -> DeletionRequest:
+        return self.manager.submit(
+            request.client_id,
+            request.indices,
+            request.submitted_round,
+            request_id=request.request_id,
         )
-        request.state = RequestState.FAILED
-        request.failure_reason = reason
 
     # ------------------------------------------------------------------
     # The round loop
     # ------------------------------------------------------------------
     def tick(self, round_index: int) -> Dict[str, Any]:
         """One scheduling beat: absorb finished windows, submit ready ones."""
-        completed = self.service.poll(round_index)
-        submitted = self.service.maybe_submit(round_index)
+        completed = self.poll(round_index)
+        submitted = self.maybe_submit(round_index)
         return {"completed": completed, "submitted": submitted}
 
+    def maybe_submit(self, round_index: int) -> Optional[ExecutedBatch]:
+        """Submit a flush window when the policy fires; never blocks on a
+        streaming backend.
+
+        Flushes only the pending requests whose shards are not locked by
+        an in-flight window; the rest stay queued but are *armed* — the
+        policy already admitted them, so they flush on a later call as
+        soon as their shards free, without needing the policy to fire
+        again.  Returns the (possibly still in-flight) batch record, or
+        ``None`` when the policy did not fire (and nothing armed is
+        runnable) or every candidate is blocked behind a busy shard.
+        """
+        pending = self.manager.pending
+        if not pending:
+            return None
+        if self.manager.window_ready(round_index):
+            self._armed.update(id(request) for request in pending)
+        locked = self.ensemble.pending_shards
+        already = self.ensemble.deleted_indices
+        shard_of = self.ensemble.shard_of
+        ready = [
+            request
+            for request in pending
+            if id(request) in self._armed
+            and not any(
+                shard_of(index)[0] in locked
+                for index in request.indices.tolist()
+                if index not in already
+            )
+        ]
+        if not ready:
+            return None
+        self._armed.difference_update(id(request) for request in ready)
+        request_ids = [request.request_id for request in ready]
+        merged = np.unique(np.concatenate([request.indices for request in ready]))
+        merged = merged[~np.isin(merged, list(already))].tolist()
+        if not merged:
+            # Every index was already logically deleted by an earlier
+            # window — nothing retrains, the requests certify on the spot
+            # (idempotent re-requests are normal in deletion systems).
+            self._log("noop", requests=request_ids, round=round_index)
+            return self.manager.flush_requests(ready, round_index, outcome=None)
+        # Write-ahead: the plan is durable before delete_begin acts on it.
+        window_id = self._next_window
+        self._log(
+            "scheduled",
+            window=window_id,
+            requests=request_ids,
+            indices=merged,
+            shards=sorted({shard_of(index)[0] for index in merged}),
+            round=round_index,
+        )
+        return self._launch(window_id, ready, merged, round_index)
+
+    def _launch(
+        self,
+        window_id: int,
+        requests: List[DeletionRequest],
+        indices: Sequence[int],
+        round_index: int,
+    ) -> ExecutedBatch:
+        """Begin a scheduled window: lock its shards, journal
+        ``retraining``, start its chains.  Recovery re-begins a window a
+        dead process left incomplete through here too — its journaled
+        plan is re-begun as-is, past the policy gate."""
+        pending = self.ensemble.delete_begin(indices)
+        batch = self.manager.flush_requests(
+            requests,
+            round_index,
+            outcome=None,
+            chains_submitted=pending.num_chains,
+            completed=False,
+        )
+        self._log("retraining", window=window_id, round=round_index)
+        if all(hasattr(self.backend, name) for name in ("submit", "drain", "poll")):
+            tasks = list(pending.tasks)
+            if self.task_filter is not None:
+                tasks = self.task_filter(window_id, tasks)
+            ticket = self.backend.submit(tasks)
+            self._inflight[window_id] = (batch, pending, ticket)
+            self.max_windows_in_flight = max(
+                self.max_windows_in_flight, len(self._inflight)
+            )
+            return batch
+        # No submit/drain/poll seam: run to completion inside the call.
+        return self._finish(
+            window_id,
+            batch,
+            pending,
+            round_index,
+            lambda: self.backend.run_tasks(pending.tasks),
+        )
+
+    def _finish(
+        self, window_id: int, batch: ExecutedBatch, pending, round_index: int, collect
+    ) -> ExecutedBatch:
+        """Collect one window's chain results and certify it.
+
+        A chain failure (``BackendError`` after the worker-death retry
+        budget, say) unlocks the window's shards
+        (:meth:`~repro.unlearning.sisa.SisaEnsemble.abort_pending_deletion`)
+        instead of wedging every future window, then propagates."""
+        try:
+            results = collect()
+        except Exception:
+            self.ensemble.abort_pending_deletion(pending)
+            self._log("window_failed", window=window_id, round=round_index)
+            raise
+        batch.outcome = self.ensemble.delete_finish(pending, results)
+        batch.completed_round = round_index
+        # Sidecar first, then the journal record: a journal that says
+        # certified must always find its sidecar on disk.
+        self._persist_window(window_id, pending)
+        self._log("certified", window=window_id, round=round_index)
+        return batch
+
+    def _land(self, window_id: int, round_index: int) -> ExecutedBatch:
+        """Finish one in-flight window (blocks until its ticket drains)."""
+        batch, pending, ticket = self._inflight.pop(window_id)
+        return self._finish(
+            window_id, batch, pending, round_index, lambda: self.backend.drain(ticket)
+        )
+
+    def poll(self, round_index: int) -> List[ExecutedBatch]:
+        """Certify every in-flight window whose chains have finished.
+
+        Call once per round *before* submitting new work.  Returns the
+        batches completed this call (empty list when nothing finished).
+        """
+        return [
+            self._land(window_id, round_index)
+            for window_id, (_, _, ticket) in list(self._inflight.items())
+            if self.backend.poll(ticket)
+        ]
+
     def drain(self, round_index: int) -> List[ExecutedBatch]:
-        """Barrier: block until every in-flight window certifies."""
-        return self.service.drain(round_index)
+        """Barrier: block until every in-flight window certifies
+        (submission order)."""
+        return [
+            self._land(window_id, round_index) for window_id in list(self._inflight)
+        ]
 
     def compact(self) -> Dict[str, Any]:
         """Collapse the journal into one snapshot record.
@@ -393,11 +632,11 @@ class UnlearningService:
 
         Refused while windows are in flight: their ``retraining``
         records are the only durable evidence of submitted work, and a
-        snapshot taken mid-flight would race the completion callbacks.
+        snapshot taken mid-flight would race their certification.
         """
-        if self.service.windows_in_flight:
+        if self._inflight:
             raise RuntimeError(
-                f"cannot compact with {self.service.windows_in_flight} "
+                f"cannot compact with {len(self._inflight)} "
                 "window(s) in flight — drain() first"
             )
         snapshot = {
@@ -421,7 +660,7 @@ class UnlearningService:
             "certified_order": list(self._certified_order),
             "duplicates": int(self.duplicates),
             "auto_id": int(self._auto_id),
-            "next_window": int(self.service._next_window),
+            "next_window": int(self._next_window),
         }
         return self.journal.compact(snapshot)
 
@@ -448,11 +687,7 @@ class UnlearningService:
 
     @property
     def windows_in_flight(self) -> int:
-        return self.service.windows_in_flight
-
-    @property
-    def max_windows_in_flight(self) -> int:
-        return self.service.max_windows_in_flight
+        return len(self._inflight)
 
     def states(self) -> Dict[str, str]:
         """``request_id → state`` snapshot (for assertions and dashboards)."""
@@ -466,105 +701,6 @@ class UnlearningService:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    # ------------------------------------------------------------------
-    # Window lifecycle callbacks (write-ahead: journal first, then act)
-    # ------------------------------------------------------------------
-    def _requests_of(self, window_id: int) -> List[ServiceRequest]:
-        return [
-            self.requests[rid]
-            for rid in self._windows.get(window_id, {}).get("request_ids", [])
-            if rid in self.requests
-        ]
-
-    def _on_window_planned(
-        self, window_id, requests, indices, shards, round_index
-    ) -> None:
-        request_ids = [
-            request.request_id
-            for request in requests
-            if request.request_id is not None
-        ]
-        self._windows[window_id] = {
-            "request_ids": request_ids,
-            "indices": [int(i) for i in indices],
-            "shards": [int(s) for s in shards],
-        }
-        self.journal.append(
-            {
-                "event": "scheduled",
-                "window": window_id,
-                "requests": request_ids,
-                "indices": [int(i) for i in indices],
-                "shards": [int(s) for s in shards],
-                "round": round_index,
-            }
-        )
-        for request in self._requests_of(window_id):
-            request.state = RequestState.SCHEDULED
-            request.window_id = window_id
-
-    def _on_window_submitted(self, window_id, batch, pending) -> None:
-        self.journal.append(
-            {
-                "event": "retraining",
-                "window": window_id,
-                "round": batch.executed_round,
-            }
-        )
-        for request in self._requests_of(window_id):
-            request.state = RequestState.RETRAINING
-
-    def _on_window_completed(self, window_id, batch, pending, round_index) -> None:
-        # Sidecar first, then the journal record: a journal that says
-        # certified must always find its sidecar on disk.
-        self._persist_window(window_id, pending)
-        self.journal.append(
-            {"event": "certified", "window": window_id, "round": round_index}
-        )
-        self._windows.setdefault(window_id, {})["certified"] = True
-        self._certified_order.append(window_id)
-        self._certify_requests(self._requests_of(window_id), round_index)
-
-    def _on_window_failed(self, window_id, batch, pending, round_index) -> None:
-        self.journal.append(
-            {
-                "event": "window_failed",
-                "window": window_id,
-                "round": round_index,
-            }
-        )
-        for request in self._requests_of(window_id):
-            request.state = RequestState.FAILED
-            request.failure_reason = "retrain chains failed"
-
-    def _on_empty_flush(self, batch, round_index) -> None:
-        # Every index in these requests was already logically deleted by
-        # an earlier window — nothing retrains, the requests certify on
-        # the spot (idempotent re-requests are normal in deletion systems).
-        request_ids = [
-            request.request_id
-            for request in batch.requests
-            if request.request_id is not None
-        ]
-        self.journal.append(
-            {"event": "noop", "requests": request_ids, "round": round_index}
-        )
-        self._certify_requests(
-            [self.requests[rid] for rid in request_ids if rid in self.requests],
-            round_index,
-        )
-
-    def _certify_requests(
-        self, requests: List[ServiceRequest], round_index: int
-    ) -> None:
-        now = time.perf_counter()
-        for request in requests:
-            request.state = RequestState.CERTIFIED
-            request.certified_round = round_index
-            if request.submitted_wall is not None:
-                request.certified_wall = now
-            self.sla.record(request)
 
     # ------------------------------------------------------------------
     # Persistence
@@ -698,103 +834,23 @@ class UnlearningService:
     def _rebuild_from_records(self, records: List[Dict[str, Any]]) -> None:
         """Restore request/window state from replayed journal records."""
         for record in records:
-            event = record.get("event")
-            if event == "snapshot":
-                self._restore_snapshot(record)
-            elif event == "received":
-                request = ServiceRequest(
-                    request_id=record["request_id"],
-                    client_id=int(record.get("client_id", -1)),
-                    indices=np.asarray(record["indices"], dtype=np.int64),
-                    submitted_round=int(record["round"]),
-                )
-                self.requests[request.request_id] = request
-                if request.request_id.startswith("req-"):
-                    try:
-                        number = int(request.request_id[4:])
-                    except ValueError:
-                        number = -1
-                    self._auto_id = max(self._auto_id, number + 1)
-            elif event == "validated":
-                self.requests[record["request_id"]].state = RequestState.VALIDATED
-            elif event == "failed":
-                request = self.requests[record["request_id"]]
-                request.state = RequestState.FAILED
-                request.failure_reason = record.get("reason")
-            elif event == "duplicate":
-                self.duplicates += 1
-            elif event == "scheduled":
-                window_id = int(record["window"])
-                self._windows[window_id] = {
-                    "request_ids": list(record["requests"]),
-                    "indices": [int(i) for i in record["indices"]],
-                    "shards": [int(s) for s in record.get("shards", [])],
-                }
-                for request in self._requests_of(window_id):
-                    request.state = RequestState.SCHEDULED
-                    request.window_id = window_id
-                self.service._next_window = max(
-                    self.service._next_window, window_id + 1
-                )
-            elif event == "retraining":
-                for request in self._requests_of(int(record["window"])):
-                    request.state = RequestState.RETRAINING
-            elif event == "certified":
-                window_id = int(record["window"])
-                self._certify_requests(
-                    self._requests_of(window_id), int(record["round"])
-                )
-                self._windows[window_id]["certified"] = True
-                self._certified_order.append(window_id)
-            elif event == "window_failed":
-                window_id = int(record["window"])
-                self._windows[window_id]["failed"] = True
-                for request in self._requests_of(window_id):
-                    request.state = RequestState.FAILED
-                    request.failure_reason = "retrain chains failed"
-            elif event == "noop":
-                self._certify_requests(
-                    [
-                        self.requests[rid]
-                        for rid in record["requests"]
-                        if rid in self.requests
-                    ],
-                    int(record["round"]),
-                )
+            self._apply(record)
         # A crash between `received` and `validated`/`failed` leaves a
         # request in RECEIVED: validation is deterministic, re-run it.
         for request in self.requests.values():
             if request.state == RequestState.RECEIVED:
-                reason = self._validation_error(request.indices)
-                if reason is not None:
-                    self._fail_request(request, reason, request.submitted_round)
-                else:
-                    self.journal.append(
-                        {
-                            "event": "validated",
-                            "request_id": request.request_id,
-                            "round": request.submitted_round,
-                        }
-                    )
-                    request.state = RequestState.VALIDATED
+                self._validate(request)
         # Re-queue every validated-but-unscheduled request.
         for request in self.requests.values():
             if request.state == RequestState.VALIDATED:
-                self.manager.submit(
-                    request.client_id,
-                    request.indices,
-                    request.submitted_round,
-                    request_id=request.request_id,
-                )
+                self._enqueue(request)
 
     def _restore_snapshot(self, record: Dict[str, Any]) -> None:
         """Reload live state from a compaction snapshot; records after
         it in the journal replay on top as usual."""
         self.duplicates = int(record.get("duplicates", 0))
         self._auto_id = int(record.get("auto_id", 0))
-        self.service._next_window = max(
-            self.service._next_window, int(record.get("next_window", 0))
-        )
+        self._next_window = int(record.get("next_window", 0))
         self._certified_order = [int(w) for w in record.get("certified_order", [])]
         self._windows = {
             int(window_id): dict(info)
@@ -819,34 +875,12 @@ class UnlearningService:
 
     def _resubmit_incomplete(self, round_index: int) -> None:
         """Re-begin every scheduled/retraining window from its journaled
-        index set (the write-ahead plan *is* the recovery unit)."""
+        index set (the write-ahead plan *is* the recovery unit).  On a
+        serial backend the window certifies before this returns."""
         for window_id in sorted(self._windows):
             info = self._windows[window_id]
             if info.get("certified") or info.get("failed"):
                 continue
-            self.journal.append(
-                {
-                    "event": "resubmitted",
-                    "window": window_id,
-                    "round": round_index,
-                }
-            )
-            requests = [
-                DeletionRequest(
-                    client_id=self.requests[rid].client_id,
-                    indices=self.requests[rid].indices,
-                    submitted_round=self.requests[rid].submitted_round,
-                    request_id=rid,
-                )
-                for rid in info["request_ids"]
-                if rid in self.requests
-            ]
-            # resubmit_window's callbacks journal the retraining record
-            # and advance (or, on a serial backend, fully certify) the
-            # window's requests — no state fix-up here.
-            self.service.resubmit_window(
-                window_id,
-                requests,
-                np.asarray(info["indices"], dtype=np.int64),
-                round_index,
-            )
+            self._log("resubmitted", window=window_id, round=round_index)
+            requests = [self._enqueue(self.requests[rid]) for rid in info["request_ids"]]
+            self._launch(window_id, requests, info["indices"], round_index)

@@ -389,7 +389,7 @@ class SisaEnsemble:
         deletion poisons and builds one retrain :class:`ChainTask` per
         affected shard — **without executing anything**.  The non-blocking
         deletion service
-        (:class:`~repro.unlearning.deletion_manager.DeletionService`)
+        (:class:`~repro.unlearning.service.UnlearningService`)
         submits the returned tasks through ``backend.submit`` so they run
         concurrently with subsequent federation rounds, then calls
         :meth:`delete_finish` with the results; :meth:`delete` is the
@@ -460,32 +460,26 @@ class SisaEnsemble:
     @property
     def pending_shards(self) -> frozenset:
         """Shards locked by begun-but-unfinished deletion windows.  The
-        :class:`~repro.unlearning.deletion_manager.DeletionService` reads
+        :class:`~repro.unlearning.service.UnlearningService` reads
         this to defer requests whose indices map to a busy shard while
         submitting disjoint-shard windows concurrently."""
         return frozenset(self._pending_shards)
 
-    def abort_pending_deletion(
-        self, pending: Optional["PendingDeletion"] = None
-    ) -> None:
+    def abort_pending_deletion(self, pending: "PendingDeletion") -> None:
         """Unlock a begun window whose chains failed (e.g. a pool batch
         exhausting its worker-death retries).
 
-        With ``pending`` given only that window's shards unlock (other
-        in-flight windows keep their locks); without it every lock clears
-        — the legacy whole-ensemble abort.  The logical removal already
-        happened at :meth:`delete_begin` — the indices stay deleted and
-        their checkpoints stay invalidated — so the affected shards serve
+        Only that window's shards unlock; other in-flight windows keep
+        their locks.  The logical removal already happened at
+        :meth:`delete_begin` — the indices stay deleted and their
+        checkpoints stay invalidated — so the affected shards serve
         **stale** models until their chains are re-run (resubmit via
         :meth:`delete_begin` on new indices, or a full :meth:`fit`).
         This trades a visible staleness window for not permanently
         deadlocking every future deletion behind one transient backend
         error.
         """
-        if pending is None:
-            self._pending_shards.clear()
-        else:
-            self._pending_shards -= set(pending.first_affected)
+        self._pending_shards -= set(pending.first_affected)
 
     def delete_finish(
         self, pending: "PendingDeletion", results: Sequence[ChainResult]
@@ -660,7 +654,8 @@ class SisaEnsemble:
     @property
     def deleted_indices(self) -> frozenset:
         """Global indices unlearned so far.  Public so batching layers
-        (:meth:`~repro.unlearning.deletion_manager.DeletionManager.maybe_execute_batched`)
+        (:meth:`~repro.unlearning.deletion_manager.DeletionManager.maybe_execute_batched`,
+        :class:`~repro.unlearning.service.UnlearningService`)
         can drop idempotent re-requests instead of tripping
         :meth:`delete`'s already-deleted guard."""
         return frozenset(self._deleted)

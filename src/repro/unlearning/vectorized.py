@@ -53,8 +53,10 @@ from ..federated.vectorized import (
     VectorizedCohort,
     backend_worker_count,
     cohort_fallback_reason,
+    pad_stack,
     ragged_probe,
     register_fuser,
+    split_stack,
 )
 from ..nn import Tensor
 from ..nn.layers import Dropout
@@ -75,19 +77,6 @@ from ..training.trainer import follow_dataset_dtype
 from .baselines.rapid import DiagonalFIMSGD
 from .goldfish import GoldfishConfig, GoldfishUnlearner, _ForgetBatchCycler, teacher_logits_on
 from .losses import GoldfishLoss
-
-
-class StackedDiagonalFIMSGD(DiagonalFIMSGD):
-    """B2's FIM-preconditioned SGD over stacked ``(K, ...)`` parameters.
-
-    :class:`~repro.unlearning.baselines.rapid.DiagonalFIMSGD`'s update is
-    purely elementwise (FIM EMA, bias-corrected preconditioning, scaled
-    subtraction) driven by a scalar step counter, so — exactly like
-    :class:`~repro.nn.optim.StackedSGD` — running it over parameters with
-    a leading stack axis performs the per-slice update bitwise.  The
-    subclass exists to make the vectorized B2 path self-documenting; it
-    adds no behaviour.
-    """
 
 
 def _stack_fim_states(
@@ -128,20 +117,6 @@ def _member_fim_state(optimizer: DiagonalFIMSGD, member: int) -> dict:
         "fim": [None if f is None else f[member].copy() for f in optimizer._fim],
         "steps": optimizer._steps,
     }
-
-
-def _pad_stack(batches: Sequence[tuple]) -> "tuple[np.ndarray, List[int]]":
-    """Stack per-member ``(images, labels)`` batches along a new leading
-    axis, zero-padding short members to the widest batch.  Returns the
-    padded image stack and each member's true row count (trailing zero
-    rows change no bits of any true row's forward or gradient)."""
-    rows = [len(labels) for _, labels in batches]
-    width = max(rows)
-    first = np.asarray(batches[0][0])
-    images = np.zeros((len(batches), width) + first.shape[1:], dtype=first.dtype)
-    for index, (member_images, _) in enumerate(batches):
-        images[index, : rows[index]] = member_images
-    return images, rows
 
 
 # ----------------------------------------------------------------------
@@ -241,7 +216,7 @@ class VectorizedGoldfishTask:
             for indexed in zip(*(loader.iter_indexed() for loader in loaders)):
                 optimizer.zero_grad()
                 batches = [(images, labels) for _, images, labels in indexed]
-                retain_images, retain_rows = _pad_stack(batches)
+                retain_images, retain_rows = pad_stack(batches)
                 student_stack.set_row_counts(retain_rows)
                 retain_logits = student_stack(Tensor(retain_images))
                 student_stack.set_row_counts(None)
@@ -250,7 +225,7 @@ class VectorizedGoldfishTask:
                 forget_rows: List[int] = []
                 if has_forget:
                     forget_batches = [cycler.next_batch() for cycler in cyclers]
-                    forget_images, forget_rows = _pad_stack(forget_batches)
+                    forget_images, forget_rows = pad_stack(forget_batches)
                     student_stack.set_row_counts(forget_rows)
                     forget_logits = student_stack(Tensor(forget_images))
                     student_stack.set_row_counts(None)
@@ -306,28 +281,8 @@ class VectorizedGoldfishTask:
     def split(self, n_chunks: int) -> List["VectorizedGoldfishTask"]:
         """Contiguous stack chunks — same contract as
         :meth:`~repro.federated.vectorized.VectorizedTrainTask.split`."""
-        k = len(self.task_ids)
-        n_chunks = max(1, min(int(n_chunks), k))
-        if n_chunks == 1:
-            return [self]
-        chunks: List["VectorizedGoldfishTask"] = []
-        for part in np.array_split(np.arange(k), n_chunks):
-            lo, hi = int(part[0]), int(part[-1]) + 1
-            chunks.append(
-                VectorizedGoldfishTask(
-                    task_id=tuple(self.task_ids[lo:hi]),
-                    task_ids=self.task_ids[lo:hi],
-                    model_factory=self.model_factory,
-                    student_states=self.student_states[lo:hi],
-                    teacher_state=self.teacher_state,
-                    retain_sets=self.retain_sets[lo:hi],
-                    forget_sets=self.forget_sets[lo:hi],
-                    config=self.config,
-                    rng_states=self.rng_states[lo:hi],
-                    teacher_logits=self.teacher_logits[lo:hi],
-                )
-            )
-        return chunks
+        fields = ("student_states", "retain_sets", "forget_sets", "rng_states", "teacher_logits")
+        return split_stack(self, n_chunks, fields)
 
 
 class GoldfishTaskFuser:
@@ -419,8 +374,11 @@ class GoldfishTaskFuser:
 class VectorizedRapidTask:
     """K clients' B2 passes as one stacked work unit: a
     :class:`~repro.federated.vectorized.VectorizedCohort` round driven by
-    :class:`StackedDiagonalFIMSGD`, with each member's running FIM
-    estimate stacked in and extracted back out."""
+    :class:`~repro.unlearning.baselines.rapid.DiagonalFIMSGD` over the
+    stacked ``(K, ...)`` parameters — its update is purely elementwise
+    with a scalar step counter, so (like :class:`~repro.nn.optim.StackedSGD`)
+    it performs the per-slice update bitwise — with each member's running
+    FIM estimate stacked in and extracted back out."""
 
     task_id: Any
     task_ids: List[Any]
@@ -443,10 +401,10 @@ class VectorizedRapidTask:
             model.load_state_dict(state)
         rngs = [restore_rng(state) for state in self.rng_states]
         cohort = VectorizedCohort(models, self.datasets, rngs)
-        optimizers: List[StackedDiagonalFIMSGD] = []
+        optimizers: List[DiagonalFIMSGD] = []
 
         def optimizer_factory(parameters):
-            optimizer = StackedDiagonalFIMSGD(
+            optimizer = DiagonalFIMSGD(
                 parameters, lr=self.lr, rho=self.rho, damping=self.damping
             )
             _stack_fim_states(optimizer, self.fim_states)
@@ -469,29 +427,8 @@ class VectorizedRapidTask:
     def split(self, n_chunks: int) -> List["VectorizedRapidTask"]:
         """Contiguous stack chunks — same contract as
         :meth:`~repro.federated.vectorized.VectorizedTrainTask.split`."""
-        k = len(self.task_ids)
-        n_chunks = max(1, min(int(n_chunks), k))
-        if n_chunks == 1:
-            return [self]
-        chunks: List["VectorizedRapidTask"] = []
-        for part in np.array_split(np.arange(k), n_chunks):
-            lo, hi = int(part[0]), int(part[-1]) + 1
-            chunks.append(
-                VectorizedRapidTask(
-                    task_id=tuple(self.task_ids[lo:hi]),
-                    task_ids=self.task_ids[lo:hi],
-                    model_factory=self.model_factory,
-                    model_states=self.model_states[lo:hi],
-                    datasets=self.datasets[lo:hi],
-                    config=self.config,
-                    rng_states=self.rng_states[lo:hi],
-                    lr=self.lr,
-                    rho=self.rho,
-                    damping=self.damping,
-                    fim_states=self.fim_states[lo:hi],
-                )
-            )
-        return chunks
+        fields = ("model_states", "datasets", "rng_states", "fim_states")
+        return split_stack(self, n_chunks, fields)
 
 
 class _RapidTaskView:
@@ -682,7 +619,7 @@ def run_chains_vectorized(
             )
             if reason is None:
                 fused = _TRAIN_FUSER.fuse(member_tasks)
-                chunks = fused.split(max(1, min(len(member_tasks), workers)))
+                chunks = fused.split(workers)
                 if stats is not None:
                     chunk_tally = stats.setdefault("chunks", {})
                     chunk_tally[len(chunks)] = chunk_tally.get(len(chunks), 0) + 1
@@ -735,7 +672,6 @@ register_fuser(RapidTaskFuser())
 __all__ = [
     "GoldfishTaskFuser",
     "RapidTaskFuser",
-    "StackedDiagonalFIMSGD",
     "VectorizedGoldfishTask",
     "VectorizedRapidTask",
     "chain_arch_reason",

@@ -4,13 +4,15 @@ The transport contract of the zero-redundancy layer:
 
 * ``raw`` and ``delta`` are **bit-identical** to the historical pipeline
   on every backend (serial / thread / pool), in sync and
-  buffered-async modes, and while a :class:`DeletionService` overlaps
+  buffered-async modes, and while an :class:`UnlearningService` overlaps
   federation rounds on a shared pool;
 * lossy codecs (``topk``/``quant``) are deterministic per seed and
   identical across backends (the transform runs inside the task);
 * per-round byte counts land in :class:`RoundRecord` and cumulative
   totals in :meth:`FederatedSimulation.transport_report`.
 """
+
+import tempfile
 
 import numpy as np
 import pytest
@@ -27,10 +29,9 @@ from repro.runtime import PoolBackend
 from repro.training import TrainConfig
 from repro.unlearning import (
     BatchSizePolicy,
-    DeletionManager,
-    DeletionService,
     SisaConfig,
     SisaEnsemble,
+    UnlearningService,
 )
 
 from ..conftest import make_blob_federation, make_blobs
@@ -208,7 +209,7 @@ class TestByteAccounting:
 
 
 class TestDeletionServiceOverlap:
-    """Federation rounds under ``delta`` while a DeletionService retrains
+    """Federation rounds under ``delta`` while an UnlearningService retrains
     SISA shards on the *same* pool: both must stay bit-identical to their
     isolated serial/raw counterparts (chain init states interleave with
     federation broadcasts in the worker caches)."""
@@ -221,23 +222,24 @@ class TestDeletionServiceOverlap:
         ensemble = SisaEnsemble(
             FACTORY, dataset, self.SISA, seed=5, backend=backend
         ).fit()
-        manager = DeletionManager(BatchSizePolicy(2))
-        service = DeletionService(manager, ensemble)
         sim = build_sim(codec=codec, backend=backend,
                         shared=not isinstance(backend, str))
         records = []
-        for round_index in range(ROUNDS):
-            service.poll(round_index)
-            for index in self.REQUESTS.get(round_index, []):
-                manager.submit(
-                    client_id=0, indices=[index], round_index=round_index
-                )
-            service.maybe_submit(round_index)
-            records.append(sim.run_round(round_index))
-        service.drain(ROUNDS)
-        while manager.num_pending:
-            service.maybe_submit(ROUNDS)
+        with tempfile.TemporaryDirectory() as directory, UnlearningService(
+            ensemble, directory, policy=BatchSizePolicy(2)
+        ) as service:
+            for round_index in range(ROUNDS):
+                service.poll(round_index)
+                for index in self.REQUESTS.get(round_index, []):
+                    service.submit(
+                        client_id=0, indices=[index], round_index=round_index
+                    )
+                service.maybe_submit(round_index)
+                records.append(sim.run_round(round_index))
             service.drain(ROUNDS)
+            while service.manager.num_pending:
+                service.maybe_submit(ROUNDS)
+                service.drain(ROUNDS)
         return sim, ensemble, records
 
     def shard_states(self, ensemble):

@@ -4,8 +4,11 @@ The service's contract: final ensemble states are bit-identical to the
 barriered ``maybe_execute_batched`` path (delete_begin snapshots
 everything a chain reads at submission time), windows overlap subsequent
 rounds under a submit/drain backend (``overlap_rounds`` > 0), and the
-manager's policy/queue semantics are unchanged.
+manager's policy/queue semantics are unchanged.  (Durability — journal,
+sidecars, recovery — is ``test_service.py``'s subject.)
 """
+
+import tempfile
 
 import numpy as np
 import pytest
@@ -15,10 +18,10 @@ from repro.runtime import PoolBackend
 from repro.unlearning import (
     BatchSizePolicy,
     DeletionManager,
-    DeletionService,
     PeriodicPolicy,
     SisaConfig,
     SisaEnsemble,
+    UnlearningService,
 )
 
 from ..conftest import make_blobs
@@ -42,6 +45,16 @@ def shard_states(ensemble):
     ]
 
 
+# One scratch root for every service directory, removed at interpreter exit.
+SCRATCH = tempfile.TemporaryDirectory()
+
+
+def make_service(ensemble, policy):
+    return UnlearningService(
+        ensemble, tempfile.mkdtemp(dir=SCRATCH.name), policy=policy
+    )
+
+
 def run_barriered(num_rounds=6):
     ensemble = fresh_ensemble()
     manager = DeletionManager(BatchSizePolicy(2))
@@ -62,12 +75,12 @@ def run_service(backend=None, num_rounds=6):
     everything they read at delete_begin time.
     """
     ensemble = fresh_ensemble(backend=backend)
-    manager = DeletionManager(BatchSizePolicy(2))
-    service = DeletionService(manager, ensemble)
+    service = make_service(ensemble, BatchSizePolicy(2))
+    manager = service.manager
     for round_index in range(num_rounds):
         service.poll(round_index)
         for index in REQUEST_SCHEDULE.get(round_index, []):
-            manager.submit(client_id=0, indices=[index], round_index=round_index)
+            service.submit(client_id=0, indices=[index], round_index=round_index)
         service.maybe_submit(round_index)
     service.drain(num_rounds)
     # Requests the policy armed but a shard lock deferred flush here, now
@@ -79,6 +92,7 @@ def run_service(backend=None, num_rounds=6):
         service.maybe_submit(num_rounds)
         service.drain(num_rounds)
     assert not manager.num_pending
+    service.close()
     return manager, ensemble
 
 
@@ -143,14 +157,14 @@ class TestOverlapAccounting:
     def test_inflight_window_reports_in_flight(self):
         ensemble = fresh_ensemble(backend=PoolBackend(max_workers=2))
         try:
-            manager = DeletionManager(BatchSizePolicy(1))
-            service = DeletionService(manager, ensemble)
-            manager.submit(client_id=0, indices=[3], round_index=0)
+            service = make_service(ensemble, BatchSizePolicy(1))
+            manager = service.manager
+            service.submit(client_id=0, indices=[3], round_index=0)
             batch = service.maybe_submit(0)
             assert batch is not None
             assert batch.in_flight
             assert batch.overlap_rounds == 0  # unknown until completion
-            assert service.busy
+            assert service.windows_in_flight
             finished = service.drain(4)
             assert len(finished) == 1 and finished[0] is batch
             assert batch.completed_round == 4
@@ -185,12 +199,12 @@ class TestWindowDiscipline:
     def test_policy_deferred_while_window_in_flight(self):
         ensemble = fresh_ensemble(backend=PoolBackend(max_workers=2))
         try:
-            manager = DeletionManager(BatchSizePolicy(1))
-            service = DeletionService(manager, ensemble)
-            manager.submit(client_id=0, indices=[3], round_index=0)
+            service = make_service(ensemble, BatchSizePolicy(1))
+            manager = service.manager
+            service.submit(client_id=0, indices=[3], round_index=0)
             first = service.maybe_submit(0)
             assert first is not None
-            manager.submit(client_id=0, indices=[40], round_index=1)
+            service.submit(client_id=0, indices=[40], round_index=1)
             # Policy fires but a window is outstanding: deferred, queued.
             assert service.maybe_submit(1) is None
             assert manager.num_pending == 1
@@ -206,12 +220,12 @@ class TestWindowDiscipline:
         """Per-shard locking: windows on disjoint shards retrain at once."""
         ensemble = fresh_ensemble(backend=PoolBackend(max_workers=2))
         try:
-            manager = DeletionManager(BatchSizePolicy(1))
-            service = DeletionService(manager, ensemble)
-            manager.submit(client_id=0, indices=[3], round_index=0)  # shard 2
+            service = make_service(ensemble, BatchSizePolicy(1))
+            manager = service.manager
+            service.submit(client_id=0, indices=[3], round_index=0)  # shard 2
             first = service.maybe_submit(0)
             assert first is not None
-            manager.submit(client_id=0, indices=[2], round_index=1)  # shard 1
+            service.submit(client_id=0, indices=[2], round_index=1)  # shard 1
             second = service.maybe_submit(1)
             assert second is not None
             assert service.windows_in_flight == 2
@@ -229,16 +243,16 @@ class TestWindowDiscipline:
         firing (BatchSizePolicy(2) can never fire for a lone leftover)."""
         ensemble = fresh_ensemble(backend=PoolBackend(max_workers=2))
         try:
-            manager = DeletionManager(BatchSizePolicy(2))
-            service = DeletionService(manager, ensemble)
-            manager.submit(client_id=0, indices=[3], round_index=0)  # shard 2
-            manager.submit(client_id=0, indices=[40], round_index=0)  # shard 2
+            service = make_service(ensemble, BatchSizePolicy(2))
+            manager = service.manager
+            service.submit(client_id=0, indices=[3], round_index=0)  # shard 2
+            service.submit(client_id=0, indices=[40], round_index=0)  # shard 2
             first = service.maybe_submit(0)
             assert first is not None and first.num_requests == 2
             # Policy fires again, but 70 shares shard 2 with the window
             # in flight — only 41 (shard 1) flushes.
-            manager.submit(client_id=0, indices=[41], round_index=1)  # shard 1
-            manager.submit(client_id=0, indices=[70], round_index=1)  # shard 2
+            service.submit(client_id=0, indices=[41], round_index=1)  # shard 1
+            service.submit(client_id=0, indices=[70], round_index=1)  # shard 2
             second = service.maybe_submit(1)
             assert second is not None and second.num_requests == 1
             assert manager.num_pending == 1
@@ -278,14 +292,13 @@ class TestWindowDiscipline:
     def test_rerequested_deleted_indices_complete_immediately(self):
         ensemble = fresh_ensemble()
         ensemble.delete([3])
-        manager = DeletionManager(BatchSizePolicy(1))
-        service = DeletionService(manager, ensemble)
-        manager.submit(client_id=0, indices=[3], round_index=0)
+        service = make_service(ensemble, BatchSizePolicy(1))
+        service.submit(client_id=0, indices=[3], round_index=0)
         batch = service.maybe_submit(0)
         assert batch is not None
         assert not batch.in_flight
         assert batch.chains_submitted == 0
-        assert not service.busy
+        assert not service.windows_in_flight
 
     def test_chain_failure_unlocks_ensemble(self):
         """A failed window must not wedge every future deletion."""
@@ -308,8 +321,7 @@ class TestWindowDiscipline:
 
     def test_periodic_policy_cadence_respected(self):
         ensemble = fresh_ensemble()
-        manager = DeletionManager(PeriodicPolicy(every_rounds=3))
-        service = DeletionService(manager, ensemble)
-        manager.submit(client_id=0, indices=[3], round_index=1)
+        service = make_service(ensemble, PeriodicPolicy(every_rounds=3))
+        service.submit(client_id=0, indices=[3], round_index=1)
         assert service.maybe_submit(1) is None  # 1 % 3 != 0
         assert service.maybe_submit(3) is not None

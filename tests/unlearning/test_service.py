@@ -7,6 +7,7 @@ states **bit-identical** to an uninterrupted run.
 """
 
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from repro.unlearning import (
     BatchSizePolicy,
     DeletionManager,
     FaultInjector,
+    ImmediatePolicy,
     Journal,
     JournalCorruption,
     PoissonArrivals,
@@ -229,6 +231,25 @@ class TestDuplicates:
             assert fresh.request_id == "req-000001"
 
 
+    def test_generated_id_skips_one_a_caller_already_took(self, tmp_path):
+        """An anonymous request must never be mistaken for a retry of a
+        caller-chosen ``req-N`` id — that would drop its indices while
+        reporting them certified."""
+        with UnlearningService(
+            fresh_ensemble(), str(tmp_path / "svc"), policy=BatchSizePolicy(1)
+        ) as service:
+            first = service.submit(0, [3], 0, request_id="req-000000")
+            service.tick(0)
+            second = service.submit(0, [5], 0)
+            service.tick(0)
+            service.drain(1)
+            assert second is not first
+            assert len(service.requests) == 2
+            assert service.duplicates == 0
+            assert set(service.states().values()) == {RequestState.CERTIFIED}
+            assert {3, 5} <= service.ensemble.deleted_indices
+
+
 class TestConcurrency:
     def test_disjoint_shard_windows_in_flight_together(self, tmp_path):
         """Per-shard locking: two windows demonstrably retrain at once."""
@@ -239,9 +260,9 @@ class TestConcurrency:
                 ensemble, str(tmp_path / "svc"), policy=BatchSizePolicy(1)
             )
             service.submit(0, [3], 0, request_id="a")  # shard 2
-            assert service.service.maybe_submit(0) is not None
+            assert service.maybe_submit(0) is not None
             service.submit(0, [2], 1, request_id="b")  # shard 1
-            assert service.service.maybe_submit(1) is not None
+            assert service.maybe_submit(1) is not None
             assert service.windows_in_flight == 2
             service.drain(2)
             assert service.max_windows_in_flight >= 2
@@ -391,6 +412,86 @@ class TestCrashRecovery:
             assert_states_equal(shard_states(recovered.ensemble), expected)
 
 
+class TestCrashAtEveryBoundary:
+    """Generated crash points: the process dies after *each* journal
+    record of a five-request history; recovery plus a client-side retry
+    of the whole script must converge on the uninterrupted run."""
+
+    # (round, request_id, indices): single-shard windows on shards 2 and
+    # 1, one request spanning both, and a re-request of an index already
+    # forgotten (so a ``noop`` record is part of the history).
+    SCRIPT = [
+        (0, "r1", [3]),
+        (1, "r2", [2, 40]),
+        (2, "r3", [41]),
+        (3, "r4", [3]),
+        (4, "r5", [70]),
+    ]
+
+    @staticmethod
+    def serve(service, script):
+        for round_index, request_id, indices in script:
+            service.submit(0, indices, round_index, request_id=request_id)
+            service.tick(round_index)
+            service.drain(round_index)
+
+    @pytest.fixture(scope="class")
+    def uninterrupted(self, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("boundary") / "svc"
+        with UnlearningService(
+            fresh_ensemble(), str(directory), policy=ImmediatePolicy()
+        ) as service:
+            self.serve(service, self.SCRIPT)
+            assert set(service.states().values()) == {RequestState.CERTIFIED}
+            deleted = service.ensemble.deleted_indices
+            states = shard_states(service.ensemble)
+        with open(str(directory / "journal.jsonl"), "rb") as handle:
+            lines = handle.read().splitlines(keepends=True)
+        events = journal_events(directory)
+        assert "noop" in events and len(events) == len(lines) > 20
+        return directory, lines, deleted, states
+
+    @pytest.mark.parametrize("keep_later_sidecars", [True, False])
+    def test_recovery_converges_from_every_prefix(
+        self, uninterrupted, tmp_path, keep_later_sidecars
+    ):
+        source, lines, deleted, states = uninterrupted
+        for cut in range(len(lines) + 1):
+            crashed = tmp_path / f"cut{cut:02d}"
+            shutil.copytree(str(source), str(crashed))
+            with open(str(crashed / "journal.jsonl"), "wb") as handle:
+                handle.write(b"".join(lines[:cut]))
+            if not keep_later_sidecars:
+                # Keeping them is the documented "sidecar without its
+                # record" case; dropping them is a crash before the rename.
+                certified = {
+                    f"{record['window']:06d}"
+                    for record in replay_journal(str(crashed / "journal.jsonl"))
+                    if record["event"] == "certified"
+                }
+                for name in os.listdir(str(crashed / "windows")):
+                    if name not in certified:
+                        shutil.rmtree(str(crashed / "windows" / name))
+            recovered = UnlearningService.recover(
+                str(crashed),
+                model_factory=FACTORY,
+                dataset=DATASET,
+                policy=ImmediatePolicy(),
+                round_index=5,
+            )
+            with recovered:
+                recovered.tick(5)
+                recovered.drain(5)
+                self.serve(recovered, self.SCRIPT)  # clients retry by id
+                context = f"crash after record {cut} of {len(lines)}"
+                assert recovered.states() == {
+                    request_id: RequestState.CERTIFIED
+                    for _, request_id, _ in self.SCRIPT
+                }, context
+                assert recovered.ensemble.deleted_indices == deleted, context
+                assert_states_equal(shard_states(recovered.ensemble), states)
+
+
 class TestJournal:
     def test_truncated_tail_is_dropped(self, tmp_path):
         path = str(tmp_path / "journal.jsonl")
@@ -526,7 +627,7 @@ class TestCompaction:
                 ensemble, str(tmp_path / "svc"), policy=BatchSizePolicy(1)
             )
             service.submit(0, [3], 0, request_id="a")
-            assert service.service.maybe_submit(0) is not None
+            assert service.maybe_submit(0) is not None
             with pytest.raises(RuntimeError, match="in flight"):
                 service.compact()
             service.drain(1)
