@@ -40,8 +40,10 @@ from typing import Any, Dict, List, Tuple
 #: wire.  Bumped whenever the frame layout or the message grammar of the
 #: cluster protocol changes incompatibly; the cluster handshake refuses
 #: peers whose version differs (a silent mismatch would surface as
-#: pickle garbage mid-run instead).
-WIRE_PROTOCOL_VERSION = 1
+#: pickle garbage mid-run instead).  v2: XOR delta payloads
+#: (``BroadcastDelta.payload``, ``DeltaCodec``'s ``("xor", payload)``)
+#: are byte-plane framed — a v1 peer would fail inside ``decode_broadcast``.
+WIRE_PROTOCOL_VERSION = 2
 
 
 def send_payload(channel, obj: Any) -> int:

@@ -4,8 +4,20 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.data.dataset import ArrayDataset
+
+settings.register_profile("soak", max_examples=2000, deadline=None)
+
+
+def generated(max_examples: int) -> settings:
+    """Settings for a generated test: derandomised at ``max_examples`` in
+    tier-1; under ``--hypothesis-profile=soak`` the profile sets the
+    count and ``--hypothesis-seed`` the seed (CI's transport smoke)."""
+    if settings.default is settings.get_profile("soak"):
+        return settings.default
+    return settings(max_examples=max_examples, deadline=None, derandomize=True)
 
 
 @pytest.fixture
