@@ -28,42 +28,47 @@ The stacked path preserves every per-client semantic:
   codec encoding, same RNG capture), so clients absorb them exactly as
   they absorb per-client results, on every backend.
 
+* **The loop** — :meth:`VectorizedCohort.train` does not mirror
+  :func:`repro.training.trainer.train`; both run
+  :func:`repro.training.trainer.run_epochs`, with the same hard loss
+  (:mod:`repro.nn.losses` reduces ``(K, N, classes)`` per slice), the
+  same ``SGD`` and the same ``clip_grad_norm``.  Only the step's graph
+  differs: one stacked forward instead of one model's.
+
 Eligibility
 -----------
-:func:`cohort_fallback_reason` gates the fast path: the cohort must have
-≥ 2 members with equal train configs, a stackable architecture
-(:func:`repro.nn.vmap.stack_modules`), a stacked-capable loss, equal
-sample shapes and dtypes, and equal per-member *step counts*.  Member
-dataset sizes may differ as long as the step counts match: the final
-batch is then ragged and runs zero-padded, with each slice computed at
-its true row count (row-exact per-slice GEMMs, per-slice loss heads) —
-unless the architecture contains a layer whose gradients contract over
-the batch axis (``Conv2d``), which
-:func:`repro.nn.vmap.ragged_support_reason` gates out.  Gradient
-clipping runs as per-slice global norms
-(:func:`repro.nn.optim.stacked_clip_grad_norm`), matching the
-per-client ``clip_grad_norm`` slice for slice.  Ineligible cohorts fall
-back to the per-client path with a recorded reason — never silently.
+:func:`stack_fallback_reason` is the one gate of the fast path (train,
+Goldfish and B2 cohorts all ask it): the cohort must have ≥ 2 members
+with equal train configs, a stackable architecture
+(:func:`repro.nn.vmap.stack_modules`), equal sample shapes and dtypes,
+and equal per-member *step counts*.  Member dataset sizes may differ as
+long as the step counts match: the final batch is then ragged and runs
+zero-padded, with each slice computed at its true row count (row-exact
+per-slice GEMMs, per-slice loss heads) — unless the architecture
+contains a layer whose gradients contract over the batch axis
+(``Conv2d``), which :func:`repro.nn.vmap.ragged_support_reason` gates
+out.  Gradient clipping runs as per-slice global norms
+(:func:`repro.nn.optim.clip_grad_norm` with the stack size).  Ineligible
+cohorts fall back to the per-client path with a recorded reason — never
+silently.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field, replace
+from functools import reduce
 from typing import Any, Callable, List, Optional, Sequence
 
 import numpy as np
 
 from ..data.dataset import ArrayDataset
-from ..data.loader import DataLoader
 from ..nn.losses import get_hard_loss
 from ..nn.module import Module
-from ..nn.optim import StackedSGD, stacked_clip_grad_norm
 from ..nn.tensor import Tensor
 from ..nn.vmap import (
-    STACKED_LOSSES,
     StackedModel,
     VmapUnsupported,
-    get_stacked_loss,
     ragged_support_reason,
     stack_modules,
 )
@@ -76,21 +81,8 @@ from ..runtime.task import (
     encode_trained_state,
     restore_rng,
 )
-from ..training.config import EpochStats, TrainConfig, TrainHistory
-from ..training.trainer import follow_dataset_dtype
-
-
-def pad_stack(batches: Sequence[tuple]) -> "tuple[np.ndarray, List[int]]":
-    """Stack per-member ``(images, labels)`` batches along a new leading
-    axis, zero-padding short members to the widest batch.  Returns the
-    padded image stack and each member's true row count (trailing zero
-    rows change no bits of any true row's forward or gradient)."""
-    rows = [len(labels) for _, labels in batches]
-    first = np.asarray(batches[0][0])
-    images = np.zeros((len(batches), max(rows)) + first.shape[1:], dtype=first.dtype)
-    for index, (member_images, _) in enumerate(batches):
-        images[index, : rows[index]] = member_images
-    return images, rows
+from ..training.config import TrainConfig, TrainHistory
+from ..training.trainer import follow_dataset_dtype, make_optimizer, run_epochs
 
 
 def split_stack(task: Any, n_chunks: int, member_fields: Sequence[str]) -> List[Any]:
@@ -120,10 +112,11 @@ def split_stack(task: Any, n_chunks: int, member_fields: Sequence[str]) -> List[
 class VectorizedCohort:
     """K (model, dataset, rng) triples trained as one stacked graph.
 
-    Mirrors :func:`repro.training.trainer.train` step for step — dtype
-    cast from each member's dataset, fresh stacked SGD, per-epoch
-    reshuffle from each member's own generator, per-batch
-    zero-grad/forward/backward/step — with the K graphs fused into one.
+    Runs the same loop as :func:`repro.training.trainer.train`
+    (:func:`~repro.training.trainer.run_epochs`: dtype cast from each
+    member's dataset, fresh SGD, per-epoch reshuffle from each member's
+    own generator, per-batch zero-grad/forward/backward/step) with the K
+    graphs of a step fused into one.
     """
 
     def __init__(
@@ -161,10 +154,9 @@ class VectorizedCohort:
         exactly where its standalone training run would have left it.
 
         ``optimizer_factory`` (stacked parameter list → optimizer)
-        substitutes a stacked protocol optimizer (e.g. B2's diagonal-FIM
-        SGD) for the default :class:`~repro.nn.optim.StackedSGD`.
+        substitutes a protocol optimizer (e.g. B2's diagonal-FIM SGD) for
+        the default :class:`~repro.nn.optim.SGD` over the stack.
         """
-        k = len(self.models)
         counts = {
             -(-len(dataset) // config.batch_size) for dataset in self.datasets
         }
@@ -173,80 +165,34 @@ class VectorizedCohort:
                 f"cohort step counts differ (dataset sizes beyond "
                 f"final-batch padding): {sorted(counts)}"
             )
-        loss_fn = get_stacked_loss(config.loss)
-        scalar_loss_fn = get_hard_loss(config.loss)
+        loss_fn = get_hard_loss(config.loss)
         if optimizer_factory is not None:
             optimizer = optimizer_factory(self.stacked.parameters())
         else:
-            optimizer = StackedSGD(
-                self.stacked.parameters(),
-                lr=config.learning_rate,
-                momentum=config.momentum,
-                weight_decay=config.weight_decay,
-            )
-        loaders = [
-            DataLoader(dataset, batch_size=config.batch_size, shuffle=True, rng=rng)
-            for dataset, rng in zip(self.datasets, self.rngs)
-        ]
-        histories = [TrainHistory() for _ in range(k)]
+            optimizer = make_optimizer(self.stacked, config)
         self.stacked.train()
 
-        for epoch in range(config.epochs):
-            totals = [0.0] * k
-            num_batches = 0
-            # zip steps the K iterators in lockstep; each draws its epoch
-            # permutation from its own client's generator at first step,
-            # exactly as the per-client DataLoader would.  Equal step
-            # counts (checked above) keep the K iterators aligned; only a
-            # final batch can be ragged, and it runs zero-padded
-            # (pad_stack) with the padded rows masked out of each loss.
-            for batches in zip(*loaders):
-                rows = [len(labels) for _, labels in batches]
-                optimizer.zero_grad()
-                if len(set(rows)) == 1:
-                    images = np.stack([images for images, _ in batches])
-                    labels = np.stack([labels for _, labels in batches])
-                    loss_vec = loss_fn(self.stacked(Tensor(images)), labels)
-                    loss_vec.sum().backward()
-                    step_losses = [float(loss_vec.data[index]) for index in range(k)]
-                else:
-                    images, _ = pad_stack(batches)
-                    self.stacked.set_row_counts(rows)
-                    logits = self.stacked(Tensor(images))
-                    self.stacked.set_row_counts(None)
-                    # Each member's loss runs the *per-client* loss code
-                    # on its extracted slice (differentiable indexing):
-                    # identical nodes in identical order, so both the
-                    # value and — because the sequential add below seeds
-                    # every slice's subgraph with exactly 1.0 — the
-                    # gradients are bit-identical to the standalone short
-                    # batch.  Padded rows never enter a loss and receive
-                    # zero gradient through the slice-scatter backward.
-                    slice_losses = [
-                        scalar_loss_fn(
-                            logits[index, : rows[index]], batches[index][1]
-                        )
-                        for index in range(k)
-                    ]
-                    total = slice_losses[0]
-                    for slice_loss in slice_losses[1:]:
-                        total = total + slice_loss
-                    total.backward()
-                    step_losses = [float(slice_loss.data) for slice_loss in slice_losses]
-                if config.grad_clip:
-                    stacked_clip_grad_norm(optimizer.parameters, config.grad_clip)
-                optimizer.step()
-                for index in range(k):
-                    totals[index] += step_losses[index]
-                num_batches += 1
-            for index in range(k):
-                histories[index].record(
-                    EpochStats(
-                        epoch=epoch,
-                        mean_loss=totals[index] / num_batches,
-                        num_batches=num_batches,
-                    )
-                )
+        def step(batches):
+            # Equal step counts (checked above) keep the K loaders
+            # aligned, so only a final batch can be ragged.
+            if len({len(labels) for _, labels in batches}) == 1:
+                images = np.stack([images for images, _ in batches])
+                labels = np.stack([labels for _, labels in batches])
+                losses = loss_fn(self.stacked(Tensor(images)), labels)
+                return losses.sum(), losses.data.tolist()
+            # Ragged: each member's loss on its own true rows.  The
+            # left-to-right add seeds every member's subgraph with
+            # exactly 1.0, as its lone ``loss.backward()`` would.
+            logits = self.stacked.forward_members([images for images, _ in batches])
+            losses = [
+                loss_fn(member_logits, labels)
+                for member_logits, (_, labels) in zip(logits, batches)
+            ]
+            return reduce(operator.add, losses), [loss.item() for loss in losses]
+
+        histories = run_epochs(
+            self.datasets, self.rngs, config, optimizer, step, stack=len(self.models)
+        )
         self.stacked.sync_back()
         return histories
 
@@ -331,38 +277,35 @@ class VectorizedTrainTask:
         return split_stack(self, n_chunks, fields)
 
 
-def cohort_fallback_reason(
-    tasks: Sequence[TrainTask],
+def stack_fallback_reason(
+    configs: Sequence[TrainConfig],
+    sizes: Sequence[int],
+    datasets: Sequence[ArrayDataset],
     arch_reason: Optional[str],
-    ragged_reason: Optional[str] = None,
+    ragged_reason: Optional[str],
+    forget_sizes: Sequence[int] = (),
 ) -> Optional[str]:
-    """Why this cohort cannot take the vectorized path (``None`` = it can).
+    """Why these members cannot train as one stack (``None`` = they can).
 
-    ``tasks`` are the per-client tasks the round would otherwise
-    dispatch; ``arch_reason`` is the cached
-    :func:`repro.nn.vmap.stackable_reason` probe of the shared model
-    architecture (the caller probes the factory once, not per round).
-    ``ragged_reason`` is the cached
+    The one gate behind every fuser.  ``configs`` and ``sizes`` are the
+    members' train configs and active dataset sizes (the sizes set the
+    step count); ``datasets`` every dataset a step stacks batches of;
+    ``arch_reason`` the cached :func:`repro.nn.vmap.stackable_reason`
+    probe of the shared architecture and ``ragged_reason`` the cached
     :func:`repro.nn.vmap.ragged_support_reason` probe — consulted only
-    when member sizes differ, i.e. when zero-padded (ragged) final
-    batches would actually occur.
+    when zero-padded (ragged) batches would actually occur, i.e. when
+    ``sizes`` differ or Goldfish's ``forget_sizes`` (stacked per step
+    too) do.
     """
     if arch_reason is not None:
         return f"architecture not stackable: {arch_reason}"
-    if len(tasks) < 2:
+    if len(configs) < 2:
         return "cohort has a single participant"
-    config = tasks[0].config
-    if any(task.config != config for task in tasks[1:]):
+    config = configs[0]
+    if any(other != config for other in configs[1:]):
         return "cohort members have different train configs"
-    if config.loss not in STACKED_LOSSES:
-        return f"loss {config.loss!r} has no stacked implementation"
     if config.epochs == 0:
         return "zero-epoch rounds have nothing to vectorize"
-
-    def active_size(task: TrainTask) -> int:
-        return len(task.dataset) if task.indices is None else len(task.indices)
-
-    sizes = [active_size(task) for task in tasks]
     if min(sizes) == 0:
         return "cohort member has an empty active dataset"
     # Unequal sizes are fine as long as the K loaders stay in lockstep —
@@ -375,15 +318,37 @@ def cohort_fallback_reason(
             f"cohort active dataset sizes differ beyond final-batch "
             f"padding (step counts {sorted(counts)})"
         )
-    if len(set(sizes)) != 1 and ragged_reason is not None:
+    ragged = len(set(sizes)) != 1 or len(set(forget_sizes)) > 1
+    if ragged and ragged_reason is not None:
         return f"ragged cohort (unequal sizes): {ragged_reason}"
-    shapes = {np.asarray(task.dataset.images).shape[1:] for task in tasks}
+    arrays = [np.asarray(dataset.images) for dataset in datasets]
+    shapes = {array.shape[1:] for array in arrays}
     if len(shapes) != 1:
         return f"cohort sample shapes differ: {sorted(map(str, shapes))}"
-    dtypes = {str(np.asarray(task.dataset.images).dtype) for task in tasks}
+    dtypes = {str(array.dtype) for array in arrays}
     if len(dtypes) != 1:
         return f"cohort data dtypes differ: {sorted(dtypes)}"
     return None
+
+
+def cohort_fallback_reason(
+    tasks: Sequence[TrainTask],
+    arch_reason: Optional[str],
+    ragged_reason: Optional[str] = None,
+) -> Optional[str]:
+    """:func:`stack_fallback_reason` for the per-client
+    :class:`~repro.runtime.task.TrainTask` batch a round would otherwise
+    dispatch (the caller probes the factory once, not per round)."""
+    return stack_fallback_reason(
+        [task.config for task in tasks],
+        [
+            len(task.dataset) if task.indices is None else len(task.indices)
+            for task in tasks
+        ],
+        [task.dataset for task in tasks],
+        arch_reason,
+        ragged_reason,
+    )
 
 
 _RAGGED_REASONS: dict = {}
@@ -611,10 +576,10 @@ __all__ = [
     "cohort_fallback_reason",
     "find_fuser",
     "make_vectorized_task",
-    "pad_stack",
     "plan_cohort",
     "ragged_probe",
     "register_fuser",
     "scatter_results",
     "split_stack",
+    "stack_fallback_reason",
 ]

@@ -32,10 +32,8 @@ from .optim import (
     CosineAnnealingLR,
     Optimizer,
     RMSprop,
-    StackedSGD,
     StepLR,
     clip_grad_norm,
-    stacked_clip_grad_norm,
 )
 from .vmap import StackedModel, VmapUnsupported, stack_modules
 from .serialization import load_model, load_state_dict, save_model, save_state_dict
@@ -73,14 +71,12 @@ __all__ = [
     "stack_modules",
     "Optimizer",
     "SGD",
-    "StackedSGD",
     "Adam",
     "AdamW",
     "RMSprop",
     "StepLR",
     "CosineAnnealingLR",
     "clip_grad_norm",
-    "stacked_clip_grad_norm",
     "save_model",
     "load_model",
     "save_state_dict",

@@ -3,6 +3,17 @@
 Includes the three "hard loss" choices evaluated in the paper's Table XI
 (cross-entropy = Total loss α, focal = β, NLL = γ) plus the soft-target
 distillation loss of Eq. 5 and auxiliary regression losses.
+
+Shape contract of the hard losses: logits ``(..., N, classes)`` with
+integer labels ``(..., N)``.  The class axis is the last one and the
+reduction runs over the sample axis ``N`` only, so one client's
+``(N, classes)`` batch gives a scalar and a stacked cohort's
+``(K, N, classes)`` gives ``(K,)`` — slice ``k`` bit-identical, value and
+gradient, to the loss of ``logits[k]`` alone (the log-softmax reduces
+within a sample, the pick indexes within a slice, the mean divides by
+the same ``N``).  There is no second, stacked set of losses.
+:func:`distillation_loss` and :func:`mse_loss` take one batch and reduce
+over everything.
 """
 
 from __future__ import annotations
@@ -15,27 +26,40 @@ from .tensor import Tensor
 
 def _check_labels(logits: Tensor, labels: np.ndarray) -> np.ndarray:
     labels = np.asarray(labels)
-    if labels.ndim != 1:
-        raise ValueError(f"labels must be 1-D, got shape {labels.shape}")
-    if logits.ndim != 2:
-        raise ValueError(f"logits must be 2-D (N, classes), got shape {logits.shape}")
-    if labels.shape[0] != logits.shape[0]:
+    if logits.ndim < 2:
         raise ValueError(
-            f"batch mismatch: {logits.shape[0]} logits vs {labels.shape[0]} labels"
+            f"logits must be (..., N, classes), got shape {logits.shape}"
         )
-    if labels.size and (labels.min() < 0 or labels.max() >= logits.shape[1]):
+    if labels.shape != logits.shape[:-1]:
+        raise ValueError(
+            f"batch mismatch: logits {logits.shape} need labels "
+            f"{logits.shape[:-1]}, got {labels.shape}"
+        )
+    if labels.size and (labels.min() < 0 or labels.max() >= logits.shape[-1]):
         raise ValueError("labels out of range")
     return labels.astype(np.int64)
 
 
-def _reduce(values: Tensor, reduction: str) -> Tensor:
+def _pick(log_probs: Tensor, labels: np.ndarray) -> Tensor:
+    """Each sample's own-class entry: ``log_probs[..., n, labels[..., n]]``."""
+    return log_probs[np.indices(labels.shape, sparse=True) + (labels,)]
+
+
+def _reduce(values: Tensor, reduction: str, axis=None) -> Tensor:
     if reduction == "mean":
-        return values.mean()
+        return values.mean(axis=axis)
     if reduction == "sum":
-        return values.sum()
+        return values.sum(axis=axis)
     if reduction == "none":
         return values
     raise ValueError(f"unknown reduction {reduction!r}")
+
+
+def _reduce_samples(per_sample: Tensor, reduction: str) -> Tensor:
+    """Reduce ``(..., N)`` per-sample losses over ``N``, keeping any stack
+    axes.  A lone batch names no axis — the same sum, without the
+    per-axis bookkeeping in the per-step hot path."""
+    return _reduce(per_sample, reduction, axis=-1 if per_sample.ndim > 1 else None)
 
 
 def cross_entropy(logits: Tensor, labels: np.ndarray, reduction: str = "mean") -> Tensor:
@@ -48,21 +72,19 @@ def cross_entropy(logits: Tensor, labels: np.ndarray, reduction: str = "mean") -
     shard and protocol ends here.
     """
     labels = _check_labels(logits, labels)
-    log_probs = F.log_softmax(logits, axis=1)
-    picked = log_probs[np.arange(labels.shape[0]), labels]
-    return _reduce(-picked, reduction)
+    log_probs = F.log_softmax(logits, axis=-1)
+    return _reduce_samples(-_pick(log_probs, labels), reduction)
 
 
 def nll_loss(log_probs: Tensor, labels: np.ndarray, reduction: str = "mean") -> Tensor:
     """Negative log-likelihood on already-log-softmaxed inputs."""
     labels = _check_labels(log_probs, labels)
-    picked = log_probs[np.arange(labels.shape[0]), labels]
-    return _reduce(-picked, reduction)
+    return _reduce_samples(-_pick(log_probs, labels), reduction)
 
 
 def nll_from_logits(logits: Tensor, labels: np.ndarray, reduction: str = "mean") -> Tensor:
     """NLL applied to logits (Table XI 'Total loss γ' hard-loss variant)."""
-    return nll_loss(F.log_softmax(logits, axis=1), labels, reduction=reduction)
+    return nll_loss(F.log_softmax(logits, axis=-1), labels, reduction=reduction)
 
 
 def focal_loss(
@@ -78,11 +100,10 @@ def focal_loss(
     if gamma < 0:
         raise ValueError(f"gamma must be non-negative, got {gamma}")
     labels = _check_labels(logits, labels)
-    log_probs = F.log_softmax(logits, axis=1)
-    picked_log = log_probs[np.arange(labels.shape[0]), labels]
+    picked_log = _pick(F.log_softmax(logits, axis=-1), labels)
     p_t = picked_log.exp()
     modulator = (1.0 - p_t) ** gamma if gamma else Tensor(np.ones_like(p_t.data))
-    return _reduce(-(modulator * picked_log), reduction)
+    return _reduce_samples(-(modulator * picked_log), reduction)
 
 
 def label_smoothing_loss(
@@ -101,12 +122,12 @@ def label_smoothing_loss(
     if not 0 <= smoothing < 1:
         raise ValueError(f"smoothing must be in [0, 1), got {smoothing}")
     labels = _check_labels(logits, labels)
-    log_probs = F.log_softmax(logits, axis=1)
-    picked = log_probs[np.arange(labels.shape[0]), labels]
-    num_classes = logits.shape[1]
-    uniform_term = log_probs.sum(axis=1) * (smoothing / num_classes)
+    log_probs = F.log_softmax(logits, axis=-1)
+    picked = _pick(log_probs, labels)
+    num_classes = logits.shape[-1]
+    uniform_term = log_probs.sum(axis=-1) * (smoothing / num_classes)
     per_sample = -((1.0 - smoothing) * picked + uniform_term)
-    return _reduce(per_sample, reduction)
+    return _reduce_samples(per_sample, reduction)
 
 
 def distillation_loss(

@@ -55,7 +55,13 @@ class Optimizer:
 
 
 class SGD(Optimizer):
-    """Stochastic gradient descent with classical momentum and weight decay."""
+    """Stochastic gradient descent with classical momentum and weight decay.
+
+    The update is purely elementwise, so over parameters that carry a
+    leading stack axis (:mod:`repro.nn.vmap`) slice ``k`` of every
+    parameter and velocity buffer evolves bit for bit as a lone ``SGD``
+    on model ``k`` would.
+    """
 
     def __init__(
         self,
@@ -96,20 +102,6 @@ class SGD(Optimizer):
             update = self._buffer(index, 1, param.data)
             np.multiply(grad, self.lr, out=update)
             param.data -= update
-
-
-class StackedSGD(SGD):
-    """SGD over stacked ``(K, ...)`` cohort parameters.
-
-    :class:`SGD`'s update is purely elementwise (weight-decay add,
-    momentum EMA, scaled subtraction), so driving it over parameters that
-    carry a leading stack axis performs *exactly* the per-slice update:
-    slice ``k`` of every velocity buffer and every parameter evolves
-    bitwise identically to a standalone :class:`SGD` on client ``k``'s
-    unstacked parameters.  The subclass exists to make the vectorized
-    training path self-documenting and to anchor the parity tests — it
-    adds no behaviour.
-    """
 
 
 class Adam(Optimizer):
@@ -240,52 +232,35 @@ class RMSprop(Optimizer):
             param.data -= update
 
 
-def clip_grad_norm(parameters: Iterable[Parameter], max_norm: float) -> float:
+def clip_grad_norm(
+    parameters: Iterable[Parameter], max_norm: float, stack: Optional[int] = None
+):
     """Clip gradients in place so their global L2 norm is at most ``max_norm``.
 
-    Returns the pre-clip norm.
+    ``stack=K`` says the gradients carry a leading stack axis of K
+    independent models: each slice is clipped against its own global
+    norm, bit for bit what that model's lone clip does — a slice's
+    squared sum is one contiguous row reduction (the same pairwise
+    summation tree as the full-array sum), the per-parameter sums add up
+    as python floats in parameter order, and only a slice over
+    ``max_norm`` is scaled.  Returns the pre-clip norm (``stack=None``)
+    or the list of per-slice pre-clip norms.
     """
     if max_norm <= 0:
         raise ValueError(f"max_norm must be positive, got {max_norm}")
     params = [p for p in parameters if p.grad is not None]
-    total = float(np.sqrt(sum(float((p.grad ** 2).sum()) for p in params)))
-    if total > max_norm and total > 0:
-        scale = max_norm / total
-        for param in params:
-            param.grad *= scale
-    return total
-
-
-def stacked_clip_grad_norm(
-    parameters: Iterable[Parameter], max_norm: float
-) -> List[float]:
-    """Per-slice :func:`clip_grad_norm` over stacked ``(K, ...)`` gradients.
-
-    Mirrors the per-client clip bit for bit: slice ``k``'s squared sum
-    per parameter is one contiguous row reduction (the same pairwise
-    summation tree as the per-client full-array sum), the totals
-    accumulate as python floats in parameter order, and only slices whose
-    norm exceeds ``max_norm`` are scaled in place by the same
-    ``max_norm / total``.  Returns the per-slice pre-clip norms.
-    """
-    if max_norm <= 0:
-        raise ValueError(f"max_norm must be positive, got {max_norm}")
-    params = [p for p in parameters if p.grad is not None]
-    if not params:
-        return []
-    k = params[0].grad.shape[0]
-    slice_sums = [
-        (param.grad ** 2).reshape(k, -1).sum(axis=1) for param in params
-    ]
+    rows = 1 if stack is None else stack
+    sums = [(p.grad ** 2).reshape(rows, -1).sum(axis=1) for p in params]
     totals: List[float] = []
-    for index in range(k):
-        total = float(np.sqrt(sum(float(sums[index]) for sums in slice_sums)))
+    for index in range(rows):
+        total = float(np.sqrt(sum(float(row[index]) for row in sums)))
         totals.append(total)
         if total > max_norm and total > 0:
             scale = max_norm / total
             for param in params:
-                param.grad[index] *= scale
-    return totals
+                grad = param.grad if stack is None else param.grad[index]
+                grad *= scale
+    return totals[0] if stack is None else totals
 
 
 class StepLR:

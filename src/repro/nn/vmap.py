@@ -25,11 +25,16 @@ generator, preserving per-client RNG streams), ``LayerNorm`` and
 per-replica state the stack would have to fork), custom forwards —
 raises :class:`VmapUnsupported`, which the federation layer turns into a
 per-client fallback with a recorded reason.
+
+Losses, SGD and gradient clipping have no stacked twins: the hard losses
+of :mod:`repro.nn.losses` take ``(K, N, classes)`` logits as they are,
+:class:`~repro.nn.optim.SGD` is elementwise, and
+:func:`~repro.nn.optim.clip_grad_norm` takes the stack size.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -47,6 +52,10 @@ from .layers import (
     ReLU,
     Sequential,
 )
+
+# bench/probes.py (frozen) imports this name; the stacked losses it once
+# looked up are the hard losses themselves now.
+from .losses import get_hard_loss as get_stacked_loss  # noqa: F401
 from .models.lenet import LeNet5, ModifiedLeNet5
 from .models.mlp import MLP
 from .module import Module, Parameter
@@ -441,6 +450,28 @@ class StackedModel(Module):
             if isinstance(module, (StackedDropout, StackedLeaf)):
                 module.row_counts = row_counts
 
+    def forward_members(self, batches: Sequence[np.ndarray]) -> List[Tensor]:
+        """One stacked forward over per-member input batches of possibly
+        unequal length; returns each member's output at its true row count.
+
+        Short members are zero-padded to the widest batch (trailing zero
+        rows change no bits of any true row's forward or gradient) and
+        every output is sliced back out by differentiable indexing, which
+        returns bit-identical values: a per-member loss run on its slice
+        executes literally the per-client operations, padded rows never
+        enter a loss and receive zero gradient through the slice-scatter
+        backward.
+        """
+        rows = [len(batch) for batch in batches]
+        first = np.asarray(batches[0])
+        padded = np.zeros((len(batches), max(rows)) + first.shape[1:], dtype=first.dtype)
+        for index, batch in enumerate(batches):
+            padded[index, : rows[index]] = batch
+        self.set_row_counts(rows)
+        out = self(Tensor(padded))
+        self.set_row_counts(None)
+        return [out[index, :count] for index, count in enumerate(rows)]
+
     def slice_states(self) -> List[dict]:
         """Per-slice state dicts after :meth:`sync_back`."""
         self.sync_back()
@@ -576,109 +607,3 @@ def ragged_support_reason(model: Module) -> Optional[str]:
                 "zero-padded rows change the reduction extent"
             )
     return None
-
-
-# ----------------------------------------------------------------------
-# Stacked hard losses: per-slice means, one graph
-# ----------------------------------------------------------------------
-def _stacked_pick(log_probs: Tensor, labels: np.ndarray) -> Tensor:
-    """``log_probs[k, b, labels[k, b]]`` as a (K, B) tensor."""
-    k_stack, batch = labels.shape
-    k_idx = np.arange(k_stack)[:, None]
-    b_idx = np.arange(batch)[None, :]
-    return log_probs[k_idx, b_idx, labels]
-
-
-def _check_stacked_labels(logits: Tensor, labels: np.ndarray) -> np.ndarray:
-    labels = np.asarray(labels)
-    if logits.ndim != 3:
-        raise ValueError(f"stacked logits must be 3-D (K, N, classes), got {logits.shape}")
-    if labels.shape != logits.shape[:2]:
-        raise ValueError(
-            f"stacked labels must be (K, N) = {logits.shape[:2]}, got {labels.shape}"
-        )
-    return labels.astype(np.int64)
-
-
-def stacked_cross_entropy_per_sample(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """Per-sample softmax cross-entropy: a ``(K, B)`` tensor, one graph.
-
-    Row k's values and gradients equal
-    ``cross_entropy(logits[k], labels[k], reduction="none")`` — the
-    log-softmax reduces along the class axis and the pick indexes within
-    the slice.  Also serves ``nll`` (``nll_from_logits`` composes the
-    identical ops).
-    """
-    labels = _check_stacked_labels(logits, labels)
-    log_probs = F.log_softmax(logits, axis=-1)
-    picked = _stacked_pick(log_probs, labels)
-    return -picked
-
-
-def stacked_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """Per-slice mean softmax cross-entropy: ``(K,)`` losses, one graph.
-
-    Slice k's value and gradient equal
-    ``cross_entropy(logits[k], labels[k])`` — the per-sample values are
-    identical and the mean divides by the same batch count.
-    """
-    return stacked_cross_entropy_per_sample(logits, labels).mean(axis=1)
-
-
-def stacked_focal_loss_per_sample(
-    logits: Tensor, labels: np.ndarray, gamma: float = 2.0
-) -> Tensor:
-    """Per-sample focal loss ``(K, B)``, mirroring
-    :func:`repro.nn.losses.focal_loss`."""
-    labels = _check_stacked_labels(logits, labels)
-    log_probs = F.log_softmax(logits, axis=-1)
-    picked_log = _stacked_pick(log_probs, labels)
-    p_t = picked_log.exp()
-    modulator = (1.0 - p_t) ** gamma if gamma else Tensor(np.ones_like(p_t.data))
-    return -(modulator * picked_log)
-
-
-def stacked_focal_loss(logits: Tensor, labels: np.ndarray, gamma: float = 2.0) -> Tensor:
-    """Per-slice mean focal loss, mirroring :func:`repro.nn.losses.focal_loss`."""
-    return stacked_focal_loss_per_sample(logits, labels, gamma).mean(axis=1)
-
-
-def stacked_label_smoothing_loss_per_sample(
-    logits: Tensor, labels: np.ndarray, smoothing: float = 0.1
-) -> Tensor:
-    """Per-sample label-smoothing loss ``(K, B)``, mirroring
-    :func:`repro.nn.losses.label_smoothing_loss`."""
-    labels = _check_stacked_labels(logits, labels)
-    log_probs = F.log_softmax(logits, axis=-1)
-    picked = _stacked_pick(log_probs, labels)
-    num_classes = logits.shape[2]
-    uniform_term = log_probs.sum(axis=2) * (smoothing / num_classes)
-    return -((1.0 - smoothing) * picked + uniform_term)
-
-
-def stacked_label_smoothing_loss(
-    logits: Tensor, labels: np.ndarray, smoothing: float = 0.1
-) -> Tensor:
-    """Per-slice mean label-smoothing loss, mirroring
-    :func:`repro.nn.losses.label_smoothing_loss`."""
-    return stacked_label_smoothing_loss_per_sample(logits, labels, smoothing).mean(axis=1)
-
-
-STACKED_LOSSES = {
-    "cross_entropy": stacked_cross_entropy,
-    "nll": stacked_cross_entropy,  # nll_from_logits composes the same ops
-    "focal": stacked_focal_loss,
-    "label_smoothing": stacked_label_smoothing_loss,
-}
-"""Stacked counterparts of :data:`repro.nn.losses.HARD_LOSSES`."""
-
-
-def get_stacked_loss(name: str):
-    """The stacked counterpart of a hard loss; raises on unknown names."""
-    try:
-        return STACKED_LOSSES[name]
-    except KeyError:
-        raise ValueError(
-            f"loss {name!r} has no stacked implementation; "
-            f"available: {sorted(STACKED_LOSSES)}"
-        ) from None

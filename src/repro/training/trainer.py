@@ -3,11 +3,18 @@
 Used by normal (non-unlearning) clients, by the retraining baselines and by
 the shard trainers. The Goldfish teacher/student loop lives in
 :mod:`repro.unlearning.goldfish`.
+
+There is one epoch loop, :func:`run_epochs`.  :func:`train` runs it over
+one model in its native layout; the vectorized cohort runs it over K
+members whose step is one stacked graph.  A lone model is the cohort of
+one *without* a stack axis: as a stack of one through the stacked layers
+a step costs about a third more on a small MLP (+5 % on LeNet-5), which
+the scalar path has no reason to pay.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,6 +51,59 @@ def follow_dataset_dtype(model: Module, dataset: ArrayDataset) -> None:
         model.astype(data_dtype)
 
 
+def run_epochs(
+    datasets: Sequence[ArrayDataset],
+    rngs: Sequence[np.random.Generator],
+    config: TrainConfig,
+    optimizer: Optimizer,
+    step: Callable[[tuple], Tuple[Tensor, Sequence[float]]],
+    stack: Optional[int] = None,
+    epoch_callback: Optional[Callable[[int, float], bool]] = None,
+) -> List[TrainHistory]:
+    """``LocalTraining``'s epoch loop — the only one — over one member
+    (:func:`train`) or a lockstep cohort
+    (:meth:`repro.federated.vectorized.VectorizedCohort.train`).
+
+    Every member gets a shuffled loader on its own generator; ``zip``
+    steps them together, each drawing its epoch permutation from its own
+    stream at its first batch, exactly as it would alone.  ``step`` maps
+    the members' ``(images, labels)`` batches to the scalar objective to
+    differentiate and each member's loss value; it owns the graph (the
+    native ``(N, ...)`` batch for one model, one stacked forward for a
+    cohort), the loop owns everything around it.  ``stack`` is the stack
+    size of the optimizer's parameters when they carry a stack axis
+    (:func:`~repro.nn.optim.clip_grad_norm` clips per slice).
+    ``epoch_callback`` sees the first member's mean loss; stopping on it
+    is a lone-member feature, a cohort passes none.
+    """
+    loaders = [
+        DataLoader(dataset, batch_size=config.batch_size, shuffle=True, rng=rng)
+        for dataset, rng in zip(datasets, rngs)
+    ]
+    histories = [TrainHistory() for _ in loaders]
+    for epoch in range(config.epochs):
+        totals = [0.0] * len(loaders)
+        num_batches = 0
+        for batches in zip(*loaders):
+            optimizer.zero_grad()
+            objective, losses = step(batches)
+            objective.backward()
+            if config.grad_clip:
+                clip_grad_norm(optimizer.parameters, config.grad_clip, stack)
+            optimizer.step()
+            for index, loss in enumerate(losses):
+                totals[index] += loss
+            num_batches += 1
+        means = [total / num_batches for total in totals]
+        for history, mean_loss in zip(histories, means):
+            history.record(
+                EpochStats(epoch=epoch, mean_loss=mean_loss, num_batches=num_batches)
+            )
+        if epoch_callback is not None and epoch_callback(epoch, means[0]):
+            break
+    return histories
+
+
 def train(
     model: Module,
     dataset: ArrayDataset,
@@ -74,24 +134,13 @@ def train(
     follow_dataset_dtype(model, dataset)
     loss_fn = get_hard_loss(config.loss)
     optimizer = optimizer if optimizer is not None else make_optimizer(model, config)
-    loader = DataLoader(dataset, batch_size=config.batch_size, shuffle=True, rng=rng)
-    history = TrainHistory()
     model.train()
 
-    for epoch in range(config.epochs):
-        total_loss = 0.0
-        num_batches = 0
-        for images, labels in loader:
-            optimizer.zero_grad()
-            loss = loss_fn(model(Tensor(images)), labels)
-            loss.backward()
-            if config.grad_clip:
-                clip_grad_norm(optimizer.parameters, config.grad_clip)
-            optimizer.step()
-            total_loss += loss.item()
-            num_batches += 1
-        mean_loss = total_loss / num_batches
-        history.record(EpochStats(epoch=epoch, mean_loss=mean_loss, num_batches=num_batches))
-        if epoch_callback is not None and epoch_callback(epoch, mean_loss):
-            break
-    return history
+    def step(batches):
+        ((images, labels),) = batches
+        loss = loss_fn(model(Tensor(images)), labels)
+        return loss, (loss.item(),)
+
+    return run_epochs(
+        [dataset], [rng], config, optimizer, step, epoch_callback=epoch_callback
+    )[0]

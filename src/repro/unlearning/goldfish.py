@@ -22,13 +22,23 @@ individual training samples, so callers hold them for one request only
 (a local of :func:`repro.unlearning.protocols.federated_goldfish`), never
 on a client, in a history, a result store or a journal — a later
 deletion must find nothing to purge.
+
+There is one local loop, :meth:`GoldfishUnlearner.run_members`, over a
+list of :class:`GoldfishMember` objects.  :meth:`GoldfishUnlearner.unlearn`
+runs it over one member whose forward is the student's own (K = 1 builds
+exactly the one-client graph: no stack axis, no slicing, no add); the
+fused task of :mod:`repro.unlearning.vectorized` runs it over K members
+whose forward is one stacked graph.  A change to the Goldfish step —
+e.g. one forward over ``[retain; forget]`` — is a change in one place.
 """
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass, field, replace
-from typing import List, Optional
+from functools import reduce
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -37,10 +47,10 @@ from ..data.loader import DataLoader
 from ..nn import Tensor
 from ..nn.losses import cross_entropy
 from ..nn.module import Module
-from ..nn.optim import SGD, clip_grad_norm
+from ..nn.optim import clip_grad_norm
 from ..training.config import TrainConfig
 from ..training.evaluation import predict_logits
-from ..training.trainer import follow_dataset_dtype
+from ..training.trainer import follow_dataset_dtype, make_optimizer
 from .early_stop import EarlyStopConfig, ExcessRiskStopper
 from .losses import GoldfishLoss, GoldfishLossConfig
 from .temperature import adaptive_temperature
@@ -116,6 +126,22 @@ def teacher_logits_on(
     return teacher_logits
 
 
+@dataclass
+class GoldfishMember:
+    """One client's side of the local loop: everything Algorithm 1 keeps
+    per client except the student itself, whose forward the caller owns
+    (:meth:`GoldfishUnlearner.run_members`)."""
+
+    loss_fn: GoldfishLoss  # own (Eq. 11) temperature, |D_f|/|D_r| scale and cap
+    retain_loader: DataLoader
+    forget_cycler: Optional[_ForgetBatchCycler]
+    teacher_logits: np.ndarray  # retain-aligned
+    stopper: Optional[ExcessRiskStopper]
+    # Mean retain-side hard loss per completed epoch: the quantity Eq. 7
+    # compares against the previous global model.
+    epoch_losses: List[float] = field(default_factory=list)
+
+
 class GoldfishUnlearner:
     """Runs the teacher/student unlearning loop on one client's data."""
 
@@ -131,6 +157,115 @@ class GoldfishUnlearner:
             num_forget,
             alpha=self.config.temperature_alpha,
         )
+
+    def member(
+        self,
+        teacher: Optional[Module],
+        retain_set: ArrayDataset,
+        forget_set: Optional[ArrayDataset],
+        rng: np.random.Generator,
+        teacher_logits: Optional[np.ndarray] = None,
+    ) -> GoldfishMember:
+        """Set up one client for :meth:`run_members`.
+
+        ``rng`` is touched in the order the client's stream has always
+        seen: nothing by the retain loader (it draws its permutation when
+        an epoch starts), then the forget cycler's first permutation.
+        """
+        config = self.config
+        num_forget = len(forget_set) if forget_set is not None else 0
+        temperature = self._resolve_temperature(len(retain_set), num_forget)
+        loss_fn = GoldfishLoss(
+            replace(config.loss, temperature=temperature),
+            num_retain=len(retain_set),
+            num_forget=num_forget,
+        )
+        teacher_logits = teacher_logits_on(teacher, retain_set, teacher_logits)
+        stopper: Optional[ExcessRiskStopper] = None
+        if config.early_stop.enabled:
+            reference = cross_entropy(Tensor(teacher_logits), retain_set.labels).item()
+            stopper = ExcessRiskStopper(config.early_stop, reference)
+        retain_loader = DataLoader(retain_set, batch_size=config.train.batch_size,
+                                   shuffle=True, rng=rng)
+        forget_cycler = None
+        if num_forget > 0:
+            forget_cycler = _ForgetBatchCycler(forget_set, config.train.batch_size, rng)
+        return GoldfishMember(
+            loss_fn, retain_loader, forget_cycler, teacher_logits, stopper
+        )
+
+    def run_members(
+        self,
+        members: Sequence[GoldfishMember],
+        model: Module,
+        forward: Callable[[List[np.ndarray]], Sequence[Tensor]],
+        stack: Optional[int] = None,
+    ) -> bool:
+        """Algorithm 1's local loop — the only one — over one member
+        (:meth:`unlearn`) or a lockstep stack of them
+        (:class:`repro.unlearning.vectorized.VectorizedGoldfishTask`).
+
+        ``forward`` maps the members' image batches to the members'
+        logits, once for the retain batches and once for the forget
+        batches of a step: the lone student's own forward, or one stacked
+        forward sliced per member.  Everything else is per member — each
+        composite loss runs on that member's logits with its own head
+        against its own teacher rows, and the scalar totals are added
+        left to right, so every member's subgraph is seeded with exactly
+        the 1.0 its lone ``loss.backward()`` would give it (one member:
+        no add at all).  ``model`` is what ``forward`` runs — the student,
+        or the stack of students and then ``stack`` is its size.  Members
+        all have a forget set or none has (the fuser groups by it).
+
+        Fills every member's ``epoch_losses``; returns whether the Eq. 7
+        stopper ended the run — a lone-member feature, since stacked
+        members advance in lockstep.
+        """
+        config = self.config
+        if len(members) > 1 and config.early_stop.enabled:
+            raise ValueError("goldfish early stopping decides epochs per member")
+        distill = config.loss.use_distillation and config.loss.mu_d > 0
+        has_forget = members[0].forget_cycler is not None
+        optimizer = make_optimizer(model, config.train)
+        model.train()
+        for _ in range(config.train.epochs):
+            totals = [0.0] * len(members)
+            batches = 0
+            loaders = (member.retain_loader.iter_indexed() for member in members)
+            for indexed in zip(*loaders):
+                optimizer.zero_grad()
+                retain_logits = forward([images for _, images, _ in indexed])
+                forget_logits = forget_labels = [None] * len(members)
+                if has_forget:
+                    forget_batches = [m.forget_cycler.next_batch() for m in members]
+                    forget_logits = forward([images for images, _ in forget_batches])
+                    forget_labels = [labels for _, labels in forget_batches]
+                losses = [
+                    member.loss_fn(
+                        logits,
+                        labels,
+                        teacher_logits_retain=(
+                            Tensor(member.teacher_logits[indices]) if distill else None
+                        ),
+                        student_logits_forget=logits_forget,
+                        labels_forget=labels_forget,
+                    )
+                    for member, logits, (indices, _, labels), logits_forget, labels_forget
+                    in zip(members, retain_logits, indexed, forget_logits, forget_labels)
+                ]
+                reduce(operator.add, losses).backward()
+                if config.train.grad_clip:
+                    clip_grad_norm(optimizer.parameters, config.train.grad_clip, stack)
+                optimizer.step()
+                for index, member in enumerate(members):
+                    totals[index] += member.loss_fn.last_breakdown.hard_retain
+                batches += 1
+            for member, total in zip(members, totals):
+                member.epoch_losses.append(total / batches)
+            stopper = members[0].stopper
+            if stopper is not None and stopper.update(members[0].epoch_losses[-1]):
+                return True
+        return False
 
     def unlearn(
         self,
@@ -159,75 +294,16 @@ class GoldfishUnlearner:
             hard loss on D_r (Algorithm 1, line 32).
         """
         start = time.perf_counter()
-        config = self.config
         follow_dataset_dtype(student, retain_set)
-        num_forget = len(forget_set) if forget_set is not None else 0
-        temperature = self._resolve_temperature(len(retain_set), num_forget)
-        loss_config = replace(config.loss, temperature=temperature)
-        loss_fn = GoldfishLoss(loss_config, num_retain=len(retain_set),
-                               num_forget=num_forget)
-        distill = loss_config.use_distillation and loss_config.mu_d > 0
-        teacher_logits = teacher_logits_on(teacher, retain_set, teacher_logits)
-
-        stopper: Optional[ExcessRiskStopper] = None
-        if config.early_stop.enabled:
-            reference = cross_entropy(Tensor(teacher_logits), retain_set.labels).item()
-            stopper = ExcessRiskStopper(config.early_stop, reference)
-
-        optimizer = SGD(
-            student.parameters(),
-            lr=config.train.learning_rate,
-            momentum=config.train.momentum,
-            weight_decay=config.train.weight_decay,
+        member = self.member(teacher, retain_set, forget_set, rng, teacher_logits)
+        stopped_early = self.run_members(
+            [member], student, lambda batches: [student(Tensor(batches[0]))]
         )
-        retain_loader = DataLoader(retain_set, batch_size=config.train.batch_size,
-                                   shuffle=True, rng=rng)
-        forget_cycler = None
-        if forget_set is not None and len(forget_set) > 0:
-            forget_cycler = _ForgetBatchCycler(forget_set, config.train.batch_size, rng)
-
-        student.train()
-        epoch_losses: List[float] = []
-        stopped_early = False
-
-        for _ in range(config.train.epochs):
-            total = 0.0
-            batches = 0
-            for indices, images, labels in retain_loader.iter_indexed():
-                optimizer.zero_grad()
-                student_logits = student(Tensor(images))
-                student_logits_forget = None
-                labels_forget = None
-                if forget_cycler is not None:
-                    forget_images, labels_forget = forget_cycler.next_batch()
-                    student_logits_forget = student(Tensor(forget_images))
-                loss = loss_fn(
-                    student_logits,
-                    labels,
-                    teacher_logits_retain=(
-                        Tensor(teacher_logits[indices]) if distill else None
-                    ),
-                    student_logits_forget=student_logits_forget,
-                    labels_forget=labels_forget,
-                )
-                loss.backward()
-                if config.train.grad_clip:
-                    clip_grad_norm(optimizer.parameters, config.train.grad_clip)
-                optimizer.step()
-                # Track the retain-side hard loss: that is the quantity
-                # Eq. 7 compares against the previous global model.
-                total += loss_fn.last_breakdown.hard_retain
-                batches += 1
-            epoch_losses.append(total / batches)
-            if stopper is not None and stopper.update(epoch_losses[-1]):
-                stopped_early = True
-                break
-
         return GoldfishResult(
-            epochs_run=len(epoch_losses),
-            epoch_losses=epoch_losses,
+            epochs_run=len(member.epoch_losses),
+            epoch_losses=member.epoch_losses,
             stopped_early=stopped_early,
-            temperature_used=temperature,
+            temperature_used=member.loss_fn.config.temperature,
             wall_seconds=time.perf_counter() - start,
-            teacher_logits=teacher_logits,
+            teacher_logits=member.teacher_logits,
         )

@@ -84,24 +84,6 @@ class UnlearnOutcome:
         return self.round_accuracies[-1]
 
 
-def _finish(sim: FederatedSimulation, start: float, rounds: int,
-            accuracies: List[float], local_epochs: int) -> UnlearnOutcome:
-    for client in sim.clients:
-        client.finalize_deletion()
-    return UnlearnOutcome(
-        global_model=sim.global_model(),
-        rounds_run=rounds,
-        round_accuracies=accuracies,
-        local_epochs_total=local_epochs,
-        wall_seconds=time.perf_counter() - start,
-    )
-
-
-def _resolve_backend(sim: FederatedSimulation, backend: BackendLike):
-    """The protocol-level override, else whatever the simulation uses."""
-    return sim.backend if backend is None else get_backend(backend)
-
-
 RoundCallback = Callable[[int, FederatedSimulation], None]
 """Called after each aggregation with (round_index, sim); lets experiments
 capture per-round metrics (e.g. backdoor success rate at epoch checkpoints)."""
@@ -254,13 +236,61 @@ def _absorb_round(sim: FederatedSimulation, results: List[Any]) -> int:
     by_id = {client.client_id: client for client in sim.clients}
     for result in results:
         client = by_id[result.task_id]
-        if hasattr(result, "epochs_run"):
+        if isinstance(result, _ClientRoundResult):
             client.model.load_state_dict(result.state)
             client.rng.bit_generator.state = result.rng_state
             epochs += result.epochs_run
         else:
             epochs += len(client.absorb_train_result(result))
     return epochs
+
+
+def _run_rounds(
+    sim: FederatedSimulation,
+    num_rounds: int,
+    backend: BackendLike,
+    round_callback: Optional[RoundCallback],
+    make_tasks: Callable[[Any], List[Any]],
+    on_results: Optional[Callable[[List[Any]], None]] = None,
+    reinitialize: bool = True,
+) -> UnlearnOutcome:
+    """The round skeleton the four protocols share.
+
+    Validate, start the clock and resolve the backend (the protocol-level
+    override, else whatever the simulation uses) before the first side
+    effect; reset the global model to ω^0 unless the protocol adjusts the
+    current one (B3); then per round: broadcast → ``make_tasks(runner)``
+    → run the cohort → ``on_results`` (protocol state riding the results:
+    Goldfish's teacher logits, B2's FIM) → absorb → aggregate → evaluate
+    → ``round_callback``; finally every client's deletion is finalized.
+    """
+    if num_rounds <= 0:
+        raise ValueError(f"num_rounds must be positive, got {num_rounds}")
+    start = time.perf_counter()
+    runner = sim.backend if backend is None else get_backend(backend)
+    if reinitialize:
+        sim.server.reinitialize()
+    accuracies: List[float] = []
+    local_epochs = 0
+    for round_index in range(num_rounds):
+        sim.server.broadcast(sim.clients)
+        results, _ = sim.run_cohort_tasks(make_tasks(runner), runner=runner)
+        if on_results is not None:
+            on_results(results)
+        local_epochs += _absorb_round(sim, results)
+        sim.server.aggregate([client.upload() for client in sim.clients])
+        accuracies.append(sim.server.evaluate_global()[1])
+        if round_callback is not None:
+            round_callback(round_index, sim)
+    for client in sim.clients:
+        client.finalize_deletion()
+    return UnlearnOutcome(
+        global_model=sim.global_model(),
+        rounds_run=num_rounds,
+        round_accuracies=accuracies,
+        local_epochs_total=local_epochs,
+        wall_seconds=time.perf_counter() - start,
+    )
 
 
 def federated_goldfish(
@@ -277,20 +307,12 @@ def federated_goldfish(
     student under the composite loss, distilling from the teacher. The
     server aggregates after every round.
     """
-    if num_rounds <= 0:
-        raise ValueError(f"num_rounds must be positive, got {num_rounds}")
-    start = time.perf_counter()
-    runner = _resolve_backend(sim, backend)
     teacher_state = sim.server.global_state  # ω^{t-1}, knows D_f and D_r
-    sim.server.reinitialize()
     # Filled by the round-0 tasks, dropped when this call returns.
     teacher_logits: Dict[Any, np.ndarray] = {}
 
-    accuracies: List[float] = []
-    local_epochs = 0
-    for _ in range(num_rounds):
-        sim.server.broadcast(sim.clients)
-        tasks = [
+    def make_tasks(runner):
+        return [
             _GoldfishClientTask(
                 task_id=client.client_id,
                 model_factory=sim.model_factory,
@@ -304,17 +326,16 @@ def federated_goldfish(
             )
             for client in sim.clients
         ]
-        results, _ = sim.run_cohort_tasks(tasks, runner=runner)
+
+    def keep_teacher_logits(results):
         if not teacher_logits:
-            teacher_logits = {
-                result.task_id: result.extra["teacher_logits"] for result in results
-            }
-        local_epochs += _absorb_round(sim, results)
-        sim.server.aggregate([client.upload() for client in sim.clients])
-        accuracies.append(sim.server.evaluate_global()[1])
-        if round_callback is not None:
-            round_callback(len(accuracies) - 1, sim)
-    return _finish(sim, start, num_rounds, accuracies, local_epochs)
+            teacher_logits.update(
+                (result.task_id, result.extra["teacher_logits"]) for result in results
+            )
+
+    return _run_rounds(
+        sim, num_rounds, backend, round_callback, make_tasks, keep_teacher_logits
+    )
 
 
 def federated_retrain(
@@ -325,21 +346,13 @@ def federated_retrain(
     backend: BackendLike = None,
 ) -> UnlearnOutcome:
     """B1: reinitialise and run plain FedAvg training on the retained data."""
-    if num_rounds <= 0:
-        raise ValueError(f"num_rounds must be positive, got {num_rounds}")
-    start = time.perf_counter()
-    runner = _resolve_backend(sim, backend)
-    sim.server.reinitialize()
-    accuracies: List[float] = []
-    local_epochs = 0
-    for _ in range(num_rounds):
-        sim.server.broadcast(sim.clients)
+    def make_tasks(runner):
         # Client.active_dataset is the retain set while a deletion is
         # pending, so the stock client task trains on exactly D_r^c —
         # under the simulation's update codec, so retraining traffic is
         # compressed (and accounted) exactly like normal rounds.
         model_version = sim.broadcast_version(runner)
-        tasks = [
+        return [
             client.make_train_task(
                 train_config,
                 sim.model_factory,
@@ -348,13 +361,8 @@ def federated_retrain(
             )
             for client in sim.clients
         ]
-        results, _ = sim.run_cohort_tasks(tasks, runner=runner)
-        local_epochs += _absorb_round(sim, results)
-        sim.server.aggregate([client.upload() for client in sim.clients])
-        accuracies.append(sim.server.evaluate_global()[1])
-        if round_callback is not None:
-            round_callback(len(accuracies) - 1, sim)
-    return _finish(sim, start, num_rounds, accuracies, local_epochs)
+
+    return _run_rounds(sim, num_rounds, backend, round_callback, make_tasks)
 
 
 def federated_rapid_retrain(
@@ -374,25 +382,20 @@ def federated_rapid_retrain(
     Each round's task carries the client's FIM snapshot out to the worker
     and brings the updated estimate back.
     """
-    if num_rounds <= 0:
-        raise ValueError(f"num_rounds must be positive, got {num_rounds}")
-    start = time.perf_counter()
-    runner = _resolve_backend(sim, backend)
-    sim.server.reinitialize()
-    sim.server.broadcast(sim.clients)
     lr = train_config.learning_rate * lr_scale
+    # Sized from the clients' models before the reinitialised global model
+    # is broadcast to them at the top of round 0 — a parameter *count*,
+    # which no broadcast changes, so the effects keep their order:
+    # reinitialise, broadcast, train.
     fim_states: Dict[Any, dict] = {
         client.client_id: DiagonalFIMSGD.empty_fim_state(
             len(client.model.parameters())
         )
         for client in sim.clients
     }
-    accuracies: List[float] = []
-    local_epochs = 0
-    for round_index in range(num_rounds):
-        if round_index > 0:
-            sim.server.broadcast(sim.clients)
-        tasks = [
+
+    def make_tasks(runner):
+        return [
             _RapidClientTask(
                 task_id=client.client_id,
                 model_factory=sim.model_factory,
@@ -407,15 +410,14 @@ def federated_rapid_retrain(
             )
             for client in sim.clients
         ]
-        results, _ = sim.run_cohort_tasks(tasks, runner=runner)
+
+    def keep_fim_states(results):
         for result in results:
             fim_states[result.task_id] = result.extra["fim"]
-        local_epochs += _absorb_round(sim, results)
-        sim.server.aggregate([client.upload() for client in sim.clients])
-        accuracies.append(sim.server.evaluate_global()[1])
-        if round_callback is not None:
-            round_callback(len(accuracies) - 1, sim)
-    return _finish(sim, start, num_rounds, accuracies, local_epochs)
+
+    return _run_rounds(
+        sim, num_rounds, backend, round_callback, make_tasks, keep_fim_states
+    )
 
 
 def federated_incompetent_teacher(
@@ -428,50 +430,36 @@ def federated_incompetent_teacher(
 ) -> UnlearnOutcome:
     """B3: the unlearning clients adjust the *current* global model with the
     incompetent-teacher objective; normal clients train as usual."""
-    if num_rounds <= 0:
-        raise ValueError(f"num_rounds must be positive, got {num_rounds}")
-    start = time.perf_counter()
-    runner = _resolve_backend(sim, backend)
     competent_state = sim.server.global_state
     incompetent_state = sim.model_factory().state_dict()  # random on purpose
     normal_client_config = normal_client_config or config.train
 
-    accuracies: List[float] = []
-    local_epochs = 0
-    for _ in range(num_rounds):
-        sim.server.broadcast(sim.clients)
+    def make_tasks(runner):
         model_version = sim.broadcast_version(runner)
-        tasks: List[Any] = []
-        for client in sim.clients:
-            if client.has_pending_deletion:
-                tasks.append(
-                    _IncompetentClientTask(
-                        task_id=client.client_id,
-                        model_factory=sim.model_factory,
-                        student_state=client.model.state_dict(),
-                        competent_state=competent_state,
-                        incompetent_state=incompetent_state,
-                        retain_set=client.retain_set,
-                        forget_set=client.forget_set,
-                        config=config,
-                        rng_state=capture_rng(client.rng),
-                    )
-                )
-            else:
-                # Normal clients run the stock task, so they ride the
-                # simulation's update codec like any federation round.
-                tasks.append(
-                    client.make_train_task(
-                        normal_client_config,
-                        sim.model_factory,
-                        codec=sim.codec,
-                        model_version=model_version,
-                    )
-                )
-        results, _ = sim.run_cohort_tasks(tasks, runner=runner)
-        local_epochs += _absorb_round(sim, results)
-        sim.server.aggregate([client.upload() for client in sim.clients])
-        accuracies.append(sim.server.evaluate_global()[1])
-        if round_callback is not None:
-            round_callback(len(accuracies) - 1, sim)
-    return _finish(sim, start, num_rounds, accuracies, local_epochs)
+        return [
+            _IncompetentClientTask(
+                task_id=client.client_id,
+                model_factory=sim.model_factory,
+                student_state=client.model.state_dict(),
+                competent_state=competent_state,
+                incompetent_state=incompetent_state,
+                retain_set=client.retain_set,
+                forget_set=client.forget_set,
+                config=config,
+                rng_state=capture_rng(client.rng),
+            )
+            if client.has_pending_deletion
+            # Normal clients run the stock task, so they ride the
+            # simulation's update codec like any federation round.
+            else client.make_train_task(
+                normal_client_config,
+                sim.model_factory,
+                codec=sim.codec,
+                model_version=model_version,
+            )
+            for client in sim.clients
+        ]
+
+    return _run_rounds(
+        sim, num_rounds, backend, round_callback, make_tasks, reinitialize=False
+    )

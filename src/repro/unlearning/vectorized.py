@@ -13,19 +13,20 @@ task makes, so every execution path indexes the same per-member array.
 
 Parity strategy
 ---------------
-The expensive part of a protocol step — the network forward/backward —
-runs **stacked** (K members, one batched graph, bit-exact per slice by
-the :mod:`repro.nn.vmap` contract).  The protocol-specific *loss heads*
-are tiny (a few elementwise ops on ``(batch, classes)`` logits), so each
-member's composite loss is computed by extracting its slice from the
-stacked logits (differentiable indexing) and running the **existing
-per-client loss code** on it.  Slice extraction returns bit-identical
-values, the per-member loss then executes literally the per-client
-operations (own temperature, own |D_f|/|D_r| scaling, own forget cap),
-and the scalar per-member totals are summed so every member's subgraph
-receives the exact ``1.0`` upstream gradient ``loss.backward()`` would
-seed standalone.  Heterogeneous loss hyper-parameters therefore need no
-fallback gate — each slice owns its head.
+The fused Goldfish pass does not re-implement Algorithm 1's local loop:
+it runs :meth:`~repro.unlearning.goldfish.GoldfishUnlearner.run_members`,
+the loop the per-client path runs, over K members built by the same
+:meth:`~repro.unlearning.goldfish.GoldfishUnlearner.member` (own
+adaptive temperature, own |D_f|/|D_r| scaling and forget cap, own
+loader and forget cycler on the member's own generator).  The only thing
+this module supplies is the forward: the expensive part of a step — the
+network forward/backward — runs **stacked** (K members, one batched
+graph, bit-exact per slice by the :mod:`repro.nn.vmap` contract), and
+:meth:`~repro.nn.vmap.StackedModel.forward_members` hands each member its
+slice of the stacked logits (differentiable indexing, bit-identical
+values).  The loss heads are per member and the loop is shared, so
+heterogeneous loss hyper-parameters need no fallback gate and
+scalar/stacked parity is by shared code, not by a mirrored copy.
 
 SISA chains vectorize in **stage lockstep**: per slice index, every
 affected shard's stage becomes one member of a fused
@@ -41,27 +42,24 @@ reason recorded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..data.dataset import ArrayDataset
-from ..data.loader import DataLoader
 from ..federated.vectorized import (
     TrainTaskFuser,
     VectorizedCohort,
     backend_worker_count,
     cohort_fallback_reason,
-    pad_stack,
     ragged_probe,
     register_fuser,
     split_stack,
+    stack_fallback_reason,
 )
-from ..nn import Tensor
 from ..nn.layers import Dropout
 from ..nn.module import Module
-from ..nn.optim import StackedSGD, stacked_clip_grad_norm
 from ..nn.vmap import stack_modules
 from ..runtime.task import (
     ChainResult,
@@ -75,8 +73,7 @@ from ..runtime.task import (
 from ..training.config import TrainConfig
 from ..training.trainer import follow_dataset_dtype
 from .baselines.rapid import DiagonalFIMSGD
-from .goldfish import GoldfishConfig, GoldfishUnlearner, _ForgetBatchCycler, teacher_logits_on
-from .losses import GoldfishLoss
+from .goldfish import GoldfishConfig, GoldfishUnlearner
 
 
 def _stack_fim_states(
@@ -127,15 +124,13 @@ class VectorizedGoldfishTask:
     """K clients' Goldfish passes (Algorithm 1) as one stacked work unit.
 
     Only the students stack: every round-step is one stacked retain
-    forward and one stacked forget forward, with each member's composite
-    loss computed on its extracted slice by its own :class:`GoldfishLoss`
-    head (own adaptive temperature, own forget scale/cap) against that
-    member's rows of ``teacher_logits`` (filled in round 0 from the one
-    shared ``teacher_state``, carried afterwards — as in the per-client
-    task).  Per-member RNG streams are preserved: loaders and forget
-    cyclers draw from each member's own generator in the per-client order
-    (cycler constructed after the loaders, epoch permutations at
-    iteration start, mid-epoch cycler refills during that member's step).
+    forward and one stacked forget forward inside the per-client loop
+    (:meth:`GoldfishUnlearner.run_members`), each member's composite loss
+    computed on its slice by its own head against its rows of
+    ``teacher_logits`` (filled in round 0 from the one shared
+    ``teacher_state``, carried afterwards — as in the per-client task).
+    Per-member RNG streams are preserved because every member is set up
+    and stepped by the per-client code on its own generator.
     """
 
     task_id: Any
@@ -152,9 +147,7 @@ class VectorizedGoldfishTask:
     def run(self) -> List[Any]:
         from .protocols import _ClientRoundResult
 
-        config = self.config
-        k = len(self.task_ids)
-        students = [self.model_factory() for _ in range(k)]
+        students = [self.model_factory() for _ in self.task_ids]
         for student, state, retain_set in zip(students, self.student_states, self.retain_sets):
             student.load_state_dict(state)
             follow_dataset_dtype(student, retain_set)
@@ -162,120 +155,37 @@ class VectorizedGoldfishTask:
         if self.teacher_state is not None:
             teacher = self.model_factory()
             teacher.load_state_dict(self.teacher_state)
-        teacher_logits = [
-            teacher_logits_on(teacher, retain_set, carried)
-            for retain_set, carried in zip(self.retain_sets, self.teacher_logits)
-        ]
         rngs = [restore_rng(state) for state in self.rng_states]
-
-        # One loss head per member — exactly the per-client construction,
-        # including the (possibly adaptive) temperature resolution.
-        unlearner = GoldfishUnlearner(config)
-        use_distillation = config.loss.use_distillation and config.loss.mu_d > 0
-        loss_fns: List[GoldfishLoss] = []
-        for retain_set, forget_set in zip(self.retain_sets, self.forget_sets):
-            num_forget = len(forget_set) if forget_set is not None else 0
-            temperature = unlearner._resolve_temperature(len(retain_set), num_forget)
-            loss_fns.append(
-                GoldfishLoss(
-                    replace(config.loss, temperature=temperature),
-                    num_retain=len(retain_set),
-                    num_forget=num_forget,
-                )
+        unlearner = GoldfishUnlearner(self.config)
+        members = [
+            unlearner.member(teacher, retain_set, forget_set, rng, carried)
+            for retain_set, forget_set, rng, carried in zip(
+                self.retain_sets, self.forget_sets, rngs, self.teacher_logits
             )
-
+        ]
         student_stack = stack_modules(students)
-        optimizer = StackedSGD(
-            student_stack.parameters(),
-            lr=config.train.learning_rate,
-            momentum=config.train.momentum,
-            weight_decay=config.train.weight_decay,
+        unlearner.run_members(
+            members,
+            student_stack,
+            student_stack.forward_members,
+            stack=len(students),
         )
-        loaders = [
-            DataLoader(
-                retain_set,
-                batch_size=config.train.batch_size,
-                shuffle=True,
-                rng=rng,
-            )
-            for retain_set, rng in zip(self.retain_sets, rngs)
-        ]
-        # Constructed after the loaders, like the per-client loop: the
-        # cycler draws its first forget permutation at construction.
-        cyclers = [
-            _ForgetBatchCycler(forget_set, config.train.batch_size, rng)
-            if forget_set is not None and len(forget_set) > 0
-            else None
-            for forget_set, rng in zip(self.forget_sets, rngs)
-        ]
-        has_forget = any(cycler is not None for cycler in cyclers)
-
-        student_stack.train()
-        epochs_run = 0
-        for _ in range(config.train.epochs):
-            for indexed in zip(*(loader.iter_indexed() for loader in loaders)):
-                optimizer.zero_grad()
-                batches = [(images, labels) for _, images, labels in indexed]
-                retain_images, retain_rows = pad_stack(batches)
-                student_stack.set_row_counts(retain_rows)
-                retain_logits = student_stack(Tensor(retain_images))
-                student_stack.set_row_counts(None)
-                forget_logits = None
-                forget_batches: List[Optional[tuple]] = [None] * k
-                forget_rows: List[int] = []
-                if has_forget:
-                    forget_batches = [cycler.next_batch() for cycler in cyclers]
-                    forget_images, forget_rows = pad_stack(forget_batches)
-                    student_stack.set_row_counts(forget_rows)
-                    forget_logits = student_stack(Tensor(forget_images))
-                    student_stack.set_row_counts(None)
-                slice_totals = []
-                for index in range(k):
-                    slice_total = loss_fns[index](
-                        retain_logits[index, : retain_rows[index]],
-                        batches[index][1],
-                        teacher_logits_retain=(
-                            Tensor(teacher_logits[index][indexed[index][0]])
-                            if use_distillation
-                            else None
-                        ),
-                        student_logits_forget=(
-                            forget_logits[index, : forget_rows[index]]
-                            if forget_logits is not None
-                            else None
-                        ),
-                        labels_forget=(
-                            forget_batches[index][1]
-                            if forget_batches[index] is not None
-                            else None
-                        ),
-                    )
-                    slice_totals.append(slice_total)
-                grand_total = slice_totals[0]
-                for slice_total in slice_totals[1:]:
-                    grand_total = grand_total + slice_total
-                grand_total.backward()
-                if config.train.grad_clip:
-                    stacked_clip_grad_norm(
-                        optimizer.parameters, config.train.grad_clip
-                    )
-                optimizer.step()
-            epochs_run += 1
-
         student_stack.sync_back()
         return [
             _ClientRoundResult(
-                task_id=self.task_ids[index],
-                state=students[index].state_dict(),
-                epochs_run=epochs_run,
-                rng_state=capture_rng(rngs[index]),
+                task_id=task_id,
+                state=student.state_dict(),
+                epochs_run=len(member.epoch_losses),
+                rng_state=capture_rng(rng),
                 extra=(
-                    {"teacher_logits": teacher_logits[index]}
-                    if self.teacher_logits[index] is None
+                    {"teacher_logits": member.teacher_logits}
+                    if carried is None
                     else None
                 ),
             )
-            for index in range(k)
+            for task_id, student, member, rng, carried in zip(
+                self.task_ids, students, members, rngs, self.teacher_logits
+            )
         ]
 
     def split(self, n_chunks: int) -> List["VectorizedGoldfishTask"]:
@@ -310,44 +220,21 @@ class GoldfishTaskFuser:
     def fallback_reason(
         self, tasks: Sequence[Any], arch_reason: Optional[str]
     ) -> Optional[str]:
-        if arch_reason is not None:
-            return f"architecture not stackable: {arch_reason}"
-        config = tasks[0].config
-        if config.early_stop.enabled:
+        if tasks[0].config.early_stop.enabled:
             return "goldfish early stopping decides epochs per member"
-        if config.train.epochs == 0:
-            return "zero-epoch rounds have nothing to vectorize"
-        sizes = [len(task.retain_set) for task in tasks]
-        if min(sizes) == 0:
-            return "cohort member has an empty retain set"
-        counts = {-(-size // config.train.batch_size) for size in sizes}
-        if len(counts) != 1:
-            return (
-                f"cohort retain set sizes differ beyond final-batch "
-                f"padding (step counts {sorted(counts)})"
-            )
-        forget_sizes = {
-            len(task.forget_set)
-            for task in tasks
-            if task.forget_set is not None and len(task.forget_set) > 0
-        }
-        if len(set(sizes)) != 1 or len(forget_sizes) > 1:
-            ragged_reason = ragged_probe(tasks[0].model_factory)
-            if ragged_reason is not None:
-                return f"ragged cohort (unequal sizes): {ragged_reason}"
-        arrays = [np.asarray(task.retain_set.images) for task in tasks]
-        arrays += [
-            np.asarray(task.forget_set.images)
+        forget_sets = [
+            task.forget_set
             for task in tasks
             if task.forget_set is not None and len(task.forget_set) > 0
         ]
-        shapes = {array.shape[1:] for array in arrays}
-        if len(shapes) != 1:
-            return f"cohort sample shapes differ: {sorted(map(str, shapes))}"
-        dtypes = {str(array.dtype) for array in arrays}
-        if len(dtypes) != 1:
-            return f"cohort data dtypes differ: {sorted(dtypes)}"
-        return None
+        return stack_fallback_reason(
+            [task.config.train for task in tasks],
+            [len(task.retain_set) for task in tasks],
+            [task.retain_set for task in tasks] + forget_sets,
+            arch_reason,
+            ragged_probe(tasks[0].model_factory),
+            forget_sizes=[len(forget_set) for forget_set in forget_sets],
+        )
 
     def fuse(
         self, tasks: Sequence[Any], shared_basis: Optional[StateDict] = None
@@ -376,8 +263,8 @@ class VectorizedRapidTask:
     :class:`~repro.federated.vectorized.VectorizedCohort` round driven by
     :class:`~repro.unlearning.baselines.rapid.DiagonalFIMSGD` over the
     stacked ``(K, ...)`` parameters — its update is purely elementwise
-    with a scalar step counter, so (like :class:`~repro.nn.optim.StackedSGD`)
-    it performs the per-slice update bitwise — with each member's running
+    with a scalar step counter, so (like :class:`~repro.nn.optim.SGD`) it
+    performs the per-slice update bitwise — with each member's running
     FIM estimate stacked in and extracted back out."""
 
     task_id: Any
@@ -431,19 +318,6 @@ class VectorizedRapidTask:
         return split_stack(self, n_chunks, fields)
 
 
-class _RapidTaskView:
-    """Adapter presenting a ``_RapidClientTask`` through the stock
-    :func:`~repro.federated.vectorized.cohort_fallback_reason` field
-    surface (``config`` / ``dataset`` / ``indices``)."""
-
-    __slots__ = ("config", "dataset", "indices")
-
-    def __init__(self, task: Any) -> None:
-        self.config = task.config
-        self.dataset = task.dataset
-        self.indices = None
-
-
 class RapidTaskFuser:
     """Fuses :class:`~repro.unlearning.protocols._RapidClientTask`
     cohorts.  The optimizer hyper-parameters and FIM step counter join
@@ -472,8 +346,10 @@ class RapidTaskFuser:
     def fallback_reason(
         self, tasks: Sequence[Any], arch_reason: Optional[str]
     ) -> Optional[str]:
-        reason = cohort_fallback_reason(
-            [_RapidTaskView(task) for task in tasks],
+        reason = stack_fallback_reason(
+            [task.config for task in tasks],
+            [len(task.dataset) for task in tasks],
+            [task.dataset for task in tasks],
             arch_reason,
             ragged_probe(tasks[0].model_factory),
         )
@@ -608,14 +484,8 @@ def run_chains_vectorized(
             ]
             # The chains' shared architecture was probed by the caller's
             # gate; only the per-stage data checks remain.
-            reason = (
-                cohort_fallback_reason(
-                    member_tasks,
-                    None,
-                    ragged_probe(member_tasks[0].model_factory),
-                )
-                if len(member_tasks) >= 2
-                else "cohort has a single participant"
+            reason = cohort_fallback_reason(
+                member_tasks, None, ragged_probe(member_tasks[0].model_factory)
             )
             if reason is None:
                 fused = _TRAIN_FUSER.fuse(member_tasks)

@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.nn import Tensor
 from repro.nn import functional as F
 from repro.nn import losses as L
 
-from ..conftest import numeric_grad
+from ..conftest import generated, numeric_grad
 
 
 def manual_ce(logits, labels):
@@ -228,3 +229,58 @@ class TestHardLossRegistry:
     def test_unknown_raises(self):
         with pytest.raises(ValueError):
             L.get_hard_loss("hinge")
+
+
+class TestStackAxis:
+    """The hard losses' shape contract: ``(..., N, C)`` logits with
+    ``(..., N)`` labels, reduced over ``N`` only — so a stacked cohort's
+    ``(K, N, C)`` logits go through the same function as one client's, and
+    slice ``k`` is that client's loss bit for bit."""
+
+    @generated(60)
+    @given(
+        name=st.sampled_from(sorted(L.HARD_LOSSES)),
+        reduction=st.sampled_from(["mean", "sum", "none"]),
+        k=st.integers(1, 4),
+        n=st.integers(1, 9),
+        classes=st.integers(2, 6),
+        dtype=st.sampled_from([np.float64, np.float32]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_slice_equals_lone_batch_value_and_grad(
+        self, name, reduction, k, n, classes, dtype, seed
+    ):
+        rng = np.random.default_rng(seed)
+        logits = rng.normal(0.0, 2.0, size=(k, n, classes)).astype(dtype)
+        labels = rng.integers(0, classes, size=(k, n))
+        loss_fn = L.get_hard_loss(name)
+
+        stacked_in = Tensor(logits.copy(), requires_grad=True)
+        stacked = loss_fn(stacked_in, labels, reduction=reduction)
+        assert stacked.shape == ((k, n) if reduction == "none" else (k,))
+        stacked.sum().backward()
+        for index in range(k):
+            lone_in = Tensor(logits[index].copy(), requires_grad=True)
+            lone = loss_fn(lone_in, labels[index], reduction=reduction)
+            lone.sum().backward()
+            assert stacked.data[index].tobytes() == lone.data.tobytes()
+            assert stacked_in.grad[index].tobytes() == lone_in.grad.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(L.HARD_LOSSES))
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_labels_are_range_checked_under_a_stack_axis(self, name, bad):
+        # numpy wraps -1 to the last class: a stacked loss without the
+        # range check trains silently on data the per-client path rejects.
+        logits = Tensor(np.random.default_rng(0).normal(size=(2, 4, 3)))
+        labels = np.array([[0, 1, 2, bad], [2, 1, 0, 0]])
+        with pytest.raises(ValueError, match="labels out of range"):
+            L.get_hard_loss(name)(logits, labels)
+
+    def test_labels_must_match_the_leading_axes(self):
+        logits = Tensor(np.zeros((2, 4, 3)))
+        with pytest.raises(ValueError, match="batch mismatch"):
+            L.cross_entropy(logits, np.zeros(4, dtype=int))
+        with pytest.raises(ValueError, match="batch mismatch"):
+            L.cross_entropy(logits, np.zeros((4, 2), dtype=int))
+        with pytest.raises(ValueError, match="logits must be"):
+            L.cross_entropy(Tensor(np.zeros(3)), np.zeros((), dtype=int))

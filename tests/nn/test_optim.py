@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.nn import SGD, Adam, StepLR, clip_grad_norm
 from repro.nn.module import Parameter
 from repro.unlearning.baselines import DiagonalFIMSGD
+
+from ..conftest import generated
+from ..reference_loops import clip_grad_norm as lone_clip_grad_norm
 
 
 def param_with_grad(value, grad):
@@ -136,6 +140,46 @@ class TestClipGradNorm:
     def test_invalid_max_norm(self):
         with pytest.raises(ValueError):
             clip_grad_norm([], max_norm=0.0)
+
+    # LeNet-5's parameter shapes lead; the rest are drawn.
+    SHAPES = st.sampled_from(
+        [(6, 1, 5, 5), (6,), (16, 6, 5, 5), (120, 256), (84, 120), (10, 84)]
+    ) | st.lists(st.integers(1, 7), min_size=1, max_size=4).map(tuple)
+
+    @generated(60)
+    @given(
+        shapes=st.lists(SHAPES, min_size=1, max_size=4),
+        k=st.integers(1, 4),
+        dtype=st.sampled_from([np.float64, np.float32]),
+        max_norm=st.sampled_from([0.05, 1.0, 50.0]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_one_clip_serves_a_lone_model_and_every_slice_of_a_stack(
+        self, shapes, k, dtype, max_norm, seed
+    ):
+        """``clip_grad_norm`` equals the pre-stack clip bit for bit on one
+        model, and ``stack=K`` clips slice ``k`` exactly as that."""
+        rng = np.random.default_rng(seed)
+        grads = [rng.normal(0.0, 1.0, size=(k,) + shape).astype(dtype) for shape in shapes]
+
+        def params(arrays):
+            out = []
+            for array in arrays:
+                p = Parameter(np.zeros(array.shape))
+                p.grad = array.copy()
+                out.append(p)
+            return out
+
+        stacked = params(grads)
+        norms = clip_grad_norm(stacked, max_norm, stack=k)
+        assert len(norms) == k
+        for index in range(k):
+            want = params([g[index] for g in grads])
+            want_norm = lone_clip_grad_norm(want, max_norm)
+            got = params([g[index] for g in grads])
+            assert clip_grad_norm(got, max_norm) == want_norm == norms[index]
+            for a, b, c in zip(want, got, stacked):
+                assert a.grad.tobytes() == b.grad.tobytes() == c.grad[index].tobytes()
 
 
 class TestStepLR:
