@@ -1,21 +1,31 @@
 """Neural-network functional primitives built on the autograd engine.
 
-Contains the convolution / pooling kernels and numerically stable softmax
-utilities.  Convolution is one channel-major im2col / col2im pair (``cols``
-is ``(C_in*KH*KW, N*H_out*W_out)``, one ``as_strided`` view and one copy)
-shared by the scalar and the stacked entry point; max pooling records one
-winner mask per window offset.  All functions take and return
-:class:`repro.nn.tensor.Tensor` and participate in autodiff.
+Contains the convolution / pooling / fully connected kernels and
+numerically stable softmax utilities.  Convolution is one channel-major
+im2col / col2im pair (``cols`` is ``(C_in*KH*KW, N*H_out*W_out)``, one
+``as_strided`` view and one copy) shared by the scalar and the stacked
+entry point; :func:`linear` is one graph node whose leading weight axes
+are GEMM batch axes, so it too serves a lone layer and a stack of K; max
+pooling records one winner mask per window offset.  All functions take
+and return :class:`repro.nn.tensor.Tensor` and participate in autodiff.
+
+Backward closures here compute their gradient arrays themselves, so they
+hand them to ``Tensor._accumulate(..., owned=True)`` (the ownership rule
+in :mod:`repro.nn.tensor`); the two that are strided views of what they
+computed — a lone :func:`linear`'s weight gradient and ``_col2im``'s
+``dx`` — are copied by that rule's contiguity clause, as every gradient
+used to be.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .tensor import Tensor, ensure_tensor, is_grad_enabled
+from .tensor import Tensor, _unbroadcast, ensure_tensor, is_grad_enabled
 
 
 def _conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
@@ -97,15 +107,17 @@ def _conv(x: Tensor, weight: Tensor, bias: Optional[Tensor], stride: int, paddin
         # grad: (..., N, C_out, H_out, W_out)
         grad_cm = grad.swapaxes(-4, -3).reshape(*lead, c_out, n * h_out * w_out)
         if bias is not None and bias.requires_grad:
-            bias._accumulate(grad_cm.sum(axis=-1))
+            bias._accumulate(grad_cm.sum(axis=-1), owned=True)
         if weight.requires_grad:
-            weight._accumulate((grad_cm @ cols.swapaxes(-1, -2)).reshape(weight.shape))
+            weight._accumulate((grad_cm @ cols.swapaxes(-1, -2)).reshape(weight.shape), owned=True)
         if x.requires_grad:
             dcols = w_flat.swapaxes(-1, -2) @ grad_cm  # (..., C*KH*KW, N*H_out*W_out)
             dx = _col2im(dcols, padded_shape, kh, kw, stride, h_out, w_out)
             if padding:
                 dx = dx[..., padding:-padding, padding:-padding]
-            x._accumulate(dx)
+            # Fresh, but a strided view of a channel-major buffer: the
+            # contiguity rule of the hand-off keeps its copy.
+            x._accumulate(dx, owned=True)
 
     return Tensor._make(out_data, parents, backward_fn)
 
@@ -219,7 +231,7 @@ def max_pool2d(x: Tensor, kernel_size: int) -> Tensor:
             # np.where, not grad * mask: a product leaves -0.0 and turns
             # inf * 0 into NaN where a losing cell must read +0.0.
             dwindows[:, :, :, index // k, :, index % k] = np.where(mask, grad, 0.0)
-        x._accumulate(dx)
+        x._accumulate(dx, owned=True)
 
     return Tensor._make(out_data, (x,), backward_fn)
 
@@ -267,7 +279,7 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
         # the gradient into log(Σexp) is −Σg, scaled by 1/Σexp, then
         # broadcast against the cached exp — no new exp/sum of the data.
         sum_grad = grad.sum(axis=axis, keepdims=True)
-        x._accumulate(grad + exp_shifted * (np.negative(sum_grad) / sum_exp))
+        x._accumulate(grad + exp_shifted * (np.negative(sum_grad) / sum_exp), owned=True)
 
     return Tensor._make(out_data, (x,), backward_fn)
 
@@ -306,12 +318,111 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool = True
     return x * Tensor(mask)
 
 
+#: Elements in one block of per-slice weight gradients (128 KB of float64).
+_WEIGHT_GRAD_BLOCK = 16384
+
+
+def _stacked_weight_grad(x: np.ndarray, grad: np.ndarray, weight_shape: tuple) -> np.ndarray:
+    """:func:`linear`'s weight gradient for a stack, C-contiguous.
+
+    Slice ``k`` is ``(x[k].T @ grad[k]).T``: the lone layer's GEMM, whose
+    ``(in, out)`` result has to be transposed into the weight's layout.
+    The slices are independent BLAS calls, so they are issued a block at
+    a time and each block is transposed straight into the result — the
+    same bits as one batched GEMM and a transposing copy of the whole,
+    with one weight-sized allocation per step instead of two.  That is
+    the point: two 1 MB arrays (K = 32 layers of 64x64) freed together sit
+    on glibc's heap-trim threshold, and the stacked step gave its heap
+    back to the kernel and faulted it in again every time (500 page
+    faults a step, 1.5 ms against 0.8 ms with the block-sized temporary).
+    """
+    out_features, in_features = weight_shape[-2:]
+    stack = math.prod(weight_shape[:-2])
+    grad_w = np.empty(weight_shape, dtype=np.result_type(x, grad))
+    slices = grad_w.reshape(stack, out_features, in_features)
+    x_t = np.swapaxes(x.reshape(stack, x.shape[-2], in_features), -1, -2)
+    grad = grad.reshape(stack, x.shape[-2], out_features)
+    block = max(1, _WEIGHT_GRAD_BLOCK // max(1, out_features * in_features))
+    for start in range(0, stack, block):
+        stop = start + block
+        slices[start:stop] = np.swapaxes(x_t[start:stop] @ grad[start:stop], -1, -2)
+    return grad_w
+
+
 def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
-    """Affine map ``x @ weight.T + bias``."""
-    out = x @ weight.T
+    """Affine map ``x @ weight.T + bias`` as one graph node.
+
+    The one fully connected kernel behind :class:`~repro.nn.layers.Linear`
+    and :class:`~repro.nn.vmap.StackedLinear`, in :func:`_conv`'s manner:
+    leading axes of ``weight`` are GEMM batch axes, so a stack of K layers
+    is the same call as a lone one.
+
+    Parameters
+    ----------
+    x:
+        Input ``(..., N, in)``.  Against a 2-D ``weight`` any leading axes
+        (or none at all: a single ``(in,)`` sample) are more samples and
+        the weight / bias gradients sum over them; against a stacked
+        ``weight`` the leading axes must equal the weight's.
+    weight:
+        ``(..., out, in)``.
+    bias:
+        Optional ``(..., out)``, the weight's shape without ``in``.
+
+    Forward and backward issue the contractions the ``transpose`` →
+    ``matmul`` → ``add`` chain issued (``x @ swapaxes(W)``, ``grad @ W``,
+    ``swapaxes(swapaxes(x) @ grad)``, ``grad`` summed over the sample
+    axes), so values and gradients are bit-identical to it
+    (``tests/nn/test_functional.py::TestFusedLinear`` keeps the chain as
+    the reference).  The weight gradient is deliberately *not* computed
+    as ``swapaxes(grad) @ x``: contiguous, but not the same bits on this
+    BLAS.
+    """
+    if x.ndim < 1 or weight.ndim < 2:
+        raise ValueError(
+            f"linear expects x (..., N, in) and weight (..., out, in), got "
+            f"x {x.shape} and weight {weight.shape}"
+        )
+    lead = weight.shape[:-2]
+    out_features, in_features = weight.shape[-2:]
+    if x.shape[-1] != in_features or (lead and x.shape[:-2] != lead):
+        raise ValueError(
+            f"linear shape mismatch: x {x.shape} against weight {weight.shape} "
+            "(in sizes and, for a stacked weight, leading axes must agree)"
+        )
+    if bias is not None and bias.shape != weight.shape[:-1]:
+        raise ValueError(
+            f"linear bias shape {bias.shape} != weight shape without in {weight.shape[:-1]}"
+        )
+
+    out_data = x.data @ np.swapaxes(weight.data, -1, -2)
     if bias is not None:
-        out = out + bias
-    return out
+        out_data = out_data + (bias.data[..., None, :] if lead else bias.data)
+    parents = (x, weight) if bias is None else (x, weight, bias)
+
+    def backward_fn(grad: np.ndarray) -> None:
+        # grad: (..., N, out)
+        if x.requires_grad:
+            x._accumulate(grad @ weight.data, owned=True)
+        if weight.requires_grad:
+            if lead:
+                grad_w = _stacked_weight_grad(x.data, grad, weight.shape)
+            else:
+                # One GEMM, nothing to block: through the helper a lone
+                # 8x8 MLP step read 147-160 us against 137-145 us.
+                if x.ndim == 1:
+                    grad_wt = np.outer(x.data, grad)
+                else:
+                    grad_wt = np.swapaxes(x.data, -1, -2) @ grad  # (..., in, out)
+                grad_wt = _unbroadcast(grad_wt, (in_features, out_features))
+                # Fresh, but strided: the hand-off's contiguity rule copies it.
+                grad_w = grad_wt.T
+            weight._accumulate(grad_w, owned=True)
+        if bias is not None and bias.requires_grad:
+            sample_axes = tuple(range(len(lead), grad.ndim - 1))
+            bias._accumulate(grad.sum(axis=sample_axes), owned=True)
+
+    return Tensor._make(out_data, parents, backward_fn)
 
 
 def flatten_images(x: np.ndarray) -> np.ndarray:

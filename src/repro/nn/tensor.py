@@ -15,6 +15,28 @@ The design mirrors the familiar PyTorch semantics at a much smaller scale:
   back to each parent's original shape;
 * :func:`no_grad` disables graph construction for inference-only code.
 
+**Gradient ownership.**  ``Tensor.grad`` is always an array the tensor
+alone owns: ``+=`` on the second accumulation, ``clip_grad_norm`` and the
+optimizers write into it.  A backward closure is therefore one of two
+kinds, decided where it is written.  A *fresh* closure has just computed
+its gradient array and keeps no other reference (``grad * mask``, a GEMM
+result, a zero-filled scatter buffer): it calls
+``_accumulate(array, owned=True)`` and the first accumulation adopts the
+array.  A *pass-through* closure hands on the output node's own buffer or
+a view of it (``__add__`` when nothing was broadcast, ``reshape``,
+``transpose``, ``pad2d``, ``concatenate``, ``stack``, a seed the caller of
+``backward`` supplied): it calls ``_accumulate(array)`` and gets the
+defensive copy, because two tensors must never share a buffer.  Adoption
+further requires the array to be writeable, of the tensor's dtype **and
+C-contiguous**: reductions such as ``clip_grad_norm``'s sum of squares run
+in memory order, so a strided gradient (a lone linear layer's
+``swapaxes`` weight gradient, ``_col2im``'s channel-major ``dx``) would
+change the last bit of a clipped step; such arrays keep the copy, which
+also makes them contiguous (as does the cast of a gradient of another
+dtype), so every ``.grad`` is C-contiguous.
+``tests/nn/test_autograd_ownership.py`` checks the classification against
+an always-copy engine on generated graphs.
+
 Only float64/float32 arrays are expected; integer tensors may be used as
 indices or labels but must not require gradients.
 """
@@ -190,12 +212,22 @@ class Tensor:
             return Tensor(data, requires_grad=True, _parents=parents, _backward_fn=backward_fn)
         return Tensor(data)
 
-    def _accumulate(self, grad: np.ndarray) -> None:
-        """Add ``grad`` into this tensor's gradient buffer."""
-        if self.grad is None:
-            self.grad = grad.astype(self.data.dtype, copy=True) if grad.dtype != self.data.dtype else grad.copy()
-        else:
+    def _accumulate(self, grad: np.ndarray, owned: bool = False) -> None:
+        """Add ``grad`` into this tensor's gradient buffer.
+
+        ``owned=True`` is the backward closure's statement that it has
+        just computed ``grad`` and keeps no other reference to it; the
+        first accumulation then adopts the array instead of copying it
+        (the ownership rule in the module docstring).
+        """
+        if self.grad is not None:
             self.grad += grad
+        elif grad.dtype != self.data.dtype:
+            self.grad = grad.astype(self.data.dtype, order="C")
+        elif owned and grad.flags.c_contiguous and grad.flags.writeable:
+            self.grad = grad
+        else:
+            self.grad = grad.copy()
 
     def backward(self, grad: Optional[np.ndarray] = None) -> None:
         """Backpropagate from this tensor through the recorded graph.
@@ -208,7 +240,8 @@ class Tensor:
         """
         if not self.requires_grad:
             raise RuntimeError("called backward() on a tensor that does not require grad")
-        if grad is None:
+        default_seed = grad is None
+        if default_seed:
             if self.data.size != 1:
                 raise RuntimeError("grad must be supplied for non-scalar backward()")
             grad = np.ones_like(self.data)
@@ -234,7 +267,8 @@ class Tensor:
                 if parent.requires_grad and id(parent) not in visited:
                     stack.append((parent, False))
 
-        self._accumulate(grad)
+        # The default seed was made here; a supplied one is the caller's.
+        self._accumulate(grad, owned=default_seed)
         for node in reversed(order):
             if node._backward_fn is not None and node.grad is not None:
                 node._backward_fn(node.grad)
@@ -247,10 +281,12 @@ class Tensor:
         out_data = self.data + other.data
 
         def backward_fn(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(grad, self.shape))
-            if other.requires_grad:
-                other._accumulate(_unbroadcast(grad, other.shape))
+            # Pass-through: ``grad`` is the output node's own buffer unless
+            # undoing a broadcast summed it into a new array.
+            for operand in (self, other):
+                if operand.requires_grad:
+                    reduced = _unbroadcast(grad, operand.shape)
+                    operand._accumulate(reduced, owned=reduced is not grad)
 
         return Tensor._make(out_data, (self, other), backward_fn)
 
@@ -259,7 +295,7 @@ class Tensor:
     def __neg__(self) -> "Tensor":
         def backward_fn(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(-grad)
+                self._accumulate(-grad, owned=True)
 
         return Tensor._make(-self.data, (self,), backward_fn)
 
@@ -275,9 +311,9 @@ class Tensor:
 
         def backward_fn(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(_unbroadcast(grad * other.data, self.shape))
+                self._accumulate(_unbroadcast(grad * other.data, self.shape), owned=True)
             if other.requires_grad:
-                other._accumulate(_unbroadcast(grad * self.data, other.shape))
+                other._accumulate(_unbroadcast(grad * self.data, other.shape), owned=True)
 
         return Tensor._make(out_data, (self, other), backward_fn)
 
@@ -289,9 +325,9 @@ class Tensor:
 
         def backward_fn(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(_unbroadcast(grad / other.data, self.shape))
+                self._accumulate(_unbroadcast(grad / other.data, self.shape), owned=True)
             if other.requires_grad:
-                other._accumulate(_unbroadcast(-grad * self.data / (other.data ** 2), other.shape))
+                other._accumulate(_unbroadcast(-grad * self.data / (other.data ** 2), other.shape), owned=True)
 
         return Tensor._make(out_data, (self, other), backward_fn)
 
@@ -305,7 +341,7 @@ class Tensor:
 
         def backward_fn(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(grad * exponent * self.data ** (exponent - 1))
+                self._accumulate(grad * exponent * self.data ** (exponent - 1), owned=True)
 
         return Tensor._make(out_data, (self,), backward_fn)
 
@@ -316,14 +352,16 @@ class Tensor:
         def backward_fn(grad: np.ndarray) -> None:
             if self.requires_grad:
                 if other.data.ndim == 1:
-                    self._accumulate(_unbroadcast(np.outer(grad, other.data).reshape(self.shape), self.shape))
+                    grad_self = np.outer(grad, other.data).reshape(self.shape)
                 else:
-                    self._accumulate(_unbroadcast(grad @ np.swapaxes(other.data, -1, -2), self.shape))
+                    grad_self = grad @ np.swapaxes(other.data, -1, -2)
+                self._accumulate(_unbroadcast(grad_self, self.shape), owned=True)
             if other.requires_grad:
                 if self.data.ndim == 1:
-                    other._accumulate(_unbroadcast(np.outer(self.data, grad).reshape(other.shape), other.shape))
+                    grad_other = np.outer(self.data, grad).reshape(other.shape)
                 else:
-                    other._accumulate(_unbroadcast(np.swapaxes(self.data, -1, -2) @ grad, other.shape))
+                    grad_other = np.swapaxes(self.data, -1, -2) @ grad
+                other._accumulate(_unbroadcast(grad_other, other.shape), owned=True)
 
         return Tensor._make(out_data, (self, other), backward_fn)
 
@@ -335,7 +373,7 @@ class Tensor:
 
         def backward_fn(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(grad * out_data)
+                self._accumulate(grad * out_data, owned=True)
 
         return Tensor._make(out_data, (self,), backward_fn)
 
@@ -344,7 +382,7 @@ class Tensor:
 
         def backward_fn(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(grad / self.data)
+                self._accumulate(grad / self.data, owned=True)
 
         return Tensor._make(out_data, (self,), backward_fn)
 
@@ -357,7 +395,7 @@ class Tensor:
 
         def backward_fn(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(grad * mask)
+                self._accumulate(grad * mask, owned=True)
 
         return Tensor._make(out_data, (self,), backward_fn)
 
@@ -366,7 +404,7 @@ class Tensor:
 
         def backward_fn(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(grad * out_data * (1.0 - out_data))
+                self._accumulate(grad * out_data * (1.0 - out_data), owned=True)
 
         return Tensor._make(out_data, (self,), backward_fn)
 
@@ -375,7 +413,7 @@ class Tensor:
 
         def backward_fn(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(grad * (1.0 - out_data ** 2))
+                self._accumulate(grad * (1.0 - out_data ** 2), owned=True)
 
         return Tensor._make(out_data, (self,), backward_fn)
 
@@ -385,7 +423,7 @@ class Tensor:
 
         def backward_fn(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(grad * sign)
+                self._accumulate(grad * sign, owned=True)
 
         return Tensor._make(out_data, (self,), backward_fn)
 
@@ -395,7 +433,7 @@ class Tensor:
 
         def backward_fn(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(grad * mask)
+                self._accumulate(grad * mask, owned=True)
 
         return Tensor._make(out_data, (self,), backward_fn)
 
@@ -411,7 +449,7 @@ class Tensor:
             g = grad
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis=axis)
-            self._accumulate(np.broadcast_to(g, self.shape).copy())
+            self._accumulate(np.broadcast_to(g, self.shape).copy(), owned=True)
 
         return Tensor._make(out_data, (self,), backward_fn)
 
@@ -442,7 +480,7 @@ class Tensor:
             mask = self.data == expanded
             # Split the gradient among ties so the total is conserved.
             counts = mask.sum(axis=axis if axis is not None else None, keepdims=True)
-            self._accumulate(mask * g / counts)
+            self._accumulate(mask * g / counts, owned=True)
 
         return Tensor._make(out_data, (self,), backward_fn)
 
@@ -474,11 +512,12 @@ class Tensor:
         if not axes:
             axes = tuple(reversed(range(self.ndim)))
         out_data = self.data.transpose(axes)
-        inverse = tuple(np.argsort(axes))
 
         def backward_fn(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(grad.transpose(inverse))
+                # The inverse permutation is backward's business: under
+                # no_grad, or when no gradient arrives, it is never needed.
+                self._accumulate(grad.transpose(np.argsort(axes)))
 
         return Tensor._make(out_data, (self,), backward_fn)
 
@@ -491,7 +530,7 @@ class Tensor:
             if self.requires_grad:
                 full = np.zeros_like(self.data)
                 np.add.at(full, index, grad)
-                self._accumulate(full)
+                self._accumulate(full, owned=True)
 
         return Tensor._make(np.array(out_data, copy=True), (self,), backward_fn)
 
@@ -553,8 +592,8 @@ def where(condition: ArrayLike, a: ArrayLike, b: ArrayLike) -> Tensor:
 
     def backward_fn(grad: np.ndarray) -> None:
         if a.requires_grad:
-            a._accumulate(_unbroadcast(grad * cond, a.shape))
+            a._accumulate(_unbroadcast(grad * cond, a.shape), owned=True)
         if b.requires_grad:
-            b._accumulate(_unbroadcast(grad * ~cond, b.shape))
+            b._accumulate(_unbroadcast(grad * ~cond, b.shape), owned=True)
 
     return Tensor._make(out_data, (a, b), backward_fn)

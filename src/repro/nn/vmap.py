@@ -12,8 +12,12 @@ the stacked forward/backward reproduces client ``k``'s standalone run;
 the parity tests in ``tests/nn/test_vmap.py`` pin this bit for bit on
 every supported layer.
 
-Supported layers: ``Linear``, ``Conv2d`` (via
-:func:`~repro.nn.functional.conv2d_stacked`), ``ReLU``, ``Identity``,
+Supported layers: ``Linear`` and ``Conv2d`` (via
+:func:`~repro.nn.functional.linear` and
+:func:`~repro.nn.functional.conv2d_stacked`: the scalar layer's own
+kernel with the stack as a GEMM batch axis, so neither has a stacked
+twin; only the ragged step's true-row GEMMs, :func:`_ragged_linear`,
+live here), ``ReLU``, ``Identity``,
 ``Flatten``, ``MaxPool2d`` / ``AvgPool2d`` (stack and batch axes merge —
 pooling is per-sample, so the merged call is the per-client call on a
 bigger batch), ``Dropout`` (each slice's mask is drawn from its *own*
@@ -155,28 +159,30 @@ def _ragged_linear(
             for k, rows in enumerate(row_counts):
                 if rows:
                     grad_x[k, :rows] = grad[k, :rows] @ weight.data[k]
-            x._accumulate(grad_x)
+            x._accumulate(grad_x, owned=True)
         if weight.requires_grad:
             grad_w = np.zeros_like(weight.data)
             for k, rows in enumerate(row_counts):
                 if rows:
-                    # The per-client chain computes x.T @ grad into the
-                    # transposed-weight view, then transposes it back.
+                    # F.linear's own weight contraction: x.T @ grad,
+                    # transposed back.
                     grad_w[k] = (x.data[k, :rows].T @ grad[k, :rows]).T
-            weight._accumulate(grad_w)
+            weight._accumulate(grad_w, owned=True)
         if bias is not None and bias.requires_grad:
             grad_b = np.zeros_like(bias.data)
             for k, rows in enumerate(row_counts):
                 if rows:
                     grad_b[k] = grad[k, :rows].sum(axis=(0,))
-            bias._accumulate(grad_b)
+            bias._accumulate(grad_b, owned=True)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return Tensor._make(out_data, parents, backward_fn)
 
 
 class StackedLinear(StackedLeaf):
-    """K fully connected layers as one batched GEMM per step."""
+    """K fully connected layers through :func:`~repro.nn.functional.linear`
+    itself, the stack axis being the batch axis of its GEMMs — slice
+    parity is by shared code."""
 
     def __init__(self, sources: List[Linear]) -> None:
         super().__init__(sources)
@@ -186,21 +192,10 @@ class StackedLinear(StackedLeaf):
             self.bias = _stacked_parameter([m.bias.data for m in sources])
 
     def forward(self, x: Tensor) -> Tensor:
+        bias = self.bias if self.has_bias else None
         if _is_ragged(self.row_counts, x.shape[1]):
-            return _ragged_linear(
-                x,
-                self.weight,
-                self.bias if self.has_bias else None,
-                self.row_counts,
-            )
-        # Slice k computes x[k] @ W[k].T + b[k] — the same contraction and
-        # broadcast F.linear issues for one client.
-        out = x @ self.weight.transpose(0, 2, 1)
-        if self.has_bias:
-            out = out + self.bias.reshape(
-                self.bias.shape[0], 1, self.bias.shape[1]
-            )
-        return out
+            return _ragged_linear(x, self.weight, bias, self.row_counts)
+        return F.linear(x, self.weight, bias)
 
     def sync_back(self) -> None:
         for k, source in enumerate(self.sources):

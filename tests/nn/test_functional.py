@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.nn import Tensor, no_grad
 from repro.nn import functional as F
 
-from ..conftest import numeric_grad
+from ..conftest import generated, numeric_grad
 
 
 def reference_conv2d(x, w, b, stride, padding):
@@ -437,3 +437,149 @@ class TestFusedLogSoftmax:
         x = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
         F.log_softmax(x, axis=1).sum().backward()
         np.testing.assert_allclose(x.grad.sum(axis=1), np.zeros(4), atol=1e-12)
+
+
+class TestFusedLinear:
+    """F.linear is one graph node behind ``Linear`` and ``StackedLinear``.
+    The fusion must be invisible: the output and the gradients of ``x``,
+    ``weight`` and ``bias`` bit-identical to the transpose -> matmul -> add
+    chain it replaced, and slice ``k`` of a stacked call bit-identical to
+    the lone call on ``x[k]``."""
+
+    @staticmethod
+    def composed_linear(x, weight, bias):
+        # The pre-fusion implementations, kept here as the reference:
+        # F.linear's scalar chain and StackedLinear.forward's stacked one.
+        if weight.ndim == 2:
+            out = x @ weight.T
+            return out if bias is None else out + bias
+        out = x @ weight.transpose(0, 2, 1)
+        if bias is None:
+            return out
+        return out + bias.reshape(bias.shape[0], 1, bias.shape[1])
+
+    @staticmethod
+    def run(fn, values, x_requires_grad, upstream):
+        x, *params = [
+            Tensor(v.copy(), requires_grad=x_requires_grad or index > 0)
+            for index, v in enumerate(values)
+        ]
+        out = fn(x, params[0], params[1] if len(params) > 1 else None)
+        out.backward(upstream)
+        return out, [x, *params]
+
+    @generated(150)
+    @given(
+        stack=st.one_of(st.none(), st.integers(1, 3)),
+        n=st.integers(0, 5),
+        in_features=st.integers(1, 6),
+        out_features=st.integers(1, 5),
+        use_bias=st.booleans(),
+        dtype=st.sampled_from([np.float64, np.float32]),
+        x_requires_grad=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_bit_identical_to_composed_chain_and_slices_to_lone_layer(
+        self, stack, n, in_features, out_features, use_bias, dtype,
+        x_requires_grad, seed,
+    ):
+        rng = np.random.default_rng(seed)
+        lead = () if stack is None else (stack,)
+        values = [
+            rng.normal(size=lead + (n, in_features)).astype(dtype),
+            rng.normal(size=lead + (out_features, in_features)).astype(dtype),
+        ]
+        if use_bias:
+            values.append(rng.normal(size=lead + (out_features,)).astype(dtype))
+        upstream = rng.normal(size=lead + (n, out_features)).astype(dtype)
+
+        fused, fused_leaves = self.run(F.linear, values, x_requires_grad, upstream)
+        composed, composed_leaves = self.run(
+            self.composed_linear, values, x_requires_grad, upstream
+        )
+        assert fused.dtype == dtype
+        assert fused.data.tobytes() == composed.data.tobytes()
+        for one, reference in zip(fused_leaves, composed_leaves):
+            if not one.requires_grad:
+                assert one.grad is None
+                continue
+            assert one.grad.dtype == dtype and one.grad.shape == one.shape
+            assert one.grad.tobytes() == reference.grad.tobytes()
+
+        for k in range(stack or 0):
+            lone, lone_leaves = self.run(
+                F.linear, [v[k] for v in values], x_requires_grad, upstream[k]
+            )
+            assert lone.data.tobytes() == fused.data[k].tobytes()
+            for one, stacked in zip(lone_leaves, fused_leaves):
+                if one.requires_grad:
+                    assert one.grad.tobytes() == stacked.grad[k].tobytes()
+
+    @pytest.mark.parametrize("x_shape", [(4,), (2, 3, 4)])
+    def test_ranks_the_chain_accepted_over_a_lone_weight(self, rng, x_shape):
+        # A single (in,) sample, and extra leading axes of x whose weight /
+        # bias gradients sum down to the parameter shapes.
+        values = [
+            rng.normal(size=x_shape), rng.normal(size=(5, 4)), rng.normal(size=(5,))
+        ]
+        upstream = rng.normal(size=x_shape[:-1] + (5,))
+        fused, fused_leaves = self.run(F.linear, values, True, upstream)
+        composed, composed_leaves = self.run(self.composed_linear, values, True, upstream)
+        assert fused.data.tobytes() == composed.data.tobytes()
+        for one, reference in zip(fused_leaves, composed_leaves):
+            assert one.grad.shape == one.shape
+            assert one.grad.tobytes() == reference.grad.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("lead", [(9,), (2, 3)])
+    def test_stack_wider_than_one_weight_gradient_block(self, rng, lead, dtype):
+        # The stacked weight gradient is issued a block of slices at a
+        # time (here 5 + 4, and 5 + 1 over two flattened stack axes): the
+        # blocking must not show in the bits.
+        n, in_features, out_features = 8, 64, 48
+        assert 1 < F._WEIGHT_GRAD_BLOCK // (in_features * out_features) < np.prod(lead)
+        values = [
+            rng.normal(size=lead + (n, in_features)).astype(dtype),
+            rng.normal(size=lead + (out_features, in_features)).astype(dtype),
+            rng.normal(size=lead + (out_features,)).astype(dtype),
+        ]
+        upstream = rng.normal(size=lead + (n, out_features)).astype(dtype)
+        fused, fused_leaves = self.run(F.linear, values, True, upstream)
+        if len(lead) == 1:
+            composed, composed_leaves = self.run(self.composed_linear, values, True, upstream)
+            assert fused.data.tobytes() == composed.data.tobytes()
+            for one, reference in zip(fused_leaves, composed_leaves):
+                assert one.grad.tobytes() == reference.grad.tobytes()
+        for k in np.ndindex(*lead):
+            lone, lone_leaves = self.run(F.linear, [v[k] for v in values], True, upstream[k])
+            assert lone.data.tobytes() == fused.data[k].tobytes()
+            for one, stacked in zip(lone_leaves, fused_leaves):
+                assert one.grad.tobytes() == stacked.grad[k].tobytes()
+
+    def test_is_one_graph_node(self, rng):
+        x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        w = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
+        b = Tensor(rng.normal(size=(2,)), requires_grad=True)
+        out = F.linear(x, w, b)
+        assert out._parents == (x, w, b)
+
+    @pytest.mark.parametrize(
+        "x_shape, w_shape, b_shape",
+        [
+            ((3, 4), (2, 5), None),            # in sizes disagree
+            ((2, 3, 4), (3, 2, 4), None),      # stack sizes disagree
+            ((3, 4), (2, 2, 4), None),         # lone x against a stacked weight
+            ((1, 3, 4), (2, 2, 4), None),      # would broadcast silently
+            ((2, 3, 4), (2, 2, 4), (2,)),      # lone bias against a stacked weight
+            ((3, 4), (2, 4), (1, 2)),          # bias is not the weight without in
+            ((3, 4), (4,), None),              # weight needs (out, in)
+        ],
+    )
+    def test_shape_mismatch_raises_naming_both_shapes(self, x_shape, w_shape, b_shape):
+        x, w = Tensor(np.zeros(x_shape)), Tensor(np.zeros(w_shape))
+        b = None if b_shape is None else Tensor(np.zeros(b_shape))
+        with pytest.raises(ValueError) as error:
+            F.linear(x, w, b)
+        named = (b_shape, w_shape[:-1]) if b_shape is not None else (x_shape, w_shape)
+        for shape in named:
+            assert str(shape) in str(error.value)
