@@ -65,12 +65,7 @@ from .simulation import (
     SimulationHistory,
     make_aggregator,
 )
-from .vectorized import (
-    VectorizedCohort,
-    VectorizedTrainTask,
-    cohort_fallback_reason,
-    make_vectorized_task,
-)
+from .vectorized import VectorizedCohort, fuse
 
 __all__ = [
     "state_math",
@@ -119,7 +114,5 @@ __all__ = [
     "RoundRecord",
     "make_aggregator",
     "VectorizedCohort",
-    "VectorizedTrainTask",
-    "cohort_fallback_reason",
-    "make_vectorized_task",
+    "fuse",
 ]

@@ -53,6 +53,7 @@ from . import state_math
 from .aggregation import BufferedAggregator, BufferedUpdate, FedAvgAggregator
 from .metering import CostMeter, state_bytes
 from .state_math import StateDict
+from .vectorized import arch_probe, backend_worker_count, fuse
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (simulation → engine)
     from .client import Client
@@ -190,16 +191,17 @@ class _VecGroup:
     entries.
 
     The cohort's training runs as a batch of contiguous stack chunks
-    (:meth:`~repro.federated.vectorized.VectorizedTrainTask.split` sized
-    to the backend's workers, so vectorization and the pool/cluster
-    compose) the first time any member's arrival needs a result; the
+    (:meth:`~repro.runtime.task.StackedTask.split` sized to the
+    backend's workers, so vectorization and the pool/cluster compose —
+    the same ``fuse(...).split(workers)`` the synchronous planner makes)
+    the first time any member's arrival needs a result; the
     per-member results are then handed out as each member's own virtual
     arrival fires.  Virtual arrival times — and therefore fold
     membership, staleness and drop behaviour — stay per-member, exactly
     as in per-client dispatch.
     """
 
-    chunks: List[Any]  # VectorizedTrainTask stack chunks, member order
+    chunks: List[Any]  # StackedTask chunks, member order
     ticket: Optional[int]  # one pool ticket covering every chunk
     results: Optional[List[TrainResult]] = None  # flattened, member order
 
@@ -382,8 +384,8 @@ class BufferedRoundEngine:
 
         With ``sim.vectorize`` set, an eligible dispatch wave (the
         members not already in flight and not timed out) becomes one
-        :class:`~repro.federated.vectorized.VectorizedTrainTask` shared
-        through a :class:`_VecGroup` — per-member latencies, arrival
+        :class:`~repro.runtime.task.StackedTask` shared through a
+        :class:`_VecGroup` — per-member latencies, arrival
         events and the lazy per-member dense downlink charge are
         unchanged, so the virtual schedule and the folded results are
         identical to per-client dispatch.
@@ -421,15 +423,13 @@ class BufferedRoundEngine:
             ]
             group: Optional[_VecGroup] = None
             if self.sim.vectorize:
-                reason = self.sim.cohort_fallback_reason(tasks)
+                reason = TrainTask.stack_fallback_reason(
+                    tasks, arch_probe(self.sim.model_factory).stackable
+                )
                 if reason is None:
-                    from .vectorized import (
-                        backend_worker_count,
-                        make_vectorized_task,
+                    chunks = fuse(tasks, broadcast_state).split(
+                        backend_worker_count(self.sim.backend)
                     )
-
-                    vtask = make_vectorized_task(tasks, broadcast_state)
-                    chunks = vtask.split(backend_worker_count(self.sim.backend))
                     ticket = (
                         self.sim.backend.submit(chunks) if self._streams else None
                     )

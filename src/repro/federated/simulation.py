@@ -265,9 +265,6 @@ class FederatedSimulation:
             # across the backend's workers: {n_chunks: round count}.
             "chunks": {},
         }
-        # Lazily-probed stack_modules() verdicts, keyed by model factory
-        # ("" = stackable; otherwise the reason).
-        self._arch_reasons: Dict[object, str] = {}
         # Buffered-async mode is strictly opt-in: without an AsyncRoundConfig
         # no engine is ever constructed and every round runs the historical
         # synchronous barrier loop bit for bit.
@@ -399,7 +396,6 @@ class FederatedSimulation:
 
             plan = plan_cohort(
                 tasks,
-                arch_probe=self._arch_probe,
                 workers=backend_worker_count(runner),
                 shared_basis=shared_basis,
             )
@@ -427,25 +423,6 @@ class FederatedSimulation:
         round_stats = account_model_traffic(runner, tasks, results)
         self.transport.add(round_stats)
         return results, round_stats
-
-    def _arch_probe(self, model_factory) -> Optional[str]:
-        """Cached :func:`~repro.nn.vmap.stackable_reason` per factory."""
-        from ..nn.vmap import stackable_reason
-
-        try:
-            cached = self._arch_reasons.get(model_factory)
-        except TypeError:  # unhashable factory: probe uncached
-            return stackable_reason(model_factory()) or None
-        if cached is None:
-            cached = stackable_reason(model_factory()) or ""
-            self._arch_reasons[model_factory] = cached
-        return cached or None
-
-    def cohort_fallback_reason(self, tasks) -> Optional[str]:
-        """Why this task batch cannot vectorize (``None`` = eligible)."""
-        from .vectorized import cohort_fallback_reason
-
-        return cohort_fallback_reason(tasks, self._arch_probe(self.model_factory))
 
     def _record_fallback(self, reason: str, count_round: bool = True) -> None:
         stats = self._vectorize_stats

@@ -23,10 +23,13 @@ The stacked path preserves every per-client semantic:
   same order; slice results are **bit-identical** to the per-client path
   on every supported layer (pinned by ``tests/nn/test_vmap.py`` and the
   end-to-end round parity tests).
-* **Results plumbing** — :class:`VectorizedTrainTask` returns one
-  ordinary :class:`~repro.runtime.task.TrainResult` per member (same
-  codec encoding, same RNG capture), so clients absorb them exactly as
-  they absorb per-client results, on every backend.
+* **Results plumbing** — a stack is a list of tasks:
+  :class:`~repro.runtime.task.StackedTask` holds the K scalar tasks
+  themselves and returns one ordinary result per member (for
+  :class:`~repro.runtime.task.TrainTask` members a
+  :class:`~repro.runtime.task.TrainResult`: same codec encoding, same
+  RNG capture), so clients absorb them exactly as they absorb
+  per-client results, on every backend.
 
 * **The loop** — :meth:`VectorizedCohort.train` does not mirror
   :func:`repro.training.trainer.train`; both run
@@ -37,8 +40,9 @@ The stacked path preserves every per-client semantic:
 
 Eligibility
 -----------
-:func:`stack_fallback_reason` is the one gate of the fast path (train,
-Goldfish and B2 cohorts all ask it): the cohort must have ≥ 2 members
+:func:`stack_fallback_reason` is the one gate of the fast path (every
+stackable task kind's own ``stack_fallback_reason`` asks it — train,
+Goldfish and B2 cohorts alike): the cohort must have ≥ 2 members
 with equal train configs, a stackable architecture
 (:func:`repro.nn.vmap.stack_modules`), equal sample shapes and dtypes,
 and equal per-member *step counts*.  Member dataset sizes may differ as
@@ -47,7 +51,8 @@ zero-padded, with each slice computed at its true row count (row-exact
 per-slice GEMMs, per-slice loss heads) — unless the architecture
 contains a layer whose gradients contract over the batch axis
 (``Conv2d``), which :func:`repro.nn.vmap.ragged_support_reason` gates
-out.  Gradient clipping runs as per-slice global norms
+out (:func:`arch_probe` asks both architecture questions once per
+factory).  Gradient clipping runs as per-slice global norms
 (:func:`repro.nn.optim.clip_grad_norm` with the stack size).  Ineligible
 cohorts fall back to the per-client path with a recorded reason — never
 silently.
@@ -58,7 +63,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field, replace
 from functools import reduce
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -71,42 +76,11 @@ from ..nn.vmap import (
     VmapUnsupported,
     ragged_support_reason,
     stack_modules,
+    stackable_reason,
 )
-from ..runtime.task import (
-    RngState,
-    StateDict,
-    TrainResult,
-    TrainTask,
-    capture_rng,
-    encode_trained_state,
-    restore_rng,
-)
+from ..runtime.task import StackedTask, StateDict, TrainTask
 from ..training.config import TrainConfig, TrainHistory
 from ..training.trainer import follow_dataset_dtype, make_optimizer, run_epochs
-
-
-def split_stack(task: Any, n_chunks: int, member_fields: Sequence[str]) -> List[Any]:
-    """Deterministic contiguous partition of a stacked task into sub-stacks.
-
-    Each chunk is a copy of the dataclass ``task`` with ``task_ids`` and
-    the per-member list fields named in ``member_fields`` sliced to one
-    contiguous member range (an optional list left empty stays empty);
-    everything else — the broadcast basis, configs — is shared by
-    reference.  Stacking is bit-exact per slice, so the chunks' results
-    concatenate to the unsplit run's, member for member.  ``n_chunks`` is
-    clamped to ``[1, K]``, so callers pass their worker count as is.
-    """
-    k = len(task.task_ids)
-    n_chunks = max(1, min(int(n_chunks), k))
-    if n_chunks == 1:
-        return [task]
-    fields = ("task_ids", *member_fields)
-    chunks = []
-    for part in np.array_split(np.arange(k), n_chunks):
-        lo, hi = int(part[0]), int(part[-1]) + 1
-        members = {name: getattr(task, name)[lo:hi] for name in fields}
-        chunks.append(replace(task, task_id=tuple(members["task_ids"]), **members))
-    return chunks
 
 
 class VectorizedCohort:
@@ -197,86 +171,6 @@ class VectorizedCohort:
         return histories
 
 
-@dataclass
-class VectorizedTrainTask:
-    """One cohort's round of local training as a single pure work unit.
-
-    Drop-in for a batch of K :class:`~repro.runtime.task.TrainTask`\\ s:
-    any backend runs it through its zero-arg :meth:`run`, and the result
-    is the list of the K members' ordinary
-    :class:`~repro.runtime.task.TrainResult`\\ s in member order.  The
-    broadcast basis is carried **once** (``model_state``, the same field
-    name the worker pool's version-addressed broadcast cache lifts), not
-    K times.
-    """
-
-    task_id: Any  # tuple(member ids) — one dispatchable unit
-    task_ids: List[Any]  # per-member ids, in stack order
-    model_factory: Callable[[], Module]
-    datasets: List[ArrayDataset]
-    config: TrainConfig
-    rng_states: List[RngState]
-    model_state: Optional[StateDict] = None
-    indices: List[Optional[np.ndarray]] = field(default_factory=list)
-    codec: str = "raw"
-    model_version: Optional[str] = None
-    residuals: List[Optional[StateDict]] = field(default_factory=list)
-    # Per-member initial states for cohorts whose members do *not* share
-    # a broadcast basis (e.g. SISA shards mid-chain).  Empty ⇒ every
-    # member loads ``model_state`` (or trains factory-fresh when that is
-    # None too).  When set, a member's own entry is also its codec basis.
-    member_states: List[Optional[StateDict]] = field(default_factory=list)
-
-    def run(self) -> List[TrainResult]:
-        k = len(self.task_ids)
-        models = [self.model_factory() for _ in range(k)]
-        if self.member_states:
-            for model, state in zip(models, self.member_states):
-                if state is not None:
-                    model.load_state_dict(state)
-        elif self.model_state is not None:
-            for model in models:
-                model.load_state_dict(self.model_state)
-        rngs = [restore_rng(state) for state in self.rng_states]
-        indices = self.indices if self.indices else [None] * k
-        datasets = [
-            dataset if chosen is None else dataset.subset(chosen)
-            for dataset, chosen in zip(self.datasets, indices)
-        ]
-        cohort = VectorizedCohort(models, datasets, rngs)
-        histories = cohort.train(self.config)
-        residuals = self.residuals if self.residuals else [None] * k
-        results: List[TrainResult] = []
-        for index in range(k):
-            basis = (
-                self.member_states[index] if self.member_states else self.model_state
-            )
-            state, update, update_nbytes, new_residual = encode_trained_state(
-                self.codec,
-                models[index].state_dict(),
-                basis,
-                residuals[index],
-            )
-            results.append(
-                TrainResult(
-                    task_id=self.task_ids[index],
-                    state=state,
-                    history=histories[index],
-                    rng_state=capture_rng(rngs[index]),
-                    update=update,
-                    update_nbytes=update_nbytes,
-                    residual=new_residual,
-                )
-            )
-        return results
-
-    def split(self, n_chunks: int) -> List["VectorizedTrainTask"]:
-        """Contiguous stack chunks (:func:`split_stack`); the pool's
-        version-addressed cache dedupes the shared basis per worker."""
-        fields = ("datasets", "rng_states", "indices", "residuals", "member_states")
-        return split_stack(self, n_chunks, fields)
-
-
 def stack_fallback_reason(
     configs: Sequence[TrainConfig],
     sizes: Sequence[int],
@@ -287,12 +181,12 @@ def stack_fallback_reason(
 ) -> Optional[str]:
     """Why these members cannot train as one stack (``None`` = they can).
 
-    The one gate behind every fuser.  ``configs`` and ``sizes`` are the
+    The one gate behind every stackable kind's own
+    ``stack_fallback_reason``.  ``configs`` and ``sizes`` are the
     members' train configs and active dataset sizes (the sizes set the
     step count); ``datasets`` every dataset a step stacks batches of;
-    ``arch_reason`` the cached :func:`repro.nn.vmap.stackable_reason`
-    probe of the shared architecture and ``ragged_reason`` the cached
-    :func:`repro.nn.vmap.ragged_support_reason` probe — consulted only
+    ``arch_reason`` and ``ragged_reason`` the two halves of the shared
+    architecture's :func:`arch_probe` — the second consulted only
     when zero-padded (ragged) batches would actually occur, i.e. when
     ``sizes`` differ or Goldfish's ``forget_sizes`` (stacked per step
     too) do.
@@ -331,66 +225,35 @@ def stack_fallback_reason(
     return None
 
 
-def cohort_fallback_reason(
-    tasks: Sequence[TrainTask],
-    arch_reason: Optional[str],
-    ragged_reason: Optional[str] = None,
-) -> Optional[str]:
-    """:func:`stack_fallback_reason` for the per-client
-    :class:`~repro.runtime.task.TrainTask` batch a round would otherwise
-    dispatch (the caller probes the factory once, not per round)."""
-    return stack_fallback_reason(
-        [task.config for task in tasks],
-        [
-            len(task.dataset) if task.indices is None else len(task.indices)
-            for task in tasks
-        ],
-        [task.dataset for task in tasks],
-        arch_reason,
-        ragged_reason,
-    )
+class ArchReasons(NamedTuple):
+    """What :func:`arch_probe` found out about one architecture."""
+
+    stackable: Optional[str]  # repro.nn.vmap.stackable_reason
+    ragged: Optional[str]  # repro.nn.vmap.ragged_support_reason
 
 
-_RAGGED_REASONS: dict = {}
+_ARCH_REASONS: Dict[Any, ArchReasons] = {}
 
 
-def ragged_probe(model_factory: Callable[[], Module]) -> Optional[str]:
-    """Cached :func:`~repro.nn.vmap.ragged_support_reason` per factory.
+def arch_probe(model_factory: Callable[[], Module]) -> ArchReasons:
+    """Why the factory's architecture cannot stack / cannot take ragged
+    steps (``None`` = it can), from one probe model per distinct factory.
 
-    Architecture is a property of the factory, so one probe model per
-    distinct factory suffices (mirrors the simulation's stackability
-    cache; keying by the factory object itself keeps it alive, so ids
-    are never recycled).
+    Architecture is a property of the factory, so every caller — the
+    simulation's round planner, the SISA chain path, the tasks' own
+    ``stack_fallback_reason`` — shares this one cache (keying by the
+    factory object itself keeps it alive, so ids are never recycled).
     """
-    if model_factory not in _RAGGED_REASONS:
-        _RAGGED_REASONS[model_factory] = ragged_support_reason(model_factory())
-    return _RAGGED_REASONS[model_factory]
-
-
-def make_vectorized_task(
-    tasks: Sequence[TrainTask],
-    model_state: Optional[StateDict],
-) -> VectorizedTrainTask:
-    """Fuse an eligible cohort's per-client tasks into one vectorized task.
-
-    ``model_state`` is the round's broadcast basis, carried once for the
-    whole cohort — the caller passes the state it just broadcast (every
-    member's ``task.model_state`` is a copy of it).
-    """
-    first = tasks[0]
-    return VectorizedTrainTask(
-        task_id=tuple(task.task_id for task in tasks),
-        task_ids=[task.task_id for task in tasks],
-        model_factory=first.model_factory,
-        datasets=[task.dataset for task in tasks],
-        config=first.config,
-        rng_states=[task.rng_state for task in tasks],
-        model_state=model_state,
-        indices=[task.indices for task in tasks],
-        codec=first.codec,
-        model_version=first.model_version,
-        residuals=[task.residual for task in tasks],
-    )
+    try:
+        cached, cacheable = _ARCH_REASONS.get(model_factory), True
+    except TypeError:  # unhashable factory: probe uncached
+        cached, cacheable = None, False
+    if cached is None:
+        model = model_factory()
+        cached = ArchReasons(stackable_reason(model), ragged_support_reason(model))
+        if cacheable:
+            _ARCH_REASONS[model_factory] = cached
+    return cached
 
 
 # ----------------------------------------------------------------------
@@ -410,68 +273,47 @@ def _states_equal(a: StateDict, b: StateDict) -> bool:
     )
 
 
-class TrainTaskFuser:
-    """Fuses stock :class:`~repro.runtime.task.TrainTask` cohorts."""
-
-    kind = "train"
-
-    def matches(self, task: Any) -> bool:
-        return type(task) is TrainTask
-
-    def model_factory(self, task: TrainTask) -> Callable[[], Module]:
-        return task.model_factory
-
-    def group_key(self, task: TrainTask) -> Any:
-        return (task.codec, task.model_version)
-
-    def fallback_reason(
-        self, tasks: Sequence[TrainTask], arch_reason: Optional[str]
-    ) -> Optional[str]:
-        return cohort_fallback_reason(
-            tasks, arch_reason, ragged_probe(tasks[0].model_factory)
-        )
-
-    def fuse(
-        self,
-        tasks: Sequence[TrainTask],
-        shared_basis: Optional[StateDict] = None,
-    ) -> VectorizedTrainTask:
-        if shared_basis is not None:
-            return make_vectorized_task(tasks, shared_basis)
-        states = [task.model_state for task in tasks]
-        first = states[0]
-        if all(state is None for state in states):
-            return make_vectorized_task(tasks, None)
-        if all(state is first for state in states) or (
-            all(state is not None for state in states)
-            and tasks[0].model_version is not None
-            and all(task.model_version == tasks[0].model_version for task in tasks)
-        ):
-            return make_vectorized_task(tasks, first)
-        if all(state is not None for state in states) and all(
-            _states_equal(state, first) for state in states[1:]
-        ):
-            # Post-broadcast cohorts carry equal-valued copies; load (and
-            # encode against) the first — bit-identical to per-member.
-            return make_vectorized_task(tasks, first)
-        vtask = make_vectorized_task(tasks, None)
-        vtask.member_states = list(states)
-        return vtask
-
-
-_FUSERS: List[Any] = [TrainTaskFuser()]
-
-
-def register_fuser(fuser: Any) -> None:
-    """Add a protocol task fuser (checked before the stock train fuser)."""
-    _FUSERS.insert(0, fuser)
-
-
-def find_fuser(task: Any) -> Optional[Any]:
-    for fuser in _FUSERS:
-        if fuser.matches(task):
-            return fuser
+def _shared_state(tasks: Sequence[TrainTask]) -> Optional[StateDict]:
+    """The one state every member would load, if there is one: the same
+    object, a stamped version in common, or equal values (post-broadcast
+    cohorts carry equal-valued copies; loading — and encoding against —
+    the first is bit-identical to per-member)."""
+    states = [task.model_state for task in tasks]
+    first = states[0]
+    if any(state is None for state in states):
+        return None
+    version = tasks[0].model_version
+    if (
+        all(state is first for state in states)
+        or (version is not None and all(task.model_version == version for task in tasks))
+        or all(_states_equal(state, first) for state in states[1:])
+    ):
+        return first
     return None
+
+
+def fuse(tasks: Sequence[Any], shared_basis: Optional[StateDict] = None) -> StackedTask:
+    """One :class:`~repro.runtime.task.StackedTask` over ``tasks`` (one
+    stackable kind, gate already passed).
+
+    :class:`~repro.runtime.task.TrainTask` members that share a broadcast
+    basis — ``shared_basis`` when the caller names the state it just
+    broadcast, else whatever :func:`_shared_state` finds — hand it to the
+    stack and drop their own copies, so it travels once; otherwise every
+    member keeps its own state (SISA shards mid-chain, factory-fresh
+    members).  Protocol tasks always keep theirs: they carry per-member
+    states by construction, and lifting one would change the bytes a
+    pool ships.
+    """
+    tasks = list(tasks)
+    task_id = tuple(task.task_id for task in tasks)
+    basis = None
+    if isinstance(tasks[0], TrainTask):
+        basis = shared_basis if shared_basis is not None else _shared_state(tasks)
+    if basis is None:
+        return StackedTask(task_id, tasks)
+    members = [replace(task, model_state=None, model_version=None) for task in tasks]
+    return StackedTask(task_id, members, basis, tasks[0].model_version)
 
 
 @dataclass
@@ -486,68 +328,56 @@ class CohortPlan:
     units: List[Any] = field(default_factory=list)
     slots: List[Any] = field(default_factory=list)
     fused_groups: int = 0
-    fused_members: int = 0
     chunk_counts: List[int] = field(default_factory=list)
     fallback_reasons: List[str] = field(default_factory=list)
 
 
 def plan_cohort(
     tasks: Sequence[Any],
-    arch_probe: Callable[[Callable[[], Module]], Optional[str]],
     workers: int,
     shared_basis: Optional[StateDict] = None,
 ) -> CohortPlan:
     """Group a task batch into fusable cohorts and stack-chunk each one.
 
-    Tasks of the same kind and group key form a cohort; eligible cohorts
-    (per their fuser's gate) fuse into one stacked unit split into
-    ``min(members, workers)`` contiguous chunks, so vectorization and
-    multi-worker backends compose.  Everything else dispatches as the
-    original per-member task, with the distinct reasons recorded.
-    ``arch_probe`` maps a model factory to its cached
-    :func:`~repro.nn.vmap.stackable_reason` (None = stackable).
+    Tasks of the same type and ``stack_key()`` form a cohort; eligible
+    cohorts (per their kind's ``stack_fallback_reason``) fuse into one
+    stacked unit split into ``min(members, workers)`` contiguous chunks,
+    so vectorization and multi-worker backends compose.  Everything else
+    dispatches as the original per-member task, with the distinct
+    reasons recorded.
     """
     tasks = list(tasks)
     plan = CohortPlan(slots=[None] * len(tasks))
-    groups: dict = {}
-    order: List[Any] = []
+    groups: Dict[Any, List[int]] = {}  # insertion-ordered
     for index, task in enumerate(tasks):
-        fuser = find_fuser(task)
-        if fuser is None:
+        if not hasattr(task, "stack_key"):
             reason = (
                 f"no vectorized implementation for {type(task).__name__}"
             )
             if reason not in plan.fallback_reasons:
                 plan.fallback_reasons.append(reason)
             continue
-        key = (fuser.kind, fuser.group_key(task))
-        if key not in groups:
-            groups[key] = (fuser, [])
-            order.append(key)
-        groups[key][1].append(index)
-    for key in order:
-        fuser, indices = groups[key]
+        groups.setdefault((type(task), task.stack_key()), []).append(index)
+    for (kind, _), indices in groups.items():
         group_tasks = [tasks[i] for i in indices]
         if len(group_tasks) < 2:
             reason: Optional[str] = "cohort has a single participant"
         else:
-            reason = fuser.fallback_reason(
-                group_tasks, arch_probe(fuser.model_factory(group_tasks[0]))
+            reason = kind.stack_fallback_reason(
+                group_tasks, arch_probe(group_tasks[0].model_factory).stackable
             )
         if reason is not None:
             if reason not in plan.fallback_reasons:
                 plan.fallback_reasons.append(reason)
             continue
-        fused = fuser.fuse(group_tasks, shared_basis)
-        chunks = fused.split(workers)
+        chunks = fuse(group_tasks, shared_basis).split(workers)
         plan.fused_groups += 1
-        plan.fused_members += len(group_tasks)
         plan.chunk_counts.append(len(chunks))
         member = 0
         for chunk in chunks:
             unit_index = len(plan.units)
             plan.units.append(chunk)
-            for offset in range(len(chunk.task_ids)):
+            for offset in range(len(chunk.members)):
                 plan.slots[indices[member]] = (unit_index, offset)
                 member += 1
     for index, task in enumerate(tasks):
@@ -567,19 +397,14 @@ def scatter_results(plan: CohortPlan, unit_results: Sequence[Any]) -> List[Any]:
 
 
 __all__ = [
+    "ArchReasons",
     "CohortPlan",
-    "TrainTaskFuser",
     "VectorizedCohort",
-    "VectorizedTrainTask",
     "VmapUnsupported",
+    "arch_probe",
     "backend_worker_count",
-    "cohort_fallback_reason",
-    "find_fuser",
-    "make_vectorized_task",
+    "fuse",
     "plan_cohort",
-    "ragged_probe",
-    "register_fuser",
     "scatter_results",
-    "split_stack",
     "stack_fallback_reason",
 ]

@@ -99,6 +99,7 @@ from .task import (
     ChainStage,
     ChainTask,
     RngState,
+    StackedTask,
     StateDict,
     TrainResult,
     TrainTask,
@@ -119,6 +120,7 @@ __all__ = [
     "PoolBackend",
     "RngState",
     "SerialBackend",
+    "StackedTask",
     "StateDict",
     "ThreadBackend",
     "TrainResult",

@@ -84,9 +84,9 @@ class Backend(abc.ABC):
         """How many tasks this backend genuinely runs at once.
 
         Callers that can shard one large work unit into independent
-        pieces (e.g. stack-chunk sharding of a
-        :class:`~repro.federated.vectorized.VectorizedTrainTask`) size
-        the shard count from this.  Serial-equivalent backends report 1.
+        pieces (e.g. :meth:`~repro.runtime.task.StackedTask.split`, the
+        stack-chunk sharding of a vectorized cohort) size the shard
+        count from this.  Serial-equivalent backends report 1.
         """
         return 1
 

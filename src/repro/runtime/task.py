@@ -9,7 +9,13 @@ description of one piece of training work:
   baseline step);
 * :class:`ChainTask` — a sequence of incremental training stages over one
   model with a checkpoint captured after every stage (a SISA shard's
-  slice-by-slice schedule).
+  slice-by-slice schedule);
+* :class:`StackedTask` — K scalar tasks of one kind run as one stacked
+  graph (:mod:`repro.federated.vectorized`).  A stack is a *list of
+  tasks*: a kind is stackable when it defines ``stack_key()``,
+  ``stack_fallback_reason(tasks, arch_reason)`` and
+  ``run_stack(tasks, basis=None)`` next to its fields, and its ``run()``
+  is ``run_stack([self])[0]`` — one body per kind, whatever K is.
 
 Determinism contract
 --------------------
@@ -32,8 +38,8 @@ backends — and a task that cannot be pickled still completes under
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -116,9 +122,8 @@ def encode_trained_state(
     (:class:`~repro.runtime.codec.ErrorFeedbackCodec`) and the advanced
     residual comes back for the caller to return to the client.
 
-    Shared by :meth:`TrainTask.run` and the vectorized cohort task
-    (:mod:`repro.federated.vectorized`) so both paths apply the identical
-    transform.
+    Every member of :meth:`TrainTask.run_stack` — lone or stacked — goes
+    through this one call, so both paths apply the identical transform.
     """
     update = None
     new_residual = None
@@ -183,26 +188,128 @@ class TrainTask:
     residual: Optional[StateDict] = None
 
     def run(self) -> TrainResult:
-        model = self.model_factory()
-        if self.model_state is not None:
-            model.load_state_dict(self.model_state)
-        rng = restore_rng(self.rng_state)
-        dataset = (
-            self.dataset if self.indices is None else self.dataset.subset(self.indices)
+        return self.run_stack([self])[0]
+
+    def stack_key(self) -> Any:
+        """Tasks with equal keys may share a stack: one codec, one
+        stamped broadcast version."""
+        return (self.codec, self.model_version)
+
+    @staticmethod
+    def stack_fallback_reason(
+        tasks: Sequence["TrainTask"], arch_reason: Optional[str]
+    ) -> Optional[str]:
+        """Why ``tasks`` cannot train as one stack (``None`` = they can).
+
+        ``arch_reason`` is the caller's verdict on the shared
+        architecture (:func:`repro.federated.vectorized.arch_probe`'s
+        stackability half, or ``None`` when the caller gated it already).
+        """
+        from ..federated.vectorized import arch_probe, stack_fallback_reason
+
+        return stack_fallback_reason(
+            [task.config for task in tasks],
+            [
+                len(task.dataset) if task.indices is None else len(task.indices)
+                for task in tasks
+            ],
+            [task.dataset for task in tasks],
+            arch_reason,
+            arch_probe(tasks[0].model_factory).ragged,
         )
-        history = train(model, dataset, self.config, rng)
-        state, update, update_nbytes, new_residual = encode_trained_state(
-            self.codec, model.state_dict(), self.model_state, self.residual
-        )
-        return TrainResult(
-            task_id=self.task_id,
-            state=state,
-            history=history,
-            rng_state=capture_rng(rng),
-            update=update,
-            update_nbytes=update_nbytes,
-            residual=new_residual,
-        )
+
+    @staticmethod
+    def run_stack(
+        tasks: Sequence["TrainTask"], basis: Optional[StateDict] = None
+    ) -> List[TrainResult]:
+        """Train the members — one natively, several as one stacked graph.
+
+        ``basis`` is the broadcast state a :class:`StackedTask` carries
+        once for all its members (their own ``model_state`` is then
+        dropped); without it every member loads, and encodes against,
+        its own ``model_state``.
+        """
+        bases = [task.model_state if basis is None else basis for task in tasks]
+        models = [task.model_factory() for task in tasks]
+        for model, state in zip(models, bases):
+            if state is not None:
+                model.load_state_dict(state)
+        rngs = [restore_rng(task.rng_state) for task in tasks]
+        datasets = [
+            task.dataset if task.indices is None else task.dataset.subset(task.indices)
+            for task in tasks
+        ]
+        if len(tasks) == 1:
+            histories = [train(models[0], datasets[0], tasks[0].config, rngs[0])]
+        else:
+            from ..federated.vectorized import VectorizedCohort
+
+            histories = VectorizedCohort(models, datasets, rngs).train(tasks[0].config)
+        results: List[TrainResult] = []
+        for task, model, base, rng, history in zip(tasks, models, bases, rngs, histories):
+            state, update, update_nbytes, new_residual = encode_trained_state(
+                task.codec, model.state_dict(), base, task.residual
+            )
+            results.append(
+                TrainResult(
+                    task_id=task.task_id,
+                    state=state,
+                    history=history,
+                    rng_state=capture_rng(rng),
+                    update=update,
+                    update_nbytes=update_nbytes,
+                    residual=new_residual,
+                )
+            )
+        return results
+
+
+@dataclass
+class StackedTask:
+    """K scalar tasks of one stackable kind as a single pure work unit.
+
+    Drop-in for the batch of its ``members``: any backend runs it through
+    its zero-arg :meth:`run`, and the result is the list of the members'
+    ordinary results in member order.  A broadcast basis every member
+    shares is carried **once** — ``model_state`` / ``model_version``, the
+    field names the worker pool's version-addressed broadcast cache
+    lifts — with the members' own copies dropped
+    (:func:`repro.federated.vectorized.fuse` decides).
+    """
+
+    task_id: Any  # tuple(member ids) — one dispatchable unit
+    members: List[Any]  # the scalar tasks, in stack order
+    model_state: Optional[StateDict] = None
+    model_version: Optional[str] = None
+
+    def run(self) -> List[Any]:
+        return type(self.members[0]).run_stack(self.members, self.model_state)
+
+    def split(self, n_chunks: int) -> List["StackedTask"]:
+        """Deterministic contiguous partition into sub-stacks.
+
+        Each chunk holds one contiguous range of ``members``; the basis
+        is shared by reference (the pool's version-addressed cache
+        dedupes it per worker).  Stacking is bit-exact per slice, so the
+        chunks' results concatenate to the unsplit run's, member for
+        member.  ``n_chunks`` is clamped to ``[1, K]``, so callers pass
+        their worker count as is.
+        """
+        k = len(self.members)
+        n_chunks = max(1, min(int(n_chunks), k))
+        if n_chunks == 1:
+            return [self]
+        chunks = []
+        for part in np.array_split(np.arange(k), n_chunks):
+            members = self.members[int(part[0]) : int(part[-1]) + 1]
+            chunks.append(
+                replace(
+                    self,
+                    task_id=tuple(member.task_id for member in members),
+                    members=members,
+                )
+            )
+        return chunks
 
 
 @dataclass

@@ -31,6 +31,7 @@ from ...nn.module import Module
 from ...nn.optim import SGD
 from ...training.config import TrainConfig
 from ...training.evaluation import predict_logits
+from ..goldfish import _ForgetBatchCycler
 
 
 @dataclass(frozen=True)
@@ -89,9 +90,7 @@ class IncompetentTeacherUnlearner:
         )
         retain_loader = DataLoader(retain_set, batch_size=config.train.batch_size,
                                    shuffle=True, rng=rng)
-        forget_order = rng.permutation(len(forget_set))
-        forget_batch = min(config.train.batch_size, len(forget_set))
-        cursor = 0
+        forget_cycler = _ForgetBatchCycler(forget_set, config.train.batch_size, rng)
 
         epoch_losses: List[float] = []
         for _ in range(config.train.epochs):
@@ -106,11 +105,7 @@ class IncompetentTeacherUnlearner:
                     temperature=config.temperature,
                 )
 
-                if cursor + forget_batch > len(forget_order):
-                    forget_order = rng.permutation(len(forget_set))
-                    cursor = 0
-                picked = forget_order[cursor : cursor + forget_batch]
-                cursor += forget_batch
+                picked = forget_cycler.next_indices()
                 student_forget = student(Tensor(forget_set.images[picked]))
                 loss = loss + config.beta * distillation_loss(
                     Tensor(incompetent_logits[picked]), student_forget,

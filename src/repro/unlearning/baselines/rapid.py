@@ -17,7 +17,7 @@ preconditioning only buys convergence speed.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -93,6 +93,42 @@ class DiagonalFIMSGD(Optimizer):
             None if f is None else np.array(f, dtype=np.float64) for f in fim
         ]
         self._steps = int(state["steps"])
+
+    def load_stacked_fim_states(self, states: Sequence[dict]) -> None:
+        """Install K members' snapshots as one stacked snapshot (this
+        optimizer drives ``(K, ...)`` stacked parameters).
+
+        Mirrors :meth:`load_fim_state` per slice — including its float64
+        forcing — so slice ``k`` of every stacked FIM array is
+        bit-identical to member ``k``'s standalone load.  Callers gate on
+        a uniform ``steps`` counter and a uniform per-parameter
+        None-pattern.
+        """
+        for state in states:
+            if len(state["fim"]) != len(self.parameters):
+                raise ValueError(
+                    f"FIM state holds {len(state['fim'])} entries for "
+                    f"{len(self.parameters)} parameters"
+                )
+        stacked: List[Optional[np.ndarray]] = []
+        for index in range(len(self.parameters)):
+            entries = [state["fim"][index] for state in states]
+            if all(entry is None for entry in entries):
+                stacked.append(None)
+            else:
+                stacked.append(
+                    np.stack([np.array(entry, dtype=np.float64) for entry in entries])
+                )
+        self._fim = stacked
+        self._steps = int(states[0]["steps"])
+
+    def member_fim_state(self, member: int) -> dict:
+        """Member ``member``'s snapshot out of a stacked optimizer — the
+        exact dict its standalone :meth:`fim_state` would return."""
+        return {
+            "fim": [None if f is None else f[member].copy() for f in self._fim],
+            "steps": self._steps,
+        }
 
 
 class RapidRetrainer:

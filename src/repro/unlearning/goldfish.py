@@ -26,9 +26,9 @@ deletion must find nothing to purge.
 There is one local loop, :meth:`GoldfishUnlearner.run_members`, over a
 list of :class:`GoldfishMember` objects.  :meth:`GoldfishUnlearner.unlearn`
 runs it over one member whose forward is the student's own (K = 1 builds
-exactly the one-client graph: no stack axis, no slicing, no add); the
-fused task of :mod:`repro.unlearning.vectorized` runs it over K members
-whose forward is one stacked graph.  A change to the Goldfish step —
+exactly the one-client graph: no stack axis, no slicing, no add);
+``_GoldfishClientTask.run_stack`` (:mod:`repro.unlearning.protocols`)
+runs it over K members whose forward is one stacked graph.  A change to the Goldfish step —
 e.g. one forward over ``[retain; forget]`` — is a change in one place.
 """
 
@@ -86,7 +86,10 @@ class GoldfishResult:
 
 
 class _ForgetBatchCycler:
-    """Endless shuffled iterator over the forget set's mini-batches."""
+    """Endless shuffled iterator over the forget set's mini-batches:
+    one permutation at a time, redrawn when the next batch would run off
+    its end.  Goldfish takes the batches, B3 the indices (it indexes its
+    incompetent teacher's logits by them)."""
 
     def __init__(self, forget_set: ArrayDataset, batch_size: int,
                  rng: np.random.Generator) -> None:
@@ -96,12 +99,16 @@ class _ForgetBatchCycler:
         self._order = rng.permutation(len(forget_set))
         self._cursor = 0
 
-    def next_batch(self):
+    def next_indices(self) -> np.ndarray:
         if self._cursor + self.batch_size > len(self._order):
             self._order = self.rng.permutation(len(self.forget_set))
             self._cursor = 0
         batch = self._order[self._cursor : self._cursor + self.batch_size]
         self._cursor += self.batch_size
+        return batch
+
+    def next_batch(self):
+        batch = self.next_indices()
         return self.forget_set.images[batch], self.forget_set.labels[batch]
 
 
@@ -203,7 +210,7 @@ class GoldfishUnlearner:
     ) -> bool:
         """Algorithm 1's local loop — the only one — over one member
         (:meth:`unlearn`) or a lockstep stack of them
-        (:class:`repro.unlearning.vectorized.VectorizedGoldfishTask`).
+        (``repro.unlearning.protocols._GoldfishClientTask.run_stack``).
 
         ``forward`` maps the members' image batches to the members'
         logits, once for the retain batches and once for the forget
@@ -215,7 +222,8 @@ class GoldfishUnlearner:
         the 1.0 its lone ``loss.backward()`` would give it (one member:
         no add at all).  ``model`` is what ``forward`` runs — the student,
         or the stack of students and then ``stack`` is its size.  Members
-        all have a forget set or none has (the fuser groups by it).
+        all have a forget set or none has (the task's ``stack_key``
+        groups by it).
 
         Fills every member's ``epoch_losses``; returns whether the Eq. 7
         stopper ended the run — a lone-member feature, since stacked

@@ -19,6 +19,16 @@ client updates within a round compute concurrently under ``"thread"`` /
 ``"pool"`` / ``"cluster"`` backends with bit-identical results. Pass ``backend=`` to
 any protocol to override the simulation's backend for that flow only.
 
+Two of the task kinds are *stackable* (``vectorize=True`` on the
+simulation): :class:`_GoldfishClientTask` and :class:`_RapidClientTask`
+each state, next to their fields, which tasks may share a stack
+(``stack_key``), what else must hold (``stack_fallback_reason``) and the
+one body that runs K of them (``run_stack``; ``run()`` is K = 1), so
+:func:`repro.federated.vectorized.plan_cohort` fuses their rounds the
+way it fuses stock :class:`~repro.runtime.task.TrainTask` rounds — B1's
+and B3's normal clients.  B3's dual-teacher pass has no stacked body and
+runs per client.
+
 Goldfish's teacher is frozen, so it is evaluated once per client per
 request: the round-0 tasks carry its state and return its logits on
 D_r^c beside the student (``extra``, the way B2's FIM rides); later
@@ -30,25 +40,22 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..data.dataset import ArrayDataset
 from ..federated.simulation import FederatedSimulation
+from ..federated.vectorized import VectorizedCohort, arch_probe, stack_fallback_reason
 from ..nn.module import Module
+from ..nn.vmap import stack_modules
 from ..runtime import BackendLike, get_backend
 from ..runtime.task import RngState, StateDict, capture_rng, restore_rng
 from ..training.config import TrainConfig
-from ..training.trainer import train
+from ..training.trainer import follow_dataset_dtype, train
 from .baselines.incompetent import IncompetentTeacherConfig, IncompetentTeacherUnlearner
 from .baselines.rapid import DiagonalFIMSGD
 from .goldfish import GoldfishConfig, GoldfishUnlearner
-
-# Importing the module registers the Goldfish/B2 task fusers with the
-# federated cohort planner, so sim.run_cohort_tasks can fuse the
-# protocol rounds below when vectorize=True.
-from . import vectorized as _vectorized  # noqa: E402,F401  (registration import)
 
 
 @dataclass
@@ -125,37 +132,141 @@ class _GoldfishClientTask:
     teacher_logits: Optional[np.ndarray] = None
 
     def run(self) -> _ClientRoundResult:
-        student = self.model_factory()
-        student.load_state_dict(self.student_state)
+        return self.run_stack([self])[0]
+
+    def stack_key(self) -> Any:
+        """Members with and without forget sets stack separately (both
+        groups fuse), around one shared teacher state (None after round
+        0)."""
+        has_forget = self.forget_set is not None and len(self.forget_set) > 0
+        return (
+            id(self.model_factory),
+            id(self.config),
+            has_forget,
+            id(self.teacher_state),
+        )
+
+    @staticmethod
+    def stack_fallback_reason(
+        tasks: Sequence["_GoldfishClientTask"], arch_reason: Optional[str]
+    ) -> Optional[str]:
+        """Only structural mismatches and the per-member-epochs early
+        stopper fall back."""
+        if tasks[0].config.early_stop.enabled:
+            return "goldfish early stopping decides epochs per member"
+        forget_sets = [
+            task.forget_set
+            for task in tasks
+            if task.forget_set is not None and len(task.forget_set) > 0
+        ]
+        return stack_fallback_reason(
+            [task.config.train for task in tasks],
+            [len(task.retain_set) for task in tasks],
+            [task.retain_set for task in tasks] + forget_sets,
+            arch_reason,
+            arch_probe(tasks[0].model_factory).ragged,
+            forget_sizes=[len(forget_set) for forget_set in forget_sets],
+        )
+
+    @staticmethod
+    def run_stack(
+        tasks: Sequence["_GoldfishClientTask"], basis: Optional[StateDict] = None
+    ) -> List[_ClientRoundResult]:
+        """One student natively, or K students as one stacked graph.
+
+        Only the **students** stack: the frozen teacher's logits come
+        from the same scalar
+        :func:`~repro.unlearning.goldfish.teacher_logits_on` call a lone
+        task makes (on the one ``teacher_state`` the stack shares), so
+        every execution path indexes the same per-member array.  Nor does
+        a stack re-implement Algorithm 1's local loop: it runs
+        :meth:`GoldfishUnlearner.run_members`, the loop a lone student
+        runs, over K members built by the same
+        :meth:`GoldfishUnlearner.member` (own adaptive temperature, own
+        |D_f|/|D_r| scaling and forget cap, own loader and forget cycler
+        on the member's own generator — so per-member RNG streams are
+        preserved).  All the stack supplies is the forward: every
+        round-step is one stacked retain forward and one stacked forget
+        forward (bit-exact per slice by the :mod:`repro.nn.vmap`
+        contract), and
+        :meth:`~repro.nn.vmap.StackedModel.forward_members` hands each
+        member its slice of the logits (differentiable indexing,
+        bit-identical values) for its own loss head against its own rows
+        of ``teacher_logits``.  The loss heads are per member and the
+        loop is shared, so heterogeneous loss hyper-parameters need no
+        fallback gate and scalar/stacked parity is by shared code, not
+        by a mirrored copy.
+        """
+        del basis  # every member carries its own student state
+        first = tasks[0]
+        students = [task.model_factory() for task in tasks]
+        for student, task in zip(students, tasks):
+            student.load_state_dict(task.student_state)
         teacher = None
-        if self.teacher_state is not None:
-            teacher = self.model_factory()
-            teacher.load_state_dict(self.teacher_state)
-        rng = restore_rng(self.rng_state)
-        result = GoldfishUnlearner(self.config).unlearn(
-            student=student,
-            teacher=teacher,
-            retain_set=self.retain_set,
-            forget_set=self.forget_set,
-            rng=rng,
-            teacher_logits=self.teacher_logits,
-        )
-        return _ClientRoundResult(
-            task_id=self.task_id,
-            state=student.state_dict(),
-            epochs_run=result.epochs_run,
-            rng_state=capture_rng(rng),
-            extra=(
-                {"teacher_logits": result.teacher_logits}
-                if self.teacher_logits is None
-                else None
-            ),
-        )
+        if first.teacher_state is not None:
+            teacher = first.model_factory()
+            teacher.load_state_dict(first.teacher_state)
+        rngs = [restore_rng(task.rng_state) for task in tasks]
+        unlearner = GoldfishUnlearner(first.config)
+        if len(tasks) == 1:
+            result = unlearner.unlearn(
+                student=students[0],
+                teacher=teacher,
+                retain_set=first.retain_set,
+                forget_set=first.forget_set,
+                rng=rngs[0],
+                teacher_logits=first.teacher_logits,
+            )
+            outcomes = [(result.epochs_run, result.teacher_logits)]
+        else:
+            for student, task in zip(students, tasks):
+                follow_dataset_dtype(student, task.retain_set)
+            members = [
+                unlearner.member(
+                    teacher, task.retain_set, task.forget_set, rng, task.teacher_logits
+                )
+                for task, rng in zip(tasks, rngs)
+            ]
+            student_stack = stack_modules(students)
+            unlearner.run_members(
+                members,
+                student_stack,
+                student_stack.forward_members,
+                stack=len(students),
+            )
+            student_stack.sync_back()
+            outcomes = [
+                (len(member.epoch_losses), member.teacher_logits) for member in members
+            ]
+        return [
+            _ClientRoundResult(
+                task_id=task.task_id,
+                state=student.state_dict(),
+                epochs_run=epochs_run,
+                rng_state=capture_rng(rng),
+                extra=(
+                    {"teacher_logits": teacher_logits}
+                    if task.teacher_logits is None
+                    else None
+                ),
+            )
+            for task, student, rng, (epochs_run, teacher_logits) in zip(
+                tasks, students, rngs, outcomes
+            )
+        ]
 
 
 @dataclass
 class _RapidClientTask:
-    """One client's FIM-preconditioned pass (B2); carries the curvature."""
+    """One client's FIM-preconditioned pass (B2); carries the curvature.
+
+    Stacked, it is a :class:`~repro.federated.vectorized.VectorizedCohort`
+    round driven by :class:`DiagonalFIMSGD` over the stacked ``(K, ...)``
+    parameters — its update is purely elementwise with a scalar step
+    counter, so (like :class:`~repro.nn.optim.SGD`) it performs the
+    per-slice update bitwise — with each member's running FIM estimate
+    stacked in and extracted back out.
+    """
 
     task_id: Any
     model_factory: Callable[[], Module]
@@ -169,21 +280,86 @@ class _RapidClientTask:
     fim_state: dict
 
     def run(self) -> _ClientRoundResult:
-        model = self.model_factory()
-        model.load_state_dict(self.model_state)
-        optimizer = DiagonalFIMSGD(
-            model.parameters(), lr=self.lr, rho=self.rho, damping=self.damping
+        return self.run_stack([self])[0]
+
+    def stack_key(self) -> Any:
+        """The optimizer hyper-parameters and the FIM step counter join
+        the key: the scalar step counter must advance in lockstep."""
+        return (
+            id(self.model_factory),
+            self.lr,
+            self.rho,
+            self.damping,
+            int(self.fim_state["steps"]),
         )
-        optimizer.load_fim_state(self.fim_state)
-        rng = restore_rng(self.rng_state)
-        history = train(model, self.dataset, self.config, rng, optimizer=optimizer)
-        return _ClientRoundResult(
-            task_id=self.task_id,
-            state=model.state_dict(),
-            epochs_run=len(history),
-            rng_state=capture_rng(rng),
-            extra={"fim": optimizer.fim_state()},
+
+    @staticmethod
+    def stack_fallback_reason(
+        tasks: Sequence["_RapidClientTask"], arch_reason: Optional[str]
+    ) -> Optional[str]:
+        """The per-parameter FIM None-pattern is the one extra gate."""
+        reason = stack_fallback_reason(
+            [task.config for task in tasks],
+            [len(task.dataset) for task in tasks],
+            [task.dataset for task in tasks],
+            arch_reason,
+            arch_probe(tasks[0].model_factory).ragged,
         )
+        if reason is not None:
+            return reason
+        patterns = {
+            tuple(entry is None for entry in task.fim_state["fim"])
+            for task in tasks
+        }
+        if len(patterns) != 1:
+            return "cohort FIM sparsity patterns differ"
+        return None
+
+    @staticmethod
+    def run_stack(
+        tasks: Sequence["_RapidClientTask"], basis: Optional[StateDict] = None
+    ) -> List[_ClientRoundResult]:
+        del basis  # every member carries its own model state
+        first = tasks[0]
+        models = [task.model_factory() for task in tasks]
+        for model, task in zip(models, tasks):
+            model.load_state_dict(task.model_state)
+        rngs = [restore_rng(task.rng_state) for task in tasks]
+
+        def make_optimizer(parameters):
+            return DiagonalFIMSGD(
+                parameters, lr=first.lr, rho=first.rho, damping=first.damping
+            )
+
+        if len(tasks) == 1:
+            optimizer = make_optimizer(models[0].parameters())
+            optimizer.load_fim_state(first.fim_state)
+            histories = [
+                train(models[0], first.dataset, first.config, rngs[0], optimizer=optimizer)
+            ]
+            fim_states = [optimizer.fim_state()]
+        else:
+            cohort = VectorizedCohort(models, [task.dataset for task in tasks], rngs)
+            optimizer = make_optimizer(cohort.stacked.parameters())
+            optimizer.load_stacked_fim_states([task.fim_state for task in tasks])
+            histories = cohort.train(
+                first.config, optimizer_factory=lambda parameters: optimizer
+            )
+            fim_states = [
+                optimizer.member_fim_state(index) for index in range(len(tasks))
+            ]
+        return [
+            _ClientRoundResult(
+                task_id=task.task_id,
+                state=model.state_dict(),
+                epochs_run=len(history),
+                rng_state=capture_rng(rng),
+                extra={"fim": fim_state},
+            )
+            for task, model, history, rng, fim_state in zip(
+                tasks, models, histories, rngs, fim_states
+            )
+        ]
 
 
 @dataclass

@@ -160,8 +160,7 @@ class SisaEnsemble:
         :class:`~repro.runtime.Backend` instance.
     vectorize:
         Opt in to stage-lockstep chain vectorization: eligible shard
-        chains fuse into stacked
-        :class:`~repro.federated.vectorized.VectorizedTrainTask` units
+        chains fuse into :class:`~repro.runtime.task.StackedTask` units
         per slice step (stack-chunked across the backend's workers),
         bit-identical to the per-shard path.  Ineligible batches fall
         back per shard with the reason recorded

@@ -22,8 +22,8 @@ from repro.runtime.task import capture_rng
 from repro.training import TrainConfig
 from repro.training.trainer import make_optimizer, train
 from repro.unlearning import GoldfishConfig, GoldfishLossConfig, GoldfishUnlearner
+from repro.federated.vectorized import fuse
 from repro.unlearning.protocols import _GoldfishClientTask
-from repro.unlearning.vectorized import GoldfishTaskFuser
 
 from ..conftest import make_blob_federation, make_blobs
 
@@ -228,11 +228,10 @@ class TestGoldfishFollowsDatasetDtype:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_serial_and_fused_agree_in_the_dataset_dtype(self, dtype):
-        serial = [task.run() for task in self.tasks(dtype)]
-        fuser = GoldfishTaskFuser()
         tasks = self.tasks(dtype)
-        assert fuser.fallback_reason(tasks, None) is None
-        fused = fuser.fuse(tasks).run()
+        serial = [task.run() for task in tasks]
+        assert _GoldfishClientTask.stack_fallback_reason(tasks, None) is None
+        fused = fuse(tasks).run()
         for one, other in zip(serial, fused):
             assert one.extra["teacher_logits"].dtype == dtype
             np.testing.assert_array_equal(

@@ -1,15 +1,17 @@
 """Property test: one Goldfish loop behind the scalar and the stacked path.
 
 ``GoldfishUnlearner.unlearn`` (one student, native layout) and
-``VectorizedGoldfishTask.run`` (K students, one stacked graph) both run
-``GoldfishUnlearner.run_members``.  For any sampled cohort — member
-count, retain sizes, forget sets (none / equal / unequal), adaptive
-temperature, hard loss, gradient clipping, data dtype — the two must
-agree with each other *and* with the loop as it stood before the merge
-(``tests/reference_loops.py``): student states, epochs run, generator
-positions and the teacher logits handed back, bit for bit.  Early
-stopping is a lone-member feature, so it is drawn for K = 1 only, where
-the per-epoch losses and the stop decision must equal the reference's.
+``_GoldfishClientTask.run_stack`` (K students, one stacked graph) both
+run ``GoldfishUnlearner.run_members``.  One list of tasks is drawn per
+example — member count, retain sizes, forget sets (none / equal /
+unequal), adaptive temperature, hard loss, gradient clipping, data
+dtype, carried logits — and run three ways: ``task.run()`` per member,
+``fuse(tasks).run()`` as one stack, and the loop as it stood before the
+merge (``tests/reference_loops.py``).  All three must agree: student
+states, epochs run, generator positions and the teacher logits handed
+back, bit for bit.  Early stopping is a lone-member feature, so it is
+drawn for K = 1 only, where the per-epoch losses and the stop decision
+must equal the reference's.
 """
 
 import numpy as np
@@ -17,6 +19,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.data.dataset import ArrayDataset
+from repro.federated.vectorized import fuse
 from repro.nn.losses import HARD_LOSSES
 from repro.nn.models import MLP
 from repro.runtime.task import capture_rng, restore_rng
@@ -28,7 +31,6 @@ from repro.unlearning import (
     GoldfishUnlearner,
 )
 from repro.unlearning.protocols import _GoldfishClientTask
-from repro.unlearning.vectorized import GoldfishTaskFuser, VectorizedGoldfishTask
 
 from ..conftest import generated, make_blobs
 from ..reference_loops import reference_unlearn
@@ -159,36 +161,47 @@ def test_stacked_scalar_and_reference_goldfish_agree(params):
         for key, value in want_students[index].state_dict().items():
             assert_same_bits(got_students[index].state_dict()[key], value)
 
-    if params["early_stop"] is not None:
-        return  # epochs are decided per member: the fuser gates it out
-    task = VectorizedGoldfishTask(
-        task_id=tuple(range(k)),
-        task_ids=list(range(k)),
-        model_factory=factory,
-        student_states=[factory().state_dict() for _ in range(k)],
-        teacher_state=None if params["carried"] else teacher_state(),
-        retain_sets=[retain for retain, _ in members],
-        forget_sets=[forget for _, forget in members],
-        config=config,
-        rng_states=[capture_rng(np.random.default_rng(100 + index)) for index in range(k)],
-        teacher_logits=carried,
-    )
-    for index, result in enumerate(task.run()):
-        assert result.task_id == index
-        assert result.epochs_run == want[index].epochs_run
-        assert (
-            restore_rng(result.rng_state).bit_generator.state
-            == want_rngs[index].bit_generator.state
+    shared_teacher = None if params["carried"] else teacher_state()
+    tasks = [
+        _GoldfishClientTask(
+            task_id=index,
+            model_factory=factory,
+            student_state=factory().state_dict(),
+            teacher_state=shared_teacher,
+            retain_set=retain,
+            forget_set=forget,
+            config=config,
+            rng_state=capture_rng(np.random.default_rng(100 + index)),
+            teacher_logits=logits,
         )
-        if params["carried"]:
-            assert result.extra is None
-        else:
-            assert_same_bits(result.extra["teacher_logits"], want[index].teacher_logits)
-        for key, value in want_students[index].state_dict().items():
-            assert_same_bits(result.state[key], value)
+        for index, ((retain, forget), logits) in enumerate(zip(members, carried))
+    ]
+    runs = [[task.run() for task in tasks]]
+    if params["early_stop"] is None:  # else epochs are decided per member
+        stack = fuse(tasks)
+        assert stack.task_id == tuple(range(k))
+        assert stack.model_state is None  # protocol members keep their states
+        runs.append(stack.run())
+    for results in runs:
+        assert len(results) == k
+        for index, result in enumerate(results):
+            assert result.task_id == index
+            assert result.epochs_run == want[index].epochs_run
+            assert (
+                restore_rng(result.rng_state).bit_generator.state
+                == want_rngs[index].bit_generator.state
+            )
+            if params["carried"]:
+                assert result.extra is None
+            else:
+                assert_same_bits(
+                    result.extra["teacher_logits"], want[index].teacher_logits
+                )
+            for key, value in want_students[index].state_dict().items():
+                assert_same_bits(result.state[key], value)
 
 
-def test_early_stopping_is_refused_by_the_fuser_and_by_the_stacked_loop():
+def test_early_stopping_is_refused_by_the_gate_and_by_the_stacked_loop():
     params = {
         "retain": [12, 12], "forget": [4, 4], "batch_size": 4, "epochs": 2,
         "momentum": 0.0, "grad_clip": 0.0, "hard_loss": "cross_entropy",
@@ -204,9 +217,8 @@ def test_early_stopping_is_refused_by_the_fuser_and_by_the_stacked_loop():
         )
         for index, (retain, forget) in enumerate(members)
     ]
-    fuser = GoldfishTaskFuser()
-    assert "early stopping" in fuser.fallback_reason(tasks, None)
-    # Built past the gate anyway, the stack refuses rather than stopping
+    assert "early stopping" in _GoldfishClientTask.stack_fallback_reason(tasks, None)
+    # Run past the gate anyway, the stack refuses rather than stopping
     # every member when the first one's stopper fires.
     with pytest.raises(ValueError, match="early stopping"):
-        fuser.fuse(tasks).run()
+        _GoldfishClientTask.run_stack(tasks)
