@@ -53,7 +53,7 @@ from . import state_math
 from .aggregation import BufferedAggregator, BufferedUpdate, FedAvgAggregator
 from .metering import CostMeter, state_bytes
 from .state_math import StateDict
-from .vectorized import arch_probe, backend_worker_count, fuse
+from .vectorized import backend_worker_count, plan_cohort
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (simulation → engine)
     from .client import Client
@@ -193,7 +193,7 @@ class _VecGroup:
     The cohort's training runs as a batch of contiguous stack chunks
     (:meth:`~repro.runtime.task.StackedTask.split` sized to the
     backend's workers, so vectorization and the pool/cluster compose —
-    the same ``fuse(...).split(workers)`` the synchronous planner makes)
+    the synchronous path's own :func:`~.vectorized.plan_cohort`)
     the first time any member's arrival needs a result; the
     per-member results are then handed out as each member's own virtual
     arrival fires.  Virtual arrival times — and therefore fold
@@ -423,23 +423,18 @@ class BufferedRoundEngine:
             ]
             group: Optional[_VecGroup] = None
             if self.sim.vectorize:
-                reason = TrainTask.stack_fallback_reason(
-                    tasks, arch_probe(self.sim.model_factory).stackable
+                plan = plan_cohort(
+                    tasks, backend_worker_count(self.sim.backend), broadcast_state
                 )
-                if reason is None:
-                    chunks = fuse(tasks, broadcast_state).split(
-                        backend_worker_count(self.sim.backend)
-                    )
+                self.sim._vectorize_stats.tally(plan)
+                if plan.fused_groups:
+                    # One wave is one cohort (one codec, one broadcast
+                    # version), so a fused plan's units are its chunks.
+                    chunks = plan.units
                     ticket = (
                         self.sim.backend.submit(chunks) if self._streams else None
                     )
                     group = _VecGroup(chunks=chunks, ticket=ticket)
-                    stats = self.sim._vectorize_stats
-                    stats["rounds_vectorized"] += 1
-                    chunk_tally = stats["chunks"]
-                    chunk_tally[len(chunks)] = chunk_tally.get(len(chunks), 0) + 1
-                else:
-                    self.sim._record_fallback(reason)
             for member, ((client, latency), task) in enumerate(zip(wave, tasks)):
                 ticket = None
                 if group is None and self._streams:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, TYPE_CHECKING
+from typing import Callable, List, Optional, Sequence, TYPE_CHECKING
 
 import numpy as np
 
@@ -42,6 +42,12 @@ from .aggregation import Aggregator, AdaptiveWeightAggregator, FedAvgAggregator
 from .client import Client
 from .sampling import ClientSampler
 from .server import Server
+from .vectorized import (
+    VectorizeStats,
+    backend_worker_count,
+    plan_cohort,
+    scatter_results,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - circular import guard
     from .engine import AsyncRoundConfig, BufferedRoundEngine, LatencyModel
@@ -222,9 +228,9 @@ class FederatedSimulation:
         cohorts — same architecture, dtype, train config and step count —
         train as **one** stacked forward/backward per round-step instead
         of K per-client graphs, with bit-identical results.  Ineligible
-        cohorts (single participant, grad clipping, unstackable layers,
-        heterogeneous data sizes) fall back to the per-client path; the
-        reason is logged once and tallied in :meth:`vectorize_report`.
+        cohorts (single participant, unstackable layers, step counts
+        that differ) fall back to the per-client path; the reason is
+        logged once and tallied in :meth:`vectorize_report`.
         Off by default — existing results are untouched.
     """
 
@@ -257,14 +263,7 @@ class FederatedSimulation:
         # bit-identical results; ineligible cohorts fall back per client
         # with the reason recorded in vectorize_report() (and logged once).
         self.vectorize = vectorize
-        self._vectorize_stats: Dict[str, object] = {
-            "rounds_vectorized": 0,
-            "rounds_fallback": 0,
-            "fallback_reasons": {},
-            # How many stack chunks vectorized rounds were sharded into
-            # across the backend's workers: {n_chunks: round count}.
-            "chunks": {},
-        }
+        self._vectorize_stats = VectorizeStats(logger)
         # Buffered-async mode is strictly opt-in: without an AsyncRoundConfig
         # no engine is ever constructed and every round runs the historical
         # synchronous barrier loop bit for bit.
@@ -392,70 +391,34 @@ class FederatedSimulation:
         runner = self.backend if runner is None else runner
         tasks = list(tasks)
         if self.vectorize and tasks:
-            from .vectorized import backend_worker_count, plan_cohort, scatter_results
-
             plan = plan_cohort(
                 tasks,
                 workers=backend_worker_count(runner),
                 shared_basis=shared_basis,
             )
-            stats = self._vectorize_stats
-            for reason in plan.fallback_reasons:
-                self._record_fallback(reason, count_round=False)
-            if plan.fused_groups:
-                stats["rounds_vectorized"] += 1
-                chunk_tally: Dict[int, int] = stats["chunks"]
-                for count in plan.chunk_counts:
-                    chunk_tally[count] = chunk_tally.get(count, 0) + 1
-                unit_results = runner.run_tasks(plan.units)
-                results = scatter_results(plan, unit_results)
-                # Accounting runs against the *original* tasks: the
-                # simulated federation still broadcast to every member
-                # and received every member's return (lazy backends
-                # charge per-member dense states — byte-identical to the
-                # per-client path; a pool reports the real pipe bytes of
-                # the chunked batch it just ran).
-                round_stats = account_model_traffic(runner, tasks, results)
-                self.transport.add(round_stats)
-                return results, round_stats
-            stats["rounds_fallback"] += 1
-        results = runner.run_tasks(tasks)
+            self._vectorize_stats.tally(plan)
+            results = scatter_results(plan, runner.run_tasks(plan.units))
+        else:
+            results = runner.run_tasks(tasks)
+        # Accounting runs against the *original* tasks: the simulated
+        # federation still broadcast to every member and received every
+        # member's return (lazy backends charge per-member dense states —
+        # byte-identical to the per-client path; a pool reports the real
+        # pipe bytes of the chunked batch it just ran).
         round_stats = account_model_traffic(runner, tasks, results)
         self.transport.add(round_stats)
         return results, round_stats
-
-    def _record_fallback(self, reason: str, count_round: bool = True) -> None:
-        stats = self._vectorize_stats
-        reasons: Dict[str, int] = stats["fallback_reasons"]
-        if reason not in reasons:
-            # Once per distinct reason — a silent fallback would make the
-            # vectorized benchmark numbers unreproducible.
-            logger.warning(
-                "vectorize=True fell back to per-client execution: %s", reason
-            )
-        reasons[reason] = reasons.get(reason, 0) + 1
-        if count_round:
-            stats["rounds_fallback"] += 1
 
     def vectorize_report(self) -> dict:
         """How the opt-in vectorized path behaved across this simulation:
         rounds taken vectorized, rounds fallen back, the distinct
         fallback reasons with their counts, and the stack-chunk counts
         vectorized rounds were sharded into."""
-        stats = self._vectorize_stats
-        return {
-            "requested": self.vectorize,
-            "rounds_vectorized": stats["rounds_vectorized"],
-            "rounds_fallback": stats["rounds_fallback"],
-            "fallback_reasons": dict(stats["fallback_reasons"]),
-            "chunks": dict(stats["chunks"]),
-        }
+        return self._vectorize_stats.report(self.vectorize)
 
     def transport_report(self) -> dict:
-        """Cumulative model traffic of this simulation (both directions),
-        plus the engine's totals when running async."""
-        report = {"codec": self.codec, **self.transport.as_dict()}
-        return report
+        """Cumulative model traffic of this simulation (both directions)."""
+        return {"codec": self.codec, **self.transport.as_dict()}
 
     def run(
         self,

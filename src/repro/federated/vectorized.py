@@ -42,7 +42,8 @@ Eligibility
 -----------
 :func:`stack_fallback_reason` is the one gate of the fast path (every
 stackable task kind's own ``stack_fallback_reason`` asks it — train,
-Goldfish and B2 cohorts alike): the cohort must have ≥ 2 members
+Goldfish and B2 cohorts alike, and a stack of SISA chains per stage,
+through the stage's train tasks): the cohort must have ≥ 2 members
 with equal train configs, a stackable architecture
 (:func:`repro.nn.vmap.stack_modules`), equal sample shapes and dtypes,
 and equal per-member *step counts*.  Member dataset sizes may differ as
@@ -60,6 +61,7 @@ silently.
 
 from __future__ import annotations
 
+import logging
 import operator
 from dataclasses import dataclass, field, replace
 from functools import reduce
@@ -75,6 +77,7 @@ from ..nn.vmap import (
     StackedModel,
     VmapUnsupported,
     ragged_support_reason,
+    restack_reason,
     stack_modules,
     stackable_reason,
 )
@@ -230,6 +233,7 @@ class ArchReasons(NamedTuple):
 
     stackable: Optional[str]  # repro.nn.vmap.stackable_reason
     ragged: Optional[str]  # repro.nn.vmap.ragged_support_reason
+    chain: Optional[str]  # stackable, or repro.nn.vmap.restack_reason
 
 
 _ARCH_REASONS: Dict[Any, ArchReasons] = {}
@@ -237,12 +241,13 @@ _ARCH_REASONS: Dict[Any, ArchReasons] = {}
 
 def arch_probe(model_factory: Callable[[], Module]) -> ArchReasons:
     """Why the factory's architecture cannot stack / cannot take ragged
-    steps (``None`` = it can), from one probe model per distinct factory.
+    steps / cannot run chain stages in lockstep (``None`` = it can), from
+    one probe model per distinct factory.
 
     Architecture is a property of the factory, so every caller — the
-    simulation's round planner, the SISA chain path, the tasks' own
-    ``stack_fallback_reason`` — shares this one cache (keying by the
-    factory object itself keeps it alive, so ids are never recycled).
+    cohort planner and the tasks' own ``stack_fallback_reason``, chains
+    included — shares this one cache (keying by the factory object
+    itself keeps it alive, so ids are never recycled).
     """
     try:
         cached, cacheable = _ARCH_REASONS.get(model_factory), True
@@ -250,7 +255,10 @@ def arch_probe(model_factory: Callable[[], Module]) -> ArchReasons:
         cached, cacheable = None, False
     if cached is None:
         model = model_factory()
-        cached = ArchReasons(stackable_reason(model), ragged_support_reason(model))
+        stackable = stackable_reason(model)
+        cached = ArchReasons(
+            stackable, ragged_support_reason(model), stackable or restack_reason(model)
+        )
         if cacheable:
             _ARCH_REASONS[model_factory] = cached
     return cached
@@ -300,10 +308,9 @@ def fuse(tasks: Sequence[Any], shared_basis: Optional[StateDict] = None) -> Stac
     basis — ``shared_basis`` when the caller names the state it just
     broadcast, else whatever :func:`_shared_state` finds — hand it to the
     stack and drop their own copies, so it travels once; otherwise every
-    member keeps its own state (SISA shards mid-chain, factory-fresh
-    members).  Protocol tasks always keep theirs: they carry per-member
-    states by construction, and lifting one would change the bytes a
-    pool ships.
+    member keeps its own state.  Protocol tasks and chains always keep
+    theirs: they carry per-member states by construction, and lifting
+    one would change the bytes a pool ships.
     """
     tasks = list(tasks)
     task_id = tuple(task.task_id for task in tasks)
@@ -396,9 +403,56 @@ def scatter_results(plan: CohortPlan, unit_results: Sequence[Any]) -> List[Any]:
     return out
 
 
+class VectorizeStats:
+    """How ``vectorize=True`` behaved for one owner (a simulation, a SISA
+    ensemble): batches fused vs fallen back, the distinct fallback
+    reasons with their counts, and how many stack chunks fused cohorts
+    were sharded into across the backend's workers
+    (``{n_chunks: cohort count}``).  The body of every
+    ``vectorize_report()``.
+    """
+
+    def __init__(self, logger: logging.Logger) -> None:
+        self.logger = logger  # the owner's, so its warnings keep their name
+        self.rounds_vectorized = 0
+        self.rounds_fallback = 0
+        self.fallback_reasons: Dict[str, int] = {}
+        self.chunks: Dict[int, int] = {}
+
+    def record_fallback(self, reason: str) -> None:
+        if reason not in self.fallback_reasons:
+            # Once per distinct reason — a silent fallback would make the
+            # vectorized benchmark numbers unreproducible.
+            self.logger.warning(
+                "vectorize=True fell back to per-task execution: %s", reason
+            )
+        self.fallback_reasons[reason] = self.fallback_reasons.get(reason, 0) + 1
+
+    def tally(self, plan: CohortPlan) -> None:
+        """Count one planned batch: vectorized if any cohort fused."""
+        for reason in plan.fallback_reasons:
+            self.record_fallback(reason)
+        if not plan.fused_groups:
+            self.rounds_fallback += 1
+            return
+        self.rounds_vectorized += 1
+        for count in plan.chunk_counts:
+            self.chunks[count] = self.chunks.get(count, 0) + 1
+
+    def report(self, requested: bool) -> dict:
+        return {
+            "requested": requested,
+            "rounds_vectorized": self.rounds_vectorized,
+            "rounds_fallback": self.rounds_fallback,
+            "fallback_reasons": dict(self.fallback_reasons),
+            "chunks": dict(self.chunks),
+        }
+
+
 __all__ = [
     "ArchReasons",
     "CohortPlan",
+    "VectorizeStats",
     "VectorizedCohort",
     "VmapUnsupported",
     "arch_probe",

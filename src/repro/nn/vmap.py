@@ -584,6 +584,24 @@ def stackable_reason(model: Module) -> Optional[str]:
     return None
 
 
+def restack_reason(model: Module) -> Optional[str]:
+    """Why ``model`` cannot be rebuilt from its state dict between
+    training runs and carry on as if it had lived through them
+    (``None`` = it can).
+
+    A SISA chain run in stage lockstep rebuilds its model at every stage;
+    a lone chain keeps one model — and one dropout stream — across its
+    stages, which the rebuild would reset.
+    """
+    for module in model.modules():
+        if isinstance(module, Dropout):
+            return (
+                "dropout keeps one RNG stream across chain stages; "
+                "stage-lockstep reconstruction would reset it"
+            )
+    return None
+
+
 def ragged_support_reason(model: Module) -> Optional[str]:
     """Why ``model`` cannot take ragged (zero-padded) steps (``None`` = it can).
 

@@ -124,7 +124,7 @@ class ThreadBackend(Backend):
         tasks = list(tasks)
         if len(tasks) <= 1:
             return [task.run() for task in tasks]
-        workers = min(len(tasks), self.max_workers or max(2, usable_cpus()))
+        workers = min(len(tasks), self.worker_count())
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(lambda task: task.run(), tasks))
 

@@ -9,7 +9,8 @@ description of one piece of training work:
   baseline step);
 * :class:`ChainTask` — a sequence of incremental training stages over one
   model with a checkpoint captured after every stage (a SISA shard's
-  slice-by-slice schedule);
+  slice-by-slice schedule); stacked, K chains run their stages in
+  lockstep;
 * :class:`StackedTask` — K scalar tasks of one kind run as one stacked
   graph (:mod:`repro.federated.vectorized`).  A stack is a *list of
   tasks*: a kind is stackable when it defines ``stack_key()``,
@@ -338,16 +339,21 @@ class ChainResult:
     steps: int  # stages that actually trained (non-empty datasets)
     rng_state: RngState
     histories: List[TrainHistory] = field(default_factory=list)
+    # Why this chain trained a stage alone although it ran in a stack
+    # (that stage's members failed the data gate) — distinct reasons, in
+    # stage order; empty for a lone chain.  Never a silent fallback.
+    fallback_reasons: List[str] = field(default_factory=list)
 
 
 @dataclass
 class ChainTask:
     """Incremental training with a checkpoint after every stage.
 
-    The stages run strictly in order on one model (they are a dependency
-    chain, not parallel work); the parallelism lives *across* chain tasks —
-    e.g. every SISA shard retrains as its own chain, concurrently. All
-    stages index into one shared ``dataset``, held once per task.
+    The stages run strictly in order (they are a dependency chain, not
+    parallel work); the parallelism lives *across* chain tasks — e.g.
+    every SISA shard retrains as its own chain, concurrently, and chains
+    of one factory stack (:meth:`run_stack`).  All stages index into one
+    shared ``dataset``, held once per task.
     """
 
     task_id: Any
@@ -359,24 +365,126 @@ class ChainTask:
     init_state: Optional[StateDict] = None
 
     def run(self) -> ChainResult:
-        model = self.model_factory()
-        if self.init_state is not None:
-            model.load_state_dict(self.init_state)
-        rng = restore_rng(self.rng_state)
-        checkpoints: Dict[int, StateDict] = {}
-        histories: List[TrainHistory] = []
-        steps = 0
-        for stage in self.stages:
-            if stage.indices is not None and len(stage.indices) > 0:
-                subset = self.dataset.subset(stage.indices)
-                histories.append(train(model, subset, self.config, rng))
-                steps += 1
-            checkpoints[stage.stage_id] = model.state_dict()
-        return ChainResult(
-            task_id=self.task_id,
-            checkpoints=checkpoints,
-            final_state=model.state_dict(),
-            steps=steps,
-            rng_state=capture_rng(rng),
-            histories=histories,
-        )
+        return self.run_stack([self])[0]
+
+    def stack_key(self) -> Any:
+        """Chains of one factory may share a stack (the gate names
+        unequal configs rather than splitting on them)."""
+        return id(self.model_factory)
+
+    @staticmethod
+    def stack_fallback_reason(
+        tasks: Sequence["ChainTask"], arch_reason: Optional[str]
+    ) -> Optional[str]:
+        """Why ``tasks`` cannot run in stage lockstep (``None`` = they
+        can).  What each stage trains on is only known stage by stage, so
+        the data checks are :meth:`run_stack`'s, per stage.
+
+        Beyond stackability, dropout blocks chains specifically: a lone
+        chain keeps one model — and one dropout stream — across its
+        stages, which the lockstep path's per-stage model reconstruction
+        would reset (:func:`repro.federated.vectorized.arch_probe`'s
+        third verdict).
+        """
+        from ..federated.vectorized import arch_probe
+
+        if arch_reason is None:
+            arch_reason = arch_probe(tasks[0].model_factory).chain
+        if arch_reason is not None:
+            return f"architecture not stackable: {arch_reason}"
+        if len(tasks) < 2:
+            return "cohort has a single participant"
+        config = tasks[0].config
+        if any(task.config != config for task in tasks[1:]):
+            return "cohort members have different train configs"
+        return None
+
+    @staticmethod
+    def run_stack(
+        tasks: Sequence["ChainTask"], basis: Optional[StateDict] = None
+    ) -> List[ChainResult]:
+        """Run the chains — one on one model, several in stage lockstep.
+
+        Per stage id, every member whose stage trains becomes a
+        :class:`TrainTask` (its own current state and RNG position) and
+        they train as one stack — or each alone when that
+        stage's members fail the data gate (e.g. step counts diverged
+        after a deletion), the reason riding back on every such member's
+        result.  Empty stages checkpoint the chain's current state
+        without training, exactly as a lone chain does.  Lockstep is
+        exact because a chain stage is a fresh-optimizer
+        :func:`~repro.training.trainer.train` call whose model state
+        round-trips losslessly through state dicts (the gate keeps out
+        dropout, the one piece of cross-stage state that does not).
+        """
+        del basis  # every chain resumes from its own checkpoint
+        if len(tasks) == 1:
+            # One model (and its dropout streams) across all the stages.
+            (task,) = tasks
+            model = task.model_factory()
+            if task.init_state is not None:
+                model.load_state_dict(task.init_state)
+            rng = restore_rng(task.rng_state)
+            lone = ChainResult(task.task_id, {}, None, 0, task.rng_state)
+            for stage in task.stages:
+                if stage.indices is not None and len(stage.indices) > 0:
+                    subset = task.dataset.subset(stage.indices)
+                    lone.histories.append(train(model, subset, task.config, rng))
+                    lone.steps += 1
+                lone.checkpoints[stage.stage_id] = model.state_dict()
+            lone.final_state = model.state_dict()
+            lone.rng_state = capture_rng(rng)
+            return [lone]
+        # A chain that never trains ends on (and checkpoints) its start.
+        results = [
+            ChainResult(task.task_id, {}, task.init_state, 0, task.rng_state)
+            for task in tasks
+        ]
+        stage_maps = [{stage.stage_id: stage for stage in task.stages} for task in tasks]
+        for stage_id in sorted({stage_id for stages in stage_maps for stage_id in stages}):
+            members = [
+                index
+                for index, stages in enumerate(stage_maps)
+                if (stage := stages.get(stage_id)) is not None
+                and stage.indices is not None
+                and len(stage.indices) > 0
+            ]
+            if members:
+                member_tasks = [
+                    TrainTask(
+                        task_id=index,
+                        model_factory=tasks[index].model_factory,
+                        dataset=tasks[index].dataset,
+                        config=tasks[index].config,
+                        rng_state=results[index].rng_state,
+                        model_state=results[index].final_state,
+                        indices=stage_maps[index][stage_id].indices,
+                    )
+                    for index in members
+                ]
+                # The chains' shared architecture passed the chain gate;
+                # only this stage's data checks remain.
+                reason = TrainTask.stack_fallback_reason(member_tasks, None)
+                groups = [member_tasks] if reason is None else [[t] for t in member_tasks]
+                trained = [r for group in groups for r in TrainTask.run_stack(group)]
+                for index, stage_result in zip(members, trained):
+                    result = results[index]
+                    result.final_state = stage_result.state
+                    result.rng_state = stage_result.rng_state
+                    result.histories.append(stage_result.history)
+                    result.steps += 1
+                    if reason is not None and reason not in result.fallback_reasons:
+                        result.fallback_reasons.append(reason)
+            for result, task, stages in zip(results, tasks, stage_maps):
+                if stage_id in stages:
+                    if result.final_state is None:
+                        # A never-trained chain checkpoints its
+                        # factory-fresh state (a lone chain snapshots the
+                        # model it built at start — identical, the
+                        # factory reseeds per call).
+                        result.final_state = task.model_factory().state_dict()
+                    result.checkpoints[stage_id] = result.final_state
+        for result, task in zip(results, tasks):
+            if result.final_state is None:
+                result.final_state = task.model_factory().state_dict()
+        return results

@@ -51,6 +51,24 @@ def follow_dataset_dtype(model: Module, dataset: ArrayDataset) -> None:
         model.astype(data_dtype)
 
 
+def apply_update(
+    objective: Tensor,
+    optimizer: Optimizer,
+    config: TrainConfig,
+    stack: Optional[int] = None,
+) -> None:
+    """backward → clip → step: the update every training loop makes
+    (:func:`run_epochs`, Goldfish's ``run_members``, B3), so none of them
+    can honour a different half of its :class:`TrainConfig`.  ``stack``
+    is the stack size of the optimizer's parameters when they carry a
+    stack axis (:func:`~repro.nn.optim.clip_grad_norm` clips per slice).
+    """
+    objective.backward()
+    if config.grad_clip:
+        clip_grad_norm(optimizer.parameters, config.grad_clip, stack)
+    optimizer.step()
+
+
 def run_epochs(
     datasets: Sequence[ArrayDataset],
     rngs: Sequence[np.random.Generator],
@@ -70,9 +88,8 @@ def run_epochs(
     the members' ``(images, labels)`` batches to the scalar objective to
     differentiate and each member's loss value; it owns the graph (the
     native ``(N, ...)`` batch for one model, one stacked forward for a
-    cohort), the loop owns everything around it.  ``stack`` is the stack
-    size of the optimizer's parameters when they carry a stack axis
-    (:func:`~repro.nn.optim.clip_grad_norm` clips per slice).
+    cohort), the loop owns everything around it.  ``stack`` is
+    :func:`apply_update`'s.
     ``epoch_callback`` sees the first member's mean loss; stopping on it
     is a lone-member feature, a cohort passes none.
     """
@@ -87,10 +104,7 @@ def run_epochs(
         for batches in zip(*loaders):
             optimizer.zero_grad()
             objective, losses = step(batches)
-            objective.backward()
-            if config.grad_clip:
-                clip_grad_norm(optimizer.parameters, config.grad_clip, stack)
-            optimizer.step()
+            apply_update(objective, optimizer, config, stack)
             for index, loss in enumerate(losses):
                 totals[index] += loss
             num_batches += 1

@@ -28,9 +28,9 @@ from ...data.loader import DataLoader
 from ...nn import Tensor
 from ...nn.losses import distillation_loss
 from ...nn.module import Module
-from ...nn.optim import SGD
 from ...training.config import TrainConfig
 from ...training.evaluation import predict_logits
+from ...training.trainer import apply_update, make_optimizer
 from ..goldfish import _ForgetBatchCycler
 
 
@@ -83,11 +83,7 @@ class IncompetentTeacherUnlearner:
         competent_logits = predict_logits(competent_teacher, retain_set.images)
         incompetent_logits = predict_logits(incompetent_teacher, forget_set.images)
         student.train()
-        optimizer = SGD(
-            student.parameters(),
-            lr=config.train.learning_rate,
-            momentum=config.train.momentum,
-        )
+        optimizer = make_optimizer(student, config.train)
         retain_loader = DataLoader(retain_set, batch_size=config.train.batch_size,
                                    shuffle=True, rng=rng)
         forget_cycler = _ForgetBatchCycler(forget_set, config.train.batch_size, rng)
@@ -112,8 +108,7 @@ class IncompetentTeacherUnlearner:
                     temperature=config.temperature,
                 )
 
-                loss.backward()
-                optimizer.step()
+                apply_update(loss, optimizer, config.train)
                 total += loss.item()
                 batches += 1
             epoch_losses.append(total / batches)

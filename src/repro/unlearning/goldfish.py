@@ -47,10 +47,9 @@ from ..data.loader import DataLoader
 from ..nn import Tensor
 from ..nn.losses import cross_entropy
 from ..nn.module import Module
-from ..nn.optim import clip_grad_norm
 from ..training.config import TrainConfig
 from ..training.evaluation import predict_logits
-from ..training.trainer import follow_dataset_dtype, make_optimizer
+from ..training.trainer import apply_update, follow_dataset_dtype, make_optimizer
 from .early_stop import EarlyStopConfig, ExcessRiskStopper
 from .losses import GoldfishLoss, GoldfishLossConfig
 from .temperature import adaptive_temperature
@@ -261,10 +260,7 @@ class GoldfishUnlearner:
                     for member, logits, (indices, _, labels), logits_forget, labels_forget
                     in zip(members, retain_logits, indexed, forget_logits, forget_labels)
                 ]
-                reduce(operator.add, losses).backward()
-                if config.train.grad_clip:
-                    clip_grad_norm(optimizer.parameters, config.train.grad_clip, stack)
-                optimizer.step()
+                apply_update(reduce(operator.add, losses), optimizer, config.train, stack)
                 for index, member in enumerate(members):
                     totals[index] += member.loss_fn.last_breakdown.hard_retain
                 batches += 1

@@ -37,6 +37,7 @@ that version — but are identical across backends and runs.)
 from __future__ import annotations
 
 import json
+import logging
 import os
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -47,11 +48,19 @@ from ..nn.serialization import load_state_dict, save_state_dict
 
 from ..data.dataset import ArrayDataset
 from ..federated.state_math import StateDict
+from ..federated.vectorized import (
+    VectorizeStats,
+    backend_worker_count,
+    plan_cohort,
+    scatter_results,
+)
 from ..nn.module import Module
 from ..runtime import BackendLike, get_backend
 from ..runtime.task import ChainResult, ChainStage, ChainTask, RngState
 from ..training.config import TrainConfig
 from ..training.evaluation import predict_proba
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -160,11 +169,11 @@ class SisaEnsemble:
         :class:`~repro.runtime.Backend` instance.
     vectorize:
         Opt in to stage-lockstep chain vectorization: eligible shard
-        chains fuse into :class:`~repro.runtime.task.StackedTask` units
-        per slice step (stack-chunked across the backend's workers),
-        bit-identical to the per-shard path.  Ineligible batches fall
-        back per shard with the reason recorded
-        (:meth:`vectorize_report`).
+        chains fuse into one :class:`~repro.runtime.task.StackedTask`
+        per batch (stack-chunked across the backend's workers, each
+        chunk stepping its chains' slices in lockstep), bit-identical to
+        the per-shard path.  Ineligible batches fall back per shard
+        with the reason recorded (:meth:`vectorize_report`).
     """
 
     def __init__(
@@ -187,16 +196,7 @@ class SisaEnsemble:
         self.config = config
         self.backend = get_backend(backend)
         self.vectorize = bool(vectorize)
-        self._vectorize_stats: Dict[str, object] = {
-            "rounds_vectorized": 0,
-            "rounds_fallback": 0,
-            "fallback_reasons": {},
-            "chunks": {},
-        }
-        # Lazily probed once per ensemble: the factory's architecture is
-        # fixed, so one probe model decides chain stackability for good.
-        self._chain_arch: Optional[str] = None
-        self._chain_arch_probed = False
+        self._vectorize_stats = VectorizeStats(logger)
         self._rng = np.random.default_rng(seed)
         self._deleted: set = set()
         # Shards with a begun-but-unfinished deletion window.  Locking is
@@ -246,8 +246,10 @@ class SisaEnsemble:
         try:
             return self._location[int(global_index)]
         except KeyError:
+            # Deleted indices keep their location, so a miss is a bad index.
             raise KeyError(
-                f"index {global_index} not found (already deleted?)"
+                f"index {global_index} out of range for a dataset of "
+                f"{len(self.dataset)} samples"
             ) from None
 
     # ------------------------------------------------------------------
@@ -288,56 +290,36 @@ class SisaEnsemble:
             init_state=shard.checkpoints[from_slice - 1] if from_slice > 0 else None,
         )
 
-    def _chain_arch_reason(self) -> Optional[str]:
-        if not self._chain_arch_probed:
-            from .vectorized import chain_arch_reason
-
-            self._chain_arch = chain_arch_reason(self.model_factory())
-            self._chain_arch_probed = True
-        return self._chain_arch
-
     def _run_chains(self, tasks: Sequence[ChainTask]) -> List[ChainResult]:
-        """Execute shard chains — stage-lockstep stacked when eligible.
+        """Execute shard chains — one dispatch, stacked when eligible.
 
-        The per-shard path is the default; with ``vectorize=True`` an
-        eligible batch (≥ 2 chains, uniform config, stackable dropout-free
-        architecture) runs through
-        :func:`~repro.unlearning.vectorized.run_chains_vectorized`, which
-        still falls back per *stage* when a stage's member cohort fails
-        the data gate (reasons tallied either way).
+        The per-shard path is the default; with ``vectorize=True`` the
+        batch goes through the simulation's own
+        :func:`~repro.federated.vectorized.plan_cohort`: eligible chains
+        (≥ 2, uniform config, stackable dropout-free architecture) fuse
+        into one stack chunked across the backend's workers, each worker
+        running its chains' stages in lockstep
+        (:meth:`ChainTask.run_stack`).  A *stage* whose members fail the
+        data gate still trains them one by one; its reason comes back on
+        the results and is tallied here, once per batch like the plan's.
         """
         tasks = list(tasks)
         if not self.vectorize or not tasks:
             return self.backend.run_tasks(tasks)
-        from .vectorized import run_chains_vectorized, sisa_chain_fallback_reason
-
-        stats = self._vectorize_stats
-        reason = sisa_chain_fallback_reason(tasks, self._chain_arch_reason())
-        if reason is not None:
-            stats["rounds_fallback"] += 1
-            reasons = stats["fallback_reasons"]
-            reasons[reason] = reasons.get(reason, 0) + 1
-            return self.backend.run_tasks(tasks)
-        fused_before = sum(stats["chunks"].values())
-        results = run_chains_vectorized(tasks, self.backend, stats=stats)
-        if sum(stats["chunks"].values()) > fused_before:
-            stats["rounds_vectorized"] += 1
-        else:
-            stats["rounds_fallback"] += 1
+        plan = plan_cohort(tasks, backend_worker_count(self.backend))
+        self._vectorize_stats.tally(plan)
+        results = scatter_results(plan, self.backend.run_tasks(plan.units))
+        for reason in dict.fromkeys(
+            reason for result in results for reason in result.fallback_reasons
+        ):
+            self._vectorize_stats.record_fallback(reason)
         return results
 
     def vectorize_report(self) -> dict:
         """Vectorization telemetry: batches fused vs fallen back, recorded
-        fallback reasons, and the stack-chunk fan-out tally (mirrors
+        fallback reasons, and the stack-chunk fan-out tally (the keys of
         :meth:`~repro.federated.FederatedSimulation.vectorize_report`)."""
-        stats = self._vectorize_stats
-        return {
-            "requested": self.vectorize,
-            "rounds_vectorized": stats["rounds_vectorized"],
-            "rounds_fallback": stats["rounds_fallback"],
-            "fallback_reasons": dict(stats["fallback_reasons"]),
-            "chunks": dict(stats["chunks"]),
-        }
+        return self._vectorize_stats.report(self.vectorize)
 
     def _absorb_chain_result(self, shard: _Shard, result: ChainResult) -> int:
         """Install a finished shard chain: checkpoints, model, RNG position."""

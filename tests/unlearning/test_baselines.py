@@ -106,3 +106,32 @@ class TestB3IncompetentTeacher:
         )
         assert result.epochs_run == 2
         assert result.wall_seconds > 0
+
+    def test_honours_weight_decay_and_grad_clip(self):
+        """B3 trains under its whole ``TrainConfig``, like ``train`` and
+        Goldfish: it once built a bare ``SGD(lr, momentum)`` and never
+        clipped, silently dropping both knobs."""
+        teacher, forget, retain, _ = poisoned_setup()
+        steps = -(-len(retain) // 20)
+
+        def movement(**knobs):
+            student = factory(42)
+            student.load_state_dict(teacher.state_dict())
+            config = IncompetentTeacherConfig(train=TrainConfig(
+                epochs=1, batch_size=20, learning_rate=0.1, momentum=0.0, **knobs
+            ))
+            IncompetentTeacherUnlearner(config).unlearn(
+                student, teacher, factory(99), retain, forget,
+                np.random.default_rng(3),
+            )
+            start = teacher.state_dict()
+            return np.sqrt(sum(
+                ((value - start[key]) ** 2).sum()
+                for key, value in student.state_dict().items()
+            ))
+
+        plain = movement()
+        assert movement(weight_decay=0.05) != plain
+        # Every step moves the parameters by at most lr * clip.
+        clipped = movement(grad_clip=1e-3)
+        assert 0 < clipped <= steps * 0.1 * 1e-3 * (1 + 1e-9) < plain

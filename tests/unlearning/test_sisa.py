@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.nn.models import MLP
 from repro.unlearning import SisaConfig, SisaEnsemble
 
-from ..conftest import make_blobs
+from ..conftest import generated, make_blobs
 
 
 def make_ensemble(num_samples=72, num_shards=3, num_slices=4, seed=0, **kwargs):
@@ -68,6 +68,18 @@ class TestPartitioning:
         ensemble, _ = make_ensemble()
         with pytest.raises(KeyError):
             ensemble.shard_of(10_000)
+
+    def test_shard_of_miss_is_an_out_of_range_index(self):
+        # A deleted index keeps its location, so the only way to miss is
+        # an index the dataset never had — and the error says that.
+        ensemble, dataset = make_ensemble(num_samples=36, num_shards=2, num_slices=3)
+        ensemble.fit()
+        before = ensemble.shard_of(5)
+        ensemble.delete([5])
+        assert ensemble.shard_of(5) == before
+        for bad in (-1, len(dataset)):
+            with pytest.raises(KeyError, match="out of range for a dataset of 36"):
+                ensemble.shard_of(bad)
 
 
 class TestTraining:
@@ -258,3 +270,50 @@ class TestProperties:
         target = int(ensemble._shards[0].slice_indices[position][0])
         report = ensemble.delete([target])
         assert report.slices_retrained == 4 - position
+
+    @given(
+        num_shards=st.integers(1, 4),
+        num_slices=st.integers(1, 3),
+        vectorize=st.booleans(),
+        windows=st.lists(
+            st.sets(st.integers(0, 35), min_size=1, max_size=8),
+            min_size=1, max_size=4,
+        ),
+    )
+    @generated(15)
+    def test_property_deletion_is_complete(
+        self, num_shards, num_slices, vectorize, windows
+    ):
+        """After any deletion windows, no stage of any retrain chain
+        carries a forgotten index, and ``shard_sizes`` are the live counts."""
+        dataset = make_blobs(num_samples=36, num_classes=3, shape=(1, 4, 4))
+        factory = lambda: MLP(16, 3, np.random.default_rng(0))
+        config = SisaConfig(num_shards=num_shards, num_slices=num_slices, batch_size=8)
+        ensemble = SisaEnsemble(
+            factory, dataset, config, seed=1, vectorize=vectorize
+        ).fit()
+        forgotten = set()
+        for window in windows:
+            window = window - forgotten  # re-deleting is rejected, by design
+            if not window:
+                continue
+            pending = ensemble.delete_begin(sorted(window))
+            forgotten |= window
+            assert len(pending.tasks) == len({ensemble.shard_of(i)[0] for i in window})
+            for task in pending.tasks:
+                own = np.concatenate(ensemble._shards[task.task_id].slice_indices)
+                for stage in task.stages:
+                    assert not forgotten & set(stage.indices.tolist())
+                    assert np.isin(stage.indices, own).all()  # shard isolation
+            ensemble.delete_finish(pending, ensemble._run_chains(pending.tasks))
+            assert not ensemble.pending_shards
+        assert ensemble.deleted_indices == forgotten
+        assert ensemble.shard_sizes() == [
+            sum(
+                int(index) not in forgotten
+                for part in shard.slice_indices
+                for index in part
+            )
+            for shard in ensemble._shards
+        ]
+        assert sum(ensemble.shard_sizes()) == 36 - len(forgotten)

@@ -15,6 +15,7 @@ import pytest
 from repro.data import FederatedDataset
 from repro.federated import FederatedSimulation, FedAvgAggregator
 from repro.nn.models import MLP
+from repro.runtime import SerialBackend
 from repro.training import TrainConfig
 from repro.unlearning import (
     GoldfishConfig,
@@ -164,3 +165,90 @@ class TestSisaParity:
         np.testing.assert_array_equal(
             ref.predict(dataset.images), vec.predict(dataset.images)
         )
+
+
+def sisa_factory():  # module-level, so chains pickle to pool workers
+    return MLP(16, 3, np.random.default_rng(42))
+
+
+def fit_four_shards(vectorize, backend=None):
+    """121 samples over 4 shards x 2 slices at batch 10: shard 0 holds 31
+    rows, so its last stage takes 4 steps where the others take 3."""
+    data = make_blobs(num_samples=121, num_classes=3, shape=(1, 4, 4), seed=3)
+    config = SisaConfig(num_shards=4, num_slices=2, batch_size=10, learning_rate=0.1)
+    return SisaEnsemble(sisa_factory, data, config, seed=5, backend=backend,
+                        vectorize=vectorize).fit()
+
+
+def build_windows(vectorize, backend=None):
+    """fit + two multi-shard deletion windows."""
+    ensemble = fit_four_shards(vectorize, backend)
+    ensemble.delete([1, 45, 90, 100])
+    ensemble.delete([7, 60])
+    return ensemble
+
+
+def assert_ensembles_equal(ref, vec):
+    for a, b in zip(ref._shards, vec._shards):
+        assert_states_equal(a.model.state_dict(), b.model.state_dict())
+        assert set(a.checkpoints) == set(b.checkpoints)
+        for key in a.checkpoints:
+            assert_states_equal(a.checkpoints[key], b.checkpoints[key])
+        assert a.rng_state == b.rng_state
+
+
+class CountingBackend(SerialBackend):
+    """Serial execution that claims two workers and logs its dispatches."""
+
+    def __init__(self):
+        self.batches = []
+
+    def worker_count(self):
+        return 2
+
+    def run_tasks(self, tasks):
+        tasks = list(tasks)
+        self.batches.append(tasks)
+        return super().run_tasks(tasks)
+
+
+class TestSisaOneDispatch:
+    """A chain batch is one dispatch of min(K, workers) chunks — not one
+    per slice step — on any backend."""
+
+    def test_fit_is_one_run_tasks_call_of_two_chunks(self):
+        backend = CountingBackend()
+        vec = fit_four_shards(True, backend)
+        assert len(backend.batches) == 1
+        (units,) = backend.batches
+        assert [unit.task_id for unit in units] == [(0, 1), (2, 3)]
+        report = vec.vectorize_report()
+        assert report["rounds_vectorized"] == 1 and report["rounds_fallback"] == 0
+        assert report["chunks"] == {2: 1}
+        # Shards 0 and 1 share a chunk and fall out of step at the last
+        # stage; that stage's fallback is reported, not silent.
+        (reason,) = report["fallback_reasons"]
+        assert "step counts [3, 4]" in reason
+        assert report["fallback_reasons"][reason] == 1
+        assert_ensembles_equal(fit_four_shards(False), vec)
+
+    def test_single_chain_window_is_reported_not_fused(self):
+        backend = CountingBackend()
+        vec = build_windows(True, backend)
+        target = int(vec._shards[2].slice_indices[1][0])
+        before = len(backend.batches)
+        vec.delete([target])
+        assert len(backend.batches) == before + 1
+        assert [type(unit).__name__ for unit in backend.batches[-1]] == ["ChainTask"]
+        assert vec.vectorize_report()["fallback_reasons"][
+            "cohort has a single participant"
+        ] >= 1
+
+    @pytest.mark.parametrize("backend", ["serial", "pool:2"])
+    def test_fit_and_two_windows_bit_identical(self, backend):
+        ref = build_windows(False)
+        vec = build_windows(True, backend)
+        assert_ensembles_equal(ref, vec)
+        report = vec.vectorize_report()
+        assert report["rounds_vectorized"] >= 1
+        assert set(report["chunks"]) == ({2} if backend == "pool:2" else {1})
