@@ -17,9 +17,7 @@ from repro.federated import (
     FederatedSimulation,
     DropoutInjector,
     FullParticipation,
-    IdentityCompressor,
     SecureAggregationRound,
-    TopKCompressor,
     state_math,
 )
 from repro.nn.models import build_model
@@ -89,39 +87,15 @@ def test_compression_accuracy_vs_bytes(benchmark, scale):
     def run():
         results = {}
         for fraction in fractions:
-            fed, factory, config, test_set = _federation(scale, seed=1)
-            compressor = (
-                IdentityCompressor() if fraction == 1.0
-                else TopKCompressor(fraction)
+            fed, factory, config, _ = _federation(scale, seed=1)
+            sim = FederatedSimulation(
+                factory, fed, FedAvgAggregator(), config, seed=3,
+                codec="raw" if fraction == 1.0 else f"topk:{fraction}",
             )
-            model = factory()
-            global_state = model.state_dict()
-            clients_data = fed.client_datasets
-            total_bytes = 0
-            rng = np.random.default_rng(3)
-            for _ in range(rounds):
-                deltas = []
-                sizes = []
-                for dataset in clients_data:
-                    client_model = factory()
-                    client_model.load_state_dict(global_state)
-                    from repro.training.trainer import train
-                    train(client_model, dataset, config, rng)
-                    delta = state_math.subtract(
-                        client_model.state_dict(), global_state
-                    )
-                    compressed = compressor.compress(delta)
-                    total_bytes += compressed.payload_bytes
-                    deltas.append(compressor.decompress(compressed))
-                    sizes.append(len(dataset))
-                total = sum(sizes)
-                mean_delta = state_math.weighted_sum(
-                    deltas, [s / total for s in sizes]
-                )
-                global_state = state_math.add(global_state, mean_delta)
-            model.load_state_dict(global_state)
-            _, accuracy = evaluate(model, test_set)
-            results[fraction] = (accuracy, total_bytes)
+            history = sim.run(rounds)
+            results[fraction] = (
+                history.final_accuracy, sim.transport_report()["bytes_up"]
+            )
         return results
 
     results = run_once(benchmark, run)

@@ -25,14 +25,8 @@ from repro.data import make_federated, synthetic_mnist
 from repro.data.dataset import ArrayDataset
 from repro.nn.models import MLP
 from repro.experiments.common import model_factory_for
-from repro.federated import (
-    CostMeter,
-    ErrorFeedback,
-    SecureAggregationRound,
-    TopKCompressor,
-    state_bytes,
-    state_math,
-)
+from repro.federated import CostMeter, SecureAggregationRound, state_bytes
+from repro.runtime import get_codec
 from repro.training import TrainConfig, evaluate
 from repro.training.trainer import train
 
@@ -75,8 +69,10 @@ def main() -> None:
     print(f"model wire size (dense float32): {dense_bytes / 1024:.0f} KiB")
 
     meter = CostMeter("secure-federation")
-    feedback = {cid: ErrorFeedback(TopKCompressor(fraction=0.25))
-                for cid in range(fed.num_clients)}
+    # One shared codec; the error-feedback residual is per-client state the
+    # caller carries from one encode to the next.
+    codec = get_codec("ef:topk:0.25")
+    residuals = {cid: None for cid in range(fed.num_clients)}
     num_rounds = 6
 
     for round_index in range(num_rounds):
@@ -95,16 +91,17 @@ def main() -> None:
                 train(local, dataset, config, rng)
                 meter.record_training(len(dataset), config.epochs)
 
-                delta = state_math.subtract(local.state_dict(), global_state)
-                compressed, reconstructed = feedback[client_id].compress(delta)
-                meter.record_upload(compressed.payload_bytes)
+                encoded, residuals[client_id] = codec.encode_with_residual(
+                    local.state_dict(), global_state, residuals[client_id]
+                )
+                meter.record_upload(encoded.nbytes)
 
                 # The server aggregates what it can reconstruct; masking
                 # happens on the reconstructed (sparse) update so the
                 # cancellation arithmetic stays exact.
                 masked = secure_round.masked_update(
                     client_id,
-                    state_math.add(global_state, reconstructed),
+                    codec.decode(encoded, global_state),
                     len(dataset),
                 )
                 secure_round.receive(masked)

@@ -7,11 +7,11 @@ entire dependency stack:
 * :mod:`repro.data` — synthetic benchmark datasets, partitioning,
   augmentation, backdoors
 * :mod:`repro.federated` — clients, server, FedAvg / adaptive aggregation,
-  round-history retention, secure aggregation, compression, sampling,
-  cost metering
+  round-history retention, secure aggregation, sampling, cost metering
 * :mod:`repro.privacy` — clipping, Gaussian mechanism, zCDP accounting
-* :mod:`repro.runtime` — pluggable execution backends (serial / thread /
-  process) fanning independent training tasks across cores
+* :mod:`repro.runtime` — pluggable execution backends (serial / pool /
+  cluster) fanning independent training tasks across cores, and the
+  update codecs (lossless delta, top-k / quantization with error feedback)
 * :mod:`repro.training` — configs, supervised training loop, evaluation
 * :mod:`repro.unlearning` — the Goldfish framework, the B1/B2/B3 baselines,
   FedEraser / FedRecovery, full SISA, deletion-request scheduling

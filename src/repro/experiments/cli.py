@@ -343,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "--sweep federation.num_clients=5,10 (repeatable)")
     parser.add_argument("--backend", default="",
                         help="execution backend for every fan-out site: "
-                             "serial (default), thread, pool ('process' "
+                             "serial (default), pool ('process' "
                              "is an alias), cluster (localhost multi-node "
                              "over TCP) — "
                              "optionally sized, e.g. 'pool:8' or "

@@ -70,6 +70,19 @@ from .spec import (
 
 _MB = 1024.0 * 1024.0
 
+# The history-replaying methods draw their calibration randomness from a
+# stream of their own, at a fixed offset from the run seed (a method
+# registered without an entry draws from the seed itself).
+_HISTORY_RNG_OFFSETS = {"federaser": 31, "fedrecovery": 37}
+
+
+def _history_rng(seed: int, cls) -> Optional[np.random.Generator]:
+    """The generator ``run_method`` hands an unlearner class, or ``None``
+    when it replays no history."""
+    if not cls.requires_history:
+        return None
+    return np.random.default_rng(seed + _HISTORY_RNG_OFFSETS.get(cls.name, 0))
+
 
 # ----------------------------------------------------------------------
 # Core building blocks
@@ -391,15 +404,11 @@ def run_efficiency(
         notes=exp.params.get("notes", ""),
     )
     storage_mb = prepared.history.storage_report().total_bytes / _MB
-    rng_offsets = {"federaser": 31, "fedrecovery": 37}
     for method in exp.methods:
         cls = get_unlearner(method)
-        rng = (
-            np.random.default_rng(seed + rng_offsets.get(cls.name, 0))
-            if cls.requires_history
-            else None
+        outcome = run_method(
+            prepared, method, scale, rng=_history_rng(seed, cls)
         )
-        outcome = run_method(prepared, method, scale, rng=rng)
         metrics = evaluate_model(outcome.global_model, scenario)
         result.add_row(
             method=method,
@@ -717,6 +726,7 @@ def run_aggregation_iid(
             fed = make_federated(
                 train_set, test_set, count, rng,
                 strategy=exp.scenario.partition.strategy,
+                **dict(exp.scenario.partition.options),
             )
             aggregator = make_aggregator(
                 name, test_set=test_set, model_factory=factory
@@ -867,7 +877,6 @@ def run_matrix(
             "method", "acc", "backdoor", "wall_s", "rounds", "chains",
         ),
     )
-    rng_offsets = {"federaser": 31, "fedrecovery": 37}
     cells_resumed = 0
     for combo in combos:
         overrides = dict(zip(keys, combo))
@@ -919,13 +928,10 @@ def run_matrix(
             chains=0,
         )
         for method in methods:
-            cls = get_unlearner(method)
-            rng = (
-                np.random.default_rng(seed + rng_offsets.get(cls.name, 31))
-                if cls.requires_history
-                else None
+            outcome = run_method(
+                prepared, method, scale,
+                rng=_history_rng(seed, get_unlearner(method)),
             )
-            outcome = run_method(prepared, method, scale, rng=rng)
             metrics = evaluate_model(outcome.global_model, prepared.scenario)
             result.add_row(
                 **overrides,

@@ -6,8 +6,7 @@ folding) and the round simulator — synchronous barrier loop by default,
 event-driven buffered-async engine (:mod:`.engine`) on opt-in — plus the
 hardened-deployment substrates: per-round update retention for the
 update-adjustment unlearning family (:mod:`.history`), pairwise-masking
-secure aggregation with dropout recovery (:mod:`.secure_agg`), top-k /
-quantization upload compression with error feedback (:mod:`.compression`),
+secure aggregation with dropout recovery (:mod:`.secure_agg`),
 client sampling, dropout injection and straggler accounting
 (:mod:`.sampling`), communication/compute cost metering
 (:mod:`.metering`), and client-vectorized execution — K homogeneous
@@ -32,14 +31,6 @@ from .engine import (
     ConstantLatency,
     LatencyModel,
     SeededLatency,
-)
-from .compression import (
-    CompressedState,
-    Compressor,
-    ErrorFeedback,
-    IdentityCompressor,
-    QuantizationCompressor,
-    TopKCompressor,
 )
 from .history import (
     RoundHistoryStore,
@@ -74,12 +65,6 @@ __all__ = [
     "RoundSnapshot",
     "StorageReport",
     "attach_history",
-    "CompressedState",
-    "Compressor",
-    "ErrorFeedback",
-    "IdentityCompressor",
-    "QuantizationCompressor",
-    "TopKCompressor",
     "CostMeter",
     "CostReport",
     "MeteredSimulationProxy",

@@ -32,7 +32,7 @@ dispatch_index)`` — and events are consumed in **virtual-arrival order**
 (ties broken by client id).  Tasks themselves are pure (state + RNG
 position in, state + RNG position out; see :mod:`repro.runtime.task`), so
 the run is bit-identical for a given seed and latency model on every
-backend: serial, thread, process or pool.  Parallel hardware changes only
+backend: serial, pool or cluster.  Parallel hardware changes only
 the wall-clock.
 
 The synchronous path is untouched: a simulation without an

@@ -13,8 +13,8 @@ participant works on its own model replica and its own data. The
 simulation therefore emits one pure :class:`~repro.runtime.TrainTask` per
 participant and fans them out through a pluggable
 :class:`~repro.runtime.Backend` (``backend="serial"`` by default, which is
-bit-identical to the historical inline loop; ``"thread"``, ``"pool"``
-and ``"cluster"`` parallelise rounds without changing any result, because
+bit-identical to the historical inline loop; ``"pool"`` and
+``"cluster"`` parallelise rounds without changing any result, because
 each task carries and returns its client's exact RNG position).
 """
 
@@ -211,7 +211,7 @@ class FederatedSimulation:
         runs are reproducible regardless of client count.
     backend:
         Execution backend for per-client local training — ``None``/
-        ``"serial"`` (default), ``"thread"``, ``"pool"``, ``"cluster"``, or
+        ``"serial"`` (default), ``"pool"``, ``"cluster"``, or
         a :class:`~repro.runtime.Backend` instance. Results are identical
         across backends; only wall-clock time changes.
     codec:

@@ -53,7 +53,7 @@ import numpy as np
 Scalar = Union[int, float, np.floating, np.integer]
 ArrayLike = Union[Scalar, Sequence, np.ndarray, "Tensor"]
 
-# Thread-local so concurrent workers (repro.runtime's ThreadBackend) can
+# Thread-local so callers that train or evaluate on several threads can
 # enter/leave no_grad() independently without racing on a shared flag.
 _GRAD_STATE = threading.local()
 

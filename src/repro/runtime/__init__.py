@@ -14,7 +14,7 @@ All of those entry points accept a ``backend=`` argument taking ``None``
 (serial, the default), a spec string, or a configured :class:`Backend`
 instance::
 
-    sim = FederatedSimulation(..., backend="thread")
+    sim = FederatedSimulation(..., backend="pool")
     ensemble = SisaEnsemble(..., backend="pool:4")
     trainer = ShardedClientTrainer(..., backend=PoolBackend(max_workers=4))
 
@@ -23,8 +23,6 @@ bit-identical across backends — parallelism is a pure wall-clock
 optimisation.  Rules of thumb:
 
 * ``serial`` (default) — debugging, tiny workloads, exact-legacy runs.
-* ``thread`` — work that releases the GIL (large BLAS matmuls) or cheap
-  parity checking; no pickling, no process overhead.
 * ``pool`` — multi-core on one host.  Workers fork once and stay warm
   across every ``run_tasks`` call (federated rounds, SISA retrain
   chains, protocol rounds all reuse them); tasks are pickled over, so
@@ -48,7 +46,7 @@ dispatch core (:mod:`repro.runtime.dispatch`,
 :mod:`repro.runtime.scheduler`): scheduling, retry budgets, the
 broadcast cache and byte accounting are the same code on both.
 
-Specs may carry a worker count (``"thread:8"``, ``"pool:4"``), and when
+Specs may carry a worker count (``"pool:4"``, ``"cluster:2"``), and when
 ``backend=None`` the ``REPRO_BACKEND`` environment variable (same
 syntax) is consulted before defaulting to serial — which is how
 ``python -m repro.experiments --backend pool --workers 8`` threads a
@@ -73,7 +71,6 @@ from .backends import (
     BackendError,
     BackendLike,
     SerialBackend,
-    ThreadBackend,
     get_backend,
     parse_backend_spec,
     usable_cpus,
@@ -84,7 +81,6 @@ from .codec import (
     available_codecs,
     dense_nbytes,
     get_codec,
-    register_codec,
     state_version,
 )
 from .pool import PoolBackend, WorkerPool
@@ -122,7 +118,6 @@ __all__ = [
     "SerialBackend",
     "StackedTask",
     "StateDict",
-    "ThreadBackend",
     "TrainResult",
     "TrainTask",
     "TransportStats",
@@ -135,7 +130,6 @@ __all__ = [
     "get_codec",
     "parse_backend_spec",
     "recv_payload",
-    "register_codec",
     "restore_rng",
     "send_payload",
     "state_version",

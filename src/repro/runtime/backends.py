@@ -12,11 +12,6 @@ backend changes wall-clock time only, never the numbers:
     everywhere; preserves exact seed-for-seed behaviour and is the
     reference the parallel backends are tested against.
 
-``ThreadBackend``
-    A thread pool.  Python bytecode still serialises on the GIL, so this
-    only helps when the work releases it (large BLAS matmuls); its main
-    roles are overlap with I/O and cheap parity checking.
-
 ``PoolBackend`` (in :mod:`repro.runtime.pool`)
     A persistent worker pool: forks once, then serves every subsequent
     ``run_tasks`` call over pipes.  The multi-process choice on one
@@ -32,12 +27,12 @@ backend changes wall-clock time only, never the numbers:
     started agents.  Bit-identical to ``pool`` by construction.
 
 Pick a backend by name with :func:`get_backend` (``"serial"``,
-``"thread"``, ``"pool"``, ``"cluster"``) or pass a :class:`Backend`
+``"pool"``, ``"cluster"``) or pass a :class:`Backend`
 instance.  ``"process"`` (also ``"processes"``, ``"fork"``) named a
 fork-per-call backend the pool superseded and is kept as an alias of
 ``"pool"``, so existing specs and ``REPRO_BACKEND`` values still
 resolve.  A spec may carry a worker count after a colon —
-``get_backend("thread:8")``, ``get_backend("pool:4")`` — plus
+``get_backend("pool:4")``, ``get_backend("cluster:2")`` — plus
 ``key=value`` options after that: ``"pool:8:retries=2"`` sets the
 pool's ``max_task_retries`` worker-death budget, and
 ``"cluster:4:retries=2:lease=60:capacity=2"`` additionally bounds how
@@ -55,7 +50,6 @@ from __future__ import annotations
 
 import abc
 import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, List, Optional, Sequence, Union
 
 
@@ -101,32 +95,6 @@ class SerialBackend(Backend):
 
     def run_tasks(self, tasks: Sequence[Any]) -> List[Any]:
         return [task.run() for task in tasks]
-
-
-class ThreadBackend(Backend):
-    """Run tasks on a thread pool.
-
-    ``max_workers=None`` sizes the pool to the usable CPU count (at least
-    two, so the concurrent path is exercised even on one core).
-    """
-
-    name = "thread"
-
-    def __init__(self, max_workers: Optional[int] = None) -> None:
-        if max_workers is not None and max_workers < 1:
-            raise ValueError(f"max_workers must be >= 1, got {max_workers}")
-        self.max_workers = max_workers
-
-    def worker_count(self) -> int:
-        return self.max_workers or max(2, usable_cpus())
-
-    def run_tasks(self, tasks: Sequence[Any]) -> List[Any]:
-        tasks = list(tasks)
-        if len(tasks) <= 1:
-            return [task.run() for task in tasks]
-        workers = min(len(tasks), self.worker_count())
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda task: task.run(), tasks))
 
 
 def _make_serial(max_workers: Optional[int] = None) -> Backend:
@@ -196,7 +164,6 @@ _CLUSTERS: dict = {}
 
 _BACKENDS = {
     "serial": _make_serial,
-    "thread": ThreadBackend,
     "pool": _make_pool,
     "cluster": _make_cluster,
 }
@@ -205,7 +172,6 @@ _BACKENDS = {
 #: The ``process`` family named the fork-per-call backend the pool
 #: replaced; it now means the shared pool.
 _ALIASES = {
-    "threads": "thread",
     "process": "pool",
     "processes": "pool",
     "fork": "pool",
@@ -252,7 +218,8 @@ def parse_backend_spec(spec: str) -> tuple:
     name = _ALIASES.get(name, name)
     if name not in _BACKENDS:
         raise ValueError(
-            f"unknown backend {spec!r}; available: {sorted([*_BACKENDS, *_ALIASES])}"
+            f"unknown backend {spec!r}; available: "
+            f"{sorted([*_BACKENDS, *_ALIASES])}, e.g. 'pool:4'"
         )
     workers: Optional[int] = None
     options: dict = {}
@@ -330,7 +297,7 @@ def get_backend(spec: BackendLike = None) -> Backend:
     ``None`` falls back to the ``REPRO_BACKEND`` environment variable if
     set, else the serial default (exact legacy behaviour).  Strings pick
     a stock backend by name with an optional worker count and options —
-    ``"thread:8"``, ``"pool:4:retries=2"``.  Instances pass through
+    ``"pool:8"``, ``"pool:4:retries=2"``.  Instances pass through
     untouched.
     """
     if spec is None:

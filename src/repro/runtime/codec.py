@@ -39,9 +39,11 @@ Update codecs (uplink, pluggable)
     lossless; ``topk:<frac>`` and ``quant:<bits>`` are the two standard
     lossy FL compressors
     (deterministic functions of their input, so runs stay reproducible
-    per seed on every backend).  Codecs are resolved by spec string via
-    :func:`get_codec`, which is what `` FederationSpec.compression`` and
-    the CLI's ``--codec`` flag feed.
+    per seed on every backend), each the one place that compresses,
+    prices and reconstructs its payload, and ``ef:<lossy>`` is either
+    with client-side error feedback.  Codecs are resolved by spec string
+    via :func:`get_codec`, which is what ``FederationSpec.compression``
+    and the CLI's ``--codec`` flag feed.
 
 Encoding happens *inside* :meth:`TrainTask.run` and decoding inside
 :meth:`~repro.federated.client.Client.absorb_train_result`, so the exact
@@ -52,6 +54,7 @@ encoded payload instead of the dense state.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import zlib
 from dataclasses import dataclass
@@ -68,6 +71,8 @@ _VERSION_BYTES = 16  # hex chars of the content hash shipped as a ref
 # takes 2.6x level 1's time for 7 % fewer bytes there — 0.6 % of a payload
 # (16x16 MLP client updates and global deltas).
 _ZLIB_LEVEL = 1
+_INDEX_BYTES = 4  # top-k: uint32 flat indices on the wire
+_FLOAT_BYTES = 4  # top-k values, quantization codebook endpoints: float32
 
 
 def dense_nbytes(state: StateDict) -> int:
@@ -385,6 +390,17 @@ class UpdateCodec:
     def decode(self, encoded: EncodedUpdate, basis: StateDict) -> StateDict:
         raise NotImplementedError
 
+    def encode_with_residual(
+        self,
+        state: StateDict,
+        basis: StateDict,
+        residual: Optional[StateDict] = None,
+    ) -> Tuple[EncodedUpdate, Optional[StateDict]]:
+        """:meth:`encode` for a client that keeps state between rounds:
+        ``(encoded update, residual to carry into its next encode)``.
+        Only the ``ef:*`` codecs read ``residual`` or return one."""
+        return self.encode(state, basis), None
+
     def roundtrip(self, state: StateDict, basis: StateDict) -> Tuple[StateDict, int]:
         """Encode + decode in one step: ``(wire-equivalent state, nbytes)``."""
         encoded = self.encode(state, basis)
@@ -442,107 +458,27 @@ class DeltaCodec(UpdateCodec):
         return _xor_restore(payload, basis)
 
 
-def _split_lossy_keys(state: StateDict) -> Tuple[List[str], List[str]]:
-    """Float arrays take the lossy path; integer buffers (step counters,
-    BN sample counts) must survive exactly and ship dense."""
-    lossy = [k for k, v in state.items() if np.issubdtype(v.dtype, np.floating)]
-    exact = [k for k in state if k not in lossy]
-    return lossy, exact
-
-
 class _LossyDeltaCodec(UpdateCodec):
     """Shared shape of the lossy codecs: compress ``local − basis``.
 
-    Float entries take the configured delta compressor
-    (:mod:`repro.federated.compression`); non-float entries (step
-    counters, BN sample counts) must survive exactly and ship dense.
-    Reconstruction is ``basis + decompressed_delta`` in the basis dtype.
-    Deterministic: compression and values are pure functions of the
-    update, so runs reproduce per seed on every backend.
-    """
+    Float entries take the subclass's :meth:`compress` /
+    :meth:`decompress` pair, which is the one place that knows the
+    payload and its wire price; non-float entries (step counters, BN
+    sample counts) must survive exactly and ship dense.  Reconstruction
+    is ``basis + decompressed_delta`` in the basis dtype.  Deterministic:
+    compression and values are pure functions of the update, so runs
+    reproduce per seed on every backend.
 
-    lossless = False
-    _compressor = None  # set by subclasses
-
-    def _narrow(self, compressed) -> None:
-        """Optional post-compress hook to shrink the wire payload."""
-
-    def encode(self, state: StateDict, basis: StateDict) -> EncodedUpdate:
-        lossy, exact = _split_lossy_keys(state)
-        delta = {key: state[key] - basis[key] for key in lossy}
-        compressed = self._compressor.compress(delta) if delta else None
-        if compressed is not None:
-            self._narrow(compressed)
-        exact_part = {key: state[key] for key in exact}
-        nbytes = (compressed.payload_bytes if compressed else 0) + dense_nbytes(
-            exact_part
-        )
-        return EncodedUpdate(
-            codec=self.spec, payload=(compressed, exact_part), nbytes=nbytes
-        )
-
-    def decode(self, encoded: EncodedUpdate, basis: StateDict) -> StateDict:
-        compressed, exact_part = encoded.payload
-        state = dict(exact_part)
-        if compressed is not None:
-            for key, delta in self._compressor.decompress(compressed).items():
-                base = basis[key]
-                state[key] = base + np.asarray(delta, dtype=base.dtype)
-        return state
-
-
-class TopKCodec(_LossyDeltaCodec):
-    """Top-k sparsified delta: ``topk:<fraction>``.
-
-    Keeps the ``fraction`` largest-magnitude entries of ``local − basis``
-    per tensor (at least one, so biases survive) and reconstructs
-    ``basis + sparse_delta``.
-    """
-
-    def __init__(self, fraction: float) -> None:
-        from ..federated.compression import TopKCompressor
-
-        self._compressor = TopKCompressor(fraction)
-        self.fraction = fraction
-        self.spec = f"topk:{fraction:g}"
-
-
-class QuantCodec(_LossyDeltaCodec):
-    """Uniformly quantized delta: ``quant:<bits>``.
-
-    QSGD-style uniform b-bit quantization of ``local − basis`` with
-    per-tensor codebooks; reconstruction is ``basis + dequantized``.
-    """
-
-    def __init__(self, num_bits: int) -> None:
-        from ..federated.compression import QuantizationCompressor
-
-        self._compressor = QuantizationCompressor(num_bits)
-        self.num_bits = num_bits
-        self.spec = f"quant:{num_bits}"
-
-    def _narrow(self, compressed) -> None:
-        # Ship the codes at their actual width: for <=8 bits the pipe
-        # should carry 1 byte per entry, not uint16's 2 (metering already
-        # prices the logical bit width via payload_bytes; uint8 codes
-        # dequantize identically — values, not widths).
-        if self.num_bits <= 8:
-            for entry in compressed.payload.values():
-                entry["codes"] = entry["codes"].astype(np.uint8)
-
-
-class ErrorFeedbackCodec(UpdateCodec):
-    """``ef:<lossy-spec>`` — client-side error feedback around a lossy codec.
-
-    Wraps :class:`~repro.federated.compression.ErrorFeedback` around the
-    inner codec's compressor: each round the client adds the residual its
-    *previous* compression dropped to this round's float delta before
-    compressing, so the cumulative transmitted signal tracks the
-    cumulative true signal (the standard fix for top-k's bias; Seide et
-    al., Karimireddy et al.).  The wire format is the inner codec's —
-    the server decodes ``ef:topk:0.05`` exactly as it would
-    ``topk:0.05`` — only the *client-side* pre-compression correction
-    changes.
+    **Error feedback** (``ef:<lossy-spec>``, :attr:`feedback`) is this
+    same encode with the residual term switched on: each round the
+    client adds the residual its *previous* compression dropped to this
+    round's float delta before compressing, and carries what this
+    compression drops into the next, so the cumulative transmitted
+    signal tracks the cumulative true signal (the standard fix for
+    top-k's bias; Seide et al., Karimireddy et al.).  The wire format
+    does not change — the server decodes ``ef:topk:0.05`` exactly as it
+    would ``topk:0.05`` — only the *client-side* pre-compression
+    correction does.
 
     The residual is per-client state, not a codec attribute: codec
     instances are shared process-wide (and encode runs inside worker
@@ -559,15 +495,15 @@ class ErrorFeedbackCodec(UpdateCodec):
     """
 
     lossless = False
+    feedback = False  # on for the ``ef:<spec>`` copy get_codec makes
 
-    def __init__(self, inner_spec: str) -> None:
-        inner = get_codec(inner_spec)
-        if not isinstance(inner, _LossyDeltaCodec):
-            raise ValueError(
-                f"ef wraps lossy delta codecs (topk/quant), got {inner_spec!r}"
-            )
-        self.inner = inner
-        self.spec = f"ef:{inner.spec}"
+    def compress(self, delta: StateDict) -> Tuple[Dict[str, Any], int]:
+        """``(payload, wire bytes)`` of a float delta, one entry per key."""
+        raise NotImplementedError
+
+    def decompress(self, payload: Dict[str, Any]) -> StateDict:
+        """The float64 delta a receiver reconstructs from ``payload``."""
+        raise NotImplementedError
 
     def encode_with_residual(
         self,
@@ -575,114 +511,193 @@ class ErrorFeedbackCodec(UpdateCodec):
         basis: StateDict,
         residual: Optional[StateDict] = None,
     ) -> Tuple[EncodedUpdate, Optional[StateDict]]:
-        """Encode with feedback: ``(encoded update, residual to carry)``."""
-        from ..federated.compression import ErrorFeedback
-
-        lossy, exact = _split_lossy_keys(state)
+        """The one lossy encode: split float / exact keys, ``state −
+        basis`` (``+ residual`` under feedback), compress, price."""
+        lossy = [k for k, v in state.items() if np.issubdtype(v.dtype, np.floating)]
         delta = {key: state[key] - basis[key] for key in lossy}
-        compressed = None
-        new_residual = residual
+        payload, nbytes = None, 0
+        new_residual = residual if self.feedback else None
         if delta:
-            feedback = ErrorFeedback(self.inner._compressor)
-            if residual and set(residual) == set(delta):
-                feedback._residual = residual
-            compressed, _ = feedback.compress(delta)
-            self.inner._narrow(compressed)
-            new_residual = feedback._residual
-        exact_part = {key: state[key] for key in exact}
-        nbytes = (compressed.payload_bytes if compressed else 0) + dense_nbytes(
-            exact_part
-        )
+            if self.feedback and residual and set(residual) == set(delta):
+                delta = {key: delta[key] + residual[key] for key in delta}
+            payload, nbytes = self.compress(delta)
+            if self.feedback:
+                sent = self.decompress(payload)
+                new_residual = {key: delta[key] - sent[key] for key in delta}
+        exact_part = {key: state[key] for key in state if key not in lossy}
         return (
             EncodedUpdate(
-                codec=self.spec, payload=(compressed, exact_part), nbytes=nbytes
+                codec=self.spec,
+                payload=(payload, exact_part),
+                nbytes=nbytes + dense_nbytes(exact_part),
             ),
             new_residual,
         )
 
     def encode(self, state: StateDict, basis: StateDict) -> EncodedUpdate:
-        # Residual-free entry point (first round / callers without client
-        # state): feedback contributes nothing, output equals the inner
-        # codec's bit for bit.
-        return self.encode_with_residual(state, basis, None)[0]
+        return self.encode_with_residual(state, basis)[0]
 
     def decode(self, encoded: EncodedUpdate, basis: StateDict) -> StateDict:
-        compressed, exact_part = encoded.payload
+        payload, exact_part = encoded.payload
         state = dict(exact_part)
-        if compressed is not None:
-            for key, delta in self.inner._compressor.decompress(compressed).items():
+        if payload is not None:
+            for key, delta in self.decompress(payload).items():
                 base = basis[key]
                 state[key] = base + np.asarray(delta, dtype=base.dtype)
         return state
 
 
+class TopKCodec(_LossyDeltaCodec):
+    """Top-k sparsified delta: ``topk:<fraction>``.
+
+    Keeps the ``fraction`` largest-magnitude entries of ``local − basis``
+    per tensor (at least one, so biases survive) and reconstructs
+    ``basis + sparse_delta``.  A kept entry travels as a uint32 flat
+    index and a float32 value: 8 bytes.
+    """
+
+    def __init__(self, fraction: float) -> None:
+        if not 0 < fraction <= 1:
+            raise ValueError(f"fraction must be in (0, 1], got {fraction}")
+        self.fraction = fraction
+        self.spec = f"topk:{fraction:g}"
+
+    def compress(self, delta: StateDict) -> Tuple[Dict[str, Any], int]:
+        payload: Dict[str, Any] = {}
+        nbytes = 0
+        for key, value in delta.items():
+            flat = value.ravel()
+            k = max(1, int(round(self.fraction * flat.size)))
+            top = np.argpartition(np.abs(flat), -k)[-k:]
+            top.sort()
+            payload[key] = {
+                "shape": value.shape,
+                "indices": top.astype(np.uint32),
+                "values": flat[top].astype(np.float32),
+            }
+            nbytes += k * (_INDEX_BYTES + _FLOAT_BYTES)
+        return payload, nbytes
+
+    def decompress(self, payload: Dict[str, Any]) -> StateDict:
+        delta: StateDict = {}
+        for key, entry in payload.items():
+            dense = np.zeros(int(np.prod(entry["shape"])), dtype=np.float64)
+            dense[entry["indices"]] = entry["values"].astype(np.float64)
+            delta[key] = dense.reshape(entry["shape"])
+        return delta
+
+
+class QuantCodec(_LossyDeltaCodec):
+    """Uniformly quantized delta: ``quant:<bits>``.
+
+    QSGD-style uniform b-bit quantization of ``local − basis`` with
+    per-tensor codebooks: each tensor is mapped to ``2^b`` evenly spaced
+    levels between its min and max, and travels as the packed level
+    indices plus the two float32 codebook endpoints.  Worst-case error
+    per entry is half a level width; reconstruction is ``basis +
+    dequantized``.
+    """
+
+    def __init__(self, num_bits: int) -> None:
+        if not 1 <= num_bits <= 16:
+            raise ValueError(f"num_bits must be in [1, 16], got {num_bits}")
+        self.num_bits = num_bits
+        self.spec = f"quant:{num_bits}"
+
+    def compress(self, delta: StateDict) -> Tuple[Dict[str, Any], int]:
+        levels = (1 << self.num_bits) - 1
+        # Codes ship at their actual width: for <=8 bits the pipe carries
+        # 1 byte per entry, not uint16's 2 (the price below is the
+        # logical bit width either way).
+        code_dtype = np.uint8 if self.num_bits <= 8 else np.uint16
+        payload: Dict[str, Any] = {}
+        nbytes = 0
+        for key, value in delta.items():
+            low = float(value.min())
+            high = float(value.max())
+            span = high - low
+            if span == 0.0:
+                codes = np.zeros(value.shape, dtype=code_dtype)
+            else:
+                codes = np.round((value - low) / span * levels).astype(code_dtype)
+            payload[key] = {"low": low, "high": high, "codes": codes}
+            nbytes += int(np.ceil(value.size * self.num_bits / 8)) + 2 * _FLOAT_BYTES
+        return payload, nbytes
+
+    def decompress(self, payload: Dict[str, Any]) -> StateDict:
+        levels = (1 << self.num_bits) - 1
+        delta: StateDict = {}
+        for key, entry in payload.items():
+            low, high = entry["low"], entry["high"]
+            span = high - low
+            if span == 0.0:
+                delta[key] = np.full(entry["codes"].shape, low, dtype=np.float64)
+            else:
+                delta[key] = entry["codes"].astype(np.float64) / levels * span + low
+        return delta
+
+
 # ----------------------------------------------------------------------
 # Registry
 # ----------------------------------------------------------------------
-_FACTORIES: Dict[str, Callable[[Optional[str]], UpdateCodec]] = {}
+def _with_feedback(inner_spec: str) -> UpdateCodec:
+    """``ef:<inner_spec>``: the inner codec's class, residual term on."""
+    inner = get_codec(inner_spec)
+    if not isinstance(inner, _LossyDeltaCodec) or inner.feedback:
+        raise ValueError(
+            f"ef wraps lossy delta codecs (topk/quant), got {inner_spec!r}"
+        )
+    codec = copy.copy(inner)
+    codec.feedback = True
+    codec.spec = f"ef:{inner.spec}"
+    return codec
+
+
+# family -> (builder, what a spec without its argument is told); a family
+# whose second entry is ``None`` takes no argument.
+_FAMILIES: Dict[str, Tuple[Callable[..., UpdateCodec], Optional[str]]] = {
+    "raw": (RawCodec, None),
+    "delta": (DeltaCodec, None),
+    "topk": (
+        lambda arg: TopKCodec(float(arg)),
+        "topk needs a fraction, e.g. 'topk:0.05'",
+    ),
+    "quant": (
+        lambda arg: QuantCodec(int(arg)),
+        "quant needs a bit width, e.g. 'quant:8'",
+    ),
+    "ef": (_with_feedback, "ef wraps a lossy codec, e.g. 'ef:topk:0.05'"),
+}
 _INSTANCES: Dict[str, UpdateCodec] = {}
 
 
-def register_codec(name: str, factory: Callable[[Optional[str]], UpdateCodec]) -> None:
-    """Register a codec family: ``factory(arg_or_None) -> UpdateCodec``."""
-    if name in _FACTORIES:
-        raise ValueError(f"codec {name!r} already registered")
-    _FACTORIES[name] = factory
-
-
-def _no_arg(name: str, codec_cls) -> Callable[[Optional[str]], UpdateCodec]:
-    def build(arg: Optional[str]) -> UpdateCodec:
-        if arg is not None:
-            raise ValueError(f"codec {name!r} takes no argument, got {arg!r}")
-        return codec_cls()
-
-    return build
-
-
-def _topk_factory(arg: Optional[str]) -> UpdateCodec:
-    if arg is None:
-        raise ValueError("topk needs a fraction, e.g. 'topk:0.05'")
-    return TopKCodec(float(arg))
-
-
-def _quant_factory(arg: Optional[str]) -> UpdateCodec:
-    if arg is None:
-        raise ValueError("quant needs a bit width, e.g. 'quant:8'")
-    return QuantCodec(int(arg))
-
-
-def _ef_factory(arg: Optional[str]) -> UpdateCodec:
-    if arg is None:
-        raise ValueError("ef wraps a lossy codec, e.g. 'ef:topk:0.05'")
-    return ErrorFeedbackCodec(arg)
-
-
-register_codec("raw", _no_arg("raw", RawCodec))
-register_codec("delta", _no_arg("delta", DeltaCodec))
-register_codec("topk", _topk_factory)
-register_codec("quant", _quant_factory)
-register_codec("ef", _ef_factory)
-
-
 def available_codecs() -> List[str]:
-    """Registered codec family names."""
-    return sorted(_FACTORIES)
+    """Codec family names."""
+    return sorted(_FAMILIES)
 
 
 def get_codec(spec: str) -> UpdateCodec:
     """Resolve a codec spec string (``raw``, ``delta``, ``topk:0.05``,
-    ``quant:8``) to a shared codec instance; raises on typos eagerly."""
+    ``quant:8``, ``ef:topk:0.05``) to a shared codec instance; raises on
+    typos eagerly."""
     if not isinstance(spec, str) or not spec:
         raise ValueError(f"codec spec must be a non-empty string, got {spec!r}")
     if spec in _INSTANCES:
         return _INSTANCES[spec]
     name, _, arg = spec.partition(":")
     try:
-        factory = _FACTORIES[name]
+        build, missing_arg = _FAMILIES[name]
     except KeyError:
         raise ValueError(
             f"unknown codec {name!r}; available: {available_codecs()}"
         ) from None
-    codec = factory(arg if arg else None)
+    if missing_arg is None:
+        if arg:
+            raise ValueError(f"codec {name!r} takes no argument, got {arg!r}")
+        codec = build()
+    elif not arg:
+        raise ValueError(missing_arg)
+    else:
+        codec = build(arg)
     _INSTANCES[spec] = codec
     return codec

@@ -118,10 +118,10 @@ def encode_trained_state(
     Returns ``(state_or_None, update, update_nbytes, new_residual)`` — the
     exact fields a :class:`TrainResult` carries.  ``raw`` (or a missing
     basis) returns the dense state untouched; any other codec encodes
-    against ``basis`` and nulls the dense state.  ``residual`` is handed
-    to codecs that support error feedback
-    (:class:`~repro.runtime.codec.ErrorFeedbackCodec`) and the advanced
-    residual comes back for the caller to return to the client.
+    against ``basis`` and nulls the dense state.  ``residual`` is the
+    client's error-feedback memory: the ``ef:*`` codecs fold it in and
+    the advanced residual comes back for the caller to return to the
+    client; every other codec ignores it and returns ``None``.
 
     Every member of :meth:`TrainTask.run_stack` — lone or stacked — goes
     through this one call, so both paths apply the identical transform.
@@ -130,12 +130,9 @@ def encode_trained_state(
     new_residual = None
     update_nbytes = dense_nbytes(state)
     if codec != "raw" and basis is not None:
-        codec_obj = get_codec(codec)
-        encode_fb = getattr(codec_obj, "encode_with_residual", None)
-        if encode_fb is not None:
-            update, new_residual = encode_fb(state, basis, residual)
-        else:
-            update = codec_obj.encode(state, basis)
+        update, new_residual = get_codec(codec).encode_with_residual(
+            state, basis, residual
+        )
         update_nbytes = update.nbytes
         state = None
     return state, update, update_nbytes, new_residual

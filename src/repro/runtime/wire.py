@@ -43,7 +43,10 @@ from typing import Any, Dict, List, Tuple
 #: pickle garbage mid-run instead).  v2: XOR delta payloads
 #: (``BroadcastDelta.payload``, ``DeltaCodec``'s ``("xor", payload)``)
 #: are byte-plane framed — a v1 peer would fail inside ``decode_broadcast``.
-WIRE_PROTOCOL_VERSION = 2
+#: v3: a lossy ``EncodedUpdate.payload`` carries the codec's plain
+#: ``{key: entry}`` dict where v2 carried an instance of a payload class
+#: that no longer exists — a v2 peer's return would not unpickle.
+WIRE_PROTOCOL_VERSION = 3
 
 
 def send_payload(channel, obj: Any) -> int:

@@ -15,8 +15,8 @@ These are the flows compared in the paper's evaluation:
 The per-client work inside every round is packaged as pure tasks
 (model state + data + RNG position in, new state + advanced RNG out) and
 executed through the simulation's :class:`~repro.runtime.Backend`, so
-client updates within a round compute concurrently under ``"thread"`` /
-``"pool"`` / ``"cluster"`` backends with bit-identical results. Pass ``backend=`` to
+client updates within a round compute concurrently under ``"pool"`` /
+``"cluster"`` backends with bit-identical results. Pass ``backend=`` to
 any protocol to override the simulation's backend for that flow only.
 
 Two of the task kinds are *stackable* (``vectorize=True`` on the

@@ -226,8 +226,8 @@ class UnlearningService:
     subsequent federation rounds train while the chains retrain, and
     :meth:`poll` certifies a window once its ticket completes
     (``ExecutedBatch.overlap_rounds`` = completion round − submission
-    round).  Backends without ``submit``/``drain``/``poll`` (serial,
-    thread) cannot overlap: the chains then run to completion inside
+    round).  A backend without ``submit``/``drain``/``poll`` (serial)
+    cannot overlap: the chains then run to completion inside
     :meth:`maybe_submit`, so the loop above is portable across backends.
 
     Determinism: :meth:`~repro.unlearning.sisa.SisaEnsemble.delete_begin`

@@ -77,7 +77,7 @@ class ShardedClientTrainer:
         shard training order-independent and thus parallelisable).
     backend:
         Execution backend for shard training — ``None``/``"serial"``
-        (default), ``"thread"``, ``"pool"``, ``"cluster"``, or a
+        (default), ``"pool"``, ``"cluster"``, or a
         :class:`~repro.runtime.Backend` instance.
     """
 

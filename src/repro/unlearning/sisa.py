@@ -25,7 +25,7 @@ Shard isolation is also an execution property: no shard ever reads
 another shard's data, model or RNG stream, so (re)training is submitted
 as one :class:`~repro.runtime.ChainTask` per shard through a pluggable
 :class:`~repro.runtime.Backend` (``backend=`` on the constructor —
-``"serial"`` default, ``"thread"``, ``"pool"``, ``"cluster"``). A deletion
+``"serial"`` default, ``"pool"``, ``"cluster"``). A deletion
 touching several shards retrains them concurrently under a parallel backend, with
 bit-identical results, because each shard trains from its own spawned
 child generator whose exact position is carried in the task. (The
@@ -165,7 +165,7 @@ class SisaEnsemble:
         generator, so shard work is order-independent).
     backend:
         Execution backend for shard (re)training — ``None``/``"serial"``
-        (default), ``"thread"``, ``"pool"``, ``"cluster"``, or a
+        (default), ``"pool"``, ``"cluster"``, or a
         :class:`~repro.runtime.Backend` instance.
     vectorize:
         Opt in to stage-lockstep chain vectorization: eligible shard

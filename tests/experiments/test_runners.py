@@ -109,3 +109,22 @@ class TestFig8and9:
         assert "fedavg_3clients" in result.series
         assert "adaptive_3clients" in result.series
         assert len(result.rows) == 2
+
+    def test_fig9_spec_partition_options_reach_the_partitioner(self):
+        # The spec hash covers partition.options, so the run must too: an
+        # evolved spec's option is honoured (here: rejected), not dropped.
+        from dataclasses import replace
+
+        from repro.experiments import runner
+        from repro.experiments.spec import PartitionSpec
+
+        exp = ex.fig9_iid.spec_for("mnist")
+        skewed = replace(
+            exp,
+            scenario=replace(
+                exp.scenario,
+                partition=PartitionSpec(strategy="label_skewed", options={"alpha": -1.0}),
+            ),
+        )
+        with pytest.raises(ValueError, match="alpha must be positive"):
+            runner.run_aggregation_iid(skewed, MICRO, num_rounds=1)

@@ -3,7 +3,7 @@
 The transport contract of the zero-redundancy layer:
 
 * ``raw`` and ``delta`` are **bit-identical** to the historical pipeline
-  on every backend (serial / thread / pool), in sync and
+  on every backend (serial / pool), in sync and
   buffered-async modes, and while an :class:`UnlearningService` overlaps
   federation rounds on a shared pool;
 * lossy codecs (``topk``/``quant``) are deterministic per seed and
@@ -83,7 +83,7 @@ class TestSyncParity:
         for codec in ("raw", "delta"):
             for backend_factory in (
                 lambda: "serial",
-                lambda: "thread",
+                lambda: "pool:2",
                 lambda: PoolBackend(max_workers=2),
             ):
                 history, state, _ = run_history(codec, backend_factory())

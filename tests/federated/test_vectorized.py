@@ -98,7 +98,7 @@ class TestSyncParity:
         _, ref_history, ref_state = run_sim(vectorize=False)
         for backend_factory, shared in (
             (lambda: "serial", False),
-            (lambda: "thread", False),
+            (lambda: "pool:2", False),
             (lambda: PoolBackend(max_workers=2), True),
         ):
             _, history, state = run_sim(

@@ -13,7 +13,6 @@ from repro.runtime import (
     ChainTask,
     PoolBackend,
     SerialBackend,
-    ThreadBackend,
     TrainTask,
     capture_rng,
     get_backend,
@@ -47,8 +46,8 @@ class TestGetBackend:
         "name,cls",
         [
             ("serial", SerialBackend),
-            ("thread", ThreadBackend),
-            ("threads", ThreadBackend),
+            ("pool:2", PoolBackend),
+            ("processes", PoolBackend),
             ("process", PoolBackend),
             ("fork", PoolBackend),
         ],
@@ -65,8 +64,15 @@ class TestGetBackend:
         assert get_backend(f"{alias}:4:retries=2") is get_backend("pool:4:retries=2")
 
     def test_instance_passthrough(self):
-        backend = ThreadBackend(max_workers=3)
+        backend = SerialBackend()
         assert get_backend(backend) is backend
+
+    @pytest.mark.parametrize("spec", ["thread", "threads", "thread:2"])
+    def test_thread_backend_is_gone_and_the_error_names_pool(self, spec):
+        # Deleted on its number (never beat the pool, lost to serial where
+        # Python dispatch dominates); a stale spec is told what to use.
+        with pytest.raises(ValueError, match=r"unknown backend.*'pool:4'"):
+            get_backend(spec)
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="unknown backend"):
@@ -78,17 +84,15 @@ class TestGetBackend:
 
     def test_bad_worker_counts_rejected(self):
         with pytest.raises(ValueError):
-            ThreadBackend(max_workers=0)
-        with pytest.raises(ValueError):
             PoolBackend(max_workers=0)
 
 
 class TestExecution:
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "pool:2", "process"])
     def test_empty_task_list(self, backend):
         assert get_backend(backend).run_tasks([]) == []
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "pool:2", "process"])
     def test_results_keep_submission_order(self, backend):
         # Different epoch counts => different durations; order must hold.
         tasks = [make_task(task_id=i, epochs=1 + (i % 3), seed=i) for i in range(6)]
@@ -97,7 +101,7 @@ class TestExecution:
         for task, result in zip(tasks, results):
             assert len(result.history) == task.config.epochs
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["pool:2", "process"])
     def test_parallel_matches_serial_bitwise(self, backend):
         tasks = [make_task(task_id=i, seed=i) for i in range(5)]
         serial = SerialBackend().run_tasks(tasks)
@@ -136,10 +140,6 @@ class TestErrors:
     def test_serial_propagates(self):
         with pytest.raises(RuntimeError, match="intentional failure"):
             SerialBackend().run_tasks([_ExplodingTask(), _ExplodingTask()])
-
-    def test_thread_propagates(self):
-        with pytest.raises(RuntimeError, match="intentional failure"):
-            ThreadBackend().run_tasks([_ExplodingTask(), _ExplodingTask()])
 
     @pytest.mark.skipif(not HAS_FORK, reason="fork start method unavailable")
     def test_process_wraps_in_backend_error(self):

@@ -239,8 +239,8 @@ class TestLossyCodecs:
         codec = get_codec("quant:4")
         basis = make_state(5)
         state = nearby_state(basis, scale=1e-2, seed=6)
-        compressed, _ = codec.encode(state, basis).payload
-        for entry in compressed.payload.values():
+        payload, _ = codec.encode(state, basis).payload
+        for entry in payload.values():
             assert entry["codes"].dtype == np.uint8
 
 

@@ -1,7 +1,7 @@
 """Error feedback in the update-codec layer (``ef:<lossy-spec>``).
 
-Wiring :class:`repro.federated.compression.ErrorFeedback` into the
-transport codecs: the wire format stays the inner codec's, the residual
+``ef:<lossy>`` is the inner codec's class with the residual term of its
+one encode switched on: the wire format stays the inner codec's, the residual
 is client-side state threaded through ``TrainTask.residual`` /
 ``TrainResult.residual``, and accumulated feedback pulls lossy training
 back toward the raw trajectory.
@@ -13,7 +13,7 @@ import pytest
 from repro.data import FederatedDataset
 from repro.federated import FedAvgAggregator, FederatedSimulation
 from repro.nn.models import RegistryModelFactory
-from repro.runtime.codec import ErrorFeedbackCodec, dense_nbytes, get_codec
+from repro.runtime.codec import QuantCodec, TopKCodec, dense_nbytes, get_codec
 from repro.training import TrainConfig
 
 from ..conftest import make_blob_federation
@@ -42,9 +42,13 @@ def drift(state, scale, seed):
 class TestRegistry:
     def test_ef_wraps_lossy_codecs(self):
         codec = get_codec("ef:topk:0.1")
-        assert isinstance(codec, ErrorFeedbackCodec)
+        assert isinstance(codec, TopKCodec) and codec.feedback
         assert codec.spec == "ef:topk:0.1"
-        assert isinstance(get_codec("ef:quant:8"), ErrorFeedbackCodec)
+        quant = get_codec("ef:quant:8")
+        assert isinstance(quant, QuantCodec) and quant.feedback
+        # Enabling feedback builds a new codec; the shared inner one is as it was.
+        assert not get_codec("topk:0.1").feedback
+        assert get_codec("topk:0.1").spec == "topk:0.1"
 
     def test_ef_needs_an_argument(self):
         with pytest.raises(ValueError, match="ef"):

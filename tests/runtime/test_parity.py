@@ -1,4 +1,4 @@
-"""Serial/thread/pool parity across every refactored fan-out site.
+"""Serial/pool parity across every refactored fan-out site.
 
 These are the acceptance tests for the runtime layer: the serial backend
 must be bit-identical to the historical inline loops, and the parallel
@@ -80,7 +80,7 @@ class TestSimulationParity:
             assert a.rng.bit_generator.state == b.rng.bit_generator.state
         assert len(history) == 2
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["pool:2", "process"])
     def test_parallel_rounds_bit_identical_to_serial(self, backend):
         serial = make_sim(backend=None)
         parallel = make_sim(backend=backend)
@@ -111,7 +111,7 @@ class TestSisaParity:
         report = ensemble.delete(targets)
         return ensemble, report
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["pool:2", "process"])
     def test_two_shard_deletion_identical_under_parallel_backend(self, backend):
         serial_ensemble, serial_report = self.run_fit_delete(None)
         parallel_ensemble, parallel_report = self.run_fit_delete(backend)
@@ -164,7 +164,7 @@ class TestShardedTrainerParity:
         trainer.delete(victims, CONFIG)
         return trainer
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["pool:2", "process"])
     def test_train_and_multi_shard_delete_identical(self, backend):
         serial = self.run_trainer(None)
         parallel = self.run_trainer(backend)

@@ -21,7 +21,6 @@ from repro.runtime import (
     BackendError,
     PoolBackend,
     SerialBackend,
-    ThreadBackend,
     TrainTask,
     WorkerPool,
     capture_rng,
@@ -116,7 +115,7 @@ class TestSpecs:
         "spec,cls,workers",
         [
             ("process:4", PoolBackend, 4),
-            ("thread:2", ThreadBackend, 2),
+            ("pool:2", PoolBackend, 2),
             ("fork:8", PoolBackend, 8),
         ],
     )
@@ -153,7 +152,7 @@ class TestSpecs:
             {"retries": 2},
         )
         with pytest.raises(ValueError, match="does not support option"):
-            parse_backend_spec("thread:4:retries=2")
+            parse_backend_spec("serial:retries=2")
         with pytest.raises(ValueError, match="does not support option"):
             parse_backend_spec("pool:8:reties=2")  # typo'd key
         with pytest.raises(ValueError, match="expected an integer"):
@@ -186,17 +185,22 @@ class TestSpecs:
             parse_backend_spec("pool:")  # lost digit, not "no count"
 
     def test_env_override_applies_when_spec_is_none(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "thread:3")
+        monkeypatch.setenv(BACKEND_ENV_VAR, "pool:3")
         backend = get_backend(None)
-        assert isinstance(backend, ThreadBackend)
+        assert isinstance(backend, PoolBackend)
         assert backend.max_workers == 3
+
+    def test_env_naming_the_deleted_thread_backend_is_rejected(self, monkeypatch):
+        monkeypatch.setenv(BACKEND_ENV_VAR, "thread")
+        with pytest.raises(ValueError, match="pool"):
+            get_backend(None)
 
     def test_env_override_empty_means_serial(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV_VAR, "")
         assert isinstance(get_backend(None), SerialBackend)
 
     def test_explicit_spec_beats_env(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "thread")
+        monkeypatch.setenv(BACKEND_ENV_VAR, "pool")
         assert isinstance(get_backend("serial"), SerialBackend)
 
 
