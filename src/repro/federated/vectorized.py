@@ -51,7 +51,7 @@ long as the step counts match: the final batch is then ragged and runs
 zero-padded, with each slice computed at its true row count (row-exact
 per-slice GEMMs, per-slice loss heads) — unless the architecture
 contains a layer whose gradients contract over the batch axis
-(``Conv2d``), which :func:`repro.nn.vmap.ragged_support_reason` gates
+(``Conv2d``, ``GroupNorm``), which :func:`repro.nn.vmap.ragged_support_reason` gates
 out (:func:`arch_probe` asks both architecture questions once per
 factory).  Gradient clipping runs as per-slice global norms
 (:func:`repro.nn.optim.clip_grad_norm` with the stack size).  Ineligible

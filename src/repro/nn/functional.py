@@ -3,11 +3,14 @@
 Contains the convolution / pooling / fully connected kernels and
 numerically stable softmax utilities.  Convolution is one channel-major
 im2col / col2im pair (``cols`` is ``(C_in*KH*KW, N*H_out*W_out)``, one
-``as_strided`` view and one copy) shared by the scalar and the stacked
-entry point; :func:`linear` is one graph node whose leading weight axes
-are GEMM batch axes, so it too serves a lone layer and a stack of K; max
-pooling records one winner mask per window offset.  All functions take
-and return :class:`repro.nn.tensor.Tensor` and participate in autodiff.
+``as_strided`` view and one copy) whose leading axes are GEMM batch
+axes, so :func:`conv2d` serves a lone layer and a stack of K;
+:func:`linear` is one graph node built the same way; the pools take any
+leading axes and max pooling records one winner mask per window offset.
+What a stack's ragged (zero-padded) step needs beyond that sits beside
+:func:`linear`: :func:`_ragged_linear`'s true-row GEMMs and
+:func:`_mask_padded_rows`.  All functions take and return
+:class:`repro.nn.tensor.Tensor` and participate in autodiff.
 
 Backward closures here compute their gradient arrays themselves, so they
 hand them to ``Tensor._accumulate(..., owned=True)`` (the ownership rule
@@ -20,7 +23,7 @@ used to be.
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -77,10 +80,9 @@ def _col2im(dcols: np.ndarray, padded_shape, kh: int, kw: int, stride: int, h_ou
 
 
 def _conv(x: Tensor, weight: Tensor, bias: Optional[Tensor], stride: int, padding: int) -> Tensor:
-    """The one convolution kernel pair behind :func:`conv2d` and
-    :func:`conv2d_stacked`: ``x[..., N, C_in, H, W]`` against
-    ``weight[..., C_out, C_in, KH, KW]``, any leading axes being GEMM
-    batch axes."""
+    """The convolution kernel pair behind :func:`conv2d`:
+    ``x[..., N, C_in, H, W]`` against ``weight[..., C_out, C_in, KH, KW]``,
+    any leading axes being GEMM batch axes."""
     *lead, n, c_in, h, w = x.shape
     c_out, c_in_w, kh, kw = weight.shape[-4:]
     if c_in != c_in_w:
@@ -129,57 +131,37 @@ def conv2d(
     stride: int = 1,
     padding: int = 0,
 ) -> Tensor:
-    """2-D cross-correlation (the deep-learning "convolution").
+    """2-D cross-correlation (the deep-learning "convolution"), of one
+    layer or of a stack of K.
+
+    A stack (:mod:`repro.nn.vmap`) is K independent convolutions as one
+    batch of GEMMs: slice ``k`` of every operand is one client's
+    convolution, and the whole call runs as a single ``np.matmul`` over
+    the leading axis instead of K python dispatches.  It is the lone
+    call's own kernel pair with the stack as a GEMM batch axis, so each
+    slice's values and gradients match the per-client kernel by shared
+    code, not by a mirrored copy (the vmap parity tests pin this bit for
+    bit on this BLAS).
 
     Parameters
     ----------
     x:
-        Input of shape ``(N, C_in, H, W)``.
+        Input of shape ``(N, C_in, H, W)``, or ``(K, N, C_in, H, W)``.
     weight:
-        Filters of shape ``(C_out, C_in, KH, KW)``.
+        Filters of shape ``(C_out, C_in, KH, KW)``, or per-slice filters
+        ``(K, C_out, C_in, KH, KW)``.
     bias:
-        Optional per-output-channel bias of shape ``(C_out,)``.
+        Optional per-output-channel bias of shape ``(C_out,)``, or
+        per-slice biases ``(K, C_out)``.
     stride, padding:
         Spatial stride and symmetric zero padding.
     """
-    if x.ndim != 4:
-        raise ValueError(f"conv2d expects 4-D input, got shape {x.shape}")
-    if weight.ndim != 4:
-        raise ValueError(f"conv2d expects 4-D weight, got shape {weight.shape}")
-    return _conv(x, weight, bias, stride, padding)
-
-
-def conv2d_stacked(
-    x: Tensor,
-    weight: Tensor,
-    bias: Optional[Tensor] = None,
-    stride: int = 1,
-    padding: int = 0,
-) -> Tensor:
-    """K independent 2-D convolutions as one batch of GEMMs.
-
-    The vectorized-cohort kernel (:mod:`repro.nn.vmap`): slice ``k`` of
-    every operand is one client's convolution, and the whole call runs
-    as a single ``np.matmul`` over the leading axis instead of K python
-    dispatches.  It is :func:`conv2d`'s own kernel pair with the stack
-    as a GEMM batch axis, so each slice's values and gradients match the
-    per-client kernel by shared code, not by a mirrored copy (the vmap
-    parity tests pin this bit for bit on this BLAS).
-
-    Parameters
-    ----------
-    x:
-        Stacked input of shape ``(K, N, C_in, H, W)``.
-    weight:
-        Per-slice filters of shape ``(K, C_out, C_in, KH, KW)``.
-    bias:
-        Optional per-slice biases of shape ``(K, C_out)``.
-    """
-    if x.ndim != 5:
-        raise ValueError(f"conv2d_stacked expects 5-D input, got shape {x.shape}")
-    if weight.ndim != 5:
-        raise ValueError(f"conv2d_stacked expects 5-D weight, got shape {weight.shape}")
-    if x.shape[0] != weight.shape[0]:
+    if x.ndim != weight.ndim or x.ndim not in (4, 5):
+        raise ValueError(
+            f"conv2d expects a 4-D input and weight, or a 5-D stack of each, "
+            f"got shapes {x.shape} and {weight.shape}"
+        )
+    if x.ndim == 5 and x.shape[0] != weight.shape[0]:
         raise ValueError(f"stack mismatch: {x.shape[0]} inputs vs {weight.shape[0]} weights")
     return _conv(x, weight, bias, stride, padding)
 
@@ -189,19 +171,21 @@ def max_pool2d(x: Tensor, kernel_size: int) -> Tensor:
 
     The spatial dimensions must be divisible by ``kernel_size`` (this covers
     every architecture in the paper: LeNet-5 uses 2x2 pools on even sizes).
+    Pooling is per-sample, so ``x`` is ``(..., H, W)``: a stack's leading
+    axis is one more axis of samples.
     """
-    n, c, h, w = x.shape
+    *lead, h, w = x.shape
     k = kernel_size
     if h % k or w % k:
         raise ValueError(f"spatial size ({h}, {w}) not divisible by kernel {k}")
     h_out, w_out = h // k, w // k
-    windows = x.data.reshape(n, c, h_out, k, w_out, k)
+    windows = x.data.reshape(*lead, h_out, k, w_out, k)
     # The window maximum as pairwise maxima of its strided slices (rows,
     # then columns): the same values as a max over axes (3, 5), an order
     # of magnitude faster on a non-contiguous view.
-    rows = windows[:, :, :, 0]
+    rows = windows[..., 0, :, :]
     for i in range(1, k):
-        rows = np.maximum(rows, windows[:, :, :, i])
+        rows = np.maximum(rows, windows[..., i, :, :])
     out_data = rows[..., 0]
     for j in range(1, k):
         out_data = np.maximum(out_data, rows[..., j])
@@ -216,7 +200,7 @@ def max_pool2d(x: Tensor, kernel_size: int) -> Tensor:
     masks = []
     for i in range(k):
         for j in range(k):
-            cell = windows[:, :, :, i, :, j]
+            cell = windows[..., i, :, j]
             mask = cell == out_data
             if has_nan:
                 mask |= np.isnan(cell)
@@ -225,24 +209,25 @@ def max_pool2d(x: Tensor, kernel_size: int) -> Tensor:
             masks.append(mask)
 
     def backward_fn(grad: np.ndarray) -> None:
-        dx = np.empty((n, c, h, w), dtype=x.data.dtype)
-        dwindows = dx.reshape(n, c, h_out, k, w_out, k)
+        dx = np.empty(x.shape, dtype=x.data.dtype)
+        dwindows = dx.reshape(*lead, h_out, k, w_out, k)
         for index, mask in enumerate(masks):
             # np.where, not grad * mask: a product leaves -0.0 and turns
             # inf * 0 into NaN where a losing cell must read +0.0.
-            dwindows[:, :, :, index // k, :, index % k] = np.where(mask, grad, 0.0)
+            dwindows[..., index // k, :, index % k] = np.where(mask, grad, 0.0)
         x._accumulate(dx, owned=True)
 
     return Tensor._make(out_data, (x,), backward_fn)
 
 
 def avg_pool2d(x: Tensor, kernel_size: int) -> Tensor:
-    """Non-overlapping average pooling with ``stride == kernel_size``."""
-    n, c, h, w = x.shape
+    """Non-overlapping average pooling with ``stride == kernel_size`` over
+    ``(..., H, W)``."""
+    *lead, h, w = x.shape
     k = kernel_size
     if h % k or w % k:
         raise ValueError(f"spatial size ({h}, {w}) not divisible by kernel {k}")
-    return x.reshape(n, c, h // k, k, w // k, k).mean(axis=(3, 5))
+    return x.reshape(*lead, h // k, k, w // k, k).mean(axis=(-3, -1))
 
 
 def global_avg_pool2d(x: Tensor) -> Tensor:
@@ -308,14 +293,42 @@ def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
     return out
 
 
-def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool = True) -> Tensor:
-    """Inverted dropout: zero activations with probability ``p`` and rescale."""
+def dropout(
+    x: Tensor,
+    p: float,
+    rng: Union[np.random.Generator, Sequence[np.random.Generator]],
+    training: bool = True,
+    row_counts: Optional[List[int]] = None,
+) -> Tensor:
+    """Inverted dropout: zero activations with probability ``p`` and rescale.
+
+    ``rng`` is the layer's mask generator, or — for a stacked ``x`` of
+    shape ``(K, N, ...)`` — one generator *per slice*.  Slice k's mask is
+    then drawn from client k's own generator with the same call
+    (``rng.random(per_client_shape)``) the lone layer makes, so stacking
+    neither merges nor reorders any client's RNG stream.
+
+    Ragged steps (final batches of unequal size, zero-padded to the
+    stack's batch axis) pass ``row_counts``: slice k then draws its mask
+    with that client's *true* batch shape — the exact call the lone layer
+    makes — and the padded rows get zero masks (their upstream gradients
+    are already exactly zero, so the zeros change no bits).
+    """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
     if not training or p == 0.0:
         return x
-    mask = (rng.random(x.shape) >= p) / (1.0 - p)
-    return x * Tensor(mask)
+    if isinstance(rng, np.random.Generator):
+        mask = (rng.random(x.shape) >= p) / (1.0 - p)
+    else:
+        if row_counts is None:
+            row_counts = [x.shape[1]] * len(rng)
+        mask = np.zeros(x.shape, dtype=np.float64)
+        for k, (slice_rng, rows) in enumerate(zip(rng, row_counts)):
+            mask[k, :rows] = (slice_rng.random((rows,) + x.shape[2:]) >= p) / (1.0 - p)
+    # The draw is float64 whatever the model: cast it, or a float32
+    # activation leaves the layer float64 and every later GEMM runs mixed.
+    return x * Tensor(mask.astype(x.data.dtype, copy=False))
 
 
 #: Elements in one block of per-slice weight gradients (128 KB of float64).
@@ -352,10 +365,10 @@ def _stacked_weight_grad(x: np.ndarray, grad: np.ndarray, weight_shape: tuple) -
 def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     """Affine map ``x @ weight.T + bias`` as one graph node.
 
-    The one fully connected kernel behind :class:`~repro.nn.layers.Linear`
-    and :class:`~repro.nn.vmap.StackedLinear`, in :func:`_conv`'s manner:
-    leading axes of ``weight`` are GEMM batch axes, so a stack of K layers
-    is the same call as a lone one.
+    The one fully connected kernel behind :class:`~repro.nn.layers.Linear`,
+    in :func:`_conv`'s manner: leading axes of ``weight`` are GEMM batch
+    axes, so a stack of K layers is the same call as a lone one (only a
+    stack's ragged step differs: :func:`_ragged_linear`).
 
     Parameters
     ----------
@@ -422,6 +435,83 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
             sample_axes = tuple(range(len(lead), grad.ndim - 1))
             bias._accumulate(grad.sum(axis=sample_axes), owned=True)
 
+    return Tensor._make(out_data, parents, backward_fn)
+
+
+def _is_ragged(row_counts: Optional[List[int]], width: int) -> bool:
+    return row_counts is not None and any(rows != width for rows in row_counts)
+
+
+def _mask_padded_rows(out: Tensor, row_counts: Optional[List[int]]) -> Tensor:
+    """Re-zero the padded rows of a ragged stacked activation.
+
+    Ragged steps rely on an invariant: padded rows are exactly zero at
+    every layer boundary, so no layer ever feeds padding-derived values
+    into a true row.  Layers with additive terms (conv bias,
+    normalisation beta) turn zero rows nonzero, so they multiply their
+    output by a 0/1 row mask: true rows scale by exactly 1.0
+    (bit-identity, forward and backward) and padded rows return to zero.
+    """
+    if not _is_ragged(row_counts, out.shape[1]):
+        return out
+    mask = np.zeros(out.shape, dtype=out.data.dtype)
+    for index, rows in enumerate(row_counts):
+        mask[index, :rows] = 1.0
+    return out * Tensor(mask)
+
+
+def _ragged_linear(
+    x: Tensor,
+    weight: Tensor,
+    bias: Optional[Tensor],
+    row_counts: List[int],
+) -> Tensor:
+    """Row-exact stacked linear for ragged (zero-padded) steps.
+
+    GEMM accumulation order depends on the operand shapes: the same true
+    rows inside a taller zero-padded matrix can come out an ULP off,
+    because BLAS picks its blocking per matrix size, not per row.  A
+    ragged step therefore runs one GEMM per slice at each member's
+    *true* row count — issuing exactly the contractions :func:`linear`
+    and its backward issue for that client standalone — and writes the
+    results into the padded ``(K, width, out)`` frame.  Padded rows stay
+    exactly zero and receive exactly zero gradients.
+    """
+    k_stack, width = x.shape[0], x.shape[1]
+    out_features = weight.shape[1]
+    out_dtype = np.result_type(x.data.dtype, weight.data.dtype)
+    out_data = np.zeros((k_stack, width, out_features), dtype=out_dtype)
+    for k, rows in enumerate(row_counts):
+        if rows == 0:
+            continue
+        member = x.data[k, :rows] @ weight.data[k].T
+        if bias is not None:
+            member = member + bias.data[k]
+        out_data[k, :rows] = member
+
+    def backward_fn(grad: np.ndarray) -> None:
+        if x.requires_grad:
+            grad_x = np.zeros_like(x.data)
+            for k, rows in enumerate(row_counts):
+                if rows:
+                    grad_x[k, :rows] = grad[k, :rows] @ weight.data[k]
+            x._accumulate(grad_x, owned=True)
+        if weight.requires_grad:
+            grad_w = np.zeros_like(weight.data)
+            for k, rows in enumerate(row_counts):
+                if rows:
+                    # linear's own weight contraction: x.T @ grad,
+                    # transposed back.
+                    grad_w[k] = (x.data[k, :rows].T @ grad[k, :rows]).T
+            weight._accumulate(grad_w, owned=True)
+        if bias is not None and bias.requires_grad:
+            grad_b = np.zeros_like(bias.data)
+            for k, rows in enumerate(row_counts):
+                if rows:
+                    grad_b[k] = grad[k, :rows].sum(axis=(0,))
+            bias._accumulate(grad_b, owned=True)
+
+    parents = (x, weight) if bias is None else (x, weight, bias)
     return Tensor._make(out_data, parents, backward_fn)
 
 

@@ -1,4 +1,17 @@
-"""Standard neural-network layers used by the paper's model zoo."""
+"""Standard neural-network layers used by the paper's model zoo.
+
+Each layer has one ``forward``, and that one runs a lone model or a
+stack of K (:mod:`repro.nn.vmap`): in a stack the parameters, the input
+and the output carry a leading axis of size :attr:`Module.stack`, slice
+``k`` being member ``k``.  A layer reads ``stack_axes`` only where its
+axes depend on it (``Flatten``; the norms count from the trailing axes
+instead) and ``row_counts`` only where a ragged, zero-padded step needs
+it: ``Linear`` issues true-row GEMMs, ``Conv2d`` and the norms re-zero
+the padded rows their additive terms made nonzero, ``Dropout`` draws
+each slice's mask at its true shape.  A class that can do this says so
+with ``stackable = True``; ``BatchNorm2d`` cannot (batch statistics and
+running buffers are per-replica state a stack would have to fork).
+"""
 
 from __future__ import annotations
 
@@ -15,6 +28,8 @@ from .tensor import Tensor
 class Identity(Module):
     """No-op layer, handy as a placeholder in residual blocks."""
 
+    stackable = True
+
     def forward(self, x: Tensor) -> Tensor:
         return x
 
@@ -22,19 +37,32 @@ class Identity(Module):
 class ReLU(Module):
     """Rectified linear unit."""
 
+    stackable = True
+
     def forward(self, x: Tensor) -> Tensor:
         return x.relu()
 
 
 class Flatten(Module):
-    """Flatten all dimensions after the batch dimension."""
+    """Flatten all dimensions after the batch dimension (in a stack: after
+    the stack *and* batch dimensions)."""
+
+    stackable = True
 
     def forward(self, x: Tensor) -> Tensor:
-        return x.flatten(start_dim=1)
+        return x.flatten(start_dim=self.stack_axes + 1)
 
 
 class Linear(Module):
-    """Fully connected layer ``y = x @ W.T + b``."""
+    """Fully connected layer ``y = x @ W.T + b``.
+
+    Lone or stacked it is :func:`~repro.nn.functional.linear`, the stack
+    axis being the batch axis of its GEMMs; only a stack's ragged step
+    leaves it, for the true-row GEMMs of
+    :func:`~repro.nn.functional._ragged_linear`.
+    """
+
+    stackable = True
 
     def __init__(self, in_features: int, out_features: int, rng: np.random.Generator,
                  bias: bool = True) -> None:
@@ -50,6 +78,9 @@ class Linear(Module):
             self.bias = None
 
     def forward(self, x: Tensor) -> Tensor:
+        rows = self.row_counts
+        if rows is not None and F._is_ragged(rows, x.shape[1]):
+            return F._ragged_linear(x, self.weight, self.bias, rows)
         return F.linear(x, self.weight, self.bias)
 
     def __repr__(self) -> str:
@@ -58,6 +89,8 @@ class Linear(Module):
 
 class Conv2d(Module):
     """2-D convolution layer (cross-correlation, as in PyTorch)."""
+
+    stackable = True
 
     def __init__(
         self,
@@ -86,7 +119,8 @@ class Conv2d(Module):
             self.bias = None
 
     def forward(self, x: Tensor) -> Tensor:
-        return F.conv2d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)
+        out = F.conv2d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)
+        return F._mask_padded_rows(out, self.row_counts)
 
     def __repr__(self) -> str:
         return (
@@ -97,6 +131,8 @@ class Conv2d(Module):
 
 class MaxPool2d(Module):
     """Non-overlapping max pooling."""
+
+    stackable = True
 
     def __init__(self, kernel_size: int) -> None:
         super().__init__()
@@ -112,6 +148,8 @@ class MaxPool2d(Module):
 class AvgPool2d(Module):
     """Non-overlapping average pooling."""
 
+    stackable = True
+
     def __init__(self, kernel_size: int) -> None:
         super().__init__()
         self.kernel_size = kernel_size
@@ -121,7 +159,15 @@ class AvgPool2d(Module):
 
 
 class Dropout(Module):
-    """Inverted dropout; inactive in eval mode."""
+    """Inverted dropout; inactive in eval mode.
+
+    In a stack ``_rng`` holds the K members' generators in member order
+    (``stack_modules`` keeps per-member state as a list), and
+    :func:`~repro.nn.functional.dropout` draws slice k's mask from
+    generator k.
+    """
+
+    stackable = True
 
     def __init__(self, p: float, rng: np.random.Generator) -> None:
         super().__init__()
@@ -131,7 +177,9 @@ class Dropout(Module):
         self._rng = rng
 
     def forward(self, x: Tensor) -> Tensor:
-        return F.dropout(x, self.p, self._rng, training=self.training)
+        return F.dropout(
+            x, self.p, self._rng, training=self.training, row_counts=self.row_counts
+        )
 
     def __repr__(self) -> str:
         return f"Dropout(p={self.p})"
@@ -190,6 +238,8 @@ class GroupNorm(Module):
     divergence, while group-normalised models average cleanly.
     """
 
+    stackable = True
+
     def __init__(self, num_groups: int, num_channels: int, eps: float = 1e-5) -> None:
         super().__init__()
         if num_groups <= 0 or num_channels % num_groups:
@@ -204,19 +254,23 @@ class GroupNorm(Module):
         self.beta = Parameter(init.zeros((num_channels,)))
 
     def forward(self, x: Tensor) -> Tensor:
-        if x.ndim != 4:
-            raise ValueError(f"GroupNorm expects 4-D input, got shape {x.shape}")
-        n, c, h, w = x.shape
+        if x.ndim != 4 + self.stack_axes:
+            raise ValueError(
+                f"GroupNorm expects {4 + self.stack_axes}-D input, got shape {x.shape}"
+            )
+        *lead, c, h, w = x.shape
         if c != self.num_channels:
             raise ValueError(f"expected {self.num_channels} channels, got {c}")
-        grouped = x.reshape(n, self.num_groups, c // self.num_groups, h, w)
-        mean = grouped.mean(axis=(2, 3, 4), keepdims=True)
-        var = grouped.var(axis=(2, 3, 4), keepdims=True)
+        grouped = x.reshape(*lead, self.num_groups, c // self.num_groups, h, w)
+        mean = grouped.mean(axis=(-3, -2, -1), keepdims=True)
+        var = grouped.var(axis=(-3, -2, -1), keepdims=True)
         normalised = (grouped - mean) / ((var + self.eps) ** 0.5)
-        out = normalised.reshape(n, c, h, w)
-        gamma = self.gamma.reshape(1, -1, 1, 1)
-        beta = self.beta.reshape(1, -1, 1, 1)
-        return out * gamma + beta
+        out = normalised.reshape(x.shape)
+        # (1, C, 1, 1) against a lone batch, (K, 1, C, 1, 1) against a stack.
+        affine = self.gamma.shape[:-1] + (1, -1, 1, 1)
+        gamma = self.gamma.reshape(affine)
+        beta = self.beta.reshape(affine)
+        return F._mask_padded_rows(out * gamma + beta, self.row_counts)
 
     def __repr__(self) -> str:
         return f"GroupNorm(groups={self.num_groups}, channels={self.num_channels})"
@@ -231,6 +285,8 @@ class LayerNorm(Module):
     case).
     """
 
+    stackable = True
+
     def __init__(self, num_features: int, eps: float = 1e-5) -> None:
         super().__init__()
         if num_features <= 0:
@@ -241,16 +297,21 @@ class LayerNorm(Module):
         self.beta = Parameter(init.zeros((num_features,)))
 
     def forward(self, x: Tensor) -> Tensor:
-        if x.ndim != 2:
-            raise ValueError(f"LayerNorm expects 2-D input, got shape {x.shape}")
-        if x.shape[1] != self.num_features:
+        if x.ndim != 2 + self.stack_axes:
             raise ValueError(
-                f"expected {self.num_features} features, got {x.shape[1]}"
+                f"LayerNorm expects {2 + self.stack_axes}-D input, got shape {x.shape}"
             )
-        mean = x.mean(axis=1, keepdims=True)
-        var = x.var(axis=1, keepdims=True)
+        if x.shape[-1] != self.num_features:
+            raise ValueError(
+                f"expected {self.num_features} features, got {x.shape[-1]}"
+            )
+        mean = x.mean(axis=-1, keepdims=True)
+        var = x.var(axis=-1, keepdims=True)
         x_hat = (x - mean) / ((var + self.eps) ** 0.5)
-        return x_hat * self.gamma.reshape(1, -1) + self.beta.reshape(1, -1)
+        # (1, F) against a lone batch, (K, 1, F) against a stack.
+        affine = self.gamma.shape[:-1] + (1, -1)
+        out = x_hat * self.gamma.reshape(affine) + self.beta.reshape(affine)
+        return F._mask_padded_rows(out, self.row_counts)
 
     def __repr__(self) -> str:
         return f"LayerNorm({self.num_features})"
@@ -259,22 +320,23 @@ class LayerNorm(Module):
 class Sequential(Module):
     """Chain of sub-modules applied in order."""
 
+    stackable = True
+
     def __init__(self, *modules: Module) -> None:
         super().__init__()
         for index, module in enumerate(modules):
             setattr(self, f"layer{index}", module)
-        self._layers = list(modules)
 
     def forward(self, x: Tensor) -> Tensor:
-        for layer in self._layers:
+        for layer in self._modules.values():
             x = layer(x)
         return x
 
     def __iter__(self):
-        return iter(self._layers)
+        return iter(self._modules.values())
 
     def __getitem__(self, index: int) -> Module:
-        return self._layers[index]
+        return list(self._modules.values())[index]
 
     def __len__(self) -> int:
-        return len(self._layers)
+        return len(self._modules)

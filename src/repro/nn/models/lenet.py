@@ -22,6 +22,8 @@ class LeNet5(Module):
     conv(1→6, 5x5) → pool2 → conv(6→16, 5x5) → pool2 → fc(256→120) → fc(120→classes)
     """
 
+    stackable = True
+
     def __init__(self, num_classes: int, rng: np.random.Generator, in_channels: int = 1,
                  image_size: int = 28) -> None:
         super().__init__()
@@ -56,6 +58,8 @@ class ModifiedLeNet5(Module):
     conv(3→6, 5x5) → pool2 → conv(6→16, 5x5) → pool2 →
     fc(400→120) → fc(120→84) → fc(84→classes)
     """
+
+    stackable = True
 
     def __init__(self, num_classes: int, rng: np.random.Generator, in_channels: int = 3,
                  image_size: int = 32) -> None:

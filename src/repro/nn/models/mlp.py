@@ -24,6 +24,8 @@ class MLP(Module):
         Sizes of the hidden layers, each followed by ReLU.
     """
 
+    stackable = True
+
     def __init__(
         self,
         in_features: int,
@@ -44,6 +46,8 @@ class MLP(Module):
         self.net = Sequential(*layers)
 
     def forward(self, x: Tensor) -> Tensor:
-        if x.ndim > 2:
-            x = x.flatten(start_dim=1)
+        # Image batches flatten; an already flat (N, F) input — (K, N, F)
+        # in a stack — passes through.
+        if x.ndim > self.stack_axes + 2:
+            x = x.flatten(start_dim=self.stack_axes + 1)
         return self.net(x)

@@ -9,13 +9,17 @@ Mirrors the subset of ``torch.nn.Module`` semantics the reproduction needs:
   checkpointing, shard arithmetic and federated aggregation — state dicts
   are plain ``{name: numpy array}`` mappings, the lingua franca of the
   whole code base;
-* train/eval mode toggling (consumed by dropout and batch norm).
+* train/eval mode toggling (consumed by dropout and batch norm);
+* the stack axis (:attr:`Module.stack`, :attr:`Module.row_counts`): K
+  structurally identical models run as one module whose parameters hold
+  ``(K, ...)`` data — :func:`repro.nn.vmap.stack_modules` builds it, the
+  layers' own ``forward`` runs it.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -31,6 +35,19 @@ class Parameter(Tensor):
 
 class Module:
     """Base class for all neural-network layers and models."""
+
+    #: A class sets this to ``True`` when its ``forward`` honours
+    #: :attr:`stack`; :func:`repro.nn.vmap.stack_modules` reads it off the
+    #: class itself, so a subclass (whose ``forward`` may differ) declares
+    #: it again or is refused.
+    stackable = False
+    #: ``None`` on a lone model; K on a module built by ``stack_modules``,
+    #: whose every parameter, input and output carries a leading axis of
+    #: size K (slice ``k`` being member ``k``).
+    stack: Optional[int] = None
+    #: The true row count of each slice during a ragged (zero-padded)
+    #: step, set by ``StackedModel.set_row_counts``; ``None`` otherwise.
+    row_counts: Optional[List[int]] = None
 
     def __init__(self) -> None:
         object.__setattr__(self, "_parameters", OrderedDict())
@@ -202,6 +219,11 @@ class Module:
 
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)
+
+    @property
+    def stack_axes(self) -> int:
+        """Leading axes ahead of the batch axis: 1 in a stack, else 0."""
+        return 0 if self.stack is None else 1
 
     def __repr__(self) -> str:
         child_lines = [f"  ({name}): {module!r}" for name, module in self._modules.items()]

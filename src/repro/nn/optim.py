@@ -58,9 +58,9 @@ class SGD(Optimizer):
     """Stochastic gradient descent with classical momentum and weight decay.
 
     The update is purely elementwise, so over parameters that carry a
-    leading stack axis (:mod:`repro.nn.vmap`) slice ``k`` of every
-    parameter and velocity buffer evolves bit for bit as a lone ``SGD``
-    on model ``k`` would.
+    leading stack axis (:attr:`~repro.nn.module.Module.stack`) slice
+    ``k`` of every parameter and velocity buffer evolves bit for bit as a
+    lone ``SGD`` on model ``k`` would.
     """
 
     def __init__(

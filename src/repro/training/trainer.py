@@ -7,7 +7,7 @@ the shard trainers. The Goldfish teacher/student loop lives in
 There is one epoch loop, :func:`run_epochs`.  :func:`train` runs it over
 one model in its native layout; the vectorized cohort runs it over K
 members whose step is one stacked graph.  A lone model is the cohort of
-one *without* a stack axis: as a stack of one through the stacked layers
+one *without* a stack axis: as a stack of one (``Module.stack = 1``)
 a step costs about a third more on a small MLP (+5 % on LeNet-5), which
 the scalar path has no reason to pay.
 """

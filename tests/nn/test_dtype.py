@@ -14,7 +14,7 @@ import pytest
 
 from repro.data import FederatedDataset
 from repro.federated import FedAvgAggregator, FederatedSimulation
-from repro.nn import Tensor
+from repro.nn import Dropout, Tensor, stack_modules
 from repro.nn import functional as F
 from repro.nn.models import MLP, RegistryModelFactory
 from repro.nn.optim import Adam
@@ -158,7 +158,7 @@ class TestFederatedFloat32:
 
 
 class TestKernelsPreserveDtype:
-    """conv2d / conv2d_stacked / max_pool2d allocate their im2col, col2im
+    """conv2d (lone and stacked) / max_pool2d allocate their im2col, col2im
     and mask buffers from the operands' dtype: float32 in, float32 out,
     float32 gradients — whatever the stride and padding."""
 
@@ -173,8 +173,7 @@ class TestKernelsPreserveDtype:
                         requires_grad=True)
         bias = Tensor(rng.normal(size=lead + (4,)).astype(np.float32),
                       requires_grad=True)
-        conv = F.conv2d_stacked if stacked else F.conv2d
-        out = conv(x, weight, bias, stride=stride, padding=padding)
+        out = F.conv2d(x, weight, bias, stride=stride, padding=padding)
         assert out.dtype == np.float32
         out.backward(np.ones(out.shape, dtype=np.float32))
         for tensor in (x, weight, bias):
@@ -188,6 +187,26 @@ class TestKernelsPreserveDtype:
                    requires_grad=True)
         out = F.max_pool2d(x, k)
         assert out.dtype == np.float32
+        out.backward(np.ones(out.shape, dtype=np.float32))
+        assert x.grad.dtype == np.float32
+
+    @pytest.mark.parametrize(
+        "stacked,row_counts",
+        [(False, None), (True, None), (True, [4, 2, 3])],
+        ids=["lone", "stacked", "stacked-ragged"],
+    )
+    def test_dropout_float32(self, stacked, row_counts):
+        """The mask is drawn in float64; the activation keeps its dtype."""
+        if stacked:
+            layer = stack_modules([Dropout(0.3, np.random.default_rng(k)) for k in range(3)])
+            layer.set_row_counts(row_counts)
+            x = Tensor(np.ones((3, 4, 6), np.float32), requires_grad=True)
+        else:
+            layer = Dropout(0.3, np.random.default_rng(0))
+            x = Tensor(np.ones((4, 6), np.float32), requires_grad=True)
+        out = layer(x)
+        assert out.dtype == np.float32
+        assert np.any(out.data == 0.0) and np.any(out.data != 0.0)
         out.backward(np.ones(out.shape, dtype=np.float32))
         assert x.grad.dtype == np.float32
 

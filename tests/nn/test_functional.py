@@ -164,7 +164,7 @@ class TestConv2dProperty:
             return [Tensor(v[index].copy(), requires_grad=True) for v in values]
 
         stacked = leaves(slice(None))
-        out = F.conv2d_stacked(*stacked, stride=stride, padding=padding)
+        out = F.conv2d(*stacked, stride=stride, padding=padding)
         upstream = rng.normal(size=out.shape).astype(dtype)
         out.backward(upstream)
         assert out.dtype == dtype
@@ -440,7 +440,7 @@ class TestFusedLogSoftmax:
 
 
 class TestFusedLinear:
-    """F.linear is one graph node behind ``Linear`` and ``StackedLinear``.
+    """F.linear is one graph node behind ``Linear``, lone or in a stack.
     The fusion must be invisible: the output and the gradients of ``x``,
     ``weight`` and ``bias`` bit-identical to the transpose -> matmul -> add
     chain it replaced, and slice ``k`` of a stacked call bit-identical to

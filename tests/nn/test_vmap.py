@@ -9,6 +9,8 @@ exact equality, not tolerances.
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.nn.layers import (
     AvgPool2d,
@@ -38,9 +40,12 @@ from repro.nn.tensor import Tensor
 from repro.nn.vmap import (
     VmapUnsupported,
     get_stacked_loss,
+    ragged_support_reason,
     stack_modules,
     stackable_reason,
 )
+
+from ..conftest import generated
 
 K = 3  # stack size used throughout
 N = 4  # per-client batch size
@@ -312,6 +317,50 @@ class TestRejection:
     def test_stackable_reason_none_for_supported_model(self):
         assert stackable_reason(MLP(8, 3, np.random.default_rng(0))) is None
 
+    def test_subclass_overriding_forward_does_not_inherit_stackable(self):
+        class Doubled(Linear):
+            def forward(self, x):
+                return super().forward(x) * 2.0
+
+        members = [Doubled(4, 3, rng) for rng in rngs()]
+        with pytest.raises(VmapUnsupported, match="Doubled has no stacked implementation"):
+            stack_modules(members)
+        assert "Doubled" in stackable_reason(Sequential(members[0]))
+
+    @pytest.mark.parametrize("with_bias", [(True, False, False), (False, False, True)],
+                             ids=["first-only", "later-only"])
+    @pytest.mark.parametrize("build", [
+        lambda rng, bias: Linear(4, 3, rng, bias=bias),
+        lambda rng, bias: Conv2d(1, 2, 3, rng, bias=bias),
+    ], ids=["Linear", "Conv2d"])
+    def test_bias_presence_mismatch_rejected(self, build, with_bias):
+        members = [build(rng, bias) for rng, bias in zip(rngs(), with_bias)]
+        with pytest.raises(VmapUnsupported, match="bias presence"):
+            stack_modules(members)
+
+    @pytest.mark.parametrize("build,attr", [
+        (lambda rng, i: Conv2d(1, 2, 3, rng, stride=1 + i), "stride"),
+        (lambda rng, i: LayerNorm(4, eps=1e-5 * (1 + i)), "eps"),
+        (lambda rng, i: Dropout(0.25 * (1 + i), rng), "p"),
+        (lambda rng, i: MaxPool2d(2 + i), "kernel_size"),
+        (lambda rng, i: AvgPool2d(2 + i), "kernel_size"),
+    ], ids=["Conv2d.stride", "LayerNorm.eps", "Dropout.p", "MaxPool2d", "AvgPool2d"])
+    def test_attribute_mismatch_rejected(self, build, attr):
+        # Only the last member differs: the check reads every member.
+        members = [build(rng, int(i == K - 1)) for i, rng in enumerate(rngs())]
+        with pytest.raises(VmapUnsupported, match=f"differ in {attr}"):
+            stack_modules(members)
+
+    def test_sequential_length_mismatch_rejected(self):
+        a = Sequential(ReLU(), Identity())
+        b = Sequential(ReLU())
+        for members in ([a, b], [b, a]):
+            with pytest.raises(VmapUnsupported, match=r"structure.*layer1"):
+                stack_modules(members)
+
+    def test_bare_batchnorm_rejected(self):
+        assert "buffer" in stackable_reason(BatchNorm2d(2))
+
 
 class TestRaggedRows:
     """Ragged (zero-padded) stacks: slice ``k`` restricted to its true
@@ -370,8 +419,6 @@ class TestRaggedRows:
         forward_backward_parity(members, stacked, stacked_input((N, 5)))
 
     def test_ragged_support_reason(self):
-        from repro.nn.vmap import ragged_support_reason
-
         assert ragged_support_reason(
             MLP(16, 3, np.random.default_rng(0))
         ) is None
@@ -381,3 +428,168 @@ class TestRaggedRows:
         )
         reason = ragged_support_reason(conv_model)
         assert reason is not None and "Conv2d" in reason
+        # Found by TestSliceParityByGeneration: a padded row changes the
+        # pairwise grouping of GroupNorm's gamma / beta gradient sums.
+        norm_model = Sequential(GroupNorm(1, 2), Flatten(), Linear(8, 3, np.random.default_rng(1)))
+        assert "GroupNorm" in ragged_support_reason(norm_model)
+
+
+# ----------------------------------------------------------------------
+# Slice parity by generation
+# ----------------------------------------------------------------------
+@st.composite
+def chains(draw):
+    """A chain of stackable layers as a nested spec, with its input shape.
+
+    An optional conv front (``Conv2d`` / ``GroupNorm`` / pools / ``ReLU``)
+    over an image input, ``Flatten``, then an MLP tail (``Linear`` /
+    ``LayerNorm`` / ``Dropout`` / ``ReLU`` / ``Identity``); runs of
+    consecutive layers fold into nested ``Sequential``s.  Returns
+    ``(spec, sample_shape)``.
+    """
+    specs = []
+    if draw(st.booleans()):  # image input
+        c, size = draw(st.integers(1, 3)), draw(st.sampled_from([4, 6, 8]))
+        sample_shape = (c, size, size)
+        for _ in range(draw(st.integers(0, 4))):
+            kind = draw(st.sampled_from(["conv", "groupnorm", "maxpool", "avgpool", "relu"]))
+            if kind == "conv":
+                kernel, stride = draw(st.sampled_from([1, 3])), draw(st.integers(1, 2))
+                padding = draw(st.integers(0, 1))
+                out_size = (size + 2 * padding - kernel) // stride + 1
+                if out_size < 1:
+                    continue
+                c_out = draw(st.integers(1, 4))
+                specs.append(("conv", c, c_out, kernel, stride, padding, draw(st.booleans())))
+                c, size = c_out, out_size
+            elif kind == "groupnorm":
+                groups = draw(st.sampled_from([g for g in (1, 2, 3, 4) if c % g == 0]))
+                specs.append(("groupnorm", groups, c))
+            elif kind in ("maxpool", "avgpool"):
+                if size % 2:
+                    continue
+                specs.append((kind, 2))
+                size //= 2
+            else:
+                specs.append(("relu",))
+        specs.append(("flatten",))
+        features = c * size * size
+    else:
+        features = draw(st.integers(1, 6))
+        sample_shape = (features,)
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["linear", "layernorm", "dropout", "relu", "identity"]))
+        if kind == "linear":
+            out_features = draw(st.integers(1, 6))
+            specs.append(("linear", features, out_features, draw(st.booleans())))
+            features = out_features
+        elif kind == "layernorm":
+            specs.append(("layernorm", features))
+        elif kind == "dropout":
+            specs.append(("dropout", draw(st.sampled_from([0.0, 0.3, 0.6]))))
+        else:
+            specs.append((kind,))
+
+    def nest(items, depth):
+        if depth == 2 or len(items) < 2 or not draw(st.booleans()):
+            return items
+        start = draw(st.integers(0, len(items) - 1))
+        stop = draw(st.integers(start + 1, len(items)))
+        return items[:start] + [("seq", nest(items[start:stop], depth + 1))] + items[stop:]
+
+    return nest(specs, 0), sample_shape
+
+
+def build_chain(spec, seed, dtype):
+    """One member: layers initialised from ``seed``'s generator, each
+    ``Dropout`` on a generator of its own drawn from it, every parameter
+    (the norms' affine pairs too) perturbed so no two members agree."""
+    rng = np.random.default_rng(seed)
+
+    def make(item):
+        kind, *args = item
+        if kind == "seq":
+            return Sequential(*[make(inner) for inner in args[0]])
+        if kind == "conv":
+            c_in, c_out, kernel, stride, padding, bias = args
+            return Conv2d(c_in, c_out, kernel, rng, stride=stride, padding=padding, bias=bias)
+        if kind == "linear":
+            return Linear(args[0], args[1], rng, bias=args[2])
+        if kind == "dropout":
+            return Dropout(args[0], np.random.default_rng(rng.integers(2**32)))
+        simple = {"groupnorm": GroupNorm, "layernorm": LayerNorm, "maxpool": MaxPool2d,
+                  "avgpool": AvgPool2d, "relu": ReLU, "identity": Identity, "flatten": Flatten}
+        return simple[kind](*args)
+
+    model = Sequential(*[make(item) for item in spec])
+    for param in model.parameters():
+        param.data = param.data + rng.normal(0.0, 0.1, size=param.shape)
+    return model.astype(dtype)
+
+
+def dropout_states(model):
+    return [m._rng.bit_generator.state for m in model.modules() if isinstance(m, Dropout)]
+
+
+class TestSliceParityByGeneration:
+    """Slice ``k`` of a stack is client ``k`` alone, for any chain of
+    stackable layers: forward, input gradient, every parameter gradient,
+    the dropout streams and the state after one optimizer step, bit for
+    bit; a ragged step's padded rows are exactly zero."""
+
+    @generated(150)
+    @given(
+        chain=chains(),
+        k_stack=st.integers(1, 5),
+        width=st.integers(1, 4),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        training=st.booleans(),
+        ragged=st.booleans(),
+        seed=st.integers(0, 2**16),
+        data=st.data(),
+    )
+    def test_slice_k_is_client_k(self, chain, k_stack, width, dtype, training, ragged, seed, data):
+        spec, sample_shape = chain
+        members = [build_chain(spec, seed + k, dtype) for k in range(k_stack)]
+        twins = [build_chain(spec, seed + k, dtype) for k in range(k_stack)]
+        rows = [width] * k_stack
+        if ragged and ragged_support_reason(members[0]) is None:  # the cohort gate's rule
+            rows = data.draw(st.lists(st.integers(1, width), min_size=k_stack, max_size=k_stack))
+            rows[data.draw(st.integers(0, k_stack - 1))] = width
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(k_stack, width) + sample_shape).astype(dtype)
+        for k, count in enumerate(rows):
+            x[k, count:] = 0.0
+
+        stacked = stack_modules(members).train(training)
+        if rows != [width] * k_stack:
+            stacked.set_row_counts(rows)
+        stacked_in = Tensor(x.copy(), requires_grad=True)
+        out = stacked(stacked_in)
+        # What a ragged step's per-member losses send back: nothing into
+        # the padded rows.
+        upstream = rng.normal(size=out.shape).astype(dtype)
+        for k, count in enumerate(rows):
+            upstream[k, count:] = 0.0
+        out.backward(upstream)
+        if stacked.parameters():
+            SGD(stacked.parameters(), lr=0.1, momentum=0.9).step()
+        states = stacked.slice_states()
+
+        for k, (twin, count) in enumerate(zip(twins, rows)):
+            twin.train(training)
+            twin_in = Tensor(x[k, :count].copy(), requires_grad=True)
+            twin_out = twin(twin_in)
+            twin_out.backward(upstream[k, :count])
+            assert_exact(out.data[k, :count], twin_out.data)
+            assert np.all(out.data[k, count:] == 0.0)
+            assert_exact(stacked_in.grad[k, :count], twin_in.grad)
+            assert np.all(stacked_in.grad[k, count:] == 0.0)
+            for stacked_param, twin_param in zip(stacked.parameters(), twin.parameters()):
+                assert_exact(stacked_param.grad[k], twin_param.grad)
+            assert dropout_states(members[k]) == dropout_states(twin)
+            if twin.parameters():
+                SGD(twin.parameters(), lr=0.1, momentum=0.9).step()
+            assert list(states[k]) == list(twin.state_dict())
+            for name, value in twin.state_dict().items():
+                assert_exact(states[k][name], value)
