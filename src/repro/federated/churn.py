@@ -6,11 +6,14 @@ federated unlearning scheme must exhibit both flexibility and resilience."
 This module implements the substrate for that direction:
 
 * a :class:`ChurnSchedule` mapping rounds to join/leave events;
-* :class:`ChurnSimulation`, a wrapper over
-  :class:`~repro.federated.simulation.FederatedSimulation` that activates
-  and deactivates clients per the schedule — a leaving client's departure
-  is treated as an implicit deletion request for its *entire* local
-  dataset (the strictest reading of the right to be forgotten).
+* :class:`ChurnSimulation`, a participation policy
+  (:class:`~repro.federated.sampling.ClientSampler`) that activates and
+  deactivates clients per the schedule, so a churned run is an ordinary
+  :class:`~repro.federated.simulation.FederatedSimulation` run — same
+  backend, codec, transport accounting and vectorizer — and a leaving
+  client's departure is treated as an implicit deletion request for its
+  *entire* local dataset (the strictest reading of the right to be
+  forgotten).
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Set
 
-from ..training.config import TrainConfig
-from .simulation import FederatedSimulation, RoundRecord, SimulationHistory
+from .sampling import ClientSampler
+from .simulation import FederatedSimulation, SimulationHistory
 
 
 @dataclass(frozen=True)
@@ -57,22 +60,17 @@ class ChurnSchedule:
         return [e for e in self.events if e.round_index == round_index]
 
 
-class ChurnSimulation:
+class ChurnSimulation(ClientSampler):
     """Drives an FL simulation under a churn schedule.
 
     Joining clients receive the current global model; leaving clients are
-    dropped from aggregation immediately. If ``unlearn_on_leave`` is set,
-    the federation reacts to a departure by reinitialising and running the
-    supplied unlearning hook (e.g. a Goldfish round) so the departed
-    client's contribution is actively expunged rather than just diluted.
+    dropped from aggregation immediately.  As a sampler, each round's
+    :meth:`sample` applies that round's join/leave events and returns the
+    active clients; :meth:`run` installs it as ``sim.sampler`` for the
+    duration of the run.
     """
 
-    def __init__(
-        self,
-        sim: FederatedSimulation,
-        schedule: ChurnSchedule,
-        train_config: TrainConfig = None,
-    ) -> None:
+    def __init__(self, sim: FederatedSimulation, schedule: ChurnSchedule) -> None:
         known = {client.client_id for client in sim.clients}
         referenced = set(schedule.initial_clients) | {
             e.client_id for e in schedule.events
@@ -82,12 +80,11 @@ class ChurnSimulation:
             raise ValueError(f"schedule references unknown clients: {sorted(unknown)}")
         self.sim = sim
         self.schedule = schedule
-        self.train_config = train_config or sim.train_config
         self.active: Set[int] = set(schedule.initial_clients)
         self.departed: Set[int] = set()
         self.activity_log: Dict[int, List[int]] = {}
 
-    def _apply_events(self, round_index: int) -> None:
+    def sample(self, client_ids, round_index, rng) -> List[int]:
         for event in self.schedule.events_at(round_index):
             if event.action == "join":
                 if event.client_id in self.departed:
@@ -99,32 +96,16 @@ class ChurnSimulation:
             else:
                 self.active.discard(event.client_id)
                 self.departed.add(event.client_id)
+        if not self.active:
+            raise RuntimeError(f"no active clients at round {round_index}")
+        self.activity_log[round_index] = sorted(self.active)
+        return [client_id for client_id in client_ids if client_id in self.active]
 
     def run(self, num_rounds: int) -> SimulationHistory:
         """Run ``num_rounds`` rounds honouring the schedule."""
-        if num_rounds <= 0:
-            raise ValueError(f"num_rounds must be positive, got {num_rounds}")
-        history = SimulationHistory()
-        for round_index in range(num_rounds):
-            self._apply_events(round_index)
-            if not self.active:
-                raise RuntimeError(f"no active clients at round {round_index}")
-            participants = [
-                client for client in self.sim.clients
-                if client.client_id in self.active
-            ]
-            self.activity_log[round_index] = sorted(self.active)
-
-            self.sim.server.broadcast(participants)
-            updates = []
-            for client in participants:
-                client.local_train(self.train_config)
-                updates.append(client.upload())
-            self.sim.server.aggregate(updates)
-            loss, accuracy = self.sim.server.evaluate_global()
-            history.rounds.append(RoundRecord(
-                round_index=round_index,
-                global_loss=loss,
-                global_accuracy=accuracy,
-            ))
-        return history
+        previous = self.sim.sampler
+        self.sim.sampler = self
+        try:
+            return self.sim.run(num_rounds)
+        finally:
+            self.sim.sampler = previous

@@ -51,7 +51,6 @@ from ..runtime import TransportStats, dense_nbytes, state_version
 from ..runtime.task import TrainResult, TrainTask
 from . import state_math
 from .aggregation import BufferedAggregator, BufferedUpdate, FedAvgAggregator
-from .metering import CostMeter, state_bytes
 from .state_math import StateDict
 from .vectorized import backend_worker_count, plan_cohort
 
@@ -222,10 +221,6 @@ class _InFlight:
     member: int = 0  # this client's slice index within the group
 
 
-RoundListener = Callable[["RoundRecord", StateDict, List[BufferedUpdate]], None]
-"""Called after each fold with (record, global_before, applied updates)."""
-
-
 class BufferedRoundEngine:
     """Drive a :class:`~repro.federated.simulation.FederatedSimulation`
     through buffered-async rounds.
@@ -249,14 +244,12 @@ class BufferedRoundEngine:
         sim: "FederatedSimulation",
         config: Optional[AsyncRoundConfig] = None,
         latency_model: Optional[LatencyModel] = None,
-        meter: Optional[CostMeter] = None,
     ) -> None:
         self.sim = sim
         self.config = config if config is not None else AsyncRoundConfig()
         self.latency_model = (
             latency_model if latency_model is not None else ConstantLatency()
         )
-        self.meter = meter
         aggregator = sim.server.aggregator
         if not isinstance(aggregator, FedAvgAggregator):
             # Silently substituting size-weighted folds for e.g. the
@@ -280,7 +273,6 @@ class BufferedRoundEngine:
         self.now = 0.0  # virtual clock
         self._inflight: Dict[int, _InFlight] = {}
         self._dispatch_counts: Dict[int, int] = {}
-        self.round_listeners: List[RoundListener] = []
         # Called with the round index before anything is dispatched —
         # the seam a co-scheduled service (e.g. the unlearning deletion
         # pipeline's per-round tick) hooks to absorb finished work and
@@ -330,7 +322,7 @@ class BufferedRoundEngine:
             new_state = self.aggregator.fold(global_before, applied)
             self.sim.server.install(new_state)
             self.version += 1
-        # History retention and metering see exactly what was folded.
+        # History retention and cost accounting see exactly what was folded.
         self.sim.last_participants = [
             self.sim.clients[update.client_id] for update in applied
         ]
@@ -346,22 +338,7 @@ class BufferedRoundEngine:
         round_transport = self._round_transport
         self._round_transport = TransportStats()
         self.sim.transport.add(round_transport)
-        if self.meter is not None:
-            for update in applied:
-                if self.sim.codec == "raw":
-                    self.meter.record_upload_state(update.state)
-                self.meter.record_training(
-                    update.num_samples, self.sim.train_config.epochs
-                )
-            if self.sim.codec != "raw":
-                # Mirror MeteredSimulationProxy._run_round_encoded: under
-                # a codec the wire no longer carries dense states, so the
-                # meter records what actually moved this round (dispatch
-                # downloads included — see _dispatch, which skips its
-                # dense per-dispatch charge for non-raw codecs).
-                self.meter.record_download(round_transport.bytes_down)
-                self.meter.record_upload(round_transport.bytes_up)
-        record = RoundRecord(
+        return RoundRecord(
             round_index=round_index,
             global_loss=loss,
             global_accuracy=accuracy,
@@ -375,9 +352,6 @@ class BufferedRoundEngine:
             bytes_down=round_transport.bytes_down,
             bytes_up=round_transport.bytes_up,
         )
-        for listener in self.round_listeners:
-            listener(record, global_before, applied)
-        return record
 
     def _dispatch(self, round_index: int) -> List[int]:
         """Sample a cohort and stream its tasks; return straggler drops.
@@ -459,11 +433,6 @@ class BufferedRoundEngine:
                     member=member,
                 )
                 self.total_dispatched += 1
-                if self.meter is not None and self.sim.codec == "raw":
-                    # Non-raw codecs meter the round's actual transport
-                    # bytes at fold time (run_round) instead of this
-                    # dense pricing.
-                    self.meter.record_download(state_bytes(broadcast_state))
         if dropped:
             self.total_dropped += len(dropped)
             sampler = self.sim.sampler

@@ -182,19 +182,12 @@ class RoundHistoryStore:
         self._snapshots.clear()
 
 
-class RecordingSimulationMixin:
-    """Helper that wires a :class:`RoundHistoryStore` into a simulation.
-
-    Use :func:`attach_history` instead of subclassing: it monkey-patches a
-    bound ``run_round`` that records every round, keeping
-    :class:`~repro.federated.simulation.FederatedSimulation` itself free of
-    retention concerns (most FL deployments must *not* retain updates).
-    """
-
-
 def attach_history(simulation, store: RoundHistoryStore):
     """Record every future round of ``simulation`` into ``store``.
 
+    It patches a bound ``run_round`` that records every round, keeping
+    :class:`~repro.federated.simulation.FederatedSimulation` itself free of
+    retention concerns (most FL deployments must *not* retain updates).
     Returns the store for chaining. The patch captures the global state
     before aggregation and every *participating* client's upload after
     local training (with a sampler, non-participants trained nothing this

@@ -78,9 +78,6 @@ class CostMeter:
         self._check_non_negative(num_bytes)
         self.upload_bytes += num_bytes
 
-    def record_upload_state(self, state: StateDict) -> None:
-        self.upload_bytes += state_bytes(state)
-
     def record_download(self, num_bytes: int) -> None:
         self._check_non_negative(num_bytes)
         self.download_bytes += num_bytes
@@ -146,6 +143,17 @@ class MeteredSimulationProxy:
     """Wraps a :class:`~repro.federated.simulation.FederatedSimulation`
     so every round's traffic and local compute land in a meter.
 
+    The meter reads what the round already produced.  Under a codec the
+    wire no longer carries dense states, so the
+    :class:`~repro.federated.simulation.RoundRecord` byte fields are
+    charged as they stand; under ``raw`` every broadcast sent (one per
+    dispatch on the event-driven engine, where stragglers dropped before
+    dispatch received nothing) and every update taken in costs one dense
+    float32 state.  Local training is charged over the round's
+    ``last_participants`` — the sampled cohort of a synchronous round,
+    the folded updates of an async one — never over clients that sat
+    the round out.
+
     Usage::
 
         metered = MeteredSimulationProxy(simulation)
@@ -159,54 +167,27 @@ class MeteredSimulationProxy:
 
     def run_round(self, round_index: int, record_client_metrics: bool = False):
         sim = self.simulation
-        if getattr(sim, "async_config", None) is not None:
-            return self._run_round_async(sim, round_index, record_client_metrics)
-        if getattr(sim, "codec", "raw") != "raw":
-            return self._run_round_encoded(sim, round_index, record_client_metrics)
+        engine = sim.engine() if sim.async_config is not None else None
+        dispatched = engine.total_dispatched if engine is not None else 0
         with self.meter.time_block():
-            state = sim.server.global_state
-            self.meter.record_broadcast(state, len(sim.clients))
             record = sim.run_round(round_index, record_client_metrics)
-            for client in sim.clients:
-                self.meter.record_upload_state(client.model.state_dict())
-                self.meter.record_training(
-                    len(client.active_dataset), sim.train_config.epochs
+            participants = sim.last_participants
+            if sim.codec != "raw":
+                self.meter.record_download(record.bytes_down)
+                self.meter.record_upload(record.bytes_up)
+            else:
+                dense = state_bytes(sim.server.global_state)
+                broadcasts = (
+                    engine.total_dispatched - dispatched
+                    if engine is not None
+                    else len(participants)
                 )
-            self.meter.record_round()
-        return record
-
-    def _run_round_encoded(self, sim, round_index: int, record_client_metrics: bool):
-        """Non-raw codecs: the wire no longer carries dense states, so the
-        float32 pricing above would charge traffic that never moved.  The
-        simulation accounts the actual transport per round
-        (:class:`~repro.federated.simulation.RoundRecord` byte fields);
-        record exactly that."""
-        with self.meter.time_block():
-            record = sim.run_round(round_index, record_client_metrics)
-            self.meter.record_download(record.bytes_down)
-            self.meter.record_upload(record.bytes_up)
-            for client in sim.clients:
+                self.meter.record_download(dense * broadcasts)
+                self.meter.record_upload(dense * len(participants))
+            for client in participants:
                 self.meter.record_training(
-                    len(client.active_dataset), sim.train_config.epochs
+                    client.active_size, sim.train_config.epochs
                 )
-            self.meter.record_round()
-        return record
-
-    def _run_round_async(self, sim, round_index: int, record_client_metrics: bool):
-        """Event-driven rounds meter per *event*, not per cohort.
-
-        The synchronous accounting above (broadcast to everyone, upload
-        from everyone) would overstate an async round: stragglers dropped
-        before dispatch received no broadcast, clients still in flight
-        uploaded nothing yet, and stale-discarded updates were uploaded
-        but never folded.  The engine records the truth itself — one
-        download per actual dispatch, one upload + local-training charge
-        per folded update — through the meter handle installed here.
-        """
-        engine = sim.engine()
-        engine.meter = self.meter
-        with self.meter.time_block():
-            record = sim.run_round(round_index, record_client_metrics)
             self.meter.record_round()
         return record
 

@@ -276,8 +276,15 @@ class Tensor:
     # ------------------------------------------------------------------
     # Arithmetic (broadcasting-aware)
     # ------------------------------------------------------------------
+    def _operand(self, other: ArrayLike) -> "Tensor":
+        """``other`` as a tensor; a Python scalar beside a floating tensor
+        takes that tensor's dtype, so ``x + eps`` keeps float32 float32."""
+        if isinstance(other, (int, float)) and self.data.dtype.kind == "f":
+            return Tensor(np.asarray(other, dtype=self.data.dtype))
+        return ensure_tensor(other)
+
     def __add__(self, other: ArrayLike) -> "Tensor":
-        other = ensure_tensor(other)
+        other = self._operand(other)
         out_data = self.data + other.data
 
         def backward_fn(grad: np.ndarray) -> None:
@@ -300,13 +307,13 @@ class Tensor:
         return Tensor._make(-self.data, (self,), backward_fn)
 
     def __sub__(self, other: ArrayLike) -> "Tensor":
-        return self + (-ensure_tensor(other))
+        return self + (-self._operand(other))
 
     def __rsub__(self, other: ArrayLike) -> "Tensor":
-        return ensure_tensor(other) + (-self)
+        return self._operand(other) + (-self)
 
     def __mul__(self, other: ArrayLike) -> "Tensor":
-        other = ensure_tensor(other)
+        other = self._operand(other)
         out_data = self.data * other.data
 
         def backward_fn(grad: np.ndarray) -> None:
@@ -320,7 +327,7 @@ class Tensor:
     __rmul__ = __mul__
 
     def __truediv__(self, other: ArrayLike) -> "Tensor":
-        other = ensure_tensor(other)
+        other = self._operand(other)
         out_data = self.data / other.data
 
         def backward_fn(grad: np.ndarray) -> None:
@@ -332,7 +339,7 @@ class Tensor:
         return Tensor._make(out_data, (self, other), backward_fn)
 
     def __rtruediv__(self, other: ArrayLike) -> "Tensor":
-        return ensure_tensor(other) / self
+        return self._operand(other) / self
 
     def __pow__(self, exponent: Scalar) -> "Tensor":
         if not np.isscalar(exponent):

@@ -34,6 +34,7 @@ from .deletion_manager import (
     ExecutedBatch,
     ImmediatePolicy,
     PeriodicPolicy,
+    RequestState,
 )
 from .early_stop import EarlyStopConfig, ExcessRiskStopper
 from .faultinject import FaultInjector, KillOnceTask
@@ -55,13 +56,7 @@ from .registry import (
     make_unlearner,
     register_unlearner,
 )
-from .service import (
-    PoissonArrivals,
-    RequestState,
-    ServiceRequest,
-    SlaMeter,
-    UnlearningService,
-)
+from .service import PoissonArrivals, SlaMeter, UnlearningService
 from .sharding import DeletionReport, ShardedClientTrainer
 from .sisa import PendingDeletion, SisaConfig, SisaDeletionReport, SisaEnsemble
 from .temperature import adaptive_temperature
@@ -87,7 +82,6 @@ __all__ = [
     "replay_journal",
     "PoissonArrivals",
     "RequestState",
-    "ServiceRequest",
     "SlaMeter",
     "UnlearningService",
     "PendingDeletion",

@@ -41,13 +41,24 @@ Three execution paths share the queue and the policies:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Collection, Dict, List, Optional, Sequence
 
 import numpy as np
 
 
-@dataclass(frozen=True)
+class RequestState:
+    """The deletion request lifecycle (terminal: certified / failed)."""
+
+    RECEIVED = "received"
+    VALIDATED = "validated"
+    SCHEDULED = "scheduled"
+    RETRAINING = "retraining"
+    CERTIFIED = "certified"
+    FAILED = "failed"
+
+
+@dataclass(eq=False)
 class DeletionRequest:
     """One client's request to remove some of its local samples.
 
@@ -55,23 +66,44 @@ class DeletionRequest:
     on timeouts, and a retried request must not retrain twice.  Requests
     submitted through :meth:`DeletionManager.submit` with an id already
     seen return the original request instead of enqueueing a duplicate.
+
+    The remaining fields are the request's position in the
+    :class:`~repro.unlearning.service.UnlearningService` lifecycle.  A
+    request compares by identity, so the queue, the window that flushes
+    it and ``service.requests`` all hold this one object.
     """
 
     client_id: int
     indices: np.ndarray
     submitted_round: int
     request_id: Optional[str] = None
+    state: str = RequestState.RECEIVED
+    window_id: Optional[int] = None
+    certified_round: Optional[int] = None
+    failure_reason: Optional[str] = None
+    # Wall-clock stamps are None for requests rebuilt by recovery (their
+    # original process's clock is gone); round latencies survive restarts.
+    submitted_wall: Optional[float] = None
+    certified_wall: Optional[float] = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "indices", np.unique(np.asarray(self.indices, dtype=np.int64))
-        )
-        if self.indices.size == 0:
-            raise ValueError("deletion request with no indices")
+        self.indices = np.unique(np.asarray(self.indices, dtype=np.int64))
         if self.submitted_round < 0:
             raise ValueError(
                 f"submitted_round must be non-negative, got {self.submitted_round}"
             )
+
+    @property
+    def time_to_forget_rounds(self) -> Optional[int]:
+        if self.certified_round is None:
+            return None
+        return self.certified_round - self.submitted_round
+
+    @property
+    def time_to_forget_seconds(self) -> Optional[float]:
+        if self.certified_wall is None or self.submitted_wall is None:
+            return None
+        return self.certified_wall - self.submitted_wall
 
 
 class DeletionPolicy:
@@ -120,11 +152,10 @@ class PeriodicPolicy(DeletionPolicy):
 
 @dataclass
 class ExecutedBatch:
-    """Record of one unlearning execution."""
+    """Record of one unlearning execution — on the service, of one window."""
 
     executed_round: int
     requests: List[DeletionRequest]
-    latencies: List[int]  # rounds each request waited
     outcome: object = None  # whatever the unlearn callable returned
     # Retrain chains submitted through the runtime for this batch (set by
     # the batched SISA path; one per affected shard).  Fewer chains than
@@ -135,10 +166,26 @@ class ExecutedBatch:
     # UnlearningService sets this later, once poll()/drain() lands the
     # results — until then it is None ("still retraining").
     completed_round: Optional[int] = None
+    # The service's journaled plan: window id, merged index set and
+    # affected shards (None / empty on the barriered paths and for a
+    # window that had nothing left to retrain), and whether its chains
+    # failed.
+    window_id: Optional[int] = None
+    indices: List[int] = field(default_factory=list)
+    shards: List[int] = field(default_factory=list)
+    failed: bool = False
 
     @property
     def num_requests(self) -> int:
         return len(self.requests)
+
+    @property
+    def latencies(self) -> List[int]:
+        """Rounds each request waited before its window executed."""
+        return [
+            self.executed_round - request.submitted_round
+            for request in self.requests
+        ]
 
     @property
     def max_latency(self) -> int:
@@ -206,7 +253,7 @@ class DeletionManager:
         id the manager has already accepted (pending *or* executed) is a
         no-op returning the original request — retrying clients cannot
         make a window retrain twice.  Empty index sets are rejected with
-        a :class:`ValueError` (via :class:`DeletionRequest` validation).
+        a :class:`ValueError`.
         """
         if request_id is not None:
             existing = self._seen_ids.get(request_id)
@@ -215,13 +262,20 @@ class DeletionManager:
                 return existing
         request = DeletionRequest(
             client_id=client_id,
-            indices=np.asarray(indices),
+            indices=indices,
             submitted_round=round_index,
             request_id=request_id,
         )
-        self._pending.append(request)
+        if request.indices.size == 0:
+            raise ValueError("deletion request with no indices")
         if request_id is not None:
             self._seen_ids[request_id] = request
+        return self.enqueue(request)
+
+    def enqueue(self, request: DeletionRequest) -> DeletionRequest:
+        """Queue a request built elsewhere — the service's, which it has
+        already journaled, validated and deduplicated."""
+        self._pending.append(request)
         return request
 
     @property
@@ -247,19 +301,29 @@ class DeletionManager:
             for client_id, indices in merged.items()
         }
 
-    def merged_global_indices(self) -> np.ndarray:
-        """Every pending index folded into one deduplicated set.
+    def merged_global_indices(
+        self,
+        requests: Optional[Sequence[DeletionRequest]] = None,
+        already_deleted: Collection[int] = (),
+    ) -> np.ndarray:
+        """Every index of ``requests`` (default: the whole queue) folded
+        into one deduplicated set, less ``already_deleted``.
 
         For request streams whose indices share one global index space
         (e.g. a :class:`~repro.unlearning.sisa.SisaEnsemble` over one
         dataset), the per-client split is irrelevant — the whole window
-        unlearns as a single set.
+        unlearns as a single set.  Re-requests are tolerated: indices an
+        earlier window already deleted are filtered out (idempotent
+        re-submission is normal in deletion systems), so one duplicate
+        cannot wedge the queue by making every subsequent flush raise.
         """
-        if not self._pending:
+        requests = self._pending if requests is None else requests
+        if not requests:
             return np.array([], dtype=np.int64)
-        return np.unique(
-            np.concatenate([request.indices for request in self._pending])
-        )
+        merged = np.unique(np.concatenate([request.indices for request in requests]))
+        if len(already_deleted):
+            merged = merged[~np.isin(merged, list(already_deleted))]
+        return merged
 
     def maybe_execute(
         self,
@@ -280,7 +344,14 @@ class DeletionManager:
             return None
         for client_id, indices in self.merged_indices().items():
             sim.clients[client_id].request_deletion(indices)
-        return self.flush_requests(self._pending, round_index, outcome=unlearn(sim))
+        return self.flush(
+            ExecutedBatch(
+                round_index,
+                list(self._pending),
+                outcome=unlearn(sim),
+                completed_round=round_index,
+            )
+        )
 
     def maybe_execute_batched(
         self, ensemble, round_index: int
@@ -300,12 +371,9 @@ class DeletionManager:
         window instead of once per request, and under a parallel backend
         the affected shards retrain concurrently.
 
-        Re-requests are tolerated: indices the ensemble already deleted
-        in an earlier window are filtered out (idempotent re-submission
-        is normal in deletion systems), so one duplicate cannot wedge
-        the queue by making every subsequent flush raise.  A window left
-        empty by the filter executes nothing (zero chains) but still
-        clears the queue and records the batch.
+        Re-requests are tolerated (see :meth:`merged_global_indices`).
+        A window left empty by the filter executes nothing (zero chains)
+        but still clears the queue and records the batch.
 
         Returns the batch record (with per-request latencies and the
         number of chains actually submitted), or ``None`` when the
@@ -313,14 +381,18 @@ class DeletionManager:
         """
         if not self.window_ready(round_index):
             return None
-        merged = self.merged_global_indices()
-        already_deleted = getattr(ensemble, "deleted_indices", None)
-        if already_deleted is not None and len(already_deleted):
-            merged = merged[~np.isin(merged, list(already_deleted))]
+        merged = self.merged_global_indices(
+            self._pending, getattr(ensemble, "deleted_indices", None) or ()
+        )
         report = ensemble.delete(merged) if merged.size else None
-        chains = len(getattr(report, "shards_affected", []) or [])
-        return self.flush_requests(
-            self._pending, round_index, outcome=report, chains_submitted=chains
+        return self.flush(
+            ExecutedBatch(
+                round_index,
+                list(self._pending),
+                outcome=report,
+                chains_submitted=len(getattr(report, "shards_affected", []) or []),
+                completed_round=round_index,
+            )
         )
 
     # Shared flush skeleton — every execution path (the two above and the
@@ -340,38 +412,18 @@ class DeletionManager:
                 )
         return True
 
-    def flush_requests(
-        self,
-        requests: Sequence[DeletionRequest],
-        round_index: int,
-        outcome: object,
-        chains_submitted: int = 0,
-        completed: bool = True,
-    ) -> ExecutedBatch:
-        """Record ``requests`` as one executed window (per-request
-        latencies included) and take them off the queue.
+    def flush(self, batch: ExecutedBatch) -> ExecutedBatch:
+        """Record ``batch`` as one executed window and take its requests
+        off the queue.
 
         The barriered paths flush the whole queue; the per-shard-locking
         :class:`~repro.unlearning.service.UnlearningService` flushes only
         the requests whose shards are free, leaving the rest queued for
-        a later window, and passes ``completed=False`` — the window is
-        still retraining until its chains land."""
-        batch = ExecutedBatch(
-            executed_round=round_index,
-            requests=list(requests),
-            latencies=[
-                round_index - request.submitted_round for request in requests
-            ],
-            outcome=outcome,
-            chains_submitted=chains_submitted,
-            completed_round=round_index if completed else None,
-        )
+        a later window, with ``completed_round`` still ``None`` — the
+        window is retraining until its chains land."""
         self._executed.append(batch)
-        # Identity-based removal: DeletionRequest's ndarray field makes
-        # ``==`` (and hence list.remove) ambiguous.
-        flushed = {id(request) for request in requests}
         self._pending = [
-            request for request in self._pending if id(request) not in flushed
+            request for request in self._pending if request not in batch.requests
         ]
         return batch
 

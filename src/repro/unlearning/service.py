@@ -49,8 +49,7 @@ import json
 import os
 import shutil
 import time
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Collection, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -63,92 +62,51 @@ from .deletion_manager import (
     DeletionPolicy,
     DeletionRequest,
     ExecutedBatch,
+    RequestState,
 )
 from .journal import Journal, replay
 from .sisa import SisaEnsemble
 
 
-class RequestState:
-    """The deletion request lifecycle (terminal: certified / failed)."""
-
-    RECEIVED = "received"
-    VALIDATED = "validated"
-    SCHEDULED = "scheduled"
-    RETRAINING = "retraining"
-    CERTIFIED = "certified"
-    FAILED = "failed"
-
-    TERMINAL = frozenset({CERTIFIED, FAILED})
-    ALL = frozenset(
-        {RECEIVED, VALIDATED, SCHEDULED, RETRAINING, CERTIFIED, FAILED}
-    )
-
-
-@dataclass
-class ServiceRequest:
-    """One tracked deletion request and its position in the lifecycle."""
-
-    request_id: str
-    client_id: int
-    indices: np.ndarray
-    submitted_round: int
-    state: str = RequestState.RECEIVED
-    window_id: Optional[int] = None
-    certified_round: Optional[int] = None
-    failure_reason: Optional[str] = None
-    # Wall-clock stamps are None for requests rebuilt by recovery (their
-    # original process's clock is gone); round latencies survive restarts.
-    submitted_wall: Optional[float] = None
-    certified_wall: Optional[float] = None
-
-    @property
-    def time_to_forget_rounds(self) -> Optional[int]:
-        if self.certified_round is None:
-            return None
-        return self.certified_round - self.submitted_round
-
-    @property
-    def time_to_forget_seconds(self) -> Optional[float]:
-        if self.certified_wall is None or self.submitted_wall is None:
-            return None
-        return self.certified_wall - self.submitted_wall
-
-
 class SlaMeter:
-    """Per-request time-to-forget accounting (p50/p95, rounds + seconds)."""
+    """Per-request time-to-forget accounting (p50/p95, rounds + seconds).
 
-    def __init__(self) -> None:
-        self._rounds: List[int] = []
-        self._seconds: List[float] = []
+    Reads the requests it is handed on every call — a list, or the live
+    ``requests.values()`` view the service passes — so a request's own
+    ``certified_round`` and wall stamps are the only record of its
+    latency.
+    """
 
-    def record(self, request: ServiceRequest) -> None:
-        latency = request.time_to_forget_rounds
-        if latency is not None:
-            self._rounds.append(int(latency))
-        seconds = request.time_to_forget_seconds
-        if seconds is not None:
-            self._seconds.append(float(seconds))
+    def __init__(self, requests: Collection[DeletionRequest]) -> None:
+        self.requests = requests
+
+    def _stamped(self, unit: str) -> List[float]:
+        """Every request's ``time_to_forget_<unit>`` that is known."""
+        values = (getattr(r, f"time_to_forget_{unit}") for r in self.requests)
+        return [value for value in values if value is not None]
 
     @property
     def num_certified(self) -> int:
-        return len(self._rounds)
+        return len(self._stamped("rounds"))
 
     def percentile_rounds(self, q: float) -> float:
-        if not self._rounds:
+        rounds = self._stamped("rounds")
+        if not rounds:
             raise ValueError("no certified requests metered yet")
-        return float(np.percentile(self._rounds, q))
+        return float(np.percentile(rounds, q))
 
     def report(self) -> Dict[str, Any]:
         """The SLA summary stamped into ``ExperimentResult.runtime``."""
-        out: Dict[str, Any] = {"certified_requests": len(self._rounds)}
-        if self._rounds:
-            out["p50_rounds"] = float(np.percentile(self._rounds, 50))
-            out["p95_rounds"] = float(np.percentile(self._rounds, 95))
-            out["mean_rounds"] = float(np.mean(self._rounds))
-            out["max_rounds"] = int(np.max(self._rounds))
-        if self._seconds:
-            out["p50_seconds"] = float(np.percentile(self._seconds, 50))
-            out["p95_seconds"] = float(np.percentile(self._seconds, 95))
+        rounds, seconds = self._stamped("rounds"), self._stamped("seconds")
+        out: Dict[str, Any] = {"certified_requests": len(rounds)}
+        if rounds:
+            out["p50_rounds"] = float(np.percentile(rounds, 50))
+            out["p95_rounds"] = float(np.percentile(rounds, 95))
+            out["mean_rounds"] = float(np.mean(rounds))
+            out["max_rounds"] = int(np.max(rounds))
+        if seconds:
+            out["p50_seconds"] = float(np.percentile(seconds, 50))
+            out["p95_seconds"] = float(np.percentile(seconds, 95))
         return out
 
 
@@ -218,9 +176,15 @@ class UnlearningService:
         ...
         service.drain(final_round)    # barrier once, at the very end
 
-    The queue, the flush policy and the per-window accounting
-    (:class:`~repro.unlearning.deletion_manager.ExecutedBatch`) live on
-    :attr:`manager`; the window scheduler is this class.  When the policy
+    The queue, the flush policy and the per-window accounting live on
+    :attr:`manager`; the window scheduler is this class.  Each fact has
+    one record: a request is one
+    :class:`~repro.unlearning.deletion_manager.DeletionRequest` (the
+    object :meth:`submit` returns, the queue holds and its window
+    flushes), and a window is one
+    :class:`~repro.unlearning.deletion_manager.ExecutedBatch` (the
+    object :meth:`maybe_submit` returns and ``manager.executed_batches``
+    keeps).  When the policy
     fires, :meth:`maybe_submit` *submits* the window's retrain chains
     through the backend (one ticket per window) and returns immediately;
     subsequent federation rounds train while the chains retrain, and
@@ -269,10 +233,10 @@ class UnlearningService:
                 "UnlearningService.recover() instead of starting fresh"
             )
         self.journal = Journal(journal_path)
-        self.requests: Dict[str, ServiceRequest] = {}
+        self.requests: Dict[str, DeletionRequest] = {}
         self.duplicates = 0
-        self.sla = SlaMeter()
-        self._windows: Dict[int, Dict[str, Any]] = {}
+        self.sla = SlaMeter(self.requests.values())
+        self._windows: Dict[int, ExecutedBatch] = {}
         # Window ids in certification order — the order recovery must
         # reinstall sidecars in (a later window's shard state supersedes
         # an earlier one's), preserved across compaction snapshots.
@@ -282,14 +246,13 @@ class UnlearningService:
         self.manager = DeletionManager(policy)
         self.backend = ensemble.backend if backend is None else get_backend(backend)
         self.task_filter = task_filter
-        # window_id -> (batch, pending, ticket); insertion order is
-        # submission order, which poll/drain preserve when completing.
+        # window_id -> (pending, ticket); insertion order is submission
+        # order, which poll/drain preserve when completing.
         self._inflight: Dict[int, tuple] = {}
         # Requests the policy has already admitted but a shard lock
-        # deferred (identity ids — ndarray fields make __eq__ unusable).
-        # Once admitted, a request flushes as soon as its shards free up
-        # without waiting for the policy to fire again: a BatchSizePolicy
-        # counts a request toward exactly one firing.
+        # deferred.  Once admitted, a request flushes as soon as its
+        # shards free up without waiting for the policy to fire again: a
+        # BatchSizePolicy counts a request toward exactly one firing.
         self._armed: set = set()
         #: High-water mark of concurrently retraining windows (>= 2 means
         #: disjoint-shard windows demonstrably overlapped).
@@ -324,11 +287,11 @@ class UnlearningService:
             self._restore_snapshot(record)
         elif event == "received":
             request_id = record["request_id"]
-            self.requests[request_id] = ServiceRequest(
-                request_id=request_id,
+            self.requests[request_id] = DeletionRequest(
                 client_id=int(record.get("client_id", -1)),
-                indices=np.asarray(record["indices"], dtype=np.int64),
+                indices=record["indices"],
                 submitted_round=int(record["round"]),
+                request_id=request_id,
             )
         elif event == "validated":
             self.requests[record["request_id"]].state = RequestState.VALIDATED
@@ -340,27 +303,29 @@ class UnlearningService:
             self.duplicates += 1
         elif event == "scheduled":
             window_id = int(record["window"])
-            self._windows[window_id] = {
-                "request_ids": list(record["requests"]),
-                "indices": [int(i) for i in record["indices"]],
-                "shards": [int(s) for s in record.get("shards", [])],
-            }
+            batch = self._windows[window_id] = ExecutedBatch(
+                executed_round=int(record["round"]),
+                requests=[self.requests[rid] for rid in record["requests"]],
+                window_id=window_id,
+                indices=[int(i) for i in record["indices"]],
+                shards=[int(s) for s in record.get("shards", [])],
+            )
             self._next_window = max(self._next_window, window_id + 1)
-            for request in self._requests_of(window_id):
+            for request in batch.requests:
                 request.state = RequestState.SCHEDULED
                 request.window_id = window_id
         elif event == "retraining":
-            for request in self._requests_of(int(record["window"])):
+            for request in self._windows[int(record["window"])].requests:
                 request.state = RequestState.RETRAINING
         elif event == "certified":
-            window_id = int(record["window"])
-            self._windows[window_id]["certified"] = True
-            self._certified_order.append(window_id)
-            self._certify_requests(self._requests_of(window_id), int(record["round"]))
+            batch = self._windows[int(record["window"])]
+            batch.completed_round = int(record["round"])
+            self._certified_order.append(batch.window_id)
+            self._certify_requests(batch.requests, batch.completed_round)
         elif event == "window_failed":
-            window_id = int(record["window"])
-            self._windows[window_id]["failed"] = True
-            for request in self._requests_of(window_id):
+            batch = self._windows[int(record["window"])]
+            batch.failed = True
+            for request in batch.requests:
                 request.state = RequestState.FAILED
                 request.failure_reason = "retrain chains failed"
         elif event == "noop":
@@ -369,11 +334,9 @@ class UnlearningService:
                 int(record["round"]),
             )
 
-    def _requests_of(self, window_id: int) -> List[ServiceRequest]:
-        return [self.requests[rid] for rid in self._windows[window_id]["request_ids"]]
-
+    @staticmethod
     def _certify_requests(
-        self, requests: List[ServiceRequest], round_index: int
+        requests: List[DeletionRequest], round_index: int
     ) -> None:
         now = time.perf_counter()
         for request in requests:
@@ -381,7 +344,6 @@ class UnlearningService:
             request.certified_round = round_index
             if request.submitted_wall is not None:
                 request.certified_wall = now
-            self.sla.record(request)
 
     # ------------------------------------------------------------------
     # Intake
@@ -392,8 +354,9 @@ class UnlearningService:
         indices: Sequence[int],
         round_index: int,
         request_id: Optional[str] = None,
-    ) -> ServiceRequest:
-        """File one deletion request; returns its tracked record.
+    ) -> DeletionRequest:
+        """File one deletion request; returns its record — the object
+        :attr:`requests` and the manager's queue hold.
 
         Idempotent on ``request_id``: resubmitting an id the service has
         already accepted (in *any* state, across restarts) returns the
@@ -421,8 +384,7 @@ class UnlearningService:
         reason = self._validate(request)
         if reason is not None:
             raise ValueError(f"deletion request {request_id!r}: {reason}")
-        self._enqueue(request)
-        return request
+        return self.manager.enqueue(request)
 
     def _fresh_id(self) -> str:
         """A generated ``req-N`` id no request holds yet — whether a
@@ -433,7 +395,7 @@ class UnlearningService:
             if request_id not in self.requests:
                 return request_id
 
-    def _validate(self, request: ServiceRequest) -> Optional[str]:
+    def _validate(self, request: DeletionRequest) -> Optional[str]:
         """Journal a received request's ``validated`` or terminal
         ``failed`` transition; returns the failure reason, if any."""
         indices = request.indices
@@ -457,14 +419,6 @@ class UnlearningService:
                 round=request.submitted_round,
             )
         return reason
-
-    def _enqueue(self, request: ServiceRequest) -> DeletionRequest:
-        return self.manager.submit(
-            request.client_id,
-            request.indices,
-            request.submitted_round,
-            request_id=request.request_id,
-        )
 
     # ------------------------------------------------------------------
     # The round loop
@@ -491,14 +445,14 @@ class UnlearningService:
         if not pending:
             return None
         if self.manager.window_ready(round_index):
-            self._armed.update(id(request) for request in pending)
+            self._armed.update(pending)
         locked = self.ensemble.pending_shards
         already = self.ensemble.deleted_indices
         shard_of = self.ensemble.shard_of
         ready = [
             request
             for request in pending
-            if id(request) in self._armed
+            if request in self._armed
             and not any(
                 shard_of(index)[0] in locked
                 for index in request.indices.tolist()
@@ -507,16 +461,17 @@ class UnlearningService:
         ]
         if not ready:
             return None
-        self._armed.difference_update(id(request) for request in ready)
+        self._armed.difference_update(ready)
         request_ids = [request.request_id for request in ready]
-        merged = np.unique(np.concatenate([request.indices for request in ready]))
-        merged = merged[~np.isin(merged, list(already))].tolist()
+        merged = self.manager.merged_global_indices(ready, already).tolist()
         if not merged:
             # Every index was already logically deleted by an earlier
             # window — nothing retrains, the requests certify on the spot
             # (idempotent re-requests are normal in deletion systems).
             self._log("noop", requests=request_ids, round=round_index)
-            return self.manager.flush_requests(ready, round_index, outcome=None)
+            return self.manager.flush(
+                ExecutedBatch(round_index, ready, completed_round=round_index)
+            )
         # Write-ahead: the plan is durable before delete_begin acts on it.
         window_id = self._next_window
         self._log(
@@ -527,49 +482,36 @@ class UnlearningService:
             shards=sorted({shard_of(index)[0] for index in merged}),
             round=round_index,
         )
-        return self._launch(window_id, ready, merged, round_index)
+        return self._launch(self._windows[window_id], round_index)
 
-    def _launch(
-        self,
-        window_id: int,
-        requests: List[DeletionRequest],
-        indices: Sequence[int],
-        round_index: int,
-    ) -> ExecutedBatch:
+    def _launch(self, batch: ExecutedBatch, round_index: int) -> ExecutedBatch:
         """Begin a scheduled window: lock its shards, journal
         ``retraining``, start its chains.  Recovery re-begins a window a
         dead process left incomplete through here too — its journaled
-        plan is re-begun as-is, past the policy gate."""
-        pending = self.ensemble.delete_begin(indices)
-        batch = self.manager.flush_requests(
-            requests,
-            round_index,
-            outcome=None,
-            chains_submitted=pending.num_chains,
-            completed=False,
-        )
-        self._log("retraining", window=window_id, round=round_index)
+        plan is re-begun as-is, past the policy gate, and the window
+        reads the round it was re-begun in."""
+        pending = self.ensemble.delete_begin(batch.indices)
+        batch.executed_round = round_index
+        batch.chains_submitted = pending.num_chains
+        self.manager.flush(batch)
+        self._log("retraining", window=batch.window_id, round=round_index)
         if all(hasattr(self.backend, name) for name in ("submit", "drain", "poll")):
             tasks = list(pending.tasks)
             if self.task_filter is not None:
-                tasks = self.task_filter(window_id, tasks)
+                tasks = self.task_filter(batch.window_id, tasks)
             ticket = self.backend.submit(tasks)
-            self._inflight[window_id] = (batch, pending, ticket)
+            self._inflight[batch.window_id] = (pending, ticket)
             self.max_windows_in_flight = max(
                 self.max_windows_in_flight, len(self._inflight)
             )
             return batch
         # No submit/drain/poll seam: run to completion inside the call.
         return self._finish(
-            window_id,
-            batch,
-            pending,
-            round_index,
-            lambda: self.backend.run_tasks(pending.tasks),
+            batch, pending, round_index, lambda: self.backend.run_tasks(pending.tasks)
         )
 
     def _finish(
-        self, window_id: int, batch: ExecutedBatch, pending, round_index: int, collect
+        self, batch: ExecutedBatch, pending, round_index: int, collect
     ) -> ExecutedBatch:
         """Collect one window's chain results and certify it.
 
@@ -581,21 +523,23 @@ class UnlearningService:
             results = collect()
         except Exception:
             self.ensemble.abort_pending_deletion(pending)
-            self._log("window_failed", window=window_id, round=round_index)
+            self._log("window_failed", window=batch.window_id, round=round_index)
             raise
         batch.outcome = self.ensemble.delete_finish(pending, results)
-        batch.completed_round = round_index
         # Sidecar first, then the journal record: a journal that says
         # certified must always find its sidecar on disk.
-        self._persist_window(window_id, pending)
-        self._log("certified", window=window_id, round=round_index)
+        self._persist_window(batch.window_id, pending)
+        self._log("certified", window=batch.window_id, round=round_index)
         return batch
 
     def _land(self, window_id: int, round_index: int) -> ExecutedBatch:
         """Finish one in-flight window (blocks until its ticket drains)."""
-        batch, pending, ticket = self._inflight.pop(window_id)
+        pending, ticket = self._inflight.pop(window_id)
         return self._finish(
-            window_id, batch, pending, round_index, lambda: self.backend.drain(ticket)
+            self._windows[window_id],
+            pending,
+            round_index,
+            lambda: self.backend.drain(ticket),
         )
 
     def poll(self, round_index: int) -> List[ExecutedBatch]:
@@ -606,7 +550,7 @@ class UnlearningService:
         """
         return [
             self._land(window_id, round_index)
-            for window_id, (_, _, ticket) in list(self._inflight.items())
+            for window_id, (_, ticket) in list(self._inflight.items())
             if self.backend.poll(ticket)
         ]
 
@@ -655,7 +599,8 @@ class UnlearningService:
                 for request in self.requests.values()
             ],
             "windows": {
-                str(window_id): info for window_id, info in self._windows.items()
+                str(window_id): self._window_plan(batch)
+                for window_id, batch in self._windows.items()
             },
             "certified_order": list(self._certified_order),
             "duplicates": int(self.duplicates),
@@ -663,6 +608,21 @@ class UnlearningService:
             "next_window": int(self._next_window),
         }
         return self.journal.compact(snapshot)
+
+    @staticmethod
+    def _window_plan(batch: ExecutedBatch) -> Dict[str, Any]:
+        """A window's snapshot entry: its ``scheduled`` plan plus the
+        terminal flag its ``certified`` / ``window_failed`` record set."""
+        plan: Dict[str, Any] = {
+            "request_ids": [request.request_id for request in batch.requests],
+            "indices": list(batch.indices),
+            "shards": list(batch.shards),
+        }
+        if batch.failed:
+            plan["failed"] = True
+        elif not batch.in_flight:
+            plan["certified"] = True
+        return plan
 
     def co_schedule(self, engine) -> Callable[[int], None]:
         """Tick this service inside a live federation run.
@@ -746,9 +706,10 @@ class UnlearningService:
             json.dump(meta, handle)
         os.rename(tmp, final)
 
-    @staticmethod
-    def _apply_window(ensemble: SisaEnsemble, window_dir: str) -> None:
+    def _install_sidecar(self, window_id: int) -> None:
         """Reinstall one certified window's sidecar onto the ensemble."""
+        ensemble = self.ensemble
+        window_dir = self._window_dir(window_id)
         with open(os.path.join(window_dir, "meta.json")) as handle:
             meta = json.load(handle)
         ensemble._deleted.update(int(i) for i in meta["indices"])
@@ -785,18 +746,16 @@ class UnlearningService:
     ) -> "UnlearningService":
         """Resume a service whose process died, from its directory alone.
 
-        Rebuilds the ensemble as *base save + certified sidecars in
-        journal order*, replays the journal to restore every request's
-        state, resubmits windows that were scheduled/retraining but never
-        certified (``round_index`` stamps the resubmission round), and
-        re-queues validated-but-unscheduled requests.  Because windows
-        only ever lock disjoint shards, the resubmitted chains see
-        exactly the shard state (checkpoints + RNG position) their
-        original submission saw — the recovered run's certified states
-        are bit-identical to an uninterrupted run's.
+        Replays the journal once to restore every request's state, then
+        rebuilds the ensemble as *base save + certified sidecars in
+        certification order*, resubmits windows that were
+        scheduled/retraining but never certified (``round_index`` stamps
+        the resubmission round), and re-queues validated-but-unscheduled
+        requests.  Because windows only ever lock disjoint shards, the
+        resubmitted chains see exactly the shard state (checkpoints + RNG
+        position) their original submission saw — the recovered run's
+        certified states are bit-identical to an uninterrupted run's.
         """
-        journal_path = os.path.join(directory, "journal.jsonl")
-        records = replay(journal_path)
         meta_path = os.path.join(directory, "service.json")
         seed = 0
         if os.path.exists(meta_path):
@@ -809,16 +768,6 @@ class UnlearningService:
             seed=seed,
             backend=backend,
         )
-        certified_order: List[int] = []
-        for record in records:
-            if record.get("event") == "snapshot":
-                certified_order = [int(w) for w in record.get("certified_order", [])]
-            elif record.get("event") == "certified":
-                certified_order.append(int(record["window"]))
-        for window_id in certified_order:
-            cls._apply_window(
-                ensemble, os.path.join(directory, "windows", f"{window_id:06d}")
-            )
         service = cls(
             ensemble,
             directory,
@@ -826,7 +775,7 @@ class UnlearningService:
             backend=backend,
             task_filter=task_filter,
             seed=seed,
-            _recovered_records=records,
+            _recovered_records=replay(os.path.join(directory, "journal.jsonl")),
         )
         service._resubmit_incomplete(round_index)
         return service
@@ -835,6 +784,8 @@ class UnlearningService:
         """Restore request/window state from replayed journal records."""
         for record in records:
             self._apply(record)
+        for window_id in self._certified_order:
+            self._install_sidecar(window_id)
         # A crash between `received` and `validated`/`failed` leaves a
         # request in RECEIVED: validation is deterministic, re-run it.
         for request in self.requests.values():
@@ -843,7 +794,7 @@ class UnlearningService:
         # Re-queue every validated-but-unscheduled request.
         for request in self.requests.values():
             if request.state == RequestState.VALIDATED:
-                self._enqueue(request)
+                self.manager.enqueue(request)
 
     def _restore_snapshot(self, record: Dict[str, Any]) -> None:
         """Reload live state from a compaction snapshot; records after
@@ -852,35 +803,39 @@ class UnlearningService:
         self._auto_id = int(record.get("auto_id", 0))
         self._next_window = int(record.get("next_window", 0))
         self._certified_order = [int(w) for w in record.get("certified_order", [])]
-        self._windows = {
-            int(window_id): dict(info)
-            for window_id, info in record.get("windows", {}).items()
-        }
         for item in record.get("requests", []):
-            request = ServiceRequest(
-                request_id=item["request_id"],
+            self.requests[item["request_id"]] = DeletionRequest(
                 client_id=int(item["client_id"]),
-                indices=np.asarray(item["indices"], dtype=np.int64),
+                indices=item["indices"],
                 submitted_round=int(item["submitted_round"]),
+                request_id=item["request_id"],
                 state=item["state"],
                 window_id=item.get("window"),
                 certified_round=item.get("certified_round"),
                 failure_reason=item.get("reason"),
             )
-            self.requests[request.request_id] = request
-            if request.state == RequestState.CERTIFIED:
-                # Round latencies survive compaction the same way they
-                # survive plain replay (wall stamps do not, as ever).
-                self.sla.record(request)
+        self._windows = {}
+        for key, plan in record.get("windows", {}).items():
+            requests = [self.requests[rid] for rid in plan["request_ids"]]
+            # A snapshot keeps a window's plan, not its rounds: its last
+            # request's arrival and its requests' certification round
+            # (None unless certified) stand in for them.
+            self._windows[int(key)] = ExecutedBatch(
+                executed_round=max(request.submitted_round for request in requests),
+                requests=requests,
+                completed_round=requests[0].certified_round,
+                window_id=int(key),
+                indices=plan["indices"],
+                shards=plan.get("shards", []),
+                failed=bool(plan.get("failed")),
+            )
 
     def _resubmit_incomplete(self, round_index: int) -> None:
         """Re-begin every scheduled/retraining window from its journaled
         index set (the write-ahead plan *is* the recovery unit).  On a
         serial backend the window certifies before this returns."""
-        for window_id in sorted(self._windows):
-            info = self._windows[window_id]
-            if info.get("certified") or info.get("failed"):
+        for window_id, batch in sorted(self._windows.items()):
+            if batch.failed or not batch.in_flight:
                 continue
             self._log("resubmitted", window=window_id, round=round_index)
-            requests = [self._enqueue(self.requests[rid]) for rid in info["request_ids"]]
-            self._launch(window_id, requests, info["indices"], round_index)
+            self._launch(batch, round_index)

@@ -11,7 +11,8 @@ from repro.federated import (
     FedAvgAggregator,
     FederatedSimulation,
 )
-from repro.nn.models import MLP
+from repro.nn.models import MLP, RegistryModelFactory
+from repro.runtime import PoolBackend
 from repro.training import TrainConfig
 
 from ..conftest import make_blob_federation
@@ -114,3 +115,44 @@ class TestChurnRuns:
         churn = ChurnSimulation(sim, ChurnSchedule(initial_clients=[0]))
         with pytest.raises(ValueError):
             churn.run(0)
+
+
+class TestChurnThroughTheSimulation:
+    """Churn is a participation policy: a churned round is an ordinary
+    simulation round, on the simulation's backend and transport."""
+
+    SCHEDULE = [(1, 2, "join"), (2, 0, "leave"), (3, 3, "join")]
+
+    def churned_run(self, backend=None):
+        clients, test = make_blob_federation(4, per_client=25, test_size=50, seed=3)
+        sim = FederatedSimulation(
+            RegistryModelFactory(name="mlp", num_classes=3, in_channels=1, image_size=4),
+            FederatedDataset(client_datasets=clients, test_set=test),
+            FedAvgAggregator(),
+            TrainConfig(epochs=1, batch_size=10, learning_rate=0.1),
+            seed=3,
+            backend=backend,
+        )
+        schedule = ChurnSchedule(initial_clients=[0, 1])
+        for event in self.SCHEDULE:
+            schedule.add(*event)
+        churn = ChurnSimulation(sim, schedule)
+        history = churn.run(5)
+        assert sim.sampler is None  # the run's sampler is restored
+        return history, sim.server.global_state, churn.activity_log
+
+    def test_pool_run_equals_serial_and_records_transport(self):
+        serial_history, serial_state, serial_log = self.churned_run()
+        pool = PoolBackend(max_workers=2)
+        try:
+            pool_history, pool_state, pool_log = self.churned_run(pool)
+        finally:
+            pool.close()
+        assert pool_log == serial_log == {
+            0: [0, 1], 1: [0, 1, 2], 2: [1, 2], 3: [1, 2, 3], 4: [1, 2, 3],
+        }
+        assert pool_history.accuracies == serial_history.accuracies
+        for key, value in serial_state.items():
+            np.testing.assert_array_equal(pool_state[key], value)
+        assert all(record.bytes_down > 0 for record in pool_history.rounds)
+        assert all(record.bytes_up > 0 for record in pool_history.rounds)

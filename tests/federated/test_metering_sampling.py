@@ -94,6 +94,27 @@ class TestMeteredSimulation:
         assert report.samples_processed == 3 * 10 * 2 * 2  # clients×data×epochs×rounds
         assert report.wall_clock_seconds > 0.0
 
+    def test_sampled_run_charges_participants_only(self):
+        """2 of 4 clients a round: two broadcasts, two uploads and two
+        clients' local epochs per round — not the whole federation's."""
+        clients, test = make_blob_federation(num_clients=4, per_client=15, test_size=12)
+        fed = FederatedDataset(client_datasets=clients, test_set=test)
+        factory = lambda: MLP(16, 3, np.random.default_rng(0))
+        sim = FederatedSimulation(
+            factory, fed, FedAvgAggregator(),
+            TrainConfig(epochs=2, batch_size=5, learning_rate=0.05), seed=0,
+            sampler=UniformSampler(num_selected=2),
+        )
+        metered = MeteredSimulationProxy(sim)
+        metered.run(3)
+        report = metered.meter.report()
+        per_state = state_bytes(factory().state_dict())
+        assert report.rounds == 3
+        assert report.download_bytes == per_state * 2 * 3
+        assert report.upload_bytes == per_state * 2 * 3
+        assert report.local_epochs == 2 * 2 * 3  # participants×epochs×rounds
+        assert report.samples_processed == 2 * 15 * 2 * 3
+
     def test_invalid_rounds(self):
         metered = MeteredSimulationProxy(simulation=None)
         with pytest.raises(ValueError):

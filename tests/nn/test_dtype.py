@@ -270,3 +270,63 @@ class TestGoldfishFollowsDatasetDtype:
         )
         assert student.dtype == teacher.dtype == np.float32
         assert result.teacher_logits.dtype == np.float32
+
+
+class TestScalarOperandsKeepDtype:
+    """A Python scalar beside a float32 tensor is lifted in float32:
+    ``var + eps`` and ``sum / count`` (so ``Tensor.mean``) no longer promote
+    the normalisation and pooling layers to float64; float64 stays float64."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_binary_ops_with_scalars(self, dtype):
+        x = Tensor(np.arange(1, 7, dtype=dtype).reshape(2, 3), requires_grad=True)
+        outs = [x + 1e-5, 2 + x, x - 0.5, 3 - x, x * 0.1, 2 * x, x / 3.0, 1.0 / x,
+                x.mean(), x.mean(axis=0), x.var(axis=1)]
+        for out in outs:
+            assert out.dtype == dtype
+        sum(out.sum() for out in outs).backward()
+        assert x.grad.dtype == dtype
+
+    @staticmethod
+    def layer(name, member=0):
+        from repro.nn import AvgPool2d, BatchNorm2d, GroupNorm, LayerNorm
+
+        rng = np.random.default_rng(member)
+        layer = {
+            "layernorm": lambda: LayerNorm(6),
+            "groupnorm": lambda: GroupNorm(2, 4),
+            "batchnorm": lambda: BatchNorm2d(4),
+            "avgpool": lambda: AvgPool2d(2),
+        }[name]()
+        for param in layer.parameters():
+            param.data = param.data + rng.normal(size=param.shape)
+        return layer.astype(np.float32)
+
+    @staticmethod
+    def batch(name, lead=()):
+        shape = (5, 6) if name == "layernorm" else (3, 4, 4, 4)
+        return Tensor(
+            np.random.default_rng(7).normal(size=lead + shape).astype(np.float32),
+            requires_grad=True,
+        )
+
+    @pytest.mark.parametrize("name", ["layernorm", "groupnorm", "batchnorm", "avgpool"])
+    def test_lone_layer_stays_float32(self, name):
+        layer, x = self.layer(name), self.batch(name)
+        out = layer(x)
+        assert out.dtype == np.float32
+        out.backward(np.ones(out.shape, dtype=np.float32))
+        assert x.grad.dtype == np.float32
+        for param in layer.parameters():
+            assert param.grad.dtype == np.float32
+        for _, buf in layer.named_buffers():
+            assert buf.dtype == np.float32
+
+    @pytest.mark.parametrize("name", ["layernorm", "groupnorm", "avgpool"])
+    def test_stacked_layer_stays_float32(self, name):
+        stacked = stack_modules([self.layer(name, member) for member in range(3)])
+        x = self.batch(name, lead=(3,))
+        out = stacked(x)
+        assert out.dtype == np.float32
+        out.backward(np.ones(out.shape, dtype=np.float32))
+        assert x.grad.dtype == np.float32

@@ -29,8 +29,6 @@ class TestDeletionRequest:
         np.testing.assert_array_equal(request.indices, [1, 3, 5])
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="no indices"):
-            DeletionRequest(0, np.array([]), 0)
         with pytest.raises(ValueError, match="submitted_round"):
             DeletionRequest(0, np.array([1]), -1)
 

@@ -17,13 +17,13 @@ from repro.runtime import PoolBackend
 from repro.unlearning import (
     BatchSizePolicy,
     DeletionManager,
+    DeletionRequest,
     FaultInjector,
     ImmediatePolicy,
     Journal,
     JournalCorruption,
     PoissonArrivals,
     RequestState,
-    ServiceRequest,
     SisaConfig,
     SisaEnsemble,
     SlaMeter,
@@ -665,19 +665,19 @@ class TestLoadAndMeters:
             PoissonArrivals(1.0, 10, indices_per_request=0)
 
     def test_sla_meter_percentiles(self):
-        meter = SlaMeter()
         with pytest.raises(ValueError, match="no certified"):
-            meter.percentile_rounds(50)
-        for rounds in (1, 2, 3, 4):
-            request = ServiceRequest(
+            SlaMeter([]).percentile_rounds(50)
+        requests = [
+            DeletionRequest(
                 request_id=f"r{rounds}",
                 client_id=0,
                 indices=np.asarray([0]),
                 submitted_round=0,
+                certified_round=rounds,
             )
-            request.certified_round = rounds
-            meter.record(request)
-        report = meter.report()
+            for rounds in (1, 2, 3, 4)
+        ]
+        report = SlaMeter(requests).report()
         assert report["certified_requests"] == 4
         assert report["p50_rounds"] == 2.5
         assert report["max_rounds"] == 4
