@@ -1,12 +1,10 @@
-"""Extension benches: secure aggregation, update compression, dropout.
+"""Extension benches: update compression, dropout.
 
 Not paper artifacts — ablations for the substrate features the paper's
-threat model and discussion motivate (gradient privacy against the server;
-client churn). Each bench drives the public API end to end and checks the
-structural invariants that hold at any scale.
+discussion motivates (upload cost; client churn). Each bench drives the
+public API end to end and checks the structural invariants that hold at
+any scale.
 """
-
-import time
 
 import numpy as np
 import pytest
@@ -17,7 +15,6 @@ from repro.federated import (
     FederatedSimulation,
     DropoutInjector,
     FullParticipation,
-    SecureAggregationRound,
     state_math,
 )
 from repro.nn.models import build_model
@@ -40,42 +37,6 @@ def _federation(scale, seed=0):
     config = TrainConfig(epochs=scale.local_epochs, batch_size=scale.batch_size,
                          learning_rate=scale.learning_rate)
     return fed, factory, config, test_set
-
-
-def test_secure_aggregation_exactness_and_overhead(benchmark, scale):
-    """Masked aggregation must equal plain FedAvg bit-for-bit (up to float
-    round-off) on real model states; the masking overhead is measured."""
-    fed, factory, config, test_set = _federation(scale)
-    sim = FederatedSimulation(factory, fed, FedAvgAggregator(), config, seed=0)
-
-    def run():
-        sim.run(1)
-        updates = [client.upload() for client in sim.clients]
-        t0 = time.perf_counter()
-        plain = FedAvgAggregator().aggregate(updates)
-        plain_seconds = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        secure_round = SecureAggregationRound(
-            [u.client_id for u in updates], round_index=0
-        )
-        for update in updates:
-            secure_round.receive(
-                secure_round.masked_update(
-                    update.client_id, update.state, update.num_samples
-                )
-            )
-        secure = secure_round.aggregate()
-        secure_seconds = time.perf_counter() - t0
-        return plain, secure, plain_seconds, secure_seconds
-
-    plain, secure, plain_seconds, secure_seconds = run_once(benchmark, run)
-    difference = state_math.l2_distance(plain, secure)
-    print(f"\nplain {plain_seconds * 1e3:.1f}ms  "
-          f"secure {secure_seconds * 1e3:.1f}ms  "
-          f"overhead x{secure_seconds / max(plain_seconds, 1e-9):.1f}  "
-          f"|plain - secure| = {difference:.2e}")
-    assert difference < 1e-6
 
 
 def test_compression_accuracy_vs_bytes(benchmark, scale):

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Privacy audit of an unlearning run: MIA, shadow attack, certification.
+"""Privacy audit of an unlearning run: MIA, certification, relearn time.
 
 Did the model *really* forget? This example audits a Goldfish unlearning
 run with every instrument in ``repro.eval``. The forget set is made
@@ -9,9 +9,9 @@ from one that forgot:
 
 1. train a federation where client 0 holds backdoored samples;
 2. unlearn them with Goldfish, and retrain from scratch for reference;
-3. audit: confidence-threshold membership attack, shadow-model attack,
-   empirical (ε̂, δ) indistinguishability against the retrained reference,
-   relearn-time stress test, and the backdoor success rate itself.
+3. audit: confidence-threshold membership attack, empirical (ε̂, δ)
+   indistinguishability against the retrained reference, relearn-time
+   stress test, and the backdoor success rate itself.
 
 Run:  python examples/privacy_audit.py
 """
@@ -25,12 +25,7 @@ from repro.data import (
     select_attack_target,
     synthetic_mnist,
 )
-from repro.eval import (
-    ShadowMIA,
-    certify_outputs,
-    membership_attack,
-    relearn_time,
-)
+from repro.eval import certify_outputs, membership_attack, relearn_time
 from repro.experiments.common import model_factory_for
 from repro.federated import FedAvgAggregator, FederatedSimulation
 from repro.training import TrainConfig, evaluate
@@ -96,30 +91,14 @@ def main() -> None:
         print(f"{name:10s} advantage {report.advantage:+.3f}  "
               f"auc {report.auc:.3f}")
 
-    # --- 3b. shadow-model attack (control: retained data) --------------------
-    # The shadow attack is calibrated on clean in-distribution data, so run
-    # it on data that *stayed* in training (client 1) as the control:
-    # unlearning client 0's samples must not erase the membership signal of
-    # retained clients. Values near zero simply mean the model generalises
-    # well at this scale.
-    print("\n--- shadow-model attack on RETAINED data (client 1) ---")
-    retained_members = fed.client_datasets[1].subset(np.arange(len(holdout)))
-    auxiliary = test_set.subset(np.arange(len(forget_set), len(test_set)))
-    shadow = ShadowMIA(factory, config, num_shadows=3, seed=5)
-    shadow.fit(auxiliary)
-    for name, model in models:
-        report = shadow.report(model, retained_members, holdout)
-        print(f"{name:10s} advantage {report.advantage:+.3f}  "
-              f"auc {report.auc:.3f}")
-
-    # --- 3c. (ε̂, δ) indistinguishability vs the retrained reference ----------
+    # --- 3b. (ε̂, δ) indistinguishability vs the retrained reference ----------
     print("\n--- empirical certification against retrain ---")
     for name, model in models:
         certification = certify_outputs(model, reference, test_set, delta=0.05)
         print(f"{name:10s} eps_hat {certification.epsilon_hat:.2f}  "
               f"mean JSD {certification.mean_jsd:.4f}")
 
-    # --- 3d. relearn-time stress test on the (poisoned) forget set -----------
+    # --- 3c. relearn-time stress test on the (poisoned) forget set -----------
     print("\n--- relearn time on the forget set ---")
     for name, model in models:
         report = relearn_time(factory, model.state_dict(), forget_set, config,

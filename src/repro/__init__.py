@@ -4,10 +4,9 @@ A from-scratch Python implementation of the DSN 2024 paper, including its
 entire dependency stack:
 
 * :mod:`repro.nn` — NumPy autograd deep-learning framework (PyTorch stand-in)
-* :mod:`repro.data` — synthetic benchmark datasets, partitioning,
-  augmentation, backdoors
+* :mod:`repro.data` — synthetic benchmark datasets, partitioning, backdoors
 * :mod:`repro.federated` — clients, server, FedAvg / adaptive aggregation,
-  round-history retention, secure aggregation, sampling, cost metering
+  round-history retention, sampling, cost metering
 * :mod:`repro.privacy` — clipping, Gaussian mechanism, zCDP accounting
 * :mod:`repro.runtime` — pluggable execution backends (serial / pool /
   cluster) fanning independent training tasks across cores, and the
@@ -15,18 +14,17 @@ entire dependency stack:
 * :mod:`repro.training` — configs, supervised training loop, evaluation
 * :mod:`repro.unlearning` — the Goldfish framework, the B1/B2/B3 baselines,
   FedEraser / FedRecovery, full SISA, deletion-request scheduling
-* :mod:`repro.eval` — JSD / L2 / t-test validity metrics, membership
-  inference (threshold + shadow models), (ε̂, δ) certification
+* :mod:`repro.eval` — JSD / L2 / t-test validity metrics, threshold
+  membership inference, (ε̂, δ) certification
 * :mod:`repro.experiments` — one runner per paper table and figure, plus
   efficiency and certification extension experiments
 """
 
 __version__ = "1.1.0"
 
-from . import attacks, data, eval, federated, nn, privacy, runtime, training, unlearning
+from . import data, eval, federated, nn, privacy, runtime, training, unlearning
 
 __all__ = [
-    "attacks",
     "data",
     "eval",
     "federated",

@@ -1,11 +1,5 @@
 """``repro.data`` — datasets, loaders, partitioning and backdoor tooling."""
 
-from .augment import (
-    AugmentationPipeline,
-    gaussian_noise,
-    random_crop,
-    random_horizontal_flip,
-)
 from .backdoor import (
     BackdoorAttack,
     LabelFlipAttack,
@@ -37,10 +31,6 @@ from .synthetic import (
 )
 
 __all__ = [
-    "AugmentationPipeline",
-    "gaussian_noise",
-    "random_crop",
-    "random_horizontal_flip",
     "ArrayDataset",
     "FederatedDataset",
     "SharedArrayDataset",

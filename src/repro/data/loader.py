@@ -17,19 +17,12 @@ class DataLoader:
     dataset:
         Source dataset.
     batch_size:
-        Number of samples per batch; the final batch may be smaller unless
-        ``drop_last`` is set.
+        Number of samples per batch; the final batch may be smaller.
     shuffle:
         Reshuffle sample order at the start of every epoch.
     rng:
         Generator used for shuffling (required when ``shuffle=True`` so
         experiments stay deterministic).
-    drop_last:
-        Drop a trailing partial batch.
-    augment:
-        Optional per-batch transform ``(images, rng) -> images`` (e.g. an
-        :class:`~repro.data.augment.AugmentationPipeline`), applied to the
-        images of every yielded batch. Requires an rng.
     """
 
     def __init__(
@@ -38,43 +31,30 @@ class DataLoader:
         batch_size: int,
         shuffle: bool = False,
         rng: Optional[np.random.Generator] = None,
-        drop_last: bool = False,
-        augment=None,
     ) -> None:
         if batch_size <= 0:
             raise ValueError(f"batch_size must be positive, got {batch_size}")
         if shuffle and rng is None:
             raise ValueError("shuffle=True requires an rng for determinism")
-        if augment is not None and rng is None:
-            raise ValueError("augment requires an rng for determinism")
         self.dataset = dataset
         self.batch_size = batch_size
         self.shuffle = shuffle
         self.rng = rng
-        self.drop_last = drop_last
-        self.augment = augment
 
     def __len__(self) -> int:
-        n = len(self.dataset)
-        if self.drop_last:
-            return n // self.batch_size
-        return (n + self.batch_size - 1) // self.batch_size
+        return (len(self.dataset) + self.batch_size - 1) // self.batch_size
 
     def iter_indexed(self) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """Yield ``(indices, images, labels)`` per batch, where ``indices``
         are the batch's sample positions in the dataset (``images`` is
-        ``dataset.images[indices]`` before augmentation) — for callers
-        that keep per-sample arrays aligned with the dataset.
+        ``dataset.images[indices]``) — for callers that keep per-sample
+        arrays aligned with the dataset.
         """
         n = len(self.dataset)
         order = self.rng.permutation(n) if self.shuffle else np.arange(n)
-        stop = (n // self.batch_size) * self.batch_size if self.drop_last else n
-        for start in range(0, stop, self.batch_size):
+        for start in range(0, n, self.batch_size):
             batch = order[start : start + self.batch_size]
-            images = self.dataset.images[batch]
-            if self.augment is not None:
-                images = self.augment(images, self.rng)
-            yield batch, images, self.dataset.labels[batch]
+            yield batch, self.dataset.images[batch], self.dataset.labels[batch]
 
     def __iter__(self) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
         for _, images, labels in self.iter_indexed():

@@ -20,12 +20,6 @@ from .membership import (
     unlearning_privacy_gain,
 )
 from .metrics import DivergenceReport, accuracy_pct, compare_models
-from .shadow_mia import (
-    LogisticAttacker,
-    ShadowAttackReport,
-    ShadowMIA,
-    posterior_features,
-)
 
 __all__ = [
     "kl_divergence",
@@ -44,8 +38,4 @@ __all__ = [
     "RelearnReport",
     "certify_outputs",
     "relearn_time",
-    "LogisticAttacker",
-    "ShadowAttackReport",
-    "ShadowMIA",
-    "posterior_features",
 ]

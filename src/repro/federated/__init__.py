@@ -5,9 +5,7 @@ adaptive-weight extension, and FedBuff-style buffered staleness-weighted
 folding) and the round simulator — synchronous barrier loop by default,
 event-driven buffered-async engine (:mod:`.engine`) on opt-in — plus the
 hardened-deployment substrates: per-round update retention for the
-update-adjustment unlearning family (:mod:`.history`), pairwise-masking
-secure aggregation with dropout recovery (:mod:`.secure_agg`),
-client sampling, dropout injection and straggler accounting
+update-adjustment unlearning family (:mod:`.history`), client sampling, dropout injection and straggler accounting
 (:mod:`.sampling`), communication/compute cost metering
 (:mod:`.metering`), and client-vectorized execution — K homogeneous
 clients stacked into one batched forward/backward per round-step
@@ -48,7 +46,6 @@ from .sampling import (
     UniformSampler,
     WeightedSampler,
 )
-from .secure_agg import MaskedUpdate, SecureAggregationRound, pairwise_seed
 from .server import Server
 from .simulation import (
     FederatedSimulation,
@@ -83,9 +80,6 @@ __all__ = [
     "ConstantLatency",
     "LatencyModel",
     "SeededLatency",
-    "MaskedUpdate",
-    "SecureAggregationRound",
-    "pairwise_seed",
     "ChurnEvent",
     "ChurnSchedule",
     "ChurnSimulation",

@@ -13,7 +13,7 @@ targets. This module supplies the participation layer:
   (large holders participate more, a common systems heuristic);
 * :class:`DropoutInjector` — wraps any sampler and drops each selected
   client iid with probability p *after* selection, modelling mid-round
-  failures (what secure aggregation's recovery path exists for).
+  failures.
 """
 
 from __future__ import annotations

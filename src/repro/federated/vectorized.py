@@ -152,18 +152,18 @@ class VectorizedCohort:
         def step(batches):
             # Equal step counts (checked above) keep the K loaders
             # aligned, so only a final batch can be ragged.
-            if len({len(labels) for _, labels in batches}) == 1:
-                images = np.stack([images for images, _ in batches])
-                labels = np.stack([labels for _, labels in batches])
+            if len({len(labels) for _, _, labels in batches}) == 1:
+                images = np.stack([images for _, images, _ in batches])
+                labels = np.stack([labels for _, _, labels in batches])
                 losses = loss_fn(self.stacked(Tensor(images)), labels)
                 return losses.sum(), losses.data.tolist()
             # Ragged: each member's loss on its own true rows.  The
             # left-to-right add seeds every member's subgraph with
             # exactly 1.0, as its lone ``loss.backward()`` would.
-            logits = self.stacked.forward_members([images for images, _ in batches])
+            logits = self.stacked.forward_members([images for _, images, _ in batches])
             losses = [
                 loss_fn(member_logits, labels)
-                for member_logits, (_, labels) in zip(logits, batches)
+                for member_logits, (_, _, labels) in zip(logits, batches)
             ]
             return reduce(operator.add, losses), [loss.item() for loss in losses]
 

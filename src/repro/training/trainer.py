@@ -1,15 +1,16 @@
 """Plain supervised training loop (Algorithm 1, ``LocalTraining``).
 
 Used by normal (non-unlearning) clients, by the retraining baselines and by
-the shard trainers. The Goldfish teacher/student loop lives in
-:mod:`repro.unlearning.goldfish`.
+the shard trainers.
 
 There is one epoch loop, :func:`run_epochs`.  :func:`train` runs it over
 one model in its native layout; the vectorized cohort runs it over K
-members whose step is one stacked graph.  A lone model is the cohort of
-one *without* a stack axis: as a stack of one (``Module.stack = 1``)
-a step costs about a third more on a small MLP (+5 % on LeNet-5), which
-the scalar path has no reason to pay.
+members whose step is one stacked graph; Goldfish's teacher/student step
+(:mod:`repro.unlearning.goldfish`) and B3's dual-teacher step
+(:mod:`repro.unlearning.baselines.incompetent`) are two more steps over
+it.  A lone model is the cohort of one *without* a stack axis: as a
+stack of one (``Module.stack = 1``) a step costs about a third more on a
+small MLP (+5 % on LeNet-5), which the scalar path has no reason to pay.
 """
 
 from __future__ import annotations
@@ -51,24 +52,6 @@ def follow_dataset_dtype(model: Module, dataset: ArrayDataset) -> None:
         model.astype(data_dtype)
 
 
-def apply_update(
-    objective: Tensor,
-    optimizer: Optimizer,
-    config: TrainConfig,
-    stack: Optional[int] = None,
-) -> None:
-    """backward → clip → step: the update every training loop makes
-    (:func:`run_epochs`, Goldfish's ``run_members``, B3), so none of them
-    can honour a different half of its :class:`TrainConfig`.  ``stack``
-    is the stack size of the optimizer's parameters when they carry a
-    stack axis (:func:`~repro.nn.optim.clip_grad_norm` clips per slice).
-    """
-    objective.backward()
-    if config.grad_clip:
-        clip_grad_norm(optimizer.parameters, config.grad_clip, stack)
-    optimizer.step()
-
-
 def run_epochs(
     datasets: Sequence[ArrayDataset],
     rngs: Sequence[np.random.Generator],
@@ -78,18 +61,23 @@ def run_epochs(
     stack: Optional[int] = None,
     epoch_callback: Optional[Callable[[int, float], bool]] = None,
 ) -> List[TrainHistory]:
-    """``LocalTraining``'s epoch loop — the only one — over one member
-    (:func:`train`) or a lockstep cohort
-    (:meth:`repro.federated.vectorized.VectorizedCohort.train`).
+    """The epoch loop — the only one — over one member (:func:`train`,
+    Goldfish's lone student, B3) or a lockstep cohort
+    (:meth:`repro.federated.vectorized.VectorizedCohort.train`, a stack
+    of Goldfish students).
 
     Every member gets a shuffled loader on its own generator; ``zip``
     steps them together, each drawing its epoch permutation from its own
-    stream at its first batch, exactly as it would alone.  ``step`` maps
-    the members' ``(images, labels)`` batches to the scalar objective to
-    differentiate and each member's loss value; it owns the graph (the
-    native ``(N, ...)`` batch for one model, one stacked forward for a
-    cohort), the loop owns everything around it.  ``stack`` is
-    :func:`apply_update`'s.
+    stream at its first batch, exactly as it would alone (building a
+    loader draws nothing).  ``step`` maps the members'
+    ``(indices, images, labels)`` batches to the scalar objective to
+    differentiate and each member's loss value to average per epoch; it
+    owns the graph (the native ``(N, ...)`` batch for one model, one
+    stacked forward for a cohort), the loop owns everything around it:
+    zero-grad, then backward → clip → step under the whole
+    :class:`TrainConfig`.  ``stack`` is the stack size of the optimizer's
+    parameters when they carry a stack axis
+    (:func:`~repro.nn.optim.clip_grad_norm` clips per slice).
     ``epoch_callback`` sees the first member's mean loss; stopping on it
     is a lone-member feature, a cohort passes none.
     """
@@ -101,10 +89,13 @@ def run_epochs(
     for epoch in range(config.epochs):
         totals = [0.0] * len(loaders)
         num_batches = 0
-        for batches in zip(*loaders):
+        for batches in zip(*(loader.iter_indexed() for loader in loaders)):
             optimizer.zero_grad()
             objective, losses = step(batches)
-            apply_update(objective, optimizer, config, stack)
+            objective.backward()
+            if config.grad_clip:
+                clip_grad_norm(optimizer.parameters, config.grad_clip, stack)
+            optimizer.step()
             for index, loss in enumerate(losses):
                 totals[index] += loss
             num_batches += 1
@@ -151,7 +142,7 @@ def train(
     model.train()
 
     def step(batches):
-        ((images, labels),) = batches
+        ((_, images, labels),) = batches
         loss = loss_fn(model(Tensor(images)), labels)
         return loss, (loss.item(),)
 

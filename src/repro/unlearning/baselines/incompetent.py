@@ -13,6 +13,9 @@ The per-batch objective is a KL-divergence mixture::
 
     L = (1-β) · KL(P_competent ‖ P_student) over D_r
       +   β   · KL(P_incompetent ‖ P_student) over D_f
+
+It is one step of :func:`repro.training.trainer.run_epochs`, the epoch
+loop every local trainer shares.
 """
 
 from __future__ import annotations
@@ -24,13 +27,12 @@ from typing import List
 import numpy as np
 
 from ...data.dataset import ArrayDataset
-from ...data.loader import DataLoader
 from ...nn import Tensor
 from ...nn.losses import distillation_loss
 from ...nn.module import Module
 from ...training.config import TrainConfig
 from ...training.evaluation import predict_logits
-from ...training.trainer import apply_update, make_optimizer
+from ...training.trainer import follow_dataset_dtype, make_optimizer, run_epochs
 from ..goldfish import _ForgetBatchCycler
 
 
@@ -79,42 +81,37 @@ class IncompetentTeacherUnlearner:
         """
         start = time.perf_counter()
         config = self.config
-        # Both teachers are frozen: one inference pass each, indexed per step.
+        # The student and both teachers follow the data's dtype, as in
+        # ``train`` and Goldfish.  Both teachers are frozen: one inference
+        # pass each, indexed per step.
+        follow_dataset_dtype(student, retain_set)
+        follow_dataset_dtype(competent_teacher, retain_set)
+        follow_dataset_dtype(incompetent_teacher, forget_set)
         competent_logits = predict_logits(competent_teacher, retain_set.images)
         incompetent_logits = predict_logits(incompetent_teacher, forget_set.images)
         student.train()
         optimizer = make_optimizer(student, config.train)
-        retain_loader = DataLoader(retain_set, batch_size=config.train.batch_size,
-                                   shuffle=True, rng=rng)
         forget_cycler = _ForgetBatchCycler(forget_set, config.train.batch_size, rng)
 
-        epoch_losses: List[float] = []
-        for _ in range(config.train.epochs):
-            total = 0.0
-            batches = 0
+        def step(batches):
             # B3 is purely distillation-based: the labels go unused.
-            for indices, images, _ in retain_loader.iter_indexed():
-                optimizer.zero_grad()
-                student_logits = student(Tensor(images))
-                loss = (1.0 - config.beta) * distillation_loss(
-                    Tensor(competent_logits[indices]), student_logits,
-                    temperature=config.temperature,
-                )
+            ((indices, images, _),) = batches
+            student_logits = student(Tensor(images))
+            loss = (1.0 - config.beta) * distillation_loss(
+                Tensor(competent_logits[indices]), student_logits,
+                temperature=config.temperature,
+            )
+            picked = forget_cycler.next_indices()
+            student_forget = student(Tensor(forget_set.images[picked]))
+            loss = loss + config.beta * distillation_loss(
+                Tensor(incompetent_logits[picked]), student_forget,
+                temperature=config.temperature,
+            )
+            return loss, (loss.item(),)
 
-                picked = forget_cycler.next_indices()
-                student_forget = student(Tensor(forget_set.images[picked]))
-                loss = loss + config.beta * distillation_loss(
-                    Tensor(incompetent_logits[picked]), student_forget,
-                    temperature=config.temperature,
-                )
-
-                apply_update(loss, optimizer, config.train)
-                total += loss.item()
-                batches += 1
-            epoch_losses.append(total / batches)
-
+        (history,) = run_epochs([retain_set], [rng], config.train, optimizer, step)
         return IncompetentTeacherResult(
-            epochs_run=len(epoch_losses),
-            epoch_losses=epoch_losses,
+            epochs_run=len(history),
+            epoch_losses=history.losses,
             wall_seconds=time.perf_counter() - start,
         )

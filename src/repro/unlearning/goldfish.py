@@ -23,13 +23,15 @@ individual training samples, so callers hold them for one request only
 on a client, in a history, a result store or a journal — a later
 deletion must find nothing to purge.
 
-There is one local loop, :meth:`GoldfishUnlearner.run_members`, over a
-list of :class:`GoldfishMember` objects.  :meth:`GoldfishUnlearner.unlearn`
-runs it over one member whose forward is the student's own (K = 1 builds
-exactly the one-client graph: no stack axis, no slicing, no add);
-``_GoldfishClientTask.run_stack`` (:mod:`repro.unlearning.protocols`)
-runs it over K members whose forward is one stacked graph.  A change to the Goldfish step —
-e.g. one forward over ``[retain; forget]`` — is a change in one place.
+There is one local step, :meth:`GoldfishUnlearner.run_members`, over a
+list of :class:`GoldfishMember` objects, and it runs in the one epoch
+loop, :func:`repro.training.trainer.run_epochs`.
+:meth:`GoldfishUnlearner.unlearn` runs it over one member whose forward
+is the student's own (K = 1 builds exactly the one-client graph: no stack
+axis, no slicing, no add); ``_GoldfishClientTask.run_stack``
+(:mod:`repro.unlearning.protocols`) runs it over K members whose forward
+is one stacked graph.  A change to the Goldfish step — e.g. one forward
+over ``[retain; forget]`` — is a change in one place.
 """
 
 from __future__ import annotations
@@ -43,13 +45,12 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from ..data.dataset import ArrayDataset
-from ..data.loader import DataLoader
 from ..nn import Tensor
 from ..nn.losses import cross_entropy
 from ..nn.module import Module
 from ..training.config import TrainConfig
 from ..training.evaluation import predict_logits
-from ..training.trainer import apply_update, follow_dataset_dtype, make_optimizer
+from ..training.trainer import follow_dataset_dtype, make_optimizer, run_epochs
 from .early_stop import EarlyStopConfig, ExcessRiskStopper
 from .losses import GoldfishLoss, GoldfishLossConfig
 from .temperature import adaptive_temperature
@@ -139,7 +140,8 @@ class GoldfishMember:
     (:meth:`GoldfishUnlearner.run_members`)."""
 
     loss_fn: GoldfishLoss  # own (Eq. 11) temperature, |D_f|/|D_r| scale and cap
-    retain_loader: DataLoader
+    retain_set: ArrayDataset
+    rng: np.random.Generator  # reshuffles the retain set, cycles the forget set
     forget_cycler: Optional[_ForgetBatchCycler]
     teacher_logits: np.ndarray  # retain-aligned
     stopper: Optional[ExcessRiskStopper]
@@ -175,8 +177,8 @@ class GoldfishUnlearner:
         """Set up one client for :meth:`run_members`.
 
         ``rng`` is touched in the order the client's stream has always
-        seen: nothing by the retain loader (it draws its permutation when
-        an epoch starts), then the forget cycler's first permutation.
+        seen: the forget cycler's first permutation here, then the retain
+        loader's, which draws each epoch's permutation when it starts.
         """
         config = self.config
         num_forget = len(forget_set) if forget_set is not None else 0
@@ -191,13 +193,11 @@ class GoldfishUnlearner:
         if config.early_stop.enabled:
             reference = cross_entropy(Tensor(teacher_logits), retain_set.labels).item()
             stopper = ExcessRiskStopper(config.early_stop, reference)
-        retain_loader = DataLoader(retain_set, batch_size=config.train.batch_size,
-                                   shuffle=True, rng=rng)
         forget_cycler = None
         if num_forget > 0:
             forget_cycler = _ForgetBatchCycler(forget_set, config.train.batch_size, rng)
         return GoldfishMember(
-            loss_fn, retain_loader, forget_cycler, teacher_logits, stopper
+            loss_fn, retain_set, rng, forget_cycler, teacher_logits, stopper
         )
 
     def run_members(
@@ -207,9 +207,10 @@ class GoldfishUnlearner:
         forward: Callable[[List[np.ndarray]], Sequence[Tensor]],
         stack: Optional[int] = None,
     ) -> bool:
-        """Algorithm 1's local loop — the only one — over one member
-        (:meth:`unlearn`) or a lockstep stack of them
-        (``repro.unlearning.protocols._GoldfishClientTask.run_stack``).
+        """Algorithm 1's local step over one member (:meth:`unlearn`) or a
+        lockstep stack of them
+        (``repro.unlearning.protocols._GoldfishClientTask.run_stack``),
+        run by :func:`~repro.training.trainer.run_epochs`.
 
         ``forward`` maps the members' image batches to the members'
         logits, once for the retain batches and once for the forget
@@ -224,9 +225,10 @@ class GoldfishUnlearner:
         all have a forget set or none has (the task's ``stack_key``
         groups by it).
 
-        Fills every member's ``epoch_losses``; returns whether the Eq. 7
-        stopper ended the run — a lone-member feature, since stacked
-        members advance in lockstep.
+        Fills every member's ``epoch_losses`` with the mean retain-side
+        hard loss per epoch; returns whether the Eq. 7 stopper ended the
+        run — a lone-member feature, since stacked members advance in
+        lockstep.
         """
         config = self.config
         if len(members) > 1 and config.early_stop.enabled:
@@ -235,41 +237,46 @@ class GoldfishUnlearner:
         has_forget = members[0].forget_cycler is not None
         optimizer = make_optimizer(model, config.train)
         model.train()
-        for _ in range(config.train.epochs):
-            totals = [0.0] * len(members)
-            batches = 0
-            loaders = (member.retain_loader.iter_indexed() for member in members)
-            for indexed in zip(*loaders):
-                optimizer.zero_grad()
-                retain_logits = forward([images for _, images, _ in indexed])
-                forget_logits = forget_labels = [None] * len(members)
-                if has_forget:
-                    forget_batches = [m.forget_cycler.next_batch() for m in members]
-                    forget_logits = forward([images for images, _ in forget_batches])
-                    forget_labels = [labels for _, labels in forget_batches]
-                losses = [
-                    member.loss_fn(
-                        logits,
-                        labels,
-                        teacher_logits_retain=(
-                            Tensor(member.teacher_logits[indices]) if distill else None
-                        ),
-                        student_logits_forget=logits_forget,
-                        labels_forget=labels_forget,
-                    )
-                    for member, logits, (indices, _, labels), logits_forget, labels_forget
-                    in zip(members, retain_logits, indexed, forget_logits, forget_labels)
-                ]
-                apply_update(reduce(operator.add, losses), optimizer, config.train, stack)
-                for index, member in enumerate(members):
-                    totals[index] += member.loss_fn.last_breakdown.hard_retain
-                batches += 1
-            for member, total in zip(members, totals):
-                member.epoch_losses.append(total / batches)
-            stopper = members[0].stopper
-            if stopper is not None and stopper.update(members[0].epoch_losses[-1]):
-                return True
-        return False
+
+        def step(indexed):
+            retain_logits = forward([images for _, images, _ in indexed])
+            forget_logits = forget_labels = [None] * len(members)
+            if has_forget:
+                forget_batches = [m.forget_cycler.next_batch() for m in members]
+                forget_logits = forward([images for images, _ in forget_batches])
+                forget_labels = [labels for _, labels in forget_batches]
+            losses = [
+                member.loss_fn(
+                    logits,
+                    labels,
+                    teacher_logits_retain=(
+                        Tensor(member.teacher_logits[indices]) if distill else None
+                    ),
+                    student_logits_forget=logits_forget,
+                    labels_forget=labels_forget,
+                )
+                for member, logits, (indices, _, labels), logits_forget, labels_forget
+                in zip(members, retain_logits, indexed, forget_logits, forget_labels)
+            ]
+            return reduce(operator.add, losses), [
+                member.loss_fn.last_breakdown.hard_retain for member in members
+            ]
+
+        stopper = members[0].stopper
+        histories = run_epochs(
+            [member.retain_set for member in members],
+            [member.rng for member in members],
+            config.train,
+            optimizer,
+            step,
+            stack,
+            epoch_callback=(
+                None if stopper is None else lambda _, mean_loss: stopper.update(mean_loss)
+            ),
+        )
+        for member, history in zip(members, histories):
+            member.epoch_losses = history.losses
+        return stopper is not None and stopper.stopped_early
 
     def unlearn(
         self,

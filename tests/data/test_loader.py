@@ -17,12 +17,6 @@ class TestBatching:
         sizes = [len(y) for _, y in loader]
         assert sizes == [10, 10, 5]
 
-    def test_drop_last(self):
-        ds = make_blobs(num_samples=25)
-        loader = DataLoader(ds, batch_size=10, drop_last=True)
-        assert len(loader) == 2
-        assert [len(y) for _, y in loader] == [10, 10]
-
     def test_covers_all_samples_in_order(self):
         ds = make_blobs(num_samples=12)
         loader = DataLoader(ds, batch_size=5)
@@ -76,12 +70,11 @@ class TestValidation:
             DataLoader(make_blobs(), batch_size=0)
 
 
-def _reference_batches(dataset, batch_size, shuffle, rng, drop_last):
+def _reference_batches(dataset, batch_size, shuffle, rng):
     """``DataLoader.__iter__`` as it was before batches exposed their indices."""
     n = len(dataset)
     order = rng.permutation(n) if shuffle else np.arange(n)
-    stop = (n // batch_size) * batch_size if drop_last else n
-    for start in range(0, stop, batch_size):
+    for start in range(0, n, batch_size):
         batch = order[start : start + batch_size]
         yield dataset.images[batch], dataset.labels[batch]
 
@@ -91,28 +84,26 @@ def _reference_batches(dataset, batch_size, shuffle, rng, drop_last):
     n=st.integers(1, 40),
     batch_size=st.integers(1, 45),
     shuffle=st.booleans(),
-    drop_last=st.booleans(),
     seed=st.integers(0, 1000),
 )
-def test_indexed_iteration_partitions_the_epoch(n, batch_size, shuffle, drop_last, seed):
-    """``iter_indexed`` yields every sample exactly once per epoch (the
-    trailing partial batch aside under ``drop_last``), its images are the
-    dataset rows at the yielded indices, and it draws from the generator
-    exactly as plain iteration does: same batches, same state afterwards."""
+def test_indexed_iteration_partitions_the_epoch(n, batch_size, shuffle, seed):
+    """``iter_indexed`` yields every sample exactly once per epoch, its
+    images are the dataset rows at the yielded indices, and it draws from
+    the generator exactly as plain iteration does: same batches, same
+    state afterwards."""
     ds = make_blobs(num_samples=n, num_classes=3)
     rngs = [np.random.default_rng(seed) for _ in range(3)]
-    indexed = DataLoader(ds, batch_size, shuffle=shuffle, rng=rngs[0], drop_last=drop_last)
-    plain = DataLoader(ds, batch_size, shuffle=shuffle, rng=rngs[1], drop_last=drop_last)
+    indexed = DataLoader(ds, batch_size, shuffle=shuffle, rng=rngs[0])
+    plain = DataLoader(ds, batch_size, shuffle=shuffle, rng=rngs[1])
     for _ in range(2):  # two epochs: the reshuffle is part of the contract
         batches = list(indexed.iter_indexed())
         assert len(batches) == len(indexed)
-        seen = np.concatenate([idx for idx, _, _ in batches]) if batches else np.array([], int)
-        kept = (n // batch_size) * batch_size if drop_last else n
-        assert len(seen) == kept and len(np.unique(seen)) == kept
+        seen = np.concatenate([idx for idx, _, _ in batches])
+        assert len(seen) == n and len(np.unique(seen)) == n
         if not shuffle:
-            np.testing.assert_array_equal(seen, np.arange(kept))
+            np.testing.assert_array_equal(seen, np.arange(n))
         plain_batches = list(plain)
-        reference = list(_reference_batches(ds, batch_size, shuffle, rngs[2], drop_last))
+        reference = list(_reference_batches(ds, batch_size, shuffle, rngs[2]))
         assert len(reference) == len(plain_batches) == len(batches)
         for (idx, images, labels), (x, y), (ref_x, ref_y) in zip(
             batches, plain_batches, reference

@@ -4,7 +4,6 @@ Each test chains several subsystems end to end the way a deployment
 would, at micro scale:
 
 * metered FL with history retention, then FedEraser erasure of a client;
-* secure aggregation driving a real multi-round training loop;
 * a deletion-manager-scheduled Goldfish run across two batches;
 * SISA serving predictions through repeated deletion waves.
 """
@@ -19,9 +18,7 @@ from repro.federated import (
     FederatedSimulation,
     MeteredSimulationProxy,
     RoundHistoryStore,
-    SecureAggregationRound,
     attach_history,
-    state_math,
 )
 from repro.nn.models import MLP
 from repro.training.config import TrainConfig
@@ -77,37 +74,6 @@ class TestMeteredHistoryThenErasure:
         model.load_state_dict(unlearned)
         _, accuracy = evaluate(model, test)
         assert accuracy > 0.5
-
-
-class TestSecureTrainingLoop:
-    def test_three_secure_rounds_match_plain_fedavg(self):
-        """Running the whole FL loop through masked aggregation must be
-        numerically identical (1e-6) to the plain loop, round for round."""
-        sim_plain, factory, config, test = blob_simulation(seed=4)
-        # A second, identical federation for the secure run.
-        sim_ref, _, _, _ = blob_simulation(seed=4)
-
-        secure_state = sim_ref.server.global_state
-        rng = np.random.default_rng(0)
-        for round_index in range(3):
-            # plain round
-            sim_plain.run_round(round_index)
-            # secure round with identical data/seeds by construction:
-            secure_round = SecureAggregationRound(
-                [c.client_id for c in sim_ref.clients], round_index
-            )
-            for client in sim_ref.clients:
-                client.receive_global(secure_state)
-                client.local_train(config)
-                secure_round.receive(secure_round.masked_update(
-                    client.client_id, client.model.state_dict(),
-                    len(client.dataset),
-                ))
-            secure_state = secure_round.aggregate()
-        distance = state_math.l2_distance(
-            sim_plain.server.global_state, secure_state
-        )
-        assert distance < 1e-6
 
 
 class TestScheduledUnlearningWaves:

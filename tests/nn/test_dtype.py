@@ -16,14 +16,22 @@ from repro.data import FederatedDataset
 from repro.federated import FedAvgAggregator, FederatedSimulation
 from repro.nn import Dropout, Tensor, stack_modules
 from repro.nn import functional as F
+from repro.nn.losses import distillation_loss
 from repro.nn.models import MLP, RegistryModelFactory
 from repro.nn.optim import Adam
 from repro.runtime.task import capture_rng
 from repro.training import TrainConfig
 from repro.training.trainer import make_optimizer, train
-from repro.unlearning import GoldfishConfig, GoldfishLossConfig, GoldfishUnlearner
+from repro.unlearning import (
+    GoldfishConfig,
+    GoldfishLossConfig,
+    GoldfishUnlearner,
+    IncompetentTeacherConfig,
+    IncompetentTeacherUnlearner,
+)
+from repro.unlearning.baselines import incompetent
 from repro.federated.vectorized import fuse
-from repro.unlearning.protocols import _GoldfishClientTask
+from repro.unlearning.protocols import _GoldfishClientTask, _IncompetentClientTask
 
 from ..conftest import make_blob_federation, make_blobs
 
@@ -270,6 +278,59 @@ class TestGoldfishFollowsDatasetDtype:
         )
         assert student.dtype == teacher.dtype == np.float32
         assert result.teacher_logits.dtype == np.float32
+
+
+class TestIncompetentTeacherFollowsDatasetDtype:
+    """B3 makes the same cast: a float32 retain / forget set trains a
+    float32 student against float32 teacher logits, so a
+    ``federated_incompetent_teacher`` round's unlearning clients come back
+    in the dtype its normal clients' ``TrainTask``s do."""
+
+    CONFIG = IncompetentTeacherConfig(
+        train=TrainConfig(epochs=2, batch_size=8, learning_rate=0.05)
+    )
+
+    def test_student_state_and_losses_are_float32(self, monkeypatch):
+        data = cast_dataset(
+            make_blobs(num_samples=30, num_classes=3, shape=(1, 4, 4)), np.float32
+        )
+        factory = RegistryModelFactory(
+            name="mlp", num_classes=3, in_channels=1, image_size=4
+        )
+        loss_dtypes = []
+
+        def recording_loss(*args, **kwargs):
+            loss = distillation_loss(*args, **kwargs)
+            loss_dtypes.append(loss.dtype)
+            return loss
+
+        monkeypatch.setattr(incompetent, "distillation_loss", recording_loss)
+        task = _IncompetentClientTask(
+            task_id=0,
+            model_factory=factory,
+            student_state=factory().state_dict(),
+            competent_state=factory().state_dict(),
+            incompetent_state=factory().state_dict(),
+            retain_set=data.subset(np.arange(6, 30)),
+            forget_set=data.subset(np.arange(6)),
+            config=self.CONFIG,
+            rng_state=capture_rng(np.random.default_rng(0)),
+        )
+        result = task.run()
+        assert result.epochs_run == 2
+        for key, value in result.state.items():
+            assert value.dtype == np.float32, key
+        # Two distillation terms per step, three steps per epoch.
+        assert loss_dtypes == [np.float32] * 12
+
+        student = factory()
+        IncompetentTeacherUnlearner(self.CONFIG).unlearn(
+            student, factory(), factory(), task.retain_set, task.forget_set,
+            np.random.default_rng(0),
+        )
+        assert student.dtype == np.float32
+        assert all(param.data.dtype == np.float32 for param in student.parameters())
+        assert loss_dtypes == [np.float32] * 24
 
 
 class TestScalarOperandsKeepDtype:

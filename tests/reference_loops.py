@@ -1,15 +1,17 @@
-"""Independent references for the two local loops.
+"""Independent references for the local loops.
 
-``repro.training.trainer.run_epochs`` and
-``GoldfishUnlearner.run_members`` each sit behind both the scalar and the
-stacked path, so "scalar equals stacked" no longer compares two
-implementations of the loop — only two graphs inside one.  These are the
-loops as they stood before that merge (PR 17's ``train``,
-``GoldfishUnlearner.unlearn`` and ``clip_grad_norm`` bodies, verbatim
-apart from the names they are bound to): one model, one loader, no
-members, no stack.  The parity properties compare the library against
-them bit for bit, so a change to the shared loops that moves a
-trajectory fails here even when both paths move together.
+``repro.training.trainer.run_epochs`` sits behind plain training (scalar
+and stacked), Goldfish's ``GoldfishUnlearner.run_members`` (scalar and
+stacked) and B3's ``IncompetentTeacherUnlearner.unlearn``, so "scalar
+equals stacked" no longer compares two implementations of the loop —
+only two graphs inside one.  These are the loops as they stood before
+those merges (the ``train``, ``GoldfishUnlearner.unlearn`` and
+``clip_grad_norm`` bodies, and B3's own epoch loop with the
+``apply_update`` it called, verbatim apart from the names they are bound
+to): one model, one loader, no members, no stack.  The parity
+properties compare the library against them bit for bit, so a change to
+the shared loop that moves a trajectory fails here even when every
+caller moves together.
 """
 
 from __future__ import annotations
@@ -22,10 +24,12 @@ import numpy as np
 
 from repro.data.loader import DataLoader
 from repro.nn import Tensor
-from repro.nn.losses import cross_entropy, get_hard_loss
+from repro.nn.losses import cross_entropy, distillation_loss, get_hard_loss
 from repro.nn.optim import SGD
 from repro.training.config import EpochStats, TrainHistory
+from repro.training.evaluation import predict_logits
 from repro.training.trainer import follow_dataset_dtype, make_optimizer
+from repro.unlearning.baselines.incompetent import IncompetentTeacherResult
 from repro.unlearning.early_stop import ExcessRiskStopper
 from repro.unlearning.goldfish import (
     GoldfishResult,
@@ -47,6 +51,14 @@ def clip_grad_norm(parameters, max_norm):
         for param in params:
             param.grad *= scale
     return total
+
+
+def apply_update(objective, optimizer, config):
+    """The backward → clip → step helper B3's loop called, for one model."""
+    objective.backward()
+    if config.grad_clip:
+        clip_grad_norm(optimizer.parameters, config.grad_clip)
+    optimizer.step()
 
 
 def reference_train(model, dataset, config, rng, optimizer=None, epoch_callback=None):
@@ -158,4 +170,48 @@ def reference_unlearn(config, student, teacher, retain_set, forget_set, rng,
         temperature_used=temperature,
         wall_seconds=time.perf_counter() - start,
         teacher_logits=teacher_logits,
+    )
+
+
+def reference_incompetent_unlearn(config, student, competent_teacher,
+                                  incompetent_teacher, retain_set, forget_set, rng):
+    start = time.perf_counter()
+    # Both teachers are frozen: one inference pass each, indexed per step.
+    competent_logits = predict_logits(competent_teacher, retain_set.images)
+    incompetent_logits = predict_logits(incompetent_teacher, forget_set.images)
+    student.train()
+    optimizer = make_optimizer(student, config.train)
+    retain_loader = DataLoader(retain_set, batch_size=config.train.batch_size,
+                               shuffle=True, rng=rng)
+    forget_cycler = _ForgetBatchCycler(forget_set, config.train.batch_size, rng)
+
+    epoch_losses: List[float] = []
+    for _ in range(config.train.epochs):
+        total = 0.0
+        batches = 0
+        # B3 is purely distillation-based: the labels go unused.
+        for indices, images, _ in retain_loader.iter_indexed():
+            optimizer.zero_grad()
+            student_logits = student(Tensor(images))
+            loss = (1.0 - config.beta) * distillation_loss(
+                Tensor(competent_logits[indices]), student_logits,
+                temperature=config.temperature,
+            )
+
+            picked = forget_cycler.next_indices()
+            student_forget = student(Tensor(forget_set.images[picked]))
+            loss = loss + config.beta * distillation_loss(
+                Tensor(incompetent_logits[picked]), student_forget,
+                temperature=config.temperature,
+            )
+
+            apply_update(loss, optimizer, config.train)
+            total += loss.item()
+            batches += 1
+        epoch_losses.append(total / batches)
+
+    return IncompetentTeacherResult(
+        epochs_run=len(epoch_losses),
+        epoch_losses=epoch_losses,
+        wall_seconds=time.perf_counter() - start,
     )
