@@ -12,7 +12,8 @@ the WAL semantics databases rely on).
 Record shape is the service's business; the journal only guarantees:
 
 * :meth:`Journal.append` — atomic-enough single-line append (JSON +
-  newline, flush, fsync);
+  newline, flush, fsync); the first append through a journal object
+  cuts a torn tail off, so a new record never lands on a partial line;
 * :meth:`Journal.compact` — atomically replace the whole history with
   one snapshot record (temp file + fsync + ``os.replace``), bounding
   recovery cost without ever exposing a half-written journal;
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Tuple
 
 
 class JournalCorruption(RuntimeError):
@@ -56,10 +57,7 @@ class Journal:
         live records interleave into one total order.
         """
         if self._handle is None:
-            os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
-            # Resume the sequence counter past whatever is on disk.
-            for existing in replay(self.path):
-                self._sequence = max(self._sequence, int(existing.get("seq", -1)) + 1)
+            self._resume()
             self._handle = open(self.path, "a")
         record = dict(record)
         record["seq"] = self._sequence
@@ -90,9 +88,7 @@ class Journal:
         of O(whole history).
         """
         if self._handle is None:
-            os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
-            for existing in replay(self.path):
-                self._sequence = max(self._sequence, int(existing.get("seq", -1)) + 1)
+            self._resume()
         else:
             self._handle.close()
             self._handle = None
@@ -114,6 +110,21 @@ class Journal:
         self._handle = open(self.path, "a")
         return record
 
+    def _resume(self) -> None:
+        """First write through this journal: resume ``seq`` past the
+        records on disk and cut off a torn tail.  Appending after a
+        torn line would glue the new record onto it, and the fused line
+        — no longer the tail — would make every later replay raise.
+        The cut is fsync'd before anything is appended."""
+        os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
+        records, durable = _scan(self.path)
+        for existing in records:
+            self._sequence = max(self._sequence, int(existing.get("seq", -1)) + 1)
+        if os.path.exists(self.path) and os.path.getsize(self.path) > durable:
+            with open(self.path, "r+b") as handle:
+                handle.truncate(durable)
+                os.fsync(handle.fileno())
+
     def close(self) -> None:
         if self._handle is not None:
             self._handle.close()
@@ -128,9 +139,17 @@ class Journal:
 
 def replay(path: str) -> List[Dict[str, Any]]:
     """Read a journal back; a torn final line (crash mid-append) is
-    dropped, anything else malformed raises :class:`JournalCorruption`."""
+    dropped, anything else malformed raises :class:`JournalCorruption`.
+    Reading never writes: a torn tail stays on disk until the next
+    append cuts it off."""
+    return _scan(path)[0]
+
+
+def _scan(path: str) -> Tuple[List[Dict[str, Any]], int]:
+    """The journal's records and the byte length of the prefix holding
+    them; whatever follows that prefix is a torn tail."""
     if not os.path.exists(path):
-        return []
+        return [], 0
     with open(path, "rb") as handle:
         raw = handle.read()
     records: List[Dict[str, Any]] = []
@@ -139,22 +158,23 @@ def replay(path: str) -> List[Dict[str, Any]]:
     # is empty; anything non-empty there is a torn tail from a crash
     # mid-append and is discarded (its transition never durably happened).
     complete, tail = lines[:-1], lines[-1]
+    durable = 0
     for number, line in enumerate(complete):
-        if not line.strip():
-            continue
-        try:
-            records.append(json.loads(line.decode("utf-8")))
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            if number == len(complete) - 1 and not tail:
-                # Torn tail that happened to end in a newline-boundary
-                # byte cannot occur (we write line+\n in one call), but a
-                # truncation fault injected *inside* the final line leaves
-                # a partial line followed by nothing — treat as tail.
-                continue
-            raise JournalCorruption(
-                f"journal {path!r} line {number + 1} is corrupt"
-            ) from None
-    return records
+        if line.strip():
+            try:
+                records.append(json.loads(line.decode("utf-8")))
+            except (UnicodeDecodeError, json.JSONDecodeError):
+                if number == len(complete) - 1 and not tail:
+                    # Torn tail that happened to end in a newline-boundary
+                    # byte cannot occur (we write line+\n in one call), but a
+                    # truncation fault injected *inside* the final line leaves
+                    # a partial line followed by nothing — treat as tail.
+                    break
+                raise JournalCorruption(
+                    f"journal {path!r} line {number + 1} is corrupt"
+                ) from None
+        durable += len(line) + 1
+    return records, durable
 
 
 def iter_replay(path: str) -> Iterator[Dict[str, Any]]:

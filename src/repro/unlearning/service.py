@@ -11,8 +11,9 @@ queue into a **persistent request pipeline**:
   :class:`~repro.unlearning.journal.Journal` *before* it takes effect in
   memory;
 * a process that dies at any instant recovers on restart by replaying
-  the journal (:meth:`UnlearningService.recover`): certified windows are
-  reinstalled from their on-disk sidecars, incomplete windows are
+  the journal (:meth:`UnlearningService.recover`): each shard is read
+  once, from the on-disk sidecar of the newest certified window that
+  touched it (or the base save), incomplete windows are
   resubmitted from their journaled index sets, and queued requests are
   re-queued — with recovered final shard states **bit-identical** to an
   uninterrupted run, because
@@ -55,7 +56,7 @@ import numpy as np
 
 from ..data.dataset import ArrayDataset
 from ..nn.module import Module
-from ..nn.serialization import load_state_dict, save_state_dict
+from ..nn.serialization import save_state_dict
 from ..runtime import BackendLike, get_backend
 from .deletion_manager import (
     DeletionManager,
@@ -166,8 +167,9 @@ class UnlearningService:
     Construction on a live (fitted, or about-to-be-fitted) ensemble
     starts a **fresh** service in ``directory``: the ensemble's base
     state is saved and an empty journal begins.  After a crash, rebuild
-    with :meth:`recover` instead — it replays the journal, reinstalls
-    certified windows from their sidecars and resubmits incomplete ones.
+    with :meth:`recover` instead — it replays the journal, reads each
+    shard from its newest certified sidecar (or the base save) and
+    resubmits incomplete windows.
 
     Drive it once per federation round::
 
@@ -237,9 +239,9 @@ class UnlearningService:
         self.duplicates = 0
         self.sla = SlaMeter(self.requests.values())
         self._windows: Dict[int, ExecutedBatch] = {}
-        # Window ids in certification order — the order recovery must
-        # reinstall sidecars in (a later window's shard state supersedes
-        # an earlier one's), preserved across compaction snapshots.
+        # Window ids in certification order, preserved across compaction
+        # snapshots: a later window's shard state supersedes an earlier
+        # one's, so recovery reads each shard from the last that touched it.
         self._certified_order: List[int] = []
         self._auto_id = 0
         self._next_window = 0
@@ -566,9 +568,12 @@ class UnlearningService:
 
         The snapshot captures every live fact replay would otherwise
         reconstruct from the full history — request records and states,
-        window plans with their certified/failed flags, the sidecar
-        installation order, duplicate and id counters — so recovery
-        after compaction is O(live state), not O(every transition ever).
+        window plans (indices, shards, certified/failed flags), the
+        certification order, duplicate and id counters — so replay after
+        compaction reads one entry per request and window instead of one
+        record per transition.  The window plans are what :meth:`recover`
+        picks each shard's newest sidecar from, so its checkpoint reads
+        stay one set per shard however long the history.
         The write is atomic (:meth:`~repro.unlearning.journal.Journal.compact`):
         a crash at any instant mid-compaction leaves either the full
         history or the complete snapshot, and recovery from both is
@@ -706,29 +711,37 @@ class UnlearningService:
             json.dump(meta, handle)
         os.rename(tmp, final)
 
-    def _install_sidecar(self, window_id: int) -> None:
-        """Reinstall one certified window's sidecar onto the ensemble."""
+    def _read_shards(self, base: str, manifest: Dict[str, Any]) -> None:
+        """Read every shard once, from its newest durable state.
+
+        A certified window's sidecar holds its shards' *complete*
+        checkpoint sets and RNG positions, so a shard's state is the
+        sidecar of the last certified window that touched it, or the
+        base save (``base``, described by ``manifest``) when none did.
+        The replayed window plans say which windows touched which
+        shards and what they deleted, so only the winning sidecars'
+        ``meta.json`` are opened and superseded sidecars are not read.
+        """
         ensemble = self.ensemble
-        window_dir = self._window_dir(window_id)
-        with open(os.path.join(window_dir, "meta.json")) as handle:
-            meta = json.load(handle)
-        ensemble._deleted.update(int(i) for i in meta["indices"])
-        for shard_key, info in meta["shards"].items():
-            shard = ensemble._shards[int(shard_key)]
-            shard.checkpoints = {
-                slice_index: load_state_dict(
-                    os.path.join(
-                        window_dir, f"shard{shard_key}_slice{slice_index}.npz"
-                    )
-                )
-                for slice_index in info["checkpoints"]
-            }
-            shard.rng_state = info["rng_state"]
-            model = ensemble.model_factory()
-            model.load_state_dict(
-                shard.checkpoints[ensemble.config.num_slices - 1]
+        newest: Dict[int, int] = {}
+        for window_id in reversed(self._certified_order):
+            batch = self._windows[window_id]
+            ensemble._deleted.update(batch.indices)
+            for shard_index in batch.shards:
+                newest.setdefault(shard_index, window_id)
+        metas: Dict[int, Dict[str, Any]] = {}
+        for shard, entry in zip(ensemble._shards, manifest["shards"]):
+            window_id = newest.get(shard.index)
+            if window_id is None:
+                ensemble._read_shard(shard, base, entry)
+                continue
+            window_dir = self._window_dir(window_id)
+            if window_id not in metas:
+                with open(os.path.join(window_dir, "meta.json")) as handle:
+                    metas[window_id] = json.load(handle)
+            ensemble._read_shard(
+                shard, window_dir, metas[window_id]["shards"][str(shard.index)]
             )
-            shard.model = model
 
     # ------------------------------------------------------------------
     # Recovery
@@ -746,27 +759,30 @@ class UnlearningService:
     ) -> "UnlearningService":
         """Resume a service whose process died, from its directory alone.
 
-        Replays the journal once to restore every request's state, then
-        rebuilds the ensemble as *base save + certified sidecars in
-        certification order*, resubmits windows that were
-        scheduled/retraining but never certified (``round_index`` stamps
-        the resubmission round), and re-queues validated-but-unscheduled
-        requests.  Because windows only ever lock disjoint shards, the
-        resubmitted chains see exactly the shard state (checkpoints + RNG
-        position) their original submission saw — the recovered run's
-        certified states are bit-identical to an uninterrupted run's.
+        Replays the journal once to restore every request's state and
+        every window's plan, then reads each shard exactly once: from
+        the sidecar of the newest certified window that touched it, or
+        from the base save if none did (:meth:`_read_shards`).  The
+        deleted set comes from the base save and the certified plans.
+        So the cost is the replay plus ``num_shards x num_slices``
+        checkpoint reads, however many windows have certified.  It then
+        resubmits windows that were scheduled/retraining but never
+        certified (``round_index`` stamps the resubmission round) and
+        re-queues validated-but-unscheduled requests.  Because windows
+        only ever lock disjoint shards, the resubmitted chains see
+        exactly the shard state (checkpoints + RNG position) their
+        original submission saw — the recovered run's certified states
+        are bit-identical to an uninterrupted run's.  A directory whose
+        windows all certified recovers without writing anything.
         """
         meta_path = os.path.join(directory, "service.json")
         seed = 0
         if os.path.exists(meta_path):
             with open(meta_path) as handle:
                 seed = json.load(handle).get("seed", 0)
-        ensemble = SisaEnsemble.load(
-            os.path.join(directory, "ensemble"),
-            model_factory,
-            dataset,
-            seed=seed,
-            backend=backend,
+        base = os.path.join(directory, "ensemble")
+        ensemble, manifest = SisaEnsemble._skeleton(
+            base, model_factory, dataset, seed=seed, backend=backend
         )
         service = cls(
             ensemble,
@@ -777,15 +793,17 @@ class UnlearningService:
             seed=seed,
             _recovered_records=replay(os.path.join(directory, "journal.jsonl")),
         )
+        service._read_shards(base, manifest)
         service._resubmit_incomplete(round_index)
         return service
 
     def _rebuild_from_records(self, records: List[Dict[str, Any]]) -> None:
-        """Restore request/window state from replayed journal records."""
+        """Restore request and window state from replayed journal
+        records: requests, window plans and the certification order.
+        It reads no shard; :meth:`recover` reads each shard once
+        afterwards, choosing its source from the plans restored here."""
         for record in records:
             self._apply(record)
-        for window_id in self._certified_order:
-            self._install_sidecar(window_id)
         # A crash between `received` and `validated`/`failed` leaves a
         # request in RECEIVED: validation is deterministic, re-run it.
         for request in self.requests.values():

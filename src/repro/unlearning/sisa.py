@@ -184,6 +184,7 @@ class SisaEnsemble:
         seed: int = 0,
         backend: BackendLike = None,
         vectorize: bool = False,
+        _slices: Optional[List[List[np.ndarray]]] = None,
     ) -> None:
         total_parts = config.num_shards * config.num_slices
         if len(dataset) < total_parts:
@@ -197,13 +198,18 @@ class SisaEnsemble:
         self.backend = get_backend(backend)
         self.vectorize = bool(vectorize)
         self._vectorize_stats = VectorizeStats(logger)
-        self._rng = np.random.default_rng(seed)
         self._deleted: set = set()
         # Shards with a begun-but-unfinished deletion window.  Locking is
         # per shard, not per ensemble: windows touching disjoint shards
         # may retrain concurrently (their chains share nothing).
         self._pending_shards: set = set()
-        self._shards = self._partition()
+        # A saved ensemble (:meth:`_skeleton`) hands in its partition.
+        self._shards = [
+            _Shard(index=shard_index, slice_indices=parts)
+            for shard_index, parts in enumerate(
+                self._partition(seed) if _slices is None else _slices
+            )
+        ]
         self._seed_shards(self._shards, seed)
         self._rebuild_lookup()
         self._fitted = False
@@ -211,19 +217,13 @@ class SisaEnsemble:
     # ------------------------------------------------------------------
     # Partitioning
     # ------------------------------------------------------------------
-    def _partition(self) -> List[_Shard]:
-        order = self._rng.permutation(len(self.dataset))
-        shard_splits = np.array_split(order, self.config.num_shards)
-        shards: List[_Shard] = []
-        for shard_index, shard_indices in enumerate(shard_splits):
-            slice_splits = np.array_split(shard_indices, self.config.num_slices)
-            shards.append(
-                _Shard(
-                    index=shard_index,
-                    slice_indices=[np.sort(part) for part in slice_splits],
-                )
-            )
-        return shards
+    def _partition(self, seed: int) -> List[List[np.ndarray]]:
+        """Each shard's slice index sets, drawn from ``seed``."""
+        order = np.random.default_rng(seed).permutation(len(self.dataset))
+        return [
+            [np.sort(part) for part in np.array_split(shard, self.config.num_slices)]
+            for shard in np.array_split(order, self.config.num_shards)
+        ]
 
     @staticmethod
     def _seed_shards(shards: List[_Shard], seed: int) -> None:
@@ -584,46 +584,71 @@ class SisaEnsemble:
         (the manifest stores indices into it, not the data itself —
         matching SISA's deployment model where the data store is separate).
         """
-        manifest_path = os.path.join(directory, "manifest.json")
-        with open(manifest_path) as handle:
-            manifest = json.load(handle)
-        config = SisaConfig(**manifest["config"])
-        ensemble = cls(model_factory, dataset, config, seed=seed, backend=backend)
-        ensemble._deleted = set(manifest["deleted"])
-        ensemble._shards = []
-        for entry in manifest["shards"]:
-            shard = _Shard(
-                index=entry["index"],
-                slice_indices=[
-                    np.asarray(part, dtype=np.int64)
-                    for part in entry["slice_indices"]
-                ],
-            )
-            for slice_index in entry["checkpoints"]:
-                shard.checkpoints[slice_index] = load_state_dict(
-                    os.path.join(
-                        directory, f"shard{shard.index}_slice{slice_index}.npz"
-                    )
-                )
-            last = config.num_slices - 1
-            if last not in shard.checkpoints:
-                raise ValueError(
-                    f"shard {shard.index} is missing its final checkpoint; "
-                    "the save is incomplete"
-                )
-            model = model_factory()
-            model.load_state_dict(shard.checkpoints[last])
-            shard.model = model
-            ensemble._shards.append(shard)
-        cls._seed_shards(ensemble._shards, seed)
+        ensemble, manifest = cls._skeleton(
+            directory, model_factory, dataset, seed=seed, backend=backend
+        )
         for shard, entry in zip(ensemble._shards, manifest["shards"]):
-            # Restore each shard's exact stream position (manifests from
-            # before rng persistence fall back to the fresh spawn above).
-            if entry.get("rng_state") is not None:
-                shard.rng_state = entry["rng_state"]
-        ensemble._rebuild_lookup()
-        ensemble._fitted = True
+            ensemble._read_shard(shard, directory, entry)
         return ensemble
+
+    @classmethod
+    def _skeleton(
+        cls,
+        directory: str,
+        model_factory: Callable[[], Module],
+        dataset: ArrayDataset,
+        seed: int = 0,
+        backend: BackendLike = None,
+    ) -> Tuple["SisaEnsemble", Dict]:
+        """A saved ensemble before any shard is read, and its manifest.
+
+        The skeleton has the save's config, partition, shard lookup and
+        deleted set; every shard still needs :meth:`_read_shard`.
+        :meth:`load` reads each from the save itself, while
+        :meth:`~repro.unlearning.service.UnlearningService.recover` reads
+        each from wherever its newest state is.
+        """
+        with open(os.path.join(directory, "manifest.json")) as handle:
+            manifest = json.load(handle)
+        ensemble = cls(
+            model_factory,
+            dataset,
+            SisaConfig(**manifest["config"]),
+            seed=seed,
+            backend=backend,
+            _slices=[
+                [np.asarray(part, dtype=np.int64) for part in entry["slice_indices"]]
+                for entry in manifest["shards"]
+            ],
+        )
+        ensemble._deleted = set(manifest["deleted"])
+        ensemble._fitted = True
+        return ensemble, manifest
+
+    def _read_shard(self, shard: _Shard, directory: str, entry: Dict) -> None:
+        """Install one shard's saved state: the checkpoints ``entry``
+        lists (``shard<i>_slice<r>.npz`` under ``directory``), its RNG
+        position and a model holding its final checkpoint.  ``entry`` is
+        a manifest's shard entry or a window sidecar's; both carry
+        ``checkpoints`` and ``rng_state``."""
+        shard.checkpoints = {
+            slice_index: load_state_dict(
+                os.path.join(directory, f"shard{shard.index}_slice{slice_index}.npz")
+            )
+            for slice_index in entry["checkpoints"]
+        }
+        last = self.config.num_slices - 1
+        if last not in shard.checkpoints:
+            raise ValueError(
+                f"shard {shard.index} is missing its final checkpoint; "
+                "the save is incomplete"
+            )
+        # Manifests from before RNG persistence keep the fresh spawn.
+        if entry.get("rng_state") is not None:
+            shard.rng_state = entry["rng_state"]
+        model = self.model_factory()
+        model.load_state_dict(shard.checkpoints[last])
+        shard.model = model
 
     # ------------------------------------------------------------------
     # Introspection

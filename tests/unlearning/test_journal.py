@@ -108,6 +108,33 @@ class TestReplay:
         with pytest.raises(JournalCorruption, match="line 2"):
             replay_journal(path)
 
+    def test_replay_leaves_a_torn_tail_on_disk(self, tmp_path):
+        path = str(tmp_path / "journal.jsonl")
+        write_records(path, 2)
+        with open(path, "a") as handle:
+            handle.write('{"event": "ti')
+        with open(path, "rb") as handle:
+            before = handle.read()
+        assert [record["i"] for record in replay_journal(path)] == [0, 1]
+        Journal(path).close()
+        with open(path, "rb") as handle:
+            assert handle.read() == before
+
+    @pytest.mark.parametrize("tail", ['{"event": "ti', '{"event": "ti\n'])
+    def test_append_after_a_torn_tail_starts_a_fresh_line(self, tmp_path, tail):
+        """The first append cuts the tear off instead of gluing the new
+        record onto it, so the journal replays again afterwards."""
+        path = str(tmp_path / "journal.jsonl")
+        written = write_records(path, 2)
+        with open(path, "a") as handle:
+            handle.write(tail)
+        with Journal(path) as journal:
+            written.append(journal.append({"event": "tick", "i": 2}))
+        assert written[-1]["seq"] == 2
+        assert replay_journal(path) == written
+        with open(path) as handle:
+            assert handle.read().count("\n") == 3
+
     def test_iter_replay_matches_replay(self, tmp_path):
         path = str(tmp_path / "journal.jsonl")
         write_records(path, 3)

@@ -411,6 +411,36 @@ class TestCrashRecovery:
             assert recovered.states() == {"r1": "certified"}
             assert_states_equal(shard_states(recovered.ensemble), expected)
 
+    def test_recovering_twice_after_a_tear(self, tmp_path):
+        """The first recovery's records must not land on the torn line:
+        a second recovery replays the journal the first one left."""
+        expected = reference_states([(0, [3, 40])])
+        with UnlearningService(
+            fresh_ensemble(), str(tmp_path / "svc"), policy=BatchSizePolicy(1)
+        ) as service:
+            service.submit(0, [3, 40], 0, request_id="r1")
+            service.tick(0)
+            service.drain(1)
+        journal_path = str(tmp_path / "svc" / "journal.jsonl")
+        with open(journal_path, "rb") as handle:
+            lines = handle.read().splitlines(keepends=True)
+        FaultInjector.truncate_journal(journal_path, len(lines[-1]) - 3)
+        for round_index in (3, 5):
+            recovered = UnlearningService.recover(
+                str(tmp_path / "svc"),
+                model_factory=FACTORY,
+                dataset=DATASET,
+                round_index=round_index,
+            )
+            with recovered:
+                assert recovered.states() == {"r1": "certified"}
+                assert_states_equal(shard_states(recovered.ensemble), expected)
+        assert journal_events(tmp_path / "svc")[-3:] == [
+            "resubmitted",
+            "retraining",
+            "certified",
+        ]
+
 
 class TestCrashAtEveryBoundary:
     """Generated crash points: the process dies after *each* journal

@@ -5,8 +5,11 @@ A hypothesis rule-based machine drives a serial-backend
 submissions, scheduling beats, drains, compactions and restarts, under
 one of the three flush policies.  After every step the lifecycle only
 moves forward, a request is one object wherever it is held, and every
-certified index is really gone; at the end a recovered service and a
-bare SISA twin that replays the journaled windows agree bit for bit.
+certified index is really gone.  Every restart must equal the
+sidecar-replaying reference recovery (``tests/reference_recovery.py``) bit
+for bit, with each certified window's plan naming what its sidecar holds.
+At the end a recovered service and a bare SISA twin that replays the
+journaled windows agree bit for bit.
 """
 
 import os
@@ -33,6 +36,8 @@ from repro.unlearning import (
 )
 
 from ..conftest import generated
+from ..reference_recovery import ReferenceRecovery
+from .test_recovery import assert_plans_match_sidecars, assert_same_recovery
 from .test_service import (
     DATASET,
     FACTORY,
@@ -144,7 +149,11 @@ class ServiceMachine(RuleBasedStateMachine):
 
     @rule()
     def restart(self):
+        """Recover, and check the result against the sidecar-replaying
+        reference recovering a copy of the same directory."""
         self.service.close()
+        copy = tempfile.mkdtemp(prefix="service-machine-reference-")
+        shutil.copytree(self.directory, copy, dirs_exist_ok=True)
         self.service = UnlearningService.recover(
             self.directory,
             FACTORY,
@@ -152,6 +161,14 @@ class ServiceMachine(RuleBasedStateMachine):
             policy=POLICIES[self.policy](),
             round_index=self.round,
         )
+        try:
+            with ReferenceRecovery.recover(
+                copy, FACTORY, DATASET, policy=POLICIES[self.policy](), round_index=self.round
+            ) as reference:
+                assert_same_recovery(self.service, reference)
+            assert_plans_match_sidecars(self.service)
+        finally:
+            shutil.rmtree(copy, ignore_errors=True)
 
     # -- invariants -----------------------------------------------------
     @invariant()
