@@ -32,10 +32,18 @@ On-disk layout under the service directory::
 
     journal.jsonl          append-only WAL (one JSON record per line)
     service.json           static metadata (seed, version)
-    ensemble/              base SisaEnsemble.save() taken after fit()
+    ensemble/              base SisaEnsemble.save() taken after fit():
+                           shard<i>_slice<r>.ckpt, then manifest.json
     windows/000007/        per-certified-window sidecar: the affected
-                           shards' full checkpoint sets, RNG positions
+                           shards' full checkpoint sets
+                           (shard<i>_slice<r>.ckpt), RNG positions
                            and the window's deleted indices (meta.json)
+
+Every checkpoint is one flat file — a JSON header, then the raw array
+bytes (:mod:`repro.nn.serialization`) — whose reader raises
+:class:`ValueError` on anything malformed.  One seed and one request
+stream write byte-identical directories.  The base save writes its
+manifest last, so a service that died mid-save starts fresh again.
 
 Sidecars are written to a temp directory and atomically renamed *before*
 the ``certified`` record is journaled, so a journal that says certified
@@ -704,7 +712,7 @@ class UnlearningService:
                 save_state_dict(
                     state,
                     os.path.join(
-                        tmp, f"shard{shard_index}_slice{slice_index}.npz"
+                        tmp, f"shard{shard_index}_slice{slice_index}.ckpt"
                     ),
                 )
         with open(os.path.join(tmp, "meta.json"), "w") as handle:

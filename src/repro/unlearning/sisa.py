@@ -530,7 +530,15 @@ class SisaEnsemble:
     # partition, deletions, and every slice checkpoint.
 
     def save(self, directory: str) -> None:
-        """Persist partition, deletion log and all checkpoints to disk."""
+        """Persist partition, deletion log and all checkpoints to disk.
+
+        Each slice checkpoint is one flat file,
+        ``shard<i>_slice<r>.ckpt`` (:mod:`repro.nn.serialization`); the
+        same ensemble saves to the same bytes.  ``manifest.json`` is
+        written last, through a temp file and :func:`os.replace`, so a
+        save that dies part way leaves no manifest and is taken again
+        rather than read.
+        """
         if not self._fitted:
             raise RuntimeError("call fit() before save()")
         os.makedirs(directory, exist_ok=True)
@@ -558,16 +566,20 @@ class SisaEnsemble:
                 for shard in self._shards
             ],
         }
-        with open(os.path.join(directory, "manifest.json"), "w") as handle:
-            json.dump(manifest, handle)
         for shard in self._shards:
             for slice_index, state in shard.checkpoints.items():
                 save_state_dict(
                     state,
                     os.path.join(
-                        directory, f"shard{shard.index}_slice{slice_index}.npz"
+                        directory, f"shard{shard.index}_slice{slice_index}.ckpt"
                     ),
                 )
+        # The manifest lands last and atomically: a directory holding one
+        # holds a complete save.
+        path = os.path.join(directory, "manifest.json")
+        with open(path + ".tmp", "w") as handle:
+            json.dump(manifest, handle)
+        os.replace(path + ".tmp", path)
 
     @classmethod
     def load(
@@ -627,13 +639,14 @@ class SisaEnsemble:
 
     def _read_shard(self, shard: _Shard, directory: str, entry: Dict) -> None:
         """Install one shard's saved state: the checkpoints ``entry``
-        lists (``shard<i>_slice<r>.npz`` under ``directory``), its RNG
+        lists (``shard<i>_slice<r>.ckpt`` under ``directory``), its RNG
         position and a model holding its final checkpoint.  ``entry`` is
         a manifest's shard entry or a window sidecar's; both carry
-        ``checkpoints`` and ``rng_state``."""
+        ``checkpoints`` and ``rng_state``.  A file that is not a
+        well-formed checkpoint raises :class:`ValueError`."""
         shard.checkpoints = {
             slice_index: load_state_dict(
-                os.path.join(directory, f"shard{shard.index}_slice{slice_index}.npz")
+                os.path.join(directory, f"shard{shard.index}_slice{slice_index}.ckpt")
             )
             for slice_index in entry["checkpoints"]
         }

@@ -62,7 +62,7 @@ def reference_load(
         for slice_index in entry["checkpoints"]:
             shard.checkpoints[slice_index] = load_state_dict(
                 os.path.join(
-                    directory, f"shard{shard.index}_slice{slice_index}.npz"
+                    directory, f"shard{shard.index}_slice{slice_index}.ckpt"
                 )
             )
         last = config.num_slices - 1
@@ -101,7 +101,7 @@ class ReferenceRecovery(UnlearningService):
             shard.checkpoints = {
                 slice_index: load_state_dict(
                     os.path.join(
-                        window_dir, f"shard{shard_key}_slice{slice_index}.npz"
+                        window_dir, f"shard{shard_key}_slice{slice_index}.ckpt"
                     )
                 )
                 for slice_index in info["checkpoints"]

@@ -91,21 +91,13 @@ def assert_plans_match_sidecars(service):
 
 
 def tree(directory):
-    """Every file under ``directory``: raw bytes, or arrays for ``.npz``
-    (an archive's member timestamps are not part of its content)."""
+    """Every file under ``directory`` and its bytes."""
     out = {}
     for root, _, names in os.walk(directory):
         for name in names:
             path = os.path.join(root, name)
-            key = os.path.relpath(path, directory)
-            if name.endswith(".npz"):
-                out[key] = {
-                    k: (v.dtype.str, v.shape, v.tobytes())
-                    for k, v in load_state_dict(path).items()
-                }
-            else:
-                with open(path, "rb") as handle:
-                    out[key] = handle.read()
+            with open(path, "rb") as handle:
+                out[os.path.relpath(path, directory)] = handle.read()
     return out
 
 
@@ -211,6 +203,28 @@ class TestAgainstTheSidecarReplay:
         # it wrote the same way.
         assert tree(mine) == tree(theirs)
         shutil.rmtree(str(root))
+
+
+def test_one_seed_and_one_stream_write_one_directory(tmp_path):
+    """Checkpoint files hold nothing but the arrays, so two services run
+    with one seed and one request stream write the same bytes."""
+    history = {
+        "policy": "2",
+        "steps": [
+            ("request", [LAYOUT[0][0], LAYOUT[2][0]]),
+            ("request", [LAYOUT[1][0]]),
+            ("rerequest", 0),
+            ("compact", None),
+            ("request", [LAYOUT[3][1]]),
+            ("request", [LAYOUT[2][2]]),
+        ],
+    }
+    first, second = str(tmp_path / "first"), str(tmp_path / "second")
+    serve(first, history)
+    serve(second, history)
+    files = tree(first)
+    assert any(key.startswith("windows") and key.endswith(".ckpt") for key in files)
+    assert files == tree(second)
 
 
 # -- counted reads ------------------------------------------------------

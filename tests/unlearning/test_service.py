@@ -366,6 +366,40 @@ class TestCrashRecovery:
         assert "resubmitted" in events
         assert events[-1] == "certified"
 
+    def test_crash_during_the_base_save_starts_fresh_again(self, tmp_path, monkeypatch):
+        """The process dies at the second checkpoint of a fresh service's
+        base save.  That save left no manifest, so the next fresh service
+        in the directory saves again, and the directory recovers."""
+        import repro.unlearning.sisa as sisa_module
+
+        real_save = sisa_module.save_state_dict
+        calls = []
+
+        def dying_save(state, path):
+            calls.append(path)
+            if len(calls) == 2:
+                raise RuntimeError("simulated crash mid base save")
+            real_save(state, path)
+
+        monkeypatch.setattr(sisa_module, "save_state_dict", dying_save)
+        with pytest.raises(RuntimeError, match="simulated"):
+            UnlearningService(fresh_ensemble(), str(tmp_path / "svc"))
+        monkeypatch.undo()
+        assert not os.path.exists(str(tmp_path / "svc" / "ensemble" / "manifest.json"))
+        expected = reference_states([(0, [3])])
+        with UnlearningService(
+            fresh_ensemble(), str(tmp_path / "svc"), policy=BatchSizePolicy(1)
+        ) as service:
+            service.submit(0, [3], 0, request_id="r1")
+            service.tick(0)
+            service.drain(1)
+        recovered = UnlearningService.recover(
+            str(tmp_path / "svc"), model_factory=FACTORY, dataset=DATASET
+        )
+        with recovered:
+            assert recovered.states() == {"r1": "certified"}
+            assert_states_equal(shard_states(recovered.ensemble), expected)
+
     def test_crash_between_received_and_validated_revalidates(self, tmp_path):
         with UnlearningService(
             fresh_ensemble(), str(tmp_path / "svc"), policy=BatchSizePolicy(5)

@@ -237,7 +237,7 @@ class TestPersistence:
         manifest_path = tmp_path / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
         last = manifest["shards"][0]["checkpoints"].pop()
-        os.remove(tmp_path / f"shard0_slice{last}.npz")
+        os.remove(tmp_path / f"shard0_slice{last}.ckpt")
         manifest_path.write_text(json.dumps(manifest))
         factory = lambda: MLP(16, 3, np.random.default_rng(13))
         with pytest.raises(ValueError, match="missing its final checkpoint"):
