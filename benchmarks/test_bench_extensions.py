@@ -1,24 +1,17 @@
-"""Extension benches: update compression, dropout.
+"""Extension bench: update compression.
 
-Not paper artifacts — ablations for the substrate features the paper's
-discussion motivates (upload cost; client churn). Each bench drives the
-public API end to end and checks the structural invariants that hold at
-any scale.
+Not a paper artifact — an ablation for the substrate feature the paper's
+discussion motivates (upload cost). The bench drives the public API end
+to end and checks the structural invariants that hold at any scale.
 """
 
 import numpy as np
 import pytest
 
 from repro.data import make_dataset, make_federated
-from repro.federated import (
-    FedAvgAggregator,
-    FederatedSimulation,
-    DropoutInjector,
-    FullParticipation,
-    state_math,
-)
+from repro.federated import FedAvgAggregator, FederatedSimulation
 from repro.nn.models import build_model
-from repro.training import TrainConfig, evaluate
+from repro.training import TrainConfig
 
 from .conftest import run_once
 
@@ -69,43 +62,3 @@ def test_compression_accuracy_vs_bytes(benchmark, scale):
     # Dense uploads should not lose to the harshest compression.
     assert results[1.0][0] >= results[0.05][0] - 0.05
 
-
-def test_dropout_resilient_training(benchmark, scale):
-    """FL with per-round client dropout still converges above chance."""
-    fed, factory, config, test_set = _federation(scale, seed=2)
-    sampler = DropoutInjector(FullParticipation(), dropout_rate=0.3,
-                              min_survivors=2)
-    rng = np.random.default_rng(7)
-
-    def run():
-        from repro.training.trainer import train
-        model = factory()
-        global_state = model.state_dict()
-        survived_log = []
-        for round_index in range(scale.pretrain_rounds):
-            participants = sampler.sample(
-                list(range(fed.num_clients)), round_index, rng
-            )
-            survived_log.append(participants)
-            states, sizes = [], []
-            for client_id in participants:
-                client_model = factory()
-                client_model.load_state_dict(global_state)
-                train(client_model, fed.client_datasets[client_id], config, rng)
-                states.append(client_model.state_dict())
-                sizes.append(len(fed.client_datasets[client_id]))
-            total = sum(sizes)
-            global_state = state_math.weighted_sum(
-                states, [s / total for s in sizes]
-            )
-        model.load_state_dict(global_state)
-        _, accuracy = evaluate(model, test_set)
-        return accuracy, survived_log
-
-    accuracy, survived_log = run_once(benchmark, run)
-    rounds_with_dropout = sum(
-        1 for round_ids in survived_log if len(round_ids) < fed.num_clients
-    )
-    print(f"\naccuracy {100 * accuracy:.1f}% with dropouts in "
-          f"{rounds_with_dropout}/{len(survived_log)} rounds")
-    assert accuracy > 1.5 / 10  # well above the 10-class chance level

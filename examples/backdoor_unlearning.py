@@ -41,32 +41,16 @@ def main() -> None:
           f"backdoor success {origin_metrics['backdoor']:.1f}%")
 
     snapshot = SimulationSnapshot.capture(setup.sim)
-    models = {}
     for method, label in (("ours", "Goldfish (ours)"),
                           ("b1", "B1 retrain-from-scratch"),
                           ("b3", "B3 incompetent teacher")):
         snapshot.restore(setup.sim)
         setup.register_deletion()
         outcome = run_unlearning_method(method, setup, scale)
-        models[method] = outcome.global_model
         metrics = evaluate_model(outcome.global_model, setup)
         print(f"  {label:28s}: acc {metrics['acc']:5.1f}%  "
               f"backdoor {metrics['backdoor']:5.1f}%  "
               f"({outcome.wall_seconds:.1f}s)")
-
-    # One-call deletion audit (backdoor + membership + divergence vs B1).
-    from repro.unlearning import audit_deletion
-    snapshot.restore(setup.sim)
-    setup.register_deletion()
-    forget_set = setup.sim.clients[0].forget_set
-    report = audit_deletion(
-        origin, models["ours"], setup.test_set,
-        forget_set=forget_set,
-        attack=setup.attack,
-        reference_model=models["b1"],
-    )
-    print("\ndeletion audit for Goldfish:")
-    print(report.summary())
 
     print("\nExpected shape (paper Tables III / Fig 5a): the origin model is")
     print("heavily backdoored; all three unlearning methods collapse the")

@@ -107,7 +107,10 @@ class _Peer:
     def __init__(self, agent_id: str, channel: SocketChannel, info: Dict[str, Any]) -> None:
         self.agent_id = agent_id
         self.channel = channel
-        self.capacity = max(1, int(info.get("capacity") or 1))
+        # The hello is outside input: a capacity that is not an int must
+        # not raise out of the accept path.
+        capacity = info.get("capacity")
+        self.capacity = max(1, capacity) if isinstance(capacity, int) else 1
         self.pid = info.get("pid")
         self.mirror = BroadcastCache()
         self.suspect = False
@@ -180,7 +183,7 @@ class Coordinator(Dispatcher):
         self._closed = False
         # Fault-tolerance ledger (the coordinator's half of fault_report;
         # the scheduler keeps the retry-budget half).
-        self._seen_ids: set = set()
+        self._known_agents: set = set()
         self.suspects = 0
         self.suspect_recoveries = 0
         self.reconnects = 0
@@ -356,9 +359,9 @@ class Coordinator(Dispatcher):
         if not agent_id:
             self._anon_peers += 1
             agent_id = f"agent-{self._anon_peers}"
-        if agent_id in self._seen_ids:
+        if agent_id in self._known_agents:
             self.reconnects += 1
-        self._seen_ids.add(agent_id)
+        self._known_agents.add(agent_id)
         stale = self._peers.pop(agent_id, None)
         if stale is not None:
             # Reconnect under the same identity: the old connection is

@@ -447,7 +447,8 @@ def client_handshake(
     Returns the coordinator's welcome info; raises
     :class:`AuthenticationError` when the challenge fails (no token, or
     the wrong one) and :class:`ProtocolMismatch` when rejected for
-    version skew or when the far side is not a repro coordinator at all.
+    version skew, when the far side is not a repro coordinator at all,
+    or when a challenge or welcome arrives malformed.
     """
     send_message(
         channel,
@@ -478,7 +479,10 @@ def client_handshake(
                 "coordinator requires authentication — pass --auth-token "
                 f"or set {AUTH_TOKEN_ENV_VAR}"
             )
-        send_message(channel, ("auth", _auth_digest(auth_token, str(reply[1]))))
+        nonce = reply[1] if len(reply) > 1 else None
+        if not isinstance(nonce, str) or not nonce.isascii():
+            raise ProtocolMismatch(f"malformed challenge: {reply!r}")
+        send_message(channel, ("auth", _auth_digest(auth_token, nonce)))
         try:
             reply, _ = recv_message(channel, timeout=idle)
         except (EOFError, WireError) as exc:
@@ -488,6 +492,8 @@ def client_handshake(
         if isinstance(reason, str) and "authentication" in reason:
             raise AuthenticationError(f"coordinator rejected handshake: {reason}")
         raise ProtocolMismatch(f"coordinator rejected handshake: {reason}")
+    if len(reply) < 2 or not isinstance(reply[1], dict):
+        raise ProtocolMismatch(f"malformed welcome: {reply!r}")
     return reply[1]
 
 
@@ -553,8 +559,12 @@ def server_handshake(
             if isinstance(answer, tuple) and len(answer) > 1 and answer[0] == "auth"
             else ""
         )
-        if not isinstance(digest, str) or not hmac_module.compare_digest(
-            digest, _auth_digest(auth_token, nonce)
+        # compare_digest raises TypeError on a non-ASCII str: such an
+        # answer is just a wrong one.
+        if (
+            not isinstance(digest, str)
+            or not digest.isascii()
+            or not hmac_module.compare_digest(digest, _auth_digest(auth_token, nonce))
         ):
             reason = "authentication failed (shared-secret HMAC mismatch)"
             _try_send(channel, ("reject", reason))

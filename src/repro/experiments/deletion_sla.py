@@ -232,10 +232,11 @@ def run_deletion_sla(
             row: Dict[str, Any] = {
                 "policy": policy_spec,
                 "requests": certified,
-                "p50_rounds": float(report["p50_rounds"] or 0.0),
-                "p95_rounds": float(report["p95_rounds"] or 0.0),
-                "mean_rounds": float(report["mean_rounds"] or 0.0),
-                "max_rounds": int(report["max_rounds"] or 0),
+                # SlaMeter.report() leaves these out until a request certifies.
+                "p50_rounds": float(report.get("p50_rounds", 0.0)),
+                "p95_rounds": float(report.get("p95_rounds", 0.0)),
+                "mean_rounds": float(report.get("mean_rounds", 0.0)),
+                "max_rounds": int(report.get("max_rounds", 0)),
                 "overlap_rounds": manager.total_overlap_rounds,
                 "chains": chains,
                 "chains_per_req": chains / certified if certified else 0.0,

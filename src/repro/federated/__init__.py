@@ -5,11 +5,10 @@ adaptive-weight extension, and FedBuff-style buffered staleness-weighted
 folding) and the round simulator — synchronous barrier loop by default,
 event-driven buffered-async engine (:mod:`.engine`) on opt-in — plus the
 hardened-deployment substrates: per-round update retention for the
-update-adjustment unlearning family (:mod:`.history`), client sampling, dropout injection and straggler accounting
-(:mod:`.sampling`), communication/compute cost metering
-(:mod:`.metering`), and client-vectorized execution — K homogeneous
-clients stacked into one batched forward/backward per round-step
-(:mod:`.vectorized`).
+update-adjustment unlearning family (:mod:`.history`), the float32 wire
+price of a model state (:mod:`.metering`), and client-vectorized
+execution — K homogeneous clients stacked into one batched
+forward/backward per round-step (:mod:`.vectorized`).
 """
 
 from . import state_math
@@ -21,7 +20,6 @@ from .aggregation import (
     ClientUpdate,
     FedAvgAggregator,
 )
-from .churn import ChurnEvent, ChurnSchedule, ChurnSimulation
 from .client import Client
 from .engine import (
     AsyncRoundConfig,
@@ -36,16 +34,7 @@ from .history import (
     StorageReport,
     attach_history,
 )
-from .metering import CostMeter, CostReport, MeteredSimulationProxy, state_bytes
-from .sampling import (
-    ClientSampler,
-    DropoutInjector,
-    FullParticipation,
-    ParticipationLog,
-    StragglerAwareSampler,
-    UniformSampler,
-    WeightedSampler,
-)
+from .metering import state_bytes
 from .server import Server
 from .simulation import (
     FederatedSimulation,
@@ -62,17 +51,7 @@ __all__ = [
     "RoundSnapshot",
     "StorageReport",
     "attach_history",
-    "CostMeter",
-    "CostReport",
-    "MeteredSimulationProxy",
     "state_bytes",
-    "ClientSampler",
-    "DropoutInjector",
-    "FullParticipation",
-    "ParticipationLog",
-    "StragglerAwareSampler",
-    "UniformSampler",
-    "WeightedSampler",
     "AsyncRoundConfig",
     "BufferedAggregator",
     "BufferedRoundEngine",
@@ -80,9 +59,6 @@ __all__ = [
     "ConstantLatency",
     "LatencyModel",
     "SeededLatency",
-    "ChurnEvent",
-    "ChurnSchedule",
-    "ChurnSimulation",
     "Server",
     "ClientUpdate",
     "Aggregator",

@@ -1,7 +1,7 @@
 """Event-driven federation engine: buffered async rounds without barriers.
 
 :class:`~repro.federated.simulation.FederatedSimulation.run_round` is a
-hard barrier — every sampled client must finish local training before the
+hard barrier — every client must finish local training before the
 server aggregates.  One slow client therefore stalls the whole round, and
 anything else sharing the worker pool (a deletion-window retrain chain,
 say) waits behind the federation.  This module removes the barrier:
@@ -17,10 +17,8 @@ say) waits behind the federation.  This module removes the barrier:
   into the global model whenever ``buffer_size`` updates arrive, weighting
   each update down by its staleness, instead of waiting for the cohort;
 * stragglers are governed by a **simulated latency model**: a client whose
-  drawn latency exceeds ``straggler_timeout`` is dropped from the round,
-  reported to the sampler (so a
-  :class:`~repro.federated.sampling.StragglerAwareSampler` resamples it
-  next round) and accounted in the
+  drawn latency exceeds ``straggler_timeout`` is dropped from the round
+  (it is dispatched again next round) and accounted in the
   :class:`~repro.federated.simulation.RoundRecord`.
 
 Determinism
@@ -149,7 +147,7 @@ class AsyncRoundConfig:
         model next round).
     straggler_timeout:
         Simulated-time budget per dispatch; a client whose drawn latency
-        exceeds it is dropped from the round and reported to the sampler.
+        exceeds it is dropped from the round.
         ``0`` disables the timeout.
     staleness_exponent:
         The polynomial discount of
@@ -225,10 +223,10 @@ class BufferedRoundEngine:
     """Drive a :class:`~repro.federated.simulation.FederatedSimulation`
     through buffered-async rounds.
 
-    One engine "round" is one *aggregation event*: sample a cohort,
-    dispatch the members not already in flight, then consume virtual
-    arrivals until ``buffer_size`` acceptable updates are buffered and
-    fold them into the global model.  Clients still in flight at the fold
+    One engine "round" is one *aggregation event*: dispatch the clients
+    not already in flight, then consume virtual arrivals until
+    ``buffer_size`` acceptable updates are buffered and fold them into
+    the global model.  Clients still in flight at the fold
     simply keep computing — their updates arrive in later rounds with
     staleness ≥ 1.
 
@@ -314,7 +312,7 @@ class BufferedRoundEngine:
             raise RuntimeError(
                 f"round {round_index}: no clients in flight — the straggler "
                 f"timeout ({self.config.straggler_timeout}) drops every "
-                "sampled client under the configured latency model"
+                "client under the configured latency model"
             )
         global_before = self.sim.server.global_state
         applied, discarded = self._collect()
@@ -354,7 +352,7 @@ class BufferedRoundEngine:
         )
 
     def _dispatch(self, round_index: int) -> List[int]:
-        """Sample a cohort and stream its tasks; return straggler drops.
+        """Stream the idle clients' tasks; return straggler drops.
 
         With ``sim.vectorize`` set, an eligible dispatch wave (the
         members not already in flight and not timed out) becomes one
@@ -364,10 +362,9 @@ class BufferedRoundEngine:
         unchanged, so the virtual schedule and the folded results are
         identical to per-client dispatch.
         """
-        participants = self.sim.round_participants(round_index)
         dropped: List[int] = []
         wave: List[tuple] = []  # (client, latency) surviving the timeout
-        for client in participants:
+        for client in self.sim.clients:
             client_id = client.client_id
             if client_id in self._inflight:
                 continue  # still computing a previous dispatch
@@ -433,11 +430,7 @@ class BufferedRoundEngine:
                     member=member,
                 )
                 self.total_dispatched += 1
-        if dropped:
-            self.total_dropped += len(dropped)
-            sampler = self.sim.sampler
-            if sampler is not None:
-                sampler.note_dropped(dropped, round_index)
+        self.total_dropped += len(dropped)
         return dropped
 
     def _collect(self) -> "tuple[List[BufferedUpdate], List[int]]":

@@ -189,12 +189,11 @@ def attach_history(simulation, store: RoundHistoryStore):
     :class:`~repro.federated.simulation.FederatedSimulation` itself free of
     retention concerns (most FL deployments must *not* retain updates).
     Returns the store for chaining. The patch captures the global state
-    before aggregation and every *participating* client's upload after
-    local training (with a sampler, non-participants trained nothing this
-    round and are not recorded).
+    before aggregation and the upload of every client whose update was
+    aggregated.
 
-    Works on both round paths: the synchronous barrier loop (participants
-    = the sampled cohort) and the event-driven engine
+    Works on both round paths: the synchronous barrier loop (every
+    client) and the event-driven engine
     (:mod:`repro.federated.engine`), where ``last_participants`` holds
     exactly the clients whose updates were *folded* that round — dropped
     stragglers and stale-discarded updates contributed nothing to the new

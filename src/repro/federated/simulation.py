@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, TYPE_CHECKING
+from typing import Callable, List, Optional, TYPE_CHECKING
 
 import numpy as np
 
@@ -40,7 +40,6 @@ from ..training.config import TrainConfig
 from ..training.evaluation import evaluate
 from .aggregation import Aggregator, AdaptiveWeightAggregator, FedAvgAggregator
 from .client import Client
-from .sampling import ClientSampler
 from .server import Server
 from .vectorized import (
     VectorizeStats,
@@ -241,7 +240,6 @@ class FederatedSimulation:
         aggregator: Aggregator,
         train_config: TrainConfig,
         seed: int = 0,
-        sampler: Optional[ClientSampler] = None,
         backend: BackendLike = None,
         async_config: Optional["AsyncRoundConfig"] = None,
         latency_model: Optional["LatencyModel"] = None,
@@ -253,7 +251,6 @@ class FederatedSimulation:
         self.model_factory = model_factory
         self.fed_data = fed_data
         self.train_config = train_config
-        self.sampler = sampler
         self.backend = get_backend(backend)
         get_codec(codec)  # fail fast on typos, before any training
         self.codec = codec
@@ -270,7 +267,7 @@ class FederatedSimulation:
         self.async_config = async_config
         self.latency_model = latency_model
         self._engine = None
-        seeds = np.random.SeedSequence(seed).spawn(fed_data.num_clients + 1)
+        seeds = np.random.SeedSequence(seed).spawn(fed_data.num_clients)
         self.clients: List[Client] = [
             Client(
                 client_id=index,
@@ -281,20 +278,10 @@ class FederatedSimulation:
             for index, dataset in enumerate(fed_data.client_datasets)
         ]
         self.server = Server(model_factory(), aggregator, test_set=fed_data.test_set)
-        self.rng = np.random.default_rng(seeds[-1])
-        # Who actually trained in the most recent round (== clients until a
-        # round runs; history recording reads this rather than re-sampling).
+        # Whose updates the most recent round folded: every client on the
+        # synchronous path; the async engine narrows it to the arrivals it
+        # folded.  History recording reads this.
         self.last_participants: List[Client] = self.clients
-
-    def round_participants(self, round_index: int) -> List[Client]:
-        """Clients taking part in this round (all, unless a sampler is set)."""
-        if self.sampler is None:
-            return self.clients
-        chosen = self.sampler.sample(
-            [client.client_id for client in self.clients], round_index, self.rng
-        )
-        by_id = {client.client_id: client for client in self.clients}
-        return [by_id[client_id] for client_id in chosen]
 
     def engine(self) -> "BufferedRoundEngine":
         """The lazily-built event-driven engine (async mode only)."""
@@ -316,10 +303,8 @@ class FederatedSimulation:
         (:mod:`repro.federated.engine`) when ``async_config`` is set."""
         if self.async_config is not None:
             return self.engine().run_round(round_index, record_client_metrics)
-        participants = self.round_participants(round_index)
-        self.last_participants = participants
-        self.server.broadcast(participants)
-        # One broadcast, one hash: every participant carries the same
+        self.server.broadcast(self.clients)
+        # One broadcast, one hash: every client carries the same
         # global state, so the transport's version is computed here once
         # (pool dispatch would otherwise hash each task's copy).
         model_version = self.broadcast_version()
@@ -330,12 +315,12 @@ class FederatedSimulation:
                 codec=self.codec,
                 model_version=model_version,
             )
-            for client in participants
+            for client in self.clients
         ]
         results, round_stats = self._run_cohort(tasks)
         updates = []
         client_accuracies: List[float] = []
-        for client, result in zip(participants, results):
+        for client, result in zip(self.clients, results):
             client.absorb_train_result(result)
             if record_client_metrics:
                 _, acc = evaluate(client.model, self.fed_data.test_set)

@@ -12,7 +12,6 @@ Modules map one-to-one onto the paper's four framework modules:
 plus the baselines (B1/B2/B3) and the federation-level protocols.
 """
 
-from .audit import AuditThresholds, DeletionAuditReport, audit_deletion
 from .baselines import (
     DiagonalFIMSGD,
     FedEraser,
@@ -62,9 +61,6 @@ from .sisa import PendingDeletion, SisaConfig, SisaDeletionReport, SisaEnsemble
 from .temperature import adaptive_temperature
 
 __all__ = [
-    "AuditThresholds",
-    "DeletionAuditReport",
-    "audit_deletion",
     "GoldfishConfig",
     "GoldfishUnlearner",
     "GoldfishResult",

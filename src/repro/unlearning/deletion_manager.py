@@ -7,42 +7,41 @@ policy decision. GDPR-style regulation bounds the latency ("within a
 reasonable time frame"); the operator pays per execution. This module
 makes the trade-off explicit:
 
-* :class:`DeletionManager` — accepts requests as they arrive, merges
-  multiple requests per client, and executes a batch when its
-  :class:`DeletionPolicy` fires;
+* :class:`DeletionManager` — accepts requests as they arrive and
+  executes a batch when its :class:`DeletionPolicy` fires;
 * policies: :class:`ImmediatePolicy` (lowest latency, most executions),
   :class:`BatchSizePolicy` (wait for k pending requests),
   :class:`PeriodicPolicy` (fixed cadence — bounded worst-case latency);
 * every executed batch records per-request latency in rounds, so the
   latency/cost frontier of a policy is measurable.
 
-Three execution paths share the queue and the policies:
+Two execution paths share the queue and the policies:
 
-* :meth:`DeletionManager.maybe_execute` — the federated flow: merged
-  indices are registered with each client and an ``unlearn(sim)``
-  callable drives one of the unlearning protocols;
-* :meth:`DeletionManager.maybe_execute_batched` — the SISA/sharded flow,
-  routed through the execution runtime: *all* pending requests coalesce
-  into one ``delete()`` call on the ensemble, which submits **one
-  retrain chain per affected shard per flush window** through its
-  :class:`~repro.runtime.Backend`.  A shard hit by five requests replays
-  its checkpoint prefix once, not five times — the amortisation the
-  paper's retraining-cost accounting (``SisaDeletionReport``) measures —
-  and :attr:`ExecutedBatch.chains_submitted` records how few chains the
-  window actually cost.
+* :meth:`DeletionManager.maybe_execute_batched` — the barriered
+  SISA/sharded flow, routed through the execution runtime, and the
+  reference the service is tested bit-identical against: *all* pending
+  requests coalesce into one ``delete()`` call on the ensemble, which
+  submits **one retrain chain per affected shard per flush window**
+  through its :class:`~repro.runtime.Backend`.  A shard hit by five
+  requests replays its checkpoint prefix once, not five times — the
+  amortisation the paper's retraining-cost accounting
+  (``SisaDeletionReport``) measures — and
+  :attr:`ExecutedBatch.chains_submitted` records how few chains the
+  window actually cost;
 * :class:`~repro.unlearning.service.UnlearningService` — the durable,
   **non-blocking** variant of the batched flow: it owns one of these
-  managers (queue, policy gate, batch accounting), submits each window's
-  chains through the pool's ``submit``/``drain`` seam so they retrain
-  *concurrently with* subsequent federation rounds, and journals every
-  transition; :attr:`ExecutedBatch.overlap_rounds` records how many
-  rounds each window overlapped.
+  managers (queue, policy gate, batch accounting), deduplicates request
+  ids against its journal, submits each window's chains through the
+  pool's ``submit``/``drain`` seam so they retrain *concurrently with*
+  subsequent federation rounds, and journals every transition;
+  :attr:`ExecutedBatch.overlap_rounds` records how many rounds each
+  window overlapped.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Collection, Dict, List, Optional, Sequence
+from typing import Collection, List, Optional, Sequence
 
 import numpy as np
 
@@ -63,9 +62,9 @@ class DeletionRequest:
     """One client's request to remove some of its local samples.
 
     ``request_id`` makes resubmission idempotent: deletion clients retry
-    on timeouts, and a retried request must not retrain twice.  Requests
-    submitted through :meth:`DeletionManager.submit` with an id already
-    seen return the original request instead of enqueueing a duplicate.
+    on timeouts, and a retried request must not retrain twice.
+    :meth:`~repro.unlearning.service.UnlearningService.submit` returns
+    the original request for an id its journal has already accepted.
 
     The remaining fields are the request's position in the
     :class:`~repro.unlearning.service.UnlearningService` lifecycle.  A
@@ -156,18 +155,18 @@ class ExecutedBatch:
 
     executed_round: int
     requests: List[DeletionRequest]
-    outcome: object = None  # whatever the unlearn callable returned
+    outcome: object = None  # the ensemble's deletion report, if any
     # Retrain chains submitted through the runtime for this batch (set by
     # the batched SISA path; one per affected shard).  Fewer chains than
     # requests is the whole point of batching.
     chains_submitted: int = 0
     # Round at which the window's retrain chains finished absorbing.  The
-    # barriered paths complete in the round they execute; the non-blocking
+    # barriered path completes in the round it executes; the non-blocking
     # UnlearningService sets this later, once poll()/drain() lands the
     # results — until then it is None ("still retraining").
     completed_round: Optional[int] = None
     # The service's journaled plan: window id, merged index set and
-    # affected shards (None / empty on the barriered paths and for a
+    # affected shards (None / empty on the barriered path and for a
     # window that had nothing left to retrain), and whether its chains
     # failed.
     window_id: Optional[int] = None
@@ -200,7 +199,7 @@ class ExecutedBatch:
     def overlap_rounds(self) -> int:
         """Federation rounds this window's retraining overlapped with.
 
-        Zero on the barriered paths (submit and completion share a
+        Zero on the barriered path (submit and completion share a
         round); positive under the
         :class:`~repro.unlearning.service.UnlearningService`, where the
         chains ran concurrently with that many subsequent rounds.
@@ -218,13 +217,13 @@ class DeletionManager:
     policy:
         When to run unlearning. Defaults to :class:`ImmediatePolicy`.
 
-    Usage inside an FL loop::
+    Usage against a SISA ensemble::
 
         manager = DeletionManager(PeriodicPolicy(every_rounds=3))
         ...
         manager.submit(client_id=0, indices=[1, 2, 3], round_index=r)
-        batch = manager.maybe_execute(sim, r, unlearn)
-        # unlearn(sim) is only called when the policy fired; `batch` is
+        batch = manager.maybe_execute_batched(ensemble, r)
+        # ensemble.delete() only runs when the policy fired; `batch` is
         # None otherwise.
     """
 
@@ -232,44 +231,23 @@ class DeletionManager:
         self.policy = policy if policy is not None else ImmediatePolicy()
         self._pending: List[DeletionRequest] = []
         self._executed: List[ExecutedBatch] = []
-        self._seen_ids: Dict[str, DeletionRequest] = {}
-        self.num_duplicates = 0
 
     # ------------------------------------------------------------------
     # Intake
     # ------------------------------------------------------------------
     def submit(
-        self,
-        client_id: int,
-        indices: Sequence[int],
-        round_index: int,
-        request_id: Optional[str] = None,
+        self, client_id: int, indices: Sequence[int], round_index: int
     ) -> DeletionRequest:
-        """File a request. Indices refer to the client's dataset as it is
-        *now* (between executions the dataset does not change, so all
-        requests in one batch share a consistent index space).
-
-        ``request_id`` dedupes resubmissions: a second ``submit`` with an
-        id the manager has already accepted (pending *or* executed) is a
-        no-op returning the original request — retrying clients cannot
-        make a window retrain twice.  Empty index sets are rejected with
-        a :class:`ValueError`.
+        """File a request. Indices refer to the dataset as it is *now*
+        (between executions the dataset does not change, so all requests
+        in one batch share a consistent index space).  Empty index sets
+        are rejected with a :class:`ValueError`.
         """
-        if request_id is not None:
-            existing = self._seen_ids.get(request_id)
-            if existing is not None:
-                self.num_duplicates += 1
-                return existing
         request = DeletionRequest(
-            client_id=client_id,
-            indices=indices,
-            submitted_round=round_index,
-            request_id=request_id,
+            client_id=client_id, indices=indices, submitted_round=round_index
         )
         if request.indices.size == 0:
             raise ValueError("deletion request with no indices")
-        if request_id is not None:
-            self._seen_ids[request_id] = request
         return self.enqueue(request)
 
     def enqueue(self, request: DeletionRequest) -> DeletionRequest:
@@ -289,18 +267,6 @@ class DeletionManager:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def merged_indices(self) -> Dict[int, np.ndarray]:
-        """Pending requests folded into one index set per client."""
-        merged: Dict[int, List[int]] = {}
-        for request in self._pending:
-            merged.setdefault(request.client_id, []).extend(
-                request.indices.tolist()
-            )
-        return {
-            client_id: np.unique(np.asarray(indices, dtype=np.int64))
-            for client_id, indices in merged.items()
-        }
-
     def merged_global_indices(
         self,
         requests: Optional[Sequence[DeletionRequest]] = None,
@@ -324,34 +290,6 @@ class DeletionManager:
         if len(already_deleted):
             merged = merged[~np.isin(merged, list(already_deleted))]
         return merged
-
-    def maybe_execute(
-        self,
-        sim,
-        round_index: int,
-        unlearn: Callable[[object], object],
-    ) -> Optional[ExecutedBatch]:
-        """Run unlearning if the policy fires; otherwise do nothing.
-
-        On execution: every pending request is registered with its client
-        (merged per client), ``unlearn(sim)`` performs the actual flow
-        (e.g. ``lambda s: federated_goldfish(s, config, rounds)``), and the
-        batch record (with latencies) is returned. The unlearning protocols
-        finalize deletions themselves, so afterwards the queue is empty and
-        client datasets have physically shrunk.
-        """
-        if not self.window_ready(round_index):
-            return None
-        for client_id, indices in self.merged_indices().items():
-            sim.clients[client_id].request_deletion(indices)
-        return self.flush(
-            ExecutedBatch(
-                round_index,
-                list(self._pending),
-                outcome=unlearn(sim),
-                completed_round=round_index,
-            )
-        )
 
     def maybe_execute_batched(
         self, ensemble, round_index: int
@@ -395,9 +333,9 @@ class DeletionManager:
             )
         )
 
-    # Shared flush skeleton — every execution path (the two above and the
-    # UnlearningService) gates, validates, records and clears identically
-    # so their semantics cannot diverge.
+    # Shared flush skeleton — both execution paths (the one above and the
+    # UnlearningService) gate, validate, record and clear identically so
+    # their semantics cannot diverge.
 
     def window_ready(self, round_index: int) -> bool:
         """Policy gate + sanity check that no pending request postdates
@@ -416,7 +354,7 @@ class DeletionManager:
         """Record ``batch`` as one executed window and take its requests
         off the queue.
 
-        The barriered paths flush the whole queue; the per-shard-locking
+        The barriered path flushes the whole queue; the per-shard-locking
         :class:`~repro.unlearning.service.UnlearningService` flushes only
         the requests whose shards are free, leaving the rest queued for
         a later window, with ``completed_round`` still ``None`` — the

@@ -325,6 +325,30 @@ class TestMalformedFrames:
         assert report["corrupt_frames"] == 0  # a violation, not line noise
         assert cluster.coordinator.peer_ids() == ["node-1"]
 
+    def test_non_integer_capacity_joins_at_one(self, cluster):
+        # The hello passes the handshake's checks; its capacity is the
+        # coordinator's to read, and a bad one must not crash the pump.
+        joined = threading.Event()
+        stop = threading.Event()
+
+        def rogue():
+            channel = connect(cluster.address, timeout=10.0)
+            client_handshake(channel, {"agent_id": "rogue", "capacity": "many"})
+            joined.set()
+            stop.wait(30.0)
+            channel.close()
+
+        thread = threading.Thread(target=rogue, daemon=True)
+        cluster.wait_for_agents(1)
+        thread.start()
+        try:
+            cluster.wait_for_agents(2)
+            assert joined.wait(10.0)
+            assert cluster.coordinator._peers["rogue"].capacity == 1
+        finally:
+            stop.set()
+            thread.join(10.0)
+
 
 class TestSpecGrammar:
     def test_parse_cluster_specs(self):

@@ -24,6 +24,8 @@ from repro.cluster.wire import (
     SocketChannel,
     WireError,
     client_handshake,
+    connect,
+    listen,
     recv_message,
     send_message,
     server_handshake,
@@ -75,6 +77,38 @@ class TestFraming:
         left, right = pair
         left.send_bytes(b"")
         assert right.recv_bytes() == b""
+
+
+class TestChannel:
+    def test_frame_budget_must_be_positive(self):
+        left, right = socket.socketpair()
+        try:
+            with pytest.raises(ValueError, match="max_frame_bytes"):
+                SocketChannel(left, max_frame_bytes=0)
+        finally:
+            left.close()
+            right.close()
+
+    def test_closed_channel_has_no_peer(self, pair):
+        left, _ = pair
+        left.close()
+        assert left.peer_address is None
+
+    def test_listen_and_connect_over_loopback(self):
+        listener = listen(port=0)
+        try:
+            dialed = connect(listener.getsockname(), timeout=5.0)
+            accepted = SocketChannel(listener.accept()[0])
+            try:
+                send_message(dialed, ("ping", 1))
+                message, nbytes = recv_message(accepted)
+                assert message == ("ping", 1)
+                assert nbytes == dialed.bytes_sent == accepted.bytes_received
+            finally:
+                dialed.close()
+                accepted.close()
+        finally:
+            listener.close()
 
 
 class TestFailureTaxonomy:
@@ -273,6 +307,34 @@ class TestAuthentication:
         send_message(right, ("challenge", "ab" * 16))
         with pytest.raises(AuthenticationError, match="auth-token"):
             client_handshake(left, {"agent_id": "n1"})
+
+    def test_non_ascii_answer_is_a_wrong_answer(self, pair):
+        # hmac.compare_digest raises TypeError on a non-ASCII str; the
+        # coordinator only survives errors from the wire taxonomy.
+        left, right = pair
+        send_message(left, ("hello", {
+            "magic": MAGIC, "protocol": WIRE_PROTOCOL_VERSION,
+            "frame": FRAME_VERSION,
+        }))
+        send_message(left, ("auth", "\u00e9" * 64))
+        with pytest.raises(AuthenticationError, match="HMAC"):
+            server_handshake(right, auth_token="s3cret")
+
+    @pytest.mark.parametrize(
+        "reply, reason",
+        [
+            (("welcome",), "malformed welcome"),
+            (("welcome", ["not", "a", "dict"]), "malformed welcome"),
+            (("challenge",), "malformed challenge"),
+            (("challenge", 1234), "malformed challenge"),
+            (("challenge", "\ud800"), "malformed challenge"),  # cannot be encoded
+        ],
+    )
+    def test_malformed_reply_is_a_protocol_mismatch(self, pair, reply, reason):
+        left, right = pair
+        send_message(right, reply)
+        with pytest.raises(ProtocolMismatch, match=reason):
+            client_handshake(left, {"agent_id": "n1"}, auth_token="s3cret")
 
     def test_tokenless_server_skips_challenge(self, pair):
         left, right = pair

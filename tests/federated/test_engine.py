@@ -9,8 +9,8 @@ The engine's contract has three legs:
   across repetitions and across backends, because events are consumed in
   virtual-arrival order, never real completion order;
 * the moving parts behave as specified — buffer folds, staleness
-  discounts/discards, straggler drops with sampler resampling, history
-  retention and metering of exactly what was folded.
+  discounts/discards, straggler drops, history retention and transport
+  accounting of exactly what was dispatched and folded.
 """
 
 import numpy as np
@@ -22,19 +22,15 @@ from repro.federated import (
     BufferedAggregator,
     BufferedUpdate,
     ConstantLatency,
-    CostMeter,
     FedAvgAggregator,
     FederatedSimulation,
-    MeteredSimulationProxy,
     RoundHistoryStore,
     SeededLatency,
-    StragglerAwareSampler,
-    UniformSampler,
     attach_history,
     state_math,
 )
 from repro.nn.models import RegistryModelFactory
-from repro.runtime import PoolBackend
+from repro.runtime import PoolBackend, dense_nbytes
 from repro.training import TrainConfig
 
 from ..conftest import make_blob_federation
@@ -47,7 +43,6 @@ def build_sim(
     seed=0,
     async_config=None,
     latency_model=None,
-    sampler=None,
     backend=None,
     epochs=1,
 ):
@@ -57,8 +52,7 @@ def build_sim(
     fed = FederatedDataset(client_datasets=clients, test_set=test)
     config = TrainConfig(epochs=epochs, batch_size=8, learning_rate=0.1)
     return FederatedSimulation(
-        FACTORY, fed, FedAvgAggregator(), config, seed=seed,
-        sampler=sampler, backend=backend,
+        FACTORY, fed, FedAvgAggregator(), config, seed=seed, backend=backend,
         async_config=async_config, latency_model=latency_model,
     )
 
@@ -70,7 +64,7 @@ LATENCY = SeededLatency(low=0.5, high=1.5, seed=11, slow_every=3, slow_factor=4.
 def async_sim(backend=None, seed=0):
     return build_sim(
         num_clients=6, seed=seed, async_config=ASYNC, latency_model=LATENCY,
-        sampler=StragglerAwareSampler(UniformSampler(4)), backend=backend,
+        backend=backend,
     )
 
 
@@ -195,23 +189,22 @@ class TestFoldSemantics:
 
 
 class TestStragglers:
-    def test_timeout_drops_and_resamples(self):
-        sampler = StragglerAwareSampler(UniformSampler(4))
+    def test_timeout_drops_and_redispatches(self):
         # slow_every=2 → clients 1, 3, 5 always exceed the timeout.
         slow = SeededLatency(low=0.5, high=1.0, seed=2, slow_every=2,
                              slow_factor=10.0)
         sim = build_sim(
-            num_clients=6, sampler=sampler,
+            num_clients=6,
             async_config=AsyncRoundConfig(buffer_size=2, straggler_timeout=2.0),
             latency_model=slow,
         )
         history = sim.run(4)
         dropped = [c for r in history.rounds for c in r.dropped_clients]
-        assert dropped, "expected straggler drops"
+        assert sorted(history.rounds[0].dropped_clients) == [1, 3, 5]
         assert all(c in (1, 3, 5) for c in dropped)
-        # Every drop is in the sampler's log, so drops are auditable.
-        logged = [c for ids in sampler.dropped_log.values() for c in ids]
-        assert sorted(logged) == sorted(dropped)
+        # A dropped client is dispatched again whenever it is idle.
+        assert dropped.count(1) > 1
+        assert sim.engine().total_dropped == len(dropped)
 
     def test_all_dropped_raises(self):
         slow = SeededLatency(low=5.0, high=6.0, seed=0)
@@ -223,29 +216,55 @@ class TestStragglers:
         with pytest.raises(RuntimeError, match="drops every"):
             sim.run_round(0)
 
-    def test_overflow_retries_wait_without_growing_round(self):
-        sampler = StragglerAwareSampler(UniformSampler(2))
-        sampler.note_dropped([3, 4, 5], 0)
-        rng = np.random.default_rng(0)
-        second = sampler.sample(range(6), 1, rng)
-        # The base sampler decided on a round of 2: retries take those
-        # slots but never grow the round; the overflow retry waits.
-        assert len(second) == 2
-        assert second == [3, 4]
-        assert sampler.pending_retries == [5]
-        third = sampler.sample(range(6), 2, rng)
-        assert 5 in third and len(third) == 2
 
-    def test_straggler_aware_sampler_retries_next_round(self):
-        sampler = StragglerAwareSampler(UniformSampler(2))
-        rng = np.random.default_rng(0)
-        first = sampler.sample(range(6), 0, rng)
-        sampler.note_dropped([5], 0)
-        assert sampler.pending_retries == [5]
-        second = sampler.sample(range(6), 1, rng)
-        assert 5 in second
-        assert len(second) == 2
-        assert sampler.pending_retries == []
+class TestLatencyModels:
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    def test_constant_latency_must_be_positive(self, value):
+        with pytest.raises(ValueError, match="positive"):
+            ConstantLatency(value)
+
+    def test_seeded_latency_is_a_pure_function(self):
+        model = SeededLatency(seed=4)
+        draws = [model.sample(client, index) for client in range(3) for index in range(3)]
+        again = [model.sample(client, index) for client in range(3) for index in range(3)]
+        assert draws == again
+        assert len(set(draws)) == len(draws)
+
+    def test_seeded_latency_stays_in_range(self):
+        model = SeededLatency(low=0.5, high=1.5, seed=1)
+        draws = [model.sample(client, index) for client in range(4) for index in range(25)]
+        assert all(0.5 <= latency < 1.5 for latency in draws)
+
+    def test_chronic_stragglers_are_slowed_by_the_factor(self):
+        plain = SeededLatency(seed=2)
+        slow = SeededLatency(seed=2, slow_every=3, slow_factor=4.0)
+        assert slow.sample(2, 5) == 4.0 * plain.sample(2, 5)  # client 2 is the 3rd
+        assert slow.sample(1, 5) == plain.sample(1, 5)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"low": 0.0},
+            {"low": 2.0, "high": 1.0},
+            {"slow_every": -1},
+            {"slow_factor": 0.5},
+        ],
+    )
+    def test_seeded_latency_rejects_bad_parameters(self, kwargs):
+        with pytest.raises(ValueError):
+            SeededLatency(**kwargs)
+
+
+class TestAsyncRoundConfig:
+    @pytest.mark.parametrize("kwargs", [{"max_staleness": -1}, {"staleness_exponent": -0.1}])
+    def test_rejects_negative_knobs(self, kwargs):
+        with pytest.raises(ValueError):
+            AsyncRoundConfig(**kwargs)
+
+    def test_to_dict_round_trips(self):
+        config = AsyncRoundConfig(buffer_size=3, max_staleness=2,
+                                  straggler_timeout=2.5, staleness_exponent=1.0)
+        assert AsyncRoundConfig(**config.to_dict()) == config
 
 
 class TestBufferedAggregator:
@@ -352,20 +371,16 @@ class TestRetentionAndMetering:
         for key in installed:
             np.testing.assert_allclose(reconstructed[key], installed[key])
 
-    def test_metering_counts_events_not_cohort(self):
+    def test_transport_counts_dispatches_and_folds_not_cohort(self):
         sim = build_sim(
             num_clients=5, async_config=AsyncRoundConfig(buffer_size=2),
             latency_model=ConstantLatency(),
         )
-        metered = MeteredSimulationProxy(sim, CostMeter())
-        metered.run_round(0)
-        meter = metered.meter
-        from repro.federated import state_bytes
-
-        per_state = state_bytes(sim.server.global_state)
-        assert meter.download_bytes == 5 * per_state  # 5 dispatches
-        assert meter.upload_bytes == 2 * per_state  # 2 folded uploads
-        assert meter.rounds == 1
+        record = sim.run_round(0)
+        per_state = dense_nbytes(sim.server.global_state)
+        assert record.bytes_down == 5 * per_state  # 5 dispatches
+        assert record.bytes_up == 2 * per_state  # 2 folded uploads
+        assert sim.engine().total_dispatched == 5
 
     def test_provenance_facts(self):
         sim = async_sim()

@@ -3,9 +3,19 @@
 import numpy as np
 import pytest
 
+from types import SimpleNamespace
+
 from repro.data import FederatedDataset
-from repro.federated import FederatedSimulation, FedAvgAggregator, make_aggregator
+from repro.federated import (
+    FederatedSimulation,
+    FedAvgAggregator,
+    RoundHistoryStore,
+    SimulationHistory,
+    attach_history,
+    make_aggregator,
+)
 from repro.nn.models import MLP
+from repro.runtime import state_version
 from repro.training import TrainConfig
 
 from ..conftest import make_blob_federation, make_blobs
@@ -70,6 +80,51 @@ class TestRounds:
         assert max(diffs) > 0
 
 
+class TestEveryClientTrains:
+    def test_every_client_trains_every_round(self):
+        sim = build_sim(num_clients=4, epochs=1)
+        for round_index in range(2):
+            before = [c.rng.bit_generator.state for c in sim.clients]
+            sim.run_round(round_index)
+            after = [c.rng.bit_generator.state for c in sim.clients]
+            assert all(a != b for a, b in zip(after, before))
+            assert sim.last_participants is sim.clients
+
+    def test_client_streams_are_the_seed_children(self):
+        # Child i of a SeedSequence does not depend on how many children
+        # are spawned, so a spare child never moves a client's stream.
+        sim = build_sim(num_clients=3, seed=7)
+        for count in (3, 4):
+            children = np.random.SeedSequence(7).spawn(count)
+            for client, child in zip(sim.clients, children):
+                expected = np.random.default_rng(child).bit_generator.state
+                assert client.rng.bit_generator.state == expected
+
+    def test_history_records_every_client(self):
+        sim = build_sim(num_clients=3, epochs=1)
+        store = attach_history(sim, RoundHistoryStore())
+        sim.run(2)
+        assert [sorted(s.client_ids) for s in store.snapshots] == [[0, 1, 2]] * 2
+
+
+class TestSimulationHistory:
+    def test_empty_history_has_no_final_accuracy(self):
+        with pytest.raises(ValueError, match="no rounds"):
+            SimulationHistory().final_accuracy
+
+
+class TestBroadcastVersion:
+    def test_skipped_where_no_transport_reads_it(self):
+        assert build_sim().broadcast_version() is None
+
+    def test_stamped_for_version_addressed_backends(self):
+        sim = build_sim()
+        pool_like = SimpleNamespace(pop_ticket_stats=None)
+        assert sim.broadcast_version(pool_like) == state_version(
+            sim.server.global_state
+        )
+
+
 class TestDeterminism:
     def test_same_seed_same_result(self):
         h1 = build_sim(seed=5).run(3)
@@ -85,6 +140,9 @@ class TestDeterminism:
 class TestMakeAggregator:
     def test_fedavg(self):
         assert isinstance(make_aggregator("fedavg"), FedAvgAggregator)
+
+    def test_fedavg_uniform(self):
+        assert make_aggregator("fedavg_uniform").weighting == "uniform"
 
     def test_adaptive_requires_args(self):
         with pytest.raises(ValueError):

@@ -3,8 +3,7 @@
 Each test chains several subsystems end to end the way a deployment
 would, at micro scale:
 
-* metered FL with history retention, then FedEraser erasure of a client;
-* a deletion-manager-scheduled Goldfish run across two batches;
+* FL with history retention, then FedEraser erasure of a client;
 * SISA serving predictions through repeated deletion waves.
 """
 
@@ -13,10 +12,8 @@ import pytest
 
 from repro.data.dataset import FederatedDataset
 from repro.federated import (
-    CostMeter,
     FedAvgAggregator,
     FederatedSimulation,
-    MeteredSimulationProxy,
     RoundHistoryStore,
     attach_history,
 )
@@ -24,17 +21,7 @@ from repro.nn.models import MLP
 from repro.training.config import TrainConfig
 from repro.training.evaluation import evaluate
 from repro.training.trainer import train
-from repro.unlearning import (
-    DeletionManager,
-    FedEraser,
-    FedEraserConfig,
-    GoldfishConfig,
-    GoldfishLossConfig,
-    PeriodicPolicy,
-    SisaConfig,
-    SisaEnsemble,
-    federated_goldfish,
-)
+from repro.unlearning import FedEraser, FedEraserConfig, SisaConfig, SisaEnsemble
 
 from ..conftest import make_blob_federation, make_blobs
 
@@ -51,17 +38,14 @@ def blob_simulation(num_clients=3, per_client=15, test_size=18, seed=0):
     return sim, factory, config, test
 
 
-class TestMeteredHistoryThenErasure:
-    def test_metering_and_history_compose_with_federaser(self, rng):
+class TestHistoryThenErasure:
+    def test_history_composes_with_federaser(self, rng):
         sim, factory, config, test = blob_simulation()
         store = attach_history(sim, RoundHistoryStore())
         initial = sim.server.initial_state
-        metered = MeteredSimulationProxy(sim, CostMeter("pretrain"))
-        metered.run(3)
+        history = sim.run(3)
 
-        report = metered.meter.report()
-        assert report.rounds == 3
-        assert report.upload_bytes > 0
+        assert sum(record.bytes_up for record in history.rounds) > 0
         assert len(store) == 3
 
         eraser = FedEraser(factory, FedEraserConfig(batch_size=5,
@@ -73,36 +57,6 @@ class TestMeteredHistoryThenErasure:
         model = factory()
         model.load_state_dict(unlearned)
         _, accuracy = evaluate(model, test)
-        assert accuracy > 0.5
-
-
-class TestScheduledUnlearningWaves:
-    def test_two_batches_through_the_manager(self):
-        sim, factory, config, test = blob_simulation(per_client=20)
-        sim.run(2)
-        manager = DeletionManager(PeriodicPolicy(every_rounds=2))
-        goldfish = GoldfishConfig(
-            loss=GoldfishLossConfig(temperature=3.0, mu_c=0.25, mu_d=1.0),
-            train=config,
-        )
-        unlearn = lambda s: federated_goldfish(s, goldfish, num_rounds=1)
-
-        manager.submit(0, [0, 1], round_index=1)
-        assert manager.maybe_execute(sim, 1, unlearn) is None
-        first = manager.maybe_execute(sim, 2, unlearn)
-        assert first is not None and first.num_requests == 1
-
-        # Second wave against the *post-deletion* dataset (indices are
-        # interpreted in the new, shrunken index space).
-        manager.submit(0, [0], round_index=3)
-        manager.submit(1, [2, 3], round_index=3)
-        second = manager.maybe_execute(sim, 4, unlearn)
-        assert second is not None and second.num_requests == 2
-
-        assert manager.num_executions == 2
-        assert len(sim.clients[0].dataset) == 20 - 2 - 1
-        assert len(sim.clients[1].dataset) == 20 - 2
-        _, accuracy = evaluate(sim.global_model(), test)
         assert accuracy > 0.5
 
 

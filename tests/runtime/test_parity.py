@@ -65,10 +65,9 @@ class TestSimulationParity:
         history = new.run(2)
 
         for round_index in range(2):
-            participants = legacy.round_participants(round_index)
-            legacy.server.broadcast(participants)
+            legacy.server.broadcast(legacy.clients)
             updates = []
-            for client in participants:
+            for client in legacy.clients:
                 client.local_train(CONFIG)
                 updates.append(client.upload())
             legacy.server.aggregate(updates)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.data import FederatedDataset
-from repro.experiments.deletion_sla import run_deletion_sla
+from repro.experiments.deletion_sla import _make_policy, run_deletion_sla
 from repro.experiments.scale import get_scale
 from repro.experiments.spec import ExperimentSpec, get_scenario
 from repro.federated import (
@@ -27,7 +27,9 @@ from repro.federated import (
 from repro.nn.models import RegistryModelFactory
 from repro.training import TrainConfig
 from repro.unlearning import (
+    BatchSizePolicy,
     ImmediatePolicy,
+    PeriodicPolicy,
     RequestState,
     SisaConfig,
     SisaEnsemble,
@@ -161,3 +163,43 @@ class TestDeletionSlaContention:
         )
         result = run_deletion_sla(exp, get_scale("smoke"), seed=0)
         assert result.runtime["deletion_sla"]["contention"] is False
+
+    def test_no_certified_request_reports_zeros(self):
+        # SlaMeter.report() has no percentiles until a request certifies.
+        exp = ExperimentSpec(
+            experiment_id="test:deletion-sla-empty",
+            title="time-to-forget with no requests",
+            kind="deletion_sla",
+            scenario=get_scenario("clean_deletion"),
+            params={"num_requests": 0, "policies": ("immediate",)},
+        )
+        result = run_deletion_sla(exp, get_scale("smoke"), seed=0)
+        (row,) = result.rows
+        assert row["requests"] == 0
+        assert row["p50_rounds"] == row["p95_rounds"] == 0.0
+        assert row["max_rounds"] == 0
+        assert row["chains_per_req"] == 0.0
+
+
+class TestPolicySpecs:
+    @pytest.mark.parametrize(
+        "spec, kind, knob",
+        [
+            ("immediate", ImmediatePolicy, None),
+            (" Immediate", ImmediatePolicy, None),
+            ("batch", BatchSizePolicy, ("min_requests", 2)),
+            ("batch:5", BatchSizePolicy, ("min_requests", 5)),
+            ("periodic", PeriodicPolicy, ("every_rounds", 3)),
+            ("periodic:4", PeriodicPolicy, ("every_rounds", 4)),
+        ],
+    )
+    def test_spec_builds_its_policy(self, spec, kind, knob):
+        policy = _make_policy(spec)
+        assert type(policy) is kind
+        if knob is not None:
+            assert getattr(policy, knob[0]) == knob[1]
+
+    @pytest.mark.parametrize("spec", ["eager", "batch:0", "periodic:x"])
+    def test_bad_spec_is_a_value_error(self, spec):
+        with pytest.raises(ValueError):
+            _make_policy(spec)

@@ -5,22 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.data.dataset import FederatedDataset
-from repro.federated import FedAvgAggregator, FederatedSimulation
-from repro.nn.models import MLP
-from repro.training.config import TrainConfig
 from repro.unlearning import (
     BatchSizePolicy,
     DeletionManager,
     DeletionRequest,
-    GoldfishConfig,
-    GoldfishLossConfig,
+    ExecutedBatch,
     ImmediatePolicy,
     PeriodicPolicy,
-    federated_goldfish,
 )
-
-from ..conftest import make_blob_federation
 
 
 class TestDeletionRequest:
@@ -62,132 +54,58 @@ class TestPolicies:
 
 
 class TestQueueMechanics:
-    def test_merging_per_client(self):
-        manager = DeletionManager(BatchSizePolicy(99))
-        manager.submit(0, [1, 2], round_index=0)
-        manager.submit(1, [7], round_index=0)
-        manager.submit(0, [2, 3], round_index=1)
-        merged = manager.merged_indices()
-        np.testing.assert_array_equal(merged[0], [1, 2, 3])
-        np.testing.assert_array_equal(merged[1], [7])
-        assert manager.num_pending == 3
-
     def test_policy_gate(self):
         manager = DeletionManager(BatchSizePolicy(min_requests=2))
         manager.submit(0, [1], round_index=0)
-        assert manager.maybe_execute(None, 0, lambda sim: None) is None
+        assert manager.maybe_execute_batched(None, 0) is None
         assert manager.num_pending == 1
-
-    def test_execute_before_submission_round_rejected(self):
-        manager = DeletionManager(ImmediatePolicy())
-        manager.submit(0, [1], round_index=5)
-
-        class FakeSim:
-            clients = []
-
-        with pytest.raises(ValueError, match="earlier round"):
-            manager.maybe_execute(FakeSim(), 2, lambda sim: None)
 
     def test_mean_latency_requires_history(self):
         manager = DeletionManager()
         with pytest.raises(ValueError, match="no executed"):
             manager.mean_latency()
 
-
-class TestRequestIdempotence:
-    def test_duplicate_request_id_returns_original(self):
-        manager = DeletionManager(BatchSizePolicy(99))
-        first = manager.submit(0, [1, 2], round_index=0, request_id="req-a")
-        again = manager.submit(0, [1, 2], round_index=3, request_id="req-a")
-        assert again is first
-        assert manager.num_pending == 1
-        assert manager.num_duplicates == 1
-
-    def test_duplicate_detected_after_execution(self):
-        # A client retrying after its request already retrained must not
-        # enqueue a second window.
-        manager = DeletionManager(ImmediatePolicy())
-
-        class FakeSim:
-            clients = {0: type("C", (), {"request_deletion": staticmethod(lambda idx: None)})()}
-
-        manager.submit(0, [1], round_index=0, request_id="req-b")
-        manager.maybe_execute(FakeSim(), 0, lambda sim: None)
-        assert manager.num_pending == 0
-        manager.submit(0, [1], round_index=2, request_id="req-b")
-        assert manager.num_pending == 0
-        assert manager.num_duplicates == 1
-
-    def test_distinct_ids_and_anonymous_requests_enqueue(self):
-        manager = DeletionManager(BatchSizePolicy(99))
-        manager.submit(0, [1], round_index=0, request_id="req-a")
-        manager.submit(0, [2], round_index=0, request_id="req-b")
-        manager.submit(0, [3], round_index=0)  # no id: never deduped
-        manager.submit(0, [4], round_index=0)
-        assert manager.num_pending == 4
-        assert manager.num_duplicates == 0
-
     def test_empty_indices_rejected_with_clear_error(self):
         manager = DeletionManager()
         with pytest.raises(ValueError, match="no indices"):
-            manager.submit(0, [], round_index=0, request_id="req-empty")
-        # The failed submission must not reserve the id.
-        manager.submit(0, [1], round_index=0, request_id="req-empty")
-        assert manager.num_pending == 1
-
-
-class TestEndToEnd:
-    def _simulation(self):
-        clients, test = make_blob_federation(
-            num_clients=3, per_client=15, test_size=15
-        )
-        fed = FederatedDataset(client_datasets=clients, test_set=test)
-        factory = lambda: MLP(16, 3, np.random.default_rng(0))
-        config = TrainConfig(epochs=1, batch_size=5, learning_rate=0.05)
-        sim = FederatedSimulation(factory, fed, FedAvgAggregator(), config, seed=0)
-        sim.run(2)
-        return sim, config
-
-    def test_batched_execution_with_goldfish(self):
-        sim, config = self._simulation()
-        manager = DeletionManager(PeriodicPolicy(every_rounds=4))
-        goldfish = GoldfishConfig(
-            loss=GoldfishLossConfig(temperature=3.0, mu_c=0.25, mu_d=1.0),
-            train=config,
-        )
-        unlearn = lambda s: federated_goldfish(s, goldfish, num_rounds=1)
-
-        sizes_before = [len(c.dataset) for c in sim.clients]
-        manager.submit(0, [0, 1], round_index=1)
-        assert manager.maybe_execute(sim, 1, unlearn) is None  # 1 % 4 != 0
-        manager.submit(1, [3], round_index=2)
-        batch = manager.maybe_execute(sim, 4, unlearn)
-
-        assert batch is not None
-        assert batch.num_requests == 2
-        assert sorted(batch.latencies) == [2, 3]
-        assert batch.max_latency == 3
+            manager.submit(0, [], round_index=0)
         assert manager.num_pending == 0
-        assert manager.num_executions == 1
-        assert manager.mean_latency() == pytest.approx(2.5)
-        # Deletions were finalized: datasets physically shrank.
-        assert len(sim.clients[0].dataset) == sizes_before[0] - 2
-        assert len(sim.clients[1].dataset) == sizes_before[1] - 1
-        assert batch.outcome.rounds_run == 1
 
-    def test_immediate_policy_runs_every_submission(self):
-        sim, config = self._simulation()
-        manager = DeletionManager(ImmediatePolicy())
-        goldfish = GoldfishConfig(
-            loss=GoldfishLossConfig(temperature=3.0, mu_c=0.25, mu_d=1.0),
-            train=config,
-        )
-        unlearn = lambda s: federated_goldfish(s, goldfish, num_rounds=1)
-        for round_index in (1, 2):
-            manager.submit(0, [0], round_index=round_index)
-            assert manager.maybe_execute(sim, round_index, unlearn) is not None
-        assert manager.num_executions == 2
-        assert manager.mean_latency() == 0.0
+
+class TestExecutedBatch:
+    def requests(self, *rounds):
+        return [DeletionRequest(0, [index], r) for index, r in enumerate(rounds)]
+
+    def test_latencies_are_rounds_waited(self):
+        batch = ExecutedBatch(5, self.requests(1, 5, 3))
+        assert batch.latencies == [4, 0, 2]
+        assert batch.max_latency == 4
+        assert batch.num_requests == 3
+
+    def test_in_flight_until_completed(self):
+        batch = ExecutedBatch(2, self.requests(0))
+        assert batch.in_flight
+        assert batch.overlap_rounds == 0
+        batch.completed_round = 5
+        assert not batch.in_flight
+        assert batch.overlap_rounds == 3
+
+    def test_flush_takes_only_the_batch_requests_off_the_queue(self):
+        manager = DeletionManager(BatchSizePolicy(99))
+        first = manager.submit(0, [1], round_index=0)
+        second = manager.submit(0, [2], round_index=1)
+        manager.flush(ExecutedBatch(1, [first], chains_submitted=2, completed_round=3))
+        assert manager.pending == [second]
+        assert manager.num_executions == 1
+        assert manager.total_chains_submitted == 2
+        assert manager.total_overlap_rounds == 2
+
+    def test_merged_global_indices_drop_already_deleted(self):
+        manager = DeletionManager(BatchSizePolicy(99))
+        manager.submit(0, [4, 1], round_index=0)
+        manager.submit(1, [9, 4], round_index=0)
+        merged = manager.merged_global_indices(already_deleted={4, 7})
+        assert merged.tolist() == [1, 9]
 
 
 class TestProperties:
@@ -202,17 +120,13 @@ class TestProperties:
         )
     )
     @settings(max_examples=40, deadline=None)
-    def test_property_merged_indices_cover_all_submissions(self, submissions):
+    def test_property_merged_global_indices_cover_all_submissions(self, submissions):
         manager = DeletionManager(BatchSizePolicy(min_requests=10_000))
-        expected = {}
+        expected = set()
         for client_id, indices, round_index in submissions:
             manager.submit(client_id, indices, round_index)
-            expected.setdefault(client_id, set()).update(indices)
-        merged = manager.merged_indices()
-        assert set(merged) == set(expected)
-        for client_id, indices in merged.items():
-            assert set(indices.tolist()) == expected[client_id]
-            assert list(indices) == sorted(set(indices))  # unique + sorted
+            expected.update(indices)
+        assert manager.merged_global_indices().tolist() == sorted(expected)
 
 
 class TestBatchedSisaExecution:
