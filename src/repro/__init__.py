@@ -6,7 +6,7 @@ entire dependency stack:
 * :mod:`repro.nn` — NumPy autograd deep-learning framework (PyTorch stand-in)
 * :mod:`repro.data` — synthetic benchmark datasets, partitioning, backdoors
 * :mod:`repro.federated` — clients, server, FedAvg / adaptive aggregation,
-  buffered-async rounds, round-history retention
+  synchronous rounds, round-history retention
 * :mod:`repro.privacy` — clipping, Gaussian mechanism, zCDP accounting
 * :mod:`repro.runtime` — pluggable execution backends (serial / pool /
   cluster) fanning independent training tasks across cores, and the

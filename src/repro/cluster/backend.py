@@ -2,10 +2,10 @@
 
 A drop-in :class:`~repro.runtime.backends.Backend` (plus the
 ``submit``/``drain``/``poll``/``pop_ticket_stats`` streaming surface the
-event-driven federation engine and the deletion service detect — the
-same :class:`~repro.runtime.dispatch.DispatchBackend` base the pool
-backend has), so every ``backend=`` call site — federation rounds sync
-and async, SISA chains, unlearning windows, all codecs — routes over TCP
+deletion service detects — the same
+:class:`~repro.runtime.dispatch.DispatchBackend` base the pool backend
+has), so every ``backend=`` call site — federation rounds, SISA chains,
+unlearning windows, all codecs — routes over TCP
 unchanged.  Because tasks carry their model state and exact RNG
 position, results are **bit-identical** to ``pool`` and ``serial``; the
 cluster changes wall-clock and wire bytes, never the numbers.

@@ -31,12 +31,7 @@ The ``matrix`` experiment enumerates registered unlearning methods
 (:mod:`repro.unlearning.registry`) against a named scenario preset
 (:data:`repro.experiments.spec.SCENARIO_PRESETS`) with ``--sweep``
 overrides applied to any dotted spec path — new scenario × method
-combinations need no new experiment module.  ``--async-mode`` (with
-``--buffer-size``/``--max-staleness``/``--straggler-timeout``) runs the
-matrix federation through the event-driven engine
-(:mod:`repro.federated.engine`) instead of the synchronous barrier loop;
-the ``engine=`` provenance records which loop produced each result.
-Matrix cells differing only in ``deletion.*`` share one pretrained
+combinations need no new experiment module.  Matrix cells differing only in ``deletion.*`` share one pretrained
 snapshot (bit-identical to cold pretrains; ``pretrain_cache`` provenance
 reports hits/misses).  ``--codec`` selects the update codec client
 returns travel under (``raw``/``delta`` lossless and bit-identical,
@@ -98,8 +93,6 @@ EXPERIMENTS = {
     "efficiency": "Extension: systems cost of all six unlearning methods (--dataset)",
     "certification": "Extension: eps-hat / MIA / relearn-time certification (--dataset)",
     "matrix": "Matrix driver: --method × --scenario × --sweep combinations",
-    "deletion_sla": "Deletion service: p50/p95 time-to-forget per flush "
-                    "policy under Poisson load (--dataset)",
     "all": "run every experiment",
 }
 
@@ -181,23 +174,6 @@ def run_matrix(
     return runner.run_spec(exp, get_scale(scale_name), seed=seed, store=store)
 
 
-def run_deletion_sla(
-    scale_name: str, dataset: str, seed: int, scenario: str, store=None
-) -> ExperimentResult:
-    """Meter the deletion service's time-to-forget SLA per flush policy."""
-    scenario_spec = get_scenario(scenario, dataset=dataset or "mnist")
-    exp = ExperimentSpec(
-        experiment_id=f"deletion_sla:{dataset or 'mnist'}",
-        title=(
-            f"Deletion SLA under Poisson load ({dataset or 'mnist'}, "
-            "per flush policy)"
-        ),
-        kind="deletion_sla",
-        scenario=scenario_spec,
-    )
-    return runner.run_spec(exp, get_scale(scale_name), seed=seed, store=store)
-
-
 def _stamp_and_print(results, runtime_info: Dict) -> None:
     """Attach execution provenance to each result, then print it.
 
@@ -214,7 +190,7 @@ def _stamp_and_print(results, runtime_info: Dict) -> None:
         runtime_info["wall_clock_s_total"] = runtime_info.pop("wall_clock_s")
     for result in results.values():
         # Merge, don't replace: runners stamp their own provenance
-        # (engine sync/async, pretrain-cache hits) before the CLI adds
+        # (pretrain-cache hits, transport totals) before the CLI adds
         # the execution facts.
         result.runtime = {**result.runtime, **runtime_info}
         result.print()
@@ -277,16 +253,9 @@ def run_experiment(
             scale_name, dataset, seed, methods, scenario, sweeps or {},
             federation_overrides=federation_overrides, store=store,
         )
-    elif name == "deletion_sla":
-        results = run_deletion_sla(
-            scale_name, dataset, seed, scenario, store=store
-        )
     elif name == "all":
-        # The matrix and deletion-SLA drivers are tools, not paper
-        # artifacts — exclude them.
-        for each in [
-            k for k in EXPERIMENTS if k not in ("all", "matrix", "deletion_sla")
-        ]:
+        # The matrix driver is a tool, not a paper artifact — exclude it.
+        for each in [k for k in EXPERIMENTS if k not in ("all", "matrix")]:
             if not _supports_dataset(each, dataset):
                 print(f"##### {each} ##### (skipped: no {dataset!r} variant)")
                 continue
@@ -349,20 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "optionally sized, e.g. 'pool:8' or "
                              "'cluster:4:retries=2'. Results are "
                              "identical across backends.")
-    parser.add_argument("--async-mode", action="store_true", dest="async_mode",
-                        help="matrix: run federation through the "
-                             "event-driven engine (buffered-async rounds; "
-                             "deterministic per seed) instead of the "
-                             "synchronous barrier loop")
-    parser.add_argument("--buffer-size", type=int, default=None,
-                        help="matrix, async: updates folded per aggregation "
-                             "event (0 = everything in flight)")
-    parser.add_argument("--max-staleness", type=int, default=None,
-                        help="matrix, async: discard updates staler than "
-                             "this many folds (default 4)")
-    parser.add_argument("--straggler-timeout", type=float, default=None,
-                        help="matrix, async: drop clients whose simulated "
-                             "latency exceeds this (0 = no timeout)")
     parser.add_argument("--codec", default="",
                         help="matrix: update codec for client returns — "
                              "raw (default), delta (lossless, "
@@ -381,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "suffix)")
     parser.add_argument("--result-store", default="", dest="result_store",
                         metavar="DIR",
-                        help="matrix, deletion_sla: persist results keyed "
+                        help="matrix: persist results keyed "
                              "(spec hash, scale, seed) under DIR — reruns "
                              "of an already-computed spec return the stored "
                              "result, and an interrupted matrix resumes "
@@ -426,22 +381,6 @@ def main(argv: List[str] = None) -> int:
             # export threads the choice through the whole experiment.
             os.environ[BACKEND_ENV_VAR] = spec
         federation_overrides: Dict[str, Any] = {}
-        async_knobs = {
-            "federation.buffer_size": args.buffer_size,
-            "federation.max_staleness": args.max_staleness,
-            "federation.straggler_timeout": args.straggler_timeout,
-        }
-        if args.async_mode:
-            federation_overrides = {
-                "federation.async_mode": True,
-                **{key: value for key, value in async_knobs.items()
-                   if value is not None},
-            }
-        elif any(value is not None for value in async_knobs.values()):
-            raise ValueError(
-                "--buffer-size/--max-staleness/--straggler-timeout require "
-                "--async-mode"
-            )
         if args.codec:
             if args.experiment != "matrix":
                 # Only the matrix driver threads federation overrides;
@@ -464,13 +403,8 @@ def main(argv: List[str] = None) -> int:
                     "(try: matrix --scenario ... --vectorize)"
                 )
             federation_overrides["federation.vectorize"] = True
-        if args.result_store and args.experiment not in (
-            "matrix", "deletion_sla"
-        ):
-            raise ValueError(
-                "--result-store applies to the matrix and deletion_sla "
-                "drivers only"
-            )
+        if args.result_store and args.experiment != "matrix":
+            raise ValueError("--result-store applies to the matrix driver only")
         run_experiment(
             args.experiment, args.scale, args.dataset, args.seed,
             methods=parse_methods(args.method),

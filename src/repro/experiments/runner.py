@@ -772,15 +772,8 @@ def _pretrain_cacheable(scenario_spec: ScenarioSpec) -> bool:
     With an attack, the deletion selection decides which samples get
     poisoned, so different rates produce different training data and the
     cache must miss; clean scenarios only *mark* the selection for later.
-    Async-mode scenarios never cache: the event engine accumulates state
-    beyond the snapshot (virtual clock, per-client dispatch counts that
-    seed the latency draws, fold version), so a hit's fresh engine would
-    not reproduce a cold cell's post-pretrain event schedule.
     """
-    return (
-        scenario_spec.attack.kind == "none"
-        and not scenario_spec.federation.async_mode
-    )
+    return scenario_spec.attack.kind == "none"
 
 
 @dataclass
@@ -997,9 +990,6 @@ def run_matrix(
         result.runtime["cluster"] = {
             key: after[key] - cluster_before.get(key, 0) for key in after
         }
-    result.runtime["engine"] = (
-        "async" if exp.scenario.federation.async_mode else "sync"
-    )
     return _stamp(result, exp)
 
 
@@ -1020,14 +1010,6 @@ def _run_aggregation_spec(
     return run_aggregation_panel(exp, scale, num_clients, seed=seed, **kwargs)
 
 
-def _run_deletion_sla_spec(
-    exp: ExperimentSpec, scale: ExperimentScale, seed: int = 0, **kwargs: Any
-) -> ExperimentResult:
-    from .deletion_sla import run_deletion_sla
-
-    return run_deletion_sla(exp, scale, seed=seed, **kwargs)
-
-
 _KIND_RUNNERS: Dict[str, Callable[..., ExperimentResult]] = {
     "rate_table": run_rate_table,
     "retrain_curves": run_retrain_curves,
@@ -1040,7 +1022,6 @@ _KIND_RUNNERS: Dict[str, Callable[..., ExperimentResult]] = {
     "aggregation": _run_aggregation_spec,
     "aggregation_iid": run_aggregation_iid,
     "matrix": run_matrix,
-    "deletion_sla": _run_deletion_sla_spec,
 }
 
 #: Kinds whose runner accepts a ``store=`` kwarg for intra-run resume

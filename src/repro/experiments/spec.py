@@ -157,16 +157,6 @@ class CompressionSpec:
 class FederationSpec:
     """Federation shape (0 clients = take the scale preset's count).
 
-    ``async_mode`` switches the built simulation from the synchronous
-    barrier loop to the event-driven engine
-    (:mod:`repro.federated.engine`): ``buffer_size`` updates are folded
-    per aggregation event (0 = everything in flight), updates staler than
-    ``max_staleness`` folds are discarded, and clients whose simulated
-    latency exceeds ``straggler_timeout`` are dropped from the round and
-    resampled next round (0 = no timeout).  Sync specs
-    (``async_mode=False``, the default) build what they always built,
-    bit for bit.
-
     ``compression`` selects the update codec for client returns (see
     :class:`CompressionSpec`); byte counts per round land in
     :class:`~repro.federated.simulation.RoundRecord` and run totals in
@@ -186,10 +176,6 @@ class FederationSpec:
     # when the active backend pickles tasks to workers (pool / process),
     # so `--backend pool` experiments get zero-copy fan-out by default.
     share_datasets: Optional[bool] = None
-    async_mode: bool = False
-    buffer_size: int = 0
-    max_staleness: int = 4
-    straggler_timeout: float = 0.0
     compression: CompressionSpec = field(default_factory=CompressionSpec)
     vectorize: bool = False
 
@@ -499,22 +485,8 @@ class ScenarioBuilder:
         aggregator = make_aggregator(
             spec.federation.aggregator, test_set=test_set, model_factory=factory
         )
-        async_config = None
-        latency_model = None
-        if spec.federation.async_mode:
-            from ..federated.engine import AsyncRoundConfig, SeededLatency
-
-            async_config = AsyncRoundConfig(
-                buffer_size=spec.federation.buffer_size,
-                max_staleness=spec.federation.max_staleness,
-                straggler_timeout=spec.federation.straggler_timeout,
-            )
-            # Latency draws are a pure function of (seed, client,
-            # dispatch), so the whole async run is deterministic per seed.
-            latency_model = SeededLatency(seed=seed + 3000)
         sim = FederatedSimulation(
             factory, fed, aggregator, config, seed=seed + 2000, backend=backend,
-            async_config=async_config, latency_model=latency_model,
             codec=spec.federation.compression.codec,
             vectorize=spec.federation.vectorize,
         )

@@ -1,10 +1,8 @@
 """``repro.federated`` — the federated-learning substrate.
 
-Clients, server, aggregation strategies (FedAvg, the paper's
-adaptive-weight extension, and FedBuff-style buffered staleness-weighted
-folding) and the round simulator — synchronous barrier loop by default,
-event-driven buffered-async engine (:mod:`.engine`) on opt-in — plus the
-hardened-deployment substrates: per-round update retention for the
+Clients, server, aggregation strategies (FedAvg and the paper's
+adaptive-weight extension) and the synchronous round simulator, plus
+the hardened-deployment substrates: per-round update retention for the
 update-adjustment unlearning family (:mod:`.history`), the float32 wire
 price of a model state (:mod:`.metering`), and client-vectorized
 execution — K homogeneous clients stacked into one batched
@@ -15,19 +13,10 @@ from . import state_math
 from .aggregation import (
     AdaptiveWeightAggregator,
     Aggregator,
-    BufferedAggregator,
-    BufferedUpdate,
     ClientUpdate,
     FedAvgAggregator,
 )
 from .client import Client
-from .engine import (
-    AsyncRoundConfig,
-    BufferedRoundEngine,
-    ConstantLatency,
-    LatencyModel,
-    SeededLatency,
-)
 from .history import (
     RoundHistoryStore,
     RoundSnapshot,
@@ -52,13 +41,6 @@ __all__ = [
     "StorageReport",
     "attach_history",
     "state_bytes",
-    "AsyncRoundConfig",
-    "BufferedAggregator",
-    "BufferedRoundEngine",
-    "BufferedUpdate",
-    "ConstantLatency",
-    "LatencyModel",
-    "SeededLatency",
     "Server",
     "ClientUpdate",
     "Aggregator",

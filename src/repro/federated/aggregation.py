@@ -32,32 +32,6 @@ class ClientUpdate:
     client_id: int = -1
 
 
-@dataclass
-class BufferedUpdate:
-    """One client's contribution awaiting a buffered (async) fold.
-
-    Unlike the synchronous :class:`ClientUpdate`, a buffered update may be
-    *stale*: the client trained from a global version older than the one
-    the fold applies to.  It therefore carries the **delta** (uploaded
-    state − the broadcast it actually started from) rather than relying on
-    every participant sharing one broadcast, plus the staleness in
-    aggregation events.  ``state`` keeps the raw upload so retention
-    layers (:class:`~repro.federated.history.RoundHistoryStore`) can
-    record the same thing they record for synchronous rounds.
-    """
-
-    client_id: int
-    delta: StateDict
-    num_samples: int
-    staleness: int
-    state: StateDict
-
-    def as_client_update(self) -> ClientUpdate:
-        return ClientUpdate(
-            state=self.state, num_samples=self.num_samples, client_id=self.client_id
-        )
-
-
 class Aggregator:
     """Interface: combine client updates into the next global state."""
 
@@ -100,77 +74,6 @@ class FedAvgAggregator(Aggregator):
                 raise ValueError("total sample count must be positive")
             weights = [update.num_samples / total for update in updates]
         return state_math.weighted_sum([u.state for u in updates], weights)
-
-
-class BufferedAggregator:
-    """FedBuff-style staleness-weighted delta folding (Nguyen et al. 2022).
-
-    The event-driven engine (:mod:`repro.federated.engine`) does not wait
-    for a full cohort; whenever ``buffer_size`` updates have arrived it
-    folds them into the global model::
-
-        ω ← ω + Σ_i λ_i Δ_i / Σ_i λ_i
-        λ_i = s(staleness_i) · (n_i  if weighting == "size" else 1)
-        s(t) = (1 + t)^(−staleness_exponent)
-
-    The polynomial discount ``s(t)`` down-weights updates computed
-    against old global versions; exponent 0.5 is FedBuff's default, 0
-    disables staleness weighting entirely.  With a full-cohort buffer and
-    every staleness 0 the fold reduces exactly to :class:`FedAvgAggregator`
-    (ω + Σ p_i (ω_i − ω) = Σ p_i ω_i), so buffered aggregation is a strict
-    generalisation of the synchronous path.
-    """
-
-    def __init__(
-        self, weighting: str = "size", staleness_exponent: float = 0.5
-    ) -> None:
-        if weighting not in ("size", "uniform"):
-            raise ValueError(
-                f"weighting must be 'size' or 'uniform', got {weighting!r}"
-            )
-        if staleness_exponent < 0:
-            raise ValueError(
-                f"staleness_exponent must be non-negative, got {staleness_exponent}"
-            )
-        self.weighting = weighting
-        self.staleness_exponent = staleness_exponent
-        self.last_weights: Optional[np.ndarray] = None
-
-    def staleness_weight(self, staleness: int) -> float:
-        """The polynomial discount ``s(t)`` for one update."""
-        if staleness < 0:
-            raise ValueError(f"staleness must be non-negative, got {staleness}")
-        if not self.staleness_exponent:
-            return 1.0
-        return float((1.0 + staleness) ** (-self.staleness_exponent))
-
-    def fold(
-        self, global_state: StateDict, updates: Sequence[BufferedUpdate]
-    ) -> StateDict:
-        """One buffered fold: the new global state (inputs untouched)."""
-        if not updates:
-            raise ValueError("no buffered updates to fold")
-        state_math.check_compatible([global_state] + [u.delta for u in updates])
-        for update in updates:
-            state_math.check_finite(
-                update.delta, context=f"client {update.client_id} buffered delta"
-            )
-        weights = np.array(
-            [
-                self.staleness_weight(u.staleness)
-                * (u.num_samples if self.weighting == "size" else 1.0)
-                for u in updates
-            ],
-            dtype=np.float64,
-        )
-        total = float(weights.sum())
-        if total <= 0:
-            raise ValueError("buffered fold weights must sum to a positive value")
-        self.last_weights = weights / total
-        merged_delta = state_math.weighted_sum(
-            [u.delta for u in updates], (weights / total).tolist()
-        )
-        return state_math.add(global_state, merged_delta)
 
 
 class AdaptiveWeightAggregator(Aggregator):

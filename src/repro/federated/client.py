@@ -179,16 +179,13 @@ class Client:
             residual=self.update_residual,
         )
 
-    def absorb_train_result(
-        self, result: TrainResult, basis: Optional[StateDict] = None
-    ) -> TrainHistory:
+    def absorb_train_result(self, result: TrainResult) -> TrainHistory:
         """Install a finished task's model state and advanced RNG position.
 
-        A codec-encoded result is decoded against ``basis`` — the state
-        this client received at dispatch.  When omitted, the client's own
-        current model is the basis, which is correct on every standard
-        path: the model is untouched between :meth:`make_train_task` and
-        the absorb, so it still holds exactly what the task trained from.
+        A codec-encoded result is decoded against the client's own
+        current model: it is untouched between :meth:`make_train_task`
+        and the absorb, so it still holds exactly what the task trained
+        from.
         """
         if result.task_id != self.client_id:
             raise ValueError(
@@ -197,9 +194,7 @@ class Client:
             )
         state = result.state
         if state is None:
-            state = result.resolve_state(
-                basis if basis is not None else self.model.state_dict()
-            )
+            state = result.resolve_state(self.model.state_dict())
         self.model.load_state_dict(state)
         self.rng.bit_generator.state = result.rng_state
         if result.residual is not None:

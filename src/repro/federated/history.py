@@ -189,32 +189,20 @@ def attach_history(simulation, store: RoundHistoryStore):
     :class:`~repro.federated.simulation.FederatedSimulation` itself free of
     retention concerns (most FL deployments must *not* retain updates).
     Returns the store for chaining. The patch captures the global state
-    before aggregation and the upload of every client whose update was
-    aggregated.
-
-    Works on both round paths: the synchronous barrier loop (every
-    client) and the event-driven engine
-    (:mod:`repro.federated.engine`), where ``last_participants`` holds
-    exactly the clients whose updates were *folded* that round — dropped
-    stragglers and stale-discarded updates contributed nothing to the new
-    global, so retaining them would let update-adjustment unlearning
-    subtract contributions that were never added.  An async round whose
-    buffer came up empty (every arrival discarded as stale) aggregated
-    nothing and is skipped rather than recorded as an empty round.
+    before aggregation and the upload of every client, since every
+    client trains and is aggregated every round.
     """
     original_run_round = simulation.run_round
 
     def run_round_with_history(round_index: int, record_client_metrics: bool = False):
         global_before = simulation.server.global_state
         record = original_run_round(round_index, record_client_metrics)
-        updates = [client.upload() for client in simulation.last_participants]
-        if updates:
-            store.record_round(
-                round_index,
-                global_before,
-                updates,
-                global_after=simulation.server.global_state,
-            )
+        store.record_round(
+            round_index,
+            global_before,
+            [client.upload() for client in simulation.clients],
+            global_after=simulation.server.global_state,
+        )
         return record
 
     simulation.run_round = run_round_with_history

@@ -51,18 +51,6 @@ class Server:
         self.model.load_state_dict(new_state)
         return new_state
 
-    def install(self, new_state: StateDict) -> StateDict:
-        """Install an externally-computed global state.
-
-        The event-driven engine's buffered folds (staleness-weighted delta
-        sums over partial cohorts — see
-        :class:`~repro.federated.aggregation.BufferedAggregator`) arrive
-        here: the fold happens engine-side because it needs per-update
-        dispatch bases the server never saw.
-        """
-        self.model.load_state_dict(new_state)
-        return new_state
-
     def reinitialize(self) -> None:
         """Reset the global model to ω^0 (deletion-request handling)."""
         self.model.load_state_dict(self.initial_state)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, TYPE_CHECKING
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -48,23 +48,12 @@ from .vectorized import (
     scatter_results,
 )
 
-if TYPE_CHECKING:  # pragma: no cover - circular import guard
-    from .engine import AsyncRoundConfig, BufferedRoundEngine, LatencyModel
-
-
 logger = logging.getLogger(__name__)
 
 
 @dataclass
 class RoundRecord:
     """Metrics for one completed FL round.
-
-    The first four fields are filled by every round; the rest default to
-    empty/zero on the synchronous path and are populated by the
-    event-driven engine (:mod:`repro.federated.engine`): which clients'
-    updates were folded (and at what staleness), which were dropped as
-    stragglers or discarded as too stale, the virtual clock at the fold
-    and the global version it produced.
 
     ``bytes_down``/``bytes_up`` are the round's model traffic on the wire
     under the active transport: broadcast bytes dispatched to
@@ -78,12 +67,6 @@ class RoundRecord:
     global_loss: float
     global_accuracy: float
     client_accuracies: List[float] = field(default_factory=list)
-    applied_clients: List[int] = field(default_factory=list)
-    staleness: List[int] = field(default_factory=list)
-    dropped_clients: List[int] = field(default_factory=list)
-    stale_discarded: List[int] = field(default_factory=list)
-    sim_time: float = 0.0
-    version: int = 0
     bytes_down: int = 0
     bytes_up: int = 0
 
@@ -241,8 +224,6 @@ class FederatedSimulation:
         train_config: TrainConfig,
         seed: int = 0,
         backend: BackendLike = None,
-        async_config: Optional["AsyncRoundConfig"] = None,
-        latency_model: Optional["LatencyModel"] = None,
         codec: str = "raw",
         vectorize: bool = False,
     ) -> None:
@@ -261,12 +242,6 @@ class FederatedSimulation:
         # with the reason recorded in vectorize_report() (and logged once).
         self.vectorize = vectorize
         self._vectorize_stats = VectorizeStats(logger)
-        # Buffered-async mode is strictly opt-in: without an AsyncRoundConfig
-        # no engine is ever constructed and every round runs the historical
-        # synchronous barrier loop bit for bit.
-        self.async_config = async_config
-        self.latency_model = latency_model
-        self._engine = None
         seeds = np.random.SeedSequence(seed).spawn(fed_data.num_clients)
         self.clients: List[Client] = [
             Client(
@@ -278,31 +253,9 @@ class FederatedSimulation:
             for index, dataset in enumerate(fed_data.client_datasets)
         ]
         self.server = Server(model_factory(), aggregator, test_set=fed_data.test_set)
-        # Whose updates the most recent round folded: every client on the
-        # synchronous path; the async engine narrows it to the arrivals it
-        # folded.  History recording reads this.
-        self.last_participants: List[Client] = self.clients
-
-    def engine(self) -> "BufferedRoundEngine":
-        """The lazily-built event-driven engine (async mode only)."""
-        if self.async_config is None:
-            raise ValueError(
-                "simulation was not configured for async rounds; pass "
-                "async_config=AsyncRoundConfig(...) to the constructor"
-            )
-        if self._engine is None:
-            from .engine import BufferedRoundEngine
-
-            self._engine = BufferedRoundEngine(
-                self, self.async_config, self.latency_model
-            )
-        return self._engine
 
     def run_round(self, round_index: int, record_client_metrics: bool = False) -> RoundRecord:
-        """One round: synchronous barrier by default, buffered-async fold
-        (:mod:`repro.federated.engine`) when ``async_config`` is set."""
-        if self.async_config is not None:
-            return self.engine().run_round(round_index, record_client_metrics)
+        """One synchronous round: broadcast, every client trains, aggregate."""
         self.server.broadcast(self.clients)
         # One broadcast, one hash: every client carries the same
         # global state, so the transport's version is computed here once
@@ -420,10 +373,6 @@ class FederatedSimulation:
             history.rounds.append(record)
             if round_callback is not None:
                 round_callback(record)
-        if self._engine is not None:
-            # Leave no orphaned work on a (possibly shared) pool between
-            # runs; abandoned clients redispatch fresh next run.
-            self._engine.abandon_inflight()
         return history
 
     def global_model(self) -> Module:

@@ -346,7 +346,7 @@ class Dispatcher:
 class DispatchBackend(Backend):
     """The :class:`Backend` + streaming surface over a lazily started
     :class:`Dispatcher`: ``submit``/``drain``/``poll`` tickets for the
-    event-driven federation engine and the deletion service, per-ticket
+    deletion service, per-ticket
     and cumulative transport stats, and the cold single-task shortcut.
     """
 

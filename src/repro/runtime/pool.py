@@ -21,11 +21,10 @@ Two-level API:
     feeding idle workers immediately; ``drain`` blocks until that batch
     is complete and returns its results in submission order.  Several
     batches may be outstanding at once (they share the worker set), which
-    is the seam the event-driven federation engine
-    (:mod:`repro.federated.engine`) and the non-blocking deletion service
-    (:class:`~repro.unlearning.service.UnlearningService`) build
-    on: they submit one ticket per client task / flush window and drain
-    tickets out of order as their simulated events fire.  ``poll(ticket)``
+    is the seam the non-blocking deletion service
+    (:class:`~repro.unlearning.service.UnlearningService`) builds on: it
+    submits one ticket per flush window and drains tickets out of order
+    as its windows finish.  ``poll(ticket)``
     makes progress without blocking and reports whether a specific batch
     has completed; ``outstanding_tickets`` lists the batches still owed.
 

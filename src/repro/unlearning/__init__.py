@@ -55,7 +55,7 @@ from .registry import (
     make_unlearner,
     register_unlearner,
 )
-from .service import PoissonArrivals, SlaMeter, UnlearningService
+from .service import SlaMeter, UnlearningService
 from .sharding import DeletionReport, ShardedClientTrainer
 from .sisa import PendingDeletion, SisaConfig, SisaDeletionReport, SisaEnsemble
 from .temperature import adaptive_temperature
@@ -76,7 +76,6 @@ __all__ = [
     "Journal",
     "JournalCorruption",
     "replay_journal",
-    "PoissonArrivals",
     "RequestState",
     "SlaMeter",
     "UnlearningService",

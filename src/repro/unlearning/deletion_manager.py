@@ -33,7 +33,7 @@ Two execution paths share the queue and the policies:
   managers (queue, policy gate, batch accounting), deduplicates request
   ids against its journal, submits each window's chains through the
   pool's ``submit``/``drain`` seam so they retrain *concurrently with*
-  subsequent federation rounds, and journals every transition;
+  subsequent synchronous federation rounds, and journals every transition;
   :attr:`ExecutedBatch.overlap_rounds` records how many rounds each
   window overlapped.
 """
@@ -55,6 +55,40 @@ class RequestState:
     RETRAINING = "retraining"
     CERTIFIED = "certified"
     FAILED = "failed"
+
+
+def sample_indices(indices) -> np.ndarray:
+    """``indices`` as sorted, unique ``int64`` sample indices.
+
+    Only whole numbers pass: integer arrays, and floats that are finite
+    and integral (``3.0``).  A fractional or non-finite float, a string,
+    a boolean or any other object raises :class:`ValueError` rather than
+    being truncated into an index the caller never named.  Range checks
+    against a dataset are the caller's.
+    """
+    values = np.asarray(indices)
+    if values.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    if values.dtype.kind == "f":
+        if not np.all(np.isfinite(values)) or np.any(values != np.trunc(values)):
+            raise ValueError(f"indices must be whole numbers, got {indices!r}")
+        if np.abs(values).max() >= 2.0**63:
+            raise ValueError(f"indices exceed the int64 range: {indices!r}")
+    elif values.dtype.kind == "u":
+        if values.max() > np.iinfo(np.int64).max:
+            raise ValueError(f"indices exceed the int64 range: {indices!r}")
+    elif values.dtype.kind != "i":
+        raise ValueError(f"indices must be integers, got {indices!r}")
+    return np.unique(values.astype(np.int64))
+
+
+def check_round(round_index) -> int:
+    """``round_index`` as a non-negative ``int``, or :class:`ValueError`."""
+    if isinstance(round_index, bool) or not isinstance(round_index, (int, np.integer)):
+        raise ValueError(f"round must be an integer, got {round_index!r}")
+    if round_index < 0:
+        raise ValueError(f"submitted_round must be non-negative, got {round_index}")
+    return int(round_index)
 
 
 @dataclass(eq=False)
@@ -86,11 +120,8 @@ class DeletionRequest:
     certified_wall: Optional[float] = None
 
     def __post_init__(self) -> None:
-        self.indices = np.unique(np.asarray(self.indices, dtype=np.int64))
-        if self.submitted_round < 0:
-            raise ValueError(
-                f"submitted_round must be non-negative, got {self.submitted_round}"
-            )
+        self.indices = sample_indices(self.indices)
+        self.submitted_round = check_round(self.submitted_round)
 
     @property
     def time_to_forget_rounds(self) -> Optional[int]:

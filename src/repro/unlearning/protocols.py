@@ -78,11 +78,6 @@ class UnlearnOutcome:
     method: str = ""
     chains: int = 0
     provenance: Dict[str, Any] = field(default_factory=dict)
-    # Federation rounds the method's retraining overlapped with instead of
-    # barriering (non-zero only when the work ran through the non-blocking
-    # UnlearningService / event-driven engine — see
-    # repro.unlearning.service and repro.federated.engine).
-    overlap_rounds: int = 0
 
     @property
     def final_accuracy(self) -> float:

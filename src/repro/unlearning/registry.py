@@ -165,15 +165,6 @@ class Unlearner(abc.ABC):
             outcome.chains = outcome.rounds_run * len(sim.clients)
         outcome.provenance.setdefault("method", self.name)
         outcome.provenance.setdefault("level", self.level)
-        # Overlap accounting: which round engine drove the federation and
-        # how much retraining overlapped with it rather than barriering
-        # (see repro.federated.engine / UnlearningService).  Sync barriered
-        # flows record engine="sync", overlap_rounds=0.
-        engine_mode = (
-            "async" if getattr(sim, "async_config", None) is not None else "sync"
-        )
-        outcome.provenance.setdefault("engine", engine_mode)
-        outcome.provenance.setdefault("overlap_rounds", outcome.overlap_rounds)
         if self.options:
             outcome.provenance.setdefault(
                 "options", {k: repr(v) for k, v in sorted(self.options.items())}

@@ -24,9 +24,7 @@ queue into a **persistent request pipeline**:
   concurrently on the pool — and concurrently with the federation
   rounds that follow their submission;
 * the product metric — **time-to-forget** from submission to certified
-  — is metered per request by :class:`SlaMeter` (p50/p95 in rounds and
-  wall seconds), with :class:`PoissonArrivals` generating deterministic
-  seeded request load for benchmarks.
+  — is read per request by :class:`SlaMeter` (percentiles in rounds).
 
 On-disk layout under the service directory::
 
@@ -58,7 +56,7 @@ import json
 import os
 import shutil
 import time
-from typing import Any, Callable, Collection, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Collection, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -72,13 +70,15 @@ from .deletion_manager import (
     DeletionRequest,
     ExecutedBatch,
     RequestState,
+    check_round,
+    sample_indices,
 )
 from .journal import Journal, replay
 from .sisa import SisaEnsemble
 
 
 class SlaMeter:
-    """Per-request time-to-forget accounting (p50/p95, rounds + seconds).
+    """Per-request time-to-forget accounting (percentiles in rounds).
 
     Reads the requests it is handed on every call — a list, or the live
     ``requests.values()`` view the service passes — so a request's own
@@ -89,84 +89,20 @@ class SlaMeter:
     def __init__(self, requests: Collection[DeletionRequest]) -> None:
         self.requests = requests
 
-    def _stamped(self, unit: str) -> List[float]:
-        """Every request's ``time_to_forget_<unit>`` that is known."""
-        values = (getattr(r, f"time_to_forget_{unit}") for r in self.requests)
+    def _rounds(self) -> List[int]:
+        """Every certified request's time-to-forget in rounds."""
+        values = (request.time_to_forget_rounds for request in self.requests)
         return [value for value in values if value is not None]
 
     @property
     def num_certified(self) -> int:
-        return len(self._stamped("rounds"))
+        return len(self._rounds())
 
     def percentile_rounds(self, q: float) -> float:
-        rounds = self._stamped("rounds")
+        rounds = self._rounds()
         if not rounds:
             raise ValueError("no certified requests metered yet")
         return float(np.percentile(rounds, q))
-
-    def report(self) -> Dict[str, Any]:
-        """The SLA summary stamped into ``ExperimentResult.runtime``."""
-        rounds, seconds = self._stamped("rounds"), self._stamped("seconds")
-        out: Dict[str, Any] = {"certified_requests": len(rounds)}
-        if rounds:
-            out["p50_rounds"] = float(np.percentile(rounds, 50))
-            out["p95_rounds"] = float(np.percentile(rounds, 95))
-            out["mean_rounds"] = float(np.mean(rounds))
-            out["max_rounds"] = int(np.max(rounds))
-        if seconds:
-            out["p50_seconds"] = float(np.percentile(seconds, 50))
-            out["p95_seconds"] = float(np.percentile(seconds, 95))
-        return out
-
-
-class PoissonArrivals:
-    """Deterministic seeded Poisson deletion load.
-
-    Each round draws ``k ~ Poisson(rate)`` arrivals; each arrival is one
-    request for ``indices_per_request`` not-yet-requested dataset indices
-    chosen uniformly (without replacement across the stream's lifetime).
-    Same seed → same request stream, so SLA benchmarks are reproducible.
-    """
-
-    def __init__(
-        self,
-        rate: float,
-        num_samples: int,
-        seed: int = 0,
-        indices_per_request: int = 1,
-    ) -> None:
-        if rate <= 0:
-            raise ValueError(f"rate must be > 0, got {rate}")
-        if indices_per_request < 1:
-            raise ValueError(
-                f"indices_per_request must be >= 1, got {indices_per_request}"
-            )
-        self.rate = rate
-        self.indices_per_request = indices_per_request
-        self._rng = np.random.default_rng(seed)
-        self._free = list(range(num_samples))
-        self._counter = 0
-
-    @property
-    def remaining(self) -> int:
-        return len(self._free)
-
-    def arrivals(self, round_index: int) -> List[Tuple[str, np.ndarray]]:
-        """The round's ``(request_id, indices)`` arrivals (maybe empty)."""
-        count = int(self._rng.poisson(self.rate))
-        out: List[Tuple[str, np.ndarray]] = []
-        for _ in range(count):
-            take = min(self.indices_per_request, len(self._free))
-            if take == 0:
-                break
-            picks = [
-                self._free.pop(int(self._rng.integers(len(self._free))))
-                for _ in range(take)
-            ]
-            request_id = f"poisson-{self._counter:06d}"
-            self._counter += 1
-            out.append((request_id, np.asarray(sorted(picks), dtype=np.int64)))
-        return out
 
 
 class UnlearningService:
@@ -371,17 +307,21 @@ class UnlearningService:
         Idempotent on ``request_id``: resubmitting an id the service has
         already accepted (in *any* state, across restarts) returns the
         original record without queueing new work.  Without one, a fresh
-        ``req-N`` id is generated.  Empty index sets and out-of-range
-        indices are rejected with a clear :class:`ValueError` after
-        journaling the terminal ``failed`` transition, so a bad request
-        cannot poison the windows of well-formed ones.
+        ``req-N`` id is generated.  A negative or non-integer round and
+        indices that are not whole numbers raise :class:`ValueError`
+        before anything is journaled, so no record replay would reject
+        reaches the journal.  Empty index sets and out-of-range indices
+        are rejected with a clear :class:`ValueError` after journaling
+        the terminal ``failed`` transition, so a bad request cannot
+        poison the windows of well-formed ones.
         """
+        round_index = check_round(round_index)
+        indices = sample_indices(indices)
         if request_id is None:
             request_id = self._fresh_id()
         elif request_id in self.requests:
             self._log("duplicate", request_id=request_id, round=round_index)
             return self.requests[request_id]
-        indices = np.unique(np.asarray(indices, dtype=np.int64))
         self._log(
             "received",
             request_id=request_id,
@@ -636,27 +576,6 @@ class UnlearningService:
         elif not batch.in_flight:
             plan["certified"] = True
         return plan
-
-    def co_schedule(self, engine) -> Callable[[int], None]:
-        """Tick this service inside a live federation run.
-
-        Registers a :attr:`~repro.federated.engine.BufferedRoundEngine.pre_round_hooks`
-        hook so every aggregation event begins with one scheduling beat —
-        finished deletion windows are absorbed and ready ones submitted
-        *before* the round's clients dispatch.  With the service and the
-        engine on the same backend, retrain chains and federated rounds
-        genuinely contend for the same workers, which is what lets
-        ``deletion_sla`` meter time-to-forget under training load rather
-        than on an idle system.  Returns the hook so callers can remove
-        it (``engine.pre_round_hooks.remove(hook)``) when the service
-        detaches.
-        """
-
-        def hook(round_index: int) -> None:
-            self.tick(round_index)
-
-        engine.pre_round_hooks.append(hook)
-        return hook
 
     @property
     def windows_in_flight(self) -> int:

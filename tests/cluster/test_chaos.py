@@ -1,8 +1,8 @@
 """Chaos-hardened cluster: seeded fault schedules never change results.
 
 The headline invariant of the fault-injection subsystem: under any
-seeded :class:`FaultPlan` that leaves at least one agent alive, sync and
-buffered-async federations over ``cluster:*`` — raw and delta codecs,
+seeded :class:`FaultPlan` that leaves at least one agent alive,
+federations over ``cluster:*`` — raw and delta codecs,
 vectorized or not — complete **bit-identical** to a fault-free run,
 because every recovery path (charge-free corrupt-frame requeue, charged
 lease resubmission, agent reconnect, process respawn) re-runs tasks that
@@ -73,23 +73,16 @@ def fault_activity(report):
 
 class TestChaosParity:
     @pytest.mark.parametrize(
-        "schedule,codec,use_async",
-        [
-            ("drop+delay", "raw", False),
-            ("drop+delay", "raw", True),
-            ("corrupt+tear", "delta", False),
-            ("corrupt+tear", "delta", True),
-        ],
-        ids=["drop-sync-raw", "drop-async-raw", "corrupt-sync-delta", "corrupt-async-delta"],
+        "schedule,codec",
+        [("drop+delay", "raw"), ("corrupt+tear", "delta")],
+        ids=["drop-sync-raw", "corrupt-sync-delta"],
     )
-    def test_chaotic_cluster_matches_fault_free_pool_bitwise(
-        self, schedule, codec, use_async
-    ):
+    def test_chaotic_cluster_matches_fault_free_pool_bitwise(self, schedule, codec):
         pool = PoolBackend(max_workers=2)
         cluster = chaos_cluster(SCHEDULES[schedule])
         try:
-            sim_pool = make_sim(backend=pool, codec=codec, use_async=use_async)
-            sim_cluster = make_sim(backend=cluster, codec=codec, use_async=use_async)
+            sim_pool = make_sim(backend=pool, codec=codec)
+            sim_cluster = make_sim(backend=cluster, codec=codec)
             h_pool = sim_pool.run(3)
             h_cluster = sim_cluster.run(3)
             assert h_cluster.accuracies == h_pool.accuracies

@@ -1,8 +1,8 @@
 """ClusterBackend ≡ PoolBackend ≡ serial for whole federated runs.
 
 The acceptance bar for the cluster subsystem: swapping the in-process
-worker pool for TCP node agents is purely a transport change.  Sync and
-buffered-async federations, under raw and delta update codecs, must land
+worker pool for TCP node agents is purely a transport change.
+Federations under raw and delta update codecs must land
 bit-identical global models — including when a node agent is SIGKILLed
 mid-run and its leased tasks are resubmitted to a respawned agent.
 """
@@ -16,12 +16,7 @@ import pytest
 
 from repro.cluster import ClusterBackend
 from repro.data import FederatedDataset
-from repro.federated import (
-    AsyncRoundConfig,
-    FedAvgAggregator,
-    FederatedSimulation,
-    SeededLatency,
-)
+from repro.federated import FedAvgAggregator, FederatedSimulation
 from repro.nn.models import RegistryModelFactory
 from repro.runtime import PoolBackend
 from repro.training import TrainConfig
@@ -36,7 +31,6 @@ pytestmark = pytest.mark.skipif(
 
 FACTORY = RegistryModelFactory(name="mlp", num_classes=3, in_channels=1, image_size=4)
 CONFIG = TrainConfig(epochs=1, batch_size=8, learning_rate=0.1)
-ASYNC = AsyncRoundConfig(buffer_size=3, max_staleness=2)
 
 
 def assert_states_equal(a, b):
@@ -45,7 +39,7 @@ def assert_states_equal(a, b):
         np.testing.assert_array_equal(a[key], b[key])
 
 
-def make_sim(backend=None, seed=3, codec="raw", use_async=False):
+def make_sim(backend=None, seed=3, codec="raw"):
     clients, test = make_blob_federation(
         num_clients=4, per_client=24, test_size=24, seed=seed
     )
@@ -58,8 +52,6 @@ def make_sim(backend=None, seed=3, codec="raw", use_async=False):
         seed=seed,
         backend=backend,
         codec=codec,
-        async_config=ASYNC if use_async else None,
-        latency_model=SeededLatency(seed=11) if use_async else None,
     )
 
 
@@ -111,19 +103,6 @@ class TestSyncParity:
         assert totals.broadcast_full >= 1
 
 
-class TestAsyncParity:
-    @pytest.mark.parametrize("codec", ["raw", "delta"])
-    def test_buffered_async_matches_pool_bitwise(self, cluster, pool, codec):
-        sim_cluster = make_sim(backend=cluster, codec=codec, use_async=True)
-        sim_pool = make_sim(backend=pool, codec=codec, use_async=True)
-        h_cluster = sim_cluster.run(3)
-        h_pool = sim_pool.run(3)
-        assert h_cluster.accuracies == h_pool.accuracies
-        assert_states_equal(
-            sim_cluster.server.global_state, sim_pool.server.global_state
-        )
-
-
 class TestDeathMidRunParity:
     def test_sigkilled_agent_mid_run_still_bitwise_identical(self, cluster):
         # Baseline: the same federation end-to-end on serial.
@@ -146,20 +125,3 @@ class TestDeathMidRunParity:
         for a, b in zip(sim_cluster.clients, sim_serial.clients):
             assert_states_equal(a.model.state_dict(), b.model.state_dict())
             assert a.rng.bit_generator.state == b.rng.bit_generator.state
-
-    def test_sigkilled_agent_mid_async_run_still_bitwise_identical(self, cluster):
-        sim_serial = make_sim(backend=None, use_async=True)
-        engine_serial = sim_serial.engine()
-        for round_index in range(4):
-            engine_serial.run_round(round_index)
-
-        sim_cluster = make_sim(backend=cluster, use_async=True)
-        engine_cluster = sim_cluster.engine()
-        for round_index in range(4):
-            if round_index == 2:
-                os.kill(cluster.agent_pids()[0], signal.SIGKILL)
-            engine_cluster.run_round(round_index)
-
-        assert_states_equal(
-            sim_cluster.server.global_state, sim_serial.server.global_state
-        )

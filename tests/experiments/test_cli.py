@@ -64,6 +64,41 @@ class TestRunExperimentValidation:
             run_experiment("nope", "smoke", "", 0)
 
 
+class TestSynchronousOnly:
+    """Rounds are synchronous: no async flag parses, no ``deletion_sla``
+    kind runs, and ``--result-store`` belongs to the matrix driver."""
+
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ["--async-mode"],
+            ["--buffer-size", "4"],
+            ["--max-staleness", "4"],
+            ["--straggler-timeout", "2.5"],
+        ],
+    )
+    def test_async_flags_do_not_parse(self, flag, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["matrix", *flag])
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_deletion_sla_is_an_unknown_experiment(self, capsys):
+        assert "deletion_sla" not in EXPERIMENTS
+        assert main(["deletion_sla"]) == 2
+        assert "unknown experiment" in capsys.readouterr().err
+
+    def test_list_names_every_experiment_and_nothing_else(self, capsys):
+        assert main(["list"]) == 0
+        listed = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+        assert listed == list(EXPERIMENTS)
+
+    @pytest.mark.parametrize("experiment", ["fig5", "efficiency", "all"])
+    def test_result_store_is_matrix_only(self, experiment, capsys, tmp_path):
+        assert main([experiment, "--result-store", str(tmp_path)]) == 2
+        assert "matrix driver only" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestSweepParsing:
     def test_parse_sweeps_types(self):
         from repro.experiments.cli import parse_sweeps

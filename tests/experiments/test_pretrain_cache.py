@@ -112,26 +112,6 @@ class TestCacheBehaviour:
         result = runner.run_matrix(exp, MICRO, seed=0)
         assert result.runtime["pretrain_cache"] == {"hits": 0, "misses": 0}
 
-    def test_async_scenarios_never_cache(self):
-        """The event engine carries state beyond the snapshot (virtual
-        clock, dispatch counts seeding latency draws), so async cells
-        must pretrain cold."""
-        from repro.experiments.spec import FederationSpec, ScenarioSpec
-
-        base = get_scenario("clean_deletion")
-        async_scenario = ScenarioSpec(
-            dataset=base.dataset, partition=base.partition,
-            attack=base.attack, deletion=base.deletion,
-            federation=FederationSpec(async_mode=True),
-        )
-        exp = ExperimentSpec(
-            experiment_id="cache", title="cache", kind="matrix",
-            scenario=async_scenario, methods=("b1",),
-            params={"sweeps": {"deletion.rate": [0.04, 0.08]}},
-        )
-        result = runner.run_matrix(exp, MICRO, seed=0)
-        assert result.runtime["pretrain_cache"] == {"hits": 0, "misses": 0}
-
     def test_history_methods_disable_cache(self):
         exp = ExperimentSpec(
             experiment_id="cache",

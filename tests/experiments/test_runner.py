@@ -17,6 +17,18 @@ class TestRunSpecDispatch:
         with pytest.raises(ValueError, match="unknown experiment kind"):
             runner.run_spec(exp, MICRO)
 
+    def test_deletion_sla_kind_is_gone(self):
+        exp = ExperimentSpec(experiment_id="x", title="x", kind="deletion_sla")
+        with pytest.raises(ValueError, match="unknown experiment kind"):
+            runner.run_spec(exp, MICRO)
+
+    @pytest.mark.parametrize(
+        "preset, cacheable",
+        [("clean_deletion", True), ("backdoor", False), ("label_flip", False)],
+    )
+    def test_pretrain_cacheable_exactly_without_an_attack(self, preset, cacheable):
+        assert runner._pretrain_cacheable(get_scenario(preset)) is cacheable
+
     def test_rate_table_through_dispatch(self):
         exp = ExperimentSpec(
             experiment_id="custom",

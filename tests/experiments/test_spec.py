@@ -110,6 +110,28 @@ class TestOverrides:
             _full_spec().with_overrides(**{"nope.rate": 0.1})
 
 
+class TestFederationSpecIsSynchronous:
+    """The async fields are gone: a sweep over one is a typo, not a knob."""
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            ("federation.async_mode", True),
+            ("federation.buffer_size", 4),
+            ("federation.max_staleness", 2),
+            ("federation.straggler_timeout", 2.5),
+        ],
+    )
+    def test_removed_async_path_rejected(self, path, value):
+        with pytest.raises(ValueError, match="unknown spec path"):
+            _full_spec().with_overrides(**{path: value})
+
+    def test_federation_fields(self):
+        assert list(_full_spec().to_dict()["federation"]) == [
+            "num_clients", "aggregator", "share_datasets", "compression", "vectorize",
+        ]
+
+
 class TestValidation:
     def test_unknown_attack_kind(self):
         with pytest.raises(ValueError):

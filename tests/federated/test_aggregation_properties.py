@@ -1,20 +1,19 @@
 """Generated and edge-case checks of the server's aggregators.
 
-``test_aggregation.py`` pins FedAvg and Eq. 12–13 on hand-built cases
-and ``test_engine.py::TestBufferedAggregator`` the buffered fold's
-discount; here FedAvg is compared with ``np.average`` on generated
-cohorts, the guards on malformed uploads are exercised, and the buffered
-fold is held to the claim in its docstring: a full cohort at staleness 0
-is FedAvg.
+``test_aggregation.py`` pins FedAvg and Eq. 12–13 on hand-built cases;
+here FedAvg is compared with ``np.average`` on generated cohorts, Eq.
+12–13 is held to its shape on generated cohorts of models, and the
+guards on malformed uploads are exercised.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.federated import BufferedAggregator, BufferedUpdate, ClientUpdate, FedAvgAggregator
+from repro.federated import AdaptiveWeightAggregator, ClientUpdate, FedAvgAggregator
+from repro.nn.models import MLP
 
-from ..conftest import generated
+from ..conftest import generated, make_blobs
 
 
 def random_state(rng):
@@ -114,74 +113,50 @@ class TestFedAvgGuards:
             np.testing.assert_array_equal(updates[0].state[key], value)
 
 
-def buffered(updates, base, staleness=None):
-    staleness = staleness or [0] * len(updates)
+ADAPTIVE_TEST_SET = make_blobs(num_samples=30, num_classes=3, shape=(1, 4, 4), seed=4)
+
+
+def mlp_factory():
+    return MLP(16, 3, np.random.default_rng(42))
+
+
+def model_cohort(seeds, sizes):
     return [
-        BufferedUpdate(
-            client_id=u.client_id,
-            delta={key: u.state[key] - base[key] for key in base},
-            num_samples=u.num_samples,
-            staleness=s,
-            state=u.state,
+        ClientUpdate(
+            state=MLP(16, 3, np.random.default_rng(seed)).state_dict(),
+            num_samples=size,
+            client_id=i,
         )
-        for u, s in zip(updates, staleness)
+        for i, (seed, size) in enumerate(zip(seeds, sizes))
     ]
 
 
-class TestBufferedFold:
-    @generated(30)
-    @given(cohort_spec=cohorts, weighting=st.sampled_from(["size", "uniform"]))
-    def test_full_cohort_at_staleness_zero_is_fedavg(self, cohort_spec, weighting):
-        updates = cohort(*cohort_spec)
-        base = random_state(np.random.default_rng(cohort_spec[0] + 1))
-        folded = BufferedAggregator(weighting=weighting).fold(base, buffered(updates, base))
-        plain = FedAvgAggregator(weighting=weighting).aggregate(updates)
-        for key in plain:
-            np.testing.assert_allclose(folded[key], plain[key], rtol=1e-10, atol=1e-12)
+model_seeds = st.lists(st.integers(0, 10_000), min_size=2, max_size=5, unique=True)
 
-    def test_inputs_are_left_untouched(self):
-        updates = cohort(2, [3, 9])
-        base = random_state(np.random.default_rng(5))
-        base_before = {key: value.copy() for key, value in base.items()}
-        batch = buffered(updates, base, staleness=[0, 2])
-        deltas_before = [{k: v.copy() for k, v in u.delta.items()} for u in batch]
-        BufferedAggregator().fold(base, batch)
-        for key in base:
-            np.testing.assert_array_equal(base[key], base_before[key])
-        for update, delta in zip(batch, deltas_before):
-            for key in delta:
-                np.testing.assert_array_equal(update.delta[key], delta[key])
 
-    def test_last_weights_are_the_normalised_discounted_sizes(self):
-        aggregator = BufferedAggregator(weighting="size", staleness_exponent=0.5)
-        updates = cohort(4, [10, 20, 30])
-        base = random_state(np.random.default_rng(0))
-        aggregator.fold(base, buffered(updates, base, staleness=[0, 3, 8]))
-        raw = np.array([10 * 1.0, 20 * 4 ** -0.5, 30 * 9 ** -0.5])
-        np.testing.assert_allclose(aggregator.last_weights, raw / raw.sum())
+class TestAdaptiveGenerated:
+    @generated(20)
+    @given(seeds=model_seeds, data=st.data())
+    def test_lower_error_never_weighs_less_and_sizes_do_not_count(self, seeds, data):
+        sizes = data.draw(st.lists(st.integers(1, 500), min_size=len(seeds), max_size=len(seeds)))
+        aggregator = AdaptiveWeightAggregator(ADAPTIVE_TEST_SET, mlp_factory)
+        out = aggregator.aggregate(model_cohort(seeds, sizes))
+        order = np.argsort(aggregator.last_mse, kind="stable")
+        assert np.all(np.diff(aggregator.last_weights[order]) <= 0)
+        resized = AdaptiveWeightAggregator(ADAPTIVE_TEST_SET, mlp_factory).aggregate(
+            model_cohort(seeds, [1] * len(seeds))
+        )
+        for key in out:
+            np.testing.assert_array_equal(resized[key], out[key])
 
-    @pytest.mark.parametrize(
-        "exponent, staleness, expected",
-        [(0.5, 3, 0.5), (1.0, 4, 0.2), (2.0, 1, 0.25)],
-    )
-    def test_staleness_weight_is_the_polynomial_discount(self, exponent, staleness, expected):
-        aggregator = BufferedAggregator(staleness_exponent=exponent)
-        assert aggregator.staleness_weight(staleness) == pytest.approx(expected)
-
-    def test_negative_staleness_rejected(self):
-        with pytest.raises(ValueError, match="staleness"):
-            BufferedAggregator().staleness_weight(-1)
-
-    def test_non_finite_delta_rejected_naming_the_client(self):
-        updates = cohort(0, [5, 5])
-        base = random_state(np.random.default_rng(1))
-        batch = buffered(updates, base)
-        batch[1].delta["b"][0] = np.nan
-        with pytest.raises(ValueError, match="client 1 buffered delta"):
-            BufferedAggregator().fold(base, batch)
-
-    def test_as_client_update_carries_the_raw_upload(self):
-        update = buffered(cohort(6, [12]), random_state(np.random.default_rng(2)), [4])[0]
-        plain = update.as_client_update()
-        assert plain.state is update.state
-        assert (plain.num_samples, plain.client_id) == (12, 0)
+    @generated(20)
+    @given(seeds=model_seeds, order_seed=st.integers(0, 1000))
+    def test_client_order_does_not_matter(self, seeds, order_seed):
+        updates = model_cohort(seeds, [10] * len(seeds))
+        order = np.random.default_rng(order_seed).permutation(len(updates))
+        out = AdaptiveWeightAggregator(ADAPTIVE_TEST_SET, mlp_factory).aggregate(updates)
+        shuffled = AdaptiveWeightAggregator(ADAPTIVE_TEST_SET, mlp_factory).aggregate(
+            [updates[i] for i in order]
+        )
+        for key in out:
+            np.testing.assert_allclose(shuffled[key], out[key], rtol=1e-12, atol=1e-12)

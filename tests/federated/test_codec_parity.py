@@ -1,11 +1,10 @@
-"""Update-codec parity across backends, engines and deletion overlap.
+"""Update-codec parity across backends and deletion overlap.
 
 The transport contract of the zero-redundancy layer:
 
 * ``raw`` and ``delta`` are **bit-identical** to the historical pipeline
-  on every backend (serial / pool), in sync and
-  buffered-async modes, and while an :class:`UnlearningService` overlaps
-  federation rounds on a shared pool;
+  on every backend (serial / pool), and while an
+  :class:`UnlearningService` overlaps federation rounds on a shared pool;
 * lossy codecs (``topk``/``quant``) are deterministic per seed and
   identical across backends (the transform runs inside the task);
 * per-round byte counts land in :class:`RoundRecord` and cumulative
@@ -18,12 +17,7 @@ import numpy as np
 import pytest
 
 from repro.data import FederatedDataset
-from repro.federated import (
-    AsyncRoundConfig,
-    FedAvgAggregator,
-    FederatedSimulation,
-    SeededLatency,
-)
+from repro.federated import FedAvgAggregator, FederatedSimulation
 from repro.nn.models import RegistryModelFactory
 from repro.runtime import PoolBackend
 from repro.training import TrainConfig
@@ -37,12 +31,10 @@ from repro.unlearning import (
 from ..conftest import make_blob_federation, make_blobs
 
 FACTORY = RegistryModelFactory(name="mlp", num_classes=3, in_channels=1, image_size=4)
-ASYNC = AsyncRoundConfig(buffer_size=3, max_staleness=2, straggler_timeout=2.5)
-LATENCY = SeededLatency(low=0.5, high=1.5, seed=11, slow_every=3, slow_factor=4.0)
 ROUNDS = 4
 
 
-def build_sim(codec="raw", backend=None, async_mode=False, seed=0, shared=False):
+def build_sim(codec="raw", backend=None, seed=0, shared=False):
     clients, test = make_blob_federation(5, per_client=24, test_size=48, seed=seed)
     fed = FederatedDataset(client_datasets=clients, test_set=test)
     if shared:
@@ -50,8 +42,6 @@ def build_sim(codec="raw", backend=None, async_mode=False, seed=0, shared=False)
     config = TrainConfig(epochs=1, batch_size=8, learning_rate=0.1)
     return FederatedSimulation(
         FACTORY, fed, FedAvgAggregator(), config, seed=seed, backend=backend,
-        async_config=ASYNC if async_mode else None,
-        latency_model=LATENCY if async_mode else None,
         codec=codec,
     )
 
@@ -66,9 +56,8 @@ def assert_states_equal(a, b):
         np.testing.assert_array_equal(a[key], b[key])
 
 
-def run_history(codec, backend=None, async_mode=False, shared=False):
-    sim = build_sim(codec=codec, backend=backend, async_mode=async_mode,
-                    shared=shared)
+def run_history(codec, backend=None, shared=False):
+    sim = build_sim(codec=codec, backend=backend, shared=shared)
     history = sim.run(ROUNDS)
     state = global_state(sim)
     report = sim.transport_report()
@@ -100,36 +89,15 @@ class TestSyncParity:
             assert a.rng.bit_generator.state == b.rng.bit_generator.state
 
 
-class TestAsyncParity:
-    def test_delta_bit_identical_to_raw_async_across_backends(self):
-        _, reference_state, _ = run_history("raw", async_mode=True)
-        for codec in ("raw", "delta"):
-            for backend_factory in (
-                lambda: "serial",
-                lambda: PoolBackend(max_workers=2),
-            ):
-                history, state, _ = run_history(
-                    codec, backend_factory(), async_mode=True,
-                    shared=not isinstance(backend_factory(), str),
-                )
-                assert_states_equal(state, reference_state)
-
-    def test_async_records_carry_bytes(self):
-        history, _, report = run_history("delta", async_mode=True)
-        assert all(r.bytes_down > 0 for r in history.rounds)
-        assert sum(r.bytes_up for r in history.rounds) > 0
-        assert report["codec"] == "delta"
-
-
 class TestRecordsUnderCodecs:
-    def test_async_lossy_records_carry_fewer_bytes_than_raw(self):
-        raw_history, _, _ = run_history("raw", async_mode=True)
-        quant_history, _, quant_report = run_history("quant:8", async_mode=True)
+    def test_lossy_records_carry_fewer_bytes_than_raw(self):
+        raw_history, _, _ = run_history("raw")
+        quant_history, _, quant_report = run_history("quant:8")
         # The records hold what actually moved, summed by the report.
         assert quant_report["bytes_up"] == sum(
             r.bytes_up for r in quant_history.rounds
         )
-        # A compressed async run must report less uplink than raw's dense
+        # A compressed run must report less uplink than raw's dense
         # states, not the identical number.
         assert sum(r.bytes_up for r in quant_history.rounds) < sum(
             r.bytes_up for r in raw_history.rounds

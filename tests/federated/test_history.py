@@ -11,6 +11,7 @@ from repro.federated import (
     FederatedSimulation,
     RoundHistoryStore,
     attach_history,
+    make_aggregator,
 )
 from repro.data.dataset import FederatedDataset
 from repro.nn.models import MLP
@@ -157,6 +158,55 @@ class TestAttachToSimulation:
                 for cid, size in zip(last.client_ids, sizes)
             )
             np.testing.assert_allclose(last.global_after[key], expected, rtol=1e-10)
+
+
+def blob_simulation(aggregator="fedavg", codec="raw", vectorize=False):
+    clients, test = make_blob_federation(num_clients=3, per_client=12, test_size=12)
+    fed = FederatedDataset(client_datasets=clients, test_set=test)
+    factory = lambda: MLP(16, 3, np.random.default_rng(0))
+    return FederatedSimulation(
+        model_factory=factory,
+        fed_data=fed,
+        aggregator=make_aggregator(aggregator, test_set=test, model_factory=factory),
+        train_config=TrainConfig(epochs=1, batch_size=6, learning_rate=0.05),
+        seed=0,
+        codec=codec,
+        vectorize=vectorize,
+    )
+
+
+class TestAttachedRounds:
+    """Every round is synchronous, so the store records every client's
+    upload, and one round's ``global_after`` is the next one's
+    ``global_before``."""
+
+    @pytest.mark.parametrize("aggregator", ["fedavg", "fedavg_uniform", "adaptive"])
+    def test_every_client_every_round_with_chained_globals(self, aggregator):
+        sim = blob_simulation(aggregator)
+        store = attach_history(sim, RoundHistoryStore())
+        initial = sim.server.global_state
+        sim.run(3)
+        assert store.stored_round_indices == [0, 1, 2]
+        previous = initial
+        for snapshot in store.snapshots:
+            assert snapshot.client_ids == [0, 1, 2]
+            for key in previous:
+                np.testing.assert_array_equal(snapshot.global_before[key], previous[key])
+            previous = snapshot.global_after
+        for key, value in sim.server.global_state.items():
+            np.testing.assert_array_equal(previous[key], value)
+
+    @pytest.mark.parametrize("codec", ["raw", "delta", "quant:8"])
+    @pytest.mark.parametrize("vectorize", [False, True])
+    def test_attaching_history_never_changes_a_round(self, codec, vectorize):
+        plain = blob_simulation(codec=codec, vectorize=vectorize)
+        recorded = blob_simulation(codec=codec, vectorize=vectorize)
+        attach_history(recorded, RoundHistoryStore())
+        assert recorded.run(2).accuracies == plain.run(2).accuracies
+        for key, value in plain.server.global_state.items():
+            np.testing.assert_array_equal(recorded.server.global_state[key], value)
+        for a, b in zip(plain.clients, recorded.clients):
+            assert a.rng.bit_generator.state == b.rng.bit_generator.state
 
 
 class TestProperties:

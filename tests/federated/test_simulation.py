@@ -1,7 +1,10 @@
 """FederatedSimulation round mechanics."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from types import SimpleNamespace
 
@@ -10,6 +13,7 @@ from repro.federated import (
     FederatedSimulation,
     FedAvgAggregator,
     RoundHistoryStore,
+    RoundRecord,
     SimulationHistory,
     attach_history,
     make_aggregator,
@@ -18,7 +22,7 @@ from repro.nn.models import MLP
 from repro.runtime import state_version
 from repro.training import TrainConfig
 
-from ..conftest import make_blob_federation, make_blobs
+from ..conftest import generated, make_blob_federation, make_blobs
 
 
 def build_sim(num_clients=3, seed=0, epochs=2):
@@ -88,7 +92,6 @@ class TestEveryClientTrains:
             sim.run_round(round_index)
             after = [c.rng.bit_generator.state for c in sim.clients]
             assert all(a != b for a, b in zip(after, before))
-            assert sim.last_participants is sim.clients
 
     def test_client_streams_are_the_seed_children(self):
         # Child i of a SeedSequence does not depend on how many children
@@ -105,6 +108,39 @@ class TestEveryClientTrains:
         store = attach_history(sim, RoundHistoryStore())
         sim.run(2)
         assert [sorted(s.client_ids) for s in store.snapshots] == [[0, 1, 2]] * 2
+
+
+class TestSynchronousSurface:
+    """One round path: no async knobs, no engine, no async record fields."""
+
+    def test_round_record_fields(self):
+        assert [f.name for f in dataclasses.fields(RoundRecord)] == [
+            "round_index", "global_loss", "global_accuracy",
+            "client_accuracies", "bytes_down", "bytes_up",
+        ]
+
+    @pytest.mark.parametrize("kwarg", ["async_config", "latency_model"])
+    def test_async_constructor_arguments_are_gone(self, kwarg):
+        clients, test = make_blob_federation(2, per_client=10, test_size=10)
+        fed = FederatedDataset(client_datasets=clients, test_set=test)
+        with pytest.raises(TypeError, match=kwarg):
+            FederatedSimulation(
+                lambda: MLP(16, 3, np.random.default_rng(0)), fed,
+                FedAvgAggregator(), TrainConfig(), **{kwarg: None},
+            )
+
+    @generated(10)
+    @given(num_clients=st.integers(1, 4), seed=st.integers(0, 2**16))
+    def test_a_round_is_the_fedavg_of_every_client_upload(self, num_clients, seed):
+        sim = build_sim(num_clients=num_clients, seed=seed, epochs=1)
+        sim.run_round(0)
+        uploads = [client.upload() for client in sim.clients]
+        total = sum(update.num_samples for update in uploads)
+        for key, value in sim.server.global_state.items():
+            expected = sum(
+                (update.num_samples / total) * update.state[key] for update in uploads
+            )
+            np.testing.assert_allclose(value, expected, rtol=1e-12, atol=1e-12)
 
 
 class TestSimulationHistory:

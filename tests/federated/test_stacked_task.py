@@ -11,8 +11,7 @@ same property, over generated slice shapes and deletion sets.
 
 Also here, because it is the same "one unit, one gate" point: an
 unhashable model factory must not crash the vectorized path (the
-per-factory architecture probe falls back to probing uncached), and the
-async engine asks the gate the synchronous planner asks.
+per-factory architecture probe falls back to probing uncached).
 """
 
 from dataclasses import dataclass
@@ -22,12 +21,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.data import FederatedDataset
-from repro.federated import (
-    AsyncRoundConfig,
-    FedAvgAggregator,
-    FederatedSimulation,
-    SeededLatency,
-)
+from repro.federated import FedAvgAggregator, FederatedSimulation
 from repro.federated.vectorized import arch_probe, fuse
 from repro.nn.layers import Conv2d, Dropout, Flatten, Linear, Sequential
 from repro.nn.models import MLP
@@ -347,7 +341,7 @@ class UnhashableFactory:
         return MLP(16, 3, np.random.default_rng(42), hidden=(self.hidden,))
 
 
-def blob_sim(model_factory, vectorize, **kwargs):
+def blob_sim(model_factory, vectorize):
     clients, test = make_blob_federation(4, per_client=24, test_size=48, seed=0)
     return FederatedSimulation(
         model_factory,
@@ -355,7 +349,6 @@ def blob_sim(model_factory, vectorize, **kwargs):
         FedAvgAggregator(),
         TrainConfig(epochs=1, batch_size=8, learning_rate=0.1),
         vectorize=vectorize,
-        **kwargs,
     )
 
 
@@ -371,17 +364,10 @@ class TestUnhashableFactory:
             hash(UnhashableFactory())
         assert arch_probe(UnhashableFactory()) == (None, None, None)
 
-    @pytest.mark.parametrize("async_mode", [False, True])
-    def test_vectorized_round_runs_bit_identical(self, async_mode):
-        kwargs = {}
-        if async_mode:
-            kwargs = {
-                "async_config": AsyncRoundConfig(buffer_size=3, max_staleness=2),
-                "latency_model": SeededLatency(low=0.5, high=1.5, seed=11),
-            }
-        reference = blob_sim(UnhashableFactory(), vectorize=False, **kwargs)
+    def test_vectorized_round_runs_bit_identical(self):
+        reference = blob_sim(UnhashableFactory(), vectorize=False)
         reference.run_round(0)
-        vectorized = blob_sim(UnhashableFactory(), vectorize=True, **kwargs)
+        vectorized = blob_sim(UnhashableFactory(), vectorize=True)
         vectorized.run_round(0)
         assert_states_equal(
             vectorized.server.global_state, reference.server.global_state
@@ -402,33 +388,3 @@ class TestUnhashableFactory:
             ensembles[0].predict_proba(data.images),
             ensembles[1].predict_proba(data.images),
         )
-
-
-def test_async_engine_asks_the_planners_gate():
-    """A ragged cohort on a Conv2d architecture falls back with the
-    ragged reason in async mode exactly as it does in sync mode."""
-    def conv_factory():
-        rng = np.random.default_rng(5)
-        return Sequential(Conv2d(1, 3, 3, rng, padding=1), Flatten(), Linear(48, 3, rng))
-
-    data = make_blobs(num_samples=110, num_classes=3, shape=(1, 4, 4), seed=0)
-    bounds = np.cumsum([0, 24, 20, 18])
-    fed = FederatedDataset(
-        client_datasets=[
-            data.subset(np.arange(lo, hi)) for lo, hi in zip(bounds[:-1], bounds[1:])
-        ],
-        test_set=data.subset(np.arange(62, 110)),
-    )
-    reasons = []
-    for async_config in (None, AsyncRoundConfig(buffer_size=3)):
-        sim = FederatedSimulation(
-            conv_factory, fed, FedAvgAggregator(),
-            TrainConfig(epochs=1, batch_size=8, learning_rate=0.1),
-            async_config=async_config, vectorize=True,
-        )
-        sim.run_round(0)
-        report = sim.vectorize_report()
-        assert report["rounds_vectorized"] == 0
-        reasons.append(list(report["fallback_reasons"]))
-    assert reasons[0] == reasons[1]
-    assert "ragged cohort" in reasons[0][0]

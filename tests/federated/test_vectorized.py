@@ -5,7 +5,7 @@ The contract of :mod:`repro.federated.vectorized`:
 * ``vectorize=True`` on an eligible cohort is **bit-identical** to the
   per-client path — global states, client models, client RNG streams,
   round accuracies and (on lazy backends) per-round byte counts — on
-  every backend, in sync and buffered-async modes, under every codec;
+  every backend, under every codec;
 * ineligible cohorts fall back per client with a recorded reason,
   logged once per distinct reason — never silently;
 * ``vectorize_report()`` tallies what actually happened.
@@ -17,12 +17,7 @@ import numpy as np
 import pytest
 
 from repro.data import FederatedDataset
-from repro.federated import (
-    AsyncRoundConfig,
-    FedAvgAggregator,
-    FederatedSimulation,
-    SeededLatency,
-)
+from repro.federated import FedAvgAggregator, FederatedSimulation
 from repro.nn.layers import BatchNorm2d, Conv2d, Flatten, Linear, Sequential
 from repro.nn.models import RegistryModelFactory
 from repro.runtime import PoolBackend
@@ -31,14 +26,11 @@ from repro.training import TrainConfig
 from ..conftest import make_blob_federation, make_blobs
 
 FACTORY = RegistryModelFactory(name="mlp", num_classes=3, in_channels=1, image_size=4)
-ASYNC = AsyncRoundConfig(buffer_size=3, max_staleness=2, straggler_timeout=2.5)
-LATENCY = SeededLatency(low=0.5, high=1.5, seed=11, slow_every=3, slow_factor=4.0)
 ROUNDS = 3
 
 
-def build_sim(vectorize=False, codec="raw", backend=None, async_mode=False,
-              seed=0, shared=False, config=None, factory=FACTORY,
-              client_sizes=None):
+def build_sim(vectorize=False, codec="raw", backend=None, seed=0, shared=False,
+              config=None, factory=FACTORY, client_sizes=None):
     if client_sizes is None:
         clients, test = make_blob_federation(5, per_client=24, test_size=48,
                                              seed=seed)
@@ -58,8 +50,6 @@ def build_sim(vectorize=False, codec="raw", backend=None, async_mode=False,
         config = TrainConfig(epochs=1, batch_size=8, learning_rate=0.1)
     return FederatedSimulation(
         factory, fed, FedAvgAggregator(), config, seed=seed, backend=backend,
-        async_config=ASYNC if async_mode else None,
-        latency_model=LATENCY if async_mode else None,
         codec=codec, vectorize=vectorize,
     )
 
@@ -123,20 +113,6 @@ class TestSyncParity:
         _, history, state = run_sim(vectorize=True, codec=codec)
         assert history.accuracies == ref_history.accuracies
         assert_states_equal(state, ref_state)
-
-
-class TestAsyncParity:
-    def test_engine_rounds_bit_identical(self):
-        per_client, ref_history, ref_state = run_sim(
-            vectorize=False, async_mode=True
-        )
-        vectorized, history, state = run_sim(vectorize=True, async_mode=True)
-        assert history.accuracies == ref_history.accuracies
-        assert_states_equal(state, ref_state)
-        for ref, got in zip(ref_history.rounds, history.rounds):
-            assert got.bytes_down == ref.bytes_down
-            assert got.bytes_up == ref.bytes_up
-        assert vectorized.vectorize_report()["rounds_vectorized"] > 0
 
 
 class TestGradClipParity:
@@ -210,17 +186,6 @@ class TestRaggedParity:
         assert history.accuracies == ref_history.accuracies
         assert_states_equal(state, ref_state)
 
-    def test_ragged_async_bit_identical(self):
-        _, ref_history, ref_state = run_sim(
-            vectorize=False, client_sizes=self.SIZES, async_mode=True
-        )
-        vectorized, history, state = run_sim(
-            vectorize=True, client_sizes=self.SIZES, async_mode=True
-        )
-        assert history.accuracies == ref_history.accuracies
-        assert_states_equal(state, ref_state)
-        assert vectorized.vectorize_report()["rounds_vectorized"] > 0
-
 
 class TestStackChunkSharding:
     """Vectorized rounds shard the stacked task across backend workers;
@@ -262,18 +227,6 @@ class TestStackChunkSharding:
         )
         assert history.accuracies == ref_history.accuracies
         assert_states_equal(state, ref_state)
-
-    def test_chunked_async_bit_identical(self):
-        _, ref_history, ref_state = run_sim(vectorize=False, async_mode=True)
-        sim, history, state = run_sim(
-            vectorize=True, async_mode=True,
-            backend=PoolBackend(max_workers=2), shared=True,
-        )
-        assert history.accuracies == ref_history.accuracies
-        assert_states_equal(state, ref_state)
-        report = sim.vectorize_report()
-        assert report["rounds_vectorized"] > 0
-        assert 2 in report["chunks"]
 
 
 class TestFallback:

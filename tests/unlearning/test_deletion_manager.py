@@ -13,6 +13,7 @@ from repro.unlearning import (
     ImmediatePolicy,
     PeriodicPolicy,
 )
+from repro.unlearning.deletion_manager import check_round, sample_indices
 
 
 class TestDeletionRequest:
@@ -23,6 +24,88 @@ class TestDeletionRequest:
     def test_validation(self):
         with pytest.raises(ValueError, match="submitted_round"):
             DeletionRequest(0, np.array([1]), -1)
+
+
+class TestSampleIndices:
+    """Intake names samples by whole numbers only: nothing is truncated."""
+
+    @pytest.mark.parametrize(
+        "indices, expected",
+        [
+            ([5, 1, 5, 3], [1, 3, 5]),
+            ([3.0, 1.0, 3.0], [1, 3]),
+            ([2, 4.0], [2, 4]),
+            ([], []),
+            (np.zeros(0), []),
+            ([-1, 7], [-1, 7]),  # range is the caller's check
+            ([[1, 2], [2, 3]], [1, 2, 3]),
+            (np.array([2**62, 0], dtype=np.uint64), [0, 2**62]),
+        ],
+    )
+    def test_whole_numbers_pass(self, indices, expected):
+        out = sample_indices(indices)
+        assert out.dtype == np.int64
+        assert out.tolist() == expected
+
+    @pytest.mark.parametrize(
+        "dtype",
+        [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64],
+    )
+    def test_every_integer_dtype_passes(self, dtype):
+        assert sample_indices(np.array([9, 2, 9], dtype=dtype)).tolist() == [2, 9]
+
+    @pytest.mark.parametrize(
+        "indices",
+        [
+            [3.7],
+            [1, 2.5],
+            [np.nan],
+            [np.inf],
+            [-np.inf],
+            ["3"],
+            ["a"],
+            [3, "4"],
+            [True],
+            [None],
+            [2**70],
+            [2.0**63],
+            np.array([2**63], dtype=np.uint64),
+        ],
+        ids=lambda value: repr(value),
+    )
+    def test_anything_else_is_a_value_error(self, indices):
+        with pytest.raises(ValueError):
+            sample_indices(indices)
+
+    @given(values=st.lists(st.integers(-(2**40), 2**40), max_size=8))
+    @settings(max_examples=50, deadline=None)
+    def test_integral_floats_name_the_same_samples_as_ints(self, values):
+        expected = sorted(set(values))
+        assert sample_indices(values).tolist() == expected
+        assert sample_indices([float(v) for v in values]).tolist() == expected
+
+
+class TestCheckRound:
+    @pytest.mark.parametrize("round_index", [0, 5, np.int64(3), 2**62])
+    def test_non_negative_integers_pass(self, round_index):
+        assert check_round(round_index) == round_index
+        assert type(check_round(round_index)) is int
+
+    @pytest.mark.parametrize(
+        "round_index", [-1, -(2**40), 1.0, 2.5, np.float64(1), True, "3", None]
+    )
+    def test_anything_else_is_a_value_error(self, round_index):
+        with pytest.raises(ValueError):
+            check_round(round_index)
+
+    @pytest.mark.parametrize(
+        "indices, round_index", [([3.7], 0), ([3], -1), (["3"], 0)]
+    )
+    def test_manager_submit_rejects_what_intake_rejects(self, indices, round_index):
+        manager = DeletionManager()
+        with pytest.raises(ValueError):
+            manager.submit(0, indices, round_index)
+        assert manager.num_pending == 0
 
 
 class TestPolicies:

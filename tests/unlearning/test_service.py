@@ -6,11 +6,14 @@ rebuilds the service and re-certifies interrupted windows with shard
 states **bit-identical** to an uninterrupted run.
 """
 
+import math
 import os
 import shutil
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.nn.models import RegistryModelFactory
 from repro.runtime import PoolBackend
@@ -22,7 +25,6 @@ from repro.unlearning import (
     ImmediatePolicy,
     Journal,
     JournalCorruption,
-    PoissonArrivals,
     RequestState,
     SisaConfig,
     SisaEnsemble,
@@ -31,7 +33,7 @@ from repro.unlearning import (
     replay_journal,
 )
 
-from ..conftest import make_blobs
+from ..conftest import generated, make_blobs
 
 FACTORY = RegistryModelFactory(name="mlp", num_classes=3, in_channels=1, image_size=4)
 SISA = SisaConfig(num_shards=3, num_slices=2, epochs_per_slice=1, batch_size=8)
@@ -112,18 +114,18 @@ class TestStateMachine:
         assert scheduled["indices"] == [3, 40]
         assert scheduled["shards"] == [2]
 
-    def test_sla_report_after_certification(self, tmp_path):
+    def test_sla_meter_after_certification(self, tmp_path):
         with UnlearningService(
             fresh_ensemble(), str(tmp_path / "svc"), policy=BatchSizePolicy(1)
         ) as service:
             service.submit(0, [3], 0, request_id="r1")
             service.tick(0)
             service.drain(1)
-            report = service.sla.report()
-        assert report["certified_requests"] == 1
-        assert report["p50_rounds"] == 0.0  # serial: certified same round
-        assert report["p95_rounds"] == 0.0
-        assert report["p50_seconds"] >= 0.0
+            assert service.sla.num_certified == 1
+            # serial: certified the round it arrived
+            assert service.sla.percentile_rounds(50) == 0.0
+            assert service.sla.percentile_rounds(95) == 0.0
+            assert service.requests["r1"].time_to_forget_seconds >= 0.0
 
     def test_rerequest_of_deleted_index_certifies_as_noop(self, tmp_path):
         """Indices already forgotten re-certify without retraining."""
@@ -176,6 +178,70 @@ class TestValidation:
                 service.submit(0, [len(DATASET)], 0, request_id="oob")
             assert service.states()["oob"] == RequestState.FAILED
 
+    def test_negative_round_rejected_before_journaling(self, tmp_path):
+        """A round replay would reject never reaches the journal, so the
+        directory still recovers."""
+        directory = str(tmp_path / "svc")
+        with UnlearningService(fresh_ensemble(), directory) as service:
+            with pytest.raises(ValueError, match="non-negative"):
+                service.submit(0, [3], round_index=-1)
+            assert service.requests == {}
+        assert journal_events(directory) == []
+        with UnlearningService.recover(
+            directory, model_factory=FACTORY, dataset=DATASET
+        ) as recovered:
+            assert recovered.states() == {}
+            recovered.submit(0, [3], 0, request_id="after")
+            assert recovered.states() == {"after": RequestState.VALIDATED}
+
+    def test_fractional_index_rejected_not_truncated(self, tmp_path):
+        """``3.7`` names no sample; it must not become a deletion of 3."""
+        directory = str(tmp_path / "svc")
+        with UnlearningService(fresh_ensemble(), directory) as service:
+            with pytest.raises(ValueError, match="whole numbers"):
+                service.submit(0, [3.7], 0, request_id="frac")
+            assert service.requests == {}
+            # A float that is a whole number names that sample.
+            whole = service.submit(0, [3.0, 5], 0, request_id="whole")
+            np.testing.assert_array_equal(whole.indices, [3, 5])
+        assert journal_events(directory) == ["received", "validated"]
+
+    @pytest.mark.parametrize(
+        "indices, round_index",
+        [
+            ([3], -(2**40)),
+            ([3], 1.5),
+            ([3], "0"),
+            ([1, 2.5], 0),
+            ([np.nan], 0),
+            ([np.inf], 0),
+            (["3"], 0),
+            ([True], 0),
+        ],
+    )
+    def test_rejected_before_journaling(self, indices, round_index, tmp_path):
+        directory = str(tmp_path / "svc")
+        with UnlearningService(fresh_ensemble(), directory) as service:
+            for _ in range(2):  # a rejected id is not a duplicate next time
+                with pytest.raises(ValueError):
+                    service.submit(0, indices, round_index, request_id="bad")
+            assert service.requests == {}
+            assert service.duplicates == 0
+        assert journal_events(directory) == []
+        with UnlearningService.recover(
+            directory, model_factory=FACTORY, dataset=DATASET
+        ) as recovered:
+            assert recovered.states() == {}
+
+    def test_known_id_with_a_bad_round_raises_before_journaling(self, tmp_path):
+        directory = str(tmp_path / "svc")
+        with UnlearningService(fresh_ensemble(), directory) as service:
+            service.submit(0, [3], 0, request_id="r1")
+            with pytest.raises(ValueError, match="non-negative"):
+                service.submit(0, [3], -2, request_id="r1")
+            assert service.duplicates == 0
+        assert journal_events(directory) == ["received", "validated"]
+
     def test_fresh_start_on_populated_directory_refused(self, tmp_path):
         with UnlearningService(
             fresh_ensemble(), str(tmp_path / "svc")
@@ -183,6 +249,92 @@ class TestValidation:
             service.submit(0, [3], 0, request_id="r1")
         with pytest.raises(RuntimeError, match="recover"):
             UnlearningService(fresh_ensemble(), str(tmp_path / "svc"))
+
+
+# Generated intake: whole numbers in and out of range (duplicates are
+# common in 0..5), fractional and non-finite floats, numeric strings and
+# empty lists; rounds negative, zero and large; fresh, auto and repeated
+# request ids.
+ELEMENTS = st.one_of(
+    st.integers(0, 5),
+    st.integers(0, 5).map(float),
+    st.integers(-3, -1),
+    st.integers(len(DATASET), 10**6),
+    st.floats(0, 10).filter(lambda value: not value.is_integer()),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.integers(0, 5).map(str),
+)
+ROUNDS = st.one_of(st.integers(-3, -1), st.just(0), st.integers(1, 2**62))
+CALLS = st.lists(
+    st.tuples(
+        st.lists(ELEMENTS, max_size=4), ROUNDS, st.sampled_from([None, "a", "b"])
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+def is_whole(value):
+    return not isinstance(value, str) and float(value).is_integer()
+
+
+class TestIntakeByGeneration:
+    """Every ``submit`` is accepted with exactly the samples it named or
+    raises only :class:`ValueError`; a call rejected before journaling
+    leaves the journal untouched, and the directory always recovers to
+    the live service's states."""
+
+    ensemble = None
+
+    @classmethod
+    def fitted(cls):
+        # Intake never retrains, so one fitted ensemble serves every example.
+        if cls.ensemble is None:
+            cls.ensemble = fresh_ensemble()
+        return cls.ensemble
+
+    @generated(100)
+    @given(calls=CALLS)
+    def test_submit_accepts_what_it_names_or_raises_value_error(self, calls):
+        with tempfile.TemporaryDirectory() as directory:
+            with UnlearningService(self.fitted(), directory) as service:
+                for indices, round_index, request_id in calls:
+                    self.check_call(service, directory, indices, round_index, request_id)
+                live = service.states()
+                named = {rid: r.indices.tolist() for rid, r in service.requests.items()}
+            with UnlearningService.recover(
+                directory, model_factory=FACTORY, dataset=DATASET
+            ) as recovered:
+                assert recovered.states() == live
+                assert {
+                    rid: r.indices.tolist() for rid, r in recovered.requests.items()
+                } == named
+
+    @staticmethod
+    def check_call(service, directory, indices, round_index, request_id):
+        before = dict(service.requests)
+        journaled = len(journal_events(directory))
+        whole = all(is_whole(value) for value in indices)
+        if round_index < 0 or not whole:
+            with pytest.raises(ValueError):
+                service.submit(0, indices, round_index, request_id=request_id)
+            assert service.requests == before
+            assert len(journal_events(directory)) == journaled
+            return
+        if request_id in before:
+            assert service.submit(0, indices, round_index, request_id) is before[request_id]
+            return
+        samples = sorted({int(value) for value in indices})
+        if samples and all(0 <= value < len(DATASET) for value in samples):
+            request = service.submit(0, indices, round_index, request_id=request_id)
+            assert request.indices.tolist() == samples
+            assert request.state == RequestState.VALIDATED
+        else:
+            with pytest.raises(ValueError):
+                service.submit(0, indices, round_index, request_id=request_id)
+            (request,) = [r for rid, r in service.requests.items() if rid not in before]
+            assert request.state == RequestState.FAILED
+            assert request.indices.tolist() == samples
 
 
 class TestDuplicates:
@@ -702,31 +854,30 @@ class TestCompaction:
 
 
 class TestLoadAndMeters:
-    def test_poisson_arrivals_deterministic(self):
-        first = PoissonArrivals(2.0, 64, seed=9, indices_per_request=2)
-        second = PoissonArrivals(2.0, 64, seed=9, indices_per_request=2)
-        for round_index in range(10):
-            a = first.arrivals(round_index)
-            b = second.arrivals(round_index)
-            assert [rid for rid, _ in a] == [rid for rid, _ in b]
-            for (_, left), (_, right) in zip(a, b):
-                np.testing.assert_array_equal(left, right)
-
-    def test_poisson_arrivals_never_repeat_indices(self):
-        stream = PoissonArrivals(5.0, 10, seed=1, indices_per_request=3)
-        seen = []
-        for round_index in range(50):
-            for _, indices in stream.arrivals(round_index):
-                seen.extend(int(i) for i in indices)
-            if stream.remaining == 0:
-                break
-        assert sorted(seen) == list(range(10))
-
-    def test_poisson_arrivals_validates_parameters(self):
-        with pytest.raises(ValueError, match="rate"):
-            PoissonArrivals(0.0, 10)
-        with pytest.raises(ValueError, match="indices_per_request"):
-            PoissonArrivals(1.0, 10, indices_per_request=0)
+    @generated(50)
+    @given(
+        rounds=st.lists(st.one_of(st.none(), st.integers(0, 50)), max_size=12),
+        q=st.floats(0, 100),
+    )
+    def test_sla_meter_reads_only_certified_requests(self, rounds, q):
+        requests = [
+            DeletionRequest(
+                request_id=f"r{i}",
+                client_id=0,
+                indices=[i],
+                submitted_round=3,
+                certified_round=None if waited is None else 3 + waited,
+            )
+            for i, waited in enumerate(rounds)
+        ]
+        certified = [waited for waited in rounds if waited is not None]
+        meter = SlaMeter(requests)
+        assert meter.num_certified == len(certified)
+        if certified:
+            assert meter.percentile_rounds(q) == float(np.percentile(certified, q))
+        else:
+            with pytest.raises(ValueError, match="no certified"):
+                meter.percentile_rounds(q)
 
     def test_sla_meter_percentiles(self):
         with pytest.raises(ValueError, match="no certified"):
@@ -741,8 +892,8 @@ class TestLoadAndMeters:
             )
             for rounds in (1, 2, 3, 4)
         ]
-        report = SlaMeter(requests).report()
-        assert report["certified_requests"] == 4
-        assert report["p50_rounds"] == 2.5
-        assert report["max_rounds"] == 4
-        assert "p50_seconds" not in report  # no wall stamps recorded
+        meter = SlaMeter(requests)
+        assert meter.num_certified == 4
+        assert meter.percentile_rounds(50) == 2.5
+        assert meter.percentile_rounds(100) == 4.0
+        assert all(r.time_to_forget_seconds is None for r in requests)
