@@ -12,12 +12,12 @@ Run:  python examples/train_cnn.py
 import numpy as np
 
 from repro.data import DataLoader, synthetic_fmnist
-from repro.nn import Adam, SGD, Tensor, losses, no_grad, save_model, load_model
+from repro.nn import SGD, Tensor, losses, no_grad, save_model, load_model
 from repro.nn.models import LeNet5, resnet
 
 
-def train_model(model, train_set, test_set, epochs, lr, rng, optimizer=None):
-    optimizer = optimizer or SGD(model.parameters(), lr=lr, momentum=0.9)
+def train_model(model, train_set, test_set, epochs, lr, rng):
+    optimizer = SGD(model.parameters(), lr=lr, momentum=0.9)
     loader = DataLoader(train_set, batch_size=50, shuffle=True, rng=rng)
     for epoch in range(epochs):
         model.train()
@@ -58,14 +58,13 @@ def main() -> None:
         )
     print(f"  checkpoint roundtrip exact: {same}")
 
-    print("ResNet-8 (narrow) on the same data, with Adam:")
+    print("ResNet-8 (narrow) on the same data:")
     net = resnet(depth=8, num_classes=10, rng=np.random.default_rng(3),
                  in_channels=1, base_width=4)
     print(f"  {net.num_parameters()} parameters "
           "(narrow residual nets converge more slowly than LeNet here)")
-    train_model(net, train_set, test_set, epochs=6, lr=0.01,
-                rng=np.random.default_rng(4),
-                optimizer=Adam(net.parameters(), lr=0.01))
+    train_model(net, train_set, test_set, epochs=6, lr=0.1,
+                rng=np.random.default_rng(4))
 
 
 if __name__ == "__main__":

@@ -2,10 +2,8 @@
 
 from .backdoor import (
     BackdoorAttack,
-    LabelFlipAttack,
     TriggerPattern,
     select_attack_target,
-    select_flip_target,
     select_poison_indices,
 )
 from .dataset import ArrayDataset, FederatedDataset, SharedArrayDataset
@@ -37,10 +35,8 @@ __all__ = [
     "DataLoader",
     "TriggerPattern",
     "BackdoorAttack",
-    "LabelFlipAttack",
     "select_poison_indices",
     "select_attack_target",
-    "select_flip_target",
     "partition_iid",
     "partition_size_skewed",
     "partition_label_skewed",

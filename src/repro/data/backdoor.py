@@ -1,11 +1,12 @@
-"""Backdoor-attack tooling used as the paper's unlearning-validity metric.
+"""Backdoor-attack tooling: the paper's one unlearning-validity metric.
 
 Following Wu et al. [34] ("Federated unlearning with knowledge
 distillation"), the paper validates forgetting by planting a pixel-pattern
-backdoor in the data a client later asks to delete: if unlearning worked,
-the unlearned model's *attack success rate* (fraction of triggered inputs
-classified as the attacker's target label) collapses to near zero, while a
-model that secretly retains the deleted data keeps a high success rate.
+backdoor in exactly the data a client later asks to delete: if unlearning
+worked, the unlearned model's *attack success rate* (fraction of triggered
+inputs classified as the attacker's target label) collapses to near zero,
+while a model that secretly retains the deleted data keeps a high success
+rate.
 """
 
 from __future__ import annotations
@@ -108,64 +109,6 @@ class BackdoorAttack:
                 predictions = model(Tensor(batch)).data.argmax(axis=1)
                 hits += int((predictions == self.target_label).sum())
         return hits / len(triggered)
-
-
-@dataclass
-class LabelFlipAttack:
-    """Label-flipping data poisoning (no input-space trigger).
-
-    The selected samples keep their images but have their labels rewritten
-    to :attr:`target_label`. A model trained on the poisoned data learns to
-    over-predict the target class; after a valid deletion of the flipped
-    samples that bias disappears. Used by the declarative scenario layer
-    (:mod:`repro.experiments.spec`) as the paper-style validity instrument
-    for non-backdoor deletion scenarios.
-    """
-
-    target_label: int
-
-    def poison(self, dataset: ArrayDataset, indices: np.ndarray) -> ArrayDataset:
-        """Return a copy of ``dataset`` with ``indices``' labels flipped."""
-        if self.target_label < 0 or self.target_label >= dataset.num_classes:
-            raise ValueError("target label out of range")
-        indices = np.asarray(indices, dtype=np.int64)
-        labels = dataset.labels.copy()
-        labels[indices] = self.target_label
-        return ArrayDataset(dataset.images.copy(), labels, dataset.num_classes,
-                            dataset.name)
-
-    def success_rate(self, model: Module, test_set: ArrayDataset,
-                     batch_size: int = 256) -> float:
-        """Contamination gauge: P(predict target | true label != target).
-
-        The same measurement as :meth:`BackdoorAttack.success_rate` minus
-        the trigger stamping — how often the model mislabels *clean*
-        non-target inputs as the flip target. High for a model trained on
-        flipped labels, near the base error rate after proper forgetting.
-        """
-        keep = np.flatnonzero(test_set.labels != self.target_label)
-        if keep.size == 0:
-            raise ValueError("test set contains only the target class")
-        hits = 0
-        model.eval()
-        with no_grad():
-            for start in range(0, keep.size, batch_size):
-                batch = test_set.images[keep[start : start + batch_size]]
-                predictions = model(Tensor(batch)).data.argmax(axis=1)
-                hits += int((predictions == self.target_label).sum())
-        return hits / keep.size
-
-
-def select_flip_target(dataset: ArrayDataset) -> int:
-    """Pick the label-flip target: the rarest class in the training data.
-
-    Flipping toward the minority class maximises the measurable
-    contamination (the model would almost never predict it naturally), so
-    the success-rate metric cleanly separates "still poisoned" from
-    "forgotten". Deterministic, like :func:`select_attack_target`.
-    """
-    counts = dataset.class_counts()
-    return int(counts.argmin())
 
 
 def select_attack_target(dataset: ArrayDataset, trigger: TriggerPattern) -> int:

@@ -20,7 +20,10 @@ Beyond the paper's artifacts, two extension experiments:
 Every runner takes an :class:`~repro.experiments.scale.ExperimentScale`
 (``smoke`` / ``small`` / ``paper``) and returns an
 :class:`~repro.experiments.results.ExperimentResult` whose ``render()``
-prints the same rows/series the paper reports.
+prints the same rows/series the paper reports.  The CLI
+(``python -m repro.experiments``) runs exactly these artifacts; each
+declares its :class:`~repro.experiments.spec.ExperimentSpec` and calls
+its loop in :mod:`.runner`.
 """
 
 from . import (
@@ -39,7 +42,6 @@ from . import (
 )
 from .results import ExperimentResult
 from .scale import PAPER, SCALES, SMALL, SMOKE, ExperimentScale, get_scale
-from .store import ResultStore
 from .spec import (
     AttackSpec,
     DatasetSpec,
@@ -47,18 +49,15 @@ from .spec import (
     ExperimentSpec,
     FederationSpec,
     PartitionSpec,
-    SCENARIO_PRESETS,
     Scenario,
     ScenarioBuilder,
     ScenarioSpec,
     build_scenario,
-    get_scenario,
 )
 
 __all__ = [
     "ExperimentScale",
     "ExperimentResult",
-    "ResultStore",
     "get_scale",
     "SCALES",
     "SMOKE",
@@ -70,12 +69,10 @@ __all__ = [
     "ExperimentSpec",
     "FederationSpec",
     "PartitionSpec",
-    "SCENARIO_PRESETS",
     "Scenario",
     "ScenarioBuilder",
     "ScenarioSpec",
     "build_scenario",
-    "get_scenario",
     "runner",
     "fig4_retraining",
     "fig5_backdoor",

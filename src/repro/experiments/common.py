@@ -14,8 +14,7 @@ The canonical workflow each experiment builds on:
    every method being compared.
 
 Both entry points are thin adapters now: scenario construction lives in
-:mod:`repro.experiments.spec` (one builder for backdoor, label-flip and
-clean-deletion scenarios alike) and method dispatch in
+:mod:`repro.experiments.spec` and method dispatch in
 :mod:`repro.unlearning.registry` — results are bit-identical to the
 pre-spec code paths.
 """
@@ -112,7 +111,7 @@ def backdoor_spec(
             trigger_corner=trigger.corner,
             target_label=target_label,
         ),
-        deletion=DeletionSpec(selector="attacked", rate=deletion_rate),
+        deletion=DeletionSpec(rate=deletion_rate),
         federation=FederationSpec(share_datasets=share),
         model=model_name or "",
     )

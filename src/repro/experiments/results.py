@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Sequence
 
@@ -30,8 +28,8 @@ class ExperimentResult:
     runtime: Dict[str, Any] = field(default_factory=dict)
     # Declaration provenance: the stable content hash of the
     # ExperimentSpec that produced this result (see repro.experiments.spec
-    # — identical across processes/platforms), so persisted results can be
-    # joined back to the exact spec that declared them.
+    # — identical across processes/platforms), so a printed result can be
+    # joined back to the exact spec that declared it.
     spec_hash: str = ""
 
     def add_row(self, **values: Any) -> None:
@@ -81,9 +79,6 @@ class ExperimentResult:
     def print(self) -> None:
         print(self.render())
 
-    # ------------------------------------------------------------------
-    # Persistence (for run provenance and offline analysis)
-    # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
         payload = {
             "experiment_id": self.experiment_id,
@@ -98,26 +93,3 @@ class ExperimentResult:
         if self.spec_hash:
             payload["spec_hash"] = self.spec_hash
         return payload
-
-    def save_json(self, path: str) -> None:
-        """Write the result (rows + series) to a JSON file."""
-        directory = os.path.dirname(os.path.abspath(path))
-        os.makedirs(directory, exist_ok=True)
-        with open(path, "w") as handle:
-            json.dump(self.to_dict(), handle, indent=2, default=float)
-
-    @classmethod
-    def load_json(cls, path: str) -> "ExperimentResult":
-        """Read a result previously written by :meth:`save_json`."""
-        with open(path) as handle:
-            payload = json.load(handle)
-        return cls(
-            experiment_id=payload["experiment_id"],
-            title=payload["title"],
-            columns=tuple(payload["columns"]),
-            rows=payload["rows"],
-            series=payload["series"],
-            notes=payload.get("notes", ""),
-            runtime=payload.get("runtime", {}),
-            spec_hash=payload.get("spec_hash", ""),
-        )

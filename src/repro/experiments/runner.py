@@ -1,12 +1,11 @@
-"""The shared experiment runner: every spec kind, one execution engine.
+"""The shared experiment runner: one loop per paper-artifact shape.
 
 Each paper artifact module (``fig5_backdoor``, ``tab10_ablation``, …) is a
 *thin spec definition*: it declares an
-:class:`~repro.experiments.spec.ExperimentSpec` and delegates here. The
-runner owns the loops — build scenario → pretrain → snapshot → per-method
-restore/unlearn/evaluate — and every method goes through the registry
-(:mod:`repro.unlearning.registry`), so adding a method or a scenario never
-adds a module.
+:class:`~repro.experiments.spec.ExperimentSpec` and calls the loop for its
+kind here. The runner owns the loops — build scenario → pretrain →
+snapshot → per-method restore/unlearn/evaluate — and every method goes
+through the registry (:mod:`repro.unlearning.registry`).
 
 Spec kinds
 ----------
@@ -22,12 +21,11 @@ kind                   paper artifact shape
 ``shard_convergence``  sharded-trainer accuracy vs rounds (Fig 6)
 ``shard_deletion``     accuracy around a deletion event (Fig 7)
 ``aggregation``        FedAvg vs adaptive aggregation (Fig 8/9, T XII)
-``matrix``             registry × spec sweep (the CLI matrix driver)
 =====================  ==================================================
 
 Every produced :class:`~repro.experiments.results.ExperimentResult` is
-stamped with the spec's stable content hash, so persisted results can be
-joined back to the exact declaration that produced them.
+stamped with the spec's stable content hash, so a printed result can be
+joined back to the exact declaration that produced it.
 
 RNG discipline: loops preserve the historical build/run order (method
 execution order included — client RNG streams advance across methods), so
@@ -37,10 +35,8 @@ seed.
 
 from __future__ import annotations
 
-import itertools
-import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,7 +45,7 @@ from ..federated import RoundHistoryStore, attach_history
 from ..federated.metering import state_bytes
 from ..federated.simulation import make_aggregator, FederatedSimulation
 from ..nn.module import Module
-from ..runtime import BackendLike, get_backend
+from ..runtime import BackendLike
 from ..training import evaluate, train
 from ..unlearning import ShardedClientTrainer, UnlearnOutcome
 from ..unlearning.registry import (
@@ -65,7 +61,6 @@ from .spec import (
     ScenarioSpec,
     build_scenario,
     dataset_data_key,
-    spec_hash,
 )
 
 _MB = 1024.0 * 1024.0
@@ -442,7 +437,7 @@ def run_certification(
     # The certification probe must cover the inputs where retained
     # knowledge of D_f would surface — clean test samples alone never show
     # the backdoor, so half the probe carries the trigger when one exists.
-    if scenario.attack is not None and hasattr(scenario.attack, "triggered_test_set"):
+    if scenario.attack is not None:
         probe = scenario.test_set.concat(
             scenario.attack.triggered_test_set(scenario.test_set)
         )
@@ -747,318 +742,3 @@ def run_aggregation_iid(
                 max_gap=gap,
             )
     return _stamp(result, exp)
-
-
-# ----------------------------------------------------------------------
-# matrix — the CLI's registry × spec sweep driver
-# ----------------------------------------------------------------------
-def pretrain_cache_key(scenario_spec: ScenarioSpec) -> str:
-    """The sweep-level pretrain cache key: spec hash, deletion zeroed.
-
-    Matrix cells that differ only in ``deletion.*`` train the same
-    federation before any method runs — *which* samples will later be
-    deleted cannot influence pretraining unless an attack plants
-    contamination on exactly that subset.  Zeroing the deletion section
-    out of the hashed payload makes such cells collide on one key.
-    """
-    payload = scenario_spec.to_dict()
-    payload["deletion"] = {}
-    return spec_hash(payload)
-
-
-def _pretrain_cacheable(scenario_spec: ScenarioSpec) -> bool:
-    """Whether pretraining is independent of the deletion fields.
-
-    With an attack, the deletion selection decides which samples get
-    poisoned, so different rates produce different training data and the
-    cache must miss; clean scenarios only *mark* the selection for later.
-    """
-    return scenario_spec.attack.kind == "none"
-
-
-@dataclass
-class _CachedPretrain:
-    """One cached pretrain: origin model, snapshot, post-pretrain RNGs.
-
-    ``SimulationSnapshot`` deliberately restores models and datasets but
-    not client RNG positions (methods advance the streams across a cell —
-    the historical RNG discipline).  A cache *hit* builds a fresh
-    simulation whose clients sit at their initial positions, so the
-    post-pretrain positions are restored explicitly; without them the hit
-    would train with different mini-batch shuffles than a cold pretrain
-    and bit-identity would silently break.
-    """
-
-    origin: Module
-    snapshot: Any
-    client_rng_states: List[Any]
-
-    def restore_into(self, scenario: Scenario) -> "PreparedScenario":
-        for client, rng_state in zip(
-            scenario.sim.clients, self.client_rng_states
-        ):
-            client.rng.bit_generator.state = rng_state
-        return PreparedScenario(
-            scenario=scenario, origin=self.origin, snapshot=self.snapshot
-        )
-
-    @classmethod
-    def capture(cls, prepared: "PreparedScenario") -> "_CachedPretrain":
-        return cls(
-            origin=prepared.origin,
-            snapshot=prepared.snapshot,
-            client_rng_states=[
-                dict(client.rng.bit_generator.state)
-                for client in prepared.scenario.sim.clients
-            ],
-        )
-
-
-def run_matrix(
-    exp: ExperimentSpec, scale: ExperimentScale, seed: int = 0, store=None
-) -> ExperimentResult:
-    """Enumerate sweep combinations × methods over one base scenario.
-
-    ``exp.params["sweeps"]`` maps dotted spec paths to value lists
-    (``{"deletion.rate": [0.02, 0.06]}``); every combination builds and
-    pretrains once, then every method runs from the shared snapshot. An
-    ``origin`` row per combination anchors the metrics.
-
-    Combinations differing only in ``deletion.*`` share one pretrained
-    snapshot through the sweep-level cache (:func:`pretrain_cache_key`) —
-    bit-identical to a cold pretrain, because the deletion fields of a
-    clean (attack-free) scenario never touch the training data.  Disable
-    with ``params={"pretrain_cache": False}``; scenarios with an attack,
-    or methods needing round history, always pretrain cold.
-
-    With a :class:`~repro.experiments.store.ResultStore`, every sweep
-    cell's rows are checkpointed under a cell-level spec hash as soon as
-    the cell finishes — an interrupted matrix resumed with the same
-    store re-runs only the cells that never completed (resumed cells
-    contribute no transport/vectorize telemetry; the ``result_store``
-    runtime entry records how many were skipped).
-    """
-    sweeps: Dict[str, List[Any]] = dict(exp.params.get("sweeps", {}))
-    methods = tuple(exp.methods) or ("ours", "b1")
-    keys = list(sweeps)
-    value_lists = [sweeps[key] for key in keys]
-    combos = list(itertools.product(*value_lists)) if keys else [()]
-
-    needs_history = any(get_unlearner(m).requires_history for m in methods)
-    # History is recorded *during* pretraining, so cached cells would lose
-    # it — the update-adjustment methods force cold pretrains.
-    cache_enabled = (
-        bool(exp.params.get("pretrain_cache", True)) and not needs_history
-    )
-    pretrain_cache: Dict[str, _CachedPretrain] = {}
-    cache_hits = cache_misses = 0
-    transport_totals: Dict[str, Any] = {}
-    vectorize_totals: Dict[str, Any] = {}
-    # Cluster fault accounting: the resolved backend is shared (and
-    # cached) process-wide, so its FaultReport counters are cumulative —
-    # snapshot them now and stamp this run's *delta* into provenance.
-    run_backend = get_backend(None)
-    cluster_before = (
-        run_backend.fault_report()
-        if hasattr(run_backend, "fault_report")
-        else None
-    )
-    result = ExperimentResult(
-        experiment_id=exp.experiment_id,
-        title=exp.title,
-        columns=tuple(keys) + (
-            "method", "acc", "backdoor", "wall_s", "rounds", "chains",
-        ),
-    )
-    cells_resumed = 0
-    for combo in combos:
-        overrides = dict(zip(keys, combo))
-        cell_hash = None
-        if store is not None:
-            # A cell is addressed by the matrix spec plus its overrides —
-            # the methods ride in exp.hash() already.
-            cell_hash = spec_hash({"matrix": exp.hash(), "cell": overrides})
-            cached_cell = store.get(cell_hash, scale.name, seed)
-            if cached_cell is not None:
-                result.rows.extend(cached_cell.rows)
-                cells_resumed += 1
-                continue
-        cell_start = len(result.rows)
-        scenario_spec = (
-            exp.scenario.with_overrides(**overrides) if overrides else exp.scenario
-        )
-        cache_key = (
-            pretrain_cache_key(scenario_spec)
-            if cache_enabled and _pretrain_cacheable(scenario_spec)
-            else None
-        )
-        start = time.perf_counter()
-        if cache_key is not None and cache_key in pretrain_cache:
-            # Cache hit: rebuild the (cheap) scenario, reuse the pretrained
-            # origin + snapshot + post-pretrain client RNG positions;
-            # run_method restores the snapshot into the fresh simulation
-            # before every method exactly as on a miss.
-            prepared = pretrain_cache[cache_key].restore_into(
-                build_scenario(scenario_spec, scale, seed=seed)
-            )
-            cache_hits += 1
-        else:
-            prepared = prepare(
-                scenario_spec, scale, seed=seed, with_history=needs_history
-            )
-            if cache_key is not None:
-                pretrain_cache[cache_key] = _CachedPretrain.capture(prepared)
-                cache_misses += 1
-        pretrain_wall = time.perf_counter() - start
-        origin_metrics = evaluate_model(prepared.origin, prepared.scenario)
-        result.add_row(
-            **overrides,
-            method="origin",
-            acc=origin_metrics["acc"],
-            backdoor=origin_metrics["backdoor"],
-            wall_s=pretrain_wall,
-            rounds=0,
-            chains=0,
-        )
-        for method in methods:
-            outcome = run_method(
-                prepared, method, scale,
-                rng=_history_rng(seed, get_unlearner(method)),
-            )
-            metrics = evaluate_model(outcome.global_model, prepared.scenario)
-            result.add_row(
-                **overrides,
-                method=method,
-                acc=metrics["acc"],
-                backdoor=metrics["backdoor"],
-                wall_s=outcome.wall_seconds,
-                rounds=outcome.rounds_run,
-                chains=outcome.chains,
-            )
-        # Aggregate bytes-on-the-wire across cells, keyed by codec so a
-        # federation.compression.codec sweep reports each codec's traffic
-        # separately (pretraining + method rounds of its cells).
-        report = prepared.scenario.sim.transport_report()
-        codec_key = report.pop("codec")
-        bucket = transport_totals.setdefault(codec_key, {})
-        for key, value in report.items():
-            bucket[key] = bucket.get(key, 0) + value
-        vec_report = prepared.scenario.sim.vectorize_report()
-        if vec_report["requested"]:
-            vectorize_totals["requested"] = True
-            for key in ("rounds_vectorized", "rounds_fallback"):
-                vectorize_totals[key] = vectorize_totals.get(key, 0) + vec_report[key]
-            reasons = vectorize_totals.setdefault("fallback_reasons", {})
-            for reason, count in vec_report["fallback_reasons"].items():
-                reasons[reason] = reasons.get(reason, 0) + count
-            # Stack-chunk fan-out tally: how many fused units were split
-            # into how many chunks (keys are chunk counts).  Stamped into
-            # provenance so a run records whether vectorization actually
-            # composed with the backend's parallelism.
-            chunk_totals = vectorize_totals.setdefault("chunks", {})
-            for chunk_count, occurrences in vec_report.get("chunks", {}).items():
-                chunk_totals[chunk_count] = (
-                    chunk_totals.get(chunk_count, 0) + occurrences
-                )
-        if store is not None:
-            store.put(
-                ExperimentResult(
-                    experiment_id=f"{exp.experiment_id}#cell",
-                    title=f"{exp.title} [cell {overrides or 'base'}]",
-                    columns=result.columns,
-                    rows=result.rows[cell_start:],
-                ),
-                scale.name,
-                seed,
-                spec_hash=cell_hash,
-            )
-    if store is not None:
-        result.runtime["result_store"] = {
-            "cells_resumed": cells_resumed,
-            "cells_run": len(combos) - cells_resumed,
-        }
-    if transport_totals:
-        result.runtime["transport"] = transport_totals
-    if vectorize_totals:
-        result.runtime["vectorize"] = vectorize_totals
-    if cache_enabled:
-        result.runtime["pretrain_cache"] = {
-            "hits": cache_hits, "misses": cache_misses,
-        }
-    if cluster_before is not None:
-        after = run_backend.fault_report()
-        result.runtime["cluster"] = {
-            key: after[key] - cluster_before.get(key, 0) for key in after
-        }
-    return _stamp(result, exp)
-
-
-# ----------------------------------------------------------------------
-# Kind dispatch (the spec-level entry point)
-# ----------------------------------------------------------------------
-def _run_shard_deletion_spec(
-    exp: ExperimentSpec, scale: ExperimentScale, seed: int = 0, **kwargs: Any
-) -> ExperimentResult:
-    rate = float(exp.params.get("rate", 0.06))
-    return run_shard_deletion(exp, scale, rate, seed=seed, **kwargs)
-
-
-def _run_aggregation_spec(
-    exp: ExperimentSpec, scale: ExperimentScale, seed: int = 0, **kwargs: Any
-) -> ExperimentResult:
-    num_clients = int(exp.params.get("num_clients") or scale.num_clients)
-    return run_aggregation_panel(exp, scale, num_clients, seed=seed, **kwargs)
-
-
-_KIND_RUNNERS: Dict[str, Callable[..., ExperimentResult]] = {
-    "rate_table": run_rate_table,
-    "retrain_curves": run_retrain_curves,
-    "divergence": run_divergence,
-    "goldfish_variants": run_goldfish_variants,
-    "efficiency": run_efficiency,
-    "certification": run_certification,
-    "shard_convergence": run_shard_convergence,
-    "shard_deletion": _run_shard_deletion_spec,
-    "aggregation": _run_aggregation_spec,
-    "aggregation_iid": run_aggregation_iid,
-    "matrix": run_matrix,
-}
-
-#: Kinds whose runner accepts a ``store=`` kwarg for intra-run resume
-#: (today: the matrix checkpoints each sweep cell).
-_STORE_AWARE_KINDS = {"matrix"}
-
-
-def run_spec(
-    exp: ExperimentSpec,
-    scale: ExperimentScale,
-    seed: int = 0,
-    store=None,
-    **kwargs: Any,
-) -> ExperimentResult:
-    """Execute one experiment spec (kinds taking uniform arguments).
-
-    With a :class:`~repro.experiments.store.ResultStore`, a spec already
-    computed at this ``(scale, seed)`` returns the persisted result
-    without running anything; a fresh run is persisted on the way out.
-    Matrix specs additionally checkpoint every sweep cell into the store,
-    so an interrupted matrix resumes from its completed cells.
-    """
-    try:
-        runner = _KIND_RUNNERS[exp.kind]
-    except KeyError:
-        raise ValueError(
-            f"unknown experiment kind {exp.kind!r}; "
-            f"available: {sorted(_KIND_RUNNERS)}"
-        ) from None
-    if store is not None:
-        cached = store.get(exp.hash(), scale.name, seed)
-        if cached is not None:
-            cached.runtime["result_store"] = "hit"
-            return cached
-        if exp.kind in _STORE_AWARE_KINDS:
-            kwargs = {**kwargs, "store": store}
-    result = runner(exp, scale, seed=seed, **kwargs)
-    if store is not None:
-        store.put(result, scale.name, seed, spec_hash=exp.hash())
-    return result

@@ -1,8 +1,7 @@
-"""Declarative scenario & experiment specs: one spec, every experiment.
+"""Declarative scenario & experiment specs for the paper's artifacts.
 
-The paper's evaluation is a matrix of *scenarios* (dataset × partition ×
-attack × deletion × federation) crossed with *unlearning methods*. This
-module makes the scenario axis declarative:
+Each paper artifact is a *scenario* (dataset × partition × attack ×
+deletion × federation) crossed with *unlearning methods*:
 
 * :class:`ScenarioSpec` — a serializable description of everything up to
   (but not including) the method: dataset → partition → attack/trigger →
@@ -11,15 +10,11 @@ module makes the scenario axis declarative:
   across processes and platforms) stamped into every
   :class:`~repro.experiments.results.ExperimentResult` for provenance.
 * :class:`ScenarioBuilder` — turns a spec into a live :class:`Scenario`
-  (simulation + deletion requests + validity instrument). It generalises
-  the historical ``build_backdoor_federation``: the backdoor path is
-  RNG-for-RNG identical to the old code, and non-backdoor scenarios
-  (label-flip poisoning, clean per-client deletion, per-class deletion)
-  are *spec declarations*, not new modules.
+  (simulation + deletion requests + validity instrument). The backdoor
+  path is RNG-for-RNG identical to the historical
+  ``build_backdoor_federation``; ``attack.kind="none"`` plants nothing.
 * :class:`ExperimentSpec` — a scenario plus methods plus runner ``kind``
   and parameters; :mod:`repro.experiments.runner` executes these.
-* :data:`SCENARIO_PRESETS` — named scenarios for the CLI matrix driver
-  (``--scenario label_flip --method ours,b1 --sweep deletion.rate=...``).
 
 Specs deliberately hold *logical* knobs only; physical scale (sample
 counts, rounds, client counts when unset) comes from the
@@ -41,12 +36,10 @@ from ..data import (
     ArrayDataset,
     BackdoorAttack,
     FederatedDataset,
-    LabelFlipAttack,
     TriggerPattern,
     make_dataset,
     make_federated,
     select_attack_target,
-    select_flip_target,
 )
 from ..data.synthetic import SPECS
 from ..federated import FederatedSimulation
@@ -88,21 +81,19 @@ class PartitionSpec:
 class AttackSpec:
     """What contamination (the paper's validity instrument) is planted.
 
-    ``kind="backdoor"`` stamps a pixel trigger and flips labels;
-    ``"label_flip"`` flips labels only; ``"none"`` plants nothing (clean
-    deletion scenarios). ``target_label=None`` auto-selects: the class
-    with least natural trigger affinity (backdoor) or the rarest class
-    (label flip).
+    ``kind="backdoor"`` stamps a pixel trigger and flips labels; ``"none"``
+    plants nothing. ``target_label=None`` auto-selects the class with the
+    least natural trigger affinity.
     """
 
-    kind: str = "none"  # none | backdoor | label_flip
+    kind: str = "none"  # none | backdoor
     trigger_size: int = 7
     trigger_value: float = 6.0
     trigger_corner: str = "br"
     target_label: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("none", "backdoor", "label_flip"):
+        if self.kind not in ("none", "backdoor"):
             raise ValueError(f"unknown attack kind {self.kind!r}")
 
     def trigger(self) -> TriggerPattern:
@@ -116,59 +107,21 @@ class AttackSpec:
 class DeletionSpec:
     """Which samples the deleting client asks to forget.
 
-    ``selector="attacked"`` deletes exactly the attacked subset (rate of
-    the *total* training data, as in the paper); ``"random"`` deletes a
-    clean random subset at the same rate; ``"class"`` deletes every local
-    sample of ``target_class`` (``None`` = the client's rarest class).
+    A random local subset of ``rate`` × the *total* training data, as in
+    the paper; an attack, if any, is planted on exactly this subset.
     """
 
-    selector: str = "attacked"  # attacked | random | class
     rate: float = 0.06
     client_id: int = 0
-    target_class: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.selector not in ("attacked", "random", "class"):
-            raise ValueError(f"unknown deletion selector {self.selector!r}")
-        if self.selector != "class" and not 0.0 < self.rate < 1.0:
+        if not 0.0 < self.rate < 1.0:
             raise ValueError(f"deletion rate must be in (0, 1), got {self.rate}")
 
 
 @dataclass(frozen=True)
-class CompressionSpec:
-    """Which :mod:`~repro.runtime.codec` update codec client returns use.
-
-    ``"raw"`` (default) is the historical dense-state return, bit for
-    bit; ``"delta"`` is lossless by construction (XOR + deflate against
-    the broadcast basis); ``"topk:<frac>"`` and ``"quant:<bits>"`` are
-    the opt-in lossy compressors (deterministic per seed).  Sweepable
-    through the matrix driver as ``federation.compression.codec``.
-    """
-
-    codec: str = "raw"
-
-    def __post_init__(self) -> None:
-        from ..runtime import get_codec
-
-        get_codec(self.codec)  # fail fast on typos, before any training
-
-
-@dataclass(frozen=True)
 class FederationSpec:
-    """Federation shape (0 clients = take the scale preset's count).
-
-    ``compression`` selects the update codec for client returns (see
-    :class:`CompressionSpec`); byte counts per round land in
-    :class:`~repro.federated.simulation.RoundRecord` and run totals in
-    the result's ``runtime["transport"]`` provenance.
-
-    ``vectorize`` opts into client-vectorized execution
-    (:mod:`repro.federated.vectorized`): eligible homogeneous cohorts
-    train as one stacked forward/backward per round-step, bit-identically;
-    ineligible cohorts fall back per client with the reason recorded in
-    the result's ``runtime["vectorize"]`` provenance.  Sweepable through
-    the matrix driver as ``federation.vectorize``.
-    """
+    """Federation shape (0 clients = take the scale preset's count)."""
 
     num_clients: int = 0
     aggregator: str = "fedavg"  # fedavg | fedavg_uniform | adaptive
@@ -176,24 +129,6 @@ class FederationSpec:
     # when the active backend pickles tasks to workers (pool / process),
     # so `--backend pool` experiments get zero-copy fan-out by default.
     share_datasets: Optional[bool] = None
-    compression: CompressionSpec = field(default_factory=CompressionSpec)
-    vectorize: bool = False
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "FederationSpec":
-        data = dict(payload)
-        compression = data.pop("compression", None)
-        if compression is None:
-            compression = CompressionSpec()
-        elif isinstance(compression, Mapping):
-            compression = CompressionSpec(**compression)
-        elif not isinstance(compression, CompressionSpec):
-            raise ValueError(
-                f"federation.compression must be a mapping like "
-                f"{{'codec': 'delta'}}, got {compression!r} — did you mean "
-                "federation.compression.codec?"
-            )
-        return cls(**data, compression=compression)
 
 
 @dataclass(frozen=True)
@@ -206,14 +141,6 @@ class ScenarioSpec:
     deletion: DeletionSpec = field(default_factory=DeletionSpec)
     federation: FederationSpec = field(default_factory=FederationSpec)
     model: str = ""  # "" = the scale preset's model for the dataset
-
-    def __post_init__(self) -> None:
-        if self.attack.kind != "none" and self.deletion.selector == "random":
-            raise ValueError(
-                "selector='random' deletes a subset unrelated to the attack; "
-                "use selector='attacked' so the validity instrument tracks "
-                "the deleted data, or attack kind='none'"
-            )
 
     # ------------------------------------------------------------------
     # Serialization & hashing
@@ -230,7 +157,7 @@ class ScenarioSpec:
             partition=PartitionSpec(**payload.get("partition", {})),
             attack=AttackSpec(**payload.get("attack", {})),
             deletion=DeletionSpec(**payload.get("deletion", {})),
-            federation=FederationSpec.from_dict(payload.get("federation", {})),
+            federation=FederationSpec(**payload.get("federation", {})),
             model=payload.get("model", ""),
         )
 
@@ -241,8 +168,8 @@ class ScenarioSpec:
         """A copy with dotted-path overrides applied.
 
         ``spec.with_overrides(**{"deletion.rate": 0.12,
-        "federation.num_clients": 10})`` — the sweep primitive of the CLI
-        matrix driver. Top-level field names work too (``model="lenet5"``).
+        "federation.num_clients": 10})`` — how a rate sweep derives each
+        rate's scenario. Top-level field names work too (``model="lenet5"``).
         """
         payload = self.to_dict()
         for path, value in dotted.items():
@@ -303,11 +230,11 @@ class ExperimentSpec:
 
     ``kind`` names a loop in :mod:`repro.experiments.runner` (rate_table,
     retrain_curves, divergence, goldfish_variants, efficiency,
-    certification, shard_convergence, shard_deletion, aggregation,
-    matrix); ``params`` carries the kind-specific knobs (rates,
+    certification, shard_convergence, shard_deletion, aggregation);
+    ``params`` carries the kind-specific knobs (rates,
     checkpoints, shard counts, …) with empty/zero meaning "take the scale
     preset's value". Everything is JSON-serializable, so the whole
-    experiment — not just the scenario — round-trips and hashes.
+    experiment — not just the scenario — hashes.
     """
 
     experiment_id: str
@@ -331,17 +258,6 @@ class ExperimentSpec:
             "params": self.params,
         }
 
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "ExperimentSpec":
-        return cls(
-            experiment_id=payload["experiment_id"],
-            title=payload.get("title", ""),
-            kind=payload["kind"],
-            scenario=ScenarioSpec.from_dict(payload.get("scenario", {})),
-            methods=tuple(payload.get("methods", ())),
-            params=dict(payload.get("params", {})),
-        )
-
     def hash(self) -> str:
         return spec_hash(self.to_dict())
 
@@ -360,14 +276,14 @@ class Scenario:
 
     Field names deliberately match the historical ``BackdoorFederation``
     (which is now an alias of this class), so all pre-spec call sites keep
-    working: ``attack`` is ``None`` for clean-deletion scenarios and
+    working: ``attack`` is ``None`` when ``attack.kind="none"`` and
     otherwise exposes ``success_rate(model, test_set)``.
     """
 
     sim: FederatedSimulation
     fed_data: FederatedDataset
     test_set: ArrayDataset
-    attack: Optional[Any]  # BackdoorAttack | LabelFlipAttack | None
+    attack: Optional[BackdoorAttack]
     poison_indices: np.ndarray  # local indices within the deleting client
     model_factory: Callable[[], Module]
     config: TrainConfig
@@ -464,7 +380,14 @@ class ScenarioBuilder:
         if not 0 <= client_id < num_clients:
             raise ValueError(f"deletion client {client_id} out of range")
         local = fed.client_datasets[client_id]
-        delete_indices = self._select_deletion(spec.deletion, train_set, local, rng)
+        # The paper's "deleted data rate": rate × |total train| local indices.
+        count = max(1, int(round(spec.deletion.rate * len(train_set))))
+        if count >= len(local):
+            raise ValueError(
+                f"deletion rate {spec.deletion.rate} exceeds client "
+                f"{client_id}'s local data ({count} >= {len(local)})"
+            )
+        delete_indices = np.sort(rng.choice(len(local), count, replace=False))
 
         attack = self._make_attack(spec.attack, train_set)
         if attack is not None:
@@ -487,8 +410,6 @@ class ScenarioBuilder:
         )
         sim = FederatedSimulation(
             factory, fed, aggregator, config, seed=seed + 2000, backend=backend,
-            codec=spec.federation.compression.codec,
-            vectorize=spec.federation.vectorize,
         )
         return Scenario(
             sim=sim,
@@ -501,53 +422,16 @@ class ScenarioBuilder:
             spec=spec,
         )
 
-    def _select_deletion(
-        self,
-        deletion: DeletionSpec,
-        train_set: ArrayDataset,
-        local: ArrayDataset,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        if deletion.selector == "class":
-            target = deletion.target_class
-            if target is None:
-                counts = local.class_counts()
-                present = np.flatnonzero(counts > 0)
-                target = int(present[counts[present].argmin()])
-            indices = np.flatnonzero(local.labels == target)
-            if indices.size == 0:
-                raise ValueError(
-                    f"deleting client holds no samples of class {target}"
-                )
-            if indices.size >= len(local):
-                raise ValueError("cannot delete the client's entire dataset")
-            return indices
-        # "attacked" and "random" both sample rate * |total train| local
-        # indices — the paper's "deleted data rate" semantics. They differ
-        # only in whether an attack is planted on the selection.
-        count = max(1, int(round(deletion.rate * len(train_set))))
-        if count >= len(local):
-            raise ValueError(
-                f"deletion rate {deletion.rate} exceeds client "
-                f"{deletion.client_id}'s local data ({count} >= {len(local)})"
-            )
-        return np.sort(rng.choice(len(local), count, replace=False))
-
     def _make_attack(
         self, attack: AttackSpec, train_set: ArrayDataset
-    ) -> Optional[Any]:
+    ) -> Optional[BackdoorAttack]:
         if attack.kind == "none":
             return None
-        if attack.kind == "backdoor":
-            trigger = attack.trigger()
-            target = attack.target_label
-            if target is None:
-                target = select_attack_target(train_set, trigger)
-            return BackdoorAttack(trigger, target_label=target)
+        trigger = attack.trigger()
         target = attack.target_label
         if target is None:
-            target = select_flip_target(train_set)
-        return LabelFlipAttack(target_label=target)
+            target = select_attack_target(train_set, trigger)
+        return BackdoorAttack(trigger, target_label=target)
 
 
 def _model_factory(dataset: ArrayDataset, model_name: str):
@@ -573,84 +457,3 @@ def build_scenario(
 ) -> Scenario:
     """Module-level convenience over one shared :class:`ScenarioBuilder`."""
     return _BUILDER.build(spec, scale, seed=seed, backend=backend)
-
-
-# ----------------------------------------------------------------------
-# Named scenario presets (the CLI matrix driver's --scenario choices)
-# ----------------------------------------------------------------------
-
-
-def backdoor_scenario(
-    dataset: str = "mnist",
-    rate: float = 0.06,
-    trigger_size: int = 7,
-    trigger_value: float = 6.0,
-    target_label: Optional[int] = None,
-    model: str = "",
-) -> ScenarioSpec:
-    """The paper's canonical scenario: backdoored subset of client 0."""
-    return ScenarioSpec(
-        dataset=DatasetSpec(name=dataset),
-        attack=AttackSpec(
-            kind="backdoor", trigger_size=trigger_size,
-            trigger_value=trigger_value, target_label=target_label,
-        ),
-        deletion=DeletionSpec(selector="attacked", rate=rate),
-        model=model,
-    )
-
-
-def label_flip_scenario(
-    dataset: str = "mnist", rate: float = 0.06,
-    target_label: Optional[int] = None,
-) -> ScenarioSpec:
-    """Label-flip poisoning on the to-be-deleted subset (no trigger)."""
-    return ScenarioSpec(
-        dataset=DatasetSpec(name=dataset),
-        attack=AttackSpec(kind="label_flip", target_label=target_label),
-        deletion=DeletionSpec(selector="attacked", rate=rate),
-    )
-
-
-def clean_deletion_scenario(
-    dataset: str = "mnist", rate: float = 0.06, client_id: int = 0
-) -> ScenarioSpec:
-    """GDPR-style clean deletion: a random local subset, no attack."""
-    return ScenarioSpec(
-        dataset=DatasetSpec(name=dataset),
-        attack=AttackSpec(kind="none"),
-        deletion=DeletionSpec(selector="random", rate=rate, client_id=client_id),
-    )
-
-
-def class_deletion_scenario(
-    dataset: str = "mnist", target_class: Optional[int] = None,
-    client_id: int = 0,
-) -> ScenarioSpec:
-    """Delete every local sample of one class (None = client's rarest)."""
-    return ScenarioSpec(
-        dataset=DatasetSpec(name=dataset),
-        attack=AttackSpec(kind="none"),
-        deletion=DeletionSpec(
-            selector="class", client_id=client_id, target_class=target_class
-        ),
-    )
-
-
-SCENARIO_PRESETS: Dict[str, Callable[..., ScenarioSpec]] = {
-    "backdoor": backdoor_scenario,
-    "label_flip": label_flip_scenario,
-    "clean_deletion": clean_deletion_scenario,
-    "class_deletion": class_deletion_scenario,
-}
-
-
-def get_scenario(name: str, dataset: str = "mnist", **kwargs: Any) -> ScenarioSpec:
-    """Build a named scenario preset."""
-    try:
-        preset = SCENARIO_PRESETS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown scenario {name!r}; available: {sorted(SCENARIO_PRESETS)}"
-        ) from None
-    return preset(dataset=dataset, **kwargs)

@@ -25,16 +25,7 @@ from .layers import (
     Sequential,
 )
 from .module import Module, Parameter
-from .optim import (
-    SGD,
-    Adam,
-    AdamW,
-    CosineAnnealingLR,
-    Optimizer,
-    RMSprop,
-    StepLR,
-    clip_grad_norm,
-)
+from .optim import SGD, Optimizer, clip_grad_norm
 from .vmap import StackedModel, VmapUnsupported, stack_modules
 from .serialization import load_model, load_state_dict, save_model, save_state_dict
 from .tensor import Tensor, concatenate, ensure_tensor, is_grad_enabled, no_grad, stack, where
@@ -71,11 +62,6 @@ __all__ = [
     "stack_modules",
     "Optimizer",
     "SGD",
-    "Adam",
-    "AdamW",
-    "RMSprop",
-    "StepLR",
-    "CosineAnnealingLR",
     "clip_grad_norm",
     "save_model",
     "load_model",

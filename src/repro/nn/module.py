@@ -143,7 +143,7 @@ class Module:
         opt-in ``dtype``: a float32 dataset trains a float32 model, so the
         im2col/matmul hot path stays in float32 instead of upcasting at
         the first parameter contraction.  Optimizer state follows
-        automatically — momentum/Adam accumulators are built with
+        automatically — momentum accumulators are built with
         ``zeros_like(param.data)`` on first use — and
         :meth:`load_state_dict` / :meth:`_set_buffer` preserve the cast
         across state loads.  Integer buffers (step counters and the like)

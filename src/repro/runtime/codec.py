@@ -42,8 +42,9 @@ Update codecs (uplink, pluggable)
     per seed on every backend), each the one place that compresses,
     prices and reconstructs its payload, and ``ef:<lossy>`` is either
     with client-side error feedback.  Codecs are resolved by spec string
-    via :func:`get_codec`, which is what ``FederationSpec.compression``
-    and the CLI's ``--codec`` flag feed.
+    via :func:`get_codec`, which is what
+    :class:`~repro.federated.simulation.FederatedSimulation`'s ``codec=``
+    feeds.
 
 Encoding happens *inside* :meth:`TrainTask.run` and decoding inside
 :meth:`~repro.federated.client.Client.absorb_train_result`, so the exact

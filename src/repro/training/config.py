@@ -7,6 +7,7 @@ larger learning rate explicitly; the paper values remain the defaults.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 
@@ -27,6 +28,10 @@ class TrainConfig:
             raise ValueError(f"epochs must be non-negative, got {self.epochs}")
         if self.batch_size <= 0:
             raise ValueError(f"batch_size must be positive, got {self.batch_size}")
+        # NaN passes every range check, so finiteness is checked first.
+        for name in ("learning_rate", "momentum", "weight_decay", "grad_clip"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.learning_rate <= 0:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
         if not 0.0 <= self.momentum < 1.0:

@@ -17,6 +17,7 @@ preconditioning only buys convergence speed.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -41,8 +42,8 @@ class DiagonalFIMSGD(Optimizer):
         super().__init__(parameters, lr)
         if not 0.0 <= rho < 1.0:
             raise ValueError(f"rho must be in [0, 1), got {rho}")
-        if damping <= 0:
-            raise ValueError(f"damping must be positive, got {damping}")
+        if not (math.isfinite(damping) and damping > 0):
+            raise ValueError(f"damping must be positive and finite, got {damping}")
         self.rho = rho
         self.damping = damping
         self._fim: List[Optional[np.ndarray]] = [None] * len(self.parameters)
@@ -50,7 +51,7 @@ class DiagonalFIMSGD(Optimizer):
 
     def step(self) -> None:
         self._steps += 1
-        correction = 1.0 - self.rho ** self._steps  # bias correction like Adam
+        correction = 1.0 - self.rho ** self._steps  # zero-initialised-average bias correction
         for index, param in enumerate(self.parameters):
             if param.grad is None:
                 continue

@@ -20,7 +20,7 @@ resulting retain-aligned array by the batch's sample indices, and the
 Eq. 7 reference loss is read off it.  The logits are a function of
 individual training samples, so callers hold them for one request only
 (a local of :func:`repro.unlearning.protocols.federated_goldfish`), never
-on a client, in a history, a result store or a journal — a later
+on a client, in a history or a journal — a later
 deletion must find nothing to purge.
 
 There is one local step, :meth:`GoldfishUnlearner.run_members`, over a

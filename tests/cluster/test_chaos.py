@@ -144,6 +144,43 @@ class TestChaosParity:
             cluster.close()
             pool.close()
 
+    def test_runner_methods_on_chaotic_cluster_match_serial(self):
+        """The experiment runner's path: pretrain a backdoor scenario, then
+        run Goldfish and B1 through the registry on a chaos-armed cluster —
+        every metric and the final global state equal the serial run's."""
+        from repro.experiments import SMOKE, runner
+        from repro.experiments.common import backdoor_spec
+
+        tiny = SMOKE.with_overrides(
+            train_size=120, test_size=60, pretrain_rounds=1, local_epochs=1,
+            unlearn_rounds=1,
+        )
+        spec = backdoor_spec("mnist", 0.06)
+
+        def run_methods(backend):
+            prepared = runner.prepare(spec, tiny, seed=0, backend=backend)
+            models = {"origin": prepared.origin}
+            for method in ("ours", "b1"):
+                models[method] = runner.run_method(
+                    prepared, method, tiny, backend=backend
+                ).global_model
+            return {
+                name: (runner.evaluate_model(model, prepared.scenario), model)
+                for name, model in models.items()
+            }
+
+        serial = run_methods(None)
+        cluster = chaos_cluster(DROP_DELAY)
+        try:
+            chaotic = run_methods(cluster)
+            assert fault_activity(cluster.fault_report()) >= 1
+        finally:
+            cluster.close()
+        assert list(chaotic) == list(serial)
+        for name, (metrics, model) in chaotic.items():
+            assert metrics == serial[name][0], name
+            assert_states_equal(model.state_dict(), serial[name][1].state_dict())
+
     def test_fault_report_records_the_recovery_work(self):
         """The ledger is not decorative: a chaotic run's report shows the
         machinery actually firing (and a calm run's shows it idle)."""

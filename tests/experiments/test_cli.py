@@ -65,8 +65,8 @@ class TestRunExperimentValidation:
 
 
 class TestSynchronousOnly:
-    """Rounds are synchronous: no async flag parses, no ``deletion_sla``
-    kind runs, and ``--result-store`` belongs to the matrix driver."""
+    """Rounds are synchronous: no async flag parses and no
+    ``deletion_sla`` kind runs."""
 
     @pytest.mark.parametrize(
         "flag",
@@ -79,7 +79,7 @@ class TestSynchronousOnly:
     )
     def test_async_flags_do_not_parse(self, flag, capsys):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["matrix", *flag])
+            build_parser().parse_args(["fig5", *flag])
         assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_deletion_sla_is_an_unknown_experiment(self, capsys):
@@ -92,62 +92,35 @@ class TestSynchronousOnly:
         listed = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
         assert listed == list(EXPERIMENTS)
 
-    @pytest.mark.parametrize("experiment", ["fig5", "efficiency", "all"])
-    def test_result_store_is_matrix_only(self, experiment, capsys, tmp_path):
-        assert main([experiment, "--result-store", str(tmp_path)]) == 2
-        assert "matrix driver only" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == []
 
+class TestPaperArtifactsOnly:
+    """The CLI runs the paper's artifacts and nothing else: no matrix
+    driver, and none of its flags parses."""
 
-class TestSweepParsing:
-    def test_parse_sweeps_types(self):
-        from repro.experiments.cli import parse_sweeps
+    PAPER_ARTIFACTS = [
+        "fig4", "fig5", "tab7_9", "tab10", "tab11", "fig6", "fig7", "fig8",
+        "fig9", "efficiency", "certification",
+    ]
 
-        sweeps = parse_sweeps(
-            ["deletion.rate=0.02,0.06", "federation.num_clients=5,10",
-             "partition.strategy=iid,heterogeneous"]
-        )
-        assert sweeps["deletion.rate"] == [0.02, 0.06]
-        assert sweeps["federation.num_clients"] == [5, 10]
-        assert sweeps["partition.strategy"] == ["iid", "heterogeneous"]
+    REMOVED_FLAGS = [
+        ["--method", "ours"],
+        ["--scenario", "backdoor"],
+        ["--sweep", "deletion.rate=0.02,0.06"],
+        ["--codec", "delta"],
+        ["--vectorize"],
+        ["--result-store", "store"],
+    ]
 
-    def test_parse_sweeps_rejects_garbage(self):
-        from repro.experiments.cli import parse_sweeps
-
-        with pytest.raises(ValueError):
-            parse_sweeps(["no-equals-sign"])
-        with pytest.raises(ValueError):
-            parse_sweeps(["key="])
-
-    def test_parse_methods_validates(self):
-        from repro.experiments.cli import parse_methods
-
-        assert parse_methods("ours, b1") == ("ours", "b1")
-        assert parse_methods("") == ()
-        with pytest.raises(ValueError):
-            parse_methods("magic")
-
-
-class TestMatrixDriver:
-    def test_matrix_runs_from_cli(self, capsys, monkeypatch):
-        from repro.experiments import SMOKE, scale as scale_module
-        tiny = SMOKE.with_overrides(
-            train_size=120, test_size=60, pretrain_rounds=1, local_epochs=1,
-            unlearn_rounds=1,
-        )
-        monkeypatch.setitem(scale_module.SCALES, "smoke", tiny)
-        assert main([
-            "matrix", "--scenario", "clean_deletion", "--method", "b1",
-            "--sweep", "deletion.rate=0.04,0.08",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "matrix:clean_deletion" in out
-        assert "spec:" in out
-        assert out.count("b1") >= 2  # one row per sweep value
-
-    def test_unknown_scenario_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["matrix", "--scenario", "alien"])
+    def test_matrix_is_gone_and_its_flags_do_not_parse(self, capsys):
+        assert main(["matrix"]) == 2
+        assert "unknown experiment" in capsys.readouterr().err
+        for flag in self.REMOVED_FLAGS:
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["fig5", *flag])
+            assert "unrecognized arguments" in capsys.readouterr().err
+        assert main(["list"]) == 0
+        listed = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+        assert listed == self.PAPER_ARTIFACTS + ["all"]
 
 
 class TestAllHonorsDataset:

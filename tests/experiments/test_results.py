@@ -39,19 +39,6 @@ class TestSeries:
 
 
 class TestPersistence:
-    def test_json_roundtrip(self, tmp_path):
-        result = ExperimentResult("T1", "demo", columns=("a", "b"),
-                                  notes="reduced scale")
-        result.add_row(a=1, b=2.5)
-        result.add_series("curve", [0.1, 0.2])
-        path = str(tmp_path / "out" / "result.json")
-        result.save_json(path)
-        loaded = ExperimentResult.load_json(path)
-        assert loaded.experiment_id == "T1"
-        assert loaded.rows == [{"a": 1, "b": 2.5}]
-        assert loaded.series == {"curve": [0.1, 0.2]}
-        assert loaded.notes == "reduced scale"
-
     def test_to_dict_keys(self):
         d = ExperimentResult("X", "y").to_dict()
         assert set(d) == {"experiment_id", "title", "columns", "rows",

@@ -7,20 +7,25 @@ import sys
 import numpy as np
 import pytest
 
-from repro.data import LabelFlipAttack
 from repro.data.dataset import SharedArrayDataset
-from repro.experiments import SMOKE
+from repro.experiments import (
+    SMOKE,
+    fig5_backdoor,
+    fig6_shards,
+    fig7_shard_deletion,
+    fig8_heterogeneous,
+    fig9_iid,
+)
+from repro.experiments.common import backdoor_spec
 from repro.experiments.spec import (
     AttackSpec,
     DatasetSpec,
     DeletionSpec,
-    ExperimentSpec,
     FederationSpec,
     PartitionSpec,
-    SCENARIO_PRESETS,
     ScenarioSpec,
     build_scenario,
-    get_scenario,
+    spec_hash,
 )
 
 TINY = SMOKE.with_overrides(
@@ -35,7 +40,7 @@ def _full_spec() -> ScenarioSpec:
         partition=PartitionSpec(strategy="label_skewed", options={"alpha": 0.3}),
         attack=AttackSpec(kind="backdoor", trigger_size=5, trigger_value=4.0,
                           target_label=2),
-        deletion=DeletionSpec(selector="attacked", rate=0.04, client_id=1),
+        deletion=DeletionSpec(rate=0.04, client_id=1),
         federation=FederationSpec(num_clients=4, aggregator="fedavg_uniform",
                                   share_datasets=False),
         model="lenet5",
@@ -52,19 +57,23 @@ class TestRoundTrip:
         spec = ScenarioSpec()
         assert ScenarioSpec.from_dict(spec.to_dict()) == spec
 
-    def test_experiment_json_round_trip(self):
-        exp = ExperimentSpec(
-            experiment_id="Fig X",
-            title="t",
-            kind="rate_table",
-            scenario=_full_spec(),
-            methods=("ours", "b1"),
-            params={"rates": (0.02, 0.06), "variants": {"a": {"x": 1}}},
-        )
+    @pytest.mark.parametrize(
+        "exp",
+        [
+            fig5_backdoor.spec_for("mnist"),
+            fig6_shards.spec_for(),
+            fig7_shard_deletion.spec_for(),
+            fig8_heterogeneous.spec_for(),
+            fig9_iid.spec_for(),
+        ],
+        ids=["fig5", "fig6", "fig7", "fig8", "fig9"],
+    )
+    def test_experiment_json_round_trip(self, exp):
+        """A paper spec survives JSON: its scenario rebuilds equal and its
+        payload hashes to the stamped hash (tuples canonicalised to lists)."""
         payload = json.loads(json.dumps(exp.to_dict()))
-        restored = ExperimentSpec.from_dict(payload)
-        assert restored == exp  # tuples canonicalised to lists on both sides
-        assert restored.hash() == exp.hash()
+        assert ScenarioSpec.from_dict(payload["scenario"]) == exp.scenario
+        assert spec_hash(payload) == exp.hash()
 
     def test_hash_changes_with_content(self):
         spec = _full_spec()
@@ -72,7 +81,7 @@ class TestRoundTrip:
 
     def test_hash_stable_across_processes(self):
         """The spec hash must not depend on process state (PYTHONHASHSEED)."""
-        spec = _full_spec()
+        spec = backdoor_spec("mnist", 0.06)
         script = (
             "from repro.experiments.spec import ScenarioSpec;"
             "import json, sys;"
@@ -108,6 +117,15 @@ class TestOverrides:
             _full_spec().with_overrides(**{"deletion.ratee": 0.1})
         with pytest.raises(ValueError, match="unknown spec path"):
             _full_spec().with_overrides(**{"nope.rate": 0.1})
+        # Knobs with one value left are not fields.
+        for path, value in [
+            ("federation.compression.codec", "delta"),
+            ("federation.vectorize", True),
+            ("deletion.selector", "random"),
+            ("deletion.target_class", 3),
+        ]:
+            with pytest.raises(ValueError, match="unknown spec path"):
+                _full_spec().with_overrides(**{path: value})
 
 
 class TestFederationSpecIsSynchronous:
@@ -128,7 +146,7 @@ class TestFederationSpecIsSynchronous:
 
     def test_federation_fields(self):
         assert list(_full_spec().to_dict()["federation"]) == [
-            "num_clients", "aggregator", "share_datasets", "compression", "vectorize",
+            "num_clients", "aggregator", "share_datasets",
         ]
 
 
@@ -136,21 +154,12 @@ class TestValidation:
     def test_unknown_attack_kind(self):
         with pytest.raises(ValueError):
             AttackSpec(kind="gradient_inversion")
-
-    def test_unknown_selector(self):
         with pytest.raises(ValueError):
-            DeletionSpec(selector="everything")
+            AttackSpec(kind="label_flip")
 
     def test_bad_rate(self):
         with pytest.raises(ValueError):
             DeletionSpec(rate=1.5)
-
-    def test_attack_with_random_selector_rejected(self):
-        with pytest.raises(ValueError, match="random"):
-            ScenarioSpec(
-                attack=AttackSpec(kind="backdoor"),
-                deletion=DeletionSpec(selector="random"),
-            )
 
 
 class TestBuilder:
@@ -160,35 +169,8 @@ class TestBuilder:
                 ScenarioSpec(dataset=DatasetSpec(name="svhn")), TINY
             )
 
-    def test_label_flip_scenario_builds(self):
-        scenario = build_scenario(get_scenario("label_flip"), TINY, seed=1)
-        assert isinstance(scenario.attack, LabelFlipAttack)
-        client0 = scenario.sim.clients[0].dataset
-        assert (
-            client0.labels[scenario.poison_indices]
-            == scenario.attack.target_label
-        ).all()
-        metrics = scenario.evaluate(scenario.sim.global_model())
-        assert set(metrics) == {"acc", "backdoor"}
-
-    def test_clean_deletion_scenario_builds(self):
-        scenario = build_scenario(get_scenario("clean_deletion"), TINY, seed=1)
-        assert scenario.attack is None
-        assert len(scenario.poison_indices) == round(0.06 * TINY.train_size)
-        metrics = scenario.evaluate(scenario.sim.global_model())
-        assert set(metrics) == {"acc"}
-
-    def test_class_deletion_scenario_builds(self):
-        scenario = build_scenario(get_scenario("class_deletion"), TINY, seed=1)
-        client0 = scenario.sim.clients[0].dataset
-        deleted_labels = client0.labels[scenario.poison_indices]
-        assert len(set(deleted_labels.tolist())) == 1  # exactly one class
-        # every local sample of that class is covered
-        target = deleted_labels[0]
-        assert len(scenario.poison_indices) == int((client0.labels == target).sum())
-
     def test_deletion_requests_shape(self):
-        scenario = build_scenario(get_scenario("backdoor"), TINY, seed=1)
+        scenario = build_scenario(backdoor_spec("mnist", 0.06), TINY, seed=1)
         (request,) = scenario.deletion_requests()
         assert request.client_id == 0
         np.testing.assert_array_equal(
@@ -196,24 +178,35 @@ class TestBuilder:
         )
 
     def test_share_flag_respected(self):
-        spec = get_scenario("backdoor").with_overrides(
-            **{"federation.share_datasets": True}
-        )
-        scenario = build_scenario(spec, TINY, seed=2)
+        scenario = build_scenario(backdoor_spec("mnist", 0.06, share=True), TINY, seed=2)
         assert isinstance(scenario.sim.clients[0].dataset, SharedArrayDataset)
 
     def test_share_auto_follows_backend(self):
-        scenario = build_scenario(get_scenario("backdoor"), TINY, seed=2,
-                                  backend="pool:2")
+        spec = backdoor_spec("mnist", 0.06)
+        scenario = build_scenario(spec, TINY, seed=2, backend="pool:2")
         assert isinstance(scenario.sim.clients[0].dataset, SharedArrayDataset)
-        serial = build_scenario(get_scenario("backdoor"), TINY, seed=2)
+        serial = build_scenario(spec, TINY, seed=2)
         assert not isinstance(serial.sim.clients[0].dataset, SharedArrayDataset)
 
-    def test_all_presets_build(self):
-        for name in SCENARIO_PRESETS:
-            scenario = build_scenario(get_scenario(name), TINY, seed=3)
-            assert len(scenario.poison_indices) > 0
-
-    def test_unknown_preset(self):
-        with pytest.raises(ValueError, match="unknown scenario"):
-            get_scenario("nope")
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            backdoor_spec("mnist", 0.06),
+            fig6_shards.spec_for().scenario,
+        ],
+        ids=["backdoor", "fig6"],
+    )
+    def test_paper_specs_build(self, spec):
+        """The attack is planted on exactly the deleted subset, and a spec
+        with ``attack.kind="none"`` plants nothing."""
+        scenario = build_scenario(spec, TINY, seed=3)
+        assert len(scenario.poison_indices) == round(0.06 * TINY.train_size)
+        client0 = scenario.sim.clients[0].dataset
+        if spec.attack.kind == "none":
+            assert scenario.attack is None
+            assert set(scenario.evaluate(scenario.sim.global_model())) == {"acc"}
+        else:
+            assert (
+                client0.labels[scenario.poison_indices]
+                == scenario.attack.target_label
+            ).all()

@@ -18,7 +18,6 @@ from repro.nn import Dropout, Tensor, stack_modules
 from repro.nn import functional as F
 from repro.nn.losses import distillation_loss
 from repro.nn.models import MLP, RegistryModelFactory
-from repro.nn.optim import Adam
 from repro.runtime.task import capture_rng
 from repro.training import TrainConfig
 from repro.training.trainer import make_optimizer, train
@@ -112,16 +111,6 @@ class TestTrainingFollowsDatasetDtype:
             v is None or v.dtype == np.float32 for v in optimizer._velocity
         )
         assert np.isfinite(history.epochs[-1].mean_loss)
-
-    def test_adam_state_follows_dtype(self):
-        model = fresh_model()
-        optimizer = Adam(model.parameters(), lr=1e-2)
-        train(
-            model, dataset(np.float32), CONFIG, np.random.default_rng(0),
-            optimizer=optimizer,
-        )
-        assert all(m is None or m.dtype == np.float32 for m in optimizer._m)
-        assert all(v is None or v.dtype == np.float32 for v in optimizer._v)
 
     def test_float32_close_to_float64(self):
         """Same run at both precisions: small numerical drift only."""

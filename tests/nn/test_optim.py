@@ -1,11 +1,14 @@
-"""Optimizer step math, clipping, scheduling."""
+"""Optimizer step math, clipping and hyper-parameter validation."""
+
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.nn import SGD, Adam, StepLR, clip_grad_norm
+from repro.nn import SGD, clip_grad_norm
 from repro.nn.module import Parameter
+from repro.training import TrainConfig
 from repro.unlearning.baselines import DiagonalFIMSGD
 
 from ..conftest import generated
@@ -48,6 +51,14 @@ class TestSGD:
         opt.zero_grad()
         assert p.grad is None
 
+    def test_momentum_descends_a_quadratic(self):
+        p = param_with_grad([8.0], [0.0])
+        optimizer = SGD([p], lr=0.1, momentum=0.9)
+        for _ in range(50):
+            p.grad = 2.0 * (p.data - 3.0)
+            optimizer.step()
+        assert (p.data[0] - 3.0) ** 2 < 0.1 * (8.0 - 3.0) ** 2
+
     def test_validation(self):
         p = Parameter(np.ones(1))
         with pytest.raises(ValueError):
@@ -58,26 +69,6 @@ class TestSGD:
             SGD([p], lr=0.1, momentum=1.0)
         with pytest.raises(ValueError):
             SGD([p], lr=0.1, weight_decay=-1)
-
-
-class TestAdam:
-    def test_first_step_size_is_lr(self):
-        # With bias correction, the first Adam step ≈ lr * sign(grad).
-        p = param_with_grad([0.0], [3.0])
-        Adam([p], lr=0.01).step()
-        np.testing.assert_allclose(p.data, [-0.01], atol=1e-6)
-
-    def test_converges_on_quadratic(self):
-        p = Parameter(np.array([5.0]))
-        opt = Adam([p], lr=0.1)
-        for _ in range(300):
-            p.grad = 2 * p.data  # d/dx x^2
-            opt.step()
-        assert abs(p.data[0]) < 1e-2
-
-    def test_invalid_betas(self):
-        with pytest.raises(ValueError):
-            Adam([Parameter(np.ones(1))], betas=(1.0, 0.9))
 
 
 class TestDiagonalFIMSGD:
@@ -182,21 +173,63 @@ class TestClipGradNorm:
                 assert a.grad.tobytes() == b.grad.tobytes() == c.grad[index].tobytes()
 
 
-class TestStepLR:
-    def test_decays_on_schedule(self):
-        p = Parameter(np.ones(1))
-        opt = SGD([p], lr=1.0)
-        sched = StepLR(opt, step_size=2, gamma=0.1)
-        sched.step()
-        assert opt.lr == 1.0
-        sched.step()
-        np.testing.assert_allclose(opt.lr, 0.1)
-        sched.step()
-        np.testing.assert_allclose(opt.lr, 0.1)
-        sched.step()
-        np.testing.assert_allclose(opt.lr, 0.01)
+def _clip_max_norm(value):
+    """Clip a gradient of norm 200 to ``value`` and return ``value``; an
+    accepted bound below 200 must actually clip."""
+    p = param_with_grad([0.0, 0.0], [120.0, 160.0])
+    assert clip_grad_norm([p], value) == 200.0
+    assert np.isfinite(p.grad).all()
+    if value < 200.0:
+        assert np.sqrt((p.grad ** 2).sum()) < 200.0
+    return value
 
-    def test_invalid_step_size(self):
-        opt = SGD([Parameter(np.ones(1))], lr=1.0)
-        with pytest.raises(ValueError):
-            StepLR(opt, step_size=0)
+
+def _param():
+    return Parameter(np.ones(2))
+
+
+# (name, call returning the value it stored, accepted range)
+POSITIVE = lambda v: v > 0
+NON_NEGATIVE = lambda v: v >= 0
+UNIT = lambda v: 0 <= v < 1
+HYPER_PARAMETERS = [
+    ("TrainConfig.learning_rate", lambda v: TrainConfig(learning_rate=v).learning_rate, POSITIVE),
+    ("TrainConfig.momentum", lambda v: TrainConfig(momentum=v).momentum, UNIT),
+    ("TrainConfig.weight_decay", lambda v: TrainConfig(weight_decay=v).weight_decay, NON_NEGATIVE),
+    ("TrainConfig.grad_clip", lambda v: TrainConfig(grad_clip=v).grad_clip, NON_NEGATIVE),
+    ("SGD.lr", lambda v: SGD([_param()], lr=v).lr, POSITIVE),
+    ("SGD.momentum", lambda v: SGD([_param()], lr=0.1, momentum=v).momentum, UNIT),
+    ("SGD.weight_decay", lambda v: SGD([_param()], lr=0.1, weight_decay=v).weight_decay, NON_NEGATIVE),
+    ("DiagonalFIMSGD.lr", lambda v: DiagonalFIMSGD([_param()], lr=v).lr, POSITIVE),
+    ("DiagonalFIMSGD.rho", lambda v: DiagonalFIMSGD([_param()], lr=0.1, rho=v).rho, UNIT),
+    ("DiagonalFIMSGD.damping", lambda v: DiagonalFIMSGD([_param()], lr=0.1, damping=v).damping, POSITIVE),
+    ("clip_grad_norm.max_norm", _clip_max_norm, POSITIVE),
+]
+
+HYPER_VALUES = st.one_of(
+    st.sampled_from([
+        math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+        2.2e-308, 1e-3, 0.9, 1.0, 200.0, 1e308, -1.0,
+    ]),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+)
+
+
+class TestHyperParametersAreFinite:
+    @generated(400)
+    @given(
+        validator=st.sampled_from(HYPER_PARAMETERS),
+        value=HYPER_VALUES,
+    )
+    def test_accepted_values_are_finite_and_in_range(self, validator, value):
+        """Every hyper-parameter validator either accepts a finite value in
+        its range or raises ``ValueError``: NaN fails every comparison, so
+        a bare range check would wave it through (a NaN ``grad_clip``
+        silently turned clipping off)."""
+        name, construct, in_range = validator
+        try:
+            stored = construct(value)
+        except ValueError:
+            return
+        assert math.isfinite(stored) and in_range(stored), (name, value)
+        assert stored == value, (name, value)
