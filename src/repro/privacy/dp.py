@@ -30,8 +30,8 @@ StateDict = Dict[str, np.ndarray]
 # ----------------------------------------------------------------------
 def clip_vector_by_l2(vector: np.ndarray, max_norm: float) -> np.ndarray:
     """Scale ``vector`` down to L2 norm ``max_norm`` if it exceeds it."""
-    if max_norm <= 0:
-        raise ValueError(f"max_norm must be positive, got {max_norm}")
+    if not (math.isfinite(max_norm) and max_norm > 0):
+        raise ValueError(f"max_norm must be positive and finite, got {max_norm}")
     norm = float(np.linalg.norm(vector))
     if norm <= max_norm or norm == 0.0:
         return vector.copy()
@@ -40,8 +40,8 @@ def clip_vector_by_l2(vector: np.ndarray, max_norm: float) -> np.ndarray:
 
 def clip_state_by_l2(state: StateDict, max_norm: float) -> StateDict:
     """Clip a model state treated as one concatenated parameter vector."""
-    if max_norm <= 0:
-        raise ValueError(f"max_norm must be positive, got {max_norm}")
+    if not (math.isfinite(max_norm) and max_norm > 0):
+        raise ValueError(f"max_norm must be positive and finite, got {max_norm}")
     total_sq = sum(float((value ** 2).sum()) for value in state.values())
     norm = math.sqrt(total_sq)
     if norm <= max_norm or norm == 0.0:
@@ -60,12 +60,12 @@ def gaussian_sigma(epsilon: float, delta: float, sensitivity: float) -> float:
     ε this remains a (conservative) upper bound and we allow it with the
     caveat documented here.
     """
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     if not 0 < delta < 1:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
-    if sensitivity < 0:
-        raise ValueError(f"sensitivity must be non-negative, got {sensitivity}")
+    if not (math.isfinite(sensitivity) and sensitivity >= 0):
+        raise ValueError(f"sensitivity must be non-negative and finite, got {sensitivity}")
     return sensitivity * math.sqrt(2.0 * math.log(1.25 / delta)) / epsilon
 
 
@@ -73,8 +73,8 @@ def add_gaussian_noise(
     state: StateDict, sigma: float, rng: np.random.Generator
 ) -> StateDict:
     """Add iid ``N(0, σ²)`` noise to every parameter of ``state``."""
-    if sigma < 0:
-        raise ValueError(f"sigma must be non-negative, got {sigma}")
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise ValueError(f"sigma must be non-negative and finite, got {sigma}")
     if sigma == 0.0:
         return {key: value.copy() for key, value in state.items()}
     return {
@@ -88,17 +88,17 @@ def add_gaussian_noise(
 # ----------------------------------------------------------------------
 def zcdp_rho(sensitivity: float, sigma: float) -> float:
     """zCDP cost ρ of one Gaussian release: ``Δ₂² / (2σ²)``."""
-    if sensitivity < 0:
-        raise ValueError(f"sensitivity must be non-negative, got {sensitivity}")
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not (math.isfinite(sensitivity) and sensitivity >= 0):
+        raise ValueError(f"sensitivity must be non-negative and finite, got {sensitivity}")
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
     return (sensitivity ** 2) / (2.0 * sigma ** 2)
 
 
 def rho_to_epsilon(rho: float, delta: float) -> float:
     """Convert accumulated zCDP ρ to ε at the given δ."""
-    if rho < 0:
-        raise ValueError(f"rho must be non-negative, got {rho}")
+    if not (math.isfinite(rho) and rho >= 0):
+        raise ValueError(f"rho must be non-negative and finite, got {rho}")
     if not 0 < delta < 1:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
     return rho + 2.0 * math.sqrt(rho * math.log(1.0 / delta))
@@ -116,10 +116,10 @@ class GaussianMechanism:
     sigma: float
 
     def __post_init__(self) -> None:
-        if self.max_norm <= 0:
-            raise ValueError(f"max_norm must be positive, got {self.max_norm}")
-        if self.sigma < 0:
-            raise ValueError(f"sigma must be non-negative, got {self.sigma}")
+        if not (math.isfinite(self.max_norm) and self.max_norm > 0):
+            raise ValueError(f"max_norm must be positive and finite, got {self.max_norm}")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0):
+            raise ValueError(f"sigma must be non-negative and finite, got {self.sigma}")
 
     @classmethod
     def for_budget(
@@ -157,8 +157,8 @@ class PrivacyAccountant:
             raise ValueError(f"delta must be in (0, 1), got {self.delta}")
 
     def spend(self, rho: float) -> None:
-        if rho < 0:
-            raise ValueError(f"rho must be non-negative, got {rho}")
+        if not (math.isfinite(rho) and rho >= 0):
+            raise ValueError(f"rho must be non-negative and finite, got {rho}")
         self._rhos.append(rho)
 
     @property

@@ -30,6 +30,7 @@ baselines.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Sequence
 
@@ -58,9 +59,9 @@ class FedEraserConfig:
             raise ValueError(
                 f"calibration_epochs must be >= 1, got {self.calibration_epochs}"
             )
-        if self.learning_rate <= 0:
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(
-                f"learning_rate must be positive, got {self.learning_rate}"
+                f"learning_rate must be positive and finite, got {self.learning_rate}"
             )
 
     def train_config(self) -> TrainConfig:

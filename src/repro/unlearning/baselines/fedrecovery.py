@@ -37,6 +37,7 @@ additively, which holds exactly only for one aggregation step).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -58,13 +59,15 @@ class FedRecoveryConfig:
     noise_enabled: bool = True
 
     def __post_init__(self) -> None:
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
         if not 0 < self.delta < 1:
             raise ValueError(f"delta must be in (0, 1), got {self.delta}")
-        if self.influence_clip is not None and self.influence_clip <= 0:
+        if self.influence_clip is not None and not (
+            math.isfinite(self.influence_clip) and self.influence_clip > 0
+        ):
             raise ValueError(
-                f"influence_clip must be positive, got {self.influence_clip}"
+                f"influence_clip must be positive and finite, got {self.influence_clip}"
             )
 
 

@@ -20,6 +20,7 @@ loop every local trainer shares.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import List
@@ -47,8 +48,10 @@ class IncompetentTeacherConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError(f"beta must be in [0, 1], got {self.beta}")
-        if self.temperature <= 0:
-            raise ValueError(f"temperature must be positive, got {self.temperature}")
+        if not (math.isfinite(self.temperature) and self.temperature > 0):
+            raise ValueError(
+                f"temperature must be positive and finite, got {self.temperature}"
+            )
 
 
 @dataclass

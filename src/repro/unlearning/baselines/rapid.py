@@ -138,8 +138,8 @@ class RapidRetrainer:
     def __init__(self, lr_scale: float = 0.1, rho: float = 0.95, damping: float = 1e-3) -> None:
         """``lr_scale`` rescales the config's SGD learning rate, since
         preconditioned steps are much larger than raw-gradient steps."""
-        if lr_scale <= 0:
-            raise ValueError(f"lr_scale must be positive, got {lr_scale}")
+        if not (math.isfinite(lr_scale) and lr_scale > 0):
+            raise ValueError(f"lr_scale must be positive and finite, got {lr_scale}")
         self.lr_scale = lr_scale
         self.rho = rho
         self.damping = damping

@@ -9,6 +9,7 @@ the quality the federation had already reached.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List
 
@@ -37,8 +38,8 @@ class EarlyStopConfig:
     enabled: bool = True
 
     def __post_init__(self) -> None:
-        if self.delta < 0:
-            raise ValueError(f"delta must be non-negative, got {self.delta}")
+        if not (math.isfinite(self.delta) and self.delta >= 0):
+            raise ValueError(f"delta must be non-negative and finite, got {self.delta}")
         if self.mode not in ("mean", "last"):
             raise ValueError(f"mode must be 'mean' or 'last', got {self.mode!r}")
         if self.min_epochs < 1:

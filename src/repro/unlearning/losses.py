@@ -22,6 +22,7 @@ registry implements Table XI (α=CE, β=focal, γ=NLL).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
@@ -52,6 +53,11 @@ class GoldfishLossConfig:
     forget_cap: Optional[float] = None  # None = auto ln(num_classes)
 
     def __post_init__(self) -> None:
+        # NaN passes every range check, so finiteness is checked first.
+        for name in ("temperature", "mu_c", "mu_d", "forget_scale", "forget_cap"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.temperature <= 0:
             raise ValueError(f"temperature must be positive, got {self.temperature}")
         if self.mu_c < 0 or self.mu_d < 0:

@@ -44,14 +44,14 @@ def adaptive_temperature(
     -------
     The temperature T to use in Eq. 3–5.
     """
-    if base_temperature <= 0:
-        raise ValueError(f"base temperature must be positive, got {base_temperature}")
+    if not (math.isfinite(base_temperature) and base_temperature > 0):
+        raise ValueError(f"base temperature must be positive and finite, got {base_temperature}")
     if num_retain < 0 or num_forget < 0:
         raise ValueError("dataset sizes must be non-negative")
     if num_retain + num_forget == 0:
         raise ValueError("client has no data")
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
     retain_fraction = num_retain / (num_retain + num_forget)
     temperature = alpha * base_temperature * math.exp(-retain_fraction)
     return max(min_temperature, temperature)

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import settings, strategies as st
 
 from repro.data.dataset import ArrayDataset
 
@@ -18,6 +20,19 @@ def generated(max_examples: int) -> settings:
     if settings.default is settings.get_profile("soak"):
         return settings.default
     return settings(max_examples=max_examples, deadline=None, derandomize=True)
+
+
+# Inputs for the hyper-parameter validator properties: the non-finite
+# values a bare range check waves through, boundaries, subnormals, and
+# arbitrary floats.
+NON_FINITE = (math.nan, math.inf, -math.inf)
+HYPER_VALUES = st.one_of(
+    st.sampled_from([
+        *NON_FINITE, 0.0, -0.0, 5e-324, -5e-324,
+        2.2e-308, 1e-3, 0.9, 1.0, 200.0, 1e308, -1.0,
+    ]),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+)
 
 
 @pytest.fixture

@@ -18,6 +18,8 @@ from repro.privacy import (
     zcdp_rho,
 )
 
+from ..conftest import NON_FINITE
+
 
 def state_norm(state):
     return math.sqrt(sum(float((v ** 2).sum()) for v in state.values()))
@@ -163,3 +165,38 @@ class TestAccounting:
         mech = GaussianMechanism.for_budget(epsilon, delta, max_norm=1.0)
         roundtrip = rho_to_epsilon(mech.rho, delta)
         assert roundtrip == pytest.approx(epsilon, rel=0.05)
+
+
+STATE = {"w": np.array([3.0, 4.0])}
+
+# (name, call that validates the value, a value it accepts)
+HYPER_PARAMETERS = [
+    ("clip_vector_by_l2.max_norm", lambda v: clip_vector_by_l2(STATE["w"], v), 1.0),
+    ("clip_state_by_l2.max_norm", lambda v: clip_state_by_l2(STATE, v), 1.0),
+    ("gaussian_sigma.epsilon", lambda v: gaussian_sigma(v, 1e-5, 1.0), 1.0),
+    ("gaussian_sigma.delta", lambda v: gaussian_sigma(1.0, v, 1.0), 1e-5),
+    ("gaussian_sigma.sensitivity", lambda v: gaussian_sigma(1.0, 1e-5, v), 1.0),
+    ("add_gaussian_noise.sigma", lambda v: add_gaussian_noise(STATE, v, np.random.default_rng(0)), 0.5),
+    ("zcdp_rho.sensitivity", lambda v: zcdp_rho(v, 1.0), 1.0),
+    ("zcdp_rho.sigma", lambda v: zcdp_rho(1.0, v), 1.0),
+    ("rho_to_epsilon.rho", lambda v: rho_to_epsilon(v, 1e-5), 0.5),
+    ("rho_to_epsilon.delta", lambda v: rho_to_epsilon(0.5, v), 1e-5),
+    ("GaussianMechanism.max_norm", lambda v: GaussianMechanism(max_norm=v, sigma=1.0), 1.0),
+    ("GaussianMechanism.sigma", lambda v: GaussianMechanism(max_norm=1.0, sigma=v), 1.0),
+    ("PrivacyAccountant.delta", lambda v: PrivacyAccountant(delta=v), 1e-5),
+    ("PrivacyAccountant.spend", lambda v: PrivacyAccountant(delta=1e-5).spend(v), 0.5),
+]
+
+
+class TestHyperParametersAreFinite:
+    """A NaN budget, noise scale or clip norm fails every range check;
+    each one is rejected rather than yielding a NaN guarantee or no
+    clipping at all."""
+
+    @pytest.mark.parametrize("value", NON_FINITE, ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("validator", HYPER_PARAMETERS, ids=lambda v: v[0])
+    def test_non_finite_rejected(self, validator, value):
+        name, validate, typical = validator
+        validate(typical)
+        with pytest.raises(ValueError):
+            validate(value)

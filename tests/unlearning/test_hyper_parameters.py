@@ -1,0 +1,73 @@
+"""Finiteness of the unlearning hyper-parameters.
+
+Goldfish's loss weights and temperatures, the early-stop threshold and
+the baselines' knobs are range-checked; NaN fails every comparison, so
+each check must test finiteness as well or a NaN slips through (a NaN
+temperature turns every distillation loss into NaN).
+"""
+
+import math
+
+import pytest
+from hypothesis import given, strategies as st
+
+from repro.unlearning import (
+    EarlyStopConfig,
+    GoldfishLossConfig,
+    adaptive_temperature,
+)
+from repro.unlearning.baselines import (
+    FedEraserConfig,
+    FedRecoveryConfig,
+    IncompetentTeacherConfig,
+    RapidRetrainer,
+)
+
+from ..conftest import HYPER_VALUES, NON_FINITE, generated
+
+POSITIVE = lambda v: v > 0
+NON_NEGATIVE = lambda v: v >= 0
+
+# (name, call that validates the value, accepted range, a value in it)
+HYPER_PARAMETERS = [
+    ("GoldfishLossConfig.temperature", lambda v: GoldfishLossConfig(temperature=v), POSITIVE, 3.0),
+    ("GoldfishLossConfig.mu_c", lambda v: GoldfishLossConfig(mu_c=v), NON_NEGATIVE, 0.25),
+    ("GoldfishLossConfig.mu_d", lambda v: GoldfishLossConfig(mu_d=v), NON_NEGATIVE, 1.0),
+    ("GoldfishLossConfig.forget_scale", lambda v: GoldfishLossConfig(forget_scale=v), NON_NEGATIVE, 0.1),
+    ("GoldfishLossConfig.forget_cap", lambda v: GoldfishLossConfig(forget_cap=v), POSITIVE, 2.3),
+    ("adaptive_temperature.base_temperature", lambda v: adaptive_temperature(v, 80, 20), POSITIVE, 3.0),
+    ("adaptive_temperature.alpha", lambda v: adaptive_temperature(3.0, 80, 20, alpha=v), POSITIVE, math.e),
+    ("EarlyStopConfig.delta", lambda v: EarlyStopConfig(delta=v), NON_NEGATIVE, 0.05),
+    ("IncompetentTeacherConfig.beta", lambda v: IncompetentTeacherConfig(beta=v), lambda v: 0 <= v <= 1, 0.5),
+    ("IncompetentTeacherConfig.temperature", lambda v: IncompetentTeacherConfig(temperature=v), POSITIVE, 1.0),
+    ("RapidRetrainer.lr_scale", lambda v: RapidRetrainer(lr_scale=v), POSITIVE, 0.1),
+    ("FedRecoveryConfig.epsilon", lambda v: FedRecoveryConfig(epsilon=v), POSITIVE, 5.0),
+    ("FedRecoveryConfig.delta", lambda v: FedRecoveryConfig(delta=v), lambda v: 0 < v < 1, 1e-5),
+    ("FedRecoveryConfig.influence_clip", lambda v: FedRecoveryConfig(influence_clip=v), POSITIVE, 10.0),
+    ("FedEraserConfig.learning_rate", lambda v: FedEraserConfig(learning_rate=v), POSITIVE, 0.01),
+]
+
+
+class TestHyperParametersAreFinite:
+    @generated(300)
+    @given(
+        validator=st.sampled_from(HYPER_PARAMETERS),
+        value=HYPER_VALUES,
+    )
+    def test_accepted_values_are_finite_and_in_range(self, validator, value):
+        """Each validator either accepts a finite value in its range or
+        raises ``ValueError``."""
+        name, validate, in_range, _ = validator
+        try:
+            validate(value)
+        except ValueError:
+            return
+        assert math.isfinite(value) and in_range(value), (name, value)
+
+    @pytest.mark.parametrize("value", NON_FINITE, ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("validator", HYPER_PARAMETERS, ids=lambda v: v[0])
+    def test_non_finite_rejected(self, validator, value):
+        name, validate, _, typical = validator
+        validate(typical)
+        with pytest.raises(ValueError):
+            validate(value)
