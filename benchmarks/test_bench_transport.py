@@ -9,9 +9,7 @@ zero-redundancy transport replaces that with version-addressed broadcasts
 and this benchmark records what that buys:
 
 * ``delta`` (lossless, asserted bit-identical to ``raw``): ≥5× fewer
-  bytes on the wire than the dense baseline;
-* ``quant:8`` / ``topk:0.05`` (lossy, asserted deterministic): bigger
-  reductions still.
+  bytes on the wire than the dense baseline.
 
 Records append to ``benchmarks/results/bench_runtime.json`` as
 ``workload="transport"`` rows; when the committed file already holds a
@@ -49,10 +47,10 @@ ROUNDS = 16
 CONFIG = TrainConfig(epochs=2, batch_size=16, learning_rate=0.02)
 FACTORY = RegistryModelFactory(name="mlp", num_classes=3, in_channels=1, image_size=8)
 
-CODECS = ("raw", "delta", "quant:8", "topk:0.05")
-# Conservative floors under the measured reductions (≈6.1× / 9.2× / 16×),
-# leaving room for zlib output differences across library builds.
-REDUCTION_FLOORS = {"delta": 5.0, "quant:8": 7.0, "topk:0.05": 10.0}
+CODECS = ("raw", "delta")
+# A conservative floor under the measured reduction (≈6.1×), leaving room
+# for zlib output differences across library builds.
+REDUCTION_FLOORS = {"delta": 5.0}
 
 
 def _emit(record: dict) -> None:
@@ -125,13 +123,6 @@ class TestTransportCodecs:
         assert runs["raw"]["accuracies"] == runs["delta"]["accuracies"]
         for key, value in runs["raw"]["state"].items():
             np.testing.assert_array_equal(value, runs["delta"]["state"][key])
-
-        # Lossy determinism: a second quantized run is identical.
-        rerun = _run_codec("quant:8")
-        assert rerun["accuracies"] == runs["quant:8"]["accuracies"]
-        for key, value in rerun["state"].items():
-            np.testing.assert_array_equal(value, runs["quant:8"]["state"][key])
-        assert rerun["report"]["bytes_total"] == runs["quant:8"]["report"]["bytes_total"]
 
         for codec in CODECS:
             report = runs[codec]["report"]

@@ -9,8 +9,7 @@ This example exercises both implementations end to end:
 2. erase client 0 with **FedEraser** (calibrated replay of the retained
    updates by the remaining clients — a few cheap epochs each);
 3. erase client 0 with **FedRecovery** (pure server-side subtraction of
-   the client's residual-weighted contributions, plus an optional
-   differentially private Gaussian release);
+   the client's residual-weighted contributions, released noiseless);
 4. compare both against the gold standard: full retraining without
    client 0.
 
@@ -36,7 +35,6 @@ from repro.unlearning import (
     FedEraser,
     FedEraserConfig,
     FedRecovery,
-    FedRecoveryConfig,
 )
 
 
@@ -56,7 +54,7 @@ def main() -> None:
     config = TrainConfig(epochs=2, batch_size=50, learning_rate=0.02)
     sim = FederatedSimulation(factory, fed, FedAvgAggregator(), config, seed=1)
 
-    store = attach_history(sim, RoundHistoryStore(retention_interval=1))
+    store = attach_history(sim, RoundHistoryStore())
     initial_state = sim.server.initial_state
     history = sim.run(6)
     final_state = sim.server.global_state
@@ -84,22 +82,14 @@ def main() -> None:
           f"{accuracy_of(factory, erased, test_set):.3f}")
 
     # --- 3. FedRecovery: server-side subtraction -----------------------------
-    recovery = FedRecovery(FedRecoveryConfig(noise_enabled=False))
     start = time.perf_counter()
-    recovered, recovery_report = recovery.unlearn(
-        store, final_state, forget_client_id=0, rng=rng)
+    recovered, recovery_report = FedRecovery().unlearn(
+        store, final_state, forget_client_id=0)
     print(f"\nFedRecovery (noiseless): subtracted influence of L2 norm "
           f"{recovery_report.influence_l2:.3f} across "
           f"{recovery_report.rounds_used} rounds "
           f"in {time.perf_counter() - start:.2f}s — no client involvement")
     print(f"  accuracy: {accuracy_of(factory, recovered, test_set):.3f}")
-
-    dp_recovery = FedRecovery(FedRecoveryConfig(
-        epsilon=20.0, delta=1e-5, influence_clip=0.5))
-    dp_state, dp_report = dp_recovery.unlearn(
-        store, final_state, forget_client_id=0, rng=rng)
-    print(f"  DP release at (eps=20, delta=1e-5): sigma={dp_report.sigma:.4f}, "
-          f"accuracy {accuracy_of(factory, dp_state, test_set):.3f}")
 
     # --- 4. gold standard: retrain without client 0 --------------------------
     fed_without = FederatedDataset(client_datasets=client_datasets[1:],

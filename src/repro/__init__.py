@@ -7,10 +7,9 @@ entire dependency stack:
 * :mod:`repro.data` — synthetic benchmark datasets, partitioning, backdoors
 * :mod:`repro.federated` — clients, server, FedAvg / adaptive aggregation,
   synchronous rounds, round-history retention
-* :mod:`repro.privacy` — clipping, Gaussian mechanism, zCDP accounting
 * :mod:`repro.runtime` — pluggable execution backends (serial / pool /
   cluster) fanning independent training tasks across cores, and the
-  update codecs (lossless delta, top-k / quantization with error feedback)
+  lossless update codecs (raw, byte-plane XOR delta)
 * :mod:`repro.training` — configs, supervised training loop, evaluation
 * :mod:`repro.unlearning` — the Goldfish framework, the B1/B2/B3 baselines,
   FedEraser / FedRecovery, full SISA, deletion-request scheduling
@@ -22,14 +21,13 @@ entire dependency stack:
 
 __version__ = "1.1.0"
 
-from . import data, eval, federated, nn, privacy, runtime, training, unlearning
+from . import data, eval, federated, nn, runtime, training, unlearning
 
 __all__ = [
     "data",
     "eval",
     "federated",
     "nn",
-    "privacy",
     "runtime",
     "training",
     "unlearning",

@@ -68,7 +68,7 @@ _MB = 1024.0 * 1024.0
 # The history-replaying methods draw their calibration randomness from a
 # stream of their own, at a fixed offset from the run seed (a method
 # registered without an entry draws from the seed itself).
-_HISTORY_RNG_OFFSETS = {"federaser": 31, "fedrecovery": 37}
+_HISTORY_RNG_OFFSETS = {"federaser": 31}
 
 
 def _history_rng(seed: int, cls) -> Optional[np.random.Generator]:

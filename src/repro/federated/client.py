@@ -37,11 +37,6 @@ class Client:
         self.model = model
         self.rng = rng
         self.forget_indices: Optional[np.ndarray] = None
-        # Error-feedback residual carried between rounds (``ef:*`` update
-        # codecs only): what the previous round's lossy compression
-        # dropped, added back before the next compression.  Client-side
-        # state — it never travels to the server.
-        self.update_residual: Optional[StateDict] = None
 
     # ------------------------------------------------------------------
     # Server interaction
@@ -176,7 +171,6 @@ class Client:
             indices=self.retain_indices,
             codec=codec,
             model_version=model_version,
-            residual=self.update_residual,
         )
 
     def absorb_train_result(self, result: TrainResult) -> TrainHistory:
@@ -197,6 +191,4 @@ class Client:
             state = result.resolve_state(self.model.state_dict())
         self.model.load_state_dict(state)
         self.rng.bit_generator.state = result.rng_state
-        if result.residual is not None:
-            self.update_residual = result.residual
         return result.history

@@ -9,14 +9,13 @@ paper's Related Work section attributes to this family.
 
 :class:`RoundHistoryStore` is that retention substrate. It records, per
 round, the global state the round started from and every client's uploaded
-state, with an optional retention interval (FedEraser only stores every
-``Δt``-th round to bound storage) and an exact storage-cost accounting so
-experiments can report the memory price of update adjustment.
+state, with an exact storage-cost accounting so experiments can report the
+memory price of update adjustment.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from . import state_math
@@ -67,21 +66,9 @@ class StorageReport:
 
 
 class RoundHistoryStore:
-    """Retains per-round client uploads for later unlearning.
+    """Retains every round's client uploads for later unlearning."""
 
-    Parameters
-    ----------
-    retention_interval:
-        Store only rounds where ``round_index % retention_interval == 0``
-        (FedEraser's Δt knob). 1 keeps every round.
-    """
-
-    def __init__(self, retention_interval: int = 1) -> None:
-        if retention_interval < 1:
-            raise ValueError(
-                f"retention_interval must be >= 1, got {retention_interval}"
-            )
-        self.retention_interval = retention_interval
+    def __init__(self) -> None:
         self._snapshots: List[RoundSnapshot] = []
 
     # ------------------------------------------------------------------
@@ -93,20 +80,18 @@ class RoundHistoryStore:
         global_before: StateDict,
         updates: Sequence[ClientUpdate],
         global_after: Optional[StateDict] = None,
-    ) -> bool:
-        """Record one round if the retention policy keeps it.
+    ) -> None:
+        """Record one round.
 
-        Returns True when the round was stored. Raises if a round with a
-        smaller-or-equal index was already recorded (history must be
-        strictly ordered) or if two updates share a client id.
+        Raises if a round with a smaller-or-equal index was already
+        recorded (history must be strictly ordered) or if two updates
+        share a client id.
         """
         if self._snapshots and round_index <= self._snapshots[-1].round_index:
             raise ValueError(
                 f"round {round_index} recorded out of order; last stored "
                 f"round is {self._snapshots[-1].round_index}"
             )
-        if round_index % self.retention_interval != 0:
-            return False
         if not updates:
             raise ValueError("cannot record a round with no client updates")
         client_states: Dict[int, StateDict] = {}
@@ -125,7 +110,6 @@ class RoundHistoryStore:
                 global_after=None if global_after is None else _copy_state(global_after),
             )
         )
-        return True
 
     # ------------------------------------------------------------------
     # Queries

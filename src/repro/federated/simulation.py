@@ -197,11 +197,10 @@ class FederatedSimulation:
         a :class:`~repro.runtime.Backend` instance. Results are identical
         across backends; only wall-clock time changes.
     codec:
-        :mod:`~repro.runtime.codec` spec for client returns — ``"raw"``
-        (default, the historical dense-state return, bit for bit),
-        ``"delta"`` (lossless, bit-identical by construction), or the
-        opt-in lossy ``"topk:<frac>"`` / ``"quant:<bits>"``
-        (deterministic per seed).  Per-round byte counts land in
+        :mod:`~repro.runtime.codec` name for client returns — ``"raw"``
+        (default, the historical dense-state return, bit for bit) or
+        ``"delta"`` (lossless, bit-identical by construction); anything
+        else raises :class:`ValueError`.  Per-round byte counts land in
         :class:`RoundRecord` and cumulative totals in
         :meth:`transport_report`.
     vectorize:

@@ -78,7 +78,6 @@ from .backends import (
 from .codec import (
     EncodedUpdate,
     UpdateCodec,
-    available_codecs,
     dense_nbytes,
     get_codec,
     state_version,
@@ -123,7 +122,6 @@ __all__ = [
     "TransportStats",
     "UpdateCodec",
     "WorkerPool",
-    "available_codecs",
     "capture_rng",
     "dense_nbytes",
     "get_backend",

@@ -1,5 +1,5 @@
 """Zero-redundancy transport primitives: versions, broadcast wire forms,
-and pluggable update codecs.
+and the lossless update codecs.
 
 Federated training is communication-bound in practice: every round the
 current pipeline ships the **full global model** inside every
@@ -31,35 +31,27 @@ Broadcast wire forms (downlink, always lossless)
     measurements).  :class:`~repro.runtime.pool.WorkerPool` keeps one
     cache per worker slot and drives this protocol transparently.
 
-Update codecs (uplink, pluggable)
-    :class:`UpdateCodec` implementations encode a client's *return* —
-    ``local − received``, the quantity aggregation folds anyway — against
-    the broadcast it trained from.  ``raw`` (dense state, the status quo)
-    and ``delta`` (the downlink's byte-plane XOR, bit-identical) are
-    lossless; ``topk:<frac>`` and ``quant:<bits>`` are the two standard
-    lossy FL compressors
-    (deterministic functions of their input, so runs stay reproducible
-    per seed on every backend), each the one place that compresses,
-    prices and reconstructs its payload, and ``ef:<lossy>`` is either
-    with client-side error feedback.  Codecs are resolved by spec string
-    via :func:`get_codec`, which is what
+Update codecs (uplink, lossless)
+    :class:`UpdateCodec` implementations encode a client's *return*
+    against the broadcast it trained from.  ``raw`` ships the dense
+    state (the status quo); ``delta`` ships the downlink's byte-plane
+    XOR against the basis, so the decoded state is bit-identical.
+    :func:`get_codec` resolves either name, which is what
     :class:`~repro.federated.simulation.FederatedSimulation`'s ``codec=``
     feeds.
 
 Encoding happens *inside* :meth:`TrainTask.run` and decoding inside
 :meth:`~repro.federated.client.Client.absorb_train_result`, so the exact
-same transform runs on every backend — serial results equal pool results
-for lossy codecs too, and the worker pool's pipes naturally carry the
-encoded payload instead of the dense state.
+same transform runs on every backend, and the worker pool's pipes
+naturally carry the encoded payload instead of the dense state.
 """
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import zlib
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -72,8 +64,6 @@ _VERSION_BYTES = 16  # hex chars of the content hash shipped as a ref
 # takes 2.6x level 1's time for 7 % fewer bytes there — 0.6 % of a payload
 # (16x16 MLP client updates and global deltas).
 _ZLIB_LEVEL = 1
-_INDEX_BYTES = 4  # top-k: uint32 flat indices on the wire
-_FLOAT_BYTES = 4  # top-k values, quantization codebook endpoints: float32
 
 
 def dense_nbytes(state: StateDict) -> int:
@@ -376,14 +366,11 @@ class EncodedUpdate:
 class UpdateCodec:
     """Interface: encode a trained local state against its broadcast basis.
 
-    ``lossless`` codecs must satisfy ``decode(encode(s, b), b) == s``
-    **bitwise** — they exist purely to shrink the wire.  Lossy codecs may
-    transform the state but must be deterministic functions of their
-    inputs, so results remain reproducible per seed on every backend.
+    Every codec satisfies ``decode(encode(s, b), b) == s`` **bitwise** —
+    it exists purely to shrink the wire.
     """
 
     spec: str = ""
-    lossless: bool = False
 
     def encode(self, state: StateDict, basis: StateDict) -> EncodedUpdate:
         raise NotImplementedError
@@ -391,32 +378,11 @@ class UpdateCodec:
     def decode(self, encoded: EncodedUpdate, basis: StateDict) -> StateDict:
         raise NotImplementedError
 
-    def encode_with_residual(
-        self,
-        state: StateDict,
-        basis: StateDict,
-        residual: Optional[StateDict] = None,
-    ) -> Tuple[EncodedUpdate, Optional[StateDict]]:
-        """:meth:`encode` for a client that keeps state between rounds:
-        ``(encoded update, residual to carry into its next encode)``.
-        Only the ``ef:*`` codecs read ``residual`` or return one."""
-        return self.encode(state, basis), None
-
-    def roundtrip(self, state: StateDict, basis: StateDict) -> Tuple[StateDict, int]:
-        """Encode + decode in one step: ``(wire-equivalent state, nbytes)``."""
-        encoded = self.encode(state, basis)
-        return self.decode(encoded, basis), encoded.nbytes
-
-    def __repr__(self) -> str:
-        kind = "lossless" if self.lossless else "lossy"
-        return f"{type(self).__name__}({self.spec!r}, {kind})"
-
 
 class RawCodec(UpdateCodec):
     """The status quo: the dense local state travels unmodified."""
 
     spec = "raw"
-    lossless = True
 
     def encode(self, state: StateDict, basis: StateDict) -> EncodedUpdate:
         return EncodedUpdate(codec=self.spec, payload=state, nbytes=dense_nbytes(state))
@@ -439,7 +405,6 @@ class DeltaCodec(UpdateCodec):
     """
 
     spec = "delta"
-    lossless = True
 
     def encode(self, state: StateDict, basis: StateDict) -> EncodedUpdate:
         if basis is not None and same_structure(state, basis):
@@ -459,246 +424,18 @@ class DeltaCodec(UpdateCodec):
         return _xor_restore(payload, basis)
 
 
-class _LossyDeltaCodec(UpdateCodec):
-    """Shared shape of the lossy codecs: compress ``local − basis``.
-
-    Float entries take the subclass's :meth:`compress` /
-    :meth:`decompress` pair, which is the one place that knows the
-    payload and its wire price; non-float entries (step counters, BN
-    sample counts) must survive exactly and ship dense.  Reconstruction
-    is ``basis + decompressed_delta`` in the basis dtype.  Deterministic:
-    compression and values are pure functions of the update, so runs
-    reproduce per seed on every backend.
-
-    **Error feedback** (``ef:<lossy-spec>``, :attr:`feedback`) is this
-    same encode with the residual term switched on: each round the
-    client adds the residual its *previous* compression dropped to this
-    round's float delta before compressing, and carries what this
-    compression drops into the next, so the cumulative transmitted
-    signal tracks the cumulative true signal (the standard fix for
-    top-k's bias; Seide et al., Karimireddy et al.).  The wire format
-    does not change — the server decodes ``ef:topk:0.05`` exactly as it
-    would ``topk:0.05`` — only the *client-side* pre-compression
-    correction does.
-
-    The residual is per-client state, not a codec attribute: codec
-    instances are shared process-wide (and encode runs inside worker
-    processes), so the residual travels with the task
-    (``TrainTask.residual`` in, ``TrainResult.residual`` out) and lives
-    on the :class:`~repro.federated.client.Client` between rounds.  It
-    never crosses the simulated FL wire — transport metering excludes
-    it by construction (it is not a model-state task field).
-
-    A residual whose structure no longer matches the current delta
-    (model architecture changed, federation reinitialised) is silently
-    dropped and feedback restarts from zero — the same behaviour as a
-    fresh client.
-    """
-
-    lossless = False
-    feedback = False  # on for the ``ef:<spec>`` copy get_codec makes
-
-    def compress(self, delta: StateDict) -> Tuple[Dict[str, Any], int]:
-        """``(payload, wire bytes)`` of a float delta, one entry per key."""
-        raise NotImplementedError
-
-    def decompress(self, payload: Dict[str, Any]) -> StateDict:
-        """The float64 delta a receiver reconstructs from ``payload``."""
-        raise NotImplementedError
-
-    def encode_with_residual(
-        self,
-        state: StateDict,
-        basis: StateDict,
-        residual: Optional[StateDict] = None,
-    ) -> Tuple[EncodedUpdate, Optional[StateDict]]:
-        """The one lossy encode: split float / exact keys, ``state −
-        basis`` (``+ residual`` under feedback), compress, price."""
-        lossy = [k for k, v in state.items() if np.issubdtype(v.dtype, np.floating)]
-        delta = {key: state[key] - basis[key] for key in lossy}
-        payload, nbytes = None, 0
-        new_residual = residual if self.feedback else None
-        if delta:
-            if self.feedback and residual and set(residual) == set(delta):
-                delta = {key: delta[key] + residual[key] for key in delta}
-            payload, nbytes = self.compress(delta)
-            if self.feedback:
-                sent = self.decompress(payload)
-                new_residual = {key: delta[key] - sent[key] for key in delta}
-        exact_part = {key: state[key] for key in state if key not in lossy}
-        return (
-            EncodedUpdate(
-                codec=self.spec,
-                payload=(payload, exact_part),
-                nbytes=nbytes + dense_nbytes(exact_part),
-            ),
-            new_residual,
-        )
-
-    def encode(self, state: StateDict, basis: StateDict) -> EncodedUpdate:
-        return self.encode_with_residual(state, basis)[0]
-
-    def decode(self, encoded: EncodedUpdate, basis: StateDict) -> StateDict:
-        payload, exact_part = encoded.payload
-        state = dict(exact_part)
-        if payload is not None:
-            for key, delta in self.decompress(payload).items():
-                base = basis[key]
-                state[key] = base + np.asarray(delta, dtype=base.dtype)
-        return state
-
-
-class TopKCodec(_LossyDeltaCodec):
-    """Top-k sparsified delta: ``topk:<fraction>``.
-
-    Keeps the ``fraction`` largest-magnitude entries of ``local − basis``
-    per tensor (at least one, so biases survive) and reconstructs
-    ``basis + sparse_delta``.  A kept entry travels as a uint32 flat
-    index and a float32 value: 8 bytes.
-    """
-
-    def __init__(self, fraction: float) -> None:
-        if not 0 < fraction <= 1:
-            raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-        self.fraction = fraction
-        self.spec = f"topk:{fraction:g}"
-
-    def compress(self, delta: StateDict) -> Tuple[Dict[str, Any], int]:
-        payload: Dict[str, Any] = {}
-        nbytes = 0
-        for key, value in delta.items():
-            flat = value.ravel()
-            k = max(1, int(round(self.fraction * flat.size)))
-            top = np.argpartition(np.abs(flat), -k)[-k:]
-            top.sort()
-            payload[key] = {
-                "shape": value.shape,
-                "indices": top.astype(np.uint32),
-                "values": flat[top].astype(np.float32),
-            }
-            nbytes += k * (_INDEX_BYTES + _FLOAT_BYTES)
-        return payload, nbytes
-
-    def decompress(self, payload: Dict[str, Any]) -> StateDict:
-        delta: StateDict = {}
-        for key, entry in payload.items():
-            dense = np.zeros(int(np.prod(entry["shape"])), dtype=np.float64)
-            dense[entry["indices"]] = entry["values"].astype(np.float64)
-            delta[key] = dense.reshape(entry["shape"])
-        return delta
-
-
-class QuantCodec(_LossyDeltaCodec):
-    """Uniformly quantized delta: ``quant:<bits>``.
-
-    QSGD-style uniform b-bit quantization of ``local − basis`` with
-    per-tensor codebooks: each tensor is mapped to ``2^b`` evenly spaced
-    levels between its min and max, and travels as the packed level
-    indices plus the two float32 codebook endpoints.  Worst-case error
-    per entry is half a level width; reconstruction is ``basis +
-    dequantized``.
-    """
-
-    def __init__(self, num_bits: int) -> None:
-        if not 1 <= num_bits <= 16:
-            raise ValueError(f"num_bits must be in [1, 16], got {num_bits}")
-        self.num_bits = num_bits
-        self.spec = f"quant:{num_bits}"
-
-    def compress(self, delta: StateDict) -> Tuple[Dict[str, Any], int]:
-        levels = (1 << self.num_bits) - 1
-        # Codes ship at their actual width: for <=8 bits the pipe carries
-        # 1 byte per entry, not uint16's 2 (the price below is the
-        # logical bit width either way).
-        code_dtype = np.uint8 if self.num_bits <= 8 else np.uint16
-        payload: Dict[str, Any] = {}
-        nbytes = 0
-        for key, value in delta.items():
-            low = float(value.min())
-            high = float(value.max())
-            span = high - low
-            if span == 0.0:
-                codes = np.zeros(value.shape, dtype=code_dtype)
-            else:
-                codes = np.round((value - low) / span * levels).astype(code_dtype)
-            payload[key] = {"low": low, "high": high, "codes": codes}
-            nbytes += int(np.ceil(value.size * self.num_bits / 8)) + 2 * _FLOAT_BYTES
-        return payload, nbytes
-
-    def decompress(self, payload: Dict[str, Any]) -> StateDict:
-        levels = (1 << self.num_bits) - 1
-        delta: StateDict = {}
-        for key, entry in payload.items():
-            low, high = entry["low"], entry["high"]
-            span = high - low
-            if span == 0.0:
-                delta[key] = np.full(entry["codes"].shape, low, dtype=np.float64)
-            else:
-                delta[key] = entry["codes"].astype(np.float64) / levels * span + low
-        return delta
-
-
 # ----------------------------------------------------------------------
 # Registry
 # ----------------------------------------------------------------------
-def _with_feedback(inner_spec: str) -> UpdateCodec:
-    """``ef:<inner_spec>``: the inner codec's class, residual term on."""
-    inner = get_codec(inner_spec)
-    if not isinstance(inner, _LossyDeltaCodec) or inner.feedback:
-        raise ValueError(
-            f"ef wraps lossy delta codecs (topk/quant), got {inner_spec!r}"
-        )
-    codec = copy.copy(inner)
-    codec.feedback = True
-    codec.spec = f"ef:{inner.spec}"
-    return codec
-
-
-# family -> (builder, what a spec without its argument is told); a family
-# whose second entry is ``None`` takes no argument.
-_FAMILIES: Dict[str, Tuple[Callable[..., UpdateCodec], Optional[str]]] = {
-    "raw": (RawCodec, None),
-    "delta": (DeltaCodec, None),
-    "topk": (
-        lambda arg: TopKCodec(float(arg)),
-        "topk needs a fraction, e.g. 'topk:0.05'",
-    ),
-    "quant": (
-        lambda arg: QuantCodec(int(arg)),
-        "quant needs a bit width, e.g. 'quant:8'",
-    ),
-    "ef": (_with_feedback, "ef wraps a lossy codec, e.g. 'ef:topk:0.05'"),
-}
-_INSTANCES: Dict[str, UpdateCodec] = {}
-
-
-def available_codecs() -> List[str]:
-    """Codec family names."""
-    return sorted(_FAMILIES)
+_CODECS: Dict[str, UpdateCodec] = {"raw": RawCodec(), "delta": DeltaCodec()}
 
 
 def get_codec(spec: str) -> UpdateCodec:
-    """Resolve a codec spec string (``raw``, ``delta``, ``topk:0.05``,
-    ``quant:8``, ``ef:topk:0.05``) to a shared codec instance; raises on
-    typos eagerly."""
-    if not isinstance(spec, str) or not spec:
-        raise ValueError(f"codec spec must be a non-empty string, got {spec!r}")
-    if spec in _INSTANCES:
-        return _INSTANCES[spec]
-    name, _, arg = spec.partition(":")
+    """The shared codec instance named ``spec`` (``"raw"`` or ``"delta"``);
+    raises on anything else, eagerly."""
     try:
-        build, missing_arg = _FAMILIES[name]
-    except KeyError:
+        return _CODECS[spec]
+    except (KeyError, TypeError):
         raise ValueError(
-            f"unknown codec {name!r}; available: {available_codecs()}"
+            f"unknown codec {spec!r}; available: {sorted(_CODECS)}"
         ) from None
-    if missing_arg is None:
-        if arg:
-            raise ValueError(f"codec {name!r} takes no argument, got {arg!r}")
-        codec = build()
-    elif not arg:
-        raise ValueError(missing_arg)
-    else:
-        codec = build(arg)
-    _INSTANCES[spec] = codec
-    return codec

@@ -89,9 +89,6 @@ class TrainResult:
     rng_state: RngState
     update: Optional[EncodedUpdate] = None
     update_nbytes: int = 0
-    # Error-feedback residual to carry into the client's next encode
-    # (``ef:*`` codecs only; client-side state, never wire traffic).
-    residual: Optional[StateDict] = None
 
     def resolve_state(self, basis: Optional[StateDict] = None) -> StateDict:
         """The trained state dict, decoding ``update`` when encoded."""
@@ -107,35 +104,24 @@ class TrainResult:
         return get_codec(self.update.codec).decode(self.update, basis)
 
 
-def encode_trained_state(
-    codec: str,
-    state: StateDict,
-    basis: Optional[StateDict],
-    residual: Optional[StateDict] = None,
-):
+def encode_trained_state(codec: str, state: StateDict, basis: Optional[StateDict]):
     """Run a trained state through the task-side half of an update codec.
 
-    Returns ``(state_or_None, update, update_nbytes, new_residual)`` — the
-    exact fields a :class:`TrainResult` carries.  ``raw`` (or a missing
-    basis) returns the dense state untouched; any other codec encodes
-    against ``basis`` and nulls the dense state.  ``residual`` is the
-    client's error-feedback memory: the ``ef:*`` codecs fold it in and
-    the advanced residual comes back for the caller to return to the
-    client; every other codec ignores it and returns ``None``.
+    Returns ``(state_or_None, update, update_nbytes)`` — the exact fields
+    a :class:`TrainResult` carries.  ``raw`` (or a missing basis) returns
+    the dense state untouched; ``delta`` encodes against ``basis`` and
+    nulls the dense state.
 
     Every member of :meth:`TrainTask.run_stack` — lone or stacked — goes
     through this one call, so both paths apply the identical transform.
     """
     update = None
-    new_residual = None
     update_nbytes = dense_nbytes(state)
     if codec != "raw" and basis is not None:
-        update, new_residual = get_codec(codec).encode_with_residual(
-            state, basis, residual
-        )
+        update = get_codec(codec).encode(state, basis)
         update_nbytes = update.nbytes
         state = None
-    return state, update, update_nbytes, new_residual
+    return state, update, update_nbytes
 
 
 @dataclass
@@ -181,9 +167,6 @@ class TrainTask:
     indices: Optional[np.ndarray] = None
     codec: str = "raw"
     model_version: Optional[str] = None
-    # Error-feedback residual from the client's previous round (``ef:*``
-    # codecs only) — see ``TrainResult.residual``.
-    residual: Optional[StateDict] = None
 
     def run(self) -> TrainResult:
         return self.run_stack([self])[0]
@@ -245,8 +228,8 @@ class TrainTask:
             histories = VectorizedCohort(models, datasets, rngs).train(tasks[0].config)
         results: List[TrainResult] = []
         for task, model, base, rng, history in zip(tasks, models, bases, rngs, histories):
-            state, update, update_nbytes, new_residual = encode_trained_state(
-                task.codec, model.state_dict(), base, task.residual
+            state, update, update_nbytes = encode_trained_state(
+                task.codec, model.state_dict(), base
             )
             results.append(
                 TrainResult(
@@ -256,7 +239,6 @@ class TrainTask:
                     rng_state=capture_rng(rng),
                     update=update,
                     update_nbytes=update_nbytes,
-                    residual=new_residual,
                 )
             )
         return results

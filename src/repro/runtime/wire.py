@@ -45,7 +45,9 @@ from typing import Any, Dict, List, Tuple
 #: are byte-plane framed — a v1 peer would fail inside ``decode_broadcast``.
 #: v3: a lossy ``EncodedUpdate.payload`` carries the codec's plain
 #: ``{key: entry}`` dict where v2 carried an instance of a payload class
-#: that no longer exists — a v2 peer's return would not unpickle.
+#: that no longer exists — a v2 peer's return would not unpickle.  The
+#: lossy codecs are gone since; raw and delta payloads are unchanged, so
+#: the version stays.
 WIRE_PROTOCOL_VERSION = 3
 
 

@@ -18,7 +18,6 @@ from .baselines import (
     FedEraserConfig,
     FedEraserReport,
     FedRecovery,
-    FedRecoveryConfig,
     FedRecoveryReport,
     IncompetentTeacherConfig,
     IncompetentTeacherUnlearner,
@@ -97,7 +96,6 @@ __all__ = [
     "FedEraserConfig",
     "FedEraserReport",
     "FedRecovery",
-    "FedRecoveryConfig",
     "FedRecoveryReport",
     "RapidRetrainer",
     "DiagonalFIMSGD",

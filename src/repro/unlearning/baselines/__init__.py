@@ -15,13 +15,13 @@ unlearning and need the server to retain round history):
 
 * **FedEraser** — calibrated historical-update replay, after Liu et al.,
   IWQoS 2021 [24] (:mod:`~repro.unlearning.baselines.federaser`).
-* **FedRecovery** — server-side gradient-residual subtraction with a
-  differentially private release, after Zhang et al., TIFS 2023 [23]
+* **FedRecovery** — server-side gradient-residual subtraction, after
+  Zhang et al., TIFS 2023 [23], released without its DP noise
   (:mod:`~repro.unlearning.baselines.fedrecovery`).
 """
 
 from .federaser import FedEraser, FedEraserConfig, FedEraserReport
-from .fedrecovery import FedRecovery, FedRecoveryConfig, FedRecoveryReport
+from .fedrecovery import FedRecovery, FedRecoveryReport
 from .incompetent import IncompetentTeacherConfig, IncompetentTeacherUnlearner
 from .rapid import DiagonalFIMSGD, RapidRetrainer
 from .retrain import retrain_from_scratch
@@ -36,6 +36,5 @@ __all__ = [
     "FedEraserConfig",
     "FedEraserReport",
     "FedRecovery",
-    "FedRecoveryConfig",
     "FedRecoveryReport",
 ]

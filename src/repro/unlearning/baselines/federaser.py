@@ -4,7 +4,7 @@ After Liu et al., "FederaSer: Enabling Efficient Client-Level Data Removal
 from Federated Learning Models", IWQoS 2021 (the paper's reference [24]).
 
 FedEraser removes an entire client's contribution without retraining from
-scratch. The server retained every (Δt-th) round's client uploads in a
+scratch. The server retained every round's client uploads in a
 :class:`~repro.federated.history.RoundHistoryStore`. Unlearning then
 replays history with the target client excluded:
 
@@ -20,8 +20,8 @@ replays history with the target client excluded:
 
 This trades extra server storage (see ``RoundHistoryStore.storage_report``)
 for far fewer local epochs than full retraining: with ``calibration
-epochs ≪ original local epochs`` and Δt-subsampled rounds, the replay cost
-is a small fraction of B1's.
+epochs ≪ original local epochs``, the replay cost is a small fraction of
+B1's.
 
 This is *client-level* unlearning: the whole target client is forgotten.
 For sample-level deletion within a client, use Goldfish or the B1/B2/B3
@@ -30,7 +30,6 @@ baselines.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Sequence
 
@@ -59,10 +58,7 @@ class FedEraserConfig:
             raise ValueError(
                 f"calibration_epochs must be >= 1, got {self.calibration_epochs}"
             )
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError(
-                f"learning_rate must be positive and finite, got {self.learning_rate}"
-            )
+        self.train_config()  # TrainConfig checks the training knobs
 
     def train_config(self) -> TrainConfig:
         return TrainConfig(

@@ -1,4 +1,4 @@
-"""FedRecovery — unlearning by gradient-residual subtraction + DP noise.
+"""FedRecovery — unlearning by gradient-residual subtraction.
 
 After Zhang et al., "FedRecovery: Differentially Private Machine Unlearning
 for Federated Learning Frameworks", IEEE TIFS 2023 — the method behind the
@@ -18,16 +18,12 @@ its per-round contributions. FedRecovery
    ``p_i = ‖r_i‖² / Σ_j ‖r_j‖²`` (the weights sum to 1: per-round
    contributions are highly correlated, so subtracting their weighted
    average — not their sum, which overshoots — is what the TIFS paper's
-   analysis calls for),
-3. adds Gaussian noise calibrated to the subtraction's magnitude so the
-   released model is (ε, δ)-indistinguishable from a retrained one.
+   analysis calls for).
 
-Implementation note (documented substitution): the TIFS paper derives its
-noise scale from Lipschitz-smoothness bounds of the empirical loss; those
-constants are unavailable for an arbitrary model, so we bound sensitivity
-by the **L2 norm of the subtracted influence** (clipped), which preserves
-the mechanism's structure — noise proportional to how much was removed —
-and yields exact (ε, δ) guarantees for the release as implemented.
+The TIFS paper then adds Gaussian noise calibrated to the subtraction so
+the release is (ε, δ)-indistinguishable from a retrained model.  This
+implementation releases the noiseless subtraction — the variant the
+efficiency comparison runs, so accuracy is comparable across methods.
 
 Unlike FedEraser this needs **no client cooperation**: unlearning is a pure
 server-side computation, the cheapest point in the design space, at the
@@ -37,38 +33,14 @@ additively, which holds exactly only for one aggregation step).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
 from ...federated import state_math
 from ...federated.history import RoundHistoryStore
 from ...federated.state_math import StateDict
-from ...privacy.dp import add_gaussian_noise, clip_state_by_l2, gaussian_sigma
-
-
-@dataclass(frozen=True)
-class FedRecoveryConfig:
-    """Privacy and subtraction knobs."""
-
-    epsilon: float = 5.0
-    delta: float = 1e-5
-    influence_clip: Optional[float] = None  # None = no clipping
-    noise_enabled: bool = True
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
-            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
-        if not 0 < self.delta < 1:
-            raise ValueError(f"delta must be in (0, 1), got {self.delta}")
-        if self.influence_clip is not None and not (
-            math.isfinite(self.influence_clip) and self.influence_clip > 0
-        ):
-            raise ValueError(
-                f"influence_clip must be positive and finite, got {self.influence_clip}"
-            )
 
 
 @dataclass
@@ -78,7 +50,6 @@ class FedRecoveryReport:
     rounds_used: int
     residual_weights: List[float]
     influence_l2: float
-    sigma: float
 
 
 def _residual_weights(history: RoundHistoryStore) -> List[float]:
@@ -102,17 +73,13 @@ def _residual_weights(history: RoundHistoryStore) -> List[float]:
 
 
 class FedRecovery:
-    """Server-side client-level unlearning with a DP release."""
-
-    def __init__(self, config: FedRecoveryConfig = FedRecoveryConfig()) -> None:
-        self.config = config
+    """Server-side client-level unlearning by residual-weighted subtraction."""
 
     def unlearn(
         self,
         history: RoundHistoryStore,
         final_global: StateDict,
         forget_client_id: int,
-        rng: np.random.Generator,
     ) -> tuple[StateDict, FedRecoveryReport]:
         """Remove ``forget_client_id``'s influence from ``final_global``."""
         if len(history) == 0:
@@ -141,25 +108,13 @@ class FedRecovery:
                 influence, state_math.scale(contribution, round_weight)
             )
 
-        if self.config.influence_clip is not None:
-            influence = clip_state_by_l2(influence, self.config.influence_clip)
         influence_l2 = float(
             np.sqrt(sum(float((v ** 2).sum()) for v in influence.values()))
         )
-
-        unlearned = state_math.subtract(final_global, influence)
-
-        sigma = 0.0
-        if self.config.noise_enabled and influence_l2 > 0.0:
-            sigma = gaussian_sigma(
-                self.config.epsilon, self.config.delta, influence_l2
-            )
-            unlearned = add_gaussian_noise(unlearned, sigma, rng)
 
         report = FedRecoveryReport(
             rounds_used=len(target_rounds),
             residual_weights=weights,
             influence_l2=influence_l2,
-            sigma=sigma,
         )
-        return unlearned, report
+        return state_math.subtract(final_global, influence), report

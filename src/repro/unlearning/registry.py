@@ -56,7 +56,7 @@ from ..runtime import BackendLike
 from ..training.config import TrainConfig
 from ..training.evaluation import evaluate
 from .baselines.federaser import FedEraser, FedEraserConfig
-from .baselines.fedrecovery import FedRecovery, FedRecoveryConfig
+from .baselines.fedrecovery import FedRecovery
 from .baselines.incompetent import IncompetentTeacherConfig
 from .goldfish import GoldfishConfig
 from .protocols import (
@@ -408,11 +408,9 @@ class FedEraserMethod(Unlearner):
 
 @register_unlearner
 class FedRecoveryMethod(Unlearner):
-    """FedRecovery: server-side gradient-residual subtraction.
-
-    Options: any :class:`FedRecoveryConfig` field (``noise_enabled``
-    defaults to False here so accuracy is comparable across methods, as
-    in the efficiency experiment). Requires ``history``.
+    """FedRecovery: server-side gradient-residual subtraction, released
+    noiseless so accuracy is comparable across methods (as in the
+    efficiency experiment). Takes no options; requires ``history``.
     """
 
     name = "fedrecovery"
@@ -423,20 +421,10 @@ class FedRecoveryMethod(Unlearner):
              initial_state, rng) -> UnlearnOutcome:
         if history is None:
             raise ValueError("fedrecovery requires the server round history")
-        if rng is None:
-            rng = np.random.default_rng(0)
         forget_client = _forget_client_id(requests)
-        config_fields = {
-            key: self.options[key]
-            for key in ("noise_enabled", "epsilon", "delta", "influence_clip")
-            if key in self.options
-        }
-        config_fields.setdefault("noise_enabled", False)
-        recovery = FedRecovery(FedRecoveryConfig(**config_fields))
         start = time.perf_counter()
-        state, report = recovery.unlearn(
-            history, sim.server.global_state,
-            forget_client_id=forget_client, rng=rng,
+        state, _ = FedRecovery().unlearn(
+            history, sim.server.global_state, forget_client_id=forget_client,
         )
         wall = time.perf_counter() - start
         model = sim.model_factory()

@@ -88,6 +88,7 @@ class SisaConfig:
             raise ValueError(
                 f"aggregation must be 'soft' or 'hard', got {self.aggregation!r}"
             )
+        self.train_config()  # TrainConfig checks the training knobs
 
     def train_config(self) -> TrainConfig:
         return TrainConfig(

@@ -2,8 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.federated import (
     ClientUpdate,
@@ -39,7 +37,7 @@ class TestRecording:
         store = RoundHistoryStore()
         update = make_update(0, client_id=0)
         before = global_state()
-        assert store.record_round(0, before, [update])
+        store.record_round(0, before, [update])
         # Mutating the caller's arrays must not corrupt the snapshot.
         update.state["w"] += 100.0
         before["w"] += 100.0
@@ -66,19 +64,6 @@ class TestRecording:
         store = RoundHistoryStore()
         with pytest.raises(ValueError, match="no client updates"):
             store.record_round(0, global_state(), [])
-
-    def test_retention_interval_skips_rounds(self):
-        store = RoundHistoryStore(retention_interval=3)
-        for round_index in range(7):
-            stored = store.record_round(
-                round_index, global_state(), [make_update(round_index, 0)]
-            )
-            assert stored == (round_index % 3 == 0)
-        assert store.stored_round_indices == [0, 3, 6]
-
-    def test_retention_interval_validation(self):
-        with pytest.raises(ValueError):
-            RoundHistoryStore(retention_interval=0)
 
 
 class TestQueries:
@@ -196,7 +181,7 @@ class TestAttachedRounds:
         for key, value in sim.server.global_state.items():
             np.testing.assert_array_equal(previous[key], value)
 
-    @pytest.mark.parametrize("codec", ["raw", "delta", "quant:8"])
+    @pytest.mark.parametrize("codec", ["raw", "delta"])
     @pytest.mark.parametrize("vectorize", [False, True])
     def test_attaching_history_never_changes_a_round(self, codec, vectorize):
         plain = blob_simulation(codec=codec, vectorize=vectorize)
@@ -207,19 +192,3 @@ class TestAttachedRounds:
             np.testing.assert_array_equal(recorded.server.global_state[key], value)
         for a, b in zip(plain.clients, recorded.clients):
             assert a.rng.bit_generator.state == b.rng.bit_generator.state
-
-
-class TestProperties:
-    @given(interval=st.integers(1, 5), num_rounds=st.integers(1, 20))
-    @settings(max_examples=30, deadline=None)
-    def test_property_retention_stores_exactly_multiples(self, interval, num_rounds):
-        store = RoundHistoryStore(retention_interval=interval)
-        for round_index in range(num_rounds):
-            store.record_round(
-                round_index, global_state(), [make_update(round_index, 0)]
-            )
-        assert store.stored_round_indices == [
-            r for r in range(num_rounds) if r % interval == 0
-        ]
-        report = store.storage_report()
-        assert report.num_rounds_stored == len(store.stored_round_indices)

@@ -107,7 +107,6 @@ def assert_results_equal(got, want, bases):
         assert one.rng_state == other.rng_state
         assert one.history == other.history
         assert one.update_nbytes == other.update_nbytes
-        assert one.residual is None and other.residual is None
         assert (one.state is None) == (other.state is None)
         assert (one.update is None) == (other.update is None)
         assert_same_bytes(one.resolve_state(basis), other.resolve_state(basis))

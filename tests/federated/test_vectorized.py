@@ -107,7 +107,7 @@ class TestSyncParity:
             assert got.bytes_down == ref.bytes_down
             assert got.bytes_up == ref.bytes_up
 
-    @pytest.mark.parametrize("codec", ["delta", "topk:0.2", "quant:8"])
+    @pytest.mark.parametrize("codec", ["delta"])
     def test_codecs_match_their_per_client_twin(self, codec):
         _, ref_history, ref_state = run_sim(vectorize=False, codec=codec)
         _, history, state = run_sim(vectorize=True, codec=codec)
@@ -218,7 +218,7 @@ class TestStackChunkSharding:
         assert_states_equal(state, ref_state)
         assert sim.vectorize_report()["chunks"] == {4: ROUNDS}
 
-    @pytest.mark.parametrize("codec", ["delta", "quant:8"])
+    @pytest.mark.parametrize("codec", ["delta"])
     def test_chunked_codecs_match_per_client_twin(self, codec):
         _, ref_history, ref_state = run_sim(vectorize=False, codec=codec)
         _, history, state = run_sim(

@@ -14,11 +14,11 @@ from hypothesis import given, strategies as st
 from repro.unlearning import (
     EarlyStopConfig,
     GoldfishLossConfig,
+    SisaConfig,
     adaptive_temperature,
 )
 from repro.unlearning.baselines import (
     FedEraserConfig,
-    FedRecoveryConfig,
     IncompetentTeacherConfig,
     RapidRetrainer,
 )
@@ -27,6 +27,7 @@ from ..conftest import HYPER_VALUES, NON_FINITE, generated
 
 POSITIVE = lambda v: v > 0
 NON_NEGATIVE = lambda v: v >= 0
+MOMENTUM = lambda v: 0 <= v < 1
 
 # (name, call that validates the value, accepted range, a value in it)
 HYPER_PARAMETERS = [
@@ -41,10 +42,10 @@ HYPER_PARAMETERS = [
     ("IncompetentTeacherConfig.beta", lambda v: IncompetentTeacherConfig(beta=v), lambda v: 0 <= v <= 1, 0.5),
     ("IncompetentTeacherConfig.temperature", lambda v: IncompetentTeacherConfig(temperature=v), POSITIVE, 1.0),
     ("RapidRetrainer.lr_scale", lambda v: RapidRetrainer(lr_scale=v), POSITIVE, 0.1),
-    ("FedRecoveryConfig.epsilon", lambda v: FedRecoveryConfig(epsilon=v), POSITIVE, 5.0),
-    ("FedRecoveryConfig.delta", lambda v: FedRecoveryConfig(delta=v), lambda v: 0 < v < 1, 1e-5),
-    ("FedRecoveryConfig.influence_clip", lambda v: FedRecoveryConfig(influence_clip=v), POSITIVE, 10.0),
     ("FedEraserConfig.learning_rate", lambda v: FedEraserConfig(learning_rate=v), POSITIVE, 0.01),
+    ("FedEraserConfig.momentum", lambda v: FedEraserConfig(momentum=v), MOMENTUM, 0.9),
+    ("SisaConfig.learning_rate", lambda v: SisaConfig(learning_rate=v), POSITIVE, 0.01),
+    ("SisaConfig.momentum", lambda v: SisaConfig(momentum=v), MOMENTUM, 0.9),
 ]
 
 
@@ -71,3 +72,27 @@ class TestHyperParametersAreFinite:
         validate(typical)
         with pytest.raises(ValueError):
             validate(value)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: SisaConfig(batch_size=0),
+        lambda: SisaConfig(batch_size=-1),
+        lambda: SisaConfig(momentum=-1.0),
+        lambda: SisaConfig(momentum=1.0),
+        lambda: FedEraserConfig(batch_size=0),
+        lambda: FedEraserConfig(momentum=-1.0),
+    ],
+    ids=[
+        "SisaConfig.batch_size=0", "SisaConfig.batch_size=-1",
+        "SisaConfig.momentum=-1", "SisaConfig.momentum=1",
+        "FedEraserConfig.batch_size=0", "FedEraserConfig.momentum=-1",
+    ],
+)
+def test_out_of_range_training_values_rejected_at_construction(build):
+    """A config that cannot train fails when it is built, not at the
+    first ``train_config()`` (a SISA ensemble rebuilt from a manifest
+    would otherwise fail only at its first deletion)."""
+    with pytest.raises(ValueError):
+        build()

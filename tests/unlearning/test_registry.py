@@ -20,7 +20,6 @@ from repro.unlearning import (
     FedEraser,
     FedEraserConfig,
     FedRecovery,
-    FedRecoveryConfig,
     IncompetentTeacherConfig,
     available_methods,
     federated_goldfish,
@@ -181,9 +180,8 @@ class TestBitIdenticalClientLevel:
 
     def test_fedrecovery(self):
         direct, history = self._with_history(10)
-        state, _ = FedRecovery(FedRecoveryConfig(noise_enabled=False)).unlearn(
-            history, direct.sim.server.global_state,
-            forget_client_id=0, rng=np.random.default_rng(3),
+        state, _ = FedRecovery().unlearn(
+            history, direct.sim.server.global_state, forget_client_id=0,
         )
         direct_model = direct.model_factory()
         direct_model.load_state_dict(state)

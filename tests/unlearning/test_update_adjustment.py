@@ -18,7 +18,6 @@ from repro.unlearning import (
     FedEraser,
     FedEraserConfig,
     FedRecovery,
-    FedRecoveryConfig,
 )
 
 from ..conftest import make_blob_federation
@@ -120,90 +119,48 @@ class TestFedEraser:
             )
 
 
-class TestFedRecoveryConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            FedRecoveryConfig(epsilon=0.0)
-        with pytest.raises(ValueError):
-            FedRecoveryConfig(delta=1.5)
-        with pytest.raises(ValueError):
-            FedRecoveryConfig(influence_clip=0.0)
-
-
 class TestFedRecovery:
     def test_subtraction_without_noise_is_deterministic(
         self, trained_federation
     ):
         env = trained_federation
-        recovery = FedRecovery(FedRecoveryConfig(noise_enabled=False))
+        recovery = FedRecovery()
         final = env["sim"].server.global_state
-        out1, report1 = recovery.unlearn(
-            env["store"], final, 0, np.random.default_rng(0)
-        )
-        out2, report2 = recovery.unlearn(
-            env["store"], final, 0, np.random.default_rng(99)
-        )
+        out1, report1 = recovery.unlearn(env["store"], final, 0)
+        out2, report2 = recovery.unlearn(env["store"], final, 0)
         assert state_math.l2_distance(out1, out2) == 0.0
-        assert report1.sigma == 0.0
         assert report1.influence_l2 == pytest.approx(report2.influence_l2)
 
-    def test_residual_weights_sum_to_one(self, trained_federation, rng):
+    def test_residual_weights_sum_to_one(self, trained_federation):
         env = trained_federation
-        recovery = FedRecovery(FedRecoveryConfig(noise_enabled=False))
-        _, report = recovery.unlearn(
-            env["store"], env["sim"].server.global_state, 2, rng
+        _, report = FedRecovery().unlearn(
+            env["store"], env["sim"].server.global_state, 2
         )
         assert sum(report.residual_weights) == pytest.approx(1.0)
         assert all(w >= 0 for w in report.residual_weights)
         assert report.rounds_used == 4
 
-    def test_influence_actually_subtracted(self, trained_federation, rng):
+    def test_influence_actually_subtracted(self, trained_federation):
         env = trained_federation
-        recovery = FedRecovery(FedRecoveryConfig(noise_enabled=False))
         final = env["sim"].server.global_state
-        unlearned, report = recovery.unlearn(env["store"], final, 0, rng)
+        unlearned, report = FedRecovery().unlearn(env["store"], final, 0)
         assert report.influence_l2 > 0.0
         assert state_math.l2_distance(unlearned, final) == pytest.approx(
             report.influence_l2, rel=1e-9
         )
 
-    def test_noise_applied_when_enabled(self, trained_federation):
-        env = trained_federation
-        recovery = FedRecovery(FedRecoveryConfig(epsilon=5.0, delta=1e-5))
-        final = env["sim"].server.global_state
-        out1, report = recovery.unlearn(
-            env["store"], final, 0, np.random.default_rng(1)
-        )
-        out2, _ = recovery.unlearn(
-            env["store"], final, 0, np.random.default_rng(2)
-        )
-        assert report.sigma > 0.0
-        # Different rng seeds → different releases.
-        assert state_math.l2_distance(out1, out2) > 0.0
-
-    def test_influence_clip_bounds_subtraction(self, trained_federation, rng):
-        env = trained_federation
-        clip = 0.01
-        recovery = FedRecovery(
-            FedRecoveryConfig(noise_enabled=False, influence_clip=clip)
-        )
-        final = env["sim"].server.global_state
-        unlearned, report = recovery.unlearn(env["store"], final, 0, rng)
-        assert report.influence_l2 <= clip + 1e-12
-        assert state_math.l2_distance(unlearned, final) <= clip + 1e-12
-
-    def test_empty_history_rejected(self, trained_federation, rng):
+    def test_empty_history_rejected(self, trained_federation):
         env = trained_federation
         with pytest.raises(ValueError, match="empty"):
             FedRecovery().unlearn(
-                RoundHistoryStore(), env["sim"].server.global_state, 0, rng
+                RoundHistoryStore(), env["sim"].server.global_state, 0
             )
 
-    def test_unknown_client_rejected(self, trained_federation, rng):
+    def test_unknown_client_rejected(self, trained_federation):
         env = trained_federation
         with pytest.raises(ValueError, match="never appears"):
             FedRecovery().unlearn(
-                env["store"], env["sim"].server.global_state, 42, rng
+                env["store"], env["sim"].server.global_state, 42
             )
 
 
