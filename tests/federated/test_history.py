@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.federated import (
     ClientUpdate,
@@ -15,7 +16,7 @@ from repro.data.dataset import FederatedDataset
 from repro.nn.models import MLP
 from repro.training.config import TrainConfig
 
-from ..conftest import make_blob_federation
+from ..conftest import generated, make_blob_federation
 
 
 def make_update(seed: int, client_id: int, num_samples: int = 10) -> ClientUpdate:
@@ -66,6 +67,72 @@ class TestRecording:
             store.record_round(0, global_state(), [])
 
 
+    def test_global_after_is_copied_and_optional(self):
+        store = RoundHistoryStore()
+        after = global_state(5)
+        store.record_round(0, global_state(), [make_update(0, 0)], global_after=after)
+        store.record_round(1, global_state(), [make_update(1, 0)])
+        after["w"] += 100.0
+        assert abs(store.snapshot_at(0).global_after["w"]).max() < 50.0
+        assert store.snapshot_at(1).global_after is None
+
+    def test_sample_counts_are_recorded_per_client(self):
+        store = RoundHistoryStore()
+        store.record_round(
+            0, global_state(), [make_update(0, 4, num_samples=7), make_update(1, 2, 30)]
+        )
+        snapshot = store.snapshot_at(0)
+        assert snapshot.client_sizes == {4: 7, 2: 30}
+        assert snapshot.client_ids == [2, 4]
+
+    def test_every_round_is_kept_whatever_the_gaps(self):
+        store = RoundHistoryStore()
+        for round_index in (0, 1, 4, 5, 11):
+            assert store.record_round(round_index, global_state(), [make_update(0, 0)]) is None
+        assert store.stored_round_indices == [0, 1, 4, 5, 11]
+        assert len(store) == 5
+
+    def test_a_failed_record_stores_nothing(self):
+        store = RoundHistoryStore()
+        store.record_round(2, global_state(), [make_update(0, 0)])
+        for bad in ([], [make_update(0, 1), make_update(1, 1)]):
+            with pytest.raises(ValueError):
+                store.record_round(3, global_state(), bad)
+        assert store.stored_round_indices == [2]
+        store.record_round(3, global_state(), [make_update(0, 0)])  # 3 still free
+        assert store.stored_round_indices == [2, 3]
+
+    def test_clear_restarts_the_ordering(self):
+        store = RoundHistoryStore()
+        store.record_round(5, global_state(), [make_update(0, 0)])
+        store.clear()
+        store.record_round(0, global_state(), [make_update(0, 0)])
+        assert store.stored_round_indices == [0]
+
+
+class TestProperties:
+    @generated(50)
+    @given(
+        gaps=st.lists(st.integers(1, 5), min_size=1, max_size=12),
+        clients=st.lists(st.integers(0, 6), min_size=1, max_size=4, unique=True),
+    )
+    def test_property_every_recorded_round_is_stored(self, gaps, clients):
+        store = RoundHistoryStore()
+        indices = list(np.cumsum(gaps) - 1)
+        for round_index in indices:
+            store.record_round(
+                int(round_index),
+                global_state(),
+                [make_update(c, c) for c in clients],
+            )
+        assert store.stored_round_indices == indices
+        report = store.storage_report()
+        assert report.num_rounds_stored == len(indices)
+        assert report.num_client_states == len(indices) * len(clients)
+        for client in clients:
+            assert len(store.rounds_with_client(client)) == len(indices)
+
+
 class TestQueries:
     def _store_with_rounds(self):
         store = RoundHistoryStore()
@@ -105,6 +172,24 @@ class TestQueries:
         assert report.bytes_client_states == 3 * per_state
         assert report.bytes_global_states == 2 * per_state
         assert report.total_bytes == report.bytes_client_states + report.bytes_global_states
+
+    @pytest.mark.parametrize(
+        "dtype", [np.float64, np.float32, np.float16, np.int64], ids=lambda d: d.__name__
+    )
+    def test_storage_report_counts_the_actual_dtype(self, dtype):
+        store = RoundHistoryStore()
+        state = {"w": np.zeros((5, 3), dtype=dtype), "b": np.zeros(3, dtype=dtype)}
+        update = ClientUpdate(state=state, num_samples=1, client_id=0)
+        store.record_round(0, state, [update], global_after=state)
+        per_state = 18 * np.dtype(dtype).itemsize
+        report = store.storage_report()
+        assert report.bytes_client_states == per_state
+        assert report.bytes_global_states == 2 * per_state  # before + after
+
+    def test_snapshots_list_is_a_copy(self):
+        store = self._store_with_rounds()
+        store.snapshots.clear()
+        assert len(store) == 2 and store.stored_round_indices == [0, 1]
 
     def test_clear(self):
         store = self._store_with_rounds()
@@ -192,3 +277,22 @@ class TestAttachedRounds:
             np.testing.assert_array_equal(recorded.server.global_state[key], value)
         for a, b in zip(plain.clients, recorded.clients):
             assert a.rng.bit_generator.state == b.rng.bit_generator.state
+
+    @pytest.mark.parametrize("aggregator", ["fedavg", "fedavg_uniform", "adaptive"])
+    def test_delta_rounds_record_the_same_history_as_raw(self, aggregator):
+        """Uploads are stored decoded: a ``delta`` federation retains
+        bit-for-bit the history a ``raw`` one does."""
+        stores = []
+        for codec in ("raw", "delta"):
+            sim = blob_simulation(aggregator, codec=codec)
+            stores.append(attach_history(sim, RoundHistoryStore()))
+            sim.run(2)
+        raw, delta = stores
+        assert delta.stored_round_indices == raw.stored_round_indices == [0, 1]
+        for a, b in zip(raw.snapshots, delta.snapshots):
+            assert a.client_sizes == b.client_sizes
+            for cid in a.client_ids:
+                for key, value in a.client_states[cid].items():
+                    assert b.client_states[cid][key].tobytes() == value.tobytes()
+            for key, value in a.global_after.items():
+                assert b.global_after[key].tobytes() == value.tobytes()

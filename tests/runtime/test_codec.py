@@ -26,9 +26,11 @@ from repro.runtime.codec import (
     same_structure,
     state_version,
 )
-from repro.training import TrainConfig
+from repro.runtime.task import TrainResult, encode_trained_state
+from repro.training import TrainConfig, TrainHistory
 
 from ..conftest import generated
+from .test_wire import roundtrip as wire_roundtrip
 
 
 def make_state(seed=0, dtype=np.float64):
@@ -158,13 +160,18 @@ class TestRegistry:
         [
             "", "nope", "topk", "quant", "raw:1", "delta:x", "topk:2.0", "quant:0",
             "raw:", "delta:", "topk:0.05", "quant:8", "ef:topk:0.05",
+            # An exact lookup: no case folding, no trimming, no wrapping.
+            "RAW", "Delta", " raw", "delta ", "ef:raw", "ef:delta",
+            None, ["raw"],
         ],
     )
     def test_bad_specs_rejected(self, spec):
         with pytest.raises(ValueError):
             get_codec(spec)
 
-    @pytest.mark.parametrize("spec", ["topk:0.05", "raw:"])
+    @pytest.mark.parametrize(
+        "spec", ["topk:0.05", "raw:", "quant:8", "ef:topk:0.05", "delta:"]
+    )
     def test_simulation_rejects_a_bad_codec_before_building_a_model(self, spec):
         built = []
 
@@ -505,3 +512,246 @@ class TestPlaneFormatNeverGrows:
         # Six of eight planes are stored, so a deflate build whose output
         # differs by a tenth moves this by under a hundredth.
         assert sum(dense_nbytes(state) for state, _ in pairs) / sum(sizes) >= 1.20
+
+
+# ----------------------------------------------------------------------
+# raw and delta over every dtype, IEEE special and structure change
+# ----------------------------------------------------------------------
+CODEC_SPECS = ("raw", "delta")
+DTYPE_IDS = [np.dtype(dtype).name for dtype in DTYPES]
+# The special floats, plus a quiet NaN whose payload bits are not numpy's
+# default: a codec that re-derives a float instead of moving its bytes
+# turns it into the canonical NaN.
+NAN_WITH_PAYLOAD = np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0]
+SPECIAL_CASES = SPECIALS + (NAN_WITH_PAYLOAD,)
+SPECIAL_IDS = ["nan", "inf", "-inf", "-0.0", "5e-324", "1e-45", "6e-8", "nan-payload"]
+
+
+def state_of(dtype, seed=0):
+    """One array of ``dtype`` for every shape in ``SHAPES``."""
+    rng = np.random.default_rng(seed)
+    return {
+        f"t{i}": np.array(_draw(rng, dtype, shape), dtype=dtype).reshape(shape)
+        for i, shape in enumerate(SHAPES)
+    }
+
+
+def perturbed(state, seed=1):
+    """``state`` as one round of training leaves it: floats nudged,
+    about a tenth of the integer / bool elements with flipped bits."""
+    rng = np.random.default_rng(seed)
+    out = {}
+    for key, value in state.items():
+        if np.issubdtype(value.dtype, np.floating):
+            noise = rng.normal(0.0, 1e-3, size=value.shape).astype(value.dtype)
+            out[key] = np.array(value + noise, dtype=value.dtype)
+        else:
+            flips = _draw(rng, value.dtype.type, value.shape)
+            mask = rng.random(size=value.shape) < 0.1
+            out[key] = np.array(value ^ (flips * mask), dtype=value.dtype)
+    return out
+
+
+class TestLosslessOverEveryDtype:
+    @pytest.mark.parametrize("dtype", DTYPES, ids=DTYPE_IDS)
+    @pytest.mark.parametrize("spec", CODEC_SPECS)
+    def test_roundtrip_is_bit_identical(self, spec, dtype):
+        basis = state_of(dtype)
+        state = perturbed(basis)
+        codec = get_codec(spec)
+        encoded = codec.encode(state, basis)
+        assert encoded.codec == spec
+        assert_bit_identical(codec.decode(encoded, basis), state)
+
+    @pytest.mark.parametrize("special", SPECIAL_CASES, ids=SPECIAL_IDS)
+    @pytest.mark.parametrize("spec", CODEC_SPECS)
+    def test_ieee_specials_travel_bit_for_bit(self, spec, special):
+        basis = make_state(3)
+        state = nearby_state(basis, scale=1e-4)
+        for key in ("layer0.weight", "head.weight"):
+            flat = state[key].reshape(-1)
+            flat[::5] = special
+        codec = get_codec(spec)
+        assert_bit_identical(codec.decode(codec.encode(state, basis), basis), state)
+
+    @pytest.mark.parametrize("dtype", DTYPES, ids=DTYPE_IDS)
+    def test_raw_ships_the_state_itself_at_its_dense_size(self, dtype):
+        state = state_of(dtype, seed=2)
+        encoded = get_codec("raw").encode(state, state_of(dtype))
+        assert encoded.payload is state  # no copy on the status-quo path
+        assert encoded.nbytes == dense_nbytes(state)
+        assert encoded.nbytes == sum(value.nbytes for value in state.values())
+
+    @pytest.mark.parametrize("dtype", DTYPES, ids=DTYPE_IDS)
+    def test_delta_of_unrelated_states_never_exceeds_dense(self, dtype):
+        basis = state_of(dtype, seed=5)
+        state = state_of(dtype, seed=6)
+        codec = get_codec("delta")
+        encoded = codec.encode(state, basis)
+        assert encoded.nbytes <= dense_nbytes(state)
+        assert_bit_identical(codec.decode(encoded, basis), state)
+
+    @pytest.mark.parametrize("dtype", DTYPES, ids=DTYPE_IDS)
+    def test_broadcast_restores_it_from_a_cold_warm_or_current_cache(self, dtype):
+        base = state_of(dtype)
+        state = perturbed(base)
+        version, cached = state_version(state), state_version(base)
+        forms = set()
+        for cache in ((None, None), (cached, base), (version, state)):
+            wire = encode_broadcast(state, version, *cache)
+            forms.add(type(wire))
+            decoded, decoded_version = decode_broadcast(wire, *cache)
+            assert decoded_version == version
+            assert_bit_identical(decoded, state)
+        assert BroadcastFull in forms and BroadcastRef in forms
+
+
+class TestCodecContract:
+    @pytest.mark.parametrize("spec", CODEC_SPECS)
+    def test_encoding_is_deterministic(self, spec):
+        basis = make_state(3)
+        state = nearby_state(basis)
+        codec = get_codec(spec)
+        first, second = codec.encode(state, basis), codec.encode(state, basis)
+        assert first.nbytes == second.nbytes
+        if spec == "delta":
+            assert first.payload == second.payload  # ("xor", bytes)
+        else:
+            assert_bit_identical(first.payload, second.payload)
+
+    @pytest.mark.parametrize("spec", CODEC_SPECS)
+    def test_neither_the_state_nor_the_basis_is_mutated(self, spec):
+        basis = make_state(3)
+        state = nearby_state(basis)
+        basis_copy = {key: value.copy() for key, value in basis.items()}
+        state_copy = {key: value.copy() for key, value in state.items()}
+        codec = get_codec(spec)
+        codec.decode(codec.encode(state, basis), basis)
+        assert_bit_identical(basis, basis_copy)
+        assert_bit_identical(state, state_copy)
+
+    def test_delta_decodes_into_fresh_writable_arrays(self):
+        basis = make_state(3)
+        state = nearby_state(basis)
+        codec = get_codec("delta")
+        encoded = codec.encode(state, basis)
+        assert encoded.payload[0] == "xor"
+        decoded = codec.decode(encoded, basis)
+        for key, value in decoded.items():
+            assert value.flags.writeable
+            assert not np.shares_memory(value, basis[key])
+            assert not np.shares_memory(value, state[key])
+
+    @pytest.mark.parametrize(
+        "change", ["no basis", "missing key", "extra key", "dtype", "shape"]
+    )
+    def test_delta_ships_dense_when_the_basis_does_not_fit(self, change):
+        state = make_state(3)
+        basis = nearby_state(state)
+        if change == "no basis":
+            basis = None
+        elif change == "missing key":
+            del basis["head.weight"]
+        elif change == "extra key":
+            basis["extra"] = np.zeros(3)
+        elif change == "dtype":
+            basis["layer0.bias"] = basis["layer0.bias"].astype(np.float32)
+        else:
+            basis["layer0.bias"] = np.zeros(17)
+        codec = get_codec("delta")
+        encoded = codec.encode(state, basis)
+        kind, payload = encoded.payload
+        assert kind == "dense" and payload is state
+        assert encoded.nbytes == dense_nbytes(state)
+        assert_bit_identical(codec.decode(encoded, basis), state)
+
+    def test_delta_of_an_unchanged_state_is_tiny(self):
+        state = mlp_state(0)
+        encoded = get_codec("delta").encode(state, state)
+        assert encoded.payload[0] == "xor"
+        # Eight all-zero planes deflate to almost nothing.
+        assert encoded.nbytes < dense_nbytes(state) // 100
+
+    def test_delta_grows_with_the_perturbation(self):
+        basis = mlp_state(0)
+        codec = get_codec("delta")
+        sizes = [
+            codec.encode(nearby_state(basis, scale=scale), basis).nbytes
+            for scale in (1e-12, 1e-6, 1e-2)
+        ]
+        assert sizes == sorted(sizes) and sizes[0] < sizes[-1]
+
+    def test_an_unknown_name_lists_the_two_codecs(self):
+        with pytest.raises(ValueError, match=r"available: \['delta', 'raw'\]"):
+            get_codec("topk:0.05")
+
+
+class TestEncodeTrainedState:
+    """The task-side half of the codec every ``TrainTask`` return takes."""
+
+    @pytest.mark.parametrize("with_basis", [False, True])
+    def test_raw_returns_the_dense_state(self, with_basis):
+        basis = make_state(3)
+        state = nearby_state(basis)
+        out, update, nbytes = encode_trained_state(
+            "raw", state, basis if with_basis else None
+        )
+        assert out is state and update is None
+        assert nbytes == dense_nbytes(state)
+
+    def test_delta_without_a_basis_returns_the_dense_state(self):
+        state = make_state(3)
+        out, update, nbytes = encode_trained_state("delta", state, None)
+        assert out is state and update is None
+        assert nbytes == dense_nbytes(state)
+
+    def test_delta_nulls_the_state_and_the_result_resolves_it(self):
+        basis = make_state(3)
+        state = nearby_state(basis, scale=1e-6)
+        out, update, nbytes = encode_trained_state("delta", state, basis)
+        assert out is None and update.codec == "delta"
+        assert nbytes == update.nbytes < dense_nbytes(state)
+        result = TrainResult(
+            task_id=4, state=out, history=TrainHistory(), rng_state={},
+            update=update, update_nbytes=nbytes,
+        )
+        assert_bit_identical(result.resolve_state(basis), state)
+
+    def test_an_encoded_result_needs_the_basis(self):
+        basis = make_state(3)
+        _, update, _ = encode_trained_state("delta", nearby_state(basis), basis)
+        result = TrainResult(
+            task_id=4, state=None, history=TrainHistory(), rng_state={}, update=update
+        )
+        with pytest.raises(ValueError, match="needs the broadcast basis"):
+            result.resolve_state()
+
+    def test_a_result_with_neither_state_nor_update_raises(self):
+        result = TrainResult(task_id=4, state=None, history=TrainHistory(), rng_state={})
+        with pytest.raises(ValueError, match="neither a state nor an update"):
+            result.resolve_state(make_state(3))
+
+    @pytest.mark.parametrize("spec", ["topk:0.05", "quant:8", "ef:topk:0.05"])
+    def test_a_deleted_codec_name_is_rejected(self, spec):
+        basis = make_state(3)
+        with pytest.raises(ValueError, match="unknown codec"):
+            encode_trained_state(spec, nearby_state(basis), basis)
+
+
+class TestUpdatesOverTheWire:
+    """An encoded return crosses the pool's / cluster's framing and still
+    decodes bit-identically against the basis the receiver holds."""
+
+    @pytest.mark.parametrize("spec", CODEC_SPECS)
+    def test_train_result_roundtrips_through_the_frame(self, spec):
+        basis = make_state(3)
+        state = nearby_state(basis, scale=1e-6)
+        out, update, nbytes = encode_trained_state(spec, state, basis)
+        result = TrainResult(
+            task_id=("client", 2), state=out, history=TrainHistory(),
+            rng_state={}, update=update, update_nbytes=nbytes,
+        )
+        received, sent, read, _ = wire_roundtrip(result)
+        assert sent == read
+        assert received.update_nbytes == nbytes
+        assert_bit_identical(received.resolve_state(basis), state)

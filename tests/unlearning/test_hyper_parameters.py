@@ -81,13 +81,21 @@ class TestHyperParametersAreFinite:
         lambda: SisaConfig(batch_size=-1),
         lambda: SisaConfig(momentum=-1.0),
         lambda: SisaConfig(momentum=1.0),
+        lambda: SisaConfig(learning_rate=0.0),
+        lambda: SisaConfig(learning_rate=-0.01),
         lambda: FedEraserConfig(batch_size=0),
+        lambda: FedEraserConfig(batch_size=-1),
         lambda: FedEraserConfig(momentum=-1.0),
+        lambda: FedEraserConfig(momentum=1.0),
+        lambda: FedEraserConfig(learning_rate=-0.01),
     ],
     ids=[
         "SisaConfig.batch_size=0", "SisaConfig.batch_size=-1",
         "SisaConfig.momentum=-1", "SisaConfig.momentum=1",
-        "FedEraserConfig.batch_size=0", "FedEraserConfig.momentum=-1",
+        "SisaConfig.learning_rate=0", "SisaConfig.learning_rate=-0.01",
+        "FedEraserConfig.batch_size=0", "FedEraserConfig.batch_size=-1",
+        "FedEraserConfig.momentum=-1", "FedEraserConfig.momentum=1",
+        "FedEraserConfig.learning_rate=-0.01",
     ],
 )
 def test_out_of_range_training_values_rejected_at_construction(build):
@@ -96,3 +104,27 @@ def test_out_of_range_training_values_rejected_at_construction(build):
     would otherwise fail only at its first deletion)."""
     with pytest.raises(ValueError):
         build()
+
+
+@pytest.mark.parametrize(
+    "config, expected",
+    [
+        (SisaConfig(momentum=0.0), {"momentum": 0.0}),
+        (SisaConfig(batch_size=1), {"batch_size": 1}),
+        (SisaConfig(epochs_per_slice=3, learning_rate=5e-324), {"epochs": 3, "learning_rate": 5e-324}),
+        (FedEraserConfig(momentum=0.0), {"momentum": 0.0}),
+        (FedEraserConfig(batch_size=1), {"batch_size": 1}),
+        (FedEraserConfig(calibration_epochs=4, learning_rate=5e-324), {"epochs": 4, "learning_rate": 5e-324}),
+    ],
+    ids=[
+        "SisaConfig.momentum=0", "SisaConfig.batch_size=1", "SisaConfig.smallest_lr",
+        "FedEraserConfig.momentum=0", "FedEraserConfig.batch_size=1",
+        "FedEraserConfig.smallest_lr",
+    ],
+)
+def test_boundary_training_values_build_and_reach_the_train_config(config, expected):
+    """The construction-time check accepts the edges ``TrainConfig``
+    accepts, and ``train_config()`` carries them through unchanged."""
+    train = config.train_config()
+    for name, value in expected.items():
+        assert getattr(train, name) == value

@@ -195,6 +195,22 @@ class TestBitIdenticalClientLevel:
         )
         _assert_states_equal(direct_model, outcome.global_model)
 
+    def test_fedrecovery_release_ignores_the_rng(self):
+        """The release is the noiseless subtraction: the generator the
+        caller passes draws nothing, so any seed gives the same model."""
+        models = []
+        for rng_seed in (3, 99):
+            via, via_history = self._with_history(10)
+            models.append(
+                make_unlearner("fedrecovery", via.config, TINY.unlearn_rounds)
+                .unlearn(
+                    via.sim, (ClientDeletionRequest.of(0),),
+                    history=via_history, rng=np.random.default_rng(rng_seed),
+                )
+                .global_model
+            )
+        _assert_states_equal(*models)
+
     def test_history_required(self):
         setup = _pretrained(11)
         with pytest.raises(ValueError, match="history"):

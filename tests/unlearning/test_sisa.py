@@ -244,6 +244,28 @@ class TestPersistence:
             SisaEnsemble.load(str(tmp_path), factory, dataset)
 
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("learning_rate", float("nan")), ("momentum", 1.0), ("batch_size", 0)],
+    )
+    def test_a_manifest_that_cannot_train_is_rejected_at_load(
+        self, tmp_path, field, value
+    ):
+        """A hand-edited or corrupt config fails when the ensemble is
+        rebuilt, not at its first deletion."""
+        import json
+        ensemble, dataset = make_ensemble(num_shards=2, num_slices=2)
+        ensemble.fit()
+        ensemble.save(str(tmp_path))
+        manifest_path = tmp_path / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["config"][field] = value
+        manifest_path.write_text(json.dumps(manifest))
+        factory = lambda: MLP(16, 3, np.random.default_rng(13))
+        with pytest.raises(ValueError, match=field):
+            SisaEnsemble.load(str(tmp_path), factory, dataset)
+
+
 class TestProperties:
     @given(
         num_shards=st.integers(1, 4),

@@ -5,6 +5,7 @@ import pytest
 
 from repro.data.dataset import FederatedDataset
 from repro.federated import (
+    ClientUpdate,
     FedAvgAggregator,
     FederatedSimulation,
     RoundHistoryStore,
@@ -162,6 +163,98 @@ class TestFedRecovery:
             FedRecovery().unlearn(
                 env["store"], env["sim"].server.global_state, 42
             )
+
+
+def vec(*values):
+    return {"w": np.array(values, dtype=np.float64)}
+
+
+def hand_history(rounds):
+    """A store from ``(before, after, {client_id: (state, num_samples)})``
+    triples, one per round; ``after`` may be ``None``."""
+    store = RoundHistoryStore()
+    for index, (before, after, uploads) in enumerate(rounds):
+        store.record_round(
+            index,
+            before,
+            [
+                ClientUpdate(state=state, num_samples=n, client_id=client_id)
+                for client_id, (state, n) in uploads.items()
+            ],
+            global_after=after,
+        )
+    return store
+
+
+class TestFedRecoveryArithmetic:
+    """FedRecovery on hand-built histories, where every number it
+    computes can be written down."""
+
+    @pytest.mark.parametrize("client, expected", [(0, (0.0, 3.0)), (1, (0.5, 0.0))])
+    def test_one_round_removes_exactly_the_weighted_delta(self, client, expected):
+        # FedAvg of [2, 0] (1 sample) and [0, 4] (3 samples) is [0.5, 3].
+        store = hand_history(
+            [(vec(0, 0), vec(0.5, 3), {0: (vec(2, 0), 1), 1: (vec(0, 4), 3)})]
+        )
+        unlearned, report = FedRecovery().unlearn(store, vec(0.5, 3), client)
+        np.testing.assert_allclose(unlearned["w"], expected, atol=1e-15)
+        assert report.rounds_used == 1 and report.residual_weights == [1.0]
+
+    def test_weights_are_shares_of_the_squared_global_movement(self):
+        rounds = [
+            (vec(0, 0), vec(step, 0), {0: (vec(step, 0), 1)}) for step in (1, 2, 3)
+        ]
+        _, report = FedRecovery().unlearn(hand_history(rounds), vec(6, 0), 0)
+        np.testing.assert_allclose(report.residual_weights, [1 / 14, 4 / 14, 9 / 14])
+
+    def test_a_global_model_that_never_moved_weights_rounds_uniformly(self):
+        rounds = [(vec(1, 1), vec(1, 1), {0: (vec(2, 1), 1)}) for _ in range(4)]
+        _, report = FedRecovery().unlearn(hand_history(rounds), vec(1, 1), 0)
+        assert report.residual_weights == [0.25] * 4
+
+    def test_without_global_after_the_first_clients_upload_measures_movement(self):
+        rounds = [
+            (vec(0, 0), None, {3: (vec(1, 0), 1), 7: (vec(9, 9), 1)}),
+            (vec(0, 0), None, {3: (vec(0, 2), 1), 7: (vec(9, 9), 1)}),
+        ]
+        _, report = FedRecovery().unlearn(hand_history(rounds), vec(0, 0), 7)
+        # Client 3 (the lowest id) moved 1 then 2: weights 1/5 and 4/5.
+        np.testing.assert_allclose(report.residual_weights, [0.2, 0.8])
+
+    def test_only_rounds_the_client_joined_are_subtracted(self):
+        rounds = [
+            (vec(0, 0), vec(1, 0), {0: (vec(1, 0), 1), 1: (vec(1, 0), 1)}),
+            (vec(1, 0), vec(1, 2), {0: (vec(1, 2), 1)}),
+            (vec(1, 2), vec(2, 2), {0: (vec(2, 2), 1), 1: (vec(2, 2), 1)}),
+        ]
+        unlearned, report = FedRecovery().unlearn(hand_history(rounds), vec(2, 2), 1)
+        assert report.rounds_used == 2
+        weights = report.residual_weights  # movements 1, 2, 1: [1/6, 4/6, 1/6]
+        np.testing.assert_allclose(weights, [1 / 6, 4 / 6, 1 / 6])
+        # Half of each joined round's delta [1, 0], weighted by its round.
+        influence = 0.5 * (weights[0] + weights[2]) * np.array([1.0, 0.0])
+        np.testing.assert_allclose(unlearned["w"], [2, 2] - influence)
+        assert report.influence_l2 == pytest.approx(np.linalg.norm(influence))
+
+    @pytest.mark.parametrize("samples", [1, 3, 9])
+    def test_influence_scales_with_the_clients_sample_share(self, samples):
+        store = hand_history(
+            [(vec(0, 0), vec(1, 1), {0: (vec(4, 0), samples), 1: (vec(0, 0), 3)})]
+        )
+        _, report = FedRecovery().unlearn(store, vec(1, 1), 0)
+        assert report.influence_l2 == pytest.approx(4.0 * samples / (samples + 3))
+
+    def test_neither_the_history_nor_the_final_model_is_mutated(self):
+        store = hand_history(
+            [(vec(0, 0), vec(1, 1), {0: (vec(2, 2), 1), 1: (vec(0, 0), 1)})]
+        )
+        final = vec(1, 1)
+        unlearned, _ = FedRecovery().unlearn(store, final, 0)
+        np.testing.assert_array_equal(final["w"], [1, 1])
+        snapshot = store.snapshot_at(0)
+        np.testing.assert_array_equal(snapshot.client_states[0]["w"], [2, 2])
+        np.testing.assert_array_equal(snapshot.global_before["w"], [0, 0])
+        assert not np.shares_memory(unlearned["w"], final["w"])
 
 
 class TestEraserRemovesPoisonedClient:
