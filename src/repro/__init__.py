@@ -17,6 +17,12 @@ entire dependency stack:
   membership inference, (ε̂, δ) certification
 * :mod:`repro.experiments` — one runner per paper table and figure, plus
   efficiency and certification extension experiments
+
+``import repro`` loads numpy and the package's own modules, nothing else:
+scipy serves only the Tables VII–IX t-test
+(:func:`repro.eval.t_test_p_value`), which imports it on first use.  A
+fresh CLI, benchmark child or restarted deletion service therefore
+starts without it.
 """
 
 __version__ = "1.1.0"

@@ -113,6 +113,43 @@ class TestTTest:
         assert t_test_p_value(base, jitter) > 0.05
 
 
+_UNIFORM = np.array([0.5, 0.5])
+_ROWS = np.array([[0.9, 0.1], [0.6, 0.4], [0.7, 0.3]])
+_ROWS_NAN = _ROWS.copy()
+_ROWS_NAN[1, 0] = np.nan
+_ROWS_INF = _ROWS.copy()
+_ROWS_INF[2, 1] = np.inf
+
+# Inputs no metric can score: each one raises rather than returning a
+# value that reads as "no divergence" (0.0, p = 1.0) or a silent NaN.
+UNSCORABLE = [
+    ("kl-nan", kl_divergence, [np.nan, 1.0], _UNIFORM),
+    ("kl-inf", kl_divergence, [np.inf, 1.0], _UNIFORM),
+    ("kl-zero-mass-p", kl_divergence, [0.0, 0.0], _UNIFORM),
+    ("kl-zero-mass-q", kl_divergence, _UNIFORM, [0.0, 0.0]),
+    ("kl-empty", kl_divergence, np.empty(0), np.empty(0)),
+    ("jsd-zero-mass", jensen_shannon_divergence, [0.0, 0.0], _UNIFORM),
+    ("jsd-nan-q", jensen_shannon_divergence, _UNIFORM, [np.nan, 1.0]),
+    ("mean-jsd-empty", mean_jsd, np.empty((0, 3)), np.empty((0, 3))),
+    ("mean-jsd-nan", mean_jsd, _ROWS_NAN, _ROWS),
+    ("l2-nan", l2_distance, _ROWS, _ROWS_NAN),
+    ("l2-inf", l2_distance, _ROWS_INF, _ROWS),
+    ("l2-empty", l2_distance, np.empty((0, 3)), np.empty((0, 3))),
+    ("t-empty", t_test_p_value, np.empty((0, 3)), np.empty((0, 3))),
+    ("t-one-row", t_test_p_value, [[0.9, 0.1]], [[0.6, 0.4]]),
+    ("t-nan", t_test_p_value, _ROWS_NAN, _ROWS[::-1]),
+    ("t-inf", t_test_p_value, _ROWS, _ROWS_INF),
+]
+
+
+@pytest.mark.parametrize(
+    "metric, p, q", [row[1:] for row in UNSCORABLE],
+    ids=[row[0] for row in UNSCORABLE])
+def test_unscorable_inputs_raise(metric, p, q):
+    with pytest.raises(ValueError):
+        metric(p, q)
+
+
 class TestCompareModels:
     def test_self_comparison_is_null(self):
         from repro.nn.models import MLP
