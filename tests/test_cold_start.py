@@ -31,10 +31,6 @@ def _run(script: str) -> str:
     return out.stdout.strip()
 
 
-def _scipy_modules(loaded) -> list:
-    return sorted(m for m in loaded if m == "scipy" or m.startswith("scipy."))
-
-
 def test_package_imports_without_scipy():
     script = (
         "import sys\n"
