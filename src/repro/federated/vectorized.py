@@ -13,11 +13,14 @@ Parity contract
 ---------------
 The stacked path preserves every per-client semantic:
 
-* **RNG streams** — each slice's mini-batches come from that client's own
-  :class:`~repro.data.loader.DataLoader` iteration (the K loaders are
-  stepped in lockstep and their batches stacked), and each slice's
-  dropout masks come from that client's own generator, so every client's
-  RNG advances exactly as it would standalone.
+* **RNG streams** — each slice's mini-batches are the ones that
+  client's own :class:`~repro.data.loader.DataLoader` would give it: the
+  cohort's one K-form loader draws every member's epoch permutation
+  from that member's generator and gathers a step's ``(K, B, ...)``
+  batch in one indexing op over the members' arrays, concatenated once
+  per training call (same indices, same rows).  Each slice's dropout
+  masks come from that client's own generator, so every client's RNG
+  advances exactly as it would standalone.
 * **Numerics** — stacked elementwise ops, per-slice GEMMs and
   same-axis reductions reproduce the per-client float operations in the
   same order; slice results are **bit-identical** to the per-client path
@@ -106,9 +109,6 @@ class VectorizedCohort:
             raise ValueError("models, datasets and rngs must align")
         if not models:
             raise ValueError("empty cohort")
-        for dataset in datasets:
-            if len(dataset) == 0:
-                raise ValueError("cannot train on an empty dataset")
         # trainer.train's cast: each member's model follows its dataset's
         # floating dtype *before* stacking (stacking requires — and
         # preserves — one cohort-wide dtype).
@@ -134,14 +134,6 @@ class VectorizedCohort:
         substitutes a protocol optimizer (e.g. B2's diagonal-FIM SGD) for
         the default :class:`~repro.nn.optim.SGD` over the stack.
         """
-        counts = {
-            -(-len(dataset) // config.batch_size) for dataset in self.datasets
-        }
-        if len(counts) != 1:
-            raise ValueError(
-                f"cohort step counts differ (dataset sizes beyond "
-                f"final-batch padding): {sorted(counts)}"
-            )
         loss_fn = get_hard_loss(config.loss)
         if optimizer_factory is not None:
             optimizer = optimizer_factory(self.stacked.parameters())
@@ -149,21 +141,18 @@ class VectorizedCohort:
             optimizer = make_optimizer(self.stacked, config)
         self.stacked.train()
 
-        def step(batches):
-            # Equal step counts (checked above) keep the K loaders
-            # aligned, so only a final batch can be ragged.
-            if len({len(labels) for _, _, labels in batches}) == 1:
-                images = np.stack([images for _, images, _ in batches])
-                labels = np.stack([labels for _, _, labels in batches])
+        def step(batch):
+            _, images, labels = batch
+            if isinstance(images, np.ndarray):  # the loader's (K, B, ...) gather
                 losses = loss_fn(self.stacked(Tensor(images)), labels)
                 return losses.sum(), losses.data.tolist()
-            # Ragged: each member's loss on its own true rows.  The
-            # left-to-right add seeds every member's subgraph with
+            # Ragged final step: each member's loss on its own true rows.
+            # The left-to-right add seeds every member's subgraph with
             # exactly 1.0, as its lone ``loss.backward()`` would.
-            logits = self.stacked.forward_members([images for _, images, _ in batches])
+            logits = self.stacked.forward_members(images)
             losses = [
-                loss_fn(member_logits, labels)
-                for member_logits, (_, _, labels) in zip(logits, batches)
+                loss_fn(member_logits, member_labels)
+                for member_logits, member_labels in zip(logits, labels)
             ]
             return reduce(operator.add, losses), [loss.item() for loss in losses]
 
@@ -205,7 +194,7 @@ def stack_fallback_reason(
         return "zero-epoch rounds have nothing to vectorize"
     if min(sizes) == 0:
         return "cohort member has an empty active dataset"
-    # Unequal sizes are fine as long as the K loaders stay in lockstep —
+    # Unequal sizes are fine as long as the members stay in lockstep —
     # i.e. equal step counts.  Only the final batch can then be ragged,
     # which the stacked path zero-pads with the rows masked out of the
     # loss (bit-exact).

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -24,6 +26,11 @@ class TrainConfig:
     loss: str = "cross_entropy"
 
     def __post_init__(self) -> None:
+        # A float count would only fail deep in the loop; bool is an int.
+        for name in ("epochs", "batch_size"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be non-negative, got {self.epochs}")
         if self.batch_size <= 0:

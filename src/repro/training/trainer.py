@@ -66,32 +66,35 @@ def run_epochs(
     (:meth:`repro.federated.vectorized.VectorizedCohort.train`, a stack
     of Goldfish students).
 
-    Every member gets a shuffled loader on its own generator; ``zip``
-    steps them together, each drawing its epoch permutation from its own
-    stream at its first batch, exactly as it would alone (building a
-    loader draws nothing).  ``step`` maps the members'
+    One shuffled :class:`~repro.data.loader.DataLoader` serves every
+    member, each drawing its epoch permutation from its own generator
+    before the epoch's first step, exactly as it would alone (building
+    the loader draws nothing).  ``step`` maps one of the loader's
     ``(indices, images, labels)`` batches to the scalar objective to
-    differentiate and each member's loss value to average per epoch; it
-    owns the graph (the native ``(N, ...)`` batch for one model, one
-    stacked forward for a cohort), the loop owns everything around it:
-    zero-grad, then backward → clip → step under the whole
-    :class:`TrainConfig`.  ``stack`` is the stack size of the optimizer's
-    parameters when they carry a stack axis
-    (:func:`~repro.nn.optim.clip_grad_norm` clips per slice).
+    differentiate and each member's loss value to average per epoch: a
+    lone model (``stack`` is ``None``) gets its own ``(N, ...)`` rows, a
+    cohort the K-form's batch — ``(K, B, ...)`` arrays gathered in one
+    indexing op per step, or per-member lists at a ragged final step
+    (``zip(*batch)`` walks the members either way).  The step owns the
+    graph, the loop everything around it: zero-grad, then backward →
+    clip → step under the whole :class:`TrainConfig`.  ``stack`` is the
+    stack size of the optimizer's parameters when they carry a stack
+    axis (:func:`~repro.nn.optim.clip_grad_norm` clips per slice).
     ``epoch_callback`` sees the first member's mean loss; stopping on it
     is a lone-member feature, a cohort passes none.
     """
-    loaders = [
-        DataLoader(dataset, batch_size=config.batch_size, shuffle=True, rng=rng)
-        for dataset, rng in zip(datasets, rngs)
-    ]
-    histories = [TrainHistory() for _ in loaders]
+    if stack is None:
+        (dataset,), (rng,) = datasets, rngs
+        loader = DataLoader(dataset, config.batch_size, shuffle=True, rng=rng)
+    else:
+        loader = DataLoader(list(datasets), config.batch_size, shuffle=True, rng=list(rngs))
+    histories = [TrainHistory() for _ in datasets]
     for epoch in range(config.epochs):
-        totals = [0.0] * len(loaders)
+        totals = [0.0] * len(histories)
         num_batches = 0
-        for batches in zip(*(loader.iter_indexed() for loader in loaders)):
+        for batch in loader.iter_indexed():
             optimizer.zero_grad()
-            objective, losses = step(batches)
+            objective, losses = step(batch)
             objective.backward()
             if config.grad_clip:
                 clip_grad_norm(optimizer.parameters, config.grad_clip, stack)
@@ -134,15 +137,13 @@ def train(
     -------
     TrainHistory with one entry per completed epoch.
     """
-    if len(dataset) == 0:
-        raise ValueError("cannot train on an empty dataset")
     follow_dataset_dtype(model, dataset)
     loss_fn = get_hard_loss(config.loss)
     optimizer = optimizer if optimizer is not None else make_optimizer(model, config)
     model.train()
 
-    def step(batches):
-        ((_, images, labels),) = batches
+    def step(batch):
+        _, images, labels = batch
         loss = loss_fn(model(Tensor(images)), labels)
         return loss, (loss.item(),)
 

@@ -82,6 +82,8 @@ class IncompetentTeacherUnlearner:
         (B3 adjusts the trained model rather than restarting).
         ``incompetent_teacher`` should be freshly initialised.
         """
+        if len(forget_set) == 0:
+            raise ValueError("B3 needs a non-empty forget set to unlearn")
         start = time.perf_counter()
         config = self.config
         # The student and both teachers follow the data's dtype, as in
@@ -96,9 +98,9 @@ class IncompetentTeacherUnlearner:
         optimizer = make_optimizer(student, config.train)
         forget_cycler = _ForgetBatchCycler(forget_set, config.train.batch_size, rng)
 
-        def step(batches):
+        def step(batch):
             # B3 is purely distillation-based: the labels go unused.
-            ((indices, images, _),) = batches
+            indices, images, _ = batch
             student_logits = student(Tensor(images))
             loss = (1.0 - config.beta) * distillation_loss(
                 Tensor(competent_logits[indices]), student_logits,

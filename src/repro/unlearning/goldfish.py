@@ -238,7 +238,8 @@ class GoldfishUnlearner:
         optimizer = make_optimizer(model, config.train)
         model.train()
 
-        def step(indexed):
+        def step(batch):
+            indexed = [batch] if stack is None else list(zip(*batch))
             retain_logits = forward([images for _, images, _ in indexed])
             forget_logits = forget_labels = [None] * len(members)
             if has_forget:

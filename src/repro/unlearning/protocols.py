@@ -178,9 +178,10 @@ class _GoldfishClientTask:
         :meth:`GoldfishUnlearner.run_members`, the loop a lone student
         runs, over K members built by the same
         :meth:`GoldfishUnlearner.member` (own adaptive temperature, own
-        |D_f|/|D_r| scaling and forget cap, own loader and forget cycler
-        on the member's own generator — so per-member RNG streams are
-        preserved).  All the stack supplies is the forward: every
+        |D_f|/|D_r| scaling and forget cap, own forget cycler on the
+        member's own generator, and retain batches that the shared K-form
+        loader draws from that generator too — so per-member RNG streams
+        are preserved).  All the stack supplies is the forward: every
         round-step is one stacked retain forward and one stacked forget
         forward (bit-exact per slice by the :mod:`repro.nn.vmap`
         contract), and

@@ -11,7 +11,10 @@ those merges (the ``train``, ``GoldfishUnlearner.unlearn`` and
 to): one model, one loader, no members, no stack.  The parity
 properties compare the library against them bit for bit, so a change to
 the shared loop that moves a trajectory fails here even when every
-caller moves together.
+caller moves together.  :func:`reference_lockstep_epochs` is the
+cohort's batch iteration as it stood before one K-form
+:class:`~repro.data.loader.DataLoader` gathered it: a loader per
+member, stepped together by ``zip``.
 """
 
 from __future__ import annotations
@@ -59,6 +62,18 @@ def apply_update(objective, optimizer, config):
     if config.grad_clip:
         clip_grad_norm(optimizer.parameters, config.grad_clip)
     optimizer.step()
+
+
+def reference_lockstep_epochs(datasets, rngs, config):
+    """``run_epochs``' member batches per epoch, from K loaders in lockstep:
+    yields one list per epoch of the steps' ``batches`` tuples (one
+    ``(indices, images, labels)`` per member)."""
+    loaders = [
+        DataLoader(dataset, batch_size=config.batch_size, shuffle=True, rng=rng)
+        for dataset, rng in zip(datasets, rngs)
+    ]
+    for epoch in range(config.epochs):
+        yield list(zip(*(loader.iter_indexed() for loader in loaders)))
 
 
 def reference_train(model, dataset, config, rng, optimizer=None, epoch_callback=None):

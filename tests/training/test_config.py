@@ -1,5 +1,6 @@
 """TrainConfig / TrainHistory validation and helpers."""
 
+import numpy as np
 import pytest
 
 from repro.training import EpochStats, TrainConfig, TrainHistory
@@ -30,10 +31,21 @@ class TestTrainConfig:
         {"momentum": -0.1},
         {"weight_decay": -1.0},
         {"grad_clip": -1.0},
+        {"batch_size": 2.5},
+        {"batch_size": float("inf")},
+        {"batch_size": True},
+        {"batch_size": 8.0},
+        {"epochs": float("nan")},
+        {"epochs": 2.5},
+        {"epochs": False},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             TrainConfig(**kwargs)
+
+    def test_numpy_integers_accepted(self):
+        config = TrainConfig(epochs=np.int64(2), batch_size=np.int32(8))
+        assert config == TrainConfig(epochs=2, batch_size=8)
 
 
 class TestTrainHistory:

@@ -107,6 +107,21 @@ class TestB3IncompetentTeacher:
         assert result.epochs_run == 2
         assert result.wall_seconds > 0
 
+    @pytest.mark.parametrize("emptied", ["retain", "forget"])
+    def test_rejects_an_empty_set(self, rng, emptied):
+        """An empty retain set once died on ``total / num_batches`` and an
+        empty forget set trained to ``epoch_losses == [nan]``."""
+        teacher, forget, retain, _ = poisoned_setup()
+        sets = {"retain": retain, "forget": forget}
+        sets[emptied] = sets[emptied].subset([])
+        config = IncompetentTeacherConfig(
+            train=TrainConfig(epochs=1, batch_size=20, learning_rate=0.1)
+        )
+        with pytest.raises(ValueError, match="empty"):
+            IncompetentTeacherUnlearner(config).unlearn(
+                factory(42), teacher, factory(99), sets["retain"], sets["forget"], rng
+            )
+
     def test_honours_weight_decay_and_grad_clip(self):
         """B3 trains under its whole ``TrainConfig``, like ``train`` and
         Goldfish: it once built a bare ``SGD(lr, momentum)`` and never
