@@ -44,9 +44,9 @@ The stacked path preserves every per-client semantic:
 Eligibility
 -----------
 :func:`stack_fallback_reason` is the one gate of the fast path (every
-stackable task kind's own ``stack_fallback_reason`` asks it — train,
-Goldfish and B2 cohorts alike, and a stack of SISA chains per stage,
-through the stage's train tasks): the cohort must have ≥ 2 members
+stackable task kind's own ``stack_fallback_reason`` asks it — train
+cohorts, and a stack of SISA chains per stage, through the stage's
+train tasks): the cohort must have ≥ 2 members
 with equal train configs, a stackable architecture
 (:func:`repro.nn.vmap.stack_modules`), equal sample shapes and dtypes,
 and equal per-member *step counts*.  Member dataset sizes may differ as
@@ -119,26 +119,15 @@ class VectorizedCohort:
         self.rngs = list(rngs)
         self.stacked: StackedModel = stack_modules(self.models)
 
-    def train(
-        self,
-        config: TrainConfig,
-        optimizer_factory: Optional[Callable[[List], Any]] = None,
-    ) -> List[TrainHistory]:
+    def train(self, config: TrainConfig) -> List[TrainHistory]:
         """Train all members for ``config.epochs``; one history per member.
 
         After the call the *source* models hold their trained slices
         (synced back from the stack) and each member's generator sits
         exactly where its standalone training run would have left it.
-
-        ``optimizer_factory`` (stacked parameter list → optimizer)
-        substitutes a protocol optimizer (e.g. B2's diagonal-FIM SGD) for
-        the default :class:`~repro.nn.optim.SGD` over the stack.
         """
         loss_fn = get_hard_loss(config.loss)
-        if optimizer_factory is not None:
-            optimizer = optimizer_factory(self.stacked.parameters())
-        else:
-            optimizer = make_optimizer(self.stacked, config)
+        optimizer = make_optimizer(self.stacked, config)
         self.stacked.train()
 
         def step(batch):
@@ -169,7 +158,6 @@ def stack_fallback_reason(
     datasets: Sequence[ArrayDataset],
     arch_reason: Optional[str],
     ragged_reason: Optional[str],
-    forget_sizes: Sequence[int] = (),
 ) -> Optional[str]:
     """Why these members cannot train as one stack (``None`` = they can).
 
@@ -180,8 +168,7 @@ def stack_fallback_reason(
     ``arch_reason`` and ``ragged_reason`` the two halves of the shared
     architecture's :func:`arch_probe` — the second consulted only
     when zero-padded (ragged) batches would actually occur, i.e. when
-    ``sizes`` differ or Goldfish's ``forget_sizes`` (stacked per step
-    too) do.
+    ``sizes`` differ.
     """
     if arch_reason is not None:
         return f"architecture not stackable: {arch_reason}"
@@ -204,8 +191,7 @@ def stack_fallback_reason(
             f"cohort active dataset sizes differ beyond final-batch "
             f"padding (step counts {sorted(counts)})"
         )
-    ragged = len(set(sizes)) != 1 or len(set(forget_sizes)) > 1
-    if ragged and ragged_reason is not None:
+    if len(set(sizes)) != 1 and ragged_reason is not None:
         return f"ragged cohort (unequal sizes): {ragged_reason}"
     arrays = [np.asarray(dataset.images) for dataset in datasets]
     shapes = {array.shape[1:] for array in arrays}

@@ -16,7 +16,9 @@ description of one piece of training work:
   tasks*: a kind is stackable when it defines ``stack_key()``,
   ``stack_fallback_reason(tasks, arch_reason)`` and
   ``run_stack(tasks, basis=None)`` next to its fields, and its ``run()``
-  is ``run_stack([self])[0]`` — one body per kind, whatever K is.
+  is ``run_stack([self])[0]`` — one body per kind, whatever K is.  The
+  two kinds here are the stackable ones; the unlearning protocols'
+  client tasks (:mod:`repro.unlearning.protocols`) run one client each.
 
 Determinism contract
 --------------------

@@ -44,7 +44,8 @@ def follow_dataset_dtype(model: Module, dataset: ArrayDataset) -> None:
     Parameters (and, through ``zeros_like``, optimizer state) follow the
     data, so a float32 ``ArrayDataset`` trains a float32 model end to end
     instead of upcasting at the first parameter matmul.  :func:`train`,
-    the vectorized cohort and both Goldfish paths all make this one call.
+    the vectorized cohort and Goldfish's student and teacher all make
+    this one call.
     The float64 default is a no-op, bit-identical to the historical path.
     """
     data_dtype = np.asarray(dataset.images).dtype
@@ -62,9 +63,8 @@ def run_epochs(
     epoch_callback: Optional[Callable[[int, float], bool]] = None,
 ) -> List[TrainHistory]:
     """The epoch loop — the only one — over one member (:func:`train`,
-    Goldfish's lone student, B3) or a lockstep cohort
-    (:meth:`repro.federated.vectorized.VectorizedCohort.train`, a stack
-    of Goldfish students).
+    Goldfish's student, B3) or a lockstep cohort
+    (:meth:`repro.federated.vectorized.VectorizedCohort.train`).
 
     One shuffled :class:`~repro.data.loader.DataLoader` serves every
     member, each drawing its epoch permutation from its own generator
@@ -74,12 +74,12 @@ def run_epochs(
     differentiate and each member's loss value to average per epoch: a
     lone model (``stack`` is ``None``) gets its own ``(N, ...)`` rows, a
     cohort the K-form's batch — ``(K, B, ...)`` arrays gathered in one
-    indexing op per step, or per-member lists at a ragged final step
-    (``zip(*batch)`` walks the members either way).  The step owns the
-    graph, the loop everything around it: zero-grad, then backward →
-    clip → step under the whole :class:`TrainConfig`.  ``stack`` is the
-    stack size of the optimizer's parameters when they carry a stack
-    axis (:func:`~repro.nn.optim.clip_grad_norm` clips per slice).
+    indexing op per step, or per-member lists at a ragged final step.
+    The step owns the graph, the loop everything around it: zero-grad,
+    then backward → clip → step under the whole :class:`TrainConfig`.
+    ``stack`` is the stack size of the optimizer's parameters when they
+    carry a stack axis (:func:`~repro.nn.optim.clip_grad_norm` clips per
+    slice).
     ``epoch_callback`` sees the first member's mean loss; stopping on it
     is a lone-member feature, a cohort passes none.
     """

@@ -18,7 +18,7 @@ preconditioning only buys convergence speed.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -27,6 +27,24 @@ from ...nn.module import Module, Parameter
 from ...nn.optim import Optimizer
 from ...training.config import TrainConfig, TrainHistory
 from ...training.trainer import train
+
+
+def check_rapid_options(
+    rho: float, damping: float, lr_scale: Optional[float] = None
+) -> None:
+    """B2's hyper-parameter rule: ``rho`` in [0, 1), ``damping`` and (when
+    given) ``lr_scale`` positive and finite; ``ValueError`` otherwise.
+
+    :class:`DiagonalFIMSGD` checks it when built.  Callers that build one
+    only later — :class:`RapidRetrainer`, the federated B2 flow and its
+    registry entry — check it up front, before any side effect.
+    """
+    if lr_scale is not None and not (math.isfinite(lr_scale) and lr_scale > 0):
+        raise ValueError(f"lr_scale must be positive and finite, got {lr_scale}")
+    if not 0.0 <= rho < 1.0:
+        raise ValueError(f"rho must be in [0, 1), got {rho}")
+    if not (math.isfinite(damping) and damping > 0):
+        raise ValueError(f"damping must be positive and finite, got {damping}")
 
 
 class DiagonalFIMSGD(Optimizer):
@@ -40,10 +58,7 @@ class DiagonalFIMSGD(Optimizer):
         damping: float = 1e-3,
     ) -> None:
         super().__init__(parameters, lr)
-        if not 0.0 <= rho < 1.0:
-            raise ValueError(f"rho must be in [0, 1), got {rho}")
-        if not (math.isfinite(damping) and damping > 0):
-            raise ValueError(f"damping must be positive and finite, got {damping}")
+        check_rapid_options(rho, damping)
         self.rho = rho
         self.damping = damping
         self._fim: List[Optional[np.ndarray]] = [None] * len(self.parameters)
@@ -95,42 +110,6 @@ class DiagonalFIMSGD(Optimizer):
         ]
         self._steps = int(state["steps"])
 
-    def load_stacked_fim_states(self, states: Sequence[dict]) -> None:
-        """Install K members' snapshots as one stacked snapshot (this
-        optimizer drives ``(K, ...)`` stacked parameters).
-
-        Mirrors :meth:`load_fim_state` per slice — including its float64
-        forcing — so slice ``k`` of every stacked FIM array is
-        bit-identical to member ``k``'s standalone load.  Callers gate on
-        a uniform ``steps`` counter and a uniform per-parameter
-        None-pattern.
-        """
-        for state in states:
-            if len(state["fim"]) != len(self.parameters):
-                raise ValueError(
-                    f"FIM state holds {len(state['fim'])} entries for "
-                    f"{len(self.parameters)} parameters"
-                )
-        stacked: List[Optional[np.ndarray]] = []
-        for index in range(len(self.parameters)):
-            entries = [state["fim"][index] for state in states]
-            if all(entry is None for entry in entries):
-                stacked.append(None)
-            else:
-                stacked.append(
-                    np.stack([np.array(entry, dtype=np.float64) for entry in entries])
-                )
-        self._fim = stacked
-        self._steps = int(states[0]["steps"])
-
-    def member_fim_state(self, member: int) -> dict:
-        """Member ``member``'s snapshot out of a stacked optimizer — the
-        exact dict its standalone :meth:`fim_state` would return."""
-        return {
-            "fim": [None if f is None else f[member].copy() for f in self._fim],
-            "steps": self._steps,
-        }
-
 
 class RapidRetrainer:
     """B2 driver: from-scratch retraining with the FIM-preconditioned optimizer."""
@@ -138,8 +117,7 @@ class RapidRetrainer:
     def __init__(self, lr_scale: float = 0.1, rho: float = 0.95, damping: float = 1e-3) -> None:
         """``lr_scale`` rescales the config's SGD learning rate, since
         preconditioned steps are much larger than raw-gradient steps."""
-        if not (math.isfinite(lr_scale) and lr_scale > 0):
-            raise ValueError(f"lr_scale must be positive and finite, got {lr_scale}")
+        check_rapid_options(rho, damping, lr_scale)
         self.lr_scale = lr_scale
         self.rho = rho
         self.damping = damping

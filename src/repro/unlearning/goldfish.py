@@ -23,24 +23,21 @@ individual training samples, so callers hold them for one request only
 on a client, in a history or a journal — a later
 deletion must find nothing to purge.
 
-There is one local step, :meth:`GoldfishUnlearner.run_members`, over a
-list of :class:`GoldfishMember` objects, and it runs in the one epoch
-loop, :func:`repro.training.trainer.run_epochs`.
-:meth:`GoldfishUnlearner.unlearn` runs it over one member whose forward
-is the student's own (K = 1 builds exactly the one-client graph: no stack
-axis, no slicing, no add); ``_GoldfishClientTask.run_stack``
-(:mod:`repro.unlearning.protocols`) runs it over K members whose forward
-is one stacked graph.  A change to the Goldfish step — e.g. one forward
-over ``[retain; forget]`` — is a change in one place.
+Algorithm 1 runs one client at a time, and so does this module:
+:meth:`GoldfishUnlearner.unlearn` is the local step over one student in
+its native layout, run by the one epoch loop,
+:func:`repro.training.trainer.run_epochs`.  The federated flow runs it
+once per client per round (``_GoldfishClientTask`` in
+:mod:`repro.unlearning.protocols`).  Students are not stacked: a
+stacked cohort of them ran less than 1.2x faster than lone students on
+the paper's LeNet-5 scenarios, and slower at batch 50.
 """
 
 from __future__ import annotations
 
-import operator
 import time
 from dataclasses import dataclass, field, replace
-from functools import reduce
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
@@ -133,23 +130,6 @@ def teacher_logits_on(
     return teacher_logits
 
 
-@dataclass
-class GoldfishMember:
-    """One client's side of the local loop: everything Algorithm 1 keeps
-    per client except the student itself, whose forward the caller owns
-    (:meth:`GoldfishUnlearner.run_members`)."""
-
-    loss_fn: GoldfishLoss  # own (Eq. 11) temperature, |D_f|/|D_r| scale and cap
-    retain_set: ArrayDataset
-    rng: np.random.Generator  # reshuffles the retain set, cycles the forget set
-    forget_cycler: Optional[_ForgetBatchCycler]
-    teacher_logits: np.ndarray  # retain-aligned
-    stopper: Optional[ExcessRiskStopper]
-    # Mean retain-side hard loss per completed epoch: the quantity Eq. 7
-    # compares against the previous global model.
-    epoch_losses: List[float] = field(default_factory=list)
-
-
 class GoldfishUnlearner:
     """Runs the teacher/student unlearning loop on one client's data."""
 
@@ -165,119 +145,6 @@ class GoldfishUnlearner:
             num_forget,
             alpha=self.config.temperature_alpha,
         )
-
-    def member(
-        self,
-        teacher: Optional[Module],
-        retain_set: ArrayDataset,
-        forget_set: Optional[ArrayDataset],
-        rng: np.random.Generator,
-        teacher_logits: Optional[np.ndarray] = None,
-    ) -> GoldfishMember:
-        """Set up one client for :meth:`run_members`.
-
-        ``rng`` is touched in the order the client's stream has always
-        seen: the forget cycler's first permutation here, then the retain
-        loader's, which draws each epoch's permutation when it starts.
-        """
-        config = self.config
-        num_forget = len(forget_set) if forget_set is not None else 0
-        temperature = self._resolve_temperature(len(retain_set), num_forget)
-        loss_fn = GoldfishLoss(
-            replace(config.loss, temperature=temperature),
-            num_retain=len(retain_set),
-            num_forget=num_forget,
-        )
-        teacher_logits = teacher_logits_on(teacher, retain_set, teacher_logits)
-        stopper: Optional[ExcessRiskStopper] = None
-        if config.early_stop.enabled:
-            reference = cross_entropy(Tensor(teacher_logits), retain_set.labels).item()
-            stopper = ExcessRiskStopper(config.early_stop, reference)
-        forget_cycler = None
-        if num_forget > 0:
-            forget_cycler = _ForgetBatchCycler(forget_set, config.train.batch_size, rng)
-        return GoldfishMember(
-            loss_fn, retain_set, rng, forget_cycler, teacher_logits, stopper
-        )
-
-    def run_members(
-        self,
-        members: Sequence[GoldfishMember],
-        model: Module,
-        forward: Callable[[List[np.ndarray]], Sequence[Tensor]],
-        stack: Optional[int] = None,
-    ) -> bool:
-        """Algorithm 1's local step over one member (:meth:`unlearn`) or a
-        lockstep stack of them
-        (``repro.unlearning.protocols._GoldfishClientTask.run_stack``),
-        run by :func:`~repro.training.trainer.run_epochs`.
-
-        ``forward`` maps the members' image batches to the members'
-        logits, once for the retain batches and once for the forget
-        batches of a step: the lone student's own forward, or one stacked
-        forward sliced per member.  Everything else is per member — each
-        composite loss runs on that member's logits with its own head
-        against its own teacher rows, and the scalar totals are added
-        left to right, so every member's subgraph is seeded with exactly
-        the 1.0 its lone ``loss.backward()`` would give it (one member:
-        no add at all).  ``model`` is what ``forward`` runs — the student,
-        or the stack of students and then ``stack`` is its size.  Members
-        all have a forget set or none has (the task's ``stack_key``
-        groups by it).
-
-        Fills every member's ``epoch_losses`` with the mean retain-side
-        hard loss per epoch; returns whether the Eq. 7 stopper ended the
-        run — a lone-member feature, since stacked members advance in
-        lockstep.
-        """
-        config = self.config
-        if len(members) > 1 and config.early_stop.enabled:
-            raise ValueError("goldfish early stopping decides epochs per member")
-        distill = config.loss.use_distillation and config.loss.mu_d > 0
-        has_forget = members[0].forget_cycler is not None
-        optimizer = make_optimizer(model, config.train)
-        model.train()
-
-        def step(batch):
-            indexed = [batch] if stack is None else list(zip(*batch))
-            retain_logits = forward([images for _, images, _ in indexed])
-            forget_logits = forget_labels = [None] * len(members)
-            if has_forget:
-                forget_batches = [m.forget_cycler.next_batch() for m in members]
-                forget_logits = forward([images for images, _ in forget_batches])
-                forget_labels = [labels for _, labels in forget_batches]
-            losses = [
-                member.loss_fn(
-                    logits,
-                    labels,
-                    teacher_logits_retain=(
-                        Tensor(member.teacher_logits[indices]) if distill else None
-                    ),
-                    student_logits_forget=logits_forget,
-                    labels_forget=labels_forget,
-                )
-                for member, logits, (indices, _, labels), logits_forget, labels_forget
-                in zip(members, retain_logits, indexed, forget_logits, forget_labels)
-            ]
-            return reduce(operator.add, losses), [
-                member.loss_fn.last_breakdown.hard_retain for member in members
-            ]
-
-        stopper = members[0].stopper
-        histories = run_epochs(
-            [member.retain_set for member in members],
-            [member.rng for member in members],
-            config.train,
-            optimizer,
-            step,
-            stack,
-            epoch_callback=(
-                None if stopper is None else lambda _, mean_loss: stopper.update(mean_loss)
-            ),
-        )
-        for member, history in zip(members, histories):
-            member.epoch_losses = history.losses
-        return stopper is not None and stopper.stopped_early
 
     def unlearn(
         self,
@@ -306,16 +173,66 @@ class GoldfishUnlearner:
             hard loss on D_r (Algorithm 1, line 32).
         """
         start = time.perf_counter()
+        config = self.config
         follow_dataset_dtype(student, retain_set)
-        member = self.member(teacher, retain_set, forget_set, rng, teacher_logits)
-        stopped_early = self.run_members(
-            [member], student, lambda batches: [student(Tensor(batches[0]))]
+        num_forget = len(forget_set) if forget_set is not None else 0
+        temperature = self._resolve_temperature(len(retain_set), num_forget)
+        loss_fn = GoldfishLoss(
+            replace(config.loss, temperature=temperature),
+            num_retain=len(retain_set),
+            num_forget=num_forget,
+        )
+        teacher_logits = teacher_logits_on(teacher, retain_set, teacher_logits)
+        stopper: Optional[ExcessRiskStopper] = None
+        if config.early_stop.enabled:
+            reference = cross_entropy(Tensor(teacher_logits), retain_set.labels).item()
+            stopper = ExcessRiskStopper(config.early_stop, reference)
+        # ``rng`` is touched in the order the client's stream has always
+        # seen: the forget cycler's first permutation here, then the
+        # retain loader's, which draws each epoch's permutation when it
+        # starts.
+        forget_cycler = None
+        if num_forget > 0:
+            forget_cycler = _ForgetBatchCycler(forget_set, config.train.batch_size, rng)
+        distill = config.loss.use_distillation and config.loss.mu_d > 0
+        optimizer = make_optimizer(student, config.train)
+        student.train()
+
+        def step(batch):
+            indices, images, labels = batch
+            logits = student(Tensor(images))
+            logits_forget = labels_forget = None
+            if forget_cycler is not None:
+                images_forget, labels_forget = forget_cycler.next_batch()
+                logits_forget = student(Tensor(images_forget))
+            loss = loss_fn(
+                logits,
+                labels,
+                teacher_logits_retain=(
+                    Tensor(teacher_logits[indices]) if distill else None
+                ),
+                student_logits_forget=logits_forget,
+                labels_forget=labels_forget,
+            )
+            return loss, (loss_fn.last_breakdown.hard_retain,)
+
+        # Mean retain-side hard loss per completed epoch: the quantity
+        # Eq. 7 compares against the previous global model.
+        (history,) = run_epochs(
+            [retain_set],
+            [rng],
+            config.train,
+            optimizer,
+            step,
+            epoch_callback=(
+                None if stopper is None else lambda _, mean_loss: stopper.update(mean_loss)
+            ),
         )
         return GoldfishResult(
-            epochs_run=len(member.epoch_losses),
-            epoch_losses=member.epoch_losses,
-            stopped_early=stopped_early,
-            temperature_used=member.loss_fn.config.temperature,
+            epochs_run=len(history.losses),
+            epoch_losses=history.losses,
+            stopped_early=stopper is not None and stopper.stopped_early,
+            temperature_used=loss_fn.config.temperature,
             wall_seconds=time.perf_counter() - start,
-            teacher_logits=member.teacher_logits,
+            teacher_logits=teacher_logits,
         )

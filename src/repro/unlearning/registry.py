@@ -58,6 +58,7 @@ from ..training.evaluation import evaluate
 from .baselines.federaser import FedEraser, FedEraserConfig
 from .baselines.fedrecovery import FedRecovery
 from .baselines.incompetent import IncompetentTeacherConfig
+from .baselines.rapid import check_rapid_options
 from .goldfish import GoldfishConfig
 from .protocols import (
     RoundCallback,
@@ -293,19 +294,26 @@ class RapidRetrainFederated(Unlearner):
     """B2: from-scratch retraining with the diagonal-FIM preconditioner.
 
     Options: ``lr_scale`` (default 0.1), ``rho`` (0.95), ``damping``
-    (1e-3) — forwarded to :func:`federated_rapid_retrain`.
+    (1e-3) — checked at construction, forwarded to
+    :func:`federated_rapid_retrain`.
     """
 
     name = "b2"
     aliases = ("rapid_retrain",)
 
+    def __init__(self, train_config: TrainConfig, num_rounds: int, **options: Any):
+        super().__init__(train_config, num_rounds, **options)
+        self.fim_options = {
+            "lr_scale": options.get("lr_scale", 0.1),
+            "rho": options.get("rho", 0.95),
+            "damping": options.get("damping", 1e-3),
+        }
+        check_rapid_options(**self.fim_options)
+
     def _run(self, sim, requests, *, backend, round_callback, history,
              initial_state, rng) -> UnlearnOutcome:
         return federated_rapid_retrain(
-            sim, self.train_config, self.num_rounds,
-            lr_scale=self.options.get("lr_scale", 0.1),
-            rho=self.options.get("rho", 0.95),
-            damping=self.options.get("damping", 1e-3),
+            sim, self.train_config, self.num_rounds, **self.fim_options,
             round_callback=round_callback, backend=backend,
         )
 

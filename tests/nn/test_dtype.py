@@ -18,7 +18,7 @@ from repro.nn import Dropout, Tensor, stack_modules
 from repro.nn import functional as F
 from repro.nn.losses import distillation_loss
 from repro.nn.models import MLP, RegistryModelFactory
-from repro.runtime.task import capture_rng
+from repro.runtime.task import capture_rng, restore_rng
 from repro.training import TrainConfig
 from repro.training.trainer import make_optimizer, train
 from repro.unlearning import (
@@ -29,7 +29,6 @@ from repro.unlearning import (
     IncompetentTeacherUnlearner,
 )
 from repro.unlearning.baselines import incompetent
-from repro.federated.vectorized import fuse
 from repro.unlearning.protocols import _GoldfishClientTask, _IncompetentClientTask
 
 from ..conftest import make_blob_federation, make_blobs
@@ -209,8 +208,9 @@ class TestKernelsPreserveDtype:
 
 
 class TestGoldfishFollowsDatasetDtype:
-    """Both Goldfish paths make trainer.train's cast: a float32 retain /
-    forget set trains a float32 student against float32 teacher logits
+    """The Goldfish task and ``GoldfishUnlearner.unlearn`` make
+    trainer.train's cast: a float32 retain / forget set trains a float32
+    student against float32 teacher logits
     (otherwise B1 would compute in float32 and Goldfish in float64 — the
     very comparison the paper makes, skewed)."""
 
@@ -243,20 +243,25 @@ class TestGoldfishFollowsDatasetDtype:
         return tasks
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_serial_and_fused_agree_in_the_dataset_dtype(self, dtype):
-        tasks = self.tasks(dtype)
-        serial = [task.run() for task in tasks]
-        assert _GoldfishClientTask.stack_fallback_reason(tasks, None) is None
-        fused = fuse(tasks).run()
-        for one, other in zip(serial, fused):
+    def test_task_and_unlearner_agree_in_the_dataset_dtype(self, dtype):
+        for task in self.tasks(dtype):
+            one = task.run()
+            student, teacher = task.model_factory(), task.model_factory()
+            student.load_state_dict(task.student_state)
+            teacher.load_state_dict(task.teacher_state)
+            rng = restore_rng(task.rng_state)
+            other = GoldfishUnlearner(self.CONFIG).unlearn(
+                student, teacher, task.retain_set, task.forget_set, rng
+            )
             assert one.extra["teacher_logits"].dtype == dtype
             np.testing.assert_array_equal(
-                one.extra["teacher_logits"], other.extra["teacher_logits"]
+                one.extra["teacher_logits"], other.teacher_logits
             )
+            assert one.epochs_run == other.epochs_run
+            assert one.rng_state == rng.bit_generator.state
             for key, value in one.state.items():
                 assert value.dtype == dtype, key
-                assert other.state[key].dtype == dtype, key
-                np.testing.assert_array_equal(value, other.state[key])
+                np.testing.assert_array_equal(value, student.state_dict()[key])
 
     def test_unlearner_casts_student_and_teacher(self):
         task = self.tasks(np.float32)[0]

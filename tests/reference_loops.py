@@ -1,10 +1,10 @@
 """Independent references for the local loops.
 
 ``repro.training.trainer.run_epochs`` sits behind plain training (scalar
-and stacked), Goldfish's ``GoldfishUnlearner.run_members`` (scalar and
-stacked) and B3's ``IncompetentTeacherUnlearner.unlearn``, so "scalar
-equals stacked" no longer compares two implementations of the loop —
-only two graphs inside one.  These are the loops as they stood before
+and stacked), Goldfish's ``GoldfishUnlearner.unlearn`` and B3's
+``IncompetentTeacherUnlearner.unlearn``, so "scalar equals stacked" no
+longer compares two implementations of the loop — only two graphs
+inside one.  These are the loops as they stood before
 those merges (the ``train``, ``GoldfishUnlearner.unlearn`` and
 ``clip_grad_norm`` bodies, and B3's own epoch loop with the
 ``apply_update`` it called, verbatim apart from the names they are bound

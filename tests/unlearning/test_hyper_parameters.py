@@ -3,19 +3,28 @@
 Goldfish's loss weights and temperatures, the early-stop threshold and
 the baselines' knobs are range-checked; NaN fails every comparison, so
 each check must test finiteness as well or a NaN slips through (a NaN
-temperature turns every distillation loss into NaN).
+temperature turns every distillation loss into NaN).  B2's knobs are
+checked before its flow resets the global model, and by its registry
+entry at construction.
 """
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.data import FederatedDataset
+from repro.federated import FedAvgAggregator, FederatedSimulation
+from repro.nn.models import MLP
+from repro.training import TrainConfig
 from repro.unlearning import (
     EarlyStopConfig,
     GoldfishLossConfig,
     SisaConfig,
     adaptive_temperature,
+    federated_rapid_retrain,
+    make_unlearner,
 )
 from repro.unlearning.baselines import (
     FedEraserConfig,
@@ -23,7 +32,7 @@ from repro.unlearning.baselines import (
     RapidRetrainer,
 )
 
-from ..conftest import HYPER_VALUES, NON_FINITE, generated
+from ..conftest import HYPER_VALUES, NON_FINITE, generated, make_blob_federation
 
 POSITIVE = lambda v: v > 0
 NON_NEGATIVE = lambda v: v >= 0
@@ -128,3 +137,46 @@ def test_boundary_training_values_build_and_reach_the_train_config(config, expec
     train = config.train_config()
     for name, value in expected.items():
         assert getattr(train, name) == value
+
+
+BAD_B2_OPTIONS = [
+    {"rho": 1.5},
+    {"damping": 0.0},
+    {"damping": math.nan},
+    {"lr_scale": -1.0},
+    {"lr_scale": math.nan},
+]
+BAD_B2_IDS = ["rho=1.5", "damping=0", "damping=nan", "lr_scale=-1", "lr_scale=nan"]
+B2_TRAIN = TrainConfig(epochs=1, batch_size=10, learning_rate=0.1)
+
+
+def pretrained_sim():
+    clients, test = make_blob_federation(2, per_client=20, test_size=20, seed=0)
+    sim = FederatedSimulation(
+        lambda: MLP(16, 3, np.random.default_rng(42)),
+        FederatedDataset(client_datasets=clients, test_set=test),
+        FedAvgAggregator(), B2_TRAIN, seed=0,
+    )
+    sim.run(1)
+    sim.clients[0].request_deletion(np.arange(3))
+    return sim
+
+
+@pytest.mark.parametrize("options", BAD_B2_OPTIONS, ids=BAD_B2_IDS)
+def test_bad_b2_options_fail_before_the_global_model_is_reset(options):
+    """B2 reinitialises the global model to ω^0 first thing; a value it
+    cannot train with must fail before that, not inside the first task."""
+    sim = pretrained_sim()
+    before = sim.server.global_state
+    with pytest.raises(ValueError):
+        federated_rapid_retrain(sim, B2_TRAIN, 1, **options)
+    after = sim.server.global_state
+    assert set(after) == set(before)
+    for key, value in before.items():
+        assert after[key].tobytes() == value.tobytes(), key
+
+
+@pytest.mark.parametrize("options", BAD_B2_OPTIONS, ids=BAD_B2_IDS)
+def test_b2_registry_entry_rejects_bad_options_at_construction(options):
+    with pytest.raises(ValueError):
+        make_unlearner("b2", B2_TRAIN, 1, **options)

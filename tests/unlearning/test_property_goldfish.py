@@ -1,25 +1,21 @@
-"""Property test: one Goldfish loop behind the scalar and the stacked path.
+"""Property test: the Goldfish client task is the lone unlearning loop.
 
-``GoldfishUnlearner.unlearn`` (one student, native layout) and
-``_GoldfishClientTask.run_stack`` (K students, one stacked graph) both
-run ``GoldfishUnlearner.run_members``.  One list of tasks is drawn per
-example — member count, retain sizes, forget sets (none / equal /
-unequal), adaptive temperature, hard loss, gradient clipping, data
-dtype, carried logits — and run three ways: ``task.run()`` per member,
-``fuse(tasks).run()`` as one stack, and the loop as it stood before the
-merge (``tests/reference_loops.py``).  All three must agree: student
-states, epochs run, generator positions and the teacher logits handed
-back, bit for bit.  Early stopping is a lone-member feature, so it is
-drawn for K = 1 only, where the per-epoch losses and the stop decision
-must equal the reference's.
+``_GoldfishClientTask.run`` (the federated flow's per-client unit) runs
+``GoldfishUnlearner.unlearn``.  One list of clients is drawn per
+example — client count, retain sizes, forget sets (none / equal /
+unequal), adaptive temperature, hard loss, gradient clipping, the Eq. 7
+early stopper, data dtype, carried logits — and every client runs three
+ways: ``task.run()``, ``unlearn`` itself, and the loop as it stood
+before it was shared (``tests/reference_loops.py``).  All three must
+agree: student states, epochs run, generator positions and the teacher
+logits handed back, bit for bit, with the per-epoch losses and the stop
+decision of ``unlearn`` equal to the reference's.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, strategies as st
 
 from repro.data.dataset import ArrayDataset
-from repro.federated.vectorized import fuse
 from repro.nn.losses import HARD_LOSSES
 from repro.nn.models import MLP
 from repro.runtime.task import capture_rng, restore_rng
@@ -69,7 +65,7 @@ def goldfish_cohorts(draw):
         "adaptive": draw(st.booleans()),
         # Eq. 7 threshold, None = stopper off; tight, loose and in between,
         # so some runs finish and others stop after an epoch or two.
-        "early_stop": draw(st.sampled_from([None, 0.1, 0.4, 1.5])) if k == 1 else None,
+        "early_stop": draw(st.sampled_from([None, 0.1, 0.4, 1.5])),
         "dtype": draw(st.sampled_from([np.float64, np.float32])),
         "carried": draw(st.booleans()),  # a later round: logits, no teacher
     }
@@ -118,7 +114,7 @@ def assert_same_bits(got, want):
 
 @generated(40)
 @given(goldfish_cohorts())
-def test_stacked_scalar_and_reference_goldfish_agree(params):
+def test_task_unlearn_and_reference_goldfish_agree(params):
     config, members = build(params)
     k = len(members)
     carried = [None] * k
@@ -176,49 +172,18 @@ def test_stacked_scalar_and_reference_goldfish_agree(params):
         )
         for index, ((retain, forget), logits) in enumerate(zip(members, carried))
     ]
-    runs = [[task.run() for task in tasks]]
-    if params["early_stop"] is None:  # else epochs are decided per member
-        stack = fuse(tasks)
-        assert stack.task_id == tuple(range(k))
-        assert stack.model_state is None  # protocol members keep their states
-        runs.append(stack.run())
-    for results in runs:
-        assert len(results) == k
-        for index, result in enumerate(results):
-            assert result.task_id == index
-            assert result.epochs_run == want[index].epochs_run
-            assert (
-                restore_rng(result.rng_state).bit_generator.state
-                == want_rngs[index].bit_generator.state
-            )
-            if params["carried"]:
-                assert result.extra is None
-            else:
-                assert_same_bits(
-                    result.extra["teacher_logits"], want[index].teacher_logits
-                )
-            for key, value in want_students[index].state_dict().items():
-                assert_same_bits(result.state[key], value)
-
-
-def test_early_stopping_is_refused_by_the_gate_and_by_the_stacked_loop():
-    params = {
-        "retain": [12, 12], "forget": [4, 4], "batch_size": 4, "epochs": 2,
-        "momentum": 0.0, "grad_clip": 0.0, "hard_loss": "cross_entropy",
-        "adaptive": False, "early_stop": 0.5, "dtype": np.float64,
-    }
-    config, members = build(params)
-    tasks = [
-        _GoldfishClientTask(
-            task_id=index, model_factory=factory,
-            student_state=factory().state_dict(), teacher_state=teacher_state(),
-            retain_set=retain, forget_set=forget, config=config,
-            rng_state=capture_rng(np.random.default_rng(index)),
+    for index, task in enumerate(tasks):
+        result = task.run()
+        assert result.task_id == index
+        assert result.epochs_run == want[index].epochs_run
+        assert (
+            restore_rng(result.rng_state).bit_generator.state
+            == want_rngs[index].bit_generator.state
         )
-        for index, (retain, forget) in enumerate(members)
-    ]
-    assert "early stopping" in _GoldfishClientTask.stack_fallback_reason(tasks, None)
-    # Run past the gate anyway, the stack refuses rather than stopping
-    # every member when the first one's stopper fires.
-    with pytest.raises(ValueError, match="early stopping"):
-        _GoldfishClientTask.run_stack(tasks)
+        if params["carried"]:
+            assert result.extra is None
+        else:
+            assert_same_bits(result.extra["teacher_logits"], want[index].teacher_logits)
+        for key, value in want_students[index].state_dict().items():
+            assert_same_bits(result.state[key], value)
+

@@ -8,6 +8,7 @@ from repro.federated import FederatedSimulation, FedAvgAggregator
 from repro.nn.models import MLP
 from repro.training import TrainConfig, accuracy
 from repro.unlearning import (
+    EarlyStopConfig,
     GoldfishConfig,
     GoldfishLossConfig,
     IncompetentTeacherConfig,
@@ -177,18 +178,23 @@ class TestGoldfishTeacherInference:
         for client in sim.clients:
             assert not hasattr(client, "teacher_logits")
 
-    def test_serial_pool_fused_and_chunked_paths_stay_bit_identical(self):
+    def test_serial_pool_and_vectorized_fallback_stay_bit_identical(self):
         serial = federated_goldfish(self.build(), GOLDFISH, num_rounds=3)
         pooled = federated_goldfish(self.build(), GOLDFISH, num_rounds=3,
                                     backend="pool:2")
-        fused_sim = self.build(vectorize=True)
-        pretrain_rounds = fused_sim.vectorize_report()["rounds_vectorized"]
-        fused = federated_goldfish(fused_sim, GOLDFISH, num_rounds=3)
-        assert fused_sim.vectorize_report()["rounds_vectorized"] == pretrain_rounds + 3
-        # Fused and chunked across workers: the stack splits, the logits follow.
-        chunked = federated_goldfish(self.build(vectorize=True), GOLDFISH,
-                                     num_rounds=3, backend="pool:2")
-        for other in (pooled, fused, chunked):
+        # A vectorized simulation runs its Goldfish tasks one client each,
+        # and says so, alone and across the pool's workers.
+        vec_sim = self.build(vectorize=True)
+        before = vec_sim.vectorize_report()
+        fallback = federated_goldfish(vec_sim, GOLDFISH, num_rounds=3)
+        after = vec_sim.vectorize_report()
+        assert after["rounds_vectorized"] == before["rounds_vectorized"]
+        assert after["rounds_fallback"] == before["rounds_fallback"] + 3
+        key = "no vectorized implementation for _GoldfishClientTask"
+        assert after["fallback_reasons"][key] == 3
+        pooled_fallback = federated_goldfish(self.build(vectorize=True), GOLDFISH,
+                                             num_rounds=3, backend="pool:2")
+        for other in (pooled, fallback, pooled_fallback):
             assert other.round_accuracies == serial.round_accuracies
             for key, value in serial.global_model.state_dict().items():
                 np.testing.assert_array_equal(
@@ -225,3 +231,42 @@ class TestGoldfishTeacherInference:
         )
         with pytest.raises(ValueError, match="teacher_logits holds 26 rows"):
             task.run()
+
+
+class TestGoldfishOptimisationModule:
+    """Eq. 7's early stopper and Eq. 11's adaptive temperature through the
+    federated flow: clients stop after different epoch counts, and the
+    result does not depend on how the rounds were executed."""
+
+    CONFIG = GoldfishConfig(
+        loss=GoldfishLossConfig(),
+        train=TrainConfig(epochs=4, batch_size=10, learning_rate=0.15),
+        early_stop=EarlyStopConfig(delta=0.3, mode="last", enabled=True),
+        adaptive_temperature=True,
+    )
+    ROUNDS = 2
+
+    def run(self, vectorize=False, backend=None):
+        clients, test = make_blob_federation(3, per_client=30, test_size=60, seed=0)
+        fed = FederatedDataset(client_datasets=clients, test_set=test)
+        sim = FederatedSimulation(mlp_factory, fed, FedAvgAggregator(), CONFIG,
+                                  seed=0, vectorize=vectorize)
+        sim.run(3)
+        sim.clients[0].request_deletion(np.arange(5))
+        outcome = federated_goldfish(sim, self.CONFIG, num_rounds=self.ROUNDS,
+                                     backend=backend)
+        return sim, outcome
+
+    def test_stopper_fires_and_every_path_agrees(self):
+        serial_sim, serial = self.run()
+        budget = self.ROUNDS * self.CONFIG.train.epochs * len(serial_sim.clients)
+        assert 0 < serial.local_epochs_total < budget
+        for sim, other in (self.run(backend="pool:2"), self.run(vectorize=True)):
+            assert other.local_epochs_total == serial.local_epochs_total
+            assert other.round_accuracies == serial.round_accuracies
+            for key, value in serial.global_model.state_dict().items():
+                np.testing.assert_array_equal(
+                    value, other.global_model.state_dict()[key]
+                )
+            for a, b in zip(serial_sim.clients, sim.clients):
+                assert a.rng.bit_generator.state == b.rng.bit_generator.state

@@ -1,9 +1,9 @@
 """Vectorized unlearning protocol rounds and SISA chains.
 
-The retraining inner loops of the unlearning protocols (Goldfish, B1
-retrain-from-scratch, B2 rapid retraining) and the SISA per-shard
+B1's retraining rounds, B3's normal clients and the SISA per-shard
 slice chains route through the same :class:`VectorizedCohort` substrate
-as federated training rounds.  The contract is identical: opting in is
+as federated training rounds; the Goldfish, B2 and B3 client tasks run
+one client each.  The contract is identical: opting in is
 **bit-for-bit** invisible in every model, checkpoint, and RNG stream;
 anything the substrate cannot fuse falls back per client with a
 recorded reason.
@@ -67,22 +67,28 @@ def assert_protocol_parity(protocol, deletions=((0, 5),)):
     return vec_sim.vectorize_report()
 
 
+def assert_runs_per_client(report, kind):
+    """``kind``'s units ran one client each, with the reason recorded."""
+    key = f"no vectorized implementation for {kind}"
+    assert report["fallback_reasons"].get(key, 0) > 0
+
+
 class TestProtocolParity:
-    def test_goldfish_bit_identical_and_fused(self):
+    def test_goldfish_bit_identical_and_per_client(self):
+        # Goldfish students run one client each (Algorithm 1), so a
+        # vectorized simulation falls back for them, bit-identically.
         report = assert_protocol_parity(
             lambda s: federated_goldfish(s, GOLDFISH, num_rounds=2)
         )
-        assert report["rounds_vectorized"] > 0
+        assert_runs_per_client(report, "_GoldfishClientTask")
 
-    def test_goldfish_multi_deletion_ragged_cohort(self):
-        # Two clients with different-size forget sets fuse into one
-        # ragged stacked task (unequal retain AND forget sizes); the
-        # third, deletion-free client forms its own singleton group.
+    def test_goldfish_multi_deletion_cohort(self):
+        # Unequal retain and forget sizes across the deleting clients.
         report = assert_protocol_parity(
             lambda s: federated_goldfish(s, GOLDFISH, num_rounds=2),
             deletions=((0, 5), (1, 7)),
         )
-        assert report["rounds_vectorized"] > 0
+        assert_runs_per_client(report, "_GoldfishClientTask")
 
     def test_retrain_bit_identical(self):
         report = assert_protocol_parity(
@@ -91,12 +97,12 @@ class TestProtocolParity:
         assert report["rounds_vectorized"] > 0
 
     def test_rapid_retrain_bit_identical(self):
-        # B2 carries per-client diagonal-FIM optimizer state; the
-        # stacked run must thread it through bit-exactly.
+        # B2 carries per-client diagonal-FIM optimizer state, one client
+        # per task, on a vectorized simulation too.
         report = assert_protocol_parity(
             lambda s: federated_rapid_retrain(s, CONFIG, num_rounds=2)
         )
-        assert report["rounds_vectorized"] > 0
+        assert_runs_per_client(report, "_RapidClientTask")
 
     def test_incompetent_teacher_records_fallback(self):
         # B3's distillation task has no stacked implementation: those
@@ -108,9 +114,7 @@ class TestProtocolParity:
                 s, IncompetentTeacherConfig(train=CONFIG), num_rounds=2
             )
         )
-        reasons = report["fallback_reasons"]
-        key = "no vectorized implementation for _IncompetentClientTask"
-        assert reasons.get(key, 0) > 0
+        assert_runs_per_client(report, "_IncompetentClientTask")
 
 
 def build_sisa(vectorize, seed=5):
