@@ -12,7 +12,7 @@ Run:  python examples/train_cnn.py
 import numpy as np
 
 from repro.data import DataLoader, synthetic_fmnist
-from repro.nn import SGD, Tensor, losses, no_grad, save_model, load_model
+from repro.nn import SGD, Tensor, load_state_dict, losses, no_grad, save_state_dict
 from repro.nn.models import LeNet5, resnet
 
 
@@ -48,9 +48,9 @@ def main() -> None:
                 rng=np.random.default_rng(2))
 
     # Checkpoint roundtrip.
-    save_model(lenet, "/tmp/lenet_fmnist")
+    save_state_dict(lenet.state_dict(), "/tmp/lenet_fmnist")
     restored = LeNet5(num_classes=10, rng=np.random.default_rng(99))
-    load_model(restored, "/tmp/lenet_fmnist")
+    restored.load_state_dict(load_state_dict("/tmp/lenet_fmnist"))
     with no_grad():
         same = np.allclose(
             restored(Tensor(test_set.images[:8])).data,

@@ -28,6 +28,41 @@ from typing import Iterator, Optional, Sequence, Tuple
 import numpy as np
 
 
+def _whole_numbers(values, what: str) -> np.ndarray:
+    """``values`` as an ``int64`` array of the same shape.
+
+    Only whole numbers pass: integer arrays, and floats that are finite
+    and integral (``3.0``).  A fractional or non-finite float, a string,
+    a boolean or any other object raises :class:`ValueError` rather than
+    being truncated into a value the caller never named.
+    """
+    array = np.asarray(values)
+    if array.size == 0:
+        return np.zeros(array.shape, dtype=np.int64)
+    if array.dtype.kind == "f":
+        if not np.all(np.isfinite(array)) or np.any(array != np.trunc(array)):
+            raise ValueError(f"{what} must be whole numbers, got {values!r}")
+        if np.abs(array).max() >= 2.0**63:
+            raise ValueError(f"{what} exceed the int64 range: {values!r}")
+    elif array.dtype.kind == "u":
+        if array.max() > np.iinfo(np.int64).max:
+            raise ValueError(f"{what} exceed the int64 range: {values!r}")
+    elif array.dtype.kind != "i":
+        raise ValueError(f"{what} must be integers, got {values!r}")
+    return array.astype(np.int64, copy=False)
+
+
+def sample_indices(indices) -> np.ndarray:
+    """``indices`` as sorted, unique ``int64`` sample indices.
+
+    The one intake rule for naming samples to delete, whoever names them
+    (a federated client, the unlearning registry, the deletion service):
+    whole numbers only, nothing truncated.  Range checks against a
+    dataset are the caller's.
+    """
+    return np.unique(_whole_numbers(indices, "indices"))
+
+
 @dataclass
 class ArrayDataset:
     """Images and labels held as NumPy arrays.
@@ -37,7 +72,8 @@ class ArrayDataset:
     images:
         Float array of shape ``(N, C, H, W)``.
     labels:
-        Integer array of shape ``(N,)`` with values in ``[0, num_classes)``.
+        Integer array of shape ``(N,)`` with values in ``[0, num_classes)``
+        (integral floats are taken as integers; any other value raises).
     num_classes:
         Total number of label classes (α in the paper's notation).
     name:
@@ -61,7 +97,7 @@ class ArrayDataset:
             raise ValueError(f"dtype must be a floating dtype, got {resolved}")
         self.dtype = resolved
         self.images = np.asarray(self.images, dtype=resolved)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        self.labels = _whole_numbers(self.labels, "labels")
         if self.images.ndim != 4:
             raise ValueError(f"images must be (N, C, H, W), got shape {self.images.shape}")
         if self.labels.ndim != 1:

@@ -6,7 +6,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ..data.dataset import ArrayDataset
+from ..data.dataset import ArrayDataset, sample_indices
 from ..nn.module import Module
 from ..runtime.task import TrainResult, TrainTask, capture_rng
 from ..training.config import TrainConfig, TrainHistory
@@ -57,15 +57,18 @@ class Client:
     # Deletion requests
     # ------------------------------------------------------------------
     def request_deletion(self, indices: np.ndarray) -> None:
-        """Mark local samples (by local index) for removal — D_f^c."""
-        indices = np.asarray(indices, dtype=np.int64)
+        """Mark local samples (by local index) for removal — D_f^c.
+
+        Indices must be whole numbers (:func:`~repro.data.dataset.sample_indices`).
+        """
+        indices = sample_indices(indices)
         if indices.size == 0:
             raise ValueError("deletion request with no indices")
         if indices.min() < 0 or indices.max() >= len(self.dataset):
             raise ValueError("deletion indices out of range")
         if indices.size >= len(self.dataset):
             raise ValueError("cannot delete the client's entire dataset")
-        self.forget_indices = np.unique(indices)
+        self.forget_indices = indices
 
     @property
     def has_pending_deletion(self) -> bool:

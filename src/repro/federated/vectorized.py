@@ -18,8 +18,7 @@ The stacked path preserves every per-client semantic:
   cohort's one K-form loader draws every member's epoch permutation
   from that member's generator and gathers a step's ``(K, B, ...)``
   batch in one indexing op over the members' arrays, concatenated once
-  per training call (same indices, same rows).  Each slice's dropout
-  masks come from that client's own generator, so every client's RNG
+  per training call (same indices, same rows), so every client's RNG
   advances exactly as it would standalone.
 * **Numerics** — stacked elementwise ops, per-slice GEMMs and
   same-axis reductions reproduce the per-client float operations in the
@@ -54,7 +53,7 @@ long as the step counts match: the final batch is then ragged and runs
 zero-padded, with each slice computed at its true row count (row-exact
 per-slice GEMMs, per-slice loss heads) — unless the architecture
 contains a layer whose gradients contract over the batch axis
-(``Conv2d``, ``GroupNorm``), which :func:`repro.nn.vmap.ragged_support_reason` gates
+(``Conv2d``), which :func:`repro.nn.vmap.ragged_support_reason` gates
 out (:func:`arch_probe` asks both architecture questions once per
 factory).  Gradient clipping runs as per-slice global norms
 (:func:`repro.nn.optim.clip_grad_norm` with the stack size).  Ineligible
@@ -80,7 +79,6 @@ from ..nn.vmap import (
     StackedModel,
     VmapUnsupported,
     ragged_support_reason,
-    restack_reason,
     stack_modules,
     stackable_reason,
 )
@@ -208,7 +206,6 @@ class ArchReasons(NamedTuple):
 
     stackable: Optional[str]  # repro.nn.vmap.stackable_reason
     ragged: Optional[str]  # repro.nn.vmap.ragged_support_reason
-    chain: Optional[str]  # stackable, or repro.nn.vmap.restack_reason
 
 
 _ARCH_REASONS: Dict[Any, ArchReasons] = {}
@@ -216,8 +213,7 @@ _ARCH_REASONS: Dict[Any, ArchReasons] = {}
 
 def arch_probe(model_factory: Callable[[], Module]) -> ArchReasons:
     """Why the factory's architecture cannot stack / cannot take ragged
-    steps / cannot run chain stages in lockstep (``None`` = it can), from
-    one probe model per distinct factory.
+    steps (``None`` = it can), from one probe model per distinct factory.
 
     Architecture is a property of the factory, so every caller — the
     cohort planner and the tasks' own ``stack_fallback_reason``, chains
@@ -230,10 +226,7 @@ def arch_probe(model_factory: Callable[[], Module]) -> ArchReasons:
         cached, cacheable = None, False
     if cached is None:
         model = model_factory()
-        stackable = stackable_reason(model)
-        cached = ArchReasons(
-            stackable, ragged_support_reason(model), stackable or restack_reason(model)
-        )
+        cached = ArchReasons(stackable_reason(model), ragged_support_reason(model))
         if cacheable:
             _ARCH_REASONS[model_factory] = cached
     return cached

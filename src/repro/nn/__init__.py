@@ -11,14 +11,9 @@ from . import losses
 from . import models
 from . import vmap
 from .layers import (
-    AvgPool2d,
     BatchNorm2d,
     Conv2d,
-    Dropout,
     Flatten,
-    GroupNorm,
-    LayerNorm,
-    Identity,
     Linear,
     MaxPool2d,
     ReLU,
@@ -27,8 +22,8 @@ from .layers import (
 from .module import Module, Parameter
 from .optim import SGD, Optimizer, clip_grad_norm
 from .vmap import StackedModel, VmapUnsupported, stack_modules
-from .serialization import load_model, load_state_dict, save_model, save_state_dict
-from .tensor import Tensor, concatenate, ensure_tensor, is_grad_enabled, no_grad, stack, where
+from .serialization import load_state_dict, save_state_dict
+from .tensor import Tensor, ensure_tensor, is_grad_enabled, no_grad
 
 __all__ = [
     "Tensor",
@@ -37,9 +32,6 @@ __all__ = [
     "no_grad",
     "is_grad_enabled",
     "ensure_tensor",
-    "concatenate",
-    "stack",
-    "where",
     "functional",
     "losses",
     "init",
@@ -47,14 +39,9 @@ __all__ = [
     "Linear",
     "Conv2d",
     "MaxPool2d",
-    "AvgPool2d",
     "BatchNorm2d",
-    "GroupNorm",
-    "LayerNorm",
     "ReLU",
-    "Dropout",
     "Flatten",
-    "Identity",
     "Sequential",
     "vmap",
     "StackedModel",
@@ -63,8 +50,6 @@ __all__ = [
     "Optimizer",
     "SGD",
     "clip_grad_norm",
-    "save_model",
-    "load_model",
     "save_state_dict",
     "load_state_dict",
 ]

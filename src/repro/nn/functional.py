@@ -5,8 +5,8 @@ numerically stable softmax utilities.  Convolution is one channel-major
 im2col / col2im pair (``cols`` is ``(C_in*KH*KW, N*H_out*W_out)``, one
 ``as_strided`` view and one copy) whose leading axes are GEMM batch
 axes, so :func:`conv2d` serves a lone layer and a stack of K;
-:func:`linear` is one graph node built the same way; the pools take any
-leading axes and max pooling records one winner mask per window offset.
+:func:`linear` is one graph node built the same way; max pooling takes
+any leading axes and records one winner mask per window offset.
 What a stack's ragged (zero-padded) step needs beyond that sits beside
 :func:`linear`: :func:`_ragged_linear`'s true-row GEMMs and
 :func:`_mask_padded_rows`.  All functions take and return
@@ -23,12 +23,12 @@ used to be.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .tensor import Tensor, _unbroadcast, ensure_tensor, is_grad_enabled
+from .tensor import Tensor, _unbroadcast, is_grad_enabled
 
 
 def _conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
@@ -220,16 +220,6 @@ def max_pool2d(x: Tensor, kernel_size: int) -> Tensor:
     return Tensor._make(out_data, (x,), backward_fn)
 
 
-def avg_pool2d(x: Tensor, kernel_size: int) -> Tensor:
-    """Non-overlapping average pooling with ``stride == kernel_size`` over
-    ``(..., H, W)``."""
-    *lead, h, w = x.shape
-    k = kernel_size
-    if h % k or w % k:
-        raise ValueError(f"spatial size ({h}, {w}) not divisible by kernel {k}")
-    return x.reshape(*lead, h // k, k, w // k, k).mean(axis=(-3, -1))
-
-
 def global_avg_pool2d(x: Tensor) -> Tensor:
     """Average over the full spatial extent, returning ``(N, C)``."""
     return x.mean(axis=(2, 3))
@@ -291,44 +281,6 @@ def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
     out = np.zeros((labels.shape[0], num_classes), dtype=np.float64)
     out[np.arange(labels.shape[0]), labels] = 1.0
     return out
-
-
-def dropout(
-    x: Tensor,
-    p: float,
-    rng: Union[np.random.Generator, Sequence[np.random.Generator]],
-    training: bool = True,
-    row_counts: Optional[List[int]] = None,
-) -> Tensor:
-    """Inverted dropout: zero activations with probability ``p`` and rescale.
-
-    ``rng`` is the layer's mask generator, or — for a stacked ``x`` of
-    shape ``(K, N, ...)`` — one generator *per slice*.  Slice k's mask is
-    then drawn from client k's own generator with the same call
-    (``rng.random(per_client_shape)``) the lone layer makes, so stacking
-    neither merges nor reorders any client's RNG stream.
-
-    Ragged steps (final batches of unequal size, zero-padded to the
-    stack's batch axis) pass ``row_counts``: slice k then draws its mask
-    with that client's *true* batch shape — the exact call the lone layer
-    makes — and the padded rows get zero masks (their upstream gradients
-    are already exactly zero, so the zeros change no bits).
-    """
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-    if not training or p == 0.0:
-        return x
-    if isinstance(rng, np.random.Generator):
-        mask = (rng.random(x.shape) >= p) / (1.0 - p)
-    else:
-        if row_counts is None:
-            row_counts = [x.shape[1]] * len(rng)
-        mask = np.zeros(x.shape, dtype=np.float64)
-        for k, (slice_rng, rows) in enumerate(zip(rng, row_counts)):
-            mask[k, :rows] = (slice_rng.random((rows,) + x.shape[2:]) >= p) / (1.0 - p)
-    # The draw is float64 whatever the model: cast it, or a float32
-    # activation leaves the layer float64 and every later GEMM runs mixed.
-    return x * Tensor(mask.astype(x.data.dtype, copy=False))
 
 
 #: Elements in one block of per-slice weight gradients (128 KB of float64).
@@ -447,9 +399,8 @@ def _mask_padded_rows(out: Tensor, row_counts: Optional[List[int]]) -> Tensor:
 
     Ragged steps rely on an invariant: padded rows are exactly zero at
     every layer boundary, so no layer ever feeds padding-derived values
-    into a true row.  Layers with additive terms (conv bias,
-    normalisation beta) turn zero rows nonzero, so they multiply their
-    output by a 0/1 row mask: true rows scale by exactly 1.0
+    into a true row.  A conv bias turns zero rows nonzero, so ``Conv2d``
+    multiplies its output by a 0/1 row mask: true rows scale by exactly 1.0
     (bit-identity, forward and backward) and padded rows return to zero.
     """
     if not _is_ragged(row_counts, out.shape[1]):
@@ -513,9 +464,3 @@ def _ragged_linear(
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return Tensor._make(out_data, parents, backward_fn)
-
-
-def flatten_images(x: np.ndarray) -> np.ndarray:
-    """Flatten image batches ``(N, C, H, W)`` to ``(N, C*H*W)`` (no grad)."""
-    x = np.asarray(x)
-    return x.reshape(x.shape[0], -1)

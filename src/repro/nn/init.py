@@ -32,20 +32,6 @@ def kaiming_uniform(shape: Tuple[int, ...], rng: np.random.Generator) -> np.ndar
     return rng.uniform(-bound, bound, size=shape)
 
 
-def kaiming_normal(shape: Tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """He-normal init (std = sqrt(2 / fan_in))."""
-    fan_in, _ = _fan_in_out(shape)
-    std = math.sqrt(2.0 / fan_in)
-    return rng.normal(0.0, std, size=shape)
-
-
-def xavier_uniform(shape: Tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """Glorot-uniform init, suited to tanh/sigmoid networks."""
-    fan_in, fan_out = _fan_in_out(shape)
-    bound = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape)
-
-
 def bias_uniform(shape: Tuple[int, ...], fan_in: int, rng: np.random.Generator) -> np.ndarray:
     """PyTorch-style bias init: uniform in ±1/sqrt(fan_in)."""
     bound = 1.0 / math.sqrt(fan_in) if fan_in > 0 else 0.0

@@ -4,13 +4,12 @@ Each layer has one ``forward``, and that one runs a lone model or a
 stack of K (:mod:`repro.nn.vmap`): in a stack the parameters, the input
 and the output carry a leading axis of size :attr:`Module.stack`, slice
 ``k`` being member ``k``.  A layer reads ``stack_axes`` only where its
-axes depend on it (``Flatten``; the norms count from the trailing axes
-instead) and ``row_counts`` only where a ragged, zero-padded step needs
-it: ``Linear`` issues true-row GEMMs, ``Conv2d`` and the norms re-zero
-the padded rows their additive terms made nonzero, ``Dropout`` draws
-each slice's mask at its true shape.  A class that can do this says so
-with ``stackable = True``; ``BatchNorm2d`` cannot (batch statistics and
-running buffers are per-replica state a stack would have to fork).
+axes depend on it (``Flatten``) and ``row_counts`` only where a ragged,
+zero-padded step needs it: ``Linear`` issues true-row GEMMs, ``Conv2d``
+re-zeroes the padded rows its bias made nonzero.  A class that can do
+this says so with ``stackable = True``; ``BatchNorm2d`` cannot (batch
+statistics and running buffers are per-replica state a stack would have
+to fork).
 """
 
 from __future__ import annotations
@@ -23,15 +22,6 @@ from . import functional as F
 from . import init
 from .module import Module, Parameter
 from .tensor import Tensor
-
-
-class Identity(Module):
-    """No-op layer, handy as a placeholder in residual blocks."""
-
-    stackable = True
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x
 
 
 class ReLU(Module):
@@ -145,46 +135,6 @@ class MaxPool2d(Module):
         return f"MaxPool2d(k={self.kernel_size})"
 
 
-class AvgPool2d(Module):
-    """Non-overlapping average pooling."""
-
-    stackable = True
-
-    def __init__(self, kernel_size: int) -> None:
-        super().__init__()
-        self.kernel_size = kernel_size
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.avg_pool2d(x, self.kernel_size)
-
-
-class Dropout(Module):
-    """Inverted dropout; inactive in eval mode.
-
-    In a stack ``_rng`` holds the K members' generators in member order
-    (``stack_modules`` keeps per-member state as a list), and
-    :func:`~repro.nn.functional.dropout` draws slice k's mask from
-    generator k.
-    """
-
-    stackable = True
-
-    def __init__(self, p: float, rng: np.random.Generator) -> None:
-        super().__init__()
-        if not 0.0 <= p < 1.0:
-            raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-        self.p = p
-        self._rng = rng
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.dropout(
-            x, self.p, self._rng, training=self.training, row_counts=self.row_counts
-        )
-
-    def __repr__(self) -> str:
-        return f"Dropout(p={self.p})"
-
-
 class BatchNorm2d(Module):
     """Batch normalisation over ``(N, H, W)`` per channel.
 
@@ -226,95 +176,6 @@ class BatchNorm2d(Module):
 
     def __repr__(self) -> str:
         return f"BatchNorm2d({self.num_features})"
-
-
-class GroupNorm(Module):
-    """Group normalisation (Wu & He, 2018) over ``(C/G, H, W)`` groups.
-
-    Unlike :class:`BatchNorm2d` it carries no running statistics and is
-    independent of the batch composition, which makes it the standard
-    substitute for batch norm in federated learning: FedAvg-averaging BN
-    statistics across clients with heterogeneous data is a known source of
-    divergence, while group-normalised models average cleanly.
-    """
-
-    stackable = True
-
-    def __init__(self, num_groups: int, num_channels: int, eps: float = 1e-5) -> None:
-        super().__init__()
-        if num_groups <= 0 or num_channels % num_groups:
-            raise ValueError(
-                f"num_channels {num_channels} must be divisible by "
-                f"num_groups {num_groups}"
-            )
-        self.num_groups = num_groups
-        self.num_channels = num_channels
-        self.eps = eps
-        self.gamma = Parameter(init.ones((num_channels,)))
-        self.beta = Parameter(init.zeros((num_channels,)))
-
-    def forward(self, x: Tensor) -> Tensor:
-        if x.ndim != 4 + self.stack_axes:
-            raise ValueError(
-                f"GroupNorm expects {4 + self.stack_axes}-D input, got shape {x.shape}"
-            )
-        *lead, c, h, w = x.shape
-        if c != self.num_channels:
-            raise ValueError(f"expected {self.num_channels} channels, got {c}")
-        grouped = x.reshape(*lead, self.num_groups, c // self.num_groups, h, w)
-        mean = grouped.mean(axis=(-3, -2, -1), keepdims=True)
-        var = grouped.var(axis=(-3, -2, -1), keepdims=True)
-        normalised = (grouped - mean) / ((var + self.eps) ** 0.5)
-        out = normalised.reshape(x.shape)
-        # (1, C, 1, 1) against a lone batch, (K, 1, C, 1, 1) against a stack.
-        affine = self.gamma.shape[:-1] + (1, -1, 1, 1)
-        gamma = self.gamma.reshape(affine)
-        beta = self.beta.reshape(affine)
-        return F._mask_padded_rows(out * gamma + beta, self.row_counts)
-
-    def __repr__(self) -> str:
-        return f"GroupNorm(groups={self.num_groups}, channels={self.num_channels})"
-
-
-class LayerNorm(Module):
-    """Layer normalisation (Ba et al., 2016) over the trailing feature axis.
-
-    Normalises each sample independently — like :class:`GroupNorm`, it is
-    batch-composition-free and therefore FedAvg-friendly. Operates on the
-    last dimension of 2-D ``(N, F)`` inputs (the MLP / classifier-head
-    case).
-    """
-
-    stackable = True
-
-    def __init__(self, num_features: int, eps: float = 1e-5) -> None:
-        super().__init__()
-        if num_features <= 0:
-            raise ValueError(f"num_features must be positive, got {num_features}")
-        self.num_features = num_features
-        self.eps = eps
-        self.gamma = Parameter(init.ones((num_features,)))
-        self.beta = Parameter(init.zeros((num_features,)))
-
-    def forward(self, x: Tensor) -> Tensor:
-        if x.ndim != 2 + self.stack_axes:
-            raise ValueError(
-                f"LayerNorm expects {2 + self.stack_axes}-D input, got shape {x.shape}"
-            )
-        if x.shape[-1] != self.num_features:
-            raise ValueError(
-                f"expected {self.num_features} features, got {x.shape[-1]}"
-            )
-        mean = x.mean(axis=-1, keepdims=True)
-        var = x.var(axis=-1, keepdims=True)
-        x_hat = (x - mean) / ((var + self.eps) ** 0.5)
-        # (1, F) against a lone batch, (K, 1, F) against a stack.
-        affine = self.gamma.shape[:-1] + (1, -1)
-        out = x_hat * self.gamma.reshape(affine) + self.beta.reshape(affine)
-        return F._mask_padded_rows(out, self.row_counts)
-
-    def __repr__(self) -> str:
-        return f"LayerNorm({self.num_features})"
 
 
 class Sequential(Module):

@@ -2,7 +2,7 @@
 
 Includes the three "hard loss" choices evaluated in the paper's Table XI
 (cross-entropy = Total loss α, focal = β, NLL = γ) plus the soft-target
-distillation loss of Eq. 5 and auxiliary regression losses.
+distillation loss of Eq. 5.
 
 Shape contract of the hard losses: logits ``(..., N, classes)`` with
 integer labels ``(..., N)``.  The class axis is the last one and the
@@ -12,8 +12,7 @@ reduction runs over the sample axis ``N`` only, so one client's
 gradient, to the loss of ``logits[k]`` alone (the log-softmax reduces
 within a sample, the pick indexes within a slice, the mean divides by
 the same ``N``).  There is no second, stacked set of losses.
-:func:`distillation_loss` and :func:`mse_loss` take one batch and reduce
-over everything.
+:func:`distillation_loss` takes one batch and reduces over everything.
 """
 
 from __future__ import annotations
@@ -150,14 +149,6 @@ def distillation_loss(
     student_log_probs = F.log_softmax(student_logits / float(temperature), axis=1)
     per_sample = -(teacher_probs * student_log_probs).sum(axis=1)
     return _reduce(per_sample, reduction)
-
-
-def mse_loss(prediction: Tensor, target: Tensor, reduction: str = "mean") -> Tensor:
-    """Mean squared error (used by the adaptive-weight extension, Eq. 12)."""
-    prediction = prediction if isinstance(prediction, Tensor) else Tensor(prediction)
-    target = target if isinstance(target, Tensor) else Tensor(target)
-    diff = prediction - target.detach()
-    return _reduce(diff * diff, reduction)
 
 
 HARD_LOSSES = {

@@ -5,7 +5,7 @@ are the classic 6n+2 CIFAR variants: an initial 3x3 conv to 16 channels,
 three stages of ``n`` basic blocks at widths (16, 32, 64) with stride-2
 downsampling between stages, global average pooling, and a linear head.
 
-Any depth of the family can be built via :func:`resnet`; the benchmark
+Every depth of the family is built by :func:`resnet`; the benchmark
 presets use shallow depths (ResNet8) for CPU runtime.
 """
 
@@ -56,9 +56,9 @@ class ResNet(Module):
         base_width: int = 16,
     ) -> None:
         super().__init__()
-        if (depth - 2) % 6 != 0:
-            raise ValueError(f"CIFAR ResNet depth must be 6n+2, got {depth}")
-        n = (depth - 2) // 6
+        n, remainder = divmod(depth - 2, 6)
+        if remainder or n < 1:
+            raise ValueError(f"CIFAR ResNet depth must be 6n+2 with n >= 1, got {depth}")
         self.depth = depth
         self.num_classes = num_classes
         widths = (base_width, base_width * 2, base_width * 4)
@@ -90,25 +90,5 @@ class ResNet(Module):
 
 def resnet(depth: int, num_classes: int, rng: np.random.Generator,
            in_channels: int = 3, base_width: int = 16) -> ResNet:
-    """Build a CIFAR ResNet of the requested depth (must be 6n+2)."""
+    """Build a CIFAR ResNet of the requested depth (6n+2, n >= 1)."""
     return ResNet(depth, num_classes, rng, in_channels=in_channels, base_width=base_width)
-
-
-def resnet8(num_classes: int, rng: np.random.Generator, **kwargs) -> ResNet:
-    """Depth-8 member of the family (benchmark-scale stand-in)."""
-    return resnet(8, num_classes, rng, **kwargs)
-
-
-def resnet20(num_classes: int, rng: np.random.Generator, **kwargs) -> ResNet:
-    """Depth-20 member of the family."""
-    return resnet(20, num_classes, rng, **kwargs)
-
-
-def resnet32(num_classes: int, rng: np.random.Generator, **kwargs) -> ResNet:
-    """ResNet32 — the paper's CIFAR-10 model."""
-    return resnet(32, num_classes, rng, **kwargs)
-
-
-def resnet56(num_classes: int, rng: np.random.Generator, **kwargs) -> ResNet:
-    """ResNet56 — the paper's CIFAR-100 model."""
-    return resnet(56, num_classes, rng, **kwargs)

@@ -9,7 +9,7 @@ Mirrors the subset of ``torch.nn.Module`` semantics the reproduction needs:
   checkpointing, shard arithmetic and federated aggregation — state dicts
   are plain ``{name: numpy array}`` mappings, the lingua franca of the
   whole code base;
-* train/eval mode toggling (consumed by dropout and batch norm);
+* train/eval mode toggling (consumed by batch norm);
 * the stack axis (:attr:`Module.stack`, :attr:`Module.row_counts`): K
   structurally identical models run as one module whose parameters hold
   ``(K, ...)`` data — :func:`repro.nn.vmap.stack_modules` builds it, the

@@ -32,8 +32,6 @@ from typing import Dict
 
 import numpy as np
 
-from .module import Module
-
 _MAGIC = b"RPROCKPT"
 _VERSION = 1
 _PREAMBLE = struct.Struct("<8sHI")
@@ -146,14 +144,3 @@ def load_state_dict(path: str) -> Dict[str, np.ndarray]:
     """Read a state dict previously written by :func:`save_state_dict`."""
     with open(path, "rb") as handle:
         return _decode_state(handle.read())
-
-
-def save_model(model: Module, path: str) -> None:
-    """Persist a model's parameters and buffers."""
-    save_state_dict(model.state_dict(), path)
-
-
-def load_model(model: Module, path: str) -> Module:
-    """Restore a model in place from a checkpoint and return it."""
-    model.load_state_dict(load_state_dict(path))
-    return model

@@ -24,9 +24,9 @@ result, a zero-filled scatter buffer): it calls
 ``_accumulate(array, owned=True)`` and the first accumulation adopts the
 array.  A *pass-through* closure hands on the output node's own buffer or
 a view of it (``__add__`` when nothing was broadcast, ``reshape``,
-``transpose``, ``pad2d``, ``concatenate``, ``stack``, a seed the caller of
-``backward`` supplied): it calls ``_accumulate(array)`` and gets the
-defensive copy, because two tensors must never share a buffer.  Adoption
+``transpose``, a seed the caller of ``backward`` supplied): it calls
+``_accumulate(array)`` and gets the defensive copy, because two tensors
+must never share a buffer.  Adoption
 further requires the array to be writeable, of the tensor's dtype **and
 C-contiguous**: reductions such as ``clip_grad_norm``'s sum of squares run
 in memory order, so a strided gradient (a lone linear layer's
@@ -393,9 +393,6 @@ class Tensor:
 
         return Tensor._make(out_data, (self,), backward_fn)
 
-    def sqrt(self) -> "Tensor":
-        return self ** 0.5
-
     def relu(self) -> "Tensor":
         mask = self.data > 0
         out_data = self.data * mask
@@ -403,34 +400,6 @@ class Tensor:
         def backward_fn(grad: np.ndarray) -> None:
             if self.requires_grad:
                 self._accumulate(grad * mask, owned=True)
-
-        return Tensor._make(out_data, (self,), backward_fn)
-
-    def sigmoid(self) -> "Tensor":
-        out_data = 1.0 / (1.0 + np.exp(-self.data))
-
-        def backward_fn(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * out_data * (1.0 - out_data), owned=True)
-
-        return Tensor._make(out_data, (self,), backward_fn)
-
-    def tanh(self) -> "Tensor":
-        out_data = np.tanh(self.data)
-
-        def backward_fn(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * (1.0 - out_data ** 2), owned=True)
-
-        return Tensor._make(out_data, (self,), backward_fn)
-
-    def abs(self) -> "Tensor":
-        sign = np.sign(self.data)
-        out_data = np.abs(self.data)
-
-        def backward_fn(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * sign, owned=True)
 
         return Tensor._make(out_data, (self,), backward_fn)
 
@@ -472,27 +441,6 @@ class Tensor:
         mu = self.mean(axis=axis, keepdims=True)
         centered = self - mu
         return (centered * centered).mean(axis=axis, keepdims=keepdims)
-
-    def max(self, axis=None, keepdims: bool = False) -> "Tensor":
-        out_data = self.data.max(axis=axis, keepdims=keepdims)
-
-        def backward_fn(grad: np.ndarray) -> None:
-            if not self.requires_grad:
-                return
-            expanded = out_data
-            g = grad
-            if axis is not None and not keepdims:
-                expanded = np.expand_dims(out_data, axis=axis)
-                g = np.expand_dims(grad, axis=axis)
-            mask = self.data == expanded
-            # Split the gradient among ties so the total is conserved.
-            counts = mask.sum(axis=axis if axis is not None else None, keepdims=True)
-            self._accumulate(mask * g / counts, owned=True)
-
-        return Tensor._make(out_data, (self,), backward_fn)
-
-    def min(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return -((-self).max(axis=axis, keepdims=keepdims))
 
     # ------------------------------------------------------------------
     # Shape manipulation
@@ -540,67 +488,3 @@ class Tensor:
                 self._accumulate(full, owned=True)
 
         return Tensor._make(np.array(out_data, copy=True), (self,), backward_fn)
-
-    def pad2d(self, padding: int) -> "Tensor":
-        """Zero-pad the last two (spatial) dimensions symmetrically."""
-        if padding == 0:
-            return self
-        pad_width = [(0, 0)] * (self.ndim - 2) + [(padding, padding), (padding, padding)]
-        out_data = np.pad(self.data, pad_width)
-        slices = tuple(
-            slice(None) if i < self.ndim - 2 else slice(padding, -padding)
-            for i in range(self.ndim)
-        )
-
-        def backward_fn(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad[slices])
-
-        return Tensor._make(out_data, (self,), backward_fn)
-
-
-def concatenate(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Concatenate tensors along ``axis`` with gradient support."""
-    tensors = [ensure_tensor(t) for t in tensors]
-    out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward_fn(grad: np.ndarray) -> None:
-        for tensor, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
-            if tensor.requires_grad:
-                slicer = [slice(None)] * grad.ndim
-                slicer[axis] = slice(start, stop)
-                tensor._accumulate(grad[tuple(slicer)])
-
-    return Tensor._make(out_data, tensors, backward_fn)
-
-
-def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Stack tensors along a new ``axis`` with gradient support."""
-    tensors = [ensure_tensor(t) for t in tensors]
-    out_data = np.stack([t.data for t in tensors], axis=axis)
-
-    def backward_fn(grad: np.ndarray) -> None:
-        parts = np.split(grad, len(tensors), axis=axis)
-        for tensor, part in zip(tensors, parts):
-            if tensor.requires_grad:
-                tensor._accumulate(np.squeeze(part, axis=axis))
-
-    return Tensor._make(out_data, tensors, backward_fn)
-
-
-def where(condition: ArrayLike, a: ArrayLike, b: ArrayLike) -> Tensor:
-    """Elementwise select ``a`` where ``condition`` else ``b``."""
-    cond = _as_array(condition).astype(bool)
-    a = ensure_tensor(a)
-    b = ensure_tensor(b)
-    out_data = np.where(cond, a.data, b.data)
-
-    def backward_fn(grad: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(grad * cond, a.shape), owned=True)
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(grad * ~cond, b.shape), owned=True)
-
-    return Tensor._make(out_data, (a, b), backward_fn)

@@ -13,14 +13,14 @@ stacked elementwise ops, per-slice GEMMs (``np.matmul`` over the leading
 axis), and reductions along the same in-slice axes — so slice ``k`` of
 the stacked forward/backward reproduces client ``k``'s standalone run;
 the parity tests in ``tests/nn/test_vmap.py`` pin this bit for bit on
-generated chains of every stackable layer.
+generated chains of the stackable layers.
 
 A module is stackable when its class says so (``stackable = True``,
 declared on the class itself) and the K members agree: same classes and
-attribute names at every node, equal plain-valued attributes, one
-dtype, no buffers.  Anything else — ``BatchNorm2d`` (its batch
-statistics and running buffers are inherently per-replica state the
-stack would have to fork), custom forwards — raises
+attribute names at every node, equal plain-valued attributes and no
+other per-member state, one dtype, no buffers.  Anything else —
+``BatchNorm2d`` (its batch statistics and running buffers are inherently
+per-replica state the stack would have to fork), custom forwards — raises
 :class:`VmapUnsupported`, which the federation layer turns into a
 per-client fallback with a recorded reason.  Only a ragged step's
 true-row GEMMs (:func:`~repro.nn.functional._ragged_linear`) are not the
@@ -38,7 +38,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .layers import Conv2d, Dropout, GroupNorm
+from .layers import Conv2d
 
 # bench/probes.py (frozen) imports this name; the stacked losses it once
 # looked up are the hard losses themselves now.
@@ -96,13 +96,11 @@ class StackedModel(Module):
         """Declare the current step's per-slice true batch sizes.
 
         Ragged steps (zero-padded final batches) set the counts before
-        the forward so RNG-consuming layers (dropout) draw per-slice
-        masks with each client's true batch shape, and so layers with
-        additive terms (bias / affine shift) re-zero the padded rows
-        they would otherwise turn nonzero — nonzero padding rows
-        perturb the low bits of the *true* rows in the next matmul's
-        blocked reduction, breaking bitwise parity. Rectangular steps
-        reset with ``None``.
+        the forward so ``Linear`` issues true-row GEMMs and ``Conv2d``
+        re-zeroes the padded rows its bias would otherwise turn nonzero —
+        nonzero padding rows perturb the low bits of the *true* rows in
+        the next matmul's blocked reduction, breaking bitwise parity.
+        Rectangular steps reset with ``None``.
         """
         for module in self.modules():
             module.row_counts = row_counts
@@ -176,9 +174,10 @@ def _stack(members: List[Module], owners: _Owners) -> Module:
         elif isinstance(value, Module):
             value = _stack(values, owners)
         elif not isinstance(value, _PLAIN):
-            # Per-member state (a dropout generator): the stack holds the
-            # K of them in member order.
-            value = values
+            raise VmapUnsupported(
+                f"cohort {cls.__name__} {name} is per-member state "
+                f"({type(value).__name__}) a stack cannot share"
+            )
         elif any(v != value for v in values[1:]):
             raise VmapUnsupported(f"cohort {cls.__name__} layers differ in {name}")
         setattr(stacked, name, value)
@@ -216,40 +215,19 @@ def stackable_reason(model: Module) -> Optional[str]:
     return None
 
 
-def restack_reason(model: Module) -> Optional[str]:
-    """Why ``model`` cannot be rebuilt from its state dict between
-    training runs and carry on as if it had lived through them
-    (``None`` = it can).
-
-    A SISA chain run in stage lockstep rebuilds its model at every stage;
-    a lone chain keeps one model — and one dropout stream — across its
-    stages, which the rebuild would reset.
-    """
-    for module in model.modules():
-        if isinstance(module, Dropout):
-            return (
-                "dropout keeps one RNG stream across chain stages; "
-                "stage-lockstep reconstruction would reset it"
-            )
-    return None
-
-
 def ragged_support_reason(model: Module) -> Optional[str]:
     """Why ``model`` cannot take ragged (zero-padded) steps (``None`` = it can).
 
     Ragged parity requires every layer to be row-exact under zero
     padding.  ``Linear`` runs one true-row GEMM per slice
-    (:func:`~repro.nn.functional._ragged_linear`); elementwise, pooling
-    and ``LayerNorm`` layers are row-local (a reduction that spans batch
-    rows adds them one at a time, so trailing zero rows change no bit).
-    ``Conv2d`` is not: its *weight-gradient* contraction sums over batch
-    rows × spatial positions, so padded rows lengthen the reduction and
-    the true slices' weight gradients drift by ULPs.  Nor is
-    ``GroupNorm``: its affine gradients sum over the same rows ×
-    positions extent, pairwise.
+    (:func:`~repro.nn.functional._ragged_linear`); elementwise and
+    pooling layers are row-local.  ``Conv2d`` is not: its
+    *weight-gradient* contraction sums over batch rows × spatial
+    positions, so padded rows lengthen the reduction and the true
+    slices' weight gradients drift by ULPs.
     """
     for module in model.modules():
-        if isinstance(module, (Conv2d, GroupNorm)):
+        if isinstance(module, Conv2d):
             return (
                 f"{type(module).__name__} parameter gradients contract over the batch "
                 "axis, so zero-padded rows change the reduction extent"

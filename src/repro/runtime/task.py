@@ -360,17 +360,11 @@ class ChainTask:
         """Why ``tasks`` cannot run in stage lockstep (``None`` = they
         can).  What each stage trains on is only known stage by stage, so
         the data checks are :meth:`run_stack`'s, per stage.
-
-        Beyond stackability, dropout blocks chains specifically: a lone
-        chain keeps one model — and one dropout stream — across its
-        stages, which the lockstep path's per-stage model reconstruction
-        would reset (:func:`repro.federated.vectorized.arch_probe`'s
-        third verdict).
         """
         from ..federated.vectorized import arch_probe
 
         if arch_reason is None:
-            arch_reason = arch_probe(tasks[0].model_factory).chain
+            arch_reason = arch_probe(tasks[0].model_factory).stackable
         if arch_reason is not None:
             return f"architecture not stackable: {arch_reason}"
         if len(tasks) < 2:
@@ -395,12 +389,11 @@ class ChainTask:
         without training, exactly as a lone chain does.  Lockstep is
         exact because a chain stage is a fresh-optimizer
         :func:`~repro.training.trainer.train` call whose model state
-        round-trips losslessly through state dicts (the gate keeps out
-        dropout, the one piece of cross-stage state that does not).
+        round-trips losslessly through state dicts.
         """
         del basis  # every chain resumes from its own checkpoint
         if len(tasks) == 1:
-            # One model (and its dropout streams) across all the stages.
+            # One model across all the stages.
             (task,) = tasks
             model = task.model_factory()
             if task.init_state is not None:

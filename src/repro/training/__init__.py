@@ -3,10 +3,8 @@
 from .config import EpochStats, TrainConfig, TrainHistory
 from .evaluation import (
     accuracy,
-    confusion_matrix,
     evaluate,
     mean_loss,
-    per_class_accuracy,
     predict_logits,
     predict_proba,
     prediction_mse,
@@ -25,6 +23,4 @@ __all__ = [
     "predict_logits",
     "predict_proba",
     "prediction_mse",
-    "confusion_matrix",
-    "per_class_accuracy",
 ]

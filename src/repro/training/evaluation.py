@@ -69,31 +69,3 @@ def prediction_mse(model: Module, dataset: ArrayDataset, batch_size: int = 256) 
     probs = predict_proba(model, dataset.images, batch_size)
     targets = F.one_hot(dataset.labels, dataset.num_classes)
     return float(((probs - targets) ** 2).mean())
-
-
-def confusion_matrix(
-    model: Module, dataset: ArrayDataset, batch_size: int = 256
-) -> np.ndarray:
-    """``(num_classes, num_classes)`` counts: rows = true, cols = predicted.
-
-    The raw material for per-class analysis under label-skewed
-    partitioning — a global accuracy number hides exactly the class-level
-    collapse that heterogeneous federations suffer from.
-    """
-    logits = predict_logits(model, dataset.images, batch_size)
-    predictions = logits.argmax(axis=1)
-    matrix = np.zeros((dataset.num_classes, dataset.num_classes), dtype=np.int64)
-    np.add.at(matrix, (dataset.labels, predictions), 1)
-    return matrix
-
-
-def per_class_accuracy(
-    model: Module, dataset: ArrayDataset, batch_size: int = 256
-) -> np.ndarray:
-    """Recall per true class, shape ``(num_classes,)``; NaN for absent classes."""
-    matrix = confusion_matrix(model, dataset, batch_size)
-    support = matrix.sum(axis=1)
-    with np.errstate(invalid="ignore"):
-        return np.where(
-            support > 0, np.diag(matrix) / np.maximum(support, 1), np.nan
-        )

@@ -45,6 +45,8 @@ from typing import Collection, List, Optional, Sequence
 
 import numpy as np
 
+from ..data.dataset import sample_indices
+
 
 class RequestState:
     """The deletion request lifecycle (terminal: certified / failed)."""
@@ -55,31 +57,6 @@ class RequestState:
     RETRAINING = "retraining"
     CERTIFIED = "certified"
     FAILED = "failed"
-
-
-def sample_indices(indices) -> np.ndarray:
-    """``indices`` as sorted, unique ``int64`` sample indices.
-
-    Only whole numbers pass: integer arrays, and floats that are finite
-    and integral (``3.0``).  A fractional or non-finite float, a string,
-    a boolean or any other object raises :class:`ValueError` rather than
-    being truncated into an index the caller never named.  Range checks
-    against a dataset are the caller's.
-    """
-    values = np.asarray(indices)
-    if values.size == 0:
-        return np.zeros(0, dtype=np.int64)
-    if values.dtype.kind == "f":
-        if not np.all(np.isfinite(values)) or np.any(values != np.trunc(values)):
-            raise ValueError(f"indices must be whole numbers, got {indices!r}")
-        if np.abs(values).max() >= 2.0**63:
-            raise ValueError(f"indices exceed the int64 range: {indices!r}")
-    elif values.dtype.kind == "u":
-        if values.max() > np.iinfo(np.int64).max:
-            raise ValueError(f"indices exceed the int64 range: {indices!r}")
-    elif values.dtype.kind != "i":
-        raise ValueError(f"indices must be integers, got {indices!r}")
-    return np.unique(values.astype(np.int64))
 
 
 def check_round(round_index) -> int:

@@ -51,6 +51,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
+from ..data.dataset import sample_indices
 from ..federated.simulation import FederatedSimulation
 from ..runtime import BackendLike
 from ..training.config import TrainConfig
@@ -74,9 +75,10 @@ from .protocols import (
 class ClientDeletionRequest:
     """One client's pending deletion.
 
-    ``indices`` are local sample indices to forget (sample-level methods);
-    ``None`` means "erase this client entirely" (client-level methods —
-    FedEraser / FedRecovery).
+    ``indices`` are local sample indices to forget (sample-level methods),
+    whole numbers only (:func:`~repro.data.dataset.sample_indices`; :meth:`of`
+    sorts and dedupes them); ``None`` means "erase this client entirely"
+    (client-level methods — FedEraser / FedRecovery).
     """
 
     client_id: int
@@ -85,7 +87,7 @@ class ClientDeletionRequest:
     @classmethod
     def of(cls, client_id: int, indices=None) -> "ClientDeletionRequest":
         if indices is not None:
-            indices = tuple(int(i) for i in np.asarray(indices).ravel())
+            indices = tuple(sample_indices(indices).tolist())
         return cls(client_id=int(client_id), indices=indices)
 
 
@@ -178,9 +180,7 @@ class Unlearner(abc.ABC):
             if request.client_id not in by_id:
                 raise ValueError(f"unknown client {request.client_id}")
             if request.indices is not None:
-                by_id[request.client_id].request_deletion(
-                    np.asarray(request.indices, dtype=np.int64)
-                )
+                by_id[request.client_id].request_deletion(request.indices)
 
     @abc.abstractmethod
     def _run(

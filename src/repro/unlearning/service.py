@@ -60,7 +60,7 @@ from typing import Any, Callable, Collection, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..data.dataset import ArrayDataset
+from ..data.dataset import ArrayDataset, sample_indices
 from ..nn.module import Module
 from ..nn.serialization import save_state_dict
 from ..runtime import BackendLike, get_backend
@@ -71,7 +71,6 @@ from .deletion_manager import (
     ExecutedBatch,
     RequestState,
     check_round,
-    sample_indices,
 )
 from .journal import Journal, replay
 from .sisa import SisaEnsemble

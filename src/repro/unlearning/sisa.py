@@ -297,9 +297,9 @@ class SisaEnsemble:
         The per-shard path is the default; with ``vectorize=True`` the
         batch goes through the simulation's own
         :func:`~repro.federated.vectorized.plan_cohort`: eligible chains
-        (≥ 2, uniform config, stackable dropout-free architecture) fuse
-        into one stack chunked across the backend's workers, each worker
-        running its chains' stages in lockstep
+        (≥ 2, uniform config, stackable architecture) fuse into one
+        stack chunked across the backend's workers, each worker running
+        its chains' stages in lockstep
         (:meth:`ChainTask.run_stack`).  A *stage* whose members fail the
         data gate still trains them one by one; its reason comes back on
         the results and is tallied here, once per batch like the plan's.

@@ -33,6 +33,22 @@ class TestValidation:
         with pytest.raises(ValueError):
             ArrayDataset(np.zeros((2, 1, 4, 4)), np.zeros(2, dtype=int), 0)
 
+    @pytest.mark.parametrize(
+        "labels",
+        [[0.0, 1.7, 2.9, 0.2], [0.0, 1.0, np.nan, 0.0], [True, False, True, False],
+         ["0", "1", "2", "0"]],
+        ids=["fractional", "nan", "boolean", "string"],
+    )
+    def test_labels_are_whole_numbers_never_truncated(self, labels):
+        # [0.0, 1.7, 2.9, 0.2] used to become the labels [0, 1, 2, 0].
+        with pytest.raises(ValueError, match="labels"):
+            ArrayDataset(np.zeros((4, 1, 4, 4)), labels, 3)
+
+    def test_integral_float_labels_are_integers(self):
+        dataset = ArrayDataset(np.zeros((3, 1, 4, 4)), [2.0, 0.0, 1.0], 3)
+        assert dataset.labels.dtype == np.int64
+        assert dataset.labels.tolist() == [2, 0, 1]
+
 
 class TestProperties:
     def test_basic_properties(self):

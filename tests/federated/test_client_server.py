@@ -89,6 +89,19 @@ class TestDeletionRequests:
         with pytest.raises(ValueError):
             client.request_deletion(np.arange(10))  # entire dataset
 
+    @pytest.mark.parametrize(
+        "indices",
+        [[2.5, 4.2], [True, False, True], [1.0, np.nan], [np.inf], ["3"]],
+        ids=["fractional", "boolean-mask", "nan", "inf", "string"],
+    )
+    def test_indices_are_whole_numbers_never_truncated(self, indices):
+        # Truncation used to file samples the caller never named: [2.5, 4.2]
+        # as [2, 4], the mask [True, False, True] as samples [0, 1].
+        client = make_client(num_samples=10)
+        with pytest.raises(ValueError):
+            client.request_deletion(indices)
+        assert not client.has_pending_deletion
+
 
 class TestServer:
     def test_initial_state_remembered(self):

@@ -23,7 +23,7 @@ from hypothesis import given, strategies as st
 from repro.data import FederatedDataset
 from repro.federated import FedAvgAggregator, FederatedSimulation
 from repro.federated.vectorized import arch_probe, fuse
-from repro.nn.layers import Conv2d, Dropout, Flatten, Linear, Sequential
+from repro.nn.layers import BatchNorm2d, Conv2d, Flatten, Linear, Sequential
 from repro.nn.models import MLP
 from repro.runtime.codec import state_version
 from repro.runtime.task import ChainStage, ChainTask, TrainTask, capture_rng
@@ -287,19 +287,18 @@ def test_chain_stage_failing_the_data_gate_names_its_reason():
         assert "step counts [2, 3]" in result.fallback_reasons[0]
 
 
-def dropout_factory():
+def batchnorm_factory():
     rng = np.random.default_rng(42)
     return Sequential(
-        Flatten(), Linear(16, 8, rng), Dropout(0.25, np.random.default_rng(7)),
-        Linear(8, 3, rng),
+        Conv2d(1, 2, 3, rng, padding=1), BatchNorm2d(2), Flatten(), Linear(32, 3, rng),
     )
 
 
-def test_dropout_chains_fall_back_with_the_recorded_reason():
-    """Dropout stacks (a federated round may fuse it) but chains keep one
-    dropout stream across stages, so they do not — and say so."""
-    probe = arch_probe(dropout_factory)
-    assert probe.stackable is None and "dropout" in probe.chain
+def test_unstackable_chains_fall_back_with_the_recorded_reason():
+    """Chains of an architecture that does not stack run one by one, say
+    why, and end where the per-shard path ends."""
+    probe = arch_probe(batchnorm_factory)
+    assert "buffer" in probe.stackable
     params = {
         "chains": [
             {"slice_sizes": [8, 8], "from_slice": 0, "deleted": "none",
@@ -308,14 +307,14 @@ def test_dropout_chains_fall_back_with_the_recorded_reason():
         "batch_size": 8,
     }
     reason = ChainTask.stack_fallback_reason(
-        build_chains(params, dropout_factory), probe.stackable
+        build_chains(params, batchnorm_factory), None
     )
-    assert reason == f"architecture not stackable: {probe.chain}"
+    assert reason == f"architecture not stackable: {probe.stackable}"
 
     data = make_blobs(num_samples=120, num_classes=3, shape=(1, 4, 4), seed=1)
     config = SisaConfig(num_shards=3, num_slices=2, batch_size=10)
     ensembles = [
-        SisaEnsemble(dropout_factory, data, config, seed=0, vectorize=flag).fit()
+        SisaEnsemble(batchnorm_factory, data, config, seed=0, vectorize=flag).fit()
         for flag in (False, True)
     ]
     report = ensembles[1].vectorize_report()
@@ -361,7 +360,7 @@ class TestUnhashableFactory:
     def test_is_unhashable(self):
         with pytest.raises(TypeError):
             hash(UnhashableFactory())
-        assert arch_probe(UnhashableFactory()) == (None, None, None)
+        assert arch_probe(UnhashableFactory()) == (None, None)
 
     def test_vectorized_round_runs_bit_identical(self):
         reference = blob_sim(UnhashableFactory(), vectorize=False)

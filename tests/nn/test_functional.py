@@ -279,15 +279,6 @@ class TestPooling:
         )
         assert x.grad.tobytes() == expected_grad.tobytes()
 
-    def test_avg_pool_values(self):
-        x = np.arange(16, dtype=float).reshape(1, 1, 4, 4)
-        out = F.avg_pool2d(Tensor(x), 2)
-        np.testing.assert_allclose(out.data, [[[[2.5, 4.5], [10.5, 12.5]]]])
-
-    def test_avg_pool_indivisible_raises(self, rng):
-        with pytest.raises(ValueError):
-            F.avg_pool2d(Tensor(rng.normal(size=(1, 1, 6, 5))), 2)
-
     def test_global_avg_pool(self, rng):
         x = rng.normal(size=(2, 3, 4, 4))
         out = F.global_avg_pool2d(Tensor(x))
@@ -337,7 +328,7 @@ class TestSoftmax:
         np.testing.assert_allclose(x.grad, expected, atol=1e-5)
 
 
-class TestOneHotDropoutLinear:
+class TestOneHotLinear:
     def test_one_hot(self):
         out = F.one_hot(np.array([0, 2, 1]), 3)
         np.testing.assert_allclose(out, np.eye(3)[[0, 2, 1]])
@@ -350,37 +341,12 @@ class TestOneHotDropoutLinear:
         with pytest.raises(ValueError):
             F.one_hot(np.zeros((2, 2), dtype=int), 3)
 
-    def test_dropout_eval_is_identity(self, rng):
-        x = Tensor(rng.normal(size=(5, 5)))
-        out = F.dropout(x, 0.5, rng, training=False)
-        assert out is x
-
-    def test_dropout_zero_p_is_identity(self, rng):
-        x = Tensor(rng.normal(size=(5, 5)))
-        assert F.dropout(x, 0.0, rng, training=True) is x
-
-    def test_dropout_scales_survivors(self):
-        rng = np.random.default_rng(0)
-        x = Tensor(np.ones((100, 100)))
-        out = F.dropout(x, 0.5, rng, training=True).data
-        kept = out[out > 0]
-        np.testing.assert_allclose(kept, 2.0)
-        assert abs((out > 0).mean() - 0.5) < 0.05
-
-    def test_dropout_invalid_p(self, rng):
-        with pytest.raises(ValueError):
-            F.dropout(Tensor(np.ones(2)), 1.0, rng)
-
     def test_linear(self, rng):
         x = rng.normal(size=(3, 4))
         w = rng.normal(size=(2, 4))
         b = rng.normal(size=(2,))
         out = F.linear(Tensor(x), Tensor(w), Tensor(b))
         np.testing.assert_allclose(out.data, x @ w.T + b)
-
-    def test_flatten_images(self, rng):
-        x = rng.normal(size=(5, 3, 4, 4))
-        assert F.flatten_images(x).shape == (5, 48)
 
 
 class TestFusedLogSoftmax:

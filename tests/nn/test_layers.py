@@ -4,12 +4,9 @@ import numpy as np
 import pytest
 
 from repro.nn import (
-    AvgPool2d,
     BatchNorm2d,
     Conv2d,
-    Dropout,
     Flatten,
-    Identity,
     Linear,
     MaxPool2d,
     ReLU,
@@ -58,41 +55,15 @@ class TestPoolingLayers:
         layer = MaxPool2d(2)
         assert layer(Tensor(rng.normal(size=(1, 2, 8, 8)))).shape == (1, 2, 4, 4)
 
-    def test_avg_pool(self, rng):
-        layer = AvgPool2d(2)
-        out = layer(Tensor(np.ones((1, 1, 4, 4))))
-        np.testing.assert_allclose(out.data, np.ones((1, 1, 2, 2)))
-
 
 class TestActivationShape:
     def test_relu(self):
         out = ReLU()(Tensor(np.array([-1.0, 2.0])))
         np.testing.assert_allclose(out.data, [0.0, 2.0])
 
-    def test_identity(self):
-        x = Tensor(np.ones(3))
-        assert Identity()(x) is x
-
     def test_flatten(self, rng):
         out = Flatten()(Tensor(rng.normal(size=(2, 3, 4, 5))))
         assert out.shape == (2, 60)
-
-
-class TestDropout:
-    def test_train_mode_zeroes_some(self):
-        layer = Dropout(0.5, np.random.default_rng(0))
-        out = layer(Tensor(np.ones((50, 50)))).data
-        assert (out == 0).any()
-
-    def test_eval_mode_identity(self):
-        layer = Dropout(0.5, np.random.default_rng(0))
-        layer.eval()
-        x = Tensor(np.ones((5, 5)))
-        assert layer(x) is x
-
-    def test_invalid_p(self):
-        with pytest.raises(ValueError):
-            Dropout(1.5, np.random.default_rng(0))
 
 
 class TestBatchNorm:

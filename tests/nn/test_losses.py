@@ -163,18 +163,6 @@ class TestDistillation:
         np.testing.assert_allclose(s.grad, expected, atol=1e-5)
 
 
-class TestMSE:
-    def test_value(self, rng):
-        a = rng.normal(size=(3, 4))
-        b = rng.normal(size=(3, 4))
-        loss = L.mse_loss(Tensor(a), Tensor(b))
-        np.testing.assert_allclose(loss.item(), ((a - b) ** 2).mean())
-
-    def test_zero_for_identical(self, rng):
-        a = rng.normal(size=(3, 4))
-        assert L.mse_loss(Tensor(a), Tensor(a.copy())).item() == 0.0
-
-
 class TestLabelSmoothing:
     def test_zero_smoothing_equals_cross_entropy(self, rng):
         logits = Tensor(rng.normal(size=(6, 4)))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import Tensor, losses
+from repro.nn import SGD, Tensor, losses, no_grad
 from repro.nn.models import (
     MODEL_BUILDERS,
     LeNet5,
@@ -11,7 +11,6 @@ from repro.nn.models import (
     MLP,
     build_model,
     resnet,
-    resnet8,
 )
 
 
@@ -51,8 +50,10 @@ class TestModifiedLeNet5:
 
 class TestResNet:
     def test_depth_validation(self, rng):
-        with pytest.raises(ValueError):
-            resnet(10, 10, rng)  # 10 is not 6n+2
+        # 10 is not 6n+2; 2 and -4 are, but with n = 0 and n = -1 blocks.
+        for depth in (10, 2, -4):
+            with pytest.raises(ValueError, match="6n\\+2"):
+                resnet(depth, 10, rng)
 
     @pytest.mark.parametrize("depth,blocks", [(8, 1), (20, 3), (32, 5)])
     def test_block_counts(self, rng, depth, blocks):
@@ -62,23 +63,23 @@ class TestResNet:
         assert len(model.stage3) == blocks
 
     def test_output_shape(self, rng):
-        model = resnet8(10, rng, base_width=4)
+        model = resnet(8, 10, rng, base_width=4)
         out = model(Tensor(rng.normal(size=(2, 3, 32, 32))))
         assert out.shape == (2, 10)
 
     def test_any_input_size(self, rng):
-        model = resnet8(5, rng, base_width=4, in_channels=1)
+        model = resnet(8, 5, rng, base_width=4, in_channels=1)
         out = model(Tensor(rng.normal(size=(2, 1, 28, 28))))
         assert out.shape == (2, 5)
 
     def test_projection_shortcut_present_on_downsample(self, rng):
-        model = resnet8(10, rng, base_width=4)
+        model = resnet(8, 10, rng, base_width=4)
         assert not model.stage1[0].has_projection
         assert model.stage2[0].has_projection
         assert model.stage3[0].has_projection
 
     def test_gradients_reach_stem(self, rng):
-        model = resnet8(10, rng, base_width=4)
+        model = resnet(8, 10, rng, base_width=4)
         out = model(Tensor(rng.normal(size=(2, 3, 16, 16))))
         losses.cross_entropy(out, np.array([0, 1])).backward()
         assert model.stem_conv.weight.grad is not None
@@ -120,3 +121,34 @@ class TestRegistry:
         b = build_model("lenet5", 10, np.random.default_rng(5))
         for (_, pa), (_, pb) in zip(a.named_parameters(), b.named_parameters()):
             np.testing.assert_allclose(pa.data, pb.data)
+
+
+#: (in_channels, image_size) of the paper dataset each registry entry serves:
+#: MNIST / Fashion-MNIST for LeNet-5 and the MLP, CIFAR for the rest.
+PAPER_INPUT = {
+    "lenet5": (1, 28),
+    "mlp": (1, 28),
+    "modified_lenet5": (3, 32),
+    "resnet8": (3, 32),
+    "resnet8_slim": (3, 32),
+    "resnet20": (3, 32),
+    "resnet32": (3, 32),
+    "resnet56": (3, 32),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MODEL_BUILDERS))
+def test_every_registered_model_takes_an_sgd_step_at_paper_input_size(name):
+    channels, size = PAPER_INPUT[name]
+    rng = np.random.default_rng(0)
+    model = build_model(name, 10, rng, in_channels=channels, image_size=size)
+    x = Tensor(rng.normal(size=(2, channels, size, size)))
+    loss = losses.cross_entropy(model(x), np.array([0, 1]))
+    loss.backward()
+    assert all(param.grad is not None for param in model.parameters())
+    SGD(model.parameters(), lr=0.01).step()
+    assert np.isfinite(loss.item())
+    model.eval()
+    with no_grad():
+        out = model(x).data
+    assert out.shape == (2, 10) and np.isfinite(out).all()

@@ -1,11 +1,9 @@
-"""Forward-value semantics of tensor ops, concat/stack/where helpers."""
+"""Forward-value semantics of tensor ops and ``ensure_tensor``."""
 
 import numpy as np
 import pytest
 
-from repro.nn import Tensor, concatenate, ensure_tensor, stack, where
-
-from ..conftest import numeric_grad
+from repro.nn import Tensor, ensure_tensor
 
 
 class TestArithmeticValues:
@@ -34,9 +32,6 @@ class TestArithmeticValues:
         b = Tensor([[5.0, 6.0], [7.0, 8.0]])
         np.testing.assert_allclose((a @ b).data, np.array([[19, 22], [43, 50]], dtype=float))
 
-    def test_min_value(self):
-        assert Tensor([[3.0, -1.0], [2.0, 5.0]]).min().item() == -1.0
-
     def test_var_matches_numpy(self):
         data = np.random.default_rng(0).normal(size=(4, 5))
         np.testing.assert_allclose(Tensor(data).var(axis=1).data, data.var(axis=1))
@@ -58,65 +53,3 @@ class TestEnsureTensor:
 
     def test_from_scalar(self):
         assert ensure_tensor(2.5).item() == 2.5
-
-
-class TestConcatenate:
-    def test_values(self):
-        out = concatenate([Tensor([[1.0]]), Tensor([[2.0]])], axis=0)
-        np.testing.assert_allclose(out.data, [[1.0], [2.0]])
-
-    def test_axis1(self):
-        out = concatenate([Tensor([[1.0], [2.0]]), Tensor([[3.0], [4.0]])], axis=1)
-        np.testing.assert_allclose(out.data, [[1.0, 3.0], [2.0, 4.0]])
-
-    def test_gradient_routes_to_each_part(self):
-        a = Tensor(np.ones((2, 2)), requires_grad=True)
-        b = Tensor(np.ones((3, 2)), requires_grad=True)
-        out = concatenate([a, b], axis=0)
-        (out * Tensor(np.arange(10, dtype=float).reshape(5, 2))).sum().backward()
-        np.testing.assert_allclose(a.grad, [[0, 1], [2, 3]])
-        np.testing.assert_allclose(b.grad, [[4, 5], [6, 7], [8, 9]])
-
-    def test_gradcheck(self):
-        fixed = np.array([[1.0, -1.0]])
-
-        def build(x):
-            return (concatenate([Tensor(fixed), x], axis=0) ** 2).sum()
-
-        x_val = np.array([[2.0, 3.0], [0.5, -0.5]])
-        x = Tensor(x_val, requires_grad=True)
-        build(x).backward()
-        expected = numeric_grad(lambda v: (np.concatenate([fixed, v]) ** 2).sum(), x_val.copy())
-        np.testing.assert_allclose(x.grad, expected, atol=1e-5)
-
-
-class TestStack:
-    def test_values(self):
-        out = stack([Tensor([1.0, 2.0]), Tensor([3.0, 4.0])], axis=0)
-        np.testing.assert_allclose(out.data, [[1.0, 2.0], [3.0, 4.0]])
-
-    def test_gradient(self):
-        a = Tensor([1.0, 2.0], requires_grad=True)
-        b = Tensor([3.0, 4.0], requires_grad=True)
-        out = stack([a, b], axis=0)
-        (out * out).sum().backward()
-        np.testing.assert_allclose(a.grad, [2.0, 4.0])
-        np.testing.assert_allclose(b.grad, [6.0, 8.0])
-
-
-class TestWhere:
-    def test_values(self):
-        out = where(np.array([True, False]), Tensor([1.0, 1.0]), Tensor([2.0, 2.0]))
-        np.testing.assert_allclose(out.data, [1.0, 2.0])
-
-    def test_gradients_masked(self):
-        a = Tensor([1.0, 1.0], requires_grad=True)
-        b = Tensor([2.0, 2.0], requires_grad=True)
-        where(np.array([True, False]), a, b).sum().backward()
-        np.testing.assert_allclose(a.grad, [1.0, 0.0])
-        np.testing.assert_allclose(b.grad, [0.0, 1.0])
-
-    def test_broadcast_condition(self):
-        out = where(np.array([[True], [False]]), Tensor(np.ones((2, 3))),
-                    Tensor(np.zeros((2, 3))))
-        np.testing.assert_allclose(out.data, [[1, 1, 1], [0, 0, 0]])

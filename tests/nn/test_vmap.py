@@ -3,8 +3,8 @@
 The vectorized client path's whole correctness story rests on one claim:
 slice ``k`` of a stacked forward/backward/step is **bit-identical** to
 client ``k``'s standalone run.  These tests pin that claim layer by
-layer — values, gradients, optimizer trajectories and RNG streams — with
-exact equality, not tolerances.
+layer — values, gradients and optimizer trajectories — with exact
+equality, not tolerances.
 """
 
 import numpy as np
@@ -13,14 +13,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.nn.layers import (
-    AvgPool2d,
     BatchNorm2d,
     Conv2d,
-    Dropout,
     Flatten,
-    GroupNorm,
-    Identity,
-    LayerNorm,
     Linear,
     MaxPool2d,
     ReLU,
@@ -121,59 +116,10 @@ class TestStackedConv2d:
 
 
 class TestStackedPooling:
-    @pytest.mark.parametrize("pool_cls", [MaxPool2d, AvgPool2d])
-    def test_merged_batch_is_bit_exact(self, pool_cls):
-        members = [pool_cls(2) for _ in range(K)]
+    def test_merged_batch_is_bit_exact(self):
+        members = [MaxPool2d(2) for _ in range(K)]
         stacked = stack_modules(members)
         forward_backward_parity(members, stacked, stacked_input((N, 2, 6, 6)))
-
-
-class TestStackedNorms:
-    def test_layernorm_bit_exact(self):
-        members = [LayerNorm(6) for _ in range(K)]
-        # Give each member distinct affine parameters so parity is not
-        # trivially satisfied by identical gammas.
-        for i, member in enumerate(members):
-            member.gamma.data = member.gamma.data * (1.0 + 0.1 * i)
-            member.beta.data = member.beta.data + 0.05 * i
-        stacked = stack_modules(members)
-        forward_backward_parity(members, stacked, stacked_input((N, 6)))
-
-    def test_groupnorm_bit_exact(self):
-        members = [GroupNorm(2, 4) for _ in range(K)]
-        for i, member in enumerate(members):
-            member.gamma.data = member.gamma.data * (1.0 + 0.1 * i)
-        stacked = stack_modules(members)
-        forward_backward_parity(members, stacked, stacked_input((N, 4, 5, 5)))
-
-
-class TestStackedDropout:
-    def test_per_client_rng_streams_preserved(self):
-        """Each slice's mask comes from its own generator, advancing it
-        exactly as the standalone layer would."""
-        generators = rngs(seed=100)
-        members = [Dropout(0.4, rng) for rng in generators]
-        stacked = stack_modules(members)
-        stacked.train()
-        x = stacked_input((N, 6))
-        out = stacked(Tensor(x))
-
-        reference = rngs(seed=100)
-        for k, rng in enumerate(reference):
-            ref_layer = Dropout(0.4, rng)
-            ref_layer.train()
-            ref_out = ref_layer(Tensor(x[k].copy()))
-            assert_exact(out.data[k], ref_out.data)
-            # The stacked pass left generator k exactly where the
-            # standalone pass leaves its generator.
-            assert generators[k].bit_generator.state == rng.bit_generator.state
-
-    def test_eval_mode_is_identity(self):
-        members = [Dropout(0.5, rng) for rng in rngs()]
-        stacked = stack_modules(members)
-        stacked.eval()
-        x = stacked_input((N, 6))
-        assert_exact(stacked(Tensor(x)).data, x)
 
 
 class TestStackedSGD:
@@ -226,7 +172,7 @@ class TestStackedModels:
     def test_sequential_of_supported_layers(self):
         def build(rng):
             return Sequential(
-                Flatten(), Linear(18, 8, rng), ReLU(), Identity(), Linear(8, 3, rng)
+                Flatten(), Linear(18, 8, rng), ReLU(), Linear(8, 3, rng)
             )
 
         members = [build(rng) for rng in rngs()]
@@ -340,19 +286,30 @@ class TestRejection:
 
     @pytest.mark.parametrize("build,attr", [
         (lambda rng, i: Conv2d(1, 2, 3, rng, stride=1 + i), "stride"),
-        (lambda rng, i: LayerNorm(4, eps=1e-5 * (1 + i)), "eps"),
-        (lambda rng, i: Dropout(0.25 * (1 + i), rng), "p"),
         (lambda rng, i: MaxPool2d(2 + i), "kernel_size"),
-        (lambda rng, i: AvgPool2d(2 + i), "kernel_size"),
-    ], ids=["Conv2d.stride", "LayerNorm.eps", "Dropout.p", "MaxPool2d", "AvgPool2d"])
+    ], ids=["Conv2d.stride", "MaxPool2d"])
     def test_attribute_mismatch_rejected(self, build, attr):
         # Only the last member differs: the check reads every member.
         members = [build(rng, int(i == K - 1)) for i, rng in enumerate(rngs())]
         with pytest.raises(VmapUnsupported, match=f"differ in {attr}"):
             stack_modules(members)
 
+    def test_per_member_state_rejected(self):
+        # A stack shares one value per attribute: a member's generator
+        # (or any other non-plain state) has no stacked form.
+        class Noisy(ReLU):
+            stackable = True
+
+            def __init__(self, rng):
+                super().__init__()
+                self.rng = rng
+
+        for count in (1, K):
+            with pytest.raises(VmapUnsupported, match="rng is per-member state"):
+                stack_modules([Noisy(rng) for rng in rngs(count=count)])
+
     def test_sequential_length_mismatch_rejected(self):
-        a = Sequential(ReLU(), Identity())
+        a = Sequential(ReLU(), Flatten())
         b = Sequential(ReLU())
         for members in ([a, b], [b, a]):
             with pytest.raises(VmapUnsupported, match=r"structure.*layer1"):
@@ -428,10 +385,6 @@ class TestRaggedRows:
         )
         reason = ragged_support_reason(conv_model)
         assert reason is not None and "Conv2d" in reason
-        # Found by TestSliceParityByGeneration: a padded row changes the
-        # pairwise grouping of GroupNorm's gamma / beta gradient sums.
-        norm_model = Sequential(GroupNorm(1, 2), Flatten(), Linear(8, 3, np.random.default_rng(1)))
-        assert "GroupNorm" in ragged_support_reason(norm_model)
 
 
 # ----------------------------------------------------------------------
@@ -441,10 +394,10 @@ class TestRaggedRows:
 def chains(draw):
     """A chain of stackable layers as a nested spec, with its input shape.
 
-    An optional conv front (``Conv2d`` / ``GroupNorm`` / pools / ``ReLU``)
-    over an image input, ``Flatten``, then an MLP tail (``Linear`` /
-    ``LayerNorm`` / ``Dropout`` / ``ReLU`` / ``Identity``); runs of
-    consecutive layers fold into nested ``Sequential``s.  Returns
+    An optional conv front (``Conv2d`` / ``MaxPool2d`` / ``ReLU``) over
+    an image input, ``Flatten``, then an MLP tail (``Linear`` /
+    ``ReLU``); runs of consecutive layers fold into nested
+    ``Sequential``s.  Returns
     ``(spec, sample_shape)``.
     """
     specs = []
@@ -452,7 +405,7 @@ def chains(draw):
         c, size = draw(st.integers(1, 3)), draw(st.sampled_from([4, 6, 8]))
         sample_shape = (c, size, size)
         for _ in range(draw(st.integers(0, 4))):
-            kind = draw(st.sampled_from(["conv", "groupnorm", "maxpool", "avgpool", "relu"]))
+            kind = draw(st.sampled_from(["conv", "maxpool", "relu"]))
             if kind == "conv":
                 kernel, stride = draw(st.sampled_from([1, 3])), draw(st.integers(1, 2))
                 padding = draw(st.integers(0, 1))
@@ -462,13 +415,10 @@ def chains(draw):
                 c_out = draw(st.integers(1, 4))
                 specs.append(("conv", c, c_out, kernel, stride, padding, draw(st.booleans())))
                 c, size = c_out, out_size
-            elif kind == "groupnorm":
-                groups = draw(st.sampled_from([g for g in (1, 2, 3, 4) if c % g == 0]))
-                specs.append(("groupnorm", groups, c))
-            elif kind in ("maxpool", "avgpool"):
+            elif kind == "maxpool":
                 if size % 2:
                     continue
-                specs.append((kind, 2))
+                specs.append(("maxpool", 2))
                 size //= 2
             else:
                 specs.append(("relu",))
@@ -478,17 +428,12 @@ def chains(draw):
         features = draw(st.integers(1, 6))
         sample_shape = (features,)
     for _ in range(draw(st.integers(1, 5))):
-        kind = draw(st.sampled_from(["linear", "layernorm", "dropout", "relu", "identity"]))
-        if kind == "linear":
+        if draw(st.booleans()):
             out_features = draw(st.integers(1, 6))
             specs.append(("linear", features, out_features, draw(st.booleans())))
             features = out_features
-        elif kind == "layernorm":
-            specs.append(("layernorm", features))
-        elif kind == "dropout":
-            specs.append(("dropout", draw(st.sampled_from([0.0, 0.3, 0.6]))))
         else:
-            specs.append((kind,))
+            specs.append(("relu",))
 
     def nest(items, depth):
         if depth == 2 or len(items) < 2 or not draw(st.booleans()):
@@ -501,9 +446,8 @@ def chains(draw):
 
 
 def build_chain(spec, seed, dtype):
-    """One member: layers initialised from ``seed``'s generator, each
-    ``Dropout`` on a generator of its own drawn from it, every parameter
-    (the norms' affine pairs too) perturbed so no two members agree."""
+    """One member: layers initialised from ``seed``'s generator, every
+    parameter perturbed so no two members agree."""
     rng = np.random.default_rng(seed)
 
     def make(item):
@@ -515,10 +459,7 @@ def build_chain(spec, seed, dtype):
             return Conv2d(c_in, c_out, kernel, rng, stride=stride, padding=padding, bias=bias)
         if kind == "linear":
             return Linear(args[0], args[1], rng, bias=args[2])
-        if kind == "dropout":
-            return Dropout(args[0], np.random.default_rng(rng.integers(2**32)))
-        simple = {"groupnorm": GroupNorm, "layernorm": LayerNorm, "maxpool": MaxPool2d,
-                  "avgpool": AvgPool2d, "relu": ReLU, "identity": Identity, "flatten": Flatten}
+        simple = {"maxpool": MaxPool2d, "relu": ReLU, "flatten": Flatten}
         return simple[kind](*args)
 
     model = Sequential(*[make(item) for item in spec])
@@ -527,15 +468,11 @@ def build_chain(spec, seed, dtype):
     return model.astype(dtype)
 
 
-def dropout_states(model):
-    return [m._rng.bit_generator.state for m in model.modules() if isinstance(m, Dropout)]
-
-
 class TestSliceParityByGeneration:
     """Slice ``k`` of a stack is client ``k`` alone, for any chain of
-    stackable layers: forward, input gradient, every parameter gradient,
-    the dropout streams and the state after one optimizer step, bit for
-    bit; a ragged step's padded rows are exactly zero."""
+    stackable layers: forward, input gradient, every parameter gradient
+    and the state after one optimizer step, bit for bit; a ragged step's
+    padded rows are exactly zero."""
 
     @generated(150)
     @given(
@@ -543,12 +480,11 @@ class TestSliceParityByGeneration:
         k_stack=st.integers(1, 5),
         width=st.integers(1, 4),
         dtype=st.sampled_from([np.float32, np.float64]),
-        training=st.booleans(),
         ragged=st.booleans(),
         seed=st.integers(0, 2**16),
         data=st.data(),
     )
-    def test_slice_k_is_client_k(self, chain, k_stack, width, dtype, training, ragged, seed, data):
+    def test_slice_k_is_client_k(self, chain, k_stack, width, dtype, ragged, seed, data):
         spec, sample_shape = chain
         members = [build_chain(spec, seed + k, dtype) for k in range(k_stack)]
         twins = [build_chain(spec, seed + k, dtype) for k in range(k_stack)]
@@ -561,7 +497,7 @@ class TestSliceParityByGeneration:
         for k, count in enumerate(rows):
             x[k, count:] = 0.0
 
-        stacked = stack_modules(members).train(training)
+        stacked = stack_modules(members)
         if rows != [width] * k_stack:
             stacked.set_row_counts(rows)
         stacked_in = Tensor(x.copy(), requires_grad=True)
@@ -577,7 +513,6 @@ class TestSliceParityByGeneration:
         states = stacked.slice_states()
 
         for k, (twin, count) in enumerate(zip(twins, rows)):
-            twin.train(training)
             twin_in = Tensor(x[k, :count].copy(), requires_grad=True)
             twin_out = twin(twin_in)
             twin_out.backward(upstream[k, :count])
@@ -587,7 +522,6 @@ class TestSliceParityByGeneration:
             assert np.all(stacked_in.grad[k, count:] == 0.0)
             for stacked_param, twin_param in zip(stacked.parameters(), twin.parameters()):
                 assert_exact(stacked_param.grad[k], twin_param.grad)
-            assert dropout_states(members[k]) == dropout_states(twin)
             if twin.parameters():
                 SGD(twin.parameters(), lr=0.1, momentum=0.9).step()
             assert list(states[k]) == list(twin.state_dict())

@@ -32,19 +32,15 @@ class TestPredict:
     @pytest.mark.parametrize("arch", ["mlp", "lenet5", "resnet8_slim"])
     def test_empty_input_keeps_the_class_axis(self, arch):
         # Regression: an empty input used to come back with shape (0,),
-        # so predict_proba (and prediction_mse / confusion_matrix through
-        # it) raised AxisError on axis 1.
-        from repro.data import ArrayDataset
+        # so predict_proba (and prediction_mse through it) raised
+        # AxisError on axis 1.
         from repro.nn.models import build_model
-        from repro.training import confusion_matrix
 
         model = build_model(arch, num_classes=3, rng=np.random.default_rng(0),
                             in_channels=1, image_size=28)
         images = np.zeros((0, 1, 28, 28))
         assert predict_logits(model, images).shape == (0, 3)
         assert predict_proba(model, images).shape == (0, 3)
-        empty = ArrayDataset(images, np.zeros(0, dtype=np.int64), 3)
-        assert confusion_matrix(model, empty).sum() == 0
         assert model.training  # the mode is restored on the empty path too
 
     def test_batching_consistent(self):
@@ -126,47 +122,3 @@ class TestPredictionMSE:
         train(trained, ds, TrainConfig(epochs=15, batch_size=10, learning_rate=0.2),
               np.random.default_rng(1))
         assert prediction_mse(trained, ds) < prediction_mse(model, ds)
-
-
-class TestPerClassMetrics:
-    def test_confusion_matrix_rows_sum_to_support(self):
-        from repro.training import confusion_matrix
-        from ..conftest import make_blobs
-        from repro.nn.models import MLP
-        import numpy as np
-
-        dataset = make_blobs(num_samples=30, num_classes=3, shape=(1, 4, 4))
-        model = MLP(16, 3, np.random.default_rng(0))
-        matrix = confusion_matrix(model, dataset)
-        assert matrix.shape == (3, 3)
-        np.testing.assert_array_equal(matrix.sum(axis=1), dataset.class_counts())
-        assert matrix.sum() == len(dataset)
-
-    def test_perfect_model_is_diagonal(self):
-        from repro.training import TrainConfig, confusion_matrix, per_class_accuracy, train
-        from ..conftest import make_blobs
-        from repro.nn.models import MLP
-        import numpy as np
-
-        dataset = make_blobs(num_samples=30, num_classes=3, shape=(1, 4, 4),
-                             separation=4.0, noise=0.2)
-        model = MLP(16, 3, np.random.default_rng(0))
-        train(model, dataset, TrainConfig(epochs=30, batch_size=10,
-                                          learning_rate=0.2),
-              np.random.default_rng(1))
-        matrix = confusion_matrix(model, dataset)
-        assert np.trace(matrix) == len(dataset)
-        np.testing.assert_allclose(per_class_accuracy(model, dataset), 1.0)
-
-    def test_absent_class_is_nan(self):
-        from repro.training import per_class_accuracy
-        from ..conftest import make_blobs
-        from repro.nn.models import MLP
-        import numpy as np
-
-        dataset = make_blobs(num_samples=20, num_classes=3, shape=(1, 4, 4))
-        only_two = dataset.subset(np.flatnonzero(dataset.labels != 2))
-        model = MLP(16, 3, np.random.default_rng(0))
-        per_class = per_class_accuracy(model, only_two)
-        assert np.isnan(per_class[2])
-        assert not np.isnan(per_class[0])

@@ -13,7 +13,8 @@ from repro.unlearning import (
     ImmediatePolicy,
     PeriodicPolicy,
 )
-from repro.unlearning.deletion_manager import check_round, sample_indices
+from repro.data.dataset import sample_indices
+from repro.unlearning.deletion_manager import check_round
 
 
 class TestDeletionRequest:

@@ -241,3 +241,30 @@ class TestNormalizedOutcome:
         # the flow finalized the deletion: data physically dropped
         expected = TINY.train_size // TINY.num_clients - len(setup.poison_indices)
         assert len(setup.sim.clients[0].dataset) == expected
+
+    @pytest.mark.parametrize(
+        "indices",
+        [[2.5, 3.9], [True, False], [1.0, np.nan], [np.inf], ["3"]],
+        ids=["fractional", "boolean-mask", "nan", "inf", "string"],
+    )
+    def test_request_indices_are_whole_numbers_never_truncated(self, indices):
+        with pytest.raises(ValueError):
+            ClientDeletionRequest.of(0, indices)
+
+    def test_request_of_sorts_and_dedupes(self):
+        assert ClientDeletionRequest.of(0, [4, 2.0, 4]).indices == (2, 4)
+
+    def test_a_fractional_request_fails_before_the_flow_starts(self):
+        setup = _pretrained(14)
+        before = setup.sim.server.global_state
+        unlearner = make_unlearner("ours", setup.config, TINY.unlearn_rounds)
+        # Built by ``of`` or directly, 2.5 names no sample.
+        for request in (lambda: ClientDeletionRequest.of(0, [2.5]),
+                        lambda: ClientDeletionRequest(0, (2.5,))):
+            with pytest.raises(ValueError, match="whole numbers"):
+                unlearner.unlearn(setup.sim, [request()])
+        assert not setup.sim.clients[0].has_pending_deletion
+        after = setup.sim.server.global_state
+        assert before.keys() == after.keys()
+        for key in before:
+            np.testing.assert_array_equal(before[key], after[key])
