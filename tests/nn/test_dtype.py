@@ -14,7 +14,7 @@ import pytest
 
 from repro.data import FederatedDataset
 from repro.federated import FedAvgAggregator, FederatedSimulation
-from repro.nn import BatchNorm2d, Tensor
+from repro.nn import BatchNorm2d, Conv2d, Flatten, Linear, MaxPool2d, ReLU, Tensor, stack_modules
 from repro.nn import functional as F
 from repro.nn.losses import distillation_loss
 from repro.nn.models import MLP, RegistryModelFactory
@@ -310,7 +310,9 @@ class TestIncompetentTeacherFollowsDatasetDtype:
 class TestScalarOperandsKeepDtype:
     """A Python scalar beside a float32 tensor is lifted in float32:
     ``var + eps`` and ``sum / count`` (so ``Tensor.mean``) no longer promote
-    batch norm to float64; float64 stays float64."""
+    batch norm to float64; float64 stays float64.  Every layer the paper's
+    models are built from keeps float32 through forward and backward, lone
+    and (where it stacks) stacked."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_binary_ops_with_scalars(self, dtype):
@@ -322,16 +324,32 @@ class TestScalarOperandsKeepDtype:
         sum(out.sum() for out in outs).backward()
         assert x.grad.dtype == dtype
 
-    def test_batchnorm_stays_float32(self):
-        layer = BatchNorm2d(4)
-        rng = np.random.default_rng(0)
+    @staticmethod
+    def layer(name, member=0):
+        rng = np.random.default_rng(member)
+        layer = {
+            "batchnorm": lambda: BatchNorm2d(4),
+            "conv": lambda: Conv2d(4, 2, 3, rng, padding=1),
+            "linear": lambda: Linear(6, 3, rng),
+            "maxpool": lambda: MaxPool2d(2),
+            "relu": lambda: ReLU(),
+            "flatten": lambda: Flatten(),
+        }[name]()
         for param in layer.parameters():
             param.data = param.data + rng.normal(size=param.shape)
-        layer = layer.astype(np.float32)
-        x = Tensor(
-            np.random.default_rng(7).normal(size=(3, 4, 4, 4)).astype(np.float32),
+        return layer.astype(np.float32)
+
+    @staticmethod
+    def batch(name, lead=()):
+        shape = (5, 6) if name == "linear" else (3, 4, 4, 4)
+        return Tensor(
+            np.random.default_rng(7).normal(size=lead + shape).astype(np.float32),
             requires_grad=True,
         )
+
+    @pytest.mark.parametrize("name", ["batchnorm", "conv", "linear", "maxpool", "relu", "flatten"])
+    def test_lone_layer_stays_float32(self, name):
+        layer, x = self.layer(name), self.batch(name)
         out = layer(x)
         assert out.dtype == np.float32
         out.backward(np.ones(out.shape, dtype=np.float32))
@@ -340,3 +358,15 @@ class TestScalarOperandsKeepDtype:
             assert param.grad.dtype == np.float32
         for _, buf in layer.named_buffers():
             assert buf.dtype == np.float32
+
+    @pytest.mark.parametrize("name", ["conv", "linear", "maxpool", "relu", "flatten"])
+    def test_stacked_layer_stays_float32(self, name):
+        stacked = stack_modules([self.layer(name, member) for member in range(3)])
+        x = self.batch(name, lead=(3,))
+        out = stacked(x)
+        assert out.dtype == np.float32
+        out.backward(np.ones(out.shape, dtype=np.float32))
+        assert x.grad.dtype == np.float32
+        for param in stacked.parameters():
+            assert param.data.dtype == np.float32
+            assert param.grad.dtype == np.float32

@@ -152,3 +152,28 @@ def test_every_registered_model_takes_an_sgd_step_at_paper_input_size(name):
     with no_grad():
         out = model(x).data
     assert out.shape == (2, 10) and np.isfinite(out).all()
+
+
+#: Parameter counts at ``PAPER_INPUT`` with 10 classes.  LeNet-5 is
+#: conv 1→6 and 6→16 (5×5), then FC 256→120→10; the modified LeNet-5 is
+#: the CIFAR variant, FC 400→120→84→10; the MLP is 784→64→10; the
+#: ResNets are 3 stages of n batch-normed basic blocks at widths 16/32/64
+#: (4/8/16 for ``resnet8_slim``) with 1×1 projection shortcuts where a
+#: stage downsamples.
+PARAMETER_COUNTS = {
+    "lenet5": 34_622,
+    "mlp": 50_890,
+    "modified_lenet5": 62_006,
+    "resnet8": 78_042,
+    "resnet8_slim": 5_214,
+    "resnet20": 272_474,
+    "resnet32": 466_906,
+    "resnet56": 855_770,
+}
+
+
+@pytest.mark.parametrize("name", sorted(MODEL_BUILDERS))
+def test_parameter_count_pins_the_architecture(name):
+    channels, size = PAPER_INPUT[name]
+    model = build_model(name, 10, np.random.default_rng(0), in_channels=channels, image_size=size)
+    assert model.num_parameters() == PARAMETER_COUNTS[name]

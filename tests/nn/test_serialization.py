@@ -19,11 +19,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.nn import load_state_dict, save_state_dict
-from repro.nn.models import MLP
+from repro.nn import SGD, Tensor, load_state_dict, losses, no_grad, save_state_dict
+from repro.nn.models import MLP, MODEL_BUILDERS, build_model
 from repro.nn.serialization import _DTYPES, _MAGIC, _PREAMBLE, _VERSION, _decode_state
 
 from ..conftest import generated
+from .test_models import PAPER_INPUT
 
 DTYPES = ["<f4", "<f8", "<i8", "|u1", "|b1"]
 
@@ -237,3 +238,29 @@ class TestModelPersistence:
         other.load_state_dict(load_state_dict(path))
         for (_, pa), (_, pb) in zip(model.named_parameters(), other.named_parameters()):
             np.testing.assert_allclose(pa.data, pb.data)
+
+    @pytest.mark.parametrize("name", sorted(MODEL_BUILDERS))
+    def test_every_registered_model_comes_back_bit_for_bit(self, tmp_path, name):
+        # One SGD step in train mode first, so the ResNets' batch-norm
+        # running buffers are not at their initial values either.
+        channels, size = PAPER_INPUT[name]
+        rng = np.random.default_rng(0)
+        model = build_model(name, 10, rng, in_channels=channels, image_size=size)
+        x = Tensor(rng.normal(size=(2, channels, size, size)))
+        losses.cross_entropy(model(x), np.array([0, 1])).backward()
+        SGD(model.parameters(), lr=0.01).step()
+        path = str(tmp_path / name)
+        save_state_dict(model.state_dict(), path)
+
+        other = build_model(name, 10, np.random.default_rng(1), in_channels=channels,
+                            image_size=size)
+        other.load_state_dict(load_state_dict(path))
+        expected, loaded = model.state_dict(), other.state_dict()
+        assert list(loaded) == list(expected)
+        for key, value in expected.items():
+            assert loaded[key].dtype == value.dtype
+            np.testing.assert_array_equal(loaded[key], value)
+        model.eval()
+        other.eval()
+        with no_grad():
+            np.testing.assert_array_equal(other(x).data, model(x).data)

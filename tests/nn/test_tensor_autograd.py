@@ -40,6 +40,13 @@ class TestElementwiseGrads:
     def test_pow(self):
         check_grad(lambda x: (x ** 3).sum(), [1.0, 2.0, -1.5])
 
+    def test_pow_fractional(self):
+        # Batch norm's 1 / sqrt(var + eps) is ``** 0.5`` under a division.
+        check_grad(lambda x: (1.0 / x ** 0.5).sum(), [0.5, 1.0, 4.0])
+
+    def test_pow_negative(self):
+        check_grad(lambda x: (x ** -1.5).sum(), [0.5, 1.0, 4.0])
+
     def test_exp(self):
         check_grad(lambda x: x.exp().sum(), [0.0, 1.0, -1.0])
 
@@ -157,6 +164,18 @@ class TestShapeGrads:
     def test_getitem_pair_indexing(self):
         idx = (np.array([0, 1]), np.array([1, 0]))
         check_grad(lambda x: (x[idx] ** 2).sum(), [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_getitem_slices(self):
+        check_grad(lambda x: (x[1:, ::2] ** 2).sum(),
+                   np.arange(12, dtype=float).reshape(3, 4))
+
+    def test_getitem_boolean_mask(self):
+        mask = np.array([[True, False], [False, True], [True, True]])
+        check_grad(lambda x: (x[mask] ** 2).sum(), [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+
+    def test_getitem_tensor_index_reads_its_data(self):
+        rows = Tensor(np.array([2, 0]))
+        check_grad(lambda x: (x[rows] ** 2).sum(), [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
 
     def test_getitem_duplicate_index_accumulates(self):
         x = Tensor(np.array([1.0, 2.0]), requires_grad=True)

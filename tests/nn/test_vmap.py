@@ -286,10 +286,17 @@ class TestRejection:
 
     @pytest.mark.parametrize("build,attr", [
         (lambda rng, i: Conv2d(1, 2, 3, rng, stride=1 + i), "stride"),
+        (lambda rng, i: Conv2d(1, 2, 3, rng, padding=i), "padding"),
+        (lambda rng, i: Conv2d(1, 2, 3 + i, rng), "kernel_size"),
+        (lambda rng, i: Linear(4 + i, 3, rng), "in_features"),
+        (lambda rng, i: Linear(4, 3 + i, rng), "out_features"),
         (lambda rng, i: MaxPool2d(2 + i), "kernel_size"),
-    ], ids=["Conv2d.stride", "MaxPool2d"])
+    ], ids=["Conv2d.stride", "Conv2d.padding", "Conv2d.kernel_size", "Linear.in_features",
+            "Linear.out_features", "MaxPool2d"])
     def test_attribute_mismatch_rejected(self, build, attr):
-        # Only the last member differs: the check reads every member.
+        # Only the last member differs: the check reads every member.  A
+        # shape attribute is read before the weights it shapes, so members
+        # of different widths give the fallback error, not np.stack's.
         members = [build(rng, int(i == K - 1)) for i, rng in enumerate(rngs())]
         with pytest.raises(VmapUnsupported, match=f"differ in {attr}"):
             stack_modules(members)
