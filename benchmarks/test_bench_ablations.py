@@ -8,30 +8,21 @@
 import numpy as np
 import pytest
 
-from repro.experiments.common import (
-    SimulationSnapshot,
-    build_backdoor_federation,
-    evaluate_model,
-    goldfish_config,
-    pretrain,
-)
-from repro.unlearning import EarlyStopConfig, federated_goldfish
+from repro.experiments import runner
+from repro.experiments.common import backdoor_spec, goldfish_config
+from repro.unlearning import EarlyStopConfig
 
 from .conftest import run_once
 
 
 @pytest.fixture(scope="module")
 def pretrained(scale):
-    setup = build_backdoor_federation("mnist", scale, deletion_rate=0.06, seed=0)
-    pretrain(setup, scale)
-    return setup, SimulationSnapshot.capture(setup.sim)
+    return runner.prepare(backdoor_spec("mnist", 0.06), scale, seed=0)
 
 
-def _run_variant(setup, snapshot, scale, config):
-    snapshot.restore(setup.sim)
-    setup.register_deletion()
-    outcome = federated_goldfish(setup.sim, config, scale.unlearn_rounds)
-    metrics = evaluate_model(outcome.global_model, setup)
+def _run_variant(prepared, scale, config):
+    outcome = runner.run_method(prepared, "ours", scale, config_override=config)
+    metrics = runner.evaluate_model(outcome.global_model, prepared.scenario)
     metrics["local_epochs"] = outcome.local_epochs_total
     return metrics
 
@@ -39,7 +30,6 @@ def _run_variant(setup, snapshot, scale, config):
 def test_early_stop_delta_sweep(benchmark, scale, pretrained):
     """Larger δ stops local training sooner — epochs must fall monotonically
     (weakly) as δ grows, trading a little accuracy for time."""
-    setup, snapshot = pretrained
     deltas = (0.01, 0.2, 1.0)
 
     def sweep():
@@ -49,7 +39,7 @@ def test_early_stop_delta_sweep(benchmark, scale, pretrained):
                 scale,
                 early_stop=EarlyStopConfig(delta=delta, mode="last", enabled=True),
             )
-            rows[delta] = _run_variant(setup, snapshot, scale, config)
+            rows[delta] = _run_variant(pretrained, scale, config)
         return rows
 
     rows = run_once(benchmark, sweep)
@@ -63,12 +53,11 @@ def test_early_stop_delta_sweep(benchmark, scale, pretrained):
 def test_adaptive_temperature_toggle(benchmark, scale, pretrained):
     """Eq. 11 on/off: both must unlearn; the adaptive run uses T != T0 for
     the deleting client but stays in the same quality band."""
-    setup, snapshot = pretrained
 
     def compare():
-        fixed = _run_variant(setup, snapshot, scale, goldfish_config(scale))
+        fixed = _run_variant(pretrained, scale, goldfish_config(scale))
         adaptive = _run_variant(
-            setup, snapshot, scale,
+            pretrained, scale,
             goldfish_config(scale, adaptive_temperature=True),
         )
         return fixed, adaptive
@@ -81,14 +70,13 @@ def test_adaptive_temperature_toggle(benchmark, scale, pretrained):
 
 def test_loss_weight_sensitivity(benchmark, scale, pretrained):
     """µc / µd sweep around the paper's (0.25, 1.0) operating point."""
-    setup, snapshot = pretrained
     grid = [(0.0, 1.0), (0.25, 1.0), (1.0, 1.0), (0.25, 0.0)]
 
     def sweep():
         rows = {}
         for mu_c, mu_d in grid:
             config = goldfish_config(scale, mu_c=mu_c, mu_d=mu_d)
-            rows[(mu_c, mu_d)] = _run_variant(setup, snapshot, scale, config)
+            rows[(mu_c, mu_d)] = _run_variant(pretrained, scale, config)
         return rows
 
     rows = run_once(benchmark, sweep)

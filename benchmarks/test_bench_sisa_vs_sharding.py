@@ -19,7 +19,7 @@ both systems keep accuracy well above chance after deletion.
 import numpy as np
 
 from repro.data import make_dataset
-from repro.experiments.common import model_factory_for
+from repro.experiments.spec import model_factory_for
 from repro.training import TrainConfig
 from repro.training.evaluation import evaluate
 from repro.unlearning import ShardedClientTrainer, SisaConfig, SisaEnsemble

@@ -14,14 +14,8 @@ incompetent teacher (B3), printing accuracy and attack success per method.
 Run:  python examples/backdoor_unlearning.py      (~2-3 minutes on CPU)
 """
 
-from repro.experiments import SMALL
-from repro.experiments.common import (
-    SimulationSnapshot,
-    build_backdoor_federation,
-    evaluate_model,
-    pretrain,
-    run_unlearning_method,
-)
+from repro.experiments import SMALL, runner
+from repro.experiments.common import backdoor_spec
 
 
 def main() -> None:
@@ -29,25 +23,21 @@ def main() -> None:
                                  pretrain_rounds=8, unlearn_rounds=3)
     deletion_rate = 0.08
 
-    print(f"building backdoored federation (deletion rate {deletion_rate:.0%}) ...")
-    setup = build_backdoor_federation("mnist", scale, deletion_rate, seed=0)
+    print(f"building and pretraining a backdoored federation "
+          f"(deletion rate {deletion_rate:.0%}) ...")
+    prepared = runner.prepare(backdoor_spec("mnist", deletion_rate), scale, seed=0)
+    setup = prepared.scenario
     print(f"attack target class: {setup.attack.target_label}, "
           f"poisoned samples: {len(setup.poison_indices)}")
-
-    print("pretraining origin model ...")
-    origin = pretrain(setup, scale)
-    origin_metrics = evaluate_model(origin, setup)
+    origin_metrics = runner.evaluate_model(prepared.origin, setup)
     print(f"  origin: acc {origin_metrics['acc']:.1f}%  "
           f"backdoor success {origin_metrics['backdoor']:.1f}%")
 
-    snapshot = SimulationSnapshot.capture(setup.sim)
     for method, label in (("ours", "Goldfish (ours)"),
                           ("b1", "B1 retrain-from-scratch"),
                           ("b3", "B3 incompetent teacher")):
-        snapshot.restore(setup.sim)
-        setup.register_deletion()
-        outcome = run_unlearning_method(method, setup, scale)
-        metrics = evaluate_model(outcome.global_model, setup)
+        outcome = runner.run_method(prepared, method, scale)
+        metrics = runner.evaluate_model(outcome.global_model, setup)
         print(f"  {label:28s}: acc {metrics['acc']:5.1f}%  "
               f"backdoor {metrics['backdoor']:5.1f}%  "
               f"({outcome.wall_seconds:.1f}s)")

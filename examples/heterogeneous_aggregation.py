@@ -13,7 +13,7 @@ Run:  python examples/heterogeneous_aggregation.py
 import numpy as np
 
 from repro.data import make_federated, synthetic_mnist
-from repro.experiments.common import model_factory_for
+from repro.experiments.spec import model_factory_for
 from repro.federated import FederatedSimulation, make_aggregator
 from repro.training import TrainConfig
 

@@ -26,7 +26,7 @@ from repro.data import (
     synthetic_mnist,
 )
 from repro.eval import certify_outputs, membership_attack, relearn_time
-from repro.experiments.common import model_factory_for
+from repro.experiments.spec import model_factory_for
 from repro.federated import FedAvgAggregator, FederatedSimulation
 from repro.training import TrainConfig, evaluate
 from repro.unlearning import (

@@ -15,7 +15,7 @@ Run:  python examples/quickstart.py
 import numpy as np
 
 from repro.data import make_federated, synthetic_mnist
-from repro.experiments.common import model_factory_for
+from repro.experiments.spec import model_factory_for
 from repro.federated import FederatedSimulation, FedAvgAggregator
 from repro.training import TrainConfig, evaluate
 from repro.unlearning import GoldfishConfig, GoldfishLossConfig, federated_goldfish

@@ -18,7 +18,7 @@ import time
 import numpy as np
 
 from repro.data import synthetic_mnist
-from repro.experiments.common import model_factory_for
+from repro.experiments.spec import model_factory_for
 from repro.training import TrainConfig, evaluate
 from repro.unlearning import ShardedClientTrainer
 

@@ -20,7 +20,7 @@ import time
 import numpy as np
 
 from repro.data import synthetic_mnist
-from repro.experiments.common import model_factory_for
+from repro.experiments.spec import model_factory_for
 from repro.unlearning import SisaConfig, SisaEnsemble
 
 

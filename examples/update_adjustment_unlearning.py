@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.data import make_federated, synthetic_mnist
 from repro.data.dataset import FederatedDataset
-from repro.experiments.common import model_factory_for
+from repro.experiments.spec import model_factory_for
 from repro.federated import (
     FedAvgAggregator,
     FederatedSimulation,

@@ -22,8 +22,9 @@ Every runner takes an :class:`~repro.experiments.scale.ExperimentScale`
 :class:`~repro.experiments.results.ExperimentResult` whose ``render()``
 prints the same rows/series the paper reports.  The CLI
 (``python -m repro.experiments``) runs exactly these artifacts; each
-declares its :class:`~repro.experiments.spec.ExperimentSpec` and calls
-its loop in :mod:`.runner`.
+declares its :class:`~repro.experiments.spec.ExperimentSpec` (id, title,
+scenario, methods) and calls its loop in :mod:`.runner` with the loop's
+knobs as arguments.
 """
 
 from . import (
@@ -50,7 +51,6 @@ from .spec import (
     FederationSpec,
     PartitionSpec,
     Scenario,
-    ScenarioBuilder,
     ScenarioSpec,
     build_scenario,
 )
@@ -70,7 +70,6 @@ __all__ = [
     "FederationSpec",
     "PartitionSpec",
     "Scenario",
-    "ScenarioBuilder",
     "ScenarioSpec",
     "build_scenario",
     "runner",

@@ -25,7 +25,7 @@ from typing import Optional
 from . import runner
 from .common import backdoor_spec
 from .results import ExperimentResult
-from .scale import ExperimentScale
+from .scale import ExperimentScale, get_scale
 from .spec import ExperimentSpec
 
 COLUMNS = ("method", "acc", "eps_hat", "mean_jsd", "mia_adv", "relearn_speedup")
@@ -52,16 +52,8 @@ def spec_for(dataset: str = "mnist", deletion_rate: float = 0.06) -> ExperimentS
             "Unlearning certification vs retrained reference on "
             "{dataset} (deletion rate {rate:.0%})"
         ),
-        kind="certification",
         scenario=backdoor_spec(dataset, deletion_rate),
         methods=("b1", "ours", "b3"),
-        params={
-            "reference": "b1",
-            "delta": _CERT_DELTA,
-            "relearn_max_epochs": _RELEARN_MAX_EPOCHS,
-            "relearn_loss_threshold": _RELEARN_LOSS_THRESHOLD,
-            "notes": NOTES,
-        },
     )
 
 
@@ -72,9 +64,13 @@ def run(
     deletion_rate: float = 0.06,
 ) -> ExperimentResult:
     """Certify ours / B3 / origin against the B1 retrained reference."""
-    from .scale import get_scale
-
     if scale is None:
         scale = get_scale("smoke")
-    return runner.run_certification(spec_for(dataset_name, deletion_rate), scale,
-                                    seed=seed)
+    return runner.run_certification(
+        spec_for(dataset_name, deletion_rate), scale, seed=seed,
+        reference="b1",
+        delta=_CERT_DELTA,
+        relearn_max_epochs=_RELEARN_MAX_EPOCHS,
+        relearn_loss_threshold=_RELEARN_LOSS_THRESHOLD,
+        notes=NOTES,
+    )

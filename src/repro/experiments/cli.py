@@ -12,9 +12,8 @@ Usage::
     python -m repro.experiments all --scale smoke --dataset mnist
 
 Each run prints the reproduced rows/series (the same data the paper's
-table or figure reports), plus a ``spec:`` line with the declaration's
-stable content hash and a ``runtime:`` provenance line recording the
-backend, worker/CPU counts and wall-clock time.
+table or figure reports), plus a ``runtime:`` provenance line recording
+the backend, worker/CPU counts and wall-clock time.
 
 ``--backend`` selects the execution runtime for *every* fan-out site the
 experiment touches (federated rounds, unlearning protocols, SISA/shard

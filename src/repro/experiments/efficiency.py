@@ -31,7 +31,8 @@ from typing import Optional
 from . import runner
 from .common import backdoor_spec
 from .results import ExperimentResult
-from .scale import ExperimentScale
+from .scale import ExperimentScale, get_scale
+from .spec import ExperimentSpec
 
 COLUMNS = (
     "method", "acc", "backdoor", "wall_s",
@@ -49,20 +50,16 @@ NOTES = (
 )
 
 
-def spec_for(dataset: str = "mnist", deletion_rate: float = 0.06):
+def spec_for(dataset: str = "mnist", deletion_rate: float = 0.06) -> ExperimentSpec:
     """The declarative efficiency comparison."""
-    from .spec import ExperimentSpec
-
     return ExperimentSpec(
         experiment_id="efficiency",
         title=(
             "Unlearning efficiency on {dataset} "
             "(deletion rate {rate:.0%}, {clients} clients)"
         ),
-        kind="efficiency",
         scenario=backdoor_spec(dataset, deletion_rate),
         methods=METHODS,
-        params={"notes": NOTES},
     )
 
 
@@ -73,9 +70,8 @@ def run(
     deletion_rate: float = 0.06,
 ) -> ExperimentResult:
     """Run every registered unlearning method on one backdoored federation."""
-    from .scale import get_scale
-
     if scale is None:
         scale = get_scale("smoke")
-    return runner.run_efficiency(spec_for(dataset_name, deletion_rate), scale,
-                                 seed=seed)
+    return runner.run_efficiency(
+        spec_for(dataset_name, deletion_rate), scale, seed=seed, notes=NOTES
+    )

@@ -43,7 +43,6 @@ def spec_for(dataset: str, deletion_rate: float = 0.06) -> ExperimentSpec:
     return ExperimentSpec(
         experiment_id=PANELS[dataset],
         title=f"Retraining accuracy per round ({dataset})",
-        kind="retrain_curves",
         scenario=backdoor_spec(dataset, deletion_rate),
         methods=METHODS,
     )

@@ -45,32 +45,9 @@ def spec_for(dataset: str) -> ExperimentSpec:
     return ExperimentSpec(
         experiment_id=TABLE_IDS[dataset],
         title=f"Accuracy / backdoor success rate vs deletion rate ({dataset})",
-        kind="rate_table",
         scenario=backdoor_spec(dataset, deletion_rate=0.06),
         methods=METHODS,
-        params={"series_prefix": "fig5"},
     )
-
-
-def run_one_rate(
-    dataset: str,
-    scale: ExperimentScale,
-    deletion_rate: float,
-    seed: int = 0,
-) -> Dict[str, Dict[str, float]]:
-    """One table row: metrics for origin and every method at one rate."""
-    exp = spec_for(dataset)
-    prepared = runner.prepare(
-        exp.scenario.with_overrides(**{"deletion.rate": deletion_rate}),
-        scale, seed=seed,
-    )
-    metrics = {"origin": runner.evaluate_model(prepared.origin, prepared.scenario)}
-    for method in METHODS:
-        outcome = runner.run_method(prepared, method, scale)
-        metrics[method] = runner.evaluate_model(
-            outcome.global_model, prepared.scenario
-        )
-    return metrics
 
 
 def run(dataset: str, scale: ExperimentScale,

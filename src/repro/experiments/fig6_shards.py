@@ -25,7 +25,6 @@ def spec_for(dataset: str = "mnist") -> ExperimentSpec:
     return ExperimentSpec(
         experiment_id="Fig 6",
         title="Accuracy vs rounds for shard counts {shard_counts} ({dataset})",
-        kind="shard_convergence",
         scenario=ScenarioSpec(
             dataset=DatasetSpec(name=dataset), attack=AttackSpec(kind="none")
         ),

@@ -29,7 +29,6 @@ def spec_for(dataset: str = "mnist") -> ExperimentSpec:
     return ExperimentSpec(
         experiment_id="Fig 7 ({rate:.0f}% deletion)",
         title="Accuracy around deletion at round {deletion_round}",
-        kind="shard_deletion",
         scenario=ScenarioSpec(
             dataset=DatasetSpec(name=dataset), attack=AttackSpec(kind="none")
         ),

@@ -20,7 +20,7 @@ This module is a *spec definition*: the loops live in
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Sequence
 
 from . import runner
 from .results import ExperimentResult
@@ -33,33 +33,21 @@ from .spec import AttackSpec, DatasetSpec, ExperimentSpec, PartitionSpec, Scenar
 AGGREGATORS = {"fedavg": "fedavg_uniform", "adaptive": "adaptive"}
 
 
+def _scenario(dataset: str) -> ScenarioSpec:
+    return ScenarioSpec(
+        dataset=DatasetSpec(name=dataset),
+        partition=PartitionSpec(strategy="heterogeneous"),
+        attack=AttackSpec(kind="none"),
+    )
+
+
 def spec_for(dataset: str = "mnist") -> ExperimentSpec:
     """The declarative heterogeneous-aggregation comparison."""
     return ExperimentSpec(
         experiment_id="Fig 8 ({clients} clients)",
         title="FedAvg vs adaptive aggregation, heterogeneous local data",
-        kind="aggregation",
-        scenario=ScenarioSpec(
-            dataset=DatasetSpec(name=dataset),
-            partition=PartitionSpec(strategy="heterogeneous"),
-            attack=AttackSpec(kind="none"),
-        ),
-        params={"aggregators": AGGREGATORS},
+        scenario=_scenario(dataset),
     )
-
-
-def heterogeneity_stats(
-    scale: ExperimentScale,
-    num_clients: int,
-    dataset: str = "mnist",
-    seed: int = 0,
-) -> Tuple[float, float, float]:
-    """Table XII row: (size variance, min local acc, max local acc)."""
-    result = runner.run_heterogeneity_table(
-        spec_for(dataset), scale, client_counts=(num_clients,), seed=seed
-    )
-    row = result.rows[0]
-    return row["variance"], row["min_acc"], row["max_acc"]
 
 
 def run_one(
@@ -71,16 +59,18 @@ def run_one(
 ) -> ExperimentResult:
     """One Fig. 8 panel: FedAvg vs ours for one client count."""
     return runner.run_aggregation_panel(
-        spec_for(dataset), scale, num_clients, num_rounds=num_rounds, seed=seed
+        spec_for(dataset), scale, num_clients, num_rounds=num_rounds, seed=seed,
+        aggregators=AGGREGATORS,
     )
 
 
 def run_table12(scale: ExperimentScale, client_counts: Sequence[int] = (),
                 seed: int = 0, dataset: str = "mnist") -> ExperimentResult:
     """Table XII: heterogeneity representation."""
-    exp = spec_for(dataset).evolve(
+    exp = ExperimentSpec(
         experiment_id="Table XII",
         title="Representation of data heterogeneity",
+        scenario=_scenario(dataset),
     )
     return runner.run_heterogeneity_table(
         exp, scale, client_counts=client_counts, seed=seed

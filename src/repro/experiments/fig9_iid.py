@@ -26,13 +26,11 @@ def spec_for(dataset: str = "mnist") -> ExperimentSpec:
     return ExperimentSpec(
         experiment_id="Fig 9",
         title="FedAvg vs adaptive aggregation, IID local data",
-        kind="aggregation_iid",
         scenario=ScenarioSpec(
             dataset=DatasetSpec(name=dataset),
             partition=PartitionSpec(strategy="iid"),
             attack=AttackSpec(kind="none"),
         ),
-        params={"aggregators": AGGREGATORS},
     )
 
 
@@ -47,4 +45,5 @@ def run(
     return runner.run_aggregation_iid(
         spec_for(dataset), scale,
         client_counts=client_counts, num_rounds=num_rounds, seed=seed,
+        aggregators=AGGREGATORS,
     )

@@ -26,11 +26,6 @@ class ExperimentResult:
     # repro.experiments.cli) so the wall-clock trajectory of full
     # experiments is machine-readable alongside the scientific rows.
     runtime: Dict[str, Any] = field(default_factory=dict)
-    # Declaration provenance: the stable content hash of the
-    # ExperimentSpec that produced this result (see repro.experiments.spec
-    # — identical across processes/platforms), so a printed result can be
-    # joined back to the exact spec that declared it.
-    spec_hash: str = ""
 
     def add_row(self, **values: Any) -> None:
         missing = [c for c in self.columns if c not in values]
@@ -67,8 +62,6 @@ class ExperimentResult:
             lines.append(f"{name}: [{rendered}]")
         if self.notes:
             lines.append(f"note: {self.notes}")
-        if self.spec_hash:
-            lines.append(f"spec: {self.spec_hash}")
         if self.runtime:
             rendered = ", ".join(
                 f"{key}={self._format(value)}" for key, value in self.runtime.items()
@@ -90,6 +83,4 @@ class ExperimentResult:
         }
         if self.runtime:
             payload["runtime"] = self.runtime
-        if self.spec_hash:
-            payload["spec_hash"] = self.spec_hash
         return payload

@@ -2,41 +2,39 @@
 
 Each paper artifact module (``fig5_backdoor``, ``tab10_ablation``, …) is a
 *thin spec definition*: it declares an
-:class:`~repro.experiments.spec.ExperimentSpec` and calls the loop for its
-kind here. The runner owns the loops — build scenario → pretrain →
-snapshot → per-method restore/unlearn/evaluate — and every method goes
-through the registry (:mod:`repro.unlearning.registry`).
+:class:`~repro.experiments.spec.ExperimentSpec` and calls its loop here
+with the loop's knobs as arguments. The runner owns the loops — build
+scenario → pretrain → snapshot → per-method restore/unlearn/evaluate —
+and every method goes through the registry
+(:mod:`repro.unlearning.registry`).
 
-Spec kinds
-----------
-=====================  ==================================================
-kind                   paper artifact shape
-=====================  ==================================================
-``rate_table``         metrics per deletion rate per method (Fig 5, T III–VI)
-``retrain_curves``     per-round accuracy per method (Fig 4)
-``divergence``         JSD/L2/t-test vs the B1 reference (T VII–IX)
-``goldfish_variants``  goldfish config ablations at checkpoints (T X–XI)
-``efficiency``         systems cost of every registered method
-``certification``      ε̂ / MIA / relearn certification
-``shard_convergence``  sharded-trainer accuracy vs rounds (Fig 6)
-``shard_deletion``     accuracy around a deletion event (Fig 7)
-``aggregation``        FedAvg vs adaptive aggregation (Fig 8/9, T XII)
-=====================  ==================================================
+Loops
+-----
+==============================  ==========================================
+loop                            paper artifact shape
+==============================  ==========================================
+:func:`run_rate_table`          metrics per deletion rate per method (Fig 5, T III–VI)
+:func:`run_retrain_curves`      per-round accuracy per method (Fig 4)
+:func:`run_divergence`          JSD/L2/t-test vs the B1 reference (T VII–IX)
+:func:`run_goldfish_variants`   goldfish config ablations at checkpoints (T X–XI)
+:func:`run_efficiency`          systems cost of every registered method
+:func:`run_certification`       ε̂ / MIA / relearn certification
+:func:`run_shard_convergence`   sharded-trainer accuracy vs rounds (Fig 6)
+:func:`run_shard_deletion`      accuracy around a deletion event (Fig 7)
+:func:`run_aggregation_panel`   FedAvg vs adaptive aggregation (Fig 8)
+:func:`run_heterogeneity_table` size variance and local accuracy (T XII)
+:func:`run_aggregation_iid`     FedAvg vs adaptive under IID data (Fig 9)
+==============================  ==========================================
 
-Every produced :class:`~repro.experiments.results.ExperimentResult` is
-stamped with the spec's stable content hash, so a printed result can be
-joined back to the exact declaration that produced it.
-
-RNG discipline: loops preserve the historical build/run order (method
-execution order included — client RNG streams advance across methods), so
-results are bit-identical to the pre-spec per-module scripts at the same
-seed.
+RNG discipline: loops keep a fixed build/run order (method execution
+order included — client RNG streams advance across methods), so one seed
+gives one result.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -53,6 +51,7 @@ from ..unlearning.registry import (
     get_unlearner,
     make_unlearner,
 )
+from .common import SimulationSnapshot, goldfish_config
 from .results import ExperimentResult
 from .scale import ExperimentScale
 from .spec import (
@@ -61,6 +60,8 @@ from .spec import (
     ScenarioSpec,
     build_scenario,
     dataset_data_key,
+    model_factory_for,
+    train_config,
 )
 
 _MB = 1024.0 * 1024.0
@@ -88,7 +89,7 @@ class PreparedScenario:
 
     scenario: Scenario
     origin: Module
-    snapshot: "SimulationSnapshot"
+    snapshot: SimulationSnapshot
     history: Optional[RoundHistoryStore] = None
 
 
@@ -100,18 +101,18 @@ def prepare(
     with_history: bool = False,
     pretrain_rounds: int = 0,
 ) -> PreparedScenario:
-    """Build → (attach history) → pretrain → snapshot."""
-    from .common import SimulationSnapshot, pretrain
+    """Build → (attach history) → pretrain → snapshot.
 
+    Pretraining runs ``pretrain_rounds`` federated rounds (0 = the
+    scale's ``pretrain_rounds``) and yields the *origin* model: the
+    teacher, contaminated by the backdoor when the spec plants one.
+    """
     scenario = build_scenario(scenario_spec, scale, seed=seed, backend=backend)
     history = (
         attach_history(scenario.sim, RoundHistoryStore()) if with_history else None
     )
-    if pretrain_rounds:
-        scenario.sim.run(pretrain_rounds)
-        origin = scenario.sim.global_model()
-    else:
-        origin = pretrain(scenario, scale)
+    scenario.sim.run(pretrain_rounds or scale.pretrain_rounds)
+    origin = scenario.sim.global_model()
     snapshot = SimulationSnapshot.capture(scenario.sim)
     return PreparedScenario(
         scenario=scenario, origin=origin, snapshot=snapshot, history=history
@@ -129,8 +130,6 @@ def run_method(
     backend: BackendLike = None,
 ) -> UnlearnOutcome:
     """Restore the pretrained snapshot, file the deletion, run one method."""
-    from .common import goldfish_config
-
     scenario = prepared.scenario
     prepared.snapshot.restore(scenario.sim)
     options: Dict[str, Any] = {}
@@ -147,7 +146,7 @@ def run_method(
         requests: Tuple[ClientDeletionRequest, ...] = ()
     else:
         # Client-level methods erase the deleting client entirely; the
-        # sample request stays unfiled exactly as in the pre-spec flow.
+        # sample request stays unfiled.
         requests = (ClientDeletionRequest.of(scenario.deletion_client_id),)
     return unlearner.unlearn(
         scenario.sim,
@@ -160,21 +159,17 @@ def run_method(
 
 
 def evaluate_model(model: Module, scenario: Scenario) -> Dict[str, float]:
-    from .common import evaluate_model as _evaluate
+    """Accuracy (%) and attack success rate (%) — the tables' two columns.
 
-    return _evaluate(model, scenario)
-
-
-def _stamp(result: ExperimentResult, exp: ExperimentSpec) -> ExperimentResult:
-    result.spec_hash = exp.hash()
-    return result
+    Scenarios without an attack (clean deletion) report ``backdoor`` as 0
+    so table shapes stay fixed.
+    """
+    return {"backdoor": 0.0, **scenario.evaluate(model)}
 
 
 def _resolve_model_and_config(exp: ExperimentSpec, scale: ExperimentScale,
                               seed: int, epochs_override: Optional[int] = None):
-    """Dataset + factory + config for the non-federation kinds (Fig 6–9)."""
-    from .common import model_factory_for, train_config
-
+    """Dataset + factory + config for the non-federation loops (Fig 6–9)."""
     name = exp.scenario.dataset.name
     train_set, test_set = make_dataset(
         dataset_data_key(name),
@@ -189,7 +184,7 @@ def _resolve_model_and_config(exp: ExperimentSpec, scale: ExperimentScale,
 
 
 # ----------------------------------------------------------------------
-# rate_table — Fig 5 + Tables III–VI
+# Fig 5 + Tables III–VI
 # ----------------------------------------------------------------------
 def run_rate_table(
     exp: ExperimentSpec,
@@ -199,7 +194,7 @@ def run_rate_table(
 ) -> ExperimentResult:
     """One row of origin + per-method metrics per deletion rate."""
     methods = exp.methods
-    rates = tuple(rates) or tuple(exp.params.get("rates") or scale.deletion_rates)
+    rates = tuple(rates) or scale.deletion_rates
     labelled = ("origin",) + tuple(methods)
     result = ExperimentResult(
         experiment_id=exp.experiment_id,
@@ -209,9 +204,10 @@ def run_rate_table(
         ),
     )
     for rate in rates:
-        prepared = prepare(
-            exp.scenario.with_overrides(**{"deletion.rate": rate}), scale, seed=seed
+        scenario = replace(
+            exp.scenario, deletion=replace(exp.scenario.deletion, rate=rate)
         )
+        prepared = prepare(scenario, scale, seed=seed)
         metrics = {"origin": evaluate_model(prepared.origin, prepared.scenario)}
         for method in methods:
             outcome = run_method(prepared, method, scale)
@@ -221,16 +217,15 @@ def run_rate_table(
             row[f"{name}_acc"] = metrics[name]["acc"]
             row[f"{name}_bd"] = metrics[name]["backdoor"]
         result.add_row(**row)
-    prefix = exp.params.get("series_prefix", exp.kind)
     for name in labelled:
         result.add_series(
-            f"{prefix}_{name}_backdoor", [row[f"{name}_bd"] for row in result.rows]
+            f"fig5_{name}_backdoor", [row[f"{name}_bd"] for row in result.rows]
         )
-    return _stamp(result, exp)
+    return result
 
 
 # ----------------------------------------------------------------------
-# retrain_curves — Fig 4
+# Fig 4
 # ----------------------------------------------------------------------
 def run_retrain_curves(
     exp: ExperimentSpec,
@@ -239,10 +234,7 @@ def run_retrain_curves(
     seed: int = 0,
 ) -> ExperimentResult:
     """Per-round retraining accuracy for each method after one deletion."""
-    num_rounds = (
-        num_rounds or int(exp.params.get("num_rounds") or 0)
-        or max(scale.unlearn_rounds, 3)
-    )
+    num_rounds = num_rounds or max(scale.unlearn_rounds, 3)
     prepared = prepare(exp.scenario, scale, seed=seed)
     result = ExperimentResult(
         experiment_id=exp.experiment_id,
@@ -258,33 +250,36 @@ def run_retrain_curves(
             final_acc=100 * outcome.final_accuracy,
             rounds=outcome.rounds_run,
         )
-    return _stamp(result, exp)
+    return result
 
 
 # ----------------------------------------------------------------------
-# divergence — Tables VII–IX
+# Tables VII–IX
 # ----------------------------------------------------------------------
 def run_divergence(
     exp: ExperimentSpec,
     scale: ExperimentScale,
     rates: Sequence[float] = (),
     seed: int = 0,
+    *,
+    reference: str,
+    compared: Sequence[str],
 ) -> ExperimentResult:
-    """JSD / L2 vs the retrained reference; t-test vs the origin model."""
+    """JSD / L2 vs the retrained ``reference``; t-test vs the origin model.
+
+    Every method in ``exp.methods`` runs, in that order; the ``compared``
+    ones get columns, in that order.
+    """
     from ..eval import compare_models
     from ..eval.divergence import t_test_p_value
     from ..training.evaluation import predict_proba
 
-    reference = exp.params.get("reference", "b1")
     if reference not in exp.methods:
         raise ValueError(
             f"divergence reference {reference!r} must be one of the spec's "
             f"methods {exp.methods}"
         )
-    compared = tuple(
-        exp.params.get("compared") or (m for m in exp.methods if m != reference)
-    )
-    rates = tuple(rates) or tuple(exp.params.get("rates") or scale.deletion_rates)
+    rates = tuple(rates) or scale.deletion_rates
     result = ExperimentResult(
         experiment_id=exp.experiment_id,
         title=exp.title,
@@ -293,9 +288,10 @@ def run_divergence(
         ),
     )
     for rate in rates:
-        prepared = prepare(
-            exp.scenario.with_overrides(**{"deletion.rate": rate}), scale, seed=seed
+        scenario = replace(
+            exp.scenario, deletion=replace(exp.scenario.deletion, rate=rate)
         )
+        prepared = prepare(scenario, scale, seed=seed)
         test = prepared.scenario.test_set
         models = {
             method: run_method(prepared, method, scale).global_model
@@ -310,25 +306,28 @@ def run_divergence(
             row[f"{method}_l2"] = report.l2
             row[f"{method}_t"] = t_test_p_value(method_probs, origin_probs)
         result.add_row(**row)
-    return _stamp(result, exp)
+    return result
 
 
 # ----------------------------------------------------------------------
-# goldfish_variants — Tables X–XI
+# Tables X–XI
 # ----------------------------------------------------------------------
 def run_goldfish_variants(
     exp: ExperimentSpec,
     scale: ExperimentScale,
     checkpoints: Sequence[int] = (),
     seed: int = 0,
+    *,
+    variants: Mapping[str, Mapping[str, Any]],
 ) -> ExperimentResult:
-    """Goldfish loss-config variants evaluated at round checkpoints."""
-    from .common import goldfish_config
+    """Goldfish loss-config variants evaluated at round checkpoints.
 
-    variants: Dict[str, Dict[str, Any]] = exp.params["variants"]
-    checkpoints = tuple(checkpoints) or tuple(
-        exp.params.get("checkpoints") or range(1, scale.unlearn_rounds + 1)
-    )
+    ``variants`` maps a column name to :func:`goldfish_config` overrides;
+    ``checkpoints`` are 1-based rounds (empty = every unlearning round).
+    """
+    checkpoints = tuple(checkpoints) or tuple(range(1, scale.unlearn_rounds + 1))
+    if min(checkpoints) < 1:
+        raise ValueError(f"checkpoints must be rounds >= 1, got {checkpoints}")
     # The capture callback appends in ascending round order; normalise so
     # row labels line up with it whatever order the caller listed.
     checkpoints = tuple(sorted(set(checkpoints)))
@@ -370,14 +369,14 @@ def run_goldfish_variants(
                     for name in variants
                 },
             )
-    return _stamp(result, exp)
+    return result
 
 
 # ----------------------------------------------------------------------
-# efficiency — systems cost of every registered method
+# Efficiency extension: systems cost of every registered method
 # ----------------------------------------------------------------------
 def run_efficiency(
-    exp: ExperimentSpec, scale: ExperimentScale, seed: int = 0
+    exp: ExperimentSpec, scale: ExperimentScale, seed: int = 0, *, notes: str = ""
 ) -> ExperimentResult:
     """Accuracy, attack success, wall-clock, epochs, comm and storage."""
     prepared = prepare(exp.scenario, scale, seed=seed, with_history=True)
@@ -396,7 +395,7 @@ def run_efficiency(
             "method", "acc", "backdoor", "wall_s",
             "local_epochs", "comm_mb", "storage_mb",
         ),
-        notes=exp.params.get("notes", ""),
+        notes=notes,
     )
     storage_mb = prepared.history.storage_report().total_bytes / _MB
     for method in exp.methods:
@@ -414,22 +413,25 @@ def run_efficiency(
             comm_mb=outcome.chains * per_state_bytes * 2 / _MB,
             storage_mb=storage_mb if cls.requires_history else 0.0,
         )
-    return _stamp(result, exp)
+    return result
 
 
 # ----------------------------------------------------------------------
-# certification — ε̂ / MIA / relearn-time
+# Certification extension: ε̂ / MIA / relearn-time
 # ----------------------------------------------------------------------
 def run_certification(
-    exp: ExperimentSpec, scale: ExperimentScale, seed: int = 0
+    exp: ExperimentSpec,
+    scale: ExperimentScale,
+    seed: int = 0,
+    *,
+    reference: str,
+    delta: float,
+    relearn_max_epochs: int,
+    relearn_loss_threshold: float,
+    notes: str = "",
 ) -> ExperimentResult:
-    """Certify each method against the retrained reference."""
+    """Certify each method against the retrained ``reference`` method."""
     from ..eval import certify_outputs, membership_attack, relearn_time
-
-    delta = float(exp.params.get("delta", 0.05))
-    relearn_max_epochs = int(exp.params.get("relearn_max_epochs", 12))
-    relearn_loss_threshold = float(exp.params.get("relearn_loss_threshold", 0.3))
-    reference_method = exp.params.get("reference", "b1")
 
     prepared = prepare(exp.scenario, scale, seed=seed)
     scenario = prepared.scenario
@@ -450,7 +452,7 @@ def run_certification(
         np.arange(min(len(forget_set), len(scenario.test_set)))
     )
 
-    reference = run_method(prepared, reference_method, scale).global_model
+    reference_model = run_method(prepared, reference, scale).global_model
 
     result = ExperimentResult(
         experiment_id=exp.experiment_id,
@@ -459,17 +461,17 @@ def run_certification(
         ),
         columns=("method", "acc", "eps_hat", "mean_jsd", "mia_adv",
                  "relearn_speedup"),
-        notes=exp.params.get("notes", ""),
+        notes=notes,
     )
     candidates = {"origin": prepared.origin}
     for method in exp.methods:
-        if method == reference_method:
+        if method == reference:
             continue
         candidates[method] = run_method(prepared, method, scale).global_model
-    candidates[reference_method] = reference
+    candidates[reference] = reference_model
 
     for method, model in candidates.items():
-        certification = certify_outputs(model, reference, probe, delta=delta)
+        certification = certify_outputs(model, reference_model, probe, delta=delta)
         attack = membership_attack(model, forget_set, holdout)
         relearn = relearn_time(
             scenario.model_factory,
@@ -489,11 +491,11 @@ def run_certification(
             mia_adv=attack.advantage,
             relearn_speedup=relearn.speedup,
         )
-    return _stamp(result, exp)
+    return result
 
 
 # ----------------------------------------------------------------------
-# shard_convergence — Fig 6
+# Fig 6
 # ----------------------------------------------------------------------
 def run_shard_convergence(
     exp: ExperimentSpec,
@@ -503,13 +505,10 @@ def run_shard_convergence(
     seed: int = 0,
 ) -> ExperimentResult:
     """Per-round accuracy of the shard-aggregated model for each τ."""
-    shard_counts = tuple(shard_counts) or tuple(
-        exp.params.get("shard_counts") or scale.shard_counts
-    )
-    num_rounds = (
-        num_rounds or int(exp.params.get("num_rounds") or 0)
-        or max(3, scale.pretrain_rounds // 2)
-    )
+    shard_counts = tuple(shard_counts) or scale.shard_counts
+    num_rounds = num_rounds or max(3, scale.pretrain_rounds // 2)
+    if num_rounds < 1:
+        raise ValueError(f"num_rounds must be >= 1, got {num_rounds}")
     train_set, test_set, factory, config = _resolve_model_and_config(
         exp, scale, seed, epochs_override=1
     )
@@ -531,11 +530,11 @@ def run_shard_convergence(
             accuracies.append(100 * acc)
         result.add_series(f"tau={tau}", accuracies)
         result.add_row(shards=tau, final_acc=accuracies[-1])
-    return _stamp(result, exp)
+    return result
 
 
 # ----------------------------------------------------------------------
-# shard_deletion — Fig 7
+# Fig 7
 # ----------------------------------------------------------------------
 def run_shard_deletion(
     exp: ExperimentSpec,
@@ -546,13 +545,18 @@ def run_shard_deletion(
     num_rounds: int = 0,
     seed: int = 0,
 ) -> ExperimentResult:
-    """One panel: accuracy timeline per shard count at one deletion rate."""
-    shard_counts = tuple(shard_counts) or tuple(
-        exp.params.get("shard_counts") or scale.shard_counts
-    )
+    """One panel: accuracy timeline per shard count at one deletion rate.
+
+    The deletion lands before round ``deletion_round`` (0-based), so the
+    round before it is the pre-deletion accuracy.
+    """
+    shard_counts = tuple(shard_counts) or scale.shard_counts
     num_rounds = num_rounds or deletion_round + max(3, scale.unlearn_rounds)
-    if deletion_round >= num_rounds:
-        raise ValueError("deletion_round must fall inside the training window")
+    if not 1 <= deletion_round < num_rounds:
+        raise ValueError(
+            f"deletion_round must fall inside the training window "
+            f"[1, {num_rounds}), got {deletion_round}"
+        )
     train_set, test_set, factory, config = _resolve_model_and_config(
         exp, scale, seed, epochs_override=1
     )
@@ -589,11 +593,11 @@ def run_shard_deletion(
             final_acc=accuracies[-1],
             affected_shards=affected,
         )
-    return _stamp(result, exp)
+    return result
 
 
 # ----------------------------------------------------------------------
-# aggregation — Fig 8 panels, Table XII, Fig 9
+# Fig 8 panels, Table XII, Fig 9
 # ----------------------------------------------------------------------
 def run_aggregation_panel(
     exp: ExperimentSpec,
@@ -601,14 +605,16 @@ def run_aggregation_panel(
     num_clients: int,
     num_rounds: int = 0,
     seed: int = 0,
+    *,
+    aggregators: Mapping[str, str],
 ) -> ExperimentResult:
-    """One heterogeneous-aggregation panel: FedAvg vs ours per round."""
+    """One heterogeneous-aggregation panel: FedAvg vs ours per round.
+
+    ``aggregators`` maps a series label to a registered aggregator name.
+    """
     num_rounds = num_rounds or scale.pretrain_rounds
     train_set, test_set, factory, config = _resolve_model_and_config(
         exp, scale, seed
-    )
-    aggregators: Dict[str, str] = exp.params.get(
-        "aggregators", {"fedavg": "fedavg_uniform", "adaptive": "adaptive"}
     )
     strategy = exp.scenario.partition.strategy
 
@@ -640,7 +646,7 @@ def run_aggregation_panel(
             first_round_acc=accs[0],
             first_round_client_std=client_std,
         )
-    return _stamp(result, exp)
+    return result
 
 
 def run_heterogeneity_table(
@@ -650,32 +656,22 @@ def run_heterogeneity_table(
     seed: int = 0,
 ) -> ExperimentResult:
     """Table XII: size variance and local-model accuracy spread."""
-    from .common import model_factory_for, train_config
-
-    client_counts = tuple(client_counts) or tuple(
-        exp.params.get("client_counts") or scale.client_counts
+    client_counts = tuple(client_counts) or scale.client_counts
+    train_set, test_set, factory, config = _resolve_model_and_config(
+        exp, scale, seed
     )
     result = ExperimentResult(
         experiment_id=exp.experiment_id,
         title=exp.title,
         columns=("clients", "variance", "min_acc", "max_acc"),
     )
-    name = exp.scenario.dataset.name
     for count in client_counts:
-        train_set, test_set = make_dataset(
-            dataset_data_key(name), train_size=scale.train_size,
-            test_size=scale.test_size, seed=seed,
-        )
         rng = np.random.default_rng(seed + count)
         fed = make_federated(
             train_set, test_set, count, rng,
             strategy=exp.scenario.partition.strategy,
             **dict(exp.scenario.partition.options),
         )
-        factory = model_factory_for(
-            train_set, exp.scenario.model or scale.model_for(name)
-        )
-        config = train_config(scale)
         accuracies = []
         for index, local in enumerate(fed.client_datasets):
             model = factory()
@@ -688,7 +684,7 @@ def run_heterogeneity_table(
             min_acc=float(min(accuracies)),
             max_acc=float(max(accuracies)),
         )
-    return _stamp(result, exp)
+    return result
 
 
 def run_aggregation_iid(
@@ -697,17 +693,14 @@ def run_aggregation_iid(
     client_counts: Sequence[int] = (),
     num_rounds: int = 0,
     seed: int = 0,
+    *,
+    aggregators: Mapping[str, str],
 ) -> ExperimentResult:
     """Fig 9: both aggregators should coincide under IID local data."""
-    client_counts = tuple(client_counts) or tuple(
-        exp.params.get("client_counts") or scale.client_counts
-    )
+    client_counts = tuple(client_counts) or scale.client_counts
     num_rounds = num_rounds or scale.pretrain_rounds
     train_set, test_set, factory, config = _resolve_model_and_config(
         exp, scale, seed
-    )
-    aggregators: Dict[str, str] = exp.params.get(
-        "aggregators", {"fedavg": "fedavg_uniform", "adaptive": "adaptive"}
     )
     result = ExperimentResult(
         experiment_id=exp.experiment_id,
@@ -741,4 +734,4 @@ def run_aggregation_iid(
                 final_acc=curves[label][-1],
                 max_gap=gap,
             )
-    return _stamp(result, exp)
+    return result

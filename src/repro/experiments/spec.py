@@ -3,18 +3,15 @@
 Each paper artifact is a *scenario* (dataset × partition × attack ×
 deletion × federation) crossed with *unlearning methods*:
 
-* :class:`ScenarioSpec` — a serializable description of everything up to
-  (but not including) the method: dataset → partition → attack/trigger →
-  deletion → federation. ``to_dict``/``from_dict`` round-trip through
-  JSON; :meth:`ScenarioSpec.hash` is a stable content hash (identical
-  across processes and platforms) stamped into every
-  :class:`~repro.experiments.results.ExperimentResult` for provenance.
-* :class:`ScenarioBuilder` — turns a spec into a live :class:`Scenario`
-  (simulation + deletion requests + validity instrument). The backdoor
-  path is RNG-for-RNG identical to the historical
-  ``build_backdoor_federation``; ``attack.kind="none"`` plants nothing.
-* :class:`ExperimentSpec` — a scenario plus methods plus runner ``kind``
-  and parameters; :mod:`repro.experiments.runner` executes these.
+* :class:`ScenarioSpec` — everything up to (but not including) the
+  method: dataset → partition → attack/trigger → deletion → federation.
+  A sweep derives each point with :func:`dataclasses.replace`.
+* :func:`build_scenario` — turns a spec into a live :class:`Scenario`
+  (simulation + deletion subset + validity instrument);
+  ``attack.kind="none"`` plants nothing.
+* :class:`ExperimentSpec` — an artifact's id and title, its scenario and
+  its methods; the loops in :mod:`repro.experiments.runner` execute it,
+  and each takes its own knobs as arguments.
 
 Specs deliberately hold *logical* knobs only; physical scale (sample
 counts, rounds, client counts when unset) comes from the
@@ -24,10 +21,8 @@ spec reproduces at ``smoke``/``small``/``paper`` alike.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 import numpy as np
@@ -44,15 +39,11 @@ from ..data import (
 from ..data.synthetic import SPECS
 from ..federated import FederatedSimulation
 from ..federated.simulation import make_aggregator
+from ..nn.models import RegistryModelFactory
 from ..nn.module import Module
 from ..runtime import BACKEND_ENV_VAR, BackendLike, parse_backend_spec
 from ..training import TrainConfig, evaluate
-from ..unlearning.registry import ClientDeletionRequest
 from .scale import ExperimentScale
-
-# ----------------------------------------------------------------------
-# Spec dataclasses (all serializable, all hashable-by-content)
-# ----------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -142,127 +133,18 @@ class ScenarioSpec:
     federation: FederationSpec = field(default_factory=FederationSpec)
     model: str = ""  # "" = the scale preset's model for the dataset
 
-    # ------------------------------------------------------------------
-    # Serialization & hashing
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        payload = asdict(self)
-        payload["partition"]["options"] = dict(self.partition.options)
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "ScenarioSpec":
-        return cls(
-            dataset=DatasetSpec(**payload.get("dataset", {})),
-            partition=PartitionSpec(**payload.get("partition", {})),
-            attack=AttackSpec(**payload.get("attack", {})),
-            deletion=DeletionSpec(**payload.get("deletion", {})),
-            federation=FederationSpec(**payload.get("federation", {})),
-            model=payload.get("model", ""),
-        )
-
-    def hash(self) -> str:
-        return spec_hash(self.to_dict())
-
-    def with_overrides(self, **dotted: Any) -> "ScenarioSpec":
-        """A copy with dotted-path overrides applied.
-
-        ``spec.with_overrides(**{"deletion.rate": 0.12,
-        "federation.num_clients": 10})`` — how a rate sweep derives each
-        rate's scenario. Top-level field names work too (``model="lenet5"``).
-        """
-        payload = self.to_dict()
-        for path, value in dotted.items():
-            target = payload
-            *parents, leaf = path.split(".")
-            for key in parents:
-                if key not in target or not isinstance(target[key], dict):
-                    raise ValueError(f"unknown spec path {path!r}")
-
-                target = target[key]
-            if leaf not in target:
-                raise ValueError(f"unknown spec path {path!r}")
-            target[leaf] = value
-        return ScenarioSpec.from_dict(payload)
-
-
-def spec_hash(payload: Mapping[str, Any]) -> str:
-    """Stable content hash of a JSON-serializable mapping.
-
-    Canonical JSON (sorted keys, no whitespace drift) through SHA-256,
-    truncated to 12 hex chars — identical across processes, platforms and
-    Python hash randomisation, so results produced anywhere can be joined
-    on it.
-    """
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"),
-                           default=_json_default)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
-
-
-def _json_default(value: Any) -> Any:
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, tuple):
-        return list(value)
-    raise TypeError(f"not JSON-serializable: {value!r}")
-
-
-def _canonical_params(value: Any) -> Any:
-    """Recursively turn tuples into lists so round-trips compare equal."""
-    if isinstance(value, (tuple, list)):
-        return [_canonical_params(item) for item in value]
-    if isinstance(value, Mapping):
-        return {str(k): _canonical_params(v) for k, v in value.items()}
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    return value
-
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """A scenario crossed with methods, plus how to report it.
-
-    ``kind`` names a loop in :mod:`repro.experiments.runner` (rate_table,
-    retrain_curves, divergence, goldfish_variants, efficiency,
-    certification, shard_convergence, shard_deletion, aggregation);
-    ``params`` carries the kind-specific knobs (rates,
-    checkpoints, shard counts, …) with empty/zero meaning "take the scale
-    preset's value". Everything is JSON-serializable, so the whole
-    experiment — not just the scenario — hashes.
-    """
+    """One paper artifact: its id and title, its scenario and its methods."""
 
     experiment_id: str
     title: str
-    kind: str
     scenario: ScenarioSpec = field(default_factory=ScenarioSpec)
     methods: Tuple[str, ...] = ()
-    params: Dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "methods", tuple(self.methods))
-        object.__setattr__(self, "params", _canonical_params(self.params))
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "experiment_id": self.experiment_id,
-            "title": self.title,
-            "kind": self.kind,
-            "scenario": self.scenario.to_dict(),
-            "methods": list(self.methods),
-            "params": self.params,
-        }
-
-    def hash(self) -> str:
-        return spec_hash(self.to_dict())
-
-    def evolve(self, **changes: Any) -> "ExperimentSpec":
-        return replace(self, **changes)
 
 
 # ----------------------------------------------------------------------
@@ -274,10 +156,8 @@ class ExperimentSpec:
 class Scenario:
     """Everything a deletion experiment needs, built from one spec.
 
-    Field names deliberately match the historical ``BackdoorFederation``
-    (which is now an alias of this class), so all pre-spec call sites keep
-    working: ``attack`` is ``None`` when ``attack.kind="none"`` and
-    otherwise exposes ``success_rate(model, test_set)``.
+    ``attack`` is ``None`` when ``attack.kind="none"`` and otherwise
+    exposes ``success_rate(model, test_set)``.
     """
 
     sim: FederatedSimulation
@@ -287,22 +167,16 @@ class Scenario:
     poison_indices: np.ndarray  # local indices within the deleting client
     model_factory: Callable[[], Module]
     config: TrainConfig
-    spec: Optional[ScenarioSpec] = None
+    spec: ScenarioSpec
 
     @property
     def deletion_client_id(self) -> int:
-        return self.spec.deletion.client_id if self.spec is not None else 0
+        return self.spec.deletion.client_id
 
     def register_deletion(self) -> None:
         """File the deletion request for exactly the to-forget subset."""
         self.sim.clients[self.deletion_client_id].request_deletion(
             self.poison_indices
-        )
-
-    def deletion_requests(self) -> Tuple[ClientDeletionRequest, ...]:
-        """The pending deletions as registry-shaped requests."""
-        return (
-            ClientDeletionRequest.of(self.deletion_client_id, self.poison_indices),
         )
 
     def evaluate(self, model: Module) -> Dict[str, float]:
@@ -314,6 +188,35 @@ class Scenario:
                 model, self.test_set
             )
         return metrics
+
+
+def model_factory_for(
+    dataset: ArrayDataset, model_name: str, seed: int = 42
+) -> Callable[[], Module]:
+    """A zero-arg factory producing identically-initialised fresh models.
+
+    Returns a picklable :class:`~repro.nn.models.RegistryModelFactory`
+    rather than a closure, so the factory can travel inside runtime tasks
+    to worker processes on any multiprocessing start method.
+    """
+    return RegistryModelFactory(
+        name=model_name,
+        num_classes=dataset.num_classes,
+        in_channels=dataset.in_channels,
+        image_size=dataset.image_size,
+        seed=seed,
+    )
+
+
+def train_config(scale: ExperimentScale, **overrides) -> TrainConfig:
+    """The scale's local-training hyper-parameters."""
+    config = TrainConfig(
+        epochs=scale.local_epochs,
+        batch_size=scale.batch_size,
+        learning_rate=scale.learning_rate,
+        momentum=0.9,
+    )
+    return config.with_overrides(**overrides) if overrides else config
 
 
 def _backend_pickles_tasks(backend: BackendLike) -> bool:
@@ -342,111 +245,16 @@ def dataset_data_key(name: str) -> str:
     return DATA_KEY_ALIASES.get(name, name)
 
 
-class ScenarioBuilder:
-    """Build live :class:`Scenario` objects from :class:`ScenarioSpec`.
-
-    The build sequence (dataset → partition → deletion-subset selection →
-    attack application → model/config → simulation) consumes RNG streams
-    in exactly the order of the historical ``build_backdoor_federation``,
-    so backdoor specs reproduce the pre-spec experiments bit for bit.
-    """
-
-    DATA_KEY_ALIASES = DATA_KEY_ALIASES
-
-    def build(
-        self,
-        spec: ScenarioSpec,
-        scale: ExperimentScale,
-        seed: int = 0,
-        backend: BackendLike = None,
-    ) -> Scenario:
-        dataset_key = self.DATA_KEY_ALIASES.get(spec.dataset.name, spec.dataset.name)
-        if dataset_key not in SPECS:
-            raise ValueError(f"unknown dataset {spec.dataset.name!r}")
-        train_set, test_set = make_dataset(
-            dataset_key,
-            train_size=spec.dataset.train_size or scale.train_size,
-            test_size=spec.dataset.test_size or scale.test_size,
-            seed=seed,
-        )
-        rng = np.random.default_rng(seed + 1000)
-        num_clients = spec.federation.num_clients or scale.num_clients
-        fed = make_federated(
-            train_set, test_set, num_clients, rng,
-            strategy=spec.partition.strategy, **dict(spec.partition.options),
-        )
-
-        client_id = spec.deletion.client_id
-        if not 0 <= client_id < num_clients:
-            raise ValueError(f"deletion client {client_id} out of range")
-        local = fed.client_datasets[client_id]
-        # The paper's "deleted data rate": rate × |total train| local indices.
-        count = max(1, int(round(spec.deletion.rate * len(train_set))))
-        if count >= len(local):
-            raise ValueError(
-                f"deletion rate {spec.deletion.rate} exceeds client "
-                f"{client_id}'s local data ({count} >= {len(local)})"
-            )
-        delete_indices = np.sort(rng.choice(len(local), count, replace=False))
-
-        attack = self._make_attack(spec.attack, train_set)
-        if attack is not None:
-            fed.client_datasets[client_id] = attack.poison(local, delete_indices)
-
-        resolved_model = spec.model or scale.model_for(spec.dataset.name)
-        factory = _model_factory(train_set, resolved_model)
-        config = _train_config(
-            scale, learning_rate=scale.learning_rate_for(resolved_model)
-        )
-
-        share = spec.federation.share_datasets
-        if share is None:
-            share = _backend_pickles_tasks(backend)
-        if share:
-            fed = fed.share()
-
-        aggregator = make_aggregator(
-            spec.federation.aggregator, test_set=test_set, model_factory=factory
-        )
-        sim = FederatedSimulation(
-            factory, fed, aggregator, config, seed=seed + 2000, backend=backend,
-        )
-        return Scenario(
-            sim=sim,
-            fed_data=fed,
-            test_set=test_set,
-            attack=attack,
-            poison_indices=delete_indices,
-            model_factory=factory,
-            config=config,
-            spec=spec,
-        )
-
-    def _make_attack(
-        self, attack: AttackSpec, train_set: ArrayDataset
-    ) -> Optional[BackdoorAttack]:
-        if attack.kind == "none":
-            return None
-        trigger = attack.trigger()
-        target = attack.target_label
-        if target is None:
-            target = select_attack_target(train_set, trigger)
-        return BackdoorAttack(trigger, target_label=target)
-
-
-def _model_factory(dataset: ArrayDataset, model_name: str):
-    from .common import model_factory_for
-
-    return model_factory_for(dataset, model_name)
-
-
-def _train_config(scale: ExperimentScale, **overrides) -> TrainConfig:
-    from .common import train_config
-
-    return train_config(scale, **overrides)
-
-
-_BUILDER = ScenarioBuilder()
+def _make_attack(
+    attack: AttackSpec, train_set: ArrayDataset
+) -> Optional[BackdoorAttack]:
+    if attack.kind == "none":
+        return None
+    trigger = attack.trigger()
+    target = attack.target_label
+    if target is None:
+        target = select_attack_target(train_set, trigger)
+    return BackdoorAttack(trigger, target_label=target)
 
 
 def build_scenario(
@@ -455,5 +263,70 @@ def build_scenario(
     seed: int = 0,
     backend: BackendLike = None,
 ) -> Scenario:
-    """Module-level convenience over one shared :class:`ScenarioBuilder`."""
-    return _BUILDER.build(spec, scale, seed=seed, backend=backend)
+    """Build a live :class:`Scenario` from ``spec`` at ``scale``.
+
+    The sequence (dataset → partition → deletion-subset selection →
+    attack application → model/config → simulation) fixes the order in
+    which RNG streams are drawn, so one seed builds one scenario.
+    """
+    dataset_key = dataset_data_key(spec.dataset.name)
+    if dataset_key not in SPECS:
+        raise ValueError(f"unknown dataset {spec.dataset.name!r}")
+    train_set, test_set = make_dataset(
+        dataset_key,
+        train_size=spec.dataset.train_size or scale.train_size,
+        test_size=spec.dataset.test_size or scale.test_size,
+        seed=seed,
+    )
+    rng = np.random.default_rng(seed + 1000)
+    num_clients = spec.federation.num_clients or scale.num_clients
+    fed = make_federated(
+        train_set, test_set, num_clients, rng,
+        strategy=spec.partition.strategy, **dict(spec.partition.options),
+    )
+
+    client_id = spec.deletion.client_id
+    if not 0 <= client_id < num_clients:
+        raise ValueError(f"deletion client {client_id} out of range")
+    local = fed.client_datasets[client_id]
+    # The paper's "deleted data rate": rate × |total train| local indices.
+    count = max(1, int(round(spec.deletion.rate * len(train_set))))
+    if count >= len(local):
+        raise ValueError(
+            f"deletion rate {spec.deletion.rate} exceeds client "
+            f"{client_id}'s local data ({count} >= {len(local)})"
+        )
+    delete_indices = np.sort(rng.choice(len(local), count, replace=False))
+
+    attack = _make_attack(spec.attack, train_set)
+    if attack is not None:
+        fed.client_datasets[client_id] = attack.poison(local, delete_indices)
+
+    resolved_model = spec.model or scale.model_for(spec.dataset.name)
+    factory = model_factory_for(train_set, resolved_model)
+    config = train_config(
+        scale, learning_rate=scale.learning_rate_for(resolved_model)
+    )
+
+    share = spec.federation.share_datasets
+    if share is None:
+        share = _backend_pickles_tasks(backend)
+    if share:
+        fed = fed.share()
+
+    aggregator = make_aggregator(
+        spec.federation.aggregator, test_set=test_set, model_factory=factory
+    )
+    sim = FederatedSimulation(
+        factory, fed, aggregator, config, seed=seed + 2000, backend=backend,
+    )
+    return Scenario(
+        sim=sim,
+        fed_data=fed,
+        test_set=test_set,
+        attack=attack,
+        poison_indices=delete_indices,
+        model_factory=factory,
+        config=config,
+        spec=spec,
+    )

@@ -40,15 +40,8 @@ def spec_for(
     return ExperimentSpec(
         experiment_id="Table X",
         title="Loss-component ablation (acc / backdoor at round checkpoints)",
-        kind="goldfish_variants",
         scenario=backdoor_spec(dataset, deletion_rate),
         methods=("ours",),
-        params={
-            "variants": {
-                name: {"use_confusion": confusion, "use_distillation": distillation}
-                for name, (confusion, distillation) in VARIANTS.items()
-            }
-        },
     )
 
 
@@ -66,5 +59,9 @@ def run(
     every unlearning round).
     """
     return runner.run_goldfish_variants(
-        spec_for(dataset, deletion_rate), scale, checkpoints=checkpoints, seed=seed
+        spec_for(dataset, deletion_rate), scale, checkpoints=checkpoints, seed=seed,
+        variants={
+            name: {"use_confusion": confusion, "use_distillation": distillation}
+            for name, (confusion, distillation) in VARIANTS.items()
+        },
     )

@@ -39,15 +39,8 @@ def spec_for(
     return ExperimentSpec(
         experiment_id="Table XI",
         title="Hard-loss compatibility (α=CE, β=focal, γ=NLL, δ=label-smoothed CE)",
-        kind="goldfish_variants",
         scenario=backdoor_spec(dataset, deletion_rate),
         methods=("ours",),
-        params={
-            "variants": {
-                name: {"hard_loss": hard_loss}
-                for name, hard_loss in HARD_LOSSES.items()
-            }
-        },
     )
 
 
@@ -60,5 +53,8 @@ def run(
 ) -> ExperimentResult:
     """Reproduce Table XI at this scale."""
     return runner.run_goldfish_variants(
-        spec_for(dataset, deletion_rate), scale, checkpoints=checkpoints, seed=seed
+        spec_for(dataset, deletion_rate), scale, checkpoints=checkpoints, seed=seed,
+        variants={
+            name: {"hard_loss": hard_loss} for name, hard_loss in HARD_LOSSES.items()
+        },
     )

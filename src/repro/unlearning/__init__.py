@@ -22,7 +22,6 @@ from .baselines import (
     IncompetentTeacherConfig,
     IncompetentTeacherUnlearner,
     RapidRetrainer,
-    retrain_from_scratch,
 )
 from .deletion_manager import (
     BatchSizePolicy,
@@ -91,7 +90,6 @@ __all__ = [
     "SisaConfig",
     "SisaDeletionReport",
     "SisaEnsemble",
-    "retrain_from_scratch",
     "FedEraser",
     "FedEraserConfig",
     "FedEraserReport",

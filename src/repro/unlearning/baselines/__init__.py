@@ -1,8 +1,8 @@
 """Baseline unlearning methods the paper compares against.
 
 * **B1** — retrain from scratch on the remaining data
-  (:mod:`~repro.unlearning.baselines.retrain`); the gold standard for
-  forgetting, the slowest for wall-clock.
+  (:func:`~repro.unlearning.protocols.federated_retrain`); the gold
+  standard for forgetting, the slowest for wall-clock.
 * **B2** — rapid retraining with a diagonal empirical Fisher information
   matrix preconditioner, after Liu et al., INFOCOM 2022
   (:mod:`~repro.unlearning.baselines.rapid`).
@@ -24,10 +24,8 @@ from .federaser import FedEraser, FedEraserConfig, FedEraserReport
 from .fedrecovery import FedRecovery, FedRecoveryReport
 from .incompetent import IncompetentTeacherConfig, IncompetentTeacherUnlearner
 from .rapid import DiagonalFIMSGD, RapidRetrainer
-from .retrain import retrain_from_scratch
 
 __all__ = [
-    "retrain_from_scratch",
     "RapidRetrainer",
     "DiagonalFIMSGD",
     "IncompetentTeacherUnlearner",

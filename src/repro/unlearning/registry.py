@@ -36,10 +36,8 @@ canonical name (aliases)  implementation                           level
 ========================  =======================================  ==========
 
 The centralized classes the paper's baselines are built from
-(``retrain_from_scratch``, :class:`RapidRetrainer`,
-:class:`IncompetentTeacherUnlearner`) power B1/B2/B3's per-client work;
-registering the federated flows therefore covers all nine entry points the
-code base previously exposed.
+(:class:`RapidRetrainer`, :class:`IncompetentTeacherUnlearner`) power
+B2/B3's per-client work; B1's is the stock client train task.
 """
 
 from __future__ import annotations

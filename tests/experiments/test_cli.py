@@ -146,3 +146,51 @@ class TestAllHonorsDataset:
         assert _supports_dataset("tab7_9", "mnist")
         assert not _supports_dataset("tab7_9", "cifar100")
         assert _supports_dataset("fig6", "cifar100")
+
+
+class TestArtifactsAreExecutionIndependent:
+    """Every artifact the CLI runs reports the same content serially and on
+    a two-worker pool: only wall-clock values and the runtime line differ."""
+
+    @staticmethod
+    def _run(backend, monkeypatch):
+        from repro.experiments.results import ExperimentResult
+        from repro.runtime import BACKEND_ENV_VAR
+
+        printed = []
+        monkeypatch.setattr(
+            ExperimentResult, "print", lambda result: printed.append(result)
+        )
+        if backend:
+            monkeypatch.setenv(BACKEND_ENV_VAR, backend)
+        else:
+            monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
+        run_experiment("all", "smoke", "mnist", 0)
+        payloads = []
+        for result in printed:
+            payload = result.to_dict()
+            payload.pop("runtime")
+            payload["rows"] = [
+                {key: value for key, value in row.items() if key != "wall_s"}
+                for row in payload["rows"]
+            ]
+            payloads.append(payload)
+        return payloads
+
+    def test_serial_and_pool_report_the_same_artifacts(self, monkeypatch):
+        from repro.experiments import SMOKE, scale as scale_module
+        tiny = SMOKE.with_overrides(
+            train_size=40, test_size=20, num_clients=2, pretrain_rounds=1,
+            local_epochs=1, unlearn_rounds=1, batch_size=20,
+            shard_counts=(2,), client_counts=(2,),
+        )
+        monkeypatch.setitem(scale_module.SCALES, "smoke", tiny)
+        serial = self._run("", monkeypatch)
+        pooled = self._run("pool:2", monkeypatch)
+        assert [p["experiment_id"] for p in serial] == [
+            "Fig 4a", "Table III / Fig 5a", "Table VII", "Table X", "Table XI",
+            "Fig 6", "Fig 7 (2% deletion)", "Fig 7 (6% deletion)",
+            "Fig 7 (10% deletion)", "Fig 8 (2 clients)", "Table XII", "Fig 9",
+            "efficiency", "certification",
+        ]
+        assert pooled == serial

@@ -1,20 +1,16 @@
-"""The shared experiment plumbing (federation setup, snapshots, dispatch)."""
+"""The shared experiment plumbing (backdoor scenario, snapshots, dispatch)."""
 
 import numpy as np
 import pytest
 
-from repro.experiments import SMOKE
+from repro.experiments import SMOKE, runner
 from repro.experiments.common import (
     DEFAULT_TRIGGER,
-    build_backdoor_federation,
-    evaluate_model,
-    goldfish_config,
-    model_factory_for,
-    pretrain,
-    run_unlearning_method,
     SimulationSnapshot,
-    train_config,
+    backdoor_spec,
+    goldfish_config,
 )
+from repro.experiments.spec import build_scenario, model_factory_for, train_config
 
 TINY = SMOKE.with_overrides(
     train_size=120, test_size=60, pretrain_rounds=1, local_epochs=1,
@@ -24,7 +20,7 @@ TINY = SMOKE.with_overrides(
 
 @pytest.fixture(scope="module")
 def setup():
-    return build_backdoor_federation("mnist", TINY, deletion_rate=0.06, seed=0)
+    return build_scenario(backdoor_spec("mnist", 0.06), TINY, seed=0)
 
 
 class TestBuildFederation:
@@ -45,11 +41,11 @@ class TestBuildFederation:
 
     def test_rate_too_large_rejected(self):
         with pytest.raises(ValueError):
-            build_backdoor_federation("mnist", TINY, deletion_rate=0.5)
+            build_scenario(backdoor_spec("mnist", 0.5), TINY)
 
     def test_unknown_dataset_rejected(self):
         with pytest.raises(ValueError):
-            build_backdoor_federation("svhn", TINY, deletion_rate=0.06)
+            build_scenario(backdoor_spec("svhn", 0.06), TINY)
 
     def test_train_config_from_scale(self):
         config = train_config(TINY)
@@ -67,11 +63,10 @@ class TestBuildFederation:
 
 class TestSnapshot:
     def test_restore_models_and_data(self):
-        setup = build_backdoor_federation("mnist", TINY, deletion_rate=0.06, seed=1)
-        pretrain(setup, TINY)
+        prepared = runner.prepare(backdoor_spec("mnist", 0.06), TINY, seed=1)
+        setup = prepared.scenario
         snapshot = SimulationSnapshot.capture(setup.sim)
-        setup.register_deletion()
-        run_unlearning_method("b1", setup, TINY)
+        runner.run_method(prepared, "b1", TINY)
         # deletion was finalized: data shrank
         assert len(setup.sim.clients[0].dataset) < TINY.train_size // TINY.num_clients + 1
         snapshot.restore(setup.sim)
@@ -82,20 +77,21 @@ class TestSnapshot:
 
 
 class TestMethodDispatch:
+    @pytest.fixture(scope="class")
+    def prepared(self):
+        return runner.prepare(backdoor_spec("mnist", 0.06), TINY, seed=2)
+
     @pytest.mark.parametrize("method", ["ours", "b1", "b2", "b3"])
-    def test_all_methods_run(self, method):
-        setup = build_backdoor_federation("mnist", TINY, deletion_rate=0.06, seed=2)
-        pretrain(setup, TINY)
-        setup.register_deletion()
-        outcome = run_unlearning_method(method, setup, TINY)
+    def test_all_methods_run(self, prepared, method):
+        outcome = runner.run_method(prepared, method, TINY)
         assert outcome.rounds_run == TINY.unlearn_rounds
-        metrics = evaluate_model(outcome.global_model, setup)
+        metrics = runner.evaluate_model(outcome.global_model, prepared.scenario)
         assert 0 <= metrics["acc"] <= 100
         assert 0 <= metrics["backdoor"] <= 100
 
-    def test_unknown_method(self, setup):
+    def test_unknown_method(self, prepared):
         with pytest.raises(ValueError):
-            run_unlearning_method("magic", setup, TINY)
+            runner.run_method(prepared, "magic", TINY)
 
 
 class TestGoldfishConfigHelper:

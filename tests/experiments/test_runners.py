@@ -111,8 +111,8 @@ class TestFig8and9:
         assert len(result.rows) == 2
 
     def test_fig9_spec_partition_options_reach_the_partitioner(self):
-        # The spec hash covers partition.options, so the run must too: an
-        # evolved spec's option is honoured (here: rejected), not dropped.
+        # A derived spec's partition option is honoured (here: rejected),
+        # not dropped.
         from dataclasses import replace
 
         from repro.experiments import runner
@@ -127,4 +127,7 @@ class TestFig8and9:
             ),
         )
         with pytest.raises(ValueError, match="alpha must be positive"):
-            runner.run_aggregation_iid(skewed, MICRO, num_rounds=1)
+            runner.run_aggregation_iid(
+                skewed, MICRO, num_rounds=1,
+                aggregators=ex.fig8_heterogeneous.AGGREGATORS,
+            )

@@ -1,31 +1,22 @@
 """The declarative scenario/experiment spec layer."""
 
-import json
-import subprocess
-import sys
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from repro.data.dataset import SharedArrayDataset
-from repro.experiments import (
-    SMOKE,
-    fig5_backdoor,
-    fig6_shards,
-    fig7_shard_deletion,
-    fig8_heterogeneous,
-    fig9_iid,
-)
+from repro.experiments import SMOKE, fig6_shards
 from repro.experiments.common import backdoor_spec
 from repro.experiments.spec import (
     AttackSpec,
     DatasetSpec,
     DeletionSpec,
+    ExperimentSpec,
     FederationSpec,
     PartitionSpec,
     ScenarioSpec,
     build_scenario,
-    spec_hash,
 )
 
 TINY = SMOKE.with_overrides(
@@ -47,107 +38,67 @@ def _full_spec() -> ScenarioSpec:
     )
 
 
-class TestRoundTrip:
-    def test_scenario_json_round_trip(self):
-        spec = _full_spec()
-        payload = json.loads(json.dumps(spec.to_dict()))
-        assert ScenarioSpec.from_dict(payload) == spec
-
-    def test_default_scenario_round_trip(self):
-        spec = ScenarioSpec()
-        assert ScenarioSpec.from_dict(spec.to_dict()) == spec
+class TestFields:
+    """The sub-specs keep their field sets; a removed field is a typo,
+    not a knob."""
 
     @pytest.mark.parametrize(
-        "exp",
+        "cls, names",
         [
-            fig5_backdoor.spec_for("mnist"),
-            fig6_shards.spec_for(),
-            fig7_shard_deletion.spec_for(),
-            fig8_heterogeneous.spec_for(),
-            fig9_iid.spec_for(),
+            (DatasetSpec, ["name", "train_size", "test_size"]),
+            (PartitionSpec, ["strategy", "options"]),
+            (AttackSpec, ["kind", "trigger_size", "trigger_value",
+                          "trigger_corner", "target_label"]),
+            (DeletionSpec, ["rate", "client_id"]),
+            (FederationSpec, ["num_clients", "aggregator", "share_datasets"]),
+            (ScenarioSpec, ["dataset", "partition", "attack", "deletion",
+                            "federation", "model"]),
+            (ExperimentSpec, ["experiment_id", "title", "scenario", "methods"]),
         ],
-        ids=["fig5", "fig6", "fig7", "fig8", "fig9"],
     )
-    def test_experiment_json_round_trip(self, exp):
-        """A paper spec survives JSON: its scenario rebuilds equal and its
-        payload hashes to the stamped hash (tuples canonicalised to lists)."""
-        payload = json.loads(json.dumps(exp.to_dict()))
-        assert ScenarioSpec.from_dict(payload["scenario"]) == exp.scenario
-        assert spec_hash(payload) == exp.hash()
-
-    def test_hash_changes_with_content(self):
-        spec = _full_spec()
-        assert spec.hash() != spec.with_overrides(**{"deletion.rate": 0.08}).hash()
-
-    def test_hash_stable_across_processes(self):
-        """The spec hash must not depend on process state (PYTHONHASHSEED)."""
-        spec = backdoor_spec("mnist", 0.06)
-        script = (
-            "from repro.experiments.spec import ScenarioSpec;"
-            "import json, sys;"
-            "print(ScenarioSpec.from_dict(json.loads(sys.argv[1])).hash())"
-        )
-        import os
-        import repro
-
-        src_dir = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-        for seed in ("0", "42"):
-            out = subprocess.run(
-                [sys.executable, "-c", script, json.dumps(spec.to_dict())],
-                capture_output=True, text=True, check=True,
-                env={**os.environ, "PYTHONPATH": src_dir, "PYTHONHASHSEED": seed},
-            )
-            assert out.stdout.strip() == spec.hash()
-
-
-class TestOverrides:
-    def test_dotted_override(self):
-        spec = _full_spec().with_overrides(
-            **{"deletion.rate": 0.10, "federation.num_clients": 7}
-        )
-        assert spec.deletion.rate == 0.10
-        assert spec.federation.num_clients == 7
-        assert spec.attack.trigger_size == 5  # untouched
-
-    def test_top_level_override(self):
-        assert _full_spec().with_overrides(model="resnet8_slim").model == "resnet8_slim"
-
-    def test_unknown_path_rejected(self):
-        with pytest.raises(ValueError, match="unknown spec path"):
-            _full_spec().with_overrides(**{"deletion.ratee": 0.1})
-        with pytest.raises(ValueError, match="unknown spec path"):
-            _full_spec().with_overrides(**{"nope.rate": 0.1})
-        # Knobs with one value left are not fields.
-        for path, value in [
-            ("federation.compression.codec", "delta"),
-            ("federation.vectorize", True),
-            ("deletion.selector", "random"),
-            ("deletion.target_class", 3),
-        ]:
-            with pytest.raises(ValueError, match="unknown spec path"):
-                _full_spec().with_overrides(**{path: value})
-
-
-class TestFederationSpecIsSynchronous:
-    """The async fields are gone: a sweep over one is a typo, not a knob."""
+    def test_field_names(self, cls, names):
+        assert [field.name for field in fields(cls)] == names
 
     @pytest.mark.parametrize(
-        "path, value",
+        "cls, name, value",
         [
-            ("federation.async_mode", True),
-            ("federation.buffer_size", 4),
-            ("federation.max_staleness", 2),
-            ("federation.straggler_timeout", 2.5),
+            (FederationSpec, "async_mode", True),
+            (FederationSpec, "buffer_size", 4),
+            (FederationSpec, "max_staleness", 2),
+            (FederationSpec, "straggler_timeout", 2.5),
+            (FederationSpec, "compression", "delta"),
+            (FederationSpec, "vectorize", True),
+            (DeletionSpec, "selector", "random"),
+            (DeletionSpec, "target_class", 3),
+            (DeletionSpec, "ratee", 0.1),
         ],
     )
-    def test_removed_async_path_rejected(self, path, value):
-        with pytest.raises(ValueError, match="unknown spec path"):
-            _full_spec().with_overrides(**{path: value})
+    def test_removed_field_is_not_a_knob(self, cls, name, value):
+        with pytest.raises(TypeError):
+            cls(**{name: value})
 
-    def test_federation_fields(self):
-        assert list(_full_spec().to_dict()["federation"]) == [
-            "num_clients", "aggregator", "share_datasets",
-        ]
+    @pytest.mark.parametrize("name, value", [("kind", "rate_table"),
+                                             ("params", {"rates": [0.06]})])
+    def test_experiment_spec_takes_no_kind_or_params(self, name, value):
+        with pytest.raises(TypeError):
+            ExperimentSpec("X", "y", **{name: value})
+
+    def test_methods_become_a_tuple(self):
+        assert ExperimentSpec("X", "y", methods=["ours", "b1"]).methods == ("ours", "b1")
+
+
+class TestRateSweep:
+    """A sweep derives each point with dataclasses.replace."""
+
+    def test_replace_changes_only_the_rate(self):
+        spec = _full_spec()
+        swept = replace(spec, deletion=replace(spec.deletion, rate=0.10))
+        assert swept.deletion == DeletionSpec(rate=0.10, client_id=1)
+        assert replace(swept, deletion=spec.deletion) == spec
+
+    def test_replace_revalidates(self):
+        with pytest.raises(ValueError):
+            replace(_full_spec().deletion, rate=1.5)
 
 
 class TestValidation:
@@ -169,13 +120,26 @@ class TestBuilder:
                 ScenarioSpec(dataset=DatasetSpec(name="svhn")), TINY
             )
 
-    def test_deletion_requests_shape(self):
-        scenario = build_scenario(backdoor_spec("mnist", 0.06), TINY, seed=1)
-        (request,) = scenario.deletion_requests()
-        assert request.client_id == 0
+    def test_deletion_client_out_of_range(self):
+        spec = replace(_full_spec(), deletion=DeletionSpec(rate=0.04, client_id=4))
+        with pytest.raises(ValueError, match="out of range"):
+            build_scenario(spec, TINY)
+
+    def test_register_deletion_files_the_subset(self):
+        scenario = build_scenario(_full_spec(), TINY, seed=1)
+        scenario.register_deletion()
+        assert scenario.deletion_client_id == 1
+        clients = scenario.sim.clients
         np.testing.assert_array_equal(
-            np.asarray(request.indices), scenario.poison_indices
+            clients[1].forget_indices, scenario.poison_indices
         )
+        assert not any(clients[i].has_pending_deletion for i in (0, 2, 3))
+
+    def test_spec_sizes_override_the_scale(self):
+        scenario = build_scenario(_full_spec(), TINY, seed=1)
+        assert len(scenario.test_set) == 80
+        assert len(scenario.poison_indices) == round(0.04 * 200)
+        assert scenario.sim.fed_data.num_clients == 4
 
     def test_share_flag_respected(self):
         scenario = build_scenario(backdoor_spec("mnist", 0.06, share=True), TINY, seed=2)
@@ -210,3 +174,11 @@ class TestBuilder:
                 client0.labels[scenario.poison_indices]
                 == scenario.attack.target_label
             ).all()
+
+    def test_one_seed_builds_one_scenario(self):
+        a = build_scenario(_full_spec(), TINY, seed=4)
+        b = build_scenario(_full_spec(), TINY, seed=4)
+        np.testing.assert_array_equal(a.poison_indices, b.poison_indices)
+        for x, y in zip(a.fed_data.client_datasets, b.fed_data.client_datasets):
+            np.testing.assert_array_equal(x.images, y.images)
+            np.testing.assert_array_equal(x.labels, y.labels)

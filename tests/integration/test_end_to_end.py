@@ -10,14 +10,8 @@ behaves like the retrained-from-scratch reference.
 import numpy as np
 import pytest
 
-from repro.experiments import SMOKE
-from repro.experiments.common import (
-    SimulationSnapshot,
-    build_backdoor_federation,
-    evaluate_model,
-    pretrain,
-    run_unlearning_method,
-)
+from repro.experiments import SMOKE, runner
+from repro.experiments.common import backdoor_spec
 
 SCALE = SMOKE.with_overrides(
     train_size=600, test_size=250, pretrain_rounds=8, local_epochs=2,
@@ -28,18 +22,15 @@ SCALE = SMOKE.with_overrides(
 @pytest.fixture(scope="module")
 def pipeline():
     """One pretrained backdoored federation shared by the tests."""
-    setup = build_backdoor_federation("mnist", SCALE, deletion_rate=0.08, seed=0)
-    origin = pretrain(setup, SCALE)
-    snapshot = SimulationSnapshot.capture(setup.sim)
-    origin_metrics = evaluate_model(origin, setup)
+    prepared = runner.prepare(backdoor_spec("mnist", 0.08), SCALE, seed=0)
+    setup, origin = prepared.scenario, prepared.origin
+    origin_metrics = runner.evaluate_model(origin, setup)
 
     outcomes = {}
     for method in ("ours", "b1", "b3"):
-        snapshot.restore(setup.sim)
-        setup.register_deletion()
-        outcome = run_unlearning_method(method, setup, SCALE)
-        outcomes[method] = (outcome, evaluate_model(outcome.global_model, setup))
-    snapshot.restore(setup.sim)
+        outcome = runner.run_method(prepared, method, SCALE)
+        outcomes[method] = (outcome, runner.evaluate_model(outcome.global_model, setup))
+    prepared.snapshot.restore(setup.sim)
     return setup, origin, origin_metrics, outcomes
 
 
@@ -106,7 +97,7 @@ class TestShardedDeletionIntegration:
         """Fig. 7 shape: deletion at a mid-round; the sharded client
         retrains only affected shards and accuracy recovers."""
         from repro.data import make_dataset
-        from repro.experiments.common import model_factory_for, train_config
+        from repro.experiments.spec import model_factory_for, train_config
         from repro.training import evaluate
         from repro.unlearning import ShardedClientTrainer
 
@@ -134,7 +125,7 @@ class TestAggregationIntegration:
         aggregator reaches higher early-round accuracy than FedAvg."""
         from repro.data import make_dataset, make_federated
         from repro.federated import FederatedSimulation, make_aggregator
-        from repro.experiments.common import model_factory_for, train_config
+        from repro.experiments.spec import model_factory_for, train_config
 
         train_set, test_set = make_dataset("mnist", 800, 300, seed=2)
         factory = model_factory_for(train_set, "lenet5")

@@ -8,13 +8,8 @@ registry is an API, not a reimplementation.
 import numpy as np
 import pytest
 
-from repro.experiments import SMOKE
-from repro.experiments.common import (
-    build_backdoor_federation,
-    goldfish_config,
-    pretrain,
-)
-from repro.federated import RoundHistoryStore, attach_history
+from repro.experiments import SMOKE, runner
+from repro.experiments.common import backdoor_spec, goldfish_config
 from repro.unlearning import (
     ClientDeletionRequest,
     FedEraser,
@@ -37,9 +32,7 @@ TINY = SMOKE.with_overrides(
 
 
 def _pretrained(seed):
-    setup = build_backdoor_federation("mnist", TINY, deletion_rate=0.06, seed=seed)
-    pretrain(setup, TINY)
-    return setup
+    return runner.prepare(backdoor_spec("mnist", 0.06), TINY, seed=seed).scenario
 
 
 def _assert_states_equal(model_a, model_b):
@@ -140,12 +133,10 @@ class TestBitIdenticalSampleLevel:
 
 class TestBitIdenticalClientLevel:
     def _with_history(self, seed):
-        setup = build_backdoor_federation(
-            "mnist", TINY, deletion_rate=0.06, seed=seed
+        prepared = runner.prepare(
+            backdoor_spec("mnist", 0.06), TINY, seed=seed, with_history=True
         )
-        history = attach_history(setup.sim, RoundHistoryStore())
-        pretrain(setup, TINY)
-        return setup, history
+        return prepared.scenario, prepared.history
 
     def test_federaser(self):
         direct, history = self._with_history(9)
