@@ -1,7 +1,8 @@
 """Record the paper artifacts as canonical JSON, and compare two records.
 
     python tools/artifacts.py record DIR   # experiments all --scale smoke --seed 0
-    python tools/artifacts.py compare A B  # exit 1 on any difference
+    python tools/artifacts.py compare A B  # exit 1 on any difference, 2 on
+                                           # records made at other thread counts
 
 ``record`` runs the CLI's own ``run_experiment("all", "smoke", "", 0)``
 from the ``repro`` on ``PYTHONPATH`` and keeps every ``ExperimentResult``
@@ -12,6 +13,13 @@ the same way.  Each result keeps ``experiment_id``, ``title``,
 (``runtime`` included).  ``DIR/artifacts.json`` holds the ordered list.
 ``compare`` is exact over that list: no tolerance, since both records
 come from one machine.
+
+The last bits of some artifacts (Table IX) depend on the BLAS thread
+count, so ``record`` also writes the ``OPENBLAS/OMP/MKL_NUM_THREADS``
+values it ran under (``null`` when unset) to ``DIR/threads.json``, and
+``compare`` refuses, with exit status 2, two records whose settings
+differ or are missing, before it compares any row.  Pin all three to
+``1``, as ``bench`` does.
 """
 
 import contextlib
@@ -22,6 +30,8 @@ import sys
 
 FIELDS = ("experiment_id", "title", "columns", "rows", "series", "notes")
 RECORD = "artifacts.json"
+THREADS = "threads.json"
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _timing(key):
@@ -54,13 +64,23 @@ def record(out):
     with open(os.path.join(out, RECORD), "w") as handle:
         json.dump(printed, handle, indent=1, sort_keys=True)
         handle.write("\n")
+    with open(os.path.join(out, THREADS), "w") as handle:
+        json.dump({name: os.environ.get(name) for name in THREAD_VARIABLES}, handle)
+        handle.write("\n")
     print(f"recorded {len(printed)} artifacts to {os.path.join(out, RECORD)}")
     return 0
 
 
-def _load(directory):
-    with open(os.path.join(directory, RECORD)) as handle:
+def _load(directory, name=RECORD):
+    with open(os.path.join(directory, name)) as handle:
         return json.load(handle)
+
+
+def _threads(directory):
+    try:
+        return _load(directory, THREADS)
+    except FileNotFoundError:
+        return None
 
 
 def _text(value):
@@ -69,6 +89,14 @@ def _text(value):
 
 
 def compare(a, b):
+    threads = _threads(a), _threads(b)
+    if None in threads or threads[0] != threads[1]:
+        print(
+            f"BLAS thread settings differ or are missing: {a} ran under "
+            f"{threads[0]}, {b} under {threads[1]}; records agree only at one "
+            "thread count"
+        )
+        return 2
     left, right = _load(a), _load(b)
     failures = []
     if len(left) != len(right):
