@@ -41,7 +41,7 @@ Two execution paths share the queue and the policies:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Collection, List, Optional, Sequence
+from typing import Collection, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -175,11 +175,14 @@ class ExecutedBatch:
     completed_round: Optional[int] = None
     # The service's journaled plan: window id, merged index set and
     # affected shards (None / empty on the barriered path and for a
-    # window that had nothing left to retrain), and whether its chains
-    # failed.
+    # window that had nothing left to retrain), each shard's first
+    # retrained slice (from its ``retraining`` record: the slices the
+    # window rewrote, or dropped if its chains failed), and whether its
+    # chains failed.
     window_id: Optional[int] = None
     indices: List[int] = field(default_factory=list)
     shards: List[int] = field(default_factory=list)
+    first_slices: Dict[int, int] = field(default_factory=dict)
     failed: bool = False
 
     @property

@@ -3,30 +3,61 @@
 The durability contract of :class:`~repro.unlearning.service.UnlearningService`
 rests on one primitive: every state transition is appended to a journal
 *before* the in-memory transition happens (write-ahead), each record on
-its own line as canonical JSON, flushed and fsync'd.  A process that dies
-at any instant leaves a journal that is a valid prefix of the uncrashed
-run's journal — except possibly a torn final line, which replay detects
-and drops (the transition it described never durably happened, exactly
-the WAL semantics databases rely on).
+its own line as canonical JSON, flushed and fsync'd.  Records that one
+step of the service produces together — a request's ``received`` and its
+verdict, a window's ``scheduled`` and ``retraining`` — are one *group*:
+one ``write``, one flush, one fsync.  A process that dies at any instant
+leaves a journal that is a valid prefix of the uncrashed run's journal
+(a crash inside a group can keep any prefix of its lines) — except
+possibly a torn final line, which replay detects and drops (the
+transition it described never durably happened, exactly the WAL
+semantics databases rely on).
 
 Record shape is the service's business; the journal only guarantees:
 
-* :meth:`Journal.append` — atomic-enough single-line append (JSON +
-  newline, flush, fsync); the first append through a journal object
-  cuts a torn tail off, so a new record never lands on a partial line;
+* :meth:`Journal.append` — one record, or a group of them, appended as
+  whole lines with one flush and one fsync; the first append through a
+  journal object cuts a torn tail off, so a new record never lands on a
+  partial line, and fsyncs the directory when it creates the file;
 * :meth:`Journal.compact` — atomically replace the whole history with
   one snapshot record (temp file + fsync + ``os.replace``), bounding
   recovery cost without ever exposing a half-written journal;
 * :func:`replay` — the records back, in order, tolerating a truncated
   tail; corruption *before* the tail (which a crash cannot produce)
   raises rather than silently dropping durable history.
+
+:func:`fsync_path` and :func:`replace_durably` are how the service and
+the SISA base save make files and directory entries durable.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Any, Dict, Iterator, List, Tuple
+from typing import Any, Dict, Iterator, List, Mapping, Sequence, Tuple, Union
+
+
+def fsync_path(path: str) -> None:
+    """fsync a file or directory by path: a file's bytes, or a
+    directory's entries (a file created or renamed in it)."""
+    descriptor = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(descriptor)
+    finally:
+        os.close(descriptor)
+
+
+def replace_durably(path: str, text: str, tmp: str) -> None:
+    """Write ``text`` to ``tmp`` and fsync it, :func:`os.replace` it over
+    ``path`` and fsync the directory: at every instant ``path`` holds
+    its old bytes or all of ``text``, and after the call the new bytes
+    are durable."""
+    with open(tmp, "w") as handle:
+        handle.write(text)
+        handle.flush()
+        os.fsync(handle.fileno())
+    os.replace(tmp, path)
+    fsync_path(os.path.dirname(path) or ".")
 
 
 class JournalCorruption(RuntimeError):
@@ -49,8 +80,12 @@ class Journal:
         self._handle = None
         self._sequence = 0
 
-    def append(self, record: Dict[str, Any]) -> Dict[str, Any]:
-        """Durably append one record; returns it stamped with ``seq``.
+    def append(
+        self, records: Union[Mapping[str, Any], Sequence[Mapping[str, Any]]]
+    ) -> Union[Dict[str, Any], List[Dict[str, Any]]]:
+        """Durably append one record, or a group of records with one
+        ``write``, one flush and one fsync; returns what it was given,
+        stamped with ``seq`` (a record for a record, a list for a group).
 
         ``seq`` is monotonically increasing across the journal's whole
         history (resuming past records already on disk), so replayed and
@@ -58,17 +93,28 @@ class Journal:
         """
         if self._handle is None:
             self._resume()
+            created = not os.path.exists(self.path)
             self._handle = open(self.path, "a")
+            if created:
+                fsync_path(os.path.dirname(self.path) or ".")
+        group = [records] if isinstance(records, Mapping) else records
+        stamped = [self._stamp(record) for record in group]
+        self._handle.write("".join(line for _, line in stamped))
+        self._handle.flush()
+        os.fsync(self._handle.fileno())
+        written = [record for record, _ in stamped]
+        return written[0] if isinstance(records, Mapping) else written
+
+    def _stamp(self, record: Mapping[str, Any]) -> Tuple[Dict[str, Any], str]:
+        """A copy of ``record`` stamped with the next ``seq``, and its
+        journal line (canonical JSON and a newline)."""
         record = dict(record)
         record["seq"] = self._sequence
         self._sequence += 1
         line = json.dumps(record, sort_keys=True, separators=(",", ":"))
         if "\n" in line:  # json.dumps never emits raw newlines, but be loud
             raise ValueError("journal record serialised with embedded newline")
-        self._handle.write(line + "\n")
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
-        return record
+        return record, line + "\n"
 
     def compact(self, snapshot_record: Dict[str, Any]) -> Dict[str, Any]:
         """Atomically collapse the journal's history into one snapshot.
@@ -92,21 +138,8 @@ class Journal:
         else:
             self._handle.close()
             self._handle = None
-        record = dict(snapshot_record)
-        record["seq"] = self._sequence
-        self._sequence += 1
-        line = json.dumps(record, sort_keys=True, separators=(",", ":"))
-        tmp = self.path + ".compact"
-        with open(tmp, "w") as handle:
-            handle.write(line + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, self.path)
-        directory = os.open(os.path.dirname(self.path) or ".", os.O_RDONLY)
-        try:
-            os.fsync(directory)
-        finally:
-            os.close(directory)
+        record, line = self._stamp(snapshot_record)
+        replace_durably(self.path, line, self.path + ".compact")
         self._handle = open(self.path, "a")
         return record
 

@@ -11,9 +11,9 @@ queue into a **persistent request pipeline**:
   :class:`~repro.unlearning.journal.Journal` *before* it takes effect in
   memory;
 * a process that dies at any instant recovers on restart by replaying
-  the journal (:meth:`UnlearningService.recover`): each shard is read
-  once, from the on-disk sidecar of the newest certified window that
-  touched it (or the base save), incomplete windows are
+  the journal (:meth:`UnlearningService.recover`): each (shard, slice)
+  checkpoint is read once, from the on-disk sidecar of the newest
+  certified window that rewrote it (or the base save), incomplete windows are
   resubmitted from their journaled index sets, and queued requests are
   re-queued — with recovered final shard states **bit-identical** to an
   uninterrupted run, because
@@ -32,19 +32,36 @@ On-disk layout under the service directory::
     service.json           static metadata (seed, version)
     ensemble/              base SisaEnsemble.save() taken after fit():
                            shard<i>_slice<r>.ckpt, then manifest.json
-    windows/000007/        per-certified-window sidecar: the affected
-                           shards' full checkpoint sets
-                           (shard<i>_slice<r>.ckpt), RNG positions
-                           and the window's deleted indices (meta.json)
+    windows/000007/        per-certified-window sidecar: for each shard
+                           the window retrained, the checkpoints its
+                           chain rewrote (shard<i>_slice<r>.ckpt for r
+                           from the shard's first affected slice on),
+                           and meta.json (RNG positions, the window's
+                           deleted indices)
 
 Every checkpoint is one flat file — a JSON header, then the raw array
 bytes (:mod:`repro.nn.serialization`) — whose reader raises
 :class:`ValueError` on anything malformed.  One seed and one request
-stream write byte-identical directories.  The base save writes its
-manifest last, so a service that died mid-save starts fresh again.
+stream write byte-identical directories.  The base save fsyncs its
+checkpoints and writes its manifest last, so a service that died
+mid-save starts fresh again.
 
-Sidecars are written to a temp directory and atomically renamed *before*
-the ``certified`` record is journaled, so a journal that says certified
+A window retrains a shard from its first affected slice (after
+``delete_begin``'s walk-back past slices a failed window dropped), so
+only those slices change; the rest are byte-identical to the copy
+already on disk, and the sidecar does not hold them again.  Each
+shard's first slice rides in the window's ``retraining`` record, so
+:meth:`UnlearningService.recover` reads each (shard, slice) from the
+newest certified window that rewrote it, or from the base save.
+
+Durability: a request's ``received`` record and its verdict are one
+journal group (one fsync), and so are a window's ``scheduled`` and
+``retraining`` records, which are durable before any chain is
+submitted — three journal fsyncs per request under
+:class:`~repro.unlearning.deletion_manager.ImmediatePolicy`.  Sidecars
+are written to a temp directory, every file and the directory fsynced,
+then atomically renamed and the ``windows/`` entry fsynced *before* the
+``certified`` record is journaled, so a journal that says certified
 always finds its sidecar; a sidecar without its journal record is a
 pre-crash partial and is simply overwritten when the resubmitted window
 re-certifies (deterministically, with identical bytes).
@@ -72,7 +89,7 @@ from .deletion_manager import (
     RequestState,
     check_round,
 )
-from .journal import Journal, replay
+from .journal import Journal, fsync_path, replay
 from .sisa import SisaEnsemble
 
 
@@ -111,8 +128,8 @@ class UnlearningService:
     starts a **fresh** service in ``directory``: the ensemble's base
     state is saved and an empty journal begins.  After a crash, rebuild
     with :meth:`recover` instead — it replays the journal, reads each
-    shard from its newest certified sidecar (or the base save) and
-    resubmits incomplete windows.
+    (shard, slice) from the newest certified sidecar that holds it (or
+    the base save) and resubmits incomplete windows.
 
     Drive it once per federation round::
 
@@ -183,8 +200,7 @@ class UnlearningService:
         self.sla = SlaMeter(self.requests.values())
         self._windows: Dict[int, ExecutedBatch] = {}
         # Window ids in certification order, preserved across compaction
-        # snapshots: a later window's shard state supersedes an earlier
-        # one's, so recovery reads each shard from the last that touched it.
+        # snapshots.
         self._certified_order: List[int] = []
         self._auto_id = 0
         self._next_window = 0
@@ -218,9 +234,15 @@ class UnlearningService:
     # The state machine: journal first, then the same record in memory
     # ------------------------------------------------------------------
     def _log(self, event: str, **fields: Any) -> None:
-        """One transition, write-ahead: durably journal the record, then
-        apply it — through the code that replays it after a crash."""
-        self._apply(self.journal.append({"event": event, **fields}))
+        """One transition, write-ahead (see :meth:`_commit`)."""
+        self._commit({"event": event, **fields})
+
+    def _commit(self, *records: Dict[str, Any]) -> None:
+        """Transitions, write-ahead: durably journal the records as one
+        group (one fsync), then apply each — through the code that
+        replays it after a crash."""
+        for record in self.journal.append(list(records)):
+            self._apply(record)
 
     def _apply(self, record: Dict[str, Any]) -> None:
         """What a journal record means for in-memory state.  Live
@@ -260,7 +282,11 @@ class UnlearningService:
                 request.state = RequestState.SCHEDULED
                 request.window_id = window_id
         elif event == "retraining":
-            for request in self._windows[int(record["window"])].requests:
+            batch = self._windows[int(record["window"])]
+            batch.first_slices = {
+                int(shard): int(start) for shard, start in record["slices"].items()
+            }
+            for request in batch.requests:
                 request.state = RequestState.RETRAINING
         elif event == "certified":
             batch = self._windows[int(record["window"])]
@@ -312,7 +338,9 @@ class UnlearningService:
         reaches the journal.  Empty index sets and out-of-range indices
         are rejected with a clear :class:`ValueError` after journaling
         the terminal ``failed`` transition, so a bad request cannot
-        poison the windows of well-formed ones.
+        poison the windows of well-formed ones.  The ``received`` record
+        and its verdict are one journal group: the call returns once
+        both are durable, after one fsync.
         """
         round_index = check_round(round_index)
         indices = sample_indices(indices)
@@ -321,18 +349,22 @@ class UnlearningService:
         elif request_id in self.requests:
             self._log("duplicate", request_id=request_id, round=round_index)
             return self.requests[request_id]
-        self._log(
-            "received",
-            request_id=request_id,
-            client_id=int(client_id),
-            indices=[int(i) for i in indices],
-            round=round_index,
+        arrived = time.perf_counter()
+        verdict = self._verdict(request_id, round_index, indices)
+        self._commit(
+            {
+                "event": "received",
+                "request_id": request_id,
+                "client_id": int(client_id),
+                "indices": [int(i) for i in indices],
+                "round": round_index,
+            },
+            verdict,
         )
         request = self.requests[request_id]
-        request.submitted_wall = time.perf_counter()
-        reason = self._validate(request)
-        if reason is not None:
-            raise ValueError(f"deletion request {request_id!r}: {reason}")
+        request.submitted_wall = arrived
+        if verdict["event"] == "failed":
+            raise ValueError(f"deletion request {request_id!r}: {verdict['reason']}")
         return self.manager.enqueue(request)
 
     def _fresh_id(self) -> str:
@@ -344,30 +376,24 @@ class UnlearningService:
             if request_id not in self.requests:
                 return request_id
 
-    def _validate(self, request: DeletionRequest) -> Optional[str]:
-        """Journal a received request's ``validated`` or terminal
-        ``failed`` transition; returns the failure reason, if any."""
-        indices = request.indices
+    def _validate(self, request: DeletionRequest) -> None:
+        """Journal the verdict of a request recovery found ``received``."""
+        verdict = self._verdict(request.request_id, request.submitted_round, request.indices)
+        self._commit(verdict)
+
+    def _verdict(
+        self, request_id: str, round_index: int, indices: np.ndarray
+    ) -> Dict[str, Any]:
+        """A received request's ``validated`` record, or its terminal
+        ``failed`` one with the reason."""
         bad = indices[(indices < 0) | (indices >= len(self.ensemble.dataset))]
-        reason = None
+        record: Dict[str, Any] = {"request_id": request_id, "round": round_index}
         if indices.size == 0:
-            reason = "deletion request with no indices"
+            record["reason"] = "deletion request with no indices"
         elif bad.size:
-            reason = f"index {int(bad[0])} out of range"
-        if reason is None:
-            self._log(
-                "validated",
-                request_id=request.request_id,
-                round=request.submitted_round,
-            )
-        else:
-            self._log(
-                "failed",
-                request_id=request.request_id,
-                reason=reason,
-                round=request.submitted_round,
-            )
-        return reason
+            record["reason"] = f"index {int(bad[0])} out of range"
+        record["event"] = "failed" if "reason" in record else "validated"
+        return record
 
     # ------------------------------------------------------------------
     # The round loop
@@ -421,29 +447,47 @@ class UnlearningService:
             return self.manager.flush(
                 ExecutedBatch(round_index, ready, completed_round=round_index)
             )
-        # Write-ahead: the plan is durable before delete_begin acts on it.
+        # Write-ahead: delete_begin only marks memory (deleted indices,
+        # shard locks, each shard's first affected slice); no chain runs
+        # until the plan and its start slices are durable, in one group.
         window_id = self._next_window
-        self._log(
-            "scheduled",
-            window=window_id,
-            requests=request_ids,
-            indices=merged,
-            shards=sorted({shard_of(index)[0] for index in merged}),
-            round=round_index,
+        pending = self.ensemble.delete_begin(merged)
+        self._commit(
+            {
+                "event": "scheduled",
+                "window": window_id,
+                "requests": request_ids,
+                "indices": merged,
+                "shards": sorted(pending.first_affected),
+                "round": round_index,
+            },
+            self._retraining(window_id, pending, round_index),
         )
-        return self._launch(self._windows[window_id], round_index)
+        return self._launch(self._windows[window_id], pending, round_index)
 
-    def _launch(self, batch: ExecutedBatch, round_index: int) -> ExecutedBatch:
-        """Begin a scheduled window: lock its shards, journal
-        ``retraining``, start its chains.  Recovery re-begins a window a
-        dead process left incomplete through here too — its journaled
-        plan is re-begun as-is, past the policy gate, and the window
-        reads the round it was re-begun in."""
-        pending = self.ensemble.delete_begin(batch.indices)
+    @staticmethod
+    def _retraining(window_id: int, pending, round_index: int) -> Dict[str, Any]:
+        """A begun window's ``retraining`` record: each shard's first
+        retrained slice, after ``delete_begin``'s walk-back."""
+        return {
+            "event": "retraining",
+            "window": window_id,
+            "round": round_index,
+            "slices": {
+                str(shard): int(start)
+                for shard, start in sorted(pending.first_affected.items())
+            },
+        }
+
+    def _launch(self, batch: ExecutedBatch, pending, round_index: int) -> ExecutedBatch:
+        """Start a begun window's chains, its ``retraining`` record
+        already durable.  Recovery re-begins a window a dead process
+        left incomplete through here too — its journaled plan is
+        re-begun as-is, past the policy gate, and the window reads the
+        round it was re-begun in."""
         batch.executed_round = round_index
         batch.chains_submitted = pending.num_chains
         self.manager.flush(batch)
-        self._log("retraining", window=batch.window_id, round=round_index)
         if all(hasattr(self.backend, name) for name in ("submit", "drain", "poll")):
             tasks = list(pending.tasks)
             if self.task_filter is not None:
@@ -518,9 +562,9 @@ class UnlearningService:
         window plans (indices, shards, certified/failed flags), the
         certification order, duplicate and id counters — so replay after
         compaction reads one entry per request and window instead of one
-        record per transition.  The window plans are what :meth:`recover`
-        picks each shard's newest sidecar from, so its checkpoint reads
-        stay one set per shard however long the history.
+        record per transition.  The plans' start slices are what
+        :meth:`recover` picks each (shard, slice)'s newest sidecar from,
+        so its reads stay one per (shard, slice) however long the history.
         The write is atomic (:meth:`~repro.unlearning.journal.Journal.compact`):
         a crash at any instant mid-compaction leaves either the full
         history or the complete snapshot, and recovery from both is
@@ -563,12 +607,13 @@ class UnlearningService:
 
     @staticmethod
     def _window_plan(batch: ExecutedBatch) -> Dict[str, Any]:
-        """A window's snapshot entry: its ``scheduled`` plan plus the
-        terminal flag its ``certified`` / ``window_failed`` record set."""
+        """A window's snapshot entry: its ``scheduled`` plan and start
+        slices, plus the flag its ``certified`` / ``window_failed`` set."""
         plan: Dict[str, Any] = {
             "request_ids": [request.request_id for request in batch.requests],
             "indices": list(batch.indices),
             "shards": list(batch.shards),
+            "slices": {str(k): v for k, v in batch.first_slices.items()},
         }
         if batch.failed:
             plan["failed"] = True
@@ -600,73 +645,104 @@ class UnlearningService:
         return os.path.join(self.directory, "windows", f"{window_id:06d}")
 
     def _persist_window(self, window_id: int, pending) -> None:
-        """Atomically write the certified window's sidecar.
+        """Durably write the certified window's sidecar.
 
-        The sidecar holds everything recovery needs to reinstall the
-        window without retraining: the window's deleted indices and, for
-        each affected shard, its *complete* post-window checkpoint set
-        and RNG position.  Per-shard locking guarantees no other window
-        mutated these shards between begin and certify, so the live
-        state *is* the post-window state.
+        The sidecar holds what the window changed: for each affected
+        shard, the checkpoints its chain rewrote (its first affected
+        slice onwards) and its RNG position, and the window's deleted
+        indices.  Earlier slices are byte-identical to the copy recovery
+        already reads elsewhere.  Per-shard locking guarantees no other
+        window mutated these shards between begin and certify, so the
+        live state *is* the post-window state.  Every file and the temp
+        directory are fsynced before the rename, and ``windows/`` after
+        it, so the ``certified`` record that follows always finds the
+        sidecar on disk.
         """
         final = self._window_dir(window_id)
         tmp = final + ".tmp"
         for stale in (tmp, final):
             if os.path.exists(stale):
                 shutil.rmtree(stale)
+        windows = os.path.dirname(final)
+        if not os.path.isdir(windows):
+            os.makedirs(windows)
+            fsync_path(self.directory)
         os.makedirs(tmp)
         meta: Dict[str, Any] = {
             "window": window_id,
             "indices": [int(i) for i in pending.indices],
             "shards": {},
         }
-        for shard_index in sorted(pending.first_affected):
+        for shard_index, start in sorted(pending.first_affected.items()):
             shard = self.ensemble._shards[shard_index]
+            rewritten = list(range(start, self.ensemble.config.num_slices))
             meta["shards"][str(shard_index)] = {
-                "checkpoints": sorted(shard.checkpoints),
+                "checkpoints": rewritten,
                 "rng_state": shard.rng_state,
             }
-            for slice_index, state in shard.checkpoints.items():
-                save_state_dict(
-                    state,
-                    os.path.join(
-                        tmp, f"shard{shard_index}_slice{slice_index}.ckpt"
-                    ),
-                )
+            for slice_index in rewritten:
+                path = os.path.join(tmp, f"shard{shard_index}_slice{slice_index}.ckpt")
+                save_state_dict(shard.checkpoints[slice_index], path)
+                fsync_path(path)
         with open(os.path.join(tmp, "meta.json"), "w") as handle:
             json.dump(meta, handle)
+            handle.flush()
+            os.fsync(handle.fileno())
+        fsync_path(tmp)
         os.rename(tmp, final)
+        fsync_path(windows)
 
     def _read_shards(self, base: str, manifest: Dict[str, Any]) -> None:
-        """Read every shard once, from its newest durable state.
+        """Read every (shard, slice) checkpoint once, from its newest
+        durable copy.
 
-        A certified window's sidecar holds its shards' *complete*
-        checkpoint sets and RNG positions, so a shard's state is the
-        sidecar of the last certified window that touched it, or the
-        base save (``base``, described by ``manifest``) when none did.
-        The replayed window plans say which windows touched which
-        shards and what they deleted, so only the winning sidecars'
-        ``meta.json`` are opened and superseded sidecars are not read.
+        A certified window's sidecar holds the slices it rewrote — each
+        shard's journaled first slice onwards — and the shard's RNG
+        position.  A failed window dropped those slices from the live
+        shard and left its model stale
+        (:meth:`~repro.unlearning.sisa.SisaEnsemble.abort_pending_deletion`).
+        A shard is locked from a window's begin to its finish, so per
+        shard, windows finish in window-id order; walking the finished
+        windows in that order names each slice's source: the newest
+        certified window that rewrote it, the base save (``base``,
+        described by ``manifest``), or none.  Only the newest certified
+        window's ``meta.json`` per shard is opened, for the RNG
+        position; the deleted set is the base save's plus the finished
+        windows' plans.
         """
         ensemble = self.ensemble
+        num_slices = ensemble.config.num_slices
+        sources = [
+            {slice_index: base for slice_index in entry["checkpoints"]}
+            for entry in manifest["shards"]
+        ]
         newest: Dict[int, int] = {}
-        for window_id in reversed(self._certified_order):
-            batch = self._windows[window_id]
+        for window_id, batch in sorted(self._windows.items()):
+            if batch.in_flight and not batch.failed:
+                continue
             ensemble._deleted.update(batch.indices)
-            for shard_index in batch.shards:
-                newest.setdefault(shard_index, window_id)
+            source = None if batch.failed else self._window_dir(window_id)
+            for shard_index, start in batch.first_slices.items():
+                for slice_index in range(start, num_slices):
+                    sources[shard_index][slice_index] = source
+                if source is not None:
+                    newest[shard_index] = window_id
         metas: Dict[int, Dict[str, Any]] = {}
         for shard, entry in zip(ensemble._shards, manifest["shards"]):
             window_id = newest.get(shard.index)
             if window_id is None:
-                ensemble._read_shard(shard, base, entry)
-                continue
-            window_dir = self._window_dir(window_id)
-            if window_id not in metas:
-                with open(os.path.join(window_dir, "meta.json")) as handle:
-                    metas[window_id] = json.load(handle)
+                home, rng_state = base, entry.get("rng_state")
+            else:
+                home = self._window_dir(window_id)
+                if window_id not in metas:
+                    with open(os.path.join(home, "meta.json")) as handle:
+                        metas[window_id] = json.load(handle)
+                rng_state = metas[window_id]["shards"][str(shard.index)]["rng_state"]
             ensemble._read_shard(
-                shard, window_dir, metas[window_id]["shards"][str(shard.index)]
+                shard,
+                {r: source for r, source in sources[shard.index].items() if source},
+                rng_state,
+                model_source=home,
             )
 
     # ------------------------------------------------------------------
@@ -686,12 +762,13 @@ class UnlearningService:
         """Resume a service whose process died, from its directory alone.
 
         Replays the journal once to restore every request's state and
-        every window's plan, then reads each shard exactly once: from
-        the sidecar of the newest certified window that touched it, or
-        from the base save if none did (:meth:`_read_shards`).  The
-        deleted set comes from the base save and the certified plans.
-        So the cost is the replay plus ``num_shards x num_slices``
-        checkpoint reads, however many windows have certified.  It then
+        every window's plan, then reads each (shard, slice) checkpoint
+        exactly once: from the sidecar of the newest certified window
+        that rewrote it, or from the base save if none did
+        (:meth:`_read_shards`).  The deleted set comes from the base save
+        and the finished plans.  So the cost is the replay plus
+        ``num_shards x num_slices`` checkpoint reads and at most one
+        ``meta.json`` per shard, however many windows have certified.  It then
         resubmits windows that were scheduled/retraining but never
         certified (``round_index`` stamps the resubmission round) and
         re-queues validated-but-unscheduled requests.  Because windows
@@ -726,12 +803,12 @@ class UnlearningService:
     def _rebuild_from_records(self, records: List[Dict[str, Any]]) -> None:
         """Restore request and window state from replayed journal
         records: requests, window plans and the certification order.
-        It reads no shard; :meth:`recover` reads each shard once
+        It reads no shard; :meth:`recover` reads each (shard, slice) once
         afterwards, choosing its source from the plans restored here."""
         for record in records:
             self._apply(record)
-        # A crash between `received` and `validated`/`failed` leaves a
-        # request in RECEIVED: validation is deterministic, re-run it.
+        # A crash inside the `received` + verdict group leaves a request
+        # in RECEIVED: validation is deterministic, re-run it.
         for request in self.requests.values():
             if request.state == RequestState.RECEIVED:
                 self._validate(request)
@@ -771,6 +848,7 @@ class UnlearningService:
                 window_id=int(key),
                 indices=plan["indices"],
                 shards=plan.get("shards", []),
+                first_slices={int(k): v for k, v in plan["slices"].items()},
                 failed=bool(plan.get("failed")),
             )
 
@@ -781,5 +859,9 @@ class UnlearningService:
         for window_id, batch in sorted(self._windows.items()):
             if batch.failed or not batch.in_flight:
                 continue
-            self._log("resubmitted", window=window_id, round=round_index)
-            self._launch(batch, round_index)
+            pending = self.ensemble.delete_begin(batch.indices)
+            self._commit(
+                {"event": "resubmitted", "window": window_id, "round": round_index},
+                self._retraining(window_id, pending, round_index),
+            )
+            self._launch(batch, pending, round_index)

@@ -59,6 +59,7 @@ from ..runtime import BackendLike, get_backend
 from ..runtime.task import ChainResult, ChainStage, ChainTask, RngState
 from ..training.config import TrainConfig
 from ..training.evaluation import predict_proba
+from .journal import fsync_path, replace_durably
 
 logger = logging.getLogger(__name__)
 
@@ -538,7 +539,10 @@ class SisaEnsemble:
         same ensemble saves to the same bytes.  ``manifest.json`` is
         written last, through a temp file and :func:`os.replace`, so a
         save that dies part way leaves no manifest and is taken again
-        rather than read.
+        rather than read.  Every checkpoint, the directory and the temp
+        manifest are fsynced before the replace, and the directory again
+        after it, so a manifest on disk never names checkpoint bytes that
+        did not reach it.
         """
         if not self._fitted:
             raise RuntimeError("call fit() before save()")
@@ -569,18 +573,16 @@ class SisaEnsemble:
         }
         for shard in self._shards:
             for slice_index, state in shard.checkpoints.items():
-                save_state_dict(
-                    state,
-                    os.path.join(
-                        directory, f"shard{shard.index}_slice{slice_index}.ckpt"
-                    ),
+                checkpoint = os.path.join(
+                    directory, f"shard{shard.index}_slice{slice_index}.ckpt"
                 )
+                save_state_dict(state, checkpoint)
+                fsync_path(checkpoint)
+        fsync_path(directory)
         # The manifest lands last and atomically: a directory holding one
         # holds a complete save.
         path = os.path.join(directory, "manifest.json")
-        with open(path + ".tmp", "w") as handle:
-            json.dump(manifest, handle)
-        os.replace(path + ".tmp", path)
+        replace_durably(path, json.dumps(manifest), path + ".tmp")
 
     @classmethod
     def load(
@@ -601,7 +603,8 @@ class SisaEnsemble:
             directory, model_factory, dataset, seed=seed, backend=backend
         )
         for shard, entry in zip(ensemble._shards, manifest["shards"]):
-            ensemble._read_shard(shard, directory, entry)
+            sources = dict.fromkeys(entry["checkpoints"], directory)
+            ensemble._read_shard(shard, sources, entry.get("rng_state"))
         return ensemble
 
     @classmethod
@@ -638,30 +641,43 @@ class SisaEnsemble:
         ensemble._fitted = True
         return ensemble, manifest
 
-    def _read_shard(self, shard: _Shard, directory: str, entry: Dict) -> None:
-        """Install one shard's saved state: the checkpoints ``entry``
-        lists (``shard<i>_slice<r>.ckpt`` under ``directory``), its RNG
-        position and a model holding its final checkpoint.  ``entry`` is
-        a manifest's shard entry or a window sidecar's; both carry
-        ``checkpoints`` and ``rng_state``.  A file that is not a
+    def _read_shard(
+        self,
+        shard: _Shard,
+        sources: Dict[int, str],
+        rng_state: Optional[RngState],
+        model_source: Optional[str] = None,
+    ) -> None:
+        """Install one shard's saved state: each checkpoint ``r`` in
+        ``sources`` (``shard<i>_slice<r>.ckpt`` under ``sources[r]``),
+        its RNG position and a model holding its final checkpoint.  A
+        failed deletion window drops a shard's checkpoints from its
+        first affected slice on and leaves its model as it was;
+        ``model_source`` then names the directory holding the final
+        checkpoint that model came from.  A file that is not a
         well-formed checkpoint raises :class:`ValueError`."""
         shard.checkpoints = {
             slice_index: load_state_dict(
                 os.path.join(directory, f"shard{shard.index}_slice{slice_index}.ckpt")
             )
-            for slice_index in entry["checkpoints"]
+            for slice_index, directory in sorted(sources.items())
         }
         last = self.config.num_slices - 1
-        if last not in shard.checkpoints:
+        final = shard.checkpoints.get(last)
+        if final is None and model_source is not None:
+            final = load_state_dict(
+                os.path.join(model_source, f"shard{shard.index}_slice{last}.ckpt")
+            )
+        if final is None:
             raise ValueError(
                 f"shard {shard.index} is missing its final checkpoint; "
                 "the save is incomplete"
             )
         # Manifests from before RNG persistence keep the fresh spawn.
-        if entry.get("rng_state") is not None:
-            shard.rng_state = entry["rng_state"]
+        if rng_state is not None:
+            shard.rng_state = rng_state
         model = self.model_factory()
-        model.load_state_dict(shard.checkpoints[last])
+        model.load_state_dict(final)
         shard.model = model
 
     # ------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -95,3 +96,30 @@ def numeric_grad(fn, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
         flat[i] = original
         grad_flat[i] = (upper - lower) / (2 * eps)
     return grad
+
+
+def log_durability(monkeypatch, log: list) -> None:
+    """Append ``("fsync", path)``, ``("rename", src, dst)`` and
+    ``("replace", src, dst)`` to ``log`` for every ``os.fsync``,
+    ``os.rename`` and ``os.replace`` while still making the call.  An
+    fsync is logged as the real path its descriptor names, so a file
+    written under a temp directory and renamed after its fsync is logged
+    under the temp name."""
+    if not os.path.isdir("/proc/self/fd"):
+        pytest.skip("naming a descriptor's path needs /proc/self/fd")
+    real_fsync, real_rename, real_replace = os.fsync, os.rename, os.replace
+
+    def fsync(descriptor):
+        log.append(("fsync", os.readlink(f"/proc/self/fd/{descriptor}")))
+        return real_fsync(descriptor)
+
+    def moved(kind, real):
+        def move(src, dst):
+            log.append((kind, os.path.realpath(src), os.path.realpath(dst)))
+            return real(src, dst)
+
+        return move
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "rename", moved("rename", real_rename))
+    monkeypatch.setattr(os, "replace", moved("replace", real_replace))

@@ -8,7 +8,10 @@ base checkpoint, then every certified window's sidecar reinstalled in
 certification order, its ``meta.json`` supplying the deleted indices.
 The code is verbatim apart from naming: ``SisaEnsemble.load`` is the
 function :func:`reference_load` (``cls`` spelled ``SisaEnsemble``), and
-``recover`` calls it instead of the library's ``load``.
+``recover`` calls it instead of the library's ``load``.  One change
+follows the sidecar layout: a sidecar holds only the slices its window
+rewrote, so each is overlaid onto the shard's checkpoints instead of
+replacing the whole set.
 ``tests/unlearning/test_recovery.py`` compares the library against it
 bit for bit over generated histories.
 """
@@ -98,14 +101,16 @@ class ReferenceRecovery(UnlearningService):
         ensemble._deleted.update(int(i) for i in meta["indices"])
         for shard_key, info in meta["shards"].items():
             shard = ensemble._shards[int(shard_key)]
-            shard.checkpoints = {
-                slice_index: load_state_dict(
-                    os.path.join(
-                        window_dir, f"shard{shard_key}_slice{slice_index}.ckpt"
+            shard.checkpoints.update(
+                {
+                    slice_index: load_state_dict(
+                        os.path.join(
+                            window_dir, f"shard{shard_key}_slice{slice_index}.ckpt"
+                        )
                     )
-                )
-                for slice_index in info["checkpoints"]
-            }
+                    for slice_index in info["checkpoints"]
+                }
+            )
             shard.rng_state = info["rng_state"]
             model = ensemble.model_factory()
             model.load_state_dict(

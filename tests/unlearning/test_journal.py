@@ -14,6 +14,8 @@ import pytest
 from repro.unlearning import Journal, JournalCorruption, replay_journal
 from repro.unlearning.journal import iter_replay
 
+from ..conftest import log_durability
+
 
 def write_records(path, count):
     with Journal(path) as journal:
@@ -51,6 +53,26 @@ class TestAppend:
         with open(path) as handle:
             text = handle.read()
         assert text == '{"alpha":{"x":2,"y":1},"seq":0,"zeta":[1,2]}\n'
+
+    def test_a_group_is_one_write_and_one_fsync(self, tmp_path, monkeypatch):
+        """A group comes back stamped in order, and the file that creates
+        the journal syncs its directory entry once."""
+        path = str(tmp_path / "journal.jsonl")
+        log = []
+        log_durability(monkeypatch, log)
+        with Journal(path) as journal:
+            group = journal.append([{"event": "a"}, {"event": "b"}])
+            single = journal.append({"event": "c"})
+        monkeypatch.undo()
+        assert group == [{"event": "a", "seq": 0}, {"event": "b", "seq": 1}]
+        assert single == {"event": "c", "seq": 2}
+        assert replay_journal(path) == group + [single]
+        real = os.path.realpath(path)
+        assert log == [
+            ("fsync", os.path.dirname(real)),
+            ("fsync", real),
+            ("fsync", real),
+        ]
 
     def test_close_is_idempotent_and_append_reopens(self, tmp_path):
         path = str(tmp_path / "journal.jsonl")

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.nn.models import RegistryModelFactory
-from repro.runtime import PoolBackend
+from repro.runtime import PoolBackend, SerialBackend
 from repro.unlearning import (
     BatchSizePolicy,
     DeletionManager,
@@ -33,7 +33,7 @@ from repro.unlearning import (
     replay_journal,
 )
 
-from ..conftest import generated, make_blobs
+from ..conftest import generated, log_durability, make_blobs
 
 FACTORY = RegistryModelFactory(name="mlp", num_classes=3, in_channels=1, image_size=4)
 SISA = SisaConfig(num_shards=3, num_slices=2, epochs_per_slice=1, batch_size=8)
@@ -77,6 +77,84 @@ def reference_states(indices_by_round):
         manager.submit(client_id=0, indices=indices, round_index=round_index)
         manager.maybe_execute_batched(ensemble, round_index)
     return shard_states(ensemble)
+
+
+def shard_facts(ensemble):
+    """Each shard's checkpoints, RNG position and model, as bytes."""
+
+    def raw(state):
+        return {key: (v.dtype.str, v.shape, v.tobytes()) for key, v in state.items()}
+
+    return [
+        (
+            {r: raw(state) for r, state in sorted(shard.checkpoints.items())},
+            shard.rng_state,
+            raw(shard.model.state_dict()),
+        )
+        for shard in ensemble._shards
+    ]
+
+
+class Crash(Exception):
+    """A simulated process death."""
+
+
+class SidecarCrash:
+    """Counts the service's sidecar durability steps — each
+    ``fsync_path`` and ``os.rename`` it makes — and dies in place of step
+    ``at``.  Dying before a file's fsync is dying just after that file
+    was written; before the temp directory's fsync, after ``meta.json``;
+    then before the rename, and before the ``windows/`` fsync."""
+
+    def __init__(self, monkeypatch, at=None):
+        import repro.unlearning.service as service_module
+
+        self.at, self.steps = at, 0
+        for owner, name in ((service_module, "fsync_path"), (os, "rename")):
+            monkeypatch.setattr(owner, name, self.step(getattr(owner, name)))
+
+    def step(self, real):
+        def wrapper(*args):
+            if self.steps == self.at:
+                raise Crash(f"died before sidecar step {self.at}")
+            self.steps += 1
+            return real(*args)
+
+        return wrapper
+
+
+class SeamBackend(SerialBackend):
+    """A serial backend with the ``submit``/``poll``/``drain`` seam, so
+    the service tickets its windows; a ticket runs when drained.
+    Each submission is logged as ``("submit", task ids)``."""
+
+    def __init__(self, log):
+        self.log = log
+
+    def submit(self, tasks):
+        self.log.append(("submit", [task.task_id for task in tasks]))
+        return list(tasks)
+
+    def poll(self, ticket):
+        return True
+
+    def drain(self, ticket):
+        return self.run_tasks(ticket)
+
+
+class FailingOnce(SerialBackend):
+    """Serial, but the next ``run_tasks`` after :meth:`arm` raises."""
+
+    armed = False
+
+    def arm(self):
+        self.armed = True
+
+    def run_tasks(self, tasks):
+        if self.armed:
+            self.armed = False
+            raise RuntimeError("retrain chains exploded")
+        return super().run_tasks(tasks)
 
 
 class TestStateMachine:
@@ -628,10 +706,105 @@ class TestCrashRecovery:
         ]
 
 
-class TestCrashAtEveryBoundary:
+class CrashedHistories:
+    """A scripted history served once uninterrupted, and the crashes of
+    it: recovery from a crashed directory plus a client-side retry of
+    the whole script must equal the uninterrupted service — request
+    states, deleted set, and every shard's checkpoints, RNG position and
+    model.  ``FAILS`` names requests whose window's chains fail."""
+
+    SCRIPT: list = []
+    FAILS: tuple = ()
+
+    def serve(self, service, script):
+        for round_index, request_id, indices in script:
+            if request_id in self.FAILS and request_id not in service.requests:
+                service.backend.arm()
+            try:
+                service.submit(0, indices, round_index, request_id=request_id)
+                service.tick(round_index)
+                service.drain(round_index)
+            except RuntimeError as error:
+                assert "exploded" in str(error), error
+
+    def fresh_service(self, directory):
+        return UnlearningService(
+            fresh_ensemble(), str(directory), policy=ImmediatePolicy(), backend=FailingOnce()
+        )
+
+    @pytest.fixture(scope="class")
+    def uninterrupted(self, tmp_path_factory):
+        """The history's directory and journal lines, its end state, and
+        how many sidecar steps it took."""
+        directory = tmp_path_factory.mktemp("history") / "svc"
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            steps = SidecarCrash(monkeypatch)
+            with self.fresh_service(directory) as service:
+                self.serve(service, self.SCRIPT)
+                end = (
+                    service.states(),
+                    service.ensemble.deleted_indices,
+                    shard_facts(service.ensemble),
+                )
+        with open(str(directory / "journal.jsonl"), "rb") as handle:
+            lines = handle.read().splitlines(keepends=True)
+        return directory, lines, end, steps.steps
+
+    def recover_and_retry(self, directory, end, context):
+        round_index = len(self.SCRIPT)
+        recovered = UnlearningService.recover(
+            str(directory),
+            model_factory=FACTORY,
+            dataset=DATASET,
+            policy=ImmediatePolicy(),
+            round_index=round_index,
+        )
+        with recovered:
+            recovered.tick(round_index)
+            recovered.drain(round_index)
+            self.serve(recovered, self.SCRIPT)  # clients retry by id
+            got = (
+                recovered.states(),
+                recovered.ensemble.deleted_indices,
+                shard_facts(recovered.ensemble),
+            )
+        assert got == end, context
+
+    def cut_after(self, uninterrupted, tmp_path, cuts, edit=None):
+        """Recover from the journal cut after each record in ``cuts``;
+        ``edit`` sees each crashed directory first."""
+        source, lines, end, _ = uninterrupted
+        for cut in cuts:
+            crashed = tmp_path / f"cut{cut:02d}"
+            shutil.copytree(str(source), str(crashed))
+            with open(str(crashed / "journal.jsonl"), "wb") as handle:
+                handle.write(b"".join(lines[:cut]))
+            if edit is not None:
+                edit(crashed)
+            self.recover_and_retry(crashed, end, f"crash after record {cut} of {len(lines)}")
+
+    def test_recovery_converges_from_every_sidecar_step(self, uninterrupted, tmp_path):
+        *_, end, steps = uninterrupted
+        # Per window: each checkpoint file and meta.json, the rename and
+        # windows/; and once, windows/ being created.
+        assert steps > 4 * 3
+        for at in range(steps):
+            crashed = tmp_path / f"step{at:02d}"
+            with pytest.MonkeyPatch.context() as monkeypatch:
+                SidecarCrash(monkeypatch, at)
+                with self.fresh_service(crashed) as service, pytest.raises(Crash):
+                    self.serve(service, self.SCRIPT)
+            # The window that died is journaled as retraining, not certified.
+            assert journal_events(crashed)[-1] == "retraining"
+            self.recover_and_retry(crashed, end, f"crash at sidecar step {at}")
+
+
+class TestCrashAtEveryBoundary(CrashedHistories):
     """Generated crash points: the process dies after *each* journal
-    record of a five-request history; recovery plus a client-side retry
-    of the whole script must converge on the uninterrupted run."""
+    record of a five-request history — records inside one fsync group
+    too, since a crash mid-write can keep any prefix of a group's lines
+    — and at each step of every sidecar write (after each file, before
+    the rename, before ``windows/`` is synced)."""
 
     # (round, request_id, indices): single-shard windows on shards 2 and
     # 1, one request spanning both, and a re-request of an index already
@@ -644,70 +817,185 @@ class TestCrashAtEveryBoundary:
         (4, "r5", [70]),
     ]
 
-    @staticmethod
-    def serve(service, script):
-        for round_index, request_id, indices in script:
-            service.submit(0, indices, round_index, request_id=request_id)
-            service.tick(round_index)
-            service.drain(round_index)
-
-    @pytest.fixture(scope="class")
-    def uninterrupted(self, tmp_path_factory):
-        directory = tmp_path_factory.mktemp("boundary") / "svc"
-        with UnlearningService(
-            fresh_ensemble(), str(directory), policy=ImmediatePolicy()
-        ) as service:
-            self.serve(service, self.SCRIPT)
-            assert set(service.states().values()) == {RequestState.CERTIFIED}
-            deleted = service.ensemble.deleted_indices
-            states = shard_states(service.ensemble)
-        with open(str(directory / "journal.jsonl"), "rb") as handle:
-            lines = handle.read().splitlines(keepends=True)
+    def test_the_history_certifies_everything(self, uninterrupted):
+        directory, lines, (states, _, _), _ = uninterrupted
+        assert set(states.values()) == {RequestState.CERTIFIED}
         events = journal_events(directory)
         assert "noop" in events and len(events) == len(lines) > 20
-        return directory, lines, deleted, states
 
     @pytest.mark.parametrize("keep_later_sidecars", [True, False])
     def test_recovery_converges_from_every_prefix(
         self, uninterrupted, tmp_path, keep_later_sidecars
     ):
-        source, lines, deleted, states = uninterrupted
-        for cut in range(len(lines) + 1):
-            crashed = tmp_path / f"cut{cut:02d}"
-            shutil.copytree(str(source), str(crashed))
-            with open(str(crashed / "journal.jsonl"), "wb") as handle:
-                handle.write(b"".join(lines[:cut]))
-            if not keep_later_sidecars:
-                # Keeping them is the documented "sidecar without its
-                # record" case; dropping them is a crash before the rename.
-                certified = {
-                    f"{record['window']:06d}"
-                    for record in replay_journal(str(crashed / "journal.jsonl"))
-                    if record["event"] == "certified"
-                }
-                for name in os.listdir(str(crashed / "windows")):
-                    if name not in certified:
-                        shutil.rmtree(str(crashed / "windows" / name))
-            recovered = UnlearningService.recover(
-                str(crashed),
-                model_factory=FACTORY,
-                dataset=DATASET,
-                policy=ImmediatePolicy(),
-                round_index=5,
+        def drop_later_sidecars(crashed):
+            # Keeping them is the documented "sidecar without its
+            # record" case; dropping them is a crash before the rename.
+            certified = {
+                f"{record['window']:06d}"
+                for record in replay_journal(str(crashed / "journal.jsonl"))
+                if record["event"] == "certified"
+            }
+            for name in os.listdir(str(crashed / "windows")):
+                if name not in certified:
+                    shutil.rmtree(str(crashed / "windows" / name))
+
+        self.cut_after(
+            uninterrupted,
+            tmp_path,
+            range(len(uninterrupted[1]) + 1),
+            None if keep_later_sidecars else drop_later_sidecars,
+        )
+
+
+class TestWalkBackAfterAFailedWindow(CrashedHistories):
+    """A window whose chains failed drops its shard's slices from its
+    first affected one on (and stays deleted); the next window on that
+    shard walks back to the dropped slice, and its sidecar starts there.
+    A later window on the shard rewrites only its own slices, so the
+    shard recovers from two sidecars.  Recovery equals the uninterrupted
+    service from every journal record after the failure and every
+    sidecar step."""
+
+    # Shard 0 holds 4 in slice 0 and 0, 6 in slice 1; 3 is shard 2
+    # slice 0 and 13 shard 1 slice 0.  ``f1``'s window fails.
+    SCRIPT = [
+        (0, "f1", [4]),
+        (1, "w1", [0]),
+        (2, "w2", [6, 3]),
+        (3, "w3", [13]),
+    ]
+    FAILS = ("f1",)
+
+    def test_the_next_window_starts_at_the_walked_back_slice(self, uninterrupted):
+        directory, _, (states, deleted, _), _ = uninterrupted
+        assert states == {
+            "f1": RequestState.FAILED,
+            "w1": RequestState.CERTIFIED,
+            "w2": RequestState.CERTIFIED,
+            "w3": RequestState.CERTIFIED,
+        }
+        assert deleted == {4, 0, 6, 3, 13}
+        records = replay_journal(str(directory / "journal.jsonl"))
+        slices = [r["slices"] for r in records if r["event"] == "retraining"]
+        assert slices == [{"0": 0}, {"0": 0}, {"0": 1, "2": 0}, {"1": 0}]
+        windows = directory / "windows"
+        assert sorted(os.listdir(str(windows))) == ["000001", "000002", "000003"]
+        assert sorted(os.listdir(str(windows / "000001"))) == [
+            "meta.json",
+            "shard0_slice0.ckpt",
+            "shard0_slice1.ckpt",
+        ]
+        assert sorted(os.listdir(str(windows / "000002"))) == [
+            "meta.json",
+            "shard0_slice1.ckpt",
+            "shard2_slice0.ckpt",
+            "shard2_slice1.ckpt",
+        ]
+
+    def test_recovery_converges_from_every_record_after_the_failure(
+        self, uninterrupted, tmp_path
+    ):
+        directory, lines, _, _ = uninterrupted
+        failed = journal_events(directory).index("window_failed") + 1
+        self.cut_after(uninterrupted, tmp_path, range(failed, len(lines) + 1))
+
+
+# A generated request stream for the durability order: mostly fresh
+# requests over a small index pool (so re-requests of forgotten samples
+# come up as ``noop`` windows), some repeated ids and some rejected.
+STREAM = st.lists(
+    st.one_of(
+        st.tuples(st.just("fresh"), st.lists(st.integers(0, 11), min_size=1, max_size=3)),
+        st.tuples(st.just("repeat"), st.integers(0, 20)),
+        st.tuples(st.just("rejected"), st.just([len(DATASET)])),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+class TestDurabilityOrder:
+    """Over a generated request stream, with every ``os.fsync``,
+    ``os.rename``, ``Journal.append`` and ``backend.submit`` logged in
+    order: each window's sidecar files and directory are durable before
+    its ``certified`` record; no chain is submitted before its
+    ``scheduled`` + ``retraining`` group is durable; ``submit`` returns
+    only after its group is fsynced; and a request costs three journal
+    fsyncs when it opens a window (five before records were grouped),
+    two when it certifies as a ``noop`` and one when it is a repeat or
+    rejected."""
+
+    FSYNCS = {"window": 3, "noop": 2, "repeat": 1, "rejected": 1}
+
+    @generated(15)
+    @given(stream=STREAM)
+    def test_sidecars_and_groups_are_durable_in_order(self, stream):
+        with tempfile.TemporaryDirectory() as root, pytest.MonkeyPatch.context() as mp:
+            directory = os.path.realpath(root)
+            journal = os.path.join(directory, "journal.jsonl")
+            log = []
+            service = UnlearningService(
+                fresh_ensemble(), directory, policy=ImmediatePolicy(), backend=SeamBackend(log)
             )
-            with recovered:
-                recovered.tick(5)
-                recovered.drain(5)
-                self.serve(recovered, self.SCRIPT)  # clients retry by id
-                context = f"crash after record {cut} of {len(lines)}"
-                assert recovered.states() == {
-                    request_id: RequestState.CERTIFIED
-                    for _, request_id, _ in self.SCRIPT
-                }, context
-                assert recovered.ensemble.deleted_indices == deleted, context
-                assert_states_equal(shard_states(recovered.ensemble), states)
+            log_durability(mp, log)
+            real_append = Journal.append
 
+            def append(journal_self, records):
+                group = [records] if isinstance(records, dict) else list(records)
+                log.append(("append", [record["event"] for record in group]))
+                return real_append(journal_self, records)
 
+            mp.setattr(Journal, "append", append)
+            with service:
+                for round_index, (kind, payload) in enumerate(stream):
+                    start = len(log)
+                    outcome = self.serve_one(service, round_index, kind, payload)
+                    fsyncs = log[start:].count(("fsync", journal))
+                    assert fsyncs == self.FSYNCS[outcome], (kind, payload)
+            mp.undo()
+            self.check_order(log, directory, journal)
+
+    @staticmethod
+    def serve_one(service, round_index, kind, payload):
+        """Submit, tick and drain one request; returns what it cost."""
+        known = sorted(service.requests)
+        if kind == "repeat" and known:
+            service.submit(0, [0], round_index, request_id=known[payload % len(known)])
+            return "repeat"
+        if kind == "rejected":
+            with pytest.raises(ValueError):
+                service.submit(0, payload, round_index, request_id=f"q{round_index}")
+            service.backend.log.append(("returned", f"q{round_index}"))
+            return "rejected"
+        indices = payload if kind == "fresh" else [0]
+        windows = len(service._windows)
+        service.submit(0, indices, round_index, request_id=f"q{round_index}")
+        service.backend.log.append(("returned", f"q{round_index}"))
+        service.tick(round_index)
+        service.drain(round_index)
+        return "window" if len(service._windows) > windows else "noop"
+
+    @staticmethod
+    def check_order(log, directory, journal):
+        windows = os.path.join(directory, "windows")
+        for position, entry in enumerate(log):
+            if entry[0] == "returned":
+                # The request's group is the last append, and it is synced.
+                appends = [i for i in range(position) if log[i][0] == "append"]
+                assert log[appends[-1]][1][0] == "received"
+                assert ("fsync", journal) in log[appends[-1] : position]
+            elif entry[0] == "submit":
+                appends = [i for i in range(position) if log[i][0] == "append"]
+                assert log[appends[-1]][1] == ["scheduled", "retraining"]
+                assert ("fsync", journal) in log[appends[-1] : position]
+            elif entry[0] == "append" and entry[1] == ["certified"]:
+                renames = [i for i in range(position) if log[i][0] == "rename"]
+                _, tmp, final = log[renames[-1]]
+                assert final.startswith(windows) and tmp == final + ".tmp"
+                synced = {e[1] for e in log[: renames[-1]] if e[0] == "fsync"}
+                files = {os.path.join(tmp, name) for name in os.listdir(final)}
+                assert files and files | {tmp} <= synced
+                assert ("fsync", windows) in log[renames[-1] : position]
 class TestJournal:
     def test_truncated_tail_is_dropped(self, tmp_path):
         path = str(tmp_path / "journal.jsonl")

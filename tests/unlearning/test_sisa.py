@@ -1,5 +1,7 @@
 """SISA ensemble: shard/slice partitioning, checkpoints, deletion cost."""
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 from repro.nn.models import MLP
 from repro.unlearning import SisaConfig, SisaEnsemble
 
-from ..conftest import generated, make_blobs
+from ..conftest import generated, log_durability, make_blobs
 
 
 def make_ensemble(num_samples=72, num_shards=3, num_slices=4, seed=0, **kwargs):
@@ -221,6 +223,35 @@ class TestPersistence:
         # Last-slice deletion: the restored checkpoints must let it
         # retrain exactly one slice step, not the whole shard.
         assert report.slices_retrained == 1
+
+    def test_save_is_durable_before_its_manifest(self, tmp_path, monkeypatch):
+        """Every checkpoint, the directory entries naming them and the
+        temp manifest are fsynced before ``manifest.json`` is replaced
+        into place, and the directory again after it: a manifest on disk
+        never names checkpoint bytes that did not reach it."""
+        ensemble, _ = make_ensemble()
+        ensemble.fit()
+        log = []
+        log_durability(monkeypatch, log)
+        ensemble.save(str(tmp_path))
+        monkeypatch.undo()
+        directory = os.path.realpath(str(tmp_path))
+        manifest = os.path.join(directory, "manifest.json")
+        replaced = log.index(("replace", manifest + ".tmp", manifest))
+        before = [entry[1] for entry in log[:replaced] if entry[0] == "fsync"]
+        checkpoints = [
+            os.path.join(directory, name)
+            for name in os.listdir(directory)
+            if name.endswith(".ckpt")
+        ]
+        assert len(checkpoints) == 3 * 4
+        assert set(checkpoints) <= set(before)
+        # The directory is synced after the last checkpoint, and the temp
+        # manifest before the replace.
+        last_checkpoint = max(before.index(path) for path in checkpoints)
+        assert directory in before[last_checkpoint:]
+        assert before[-1] == manifest + ".tmp"
+        assert ("fsync", directory) in log[replaced:]
 
     def test_save_before_fit_rejected(self, tmp_path):
         ensemble, _ = make_ensemble()
