@@ -75,23 +75,9 @@ class Client:
         return self.forget_indices is not None
 
     @property
-    def forget_set(self) -> Optional[ArrayDataset]:
-        """D_f^c — the data the user asked to remove."""
-        if self.forget_indices is None:
-            return None
-        return self.dataset.subset(self.forget_indices)
-
-    @property
-    def retain_set(self) -> ArrayDataset:
-        """D_r^c — the remaining data (whole dataset if nothing pending)."""
-        if self.forget_indices is None:
-            return self.dataset
-        return self.dataset.remove(self.forget_indices)
-
-    @property
     def retain_indices(self) -> Optional[np.ndarray]:
-        """Index selection of the retain set into ``dataset`` (``None``
-        when nothing is pending, i.e. everything is retained)."""
+        """Index selection of D_r^c into ``dataset`` (``None`` when
+        nothing is pending, i.e. everything is retained)."""
         if self.forget_indices is None:
             return None
         return self.dataset.keep_indices(self.forget_indices)
@@ -105,8 +91,11 @@ class Client:
 
     @property
     def active_dataset(self) -> ArrayDataset:
-        """The data the client may legally train on right now."""
-        return self.retain_set
+        """The data the client may legally train on right now: D_r^c,
+        the whole dataset when nothing is pending."""
+        if self.forget_indices is None:
+            return self.dataset
+        return self.dataset.remove(self.forget_indices)
 
     def finalize_deletion(self) -> None:
         """Physically drop the forget set after unlearning completed.
@@ -119,7 +108,7 @@ class Client:
             return
         from ..data.dataset import SharedArrayDataset
 
-        survivors = self.dataset.remove(self.forget_indices)
+        survivors = self.active_dataset
         if isinstance(self.dataset, SharedArrayDataset):
             survivors = survivors.share()
         self.dataset = survivors

@@ -2,9 +2,13 @@
 
 :class:`FederatedSimulation` wires clients, server and aggregator together
 and runs synchronous FL rounds (Algorithm 1's outer loop in the
-no-deletion case). The unlearning protocols in
-:mod:`repro.unlearning.protocols` drive the same objects through the
-deletion path.
+no-deletion case).  A round has one body,
+:meth:`FederatedSimulation.play_round`: broadcast → one task per client →
+cohort → absorb → aggregate → evaluate.  :meth:`~FederatedSimulation.run_round`
+is that body over the stock train task; the unlearning protocols in
+:mod:`repro.unlearning.protocols` run it with their own client tasks, so
+every method gets the simulation's codec, broadcast version stamp,
+vectorized planner and traffic accounting.
 
 Execution backends
 ------------------
@@ -30,8 +34,9 @@ from ..data.dataset import ArrayDataset, FederatedDataset
 from ..nn.module import Module
 from ..runtime import (
     BackendLike,
+    TrainResult,
+    TrainTask,
     TransportStats,
-    dense_nbytes,
     get_backend,
     get_codec,
     state_version,
@@ -91,38 +96,45 @@ class SimulationHistory:
         return len(self.rounds)
 
 
-# Model-state payloads a task may carry down the wire: the stock
-# TrainTask/ChainTask broadcast bases plus the protocol task shapes
-# (Goldfish students and round-0 teacher, B3's competent/incompetent
-# teachers).  Goldfish rounds >= 1 carry the teacher's logits instead.
+# What a task may carry down the wire beside its data: the stock
+# TrainTask/ChainTask broadcast bases plus the unlearning protocols'
+# state (Goldfish's round-0 teacher or the teacher's logits in later
+# rounds, B3's competent/incompetent teachers, B2's FIM estimate).
 _TASK_STATE_FIELDS = (
     "model_state",
     "init_state",
-    "student_state",
     "teacher_state",
+    "teacher_logits",
     "competent_state",
     "incompetent_state",
+    "fim_state",
 )
 
 
+def _payload_nbytes(payload) -> int:
+    """Bytes of the arrays in a state dict, an array, or a protocol's
+    nested snapshot (B2's FIM: a list of arrays and a step count)."""
+    if isinstance(payload, np.ndarray):
+        return payload.nbytes
+    if isinstance(payload, dict):
+        payload = payload.values()
+    elif not isinstance(payload, (list, tuple)):
+        return 0
+    return sum(_payload_nbytes(value) for value in payload)
+
+
 def _task_state_nbytes(task) -> int:
-    nbytes = sum(
-        dense_nbytes(state)
+    return sum(
+        _payload_nbytes(getattr(task, field_name, None))
         for field_name in _TASK_STATE_FIELDS
-        if (state := getattr(task, field_name, None)) is not None
     )
-    teacher_logits = getattr(task, "teacher_logits", None)
-    if teacher_logits is not None:
-        nbytes += teacher_logits.nbytes
-    return nbytes
 
 
 def _result_wire_nbytes(result) -> int:
     nbytes = getattr(result, "update_nbytes", None)
-    if nbytes is not None:
-        return nbytes
-    state = getattr(result, "state", None)
-    return dense_nbytes(state) if isinstance(state, dict) else 0
+    if nbytes is None:
+        nbytes = _payload_nbytes(getattr(result, "state", None))
+    return nbytes + _payload_nbytes(getattr(result, "extra", None))
 
 
 def account_model_traffic(backend, tasks, results) -> TransportStats:
@@ -131,12 +143,14 @@ def account_model_traffic(backend, tasks, results) -> TransportStats:
     Downlink is transport-dependent by design: a pool backend reports
     the actual framed pipe bytes of the batch it just ran (broadcasts
     shipped ref/delta/full against the worker caches), while in-process
-    and fork-per-call backends ship every task its dense model state(s),
-    so that is what is charged.  Uplink is **uniform across backends**:
-    the encoded return size where the task went through an update codec
-    (the codec runs inside the task, identically everywhere) and the
-    dense returned state otherwise — never the pipe's framing overhead,
-    so serial and pool runs report the same per-round ``bytes_up``.
+    and fork-per-call backends ship every task its dense model state(s)
+    and protocol state (``_TASK_STATE_FIELDS``), so that is what is
+    charged.  Uplink is **uniform across backends**: the encoded return
+    size where the task went through an update codec (the codec runs
+    inside the task, identically everywhere) and the dense returned
+    state otherwise, plus the protocol state riding back in
+    ``TrainResult.extra`` — never the pipe's framing overhead, so serial
+    and pool runs report the same per-round ``bytes_up``.
     """
     stats = getattr(backend, "last_batch_stats", None)
     batch_stats = TransportStats()
@@ -255,83 +269,53 @@ class FederatedSimulation:
 
     def run_round(self, round_index: int, record_client_metrics: bool = False) -> RoundRecord:
         """One synchronous round: broadcast, every client trains, aggregate."""
-        self.server.broadcast(self.clients)
-        # One broadcast, one hash: every client carries the same
-        # global state, so the transport's version is computed here once
-        # (pool dispatch would otherwise hash each task's copy).
-        model_version = self.broadcast_version()
-        tasks = [
-            client.make_train_task(
+        record, _ = self.play_round(
+            round_index,
+            lambda client, model_version: client.make_train_task(
                 self.train_config,
                 self.model_factory,
                 codec=self.codec,
                 model_version=model_version,
-            )
-            for client in self.clients
-        ]
-        results, round_stats = self._run_cohort(tasks)
-        updates = []
-        client_accuracies: List[float] = []
-        for client, result in zip(self.clients, results):
-            client.absorb_train_result(result)
-            if record_client_metrics:
-                _, acc = evaluate(client.model, self.fed_data.test_set)
-                client_accuracies.append(acc)
-            updates.append(client.upload())
-        self.server.aggregate(updates)
-        loss, accuracy = self.server.evaluate_global()
-        return RoundRecord(
-            round_index=round_index,
-            global_loss=loss,
-            global_accuracy=accuracy,
-            client_accuracies=client_accuracies,
-            bytes_down=round_stats.bytes_down,
-            bytes_up=round_stats.bytes_up,
+            ),
+            record_client_metrics=record_client_metrics,
         )
+        return record
 
-    def broadcast_version(self, backend=None) -> Optional[str]:
-        """The current global state's content hash — when worth computing.
+    def play_round(
+        self,
+        round_index: int,
+        make_task: Callable[[Client, Optional[str]], TrainTask],
+        runner=None,
+        record_client_metrics: bool = False,
+    ) -> "tuple[RoundRecord, List[TrainResult]]":
+        """The one round body: broadcast → tasks → cohort → absorb →
+        aggregate → evaluate.
 
-        Only the version-addressed pool transport consumes stamped
-        versions; other backends get ``None`` and skip the hash.
-        ``backend`` defaults to the simulation's own, but protocol loops
-        that resolved their own runner pass it explicitly.
-        """
-        if not hasattr(backend if backend is not None else self.backend,
-                       "pop_ticket_stats"):
-            return None
-        return state_version(self.server.global_state)
+        ``make_task(client, model_version)`` builds each client's task
+        after the broadcast: a :class:`~repro.runtime.TrainTask` — or an
+        unlearning protocol's subclass of it — starting from the
+        client's model, stamped with ``model_version``, and returning a
+        :class:`~repro.runtime.TrainResult` under the simulation's
+        codec.  ``runner`` overrides the simulation's backend for this
+        round.  Returns the round's record and the clients' results in
+        client order (protocol state rides in ``TrainResult.extra``).
 
-    def _run_cohort(self, tasks) -> "tuple[list, TransportStats]":
-        """Run one round's task batch: vectorized when opted in and
-        eligible, per-client otherwise.  Returns per-client results in
-        task order either way."""
-        return self.run_cohort_tasks(
-            tasks, shared_basis=self.server.global_state
-        )
-
-    def run_cohort_tasks(
-        self, tasks, runner=None, shared_basis=None
-    ) -> "tuple[list, TransportStats]":
-        """Run one task batch through the vectorized fast path when opted
-        in and eligible — stack-chunked across the runner's workers so
-        vectorization and multi-worker backends compose — per-task
-        otherwise.  The round's transport is accounted either way (lazy
-        backends charge each *member's* dense states, pool backends the
-        real pipe bytes), added to the simulation totals, and returned
-        with the per-task results in task order.
-
-        The four unlearning protocols route their inner rounds through
-        this (their mixed batches group per task kind: eligible cohorts
-        fuse, the rest run per-task in the same batch).
+        :meth:`run_round` is this body over the stock train task; the
+        unlearning protocols call it directly, so an attached round
+        history (which patches ``run_round``) never records their rounds.
         """
         runner = self.backend if runner is None else runner
-        tasks = list(tasks)
-        if self.vectorize and tasks:
+        self.server.broadcast(self.clients)
+        # One broadcast, one hash: every client carries the same
+        # global state, so the transport's version is computed here once
+        # (pool dispatch would otherwise hash each task's copy).
+        model_version = self.broadcast_version(runner)
+        tasks = [make_task(client, model_version) for client in self.clients]
+        if self.vectorize:
             plan = plan_cohort(
                 tasks,
                 workers=backend_worker_count(runner),
-                shared_basis=shared_basis,
+                shared_basis=self.server.global_state,
             )
             self._vectorize_stats.tally(plan)
             results = scatter_results(plan, runner.run_tasks(plan.units))
@@ -344,7 +328,37 @@ class FederatedSimulation:
         # pipe bytes of the chunked batch it just ran).
         round_stats = account_model_traffic(runner, tasks, results)
         self.transport.add(round_stats)
-        return results, round_stats
+        updates = []
+        client_accuracies: List[float] = []
+        for client, result in zip(self.clients, results):
+            client.absorb_train_result(result)
+            if record_client_metrics:
+                _, acc = evaluate(client.model, self.fed_data.test_set)
+                client_accuracies.append(acc)
+            updates.append(client.upload())
+        self.server.aggregate(updates)
+        loss, accuracy = self.server.evaluate_global()
+        record = RoundRecord(
+            round_index=round_index,
+            global_loss=loss,
+            global_accuracy=accuracy,
+            client_accuracies=client_accuracies,
+            bytes_down=round_stats.bytes_down,
+            bytes_up=round_stats.bytes_up,
+        )
+        return record, results
+
+    def broadcast_version(self, backend=None) -> Optional[str]:
+        """The current global state's content hash — when worth computing.
+
+        Only the version-addressed pool transport consumes stamped
+        versions; other backends get ``None`` and skip the hash.
+        ``backend`` defaults to the simulation's own.
+        """
+        if not hasattr(backend if backend is not None else self.backend,
+                       "pop_ticket_stats"):
+            return None
+        return state_version(self.server.global_state)
 
     def vectorize_report(self) -> dict:
         """How the opt-in vectorized path behaved across this simulation:

@@ -325,10 +325,8 @@ def plan_cohort(
     plan = CohortPlan(slots=[None] * len(tasks))
     groups: Dict[Any, List[int]] = {}  # insertion-ordered
     for index, task in enumerate(tasks):
-        if not hasattr(task, "stack_key"):
-            reason = (
-                f"no vectorized implementation for {type(task).__name__}"
-            )
+        if getattr(task, "stack_key", None) is None:
+            reason = f"no vectorized implementation for {type(task).__name__}"
             if reason not in plan.fallback_reasons:
                 plan.fallback_reasons.append(reason)
             continue

@@ -16,9 +16,11 @@ description of one piece of training work:
   tasks*: a kind is stackable when it defines ``stack_key()``,
   ``stack_fallback_reason(tasks, arch_reason)`` and
   ``run_stack(tasks, basis=None)`` next to its fields, and its ``run()``
-  is ``run_stack([self])[0]`` — one body per kind, whatever K is.  The
+  is ``run_stack([self])[0]`` — one body per kind, whatever K is; a
+  kind whose ``stack_key`` is ``None`` runs one task at a time.  The
   two kinds here are the stackable ones; the unlearning protocols'
-  client tasks (:mod:`repro.unlearning.protocols`) run one client each.
+  client tasks (:mod:`repro.unlearning.protocols`) are ``TrainTask``
+  subclasses that run one client each.
 
 Determinism contract
 --------------------
@@ -82,7 +84,9 @@ class TrainResult:
     calls :meth:`resolve_state` with the basis it broadcast.
     ``update_nbytes`` is the wire size of the return's model payload in
     either case — what the transport metering sums into per-round
-    byte counts.
+    byte counts.  ``extra`` is protocol state a client task returns
+    beside its model (an unlearning protocol's teacher logits or FIM
+    estimate), charged up the wire with it.
     """
 
     task_id: Any
@@ -91,6 +95,7 @@ class TrainResult:
     rng_state: RngState
     update: Optional[EncodedUpdate] = None
     update_nbytes: int = 0
+    extra: Optional[dict] = None
 
     def resolve_state(self, basis: Optional[StateDict] = None) -> StateDict:
         """The trained state dict, decoding ``update`` when encoded."""
@@ -173,6 +178,13 @@ class TrainTask:
     def run(self) -> TrainResult:
         return self.run_stack([self])[0]
 
+    def local_pass(self, model: Module, dataset: ArrayDataset, rng: np.random.Generator):
+        """A lone task's training of ``model`` on its selected rows:
+        plain SGD under ``config``.  Returns ``(history, extra)``; the
+        unlearning protocols' client tasks replace it and return their
+        protocol state as ``extra``."""
+        return train(model, dataset, self.config, rng), None
+
     def stack_key(self) -> Any:
         """Tasks with equal keys may share a stack: one codec, one
         stamped broadcast version."""
@@ -222,14 +234,18 @@ class TrainTask:
             task.dataset if task.indices is None else task.dataset.subset(task.indices)
             for task in tasks
         ]
+        extras: List[Optional[dict]] = [None] * len(tasks)
         if len(tasks) == 1:
-            histories = [train(models[0], datasets[0], tasks[0].config, rngs[0])]
+            history, extras[0] = tasks[0].local_pass(models[0], datasets[0], rngs[0])
+            histories = [history]
         else:
             from ..federated.vectorized import VectorizedCohort
 
             histories = VectorizedCohort(models, datasets, rngs).train(tasks[0].config)
         results: List[TrainResult] = []
-        for task, model, base, rng, history in zip(tasks, models, bases, rngs, histories):
+        for task, model, base, rng, history, extra in zip(
+            tasks, models, bases, rngs, histories, extras
+        ):
             state, update, update_nbytes = encode_trained_state(
                 task.codec, model.state_dict(), base
             )
@@ -241,6 +257,7 @@ class TrainTask:
                     rng_state=capture_rng(rng),
                     update=update,
                     update_nbytes=update_nbytes,
+                    extra=extra,
                 )
             )
         return results

@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import List
 
 import numpy as np
 
@@ -31,7 +30,7 @@ from ...data.dataset import ArrayDataset
 from ...nn import Tensor
 from ...nn.losses import distillation_loss
 from ...nn.module import Module
-from ...training.config import TrainConfig
+from ...training.config import TrainConfig, TrainHistory
 from ...training.evaluation import predict_logits
 from ...training.trainer import follow_dataset_dtype, make_optimizer, run_epochs
 from ..goldfish import _ForgetBatchCycler
@@ -56,8 +55,7 @@ class IncompetentTeacherConfig:
 
 @dataclass
 class IncompetentTeacherResult:
-    epochs_run: int
-    epoch_losses: List[float]
+    history: TrainHistory  # one entry per completed epoch
     wall_seconds: float
 
 
@@ -116,7 +114,6 @@ class IncompetentTeacherUnlearner:
 
         (history,) = run_epochs([retain_set], [rng], config.train, optimizer, step)
         return IncompetentTeacherResult(
-            epochs_run=len(history),
-            epoch_losses=history.losses,
+            history=history,
             wall_seconds=time.perf_counter() - start,
         )

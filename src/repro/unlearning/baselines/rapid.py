@@ -85,11 +85,6 @@ class DiagonalFIMSGD(Optimizer):
     # the FIM estimate persists across rounds, so per-round worker tasks
     # must carry it out and back).
     # ------------------------------------------------------------------
-    @staticmethod
-    def empty_fim_state(num_parameters: int) -> dict:
-        """The state of a freshly constructed optimizer (no curvature yet)."""
-        return {"fim": [None] * num_parameters, "steps": 0}
-
     def fim_state(self) -> dict:
         """Snapshot the running FIM estimate and step counter (copied)."""
         return {

@@ -28,16 +28,20 @@ Algorithm 1 runs one client at a time, and so does this module:
 its native layout, run by the one epoch loop,
 :func:`repro.training.trainer.run_epochs`.  The federated flow runs it
 once per client per round (``_GoldfishClientTask`` in
-:mod:`repro.unlearning.protocols`).  Students are not stacked: a
-stacked cohort of them ran less than 1.2x faster than lone students on
-the paper's LeNet-5 scenarios, and slower at batch 50.
+:mod:`repro.unlearning.protocols`, a client train task: the student
+starts from the round's broadcast, trains on the client's retained
+rows and comes back as a ``TrainResult`` under the simulation's codec,
+with this module's history and, in round 0, the teacher's logits in
+its ``extra``).  Students are not stacked: a stacked cohort of them ran
+less than 1.2x faster than lone students on the paper's LeNet-5
+scenarios, and slower at batch 50.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -45,7 +49,7 @@ from ..data.dataset import ArrayDataset
 from ..nn import Tensor
 from ..nn.losses import cross_entropy
 from ..nn.module import Module
-from ..training.config import TrainConfig
+from ..training.config import TrainConfig, TrainHistory
 from ..training.evaluation import predict_logits
 from ..training.trainer import follow_dataset_dtype, make_optimizer, run_epochs
 from .early_stop import EarlyStopConfig, ExcessRiskStopper
@@ -74,8 +78,7 @@ class GoldfishConfig:
 class GoldfishResult:
     """Outcome of one local Goldfish run."""
 
-    epochs_run: int
-    epoch_losses: List[float]
+    history: TrainHistory  # one entry per completed epoch
     stopped_early: bool
     temperature_used: float
     wall_seconds: float
@@ -229,8 +232,7 @@ class GoldfishUnlearner:
             ),
         )
         return GoldfishResult(
-            epochs_run=len(history.losses),
-            epoch_losses=history.losses,
+            history=history,
             stopped_early=stopper is not None and stopper.stopped_early,
             temperature_used=loss_fn.config.temperature,
             wall_seconds=time.perf_counter() - start,

@@ -12,12 +12,19 @@ These are the flows compared in the paper's evaluation:
 * :func:`federated_incompetent_teacher` — B3, dual-teacher adjustment of
   the current global model (no reinitialisation).
 
-The per-client work inside every round is packaged as pure tasks
-(model state + data + RNG position in, new state + advanced RNG out) and
-executed through the simulation's :class:`~repro.runtime.Backend`, so
-client updates within a round compute concurrently under ``"pool"`` /
-``"cluster"`` backends with bit-identical results. Pass ``backend=`` to
-any protocol to override the simulation's backend for that flow only.
+Every protocol runs the simulation's one round body,
+:meth:`~repro.federated.simulation.FederatedSimulation.play_round`, with
+its own client task: B1's clients and B3's normal clients run the stock
+:class:`~repro.runtime.task.TrainTask`, Goldfish's, B2's and B3's
+unlearning clients a subclass of it that adds the protocol's state.
+Every task starts from the round's stamped broadcast, reads the client's
+dataset plus an index selection and returns a
+:class:`~repro.runtime.task.TrainResult` under the simulation's codec,
+so client updates compute concurrently under ``"pool"`` / ``"cluster"``
+backends with bit-identical results.  The teachers, the teacher's logits
+and the FIM ride the task and are charged in the round's traffic, as is
+what rides back in ``TrainResult.extra``.  Pass ``backend=`` to any
+protocol to override the simulation's backend for that flow only.
 
 On a ``vectorize=True`` simulation, B1's clients and B3's normal clients
 run stock :class:`~repro.runtime.task.TrainTask` rounds, which
@@ -44,7 +51,7 @@ from ..data.dataset import ArrayDataset
 from ..federated.simulation import FederatedSimulation
 from ..nn.module import Module
 from ..runtime import BackendLike, get_backend
-from ..runtime.task import RngState, StateDict, capture_rng, restore_rng
+from ..runtime.task import StateDict, TrainResult, TrainTask
 from ..training.config import TrainConfig
 from ..training.trainer import train
 from .baselines.incompetent import IncompetentTeacherConfig, IncompetentTeacherUnlearner
@@ -86,179 +93,139 @@ capture per-round metrics (e.g. backdoor success rate at epoch checkpoints)."""
 
 
 # ----------------------------------------------------------------------
-# Task types (module-level so fork/pickle both work; each one is a pure
+# Client tasks (module-level so fork/pickle both work; each one is a pure
 # function of its fields — see repro.runtime.task for the contract)
 # ----------------------------------------------------------------------
 @dataclass
-class _ClientRoundResult:
-    """One client's contribution to a round, produced inside a worker."""
+class _ClientTask(TrainTask):
+    """One client's unlearning pass in the stock client task's shape.
 
-    task_id: Any
-    state: StateDict
-    epochs_run: int
-    rng_state: RngState
-    # Protocol-specific state (B2's FIM, Goldfish's teacher logits).
-    extra: Optional[dict] = None
+    The :class:`~repro.runtime.task.TrainTask` fields keep their meaning:
+    ``model_state`` is the broadcast the client starts from, stamped with
+    the round's ``model_version``; ``dataset`` plus ``indices`` select its
+    retained data (``forget_indices`` its pending deletion); ``codec`` is
+    the simulation's update codec.  Only ``config`` is the protocol's
+    own.  A subclass adds its protocol state and replaces
+    :meth:`~repro.runtime.task.TrainTask.local_pass`, so its result is a
+    :class:`~repro.runtime.task.TrainResult` encoded like any client
+    return, with the protocol state it brings back in ``extra``.  Each
+    task runs one client, as Algorithm 1 does (``stack_key`` is
+    ``None``, so the vectorized planner records that).
+    """
+
+    forget_indices: Optional[np.ndarray] = None
+    stack_key = None
+
+    def forget_set(self) -> Optional[ArrayDataset]:
+        if self.forget_indices is None:
+            return None
+        return self.dataset.subset(self.forget_indices)
 
 
 @dataclass
-class _GoldfishClientTask:
+class _GoldfishClientTask(_ClientTask):
     """One client's Goldfish teacher/student pass (Algorithm 1).
 
     Carries either the teacher (round 0: ``teacher_state``) or the
-    teacher's logits on ``retain_set`` (later rounds: ``teacher_logits``,
-    ``teacher_state=None``); only the former returns the logits.
+    teacher's logits on the retained data (later rounds:
+    ``teacher_logits``, ``teacher_state=None``); only the former returns
+    the logits.
     """
 
-    task_id: Any
-    model_factory: Callable[[], Module]
-    student_state: StateDict
-    teacher_state: Optional[StateDict]
-    retain_set: ArrayDataset
-    forget_set: Optional[ArrayDataset]
-    config: GoldfishConfig
-    rng_state: RngState
+    teacher_state: Optional[StateDict] = None
     teacher_logits: Optional[np.ndarray] = None
 
-    def run(self) -> _ClientRoundResult:
-        student = self.model_factory()
-        student.load_state_dict(self.student_state)
+    def local_pass(self, student, retain_set, rng):
         teacher = None
         if self.teacher_state is not None:
             teacher = self.model_factory()
             teacher.load_state_dict(self.teacher_state)
-        rng = restore_rng(self.rng_state)
         result = GoldfishUnlearner(self.config).unlearn(
             student=student,
             teacher=teacher,
-            retain_set=self.retain_set,
-            forget_set=self.forget_set,
+            retain_set=retain_set,
+            forget_set=self.forget_set(),
             rng=rng,
             teacher_logits=self.teacher_logits,
         )
-        return _ClientRoundResult(
-            task_id=self.task_id,
-            state=student.state_dict(),
-            epochs_run=result.epochs_run,
-            rng_state=capture_rng(rng),
-            extra=(
-                {"teacher_logits": result.teacher_logits}
-                if self.teacher_logits is None
-                else None
-            ),
-        )
+        if self.teacher_logits is None:
+            return result.history, {"teacher_logits": result.teacher_logits}
+        return result.history, None
 
 
 @dataclass
-class _RapidClientTask:
-    """One client's FIM-preconditioned pass (B2); carries the curvature."""
+class _RapidClientTask(_ClientTask):
+    """One client's FIM-preconditioned pass (B2); carries the curvature
+    (``None``: none accumulated yet) and brings the updated estimate
+    back.  ``config.learning_rate`` is the already-scaled step size."""
 
-    task_id: Any
-    model_factory: Callable[[], Module]
-    model_state: StateDict
-    dataset: ArrayDataset
-    config: TrainConfig
-    rng_state: RngState
-    lr: float
-    rho: float
-    damping: float
-    fim_state: dict
+    rho: float = 0.95
+    damping: float = 1e-3
+    fim_state: Optional[dict] = None
 
-    def run(self) -> _ClientRoundResult:
-        model = self.model_factory()
-        model.load_state_dict(self.model_state)
-        rng = restore_rng(self.rng_state)
+    def local_pass(self, model, retain_set, rng):
         optimizer = DiagonalFIMSGD(
-            model.parameters(), lr=self.lr, rho=self.rho, damping=self.damping
+            model.parameters(), lr=self.config.learning_rate, rho=self.rho,
+            damping=self.damping,
         )
-        optimizer.load_fim_state(self.fim_state)
-        history = train(model, self.dataset, self.config, rng, optimizer=optimizer)
-        return _ClientRoundResult(
-            task_id=self.task_id,
-            state=model.state_dict(),
-            epochs_run=len(history),
-            rng_state=capture_rng(rng),
-            extra={"fim": optimizer.fim_state()},
-        )
+        if self.fim_state is not None:
+            optimizer.load_fim_state(self.fim_state)
+        history = train(model, retain_set, self.config, rng, optimizer=optimizer)
+        return history, {"fim": optimizer.fim_state()}
 
 
 @dataclass
-class _IncompetentClientTask:
+class _IncompetentClientTask(_ClientTask):
     """One unlearning client's dual-teacher adjustment pass (B3)."""
 
-    task_id: Any
-    model_factory: Callable[[], Module]
-    student_state: StateDict
-    competent_state: StateDict
-    incompetent_state: StateDict
-    retain_set: ArrayDataset
-    forget_set: ArrayDataset
-    config: IncompetentTeacherConfig
-    rng_state: RngState
+    competent_state: Optional[StateDict] = None
+    incompetent_state: Optional[StateDict] = None
 
-    def run(self) -> _ClientRoundResult:
-        student = self.model_factory()
-        student.load_state_dict(self.student_state)
+    def local_pass(self, student, retain_set, rng):
         competent = self.model_factory()
         competent.load_state_dict(self.competent_state)
         incompetent = self.model_factory()
         incompetent.load_state_dict(self.incompetent_state)
-        rng = restore_rng(self.rng_state)
         result = IncompetentTeacherUnlearner(self.config).unlearn(
             student=student,
             competent_teacher=competent,
             incompetent_teacher=incompetent,
-            retain_set=self.retain_set,
-            forget_set=self.forget_set,
+            retain_set=retain_set,
+            forget_set=self.forget_set(),
             rng=rng,
         )
-        return _ClientRoundResult(
-            task_id=self.task_id,
-            state=student.state_dict(),
-            epochs_run=result.epochs_run,
-            rng_state=capture_rng(rng),
-        )
+        return result.history, None
 
 
-def _absorb_round(sim: FederatedSimulation, results: List[Any]) -> int:
-    """Install worker results into the clients; return total epochs run.
-
-    Accepts both protocol-specific :class:`_ClientRoundResult` objects and
-    stock :class:`~repro.runtime.TrainResult` objects (from plain retrain
-    tasks emitted via :meth:`Client.make_train_task`), which report their
-    epoch count via their history.
-    """
-    epochs = 0
-    by_id = {client.client_id: client for client in sim.clients}
-    for result in results:
-        client = by_id[result.task_id]
-        if isinstance(result, _ClientRoundResult):
-            client.model.load_state_dict(result.state)
-            client.rng.bit_generator.state = result.rng_state
-            epochs += result.epochs_run
-        else:
-            epochs += len(client.absorb_train_result(result))
-    return epochs
+def _client_task(kind, sim, client, model_version, config, **protocol_state):
+    """``client``'s task of ``kind``: the stock task's start model, data
+    selection, RNG position, codec and version, plus the protocol's own
+    state."""
+    stock = client.make_train_task(
+        config, sim.model_factory, codec=sim.codec, model_version=model_version
+    )
+    return kind(**vars(stock), **protocol_state)
 
 
-def _run_rounds(
+def _deletion_rounds(
     sim: FederatedSimulation,
     num_rounds: int,
     backend: BackendLike,
     round_callback: Optional[RoundCallback],
-    make_tasks: Callable[[Any], List[Any]],
-    on_results: Optional[Callable[[List[Any]], None]] = None,
+    make_task: Callable[[Any, Optional[str]], TrainTask],
+    keep: Optional[Callable[[List[TrainResult]], None]] = None,
     reinitialize: bool = True,
 ) -> UnlearnOutcome:
-    """The round skeleton the four protocols share.
+    """One deletion flow over the simulation's round body.
 
     Validate, start the clock and resolve the backend (the protocol-level
     override, else whatever the simulation uses) before the first side
     effect; reset the global model to ω^0 unless the protocol adjusts the
-    current one (B3); then per round: broadcast → ``make_tasks(runner)``
-    → run the cohort → ``on_results`` (protocol state riding the results:
-    Goldfish's teacher logits, B2's FIM) → absorb → aggregate → evaluate
-    → ``round_callback``; finally every client's deletion is finalized.
+    current one (B3); then ``num_rounds`` rounds of
+    :meth:`~repro.federated.simulation.FederatedSimulation.play_round`
+    with ``make_task``, each followed by ``keep`` (protocol state riding
+    the results: Goldfish's teacher logits, B2's FIM) and
+    ``round_callback``; finally every client's deletion is finalized.
     """
     if num_rounds <= 0:
         raise ValueError(f"num_rounds must be positive, got {num_rounds}")
@@ -269,13 +236,11 @@ def _run_rounds(
     accuracies: List[float] = []
     local_epochs = 0
     for round_index in range(num_rounds):
-        sim.server.broadcast(sim.clients)
-        results, _ = sim.run_cohort_tasks(make_tasks(runner), runner=runner)
-        if on_results is not None:
-            on_results(results)
-        local_epochs += _absorb_round(sim, results)
-        sim.server.aggregate([client.upload() for client in sim.clients])
-        accuracies.append(sim.server.evaluate_global()[1])
+        record, results = sim.play_round(round_index, make_task, runner)
+        if keep is not None:
+            keep(results)
+        local_epochs += sum(len(result.history) for result in results)
+        accuracies.append(record.global_accuracy)
         if round_callback is not None:
             round_callback(round_index, sim)
     for client in sim.clients:
@@ -307,21 +272,13 @@ def federated_goldfish(
     # Filled by the round-0 tasks, dropped when this call returns.
     teacher_logits: Dict[Any, np.ndarray] = {}
 
-    def make_tasks(runner):
-        return [
-            _GoldfishClientTask(
-                task_id=client.client_id,
-                model_factory=sim.model_factory,
-                student_state=client.model.state_dict(),
-                teacher_state=None if teacher_logits else teacher_state,
-                retain_set=client.retain_set,
-                forget_set=client.forget_set,
-                config=config,
-                rng_state=capture_rng(client.rng),
-                teacher_logits=teacher_logits.get(client.client_id),
-            )
-            for client in sim.clients
-        ]
+    def make_task(client, model_version):
+        return _client_task(
+            _GoldfishClientTask, sim, client, model_version, config,
+            forget_indices=client.forget_indices,
+            teacher_state=None if teacher_logits else teacher_state,
+            teacher_logits=teacher_logits.get(client.client_id),
+        )
 
     def keep_teacher_logits(results):
         if not teacher_logits:
@@ -329,8 +286,8 @@ def federated_goldfish(
                 (result.task_id, result.extra["teacher_logits"]) for result in results
             )
 
-    return _run_rounds(
-        sim, num_rounds, backend, round_callback, make_tasks, keep_teacher_logits
+    return _deletion_rounds(
+        sim, num_rounds, backend, round_callback, make_task, keep_teacher_logits
     )
 
 
@@ -342,23 +299,12 @@ def federated_retrain(
     backend: BackendLike = None,
 ) -> UnlearnOutcome:
     """B1: reinitialise and run plain FedAvg training on the retained data."""
-    def make_tasks(runner):
-        # Client.active_dataset is the retain set while a deletion is
-        # pending, so the stock client task trains on exactly D_r^c —
-        # under the simulation's update codec, so retraining traffic is
-        # compressed (and accounted) exactly like normal rounds.
-        model_version = sim.broadcast_version(runner)
-        return [
-            client.make_train_task(
-                train_config,
-                sim.model_factory,
-                codec=sim.codec,
-                model_version=model_version,
-            )
-            for client in sim.clients
-        ]
+    # Client.retain_indices selects D_r^c while a deletion is pending, so
+    # the stock client task trains on exactly the retained data.
+    def make_task(client, model_version):
+        return _client_task(TrainTask, sim, client, model_version, train_config)
 
-    return _run_rounds(sim, num_rounds, backend, round_callback, make_tasks)
+    return _deletion_rounds(sim, num_rounds, backend, round_callback, make_task)
 
 
 def federated_rapid_retrain(
@@ -381,41 +327,23 @@ def federated_rapid_retrain(
     # Checked here, not first inside a task: by then the global model
     # has been reset to ω^0.
     check_rapid_options(rho, damping, lr_scale)
-    lr = train_config.learning_rate * lr_scale
-    # Sized from the clients' models before the reinitialised global model
-    # is broadcast to them at the top of round 0 — a parameter *count*,
-    # which no broadcast changes, so the effects keep their order:
-    # reinitialise, broadcast, train.
-    fim_states: Dict[Any, dict] = {
-        client.client_id: DiagonalFIMSGD.empty_fim_state(
-            len(client.model.parameters())
-        )
-        for client in sim.clients
-    }
+    config = train_config.with_overrides(
+        learning_rate=train_config.learning_rate * lr_scale
+    )
+    fim_states: Dict[Any, dict] = {}  # empty until the round-0 tasks return
 
-    def make_tasks(runner):
-        return [
-            _RapidClientTask(
-                task_id=client.client_id,
-                model_factory=sim.model_factory,
-                model_state=client.model.state_dict(),
-                dataset=client.retain_set,
-                config=train_config,
-                rng_state=capture_rng(client.rng),
-                lr=lr,
-                rho=rho,
-                damping=damping,
-                fim_state=fim_states[client.client_id],
-            )
-            for client in sim.clients
-        ]
+    def make_task(client, model_version):
+        return _client_task(
+            _RapidClientTask, sim, client, model_version, config,
+            rho=rho, damping=damping, fim_state=fim_states.get(client.client_id),
+        )
 
     def keep_fim_states(results):
         for result in results:
             fim_states[result.task_id] = result.extra["fim"]
 
-    return _run_rounds(
-        sim, num_rounds, backend, round_callback, make_tasks, keep_fim_states
+    return _deletion_rounds(
+        sim, num_rounds, backend, round_callback, make_task, keep_fim_states
     )
 
 
@@ -433,32 +361,18 @@ def federated_incompetent_teacher(
     incompetent_state = sim.model_factory().state_dict()  # random on purpose
     normal_client_config = normal_client_config or config.train
 
-    def make_tasks(runner):
-        model_version = sim.broadcast_version(runner)
-        return [
-            _IncompetentClientTask(
-                task_id=client.client_id,
-                model_factory=sim.model_factory,
-                student_state=client.model.state_dict(),
-                competent_state=competent_state,
-                incompetent_state=incompetent_state,
-                retain_set=client.retain_set,
-                forget_set=client.forget_set,
-                config=config,
-                rng_state=capture_rng(client.rng),
+    def make_task(client, model_version):
+        if not client.has_pending_deletion:
+            return _client_task(
+                TrainTask, sim, client, model_version, normal_client_config
             )
-            if client.has_pending_deletion
-            # Normal clients run the stock task, so they ride the
-            # simulation's update codec like any federation round.
-            else client.make_train_task(
-                normal_client_config,
-                sim.model_factory,
-                codec=sim.codec,
-                model_version=model_version,
-            )
-            for client in sim.clients
-        ]
+        return _client_task(
+            _IncompetentClientTask, sim, client, model_version, config,
+            forget_indices=client.forget_indices,
+            competent_state=competent_state,
+            incompetent_state=incompetent_state,
+        )
 
-    return _run_rounds(
-        sim, num_rounds, backend, round_callback, make_tasks, reinitialize=False
+    return _deletion_rounds(
+        sim, num_rounds, backend, round_callback, make_task, reinitialize=False
     )

@@ -344,13 +344,15 @@ class IncompetentTeacherFederated(Unlearner):
 # Client-level adapters (update-adjustment family; need round history)
 # ----------------------------------------------------------------------
 def _forget_client_id(requests: RequestsLike) -> int:
-    """The client a client-level method erases (default: client 0)."""
+    """The client a client-level method erases: the first request naming
+    a whole client, else the first request's client.  No request names
+    no client, so it raises ``ValueError`` rather than pick one."""
+    if not requests:
+        raise ValueError("a client-level method needs a request naming the client to erase")
     for request in requests:
         if request.indices is None:
             return request.client_id
-    if requests:
-        return requests[0].client_id
-    return 0
+    return requests[0].client_id
 
 
 def _score_rounds(sim: FederatedSimulation, model) -> List[float]:

@@ -53,15 +53,15 @@ class TestDeletionRequests:
         client = make_client(num_samples=20)
         client.request_deletion(np.array([0, 1, 2]))
         assert client.has_pending_deletion
-        assert len(client.forget_set) == 3
-        assert len(client.retain_set) == 17
+        assert len(client.forget_indices) == 3
+        assert len(client.retain_indices) == 17
         assert len(client.active_dataset) == 17
 
     def test_no_pending_deletion_defaults(self):
         client = make_client()
         assert not client.has_pending_deletion
-        assert client.forget_set is None
-        assert len(client.retain_set) == len(client.dataset)
+        assert client.forget_indices is None
+        assert len(client.active_dataset) == len(client.dataset)
 
     def test_finalize_drops_data(self):
         client = make_client(num_samples=20)
@@ -78,7 +78,7 @@ class TestDeletionRequests:
     def test_duplicate_indices_deduplicated(self):
         client = make_client(num_samples=20)
         client.request_deletion(np.array([3, 3, 4]))
-        assert len(client.forget_set) == 2
+        assert len(client.forget_indices) == 2
 
     def test_validation(self):
         client = make_client(num_samples=10)

@@ -97,11 +97,12 @@ def build(params):
         tasks.append(_IncompetentClientTask(
             task_id=f"b3-{index}",
             model_factory=factory,
-            student_state=other_state(300 + index),
+            model_state=other_state(300 + index),
             competent_state=other_state(300 + index),
             incompetent_state=other_state(400 + index),
-            retain_set=b3_data.subset(np.arange(4, 14)),
-            forget_set=b3_data.subset(np.arange(4)),
+            dataset=b3_data,
+            indices=np.arange(4, 14),
+            forget_indices=np.arange(4),
             config=IncompetentTeacherConfig(train=CONFIG),
             rng_state=capture_rng(np.random.default_rng(50 + index)),
         ))

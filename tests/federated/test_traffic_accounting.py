@@ -12,13 +12,20 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from repro.data import FederatedDataset
+from repro.federated import FedAvgAggregator, FederatedSimulation
 from repro.federated.simulation import (
     _TASK_STATE_FIELDS,
     _result_wire_nbytes,
     _task_state_nbytes,
     account_model_traffic,
 )
+from repro.nn.models import MLP
 from repro.runtime import TransportStats, dense_nbytes
+from repro.training import TrainConfig
+from repro.unlearning import GoldfishConfig, federated_goldfish, federated_rapid_retrain
+
+from ..conftest import make_blob_federation
 
 STATE = {"w": np.zeros((4, 3)), "b": np.zeros(3, dtype=np.float32)}
 OTHER = {"w": np.zeros(7, dtype=np.int64)}
@@ -39,8 +46,14 @@ class TestTaskStateBytes:
 
     def test_teacher_logits_ride_along(self):
         logits = np.zeros((5, 10))
-        carried = task(student_state=STATE, teacher_logits=logits)
+        carried = task(model_state=STATE, teacher_logits=logits)
         assert _task_state_nbytes(carried) == dense_nbytes(STATE) + logits.nbytes
+
+    def test_the_fim_rides_along(self):
+        fim = {"fim": [np.zeros(6), None, np.zeros((2, 2), dtype=np.float32)],
+               "steps": 4}
+        carried = task(model_state=STATE, fim_state=fim)
+        assert _task_state_nbytes(carried) == dense_nbytes(STATE) + 6 * 8 + 4 * 4
 
     def test_a_task_without_states_costs_nothing(self):
         assert _task_state_nbytes(task(model_state=None, other=STATE)) == 0
@@ -59,6 +72,14 @@ class TestResultBytes:
 
     def test_non_state_result_costs_nothing(self):
         assert _result_wire_nbytes(SimpleNamespace(state=[1, 2, 3])) == 0
+
+    def test_protocol_state_rides_back(self):
+        logits = np.zeros((5, 10))
+        encoded = SimpleNamespace(update_nbytes=11, extra={"teacher_logits": logits})
+        assert _result_wire_nbytes(encoded) == 11 + logits.nbytes
+        dense = SimpleNamespace(state=STATE, extra={"fim": [np.zeros(3), None],
+                                                    "steps": 1})
+        assert _result_wire_nbytes(dense) == dense_nbytes(STATE) + 3 * 8
 
 
 class TestAccountModelTraffic:
@@ -87,3 +108,46 @@ class TestAccountModelTraffic:
             SimpleNamespace(last_batch_stats=pipe), self.TASKS, self.RESULTS
         )
         assert pipe == TransportStats(bytes_down=123)
+
+
+def mlp_factory():
+    return MLP(16, 3, np.random.default_rng(42))
+
+
+class TestProtocolRoundsAreCharged:
+    """Serial rounds of the unlearning protocols charge what their tasks
+    carry: the model both ways, plus the FIM (B2) and the teacher's
+    logits (Goldfish) in the direction each travels."""
+
+    CONFIG = TrainConfig(epochs=1, batch_size=10, learning_rate=0.1)
+
+    def build(self):
+        clients, test = make_blob_federation(3, per_client=20, test_size=30, seed=0)
+        sim = FederatedSimulation(
+            mlp_factory, FederatedDataset(client_datasets=clients, test_set=test),
+            FedAvgAggregator(), self.CONFIG, seed=0,
+        )
+        sim.run(1)
+        sim.clients[0].request_deletion(np.arange(4))
+        return sim
+
+    def test_b2_charges_its_fim_down_and_up(self):
+        sim = self.build()
+        before = sim.transport_report()
+        federated_rapid_retrain(sim, self.CONFIG, num_rounds=2)
+        after = sim.transport_report()
+        state = dense_nbytes(sim.server.global_state)
+        fim = sum(param.data.nbytes for param in sim.global_model().parameters())
+        # Round 0 carries no curvature yet; round 1 carries every
+        # client's, and both rounds bring one back.
+        assert after["bytes_down"] - before["bytes_down"] == 6 * state + 3 * fim
+        assert after["bytes_up"] - before["bytes_up"] == 6 * state + 6 * fim
+
+    def test_goldfish_charges_the_logits_it_returns(self):
+        sim = self.build()
+        before = sim.transport_report()["bytes_up"]
+        retained = sum(len(client.active_dataset) for client in sim.clients)
+        federated_goldfish(sim, GoldfishConfig(train=self.CONFIG), num_rounds=2)
+        state = dense_nbytes(sim.server.global_state)
+        # Round 0 returns the teacher's logits on D_r beside the student.
+        assert sim.transport_report()["bytes_up"] - before == 6 * state + retained * 3 * 8

@@ -213,10 +213,11 @@ class TestGoldfishFollowsDatasetDtype:
             tasks.append(_GoldfishClientTask(
                 task_id=member,
                 model_factory=factory,
-                student_state=factory().state_dict(),
+                model_state=factory().state_dict(),
                 teacher_state=teacher_state,
-                retain_set=data.subset(np.arange(6, 24)),
-                forget_set=data.subset(np.arange(6)),
+                dataset=data,
+                indices=np.arange(6, 24),
+                forget_indices=np.arange(6),
                 config=self.CONFIG,
                 rng_state=capture_rng(np.random.default_rng(member)),
             ))
@@ -227,17 +228,17 @@ class TestGoldfishFollowsDatasetDtype:
         for task in self.tasks(dtype):
             one = task.run()
             student, teacher = task.model_factory(), task.model_factory()
-            student.load_state_dict(task.student_state)
+            student.load_state_dict(task.model_state)
             teacher.load_state_dict(task.teacher_state)
             rng = restore_rng(task.rng_state)
             other = GoldfishUnlearner(self.CONFIG).unlearn(
-                student, teacher, task.retain_set, task.forget_set, rng
+                student, teacher, task.dataset.subset(task.indices), task.forget_set(), rng
             )
             assert one.extra["teacher_logits"].dtype == dtype
             np.testing.assert_array_equal(
                 one.extra["teacher_logits"], other.teacher_logits
             )
-            assert one.epochs_run == other.epochs_run
+            assert len(one.history) == len(other.history)
             assert one.rng_state == rng.bit_generator.state
             for key, value in one.state.items():
                 assert value.dtype == dtype, key
@@ -247,7 +248,7 @@ class TestGoldfishFollowsDatasetDtype:
         task = self.tasks(np.float32)[0]
         student, teacher = task.model_factory(), task.model_factory()
         result = GoldfishUnlearner(self.CONFIG).unlearn(
-            student, teacher, task.retain_set, task.forget_set,
+            student, teacher, task.dataset.subset(task.indices), task.forget_set(),
             np.random.default_rng(0),
         )
         assert student.dtype == teacher.dtype == np.float32
@@ -282,16 +283,17 @@ class TestIncompetentTeacherFollowsDatasetDtype:
         task = _IncompetentClientTask(
             task_id=0,
             model_factory=factory,
-            student_state=factory().state_dict(),
+            model_state=factory().state_dict(),
             competent_state=factory().state_dict(),
             incompetent_state=factory().state_dict(),
-            retain_set=data.subset(np.arange(6, 30)),
-            forget_set=data.subset(np.arange(6)),
+            dataset=data,
+            indices=np.arange(6, 30),
+            forget_indices=np.arange(6),
             config=self.CONFIG,
             rng_state=capture_rng(np.random.default_rng(0)),
         )
         result = task.run()
-        assert result.epochs_run == 2
+        assert len(result.history) == 2
         for key, value in result.state.items():
             assert value.dtype == np.float32, key
         # Two distillation terms per step, three steps per epoch.
@@ -299,8 +301,8 @@ class TestIncompetentTeacherFollowsDatasetDtype:
 
         student = factory()
         IncompetentTeacherUnlearner(self.CONFIG).unlearn(
-            student, factory(), factory(), task.retain_set, task.forget_set,
-            np.random.default_rng(0),
+            student, factory(), factory(), task.dataset.subset(task.indices),
+            task.forget_set(), np.random.default_rng(0),
         )
         assert student.dtype == np.float32
         assert all(param.data.dtype == np.float32 for param in student.parameters())

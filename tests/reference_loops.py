@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import replace
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -142,7 +142,7 @@ def reference_unlearn(config, student, teacher, retain_set, forget_set, rng,
         forget_cycler = _ForgetBatchCycler(forget_set, config.train.batch_size, rng)
 
     student.train()
-    epoch_losses: List[float] = []
+    history = TrainHistory()
     stopped_early = False
 
     for _ in range(config.train.epochs):
@@ -173,14 +173,15 @@ def reference_unlearn(config, student, teacher, retain_set, forget_set, rng,
             # Eq. 7 compares against the previous global model.
             total += loss_fn.last_breakdown.hard_retain
             batches += 1
-        epoch_losses.append(total / batches)
-        if stopper is not None and stopper.update(epoch_losses[-1]):
+        history.record(
+            EpochStats(epoch=len(history), mean_loss=total / batches, num_batches=batches)
+        )
+        if stopper is not None and stopper.update(history.final_loss):
             stopped_early = True
             break
 
     return GoldfishResult(
-        epochs_run=len(epoch_losses),
-        epoch_losses=epoch_losses,
+        history=history,
         stopped_early=stopped_early,
         temperature_used=temperature,
         wall_seconds=time.perf_counter() - start,
@@ -200,7 +201,7 @@ def reference_incompetent_unlearn(config, student, competent_teacher,
                                shuffle=True, rng=rng)
     forget_cycler = _ForgetBatchCycler(forget_set, config.train.batch_size, rng)
 
-    epoch_losses: List[float] = []
+    history = TrainHistory()
     for _ in range(config.train.epochs):
         total = 0.0
         batches = 0
@@ -223,10 +224,11 @@ def reference_incompetent_unlearn(config, student, competent_teacher,
             apply_update(loss, optimizer, config.train)
             total += loss.item()
             batches += 1
-        epoch_losses.append(total / batches)
+        history.record(
+            EpochStats(epoch=len(history), mean_loss=total / batches, num_batches=batches)
+        )
 
     return IncompetentTeacherResult(
-        epochs_run=len(epoch_losses),
-        epoch_losses=epoch_losses,
+        history=history,
         wall_seconds=time.perf_counter() - start,
     )

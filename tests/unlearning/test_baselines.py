@@ -129,7 +129,7 @@ class TestB3IncompetentTeacher:
         result = IncompetentTeacherUnlearner(config).unlearn(
             student, teacher, factory(99), retain, forget, rng
         )
-        assert result.epochs_run == 2
+        assert len(result.history) == 2
         assert result.wall_seconds > 0
 
     @pytest.mark.parametrize("emptied", ["retain", "forget"])

@@ -32,8 +32,8 @@ class TestTinyDatasets:
         config = GoldfishConfig(loss=GoldfishLossConfig(), train=SMALL_TRAIN)
         result = GoldfishUnlearner(config).unlearn(student, teacher, retain,
                                                    forget, rng)
-        assert result.epochs_run == 1
-        assert np.isfinite(result.epoch_losses).all()
+        assert len(result.history) == 1
+        assert np.isfinite(result.history.losses).all()
 
     def test_forget_larger_than_batch(self, rng):
         retain = make_blobs(num_samples=24, num_classes=3, shape=(1, 4, 4))
@@ -41,7 +41,7 @@ class TestTinyDatasets:
         config = GoldfishConfig(loss=GoldfishLossConfig(), train=SMALL_TRAIN)
         result = GoldfishUnlearner(config).unlearn(factory(), factory(), retain,
                                                    forget, rng)
-        assert np.isfinite(result.epoch_losses).all()
+        assert np.isfinite(result.history.losses).all()
 
     def test_retain_smaller_than_batch(self, rng):
         retain = make_blobs(num_samples=5, num_classes=3, shape=(1, 4, 4))
@@ -51,7 +51,7 @@ class TestTinyDatasets:
         )
         result = GoldfishUnlearner(config).unlearn(factory(), factory(), retain,
                                                    None, rng)
-        assert result.epochs_run == 1
+        assert len(result.history) == 1
 
     def test_shard_trainer_one_sample_shards(self, rng):
         ds = make_blobs(num_samples=4, num_classes=2, shape=(1, 4, 4))
@@ -76,7 +76,7 @@ class TestNumericalRobustness:
         config = GoldfishConfig(loss=GoldfishLossConfig(), train=SMALL_TRAIN)
         result = GoldfishUnlearner(config).unlearn(factory(), teacher, retain,
                                                    None, rng)
-        assert np.isfinite(result.epoch_losses).all()
+        assert np.isfinite(result.history.losses).all()
 
     def test_long_unlearning_stays_finite(self, rng):
         """Many epochs with an active forget term must not diverge (the
@@ -90,7 +90,7 @@ class TestNumericalRobustness:
         student = factory()
         result = GoldfishUnlearner(config).unlearn(student, factory(), retain,
                                                    forget, rng)
-        assert np.isfinite(result.epoch_losses).all()
+        assert np.isfinite(result.history.losses).all()
         for p in student.parameters():
             assert np.isfinite(p.data).all()
 

@@ -72,7 +72,7 @@ class TestUnlearningBehaviour:
         student = factory(7)
         result = GoldfishUnlearner(BASE_CONFIG).unlearn(student, teacher, retain,
                                                         None, rng)
-        assert result.epochs_run == BASE_CONFIG.train.epochs
+        assert len(result.history) == BASE_CONFIG.train.epochs
         assert accuracy(student, retain) > 0.8
 
     def test_empty_forget_set_treated_as_none(self, rng):
@@ -81,14 +81,14 @@ class TestUnlearningBehaviour:
         student = factory(7)
         result = GoldfishUnlearner(BASE_CONFIG).unlearn(student, teacher, retain,
                                                         empty, rng)
-        assert result.epochs_run > 0
+        assert len(result.history) > 0
 
     def test_result_metadata(self, rng):
         teacher, forget, retain, _ = poisoned_setup()
         student = factory(7)
         result = GoldfishUnlearner(BASE_CONFIG).unlearn(student, teacher, retain,
                                                         forget, rng)
-        assert result.epochs_run == len(result.epoch_losses)
+        assert len(result.history) == len(result.history.losses)
         assert result.wall_seconds > 0
         assert result.temperature_used == 3.0
         assert not result.stopped_early
@@ -105,7 +105,7 @@ class TestEarlyStop:
         student = factory(7)
         result = GoldfishUnlearner(config).unlearn(student, teacher, retain, forget, rng)
         assert result.stopped_early
-        assert result.epochs_run < 30
+        assert len(result.history) < 30
 
     def test_disabled_early_stop_runs_all_epochs(self, rng):
         teacher, forget, retain, _ = poisoned_setup()
@@ -116,7 +116,7 @@ class TestEarlyStop:
         )
         student = factory(7)
         result = GoldfishUnlearner(config).unlearn(student, teacher, retain, forget, rng)
-        assert result.epochs_run == 4
+        assert len(result.history) == 4
 
 
 class TestAdaptiveTemperature:
@@ -154,8 +154,8 @@ class TestAblationToggles:
         )
         student = factory(7)
         result = GoldfishUnlearner(config).unlearn(student, teacher, retain, forget, rng)
-        assert result.epochs_run == 2
-        assert all(np.isfinite(l) for l in result.epoch_losses)
+        assert len(result.history) == 2
+        assert all(np.isfinite(l) for l in result.history.losses)
 
 
 class CountingMLP(MLP):
@@ -208,7 +208,7 @@ class TestTeacherLogitsComputedOnce:
             teacher_logits=logits,
         )
         assert teacher.calls == 0
-        assert second.epoch_losses == first.epoch_losses
+        assert second.history.losses == first.history.losses
         for key, value in via_teacher.state_dict().items():
             np.testing.assert_array_equal(value, via_logits.state_dict()[key])
         # The teacher itself is optional once its logits are known.

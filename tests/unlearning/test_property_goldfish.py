@@ -72,17 +72,21 @@ def goldfish_cohorts(draw):
 
 
 def build(params):
-    """(config, per-member (retain_set, forget_set-or-None))."""
+    """(config, per-member (retain_set, forget_set-or-None), the data they
+    were cut from, per-member (retain_indices, forget_indices-or-None))."""
     total = sum(params["retain"]) + sum(params["forget"])
     data = make_blobs(num_samples=total, num_classes=3, shape=(1, 4, 4),
                       seed=3, separation=1.2, noise=1.0)
     data = ArrayDataset(images=data.images, labels=data.labels,
                         num_classes=3, name=data.name, dtype=params["dtype"])
-    members, start = [], 0
+    members, selections, start = [], [], 0
     for num_retain, num_forget in zip(params["retain"], params["forget"]):
-        forget_set = data.subset(np.arange(start, start + num_forget)) if num_forget else None
+        forget_indices = np.arange(start, start + num_forget) if num_forget else None
+        forget_set = None if forget_indices is None else data.subset(forget_indices)
         start += num_forget
-        members.append((data.subset(np.arange(start, start + num_retain)), forget_set))
+        retain_indices = np.arange(start, start + num_retain)
+        members.append((data.subset(retain_indices), forget_set))
+        selections.append((retain_indices, forget_indices))
         start += num_retain
     config = GoldfishConfig(
         loss=GoldfishLossConfig(hard_loss=params["hard_loss"]),
@@ -98,7 +102,7 @@ def build(params):
         ),
         adaptive_temperature=params["adaptive"],
     )
-    return config, members
+    return config, members, data, selections
 
 
 def fresh_teacher():
@@ -115,7 +119,7 @@ def assert_same_bits(got, want):
 @generated(40)
 @given(goldfish_cohorts())
 def test_task_unlearn_and_reference_goldfish_agree(params):
-    config, members = build(params)
+    config, members, data, selections = build(params)
     k = len(members)
     carried = [None] * k
     if params["carried"]:
@@ -148,8 +152,8 @@ def test_task_unlearn_and_reference_goldfish_agree(params):
     )
     got_students, got_rngs, got = run_each(GoldfishUnlearner(config).unlearn)
     for index in range(k):
-        assert got[index].epochs_run == want[index].epochs_run
-        assert got[index].epoch_losses == want[index].epoch_losses
+        assert len(got[index].history) == len(want[index].history)
+        assert got[index].history.losses == want[index].history.losses
         assert got[index].stopped_early == want[index].stopped_early
         assert got[index].temperature_used == want[index].temperature_used
         assert_same_bits(got[index].teacher_logits, want[index].teacher_logits)
@@ -162,20 +166,23 @@ def test_task_unlearn_and_reference_goldfish_agree(params):
         _GoldfishClientTask(
             task_id=index,
             model_factory=factory,
-            student_state=factory().state_dict(),
+            model_state=factory().state_dict(),
             teacher_state=shared_teacher,
-            retain_set=retain,
-            forget_set=forget,
+            dataset=data,
+            indices=retain_indices,
+            forget_indices=forget_indices,
             config=config,
             rng_state=capture_rng(np.random.default_rng(100 + index)),
             teacher_logits=logits,
         )
-        for index, ((retain, forget), logits) in enumerate(zip(members, carried))
+        for index, ((retain_indices, forget_indices), logits) in enumerate(
+            zip(selections, carried)
+        )
     ]
     for index, task in enumerate(tasks):
         result = task.run()
         assert result.task_id == index
-        assert result.epochs_run == want[index].epochs_run
+        assert len(result.history) == len(want[index].history)
         assert (
             restore_rng(result.rng_state).bit_generator.state
             == want_rngs[index].bit_generator.state

@@ -156,14 +156,16 @@ class TestGoldfishTeacherInference:
         monkeypatch.setattr(goldfish, "predict_logits", counting_predict_logits)
         sim = self.build(vectorize)
         rounds = []
-        run_cohort_tasks = sim.run_cohort_tasks
+        run_tasks = sim.backend.run_tasks
 
-        def recording_run_cohort_tasks(tasks, **kwargs):
+        def recording_run_tasks(tasks):
             rounds.append(list(tasks))
-            return run_cohort_tasks(tasks, **kwargs)
+            return run_tasks(tasks)
 
-        monkeypatch.setattr(sim, "run_cohort_tasks", recording_run_cohort_tasks)
-        retained = [len(client.retain_set) for client in sim.clients]
+        # Goldfish tasks run one client each, vectorized or not, so the
+        # backend sees the round's tasks themselves.
+        monkeypatch.setattr(sim.backend, "run_tasks", recording_run_tasks)
+        retained = [len(client.active_dataset) for client in sim.clients]
         federated_goldfish(sim, GOLDFISH, num_rounds=3)
 
         assert sorted(passes) == retained == [25, 30, 30]
@@ -221,13 +223,14 @@ class TestGoldfishTeacherInference:
         task = _GoldfishClientTask(
             task_id=client.client_id,
             model_factory=mlp_factory,
-            student_state=client.model.state_dict(),
+            model_state=client.model.state_dict(),
             teacher_state=None,
-            retain_set=client.retain_set,
-            forget_set=client.forget_set,
+            dataset=client.dataset,
+            indices=client.retain_indices,
+            forget_indices=client.forget_indices,
             config=GOLDFISH,
             rng_state=capture_rng(client.rng),
-            teacher_logits=np.zeros((len(client.retain_set) + 1, 3)),
+            teacher_logits=np.zeros((len(client.active_dataset) + 1, 3)),
         )
         with pytest.raises(ValueError, match="teacher_logits holds 26 rows"):
             task.run()

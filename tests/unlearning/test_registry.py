@@ -202,6 +202,22 @@ class TestBitIdenticalClientLevel:
             )
         _assert_states_equal(*models)
 
+    @pytest.mark.parametrize("name", ["federaser", "fedrecovery"])
+    def test_no_request_names_no_client(self, name):
+        """Without a request there is no client to erase: the call fails
+        closed, before any work, instead of erasing client 0."""
+        via, via_history = self._with_history(11)
+        before = via.sim.server.global_state
+        rounds = len(via_history)
+        with pytest.raises(ValueError, match="request naming the client"):
+            make_unlearner(name, via.config, TINY.unlearn_rounds).unlearn(
+                via.sim, (), history=via_history, rng=np.random.default_rng(3),
+            )
+        after = via.sim.server.global_state
+        for key, value in before.items():
+            np.testing.assert_array_equal(value, after[key])
+        assert len(via_history) == rounds
+
     def test_history_required(self):
         setup = _pretrained(11)
         with pytest.raises(ValueError, match="history"):

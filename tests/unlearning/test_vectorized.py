@@ -35,13 +35,17 @@ CONFIG = TrainConfig(epochs=2, batch_size=10, learning_rate=0.15)
 GOLDFISH = GoldfishConfig(loss=GoldfishLossConfig(), train=CONFIG)
 
 
-def build_sim(vectorize, seed=0, deletions=((0, 5),)):
+def mlp_factory():  # module-level, so tasks pickle to pool workers
+    return MLP(16, 3, np.random.default_rng(42))
+
+
+def build_sim(vectorize, seed=0, deletions=((0, 5),), codec="raw"):
     clients, test = make_blob_federation(3, per_client=30, test_size=60,
                                          seed=seed)
     fed = FederatedDataset(client_datasets=clients, test_set=test)
     sim = FederatedSimulation(
-        lambda: MLP(16, 3, np.random.default_rng(42)),
-        fed, FedAvgAggregator(), CONFIG, seed=seed, vectorize=vectorize,
+        mlp_factory, fed, FedAvgAggregator(), CONFIG, seed=seed,
+        vectorize=vectorize, codec=codec,
     )
     sim.run(3)  # pretrain
     for client_index, count in deletions:
@@ -115,6 +119,49 @@ class TestProtocolParity:
             )
         )
         assert_runs_per_client(report, "_IncompetentClientTask")
+
+
+PROTOCOLS = {
+    "goldfish": lambda sim, **kw: federated_goldfish(sim, GOLDFISH, 2, **kw),
+    "b1": lambda sim, **kw: federated_retrain(sim, CONFIG, 2, **kw),
+    "b2": lambda sim, **kw: federated_rapid_retrain(sim, CONFIG, 2, **kw),
+    "b3": lambda sim, **kw: federated_incompetent_teacher(
+        sim, IncompetentTeacherConfig(train=CONFIG), 2, **kw
+    ),
+}
+
+
+class TestEveryProtocolOnTheSharedWirePath:
+    """Every protocol's rounds run the simulation's round body, so the
+    ``delta`` codec and the pool's broadcast cache apply to all four:
+    serially, on two pool workers and vectorized, ``delta`` lands on the
+    models, accuracies and client generators of a raw serial run, bit
+    for bit."""
+
+    @pytest.mark.parametrize("path", ["serial", "pool:2", "vectorize"])
+    @pytest.mark.parametrize("name", sorted(PROTOCOLS))
+    def test_delta_bit_identical_to_raw(self, name, path):
+        raw_sim = build_sim(False)
+        raw_up = raw_sim.transport_report()["bytes_up"]
+        raw = PROTOCOLS[name](raw_sim)
+        raw_up = raw_sim.transport_report()["bytes_up"] - raw_up
+        sim = build_sim(path == "vectorize", codec="delta")
+        before = sim.transport_report()
+        out = PROTOCOLS[name](sim, backend="pool:2" if path == "pool:2" else None)
+        after = sim.transport_report()
+        assert out.round_accuracies == raw.round_accuracies
+        assert out.local_epochs_total == raw.local_epochs_total
+        assert_states_equal(raw.global_model.state_dict(), out.global_model.state_dict())
+        for a, b in zip(raw_sim.clients, sim.clients):
+            assert_states_equal(a.model.state_dict(), b.model.state_dict())
+            assert a.rng.bit_generator.state == b.rng.bit_generator.state
+        # Under delta every client returns an encoded update, not its state.
+        assert after["bytes_up"] - before["bytes_up"] < raw_up
+        if path == "pool:2":
+            cached = sum(
+                after[key] - before[key] for key in ("broadcast_ref", "broadcast_delta")
+            )
+            assert cached > 0
 
 
 def build_sisa(vectorize, seed=5):
