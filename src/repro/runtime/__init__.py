@@ -18,7 +18,8 @@ instance::
     ensemble = SisaEnsemble(..., backend="pool:4")
     trainer = ShardedClientTrainer(..., backend=PoolBackend(max_workers=4))
 
-Because each task snapshots and returns its RNG position, results are
+Because each task carries its RNG (a stream position, or for a SISA
+chain the seed that keys each stage's stream), results are
 bit-identical across backends — parallelism is a pure wall-clock
 optimisation.  Rules of thumb:
 
@@ -60,9 +61,9 @@ and the four unlearning protocols) already gave every client its own
 child generator, so their serial results are bit-identical to the
 historical inline loops.  SISA and the sharded client trainer previously
 advanced *one* shared generator through shards sequentially — inherently
-order-dependent and unparallelisable — and now give each shard its own
-spawned stream instead; their results remain deterministic per seed but
-differ from the pre-runtime versions.
+order-dependent and unparallelisable — and now give each shard (SISA:
+each shard's slice) its own stream instead; their results remain
+deterministic per seed but differ from the pre-runtime versions.
 """
 
 from .backends import (

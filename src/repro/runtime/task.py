@@ -25,13 +25,16 @@ description of one piece of training work:
 Determinism contract
 --------------------
 A task carries *everything* its computation reads — the model state dict,
-the data, the hyper-parameters, and the exact bit-generator state of the
-RNG that drives mini-batch shuffling — and its result returns everything
-the computation advanced (the new state dict and the new RNG state).
-Running a task is therefore a pure function: the same task produces the
-same result on any backend, in any process, in any order.  Callers that
-absorb the returned ``rng_state`` back into their own generator reproduce
-the serial execution bit for bit.
+the data, the hyper-parameters, and what drives mini-batch shuffling —
+and its result returns everything the computation advanced.  Running a
+task is therefore a pure function: the same task produces the same
+result on any backend, in any process, in any order.  A
+:class:`TrainTask` carries the exact bit-generator state of its RNG and
+returns the advanced one; callers that absorb the returned ``rng_state``
+back into their own generator reproduce the serial execution bit for
+bit.  A :class:`ChainTask` carries a seed instead: each stage draws from
+its own stream keyed by (seed, chain, stage) (:func:`stage_rng`), so no
+stream position is carried between stages or returned.
 
 Everything a task holds is plain data (NumPy arrays, dataclasses, dicts),
 so tasks and results pickle cleanly; the only caveat is ``model_factory``,
@@ -70,6 +73,13 @@ def restore_rng(state: RngState) -> np.random.Generator:
     rng = np.random.default_rng(0)
     rng.bit_generator.state = state
     return rng
+
+
+def stage_rng(seed: int, chain: int, stage: int) -> np.random.Generator:
+    """Stage ``stage`` of chain ``chain``'s private stream: the grandchild
+    ``SeedSequence(seed).spawn(...)[chain].spawn(...)[stage]``.  It
+    depends on the key alone, never on what earlier stages drew."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chain, stage)))
 
 
 @dataclass
@@ -335,7 +345,6 @@ class ChainResult:
     checkpoints: Dict[int, StateDict]
     final_state: StateDict
     steps: int  # stages that actually trained (non-empty datasets)
-    rng_state: RngState
     histories: List[TrainHistory] = field(default_factory=list)
     # Why this chain trained a stage alone although it ran in a stack
     # (that stage's members failed the data gate) — distinct reasons, in
@@ -352,14 +361,18 @@ class ChainTask:
     every SISA shard retrains as its own chain, concurrently, and chains
     of one factory stack (:meth:`run_stack`).  All stages index into one
     shared ``dataset``, held once per task.
+
+    ``task_id`` is the chain's index (a non-negative int): stage ``s``
+    trains from :func:`stage_rng` ``(seed, task_id, s)``, so a stage
+    shuffles alike whichever stage the chain resumes from.
     """
 
-    task_id: Any
+    task_id: int
     model_factory: Callable[[], Module]
     dataset: ArrayDataset
     stages: List[ChainStage]
     config: TrainConfig
-    rng_state: RngState
+    seed: int
     init_state: Optional[StateDict] = None
 
     def run(self) -> ChainResult:
@@ -398,7 +411,8 @@ class ChainTask:
         """Run the chains — one on one model, several in stage lockstep.
 
         Per stage id, every member whose stage trains becomes a
-        :class:`TrainTask` (its own current state and RNG position) and
+        :class:`TrainTask` (its own current state and a capture of its
+        stage's generator) and
         they train as one stack — or each alone when that
         stage's members fail the data gate (e.g. step counts diverged
         after a deletion), the reason riding back on every such member's
@@ -415,22 +429,18 @@ class ChainTask:
             model = task.model_factory()
             if task.init_state is not None:
                 model.load_state_dict(task.init_state)
-            rng = restore_rng(task.rng_state)
-            lone = ChainResult(task.task_id, {}, None, 0, task.rng_state)
+            lone = ChainResult(task.task_id, {}, None, 0)
             for stage in task.stages:
                 if stage.indices is not None and len(stage.indices) > 0:
                     subset = task.dataset.subset(stage.indices)
+                    rng = stage_rng(task.seed, task.task_id, stage.stage_id)
                     lone.histories.append(train(model, subset, task.config, rng))
                     lone.steps += 1
                 lone.checkpoints[stage.stage_id] = model.state_dict()
             lone.final_state = model.state_dict()
-            lone.rng_state = capture_rng(rng)
             return [lone]
         # A chain that never trains ends on (and checkpoints) its start.
-        results = [
-            ChainResult(task.task_id, {}, task.init_state, 0, task.rng_state)
-            for task in tasks
-        ]
+        results = [ChainResult(task.task_id, {}, task.init_state, 0) for task in tasks]
         stage_maps = [{stage.stage_id: stage for stage in task.stages} for task in tasks]
         for stage_id in sorted({stage_id for stages in stage_maps for stage_id in stages}):
             members = [
@@ -447,7 +457,9 @@ class ChainTask:
                         model_factory=tasks[index].model_factory,
                         dataset=tasks[index].dataset,
                         config=tasks[index].config,
-                        rng_state=results[index].rng_state,
+                        rng_state=capture_rng(
+                            stage_rng(tasks[index].seed, tasks[index].task_id, stage_id)
+                        ),
                         model_state=results[index].final_state,
                         indices=stage_maps[index][stage_id].indices,
                     )
@@ -461,7 +473,6 @@ class ChainTask:
                 for index, stage_result in zip(members, trained):
                     result = results[index]
                     result.final_state = stage_result.state
-                    result.rng_state = stage_result.rng_state
                     result.histories.append(stage_result.history)
                     result.steps += 1
                     if reason is not None and reason not in result.fallback_reasons:

@@ -16,9 +16,9 @@ queue into a **persistent request pipeline**:
   certified window that rewrote it (or the base save), incomplete windows are
   resubmitted from their journaled index sets, and queued requests are
   re-queued — with recovered final shard states **bit-identical** to an
-  uninterrupted run, because
-  :meth:`~repro.unlearning.sisa.SisaEnsemble.delete_begin` snapshots
-  everything a chain reads and windows on disjoint shards never
+  uninterrupted run, because a retrain chain reads only its shard's
+  checkpoints and index sets and trains each slice from the stream keyed
+  by (seed, shard, slice), and windows on disjoint shards never
   influence each other's task content;
 * windows are locked per shard, so disjoint-shard windows retrain
   concurrently on the pool — and concurrently with the federation
@@ -29,15 +29,17 @@ queue into a **persistent request pipeline**:
 On-disk layout under the service directory::
 
     journal.jsonl          append-only WAL (one JSON record per line)
-    service.json           static metadata (seed, version)
+    service.json           static metadata (seed, version); read by
+                           nothing, the ensemble's seed is in its manifest
     ensemble/              base SisaEnsemble.save() taken after fit():
                            shard<i>_slice<r>.ckpt, then manifest.json
+                           (config, seed, partition, deleted set)
     windows/000007/        per-certified-window sidecar: for each shard
                            the window retrained, the checkpoints its
                            chain rewrote (shard<i>_slice<r>.ckpt for r
-                           from the shard's first affected slice on),
-                           and meta.json (RNG positions, the window's
-                           deleted indices)
+                           from the shard's first affected slice on);
+                           the window's indices and first slices are in
+                           its journaled plan
 
 Every checkpoint is one flat file — a JSON header, then the raw array
 bytes (:mod:`repro.nn.serialization`) — whose reader raises
@@ -59,7 +61,7 @@ journal group (one fsync), and so are a window's ``scheduled`` and
 ``retraining`` records, which are durable before any chain is
 submitted — three journal fsyncs per request under
 :class:`~repro.unlearning.deletion_manager.ImmediatePolicy`.  Sidecars
-are written to a temp directory, every file and the directory fsynced,
+are written to a temp directory, every checkpoint and the directory fsynced,
 then atomically renamed and the ``windows/`` entry fsynced *before* the
 ``certified`` record is journaled, so a journal that says certified
 always finds its sidecar; a sidecar without its journal record is a
@@ -157,8 +159,9 @@ class UnlearningService:
     :meth:`maybe_submit`, so the loop above is portable across backends.
 
     Determinism: :meth:`~repro.unlearning.sisa.SisaEnsemble.delete_begin`
-    snapshots everything a chain reads (checkpoint, RNG position, index
-    sets) at submission time, so the retrained shard states are
+    snapshots everything a chain reads (checkpoint, index sets) at
+    submission time, and each slice trains from the stream keyed by
+    (seed, shard, slice), so the retrained shard states are
     bit-identical to the barriered
     :meth:`~repro.unlearning.deletion_manager.DeletionManager.maybe_execute_batched`
     path no matter how many rounds pass before the results land.
@@ -647,16 +650,16 @@ class UnlearningService:
     def _persist_window(self, window_id: int, pending) -> None:
         """Durably write the certified window's sidecar.
 
-        The sidecar holds what the window changed: for each affected
-        shard, the checkpoints its chain rewrote (its first affected
-        slice onwards) and its RNG position, and the window's deleted
-        indices.  Earlier slices are byte-identical to the copy recovery
-        already reads elsewhere.  Per-shard locking guarantees no other
+        The sidecar holds checkpoints only: for each affected shard, the
+        ones its chain rewrote (its first affected slice onwards).
+        Earlier slices are byte-identical to the copy recovery already
+        reads elsewhere, and the window's indices and first slices are
+        in its journaled plan.  Per-shard locking guarantees no other
         window mutated these shards between begin and certify, so the
-        live state *is* the post-window state.  Every file and the temp
-        directory are fsynced before the rename, and ``windows/`` after
-        it, so the ``certified`` record that follows always finds the
-        sidecar on disk.
+        live state *is* the post-window state.  Every checkpoint and the
+        temp directory are fsynced before the rename, and ``windows/``
+        after it, so the ``certified`` record that follows always finds
+        the sidecar on disk.
         """
         final = self._window_dir(window_id)
         tmp = final + ".tmp"
@@ -668,26 +671,12 @@ class UnlearningService:
             os.makedirs(windows)
             fsync_path(self.directory)
         os.makedirs(tmp)
-        meta: Dict[str, Any] = {
-            "window": window_id,
-            "indices": [int(i) for i in pending.indices],
-            "shards": {},
-        }
         for shard_index, start in sorted(pending.first_affected.items()):
             shard = self.ensemble._shards[shard_index]
-            rewritten = list(range(start, self.ensemble.config.num_slices))
-            meta["shards"][str(shard_index)] = {
-                "checkpoints": rewritten,
-                "rng_state": shard.rng_state,
-            }
-            for slice_index in rewritten:
+            for slice_index in range(start, self.ensemble.config.num_slices):
                 path = os.path.join(tmp, f"shard{shard_index}_slice{slice_index}.ckpt")
                 save_state_dict(shard.checkpoints[slice_index], path)
                 fsync_path(path)
-        with open(os.path.join(tmp, "meta.json"), "w") as handle:
-            json.dump(meta, handle)
-            handle.flush()
-            os.fsync(handle.fileno())
         fsync_path(tmp)
         os.rename(tmp, final)
         fsync_path(windows)
@@ -697,18 +686,16 @@ class UnlearningService:
         durable copy.
 
         A certified window's sidecar holds the slices it rewrote — each
-        shard's journaled first slice onwards — and the shard's RNG
-        position.  A failed window dropped those slices from the live
+        shard's journaled first slice onwards.  A failed window dropped
+        those slices from the live
         shard and left its model stale
         (:meth:`~repro.unlearning.sisa.SisaEnsemble.abort_pending_deletion`).
         A shard is locked from a window's begin to its finish, so per
         shard, windows finish in window-id order; walking the finished
         windows in that order names each slice's source: the newest
         certified window that rewrote it, the base save (``base``,
-        described by ``manifest``), or none.  Only the newest certified
-        window's ``meta.json`` per shard is opened, for the RNG
-        position; the deleted set is the base save's plus the finished
-        windows' plans.
+        described by ``manifest``), or none.  The deleted set is the
+        base save's plus the finished windows' plans.
         """
         ensemble = self.ensemble
         num_slices = ensemble.config.num_slices
@@ -727,22 +714,12 @@ class UnlearningService:
                     sources[shard_index][slice_index] = source
                 if source is not None:
                     newest[shard_index] = window_id
-        metas: Dict[int, Dict[str, Any]] = {}
-        for shard, entry in zip(ensemble._shards, manifest["shards"]):
+        for shard in ensemble._shards:
             window_id = newest.get(shard.index)
-            if window_id is None:
-                home, rng_state = base, entry.get("rng_state")
-            else:
-                home = self._window_dir(window_id)
-                if window_id not in metas:
-                    with open(os.path.join(home, "meta.json")) as handle:
-                        metas[window_id] = json.load(handle)
-                rng_state = metas[window_id]["shards"][str(shard.index)]["rng_state"]
             ensemble._read_shard(
                 shard,
                 {r: source for r, source in sources[shard.index].items() if source},
-                rng_state,
-                model_source=home,
+                model_source=base if window_id is None else self._window_dir(window_id),
             )
 
     # ------------------------------------------------------------------
@@ -767,25 +744,20 @@ class UnlearningService:
         that rewrote it, or from the base save if none did
         (:meth:`_read_shards`).  The deleted set comes from the base save
         and the finished plans.  So the cost is the replay plus
-        ``num_shards x num_slices`` checkpoint reads and at most one
-        ``meta.json`` per shard, however many windows have certified.  It then
+        ``num_shards x num_slices`` checkpoint reads, however many windows
+        have certified.  It then
         resubmits windows that were scheduled/retraining but never
         certified (``round_index`` stamps the resubmission round) and
         re-queues validated-but-unscheduled requests.  Because windows
         only ever lock disjoint shards, the resubmitted chains see
-        exactly the shard state (checkpoints + RNG position) their
-        original submission saw — the recovered run's certified states
+        exactly the checkpoints their original submission saw, and each
+        slice trains from its keyed stream — the recovered run's certified states
         are bit-identical to an uninterrupted run's.  A directory whose
         windows all certified recovers without writing anything.
         """
-        meta_path = os.path.join(directory, "service.json")
-        seed = 0
-        if os.path.exists(meta_path):
-            with open(meta_path) as handle:
-                seed = json.load(handle).get("seed", 0)
         base = os.path.join(directory, "ensemble")
         ensemble, manifest = SisaEnsemble._skeleton(
-            base, model_factory, dataset, seed=seed, backend=backend
+            base, model_factory, dataset, backend=backend
         )
         service = cls(
             ensemble,
@@ -793,7 +765,7 @@ class UnlearningService:
             policy=policy,
             backend=backend,
             task_filter=task_filter,
-            seed=seed,
+            seed=ensemble.seed,
             _recovered_records=replay(os.path.join(directory, "journal.jsonl")),
         )
         service._read_shards(base, manifest)

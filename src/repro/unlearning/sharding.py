@@ -38,7 +38,7 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from ..data.dataset import ArrayDataset, SharedArrayDataset
+from ..data.dataset import ArrayDataset, SharedArrayDataset, sample_indices
 from ..data.partition import partition_shards
 from ..federated import state_math
 from ..federated.state_math import StateDict
@@ -203,8 +203,10 @@ class ShardedClientTrainer:
     # Deletion handling (Fig. 3)
     # ------------------------------------------------------------------
     def locate(self, local_indices: np.ndarray) -> Dict[int, np.ndarray]:
-        """Map dataset-level indices to ``{shard: indices within it}``."""
-        local_indices = np.unique(np.asarray(local_indices, dtype=np.int64))
+        """Map dataset-level indices to ``{shard: indices within it}``.
+        Indices must be whole numbers
+        (:func:`~repro.data.dataset.sample_indices`)."""
+        local_indices = sample_indices(local_indices)
         if local_indices.size and (
             local_indices.min() < 0 or local_indices.max() >= len(self.dataset)
         ):

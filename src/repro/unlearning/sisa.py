@@ -21,17 +21,17 @@ The expected cost saving over retraining the shard from scratch is
 ``(R+1)/2 / R`` per deletion (a uniformly random slice is hit), on top of
 the ``1/S`` saving from sharding.
 
+Slice ``r`` of shard ``i`` always trains from one stream, keyed by
+(seed, ``i``, ``r``) (:func:`~repro.runtime.task.stage_rng`), never from
+a position left behind by earlier training.  So a deletion is exact: the
+retrained shard is bit for bit the one a fit that never held the deleted
+samples would have trained, whichever slice retraining resumes from.
 Shard isolation is also an execution property: no shard ever reads
-another shard's data, model or RNG stream, so (re)training is submitted
-as one :class:`~repro.runtime.ChainTask` per shard through a pluggable
+another shard's data, model or stream, so (re)training is submitted as
+one :class:`~repro.runtime.ChainTask` per shard through a pluggable
 :class:`~repro.runtime.Backend` (``backend=`` on the constructor —
-``"serial"`` default, ``"pool"``, ``"cluster"``). A deletion
-touching several shards retrains them concurrently under a parallel backend, with
-bit-identical results, because each shard trains from its own spawned
-child generator whose exact position is carried in the task. (The
-per-shard streams replace the single shared generator the pre-runtime
-version advanced shard by shard, so weights for a given seed differ from
-that version — but are identical across backends and runs.)
+``"serial"`` default, ``"pool"``, ``"cluster"``), and a deletion touching
+several shards retrains them concurrently with bit-identical results.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ import numpy as np
 
 from ..nn.serialization import load_state_dict, save_state_dict
 
-from ..data.dataset import ArrayDataset
+from ..data.dataset import ArrayDataset, sample_indices
 from ..federated.state_math import StateDict
 from ..federated.vectorized import (
     VectorizeStats,
@@ -56,7 +56,7 @@ from ..federated.vectorized import (
 )
 from ..nn.module import Module
 from ..runtime import BackendLike, get_backend
-from ..runtime.task import ChainResult, ChainStage, ChainTask, RngState
+from ..runtime.task import ChainResult, ChainStage, ChainTask
 from ..training.config import TrainConfig
 from ..training.evaluation import predict_proba
 from .journal import fsync_path, replace_durably
@@ -144,9 +144,6 @@ class _Shard:
     model: Optional[Module] = None
     # checkpoints[r] = state after the training step that added slice r.
     checkpoints: Dict[int, StateDict] = field(default_factory=dict)
-    # Position of this shard's private training-RNG stream (spawned from
-    # the ensemble seed, advanced by every training step on this shard).
-    rng_state: Optional[RngState] = None
 
 
 class SisaEnsemble:
@@ -162,9 +159,10 @@ class SisaEnsemble:
     config:
         Shard/slice shape and per-step training hyper-parameters.
     seed:
-        Controls the random shard assignment and the per-shard training
-        RNG streams (each shard trains from its own spawned child
-        generator, so shard work is order-independent).
+        Controls the random shard assignment and the training streams
+        (slice ``r`` of shard ``i`` shuffles from the stream keyed by
+        (seed, ``i``, ``r``), so shard work is order-independent and a
+        retrained slice shuffles as it first did).
     backend:
         Execution backend for shard (re)training — ``None``/``"serial"``
         (default), ``"pool"``, ``"cluster"``, or a
@@ -197,6 +195,7 @@ class SisaEnsemble:
         self.model_factory = model_factory
         self.dataset = dataset
         self.config = config
+        self.seed = int(seed)
         self.backend = get_backend(backend)
         self.vectorize = bool(vectorize)
         self._vectorize_stats = VectorizeStats(logger)
@@ -212,7 +211,6 @@ class SisaEnsemble:
                 self._partition(seed) if _slices is None else _slices
             )
         ]
-        self._seed_shards(self._shards, seed)
         self._rebuild_lookup()
         self._fitted = False
 
@@ -226,13 +224,6 @@ class SisaEnsemble:
             [np.sort(part) for part in np.array_split(shard, self.config.num_slices)]
             for shard in np.array_split(order, self.config.num_shards)
         ]
-
-    @staticmethod
-    def _seed_shards(shards: List[_Shard], seed: int) -> None:
-        """Give every shard an independent child training stream."""
-        children = np.random.SeedSequence(seed).spawn(len(shards))
-        for shard, sequence in zip(shards, children):
-            shard.rng_state = np.random.default_rng(sequence).bit_generator.state
 
     def _rebuild_lookup(self) -> None:
         """Precompute global index → (shard, slice) for O(1) shard_of."""
@@ -288,7 +279,7 @@ class SisaEnsemble:
             dataset=self.dataset,
             stages=stages,
             config=self.config.train_config(),
-            rng_state=shard.rng_state,
+            seed=self.seed,
             init_state=shard.checkpoints[from_slice - 1] if from_slice > 0 else None,
         )
 
@@ -324,12 +315,11 @@ class SisaEnsemble:
         return self._vectorize_stats.report(self.vectorize)
 
     def _absorb_chain_result(self, shard: _Shard, result: ChainResult) -> int:
-        """Install a finished shard chain: checkpoints, model, RNG position."""
+        """Install a finished shard chain: checkpoints and model."""
         shard.checkpoints.update(result.checkpoints)
         model = self.model_factory()
         model.load_state_dict(result.final_state)
         shard.model = model
-        shard.rng_state = result.rng_state
         return result.steps
 
     def fit(self) -> "SisaEnsemble":
@@ -385,11 +375,15 @@ class SisaEnsemble:
         the checkpoint invalidation.  Locking is per shard: windows whose
         affected shards are disjoint retrain concurrently (the service
         partitions requests accordingly), because a chain only ever reads
-        its own shard's checkpoints, RNG stream and index sets.
+        its own shard's checkpoints and index sets.
+
+        Indices go through :func:`~repro.data.dataset.sample_indices`:
+        ``2.5``, ``True`` or ``"7"`` raise :class:`ValueError` rather than
+        naming a sample the caller did not.
         """
         if not self._fitted:
             raise RuntimeError("call fit() before delete()")
-        indices = np.unique(np.asarray(global_indices, dtype=np.int64))
+        indices = sample_indices(global_indices)
         if indices.size == 0:
             raise ValueError("deletion request with no indices")
         for index in indices:
@@ -529,10 +523,10 @@ class SisaEnsemble:
     # SISA's economics depend on the checkpoints outliving the process: a
     # service restart must not silently degrade every future deletion to a
     # full-shard retrain. save()/load() round-trip the entire ensemble —
-    # partition, deletions, and every slice checkpoint.
+    # seed, partition, deletions, and every slice checkpoint.
 
     def save(self, directory: str) -> None:
-        """Persist partition, deletion log and all checkpoints to disk.
+        """Persist seed, partition, deletion log and all checkpoints.
 
         Each slice checkpoint is one flat file,
         ``shard<i>_slice<r>.ckpt`` (:mod:`repro.nn.serialization`); the
@@ -557,16 +551,13 @@ class SisaEnsemble:
                 "momentum": self.config.momentum,
                 "aggregation": self.config.aggregation,
             },
+            "seed": self.seed,
             "deleted": sorted(self._deleted),
             "shards": [
                 {
                     "index": shard.index,
                     "slice_indices": [part.tolist() for part in shard.slice_indices],
                     "checkpoints": sorted(shard.checkpoints),
-                    # Persist the training stream's exact position so a
-                    # deletion after load() retrains identically to one on
-                    # the live ensemble.
-                    "rng_state": shard.rng_state,
                 }
                 for shard in self._shards
             ],
@@ -590,7 +581,6 @@ class SisaEnsemble:
         directory: str,
         model_factory: Callable[[], Module],
         dataset: ArrayDataset,
-        seed: int = 0,
         backend: BackendLike = None,
     ) -> "SisaEnsemble":
         """Rebuild an ensemble saved with :meth:`save`.
@@ -599,12 +589,9 @@ class SisaEnsemble:
         (the manifest stores indices into it, not the data itself —
         matching SISA's deployment model where the data store is separate).
         """
-        ensemble, manifest = cls._skeleton(
-            directory, model_factory, dataset, seed=seed, backend=backend
-        )
+        ensemble, manifest = cls._skeleton(directory, model_factory, dataset, backend=backend)
         for shard, entry in zip(ensemble._shards, manifest["shards"]):
-            sources = dict.fromkeys(entry["checkpoints"], directory)
-            ensemble._read_shard(shard, sources, entry.get("rng_state"))
+            ensemble._read_shard(shard, dict.fromkeys(entry["checkpoints"], directory))
         return ensemble
 
     @classmethod
@@ -613,24 +600,26 @@ class SisaEnsemble:
         directory: str,
         model_factory: Callable[[], Module],
         dataset: ArrayDataset,
-        seed: int = 0,
         backend: BackendLike = None,
     ) -> Tuple["SisaEnsemble", Dict]:
         """A saved ensemble before any shard is read, and its manifest.
 
-        The skeleton has the save's config, partition, shard lookup and
-        deleted set; every shard still needs :meth:`_read_shard`.
+        The skeleton has the save's config, seed, partition, shard lookup
+        and deleted set; every shard still needs :meth:`_read_shard`.
+        A manifest without a seed raises :class:`ValueError`.
         :meth:`load` reads each from the save itself, while
         :meth:`~repro.unlearning.service.UnlearningService.recover` reads
         each from wherever its newest state is.
         """
         with open(os.path.join(directory, "manifest.json")) as handle:
             manifest = json.load(handle)
+        if "seed" not in manifest:
+            raise ValueError(f"{directory} has a manifest without a seed")
         ensemble = cls(
             model_factory,
             dataset,
             SisaConfig(**manifest["config"]),
-            seed=seed,
+            seed=manifest["seed"],
             backend=backend,
             _slices=[
                 [np.asarray(part, dtype=np.int64) for part in entry["slice_indices"]]
@@ -645,12 +634,11 @@ class SisaEnsemble:
         self,
         shard: _Shard,
         sources: Dict[int, str],
-        rng_state: Optional[RngState],
         model_source: Optional[str] = None,
     ) -> None:
         """Install one shard's saved state: each checkpoint ``r`` in
-        ``sources`` (``shard<i>_slice<r>.ckpt`` under ``sources[r]``),
-        its RNG position and a model holding its final checkpoint.  A
+        ``sources`` (``shard<i>_slice<r>.ckpt`` under ``sources[r]``)
+        and a model holding its final checkpoint.  A
         failed deletion window drops a shard's checkpoints from its
         first affected slice on and leaves its model as it was;
         ``model_source`` then names the directory holding the final
@@ -673,9 +661,6 @@ class SisaEnsemble:
                 f"shard {shard.index} is missing its final checkpoint; "
                 "the save is incomplete"
             )
-        # Manifests from before RNG persistence keep the fresh spawn.
-        if rng_state is not None:
-            shard.rng_state = rng_state
         model = self.model_factory()
         model.load_state_dict(final)
         shard.model = model

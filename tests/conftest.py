@@ -123,3 +123,32 @@ def log_durability(monkeypatch, log: list) -> None:
     monkeypatch.setattr(os, "fsync", fsync)
     monkeypatch.setattr(os, "rename", moved("rename", real_rename))
     monkeypatch.setattr(os, "replace", moved("replace", real_replace))
+
+
+def counterfactual_fit(ensemble, seed: int):
+    """The fit that never held ``ensemble``'s deleted samples: its factory,
+    dataset, config and ``seed`` (the one it was built with), over its own
+    partition with every deleted index taken out of its slice."""
+    from repro.unlearning import SisaEnsemble
+
+    forgotten = sorted(ensemble.deleted_indices)
+    return SisaEnsemble(
+        ensemble.model_factory,
+        ensemble.dataset,
+        ensemble.config,
+        seed=seed,
+        _slices=[
+            [part[~np.isin(part, forgotten)] for part in shard.slice_indices]
+            for shard in ensemble._shards
+        ],
+    ).fit()
+
+
+def sidecar_files(plan, num_slices: int) -> list:
+    """The checkpoint files a deletion window's plan says its sidecar
+    holds: each shard's, from its first affected slice on."""
+    return sorted(
+        f"shard{shard}_slice{slice_index}.ckpt"
+        for shard, start in plan.first_slices.items()
+        for slice_index in range(start, num_slices)
+    )

@@ -212,12 +212,12 @@ def build_chains(params, model_factory=factory):
             prefix = np.concatenate(slices[: stage_id + 1])
             stages.append(ChainStage(stage_id, prefix[~np.isin(prefix, deleted)]))
         tasks.append(ChainTask(
-            task_id=f"shard-{index}",
+            task_id=index,
             model_factory=model_factory,
             dataset=data,
             stages=stages,
             config=config,
-            rng_state=capture_rng(np.random.default_rng(index)),
+            seed=chain["seed"],
             init_state=other_state(100 + index) if first > 0 else None,
         ))
     return tasks
@@ -228,7 +228,6 @@ def assert_chain_results_equal(got, want):
     for one, other in zip(got, want):
         assert one.task_id == other.task_id
         assert one.steps == other.steps
-        assert one.rng_state == other.rng_state
         assert one.histories == other.histories
         assert one.checkpoints.keys() == other.checkpoints.keys()
         assert_same_bytes(one.final_state, other.final_state)
@@ -322,7 +321,6 @@ def test_unstackable_chains_fall_back_with_the_recorded_reason():
     assert report["fallback_reasons"] == {reason: 1}
     for a, b in zip(ensembles[0]._shards, ensembles[1]._shards):
         assert_states_equal(a.model.state_dict(), b.model.state_dict())
-        assert a.rng_state == b.rng_state
 
 
 # ----------------------------------------------------------------------

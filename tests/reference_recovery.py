@@ -5,13 +5,16 @@ the newest certified window that touched it or from the base save, and
 takes the deleted set from the replayed window plans.  This is recovery
 as it stood before that change: an eager ``SisaEnsemble.load`` of every
 base checkpoint, then every certified window's sidecar reinstalled in
-certification order, its ``meta.json`` supplying the deleted indices.
+certification order, its journaled plan supplying the deleted indices.
 The code is verbatim apart from naming: ``SisaEnsemble.load`` is the
 function :func:`reference_load` (``cls`` spelled ``SisaEnsemble``), and
-``recover`` calls it instead of the library's ``load``.  One change
-follows the sidecar layout: a sidecar holds only the slices its window
+``recover`` calls it instead of the library's ``load``.  Two changes
+follow the sidecar layout: a sidecar holds only the slices its window
 rewrote, so each is overlaid onto the shard's checkpoints instead of
-replacing the whole set.
+replacing the whole set; and it holds checkpoints only, so the window's
+indices and first slices come from its replayed plan.  No stream
+position is restored anywhere: every slice trains from the stream keyed
+by the manifest's seed.
 ``tests/unlearning/test_recovery.py`` compares the library against it
 bit for bit over generated histories.
 """
@@ -38,7 +41,6 @@ def reference_load(
     directory: str,
     model_factory: Callable[[], Module],
     dataset: ArrayDataset,
-    seed: int = 0,
     backend: BackendLike = None,
 ) -> SisaEnsemble:
     """Rebuild an ensemble saved with :meth:`save`.
@@ -51,7 +53,9 @@ def reference_load(
     with open(manifest_path) as handle:
         manifest = json.load(handle)
     config = SisaConfig(**manifest["config"])
-    ensemble = SisaEnsemble(model_factory, dataset, config, seed=seed, backend=backend)
+    ensemble = SisaEnsemble(
+        model_factory, dataset, config, seed=manifest["seed"], backend=backend
+    )
     ensemble._deleted = set(manifest["deleted"])
     ensemble._shards = []
     for entry in manifest["shards"]:
@@ -78,12 +82,6 @@ def reference_load(
         model.load_state_dict(shard.checkpoints[last])
         shard.model = model
         ensemble._shards.append(shard)
-    SisaEnsemble._seed_shards(ensemble._shards, seed)
-    for shard, entry in zip(ensemble._shards, manifest["shards"]):
-        # Restore each shard's exact stream position (manifests from
-        # before rng persistence fall back to the fresh spawn above).
-        if entry.get("rng_state") is not None:
-            shard.rng_state = entry["rng_state"]
     ensemble._rebuild_lookup()
     ensemble._fitted = True
     return ensemble
@@ -96,10 +94,9 @@ class ReferenceRecovery(UnlearningService):
         """Reinstall one certified window's sidecar onto the ensemble."""
         ensemble = self.ensemble
         window_dir = self._window_dir(window_id)
-        with open(os.path.join(window_dir, "meta.json")) as handle:
-            meta = json.load(handle)
-        ensemble._deleted.update(int(i) for i in meta["indices"])
-        for shard_key, info in meta["shards"].items():
+        plan = self._windows[window_id]
+        ensemble._deleted.update(int(i) for i in plan.indices)
+        for shard_key, start in plan.first_slices.items():
             shard = ensemble._shards[int(shard_key)]
             shard.checkpoints.update(
                 {
@@ -108,10 +105,9 @@ class ReferenceRecovery(UnlearningService):
                             window_dir, f"shard{shard_key}_slice{slice_index}.ckpt"
                         )
                     )
-                    for slice_index in info["checkpoints"]
+                    for slice_index in range(start, ensemble.config.num_slices)
                 }
             )
-            shard.rng_state = info["rng_state"]
             model = ensemble.model_factory()
             model.load_state_dict(
                 shard.checkpoints[ensemble.config.num_slices - 1]
@@ -137,20 +133,14 @@ class ReferenceRecovery(UnlearningService):
         scheduled/retraining but never certified (``round_index`` stamps
         the resubmission round), and re-queues validated-but-unscheduled
         requests.  Because windows only ever lock disjoint shards, the
-        resubmitted chains see exactly the shard state (checkpoints + RNG
-        position) their original submission saw — the recovered run's
-        certified states are bit-identical to an uninterrupted run's.
+        resubmitted chains see exactly the checkpoints their original
+        submission saw — the recovered run's certified states are
+        bit-identical to an uninterrupted run's.
         """
-        meta_path = os.path.join(directory, "service.json")
-        seed = 0
-        if os.path.exists(meta_path):
-            with open(meta_path) as handle:
-                seed = json.load(handle).get("seed", 0)
         ensemble = reference_load(
             os.path.join(directory, "ensemble"),
             model_factory,
             dataset,
-            seed=seed,
             backend=backend,
         )
         service = cls(
@@ -159,7 +149,7 @@ class ReferenceRecovery(UnlearningService):
             policy=policy,
             backend=backend,
             task_filter=task_filter,
-            seed=seed,
+            seed=ensemble.seed,
             _recovered_records=replay(os.path.join(directory, "journal.jsonl")),
         )
         service._resubmit_incomplete(round_index)

@@ -160,12 +160,12 @@ class TestChainTask:
 
     def chain(self, stages):
         return ChainTask(
-            task_id="chain",
+            task_id=0,
             model_factory=module_factory,
             dataset=self.DATA,
             stages=stages,
             config=TrainConfig(epochs=1, batch_size=8, learning_rate=0.05),
-            rng_state=capture_rng(np.random.default_rng(3)),
+            seed=3,
         )
 
     def test_checkpoints_every_stage_and_counts_steps(self):
@@ -199,8 +199,8 @@ class TestChainTask:
         full = self.chain([ChainStage(0, self.ALL), ChainStage(1, self.ALL)]).run()
         resumed_task = self.chain([ChainStage(1, self.ALL)])
         resumed_task.init_state = full.checkpoints[0]
-        # Replay stage 1 with the RNG positioned where stage 0 left it.
-        resumed_task.rng_state = self.chain([ChainStage(0, self.ALL)]).run().rng_state
+        # Stage 1 shuffles from its own keyed stream, wherever the chain
+        # starts, so no stream position carries over from stage 0.
         resumed = resumed_task.run()
         for key in full.final_state:
             np.testing.assert_array_equal(

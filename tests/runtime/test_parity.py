@@ -123,12 +123,11 @@ class TestSisaParity:
                     a.checkpoints[slice_index], b.checkpoints[slice_index]
                 )
             assert_states_equal(a.model.state_dict(), b.model.state_dict())
-            assert a.rng_state == b.rng_state
 
     def test_delete_after_save_load_matches_live_ensemble(self, tmp_path):
-        """The manifest persists each shard's RNG position, so a deletion
-        on a reloaded ensemble retrains bit-identically to one on the
-        live ensemble."""
+        """The manifest persists the ensemble's seed, which keys every
+        slice's stream, so a deletion on a reloaded ensemble retrains
+        bit-identically to one on the live ensemble."""
         dataset = make_blobs(num_samples=54, num_classes=3, shape=(1, 4, 4))
         live = SisaEnsemble(factory, dataset, self.SISA, seed=0).fit()
         live.save(str(tmp_path))
@@ -138,7 +137,6 @@ class TestSisaParity:
         restored.delete([target])
         for a, b in zip(live._shards, restored._shards):
             assert_states_equal(a.model.state_dict(), b.model.state_dict())
-            assert a.rng_state == b.rng_state
 
     def test_shard_of_lookup_matches_partition(self):
         dataset = make_blobs(num_samples=54, num_classes=3, shape=(1, 4, 4))

@@ -461,7 +461,6 @@ class TestPoolParityAcrossSites:
             (serial_ensemble, pool_ensemble),
         ):
             for a, b in zip(reference._shards, candidate._shards):
-                assert a.rng_state == b.rng_state
                 for key, value in a.model.state_dict().items():
                     np.testing.assert_array_equal(value, b.model.state_dict()[key])
 

@@ -278,7 +278,6 @@ class TestBatchedSisaExecution:
         oneshot = self.build_ensemble()
         oneshot.delete(sorted(targets))
         for a, b in zip(batched._shards, oneshot._shards):
-            assert a.rng_state == b.rng_state
             for key, value in a.model.state_dict().items():
                 np.testing.assert_array_equal(value, b.model.state_dict()[key])
 

@@ -33,7 +33,13 @@ from repro.unlearning import (
     replay_journal,
 )
 
-from ..conftest import generated, log_durability, make_blobs
+from ..conftest import (
+    counterfactual_fit,
+    generated,
+    log_durability,
+    make_blobs,
+    sidecar_files,
+)
 
 FACTORY = RegistryModelFactory(name="mlp", num_classes=3, in_channels=1, image_size=4)
 SISA = SisaConfig(num_shards=3, num_slices=2, epochs_per_slice=1, batch_size=8)
@@ -80,7 +86,7 @@ def reference_states(indices_by_round):
 
 
 def shard_facts(ensemble):
-    """Each shard's checkpoints, RNG position and model, as bytes."""
+    """Each shard's checkpoints and model, as bytes."""
 
     def raw(state):
         return {key: (v.dtype.str, v.shape, v.tobytes()) for key, v in state.items()}
@@ -88,7 +94,6 @@ def shard_facts(ensemble):
     return [
         (
             {r: raw(state) for r, state in sorted(shard.checkpoints.items())},
-            shard.rng_state,
             raw(shard.model.state_dict()),
         )
         for shard in ensemble._shards
@@ -103,8 +108,9 @@ class SidecarCrash:
     """Counts the service's sidecar durability steps — each
     ``fsync_path`` and ``os.rename`` it makes — and dies in place of step
     ``at``.  Dying before a file's fsync is dying just after that file
-    was written; before the temp directory's fsync, after ``meta.json``;
-    then before the rename, and before the ``windows/`` fsync."""
+    was written; before the temp directory's fsync, after the last
+    checkpoint; then before the rename, and before the ``windows/``
+    fsync."""
 
     def __init__(self, monkeypatch, at=None):
         import repro.unlearning.service as service_module
@@ -710,8 +716,10 @@ class CrashedHistories:
     """A scripted history served once uninterrupted, and the crashes of
     it: recovery from a crashed directory plus a client-side retry of
     the whole script must equal the uninterrupted service — request
-    states, deleted set, and every shard's checkpoints, RNG position and
-    model.  ``FAILS`` names requests whose window's chains fail."""
+    states, deleted set, and every shard's checkpoints and model — and
+    the uninterrupted service's ensemble must equal the fit that never
+    held its deleted samples.  ``FAILS`` names requests whose window's
+    chains fail."""
 
     SCRIPT: list = []
     FAILS: tuple = ()
@@ -783,10 +791,16 @@ class CrashedHistories:
                 edit(crashed)
             self.recover_and_retry(crashed, end, f"crash after record {cut} of {len(lines)}")
 
+    def test_the_uninterrupted_service_is_the_counterfactual_fit(self, uninterrupted):
+        _, _, (_, deleted, facts), _ = uninterrupted
+        skeleton = SisaEnsemble(FACTORY, DATASET, SISA, seed=5)
+        skeleton._deleted = set(deleted)
+        assert facts == shard_facts(counterfactual_fit(skeleton, 5))
+
     def test_recovery_converges_from_every_sidecar_step(self, uninterrupted, tmp_path):
         *_, end, steps = uninterrupted
-        # Per window: each checkpoint file and meta.json, the rename and
-        # windows/; and once, windows/ being created.
+        # Per window: each checkpoint file, the temp directory, the rename
+        # and windows/; and once, windows/ being created.
         assert steps > 4 * 3
         for at in range(steps):
             crashed = tmp_path / f"step{at:02d}"
@@ -881,12 +895,10 @@ class TestWalkBackAfterAFailedWindow(CrashedHistories):
         windows = directory / "windows"
         assert sorted(os.listdir(str(windows))) == ["000001", "000002", "000003"]
         assert sorted(os.listdir(str(windows / "000001"))) == [
-            "meta.json",
             "shard0_slice0.ckpt",
             "shard0_slice1.ckpt",
         ]
         assert sorted(os.listdir(str(windows / "000002"))) == [
-            "meta.json",
             "shard0_slice1.ckpt",
             "shard2_slice0.ckpt",
             "shard2_slice1.ckpt",
@@ -919,7 +931,8 @@ class TestDurabilityOrder:
     ``os.rename``, ``Journal.append`` and ``backend.submit`` logged in
     order: each window's sidecar files and directory are durable before
     its ``certified`` record; no chain is submitted before its
-    ``scheduled`` + ``retraining`` group is durable; ``submit`` returns
+    ``scheduled`` + ``retraining`` group is durable; a sidecar holds the
+    checkpoints its plan's slices name, and nothing else; ``submit`` returns
     only after its group is fsynced; and a request costs three journal
     fsyncs when it opens a window (five before records were grouped),
     two when it certifies as a ``noop`` and one when it is a repeat or
@@ -953,7 +966,7 @@ class TestDurabilityOrder:
                     fsyncs = log[start:].count(("fsync", journal))
                     assert fsyncs == self.FSYNCS[outcome], (kind, payload)
             mp.undo()
-            self.check_order(log, directory, journal)
+            self.check_order(log, directory, journal, service._windows)
 
     @staticmethod
     def serve_one(service, round_index, kind, payload):
@@ -976,7 +989,7 @@ class TestDurabilityOrder:
         return "window" if len(service._windows) > windows else "noop"
 
     @staticmethod
-    def check_order(log, directory, journal):
+    def check_order(log, directory, journal, plans):
         windows = os.path.join(directory, "windows")
         for position, entry in enumerate(log):
             if entry[0] == "returned":
@@ -993,7 +1006,11 @@ class TestDurabilityOrder:
                 _, tmp, final = log[renames[-1]]
                 assert final.startswith(windows) and tmp == final + ".tmp"
                 synced = {e[1] for e in log[: renames[-1]] if e[0] == "fsync"}
-                files = {os.path.join(tmp, name) for name in os.listdir(final)}
+                names = sorted(os.listdir(final))
+                assert names == sidecar_files(
+                    plans[int(os.path.basename(final))], SISA.num_slices
+                )
+                files = {os.path.join(tmp, name) for name in names}
                 assert files and files | {tmp} <= synced
                 assert ("fsync", windows) in log[renames[-1] : position]
 class TestJournal:

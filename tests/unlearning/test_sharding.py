@@ -121,6 +121,16 @@ class TestDeletion:
         with pytest.raises(ValueError):
             trainer.locate(np.array([999]))
 
+    @pytest.mark.parametrize("indices", [[2.5], [True], ["7"], [float("nan")]])
+    def test_indices_that_are_not_whole_numbers_rejected(self, indices):
+        """``2.5``, ``True`` and ``"7"`` used to name samples 2, 1 and 7."""
+        trainer, _ = make_trainer(num_samples=30)
+        with pytest.raises(ValueError, match="indices must be"):
+            trainer.locate(indices)
+        with pytest.raises(ValueError, match="indices must be"):
+            trainer.delete(indices, CONFIG)
+        assert trainer.total_size() == 30
+
     def test_delete_removes_samples(self):
         trainer, _ = make_trainer(num_samples=30, num_shards=3)
         trainer.train_all(CONFIG)

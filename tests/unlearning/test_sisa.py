@@ -1,6 +1,7 @@
 """SISA ensemble: shard/slice partitioning, checkpoints, deletion cost."""
 
 import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -8,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.nn.models import MLP
+from repro.runtime import get_backend
 from repro.unlearning import SisaConfig, SisaEnsemble
 
-from ..conftest import generated, log_durability, make_blobs
+from ..conftest import counterfactual_fit, generated, log_durability, make_blobs
 
 
 def make_ensemble(num_samples=72, num_shards=3, num_slices=4, seed=0, **kwargs):
@@ -134,30 +136,6 @@ class TestDeletion:
                         value, before[shard_index][slice_index][key]
                     )
 
-    def test_deletion_resumes_from_clean_checkpoint(self):
-        """Deleting from slice r must keep checkpoints < r and replace
-        checkpoints >= r in the affected shard."""
-        ensemble, _ = make_ensemble(num_slices=4)
-        ensemble.fit()
-        shard = ensemble._shards[0]
-        clean = {k: v.copy() for k, v in shard.checkpoints[1].items()}
-        target = int(shard.slice_indices[2][0])
-        ensemble.delete([target])
-        for key in clean:
-            np.testing.assert_array_equal(shard.checkpoints[1][key], clean[key])
-
-    def test_deleted_sample_no_longer_trained_on(self):
-        ensemble, dataset = make_ensemble()
-        ensemble.fit()
-        target = 7
-        shard_index, _ = ensemble.shard_of(target)
-        ensemble.delete([target])
-        shard = ensemble._shards[shard_index]
-        active = ensemble._active_indices(shard, ensemble.config.num_slices - 1)
-        assert target not in active
-        assert ensemble.num_deleted == 1
-        assert sum(ensemble.shard_sizes()) == len(dataset) - 1
-
     def test_cost_depends_on_slice_position(self):
         """Deleting from the last slice is cheaper than from the first."""
         ensemble, _ = make_ensemble(num_shards=2, num_slices=4)
@@ -194,6 +172,15 @@ class TestDeletion:
             ensemble.delete([-1])
         with pytest.raises(ValueError, match="out of range"):
             ensemble.delete([len(ensemble.dataset)])
+
+    @pytest.mark.parametrize("indices", [[2.5], [True], ["7"], [float("nan")]])
+    def test_indices_that_are_not_whole_numbers_rejected(self, indices):
+        """``2.5``, ``True`` and ``"7"`` used to delete samples 2, 1 and 7."""
+        ensemble, _ = make_ensemble()
+        ensemble.fit()
+        with pytest.raises(ValueError, match="indices must be"):
+            ensemble.delete(indices)
+        assert ensemble.num_deleted == 0 and not ensemble.pending_shards
 
 
 class TestPersistence:
@@ -274,6 +261,22 @@ class TestPersistence:
         with pytest.raises(ValueError, match="missing its final checkpoint"):
             SisaEnsemble.load(str(tmp_path), factory, dataset)
 
+
+    def test_a_manifest_without_a_seed_is_rejected(self, tmp_path):
+        """The seed keys every slice's stream, so a save that does not
+        record it (one from before it did) cannot be retrained from."""
+        import json
+        ensemble, dataset = make_ensemble(num_shards=2, num_slices=2, seed=4)
+        ensemble.fit()
+        ensemble.save(str(tmp_path))
+        manifest_path = tmp_path / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        assert manifest["seed"] == 4
+        del manifest["seed"]
+        manifest_path.write_text(json.dumps(manifest))
+        factory = lambda: MLP(16, 3, np.random.default_rng(13))
+        with pytest.raises(ValueError, match="without a seed"):
+            SisaEnsemble.load(str(tmp_path), factory, dataset)
 
     @pytest.mark.parametrize(
         "field, value",
@@ -370,3 +373,109 @@ class TestProperties:
             for shard in ensemble._shards
         ]
         assert sum(ensemble.shard_sizes()) == 36 - len(forgotten)
+
+
+def mlp_factory():  # module-level, so chains pickle to pool workers
+    return MLP(16, 3, np.random.default_rng(0))
+
+
+@st.composite
+def deletion_windows(draw):
+    """Sequential deletion windows: sets of indices, or a whole (shard,
+    slice) cell resolved against the partition (so slices, prefixes and
+    shards empty out)."""
+    cell = st.tuples(st.just("cell"), st.integers(0, 3), st.integers(0, 2))
+    loose = st.tuples(st.just("set"), st.sets(st.integers(0, 35), min_size=1, max_size=8))
+    return draw(st.lists(st.lists(st.one_of(loose, cell), min_size=1, max_size=3),
+                         min_size=1, max_size=4))
+
+
+class TestDeletionIsTheCounterfactualFit:
+    """After any sequence of deletion windows — over any shard and slice
+    counts, with or without stacked chains, serially or on ``pool:2``,
+    with a save and load anywhere in the sequence — every shard's model
+    and checkpoints are bit for bit those of a fit that never held the
+    deleted samples.  Each window keeps, as the very same objects, the
+    checkpoints before its first affected slice and every untouched
+    shard's; the live counts are the counterfactual's.
+
+    CI runs the property a second time under ``--hypothesis-profile=soak``.
+    """
+
+    @pytest.fixture(scope="class")
+    def pool(self):
+        backend = get_backend("pool:2")
+        yield backend
+        backend.close()
+
+    @given(
+        num_shards=st.integers(1, 4),
+        num_slices=st.integers(1, 3),
+        seed=st.integers(0, 3),
+        vectorize=st.booleans(),
+        on_pool=st.booleans(),
+        windows=deletion_windows(),
+        reload_after=st.integers(0, 4),
+    )
+    @generated(15)
+    def test_every_model_and_checkpoint_equals_the_counterfactual_fit(
+        self, pool, num_shards, num_slices, seed, vectorize, on_pool, windows, reload_after
+    ):
+        dataset = make_blobs(num_samples=36, num_classes=3, shape=(1, 4, 4))
+        config = SisaConfig(num_shards=num_shards, num_slices=num_slices, batch_size=8)
+        backend = pool if on_pool else None
+        ensemble = SisaEnsemble(
+            mlp_factory, dataset, config, seed=seed, backend=backend, vectorize=vectorize
+        ).fit()
+        forgotten = set()
+        for position, window in enumerate(windows):
+            if position == reload_after:
+                with tempfile.TemporaryDirectory() as directory:
+                    ensemble.save(directory)
+                    ensemble = SisaEnsemble.load(
+                        directory, mlp_factory, dataset, backend=backend
+                    )
+                ensemble.vectorize = vectorize
+            chosen = set()
+            for kind, *what in window:
+                if kind == "cell":
+                    shard = ensemble._shards[what[0] % num_shards]
+                    chosen.update(shard.slice_indices[what[1] % num_slices].tolist())
+                else:
+                    chosen.update(what[0])
+            chosen -= ensemble.deleted_indices  # re-deleting is rejected, by design
+            if not chosen:
+                continue
+            before = [dict(shard.checkpoints) for shard in ensemble._shards]
+            report = ensemble.delete(sorted(chosen))
+            forgotten |= chosen
+            assert report.num_deleted == len(chosen)
+            first = {}
+            for index in chosen:
+                shard_index, slice_index = ensemble.shard_of(index)
+                first[shard_index] = min(slice_index, first.get(shard_index, slice_index))
+            assert report.shards_affected == sorted(first)
+            for shard, kept in zip(ensemble._shards, before):
+                start = first.get(shard.index, num_slices)
+                for slice_index in range(start):
+                    assert shard.checkpoints[slice_index] is kept[slice_index]
+
+        counterfactual = counterfactual_fit(ensemble, seed)
+        for got, want in zip(ensemble._shards, counterfactual._shards):
+            assert sorted(got.checkpoints) == list(range(num_slices))
+            for slice_index in range(num_slices):
+                assert_same_bytes(got.checkpoints[slice_index], want.checkpoints[slice_index])
+            assert_same_bytes(got.model.state_dict(), want.model.state_dict())
+        assert ensemble.deleted_indices == forgotten
+        assert ensemble.num_deleted == len(forgotten)
+        assert ensemble.shard_sizes() == [
+            sum(len(part) for part in shard.slice_indices) for shard in counterfactual._shards
+        ]
+        assert sum(ensemble.shard_sizes()) == len(dataset) - ensemble.num_deleted
+
+
+def assert_same_bytes(got, want):
+    assert sorted(got) == sorted(want)
+    for key, value in want.items():
+        assert (got[key].dtype, got[key].shape) == (value.dtype, value.shape), key
+        assert got[key].tobytes() == value.tobytes(), key
