@@ -56,7 +56,7 @@ def sample_indices(indices) -> np.ndarray:
     """``indices`` as sorted, unique ``int64`` sample indices.
 
     The one intake rule for naming samples to delete, whoever names them
-    (a federated client, the unlearning registry, the deletion service):
+    (a federated client, a SISA ensemble, the deletion service):
     whole numbers only, nothing truncated.  Range checks against a
     dataset are the caller's.
     """

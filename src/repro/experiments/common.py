@@ -8,7 +8,8 @@
   simulation, so one pretrain serves every method being compared.
 
 :mod:`repro.experiments.runner` builds and pretrains a scenario
-(``prepare``) and runs one registered method on it (``run_method``).
+(``prepare``) and runs one unlearning method on it by name
+(``run_method``).
 """
 
 from __future__ import annotations

@@ -1,10 +1,10 @@
-"""Unlearning-efficiency comparison across all six registered methods.
+"""Unlearning-efficiency comparison across all six unlearning methods.
 
 The paper's central claim is that Goldfish unlearns *efficiently* — Fig. 4
 shows accuracy-per-epoch, but the underlying systems quantities (compute,
 communication, server storage) are what a deployment would budget. This
 experiment makes them explicit. For one backdoored federation it runs
-every method in the registry (:mod:`repro.unlearning.registry`):
+every unlearning method (:data:`repro.unlearning.protocols.METHODS`):
 
 * the paper's four sample-level flows — **ours** (Goldfish), **B1**
   (retrain), **B2** (rapid retraining), **B3** (incompetent teacher) —
@@ -20,14 +20,15 @@ flows; the whole round history for the update-adjustment family — the
 efficiency/storage trade-off the Related Work section describes).
 
 This module is a *spec definition*: the loop lives in
-:func:`repro.experiments.runner.run_efficiency` — the registry makes the
-sample-level and client-level families one uniform iteration.
+:func:`repro.experiments.runner.run_efficiency` — ``run_method`` runs the
+sample-level and client-level families by name, in one iteration.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
+from ..unlearning.protocols import METHODS
 from . import runner
 from .common import backdoor_spec
 from .results import ExperimentResult
@@ -38,8 +39,6 @@ COLUMNS = (
     "method", "acc", "backdoor", "wall_s",
     "local_epochs", "comm_mb", "storage_mb",
 )
-
-METHODS = ("ours", "b1", "b2", "b3", "federaser", "fedrecovery")
 
 NOTES = (
     "comm_mb = model states moved during unlearning (both "
@@ -69,7 +68,7 @@ def run(
     seed: int = 0,
     deletion_rate: float = 0.06,
 ) -> ExperimentResult:
-    """Run every registered unlearning method on one backdoored federation."""
+    """Run every unlearning method on one backdoored federation."""
     if scale is None:
         scale = get_scale("smoke")
     return runner.run_efficiency(

@@ -5,8 +5,8 @@ Each paper artifact module (``fig5_backdoor``, ``tab10_ablation``, …) is a
 :class:`~repro.experiments.spec.ExperimentSpec` and calls its loop here
 with the loop's knobs as arguments. The runner owns the loops — build
 scenario → pretrain → snapshot → per-method restore/unlearn/evaluate —
-and every method goes through the registry
-(:mod:`repro.unlearning.registry`).
+and :func:`run_method` runs every unlearning method by name, through its
+flow in :mod:`repro.unlearning.protocols`.
 
 Loops
 -----
@@ -17,7 +17,7 @@ loop                            paper artifact shape
 :func:`run_retrain_curves`      per-round accuracy per method (Fig 4)
 :func:`run_divergence`          JSD/L2/t-test vs the B1 reference (T VII–IX)
 :func:`run_goldfish_variants`   goldfish config ablations at checkpoints (T X–XI)
-:func:`run_efficiency`          systems cost of every registered method
+:func:`run_efficiency`          systems cost of every unlearning method
 :func:`run_certification`       ε̂ / MIA / relearn certification
 :func:`run_shard_convergence`   sharded-trainer accuracy vs rounds (Fig 6)
 :func:`run_shard_deletion`      accuracy around a deletion event (Fig 7)
@@ -34,7 +34,7 @@ gives one result.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -45,11 +45,17 @@ from ..federated.simulation import make_aggregator, FederatedSimulation
 from ..nn.module import Module
 from ..runtime import BackendLike
 from ..training import evaluate, train
-from ..unlearning import ShardedClientTrainer, UnlearnOutcome
-from ..unlearning.registry import (
-    ClientDeletionRequest,
-    get_unlearner,
-    make_unlearner,
+from ..unlearning import IncompetentTeacherConfig, ShardedClientTrainer
+from ..unlearning.protocols import (
+    CLIENT_LEVEL_METHODS,
+    METHODS,
+    UnlearnOutcome,
+    federated_federaser,
+    federated_fedrecovery,
+    federated_goldfish,
+    federated_incompetent_teacher,
+    federated_rapid_retrain,
+    federated_retrain,
 )
 from .common import SimulationSnapshot, goldfish_config
 from .results import ExperimentResult
@@ -65,19 +71,6 @@ from .spec import (
 )
 
 _MB = 1024.0 * 1024.0
-
-# The history-replaying methods draw their calibration randomness from a
-# stream of their own, at a fixed offset from the run seed (a method
-# registered without an entry draws from the seed itself).
-_HISTORY_RNG_OFFSETS = {"federaser": 31}
-
-
-def _history_rng(seed: int, cls) -> Optional[np.random.Generator]:
-    """The generator ``run_method`` hands an unlearner class, or ``None``
-    when it replays no history."""
-    if not cls.requires_history:
-        return None
-    return np.random.default_rng(seed + _HISTORY_RNG_OFFSETS.get(cls.name, 0))
 
 
 # ----------------------------------------------------------------------
@@ -129,32 +122,45 @@ def run_method(
     rng: Optional[np.random.Generator] = None,
     backend: BackendLike = None,
 ) -> UnlearnOutcome:
-    """Restore the pretrained snapshot, file the deletion, run one method."""
+    """Restore the pretrained snapshot and run one of
+    :data:`~repro.unlearning.protocols.METHODS` on it.
+
+    A sample-level method forgets the scenario's deletion subset, filed
+    here.  A client-level one erases the deleting client whole from the
+    round history ``prepared`` recorded, and the sample request stays
+    unfiled; ``rng`` seeds FedEraser's calibration.  ``config_override``
+    is a :class:`~repro.unlearning.GoldfishConfig` and only ``"ours"``
+    takes one.  An unknown name, or an override for another method,
+    raises ``ValueError`` before the snapshot is restored.
+    """
+    if method not in METHODS:
+        raise ValueError(
+            f"unknown unlearning method {method!r}; available: {list(METHODS)}"
+        )
+    if config_override is not None and method != "ours":
+        raise ValueError(f"config_override is Goldfish's; {method!r} takes none")
     scenario = prepared.scenario
     prepared.snapshot.restore(scenario.sim)
-    options: Dict[str, Any] = {}
-    if config_override is not None:
-        options["config"] = config_override
-    elif get_unlearner(method).name == "ours":
-        options["config"] = goldfish_config(scale, train=scenario.config)
-    unlearner = make_unlearner(
-        method, train_config=scenario.config, num_rounds=scale.unlearn_rounds,
-        **options,
-    )
-    if unlearner.level == "sample":
-        scenario.register_deletion()
-        requests: Tuple[ClientDeletionRequest, ...] = ()
-    else:
-        # Client-level methods erase the deleting client entirely; the
-        # sample request stays unfiled.
-        requests = (ClientDeletionRequest.of(scenario.deletion_client_id),)
-    return unlearner.unlearn(
-        scenario.sim,
-        requests,
-        backend=backend,
-        round_callback=round_callback,
-        history=prepared.history,
-        rng=rng,
+    sim, config, rounds = scenario.sim, scenario.config, scale.unlearn_rounds
+    # The flows are called by their module-global names, so a wrapper
+    # rebinding those names (bench/trace.py) sees every call.
+    if method in CLIENT_LEVEL_METHODS:
+        client_id = scenario.deletion_client_id
+        if method == "federaser":
+            return federated_federaser(sim, config, prepared.history, client_id, rng)
+        return federated_fedrecovery(sim, prepared.history, client_id)
+    scenario.register_deletion()
+    flow = dict(round_callback=round_callback, backend=backend)
+    if method == "ours":
+        if config_override is None:
+            config_override = goldfish_config(scale, train=config)
+        return federated_goldfish(sim, config_override, rounds, **flow)
+    if method == "b1":
+        return federated_retrain(sim, config, rounds, **flow)
+    if method == "b2":
+        return federated_rapid_retrain(sim, config, rounds, **flow)
+    return federated_incompetent_teacher(
+        sim, IncompetentTeacherConfig(train=config), rounds, **flow
     )
 
 
@@ -373,7 +379,7 @@ def run_goldfish_variants(
 
 
 # ----------------------------------------------------------------------
-# Efficiency extension: systems cost of every registered method
+# Efficiency extension: systems cost of every unlearning method
 # ----------------------------------------------------------------------
 def run_efficiency(
     exp: ExperimentSpec, scale: ExperimentScale, seed: int = 0, *, notes: str = ""
@@ -399,10 +405,9 @@ def run_efficiency(
     )
     storage_mb = prepared.history.storage_report().total_bytes / _MB
     for method in exp.methods:
-        cls = get_unlearner(method)
-        outcome = run_method(
-            prepared, method, scale, rng=_history_rng(seed, cls)
-        )
+        # FedEraser calibrates from a stream of its own, off the run seed.
+        rng = np.random.default_rng(seed + 31) if method == "federaser" else None
+        outcome = run_method(prepared, method, scale, rng=rng)
         metrics = evaluate_model(outcome.global_model, scenario)
         result.add_row(
             method=method,
@@ -411,7 +416,7 @@ def run_efficiency(
             wall_s=outcome.wall_seconds,
             local_epochs=outcome.local_epochs_total,
             comm_mb=outcome.chains * per_state_bytes * 2 / _MB,
-            storage_mb=storage_mb if cls.requires_history else 0.0,
+            storage_mb=storage_mb if method in CLIENT_LEVEL_METHODS else 0.0,
         )
     return result
 

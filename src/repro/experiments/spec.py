@@ -10,8 +10,10 @@ deletion × federation) crossed with *unlearning methods*:
   (simulation + deletion subset + validity instrument);
   ``attack.kind="none"`` plants nothing.
 * :class:`ExperimentSpec` — an artifact's id and title, its scenario and
-  its methods; the loops in :mod:`repro.experiments.runner` execute it,
-  and each takes its own knobs as arguments.
+  its methods (names from :data:`repro.unlearning.protocols.METHODS`,
+  checked when the spec is built); the loops in
+  :mod:`repro.experiments.runner` execute it, and each takes its own
+  knobs as arguments.
 
 Specs deliberately hold *logical* knobs only; physical scale (sample
 counts, rounds, client counts when unset) comes from the
@@ -43,6 +45,7 @@ from ..nn.models import RegistryModelFactory
 from ..nn.module import Module
 from ..runtime import BACKEND_ENV_VAR, BackendLike, parse_backend_spec
 from ..training import TrainConfig, evaluate
+from ..unlearning.protocols import METHODS
 from .scale import ExperimentScale
 
 
@@ -145,6 +148,11 @@ class ExperimentSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "methods", tuple(self.methods))
+        unknown = [name for name in self.methods if name not in METHODS]
+        if unknown:
+            raise ValueError(
+                f"unknown unlearning methods {unknown}; available: {list(METHODS)}"
+            )
 
 
 # ----------------------------------------------------------------------

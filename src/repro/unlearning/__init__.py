@@ -9,7 +9,9 @@ Modules map one-to-one onto the paper's four framework modules:
 * extension (Eq. 11–13): :mod:`~repro.unlearning.temperature` and
   :class:`repro.federated.AdaptiveWeightAggregator`
 
-plus the baselines (B1/B2/B3) and the federation-level protocols.
+plus the baselines (B1/B2/B3, FedEraser, FedRecovery) and the
+federation-level protocols (:mod:`~repro.unlearning.protocols`): one flow
+per unlearning method, the six names in :data:`METHODS`.
 """
 
 from .baselines import (
@@ -39,19 +41,15 @@ from .goldfish import GoldfishConfig, GoldfishResult, GoldfishUnlearner
 from .journal import Journal, JournalCorruption, replay as replay_journal
 from .losses import GoldfishLoss, GoldfishLossConfig, LossBreakdown, confusion_loss
 from .protocols import (
+    CLIENT_LEVEL_METHODS,
+    METHODS,
     UnlearnOutcome,
+    federated_federaser,
+    federated_fedrecovery,
     federated_goldfish,
     federated_incompetent_teacher,
     federated_rapid_retrain,
     federated_retrain,
-)
-from .registry import (
-    ClientDeletionRequest,
-    Unlearner,
-    available_methods,
-    get_unlearner,
-    make_unlearner,
-    register_unlearner,
 )
 from .service import SlaMeter, UnlearningService
 from .sharding import DeletionReport, ShardedClientTrainer
@@ -99,15 +97,13 @@ __all__ = [
     "DiagonalFIMSGD",
     "IncompetentTeacherUnlearner",
     "IncompetentTeacherConfig",
+    "METHODS",
+    "CLIENT_LEVEL_METHODS",
     "UnlearnOutcome",
     "federated_goldfish",
     "federated_retrain",
     "federated_rapid_retrain",
     "federated_incompetent_teacher",
-    "ClientDeletionRequest",
-    "Unlearner",
-    "available_methods",
-    "get_unlearner",
-    "make_unlearner",
-    "register_unlearner",
+    "federated_federaser",
+    "federated_fedrecovery",
 ]

@@ -18,6 +18,11 @@ unlearning and need the server to retain round history):
 * **FedRecovery** — server-side gradient-residual subtraction, after
   Zhang et al., TIFS 2023 [23], released without its DP noise
   (:mod:`~repro.unlearning.baselines.fedrecovery`).
+
+Each runs on a federation through its flow in
+:mod:`repro.unlearning.protocols` (``federated_rapid_retrain``,
+``federated_incompetent_teacher``, ``federated_federaser``,
+``federated_fedrecovery``).
 """
 
 from .federaser import FedEraser, FedEraserConfig, FedEraserReport

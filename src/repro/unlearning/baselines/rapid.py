@@ -36,8 +36,8 @@ def check_rapid_options(
     given) ``lr_scale`` positive and finite; ``ValueError`` otherwise.
 
     :class:`DiagonalFIMSGD` checks it when built.  Callers that build one
-    only later — :class:`RapidRetrainer`, the federated B2 flow and its
-    registry entry — check it up front, before any side effect.
+    only later — :class:`RapidRetrainer` and the federated B2 flow —
+    check it up front, before any side effect.
     """
     if lr_scale is not None and not (math.isfinite(lr_scale) and lr_scale > 0):
         raise ValueError(f"lr_scale must be positive and finite, got {lr_scale}")

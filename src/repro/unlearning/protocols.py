@@ -1,18 +1,29 @@
-"""Federation-level unlearning protocols.
+"""Federation-level unlearning protocols: one flow per unlearning method.
 
 Each function drives a :class:`~repro.federated.simulation.FederatedSimulation`
-whose clients may hold pending deletion requests through one complete
-unlearning flow, and returns the new global model plus per-round metrics.
-These are the flows compared in the paper's evaluation:
+through one complete unlearning flow and returns the new global model plus
+per-round metrics as an :class:`UnlearnOutcome`.  These are the methods
+compared in the paper's evaluation, named in :data:`METHODS`:
 
-* :func:`federated_goldfish` — Algorithm 1's deletion branch (ours);
-* :func:`federated_retrain` — B1, FedAvg retraining from scratch on D_r;
-* :func:`federated_rapid_retrain` — B2, from-scratch retraining with the
-  diagonal-FIM preconditioner;
-* :func:`federated_incompetent_teacher` — B3, dual-teacher adjustment of
-  the current global model (no reinitialisation).
+* ``ours`` — :func:`federated_goldfish`, Algorithm 1's deletion branch;
+* ``b1`` — :func:`federated_retrain`, FedAvg retraining from scratch on D_r;
+* ``b2`` — :func:`federated_rapid_retrain`, from-scratch retraining with
+  the diagonal-FIM preconditioner;
+* ``b3`` — :func:`federated_incompetent_teacher`, dual-teacher adjustment
+  of the current global model (no reinitialisation);
+* ``federaser`` — :func:`federated_federaser`, calibrated replay of the
+  server's round history without the erased client;
+* ``fedrecovery`` — :func:`federated_fedrecovery`, server-side subtraction
+  of the erased client's residual from the round history.
 
-Every protocol runs the simulation's one round body,
+The first four forget the samples the clients hold pending deletion
+requests for.  The last two, :data:`CLIENT_LEVEL_METHODS`, erase one
+whole client and need the server's
+:class:`~repro.federated.history.RoundHistoryStore`.
+:func:`repro.experiments.runner.run_method` runs any of them by name on a
+pretrained scenario.
+
+Every sample-level protocol runs the simulation's one round body,
 :meth:`~repro.federated.simulation.FederatedSimulation.play_round`, with
 its own client task: B1's clients and B3's normal clients run the stock
 :class:`~repro.runtime.task.TrainTask`, Goldfish's, B2's and B3's
@@ -24,7 +35,7 @@ so client updates compute concurrently under ``"pool"`` / ``"cluster"``
 backends with bit-identical results.  The teachers, the teacher's logits
 and the FIM ride the task and are charged in the round's traffic, as is
 what rides back in ``TrainResult.extra``.  Pass ``backend=`` to any
-protocol to override the simulation's backend for that flow only.
+of them to override the simulation's backend for that flow only.
 
 On a ``vectorize=True`` simulation, B1's clients and B3's normal clients
 run stock :class:`~repro.runtime.task.TrainTask` rounds, which
@@ -48,27 +59,35 @@ from typing import Any, Callable, Dict, List, Optional
 import numpy as np
 
 from ..data.dataset import ArrayDataset
+from ..federated.history import RoundHistoryStore
 from ..federated.simulation import FederatedSimulation
 from ..nn.module import Module
 from ..runtime import BackendLike, get_backend
 from ..runtime.task import StateDict, TrainResult, TrainTask
 from ..training.config import TrainConfig
+from ..training.evaluation import evaluate
 from ..training.trainer import train
+from .baselines.federaser import FedEraser, FedEraserConfig
+from .baselines.fedrecovery import FedRecovery
 from .baselines.incompetent import IncompetentTeacherConfig, IncompetentTeacherUnlearner
 from .baselines.rapid import DiagonalFIMSGD, check_rapid_options
 from .goldfish import GoldfishConfig, GoldfishUnlearner
 
 
+METHODS = ("ours", "b1", "b2", "b3", "federaser", "fedrecovery")
+"""Every unlearning method, by the name the experiments use."""
+
+CLIENT_LEVEL_METHODS = ("federaser", "fedrecovery")
+"""The methods that erase a whole client from the server's round history."""
+
+
 @dataclass
 class UnlearnOutcome:
-    """Result of one federated unlearning flow.
+    """Result of one federated unlearning flow, filled by the flow that ran.
 
-    The first five fields are filled by the protocol that ran; the last
-    three normalise every method behind the registry
-    (:mod:`repro.unlearning.registry`): ``method`` is the canonical
-    registry name, ``chains`` counts the per-participant work units
-    submitted to the execution backend, and ``provenance`` records how
-    the outcome was produced (options, backend, history replayed, …).
+    ``chains`` counts the per-participant work units the flow submitted to
+    the execution backend (one client task per client per round); a
+    history-only flow that trains nothing counts none.
     """
 
     global_model: Module
@@ -76,9 +95,7 @@ class UnlearnOutcome:
     round_accuracies: List[float] = field(default_factory=list)
     local_epochs_total: int = 0
     wall_seconds: float = 0.0
-    method: str = ""
     chains: int = 0
-    provenance: Dict[str, Any] = field(default_factory=dict)
 
     @property
     def final_accuracy(self) -> float:
@@ -251,6 +268,7 @@ def _deletion_rounds(
         round_accuracies=accuracies,
         local_epochs_total=local_epochs,
         wall_seconds=time.perf_counter() - start,
+        chains=num_rounds * len(sim.clients),
     )
 
 
@@ -376,3 +394,75 @@ def federated_incompetent_teacher(
     return _deletion_rounds(
         sim, num_rounds, backend, round_callback, make_task, reinitialize=False
     )
+
+
+def _history_outcome(sim, state, rounds_run, local_epochs, wall, chains):
+    """An update-adjustment flow's outcome: the model ``state`` loads into,
+    scored once on the test set so ``final_accuracy`` reads as it does
+    for the round-based flows."""
+    model = sim.model_factory()
+    model.load_state_dict(state)
+    _, accuracy = evaluate(model, sim.server.test_set)
+    return UnlearnOutcome(
+        global_model=model,
+        rounds_run=rounds_run,
+        round_accuracies=[accuracy],
+        local_epochs_total=local_epochs,
+        wall_seconds=wall,
+        chains=chains,
+    )
+
+
+def federated_federaser(
+    sim: FederatedSimulation,
+    train_config: TrainConfig,
+    history: Optional[RoundHistoryStore],
+    forget_client_id: int,
+    rng: Optional[np.random.Generator],
+) -> UnlearnOutcome:
+    """FedEraser: erase ``forget_client_id`` by calibrated replay of the
+    stored round ``history`` from ω^0.
+
+    The remaining clients run one calibration epoch per replayed round at
+    ``train_config``'s learning rate and batch size, drawing from ``rng``
+    (``None``: seed 0).
+    """
+    if history is None:
+        raise ValueError("federaser requires the server round history")
+    if rng is None:
+        rng = np.random.default_rng(0)
+    config = FedEraserConfig(
+        calibration_epochs=1,
+        learning_rate=train_config.learning_rate,
+        batch_size=train_config.batch_size,
+    )
+    start = time.perf_counter()
+    state, report = FedEraser(sim.model_factory, config).unlearn(
+        history, sim.server.initial_state,
+        [client.dataset for client in sim.clients],
+        forget_client_id=forget_client_id, rng=rng,
+    )
+    wall = time.perf_counter() - start
+    return _history_outcome(
+        sim, state, report.rounds_replayed, report.calibration_epochs_run, wall,
+        chains=report.rounds_replayed * (len(sim.clients) - 1),
+    )
+
+
+def federated_fedrecovery(
+    sim: FederatedSimulation,
+    history: Optional[RoundHistoryStore],
+    forget_client_id: int,
+) -> UnlearnOutcome:
+    """FedRecovery: subtract ``forget_client_id``'s gradient residual,
+    read from the stored round ``history``, from the current global
+    model.  Released noiseless so accuracy compares across methods; a
+    server-side computation, so it runs no round and no client task."""
+    if history is None:
+        raise ValueError("fedrecovery requires the server round history")
+    start = time.perf_counter()
+    state, _ = FedRecovery().unlearn(
+        history, sim.server.global_state, forget_client_id=forget_client_id
+    )
+    wall = time.perf_counter() - start
+    return _history_outcome(sim, state, 0, 0, wall, chains=0)

@@ -146,7 +146,7 @@ class TestChaosParity:
 
     def test_runner_methods_on_chaotic_cluster_match_serial(self):
         """The experiment runner's path: pretrain a backdoor scenario, then
-        run Goldfish and B1 through the registry on a chaos-armed cluster —
+        run Goldfish and B1 by name on a chaos-armed cluster —
         every metric and the final global state equal the serial run's."""
         from repro.experiments import SMOKE, runner
         from repro.experiments.common import backdoor_spec

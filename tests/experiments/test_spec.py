@@ -86,6 +86,12 @@ class TestFields:
     def test_methods_become_a_tuple(self):
         assert ExperimentSpec("X", "y", methods=["ours", "b1"]).methods == ("ours", "b1")
 
+    @pytest.mark.parametrize("methods", [("magic",), ("ours", "retrain"), ["b1", ""]])
+    def test_unknown_method_is_rejected_when_the_spec_is_built(self, methods):
+        """Not after pretraining, when the loop reaches the name."""
+        with pytest.raises(ValueError, match="unknown unlearning method"):
+            ExperimentSpec("X", "y", methods=methods)
+
 
 class TestRateSweep:
     """A sweep derives each point with dataclasses.replace."""

@@ -4,8 +4,7 @@ Goldfish's loss weights and temperatures, the early-stop threshold and
 the baselines' knobs are range-checked; NaN fails every comparison, so
 each check must test finiteness as well or a NaN slips through (a NaN
 temperature turns every distillation loss into NaN).  B2's knobs are
-checked before its flow resets the global model, and by its registry
-entry at construction.
+checked before its flow resets the global model.
 """
 
 import math
@@ -24,7 +23,6 @@ from repro.unlearning import (
     SisaConfig,
     adaptive_temperature,
     federated_rapid_retrain,
-    make_unlearner,
 )
 from repro.unlearning.baselines import (
     FedEraserConfig,
@@ -174,9 +172,3 @@ def test_bad_b2_options_fail_before_the_global_model_is_reset(options):
     assert set(after) == set(before)
     for key, value in before.items():
         assert after[key].tobytes() == value.tobytes(), key
-
-
-@pytest.mark.parametrize("options", BAD_B2_OPTIONS, ids=BAD_B2_IDS)
-def test_b2_registry_entry_rejects_bad_options_at_construction(options):
-    with pytest.raises(ValueError):
-        make_unlearner("b2", B2_TRAIN, 1, **options)
