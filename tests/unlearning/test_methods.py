@@ -27,6 +27,8 @@ TINY = SMOKE.with_overrides(
     unlearn_rounds=1, batch_size=20,
 )
 
+SAMPLE_LEVEL = [name for name in METHODS if name not in CLIENT_LEVEL_METHODS]
+
 
 def _prepared(seed, with_history=False):
     return runner.prepare(
@@ -89,14 +91,89 @@ def test_run_method_is_the_flow(method):
     assert via.chains == direct.chains
 
 
-@pytest.mark.parametrize(
-    "method", [name for name in METHODS if name not in CLIENT_LEVEL_METHODS]
-)
+@pytest.mark.parametrize("method", SAMPLE_LEVEL)
 def test_sample_level_chains_are_one_task_per_client_per_round(method):
     outcome = runner.run_method(_prepared(6), method, TINY)
     assert outcome.rounds_run == TINY.unlearn_rounds
     assert outcome.chains == TINY.unlearn_rounds * TINY.num_clients
     assert outcome.wall_seconds > 0
+
+
+def _server_state_unchanged(before, sim):
+    after = sim.server.global_state
+    assert set(after) == set(before)
+    for key, value in before.items():
+        np.testing.assert_array_equal(value, after[key])
+
+
+def test_unknown_name_fails_before_the_snapshot_is_restored(monkeypatch):
+    prepared = _prepared(12)
+
+    def restored(sim):
+        raise AssertionError("the snapshot was restored before the check")
+
+    monkeypatch.setattr(prepared.snapshot, "restore", restored)
+    with pytest.raises(ValueError, match="unknown unlearning method"):
+        runner.run_method(prepared, "magic", TINY)
+
+
+@pytest.mark.parametrize("method", SAMPLE_LEVEL)
+def test_zero_rounds_fail_before_the_global_model_is_touched(method):
+    prepared = _prepared(13)
+    sim = prepared.scenario.sim
+    before = sim.server.global_state
+    with pytest.raises(ValueError, match="num_rounds"):
+        runner.run_method(prepared, method, TINY.with_overrides(unlearn_rounds=0))
+    _server_state_unchanged(before, sim)
+
+
+@pytest.mark.parametrize("method", SAMPLE_LEVEL)
+def test_sample_level_methods_drop_the_deleted_samples(method):
+    """The flow finalizes the filed deletion: the subset is physically
+    gone from the deleting client's data afterwards."""
+    prepared = _prepared(14)
+    scenario = prepared.scenario
+    client = scenario.sim.clients[scenario.deletion_client_id]
+    size = len(client.dataset)
+    deleted = len(np.unique(scenario.poison_indices))
+    assert deleted > 0
+    runner.run_method(prepared, method, TINY)
+    assert not client.has_pending_deletion
+    assert len(client.dataset) == size - deleted
+
+
+@pytest.mark.parametrize("method", CLIENT_LEVEL_METHODS)
+def test_client_level_methods_file_no_sample_request(method):
+    """Erasing the client whole leaves its sample request unfiled and its
+    data as it was."""
+    prepared = _prepared(14, with_history=True)
+    scenario = prepared.scenario
+    client = scenario.sim.clients[scenario.deletion_client_id]
+    size = len(client.dataset)
+    runner.run_method(prepared, method, TINY, rng=np.random.default_rng(0))
+    assert not client.has_pending_deletion
+    assert len(client.dataset) == size
+
+
+@pytest.mark.parametrize("method", CLIENT_LEVEL_METHODS)
+def test_a_client_outside_the_history_fails_closed(method):
+    """A client the history never saw names nothing to erase: the flow
+    fails before any work instead of erasing someone else."""
+    prepared = _prepared(15, with_history=True)
+    sim, history = prepared.scenario.sim, prepared.history
+    before = sim.server.global_state
+    rounds = len(history)
+    stranger = len(sim.clients)
+    with pytest.raises(ValueError, match="never appears"):
+        if method == "federaser":
+            federated_federaser(
+                sim, prepared.scenario.config, history, stranger,
+                np.random.default_rng(0),
+            )
+        else:
+            federated_fedrecovery(sim, history, stranger)
+    _server_state_unchanged(before, sim)
+    assert len(history) == rounds
 
 
 @pytest.mark.parametrize("method", [m for m in METHODS if m != "ours"])
@@ -137,6 +214,17 @@ class TestClientLevel:
             ).global_model
             for rng_seed in (3, 99)
         ]
+        _assert_states_equal(*models)
+
+    def test_federaser_without_an_rng_seeds_zero(self):
+        models = []
+        for rng in (None, np.random.default_rng(0)):
+            prepared = _prepared(11, with_history=True)
+            scenario = prepared.scenario
+            models.append(federated_federaser(
+                scenario.sim, scenario.config, prepared.history,
+                scenario.deletion_client_id, rng,
+            ).global_model)
         _assert_states_equal(*models)
 
     def test_federaser_chains_and_epochs(self):
