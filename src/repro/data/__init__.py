@@ -12,9 +12,7 @@ from .partition import (
     partition_heterogeneous,
     make_federated,
     partition_iid,
-    partition_label_skewed,
     partition_shards,
-    partition_size_skewed,
 )
 from .synthetic import (
     DATASET_FACTORIES,
@@ -38,8 +36,6 @@ __all__ = [
     "select_poison_indices",
     "select_attack_target",
     "partition_iid",
-    "partition_size_skewed",
-    "partition_label_skewed",
     "partition_shards",
     "make_federated",
     "SyntheticSpec",

@@ -4,18 +4,13 @@ Everything downstream (loaders, partitioners, the FL simulator, the
 backdoor tooling) works on :class:`ArrayDataset`: a ``(N, C, H, W)`` image
 array plus integer labels, with cheap index-based views.
 
-Two scale features are built in:
-
-* an opt-in ``dtype`` (default ``float64``, unchanged) — ``float32``
-  halves the memory footprint and bandwidth of the im2col convolution
-  hot path for experiments that don't need double precision;
-* :meth:`ArrayDataset.share` — re-house the arrays in POSIX shared
-  memory (:class:`SharedArrayDataset`).  A shared dataset behaves
-  identically in-process, but pickles as a tiny by-reference handle, so
-  fanning tasks out to a persistent worker pool
-  (:class:`~repro.runtime.pool.PoolBackend`) ships shard/client/slice
-  *index selections* instead of array copies: fan-out memory stays
-  O(data), not O(workers × data).
+Images are float64.  :meth:`ArrayDataset.share` re-houses the arrays in
+POSIX shared memory (:class:`SharedArrayDataset`).  A shared dataset
+behaves identically in-process, but pickles as a tiny by-reference
+handle, so fanning tasks out to a persistent worker pool
+(:class:`~repro.runtime.pool.PoolBackend`) ships shard/client/slice
+*index selections* instead of array copies: fan-out memory stays
+O(data), not O(workers × data).
 """
 
 from __future__ import annotations
@@ -23,7 +18,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass, field
 from multiprocessing import shared_memory
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Iterator, Sequence, Tuple
 
 import numpy as np
 
@@ -70,7 +65,7 @@ class ArrayDataset:
     Attributes
     ----------
     images:
-        Float array of shape ``(N, C, H, W)``.
+        Array of shape ``(N, C, H, W)``, stored as float64.
     labels:
         Integer array of shape ``(N,)`` with values in ``[0, num_classes)``
         (integral floats are taken as integers; any other value raises).
@@ -78,25 +73,15 @@ class ArrayDataset:
         Total number of label classes (α in the paper's notation).
     name:
         Human-readable dataset name (for reports).
-    dtype:
-        Floating dtype for ``images``.  ``None`` (the default) means
-        ``float64`` — exact legacy behaviour; pass ``np.float32`` to
-        halve memory footprint and bandwidth.  Derived datasets
-        (:meth:`subset`, :meth:`remove`, :meth:`concat`, …) inherit it.
     """
 
     images: np.ndarray
     labels: np.ndarray
     num_classes: int
     name: str = ""
-    dtype: Optional[object] = None
 
     def __post_init__(self) -> None:
-        resolved = np.dtype(self.dtype if self.dtype is not None else np.float64)
-        if resolved.kind != "f":
-            raise ValueError(f"dtype must be a floating dtype, got {resolved}")
-        self.dtype = resolved
-        self.images = np.asarray(self.images, dtype=resolved)
+        self.images = np.asarray(self.images, dtype=np.float64)
         self.labels = _whole_numbers(self.labels, "labels")
         if self.images.ndim != 4:
             raise ValueError(f"images must be (N, C, H, W), got shape {self.images.shape}")
@@ -135,7 +120,6 @@ class ArrayDataset:
             labels=self.labels[indices].copy(),
             num_classes=self.num_classes,
             name=self.name,
-            dtype=self.dtype,
         )
 
     def remove(self, indices: Sequence[int]) -> "ArrayDataset":
@@ -172,7 +156,6 @@ class ArrayDataset:
             labels=np.concatenate([self.labels, other.labels]),
             num_classes=self.num_classes,
             name=self.name,
-            dtype=self.dtype,
         )
 
     def shuffled(self, rng: np.random.Generator) -> "ArrayDataset":
@@ -254,7 +237,6 @@ def _attach_shared_dataset(
         labels=labels,
         num_classes=num_classes,
         name=name,
-        dtype=images.dtype,
     )
     dataset._adopt((image_block, label_block), owner=False)
     return dataset
@@ -285,7 +267,7 @@ class SharedArrayDataset(ArrayDataset):
         num_classes: int,
         name: str = "",
     ) -> "SharedArrayDataset":
-        images = np.ascontiguousarray(images)
+        images = np.ascontiguousarray(images, dtype=np.float64)
         labels = np.ascontiguousarray(labels, dtype=np.int64)
         image_block = shared_memory.SharedMemory(create=True, size=images.nbytes)
         label_block = shared_memory.SharedMemory(create=True, size=max(1, labels.nbytes))
@@ -298,7 +280,6 @@ class SharedArrayDataset(ArrayDataset):
             labels=label_view,
             num_classes=num_classes,
             name=name,
-            dtype=images.dtype,
         )
         dataset._adopt((image_block, label_block), owner=True)
         return dataset

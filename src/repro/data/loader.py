@@ -17,7 +17,7 @@ class DataLoader:
     ----------
     dataset:
         Source dataset, or a list of K member datasets (the *K-form*).
-        Members must share their sample shape and dtype and take the same
+        Members must share their sample shape and take the same
         number of steps; their sizes may differ within the final batch.
     batch_size:
         Number of samples per batch; the final batch may be smaller.
@@ -80,9 +80,9 @@ class DataLoader:
                 f"member step counts differ (dataset sizes beyond "
                 f"final-batch padding): {sorted(counts)}"
             )
-        samples = {(member.images.shape[1:], str(member.images.dtype)) for member in members}
+        samples = {member.images.shape[1:] for member in members}
         if len(samples) != 1:
-            raise ValueError(f"members differ in sample shape or dtype: {sorted(samples)}")
+            raise ValueError(f"members differ in sample shape: {sorted(samples)}")
         # Equal step counts leave only the final step with unequal rows.
         self._ragged = len(set(sizes)) > 1
         self._stacked_rows = (self._steps - 1) * batch_size if self._ragged else sizes[0]

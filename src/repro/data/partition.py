@@ -2,11 +2,9 @@
 
 * :func:`partition_iid` — the paper's default: "we uniformly assigned the
   data from the four training datasets to all clients".
-* :func:`partition_size_skewed` — the heterogeneity setting of Fig. 8 /
-  Table XII: "data is randomly assigned to each user", yielding local
-  datasets of very different sizes.
-* :func:`partition_label_skewed` — Dirichlet label skew, a standard extra
-  heterogeneity axis (used by examples/ablations).
+* :func:`partition_heterogeneous` — the heterogeneity setting of Fig. 8 /
+  Table XII: "data is randomly assigned to each user", skewing both the
+  sizes and the label mixes of the local datasets.
 * :func:`partition_shards` — τ-way sharding of one client's local data
   (Fig. 2 of the paper; SISA-style).
 """
@@ -34,63 +32,6 @@ def partition_iid(
     _validate(len(dataset), num_clients)
     order = rng.permutation(len(dataset))
     return [np.sort(part) for part in np.array_split(order, num_clients)]
-
-
-def partition_size_skewed(
-    dataset: ArrayDataset,
-    num_clients: int,
-    rng: np.random.Generator,
-    concentration: float = 0.5,
-    min_per_client: int = 2,
-) -> List[np.ndarray]:
-    """Randomly assign samples so local dataset *sizes* differ strongly.
-
-    Sizes are drawn from a Dirichlet with small ``concentration``, which
-    reproduces the large size variances reported in the paper's Table XII.
-    Every client is guaranteed at least ``min_per_client`` samples.
-    """
-    _validate(len(dataset), num_clients)
-    if min_per_client * num_clients > len(dataset):
-        raise ValueError("min_per_client too large for dataset size")
-    n = len(dataset)
-    proportions = rng.dirichlet(np.full(num_clients, concentration))
-    sizes = np.maximum((proportions * n).astype(int), min_per_client)
-    # Fix rounding so sizes sum exactly to n (adjust the largest client).
-    sizes[np.argmax(sizes)] += n - sizes.sum()
-    order = rng.permutation(n)
-    splits = np.split(order, np.cumsum(sizes)[:-1])
-    return [np.sort(part) for part in splits]
-
-
-def partition_label_skewed(
-    dataset: ArrayDataset,
-    num_clients: int,
-    rng: np.random.Generator,
-    alpha: float = 0.5,
-) -> List[np.ndarray]:
-    """Dirichlet(α) label-distribution skew across clients.
-
-    Smaller ``alpha`` concentrates each class on fewer clients.
-    """
-    _validate(len(dataset), num_clients)
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    client_indices: List[List[int]] = [[] for _ in range(num_clients)]
-    for cls in range(dataset.num_classes):
-        cls_idx = np.flatnonzero(dataset.labels == cls)
-        if cls_idx.size == 0:
-            continue
-        rng.shuffle(cls_idx)
-        proportions = rng.dirichlet(np.full(num_clients, alpha))
-        cuts = (np.cumsum(proportions)[:-1] * cls_idx.size).astype(int)
-        for client, part in enumerate(np.split(cls_idx, cuts)):
-            client_indices[client].extend(part.tolist())
-    # Guarantee non-empty clients by stealing from the largest.
-    for client in range(num_clients):
-        if not client_indices[client]:
-            donor = max(range(num_clients), key=lambda c: len(client_indices[c]))
-            client_indices[client].append(client_indices[donor].pop())
-    return [np.sort(np.array(idx, dtype=np.int64)) for idx in client_indices]
 
 
 def partition_heterogeneous(
@@ -137,18 +78,12 @@ def make_federated(
     num_clients: int,
     rng: np.random.Generator,
     strategy: str = "iid",
-    **kwargs,
 ) -> FederatedDataset:
     """Partition ``train`` across clients and bundle with the shared test set."""
-    strategies = {
-        "iid": partition_iid,
-        "size_skewed": partition_size_skewed,
-        "label_skewed": partition_label_skewed,
-        "heterogeneous": partition_heterogeneous,
-    }
+    strategies = {"iid": partition_iid, "heterogeneous": partition_heterogeneous}
     if strategy not in strategies:
         raise ValueError(f"unknown strategy {strategy!r}; available: {sorted(strategies)}")
-    parts = strategies[strategy](train, num_clients, rng, **kwargs)
+    parts = strategies[strategy](train, num_clients, rng)
     return FederatedDataset(
         client_datasets=[train.subset(part) for part in parts],
         test_set=test,

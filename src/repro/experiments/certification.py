@@ -28,7 +28,6 @@ from .results import ExperimentResult
 from .scale import ExperimentScale, get_scale
 from .spec import ExperimentSpec
 
-COLUMNS = ("method", "acc", "eps_hat", "mean_jsd", "mia_adv", "relearn_speedup")
 
 _CERT_DELTA = 0.05
 _RELEARN_MAX_EPOCHS = 12

@@ -35,10 +35,6 @@ from .results import ExperimentResult
 from .scale import ExperimentScale, get_scale
 from .spec import ExperimentSpec
 
-COLUMNS = (
-    "method", "acc", "backdoor", "wall_s",
-    "local_epochs", "comm_mb", "storage_mb",
-)
 
 NOTES = (
     "comm_mb = model states moved during unlearning (both "

@@ -130,8 +130,10 @@ def run_method(
     round history ``prepared`` recorded, and the sample request stays
     unfiled; ``rng`` seeds FedEraser's calibration.  ``config_override``
     is a :class:`~repro.unlearning.GoldfishConfig` and only ``"ours"``
-    takes one.  An unknown name, or an override for another method,
-    raises ``ValueError`` before the snapshot is restored.
+    takes one; ``round_callback`` and ``backend`` drive the round-based
+    flows, so a client-level method takes neither.  An unknown name, or
+    a keyword its method does not take, raises ``ValueError`` before the
+    snapshot is restored.
     """
     if method not in METHODS:
         raise ValueError(
@@ -139,6 +141,10 @@ def run_method(
         )
     if config_override is not None and method != "ours":
         raise ValueError(f"config_override is Goldfish's; {method!r} takes none")
+    if method in CLIENT_LEVEL_METHODS:
+        for name, value in (("round_callback", round_callback), ("backend", backend)):
+            if value is not None:
+                raise ValueError(f"{method!r} is client-level and takes no {name}")
     scenario = prepared.scenario
     prepared.snapshot.restore(scenario.sim)
     sim, config, rounds = scenario.sim, scenario.config, scale.unlearn_rounds
@@ -632,8 +638,7 @@ def run_aggregation_panel(
     for label, name in aggregators.items():
         rng = np.random.default_rng(seed + num_clients)  # same partition for both
         fed = make_federated(
-            train_set, test_set, num_clients, rng, strategy=strategy,
-            **dict(exp.scenario.partition.options),
+            train_set, test_set, num_clients, rng, strategy=strategy
         )
         aggregator = make_aggregator(name, test_set=test_set, model_factory=factory)
         sim = FederatedSimulation(factory, fed, aggregator, config, seed=seed + 7)
@@ -675,7 +680,6 @@ def run_heterogeneity_table(
         fed = make_federated(
             train_set, test_set, count, rng,
             strategy=exp.scenario.partition.strategy,
-            **dict(exp.scenario.partition.options),
         )
         accuracies = []
         for index, local in enumerate(fed.client_datasets):
@@ -719,7 +723,6 @@ def run_aggregation_iid(
             fed = make_federated(
                 train_set, test_set, count, rng,
                 strategy=exp.scenario.partition.strategy,
-                **dict(exp.scenario.partition.options),
             )
             aggregator = make_aggregator(
                 name, test_set=test_set, model_factory=factory

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Mapping, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -67,8 +67,7 @@ class DatasetSpec:
 class PartitionSpec:
     """How training data is split across clients."""
 
-    strategy: str = "iid"  # iid | size_skewed | label_skewed | heterogeneous
-    options: Mapping[str, Any] = field(default_factory=dict)
+    strategy: str = "iid"  # iid | heterogeneous
 
 
 @dataclass(frozen=True)
@@ -290,7 +289,7 @@ def build_scenario(
     num_clients = spec.federation.num_clients or scale.num_clients
     fed = make_federated(
         train_set, test_set, num_clients, rng,
-        strategy=spec.partition.strategy, **dict(spec.partition.options),
+        strategy=spec.partition.strategy,
     )
 
     client_id = spec.deletion.client_id

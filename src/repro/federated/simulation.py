@@ -220,7 +220,7 @@ class FederatedSimulation:
     vectorize:
         Opt-in client-vectorized execution
         (:mod:`repro.federated.vectorized`): eligible homogeneous
-        cohorts — same architecture, dtype, train config and step count —
+        cohorts — same architecture, train config and step count —
         train as **one** stacked forward/backward per round-step instead
         of K per-client graphs, with bit-identical results.  Ineligible
         cohorts (single participant, unstackable layers, step counts

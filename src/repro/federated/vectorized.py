@@ -36,29 +36,26 @@ The stacked path preserves every per-client semantic:
 * **The loop** — :meth:`VectorizedCohort.train` does not mirror
   :func:`repro.training.trainer.train`; both run
   :func:`repro.training.trainer.run_epochs`, with the same hard loss
-  (:mod:`repro.nn.losses` reduces ``(K, N, classes)`` per slice), the
-  same ``SGD`` and the same ``clip_grad_norm``.  Only the step's graph
-  differs: one stacked forward instead of one model's.
+  (:mod:`repro.nn.losses` reduces ``(K, N, classes)`` per slice) and the
+  same ``SGD``.  Only the step's graph differs: one stacked forward
+  instead of one model's.
 
 Eligibility
 -----------
 :func:`stack_fallback_reason` is the one gate of the fast path (every
 stackable task kind's own ``stack_fallback_reason`` asks it — train
 cohorts, and a stack of SISA chains per stage, through the stage's
-train tasks): the cohort must have ≥ 2 members
-with equal train configs, a stackable architecture
-(:func:`repro.nn.vmap.stack_modules`), equal sample shapes and dtypes,
-and equal per-member *step counts*.  Member dataset sizes may differ as
-long as the step counts match: the final batch is then ragged and runs
-zero-padded, with each slice computed at its true row count (row-exact
-per-slice GEMMs, per-slice loss heads) — unless the architecture
-contains a layer whose gradients contract over the batch axis
-(``Conv2d``), which :func:`repro.nn.vmap.ragged_support_reason` gates
-out (:func:`arch_probe` asks both architecture questions once per
-factory).  Gradient clipping runs as per-slice global norms
-(:func:`repro.nn.optim.clip_grad_norm` with the stack size).  Ineligible
-cohorts fall back to the per-client path with a recorded reason — never
-silently.
+train tasks): the cohort must have ≥ 2 members with equal train
+configs, a stackable architecture (:func:`repro.nn.vmap.stack_modules`),
+equal sample shapes and equal per-member *step counts*.  Member dataset
+sizes may differ as long as the step counts match: the final batch is
+then ragged and runs zero-padded, with each slice computed at its true
+row count (row-exact per-slice GEMMs, per-slice loss heads) — unless the
+architecture contains a layer whose gradients contract over the batch
+axis (``Conv2d``), which :func:`repro.nn.vmap.ragged_support_reason`
+gates out (:func:`arch_probe` asks both architecture questions once per
+factory).  Ineligible cohorts fall back to the per-client path with a
+recorded reason — never silently.
 """
 
 from __future__ import annotations
@@ -84,17 +81,17 @@ from ..nn.vmap import (
 )
 from ..runtime.task import StackedTask, StateDict, TrainTask
 from ..training.config import TrainConfig, TrainHistory
-from ..training.trainer import follow_dataset_dtype, make_optimizer, run_epochs
+from ..training.trainer import make_optimizer, run_epochs
 
 
 class VectorizedCohort:
     """K (model, dataset, rng) triples trained as one stacked graph.
 
     Runs the same loop as :func:`repro.training.trainer.train`
-    (:func:`~repro.training.trainer.run_epochs`: dtype cast from each
-    member's dataset, fresh SGD, per-epoch reshuffle from each member's
-    own generator, per-batch zero-grad/forward/backward/step) with the K
-    graphs of a step fused into one.
+    (:func:`~repro.training.trainer.run_epochs`: fresh SGD, per-epoch
+    reshuffle from each member's own generator, per-batch
+    zero-grad/forward/backward/step) with the K graphs of a step fused
+    into one.
     """
 
     def __init__(
@@ -107,11 +104,6 @@ class VectorizedCohort:
             raise ValueError("models, datasets and rngs must align")
         if not models:
             raise ValueError("empty cohort")
-        # trainer.train's cast: each member's model follows its dataset's
-        # floating dtype *before* stacking (stacking requires — and
-        # preserves — one cohort-wide dtype).
-        for model, dataset in zip(models, datasets):
-            follow_dataset_dtype(model, dataset)
         self.models = list(models)
         self.datasets = list(datasets)
         self.rngs = list(rngs)
@@ -195,9 +187,6 @@ def stack_fallback_reason(
     shapes = {array.shape[1:] for array in arrays}
     if len(shapes) != 1:
         return f"cohort sample shapes differ: {sorted(map(str, shapes))}"
-    dtypes = {str(array.dtype) for array in arrays}
-    if len(dtypes) != 1:
-        return f"cohort data dtypes differ: {sorted(dtypes)}"
     return None
 
 

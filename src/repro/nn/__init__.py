@@ -20,7 +20,7 @@ from .layers import (
     Sequential,
 )
 from .module import Module, Parameter
-from .optim import SGD, Optimizer, clip_grad_norm
+from .optim import SGD, Optimizer
 from .vmap import StackedModel, VmapUnsupported, stack_modules
 from .serialization import load_state_dict, save_state_dict
 from .tensor import Tensor, ensure_tensor, is_grad_enabled, no_grad
@@ -49,7 +49,6 @@ __all__ = [
     "stack_modules",
     "Optimizer",
     "SGD",
-    "clip_grad_norm",
     "save_state_dict",
     "load_state_dict",
 ]

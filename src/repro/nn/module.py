@@ -71,15 +71,10 @@ class Module:
         object.__setattr__(self, name, self._buffers[name])
 
     def _set_buffer(self, name: str, value: np.ndarray) -> None:
-        """Overwrite a registered buffer, keeping attribute and dict in sync.
-
-        The new value is cast to the buffer's *current* dtype, so a module
-        moved to float32 via :meth:`astype` stays float32 through state
-        loads while the float64 default is untouched bit for bit.
-        """
+        """Overwrite a registered buffer, keeping attribute and dict in sync."""
         if name not in self._buffers:
             raise KeyError(f"no buffer named {name!r}")
-        self._buffers[name] = np.asarray(value, dtype=self._buffers[name].dtype)
+        self._buffers[name] = np.asarray(value, dtype=np.float64)
         object.__setattr__(self, name, self._buffers[name])
 
     # ------------------------------------------------------------------
@@ -125,44 +120,6 @@ class Module:
     def eval(self) -> "Module":
         return self.train(False)
 
-    # ------------------------------------------------------------------
-    # Dtype
-    # ------------------------------------------------------------------
-    @property
-    def dtype(self) -> np.dtype:
-        """The floating dtype of the module's parameters (float64 unless
-        moved with :meth:`astype`)."""
-        for _, param in self.named_parameters():
-            return param.data.dtype
-        return np.dtype(np.float64)
-
-    def astype(self, dtype) -> "Module":
-        """Cast every parameter, gradient and floating buffer in place.
-
-        Lets models follow :class:`~repro.data.dataset.ArrayDataset`'s
-        opt-in ``dtype``: a float32 dataset trains a float32 model, so the
-        im2col/matmul hot path stays in float32 instead of upcasting at
-        the first parameter contraction.  Optimizer state follows
-        automatically — momentum accumulators are built with
-        ``zeros_like(param.data)`` on first use — and
-        :meth:`load_state_dict` / :meth:`_set_buffer` preserve the cast
-        across state loads.  Integer buffers (step counters and the like)
-        are left alone.
-        """
-        dtype = np.dtype(dtype)
-        if not np.issubdtype(dtype, np.floating):
-            raise ValueError(f"astype needs a floating dtype, got {dtype}")
-        for module in self.modules():
-            for param in module._parameters.values():
-                param.data = param.data.astype(dtype, copy=False)
-                if param.grad is not None:
-                    param.grad = param.grad.astype(dtype, copy=False)
-            for name, buf in module._buffers.items():
-                if np.issubdtype(buf.dtype, np.floating):
-                    module._buffers[name] = buf.astype(dtype, copy=False)
-                    object.__setattr__(module, name, module._buffers[name])
-        return self
-
     def zero_grad(self) -> None:
         for param in self.parameters():
             param.zero_grad()
@@ -197,10 +154,7 @@ class Module:
 
         for name, value in state.items():
             if name in params:
-                # Cast to the parameter's current dtype: float64 models
-                # load exactly as before, float32 models (astype) stay
-                # float32 through broadcast/aggregate round-trips.
-                value = np.asarray(value, dtype=params[name].data.dtype)
+                value = np.asarray(value, dtype=np.float64)
                 if params[name].data.shape != value.shape:
                     raise ValueError(
                         f"shape mismatch for {name!r}: "

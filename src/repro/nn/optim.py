@@ -1,4 +1,4 @@
-"""The optimizer: SGD, plus the base class and gradient clipping.
+"""The optimizer: SGD and its base class.
 
 The paper trains with SGD (learning rate 0.001, momentum 0.9, Section
 IV-A); B2's Fisher-preconditioned step
@@ -109,33 +109,3 @@ class SGD(Optimizer):
             np.multiply(grad, self.lr, out=update)
             param.data -= update
 
-
-def clip_grad_norm(
-    parameters: Iterable[Parameter], max_norm: float, stack: Optional[int] = None
-):
-    """Clip gradients in place so their global L2 norm is at most ``max_norm``.
-
-    ``stack=K`` says the gradients carry a leading stack axis of K
-    independent models: each slice is clipped against its own global
-    norm, bit for bit what that model's lone clip does — a slice's
-    squared sum is one contiguous row reduction (the same pairwise
-    summation tree as the full-array sum), the per-parameter sums add up
-    as python floats in parameter order, and only a slice over
-    ``max_norm`` is scaled.  Returns the pre-clip norm (``stack=None``)
-    or the list of per-slice pre-clip norms.
-    """
-    if not (math.isfinite(max_norm) and max_norm > 0):
-        raise ValueError(f"max_norm must be positive and finite, got {max_norm}")
-    params = [p for p in parameters if p.grad is not None]
-    rows = 1 if stack is None else stack
-    sums = [(p.grad ** 2).reshape(rows, -1).sum(axis=1) for p in params]
-    totals: List[float] = []
-    for index in range(rows):
-        total = float(np.sqrt(sum(float(row[index]) for row in sums)))
-        totals.append(total)
-        if total > max_norm and total > 0:
-            scale = max_norm / total
-            for param in params:
-                grad = param.grad if stack is None else param.grad[index]
-                grad *= scale
-    return totals[0] if stack is None else totals

@@ -16,8 +16,8 @@ The design mirrors the familiar PyTorch semantics at a much smaller scale:
 * :func:`no_grad` disables graph construction for inference-only code.
 
 **Gradient ownership.**  ``Tensor.grad`` is always an array the tensor
-alone owns: ``+=`` on the second accumulation, ``clip_grad_norm`` and the
-optimizers write into it.  A backward closure is therefore one of two
+alone owns: ``+=`` on the second accumulation and the optimizers write
+into it.  A backward closure is therefore one of two
 kinds, decided where it is written.  A *fresh* closure has just computed
 its gradient array and keeps no other reference (``grad * mask``, a GEMM
 result, a zero-filled scatter buffer): it calls
@@ -28,12 +28,11 @@ a view of it (``__add__`` when nothing was broadcast, ``reshape``,
 ``_accumulate(array)`` and gets the defensive copy, because two tensors
 must never share a buffer.  Adoption
 further requires the array to be writeable, of the tensor's dtype **and
-C-contiguous**: reductions such as ``clip_grad_norm``'s sum of squares run
-in memory order, so a strided gradient (a lone linear layer's
-``swapaxes`` weight gradient, ``_col2im``'s channel-major ``dx``) would
-change the last bit of a clipped step; such arrays keep the copy, which
-also makes them contiguous (as does the cast of a gradient of another
-dtype), so every ``.grad`` is C-contiguous.
+C-contiguous**, so every ``.grad`` is C-contiguous and a reduction over
+it runs in one memory order whichever closure made it: a strided
+gradient (a lone linear layer's ``swapaxes`` weight gradient,
+``_col2im``'s channel-major ``dx``) keeps the copy, which makes it
+contiguous (as does the cast of a gradient of another dtype).
 ``tests/nn/test_autograd_ownership.py`` checks the classification against
 an always-copy engine on generated graphs.
 
@@ -278,7 +277,8 @@ class Tensor:
     # ------------------------------------------------------------------
     def _operand(self, other: ArrayLike) -> "Tensor":
         """``other`` as a tensor; a Python scalar beside a floating tensor
-        takes that tensor's dtype, so ``x + eps`` keeps float32 float32."""
+        takes that tensor's dtype, so the scalar never promotes the result
+        (an ``int`` alone would become an ``int64`` array)."""
         if isinstance(other, (int, float)) and self.data.dtype.kind == "f":
             return Tensor(np.asarray(other, dtype=self.data.dtype))
         return ensure_tensor(other)

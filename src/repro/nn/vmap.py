@@ -18,7 +18,7 @@ generated chains of the stackable layers.
 A module is stackable when its class says so (``stackable = True``,
 declared on the class itself) and the K members agree: same classes and
 attribute names at every node, equal plain-valued attributes and no
-other per-member state, one dtype, no buffers.  Anything else —
+other per-member state, no buffers.  Anything else —
 ``BatchNorm2d`` (its batch statistics and running buffers are inherently
 per-replica state the stack would have to fork), custom forwards — raises
 :class:`VmapUnsupported`, which the federation layer turns into a
@@ -26,10 +26,9 @@ per-client fallback with a recorded reason.  Only a ragged step's
 true-row GEMMs (:func:`~repro.nn.functional._ragged_linear`) are not the
 lone layer's kernel call.
 
-Losses, SGD and gradient clipping have no stacked twins: the hard losses
-of :mod:`repro.nn.losses` take ``(K, N, classes)`` logits as they are,
-:class:`~repro.nn.optim.SGD` is elementwise, and
-:func:`~repro.nn.optim.clip_grad_norm` takes the stack size.
+Losses and SGD have no stacked twins: the hard losses of
+:mod:`repro.nn.losses` take ``(K, N, classes)`` logits as they are, and
+:class:`~repro.nn.optim.SGD` is elementwise.
 """
 
 from __future__ import annotations
@@ -49,19 +48,6 @@ from .tensor import Tensor
 
 class VmapUnsupported(ValueError):
     """The module structure cannot be stacked; carries the human reason."""
-
-
-def _stacked_parameter(arrays: List[np.ndarray]) -> Parameter:
-    """A Parameter holding ``stack(arrays)`` in the slices' own dtype.
-
-    ``Parameter.__init__`` casts to float64; stacked cohorts must keep
-    the cohort's dtype (float32 datasets train float32 models), so the
-    stacked data is assigned directly after construction.
-    """
-    stacked = np.stack(arrays, axis=0)
-    param = Parameter(np.zeros((), dtype=np.float64))
-    param.data = stacked
-    return param
 
 
 #: (stacked parameter, the K member parameters it was stacked from)
@@ -169,7 +155,7 @@ def _stack(members: List[Module], owners: _Owners) -> Module:
         if len({isinstance(v, (Parameter, Module)) for v in values}) != 1:
             raise VmapUnsupported(f"cohort {cls.__name__} {name} presence differs")
         if isinstance(value, Parameter):
-            value = _stacked_parameter([v.data for v in values])
+            value = Parameter(np.stack([v.data for v in values]))
             owners.append((value, values))
         elif isinstance(value, Module):
             value = _stack(values, owners)
@@ -193,9 +179,6 @@ def stack_modules(models: List[Module]) -> StackedModel:
     """
     if not models:
         raise ValueError("stack_modules needs at least one model")
-    dtypes = {model.dtype for model in models}
-    if len(dtypes) != 1:
-        raise VmapUnsupported(f"cohort models differ in dtype: {sorted(map(str, dtypes))}")
     for model in models:
         for name, _ in model.named_buffers():
             raise VmapUnsupported(

@@ -22,7 +22,6 @@ class TrainConfig:
     learning_rate: float = 0.001
     momentum: float = 0.9
     weight_decay: float = 0.0
-    grad_clip: float = 0.0  # 0 disables clipping
     loss: str = "cross_entropy"
 
     def __post_init__(self) -> None:
@@ -36,7 +35,7 @@ class TrainConfig:
         if self.batch_size <= 0:
             raise ValueError(f"batch_size must be positive, got {self.batch_size}")
         # NaN passes every range check, so finiteness is checked first.
-        for name in ("learning_rate", "momentum", "weight_decay", "grad_clip"):
+        for name in ("learning_rate", "momentum", "weight_decay"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.learning_rate <= 0:
@@ -45,8 +44,6 @@ class TrainConfig:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
         if self.weight_decay < 0:
             raise ValueError(f"weight_decay must be non-negative, got {self.weight_decay}")
-        if self.grad_clip < 0:
-            raise ValueError(f"grad_clip must be non-negative, got {self.grad_clip}")
 
     def with_overrides(self, **kwargs) -> "TrainConfig":
         """Return a copy with the given fields replaced."""

@@ -24,7 +24,7 @@ from ..data.loader import DataLoader
 from ..nn import Tensor
 from ..nn.losses import get_hard_loss
 from ..nn.module import Module
-from ..nn.optim import SGD, Optimizer, clip_grad_norm
+from ..nn.optim import SGD, Optimizer
 from .config import EpochStats, TrainConfig, TrainHistory
 
 
@@ -36,21 +36,6 @@ def make_optimizer(model: Module, config: TrainConfig) -> SGD:
         momentum=config.momentum,
         weight_decay=config.weight_decay,
     )
-
-
-def follow_dataset_dtype(model: Module, dataset: ArrayDataset) -> None:
-    """Cast ``model`` in place to a floating dataset's dtype.
-
-    Parameters (and, through ``zeros_like``, optimizer state) follow the
-    data, so a float32 ``ArrayDataset`` trains a float32 model end to end
-    instead of upcasting at the first parameter matmul.  :func:`train`,
-    the vectorized cohort and Goldfish's student and teacher all make
-    this one call.
-    The float64 default is a no-op, bit-identical to the historical path.
-    """
-    data_dtype = np.asarray(dataset.images).dtype
-    if np.issubdtype(data_dtype, np.floating) and model.dtype != data_dtype:
-        model.astype(data_dtype)
 
 
 def run_epochs(
@@ -76,10 +61,9 @@ def run_epochs(
     cohort the K-form's batch — ``(K, B, ...)`` arrays gathered in one
     indexing op per step, or per-member lists at a ragged final step.
     The step owns the graph, the loop everything around it: zero-grad,
-    then backward → clip → step under the whole :class:`TrainConfig`.
-    ``stack`` is the stack size of the optimizer's parameters when they
-    carry a stack axis (:func:`~repro.nn.optim.clip_grad_norm` clips per
-    slice).
+    then backward → step under the whole :class:`TrainConfig`.
+    ``stack`` is the cohort's size (the K-form loader serves it), or
+    ``None`` for one member.
     ``epoch_callback`` sees the first member's mean loss; stopping on it
     is a lone-member feature, a cohort passes none.
     """
@@ -96,8 +80,6 @@ def run_epochs(
             optimizer.zero_grad()
             objective, losses = step(batch)
             objective.backward()
-            if config.grad_clip:
-                clip_grad_norm(optimizer.parameters, config.grad_clip, stack)
             optimizer.step()
             for index, loss in enumerate(losses):
                 totals[index] += loss
@@ -137,7 +119,6 @@ def train(
     -------
     TrainHistory with one entry per completed epoch.
     """
-    follow_dataset_dtype(model, dataset)
     loss_fn = get_hard_loss(config.loss)
     optimizer = optimizer if optimizer is not None else make_optimizer(model, config)
     model.train()

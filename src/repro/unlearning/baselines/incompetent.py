@@ -32,7 +32,7 @@ from ...nn.losses import distillation_loss
 from ...nn.module import Module
 from ...training.config import TrainConfig, TrainHistory
 from ...training.evaluation import predict_logits
-from ...training.trainer import follow_dataset_dtype, make_optimizer, run_epochs
+from ...training.trainer import make_optimizer, run_epochs
 from ..goldfish import _ForgetBatchCycler
 
 
@@ -84,12 +84,8 @@ class IncompetentTeacherUnlearner:
             raise ValueError("B3 needs a non-empty forget set to unlearn")
         start = time.perf_counter()
         config = self.config
-        # The student and both teachers follow the data's dtype, as in
-        # ``train`` and Goldfish.  Both teachers are frozen: one inference
-        # pass each, indexed per step.
-        follow_dataset_dtype(student, retain_set)
-        follow_dataset_dtype(competent_teacher, retain_set)
-        follow_dataset_dtype(incompetent_teacher, forget_set)
+        # Both teachers are frozen: one inference pass each, indexed per
+        # step.
         competent_logits = predict_logits(competent_teacher, retain_set.images)
         incompetent_logits = predict_logits(incompetent_teacher, forget_set.images)
         student.train()

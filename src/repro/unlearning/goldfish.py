@@ -51,7 +51,7 @@ from ..nn.losses import cross_entropy
 from ..nn.module import Module
 from ..training.config import TrainConfig, TrainHistory
 from ..training.evaluation import predict_logits
-from ..training.trainer import follow_dataset_dtype, make_optimizer, run_epochs
+from ..training.trainer import make_optimizer, run_epochs
 from .early_stop import EarlyStopConfig, ExcessRiskStopper
 from .losses import GoldfishLoss, GoldfishLossConfig
 from .temperature import adaptive_temperature
@@ -123,7 +123,6 @@ def teacher_logits_on(
     if teacher_logits is None:
         if teacher is None:
             raise ValueError("need the teacher or its logits on the retain set")
-        follow_dataset_dtype(teacher, retain_set)
         return predict_logits(teacher, retain_set.images)
     if len(teacher_logits) != len(retain_set):
         raise ValueError(
@@ -177,7 +176,6 @@ class GoldfishUnlearner:
         """
         start = time.perf_counter()
         config = self.config
-        follow_dataset_dtype(student, retain_set)
         num_forget = len(forget_set) if forget_set is not None else 0
         temperature = self._resolve_temperature(len(retain_set), num_forget)
         loss_fn = GoldfishLoss(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.data import ArrayDataset, DataLoader
+from repro.data import DataLoader
 from repro.training import TrainConfig
 
 from ..conftest import make_blobs
@@ -93,10 +93,10 @@ class TestValidation:
         with pytest.raises(ValueError, match="step counts"):
             DataLoader(members, batch_size=4)
 
-    def test_rejects_unequal_sample_dtypes(self):
-        ds = make_blobs(num_samples=8)
-        members = [ds, ArrayDataset(ds.images, ds.labels, ds.num_classes, dtype=np.float32)]
-        with pytest.raises(ValueError, match="dtype"):
+    def test_rejects_unequal_sample_shapes(self):
+        members = [make_blobs(num_samples=8, shape=(1, 4, 4)),
+                   make_blobs(num_samples=8, shape=(1, 2, 8))]
+        with pytest.raises(ValueError, match="sample shape"):
             DataLoader(members, batch_size=4)
 
     def test_k_form_needs_one_generator_per_member(self):

@@ -8,9 +8,7 @@ from repro.data import (
     make_federated,
     partition_heterogeneous,
     partition_iid,
-    partition_label_skewed,
     partition_shards,
-    partition_size_skewed,
 )
 
 from ..conftest import make_blobs
@@ -24,12 +22,7 @@ def assert_exact_partition(parts, total):
     assert merged.min() == 0 and merged.max() == total - 1
 
 
-PARTITIONERS = [
-    partition_iid,
-    partition_size_skewed,
-    partition_label_skewed,
-    partition_heterogeneous,
-]
+PARTITIONERS = [partition_iid, partition_heterogeneous]
 
 
 class TestPartitionInvariants:
@@ -60,48 +53,6 @@ class TestIID:
         parts = partition_iid(ds, 3, rng)
         sizes = [len(p) for p in parts]
         assert max(sizes) - min(sizes) <= 1
-
-
-class TestSizeSkew:
-    def test_sizes_vary_more_than_iid(self, rng):
-        ds = make_blobs(num_samples=300, num_classes=3)
-        skew = partition_size_skewed(ds, 5, rng)
-        sizes = np.array([len(p) for p in skew])
-        assert sizes.std() > 5  # IID would be ~0
-
-    def test_min_per_client_respected(self, rng):
-        ds = make_blobs(num_samples=100)
-        parts = partition_size_skewed(ds, 5, rng, min_per_client=3)
-        assert all(len(p) >= 3 for p in parts)
-
-    def test_min_per_client_too_large(self, rng):
-        ds = make_blobs(num_samples=10)
-        with pytest.raises(ValueError):
-            partition_size_skewed(ds, 5, rng, min_per_client=100)
-
-
-class TestLabelSkew:
-    def test_alpha_controls_concentration(self):
-        ds = make_blobs(num_samples=500, num_classes=5)
-
-        def concentration(alpha, seed):
-            rng = np.random.default_rng(seed)
-            parts = partition_label_skewed(ds, 5, rng, alpha=alpha)
-            # Mean per-client entropy of label distribution (low = skewed)
-            entropies = []
-            for p in parts:
-                counts = np.bincount(ds.labels[p], minlength=5) + 1e-12
-                probs = counts / counts.sum()
-                entropies.append(-(probs * np.log(probs)).sum())
-            return np.mean(entropies)
-
-        skewed = np.mean([concentration(0.1, s) for s in range(3)])
-        uniform = np.mean([concentration(100.0, s) for s in range(3)])
-        assert skewed < uniform
-
-    def test_invalid_alpha(self, rng):
-        with pytest.raises(ValueError):
-            partition_label_skewed(make_blobs(), 2, rng, alpha=0.0)
 
 
 class TestHeterogeneous:
@@ -143,11 +94,15 @@ class TestMakeFederated:
         with pytest.raises(ValueError):
             make_federated(make_blobs(), make_blobs(), 2, rng, strategy="magic")
 
-    def test_strategy_kwargs_forwarded(self, rng):
+    @pytest.mark.parametrize("strategy", ["iid", "heterogeneous"])
+    def test_strategy_selects_the_partitioner(self, strategy):
         train = make_blobs(num_samples=100)
-        fed = make_federated(train, make_blobs(), 4, rng,
-                             strategy="label_skewed", alpha=0.2)
-        assert fed.num_clients == 4
+        fed = make_federated(train, make_blobs(), 4, np.random.default_rng(3),
+                             strategy=strategy)
+        partitioner = {"iid": partition_iid, "heterogeneous": partition_heterogeneous}
+        parts = partitioner[strategy](train, 4, np.random.default_rng(3))
+        for client, part in zip(fed.client_datasets, parts):
+            np.testing.assert_array_equal(client.labels, train.labels[part])
 
 
 @settings(max_examples=30, deadline=None)

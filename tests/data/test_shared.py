@@ -1,11 +1,10 @@
-"""Shared-memory datasets and the opt-in dtype.
+"""Shared-memory datasets.
 
 The contract of :meth:`ArrayDataset.share`: in-process behaviour is
 indistinguishable from the plain dataset (training is bit-identical),
 but pickling transports a by-reference handle whose size is independent
 of the data — the property the pooling backend's zero-copy fan-out rests
-on.  The ``dtype`` option must default to float64 (legacy-exact) and
-survive every derivation.
+on.  Images are float64, shared or not.
 """
 
 import pickle
@@ -25,56 +24,16 @@ FACTORY = RegistryModelFactory(name="mlp", num_classes=3, in_channels=1, image_s
 CONFIG = TrainConfig(epochs=2, batch_size=8, learning_rate=0.05)
 
 
-class TestDtypeOption:
+class TestImagesAreFloat64:
     def test_default_stays_float64(self):
         dataset = make_blobs(num_samples=12, shape=(1, 4, 4))
         assert dataset.images.dtype == np.float64
-
-    def test_float32_opt_in(self):
-        rng = np.random.default_rng(0)
-        dataset = ArrayDataset(
-            images=rng.normal(size=(12, 1, 4, 4)),
-            labels=np.arange(12) % 3,
-            num_classes=3,
-            dtype=np.float32,
+        cast = ArrayDataset(
+            images=dataset.images.astype(np.float32),
+            labels=dataset.labels,
+            num_classes=dataset.num_classes,
         )
-        assert dataset.images.dtype == np.float32
-
-    def test_dtype_survives_derivations(self):
-        rng = np.random.default_rng(0)
-        dataset = ArrayDataset(
-            images=rng.normal(size=(12, 1, 4, 4)),
-            labels=np.arange(12) % 3,
-            num_classes=3,
-            dtype=np.float32,
-        )
-        assert dataset.subset(range(6)).images.dtype == np.float32
-        assert dataset.remove(range(6)).images.dtype == np.float32
-        assert dataset.concat(dataset).images.dtype == np.float32
-        assert dataset.shuffled(rng).images.dtype == np.float32
-        selected, remainder = dataset.split(range(3))
-        assert selected.images.dtype == np.float32
-        assert remainder.images.dtype == np.float32
-
-    def test_non_float_dtype_rejected(self):
-        with pytest.raises(ValueError, match="floating"):
-            ArrayDataset(
-                images=np.zeros((3, 1, 2, 2)),
-                labels=np.zeros(3, dtype=np.int64),
-                num_classes=1,
-                dtype=np.int32,
-            )
-
-    def test_float32_trains(self):
-        dataset = ArrayDataset(
-            images=make_blobs(num_samples=24, shape=(1, 4, 4)).images,
-            labels=np.arange(24) % 3,
-            num_classes=3,
-            dtype=np.float32,
-        )
-        model = FACTORY()
-        history = train(model, dataset, CONFIG, np.random.default_rng(0))
-        assert len(history) == CONFIG.epochs
+        assert cast.images.dtype == np.float64
 
 
 class TestKeepIndices:
@@ -154,22 +113,22 @@ class TestSharedArrayDataset:
 
     def test_dtype_preserved_through_share(self):
         rng = np.random.default_rng(0)
-        dataset = ArrayDataset(
-            images=rng.normal(size=(12, 1, 4, 4)),
-            labels=np.arange(12) % 3,
-            num_classes=3,
-            dtype=np.float32,
-        )
-        shared = dataset.share()
-        try:
-            assert shared.images.dtype == np.float32
-            restored = pickle.loads(pickle.dumps(shared))
+        images = rng.normal(size=(12, 1, 4, 4)).astype(np.float32)
+        labels = np.arange(12) % 3
+        for shared in (
+            ArrayDataset(images=images, labels=labels, num_classes=3).share(),
+            SharedArrayDataset.from_arrays(images, labels, 3),
+        ):
             try:
-                assert restored.images.dtype == np.float32
+                assert shared.images.dtype == np.float64
+                restored = pickle.loads(pickle.dumps(shared))
+                try:
+                    assert restored.images.dtype == np.float64
+                    np.testing.assert_array_equal(restored.images, shared.images)
+                finally:
+                    restored.close()
             finally:
-                restored.close()
-        finally:
-            shared.close()
+                shared.close()
 
     def test_training_is_bit_identical_on_shared_data(self):
         dataset = make_blobs(num_samples=24, shape=(1, 4, 4))

@@ -110,23 +110,27 @@ class TestFig8and9:
         assert "adaptive_3clients" in result.series
         assert len(result.rows) == 2
 
-    def test_fig9_spec_partition_options_reach_the_partitioner(self):
-        # A derived spec's partition option is honoured (here: rejected),
-        # not dropped.
+    def test_fig9_spec_partition_strategy_reaches_the_partitioner(self, monkeypatch):
+        # A derived spec's partition strategy is honoured, not dropped.
         from dataclasses import replace
 
+        from repro.data import partition
         from repro.experiments import runner
         from repro.experiments.spec import PartitionSpec
 
+        def partitioner(*args):
+            raise RuntimeError("heterogeneous partitioner called")
+
+        monkeypatch.setattr(partition, "partition_heterogeneous", partitioner)
         exp = ex.fig9_iid.spec_for("mnist")
         skewed = replace(
             exp,
             scenario=replace(
                 exp.scenario,
-                partition=PartitionSpec(strategy="label_skewed", options={"alpha": -1.0}),
+                partition=PartitionSpec(strategy="heterogeneous"),
             ),
         )
-        with pytest.raises(ValueError, match="alpha must be positive"):
+        with pytest.raises(RuntimeError, match="heterogeneous partitioner called"):
             runner.run_aggregation_iid(
                 skewed, MICRO, num_rounds=1,
                 aggregators=ex.fig8_heterogeneous.AGGREGATORS,

@@ -28,7 +28,7 @@ TINY = SMOKE.with_overrides(
 def _full_spec() -> ScenarioSpec:
     return ScenarioSpec(
         dataset=DatasetSpec(name="fmnist", train_size=200, test_size=80),
-        partition=PartitionSpec(strategy="label_skewed", options={"alpha": 0.3}),
+        partition=PartitionSpec(strategy="iid"),
         attack=AttackSpec(kind="backdoor", trigger_size=5, trigger_value=4.0,
                           target_label=2),
         deletion=DeletionSpec(rate=0.04, client_id=1),
@@ -46,7 +46,7 @@ class TestFields:
         "cls, names",
         [
             (DatasetSpec, ["name", "train_size", "test_size"]),
-            (PartitionSpec, ["strategy", "options"]),
+            (PartitionSpec, ["strategy"]),
             (AttackSpec, ["kind", "trigger_size", "trigger_value",
                           "trigger_corner", "target_label"]),
             (DeletionSpec, ["rate", "client_id"]),
@@ -140,6 +140,17 @@ class TestBuilder:
             clients[1].forget_indices, scenario.poison_indices
         )
         assert not any(clients[i].has_pending_deletion for i in (0, 2, 3))
+
+    def test_partition_strategy_reaches_the_partitioner(self, monkeypatch):
+        from repro.data import partition
+
+        def partitioner(*args):
+            raise RuntimeError("heterogeneous partitioner called")
+
+        monkeypatch.setattr(partition, "partition_heterogeneous", partitioner)
+        spec = replace(_full_spec(), partition=PartitionSpec(strategy="heterogeneous"))
+        with pytest.raises(RuntimeError, match="heterogeneous partitioner called"):
+            build_scenario(spec, TINY, seed=1)
 
     def test_spec_sizes_override_the_scale(self):
         scenario = build_scenario(_full_spec(), TINY, seed=1)

@@ -1,8 +1,8 @@
 """Property tests: the vectorize=True contract over sampled cohorts.
 
 For any sampled cohort shape (member count, member dataset sizes),
-train config (batch size, epochs, momentum, grad_clip, hard loss),
-architecture, and data dtype, turning ``vectorize=True`` on must NEVER
+train config (batch size, epochs, momentum, hard loss) and
+architecture, turning ``vectorize=True`` on must NEVER
 raise and must leave every observable bit-identical to the per-client
 twin.  When the cohort is ineligible the round falls back per client
 **with a recorded reason** — fallbacks are allowed, silent or crashing
@@ -22,7 +22,6 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 
 from repro.data import FederatedDataset  # noqa: E402
-from repro.data.dataset import ArrayDataset  # noqa: E402
 from repro.federated import (  # noqa: E402
     FedAvgAggregator,
     FederatedSimulation,
@@ -56,10 +55,8 @@ cohorts = st.fixed_dictionaries(
         "batch_size": st.sampled_from([4, 8, 10]),
         "epochs": st.integers(1, 2),
         "momentum": st.sampled_from([0.0, 0.9]),
-        "grad_clip": st.sampled_from([0.0, 1.0]),
         "loss": st.sampled_from(sorted(HARD_LOSSES)),
         "arch": st.sampled_from(sorted(FACTORIES)),
-        "dtype": st.sampled_from(["float64", "float32", "mixed"]),
     }
 )
 
@@ -71,26 +68,13 @@ def build_cohort(params):
     ds = make_blobs(num_samples=total, num_classes=3, shape=(1, 4, 4),
                     seed=3, separation=1.2, noise=1.0)
     clients, start = [], 0
-    for index, size in enumerate(sizes):
-        subset = ds.subset(np.arange(start, start + size))
-        if params["dtype"] == "float32" or (
-            params["dtype"] == "mixed" and index == 0
-        ):
-            subset = ArrayDataset(
-                images=subset.images, labels=subset.labels,
-                num_classes=subset.num_classes, name=subset.name,
-                dtype=np.float32,
-            )
-        clients.append(subset)
+    for size in sizes:
+        clients.append(ds.subset(np.arange(start, start + size)))
         start += size
     factory = FACTORIES[params["arch"]]
-    if params["dtype"] == "float32":
-        base = factory
-        factory = lambda: base().astype(np.float32)  # noqa: E731
     config = TrainConfig(
         epochs=params["epochs"], batch_size=params["batch_size"],
-        learning_rate=0.1, momentum=params["momentum"],
-        grad_clip=params["grad_clip"], loss=params["loss"],
+        learning_rate=0.1, momentum=params["momentum"], loss=params["loss"],
     )
     return factory, clients, ds.subset(np.arange(start, total)), config
 
@@ -134,9 +118,9 @@ def test_vectorize_is_parity_or_recorded_fallback(params):
 
 @st.composite
 def lockstep_cohorts(draw):
-    """Cohorts :class:`VectorizedCohort` accepts directly: one dtype,
-    equal step counts — ragged final batches only on the MLP (Conv2d
-    cannot take zero-padded rows)."""
+    """Cohorts :class:`VectorizedCohort` accepts directly: equal step
+    counts — ragged final batches only on the MLP (Conv2d cannot take
+    zero-padded rows)."""
     params = draw(cohorts)
     steps = draw(st.integers(1, 3))
     top = steps * params["batch_size"]
@@ -144,7 +128,6 @@ def lockstep_cohorts(draw):
     params["sizes"] = [
         draw(st.integers(low, top)) for _ in params["sizes"]
     ]
-    params["dtype"] = draw(st.sampled_from(["float64", "float32"]))
     return params
 
 

@@ -285,6 +285,40 @@ class TestPooling:
         np.testing.assert_allclose(out.data, x.mean(axis=(2, 3)))
 
 
+class TestKernelsPreserveDtype:
+    """conv2d (lone and stacked) / max_pool2d allocate their im2col, col2im
+    and mask buffers from the operands' dtype: float32 in, float32 out,
+    float32 gradients — whatever the stride and padding."""
+
+    @pytest.mark.parametrize("stride,padding", [(1, 0), (2, 1), (3, 2)])
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_conv_float32(self, stride, padding, stacked):
+        rng = np.random.default_rng(0)
+        lead = (2,) if stacked else ()
+        x = Tensor(rng.normal(size=lead + (3, 2, 7, 6)).astype(np.float32),
+                   requires_grad=True)
+        weight = Tensor(rng.normal(size=lead + (4, 2, 3, 2)).astype(np.float32),
+                        requires_grad=True)
+        bias = Tensor(rng.normal(size=lead + (4,)).astype(np.float32),
+                      requires_grad=True)
+        out = F.conv2d(x, weight, bias, stride=stride, padding=padding)
+        assert out.dtype == np.float32
+        out.backward(np.ones(out.shape, dtype=np.float32))
+        for tensor in (x, weight, bias):
+            assert tensor.grad.dtype == np.float32
+            assert tensor.grad.shape == tensor.shape
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_max_pool_float32(self, k):
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.normal(size=(2, 3, 4 * k, 2 * k)).astype(np.float32),
+                   requires_grad=True)
+        out = F.max_pool2d(x, k)
+        assert out.dtype == np.float32
+        out.backward(np.ones(out.shape, dtype=np.float32))
+        assert x.grad.dtype == np.float32
+
+
 class TestSoftmax:
     def test_log_softmax_matches_scipy_style(self, rng):
         x = rng.normal(size=(4, 5)) * 10

@@ -115,6 +115,16 @@ class TestStateDict:
         np.testing.assert_allclose(bn2.running_mean, bn.running_mean)
         np.testing.assert_allclose(bn2.running_var, bn.running_var)
 
+    def test_load_casts_payload_to_float64(self, rng):
+        """Parameters and buffers load as float64 whatever the payload's
+        floating dtype."""
+        for model in (Toy(rng), BatchNorm2d(2)):
+            state = {k: v.astype(np.float32) for k, v in model.state_dict().items()}
+            model.load_state_dict(state)
+            assert all(v.dtype == np.float64 for v in model.state_dict().values())
+            for _, buf in model.named_buffers():
+                assert buf.dtype == np.float64
+
     def test_set_unknown_buffer_raises(self):
         bn = BatchNorm2d(2)
         with pytest.raises(KeyError):

@@ -41,6 +41,22 @@ class TestArithmeticValues:
         np.testing.assert_allclose(Tensor(data).mean(axis=0).data, data.mean(axis=0))
 
 
+class TestScalarOperandsKeepDtype:
+    """A Python scalar beside a floating tensor is lifted in that tensor's
+    dtype: ``var + eps`` and ``sum / count`` (so ``Tensor.mean``) do not
+    promote a float32 tensor to float64; float64 stays float64."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_binary_ops_with_scalars(self, dtype):
+        x = Tensor(np.arange(1, 7, dtype=dtype).reshape(2, 3), requires_grad=True)
+        outs = [x + 1e-5, 2 + x, x - 0.5, 3 - x, x * 0.1, 2 * x, x / 3.0, 1.0 / x,
+                x.mean(), x.mean(axis=0), x.var(axis=1)]
+        for out in outs:
+            assert out.dtype == dtype
+        sum(out.sum() for out in outs).backward()
+        assert x.grad.dtype == dtype
+
+
 class TestEnsureTensor:
     def test_passthrough(self):
         t = Tensor([1.0])

@@ -50,9 +50,9 @@ def rngs(seed=0, count=K):
     return [np.random.default_rng(seed + i) for i in range(count)]
 
 
-def stacked_input(shape, seed=7, dtype=np.float64):
+def stacked_input(shape, seed=7):
     rng = np.random.default_rng(seed)
-    return rng.normal(0.0, 1.0, size=(K,) + shape).astype(dtype)
+    return rng.normal(0.0, 1.0, size=(K,) + shape)
 
 
 def assert_exact(a, b):
@@ -95,14 +95,6 @@ class TestStackedLinear:
         members = [Linear(5, 3, rng, bias=False) for rng in rngs()]
         stacked = stack_modules(members)
         forward_backward_parity(members, stacked, stacked_input((N, 5)))
-
-    def test_float32_stays_float32(self):
-        members = [Linear(5, 3, rng).astype(np.float32) for rng in rngs()]
-        stacked = stack_modules(members)
-        x = stacked_input((N, 5), dtype=np.float32)
-        out = stacked(Tensor(x))
-        assert out.data.dtype == np.float32
-        forward_backward_parity(members, stacked, x)
 
 
 class TestStackedConv2d:
@@ -252,12 +244,6 @@ class TestRejection:
         a = Linear(4, 3, np.random.default_rng(0))
         b = Linear(5, 3, np.random.default_rng(1))
         with pytest.raises(VmapUnsupported, match="in_features"):
-            stack_modules([a, b])
-
-    def test_dtype_mismatch_rejected(self):
-        a = Linear(4, 3, np.random.default_rng(0))
-        b = Linear(4, 3, np.random.default_rng(1)).astype(np.float32)
-        with pytest.raises(VmapUnsupported, match="dtype"):
             stack_modules([a, b])
 
     def test_stackable_reason_none_for_supported_model(self):
@@ -452,7 +438,7 @@ def chains(draw):
     return nest(specs, 0), sample_shape
 
 
-def build_chain(spec, seed, dtype):
+def build_chain(spec, seed):
     """One member: layers initialised from ``seed``'s generator, every
     parameter perturbed so no two members agree."""
     rng = np.random.default_rng(seed)
@@ -472,7 +458,7 @@ def build_chain(spec, seed, dtype):
     model = Sequential(*[make(item) for item in spec])
     for param in model.parameters():
         param.data = param.data + rng.normal(0.0, 0.1, size=param.shape)
-    return model.astype(dtype)
+    return model
 
 
 class TestSliceParityByGeneration:
@@ -486,21 +472,20 @@ class TestSliceParityByGeneration:
         chain=chains(),
         k_stack=st.integers(1, 5),
         width=st.integers(1, 4),
-        dtype=st.sampled_from([np.float32, np.float64]),
         ragged=st.booleans(),
         seed=st.integers(0, 2**16),
         data=st.data(),
     )
-    def test_slice_k_is_client_k(self, chain, k_stack, width, dtype, ragged, seed, data):
+    def test_slice_k_is_client_k(self, chain, k_stack, width, ragged, seed, data):
         spec, sample_shape = chain
-        members = [build_chain(spec, seed + k, dtype) for k in range(k_stack)]
-        twins = [build_chain(spec, seed + k, dtype) for k in range(k_stack)]
+        members = [build_chain(spec, seed + k) for k in range(k_stack)]
+        twins = [build_chain(spec, seed + k) for k in range(k_stack)]
         rows = [width] * k_stack
         if ragged and ragged_support_reason(members[0]) is None:  # the cohort gate's rule
             rows = data.draw(st.lists(st.integers(1, width), min_size=k_stack, max_size=k_stack))
             rows[data.draw(st.integers(0, k_stack - 1))] = width
         rng = np.random.default_rng(seed)
-        x = rng.normal(size=(k_stack, width) + sample_shape).astype(dtype)
+        x = rng.normal(size=(k_stack, width) + sample_shape)
         for k, count in enumerate(rows):
             x[k, count:] = 0.0
 
@@ -511,7 +496,7 @@ class TestSliceParityByGeneration:
         out = stacked(stacked_in)
         # What a ragged step's per-member losses send back: nothing into
         # the padded rows.
-        upstream = rng.normal(size=out.shape).astype(dtype)
+        upstream = rng.normal(size=out.shape)
         for k, count in enumerate(rows):
             upstream[k, count:] = 0.0
         out.backward(upstream)

@@ -5,10 +5,9 @@ and stacked), Goldfish's ``GoldfishUnlearner.unlearn`` and B3's
 ``IncompetentTeacherUnlearner.unlearn``, so "scalar equals stacked" no
 longer compares two implementations of the loop — only two graphs
 inside one.  These are the loops as they stood before
-those merges (the ``train``, ``GoldfishUnlearner.unlearn`` and
-``clip_grad_norm`` bodies, and B3's own epoch loop with the
-``apply_update`` it called, verbatim apart from the names they are bound
-to): one model, one loader, no members, no stack.  The parity
+those merges (the ``train`` and ``GoldfishUnlearner.unlearn`` bodies,
+and B3's own epoch loop with the ``apply_update`` it called, verbatim
+apart from the names they are bound to): one model, one loader, no members, no stack.  The parity
 properties compare the library against them bit for bit, so a change to
 the shared loop that moves a trajectory fails here even when every
 caller moves together.  :func:`reference_lockstep_epochs` is the
@@ -23,15 +22,13 @@ import time
 from dataclasses import replace
 from typing import Optional
 
-import numpy as np
-
 from repro.data.loader import DataLoader
 from repro.nn import Tensor
 from repro.nn.losses import cross_entropy, distillation_loss, get_hard_loss
 from repro.nn.optim import SGD
 from repro.training.config import EpochStats, TrainHistory
 from repro.training.evaluation import predict_logits
-from repro.training.trainer import follow_dataset_dtype, make_optimizer
+from repro.training.trainer import make_optimizer
 from repro.unlearning.baselines.incompetent import IncompetentTeacherResult
 from repro.unlearning.early_stop import ExcessRiskStopper
 from repro.unlearning.goldfish import (
@@ -43,24 +40,9 @@ from repro.unlearning.losses import GoldfishLoss
 from repro.unlearning.temperature import adaptive_temperature
 
 
-def clip_grad_norm(parameters, max_norm):
-    """One model's clip as it stood before it learned about stack axes."""
-    if max_norm <= 0:
-        raise ValueError(f"max_norm must be positive, got {max_norm}")
-    params = [p for p in parameters if p.grad is not None]
-    total = float(np.sqrt(sum(float((p.grad ** 2).sum()) for p in params)))
-    if total > max_norm and total > 0:
-        scale = max_norm / total
-        for param in params:
-            param.grad *= scale
-    return total
-
-
-def apply_update(objective, optimizer, config):
-    """The backward → clip → step helper B3's loop called, for one model."""
+def apply_update(objective, optimizer):
+    """The backward → step helper B3's loop called, for one model."""
     objective.backward()
-    if config.grad_clip:
-        clip_grad_norm(optimizer.parameters, config.grad_clip)
     optimizer.step()
 
 
@@ -79,7 +61,6 @@ def reference_lockstep_epochs(datasets, rngs, config):
 def reference_train(model, dataset, config, rng, optimizer=None, epoch_callback=None):
     if len(dataset) == 0:
         raise ValueError("cannot train on an empty dataset")
-    follow_dataset_dtype(model, dataset)
     loss_fn = get_hard_loss(config.loss)
     optimizer = optimizer if optimizer is not None else make_optimizer(model, config)
     loader = DataLoader(dataset, batch_size=config.batch_size, shuffle=True, rng=rng)
@@ -93,8 +74,6 @@ def reference_train(model, dataset, config, rng, optimizer=None, epoch_callback=
             optimizer.zero_grad()
             loss = loss_fn(model(Tensor(images)), labels)
             loss.backward()
-            if config.grad_clip:
-                clip_grad_norm(optimizer.parameters, config.grad_clip)
             optimizer.step()
             total_loss += loss.item()
             num_batches += 1
@@ -108,7 +87,6 @@ def reference_train(model, dataset, config, rng, optimizer=None, epoch_callback=
 def reference_unlearn(config, student, teacher, retain_set, forget_set, rng,
                       teacher_logits=None):
     start = time.perf_counter()
-    follow_dataset_dtype(student, retain_set)
     num_forget = len(forget_set) if forget_set is not None else 0
     temperature = config.loss.temperature
     if config.adaptive_temperature:
@@ -166,8 +144,6 @@ def reference_unlearn(config, student, teacher, retain_set, forget_set, rng,
                 labels_forget=labels_forget,
             )
             loss.backward()
-            if config.train.grad_clip:
-                clip_grad_norm(optimizer.parameters, config.train.grad_clip)
             optimizer.step()
             # Track the retain-side hard loss: that is the quantity
             # Eq. 7 compares against the previous global model.
@@ -221,7 +197,7 @@ def reference_incompetent_unlearn(config, student, competent_teacher,
                 temperature=config.temperature,
             )
 
-            apply_update(loss, optimizer, config.train)
+            apply_update(loss, optimizer)
             total += loss.item()
             batches += 1
         history.record(

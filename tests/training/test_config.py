@@ -30,7 +30,6 @@ class TestTrainConfig:
         {"momentum": 1.0},
         {"momentum": -0.1},
         {"weight_decay": -1.0},
-        {"grad_clip": -1.0},
         {"batch_size": 2.5},
         {"batch_size": float("inf")},
         {"batch_size": True},

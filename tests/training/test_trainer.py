@@ -65,13 +65,6 @@ class TestTrain:
                                     loss="focal"), rng)
         assert len(history) == 2
 
-    def test_grad_clip_path(self, rng):
-        ds = make_blobs(num_samples=30, shape=(1, 4, 4))
-        history = train(fresh_model(), ds,
-                        TrainConfig(epochs=2, batch_size=10, learning_rate=0.1,
-                                    grad_clip=0.5), rng)
-        assert len(history) == 2
-
     def test_deterministic_given_seed(self):
         ds = make_blobs(num_samples=40, shape=(1, 4, 4))
         results = []

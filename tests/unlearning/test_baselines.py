@@ -147,12 +147,11 @@ class TestB3IncompetentTeacher:
                 factory(42), teacher, factory(99), sets["retain"], sets["forget"], rng
             )
 
-    def test_honours_weight_decay_and_grad_clip(self):
+    def test_honours_weight_decay(self):
         """B3 trains under its whole ``TrainConfig``, like ``train`` and
-        Goldfish: it once built a bare ``SGD(lr, momentum)`` and never
-        clipped, silently dropping both knobs."""
+        Goldfish: it once built a bare ``SGD(lr, momentum)``, silently
+        dropping the weight decay."""
         teacher, forget, retain, _ = poisoned_setup()
-        steps = -(-len(retain) // 20)
 
         def movement(**knobs):
             student = factory(42)
@@ -170,8 +169,4 @@ class TestB3IncompetentTeacher:
                 for key, value in student.state_dict().items()
             ))
 
-        plain = movement()
-        assert movement(weight_decay=0.05) != plain
-        # Every step moves the parameters by at most lr * clip.
-        clipped = movement(grad_clip=1e-3)
-        assert 0 < clipped <= steps * 0.1 * 1e-3 * (1 + 1e-9) < plain
+        assert movement(weight_decay=0.05) != movement()

@@ -192,6 +192,23 @@ def test_config_override_is_goldfish_only(method, monkeypatch):
         runner.run_method(prepared, method, TINY, config_override=override)
 
 
+@pytest.mark.parametrize("keyword", ["round_callback", "backend"])
+@pytest.mark.parametrize("method", ["federaser", "fedrecovery"])
+def test_client_level_methods_take_no_round_keywords(method, keyword, monkeypatch):
+    """A round callback or backend handed to a client-level method fails
+    before the snapshot is restored, instead of being dropped (the
+    callback never firing, FedEraser's calibration running serially)."""
+    prepared = _prepared(7, with_history=True)
+
+    def restored(sim):
+        raise AssertionError("the snapshot was restored before the check")
+
+    monkeypatch.setattr(prepared.snapshot, "restore", restored)
+    value = {"round_callback": lambda *args: None, "backend": "serial"}[keyword]
+    with pytest.raises(ValueError, match=keyword):
+        runner.run_method(prepared, method, TINY, **{keyword: value})
+
+
 class TestClientLevel:
     def test_federaser_without_history(self):
         scenario = _prepared(8).scenario

@@ -3,8 +3,8 @@
 ``_GoldfishClientTask.run`` (the federated flow's per-client unit) runs
 ``GoldfishUnlearner.unlearn``.  One list of clients is drawn per
 example — client count, retain sizes, forget sets (none / equal /
-unequal), adaptive temperature, hard loss, gradient clipping, the Eq. 7
-early stopper, data dtype, carried logits — and every client runs three
+unequal), adaptive temperature, hard loss, the Eq. 7 early stopper,
+carried logits — and every client runs three
 ways: ``task.run()``, ``unlearn`` itself, and the loop as it stood
 before it was shared (``tests/reference_loops.py``).  All three must
 agree: student states, epochs run, generator positions and the teacher
@@ -15,7 +15,6 @@ decision of ``unlearn`` equal to the reference's.
 import numpy as np
 from hypothesis import given, strategies as st
 
-from repro.data.dataset import ArrayDataset
 from repro.nn.losses import HARD_LOSSES
 from repro.nn.models import MLP
 from repro.runtime.task import capture_rng, restore_rng
@@ -60,13 +59,11 @@ def goldfish_cohorts(draw):
         "batch_size": batch_size,
         "epochs": draw(st.integers(1, 3)),
         "momentum": draw(st.sampled_from([0.0, 0.9])),
-        "grad_clip": draw(st.sampled_from([0.0, 0.5])),
         "hard_loss": draw(st.sampled_from(sorted(HARD_LOSSES))),
         "adaptive": draw(st.booleans()),
         # Eq. 7 threshold, None = stopper off; tight, loose and in between,
         # so some runs finish and others stop after an epoch or two.
         "early_stop": draw(st.sampled_from([None, 0.1, 0.4, 1.5])),
-        "dtype": draw(st.sampled_from([np.float64, np.float32])),
         "carried": draw(st.booleans()),  # a later round: logits, no teacher
     }
 
@@ -77,8 +74,6 @@ def build(params):
     total = sum(params["retain"]) + sum(params["forget"])
     data = make_blobs(num_samples=total, num_classes=3, shape=(1, 4, 4),
                       seed=3, separation=1.2, noise=1.0)
-    data = ArrayDataset(images=data.images, labels=data.labels,
-                        num_classes=3, name=data.name, dtype=params["dtype"])
     members, selections, start = [], [], 0
     for num_retain, num_forget in zip(params["retain"], params["forget"]):
         forget_indices = np.arange(start, start + num_forget) if num_forget else None
@@ -93,7 +88,6 @@ def build(params):
         train=TrainConfig(
             epochs=params["epochs"], batch_size=params["batch_size"],
             learning_rate=0.1, momentum=params["momentum"],
-            grad_clip=params["grad_clip"],
         ),
         early_stop=EarlyStopConfig(
             delta=params["early_stop"] or 0.0,
