@@ -27,7 +27,7 @@ PARTITIONERS = [partition_iid, partition_heterogeneous]
 
 class TestPartitionInvariants:
     @pytest.mark.parametrize("partitioner", PARTITIONERS)
-    @pytest.mark.parametrize("num_clients", [2, 5, 7])
+    @pytest.mark.parametrize("num_clients", [1, 2, 5, 7])
     def test_exact_partition(self, rng, partitioner, num_clients):
         ds = make_blobs(num_samples=101, num_classes=5)
         parts = partitioner(ds, num_clients, rng)
@@ -45,6 +45,19 @@ class TestPartitionInvariants:
         ds = make_blobs(num_samples=4)
         with pytest.raises(ValueError):
             partitioner(ds, 10, rng)
+
+    @pytest.mark.parametrize("partitioner", PARTITIONERS)
+    def test_non_positive_clients_raises(self, rng, partitioner):
+        with pytest.raises(ValueError, match="positive"):
+            partitioner(make_blobs(num_samples=10), 0, rng)
+
+    @pytest.mark.parametrize("partitioner", PARTITIONERS)
+    def test_same_seed_same_partition(self, partitioner):
+        ds = make_blobs(num_samples=90, num_classes=3)
+        first = partitioner(ds, 4, np.random.default_rng(9))
+        second = partitioner(ds, 4, np.random.default_rng(9))
+        for a, b in zip(first, second):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestIID:
@@ -68,6 +81,69 @@ class TestHeterogeneous:
         with pytest.raises(ValueError):
             partition_heterogeneous(make_blobs(), 2, rng, label_alpha=0)
 
+    @pytest.mark.parametrize("param,value", [
+        ("label_alpha", -1.0), ("size_concentration", 0.0), ("size_concentration", -0.5),
+    ])
+    def test_non_positive_dirichlet_parameters_rejected(self, rng, param, value):
+        with pytest.raises(ValueError, match="positive"):
+            partition_heterogeneous(make_blobs(), 2, rng, **{param: value})
+
+    def test_sizes_vary_more_than_iid(self):
+        ds = make_blobs(num_samples=400, num_classes=4)
+        spread = {
+            partitioner: np.mean([
+                np.var([len(p) for p in partitioner(ds, 5, np.random.default_rng(seed))])
+                for seed in range(5)
+            ])
+            for partitioner in PARTITIONERS
+        }
+        assert spread[partition_heterogeneous] > 10 * max(spread[partition_iid], 1.0)
+
+    @staticmethod
+    def mean_top_class_share(ds, parts):
+        return np.mean([
+            np.bincount(ds.labels[p], minlength=ds.num_classes).max() / len(p)
+            for p in parts
+        ])
+
+    def test_label_alpha_controls_concentration(self):
+        """A smaller label Dirichlet parameter concentrates each client's
+        samples on fewer classes."""
+        ds = make_blobs(num_samples=600, num_classes=4)
+        share = {
+            alpha: np.mean([
+                self.mean_top_class_share(
+                    ds, partition_heterogeneous(ds, 5, np.random.default_rng(seed),
+                                                label_alpha=alpha),
+                )
+                for seed in range(8)
+            ])
+            for alpha in (0.05, 100.0)
+        }
+        assert share[0.05] > share[100.0] + 0.2
+
+    def test_size_concentration_controls_size_spread(self):
+        ds = make_blobs(num_samples=600, num_classes=4)
+        spread = {
+            conc: np.mean([
+                np.std([len(p) for p in partition_heterogeneous(
+                    ds, 5, np.random.default_rng(seed), size_concentration=conc)])
+                for seed in range(8)
+            ])
+            for conc in (0.2, 100.0)
+        }
+        assert spread[0.2] > 2 * spread[100.0]
+
+    def test_starved_clients_are_refilled(self):
+        """Concentrated Dirichlet draws leave some clients empty; a donor
+        hands each one a sample, and the split stays exact."""
+        ds = make_blobs(num_samples=40, num_classes=2)
+        for seed in range(10):
+            parts = partition_heterogeneous(ds, 12, np.random.default_rng(seed),
+                                            label_alpha=0.01, size_concentration=0.05)
+            assert all(len(p) > 0 for p in parts)
+            assert_exact_partition(parts, len(ds))
+
 
 class TestShards:
     @pytest.mark.parametrize("tau", [1, 3, 6])
@@ -89,6 +165,14 @@ class TestMakeFederated:
         assert fed.num_clients == 4
         assert sum(fed.sizes()) == 60
         assert fed.test_set is test
+
+    def test_default_strategy_is_iid(self):
+        train = make_blobs(num_samples=50)
+        fed = make_federated(train, make_blobs(), 3, np.random.default_rng(4))
+        parts = partition_iid(train, 3, np.random.default_rng(4))
+        for client, part in zip(fed.client_datasets, parts):
+            np.testing.assert_array_equal(client.labels, train.labels[part])
+            np.testing.assert_array_equal(client.images, train.images[part])
 
     def test_unknown_strategy(self, rng):
         with pytest.raises(ValueError):

@@ -35,6 +35,56 @@ class TestImagesAreFloat64:
         )
         assert cast.images.dtype == np.float64
 
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int32, np.float16, np.float32, np.float64])
+    def test_intake_coerces_values_exactly(self, dtype):
+        raw = np.arange(48).reshape(3, 1, 4, 4).astype(dtype)
+        dataset = ArrayDataset(images=raw, labels=[0, 1, 2], num_classes=3)
+        assert dataset.images.dtype == np.float64
+        np.testing.assert_array_equal(dataset.images, raw.astype(np.float64))
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int32, np.float16, np.float32, np.float64])
+    def test_shared_intake_coerces_values_exactly(self, dtype):
+        raw = np.arange(48).reshape(3, 1, 4, 4).astype(dtype)
+        shared = SharedArrayDataset.from_arrays(raw, np.array([0, 1, 2]), 3)
+        try:
+            assert shared.images.dtype == np.float64
+            np.testing.assert_array_equal(shared.images, raw.astype(np.float64))
+        finally:
+            shared.close()
+
+    def test_derivations_stay_float64(self):
+        blobs = make_blobs(num_samples=12, shape=(1, 4, 4))
+        dataset = ArrayDataset(images=blobs.images.astype(np.float32),
+                               labels=blobs.labels, num_classes=blobs.num_classes)
+        shared = dataset.share()
+        try:
+            derived = [
+                dataset.subset([0, 2]), dataset.remove([1]), dataset.concat(dataset),
+                dataset.shuffled(np.random.default_rng(0)), shared, shared.subset([3]),
+                pickle.loads(pickle.dumps(shared)),
+            ]
+            for other in derived:
+                assert other.images.dtype == np.float64
+            derived[-1].close()
+        finally:
+            shared.close()
+
+    def test_float32_images_train_as_their_float64_values(self):
+        """The upcast happens once, at intake: a dataset handed float32
+        images trains bit-identically to one handed the same values in
+        float64."""
+        blobs = make_blobs(num_samples=24, shape=(1, 4, 4))
+        low = blobs.images.astype(np.float32)
+        states = []
+        for images in (low, low.astype(np.float64)):
+            model = FACTORY()
+            train(model, ArrayDataset(images=images, labels=blobs.labels, num_classes=3),
+                  CONFIG, np.random.default_rng(0))
+            states.append(model.state_dict())
+        for key, value in states[0].items():
+            assert value.dtype == np.float64
+            np.testing.assert_array_equal(value, states[1][key])
+
 
 class TestKeepIndices:
     def test_subset_of_keep_indices_equals_remove(self):

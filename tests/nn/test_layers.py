@@ -12,6 +12,7 @@ from repro.nn import (
     ReLU,
     Sequential,
     Tensor,
+    stack_modules,
 )
 
 
@@ -132,3 +133,49 @@ class TestSequential:
     def test_iteration(self, rng):
         model = Sequential(Linear(2, 2, rng), ReLU())
         assert [type(m).__name__ for m in model] == ["Linear", "ReLU"]
+
+
+class TestLayersAreFloat64:
+    """Every layer the paper's models are built from holds float64
+    parameters and buffers and keeps float64 through forward and backward,
+    lone and (where it stacks) stacked."""
+
+    @staticmethod
+    def layer(name, member=0):
+        rng = np.random.default_rng(member)
+        return {
+            "batchnorm": lambda: BatchNorm2d(4),
+            "conv": lambda: Conv2d(4, 2, 3, rng, padding=1),
+            "linear": lambda: Linear(6, 3, rng),
+            "maxpool": lambda: MaxPool2d(2),
+            "relu": lambda: ReLU(),
+            "flatten": lambda: Flatten(),
+        }[name]()
+
+    @staticmethod
+    def batch(name, lead=()):
+        shape = (5, 6) if name == "linear" else (3, 4, 4, 4)
+        return Tensor(np.random.default_rng(7).normal(size=lead + shape), requires_grad=True)
+
+    @pytest.mark.parametrize("name", ["batchnorm", "conv", "linear", "maxpool", "relu", "flatten"])
+    def test_lone_layer(self, name):
+        layer, x = self.layer(name), self.batch(name)
+        out = layer(x)
+        assert out.dtype == np.float64
+        out.backward(np.ones(out.shape))
+        assert x.grad.dtype == np.float64
+        for param in layer.parameters():
+            assert param.data.dtype == param.grad.dtype == np.float64
+        for _, buf in layer.named_buffers():
+            assert buf.dtype == np.float64
+
+    @pytest.mark.parametrize("name", ["conv", "linear", "maxpool", "relu", "flatten"])
+    def test_stacked_layer(self, name):
+        stacked = stack_modules([self.layer(name, member) for member in range(3)])
+        x = self.batch(name, lead=(3,))
+        out = stacked(x)
+        assert out.dtype == np.float64
+        out.backward(np.ones(out.shape))
+        assert x.grad.dtype == np.float64
+        for param in stacked.parameters():
+            assert param.data.dtype == param.grad.dtype == np.float64

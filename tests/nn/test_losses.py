@@ -204,6 +204,27 @@ class TestLabelSmoothing:
             L.label_smoothing_loss(logits, labels, smoothing=-0.1)
 
 
+class TestLossesPreserveDtype:
+    """Every loss is dtype-generic: float32 logits give a float32 loss and
+    float32 gradients, with no scalar constant promoting them."""
+
+    @pytest.mark.parametrize("name", [
+        "cross_entropy", "nll_from_logits", "focal_loss", "label_smoothing_loss",
+        "distillation_loss",
+    ])
+    def test_float32_logits(self, name):
+        rng = np.random.default_rng(0)
+        logits = Tensor(rng.normal(size=(4, 3)).astype(np.float32), requires_grad=True)
+        if name == "distillation_loss":
+            teacher = Tensor(rng.normal(size=(4, 3)).astype(np.float32))
+            loss = L.distillation_loss(teacher, logits, temperature=2.0)
+        else:
+            loss = getattr(L, name)(logits, np.array([0, 1, 2, 1]))
+        assert loss.dtype == np.float32
+        loss.backward()
+        assert logits.grad.dtype == np.float32
+
+
 class TestHardLossRegistry:
     def test_contains_paper_variants_plus_delta(self):
         assert set(L.HARD_LOSSES) == {

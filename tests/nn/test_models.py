@@ -12,6 +12,10 @@ from repro.nn.models import (
     build_model,
     resnet,
 )
+from repro.training import TrainConfig
+from repro.training.trainer import make_optimizer, train
+
+from ..conftest import make_blobs
 
 
 class TestLeNet5:
@@ -177,3 +181,23 @@ def test_parameter_count_pins_the_architecture(name):
     channels, size = PAPER_INPUT[name]
     model = build_model(name, 10, np.random.default_rng(0), in_channels=channels, image_size=size)
     assert model.num_parameters() == PARAMETER_COUNTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(MODEL_BUILDERS))
+def test_every_registered_model_trains_in_float64(name):
+    """Parameters, buffers and momentum state are float64 from the builder
+    on, and training keeps them so, whatever dtype the images came in."""
+    channels, size = PAPER_INPUT[name]
+    model = build_model(name, 3, np.random.default_rng(0), in_channels=channels, image_size=size)
+    blobs = make_blobs(num_samples=4, shape=(channels, size, size))
+    data = type(blobs)(images=blobs.images.astype(np.float32), labels=blobs.labels,
+                       num_classes=blobs.num_classes)
+    config = TrainConfig(epochs=1, batch_size=2, learning_rate=0.01, momentum=0.9)
+    optimizer = make_optimizer(model, config)
+    history = train(model, data, config, np.random.default_rng(0), optimizer=optimizer)
+    assert np.isfinite(history.epochs[-1].mean_loss)
+    for key, value in model.state_dict().items():
+        if np.issubdtype(value.dtype, np.floating):
+            assert value.dtype == np.float64, key
+    assert all(param.grad.dtype == np.float64 for param in model.parameters())
+    assert all(v is not None and v.dtype == np.float64 for v in optimizer._velocity)

@@ -56,6 +56,16 @@ class TestScalarOperandsKeepDtype:
         sum(out.sum() for out in outs).backward()
         assert x.grad.dtype == dtype
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_unary_ops_and_reductions(self, dtype):
+        x = Tensor(np.arange(1, 7, dtype=dtype).reshape(1, 2, 3), requires_grad=True)
+        outs = [x.exp(), x.log(), x.relu(), x ** 2, x.sum(axis=1), x.reshape(3, 2),
+                x.flatten()]
+        for out in outs:
+            assert out.dtype == dtype
+        sum(out.sum() for out in outs).backward()
+        assert x.grad.dtype == dtype
+
 
 class TestEnsureTensor:
     def test_passthrough(self):

@@ -142,6 +142,21 @@ class TestStackedSGD:
             ):
                 assert_exact(got, want)
 
+    def test_stack_optimizer_state_and_synced_members_stay_float64(self):
+        members = [MLP(8, 3, rng) for rng in rngs()]
+        stacked = stack_modules(members)
+        opt = SGD(stacked.parameters(), lr=0.1, momentum=0.9)
+        for step in range(2):
+            opt.zero_grad()
+            stacked(Tensor(stacked_input((N, 8), seed=60 + step))).sum().backward()
+            opt.step()
+        for param in stacked.parameters():
+            assert param.data.dtype == param.grad.dtype == np.float64
+        assert all(v.dtype == np.float64 for v in opt._velocity)
+        stacked.sync_back()
+        for member in members:
+            assert all(v.dtype == np.float64 for v in member.state_dict().values())
+
 
 class TestStackedModels:
     @pytest.mark.parametrize(

@@ -5,20 +5,25 @@ import pytest
 
 from repro.data import FederatedDataset
 from repro.federated import FederatedSimulation, FedAvgAggregator
-from repro.nn.models import MLP
+from repro.nn.models import MLP, RegistryModelFactory
+from repro.runtime.task import capture_rng, restore_rng
 from repro.training import TrainConfig, accuracy
 from repro.unlearning import (
     EarlyStopConfig,
     GoldfishConfig,
     GoldfishLossConfig,
+    GoldfishUnlearner,
     IncompetentTeacherConfig,
+    IncompetentTeacherUnlearner,
     federated_goldfish,
     federated_incompetent_teacher,
     federated_rapid_retrain,
     federated_retrain,
 )
 
-from ..conftest import make_blob_federation
+from repro.unlearning.protocols import _GoldfishClientTask, _IncompetentClientTask
+
+from ..conftest import make_blob_federation, make_blobs
 
 CONFIG = TrainConfig(epochs=2, batch_size=10, learning_rate=0.15)
 
@@ -215,9 +220,6 @@ class TestGoldfishTeacherInference:
         )
 
     def test_task_refuses_misaligned_logits(self):
-        from repro.unlearning.protocols import _GoldfishClientTask
-        from repro.runtime.task import capture_rng
-
         sim = self.build()
         client = sim.clients[0]
         task = _GoldfishClientTask(
@@ -273,3 +275,71 @@ class TestGoldfishOptimisationModule:
                 )
             for a, b in zip(serial_sim.clients, sim.clients):
                 assert a.rng.bit_generator.state == b.rng.bit_generator.state
+
+
+class TestClientTasksMatchTheirUnlearners:
+    """A protocol's unlearning client task trains exactly what the
+    unlearner does in-process: the same float64 state, history and RNG
+    stream, and (Goldfish) the same teacher logits."""
+
+    FACTORY = RegistryModelFactory(name="mlp", num_classes=3, in_channels=1, image_size=4)
+    TRAIN = TrainConfig(epochs=2, batch_size=8, learning_rate=0.05)
+
+    def test_goldfish_task_and_unlearner_agree(self):
+        config = GoldfishConfig(loss=GoldfishLossConfig(), train=self.TRAIN)
+        teacher_state = self.FACTORY().state_dict()
+        for member in range(2):
+            task = _GoldfishClientTask(
+                task_id=member,
+                model_factory=self.FACTORY,
+                model_state=self.FACTORY().state_dict(),
+                teacher_state=teacher_state,
+                dataset=make_blobs(num_samples=24, shape=(1, 4, 4), seed=member),
+                indices=np.arange(6, 24),
+                forget_indices=np.arange(6),
+                config=config,
+                rng_state=capture_rng(np.random.default_rng(member)),
+            )
+            one = task.run()
+            student, teacher = self.FACTORY(), self.FACTORY()
+            teacher.load_state_dict(teacher_state)
+            rng = restore_rng(task.rng_state)
+            other = GoldfishUnlearner(config).unlearn(
+                student, teacher, task.dataset.subset(task.indices), task.forget_set(), rng
+            )
+            assert one.extra["teacher_logits"].dtype == np.float64
+            np.testing.assert_array_equal(one.extra["teacher_logits"], other.teacher_logits)
+            assert len(one.history) == len(other.history)
+            assert one.rng_state == rng.bit_generator.state
+            for key, value in one.state.items():
+                assert value.dtype == np.float64, key
+                np.testing.assert_array_equal(value, student.state_dict()[key])
+
+    def test_incompetent_teacher_task_and_unlearner_agree(self):
+        config = IncompetentTeacherConfig(train=self.TRAIN)
+        states = [self.FACTORY().state_dict() for _ in range(3)]
+        task = _IncompetentClientTask(
+            task_id=0,
+            model_factory=self.FACTORY,
+            model_state=states[0],
+            competent_state=states[1],
+            incompetent_state=states[2],
+            dataset=make_blobs(num_samples=30, shape=(1, 4, 4)),
+            indices=np.arange(6, 30),
+            forget_indices=np.arange(6),
+            config=config,
+            rng_state=capture_rng(np.random.default_rng(0)),
+        )
+        one = task.run()
+        models = [self.FACTORY() for _ in range(3)]
+        for model, state in zip(models, states):
+            model.load_state_dict(state)
+        rng = restore_rng(task.rng_state)
+        IncompetentTeacherUnlearner(config).unlearn(
+            *models, task.dataset.subset(task.indices), task.forget_set(), rng
+        )
+        assert len(one.history) == 2
+        assert one.rng_state == rng.bit_generator.state
+        for key, value in one.state.items():
+            assert value.dtype == np.float64, key
+            np.testing.assert_array_equal(value, models[0].state_dict()[key])
