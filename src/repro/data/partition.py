@@ -17,6 +17,11 @@ import numpy as np
 
 from .dataset import ArrayDataset, FederatedDataset
 
+#: Dirichlet concentrations of :func:`partition_heterogeneous`: the label
+#: mix of each class across clients, and the clients' target sizes.
+LABEL_ALPHA = 0.3
+SIZE_CONCENTRATION = 0.5
+
 
 def _validate(num_items: int, num_parts: int) -> None:
     if num_parts <= 0:
@@ -35,11 +40,7 @@ def partition_iid(
 
 
 def partition_heterogeneous(
-    dataset: ArrayDataset,
-    num_clients: int,
-    rng: np.random.Generator,
-    label_alpha: float = 0.3,
-    size_concentration: float = 0.5,
+    dataset: ArrayDataset, num_clients: int, rng: np.random.Generator
 ) -> List[np.ndarray]:
     """Combined size + label skew — the paper's Fig. 8 / Table XII setting.
 
@@ -51,16 +52,14 @@ def partition_heterogeneous(
     split across clients by a Dirichlet biased toward those sizes.
     """
     _validate(len(dataset), num_clients)
-    if label_alpha <= 0 or size_concentration <= 0:
-        raise ValueError("Dirichlet parameters must be positive")
-    size_props = rng.dirichlet(np.full(num_clients, size_concentration))
+    size_props = rng.dirichlet(np.full(num_clients, SIZE_CONCENTRATION))
     client_indices: List[List[int]] = [[] for _ in range(num_clients)]
     for cls in range(dataset.num_classes):
         cls_idx = np.flatnonzero(dataset.labels == cls)
         if cls_idx.size == 0:
             continue
         rng.shuffle(cls_idx)
-        alpha_vec = label_alpha * num_clients * size_props + 1e-8
+        alpha_vec = LABEL_ALPHA * num_clients * size_props + 1e-8
         proportions = rng.dirichlet(alpha_vec)
         cuts = (np.cumsum(proportions)[:-1] * cls_idx.size).astype(int)
         for client, part in enumerate(np.split(cls_idx, cuts)):

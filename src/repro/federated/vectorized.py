@@ -136,7 +136,7 @@ class VectorizedCohort:
             return reduce(operator.add, losses), [loss.item() for loss in losses]
 
         histories = run_epochs(
-            self.datasets, self.rngs, config, optimizer, step, stack=len(self.models)
+            self.datasets, self.rngs, config, optimizer, step, cohort=True
         )
         self.stacked.sync_back()
         return histories

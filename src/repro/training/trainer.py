@@ -44,7 +44,7 @@ def run_epochs(
     config: TrainConfig,
     optimizer: Optimizer,
     step: Callable[[tuple], Tuple[Tensor, Sequence[float]]],
-    stack: Optional[int] = None,
+    cohort: bool = False,
     epoch_callback: Optional[Callable[[int, float], bool]] = None,
 ) -> List[TrainHistory]:
     """The epoch loop — the only one — over one member (:func:`train`,
@@ -57,21 +57,19 @@ def run_epochs(
     the loader draws nothing).  ``step`` maps one of the loader's
     ``(indices, images, labels)`` batches to the scalar objective to
     differentiate and each member's loss value to average per epoch: a
-    lone model (``stack`` is ``None``) gets its own ``(N, ...)`` rows, a
-    cohort the K-form's batch — ``(K, B, ...)`` arrays gathered in one
+    lone model gets its own ``(N, ...)`` rows, a ``cohort`` the K-form's
+    batch — ``(K, B, ...)`` arrays gathered in one
     indexing op per step, or per-member lists at a ragged final step.
     The step owns the graph, the loop everything around it: zero-grad,
     then backward → step under the whole :class:`TrainConfig`.
-    ``stack`` is the cohort's size (the K-form loader serves it), or
-    ``None`` for one member.
     ``epoch_callback`` sees the first member's mean loss; stopping on it
     is a lone-member feature, a cohort passes none.
     """
-    if stack is None:
+    if cohort:
+        loader = DataLoader(list(datasets), config.batch_size, shuffle=True, rng=list(rngs))
+    else:
         (dataset,), (rng,) = datasets, rngs
         loader = DataLoader(dataset, config.batch_size, shuffle=True, rng=rng)
-    else:
-        loader = DataLoader(list(datasets), config.batch_size, shuffle=True, rng=list(rngs))
     histories = [TrainHistory() for _ in datasets]
     for epoch in range(config.epochs):
         totals = [0.0] * len(histories)

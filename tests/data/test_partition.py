@@ -77,28 +77,6 @@ class TestHeterogeneous:
             variances.append(np.var([len(p) for p in parts]))
         assert np.mean(variances) > 100
 
-    def test_invalid_params(self, rng):
-        with pytest.raises(ValueError):
-            partition_heterogeneous(make_blobs(), 2, rng, label_alpha=0)
-
-    @pytest.mark.parametrize("param,value", [
-        ("label_alpha", -1.0), ("size_concentration", 0.0), ("size_concentration", -0.5),
-    ])
-    def test_non_positive_dirichlet_parameters_rejected(self, rng, param, value):
-        with pytest.raises(ValueError, match="positive"):
-            partition_heterogeneous(make_blobs(), 2, rng, **{param: value})
-
-    def test_sizes_vary_more_than_iid(self):
-        ds = make_blobs(num_samples=400, num_classes=4)
-        spread = {
-            partitioner: np.mean([
-                np.var([len(p) for p in partitioner(ds, 5, np.random.default_rng(seed))])
-                for seed in range(5)
-            ])
-            for partitioner in PARTITIONERS
-        }
-        assert spread[partition_heterogeneous] > 10 * max(spread[partition_iid], 1.0)
-
     @staticmethod
     def mean_top_class_share(ds, parts):
         return np.mean([
@@ -106,41 +84,26 @@ class TestHeterogeneous:
             for p in parts
         ])
 
-    def test_label_alpha_controls_concentration(self):
-        """A smaller label Dirichlet parameter concentrates each client's
-        samples on fewer classes."""
+    def test_skews_label_mixes(self):
+        """Each client's samples concentrate on fewer classes than under
+        an iid split of the same data."""
         ds = make_blobs(num_samples=600, num_classes=4)
         share = {
-            alpha: np.mean([
-                self.mean_top_class_share(
-                    ds, partition_heterogeneous(ds, 5, np.random.default_rng(seed),
-                                                label_alpha=alpha),
-                )
+            partitioner: np.mean([
+                self.mean_top_class_share(ds, partitioner(ds, 5, np.random.default_rng(seed)))
                 for seed in range(8)
             ])
-            for alpha in (0.05, 100.0)
+            for partitioner in PARTITIONERS
         }
-        assert share[0.05] > share[100.0] + 0.2
-
-    def test_size_concentration_controls_size_spread(self):
-        ds = make_blobs(num_samples=600, num_classes=4)
-        spread = {
-            conc: np.mean([
-                np.std([len(p) for p in partition_heterogeneous(
-                    ds, 5, np.random.default_rng(seed), size_concentration=conc)])
-                for seed in range(8)
-            ])
-            for conc in (0.2, 100.0)
-        }
-        assert spread[0.2] > 2 * spread[100.0]
+        assert share[partition_heterogeneous] > share[partition_iid] + 0.2
 
     def test_starved_clients_are_refilled(self):
-        """Concentrated Dirichlet draws leave some clients empty; a donor
-        hands each one a sample, and the split stays exact."""
+        """With 12 clients over 40 samples of 2 classes, the Dirichlet draws
+        leave clients empty on every seed here; a donor hands each one a
+        sample, and the split stays exact."""
         ds = make_blobs(num_samples=40, num_classes=2)
         for seed in range(10):
-            parts = partition_heterogeneous(ds, 12, np.random.default_rng(seed),
-                                            label_alpha=0.01, size_concentration=0.05)
+            parts = partition_heterogeneous(ds, 12, np.random.default_rng(seed))
             assert all(len(p) > 0 for p in parts)
             assert_exact_partition(parts, len(ds))
 

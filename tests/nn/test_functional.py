@@ -288,8 +288,8 @@ class TestPooling:
 class TestKernelsPreserveDtype:
     """conv2d (lone and stacked) / max_pool2d allocate their im2col, col2im
     and mask buffers from the operands' dtype: float32 in, float32 out,
-    float32 gradients — whatever the stride and padding.  linear, the
-    softmaxes and global average pooling are as dtype-generic."""
+    float32 gradients — whatever the stride and padding.  The softmaxes
+    and global average pooling are as dtype-generic."""
 
     @pytest.mark.parametrize("stride,padding", [(1, 0), (2, 1), (3, 2)])
     @pytest.mark.parametrize("stacked", [False, True])
@@ -318,20 +318,6 @@ class TestKernelsPreserveDtype:
         assert out.dtype == np.float32
         out.backward(np.ones(out.shape, dtype=np.float32))
         assert x.grad.dtype == np.float32
-
-    @pytest.mark.parametrize("stacked", [False, True])
-    def test_linear_float32(self, stacked):
-        rng = np.random.default_rng(0)
-        lead = (2,) if stacked else ()
-        x = Tensor(rng.normal(size=lead + (4, 6)).astype(np.float32), requires_grad=True)
-        weight = Tensor(rng.normal(size=lead + (3, 6)).astype(np.float32), requires_grad=True)
-        bias = Tensor(rng.normal(size=lead + (3,)).astype(np.float32), requires_grad=True)
-        out = F.linear(x, weight, bias)
-        assert out.dtype == np.float32
-        out.backward(np.ones(out.shape, dtype=np.float32))
-        for tensor in (x, weight, bias):
-            assert tensor.grad.dtype == np.float32
-            assert tensor.grad.shape == tensor.shape
 
     @pytest.mark.parametrize("name", ["log_softmax", "softmax", "global_avg_pool2d"])
     def test_pointwise_and_pooling_float32(self, name):
