@@ -6,10 +6,10 @@ HMAC challenge when the coordinator requires a shared secret), send one
 ``("pull",)``, and then serve the task/result loop over a
 :class:`~repro.cluster.wire.SocketChannel`:
 
-* each ``("task", lease_id, task_bytes, broadcast)`` is run by
+* each ``("task", lease_id, task_bytes, sends)`` is run by
   :func:`repro.runtime.dispatch.serve_task` — the same worker step the
-  pool's pipe workers run (broadcast applied first, task failures
-  reported rather than fatal, cache version echoed in every result);
+  pool's pipe workers run (sends installed first, task failures
+  reported rather than fatal, the store echoed in every result);
 * a daemon **heartbeat thread** proves liveness on a timer — during
   long tasks too, not just while parked — so the coordinator's
   heartbeat-deadline liveness never mistakes a busy agent for a dead
@@ -40,7 +40,7 @@ import threading
 import time
 from typing import Any, Optional, Tuple
 
-from ..runtime.dispatch import BroadcastCache, serve_task
+from ..runtime.dispatch import WorkerStore, serve_task
 from .chaos import CHAOS_ENV_VAR, NetworkFaultInjector, coerce_plan
 from .wire import (
     AUTH_TOKEN_ENV_VAR,
@@ -157,7 +157,7 @@ def _serve(channel, heartbeat_interval: float) -> str:
     """The task/result loop for one connection.  Returns ``"shutdown"``
     on a clean stop and ``"lost"`` when the connection must be retired
     (EOF, stall, corrupt frame)."""
-    cache = BroadcastCache()
+    store = WorkerStore()
     stop = threading.Event()
     dead = threading.Event()
 
@@ -204,7 +204,7 @@ def _serve(channel, heartbeat_interval: float) -> str:
             if kind != "task":
                 continue  # tolerate unknown control messages
             try:
-                serve_task(cache, message[1:], _reply)
+                serve_task(store, message[1:], _reply)
                 send_message(channel, ("pull",))
             except (WireError, OSError):
                 return "lost"

@@ -15,9 +15,9 @@ use the backend binds a loopback coordinator on an ephemeral port and
 spawns ``max_workers`` node-agent subprocesses that dial back in — the
 shape CI pins parity against.  A node agent that dies mid-task is
 detected at the socket, its leased tasks are resubmitted under the
-pool's exact retry budget, and a replacement agent is respawned (cold
-broadcast cache, so its first model ships full — same as a respawned
-pool worker).
+pool's exact retry budget, and a replacement agent is respawned (empty
+store, so its first model ships full — same as a respawned pool
+worker).
 
 Real multi-host use is the same coordinator bound to a routable
 address, with agents started on other machines via
@@ -221,8 +221,8 @@ class ClusterBackend(DispatchBackend):
         so a peer drop does not automatically mean a dead process —
         only the processes actually gone are replaced, topping the
         fleet back up to ``worker_count()``.  A replacement connects
-        with a fresh identity and a cold broadcast cache, so the next
-        model it is handed ships full.  Externally-managed agents
+        with a fresh identity and an empty store, so the next model it
+        is handed ships full.  Externally-managed agents
         (``spawn_agents=False``) are the operator's to restart, and
         ``respawn=False`` turns replacement off entirely (graceful
         degradation: survivors drain the work).

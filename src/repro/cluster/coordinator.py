@@ -3,7 +3,7 @@
 One :class:`Coordinator` plays the role the parent process plays for the
 worker pool — both are transports over the same
 :class:`~repro.runtime.dispatch.Dispatcher`, which owns the batch
-bookkeeping, the per-receiver broadcast caches and the byte accounting
+bookkeeping, the per-receiver worker stores and the byte accounting
 — but over TCP, against agents that *pull* work instead of having it
 pushed at an idle pipe.
 
@@ -31,12 +31,12 @@ Pull protocol (all messages are framed tuples, see
     distinguishable from a dead one — and because heartbeats also
     trigger grants, a pull whose frames the network ate is healed by
     the next heartbeat instead of deadlocking the pair.
-``("task", lease_id, task_bytes, broadcast)``
-    One granted task.  The model state is lifted out of the pickle and
-    shipped ref/delta/full against this peer's broadcast cache by the
-    shared dispatch core (:mod:`repro.runtime.dispatch`) — the same code
-    the pool runs per worker slot.
-``("result", lease_id, error, payload, cache_version)``
+``("task", lease_id, task_bytes, sends)``
+    One granted task.  Its states and by-value datasets are lifted out of
+    the pickle and shipped ref/delta/full against this peer's store by
+    the shared dispatch core (:mod:`repro.runtime.dispatch`) — the same
+    code the pool runs per worker slot.
+``("result", lease_id, error, payload, echo)``
     Completion for a lease.  Stale lease ids (the peer finished after
     its lease expired and the task was resubmitted) are dropped by the
     scheduler, so exactly one completion lands per task slot.
@@ -45,8 +45,8 @@ Pull protocol (all messages are framed tuples, see
 ``("corrupt", reason)``
     The agent received a frame it could not trust (checksum mismatch,
     undecodable stream).  Its connection state is unknowable, so the
-    coordinator drops it **charge-free** — the agent reconnects with a
-    cold cache and the tasks it held requeue without spending their
+    coordinator drops it **charge-free** — the agent reconnects with an
+    empty store and the tasks it held requeue without spending their
     retry budgets, because a transport fault is never the task's fault.
 
 Liveness: when ``heartbeat_timeout`` is set, a peer silent past the
@@ -73,7 +73,7 @@ from multiprocessing import connection
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..runtime.backends import BackendError
-from ..runtime.dispatch import BroadcastCache, Dispatcher
+from ..runtime.dispatch import Dispatcher, WorkerStore
 from ..runtime.wire import TransportStats
 from .chaos import FaultReport
 from .wire import (
@@ -91,7 +91,7 @@ from .wire import (
 
 
 class _Peer:
-    """One connected node agent: channel, broadcast-cache mirror, stats."""
+    """One connected node agent: channel, store mirror, stats."""
 
     __slots__ = (
         "agent_id",
@@ -112,7 +112,7 @@ class _Peer:
         capacity = info.get("capacity")
         self.capacity = max(1, capacity) if isinstance(capacity, int) else 1
         self.pid = info.get("pid")
-        self.mirror = BroadcastCache()
+        self.mirror = WorkerStore()
         self.suspect = False
         self.last_seen = time.monotonic()
         self.stats = TransportStats()
@@ -366,8 +366,8 @@ class Coordinator(Dispatcher):
         if stale is not None:
             # Reconnect under the same identity: the old connection is
             # dead weight — requeue its leases and replace it.  The new
-            # peer starts with a cold cache, so its first broadcast takes
-            # the full-state path (reconnect == pool respawn).
+            # peer starts with an empty store, so its first payloads ship
+            # full (reconnect == pool respawn).
             stale.channel.close()
             if self.scheduler.release_peer(agent_id):
                 self._feed_idle()
@@ -387,7 +387,7 @@ class Coordinator(Dispatcher):
             # byte stream cannot be resynchronised, so drop the
             # connection — but charge-free, because a transport fault is
             # never the leased task's fault.  The agent reconnects with
-            # a cold cache and the work resubmits.
+            # an empty store and the work resubmits.
             self.corrupt_frames += 1
             self._drop_peer(peer, charge=False)
             return

@@ -221,7 +221,6 @@ def _attach_block(name: str) -> shared_memory.SharedMemory:
 def _attach_shared_dataset(
     image_block_name: str,
     image_shape: tuple,
-    image_dtype: str,
     label_block_name: str,
     label_count: int,
     num_classes: int,
@@ -230,7 +229,7 @@ def _attach_shared_dataset(
     """Unpickling target: rebuild a shared dataset as an attachment."""
     image_block = _attach_block(image_block_name)
     label_block = _attach_block(label_block_name)
-    images = np.ndarray(image_shape, dtype=np.dtype(image_dtype), buffer=image_block.buf)
+    images = np.ndarray(image_shape, dtype=np.float64, buffer=image_block.buf)
     labels = np.ndarray((label_count,), dtype=np.int64, buffer=label_block.buf)
     dataset = SharedArrayDataset(
         images=images,
@@ -271,7 +270,7 @@ class SharedArrayDataset(ArrayDataset):
         labels = np.ascontiguousarray(labels, dtype=np.int64)
         image_block = shared_memory.SharedMemory(create=True, size=images.nbytes)
         label_block = shared_memory.SharedMemory(create=True, size=max(1, labels.nbytes))
-        image_view = np.ndarray(images.shape, dtype=images.dtype, buffer=image_block.buf)
+        image_view = np.ndarray(images.shape, dtype=np.float64, buffer=image_block.buf)
         image_view[...] = images
         label_view = np.ndarray(labels.shape, dtype=np.int64, buffer=label_block.buf)
         label_view[...] = labels
@@ -324,7 +323,6 @@ class SharedArrayDataset(ArrayDataset):
             (
                 self._blocks[0].name,
                 self.images.shape,
-                self.images.dtype.str,
                 self._blocks[1].name,
                 len(self.labels),
                 self.num_classes,

@@ -41,6 +41,7 @@ from ..runtime import (
     get_codec,
     state_version,
 )
+from ..runtime.dispatch import CARRIED_STATE_FIELDS
 from ..training.config import TrainConfig
 from ..training.evaluation import evaluate
 from .aggregation import Aggregator, AdaptiveWeightAggregator, FedAvgAggregator
@@ -96,21 +97,6 @@ class SimulationHistory:
         return len(self.rounds)
 
 
-# What a task may carry down the wire beside its data: the stock
-# TrainTask/ChainTask broadcast bases plus the unlearning protocols'
-# state (Goldfish's round-0 teacher or the teacher's logits in later
-# rounds, B3's competent/incompetent teachers, B2's FIM estimate).
-_TASK_STATE_FIELDS = (
-    "model_state",
-    "init_state",
-    "teacher_state",
-    "teacher_logits",
-    "competent_state",
-    "incompetent_state",
-    "fim_state",
-)
-
-
 def _payload_nbytes(payload) -> int:
     """Bytes of the arrays in a state dict, an array, or a protocol's
     nested snapshot (B2's FIM: a list of arrays and a step count)."""
@@ -126,7 +112,7 @@ def _payload_nbytes(payload) -> int:
 def _task_state_nbytes(task) -> int:
     return sum(
         _payload_nbytes(getattr(task, field_name, None))
-        for field_name in _TASK_STATE_FIELDS
+        for field_name in CARRIED_STATE_FIELDS
     )
 
 
@@ -141,14 +127,14 @@ def account_model_traffic(backend, tasks, results) -> TransportStats:
     """One task batch's model traffic under the active transport.
 
     Downlink is transport-dependent by design: a pool backend reports
-    the actual framed pipe bytes of the batch it just ran (broadcasts
-    shipped ref/delta/full against the worker caches), while in-process
-    and fork-per-call backends ship every task its dense model state(s)
-    and protocol state (``_TASK_STATE_FIELDS``), so that is what is
-    charged.  Uplink is **uniform across backends**: the encoded return
-    size where the task went through an update codec (the codec runs
-    inside the task, identically everywhere) and the dense returned
-    state otherwise, plus the protocol state riding back in
+    the actual framed pipe bytes of the batch it just ran (states and
+    datasets shipped ref/delta/full against the worker stores), while
+    in-process backends ship every task its dense model state(s) and
+    protocol state (:data:`~repro.runtime.dispatch.CARRIED_STATE_FIELDS`),
+    so that is what is charged.  Uplink is **uniform across backends**:
+    the encoded return size where the task went through an update codec
+    (the codec runs inside the task, identically everywhere) and the
+    dense returned state otherwise, plus the protocol state riding back in
     ``TrainResult.extra`` — never the pipe's framing overhead, so serial
     and pool runs report the same per-round ``bytes_up``.
     """

@@ -45,7 +45,7 @@ optimisation.  Rules of thumb:
 ``pool`` and ``cluster`` are two transports (pipes, TCP) over one
 dispatch core (:mod:`repro.runtime.dispatch`,
 :mod:`repro.runtime.scheduler`): scheduling, retry budgets, the
-broadcast cache and byte accounting are the same code on both.
+worker store and byte accounting are the same code on both.
 
 Specs may carry a worker count (``"pool:4"``, ``"cluster:2"``), and when
 ``backend=None`` the ``REPRO_BACKEND`` environment variable (same

@@ -9,29 +9,32 @@ global state and (b) the aggregators only ever fold what *changed*.  This
 module provides the three pieces that remove the redundancy:
 
 Version addressing
-    :func:`state_version` computes a stable content hash of a state dict.
-    Two states with identical bytes have identical versions, no matter
-    which process computed them — so a transport can ask "does the other
-    side already hold this exact model?" without shipping it.
+    :func:`state_version` computes a stable content hash of a state dict,
+    :func:`dataset_version` one of a dataset.  Two payloads with identical
+    bytes have identical versions, no matter which process computed them —
+    so a transport can ask "does the other side already hold this exact
+    model, or these exact samples?" without shipping them.
 
-Broadcast wire forms (downlink, always lossless)
+Wire forms (downlink, always lossless)
     :class:`BroadcastFull` / :class:`BroadcastDelta` / :class:`BroadcastRef`
-    are the three shapes a model broadcast takes on the wire, chosen
-    against the receiver's cached version by :func:`encode_broadcast`:
-    a bare ref when the receiver already holds the version (the common
-    case inside a round — every client gets the same global state), a
-    byte-plane XOR delta against the receiver's cached version when it
-    holds the *previous* round's model, and the full state on a cold
-    cache (first contact, or a respawned worker).  XOR deltas are
-    **lossless by construction**: decoding XORs the same bytes back, so
-    the reconstructed state is bit-identical with no float-rounding
-    caveats.  The delta travels plane-major, and only the byte planes
+    are the three shapes a payload takes on the wire, chosen against what
+    the receiver holds by :func:`encode_broadcast`: a bare ref when the
+    receiver already holds the version (the common case — inside a round
+    every client gets the same global state, and across rounds a client
+    keeps its dataset), a byte-plane XOR delta of a state against one the
+    receiver holds with the same structure (the previous round's model),
+    and the full payload otherwise (first contact, or a respawned
+    worker).  XOR deltas are **lossless by construction**: decoding XORs
+    the same bytes back, so the reconstructed state is bit-identical with
+    no float-rounding caveats.  The delta travels plane-major, and only the byte planes
     that carry XOR zeros are run-length deflated — the low mantissa
     planes of a float delta are noise, and a plane with too few zero
     bytes is stored without a deflate probe (:func:`_xor_payload` has
-    the format, the stop rule and the measurements).
-    :class:`~repro.runtime.pool.WorkerPool` keeps one cache per worker
-    slot and drives this protocol transparently.
+    the format, the stop rule and the measurements).  The dispatch core
+    keeps one bounded content-addressed store per receiver
+    (:class:`~repro.runtime.dispatch.WorkerStore`) and its mirror in the
+    parent, and drives this protocol for every task field that carries
+    arrays.
 
 Update codecs (uplink, lossless)
     :class:`UpdateCodec` implementations encode a client's *return*
@@ -84,6 +87,14 @@ def dense_nbytes(state: StateDict) -> int:
     return int(sum(np.asarray(value).nbytes for value in state.values()))
 
 
+def _hash_array(digest, key: str, value) -> None:
+    value = np.ascontiguousarray(value)
+    digest.update(key.encode("utf-8"))
+    digest.update(str(value.dtype).encode("ascii"))
+    digest.update(str(value.shape).encode("ascii"))
+    digest.update(value)  # its buffer: the raw bytes, uncopied
+
+
 def state_version(state: StateDict) -> str:
     """Stable content hash of a state dict (its transport *version*).
 
@@ -93,11 +104,17 @@ def state_version(state: StateDict) -> str:
     """
     digest = hashlib.sha1()
     for key in sorted(state):
-        value = np.ascontiguousarray(state[key])
-        digest.update(key.encode("utf-8"))
-        digest.update(str(value.dtype).encode("ascii"))
-        digest.update(str(value.shape).encode("ascii"))
-        digest.update(value.tobytes())
+        _hash_array(digest, key, state[key])
+    return digest.hexdigest()[:_VERSION_BYTES]
+
+
+def dataset_version(dataset: Any) -> str:
+    """Stable content hash of an :class:`~repro.data.dataset.ArrayDataset`:
+    its images and labels as :func:`state_version` hashes arrays, plus its
+    class count and name."""
+    digest = hashlib.sha1(f"dataset:{dataset.num_classes}:{dataset.name}".encode("utf-8"))
+    _hash_array(digest, "images", dataset.images)
+    _hash_array(digest, "labels", dataset.labels)
     return digest.hexdigest()[:_VERSION_BYTES]
 
 
@@ -261,7 +278,7 @@ def _xor_restore(payload: bytes, base: StateDict) -> StateDict:
 # ----------------------------------------------------------------------
 @dataclass
 class BroadcastFull:
-    """Cold-cache broadcast: the whole state travels."""
+    """The receiver holds nothing to build on: the whole payload travels."""
 
     version: str
     state: StateDict
@@ -309,18 +326,19 @@ def encode_broadcast(
     cached_state: Optional[StateDict],
     delta_cache: Optional[Dict[Tuple[str, str], bytes]] = None,
 ) -> BroadcastWire:
-    """Choose the smallest lossless wire form against a receiver cache.
+    """Choose the smallest lossless wire form against what a receiver holds.
 
-    Ref when the receiver holds exactly this version; XOR delta when it
-    holds a different version of the same structure (and the compressed
-    delta actually beats the dense state — pathological pairs fall back
-    to full); full state otherwise (cold cache, structure change).
+    Ref when ``cached_version`` is exactly this version; XOR delta when
+    ``cached_state`` is a different version of the same structure (and
+    the compressed delta actually beats the dense state — pathological
+    pairs fall back to full); full payload otherwise (nothing to build
+    on, structure change).
 
     ``delta_cache`` optionally memoizes delta payloads by
     ``(version, base_version)`` — versions are content hashes, so a pair
     determines the payload exactly, and a round that broadcasts one new
-    global state to W same-cache workers deflates it once instead of W
-    times.  The caller owns the mapping (and its eviction).
+    global state to W workers holding the same base deflates it once
+    instead of W times.  The caller owns the mapping (and its eviction).
     """
     if cached_version == version:
         return BroadcastRef(version)

@@ -10,18 +10,23 @@ bit-identical to serial — exists here once:
     The parent half.  Owns the :class:`~repro.runtime.scheduler.PullScheduler`
     (tickets, leases, retry budgets, exactly-once completion), the
     per-ticket and cumulative :class:`~repro.runtime.wire.TransportStats`,
-    and the **version-addressed broadcast**: a task's ``model_state`` /
-    ``init_state`` is lifted out of its pickle and shipped against the
-    receiver's :class:`BroadcastCache` mirror — a bare version *ref* when
-    the receiver already holds it, a compressed lossless XOR *delta*
-    against a different version of the same structure, the *full* state
-    only on a cold cache (first contact, or a respawned / reconnected
-    receiver, whose fresh mirror starts empty).  Inside a federated round
-    every client carries the same global model, so each receiver gets it
-    once and the rest of the round's tasks are refs.
+    and the **content-addressed worker store**: every array-bearing task
+    field — the state dicts named in :data:`LIFTED_STATE_FIELDS` and every
+    by-value :class:`~repro.data.dataset.ArrayDataset` — is lifted out of
+    the task's pickle and shipped against the receiver's
+    :class:`WorkerStore` mirror: a bare version *ref* when the receiver
+    already holds it, a compressed lossless XOR *delta* of a state against
+    the newest state the receiver holds under the same field with the
+    same structure, the *full* payload otherwise (first contact, or a
+    respawned / reconnected receiver, whose fresh mirror starts empty).
+    Inside a federated round every client carries the same global model,
+    and across rounds and calls a client carries the same dataset and an
+    unlearning run the same teacher, so each crosses to a receiver once
+    and the rest are refs.
 :func:`serve_task`
-    The worker half: decode the broadcast into the local cache, unpickle
-    and run the task, reply ``(lease_id, error, payload, cache_version)``.
+    The worker half: install the sends into the local store, unpickle the
+    task, refill its lifted fields, run it, reply ``(lease_id, error,
+    payload, echo)``.
 :class:`DispatchBackend`
     The :class:`~repro.runtime.backends.Backend` + streaming
     ``submit``/``drain``/``poll`` surface both backends present.
@@ -33,8 +38,9 @@ which receivers are idle (``_feed_idle``).
 Determinism: tasks carry their model state and exact RNG position (see
 :mod:`repro.runtime.task`), so results are bit-identical to the serial
 backend no matter which receiver runs what, in what order, or after how
-many resubmissions — and the broadcast cache preserves that, because its
-delta encoding is bytewise-lossless by construction.
+many resubmissions — and the store preserves that, because a version is
+a content hash and the delta encoding is bytewise-lossless by
+construction.
 """
 
 from __future__ import annotations
@@ -43,27 +49,57 @@ import copy
 import multiprocessing
 import pickle
 import traceback
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+import zlib
+from collections import OrderedDict
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
+from ..data.dataset import ArrayDataset, SharedArrayDataset
 from .backends import Backend, BackendError, SerialBackend, usable_cpus
 from .codec import (
     BroadcastDelta,
     BroadcastFull,
     BroadcastRef,
+    dataset_version,
     decode_broadcast,
     encode_broadcast,
+    same_structure,
     state_version,
 )
 from .scheduler import Lease, PullScheduler
 from .wire import TransportStats
 
-# Task attributes the broadcast cache can lift out of the pickled task
-# (TrainTask's broadcast basis, ChainTask's chain start), in probe order.
-_BROADCAST_FIELDS = ("model_state", "init_state")
+#: The task fields that hold a model's state dict: a stock task's start
+#: model (``TrainTask``/``StackedTask``) or chain start (``ChainTask``), and
+#: the unlearning protocols' teachers (Goldfish's frozen teacher, B3's
+#: competent and incompetent teachers).  The dispatcher lifts each into the
+#: receiver's store; a by-value dataset is lifted by its type instead.
+LIFTED_STATE_FIELDS = (
+    "model_state",
+    "init_state",
+    "teacher_state",
+    "competent_state",
+    "incompetent_state",
+)
+
+#: Everything a task carries besides its data: the lifted states plus the
+#: protocol state that rides in the task's pickle (Goldfish's teacher
+#: logits after round 0, B2's FIM estimate).  A serial run charges a task
+#: the arrays of these fields (``federated.simulation``).
+CARRIED_STATE_FIELDS = LIFTED_STATE_FIELDS + ("teacher_logits", "fim_state")
 
 # (version, base_version) delta payloads kept: one federation round plus
 # interleaved deletion-chain versions.
 _DELTA_MEMO_KEEP = 8
+
+# Entries one receiver's store holds, least recently used evicted first.
+# A Goldfish request on ``unlearn_headline`` uses ω^0, the teacher, round
+# 1's model and the datasets of the clients a worker trains — eight when
+# all five land on one worker — so the next request on the same scenario
+# finds everything but its new round-1 model, however the clients split
+# (usually three and two).  Full of LeNet-5 states and datasets a store
+# holds ≈ 2.2 MB.  A federated round installs one new model and refs it,
+# so ``fed_fanout``'s 33 rounds per child evict 25 times under this bound.
+_STORE_KEEP = 8
 
 
 def worker_context():
@@ -92,45 +128,117 @@ def worker_context():
     return multiprocessing.get_context("spawn")
 
 
-class BroadcastCache:
-    """One receiver's model cache: the last broadcast state it was sent,
-    addressed by a stable content hash.
+class WorkerStore:
+    """One receiver's store: ``version -> (field, payload)``, least
+    recently used first, at most :data:`_STORE_KEEP` entries.
 
-    Worker-side it is the cache itself; parent-side it is the *mirror*
-    of that cache (what the last full/delta send installed), which is
-    what lets dispatch decide ref vs delta vs full without a round trip.
+    A payload is a state dict or an :class:`~repro.data.dataset.ArrayDataset`,
+    addressed by its content hash, so one payload is held once whichever
+    field or task carries it.  Worker-side it is the store itself;
+    parent-side it is the *mirror* of that store, which is what lets
+    dispatch decide ref vs delta vs full without a round trip.  Both sides
+    apply the same sends in the same order (the channel is FIFO) through
+    :meth:`keep`, so they hold the same entries in the same order and
+    evict alike.  ``items`` counts the task items applied, on either side.
     """
 
-    __slots__ = ("version", "state")
+    __slots__ = ("entries", "items")
 
     def __init__(self) -> None:
-        self.version: Optional[str] = None
-        self.state = None
+        self.entries: "OrderedDict[str, Tuple[str, Any]]" = OrderedDict()
+        self.items = 0
+
+    def keep(self, field: str, version: str, payload: Any) -> None:
+        """Make ``version`` the most recently used entry — installed under
+        ``field`` when new, evicting the least recently used past the
+        bound."""
+        if version in self.entries:
+            self.entries.move_to_end(version)
+            return
+        self.entries[version] = (field, payload)
+        if len(self.entries) > _STORE_KEEP:
+            self.entries.popitem(last=False)
+
+    def encode(self, field: str, payload: Any, version: str, memo: Dict) -> Any:
+        """The smallest wire form of ``payload`` against this mirror: a
+        ref when held; else a delta of a state against the most recently
+        used state installed under ``field`` with the same structure, when
+        smaller; else full.  A dataset is never a delta base — two clients'
+        datasets are different samples."""
+        if version in self.entries:
+            return BroadcastRef(version)
+        base_version = base = None
+        if isinstance(payload, dict):
+            for held in reversed(self.entries):
+                held_field, held_payload = self.entries[held]
+                if (
+                    held_field == field
+                    and isinstance(held_payload, dict)
+                    and same_structure(payload, held_payload)
+                ):
+                    base_version, base = held, held_payload
+                    break
+        return encode_broadcast(payload, version, base_version, base, delta_cache=memo)
+
+    def install(self, field: str, wire: Any) -> Any:
+        """Decode one send against this store and keep it; returns the
+        payload.  Raises :class:`ValueError` when a ref or delta names a
+        version this store does not hold."""
+        named = wire.base_version if isinstance(wire, BroadcastDelta) else wire.version
+        held = self.entries.get(named)
+        payload, version = decode_broadcast(
+            wire, named if held else None, held[1] if held else None
+        )
+        self.keep(field, version, payload)
+        return payload
+
+    def echo(self) -> Tuple[int, int]:
+        """``(items, digest)``: the items applied and a CRC of the held
+        versions in order — equal on both sides when the stores are.  Not
+        a SHA: a worker's first SHA initialises OpenSSL, 1.2 MB of
+        resident memory per worker."""
+        return self.items, zlib.crc32("".join(self.entries).encode("ascii"))
 
 
-def serve_task(cache: BroadcastCache, item: Tuple, send: Callable[[Tuple], Any]) -> None:
-    """Worker body for one ``(lease_id, task_bytes, broadcast)`` item.
+def _lifted(task: Any) -> Iterator[Tuple[str, Any]]:
+    """``(field, payload)`` for every field of ``task`` the store carries,
+    in field order: the :data:`LIFTED_STATE_FIELDS` it sets and every
+    by-value dataset.  A shared-memory dataset already pickles as a
+    handle, so it stays in the pickle, unhashed."""
+    for field, value in getattr(task, "__dict__", {}).items():
+        if value is None:
+            continue
+        if field in LIFTED_STATE_FIELDS or (
+            isinstance(value, ArrayDataset) and not isinstance(value, SharedArrayDataset)
+        ):
+            yield field, value
 
-    The broadcast is applied *first* (it keeps this worker's cache in
-    lockstep with the parent's mirror even when the task itself turns
-    out to be bad), then the task is unpickled and run inside the try
-    block, so a task that cannot be reconstructed or that raises is
-    reported as that task's failure rather than crashing the worker.
-    Every reply echoes the worker's current cache version, letting the
-    parent detect and repair any cache divergence by falling back to
-    full-state sends.
+
+def serve_task(store: WorkerStore, item: Tuple, send: Callable[[Tuple], Any]) -> None:
+    """Worker body for one ``(lease_id, task_bytes, sends)`` item, where
+    ``sends`` is a tuple of ``(field, wire)`` pairs.
+
+    The sends are installed *first*, in order (that keeps this worker's
+    store in lockstep with the parent's mirror even when the task itself
+    turns out to be bad); a send the store cannot resolve empties it, so
+    the echo no longer matches the mirror and the parent empties that too.
+    Then the task is unpickled, its lifted fields refilled and run inside
+    the try block, so a task that cannot be reconstructed or that raises
+    is reported as that task's failure rather than crashing the worker.
+    Every reply echoes :meth:`WorkerStore.echo`.
     """
-    lease_id, task_bytes, broadcast = item
+    lease_id, task_bytes, sends = item
+    store.items += 1
     try:
-        state = None
-        if broadcast is not None:
-            field, wire = broadcast
-            state, version = decode_broadcast(wire, cache.version, cache.state)
-            cache.version, cache.state = version, state
+        try:
+            payloads = [(field, store.install(field, wire)) for field, wire in sends]
+        except Exception:
+            store.entries.clear()
+            raise
         task = pickle.loads(task_bytes)
-        if broadcast is not None:
-            setattr(task, field, state)
-        reply = (lease_id, None, task.run(), cache.version)
+        for field, payload in payloads:
+            setattr(task, field, payload)
+        reply = (lease_id, None, task.run(), store.echo())
     except (KeyboardInterrupt, SystemExit):
         raise
     except Exception as exc:
@@ -138,7 +246,7 @@ def serve_task(cache: BroadcastCache, item: Tuple, send: Callable[[Tuple], Any])
             lease_id,
             f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}",
             None,
-            cache.version,
+            store.echo(),
         )
     try:
         send(reply)
@@ -146,7 +254,7 @@ def serve_task(cache: BroadcastCache, item: Tuple, send: Callable[[Tuple], Any])
         # The result itself cannot be pickled.  Pickling happens before
         # the first byte is written, so the stream is intact: report it
         # as this task's failure instead of dying with the lease held.
-        send((lease_id, f"{type(exc).__name__}: {exc}", None, cache.version))
+        send((lease_id, f"{type(exc).__name__}: {exc}", None, store.echo()))
 
 
 class Dispatcher:
@@ -164,8 +272,8 @@ class Dispatcher:
         self._totals = TransportStats()  # cumulative across the dispatcher's life
         self._ticket_stats: Dict[int, TransportStats] = {}
         # (version, base_version) -> deflated XOR payload: one new global
-        # state broadcast to W same-cache receivers deflates once, not W
-        # times.  Insertion-ordered dict pruned to the freshest few pairs.
+        # state sent to W receivers holding the same base deflates once,
+        # not W times.  Insertion-ordered dict pruned to the freshest few pairs.
         self._delta_memo: Dict[Tuple[str, str], bytes] = {}
 
     def pump(self, timeout: float) -> None:
@@ -261,39 +369,27 @@ class Dispatcher:
     # One leased task out, one reply in
     # ------------------------------------------------------------------
     def _dispatch(
-        self, lease: Lease, mirror: BroadcastCache, send: Callable[[Tuple], int]
+        self, lease: Lease, mirror: WorkerStore, send: Callable[[Tuple], int]
     ) -> int:
         """Ship one leased task through ``send``; returns the bytes it
         reported written, or 0 when the task was completed inline.
 
         ``send`` failures propagate untouched — the transport knows its
-        own error taxonomy and rescinds the lease.  The wire form is
-        derived afresh on every dispatch, so a requeued task landing on
-        a fresh (cold-mirror) receiver takes the full-state path
-        automatically.
+        own error taxonomy, rescinds the lease and replaces the receiver
+        with its mirror.  The wire forms are derived afresh on every
+        dispatch, so a requeued task landing on a fresh (empty-mirror)
+        receiver ships its payloads in full automatically.
         """
         ticket, _, task = lease.item
-        field = next(
-            (f for f in _BROADCAST_FIELDS if getattr(task, f, None) is not None), None
-        )
-        wire = None
+        lifted = list(_lifted(task))
         to_pickle = task
-        if field is not None:
-            state = getattr(task, field)
-            # Callers that broadcast one state to a whole cohort stamp
-            # its hash once (TrainTask.model_version); everything else
-            # is hashed here.
-            version = getattr(task, "model_version", None) or state_version(state)
-            wire = encode_broadcast(
-                state, version, mirror.version, mirror.state, delta_cache=self._delta_memo
-            )
-            while len(self._delta_memo) > _DELTA_MEMO_KEEP:
-                self._delta_memo.pop(next(iter(self._delta_memo)))
+        if lifted:
             to_pickle = copy.copy(task)
-            setattr(to_pickle, field, None)
+            for field, _ in lifted:
+                setattr(to_pickle, field, None)
             if getattr(to_pickle, "model_version", None) is not None:
-                # The version travels inside the broadcast wire form;
-                # the worker never reads the task's copy.
+                # The version travels inside the send's wire form; the
+                # worker never reads the task's copy.
                 to_pickle.model_version = None
         targets = [self._totals]
         if ticket in self._ticket_stats:  # not yet claimed by its owner
@@ -310,36 +406,56 @@ class Dispatcher:
             except Exception as exc:
                 self.scheduler.complete(lease.lease_id, f"{type(exc).__name__}: {exc}", None)
             return 0
-        sent = send((lease.lease_id, task_bytes, (field, wire) if wire else None))
-        if wire is not None:
-            # The channel is FIFO and the worker applies broadcasts
-            # before anything that can fail, so the mirror advances at
-            # send time.
-            mirror.version = wire.version
-            mirror.state = state
+        # The channel is FIFO and the worker installs the sends in order
+        # before anything that can fail, so the mirror advances send by
+        # send, as the worker's store will.
+        sends = []
+        for field, payload in lifted:
+            if isinstance(payload, dict):
+                # Callers that broadcast one state to a whole cohort stamp
+                # its hash once (TrainTask.model_version); everything else
+                # is hashed here.
+                stamped = getattr(task, "model_version", None) if field == "model_state" else None
+                version = stamped or state_version(payload)
+            else:
+                version = dataset_version(payload)
+            sends.append((field, mirror.encode(field, payload, version, self._delta_memo)))
+            mirror.keep(field, version, payload)
+        while len(self._delta_memo) > _DELTA_MEMO_KEEP:
+            self._delta_memo.pop(next(iter(self._delta_memo)))
+        mirror.items += 1
+        sent = send((lease.lease_id, task_bytes, tuple(sends)))
         for stats in targets:
             stats.bytes_down += sent
-            if isinstance(wire, BroadcastFull):
-                stats.broadcast_full += 1
-            elif isinstance(wire, BroadcastDelta):
-                stats.broadcast_delta += 1
-            elif isinstance(wire, BroadcastRef):
-                stats.broadcast_ref += 1
+            for field, wire in sends:
+                if field not in LIFTED_STATE_FIELDS:
+                    continue  # a dataset is placed, not broadcast
+                if isinstance(wire, BroadcastFull):
+                    stats.broadcast_full += 1
+                elif isinstance(wire, BroadcastDelta):
+                    stats.broadcast_delta += 1
+                else:
+                    stats.broadcast_ref += 1
         return sent
 
-    def _complete(self, mirror: BroadcastCache, reply: Tuple, nbytes: int) -> None:
+    def _complete(self, mirror: WorkerStore, reply: Tuple, nbytes: int) -> None:
         """Record one worker reply against its lease (stale and duplicate
         leases are dropped by the scheduler).
 
-        Every reply echoes the worker's cache version.  The channel is
-        FIFO, so a mismatch means the worker failed to apply a
-        broadcast; dropping the mirror makes the next dispatch ship the
-        full state, restoring sync.
+        Every reply echoes the worker's store (:meth:`WorkerStore.echo`).
+        When the worker has applied every item sent to it, its store must
+        equal the mirror; a mismatch means a send failed to install, which
+        emptied the worker's store, so emptying the mirror makes the next
+        dispatches ship full payloads and restores sync.  A reply to an
+        earlier item (another is still in flight) is not judged.
         """
         lease_id, error, payload, echoed = reply
-        if echoed != mirror.version:
-            mirror.version = None
-            mirror.state = None
+        if (
+            isinstance(echoed, tuple)
+            and echoed[:1] == (mirror.items,)
+            and echoed != mirror.echo()
+        ):
+            mirror.entries.clear()
         self.scheduler.complete(lease_id, error, payload, nbytes)
 
 

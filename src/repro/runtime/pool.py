@@ -3,13 +3,15 @@
 :class:`WorkerPool` keeps its worker processes alive.  Workers are
 spawned once (lazily, on first use) and then serve every subsequent
 batch; tasks travel to them over pipes, so the per-batch cost is one
-pickle per task rather than one fork per worker.  With shared-memory
-datasets (:meth:`repro.data.dataset.ArrayDataset.share`) that pickle is a
-few hundred bytes of metadata + indices, independent of the data size.
+pickle per task rather than one fork per worker.  A task's model states
+and by-value datasets are lifted out of that pickle into the worker's
+store, where each crosses once; a shared-memory dataset
+(:meth:`repro.data.dataset.ArrayDataset.share`) pickles as a handle of a
+few hundred bytes, independent of the data size.
 
 The pool is the pipe transport over the shared dispatch core
 (:mod:`repro.runtime.dispatch`): scheduling, retry budgets, the
-version-addressed broadcast cache and byte accounting live there, and
+content-addressed worker store and byte accounting live there, and
 are the same code the TCP cluster (:mod:`repro.cluster`) runs.  What is
 here is what pipes add: spawning and respawning worker processes, and
 noticing their deaths.
@@ -66,7 +68,7 @@ from typing import Any, List, Optional, Sequence
 
 from .backends import usable_cpus
 from .dispatch import (
-    BroadcastCache,
+    WorkerStore,
     DispatchBackend,
     Dispatcher,
     serve_task,
@@ -81,7 +83,7 @@ def _pool_worker(task_reader, result_writer) -> None:
     A ``None`` payload is the shutdown sentinel; every other item is
     handed to :func:`~repro.runtime.dispatch.serve_task`.
     """
-    cache = BroadcastCache()
+    store = WorkerStore()
 
     def reply(result) -> None:
         send_payload(result_writer, result)
@@ -93,14 +95,14 @@ def _pool_worker(task_reader, result_writer) -> None:
             return  # parent is gone
         if item is None:
             return
-        serve_task(cache, item, reply)
+        serve_task(store, item, reply)
 
 
 class _WorkerSlot:
-    """One live worker: process, pipes, and broadcast-cache mirror.
+    """One live worker: process, pipes, and the mirror of its store.
 
-    A respawned worker gets a fresh slot, so its mirror starts cold and
-    the first broadcast after a death takes the full-state path.
+    A respawned worker gets a fresh slot, so its mirror starts empty and
+    the first payloads after a death ship full.
     """
 
     __slots__ = ("process", "task_writer", "result_reader", "mirror")
@@ -118,7 +120,7 @@ class _WorkerSlot:
         result_writer.close()
         self.task_writer = task_writer
         self.result_reader = result_reader
-        self.mirror = BroadcastCache()
+        self.mirror = WorkerStore()
 
     def send(self, message: Any) -> int:
         return send_payload(self.task_writer, message)
@@ -302,8 +304,8 @@ class PoolBackend(DispatchBackend):
     which resolves to a process-wide shared instance) to
     :class:`FederatedSimulation`, :class:`SisaEnsemble` and the
     unlearning protocols and they all reuse the same workers.  Tasks are
-    pickled to the workers, so pair it with shared-memory datasets for
-    large data (see :meth:`repro.data.dataset.ArrayDataset.share`).
+    pickled to the workers, their states and by-value datasets placed
+    once per worker in its store (:class:`~repro.runtime.dispatch.WorkerStore`).
     """
 
     name = "pool"

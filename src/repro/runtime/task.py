@@ -151,10 +151,13 @@ class TrainTask:
     ``indices`` optionally selects the training rows out of ``dataset``;
     the subset is materialised inside :meth:`run`, in whichever process
     executes the task.  Carrying a selection instead of a pre-sliced copy
-    keeps the parent's fan-out memory at O(data) — and when ``dataset``
-    is shared-memory backed
-    (:meth:`~repro.data.dataset.ArrayDataset.share`), the task pickles as
-    a handle + indices, independent of the data size.  Training on
+    keeps the parent's fan-out memory at O(data).  Under ``pool`` and
+    ``cluster`` a by-value ``dataset`` is lifted out of the task's pickle
+    and crosses to each worker once, content-addressed in the worker's
+    store (:class:`~repro.runtime.dispatch.WorkerStore`), like
+    ``model_state``; a shared-memory one
+    (:meth:`~repro.data.dataset.ArrayDataset.share`) pickles as a handle.
+    Training on
     ``dataset.subset(indices)`` is array-identical to training on a
     pre-materialised subset, so results are unchanged.
 
@@ -171,7 +174,7 @@ class TrainTask:
     every participant, so the caller can hash it once instead of the
     pool hashing every task's (identical) copy at dispatch; stamping a
     hash that does not match ``model_state``'s content breaks the
-    broadcast cache, so only ever stamp the hash of the exact state the
+    worker store, so only ever stamp the hash of the exact state the
     task carries.  ``None`` means "let the transport compute it".
     """
 
@@ -281,8 +284,8 @@ class StackedTask:
     its zero-arg :meth:`run`, and the result is the list of the members'
     ordinary results in member order.  A broadcast basis every member
     shares is carried **once** — ``model_state`` / ``model_version``, the
-    field names the worker pool's version-addressed broadcast cache
-    lifts — with the members' own copies dropped
+    field names the dispatcher lifts into the worker's store — with the
+    members' own copies dropped
     (:func:`repro.federated.vectorized.fuse` decides).
     """
 
@@ -298,8 +301,8 @@ class StackedTask:
         """Deterministic contiguous partition into sub-stacks.
 
         Each chunk holds one contiguous range of ``members``; the basis
-        is shared by reference (the pool's version-addressed cache
-        dedupes it per worker).  Stacking is bit-exact per slice, so the
+        is shared by reference (the worker store dedupes it per
+        worker).  Stacking is bit-exact per slice, so the
         chunks' results concatenate to the unsplit run's, member for
         member.  ``n_chunks`` is clamped to ``[1, K]``, so callers pass
         their worker count as is.

@@ -47,8 +47,10 @@ from typing import Any, Dict, List, Tuple
 #: ``{key: entry}`` dict where v2 carried an instance of a payload class
 #: that no longer exists — a v2 peer's return would not unpickle.  The
 #: lossy codecs are gone since; raw and delta payloads are unchanged, so
-#: the version stays.
-WIRE_PROTOCOL_VERSION = 3
+#: the version stays.  v4: a task item carries a tuple of ``(field, wire)``
+#: sends against the worker's store where v3 carried one broadcast or
+#: ``None``, and a reply echoes ``(items, digest)`` where v3 echoed a version.
+WIRE_PROTOCOL_VERSION = 4
 
 
 def send_payload(channel, obj: Any) -> int:
@@ -102,8 +104,10 @@ class TransportStats:
 
     bytes_down: int = 0  # parent/coordinator → workers, actual framed bytes
     bytes_up: int = 0  # workers → parent/coordinator, actual framed bytes
-    broadcast_full: int = 0  # cold-cache full-state broadcasts
-    broadcast_delta: int = 0  # warm-cache lossless XOR deltas
+    # State-dict sends by wire form; a dataset crosses through the same
+    # store but counts in bytes_down only.
+    broadcast_full: int = 0  # full states (the receiver held no base)
+    broadcast_delta: int = 0  # lossless XOR deltas against a held state
     broadcast_ref: int = 0  # version refs (receiver already held it)
     inline_tasks: int = 0  # unpicklable tasks run inline (no wire)
 

@@ -32,10 +32,15 @@ Every task starts from the round's stamped broadcast, reads the client's
 dataset plus an index selection and returns a
 :class:`~repro.runtime.task.TrainResult` under the simulation's codec,
 so client updates compute concurrently under ``"pool"`` / ``"cluster"``
-backends with bit-identical results.  The teachers, the teacher's logits
-and the FIM ride the task and are charged in the round's traffic, as is
-what rides back in ``TrainResult.extra``.  Pass ``backend=`` to any
-of them to override the simulation's backend for that flow only.
+backends with bit-identical results.  The teachers ride the task as
+state dicts, which a pool or cluster lifts into each worker's store like
+the start model and the client's dataset
+(:class:`~repro.runtime.dispatch.WorkerStore`): one teacher crosses to a
+worker once, however many of its clients it trains.  The teacher's
+logits and the FIM ride the task's pickle.  All are charged in the
+round's traffic, as is what rides back in ``TrainResult.extra``.  Pass
+``backend=`` to any of them to override the simulation's backend for
+that flow only.
 
 On a ``vectorize=True`` simulation, B1's clients and B3's normal clients
 run stock :class:`~repro.runtime.task.TrainTask` rounds, which

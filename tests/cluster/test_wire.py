@@ -232,6 +232,19 @@ class TestHandshake:
         assert reply[0] == "reject"
         assert "mismatch" in reply[1]
 
+    def test_a_v3_peer_is_refused(self, pair):
+        # v4 items carry a tuple of store sends where v3 carried one
+        # broadcast: a v3 agent would misread every task.
+        assert WIRE_PROTOCOL_VERSION == 4
+        left, right = pair
+        send_message(
+            left, ("hello", {"magic": MAGIC, "protocol": 3, "frame": FRAME_VERSION})
+        )
+        with pytest.raises(ProtocolMismatch, match="v4, peer v3"):
+            server_handshake(right)
+        reply, _ = recv_message(left)
+        assert reply[0] == "reject"
+
     def test_non_repro_peer_rejected(self, pair):
         left, right = pair
         send_message(left, ("hello", {"magic": "something-else", "protocol": 1}))

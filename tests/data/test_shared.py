@@ -113,10 +113,23 @@ class TestSharedArrayDataset:
             payload = pickle.dumps(shared)
             # The whole point: a handle, not the (N*C*H*W)*8-byte array.
             assert len(payload) < 1024 < dataset.images.nbytes
+            # Two block names, the image shape, the label count, the class
+            # count and the name; images are always float64, so no dtype.
+            _, handle = shared.__reduce__()
+            assert handle == (
+                shared._blocks[0].name, (200, 1, 8, 8), shared._blocks[1].name,
+                200, dataset.num_classes, dataset.name,
+            )
+            assert b"<f8" not in payload
             restored = pickle.loads(payload)
             try:
                 assert isinstance(restored, SharedArrayDataset)
                 assert not restored.is_owner
+                assert restored.images.dtype == np.float64
+                assert restored.labels.dtype == np.int64
+                assert (restored.num_classes, restored.name) == (
+                    dataset.num_classes, dataset.name
+                )
                 np.testing.assert_array_equal(restored.images, dataset.images)
                 np.testing.assert_array_equal(restored.labels, dataset.labels)
             finally:

@@ -15,13 +15,13 @@ import pytest
 from repro.data import FederatedDataset
 from repro.federated import FedAvgAggregator, FederatedSimulation
 from repro.federated.simulation import (
-    _TASK_STATE_FIELDS,
     _result_wire_nbytes,
     _task_state_nbytes,
     account_model_traffic,
 )
 from repro.nn.models import MLP
 from repro.runtime import TransportStats, dense_nbytes
+from repro.runtime.dispatch import CARRIED_STATE_FIELDS
 from repro.training import TrainConfig
 from repro.unlearning import GoldfishConfig, federated_goldfish, federated_rapid_retrain
 
@@ -36,7 +36,7 @@ def task(**fields):
 
 
 class TestTaskStateBytes:
-    @pytest.mark.parametrize("field_name", _TASK_STATE_FIELDS)
+    @pytest.mark.parametrize("field_name", CARRIED_STATE_FIELDS)
     def test_each_state_field_is_charged_dense(self, field_name):
         assert _task_state_nbytes(task(**{field_name: STATE})) == dense_nbytes(STATE)
 

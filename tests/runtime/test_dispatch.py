@@ -1,8 +1,8 @@
-"""The dispatch core without processes: broadcast mirror, worker step.
+"""The dispatch core without processes: store mirror, worker step.
 
 A loopback transport hands every dispatched item straight to
 ``serve_task`` in this process (through a pickle round trip, as a pipe
-or socket would), so the parent-side mirror and the worker-side cache
+or socket would), so the parent-side mirror and the worker-side store
 can be watched — and knocked out of step — directly.
 """
 
@@ -11,7 +11,7 @@ import pickle
 import numpy as np
 
 from repro.runtime.codec import BroadcastDelta, BroadcastFull, BroadcastRef
-from repro.runtime.dispatch import BroadcastCache, Dispatcher, serve_task
+from repro.runtime.dispatch import Dispatcher, WorkerStore, serve_task
 
 
 class _EchoTask:
@@ -46,16 +46,16 @@ class _Loopback(Dispatcher):
 
     def __init__(self):
         super().__init__(lease_timeout=float("inf"), max_task_retries=1)
-        self.mirror = BroadcastCache()
-        self.worker_cache = BroadcastCache()
+        self.mirror = WorkerStore()
+        self.worker_store = WorkerStore()
         self.wires = []
         self.inbox = []
 
     def _send(self, item):
         data = pickle.dumps(item)
-        _, _, broadcast = item
-        self.wires.append(None if broadcast is None else broadcast[1])
-        serve_task(self.worker_cache, pickle.loads(data), self.inbox.append)
+        _, _, sends = item
+        self.wires.append(sends[0][1] if sends else None)
+        serve_task(self.worker_store, pickle.loads(data), self.inbox.append)
         return len(data)
 
     def _feed_idle(self):
@@ -105,14 +105,16 @@ class TestBroadcastRoundTrip:
         stats = core.pop_ticket_stats(ticket)
         assert (stats.broadcast_full, stats.broadcast_ref, stats.broadcast_delta) == (1, 1, 1)
         assert stats.bytes_down > 0 and stats.bytes_up > 0
-        # Mirror and worker cache agree on what the worker now holds.
-        assert core.mirror.version == core.worker_cache.version is not None
+        # Mirror and worker store agree on what the worker now holds.
+        assert list(core.mirror.entries) == list(core.worker_store.entries)
+        assert core.mirror.echo() == core.worker_store.echo()
+        assert len(core.mirror.entries) == 2
 
     def test_task_without_a_model_state_skips_the_cache(self):
         core = _Loopback()
         assert core.run([_EchoTask(0)]) == [None]
         assert core.wires == [None]
-        assert core.mirror.version is None
+        assert not core.mirror.entries
 
     def test_caller_task_is_not_stripped(self):
         core = _Loopback()
@@ -127,14 +129,14 @@ class TestEchoRepair:
         core = _Loopback()
         state = make_state(2)
         core.run([_EchoTask(0, state)])
-        # The worker loses its cache behind the parent's back.
-        core.worker_cache.version = core.worker_cache.state = None
+        # The worker loses its store behind the parent's back.
+        core.worker_store.entries.clear()
         ticket = core.submit([_EchoTask(1, state)])
         assert core.poll(ticket)
         assert isinstance(core.wires[-1], BroadcastRef)  # parent believed the mirror
         batch = core.scheduler.finish_batch(ticket)
         assert "broadcast ref" in batch.errors[0]  # the worker could not resolve it
-        assert core.mirror.version is None  # ...and its echo reset the mirror
+        assert not core.mirror.entries  # ...and its echo emptied the mirror
         results = core.run([_EchoTask(2, state)])
         assert isinstance(core.wires[-1], BroadcastFull)
         assert_states_equal(results[0], state)
@@ -153,18 +155,21 @@ class TestDeltaMemo:
 class TestWorkerStep:
     def test_unpicklable_result_is_reported_as_the_tasks_failure(self):
         channel = _PicklingChannel()
-        item = (7, pickle.dumps(_LambdaResultTask(0)), None)
-        serve_task(BroadcastCache(), item, channel)
+        store = WorkerStore()
+        item = (7, pickle.dumps(_LambdaResultTask(0)), ())
+        serve_task(store, item, channel)
         ((lease_id, error, payload, echoed),) = channel.replies
-        assert lease_id == 7 and payload is None and echoed is None
+        assert lease_id == 7 and payload is None
+        assert echoed == store.echo() and echoed[0] == 1
         assert "pickle" in error.lower()
 
     def test_bad_task_bytes_still_apply_the_broadcast_first(self):
-        cache = BroadcastCache()
+        store = WorkerStore()
         state = make_state(4)
         replies = []
-        item = (3, b"not a pickle", ("model_state", BroadcastFull(version="v1", state=state)))
-        serve_task(cache, item, replies.append)
+        item = (3, b"not a pickle", (("model_state", BroadcastFull(version="v1", state=state)),))
+        serve_task(store, item, replies.append)
         ((lease_id, error, _, echoed),) = replies
         assert lease_id == 3 and error is not None
-        assert echoed == "v1" == cache.version  # cache stays in lockstep
+        assert list(store.entries) == ["v1"]  # the store stays in lockstep
+        assert echoed == store.echo()
